@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Unwrap lint for the fault-isolation surface: in the scheduler, the
-# parallel pipeline and the spill codec, every `.unwrap()` / `.expect(`
+# parallel pipeline, the hash-table kernel with the join and aggregate
+# operators on it, and the spill codec, every `.unwrap()` / `.expect(`
 # outside `#[cfg(test)]` must either be replaced with a typed error or
 # sit within $WINDOW lines of an `// invariant:` comment stating why it
 # cannot fire (see docs/fault_model.md). Keeps panic containment from
@@ -12,6 +13,9 @@ status=0
 for f in \
     crates/executor/src/schedule.rs \
     crates/executor/src/parallel.rs \
+    crates/executor/src/hashtable.rs \
+    crates/executor/src/join.rs \
+    crates/executor/src/agg.rs \
     crates/executor/src/spill.rs \
     crates/types/src/spill.rs; do
     bad=$(awk -v w="$WINDOW" '

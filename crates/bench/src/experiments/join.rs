@@ -3,8 +3,8 @@
 //! Not a paper figure: this experiment records what the join phase of
 //! PR 5 buys — the build side of a hash join used to drain serially
 //! before any worker started; now it is a parallel phase of its own
-//! (per-worker hash-partitioned partials over a shared build source,
-//! merged by global build position) and the probe gathers columnar
+//! (per-slot partial builds over a shared build source, linked into
+//! one table by global build position) and the probe gathers columnar
 //! output without materializing a row. The shape is a self-join of the
 //! micro table: probe = full scan, build = the 10%-selectivity filtered
 //! scan (a partitioned heap source of its own), joined on `c2`, with a

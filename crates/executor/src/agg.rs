@@ -3,10 +3,11 @@
 //! Covers the aggregate shapes of the TPC-H-style workload (Q1's grouped
 //! sums/averages, Q6's scalar revenue sum, Q4's grouped counts).
 
-use std::collections::HashMap;
+use smooth_types::{
+    Column, ColumnBatch, ColumnBuffer, ColumnVector, DataType, Error, Result, Row, Schema, Value,
+};
 
-use smooth_types::{Column, ColumnBatch, DataType, Result, Row, RowBatch, Schema, Value};
-
+use crate::hashtable::KeyTable;
 use crate::operator::{batch_size, BoxedOperator, Operator};
 
 /// Supported aggregate functions over one child column.
@@ -67,184 +68,6 @@ impl AggFunc {
     }
 }
 
-/// Accumulator state per aggregate per group. `pub(crate)` so the
-/// parallel driver's partial aggregates reuse the exact accumulator
-/// semantics of the serial operator.
-#[derive(Debug, Clone)]
-pub(crate) enum Acc {
-    Count(u64),
-    Sum(f64),
-    Avg { sum: f64, n: u64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-/// `Float64` view of a value, widening integers — the row-side twin of
-/// [`smooth_types::ColumnVector::float`].
-fn value_as_float(v: &Value) -> Result<f64> {
-    match v {
-        Value::Float(x) => Ok(*x),
-        Value::Int(x) => Ok(*x as f64),
-        Value::Null => Err(smooth_types::Error::exec("expected float, got NULL")),
-        Value::Str(_) => Err(smooth_types::Error::exec("expected float column")),
-    }
-}
-
-impl Acc {
-    pub(crate) fn new(f: &AggFunc) -> Acc {
-        match f {
-            AggFunc::CountStar | AggFunc::Count(_) => Acc::Count(0),
-            AggFunc::Sum(_) | AggFunc::SumProduct(..) => Acc::Sum(0.0),
-            AggFunc::Avg(_) => Acc::Avg { sum: 0.0, n: 0 },
-            AggFunc::Min(_) => Acc::Min(None),
-            AggFunc::Max(_) => Acc::Max(None),
-        }
-    }
-
-    /// Read the physical row `phys` straight off the typed column
-    /// vectors — no `Row` and no `Value` materialize unless a MIN/MAX
-    /// extremum actually improves.
-    pub(crate) fn update_columns(
-        &mut self,
-        f: &AggFunc,
-        batch: &ColumnBatch,
-        phys: usize,
-    ) -> Result<()> {
-        match (self, f) {
-            (Acc::Count(n), AggFunc::CountStar) => *n += 1,
-            (Acc::Count(n), AggFunc::Count(c)) => {
-                if !batch.column(*c).is_null(phys) {
-                    *n += 1;
-                }
-            }
-            (Acc::Sum(s), AggFunc::Sum(c)) => {
-                if !batch.column(*c).is_null(phys) {
-                    *s += batch.column(*c).float(phys)?;
-                }
-            }
-            (Acc::Sum(s), AggFunc::SumProduct(a, b)) => {
-                if !batch.column(*a).is_null(phys) && !batch.column(*b).is_null(phys) {
-                    *s += batch.column(*a).float(phys)? * batch.column(*b).float(phys)?;
-                }
-            }
-            (Acc::Avg { sum, n }, AggFunc::Avg(c)) => {
-                if !batch.column(*c).is_null(phys) {
-                    *sum += batch.column(*c).float(phys)?;
-                    *n += 1;
-                }
-            }
-            (Acc::Min(m), AggFunc::Min(c)) => {
-                let col = batch.column(*c);
-                if !col.is_null(phys)
-                    && m.as_ref().is_none_or(|cur| col.cmp_value(phys, cur).is_lt())
-                {
-                    *m = Some(col.value(phys));
-                }
-            }
-            (Acc::Max(m), AggFunc::Max(c)) => {
-                let col = batch.column(*c);
-                if !col.is_null(phys)
-                    && m.as_ref().is_none_or(|cur| col.cmp_value(phys, cur).is_gt())
-                {
-                    *m = Some(col.value(phys));
-                }
-            }
-            _ => unreachable!("accumulator/function mismatch"),
-        }
-        Ok(())
-    }
-
-    /// Fold one materialized row in — the value-slice twin of
-    /// [`Acc::update_columns`], for morsels that already carry rows
-    /// (e.g. downstream of a parallel hash-join probe). Semantics match
-    /// exactly: NULL inputs are skipped, integers widen for sums.
-    pub(crate) fn update_values(&mut self, f: &AggFunc, values: &[Value]) -> Result<()> {
-        match (self, f) {
-            (Acc::Count(n), AggFunc::CountStar) => *n += 1,
-            (Acc::Count(n), AggFunc::Count(c)) => {
-                if !values[*c].is_null() {
-                    *n += 1;
-                }
-            }
-            (Acc::Sum(s), AggFunc::Sum(c)) => {
-                if !values[*c].is_null() {
-                    *s += value_as_float(&values[*c])?;
-                }
-            }
-            (Acc::Sum(s), AggFunc::SumProduct(a, b)) => {
-                if !values[*a].is_null() && !values[*b].is_null() {
-                    *s += value_as_float(&values[*a])? * value_as_float(&values[*b])?;
-                }
-            }
-            (Acc::Avg { sum, n }, AggFunc::Avg(c)) => {
-                if !values[*c].is_null() {
-                    *sum += value_as_float(&values[*c])?;
-                    *n += 1;
-                }
-            }
-            (Acc::Min(m), AggFunc::Min(c)) => {
-                let v = &values[*c];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_lt()) {
-                    *m = Some(v.clone());
-                }
-            }
-            (Acc::Max(m), AggFunc::Max(c)) => {
-                let v = &values[*c];
-                if !v.is_null() && m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_gt()) {
-                    *m = Some(v.clone());
-                }
-            }
-            _ => unreachable!("accumulator/function mismatch"),
-        }
-        Ok(())
-    }
-
-    /// Combine a partial accumulator in. Exact for counts and MIN/MAX;
-    /// for sums it is exact precisely when [`AggFunc::merge_exact`]
-    /// holds, which is the precondition for the parallel driver using
-    /// per-worker partials at all.
-    pub(crate) fn merge(&mut self, other: Acc) {
-        match (self, other) {
-            (Acc::Count(n), Acc::Count(m)) => *n += m,
-            (Acc::Sum(s), Acc::Sum(t)) => *s += t,
-            (Acc::Avg { sum, n }, Acc::Avg { sum: s2, n: n2 }) => {
-                *sum += s2;
-                *n += n2;
-            }
-            (Acc::Min(m), Acc::Min(o)) => {
-                if let Some(v) = o {
-                    if m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_lt()) {
-                        *m = Some(v);
-                    }
-                }
-            }
-            (Acc::Max(m), Acc::Max(o)) => {
-                if let Some(v) = o {
-                    if m.as_ref().is_none_or(|cur| v.total_cmp(cur).is_gt()) {
-                        *m = Some(v);
-                    }
-                }
-            }
-            _ => unreachable!("merging mismatched accumulators"),
-        }
-    }
-
-    pub(crate) fn finish(self) -> Value {
-        match self {
-            Acc::Count(n) => Value::Int(n as i64),
-            Acc::Sum(s) => Value::Float(s),
-            Acc::Avg { sum, n } => {
-                if n == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(sum / n as f64)
-                }
-            }
-            Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
-        }
-    }
-}
-
 /// The output schema of an aggregation over `child`: the group columns
 /// followed by one column per aggregate. Shared by [`HashAggregate::new`]
 /// and the planner's parallel-pipeline decomposition so both validate
@@ -253,7 +76,7 @@ pub fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> 
     let mut cols = Vec::with_capacity(group_cols.len() + aggs.len());
     for &g in group_cols {
         if g >= child.len() {
-            return Err(smooth_types::Error::schema(format!("group column {g} out of range")));
+            return Err(Error::schema(format!("group column {g} out of range")));
         }
         cols.push(child.column(g).clone());
     }
@@ -263,15 +86,316 @@ pub fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> 
     Schema::new(cols)
 }
 
+/// Call `f(i, phys)` for every live row of `batch`, stopping at the
+/// first error: `i` counts live rows in emission order, `phys` is the
+/// physical slot.
+#[inline]
+fn for_live(batch: &ColumnBatch, mut f: impl FnMut(usize, usize) -> Result<()>) -> Result<()> {
+    match batch.selection() {
+        Some(sel) => sel.iter().enumerate().try_for_each(|(i, &p)| f(i, p as usize)),
+        None => (0..batch.physical_rows()).try_for_each(|p| f(p, p)),
+    }
+}
+
+/// One aggregate's accumulators, columnar: slot `g` belongs to group
+/// id `g`.
+#[derive(Debug)]
+enum AccVec {
+    Count(Vec<u64>),
+    Sum(Vec<f64>),
+    Avg {
+        sum: Vec<f64>,
+        n: Vec<u64>,
+    },
+    /// MIN or MAX (the [`AggFunc`] says which); `None` until a non-null
+    /// input arrives.
+    Extreme(Vec<Option<Value>>),
+}
+
+impl AccVec {
+    fn new(f: &AggFunc) -> AccVec {
+        match f {
+            AggFunc::CountStar | AggFunc::Count(_) => AccVec::Count(Vec::new()),
+            AggFunc::Sum(_) | AggFunc::SumProduct(..) => AccVec::Sum(Vec::new()),
+            AggFunc::Avg(_) => AccVec::Avg { sum: Vec::new(), n: Vec::new() },
+            AggFunc::Min(_) | AggFunc::Max(_) => AccVec::Extreme(Vec::new()),
+        }
+    }
+
+    /// Extend to `groups` slots of identity accumulators.
+    fn grow(&mut self, groups: usize) {
+        match self {
+            AccVec::Count(n) => n.resize(groups, 0),
+            AccVec::Sum(s) => s.resize(groups, 0.0),
+            AccVec::Avg { sum, n } => {
+                sum.resize(groups, 0.0);
+                n.resize(groups, 0);
+            }
+            AccVec::Extreme(m) => m.resize(groups, None),
+        }
+    }
+
+    /// Fold the live rows of `batch` in, row `i` into group `ids[i]`, in
+    /// row order — so each group's `f64` additions happen in input
+    /// order. NULL inputs are skipped; integers widen for sums.
+    fn update(&mut self, f: &AggFunc, batch: &ColumnBatch, ids: &[u32]) -> Result<()> {
+        match (self, f) {
+            (AccVec::Count(n), AggFunc::CountStar) => {
+                ids.iter().for_each(|&g| n[g as usize] += 1);
+                Ok(())
+            }
+            (AccVec::Count(n), AggFunc::Count(c)) => {
+                let nulls = batch.column(*c).nulls();
+                for_live(batch, |i, p| {
+                    n[ids[i] as usize] += !nulls[p] as u64;
+                    Ok(())
+                })
+            }
+            (AccVec::Sum(s), AggFunc::Sum(c)) => {
+                let col = batch.column(*c);
+                for_live(batch, |i, p| {
+                    if !col.is_null(p) {
+                        s[ids[i] as usize] += col.float(p)?;
+                    }
+                    Ok(())
+                })
+            }
+            (AccVec::Sum(s), AggFunc::SumProduct(a, b)) => {
+                let (x, y) = (batch.column(*a), batch.column(*b));
+                for_live(batch, |i, p| {
+                    if !x.is_null(p) && !y.is_null(p) {
+                        s[ids[i] as usize] += x.float(p)? * y.float(p)?;
+                    }
+                    Ok(())
+                })
+            }
+            (AccVec::Avg { sum, n }, AggFunc::Avg(c)) => {
+                let col = batch.column(*c);
+                for_live(batch, |i, p| {
+                    if !col.is_null(p) {
+                        sum[ids[i] as usize] += col.float(p)?;
+                        n[ids[i] as usize] += 1;
+                    }
+                    Ok(())
+                })
+            }
+            (AccVec::Extreme(m), AggFunc::Min(c) | AggFunc::Max(c)) => {
+                // A `Value` materializes only when an extremum improves.
+                let col = batch.column(*c);
+                let better = extreme_order(f);
+                for_live(batch, |i, p| {
+                    let slot = &mut m[ids[i] as usize];
+                    if !col.is_null(p)
+                        && slot.as_ref().is_none_or(|cur| col.cmp_value(p, cur) == better)
+                    {
+                        *slot = Some(col.value(p));
+                    }
+                    Ok(())
+                })
+            }
+            _ => unreachable!("accumulator/function mismatch"),
+        }
+    }
+
+    /// Combine slot `j` of a partial accumulator into slot `g`. Exact
+    /// for counts and MIN/MAX; for sums exact precisely when
+    /// [`AggFunc::merge_exact`] holds, which is the precondition for the
+    /// parallel driver using per-worker partials at all.
+    fn merge_slot(&mut self, f: &AggFunc, g: usize, other: &AccVec, j: usize) {
+        match (self, other) {
+            (AccVec::Count(n), AccVec::Count(m)) => n[g] += m[j],
+            (AccVec::Sum(s), AccVec::Sum(t)) => s[g] += t[j],
+            (AccVec::Avg { sum, n }, AccVec::Avg { sum: s2, n: n2 }) => {
+                sum[g] += s2[j];
+                n[g] += n2[j];
+            }
+            (AccVec::Extreme(m), AccVec::Extreme(o)) => {
+                if let Some(v) = &o[j] {
+                    let better = extreme_order(f);
+                    if m[g].as_ref().is_none_or(|cur| v.total_cmp(cur) == better) {
+                        m[g] = Some(v.clone());
+                    }
+                }
+            }
+            _ => unreachable!("merging mismatched accumulators"),
+        }
+    }
+
+    /// Finish into an output column of type `ty`, one slot per group.
+    fn finish(self, ty: DataType) -> Result<ColumnVector> {
+        let mut out = ColumnVector::for_type(ty);
+        match self {
+            AccVec::Count(n) => n.into_iter().try_for_each(|n| out.push_int(n as i64))?,
+            AccVec::Sum(s) => s.into_iter().try_for_each(|s| out.push_float(s))?,
+            AccVec::Avg { sum, n } => sum.into_iter().zip(n).try_for_each(|(sum, n)| {
+                if n == 0 {
+                    out.push_null();
+                    Ok(())
+                } else {
+                    out.push_float(sum / n as f64)
+                }
+            })?,
+            AccVec::Extreme(m) => {
+                m.iter().try_for_each(|v| out.push_value(v.as_ref().unwrap_or(&Value::Null)))?
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The [`std::cmp::Ordering`] of a candidate against the incumbent
+/// that makes it the new extremum.
+fn extreme_order(f: &AggFunc) -> std::cmp::Ordering {
+    match f {
+        AggFunc::Min(_) => std::cmp::Ordering::Less,
+        _ => std::cmp::Ordering::Greater,
+    }
+}
+
+/// The shared grouped-aggregation fold behind [`HashAggregate`] and the
+/// parallel driver's partial aggregates: a [`KeyTable`] turns each
+/// batch into a **group-id vector** (id = first-seen order of the key),
+/// then every aggregate updates its columnar accumulators from its
+/// input column in one typed loop. No `Value` key, no per-row
+/// allocation. A scalar aggregate (no group columns) is the one group
+/// `0`, present even over empty input.
+pub(crate) struct GroupFold {
+    group_cols: Vec<usize>,
+    aggs: Vec<AggFunc>,
+    /// Aggregated output schema (group columns, then aggregates).
+    schema: Schema,
+    table: KeyTable,
+    accs: Vec<AccVec>,
+    /// Group id per live row of the last folded batch.
+    ids: Vec<u32>,
+}
+
+impl GroupFold {
+    pub(crate) fn new(child: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> Result<Self> {
+        let schema = output_schema(child, group_cols, aggs)?;
+        let mut fold = GroupFold {
+            group_cols: group_cols.to_vec(),
+            aggs: aggs.to_vec(),
+            table: KeyTable::new(group_cols.iter().map(|&g| child.column(g).ty)),
+            accs: aggs.iter().map(AccVec::new).collect(),
+            ids: Vec::new(),
+            schema,
+        };
+        fold.grow();
+        Ok(fold)
+    }
+
+    /// Groups seen so far.
+    pub(crate) fn groups(&self) -> usize {
+        if self.group_cols.is_empty() {
+            1
+        } else {
+            self.table.len()
+        }
+    }
+
+    /// Hash every key to one collision chain (tests only).
+    pub(crate) fn degenerate_hash(&mut self, child: &Schema) {
+        self.table = KeyTable::degenerate(self.group_cols.iter().map(|&g| child.column(g).ty));
+    }
+
+    fn grow(&mut self) {
+        let groups = self.groups();
+        self.accs.iter_mut().for_each(|a| a.grow(groups));
+    }
+
+    /// Group id of each live row of the last folded batch.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Fold one batch in, charging `(hash + update·|aggs|)` per live
+    /// row as one bulk charge — per-row underneath, so totals do not
+    /// depend on where batch boundaries fall.
+    pub(crate) fn update(
+        &mut self,
+        storage: &smooth_storage::Storage,
+        batch: &ColumnBatch,
+    ) -> Result<()> {
+        let cpu = storage.cpu();
+        storage.clock().charge_cpu(
+            (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * batch.len() as u64,
+        );
+        self.ids.clear();
+        if self.group_cols.is_empty() {
+            self.ids.resize(batch.len(), 0);
+        } else {
+            let mut cols = Vec::with_capacity(self.group_cols.len());
+            for &g in &self.group_cols {
+                cols.push(batch.column_checked(g)?);
+            }
+            let (table, ids) = (&mut self.table, &mut self.ids);
+            ids.reserve(batch.len());
+            for_live(batch, |_, p| {
+                ids.push(table.intern(&cols, p));
+                Ok(())
+            })?;
+            self.grow();
+        }
+        for (acc, f) in self.accs.iter_mut().zip(&self.aggs) {
+            acc.update(f, batch, &self.ids)?;
+        }
+        Ok(())
+    }
+
+    /// Merge another fold's groups in (order-independent: the caller
+    /// guarantees every aggregate merges exactly). Returns this fold's
+    /// group id for each of `other`'s groups.
+    pub(crate) fn absorb(&mut self, other: &GroupFold) -> Vec<u32> {
+        let cols: Vec<&ColumnVector> = other.table.keys().iter().collect();
+        let map: Vec<u32> = (0..other.groups())
+            .map(|j| if cols.is_empty() { 0 } else { self.table.intern(&cols, j) })
+            .collect();
+        self.grow();
+        for ((acc, theirs), f) in self.accs.iter_mut().zip(&other.accs).zip(&self.aggs) {
+            for (j, &g) in map.iter().enumerate() {
+                acc.merge_slot(f, g as usize, theirs, j);
+            }
+        }
+        map
+    }
+
+    /// Finish into one dense batch — key columns, then one column per
+    /// aggregate — with groups in id (first-seen) order, or in `order`
+    /// (a permutation of the group ids) when given.
+    pub(crate) fn finish(self, order: Option<&[u32]>) -> Result<ColumnBatch> {
+        let GroupFold { table, accs, schema, group_cols, .. } = self;
+        let mut columns = table.into_keys();
+        for (acc, col) in accs.into_iter().zip(&schema.columns()[group_cols.len()..]) {
+            columns.push(acc.finish(col.ty)?);
+        }
+        let batch = ColumnBatch::from_columns(columns)?;
+        Ok(match order {
+            Some(order) => {
+                let mut sorted = ColumnBatch::like(&batch);
+                sorted.append_gather(&batch, order);
+                sorted
+            }
+            None => batch,
+        })
+    }
+}
+
 /// Hash aggregation over optional group-by columns. With no group columns
 /// it degenerates to a scalar aggregate producing exactly one row.
+///
+/// The input drains through the columnar protocol into a `GroupFold`;
+/// the result is one [`ColumnBatch`] (groups in first-seen order) drained
+/// through whichever protocol the parent speaks — `Row`s materialize
+/// only under `next()`.
 pub struct HashAggregate {
     child: BoxedOperator,
     group_cols: Vec<usize>,
     aggs: Vec<AggFunc>,
     storage: smooth_storage::Storage,
     schema: Schema,
-    output: Option<std::vec::IntoIter<Row>>,
+    degenerate_hash: bool,
+    out: ColumnBuffer,
 }
 
 impl HashAggregate {
@@ -283,7 +407,17 @@ impl HashAggregate {
         storage: smooth_storage::Storage,
     ) -> Result<Self> {
         let schema = output_schema(child.schema(), &group_cols, &aggs)?;
-        Ok(HashAggregate { child, group_cols, aggs, storage, schema, output: None })
+        let out = ColumnBuffer::for_schema(&schema);
+        Ok(HashAggregate { child, group_cols, aggs, storage, schema, degenerate_hash: false, out })
+    }
+
+    /// Run the group table on [`KeyTable::degenerate`] (collision-chain
+    /// and growth torture for the kernel property tests; results must
+    /// not change).
+    #[doc(hidden)]
+    pub fn with_degenerate_hash(mut self) -> Self {
+        self.degenerate_hash = true;
+        self
     }
 }
 
@@ -294,60 +428,34 @@ impl Operator for HashAggregate {
 
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
-        let mut groups: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-        // Stable output: remember first-seen order of groups.
-        let mut order: Vec<Vec<Value>> = Vec::new();
-        let cpu = *self.storage.cpu();
+        self.out.reset();
+        let mut fold = GroupFold::new(self.child.schema(), &self.group_cols, &self.aggs)?;
+        if self.degenerate_hash {
+            fold.degenerate_hash(self.child.schema());
+        }
         // Drain the input through the columnar protocol: one virtual call
         // and one clock charge per batch rather than per tuple, group keys
         // and aggregate inputs read vector-at-a-time off the typed column
         // vectors (no row ever materializes on the way in).
         while let Some(batch) = self.child.next_columns(batch_size())? {
-            self.storage.clock().charge_cpu(
-                (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * batch.len() as u64,
-            );
-            for phys in batch.live_rows() {
-                let key: Vec<Value> =
-                    self.group_cols.iter().map(|&c| batch.column(c).value(phys)).collect();
-                let accs = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    self.aggs.iter().map(Acc::new).collect()
-                });
-                for (acc, f) in accs.iter_mut().zip(&self.aggs) {
-                    acc.update_columns(f, &batch, phys)?;
-                }
-            }
+            fold.update(&self.storage, &batch)?;
         }
         self.child.close()?;
-        if self.group_cols.is_empty() && groups.is_empty() {
-            // Scalar aggregate over the empty input still yields one row.
-            groups.insert(Vec::new(), self.aggs.iter().map(Acc::new).collect());
-            order.push(Vec::new());
-        }
-        let mut rows = Vec::with_capacity(order.len());
-        for key in order {
-            let accs = groups.remove(&key).expect("group recorded");
-            let mut values = key;
-            values.extend(accs.into_iter().map(Acc::finish));
-            rows.push(Row::new(values));
-        }
-        self.output = Some(rows.into_iter());
+        *self.out.fill() = fold.finish(None)?;
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.output.as_mut().and_then(|it| it.next()))
+        Ok(self.out.pop_row())
     }
 
-    /// Emit the aggregated groups in chunks of `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let Some(it) = self.output.as_mut() else { return Ok(None) };
-        let rows: Vec<Row> = it.take(max.max(1)).collect();
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
+    /// Emit the aggregated groups columnar, `max` at a time.
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        Ok(self.out.pop_columns(max.max(1)))
     }
 
     fn close(&mut self) -> Result<()> {
-        self.output = None;
+        self.out.reset();
         Ok(())
     }
 
@@ -448,6 +556,30 @@ mod tests {
         assert_eq!(out[0].int(0).unwrap(), 3);
         assert_eq!(out[0].int(1).unwrap(), 2);
         assert_eq!(out[0].float(2).unwrap(), 4.0);
+    }
+
+    #[test]
+    fn float_and_null_group_keys_group_bitwise() {
+        // Every NaN lands in one group, 0.0 and -0.0 in two, NULL in its
+        // own — deterministically, in first-seen order.
+        let schema = Schema::new(vec![Column::nullable("g", DataType::Float64)]).unwrap();
+        let keys = [Value::Float(f64::NAN), Value::Float(0.0), Value::Null, Value::Float(-0.0)];
+        let rows: Vec<Row> = (0..12).map(|i| Row::new(vec![keys[i % 4].clone()])).collect();
+        for degenerate in [false, true] {
+            let child = Box::new(ValuesOp::new(schema.clone(), rows.clone()));
+            let mut agg =
+                HashAggregate::new(child, vec![0], vec![AggFunc::CountStar], storage()).unwrap();
+            if degenerate {
+                agg = agg.with_degenerate_hash();
+            }
+            let out = collect_rows(&mut agg).unwrap();
+            assert_eq!(out.len(), 4);
+            assert!(out[0].float(0).unwrap().is_nan());
+            assert_eq!(out[1].float(0).unwrap().to_bits(), 0.0f64.to_bits());
+            assert!(out[2].get(0).is_null());
+            assert_eq!(out[3].float(0).unwrap().to_bits(), (-0.0f64).to_bits());
+            assert!(out.iter().all(|r| r.int(1).unwrap() == 3));
+        }
     }
 
     #[test]

@@ -6,17 +6,19 @@
 //! situation where Smooth Scan's order preservation matters (Section IV-B,
 //! "Interaction with Other Operators").
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnVector, Error, Result, Row, RowBatch, Schema, Value,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, RowBatch, Schema,
+    Value,
 };
 
 use crate::expr::Predicate;
+use crate::hashtable::KeyTable;
 use crate::operator::{batch_size, BoxedOperator, Operator};
 use crate::spill::{charge_spill_io, spill_partitions, spill_write, SpillFile};
 
@@ -36,28 +38,15 @@ fn join_schema(left: &Schema, right: &Schema, ty: JoinType) -> Schema {
     }
 }
 
-/// Hash partitions per build table. Fixed (rather than derived from the
-/// worker count) so the serial and parallel builders produce structurally
-/// identical tables; [`JoinBuildTable::with_partitions`] exists for tests
-/// and future grace-join spilling.
+/// Spill partitions per build table: the unit [`JoinBuildTable::
+/// apply_budget`] sizes and spills, and what probe rows are routed by
+/// once something has spilled. Fixed (rather than derived from the
+/// worker count) so every driver spills the identical partitions;
+/// [`JoinBuildTable::with_partitions`] exists for tests.
 pub const BUILD_PARTITIONS: usize = 64;
 
-/// A reference to one build row: builder ordinal (the worker that ingested
-/// it under the parallel partitioned build; always 0 for a serial build)
-/// in the high 32 bits, row position within that builder's payload batch
-/// in the low 32 bits.
-pub type BuildRef = u64;
-
-/// One hash partition's per-worker match lists before the merge: key →
-/// `(global build position, local payload row)` entries, position-sorted
-/// within one worker by construction.
-pub type PartialPartition = HashMap<Value, Vec<(u64, u32)>>;
-
-#[inline]
-fn build_ref(builder: usize, row: usize) -> BuildRef {
-    debug_assert!(builder < u32::MAX as usize && row <= u32::MAX as usize);
-    ((builder as u64) << 32) | row as u64
-}
+/// Chain terminator / "no build row".
+const NIL: u32 = u32::MAX;
 
 #[inline]
 fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
@@ -67,27 +56,22 @@ fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-/// Stable partition hash of a join key, consistent with [`Value`]'s
-/// derived equality (equal keys always land in the same partition). Only
-/// partitioning uses it; the per-partition maps hash with the std hasher.
-#[inline]
-fn key_partition(key: &Value, parts: usize) -> usize {
-    key_partition_at(key, 0, parts)
-}
-
-/// [`key_partition`] salted by grace-recursion `level`: level 0 is the
+/// Stable spill-partition hash of the (non-null) join key in slot `idx`
+/// of `key`, salted by grace-recursion `level`: level 0 is the
 /// top-level build partitioning, level `n ≥ 1` re-partitions an
 /// overflowing spilled partition's keys independently of every level
-/// above it (same FNV walk, level-perturbed offset basis).
+/// above it (same FNV walk over the key's type tag and bytes,
+/// level-perturbed offset basis). Only spill accounting uses it — the
+/// probe index is the [`KeyTable`].
 #[inline]
-fn key_partition_at(key: &Value, level: u32, parts: usize) -> usize {
+fn key_partition_at(key: &ColumnVector, idx: usize, level: u32, parts: usize) -> usize {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    debug_assert!(!key.is_null(idx), "null keys never reach the build table");
     let offset = OFFSET ^ (level as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let h = match key {
-        Value::Null => fnv(offset, &[0]),
-        Value::Int(v) => fnv(fnv(offset, &[1]), &v.to_le_bytes()),
-        Value::Float(v) => fnv(fnv(offset, &[2]), &v.to_bits().to_le_bytes()),
-        Value::Str(s) => fnv(fnv(offset, &[3]), s.as_bytes()),
+    let h = match key.values() {
+        ColumnValues::Int(v) => fnv(fnv(offset, &[1]), &v[idx].to_le_bytes()),
+        ColumnValues::Float(v) => fnv(fnv(offset, &[2]), &v[idx].to_bits().to_le_bytes()),
+        ColumnValues::Str(v) => fnv(fnv(offset, &[3]), v.bytes_at(idx)),
     };
     (h % parts as u64) as usize
 }
@@ -129,83 +113,134 @@ struct GraceSpill {
     finished: AtomicBool,
 }
 
-/// The columnar build side of a hash join: hash-partitioned match lists
-/// (key → build rows, in global build order) over payload rows stored as
-/// typed [`ColumnVector`]s — no `Vec<Row>` anywhere. Payloads live in one
-/// dense [`ColumnBatch`] per *builder* (one for a serial build, one per
-/// worker under the parallel partitioned build), and a [`BuildRef`] names
-/// a row as `(builder, position)`.
+/// The columnar build side of a hash join: payload rows stored as typed
+/// [`ColumnVector`]s in one dense [`ColumnBatch`] — no `Vec<Row>`
+/// anywhere — indexed by a [`KeyTable`] over the key column. Each
+/// distinct key is one table entry with the `head` and `tail` of a
+/// chain through `next` (one link per build row), and rows join their
+/// key's chain in **global build order**, so walking a chain yields a
+/// key's matches exactly in the order a serial build ingested them.
 ///
-/// Probing gathers matched payload columns straight into the output
-/// batch's vectors ([`JoinBuildTable::gather_payload`]); build ingest
-/// moves `Text` buffers in by handoff ([`ColumnBatch::append_dense`] /
-/// [`ColumnBatch::append_taken_row`]) rather than cloning per row.
+/// Probing is two-phase ([`JoinBuildTable::probe_columns`]): one walk
+/// over the probe key column collects `(probe row, build row)` index
+/// vectors, then every output column gathers in one typed loop
+/// ([`ColumnVector::extend_gather`]).
 ///
-/// # Partition lifecycle
+/// # Build lifecycle
 ///
-/// Every build row lives in exactly one of [`BUILD_PARTITIONS`] hash
-/// partitions from ingest to close:
-///
-/// 1. **Ingest** — [`JoinBuildTable::insert_batch`] (serial) or
-///    [`JoinBuildPartial::fold`] (one per parallel worker) routes each
-///    non-null key to `key_partition(key)` and appends its payload row.
-/// 2. **Merge** — per-worker partials merge partition-wise
-///    ([`JoinBuildTable::merge_partition`]) into match lists in global
-///    build order; a serial build is already merged. From here the
-///    table is byte-identical no matter which driver built it.
-/// 3. **Budget** — [`JoinBuildTable::apply_budget`] sizes every
-///    partition under the spill codec and, if the total exceeds the
-///    operator's memory budget, spills whole partitions largest-first
-///    (ties to the lowest index) until the retained set fits. A spilled
-///    partition becomes an overflow file plus a grace tree: while a
-///    (sub-)partition still exceeds the budget it re-partitions into
+/// 1. **Ingest** — [`JoinBuildTable::insert_batch`] (serial, in input
+///    order) appends non-null-key payload rows and links them; under
+///    the scheduler each worker slot only appends
+///    ([`JoinBuildPartial::fold`]) and remembers every row's global
+///    build position, and [`JoinBuildTable::from_partials`] links the
+///    concatenated rows in position order. From here the table answers
+///    probes identically no matter which driver built it.
+/// 2. **Budget** — [`JoinBuildTable::apply_budget`] assigns every build
+///    row to one of [`BUILD_PARTITIONS`] *spill partitions*
+///    (`key_partition_at` level 0 — partitions exist only for spill
+///    accounting, the probe index is not partitioned), sizes them under
+///    the spill codec and, if the total exceeds the operator's memory
+///    budget, spills whole partitions largest-first (ties to the lowest
+///    index) until the retained set fits. A spilled partition becomes
+///    an overflow file plus a grace tree: while a (sub-)partition still
+///    exceeds the budget it re-partitions into
 ///    [`crate::spill::spill_partitions`] children under a level-salted
 ///    hash, and each repartition pass charges a re-read and re-write of
 ///    the bytes it moves.
-/// 4. **Probe** — [`JoinBuildTable::probe_columns`] routes each probe
+/// 3. **Probe** — [`JoinBuildTable::probe_columns`] routes each probe
 ///    row whose key hashes to a spilled partition down that partition's
 ///    grace tree, tallying the probe-overflow bytes that must spool to
 ///    the partition's probe file (order-independent atomic sums).
-/// 5. **Finalize** — [`JoinBuildTable::finish_probe`] (idempotent)
+/// 4. **Finalize** — [`JoinBuildTable::finish_probe`] (idempotent)
 ///    charges the deferred join passes: the probe overflow written,
 ///    re-partitioned alongside the build files, and each leaf pair
 ///    re-read to join.
 ///
-/// Spilled partitions keep their match lists addressable — spilling is
-/// a *charged accounting* state, like the Result Cache's partition
+/// Spilled partitions keep their rows addressable — spilling is a
+/// *charged accounting* state, like the Result Cache's partition
 /// spills, so probe results stay byte-identical to the unbudgeted run
 /// by construction while the virtual clock pays the full grace-join
 /// I/O. See `docs/larger_than_memory.md`.
 pub struct JoinBuildTable {
-    /// `parts[key_partition(key)]` maps a key to its match list.
-    parts: Vec<HashMap<Value, Vec<BuildRef>>>,
-    /// Payload columns, one dense batch per builder.
-    payloads: Vec<ColumnBatch>,
-    /// Build-side schema (column typing of the payload batches).
+    /// Distinct keys; entry id indexes `head` / `tail`.
+    keys: KeyTable,
+    /// First build row of each key's chain.
+    head: Vec<u32>,
+    /// Last build row of each key's chain (where the next row links).
+    tail: Vec<u32>,
+    /// `next[r]` is the build row after `r` with the same key, or `NIL`.
+    next: Vec<u32>,
+    /// Payload columns, one slot per stored build row.
+    payload: ColumnBatch,
+    /// Build-side schema (column typing of the payload batch).
     schema: Schema,
     key_col: usize,
+    /// Spill partition count.
+    partitions: usize,
     /// Budget-overflow state, set by [`JoinBuildTable::apply_budget`].
     spill: Option<GraceSpill>,
 }
 
 impl JoinBuildTable {
     /// An empty build table keyed on `key_col` of `schema`, with the
-    /// default [`BUILD_PARTITIONS`] hash partitions.
+    /// default [`BUILD_PARTITIONS`] spill partitions.
     pub fn new(schema: &Schema, key_col: usize) -> Self {
         Self::with_partitions(schema, key_col, BUILD_PARTITIONS)
     }
 
-    /// An empty build table with an explicit partition count (probe
-    /// results are independent of it; the count only shapes the maps).
+    /// An empty build table with an explicit spill-partition count
+    /// (probe results are independent of it; the count only decides
+    /// what a budget spills).
     pub fn with_partitions(schema: &Schema, key_col: usize, partitions: usize) -> Self {
-        let partitions = partitions.max(1);
+        let key_type = schema.columns().get(key_col).map(|c| c.ty);
+        Self::with_key_table(schema, key_col, partitions, KeyTable::new(key_type))
+    }
+
+    /// A build table on [`KeyTable::degenerate`] (collision-chain and
+    /// growth torture for the kernel property tests; results must not
+    /// change).
+    #[doc(hidden)]
+    pub fn with_degenerate_hash(schema: &Schema, key_col: usize) -> Self {
+        let key_type = schema.columns().get(key_col).map(|c| c.ty);
+        Self::with_key_table(schema, key_col, BUILD_PARTITIONS, KeyTable::degenerate(key_type))
+    }
+
+    fn with_key_table(schema: &Schema, key_col: usize, partitions: usize, keys: KeyTable) -> Self {
         JoinBuildTable {
-            parts: (0..partitions).map(|_| HashMap::new()).collect(),
-            payloads: vec![ColumnBatch::for_schema(schema)],
+            keys,
+            head: Vec::new(),
+            tail: Vec::new(),
+            next: Vec::new(),
+            payload: ColumnBatch::for_schema(schema),
             schema: schema.clone(),
             key_col,
+            partitions: partitions.max(1),
             spill: None,
         }
+    }
+
+    /// Link the partial builds of one parallel build phase into a
+    /// table: payloads concatenate (whole-buffer handoff), then rows
+    /// join their key chains in global build position order — so the
+    /// table answers probes exactly like a serial build of the same
+    /// input, no matter which slot folded which morsel or in what
+    /// order. Charge-free, like the serial linking it reproduces.
+    pub fn from_partials(
+        schema: &Schema,
+        key_col: usize,
+        partitions: usize,
+        partials: Vec<JoinBuildPartial>,
+    ) -> Self {
+        let mut table = Self::with_partitions(schema, key_col, partitions);
+        let mut order: Vec<(u64, u32)> = Vec::new();
+        for JoinBuildPartial { payload, positions, .. } in partials {
+            let base = table.payload.physical_rows() as u32;
+            order.extend(positions.into_iter().zip(base..));
+            table.payload.append_dense(payload);
+        }
+        order.sort_unstable();
+        table.link(order.into_iter().map(|(_, row)| row));
+        table
     }
 
     /// The build-side schema.
@@ -218,14 +253,14 @@ impl JoinBuildTable {
         self.key_col
     }
 
-    /// Hash partitions.
+    /// Spill partitions.
     pub fn partition_count(&self) -> usize {
-        self.parts.len()
+        self.partitions
     }
 
     /// Total build rows stored (null-key rows are never stored).
     pub fn len(&self) -> usize {
-        self.payloads.iter().map(|p| p.physical_rows()).sum()
+        self.payload.physical_rows()
     }
 
     /// `true` when no build row is stored.
@@ -233,20 +268,21 @@ impl JoinBuildTable {
         self.len() == 0
     }
 
-    /// Drop all contents, keeping the schema and partition shape.
+    /// Drop all contents, keeping the schema and partition count.
     pub fn clear(&mut self) {
-        for p in &mut self.parts {
-            p.clear();
-        }
-        self.payloads = vec![ColumnBatch::for_schema(&self.schema)];
+        self.keys.clear();
+        self.head.clear();
+        self.tail.clear();
+        self.next.clear();
+        self.payload = ColumnBatch::for_schema(&self.schema);
         self.spill = None;
     }
 
     /// Ingest one morsel of build input (the serial build path): null-key
     /// rows are dropped, everything else appends to the payload columns —
-    /// dense batches by whole-buffer handoff, selected batches row-wise
-    /// with string payloads *moved*, never cloned.
-    pub fn insert_batch(&mut self, mut batch: ColumnBatch) -> Result<()> {
+    /// dense batches by whole-buffer handoff, selected batches by one
+    /// gather per column — and links into its key's chain.
+    pub fn insert_batch(&mut self, batch: ColumnBatch) -> Result<()> {
         if batch.width() != self.schema.len() {
             return Err(Error::exec(format!(
                 "build batch of {} columns for a {}-column table",
@@ -255,70 +291,43 @@ impl JoinBuildTable {
             )));
         }
         batch.column_checked(self.key_col)?;
-        let JoinBuildTable { parts, payloads, key_col, .. } = self;
-        let payload = &mut payloads[0];
-        let dense_non_null =
-            batch.selection().is_none() && !batch.column(*key_col).nulls().iter().any(|&null| null);
-        if dense_non_null {
-            // Fast path: every row survives, so the match lists index a
-            // contiguous range and the payload buffers hand over whole.
-            let base = payload.physical_rows();
-            for i in 0..batch.physical_rows() {
-                let key = batch.column(*key_col).value(i);
-                let part = key_partition(&key, parts.len());
-                parts[part].entry(key).or_default().push(build_ref(0, base + i));
-            }
-            payload.append_dense(batch);
-        } else {
-            for live in 0..batch.len() {
-                let phys = match batch.selection() {
-                    Some(sel) => sel[live] as usize,
-                    None => live,
-                };
-                if batch.column(*key_col).is_null(phys) {
-                    continue;
-                }
-                let key = batch.column(*key_col).value(phys);
-                let part = key_partition(&key, parts.len());
-                parts[part].entry(key).or_default().push(build_ref(0, payload.physical_rows()));
-                payload.append_taken_row(&mut batch, phys);
-            }
-        }
+        let base = self.payload.physical_rows() as u32;
+        append_keyed_rows(&mut self.payload, batch, self.key_col, |_| ());
+        self.link(base..self.payload.physical_rows() as u32);
         Ok(())
     }
 
-    /// The match list for `key` (global build order), if any.
-    #[inline]
-    pub fn matches(&self, key: &Value) -> Option<&[BuildRef]> {
-        self.parts[key_partition(key, self.parts.len())].get(key).map(Vec::as_slice)
-    }
-
-    /// Gather the payload row `r` into the parallel output vectors `out`
-    /// (one per build column, typed like the schema).
-    #[inline]
-    pub fn gather_payload(&self, r: BuildRef, out: &mut [ColumnVector]) {
-        let src = &self.payloads[(r >> 32) as usize];
-        let row = (r & u32::MAX as u64) as usize;
-        for (dst, s) in out.iter_mut().zip(src.columns()) {
-            dst.push_from(s, row);
+    /// Append the (already stored) payload `rows` to their keys' chains,
+    /// in the order given — which must be global build order.
+    fn link(&mut self, rows: impl Iterator<Item = u32>) {
+        let JoinBuildTable { keys, head, tail, next, payload, key_col, .. } = self;
+        assert!(payload.physical_rows() < NIL as usize, "hash-join build row ids exhausted");
+        if payload.physical_rows() == 0 {
+            return;
         }
-    }
-
-    /// Materialize the payload row `r` (strings clone) — the
-    /// row-protocol fallback path only; columnar probes gather instead.
-    pub fn payload_row(&self, r: BuildRef) -> Row {
-        let src = &self.payloads[(r >> 32) as usize];
-        let row = (r & u32::MAX as u64) as usize;
-        Row::new(src.columns().iter().map(|c| c.value(row)).collect())
+        next.resize(payload.physical_rows(), NIL);
+        let key = [payload.column(*key_col)];
+        for row in rows {
+            let entry = keys.intern(&key, row as usize) as usize;
+            if entry == head.len() {
+                head.push(row);
+                tail.push(row);
+            } else {
+                next[tail[entry] as usize] = row;
+                tail[entry] = row;
+            }
+        }
     }
 
     /// Probe one columnar morsel, gathering every match into `out`
     /// (typed `probe columns ++ payload columns` for an inner join,
-    /// probe columns alone for a semi join): one hash charge per live
-    /// probe row, one emit charge per produced match, matches in global
-    /// build order, null probe keys skipped after the hash charge. Both
-    /// the serial [`HashJoin`] and the parallel driver's probe stage
-    /// call this — the probe charge model lives in exactly one place.
+    /// probe columns alone for a semi join): matches in global build
+    /// order, null probe keys never match. Charges one hash op per live
+    /// probe row and one emit per produced row, each as **one charge
+    /// per morsel** — addition commutes, so totals equal the per-row
+    /// charges they replace. Both the serial [`HashJoin`] and the
+    /// parallel driver's probe stage call this — the probe charge model
+    /// lives in exactly one place.
     pub fn probe_columns(
         &self,
         storage: &Storage,
@@ -328,111 +337,60 @@ impl JoinBuildTable {
         out: &mut ColumnBatch,
     ) -> Result<()> {
         let cpu = *storage.cpu();
-        let clock = storage.clock();
-        let left_width = batch.width();
-        batch.column_checked(probe_col)?;
-        for live in 0..batch.len() {
-            let phys = match batch.selection() {
-                Some(sel) => sel[live] as usize,
-                None => live,
-            };
-            clock.charge_cpu(cpu.hash_op_ns);
-            let col = batch.column(probe_col);
-            if col.is_null(phys) {
+        let key = batch.column_checked(probe_col)?;
+        storage.clock().charge_cpu(cpu.hash_op_ns * batch.len() as u64);
+        // Phase 1: one walk over the key column collects the output as
+        // index vectors.
+        let mut probe_rows: Vec<u32> = Vec::with_capacity(batch.len());
+        let mut build_rows: Vec<u32> =
+            Vec::with_capacity(if ty == JoinType::Inner { batch.len() } else { 0 });
+        for phys in batch.live_rows() {
+            if key.is_null(phys) {
                 continue;
             }
-            let key = col.value(phys);
-            if self.spill.is_some() {
-                self.note_probe_row(&key, batch, phys);
+            if let Some(spill) = &self.spill {
+                self.note_probe_row(spill, key, batch, phys);
             }
-            let Some(matches) = self.matches(&key) else { continue };
+            let Some(entry) = self.keys.find(&[key], phys) else { continue };
             match ty {
                 JoinType::Inner => {
-                    clock.charge_cpu(cpu.emit_tuple_ns * matches.len() as u64);
-                    for &m in matches {
-                        let cols = out.columns_mut();
-                        for (c, dst) in cols.iter_mut().enumerate().take(left_width) {
-                            dst.push_from(batch.column(c), phys);
-                        }
-                        self.gather_payload(m, &mut cols[left_width..]);
-                        out.commit_rows(1);
+                    let mut row = self.head[entry as usize];
+                    while row != NIL {
+                        probe_rows.push(phys as u32);
+                        build_rows.push(row);
+                        row = self.next[row as usize];
                     }
                 }
-                JoinType::LeftSemi => {
-                    clock.charge_cpu(cpu.emit_tuple_ns);
-                    let cols = out.columns_mut();
-                    for (c, dst) in cols.iter_mut().enumerate() {
-                        dst.push_from(batch.column(c), phys);
-                    }
-                    out.commit_rows(1);
-                }
+                JoinType::LeftSemi => probe_rows.push(phys as u32),
             }
         }
+        storage.clock().charge_cpu(cpu.emit_tuple_ns * probe_rows.len() as u64);
+        // Phase 2: gather every output column in one typed loop.
+        let left_width = batch.width();
+        let cols = out.columns_mut();
+        for (dst, src) in cols.iter_mut().zip(batch.columns()) {
+            dst.extend_gather(src, &probe_rows);
+        }
+        if ty == JoinType::Inner {
+            for (dst, src) in cols[left_width..].iter_mut().zip(self.payload.columns()) {
+                dst.extend_gather(src, &build_rows);
+            }
+        }
+        out.commit_rows(probe_rows.len());
         Ok(())
     }
 
-    /// Merge one partition's per-worker maps (entry `w` built by worker
-    /// `w`) into the final match lists: every key's matches are reordered
-    /// by their recorded global build position `(morsel seq, row)` — the
-    /// same first-seen-position rule the parallel aggregate sink uses —
-    /// so the merged table is byte-identical to a serial build no matter
-    /// which worker ingested which morsel.
-    pub fn merge_partition(worker_maps: Vec<PartialPartition>) -> HashMap<Value, Vec<BuildRef>> {
-        let mut merged: HashMap<Value, Vec<(u64, BuildRef)>> = HashMap::new();
-        for (w, map) in worker_maps.into_iter().enumerate() {
-            for (key, list) in map {
-                merged
-                    .entry(key)
-                    .or_default()
-                    .extend(list.into_iter().map(|(pos, row)| (pos, build_ref(w, row as usize))));
-            }
-        }
-        merged
-            .into_iter()
-            .map(|(key, mut list)| {
-                list.sort_unstable_by_key(|&(pos, _)| pos);
-                (key, list.into_iter().map(|(_, r)| r).collect())
-            })
-            .collect()
-    }
-
-    /// Assemble a table from merged partitions plus the per-worker payload
-    /// batches (`payloads[w]` ingested by worker `w`, matching the
-    /// builder ordinals [`JoinBuildTable::merge_partition`] encodes).
-    pub fn from_merged(
-        schema: &Schema,
-        key_col: usize,
-        payloads: Vec<ColumnBatch>,
-        parts: Vec<HashMap<Value, Vec<BuildRef>>>,
-    ) -> Self {
-        debug_assert!(!parts.is_empty());
-        JoinBuildTable { parts, payloads, schema: schema.clone(), key_col, spill: None }
-    }
-
-    /// Encoded spill-codec bytes of build row `r`.
-    #[inline]
-    fn build_row_bytes(&self, r: BuildRef) -> u64 {
-        let batch = &self.payloads[(r >> 32) as usize];
-        smooth_types::spill::batch_row_len(batch, (r & u32::MAX as u64) as usize) as u64
-    }
-
-    /// Key of build row `r` (never NULL — null keys drop at ingest).
-    #[inline]
-    fn build_row_key(&self, r: BuildRef) -> Value {
-        let batch = &self.payloads[(r >> 32) as usize];
-        batch.column(self.key_col).value((r & u32::MAX as u64) as usize)
-    }
-
-    /// Enforce the operator memory budget on the fully-built (merged)
-    /// table: size every partition under the spill codec and, while the
-    /// retained total exceeds `budget_bytes`, spill whole partitions
-    /// largest-first (ties to the lowest partition index) into charged
-    /// overflow files, recursing on any partition that alone still
-    /// exceeds the budget (see the type-level partition-lifecycle docs).
+    /// Enforce the operator memory budget on the fully-built table:
+    /// assign every build row to its spill partition, size the
+    /// partitions under the spill codec and, while the retained total
+    /// exceeds `budget_bytes`, spill whole partitions largest-first
+    /// (ties to the lowest partition index) into charged overflow
+    /// files, recursing on any partition that alone still exceeds the
+    /// budget (see the type-level lifecycle docs).
     /// A zero budget means unlimited: the call is free and charges
     /// nothing. Must run at exactly one deterministic point per build —
-    /// after the serial build loop, or after the parallel partial merge
-    /// — so every driver charges identical spill I/O.
+    /// after the serial build loop, or after the parallel partials are
+    /// linked — so every driver charges identical spill I/O.
     /// Fails only if a spilled partition's overflow-file write fails
     /// (injected `spill_err` faults that exhaust their retries); the
     /// table is left unspilled in that case.
@@ -442,11 +400,15 @@ impl JoinBuildTable {
             return Ok(());
         }
         let budget = budget_bytes as u64;
-        let sizes: Vec<u64> = self
-            .parts
-            .iter()
-            .map(|m| m.values().flatten().map(|&r| self.build_row_bytes(r)).sum())
-            .collect();
+        let key = self.payload.column(self.key_col);
+        // Build rows per partition, each list in payload order.
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); self.partitions];
+        let mut sizes = vec![0u64; self.partitions];
+        for r in 0..self.len() {
+            let p = key_partition_at(key, r, 0, self.partitions);
+            rows[p].push(r as u32);
+            sizes[p] += self.build_row_bytes(r as u32);
+        }
         let total: u64 = sizes.iter().sum();
         if total <= budget {
             return Ok(());
@@ -464,28 +426,25 @@ impl JoinBuildTable {
                 break;
             }
             retained -= sizes[p];
-            // Refs in global build order: the file contents — and the
-            // recursion tree — are independent of map iteration order.
-            let mut refs: Vec<BuildRef> = self.parts[p].values().flatten().copied().collect();
-            refs.sort_unstable();
             let mut data = Vec::with_capacity(sizes[p] as usize);
-            for &r in &refs {
-                let batch = &self.payloads[(r >> 32) as usize];
-                smooth_types::spill::encode_batch_row(
-                    batch,
-                    (r & u32::MAX as u64) as usize,
-                    &mut data,
-                );
+            for &r in &rows[p] {
+                smooth_types::spill::encode_batch_row(&self.payload, r as usize, &mut data);
             }
             // The initial spill writes the whole partition once
             // (fault-gated: a failed write fails the build) …
-            files[p] = Some(spill_write(storage, data, refs.len() as u64)?);
+            files[p] = Some(spill_write(storage, data, rows[p].len() as u64)?);
             // … and every overflowing (sub-)partition re-reads and
             // re-writes its bytes per recursion level (charged inside).
-            trees[p] = Some(self.grace_node(storage, &refs, sizes[p], 0, budget, fanout));
+            trees[p] = Some(self.grace_node(storage, &rows[p], sizes[p], 0, budget, fanout));
         }
         self.spill = Some(GraceSpill { fanout, trees, files, finished: AtomicBool::new(false) });
         Ok(())
+    }
+
+    /// Encoded spill-codec bytes of build row `r`.
+    #[inline]
+    fn build_row_bytes(&self, r: u32) -> u64 {
+        smooth_types::spill::batch_row_len(&self.payload, r as usize) as u64
     }
 
     /// Build (and charge) the grace tree over one spilled key range:
@@ -497,7 +456,7 @@ impl JoinBuildTable {
     fn grace_node(
         &self,
         storage: &Storage,
-        refs: &[BuildRef],
+        rows: &[u32],
         bytes: u64,
         level: u32,
         budget: u64,
@@ -507,18 +466,19 @@ impl JoinBuildTable {
         let leaf = GraceNode {
             level,
             bytes,
-            tuples: refs.len() as u64,
+            tuples: rows.len() as u64,
             children: Vec::new(),
             probe_rows: AtomicU64::new(0),
             probe_bytes: AtomicU64::new(0),
         };
-        if bytes <= budget || refs.len() <= 1 || level >= MAX_LEVELS {
+        if bytes <= budget || rows.len() <= 1 || level >= MAX_LEVELS {
             return leaf;
         }
-        let mut buckets: Vec<Vec<BuildRef>> = (0..fanout).map(|_| Vec::new()).collect();
+        let key = self.payload.column(self.key_col);
+        let mut buckets: Vec<Vec<u32>> = (0..fanout).map(|_| Vec::new()).collect();
         let mut bucket_bytes = vec![0u64; fanout];
-        for &r in refs {
-            let b = key_partition_at(&self.build_row_key(r), level + 1, fanout);
+        for &r in rows {
+            let b = key_partition_at(key, r as usize, level + 1, fanout);
             buckets[b].push(r);
             bucket_bytes[b] += self.build_row_bytes(r);
         }
@@ -534,21 +494,29 @@ impl JoinBuildTable {
         let children = buckets
             .into_iter()
             .zip(bucket_bytes)
-            .map(|(refs, b)| self.grace_node(storage, &refs, b, level + 1, budget, fanout))
+            .map(|(rows, b)| self.grace_node(storage, &rows, b, level + 1, budget, fanout))
             .collect();
         GraceNode { children, ..leaf }
     }
 
-    /// Route one probe row through the grace tree of its (spilled)
-    /// partition, tallying the probe-overflow bytes its partition's
-    /// probe file must spool. Atomic sums: callers may race.
+    /// Route the probe row `phys` of `batch` (non-null key in `key`)
+    /// through the grace tree of its spill partition, if that partition
+    /// spilled, tallying the probe-overflow bytes its partition's probe
+    /// file must spool. Atomic sums: callers may race.
     #[inline]
-    fn note_probe_row(&self, key: &Value, batch: &ColumnBatch, phys: usize) {
-        let Some(spill) = &self.spill else { return };
-        let Some(root) = &spill.trees[key_partition(key, self.parts.len())] else { return };
+    fn note_probe_row(
+        &self,
+        spill: &GraceSpill,
+        key: &ColumnVector,
+        batch: &ColumnBatch,
+        phys: usize,
+    ) {
+        let Some(root) = &spill.trees[key_partition_at(key, phys, 0, self.partitions)] else {
+            return;
+        };
         let mut node = root;
         while !node.children.is_empty() {
-            node = &node.children[key_partition_at(key, node.level + 1, spill.fanout)];
+            node = &node.children[key_partition_at(key, phys, node.level + 1, spill.fanout)];
         }
         let bytes = smooth_types::spill::batch_row_len(batch, phys) as u64;
         node.probe_rows.fetch_add(1, Ordering::Relaxed);
@@ -644,79 +612,63 @@ impl JoinBuildTable {
     }
 }
 
-/// A per-worker partial build for the parallel partitioned hash-join
-/// build: payload rows in claim order plus hash-partitioned match lists
-/// keyed by global build position `(morsel seq << 32 | row-in-morsel)`.
+/// Append the live, non-null-key rows of `batch` to `payload` — dense
+/// batches by whole-buffer handoff, anything else by one gather per
+/// column — calling `kept(live)` with each appended row's index among
+/// the batch's live rows, in order.
+fn append_keyed_rows(
+    payload: &mut ColumnBatch,
+    batch: ColumnBatch,
+    key_col: usize,
+    mut kept: impl FnMut(usize),
+) {
+    let key = batch.column(key_col);
+    if batch.selection().is_none() && !key.nulls().contains(&true) {
+        (0..batch.physical_rows()).for_each(kept);
+        payload.append_dense(batch);
+    } else {
+        let mut rows: Vec<u32> = Vec::with_capacity(batch.len());
+        for (live, phys) in batch.live_rows().enumerate() {
+            if !key.is_null(phys) {
+                kept(live);
+                rows.push(phys as u32);
+            }
+        }
+        payload.append_gather(&batch, &rows);
+    }
+}
+
+/// One worker slot's share of a parallel hash-join build: payload rows
+/// in fold order plus each row's global build position
+/// `(morsel seq << 32 | row-in-morsel)`. Folding only appends — the
+/// rows are linked into key chains once, in position order, by
+/// [`JoinBuildTable::from_partials`].
 pub struct JoinBuildPartial {
     payload: ColumnBatch,
-    parts: Vec<PartialPartition>,
+    /// Global build position of each payload row.
+    positions: Vec<u64>,
     key_col: usize,
 }
 
 impl JoinBuildPartial {
-    /// An empty partial for one worker.
-    pub fn new(schema: &Schema, key_col: usize, partitions: usize) -> Self {
+    /// An empty partial for one worker slot.
+    pub fn new(schema: &Schema, key_col: usize) -> Self {
         JoinBuildPartial {
             payload: ColumnBatch::for_schema(schema),
-            parts: (0..partitions.max(1)).map(|_| HashMap::new()).collect(),
+            positions: Vec::new(),
             key_col,
         }
     }
 
     /// Fold one claimed build morsel in; `seq` is the morsel's global
-    /// source sequence number. Null-key rows drop; `Text` payloads move.
-    pub fn fold(&mut self, seq: u64, mut batch: ColumnBatch) -> Result<()> {
+    /// source sequence number. Null-key rows drop.
+    pub fn fold(&mut self, seq: u64, batch: ColumnBatch) -> Result<()> {
         batch.column_checked(self.key_col)?;
-        let JoinBuildPartial { payload, parts, key_col } = self;
-        for live in 0..batch.len() {
-            let phys = match batch.selection() {
-                Some(sel) => sel[live] as usize,
-                None => live,
-            };
-            if batch.column(*key_col).is_null(phys) {
-                continue;
-            }
-            let key = batch.column(*key_col).value(phys);
-            let part = key_partition(&key, parts.len());
-            let pos = (seq << 32) | live as u64;
-            parts[part].entry(key).or_default().push((pos, payload.physical_rows() as u32));
-            payload.append_taken_row(&mut batch, phys);
-        }
+        let JoinBuildPartial { payload, positions, key_col } = self;
+        append_keyed_rows(payload, batch, *key_col, |live| {
+            positions.push((seq << 32) | live as u64)
+        });
         Ok(())
-    }
-
-    /// Decompose into the payload batch and the partitioned position maps.
-    pub fn into_parts(self) -> (ColumnBatch, Vec<PartialPartition>) {
-        (self.payload, self.parts)
-    }
-
-    /// Convert a *single* builder's partial straight into a table. The
-    /// match lists re-sort by their global-position tags before the
-    /// tags strip: a lone inline worker folds morsels in sequence (the
-    /// sort is a no-op), but under the scheduler the partial slots are
-    /// a shared pool, so one slot can receive morsels out of sequence
-    /// when workers interleave — the sort restores global build order
-    /// either way.
-    pub fn into_table(self, schema: &Schema) -> JoinBuildTable {
-        let JoinBuildPartial { payload, parts, key_col } = self;
-        let parts = parts
-            .into_iter()
-            .map(|map| {
-                map.into_iter()
-                    .map(|(key, mut list)| {
-                        list.sort_unstable_by_key(|&(pos, _)| pos);
-                        (key, list.into_iter().map(|(_, row)| build_ref(0, row as usize)).collect())
-                    })
-                    .collect()
-            })
-            .collect();
-        JoinBuildTable {
-            parts,
-            payloads: vec![payload],
-            schema: schema.clone(),
-            key_col,
-            spill: None,
-        }
     }
 }
 
@@ -1072,11 +1024,8 @@ impl Operator for NestedLoopJoin {
             if self.left_row.is_none() {
                 self.left_row = self.left.next()?;
                 self.right_pos = 0;
-                if self.left_row.is_none() {
-                    return Ok(None);
-                }
             }
-            let left_row = self.left_row.as_ref().unwrap().clone();
+            let Some(left_row) = self.left_row.clone() else { return Ok(None) };
             while self.right_pos < self.right_rows.len() {
                 let pair = left_row.concat(&self.right_rows[self.right_pos]);
                 self.right_pos += 1;
@@ -1299,6 +1248,16 @@ mod tests {
         rows.iter().map(|r| r.values().iter().map(|v| v.as_int().unwrap()).collect()).collect()
     }
 
+    /// Payload column `col` of `key`'s matches, in chain order (probes
+    /// a one-row morsel).
+    fn matches(table: &JoinBuildTable, key: Value, col: usize) -> Vec<Value> {
+        let key_schema = Schema::new(vec![table.schema().column(table.key_col()).clone()]).unwrap();
+        let probe = ColumnBatch::from_rows(&key_schema, &[Row::new(vec![key])]).unwrap();
+        let mut out = ColumnBatch::for_schema(&key_schema.join(table.schema()));
+        table.probe_columns(&storage(), &probe, 0, JoinType::Inner, &mut out).unwrap();
+        out.into_rows().into_iter().map(|r| r.get(1 + col).clone()).collect()
+    }
+
     #[test]
     fn hash_join_inner_matches() {
         let left = values("a", "k", vec![(1, 10), (2, 20), (3, 30), (4, 20)]);
@@ -1446,14 +1405,12 @@ mod tests {
         table.insert_batch(ColumnBatch::from_rows(&s, &rows[..2]).unwrap()).unwrap();
         table.insert_batch(ColumnBatch::from_rows(&s, &rows[2..]).unwrap()).unwrap();
         assert_eq!(table.len(), 4, "null-key row is never stored");
-        assert!(table.matches(&Value::Null).is_none());
-        assert!(table.matches(&Value::Int(99)).is_none());
-        let dup = table.matches(&Value::Int(7)).unwrap().to_vec();
-        assert_eq!(dup.len(), 3);
+        assert!(matches(&table, Value::Null, 1).is_empty());
+        assert!(matches(&table, Value::Int(99), 1).is_empty());
         // Gather in build order: payload v column must read 0, 2, 4.
-        let vs: Vec<i64> = dup.iter().map(|&r| table.payload_row(r).int(1).unwrap()).collect();
-        assert_eq!(vs, vec![0, 2, 4]);
-        assert_eq!(table.matches(&Value::Int(3)).unwrap().len(), 1);
+        let ints = |vs: &[i64]| vs.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+        assert_eq!(matches(&table, Value::Int(7), 1), ints(&[0, 2, 4]));
+        assert_eq!(matches(&table, Value::Int(3), 1), ints(&[3]));
     }
 
     #[test]
@@ -1465,7 +1422,7 @@ mod tests {
         let s = schema(&["k", "v"]);
         let table = JoinBuildTable::new(&s, 0);
         assert!(table.is_empty());
-        assert!(table.matches(&Value::Int(0)).is_none());
+        assert!(matches(&table, Value::Int(0), 0).is_empty());
     }
 
     #[test]
@@ -1484,24 +1441,19 @@ mod tests {
         let mut dense = ColumnBatch::from_rows(&s, &rows).unwrap();
         let moved = dense.extract_range(0, 4); // dense batch, no selection
         table.insert_batch(moved).unwrap();
-        let hits = table.matches(&Value::Int(0)).unwrap().to_vec();
-        let names: Vec<String> = hits
-            .iter()
-            .map(|&r| table.payload_row(r).values()[1].as_str().unwrap().to_owned())
-            .collect();
-        assert_eq!(names, vec!["payload-0", "payload-2"]);
+        let names = |vs: &[&str]| vs.iter().map(|&v| Value::str(v)).collect::<Vec<_>>();
+        assert_eq!(matches(&table, Value::Int(0), 1), names(&["payload-0", "payload-2"]));
         // Selected ingest: only live rows land, strings still correct.
         let mut selected = ColumnBatch::from_rows(&s, &rows).unwrap();
         selected.set_selection(vec![3, 1]);
         let mut table2 = JoinBuildTable::new(&s, 0);
         table2.insert_batch(selected).unwrap();
         assert_eq!(table2.len(), 2);
-        let hits = table2.matches(&Value::Int(1)).unwrap().to_vec();
-        let names: Vec<String> = hits
-            .iter()
-            .map(|&r| table2.payload_row(r).values()[1].as_str().unwrap().to_owned())
-            .collect();
-        assert_eq!(names, vec!["payload-3", "payload-1"], "selection order preserved");
+        assert_eq!(
+            matches(&table2, Value::Int(1), 1),
+            names(&["payload-3", "payload-1"]),
+            "selection order preserved"
+        );
     }
 
     #[test]
@@ -1540,42 +1492,71 @@ mod tests {
 
     #[test]
     fn partitioned_partials_merge_to_the_serial_table() {
-        // Two "workers" folding interleaved morsels must merge into match
-        // lists identical to a serial single-builder ingest.
-        let s = schema(&["k", "v"]);
-        let rows: Vec<Row> =
-            (0..40).map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(i)])).collect();
+        // Two "workers" folding interleaved morsels — out of sequence,
+        // with null keys and a selection vector in the mix — must link
+        // into chains identical to a serial single-builder ingest.
+        let s = Schema::new(vec![
+            Column::nullable("k", DataType::Int64),
+            Column::new("v", DataType::Int64),
+        ])
+        .unwrap();
+        let rows: Vec<Row> = (0..40)
+            .map(|i| {
+                let k = if i % 11 == 5 { Value::Null } else { Value::Int(i % 7) };
+                Row::new(vec![k, Value::Int(i)])
+            })
+            .collect();
+        let morsels = || {
+            rows.chunks(10).enumerate().map(|(seq, chunk)| {
+                let mut batch = ColumnBatch::from_rows(&s, chunk).unwrap();
+                if seq == 2 {
+                    batch.set_selection(vec![9, 0, 4, 5]);
+                }
+                batch
+            })
+        };
         for partitions in [1usize, 2, 5, BUILD_PARTITIONS] {
             let mut serial = JoinBuildTable::with_partitions(&s, 0, partitions);
-            for chunk in rows.chunks(10) {
-                serial.insert_batch(ColumnBatch::from_rows(&s, chunk).unwrap()).unwrap();
-            }
-            // Workers claim alternating morsels (the dynamic claiming the
-            // threaded build performs).
-            let mut w0 = JoinBuildPartial::new(&s, 0, partitions);
-            let mut w1 = JoinBuildPartial::new(&s, 0, partitions);
-            for (seq, chunk) in rows.chunks(10).enumerate() {
-                let batch = ColumnBatch::from_rows(&s, chunk).unwrap();
+            morsels().for_each(|batch| serial.insert_batch(batch).unwrap());
+            // Slots receive alternating morsels, the later ones first
+            // (the scheduler's slot pool gives no seq order).
+            let mut w0 = JoinBuildPartial::new(&s, 0);
+            let mut w1 = JoinBuildPartial::new(&s, 0);
+            for (seq, batch) in morsels().enumerate().collect::<Vec<_>>().into_iter().rev() {
                 let w = if seq % 2 == 0 { &mut w1 } else { &mut w0 };
                 w.fold(seq as u64, batch).unwrap();
             }
-            let (p0, parts0) = w0.into_parts();
-            let (p1, parts1) = w1.into_parts();
-            let merged_parts: Vec<_> = parts0
-                .into_iter()
-                .zip(parts1)
-                .map(|(a, b)| JoinBuildTable::merge_partition(vec![a, b]))
-                .collect();
-            let merged = JoinBuildTable::from_merged(&s, 0, vec![p0, p1], merged_parts);
+            let merged = JoinBuildTable::from_partials(&s, 0, partitions, vec![w0, w1]);
             assert_eq!(merged.len(), serial.len());
+            assert_eq!(merged.partition_count(), partitions);
             for k in 0..7i64 {
-                let key = Value::Int(k);
-                let a: Vec<Row> =
-                    serial.matches(&key).unwrap().iter().map(|&r| serial.payload_row(r)).collect();
-                let b: Vec<Row> =
-                    merged.matches(&key).unwrap().iter().map(|&r| merged.payload_row(r)).collect();
-                assert_eq!(a, b, "key {k} at {partitions} partitions");
+                let a = matches(&serial, Value::Int(k), 1);
+                assert!(!a.is_empty());
+                assert_eq!(a, matches(&merged, Value::Int(k), 1), "key {k}");
             }
+        }
+    }
+
+    #[test]
+    fn float_and_null_keys_join_bitwise() {
+        // Float keys match by bit pattern: NaN joins NaN, 0.0 and -0.0
+        // are different keys, NULL never matches (not even NULL).
+        let s = Schema::new(vec![
+            Column::nullable("k", DataType::Float64),
+            Column::new("v", DataType::Int64),
+        ])
+        .unwrap();
+        let keys = [Value::Float(f64::NAN), Value::Float(0.0), Value::Null, Value::Float(-0.0)];
+        let rows: Vec<Row> =
+            (0..8).map(|i| Row::new(vec![keys[i % 4].clone(), Value::Int(i as i64)])).collect();
+        for mut table in [JoinBuildTable::new(&s, 0), JoinBuildTable::with_degenerate_hash(&s, 0)] {
+            table.insert_batch(ColumnBatch::from_rows(&s, &rows).unwrap()).unwrap();
+            assert_eq!(table.len(), 6, "null keys drop at build");
+            let ints = |vs: &[i64]| vs.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>();
+            assert_eq!(matches(&table, Value::Float(f64::NAN), 1), ints(&[0, 4]));
+            assert_eq!(matches(&table, Value::Float(0.0), 1), ints(&[1, 5]));
+            assert_eq!(matches(&table, Value::Float(-0.0), 1), ints(&[3, 7]));
+            assert!(matches(&table, Value::Null, 1).is_empty());
         }
     }
 

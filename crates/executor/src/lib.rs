@@ -51,6 +51,7 @@ pub mod agg;
 pub mod expr;
 pub mod extsort;
 pub mod filter;
+pub mod hashtable;
 pub mod join;
 pub mod operator;
 pub mod parallel;
@@ -63,8 +64,9 @@ pub use agg::{AggFunc, HashAggregate};
 pub use expr::{Predicate, ScanFilter};
 pub use extsort::ExternalSorter;
 pub use filter::{Filter, Project};
+pub use hashtable::KeyTable;
 pub use join::{
-    BuildRef, HashJoin, IndexNestedLoopJoin, JoinBuildPartial, JoinBuildTable, JoinType, MergeJoin,
+    HashJoin, IndexNestedLoopJoin, JoinBuildPartial, JoinBuildTable, JoinType, MergeJoin,
     NestedLoopJoin, BUILD_PARTITIONS,
 };
 pub use operator::{
@@ -72,8 +74,8 @@ pub use operator::{
     BoxedOperator, Operator,
 };
 pub use parallel::{
-    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, Morsel,
-    ParallelPipeline, ParallelSource, ScalingLedger, SinkSpec, StageSpec,
+    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, ParallelPipeline,
+    ParallelSource, ScalingLedger, SinkSpec, StageSpec,
 };
 pub use scan::{FullTableScan, IndexScan, SortScan};
 pub use schedule::{

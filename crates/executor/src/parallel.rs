@@ -39,16 +39,17 @@
 //! ([`BuildSpec::open_at`]/[`BuildSpec::open_order`] — the serial
 //! driver's open cascade, generalized to bushy trees), workers claim
 //! build morsels under the source lock (so build-input I/O happens in
-//! the exact serial order) and fold them into per-worker
-//! **hash-partitioned** partial builds ([`crate::JoinBuildPartial`]: a
-//! payload [`ColumnBatch`] plus position-keyed match lists — no
-//! `Vec<Row>` anywhere), which then merge by global build position
-//! ([`crate::JoinBuildTable::merge_partition`]) — mirroring the
+//! the exact serial order) and fold them into per-slot partial builds
+//! ([`crate::JoinBuildPartial`]: appended payload rows plus each row's
+//! global build position — no hashing, no `Vec<Row>`), which the phase
+//! finalizer links into one table in position order
+//! ([`crate::JoinBuildTable::from_partials`]) — mirroring the
 //! aggregate sink's first-seen-position rule, so the probe table is
 //! byte-identical to the serial [`crate::HashJoin`] build no matter
 //! which worker ingested which morsel. Grouped aggregates use
-//! per-worker partial maps merged by global first-seen `(seq, idx)`
-//! position when the merge is exact ([`AggFunc::merge_exact`]), and
+//! per-slot partial folds (the serial operator's own group table and
+//! accumulators) merged by global first-seen `(seq, idx)` position
+//! when the merge is exact ([`AggFunc::merge_exact`]), and
 //! otherwise fold on the ordered sink in morsel order so float sums
 //! stay byte-identical; plain row output is concatenated in morsel
 //! order, and `ordered:` heap-range scans sort on the sink
@@ -78,63 +79,17 @@
 //! repo's build hosts), it is bit-stable across machines. See
 //! `docs/scheduler_v2.md`.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
-use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema, Value};
+use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema};
 
-use crate::agg::Acc;
+use crate::agg::GroupFold;
 use crate::expr::{Predicate, ScanFilter};
 use crate::join::{JoinBuildPartial, JoinBuildTable};
 use crate::operator::BoxedOperator;
 use crate::scan::fill_page_columns;
 use crate::{AggFunc, JoinType};
-
-/// A unit of work flowing between stages: columnar end to end in the
-/// default pipeline (the probe stage emits gathered columnar batches);
-/// the row variant remains for generality.
-#[derive(Debug)]
-pub enum Morsel {
-    /// Columnar morsel (possibly carrying a selection vector).
-    Cols(ColumnBatch),
-    /// Materialized rows.
-    Rows(Vec<Row>),
-}
-
-impl Morsel {
-    /// Live rows in the morsel.
-    pub fn len(&self) -> usize {
-        match self {
-            Morsel::Cols(b) => b.len(),
-            Morsel::Rows(r) => r.len(),
-        }
-    }
-
-    /// `true` when no rows are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize as rows (honoring any selection vector).
-    pub fn into_rows(self) -> Vec<Row> {
-        match self {
-            Morsel::Cols(b) => b.into_rows(),
-            Morsel::Rows(r) => r,
-        }
-    }
-
-    /// Keep columnar morsels columnar; convert a stray row morsel into a
-    /// batch of `schema`. The Collect sink folds through this, so its
-    /// output never materializes rows inside the scheduler.
-    pub fn into_batch(self, schema: &Schema) -> Result<ColumnBatch> {
-        match self {
-            Morsel::Cols(b) => Ok(b),
-            Morsel::Rows(r) => ColumnBatch::from_rows(schema, &r),
-        }
-    }
-}
 
 /// Where morsels come from.
 pub enum ParallelSource {
@@ -177,8 +132,9 @@ impl ParallelSource {
 /// filter/projection stages), drained **before** the probe phase starts.
 /// Build-input I/O serializes under the build source's lock in morsel
 /// order — exactly the order the serial [`crate::HashJoin`] build would
-/// issue it — while the per-row partition + map-insert CPU fans out
-/// across the worker pool into per-worker [`JoinBuildPartial`]s.
+/// issue it — while decode, the build-side stages and the payload
+/// append fan out across the worker pool into per-slot
+/// [`JoinBuildPartial`]s.
 pub struct BuildSpec {
     /// The build-side morsel source (right input).
     pub source: ParallelSource,
@@ -194,11 +150,11 @@ pub struct BuildSpec {
     pub left_col: usize,
     /// Join semantics.
     pub ty: JoinType,
-    /// Hash partitions of the build table (probe results are independent
-    /// of it; [`crate::BUILD_PARTITIONS`] is the default).
+    /// Spill partitions of the build table (probe results are
+    /// independent of it; [`crate::BUILD_PARTITIONS`] is the default).
     pub partitions: usize,
     /// Operator memory budget in bytes for the build table (0 =
-    /// unlimited); enforced after the partial merge, so every worker
+    /// unlimited); enforced once the partials are linked, so every worker
     /// count charges identical spill I/O
     /// ([`crate::JoinBuildTable::apply_budget`]).
     pub mem_bytes: usize,
@@ -298,79 +254,23 @@ pub(crate) enum Stage {
 }
 
 impl Stage {
-    fn apply(&self, storage: &Storage, morsel: Morsel) -> Result<Morsel> {
+    fn apply(&self, storage: &Storage, mut batch: ColumnBatch) -> Result<ColumnBatch> {
         match self {
-            Stage::Filter(pred) => match morsel {
-                Morsel::Cols(mut batch) => {
-                    let selection = pred.filter_batch(&batch)?;
-                    batch.set_selection(selection);
-                    Ok(Morsel::Cols(batch))
-                }
-                Morsel::Rows(rows) => {
-                    let mut kept = Vec::with_capacity(rows.len());
-                    for row in rows {
-                        if pred.eval(&row)? {
-                            kept.push(row);
-                        }
-                    }
-                    Ok(Morsel::Rows(kept))
-                }
-            },
-            Stage::Project(cols) => match morsel {
-                Morsel::Cols(batch) => Ok(Morsel::Cols(batch.project(cols)?)),
-                Morsel::Rows(rows) => Ok(Morsel::Rows(
-                    rows.into_iter()
-                        .map(|row| Row::new(cols.iter().map(|&c| row.get(c).clone()).collect()))
-                        .collect(),
-                )),
-            },
-            Stage::Probe(table, out_schema) => probe_morsel(table, out_schema, storage, morsel),
-        }
-    }
-}
-
-/// Probe one morsel against a build table via the shared probe loop
-/// ([`JoinBuildTable::probe_columns`] — the exact code the serial
-/// [`crate::HashJoin`] runs, so the charge model lives in one place):
-/// output gathers probe columns and matched payload columns straight
-/// into a fresh columnar batch — no `Row` materializes.
-fn probe_morsel(
-    table: &ProbeTable,
-    out_schema: &Schema,
-    storage: &Storage,
-    morsel: Morsel,
-) -> Result<Morsel> {
-    let cpu = *storage.cpu();
-    let clock = storage.clock();
-    match morsel {
-        Morsel::Cols(batch) => {
-            let mut out = ColumnBatch::for_schema(out_schema);
-            table.table.probe_columns(storage, &batch, table.left_col, table.ty, &mut out)?;
-            Ok(Morsel::Cols(out))
-        }
-        Morsel::Rows(rows) => {
-            let mut out = Vec::new();
-            for left_row in rows {
-                clock.charge_cpu(cpu.hash_op_ns);
-                let key = left_row.get(table.left_col);
-                if key.is_null() {
-                    continue;
-                }
-                let Some(matches) = table.table.matches(key) else { continue };
-                match table.ty {
-                    JoinType::Inner => {
-                        clock.charge_cpu(cpu.emit_tuple_ns * matches.len() as u64);
-                        out.extend(
-                            matches.iter().map(|&m| left_row.concat(&table.table.payload_row(m))),
-                        );
-                    }
-                    JoinType::LeftSemi => {
-                        clock.charge_cpu(cpu.emit_tuple_ns);
-                        out.push(left_row);
-                    }
-                }
+            Stage::Filter(pred) => {
+                let selection = pred.filter_batch(&batch)?;
+                batch.set_selection(selection);
+                Ok(batch)
             }
-            Ok(Morsel::Rows(out))
+            Stage::Project(cols) => batch.project(cols),
+            // The shared probe loop ([`JoinBuildTable::probe_columns`] —
+            // the exact code the serial [`crate::HashJoin`] runs, so the
+            // charge model lives in one place) gathers probe columns and
+            // matched payload columns straight into a fresh batch.
+            Stage::Probe(table, out_schema) => {
+                let mut out = ColumnBatch::for_schema(out_schema);
+                table.table.probe_columns(storage, &batch, table.left_col, table.ty, &mut out)?;
+                Ok(out)
+            }
         }
     }
 }
@@ -380,61 +280,41 @@ fn probe_morsel(
 /// group order exactly.
 type FirstPos = (u64, u64);
 
-/// A (partial) grouped-aggregation state — per worker when the merge is
-/// exact, on the ordered sink otherwise. Accumulator semantics and
-/// clock charges mirror [`crate::HashAggregate`] exactly.
+/// A (partial) grouped-aggregation state — per worker slot when the
+/// merge is exact, on the ordered sink otherwise: the serial operator's
+/// own [`GroupFold`] (so accumulator semantics and clock charges cannot
+/// drift from [`crate::HashAggregate`]) plus each group's global
+/// first-seen position.
 pub(crate) struct PartialAgg {
-    group_cols: Vec<usize>,
-    aggs: Vec<AggFunc>,
-    groups: HashMap<Vec<Value>, (FirstPos, Vec<Acc>)>,
+    fold: GroupFold,
+    /// First-seen position per group id.
+    first: Vec<FirstPos>,
 }
 
 impl PartialAgg {
-    pub(crate) fn new(group_cols: &[usize], aggs: &[AggFunc]) -> Self {
-        PartialAgg { group_cols: group_cols.to_vec(), aggs: aggs.to_vec(), groups: HashMap::new() }
+    /// A partial over morsels of `schema` (the sink's input schema).
+    pub(crate) fn new(schema: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> Result<Self> {
+        Ok(PartialAgg { fold: GroupFold::new(schema, group_cols, aggs)?, first: Vec::new() })
     }
 
-    /// Fold one morsel in, charging `(hash + update·|aggs|)` per live
-    /// row — the serial operator's per-batch bulk charge, which is
-    /// per-row underneath and therefore boundary-independent.
-    pub(crate) fn update(&mut self, storage: &Storage, seq: u64, morsel: &Morsel) -> Result<()> {
-        let cpu = *storage.cpu();
-        storage.clock().charge_cpu(
-            (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * morsel.len() as u64,
-        );
-        // A partial is no longer fed by one worker in monotone seq
-        // order: the scheduler's slot pool hands a partial to whichever
-        // worker frees up next, so one slot can fold seq 3 before
-        // seq 2. Minimizing the first-seen position on *every* row (not
-        // just on insert) keeps the recorded position equal to the
-        // global first occurrence regardless of fold order.
-        let PartialAgg { group_cols, aggs, groups } = self;
-        match morsel {
-            Morsel::Cols(batch) => {
-                for (idx, phys) in batch.live_rows().enumerate() {
-                    let key: Vec<Value> =
-                        group_cols.iter().map(|&c| batch.column(c).value(phys)).collect();
-                    let (pos, accs) = groups.entry(key).or_insert_with(|| {
-                        ((u64::MAX, u64::MAX), aggs.iter().map(Acc::new).collect())
-                    });
-                    *pos = (*pos).min((seq, idx as u64));
-                    for (acc, f) in accs.iter_mut().zip(aggs.iter()) {
-                        acc.update_columns(f, batch, phys)?;
-                    }
-                }
-            }
-            Morsel::Rows(rows) => {
-                for (idx, row) in rows.iter().enumerate() {
-                    let key: Vec<Value> = group_cols.iter().map(|&c| row.get(c).clone()).collect();
-                    let (pos, accs) = groups.entry(key).or_insert_with(|| {
-                        ((u64::MAX, u64::MAX), aggs.iter().map(Acc::new).collect())
-                    });
-                    *pos = (*pos).min((seq, idx as u64));
-                    for (acc, f) in accs.iter_mut().zip(aggs.iter()) {
-                        acc.update_values(f, row.values())?;
-                    }
-                }
-            }
+    /// Fold morsel `seq` in (the fold charges the clock).
+    pub(crate) fn update(
+        &mut self,
+        storage: &Storage,
+        seq: u64,
+        batch: &ColumnBatch,
+    ) -> Result<()> {
+        self.fold.update(storage, batch)?;
+        // A partial is not fed in monotone seq order: the scheduler's
+        // slot pool hands a partial to whichever worker frees up next,
+        // so one slot can fold seq 3 before seq 2. Minimizing the
+        // first-seen position on *every* row (not just on insert) keeps
+        // the recorded position equal to the global first occurrence
+        // regardless of fold order.
+        self.first.resize(self.fold.groups(), (u64::MAX, u64::MAX));
+        for (idx, &g) in self.fold.ids().iter().enumerate() {
+            let pos = &mut self.first[g as usize];
+            *pos = (*pos).min((seq, idx as u64));
         }
         Ok(())
     }
@@ -442,39 +322,22 @@ impl PartialAgg {
     /// Combine another worker's partial in (order-independent: the
     /// caller guarantees every aggregate merges exactly).
     pub(crate) fn merge(&mut self, other: PartialAgg) {
-        for (key, (pos, accs)) in other.groups {
-            match self.groups.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert((pos, accs));
-                }
-                Entry::Occupied(mut slot) => {
-                    let (cur_pos, cur_accs) = slot.get_mut();
-                    *cur_pos = (*cur_pos).min(pos);
-                    for (a, b) in cur_accs.iter_mut().zip(accs) {
-                        a.merge(b);
-                    }
-                }
-            }
+        let map = self.fold.absorb(&other.fold);
+        self.first.resize(self.fold.groups(), (u64::MAX, u64::MAX));
+        for (&g, pos) in map.iter().zip(other.first) {
+            let cur = &mut self.first[g as usize];
+            *cur = (*cur).min(pos);
         }
     }
 
-    /// Emit the groups in global first-seen order (a scalar aggregate
-    /// over empty input still yields one row, as in the serial
-    /// operator).
-    pub(crate) fn finish(mut self) -> Vec<Row> {
-        if self.groups.is_empty() && self.group_cols.is_empty() {
-            self.groups.insert(Vec::new(), ((0, 0), self.aggs.iter().map(Acc::new).collect()));
-        }
-        let mut entries: Vec<_> = self.groups.into_iter().collect();
-        entries.sort_by_key(|(_, (pos, _)): &(Vec<Value>, (FirstPos, Vec<Acc>))| *pos);
-        entries
-            .into_iter()
-            .map(|(key, (_, accs))| {
-                let mut values = key;
-                values.extend(accs.into_iter().map(Acc::finish));
-                Row::new(values)
-            })
-            .collect()
+    /// Emit the groups as one batch in global first-seen order (a
+    /// scalar aggregate over empty input still yields one row, as in
+    /// the serial operator).
+    pub(crate) fn finish(self) -> Result<ColumnBatch> {
+        let mut order: Vec<u32> = (0..self.fold.groups() as u32).collect();
+        // A scalar aggregate's single group may never have seen a row.
+        order.sort_by_key(|&g| self.first.get(g as usize).copied().unwrap_or_default());
+        self.fold.finish(Some(&order))
     }
 }
 
@@ -653,20 +516,20 @@ pub(crate) fn process_item(
     decoder: &mut Option<HeapDecoder>,
     stages: &[Stage],
     storage: &Storage,
-) -> Result<Morsel> {
-    let mut morsel = match item {
-        SourceItem::Batch(batch) => Morsel::Cols(batch),
+) -> Result<ColumnBatch> {
+    let mut batch = match item {
+        SourceItem::Batch(batch) => batch,
         SourceItem::Pages(pages) => {
             let decoder = decoder
                 .as_mut()
                 .ok_or_else(|| Error::exec("heap source item reached a worker with no decoder"))?;
-            Morsel::Cols(decoder.decode(storage, &pages)?)
+            decoder.decode(storage, &pages)?
         }
     };
     for stage in stages {
-        morsel = stage.apply(storage, morsel)?;
+        batch = stage.apply(storage, batch)?;
     }
-    Ok(morsel)
+    Ok(batch)
 }
 
 /// Per-morsel virtual-clock ledger recorded by
@@ -1181,14 +1044,6 @@ pub(crate) fn resolve_stages(
     Ok((resolved, schema))
 }
 
-/// Ensure a morsel arriving at a build sink is columnar.
-pub(crate) fn build_batch(morsel: Morsel, schema: &Schema) -> Result<ColumnBatch> {
-    match morsel {
-        Morsel::Cols(batch) => Ok(batch),
-        Morsel::Rows(rows) => ColumnBatch::from_rows(schema, &rows),
-    }
-}
-
 /// A [`BuildSpec`] with its source pulled out so the open cascade in
 /// [`prepare`] can open sources in `open_at`/`open_order` order, not
 /// build order.
@@ -1250,8 +1105,8 @@ fn run_build(
     Ok(ProbeTable { table, left_col: meta.left_col, ty: meta.ty })
 }
 
-/// Single-worker build: claim, fold, merge — optionally recording the
-/// per-morsel build ledger sections.
+/// Single-worker build: claim and ingest in morsel order — optionally
+/// recording the per-morsel build ledger sections.
 #[allow(clippy::too_many_arguments)]
 fn build_inline(
     mut core: SourceCore,
@@ -1266,25 +1121,22 @@ fn build_inline(
     let clock = storage.clock();
     let cpu_hash = storage.cpu().hash_op_ns;
     let mut decoder = decoder_spec.map(|(s, p)| HeapDecoder::new(s, p));
-    let mut partial = JoinBuildPartial::new(schema, right_col, partitions);
-    let mut seq = 0u64;
+    let mut table = JoinBuildTable::with_partitions(schema, right_col, partitions);
     loop {
         let before = clock.snapshot();
         let Some(item) = core.pull(storage)? else { break };
         let after_src = clock.snapshot();
-        let morsel = process_item(item, &mut decoder, stages, storage)?;
-        let batch = build_batch(morsel, schema)?;
+        let batch = process_item(item, &mut decoder, stages, storage)?;
         clock.charge_cpu(cpu_hash * batch.len() as u64);
-        partial.fold(seq, batch)?;
+        table.insert_batch(batch)?;
         if let Some(l) = ledger.as_deref_mut() {
             let after_proc = clock.snapshot();
             l.build_src_ns.push(after_src.since(&before).total_ns());
             l.build_proc_ns.push(after_proc.since(&after_src).total_ns());
         }
-        seq += 1;
     }
     core.close()?;
-    Ok(partial.into_table(schema))
+    Ok(table)
 }
 
 /// Everything a pipeline run needs after the open/build prefix.
@@ -1292,6 +1144,8 @@ struct Prepared {
     core: SourceCore,
     decoder_spec: Option<(Schema, Predicate)>,
     stages: Vec<Stage>,
+    /// Schema of the morsels leaving the last stage.
+    staged: Schema,
     sink: SinkSpec,
     storage: Storage,
 }
@@ -1379,8 +1233,8 @@ fn prepare(pipeline: ParallelPipeline, mut ledger: Option<&mut ScalingLedger>) -
             l.prefix_ns += clock.snapshot().since(&before_opens).total_ns();
         }
     }
-    let (resolved, _) = resolve_stages(&stages, schema, &tables)?;
-    Ok(Prepared { core, decoder_spec, stages: resolved, sink, storage })
+    let (resolved, staged) = resolve_stages(&stages, schema, &tables)?;
+    Ok(Prepared { core, decoder_spec, stages: resolved, staged, sink, storage })
 }
 
 /// Execute the pipeline on `workers` worker threads (1 runs inline on
@@ -1411,13 +1265,13 @@ fn run_inline(
 ) -> Result<Vec<Row>> {
     let clock_storage = pipeline.storage.clone();
     let clock = clock_storage.clock();
-    let Prepared { mut core, decoder_spec, stages, sink, storage } =
+    let Prepared { mut core, decoder_spec, stages, staged, sink, storage } =
         prepare(pipeline, ledger.as_deref_mut())?;
     let mut decoder = decoder_spec.map(|(schema, pred)| HeapDecoder::new(schema, pred));
     let (mut agg, exact) = match &sink {
         SinkSpec::Collect | SinkSpec::Sort { .. } => (None, false),
         SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
-            (Some(PartialAgg::new(group_cols, aggs)), *merge_exact)
+            (Some(PartialAgg::new(&staged, group_cols, aggs)?), *merge_exact)
         }
     };
     let mut rows = Vec::new();
@@ -1426,11 +1280,11 @@ fn run_inline(
         let before = clock.snapshot();
         let Some(item) = core.pull(&storage)? else { break };
         let after_src = clock.snapshot();
-        let morsel = process_item(item, &mut decoder, &stages, &storage)?;
+        let batch = process_item(item, &mut decoder, &stages, &storage)?;
         let after_proc = clock.snapshot();
         match agg.as_mut() {
-            Some(state) => state.update(&storage, seq, &morsel)?,
-            None => rows.extend(morsel.into_rows()),
+            Some(state) => state.update(&storage, seq, &batch)?,
+            None => rows.extend(batch.into_rows()),
         }
         if let Some(l) = ledger.as_deref_mut() {
             let after_sink = clock.snapshot();
@@ -1450,7 +1304,7 @@ fn run_inline(
         seq += 1;
     }
     if let Some(state) = agg {
-        rows = state.finish();
+        rows = state.finish()?.into_rows();
     }
     // Probe input fully consumed: charge any deferred grace-join spill
     // passes, exactly where the serial probe exhaustion would.
@@ -1476,7 +1330,6 @@ fn run_inline(
 // Compile-time Send audit: everything a worker thread touches.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<Morsel>();
     assert_send::<Stage>();
     assert_send::<Storage>();
     assert_send::<BoxedOperator>();
@@ -1490,7 +1343,7 @@ mod tests {
     use crate::operator::{collect_rows, ValuesOp};
     use crate::{batch_size, Filter, FullTableScan, HashAggregate, HashJoin, Project};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
-    use smooth_types::{Column, DataType};
+    use smooth_types::{Column, DataType, Value};
 
     fn table(rows: i64) -> Arc<HeapFile> {
         let schema = Schema::new(vec![

@@ -58,15 +58,15 @@
 //! complete first, [`BuildSpec::open_order`] = the serial driver's
 //! open sequence): admission opens the probe source (serial open
 //! order), parks it, and opens tranche 0; when the last in-flight
-//! morsel of build `i` lands, the finalizing worker merges the
-//! per-worker partial builds — the charge-free partition merge of
-//! [`crate::JoinBuildTable`], accounting-identical to the serial
-//! merge — finalizes any *nested* probe stages inside completed
-//! builds (bushy trees: a hash join on the build side of a hash
-//! join), resolves later builds' stages against the now-installed
-//! tables, opens tranche `i + 1`, and installs the next phase's
-//! source. After the last build the parked probe source is installed
-//! and the probe phase begins. `ordered:` heap scans run as a normal
+//! morsel of build `i` lands, the finalizing worker links the
+//! per-slot partial builds into one table in global build order
+//! ([`crate::JoinBuildTable::from_partials`] — charge-free, like the
+//! serial linking it reproduces) — finalizes any *nested* probe
+//! stages inside completed builds (bushy trees: a hash join on the
+//! build side of a hash join), resolves later builds' stages against
+//! the now-installed tables, opens tranche `i + 1`, and installs the
+//! next phase's source. After the last build the parked probe source
+//! is installed and the probe phase begins. `ordered:` heap scans run as a normal
 //! chunked probe phase over the partitioned heap source with a
 //! charged stable sort at the sink ([`SinkSpec::Sort`]) — rows and
 //! charges byte-identical to the serial Sort-over-scan plan.
@@ -97,11 +97,11 @@ use smooth_storage::{tap_mark, FileId, InjectedPanic, ScanStatistics, Storage};
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
 use crate::expr::Predicate;
-use crate::join::{JoinBuildPartial, JoinBuildTable, PartialPartition};
+use crate::join::{JoinBuildPartial, JoinBuildTable};
 use crate::parallel::{
-    build_batch, open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec,
-    HeapDecoder, Morsel, ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, SinkSpec,
-    SourceCore, SourceItem, Stage, StageSpec,
+    open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec, HeapDecoder,
+    ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, SinkSpec, SourceCore, SourceItem,
+    Stage, StageSpec,
 };
 use crate::sort::SortKey;
 use crate::{AggFunc, JoinType};
@@ -109,18 +109,18 @@ use crate::{AggFunc, JoinType};
 /// A completed query: its result plus the per-query scan statistics
 /// accumulated from the worker-side tap deltas.
 ///
-/// Collect sinks stay *columnar* — the ordered morsels land in
-/// `batches` and no `Row` materializes inside the scheduler; aggregate
-/// and sort sinks produce `rows` (their merge/sort suffix is row-wise
-/// by construction). Exactly one of the two is non-empty. Call
-/// [`QueryOutput::into_rows`] to materialize at the user-facing
+/// Collect and aggregate sinks stay *columnar* — the ordered morsels
+/// (or the one finished group batch) land in `batches` and no `Row`
+/// materializes inside the scheduler; sort sinks produce `rows` (their
+/// suffix is a charged row sort). At most one of the two is non-empty.
+/// Call [`QueryOutput::into_rows`] to materialize at the user-facing
 /// boundary.
 #[derive(Debug)]
 pub struct QueryOutput {
-    /// Columnar result batches (Collect sinks), in serial morsel order.
+    /// Columnar result batches (Collect sinks in serial morsel order;
+    /// aggregate sinks as one batch in first-seen group order).
     pub batches: Vec<ColumnBatch>,
-    /// Row results (aggregate / sort sinks), byte-identical to the
-    /// serial driver's.
+    /// Row results (sort sinks), byte-identical to the serial driver's.
     pub rows: Vec<Row>,
     /// Per-query scan/flow counters (`rows_total` is stamped by the
     /// planner, which knows catalog cardinalities).
@@ -306,7 +306,7 @@ enum SinkKind {
 /// Collect sinks fold into `batches` (columnar end to end); sort sinks
 /// fold into `rows` (their suffix is a charged row sort).
 struct SinkState {
-    pending: BTreeMap<u64, Morsel>,
+    pending: BTreeMap<u64, ColumnBatch>,
     next: u64,
     batches: Vec<ColumnBatch>,
     rows: Vec<Row>,
@@ -341,8 +341,7 @@ struct ActiveQuery {
     probe_specs: Vec<PlannedStage>,
     sink_kind: SinkKind,
     /// The staged output schema — what every probe morsel conforms to
-    /// after the last stage (used to convert stray row morsels when the
-    /// Collect sink folds columnar batches).
+    /// after the last stage (the aggregate sink's input typing).
     out_schema: Schema,
     /// The probe source, opened at admission (serial open order) and
     /// parked until the builds finish.
@@ -452,8 +451,11 @@ impl ActiveQuery {
         let (sink_kind, ordered_agg) = match sink {
             SinkSpec::Collect => (SinkKind::Collect, None),
             SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
-                let ordered =
-                    if merge_exact { None } else { Some(PartialAgg::new(&group_cols, &aggs)) };
+                let ordered = if merge_exact {
+                    None
+                } else {
+                    Some(PartialAgg::new(&schema, &group_cols, &aggs)?)
+                };
                 (SinkKind::Agg { group_cols, aggs, exact: merge_exact }, ordered)
             }
             SinkSpec::Sort { keys, mem_bytes } => (SinkKind::Sort { keys, mem_bytes }, None),
@@ -550,12 +552,11 @@ impl ActiveQuery {
                 let stages = lock(&phase.stages)
                     .clone()
                     .ok_or_else(|| Error::exec("build morsel before stages resolved"))?;
-                let morsel = process_item(item, decoder, &stages, &self.storage)?;
-                let batch = build_batch(morsel, &phase.schema)?;
+                let batch = process_item(item, decoder, &stages, &self.storage)?;
                 self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
-                let mut partial = lock(&self.build_slots).pop().unwrap_or_else(|| {
-                    JoinBuildPartial::new(&phase.schema, phase.right_col, phase.partitions)
-                });
+                let mut partial = lock(&self.build_slots)
+                    .pop()
+                    .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, phase.right_col));
                 partial.fold(seq, batch)?;
                 lock(&self.build_slots).push(partial);
                 Ok(())
@@ -564,23 +565,25 @@ impl ActiveQuery {
                 let stages = lock(&self.probe_stages)
                     .clone()
                     .ok_or_else(|| Error::exec("probe morsel before stages resolved"))?;
-                let morsel = process_item(item, decoder, &stages, &self.storage)?;
+                let batch = process_item(item, decoder, &stages, &self.storage)?;
                 if let SinkKind::Agg { group_cols, aggs, exact: true } = &self.sink_kind {
-                    let mut slot = lock(&self.agg_slots)
-                        .pop()
-                        .unwrap_or_else(|| PartialAgg::new(group_cols, aggs));
-                    slot.update(&self.storage, seq, &morsel)?;
+                    let slot = lock(&self.agg_slots).pop();
+                    let mut slot = match slot {
+                        Some(slot) => slot,
+                        None => PartialAgg::new(&self.out_schema, group_cols, aggs)?,
+                    };
+                    slot.update(&self.storage, seq, &batch)?;
                     lock(&self.agg_slots).push(slot);
                     return Ok(());
                 }
                 let collect = matches!(self.sink_kind, SinkKind::Collect);
                 let mut sink = lock(&self.sink);
-                sink.pending.insert(seq, morsel);
+                sink.pending.insert(seq, batch);
                 let SinkState { pending, next, batches, rows, ordered_agg } = &mut *sink;
                 while let Some(m) = pending.remove(next) {
                     match ordered_agg.as_mut() {
                         Some(agg) => agg.update(&self.storage, *next, &m)?,
-                        None if collect => batches.push(m.into_batch(&self.out_schema)?),
+                        None if collect => batches.push(m),
                         None => rows.extend(m.into_rows()),
                     }
                     *next += 1;
@@ -1143,8 +1146,9 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
         }
     }
     let slots = std::mem::take(&mut *lock(&q.build_slots));
-    let mut table = merge_partials(slots, &phase.schema, phase.right_col, phase.partitions);
-    // The merged table is byte-identical to the serial build, so the
+    let mut table =
+        JoinBuildTable::from_partials(&phase.schema, phase.right_col, phase.partitions, slots);
+    // The linked table is byte-identical to the serial build, so the
     // budget enforcement — and its charged spill I/O — is too. A
     // failed overflow-file write (injected spill fault) fails the
     // whole query here.
@@ -1203,44 +1207,6 @@ fn install_build_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<
     Ok(())
 }
 
-/// Merge per-worker build partials into one probe table. One slot
-/// converts directly (its match lists are already in global order);
-/// several merge by global build position via the charge-free
-/// [`JoinBuildTable::merge_partition`], so the result — and the clock —
-/// are byte-identical to the single-worker build.
-fn merge_partials(
-    slots: Vec<JoinBuildPartial>,
-    schema: &Schema,
-    right_col: usize,
-    partitions: usize,
-) -> JoinBuildTable {
-    if slots.len() <= 1 {
-        return slots
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| JoinBuildPartial::new(schema, right_col, partitions))
-            .into_table(schema);
-    }
-    let mut payloads = Vec::with_capacity(slots.len());
-    let mut part_iters = Vec::with_capacity(slots.len());
-    for slot in slots {
-        let (payload, parts) = slot.into_parts();
-        payloads.push(payload);
-        part_iters.push(parts.into_iter());
-    }
-    let mut parts = Vec::with_capacity(partitions);
-    for _ in 0..partitions {
-        let worker_maps: Vec<PartialPartition> = part_iters
-            .iter_mut()
-            // invariant: `JoinBuildPartial::new` always allocates
-            // exactly `partitions` partitions per slot.
-            .map(|it| it.next().expect("every partial has `partitions` partitions"))
-            .collect();
-        parts.push(JoinBuildTable::merge_partition(worker_maps));
-    }
-    JoinBuildTable::from_merged(schema, right_col, payloads, parts)
-}
-
 /// Finish a successful query: fold the sink state into result rows and
 /// hand them to the session.
 fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
@@ -1265,21 +1231,32 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
             batches = std::mem::take(&mut sink.batches);
             Vec::new()
         }
-        SinkKind::Agg { group_cols, aggs, exact: true } => {
-            let slots = std::mem::take(&mut *lock(&q.agg_slots));
-            let mut merged = PartialAgg::new(group_cols, aggs);
-            for slot in slots {
-                merged.merge(slot);
+        SinkKind::Agg { group_cols, aggs, exact } => {
+            let merged = if *exact {
+                let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
+                let first = match slots.next() {
+                    Some(slot) => Ok(slot),
+                    None => PartialAgg::new(&q.out_schema, group_cols, aggs),
+                };
+                first.map(|mut merged| {
+                    slots.for_each(|slot| merged.merge(slot));
+                    merged
+                })
+            } else {
+                let mut sink = lock(&q.sink);
+                debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
+                // `plan` installs the ordered agg for every non-exact
+                // aggregate sink, and only `complete_ok` (run once — it
+                // empties `done_tx`) takes it.
+                sink.ordered_agg
+                    .take()
+                    .ok_or_else(|| Error::exec("ordered aggregate taken before completion"))
+            };
+            match merged.and_then(PartialAgg::finish) {
+                Ok(batch) => batches.extend((!batch.is_empty()).then_some(batch)),
+                Err(e) => q.record_err(u64::MAX, e),
             }
-            merged.finish()
-        }
-        SinkKind::Agg { .. } => {
-            let mut sink = lock(&q.sink);
-            debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
-            // invariant: `plan` installs the ordered agg for every
-            // non-exact aggregate sink, and only `complete_ok` (run
-            // once — it empties `done_tx`) takes it.
-            sink.ordered_agg.take().expect("ordered agg installed at plan time").finish()
+            Vec::new()
         }
         SinkKind::Sort { keys, mem_bytes } => {
             // The buffered rows are in morsel = serial scan order, so

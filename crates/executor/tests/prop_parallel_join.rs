@@ -3,8 +3,8 @@
 //! counts, morsel sizes and worker counts, the pipeline with a
 //! partitioned build must produce the **exact row sequence** of the
 //! serial columnar [`HashJoin`] and charge the **exact same virtual
-//! CPU/IO clock totals** and I/O counters. The build phase — per-worker
-//! hash-partitioned partials merged by global build position — must be an
+//! CPU/IO clock totals** and I/O counters. The build phase — per-slot
+//! partial builds linked by global build position — must be an
 //! execution-strategy change only, like every other form of parallelism
 //! in this repo.
 

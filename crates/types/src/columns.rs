@@ -140,8 +140,10 @@ impl TextColumn {
         self.spans.is_empty()
     }
 
+    /// The raw UTF-8 bytes at `idx` — what key hashing and equality read
+    /// (no re-validation, unlike [`TextColumn::get`]).
     #[inline]
-    fn bytes_at(&self, idx: usize) -> &[u8] {
+    pub fn bytes_at(&self, idx: usize) -> &[u8] {
         let sp = self.spans[idx];
         if sp.buf == ARENA_SPAN {
             &self.arena[sp.off..sp.off + sp.len]
@@ -617,14 +619,72 @@ impl ColumnVector {
         }
     }
 
-    /// Append slot `idx` of `src` for cursor-style single-visit
-    /// consumption. Under the view layout this is [`ColumnVector::
-    /// push_from`] — the source stays intact (text shares or copies,
-    /// nothing is hollowed out) — but callers should keep treating the
-    /// source slot as consumed. Typing must match.
+    /// Append the slots of `src` named by `idx`, in order — the bulk form
+    /// of [`ColumnVector::push_from`]: one typed loop per column instead
+    /// of one enum dispatch per value. NULL slots carry their default
+    /// payload, so payload and mask gather independently. Typing must
+    /// match.
+    pub fn extend_gather(&mut self, src: &ColumnVector, idx: &[u32]) {
+        self.nulls.extend(idx.iter().map(|&i| src.nulls[i as usize]));
+        match (&mut self.values, &src.values) {
+            (ColumnValues::Int(dst), ColumnValues::Int(s)) => {
+                dst.extend(idx.iter().map(|&i| s[i as usize]))
+            }
+            (ColumnValues::Float(dst), ColumnValues::Float(s)) => {
+                dst.extend(idx.iter().map(|&i| s[i as usize]))
+            }
+            (ColumnValues::Str(dst), ColumnValues::Str(s)) => {
+                dst.spans.reserve(idx.len());
+                for &i in idx {
+                    dst.push_from(s, i as usize);
+                }
+            }
+            _ => unreachable!("gather between column vectors of different typing"),
+        }
+    }
+
+    /// Type-tagged pre-hash of slot `idx` for hash-table keys: the raw
+    /// integer, the float's IEEE bits, a mix over the text bytes, or a
+    /// fixed tag for NULL. Consistent with [`ColumnVector::slot_eq`]
+    /// (equal slots pre-hash equally); callers mix it further.
     #[inline]
-    pub fn push_taken(&mut self, src: &mut ColumnVector, idx: usize) {
-        self.push_from(src, idx);
+    pub fn slot_hash(&self, idx: usize) -> u64 {
+        if self.nulls[idx] {
+            return 0x6e75_6c6c_6b65_795f;
+        }
+        match &self.values {
+            ColumnValues::Int(v) => v[idx] as u64,
+            ColumnValues::Float(v) => v[idx].to_bits(),
+            ColumnValues::Str(v) => {
+                let bytes = v.bytes_at(idx);
+                let mut h = bytes.len() as u64;
+                for chunk in bytes.chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    h = (h.rotate_left(5) ^ u64::from_le_bytes(word))
+                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                }
+                h
+            }
+        }
+    }
+
+    /// Hash-table key equality between `self[i]` and `other[j]`: NULL
+    /// equals only NULL, integers by value, floats **by bit pattern**
+    /// (`NaN == NaN`, `0.0 != -0.0` — an equivalence relation, unlike
+    /// IEEE `==`, and consistent with [`ColumnVector::slot_hash`]), text
+    /// by bytes; differently typed vectors never compare equal.
+    #[inline]
+    pub fn slot_eq(&self, i: usize, other: &ColumnVector, j: usize) -> bool {
+        if self.nulls[i] || other.nulls[j] {
+            return self.nulls[i] && other.nulls[j];
+        }
+        match (&self.values, &other.values) {
+            (ColumnValues::Int(a), ColumnValues::Int(b)) => a[i] == b[j],
+            (ColumnValues::Float(a), ColumnValues::Float(b)) => a[i].to_bits() == b[j].to_bits(),
+            (ColumnValues::Str(a), ColumnValues::Str(b)) => a.bytes_at(i) == b.bytes_at(j),
+            _ => false,
+        }
     }
 
     /// Append slots `[a, b)` of `src`. Fixed-width payloads copy with one
@@ -681,6 +741,16 @@ impl ColumnBatch {
             rows: 0,
             selection: None,
         }
+    }
+
+    /// Assemble a dense batch from finished column vectors, which must
+    /// all hold the same number of slots.
+    pub fn from_columns(columns: Vec<ColumnVector>) -> Result<Self> {
+        let rows = columns.first().map_or(0, ColumnVector::len);
+        if columns.iter().any(|c| c.len() != rows) {
+            return Err(Error::exec("column vectors of unequal length in one batch"));
+        }
+        Ok(ColumnBatch { columns, rows, selection: None })
     }
 
     /// Convert a slice of rows (the row→column adapter). Values must
@@ -951,18 +1021,18 @@ impl ColumnBatch {
         self.rows += n;
     }
 
-    /// Append the physical row `phys` of `src` (single-visit consumption;
-    /// typing must match; text shares or copies — see
-    /// [`ColumnVector::push_taken`]). The per-row companion of
+    /// Append the physical rows of `src` named by `idx`, in order
+    /// (typing must match; text shares or copies — see
+    /// [`ColumnVector::extend_gather`]). The bulk companion of
     /// [`ColumnBatch::append_dense`] for batches that carry a selection
     /// vector or need null-key skips.
-    pub fn append_taken_row(&mut self, src: &mut ColumnBatch, phys: usize) {
+    pub fn append_gather(&mut self, src: &ColumnBatch, idx: &[u32]) {
         debug_assert!(self.selection.is_none(), "append under a selection vector");
         debug_assert_eq!(self.columns.len(), src.columns.len());
-        for (dst, s) in self.columns.iter_mut().zip(&mut src.columns) {
-            dst.push_taken(s, phys);
+        for (dst, s) in self.columns.iter_mut().zip(&src.columns) {
+            dst.extend_gather(s, idx);
         }
-        self.rows += 1;
+        self.rows += idx.len();
     }
 
     /// Consume into rows (the column→row adapter), honoring the selection
@@ -1304,27 +1374,61 @@ mod tests {
         assert_eq!(out.row(0), rows()[2]);
         assert_eq!(out.row(1), rows()[0]);
         assert_eq!(src.column(1).str(2).unwrap(), "z", "gather never moves the source");
-        // push_taken is single-visit consumption; under the view layout
-        // the source stays intact (text shares or copies).
-        let mut taken_src = ColumnBatch::from_rows(&s, &rows()).unwrap();
-        let mut taken = ColumnVector::for_type(DataType::Text);
-        {
-            let cols = taken_src.columns_mut();
-            taken.push_taken(&mut cols[1], 0);
-        }
-        assert_eq!(taken.str(0).unwrap(), "x");
-        assert_eq!(taken_src.column(1).str(0).unwrap(), "x", "source stays intact");
-        // append_taken_row moves a whole row; append_dense a whole batch.
-        let mut dst = ColumnBatch::for_schema(&s);
-        let mut row_src = ColumnBatch::from_rows(&s, &rows()).unwrap();
-        dst.append_taken_row(&mut row_src, 1);
-        assert_eq!(dst.physical_rows(), 1);
-        assert_eq!(dst.row(0), rows()[1]);
+        // extend_gather / append_gather are the bulk forms: same slots,
+        // same order, repeats allowed, source untouched.
+        let mut gathered = ColumnBatch::for_schema(&s);
+        gathered.append_gather(&src, &[2, 0, 2, 1]);
+        assert_eq!(gathered.physical_rows(), 4);
+        assert_eq!(gathered.row(0), rows()[2]);
+        assert_eq!(gathered.row(1), rows()[0]);
+        assert_eq!(gathered.row(2), rows()[2]);
+        assert_eq!(gathered.row(3), rows()[1], "NULL slots gather as NULL");
+        assert_eq!(src.clone().into_rows(), rows(), "gather never moves the source");
         let mut dense_dst = ColumnBatch::for_schema(&s);
         dense_dst.append_dense(ColumnBatch::from_rows(&s, &rows()).unwrap());
         dense_dst.append_dense(ColumnBatch::from_rows(&s, &rows()[..1]).unwrap());
         assert_eq!(dense_dst.physical_rows(), 4);
         assert_eq!(dense_dst.row(3), rows()[0]);
+    }
+
+    #[test]
+    fn slot_hash_and_eq_are_bitwise_and_type_tagged() {
+        let mut f = ColumnVector::for_type(DataType::Float64);
+        for x in [0.0, -0.0, f64::NAN, f64::NAN, 1.5] {
+            f.push_float(x).unwrap();
+        }
+        f.push_null();
+        f.push_null();
+        assert!(!f.slot_eq(0, &f, 1), "0.0 and -0.0 are distinct keys");
+        assert!(f.slot_eq(2, &f, 3), "NaN equals NaN bitwise");
+        assert_eq!(f.slot_hash(2), f.slot_hash(3));
+        assert!(f.slot_eq(5, &f, 6) && !f.slot_eq(5, &f, 0), "NULL equals only NULL");
+        assert_eq!(f.slot_hash(5), f.slot_hash(6));
+        let mut i = ColumnVector::for_type(DataType::Int64);
+        i.push_int(0).unwrap();
+        assert!(!i.slot_eq(0, &f, 0), "differently typed vectors never match");
+        // Text compares by bytes regardless of representation.
+        let backing: SharedBytes = Arc::from(&b"0123456789abc"[..]);
+        let mut viewed = TextColumn::default();
+        viewed.push_view(&backing, std::str::from_utf8(&backing[..]).unwrap());
+        let viewed = ColumnVector { values: ColumnValues::Str(viewed), nulls: vec![false] };
+        let mut owned = ColumnVector::for_type(DataType::Text);
+        owned.push_str("0123456789abc").unwrap();
+        owned.push_str("0123456789abd").unwrap();
+        assert!(viewed.slot_eq(0, &owned, 0) && !viewed.slot_eq(0, &owned, 1));
+        assert_eq!(viewed.slot_hash(0), owned.slot_hash(0));
+        assert_ne!(owned.slot_hash(0), owned.slot_hash(1));
+    }
+
+    #[test]
+    fn from_columns_checks_lengths() {
+        let s = schema();
+        let batch = ColumnBatch::from_rows(&s, &rows()).unwrap();
+        let rebuilt = ColumnBatch::from_columns(batch.columns().to_vec()).unwrap();
+        assert_eq!(rebuilt, batch);
+        let mut ragged = batch.columns().to_vec();
+        ragged[0].push_null();
+        assert!(ragged[0].len() == 4 && ColumnBatch::from_columns(ragged).is_err());
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Allocation-count regression guard for the zero-copy text-view scan
-//! path.
+//! Allocation-count regression guards: the zero-copy text-view scan
+//! path, and the hash-table kernel under hash aggregation and hash
+//! join.
 //!
 //! A counting [`GlobalAlloc`] wrapper tallies heap allocations while
 //! [`collect_batches`] drains a full scan over a pad-heavy (Text-column
@@ -14,16 +15,26 @@
 //! value, a `Vec<Value>` per tuple) into decode, filter, or batch
 //! handoff.
 //!
-//! This file holds exactly one `#[test]` so no concurrent test pollutes
-//! the global counter.
+//! The hash guards drain a grouped [`HashAggregate`] and a
+//! [`HashJoin`] over pre-built batches at N and 2N input rows (groups
+//! and build keys doubling too): keys live columnar in the kernel's
+//! [`smooth_executor::KeyTable`] and accumulators / match chains are
+//! flat vectors, so the marginal cost is buffer growth plus a few
+//! allocations per *batch* — under one per 64 marginal input rows. A
+//! boxed key per row, or a match list per distinct key, fails it.
+//!
+//! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
+//! concurrent test pollutes the global counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use smooth_executor::{collect_batches, FullTableScan, Predicate};
+use smooth_executor::{
+    collect_batches, AggFunc, FullTableScan, HashAggregate, HashJoin, JoinType, Operator, Predicate,
+};
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
-use smooth_types::{force_text_views, Column, DataType, Row, Schema, Value};
+use smooth_types::{force_text_views, Column, ColumnBatch, DataType, Result, Row, Schema, Value};
 
 struct CountingAlloc;
 
@@ -52,6 +63,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Held by each test for its whole body: the counter is process-global.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn pad_heavy_heap(rows: i64) -> Arc<HeapFile> {
     let schema =
@@ -87,6 +105,7 @@ fn allocs_for_scan(heap: &Arc<HeapFile>) -> (u64, usize) {
 
 #[test]
 fn text_views_keep_scan_allocations_sublinear_in_rows() {
+    let _serial = serial();
     force_text_views(true);
     const N: i64 = 4000;
     // Warm-up drains one-time lazy state (env latches, thread locals)
@@ -105,4 +124,114 @@ fn text_views_keep_scan_allocations_sublinear_in_rows() {
         "per-row allocation straggler: {marginal_allocs} extra allocations \
          for {marginal_rows} extra rows ({small_allocs} at N, {large_allocs} at 2N)"
     );
+}
+
+/// Rows per pre-built batch (the engine's default morsel size).
+const BATCH_ROWS: usize = 1024;
+
+fn int_schema(names: [&str; 2]) -> Schema {
+    Schema::new(names.iter().map(|n| Column::new(*n, DataType::Int64)).collect()).unwrap()
+}
+
+/// A source handing out batches built before the measured window, so
+/// it contributes no allocations of its own (columnar protocol only).
+struct Prebuilt {
+    schema: Schema,
+    batches: std::vec::IntoIter<ColumnBatch>,
+}
+
+impl Prebuilt {
+    /// `rows` rows of `(i % keys, i)`, in [`BATCH_ROWS`]-row batches.
+    fn new(rows: usize, keys: usize) -> Box<Self> {
+        let schema = int_schema(["k", "v"]);
+        let all: Vec<Row> = (0..rows)
+            .map(|i| Row::new(vec![Value::Int((i % keys) as i64), Value::Int(i as i64)]))
+            .collect();
+        let batches: Vec<ColumnBatch> =
+            all.chunks(BATCH_ROWS).map(|c| ColumnBatch::from_rows(&schema, c).unwrap()).collect();
+        Box::new(Prebuilt { schema, batches: batches.into_iter() })
+    }
+}
+
+impl Operator for Prebuilt {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn open(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn next(&mut self) -> Result<Option<Row>> {
+        Err(smooth_types::Error::exec("Prebuilt speaks the columnar protocol only"))
+    }
+
+    fn next_columns(&mut self, _max: usize) -> Result<Option<ColumnBatch>> {
+        Ok(self.batches.next())
+    }
+
+    fn close(&mut self) -> Result<()> {
+        Ok(())
+    }
+
+    fn label(&self) -> String {
+        "Prebuilt".into()
+    }
+}
+
+/// Allocations spent draining `op`, and the rows it produced.
+fn allocs_for(op: &mut dyn Operator) -> (u64, usize) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let batches = collect_batches(op).unwrap();
+    let after = ALLOCS.load(Ordering::Relaxed);
+    (after - before, batches.iter().map(ColumnBatch::len).sum())
+}
+
+/// Fail unless doubling the input cost under one allocation per 64
+/// marginal input rows.
+fn assert_marginal(what: &str, small: (u64, usize), large: (u64, usize)) {
+    let (marginal_allocs, marginal_rows) = (large.0.saturating_sub(small.0), large.1 - small.1);
+    assert!(
+        marginal_allocs < (marginal_rows / 64) as u64,
+        "{what}: per-row allocation straggler: {marginal_allocs} extra allocations for \
+         {marginal_rows} extra input rows ({} at N, {} at 2N)",
+        small.0,
+        large.0
+    );
+}
+
+#[test]
+fn grouped_aggregate_allocations_are_sublinear_in_rows_and_groups() {
+    let _serial = serial();
+    let run = |rows: usize, groups: usize| {
+        let aggs = vec![AggFunc::CountStar, AggFunc::Sum(1), AggFunc::Min(1), AggFunc::Max(1)];
+        let mut op =
+            HashAggregate::new(Prebuilt::new(rows, groups), vec![0], aggs, storage()).unwrap();
+        let (allocs, out) = allocs_for(&mut op);
+        assert_eq!(out, groups);
+        (allocs, rows)
+    };
+    run(BATCH_ROWS, 16); // warm-up: env latches, thread locals
+    assert_marginal("grouped aggregate", run(100_000, 10_000), run(200_000, 20_000));
+}
+
+#[test]
+fn hash_join_allocations_are_sublinear_in_build_and_probe_rows() {
+    let _serial = serial();
+    let run = |build: usize, probe: usize| {
+        // Every probe row hits exactly one of the distinct build keys.
+        let mut op = HashJoin::new(
+            Prebuilt::new(probe, build),
+            Prebuilt::new(build, build),
+            0,
+            0,
+            JoinType::Inner,
+            storage(),
+        );
+        let (allocs, out) = allocs_for(&mut op);
+        assert_eq!(out, probe);
+        (allocs, build + probe)
+    };
+    run(BATCH_ROWS, BATCH_ROWS); // warm-up
+    assert_marginal("hash join", run(10_000, 90_000), run(20_000, 180_000));
 }
