@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Unwrap lint for the fault-isolation surface: in the scheduler, the
 # parallel pipeline, the hash-table kernel with the join and aggregate
-# operators on it, and the spill codec, every `.unwrap()` / `.expect(`
+# operators on it, the operator protocol with the scan, filter and sort
+# operators, and the spill codec, every `.unwrap()` / `.expect(`
 # outside `#[cfg(test)]` must either be replaced with a typed error or
 # sit within $WINDOW lines of an `// invariant:` comment stating why it
 # cannot fire (see docs/fault_model.md). Keeps panic containment from
@@ -16,6 +17,10 @@ for f in \
     crates/executor/src/hashtable.rs \
     crates/executor/src/join.rs \
     crates/executor/src/agg.rs \
+    crates/executor/src/operator.rs \
+    crates/executor/src/scan.rs \
+    crates/executor/src/filter.rs \
+    crates/executor/src/sort.rs \
     crates/executor/src/spill.rs \
     crates/types/src/spill.rs; do
     bad=$(awk -v w="$WINDOW" '

@@ -12,7 +12,7 @@
 //! ```
 //!
 //! The CI `perf-smoke` job runs `--json BENCH_smoke.json --check
-//! BENCH_smoke.json batch ...` at smoke scale: the committed file is the
+//! BENCH_smoke.json columnar ...` at smoke scale: the committed file is the
 //! baseline, the fresh file is the next trajectory point.
 
 use std::path::PathBuf;

@@ -30,7 +30,7 @@ use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, Scan
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::experiments::batch::RUNS;
+use crate::experiments::columnar::RUNS;
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 

@@ -1,7 +1,6 @@
 //! One module per paper artifact. See DESIGN.md §3 for the experiment
 //! index mapping each module to its figure/table, workload and parameters.
 
-pub mod batch;
 pub mod columnar;
 pub mod costmodel;
 pub mod cr;
@@ -37,7 +36,6 @@ pub const ALL: &[&str] = &[
     "table1",
     "costmodel",
     "cr",
-    "batch",
     "columnar",
     "textscan",
     "parallel",
@@ -63,7 +61,6 @@ pub fn run(id: &str) -> bool {
         "fig11" => fig11::run(),
         "table1" | "costmodel" => costmodel::run(),
         "cr" => cr::run(),
-        "batch" => batch::run(),
         "columnar" => columnar::run(),
         "textscan" => textscan::run(),
         "parallel" => parallel::run(),

@@ -40,7 +40,7 @@ use smooth_storage::DeviceProfile;
 use smooth_types::{force_text_views, text_decode_counters, ColumnBatch, Row};
 use smooth_workload::micro;
 
-use crate::experiments::batch::{best_wall_secs, RUNS};
+use crate::experiments::columnar::{best_wall_secs, RUNS};
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 

@@ -16,13 +16,13 @@
 //! every heap page has been visited, the structure has fully morphed into
 //! a hash table and the B+-tree is no longer consulted.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use smooth_executor::{BoxedOperator, Operator, Predicate, ScanFilter};
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{PageId, Result, Row, RowBatch, Schema, Value};
+use smooth_types::{PageId, Result, Row, Schema, Value};
 
 use crate::page_cache::PageIdCache;
 
@@ -152,35 +152,18 @@ pub struct SmoothIndexNestedLoopJoin {
     inner: SmoothInnerPath,
     schema: Schema,
     pending: Vec<Row>,
-    /// Outer rows pulled in batches, consumed front-to-back.
-    outer_buf: VecDeque<Row>,
 }
 
 impl SmoothIndexNestedLoopJoin {
     /// `outer.outer_col = inner.key_col` via the inner path's index.
     pub fn new(outer: BoxedOperator, outer_col: usize, inner: SmoothInnerPath) -> Self {
         let schema = outer.schema().join(inner.heap.schema());
-        SmoothIndexNestedLoopJoin {
-            outer,
-            outer_col,
-            inner,
-            schema,
-            pending: Vec::new(),
-            outer_buf: VecDeque::new(),
-        }
+        SmoothIndexNestedLoopJoin { outer, outer_col, inner, schema, pending: Vec::new() }
     }
 
     /// The inner path's morphing counters.
     pub fn inner_metrics(&self) -> InnerPathMetrics {
         self.inner.metrics()
-    }
-
-    /// Next outer row: buffered batch first, then the child row protocol.
-    fn next_outer(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.outer_buf.pop_front() {
-            return Ok(Some(row));
-        }
-        self.outer.next()
     }
 
     /// Probe the morphing inner path for one outer row; matches queue in
@@ -214,7 +197,6 @@ impl Operator for SmoothIndexNestedLoopJoin {
     fn open(&mut self) -> Result<()> {
         self.outer.open()?;
         self.pending.clear();
-        self.outer_buf.clear();
         Ok(())
     }
 
@@ -223,41 +205,13 @@ impl Operator for SmoothIndexNestedLoopJoin {
             if let Some(row) = self.pending.pop() {
                 return Ok(Some(row));
             }
-            let Some(outer_row) = self.next_outer()? else { return Ok(None) };
+            let Some(outer_row) = self.outer.next()? else { return Ok(None) };
             self.probe_outer(outer_row)?;
         }
-    }
-
-    /// Vectorized probe loop: outer rows arrive in batches, join output
-    /// leaves in batches of up to `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        let mut out = Vec::new();
-        loop {
-            while out.len() < max {
-                match self.pending.pop() {
-                    Some(row) => out.push(row),
-                    None => break,
-                }
-            }
-            if out.len() >= max {
-                break;
-            }
-            if self.outer_buf.is_empty() {
-                match self.outer.next_batch(max)? {
-                    Some(batch) => self.outer_buf.extend(batch.into_rows()),
-                    None => break,
-                }
-            }
-            let Some(outer_row) = self.outer_buf.pop_front() else { break };
-            self.probe_outer(outer_row)?;
-        }
-        Ok((!out.is_empty()).then(|| RowBatch::from_rows(out)))
     }
 
     fn close(&mut self) -> Result<()> {
         self.pending.clear();
-        self.outer_buf.clear();
         self.outer.close()
     }
 

@@ -220,13 +220,13 @@ impl ResultCache {
     fn maybe_spill(&mut self, storage: &Storage) {
         let Some(limit) = self.spill_threshold else { return };
         // Sweep any deferred cursor advance *before* the spill decision:
-        // the batched protocols defer the eviction sweep to morsel
+        // the columnar protocol defers the eviction sweep to morsel
         // boundaries, so without this `resident` could cross the
         // threshold mid-batch and charge spill I/O the row-at-a-time
         // protocol never pays. Evicting first makes the resident count at
         // every spill decision identical no matter how the protocol
-        // batches its sweeps — volcano, row-batch and columnar drivers
-        // charge byte-identical spill I/O. (Without a spill threshold the
+        // batches its sweeps — the volcano and columnar drivers charge
+        // byte-identical spill I/O. (Without a spill threshold the
         // sweep stays at the protocol boundary, unchanged.)
         self.flush_advance();
         while self.stats.resident as usize > limit {
@@ -368,7 +368,7 @@ mod tests {
         // PR 3 latent divergence, pinned: the same insert/advance key
         // sequence must charge identical spill I/O whether the eviction
         // sweep runs per cursor key (the row-at-a-time protocol) or is
-        // deferred to a batch boundary (the batched protocols). The
+        // deferred to a batch boundary (the columnar protocol). The
         // sweep-before-spill rule in `maybe_spill` makes the resident
         // count at every spill decision protocol-independent.
         let bounds = [10i64, 20, 30];

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use smooth_executor::{Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, RowBatch, Schema, Tid};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid};
 
 use crate::tuple_cache::TupleIdCache;
 
@@ -40,7 +40,7 @@ pub struct SwitchScan {
     switched: bool,
     next_page: u32,
     /// Phase-2 output: full-scan refills decode qualifiers straight into
-    /// this columnar FIFO, which all three protocols drain.
+    /// this columnar FIFO, which both protocols drain.
     out: ColumnBuffer,
 }
 
@@ -188,27 +188,6 @@ impl Operator for SwitchScan {
                 return Ok(None);
             }
         }
-    }
-
-    /// Batched Switch Scan: per-row while the index phase monitors the
-    /// cardinality estimate (the switch must fire at the exact tuple), then
-    /// page-run-sized drains of the full-scan phase.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            if !self.switched {
-                match self.next()? {
-                    Some(row) => rows.push(row),
-                    None => break,
-                }
-            } else if !self.out.is_drained() {
-                rows.extend(self.out.pop_rows(max - rows.len()));
-            } else if !self.fill_phase2()? {
-                break;
-            }
-        }
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
     }
 
     /// Columnar Switch Scan: the index phase still runs per-row (the

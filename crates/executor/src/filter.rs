@@ -5,7 +5,7 @@
 //! simply drop out of the selection), and `Project` is pure column
 //! pruning (vectors move by ordinal; rows are never rebuilt).
 
-use smooth_types::{ColumnBatch, Result, Row, RowBatch, Schema};
+use smooth_types::{ColumnBatch, Result, Row, Schema};
 
 use crate::expr::Predicate;
 use crate::operator::{BoxedOperator, Operator};
@@ -39,18 +39,6 @@ impl Operator for Filter {
             }
         }
         Ok(None)
-    }
-
-    /// Vectorized filter: pull a child batch, compact it in place.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let predicate = &self.predicate;
-        loop {
-            let Some(mut batch) = self.child.next_batch(max)? else { return Ok(None) };
-            batch.try_retain(|row| predicate.eval(row))?;
-            if !batch.is_empty() {
-                return Ok(Some(batch));
-            }
-        }
     }
 
     /// Columnar filter: evaluate the predicate as a vectorized kernel and
@@ -114,14 +102,6 @@ impl Operator for Project {
             .child
             .next()?
             .map(|row| Row::new(self.columns.iter().map(|&c| row.get(c).clone()).collect())))
-    }
-
-    /// Vectorized projection: rewrite a child batch in place.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let Some(mut batch) = self.child.next_batch(max)? else { return Ok(None) };
-        let columns = &self.columns;
-        batch.try_map(|row| Ok(Row::new(columns.iter().map(|&c| row.get(c).clone()).collect())))?;
-        Ok(Some(batch))
     }
 
     /// Columnar projection: move the kept column vectors, touch no row.

@@ -13,8 +13,7 @@ use std::sync::Arc;
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, RowBatch, Schema,
-    Value,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Value,
 };
 
 use crate::expr::Predicate;
@@ -679,7 +678,7 @@ impl JoinBuildPartial {
 /// [`JoinBuildTable`] (typed key map over payload column vectors — no
 /// `Vec<Row>`), probes read keys vector-at-a-time off the probe batch's
 /// key column, and matches gather left and right payload columns directly
-/// into the output batch without ever concatenating `Row`s. All three
+/// into the output batch without ever concatenating `Row`s. Both
 /// iterator protocols drain one [`ColumnBuffer`] FIFO, so they interleave
 /// freely on a single probe order.
 pub struct HashJoin {
@@ -782,19 +781,6 @@ impl Operator for HashJoin {
         }
     }
 
-    /// Vectorized probe: whole probe morsels fill the output buffer, up
-    /// to `max` rows leave per call.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
-        let max = max.max(1);
-        while self.out.pending() < max {
-            if !self.advance(max)? {
-                break;
-            }
-        }
-        let rows = self.out.pop_rows(max);
-        Ok((!rows.is_empty()).then(|| RowBatch::from_rows(rows)))
-    }
-
     /// Columnar probe: keys are read vector-at-a-time off the left key
     /// column; on a hit the left columns and the matched payload columns
     /// gather straight into the output vectors — no `Row` materializes
@@ -823,7 +809,7 @@ impl Operator for HashJoin {
 
 /// Merge join over inputs already sorted on their join columns (inner only).
 ///
-/// Keeps the default (row-looping) `next_batch`: the merge frontier
+/// Keeps the default (row-looping) `next_columns`: the merge frontier
 /// advances one key group at a time, so there is no page- or batch-shaped
 /// unit of work to amortize — vectorizing it would only buffer rows it
 /// already buffers.
@@ -1010,7 +996,7 @@ impl Operator for NestedLoopJoin {
         self.left.open()?;
         self.right.open()?;
         self.right_rows.clear();
-        while let Some(batch) = self.right.next_batch(batch_size())? {
+        while let Some(batch) = self.right.next_columns(batch_size())? {
             self.right_rows.extend(batch.into_rows());
         }
         self.right.close()?;
@@ -1068,9 +1054,9 @@ pub struct IndexNestedLoopJoin {
     ty: JoinType,
     storage: Storage,
     schema: Schema,
-    pending: Vec<Row>,
-    /// Outer rows pulled in batches, consumed front-to-back.
-    outer_buf: VecDeque<Row>,
+    /// Joined rows awaiting emission, in probe order; both protocols
+    /// drain this one queue.
+    pending: VecDeque<Row>,
 }
 
 impl IndexNestedLoopJoin {
@@ -1094,61 +1080,37 @@ impl IndexNestedLoopJoin {
             ty,
             storage,
             schema,
-            pending: Vec::new(),
-            outer_buf: VecDeque::new(),
+            pending: VecDeque::new(),
         }
     }
 
-    /// Next outer row: buffered batch first, then the child row protocol.
-    fn next_outer(&mut self) -> Result<Option<Row>> {
-        if let Some(row) = self.outer_buf.pop_front() {
-            return Ok(Some(row));
-        }
-        self.outer.next()
-    }
-
-    /// Probe the inner index for one outer row. Inner matches queue in
-    /// `pending` (reversed, so `pop()` preserves TID order); a semi match
-    /// returns the outer row directly.
-    fn probe(&mut self, outer_row: Row) -> Result<Option<Row>> {
+    /// Probe the inner index for one outer row and queue its output in
+    /// `pending`: the inner matches in TID order, or — for a semi join —
+    /// the outer row itself on the first match.
+    fn probe(&mut self, outer_row: Row) -> Result<()> {
         let key = match outer_row.get(self.outer_col) {
             Value::Int(k) => *k,
-            Value::Null => return Ok(None),
+            Value::Null => return Ok(()),
             other => return Err(Error::exec(format!("INLJ key must be integer, got {other}"))),
         };
         let tids = self.inner_index.probe(&self.storage, key);
         let cpu = *self.storage.cpu();
-        let mut matched = false;
-        let mut matches: Vec<Row> = Vec::new();
         for tid in tids {
             let page = self.storage.read_heap_page(&self.inner_heap, tid.page)?;
             self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
             let inner_row = self.inner_heap.decode_slot(&page, tid.slot)?;
             if self.inner_residual.eval(&inner_row)? {
-                matched = true;
-                if self.ty == JoinType::LeftSemi {
-                    break;
-                }
                 self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                matches.push(outer_row.concat(&inner_row));
-            }
-        }
-        match self.ty {
-            JoinType::Inner => {
-                debug_assert!(self.pending.is_empty(), "probe with undrained pending rows");
-                matches.reverse();
-                self.pending = matches;
-                Ok(None)
-            }
-            JoinType::LeftSemi => {
-                if matched {
-                    self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                    Ok(Some(outer_row))
-                } else {
-                    Ok(None)
+                match self.ty {
+                    JoinType::Inner => self.pending.push_back(outer_row.concat(&inner_row)),
+                    JoinType::LeftSemi => {
+                        self.pending.push_back(outer_row);
+                        break;
+                    }
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -1160,54 +1122,40 @@ impl Operator for IndexNestedLoopJoin {
     fn open(&mut self) -> Result<()> {
         self.outer.open()?;
         self.pending.clear();
-        self.outer_buf.clear();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(row) = self.pending.pop() {
+            if let Some(row) = self.pending.pop_front() {
                 return Ok(Some(row));
             }
-            let Some(outer_row) = self.next_outer()? else { return Ok(None) };
-            if let Some(row) = self.probe(outer_row)? {
-                return Ok(Some(row));
-            }
+            let Some(outer_row) = self.outer.next()? else { return Ok(None) };
+            self.probe(outer_row)?;
         }
     }
 
-    /// Vectorized probe loop: outer rows arrive in batches, join output
-    /// leaves in batches of up to `max`.
-    fn next_batch(&mut self, max: usize) -> Result<Option<RowBatch>> {
+    /// Columnar probe loop: the outer side arrives a morsel at a time
+    /// (so an outer scan reads ahead by whole morsels, as under every
+    /// other columnar operator) and is probed to completion into the
+    /// shared `pending` queue; up to `max` joined rows leave per call.
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        let mut out = Vec::new();
-        loop {
-            while out.len() < max {
-                match self.pending.pop() {
-                    Some(row) => out.push(row),
-                    None => break,
-                }
-            }
-            if out.len() >= max {
-                break;
-            }
-            if self.outer_buf.is_empty() {
-                match self.outer.next_batch(max)? {
-                    Some(batch) => self.outer_buf.extend(batch.into_rows()),
-                    None => break,
-                }
-            }
-            let Some(outer_row) = self.outer_buf.pop_front() else { break };
-            if let Some(row) = self.probe(outer_row)? {
-                out.push(row);
+        while self.pending.len() < max {
+            let Some(outer) = self.outer.next_columns(max)? else { break };
+            for outer_row in outer.into_rows() {
+                self.probe(outer_row)?;
             }
         }
-        Ok((!out.is_empty()).then(|| RowBatch::from_rows(out)))
+        let mut out = ColumnBatch::for_schema(&self.schema);
+        for row in self.pending.drain(..max.min(self.pending.len())) {
+            out.push_owned_row(row)?;
+        }
+        Ok((!out.is_empty()).then_some(out))
     }
 
     fn close(&mut self) -> Result<()> {
         self.pending.clear();
-        self.outer_buf.clear();
         self.outer.close()
     }
 

@@ -18,9 +18,8 @@
 //! itself lives in `smooth-core` and plugs into the same [`Operator`]
 //! protocol.
 //!
-//! Operators speak three interchangeable protocols: the classic Volcano
-//! `next()`, the row-major `next_batch()` ([`smooth_types::RowBatch`] per
-//! call) and the columnar `next_columns()`
+//! Operators speak two interchangeable protocols: the classic Volcano
+//! `next()` and the columnar `next_columns()`
 //! ([`smooth_types::ColumnBatch`]: typed column vectors plus a selection
 //! vector). The vectorized scans push predicate evaluation down onto the
 //! encoded tuples via [`ScanFilter`] — probing only predicate columns
@@ -29,11 +28,9 @@
 //! vectors with no per-row allocation. [`collect_batches`] drives plans
 //! through the columnar protocol end to end and keeps the result
 //! columnar; [`collect_rows`] is its row-materializing convenience, and
-//! [`collect_rows_batch`] and
-//! [`collect_rows_volcano`] keep the row-batch and row-at-a-time
-//! reference drivers — the Volcano driver is retained permanently as
-//! the semantics oracle the property suites pin every other driver
-//! against, not as a performance baseline.
+//! [`collect_rows_volcano`] keeps the row-at-a-time reference driver,
+//! retained permanently as the semantics oracle the property suites pin
+//! every other driver against, not as a performance baseline.
 //!
 //! The [`parallel`] module adds morsel-driven parallel pipeline
 //! execution (HyPer-style worker pool over [`smooth_types::ColumnBatch`]
@@ -70,8 +67,7 @@ pub use join::{
     NestedLoopJoin, BUILD_PARTITIONS,
 };
 pub use operator::{
-    batch_size, collect_batches, collect_rows, collect_rows_batch, collect_rows_volcano,
-    BoxedOperator, Operator,
+    batch_size, collect_batches, collect_rows, collect_rows_volcano, BoxedOperator, Operator,
 };
 pub use parallel::{
     multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, ParallelPipeline,

@@ -34,9 +34,8 @@ use smooth_storage::{DeviceProfile, Storage};
 use smooth_types::{Result, PAGE_SIZE};
 
 /// Per-operator memory budget in bytes: the `SMOOTH_MEM_BYTES`
-/// environment variable, read **once per process** and latched (like
-/// `SMOOTH_BATCH_ROWS`). `0` or unset means unlimited — no operator
-/// ever spills. Tests and embedders override per instance via
+/// environment variable, read **once per process** and latched. `0`
+/// or unset means unlimited — no operator ever spills. Tests and embedders override per instance via
 /// `Database::set_mem_bytes` / the operators' `with_mem_budget`.
 pub fn mem_budget_bytes() -> usize {
     static BYTES: OnceLock<usize> = OnceLock::new();

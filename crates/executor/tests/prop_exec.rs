@@ -1,36 +1,22 @@
 //! Property tests for the executor: join operators must agree with a
 //! nested-loop oracle for arbitrary inputs, every access path must
-//! return the same multiset as a filtered full scan, and the batched and
-//! columnar iterator protocols must produce the exact row sequence of the
+//! return the same multiset as a filtered full scan, and the columnar
+//! iterator protocol must produce the exact row sequence of the
 //! row-at-a-time protocol for every operator — including with selection
-//! vectors active and with all three protocols interleaved on one stream.
+//! vectors active and with both protocols interleaved on one stream.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
-    collect_rows, collect_rows_volcano, operator::ValuesOp, AggFunc, Filter, FullTableScan,
-    HashAggregate, HashJoin, IndexScan, JoinType, MergeJoin, NestedLoopJoin, Operator, Predicate,
-    Project, Sort, SortScan,
+    collect_rows, collect_rows_volcano, operator::ValuesOp, AggFunc, BoxedOperator, Filter,
+    FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan, JoinType, MergeJoin,
+    NestedLoopJoin, Operator, Predicate, Project, Sort, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
-
-/// Drain an operator through `next_batch(max)` only.
-fn collect_batched(op: &mut dyn Operator, max: usize) -> Vec<Row> {
-    op.open().unwrap();
-    let mut rows = Vec::new();
-    while let Some(batch) = op.next_batch(max).unwrap() {
-        assert!(!batch.is_empty(), "empty batch violates the protocol");
-        assert!(batch.len() <= max, "batch exceeds max");
-        rows.extend(batch.into_rows());
-    }
-    assert!(op.next_batch(max).unwrap().is_none(), "None must be sticky");
-    op.close().unwrap();
-    rows
-}
 
 /// Drain an operator through `next_columns(max)` only, checking the
 /// columnar batch contract.
@@ -47,35 +33,46 @@ fn collect_columnar(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     rows
 }
 
-/// Drain an operator rotating `next()`, `next_batch(max)` and
-/// `next_columns(max)` calls — all three protocols share one stream and
-/// must compose.
+/// Drain an operator alternating `next()` and `next_columns(max)` calls —
+/// the two protocols share one stream and must compose.
 fn collect_interleaved(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     op.open().unwrap();
     let mut rows = Vec::new();
-    'outer: while let Some(row) = op.next().unwrap() {
+    while let Some(row) = op.next().unwrap() {
         rows.push(row);
-        match op.next_batch(max).unwrap() {
-            Some(batch) => rows.extend(batch.into_rows()),
-            None => break 'outer,
-        }
         match op.next_columns(max).unwrap() {
             Some(batch) => rows.extend(batch.into_rows()),
-            None => break 'outer,
+            None => break,
         }
     }
     op.close().unwrap();
     rows
 }
 
-/// The protocol-equivalence obligation: row-at-a-time, batched, columnar
-/// and interleaved drains of (reopenable) `op` yield the identical
-/// sequence.
+/// The protocol-equivalence obligation: row-at-a-time, columnar and
+/// interleaved drains of (reopenable) `op` yield the identical sequence.
 fn assert_protocols_equivalent(op: &mut dyn Operator, max: usize) {
     let volcano = collect_rows_volcano(op).unwrap();
-    assert_eq!(collect_batched(op, max), volcano, "batched ≠ row-at-a-time (max={max})");
     assert_eq!(collect_columnar(op, max), volcano, "columnar ≠ row-at-a-time (max={max})");
     assert_eq!(collect_interleaved(op, max), volcano, "interleaved ≠ row-at-a-time (max={max})");
+}
+
+/// The row-queue obligation for operators whose unit of work is a row —
+/// `next()`-only ones on the trait-default `next_columns`, and
+/// `IndexNestedLoopJoin`, whose native one drains the same row queue: on
+/// a fresh operator over a fresh storage per drain, a `next_columns`
+/// drain (contract checked by [`collect_columnar`]) and an interleaved
+/// drain yield the pure-`next()` row sequence *and* charge the identical
+/// virtual clock and I/O counters.
+fn assert_row_queue_equivalent(mk: &dyn Fn(&Storage) -> BoxedOperator, max: usize) {
+    let run = |drain: &dyn Fn(&mut dyn Operator) -> Vec<Row>| {
+        let s = storage();
+        let rows = drain(mk(&s).as_mut());
+        (rows, s.clock().snapshot(), s.io_snapshot())
+    };
+    let volcano = run(&|op| collect_rows_volcano(op).unwrap());
+    assert_eq!(run(&|op| collect_columnar(op, max)), volcano, "bridge ≠ next() (max={max})");
+    assert_eq!(run(&|op| collect_interleaved(op, max)), volcano, "interleaved ≠ next()");
 }
 
 fn storage() -> Storage {
@@ -224,7 +221,7 @@ proptest! {
         prop_assert_eq!(canonical(collect_rows(&mut ss).unwrap()), expected);
     }
 
-    /// `next_batch` ≡ `next` for every access path, for arbitrary data,
+    /// `next_columns` ≡ `next` for every access path, for arbitrary data,
     /// ranges, residuals and batch sizes.
     #[test]
     fn scan_batch_protocol_equals_row_protocol(
@@ -271,7 +268,7 @@ proptest! {
         for ty in [JoinType::Inner, JoinType::LeftSemi] {
             let outer_rows: Vec<(i64, i64)> =
                 (0..40).map(|i| (i, (i * 13) % 120)).collect();
-            let mut inlj = smooth_executor::IndexNestedLoopJoin::new(
+            let mut inlj = IndexNestedLoopJoin::new(
                 values_op("a", "fk", &outer_rows),
                 1,
                 Arc::clone(&heap),
@@ -284,7 +281,7 @@ proptest! {
         }
     }
 
-    /// `next_batch` ≡ `next` for the relational operators (filter,
+    /// `next_columns` ≡ `next` for the relational operators (filter,
     /// projection, sort, aggregation, all joins) over arbitrary inputs.
     #[test]
     fn relational_batch_protocol_equals_row_protocol(
@@ -336,5 +333,62 @@ proptest! {
         let mut mj =
             MergeJoin::new(values_op("lk", "lv", &ls), values_op("rk", "rv", &rs), 0, 0, storage());
         assert_protocols_equivalent(&mut mj, max);
+    }
+
+    /// The `next_columns` trait default (loop `next()`, one row→column
+    /// conversion) over the operators that implement only `next()` —
+    /// `ValuesOp`, `MergeJoin`, `NestedLoopJoin` — and the INLJ's native
+    /// morsel-pulling variant over an outer that does no I/O: batches
+    /// non-empty and ≤ `max`, `None` sticky, row sequence and clock delta
+    /// equal to the pure-`next()` drain, nothing lost or duplicated when
+    /// the protocols interleave.
+    #[test]
+    fn default_column_bridge_equals_row_protocol(
+        left in proptest::collection::vec((0i64..25, -50i64..50), 0..80),
+        right in proptest::collection::vec((0i64..25, -50i64..50), 0..80),
+        inner_keys in proptest::collection::vec(0i64..25, 1..300),
+        max in 1usize..40,
+    ) {
+        assert_row_queue_equivalent(&|_| values_op("lk", "lv", &left), max);
+        let mut ls = left.clone();
+        ls.sort();
+        let mut rs = right.clone();
+        rs.sort();
+        assert_row_queue_equivalent(
+            &|s| {
+                let (l, r) = (values_op("lk", "lv", &ls), values_op("rk", "rv", &rs));
+                Box::new(MergeJoin::new(l, r, 0, 0, s.clone()))
+            },
+            max,
+        );
+        let mut loader = HeapLoader::new_mem("t", two_col_schema("c0", "c1"));
+        for (i, &k) in inner_keys.iter().enumerate() {
+            loader.push(&Row::new(vec![Value::Int(i as i64), Value::Int(k)])).unwrap();
+        }
+        let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
+        let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
+        for ty in [JoinType::Inner, JoinType::LeftSemi] {
+            assert_row_queue_equivalent(
+                &|s| {
+                    let (l, r) = (values_op("lk", "lv", &left), values_op("rk", "rv", &right));
+                    Box::new(NestedLoopJoin::new(l, r, Predicate::int_ge(1, 0), ty, s.clone()))
+                },
+                max,
+            );
+            assert_row_queue_equivalent(
+                &|s| {
+                    Box::new(IndexNestedLoopJoin::new(
+                        values_op("lk", "lv", &left),
+                        0,
+                        Arc::clone(&heap),
+                        Arc::clone(&index),
+                        Predicate::int_lt(0, 200),
+                        ty,
+                        s.clone(),
+                    ))
+                },
+                max,
+            );
+        }
     }
 }

@@ -10,9 +10,8 @@
 //! Queries execute through the columnar pipeline: `run_batches` /
 //! `run_operator_batches` drain the operator tree with
 //! [`collect_batches`], which requests [`smooth_types::ColumnBatch`]es
-//! of `smooth_executor::batch_size()` rows (the `SMOOTH_BATCH_ROWS`
-//! knob) per virtual call rather than one tuple at a time, and the
-//! result stays columnar — text columns keep their zero-copy views into
+//! of `smooth_executor::batch_size()` rows per virtual call rather
+//! than one tuple at a time, and the result stays columnar — text columns keep their zero-copy views into
 //! pinned heap pages. `Row`s materialize only when a caller crosses the
 //! user-facing boundary ([`BatchResult::into_rows`], or the
 //! row-carrying [`Database::run`] / [`QueryResult`] wrappers).
@@ -44,9 +43,9 @@ use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, BoxedOperator, BuildSpec, Filter, FullTableScan, HashAggregate,
-    HashJoin, IndexNestedLoopJoin, IndexScan, MergeJoin, NestedLoopJoin, Operator,
-    ParallelPipeline, ParallelSource, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort,
-    SortScan, StageSpec,
+    HashJoin, IndexNestedLoopJoin, IndexScan, MergeJoin, Operator, ParallelPipeline,
+    ParallelSource, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan,
+    StageSpec,
 };
 use smooth_stats::StatsQuality;
 use smooth_storage::{
@@ -143,8 +142,8 @@ impl BatchResult {
 
 /// Worker-pool width used by [`Database::run`] when none is set on the
 /// instance: the `SMOOTH_WORKERS` environment variable (minimum 1, read
-/// **once per process** and latched, like `SMOOTH_BATCH_ROWS`), else the
-/// number of available cores.
+/// **once per process** and latched), else the number of available
+/// cores.
 pub fn default_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
@@ -490,21 +489,6 @@ impl Database {
                             right,
                             spec.left_col,
                             spec.right_col,
-                            self.storage.clone(),
-                        )))
-                    }
-                    JoinStrategy::NestedLoop => {
-                        let right = self.build(&spec.right)?;
-                        // Equi-join predicate over the concatenated row is
-                        // not expressible with IntRange on two columns, so
-                        // NLJ here materializes and hashes instead — kept
-                        // as an explicit fallback for non-equi needs.
-                        let _ = &right;
-                        Ok(Box::new(NestedLoopJoin::new(
-                            left,
-                            right,
-                            Predicate::True,
-                            spec.ty,
                             self.storage.clone(),
                         )))
                     }

@@ -74,8 +74,6 @@ pub enum JoinStrategy {
     /// Index nested-loop: the right side must be a base-table scan whose
     /// join column is indexed.
     IndexNestedLoop,
-    /// Plain nested loop over a materialized right side.
-    NestedLoop,
 }
 
 /// One equi-join.

@@ -1,10 +1,9 @@
 //! Columnar batches: typed column vectors plus a selection vector.
 //!
-//! A [`ColumnBatch`] is the column-major counterpart of
-//! [`crate::RowBatch`]: one dense, uniformly-typed vector per column
-//! (integers, floats or strings, with a parallel null mask) and an
-//! optional *selection vector* naming the live rows. The layout exists for
-//! the hot paths:
+//! A [`ColumnBatch`] is the unit of the vectorized iterator protocol:
+//! one dense, uniformly-typed vector per column (integers, floats or
+//! strings, with a parallel null mask) and an optional *selection vector*
+//! naming the live rows. The layout exists for the hot paths:
 //!
 //! * scans decode pages straight into column vectors, paying no per-row
 //!   `Vec<Value>` allocation (see [`ColumnBatch::push_tuple`]);
@@ -13,8 +12,8 @@
 //! * projection is column pruning, not per-row rebuilding.
 //!
 //! Zero-copy-ish adapters ([`ColumnBatch::from_rows`],
-//! [`ColumnBatch::into_rows`]) bridge to the row-major protocol so
-//! unconverted operators keep working; `String`s materialize only at that
+//! [`ColumnBatch::into_rows`]) bridge to the row-at-a-time protocol so
+//! row-only operators keep working; `String`s materialize only at that
 //! row boundary.
 //!
 //! Typing follows the schema: `Int32`/`Int64`/`Date` columns widen into an
@@ -49,6 +48,12 @@ use crate::row::Row;
 use crate::row::{codec_is_null, codec_skip_field, codec_split_bitmap, codec_take};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
+
+/// Default number of rows per batch request. Large enough to amortize
+/// per-call overhead, small enough to stay cache-resident and to keep
+/// morphing decisions fine-grained (a heap page holds ~90 tuples, so this
+/// is ~11 pages worth of output).
+pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
 /// A shared, immutable byte buffer that text views can borrow from. The
 /// storage layer's page buffers (`PageBuf`) are exactly this type, so a
@@ -980,13 +985,6 @@ impl ColumnBatch {
         crate::row::Row::new(self.columns.iter().map(|c| c.value(idx)).collect())
     }
 
-    /// Materialize physical rows `[a, b)` (string bytes copy out).
-    /// Selection must be unset (dense cursor buffers only).
-    pub fn take_rows_range(&mut self, a: usize, b: usize) -> Vec<crate::row::Row> {
-        debug_assert!(self.selection.is_none(), "range take under a selection vector");
-        (a..b).map(|i| self.take_row(i)).collect()
-    }
-
     /// Split physical rows `[a, b)` into a new batch. Fixed-width
     /// payloads copy (one `memcpy` per column); text spans share their
     /// backing buffers or copy arena bytes — the source range stays
@@ -1064,9 +1062,8 @@ impl ColumnBatch {
 
 /// A FIFO buffer over a dense [`ColumnBatch`]: operators fill it
 /// column-natively and drain it through whichever iterator protocol the
-/// parent speaks — one row ([`ColumnBuffer::pop_row`]), a row batch
-/// ([`ColumnBuffer::pop_rows`]) or a columnar morsel
-/// ([`ColumnBuffer::pop_columns`]). A single buffer backs all three
+/// parent speaks — one row ([`ColumnBuffer::pop_row`]) or a columnar
+/// morsel ([`ColumnBuffer::pop_columns`]). A single buffer backs both
 /// protocols, which is what keeps them interleavable on one operator:
 /// there is exactly one pending-output order.
 #[derive(Debug)]
@@ -1132,15 +1129,6 @@ impl ColumnBuffer {
         self.pos += 1;
         self.reset_if_drained();
         Some(row)
-    }
-
-    /// Emit up to `max` rows.
-    pub fn pop_rows(&mut self, max: usize) -> Vec<Row> {
-        let end = (self.pos + max).min(self.batch.physical_rows());
-        let rows = self.batch.take_rows_range(self.pos, end);
-        self.pos = end;
-        self.reset_if_drained();
-        rows
     }
 
     /// Emit up to `max` rows as a columnar morsel. The buffer keeps its
@@ -1323,7 +1311,7 @@ mod tests {
         assert_eq!(buf.pop_row().unwrap(), rows()[0]);
         let cols = buf.pop_columns(1).unwrap();
         assert_eq!(cols.into_rows(), vec![rows()[1].clone()]);
-        assert_eq!(buf.pop_rows(10), vec![rows()[2].clone()]);
+        assert_eq!(buf.pop_columns(10).unwrap().into_rows(), vec![rows()[2].clone()]);
         assert!(buf.is_drained());
         assert!(buf.pop_row().is_none());
         assert!(buf.pop_columns(4).is_none());

@@ -10,7 +10,6 @@
 //! TIDs. Keeping these types in a leaf crate lets the storage engine, the
 //! B+-tree, the executor and the Smooth Scan operator evolve independently.
 
-pub mod batch;
 pub mod columns;
 pub mod error;
 pub mod row;
@@ -19,10 +18,9 @@ pub mod spill;
 pub mod tid;
 pub mod value;
 
-pub use batch::{RowBatch, DEFAULT_BATCH_SIZE};
 pub use columns::{
     force_text_views, text_decode_counters, text_views_enabled, ColumnBatch, ColumnBuffer,
-    ColumnValues, ColumnVector, SharedBytes, TextColumn,
+    ColumnValues, ColumnVector, SharedBytes, TextColumn, DEFAULT_BATCH_SIZE,
 };
 pub use error::{Error, Result};
 pub use row::Row;
@@ -43,7 +41,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Value>();
     assert_send_sync::<Row>();
-    assert_send_sync::<RowBatch>();
     assert_send_sync::<Schema>();
     assert_send_sync::<TextColumn>();
     assert_send_sync::<ColumnVector>();

@@ -195,8 +195,13 @@ fn io_key(io: &IoStatsDelta) -> (u64, u64, u64, u64, u64) {
 /// sharing one database are *not* independent — the second run's first
 /// transfer may continue the first run's last page. Fresh databases make
 /// each measurement exactly the cold run the serial driver would see.
+///
+/// Helpers that do not name a budget inherit the process default
+/// (`SMOOTH_MEM_BYTES`, 0 when unset) exactly like a fresh `Database`
+/// does, so under the CI spill leg the oracle and every driver spill
+/// alike; only the `*_budgeted` helpers pin one.
 fn run_volcano(plan: &LogicalPlan) -> QueryResult {
-    run_volcano_budgeted(plan, 0)
+    run_volcano_budgeted(plan, smoothscan::planner::db::default_mem_bytes())
 }
 
 /// [`run_volcano`] under an explicit per-operator memory budget in
@@ -220,7 +225,7 @@ fn run_volcano_budgeted(plan: &LogicalPlan, budget: usize) -> QueryResult {
 /// Cold-run through `Database::run` at a fixed worker count, again on a
 /// fresh database.
 fn run_with_workers(plan: &LogicalPlan, workers: usize) -> QueryResult {
-    run_budgeted(plan, workers, 0)
+    run_budgeted(plan, workers, smoothscan::planner::db::default_mem_bytes())
 }
 
 /// [`run_with_workers`] under an explicit per-operator memory budget.
