@@ -1259,6 +1259,14 @@ pub fn run_pipeline_traced(pipeline: ParallelPipeline) -> Result<(Vec<Row>, Scal
     Ok((rows, ledger))
 }
 
+/// Throw-away (removed with `run_inline`): the same trace recorded by
+/// the scheduler, for the ledger differential test.
+#[doc(hidden)]
+pub fn run_pipeline_traced_sched(pipeline: ParallelPipeline) -> Result<(Vec<Row>, ScalingLedger)> {
+    let (out, ledger) = crate::schedule::run_solo(pipeline, 1, true)?;
+    Ok((out.into_rows(), ledger))
+}
+
 fn run_inline(
     pipeline: ParallelPipeline,
     mut ledger: Option<&mut ScalingLedger>,

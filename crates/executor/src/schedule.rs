@@ -93,15 +93,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use smooth_storage::{tap_mark, FileId, InjectedPanic, ScanStatistics, Storage};
+use smooth_storage::{tap_mark, ClockSnapshot, FileId, InjectedPanic, ScanStatistics, Storage};
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
 use crate::expr::Predicate;
 use crate::join::{JoinBuildPartial, JoinBuildTable};
 use crate::parallel::{
     open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec, HeapDecoder,
-    ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, SinkSpec, SourceCore, SourceItem,
-    Stage, StageSpec,
+    ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, ScalingLedger, SinkSpec, SourceCore,
+    SourceItem, Stage, StageSpec,
 };
 use crate::sort::SortKey;
 use crate::{AggFunc, JoinType};
@@ -375,6 +375,9 @@ struct ActiveQuery {
     stats: Mutex<ScanStatistics>,
     lock_wait_ns: AtomicU64,
     done_tx: Mutex<Option<Sender<Result<QueryOutput>>>>,
+    /// The per-morsel virtual-clock ledger, recorded only for
+    /// [`run_solo`]'s traced run (see the module docs).
+    trace: Option<Mutex<ScalingLedger>>,
 }
 
 impl ActiveQuery {
@@ -384,6 +387,7 @@ impl ActiveQuery {
         pipeline: ParallelPipeline,
         tx: Sender<Result<QueryOutput>>,
         workers: usize,
+        traced: bool,
     ) -> Result<ActiveQuery> {
         let ParallelPipeline { source, builds, stages, sink, storage, morsel_rows } = pipeline;
         let mut schema = source.schema();
@@ -490,7 +494,28 @@ impl ActiveQuery {
             stats: Mutex::new(ScanStatistics::default()),
             lock_wait_ns: AtomicU64::new(0),
             done_tx: Mutex::new(Some(tx)),
+            trace: traced.then(Mutex::default),
         })
+    }
+
+    /// Trace site, opening half: the clock reading a traced query's
+    /// next ledger section starts from (`None` — no snapshot — on every
+    /// other query).
+    fn trace_mark(&self) -> Option<ClockSnapshot> {
+        self.trace.as_ref().map(|_| self.storage.clock().snapshot())
+    }
+
+    /// Trace site, closing half: hand the virtual time charged since
+    /// `mark` to `record`.
+    fn trace_since(
+        &self,
+        mark: Option<ClockSnapshot>,
+        record: impl FnOnce(&mut ScalingLedger, u64),
+    ) {
+        if let (Some(trace), Some(mark)) = (&self.trace, mark) {
+            let ns = self.storage.clock().snapshot().since(&mark).total_ns();
+            record(&mut lock(trace), ns);
+        }
     }
 
     /// Open the query's sources for its first phase. Runs at admission,
@@ -504,16 +529,22 @@ impl ActiveQuery {
             // invariant: `pump` admits each query exactly once, so the
             // probe source is still present here.
             let probe = lock(&self.probe_source).take().expect("a query admits once");
+            let prefix = self.trace_mark();
             let (probe_core, probe_decoder) = open_source(probe, self.morsel_rows)?;
+            let chunked = probe_decoder.is_some();
             if self.builds.is_empty() {
                 self.resolve_probe_stages();
                 *lock(&self.src) = SrcState::new(probe_core, probe_decoder, PhaseKind::Probe);
-                return Ok(());
+            } else {
+                *lock(&self.parked_probe) = Some((probe_core, probe_decoder));
+                open_build_tranche(self, 0)?;
+                install_build_phase(self, 0, &mut lock(&self.src))?;
             }
-            *lock(&self.parked_probe) = Some((probe_core, probe_decoder));
-            open_build_tranche(self, 0)?;
-            let mut src = lock(&self.src);
-            install_build_phase(self, 0, &mut src)
+            self.trace_since(prefix, |l, ns| {
+                l.prefix_ns = ns;
+                l.src_chunked = chunked;
+            });
+            Ok(())
         })();
         lock(&self.stats).merge(&mark.delta());
         result
@@ -552,6 +583,7 @@ impl ActiveQuery {
                 let stages = lock(&phase.stages)
                     .clone()
                     .ok_or_else(|| Error::exec("build morsel before stages resolved"))?;
+                let mark = self.trace_mark();
                 let batch = process_item(item, decoder, &stages, &self.storage)?;
                 self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
                 let mut partial = lock(&self.build_slots)
@@ -559,12 +591,14 @@ impl ActiveQuery {
                     .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, phase.right_col));
                 partial.fold(seq, batch)?;
                 lock(&self.build_slots).push(partial);
+                self.trace_since(mark, |l, ns| l.build_proc_ns.push(ns));
                 Ok(())
             }
             PhaseKind::Probe => {
                 let stages = lock(&self.probe_stages)
                     .clone()
                     .ok_or_else(|| Error::exec("probe morsel before stages resolved"))?;
+                let mark = self.trace_mark();
                 let batch = process_item(item, decoder, &stages, &self.storage)?;
                 if let SinkKind::Agg { group_cols, aggs, exact: true } = &self.sink_kind {
                     let slot = lock(&self.agg_slots).pop();
@@ -574,8 +608,17 @@ impl ActiveQuery {
                     };
                     slot.update(&self.storage, seq, &batch)?;
                     lock(&self.agg_slots).push(slot);
+                    // An exact-merge fold runs on the workers: it is
+                    // part of the morsel's worker section.
+                    self.trace_since(mark, |l, ns| {
+                        l.proc_ns.push(ns);
+                        l.sink_ns.push(0);
+                    });
                     return Ok(());
                 }
+                self.trace_since(mark, |l, ns| l.proc_ns.push(ns));
+                // The ordered sink is a serialized section of its own.
+                let mark = self.trace_mark();
                 let collect = matches!(self.sink_kind, SinkKind::Collect);
                 let mut sink = lock(&self.sink);
                 sink.pending.insert(seq, batch);
@@ -588,6 +631,7 @@ impl ActiveQuery {
                     }
                     *next += 1;
                 }
+                self.trace_since(mark, |l, ns| l.sink_ns.push(ns));
                 Ok(())
             }
         }
@@ -743,8 +787,12 @@ impl Scheduler {
     /// Plan and enqueue a query. Plan errors return immediately;
     /// admission beyond `max_queries` queues FIFO.
     pub fn submit(&self, pipeline: ParallelPipeline) -> Result<QueryHandle> {
+        self.submit_query(pipeline, false)
+    }
+
+    fn submit_query(&self, pipeline: ParallelPipeline, traced: bool) -> Result<QueryHandle> {
         let (tx, rx) = mpsc::channel();
-        let query = Arc::new(ActiveQuery::plan(pipeline, tx, self.core.workers)?);
+        let query = Arc::new(ActiveQuery::plan(pipeline, tx, self.core.workers, traced)?);
         {
             let mut st = lock(&self.core.state);
             if st.shutdown {
@@ -787,6 +835,25 @@ impl Scheduler {
     pub fn claim_morsels(&self) -> usize {
         self.core.claim_morsels.load(Ordering::Relaxed)
     }
+}
+
+/// Run `pipeline` as the sole query of an ephemeral `workers`-thread
+/// pool — the one driver behind [`crate::run_pipeline`] and
+/// [`crate::run_pipeline_traced`]. With `traced` the query records its
+/// [`ScalingLedger`] (empty otherwise); the trace reads the
+/// engine-global clock, so it is only meaningful on one worker with
+/// nothing else charging the same [`Storage`].
+pub(crate) fn run_solo(
+    pipeline: ParallelPipeline,
+    workers: usize,
+    traced: bool,
+) -> Result<(QueryOutput, ScalingLedger)> {
+    let scheduler = Scheduler::new(workers, 1);
+    let handle = scheduler.submit_query(pipeline, traced)?;
+    let query = Arc::clone(&handle.query);
+    let out = handle.wait()?;
+    let ledger = query.trace.as_ref().map(|t| std::mem::take(&mut *lock(t))).unwrap_or_default();
+    Ok((out, ledger))
 }
 
 impl Drop for Scheduler {
@@ -947,8 +1014,13 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
     for _ in 0..k {
         // invariant: checked non-None above; the lock is held, so no
         // one else can take the core out from under the claim.
+        let mark = q.trace_mark();
         match src.core.as_mut().expect("checked above").pull(&q.storage) {
             Ok(Some(item)) => {
+                q.trace_since(mark, |l, ns| match kind {
+                    PhaseKind::Build(_) => l.build_src_ns.push(ns),
+                    PhaseKind::Probe => l.src_ns.push(ns),
+                });
                 let file = src.core.as_ref().and_then(SourceCore::file_id);
                 claimed.push(Pending { kind, seq: src.seq, item, file });
                 src.seq += 1;
@@ -1156,11 +1228,20 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     lock(&q.tables).push(Arc::new(ProbeTable { table, left_col: phase.left_col, ty: phase.ty }));
     // Build `i` completed: open the sources of tranche `i + 1` in the
     // serial cascade's open order (bushy trees open build sources
-    // before their own phase starts).
+    // before their own phase starts). Whatever these opens charge is
+    // serial time: it joins the traced prefix, after the bound that
+    // closes this build's ledger segment.
+    let chunked = src.decoder_spec.is_some();
+    let opens = q.trace_mark();
     let mark = tap_mark();
     let tranche = open_build_tranche(q, i + 1);
     lock(&q.stats).merge(&mark.delta());
     tranche?;
+    q.trace_since(opens, |l, ns| {
+        l.build_bounds.push(l.build_src_ns.len());
+        l.build_chunked.push(chunked);
+        l.prefix_ns += ns;
+    });
     if i + 1 < q.builds.len() {
         install_build_phase(q, i + 1, src)
     } else {
@@ -1268,9 +1349,11 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
                 debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
                 std::mem::take(&mut sink.rows)
             };
+            let suffix = q.trace_mark();
             let mark = tap_mark();
             let sorted = crate::sort::sort_rows_charged(&q.storage, &mut rows, keys, *mem_bytes);
             lock(&q.stats).merge(&mark.delta());
+            q.trace_since(suffix, |l, ns| l.suffix_ns = ns);
             if let Err(e) = sorted {
                 q.record_err(u64::MAX, e);
             }
