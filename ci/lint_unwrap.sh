@@ -2,7 +2,8 @@
 # Unwrap lint for the fault-isolation surface: in the scheduler, the
 # parallel pipeline, the hash-table kernel with the join and aggregate
 # operators on it, the operator protocol with the scan, filter and sort
-# operators, and the spill codec, every `.unwrap()` / `.expect(`
+# operators, the spill codec, and the planner's `Database` facade that
+# lowers plans onto them, every `.unwrap()` / `.expect(`
 # outside `#[cfg(test)]` must either be replaced with a typed error or
 # sit within $WINDOW lines of an `// invariant:` comment stating why it
 # cannot fire (see docs/fault_model.md). Keeps panic containment from
@@ -22,6 +23,7 @@ for f in \
     crates/executor/src/filter.rs \
     crates/executor/src/sort.rs \
     crates/executor/src/spill.rs \
+    crates/planner/src/db.rs \
     crates/types/src/spill.rs; do
     bad=$(awk -v w="$WINDOW" '
         /#\[cfg\(test\)\]/ { exit }

@@ -22,10 +22,13 @@
 //! columnar driver — the partitioned build must be an
 //! execution-strategy change only. Measured wall clock is reported
 //! ungated.
+//!
+//! [`ScalingLedger`]: smooth_executor::ScalingLedger
+//! [`ScalingLedger::build_speedup`]: smooth_executor::ScalingLedger::build_speedup
 
 use std::time::Instant;
 
-use smooth_executor::{run_pipeline_traced, AggFunc, JoinType, ScalingLedger};
+use smooth_executor::{AggFunc, JoinType};
 use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
@@ -58,16 +61,6 @@ fn join_plan() -> LogicalPlan {
         .aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)])
 }
 
-/// Cold-run the plan through the traced single-worker pipeline.
-fn traced_run(db: &Database, plan: &LogicalPlan) -> (usize, u64, ScalingLedger) {
-    let pipeline = db.parallel_pipeline(plan).expect("plan builds").expect("plan parallelizes");
-    db.storage().flush_pool();
-    let clock0 = db.storage().clock().snapshot();
-    let (rows, ledger) = run_pipeline_traced(pipeline).expect("traced run");
-    let delta = db.storage().clock().snapshot().since(&clock0);
-    (rows.len(), delta.total_ns(), ledger)
-}
-
 /// Run the join-scaling experiment and the equality checks.
 pub fn run() {
     let mut db = setup::micro_db(nvme());
@@ -86,7 +79,7 @@ pub fn run() {
 
     // Traced single-worker pipeline: identical rows and clock, plus the
     // per-morsel ledger (build sections included) the model consumes.
-    let (n_traced, traced_ns, ledger) = traced_run(&db, &plan);
+    let (n_traced, traced_ns, ledger) = setup::traced_run(&db, &plan);
     assert_eq!(n_traced as u64, serial.stats.rows, "traced row count");
     assert_eq!(
         traced_ns,
@@ -179,7 +172,7 @@ mod tests {
         let plan = join_plan();
         db.set_workers(1);
         let serial = db.run(&plan).expect("serial");
-        let (n, traced_ns, ledger) = traced_run(&db, &plan);
+        let (n, traced_ns, ledger) = setup::traced_run(&db, &plan);
         assert_eq!(n as u64, serial.stats.rows);
         assert_eq!(traced_ns, serial.stats.clock.total_ns());
         assert!(

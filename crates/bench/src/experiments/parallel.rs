@@ -41,7 +41,7 @@
 
 use std::time::Instant;
 
-use smooth_executor::{run_pipeline_traced, AggFunc, ScalingLedger};
+use smooth_executor::AggFunc;
 use smooth_planner::{AccessPathChoice, Database, LogicalPlan};
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
@@ -74,17 +74,6 @@ fn scan_plan() -> LogicalPlan {
     micro::query(0.1, false, AccessPathChoice::ForceFull)
 }
 
-/// Cold-run `plan` through the traced single-worker pipeline, returning
-/// the rows-count, the clock delta and the scaling ledger.
-fn traced_run(db: &Database, plan: &LogicalPlan) -> (usize, u64, ScalingLedger) {
-    let pipeline = db.parallel_pipeline(plan).expect("plan builds").expect("plan parallelizes");
-    db.storage().flush_pool();
-    let clock0 = db.storage().clock().snapshot();
-    let (rows, ledger) = run_pipeline_traced(pipeline).expect("traced run");
-    let delta = db.storage().clock().snapshot().since(&clock0);
-    (rows.len(), delta.total_ns(), ledger)
-}
-
 /// Run the parallel-scaling experiment and the equality checks.
 pub fn run() {
     let mut db = setup::micro_db(nvme());
@@ -102,7 +91,7 @@ pub fn run() {
 
         // Traced single-worker pipeline: identical rows and clock, plus
         // the per-morsel ledger the scaling model consumes.
-        let (n_traced, traced_ns, ledger) = traced_run(&db, &plan);
+        let (n_traced, traced_ns, ledger) = setup::traced_run(&db, &plan);
         assert_eq!(n_traced as u64, serial.stats.rows, "{shape}: traced row count");
         assert_eq!(
             traced_ns,
@@ -177,7 +166,7 @@ pub fn run() {
     // The paper's HDD: the virtual clock is I/O-bound, the serialized
     // disk arm caps the model — parallelism cannot buy back random I/O.
     let hdd_db = setup::micro_db(DeviceProfile::hdd()).with_workers(1);
-    let (_, _, hdd_ledger) = traced_run(&hdd_db, &agg_plan());
+    let (_, _, hdd_ledger) = setup::traced_run(&hdd_db, &agg_plan());
     let hdd_speedup = hdd_ledger.speedup(4);
     table.row(vec![
         "agg".into(),
@@ -234,7 +223,7 @@ mod tests {
         let plan = agg_plan();
         db.set_workers(1);
         let serial = db.run(&plan).expect("serial");
-        let (n, traced_ns, ledger) = traced_run(&db, &plan);
+        let (n, traced_ns, ledger) = setup::traced_run(&db, &plan);
         assert_eq!(n as u64, serial.stats.rows);
         assert_eq!(traced_ns, serial.stats.clock.total_ns());
         assert!(

@@ -26,13 +26,13 @@
 //! interleaving-invariant; virtual clock and I/O are legitimately *not*
 //! (the sessions share one disk arm and one buffer pool), so they stay
 //! unasserted here and byte-identical single-session elsewhere.
+//!
+//! [`Database`]: smooth_planner::Database
 
 use std::time::Instant;
 
-use smooth_executor::{
-    multi_query_makespan_ns, run_pipeline_traced, AggFunc, JoinType, ScalingLedger,
-};
-use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, ScanSpec};
+use smooth_executor::{multi_query_makespan_ns, AggFunc, JoinType, ScalingLedger};
+use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
@@ -80,14 +80,6 @@ fn plans() -> Vec<(&'static str, LogicalPlan)> {
     vec![("scan", scan), ("agg", agg), ("group", group), ("join", join)]
 }
 
-/// Cold-run the plan through the traced single-worker pipeline.
-fn traced_run(db: &Database, plan: &LogicalPlan) -> (usize, ScalingLedger) {
-    let pipeline = db.parallel_pipeline(plan).expect("plan builds").expect("plan parallelizes");
-    db.storage().flush_pool();
-    let (rows, ledger) = run_pipeline_traced(pipeline).expect("traced run");
-    (rows.len(), ledger)
-}
-
 /// Run the serving experiment: the modeled throughput gate and the real
 /// concurrent-session correctness leg.
 pub fn run() {
@@ -109,7 +101,7 @@ pub fn run() {
         .iter()
         .map(|(shape, plan)| {
             let got = db.session().run(plan).expect("solo run");
-            let (n_traced, ledger) = traced_run(&db, plan);
+            let (n_traced, _, ledger) = setup::traced_run(&db, plan);
             assert_eq!(n_traced, got.rows.len(), "{shape}: traced row count");
             table.row(vec![
                 (*shape).into(),
@@ -225,7 +217,7 @@ mod tests {
             .iter()
             .map(|(_, plan)| {
                 let rows = db.session().run(plan).expect("solo").rows;
-                let (_, ledger) = traced_run(&db, plan);
+                let (_, _, ledger) = setup::traced_run(&db, plan);
                 (rows, ledger)
             })
             .collect();

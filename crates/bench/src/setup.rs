@@ -1,6 +1,7 @@
 //! Shared experiment setup: databases at the DESIGN.md scales.
 
-use smooth_planner::Database;
+use smooth_executor::{run_pipeline_traced, ScalingLedger};
+use smooth_planner::{Database, LogicalPlan};
 use smooth_storage::{CpuCosts, DeviceProfile, StorageConfig};
 use smooth_workload::tpch::{self, Scale};
 use smooth_workload::{micro, skew};
@@ -45,6 +46,17 @@ pub fn micro_db(device: DeviceProfile) -> Database {
     let mut db = Database::new(storage_config(device, pages));
     micro::install(&mut db, rows, 0xC2).expect("micro install");
     db
+}
+
+/// Cold-run `plan` through the traced one-worker pipeline, returning
+/// the row count, the clock delta in virtual ns and the scaling ledger.
+pub fn traced_run(db: &Database, plan: &LogicalPlan) -> (usize, u64, ScalingLedger) {
+    let pipeline = db.parallel_pipeline(plan).expect("plan builds").expect("plan parallelizes");
+    db.storage().flush_pool();
+    let clock0 = db.storage().clock().snapshot();
+    let (rows, ledger) = run_pipeline_traced(pipeline).expect("traced run");
+    let delta = db.storage().clock().snapshot().since(&clock0);
+    (rows.len(), delta.total_ns(), ledger)
 }
 
 /// A database holding the skewed table, indexed on `c2`.

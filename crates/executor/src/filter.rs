@@ -73,17 +73,7 @@ pub struct Project {
 impl Project {
     /// Keep `columns` (by ordinal) of the child output.
     pub fn new(child: BoxedOperator, columns: Vec<usize>) -> Result<Self> {
-        let cols = columns
-            .iter()
-            .map(|&c| {
-                if c >= child.schema().len() {
-                    Err(smooth_types::Error::schema(format!("project column {c} out of range")))
-                } else {
-                    Ok(child.schema().column(c).clone())
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
-        let schema = Schema::new(cols)?;
+        let schema = child.schema().project(&columns)?;
         Ok(Project { child, columns, schema })
     }
 }

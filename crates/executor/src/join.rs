@@ -19,7 +19,7 @@ use smooth_types::{
 use crate::expr::Predicate;
 use crate::hashtable::KeyTable;
 use crate::operator::{batch_size, BoxedOperator, Operator};
-use crate::spill::{charge_spill_io, spill_partitions, spill_write, SpillFile};
+use crate::spill::{charge_spill_io, spill_write, SpillFile};
 
 /// Supported join semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,6 +43,10 @@ fn join_schema(left: &Schema, right: &Schema, ty: JoinType) -> Schema {
 /// worker count) so every driver spills the identical partitions;
 /// [`JoinBuildTable::with_partitions`] exists for tests.
 pub const BUILD_PARTITIONS: usize = 64;
+
+/// Grace-join recursion fan-out: how many sub-partitions an overflowing
+/// spilled partition re-partitions into, per level.
+const GRACE_FANOUT: usize = 8;
 
 /// Chain terminator / "no build row".
 const NIL: u32 = u32::MAX;
@@ -87,7 +91,7 @@ struct GraceNode {
     bytes: u64,
     /// Build tuples in this node's key range.
     tuples: u64,
-    /// `spill_partitions()` children when this node overflowed the
+    /// [`GRACE_FANOUT`] children when this node overflowed the
     /// budget and re-partitioned; empty for a leaf.
     children: Vec<GraceNode>,
     /// Probe rows routed through this node's key range (leaves only).
@@ -100,8 +104,6 @@ struct GraceNode {
 /// grace trees plus the really-serialized overflow files for the
 /// spilled top-level partitions.
 struct GraceSpill {
-    /// Grace fan-out used by every recursion level.
-    fanout: usize,
     /// `trees[p]` is `Some` exactly when top-level partition `p`
     /// spilled.
     trees: Vec<Option<GraceNode>>,
@@ -143,7 +145,7 @@ struct GraceSpill {
 ///    index) until the retained set fits. A spilled partition becomes
 ///    an overflow file plus a grace tree: while a (sub-)partition still
 ///    exceeds the budget it re-partitions into
-///    [`crate::spill::spill_partitions`] children under a level-salted
+///    `GRACE_FANOUT` (8) children under a level-salted
 ///    hash, and each repartition pass charges a re-read and re-write of
 ///    the bytes it moves.
 /// 3. **Probe** — [`JoinBuildTable::probe_columns`] routes each probe
@@ -416,7 +418,6 @@ impl JoinBuildTable {
         // index — deterministic, and frees the most memory per file.
         let mut order: Vec<usize> = (0..sizes.len()).filter(|&p| sizes[p] > 0).collect();
         order.sort_by_key(|&p| (std::cmp::Reverse(sizes[p]), p));
-        let fanout = spill_partitions();
         let mut trees: Vec<Option<GraceNode>> = (0..sizes.len()).map(|_| None).collect();
         let mut files: Vec<Option<SpillFile>> = (0..sizes.len()).map(|_| None).collect();
         let mut retained = total;
@@ -434,9 +435,9 @@ impl JoinBuildTable {
             files[p] = Some(spill_write(storage, data, rows[p].len() as u64)?);
             // … and every overflowing (sub-)partition re-reads and
             // re-writes its bytes per recursion level (charged inside).
-            trees[p] = Some(self.grace_node(storage, &rows[p], sizes[p], 0, budget, fanout));
+            trees[p] = Some(self.grace_node(storage, &rows[p], sizes[p], 0, budget));
         }
-        self.spill = Some(GraceSpill { fanout, trees, files, finished: AtomicBool::new(false) });
+        self.spill = Some(GraceSpill { trees, files, finished: AtomicBool::new(false) });
         Ok(())
     }
 
@@ -447,7 +448,7 @@ impl JoinBuildTable {
     }
 
     /// Build (and charge) the grace tree over one spilled key range:
-    /// an over-budget node re-partitions into `fanout` children under
+    /// an over-budget node re-partitions into [`GRACE_FANOUT`] children under
     /// the next level's salted hash, paying one re-read of its bytes
     /// plus the re-write of every non-empty child. Recursion stops when
     /// a node fits the budget, stops shrinking (one dominant key), or
@@ -459,7 +460,6 @@ impl JoinBuildTable {
         bytes: u64,
         level: u32,
         budget: u64,
-        fanout: usize,
     ) -> GraceNode {
         const MAX_LEVELS: u32 = 12;
         let leaf = GraceNode {
@@ -474,10 +474,10 @@ impl JoinBuildTable {
             return leaf;
         }
         let key = self.payload.column(self.key_col);
-        let mut buckets: Vec<Vec<u32>> = (0..fanout).map(|_| Vec::new()).collect();
-        let mut bucket_bytes = vec![0u64; fanout];
+        let mut buckets: Vec<Vec<u32>> = (0..GRACE_FANOUT).map(|_| Vec::new()).collect();
+        let mut bucket_bytes = [0u64; GRACE_FANOUT];
         for &r in rows {
-            let b = key_partition_at(key, r as usize, level + 1, fanout);
+            let b = key_partition_at(key, r as usize, level + 1, GRACE_FANOUT);
             buckets[b].push(r);
             bucket_bytes[b] += self.build_row_bytes(r);
         }
@@ -493,7 +493,7 @@ impl JoinBuildTable {
         let children = buckets
             .into_iter()
             .zip(bucket_bytes)
-            .map(|(rows, b)| self.grace_node(storage, &rows, b, level + 1, budget, fanout))
+            .map(|(rows, b)| self.grace_node(storage, &rows, b, level + 1, budget))
             .collect();
         GraceNode { children, ..leaf }
     }
@@ -515,7 +515,7 @@ impl JoinBuildTable {
         };
         let mut node = root;
         while !node.children.is_empty() {
-            node = &node.children[key_partition_at(key, phys, node.level + 1, spill.fanout)];
+            node = &node.children[key_partition_at(key, phys, node.level + 1, GRACE_FANOUT)];
         }
         let bytes = smooth_types::spill::batch_row_len(batch, phys) as u64;
         node.probe_rows.fetch_add(1, Ordering::Relaxed);

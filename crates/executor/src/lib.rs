@@ -70,14 +70,10 @@ pub use operator::{
     batch_size, collect_batches, collect_rows, collect_rows_volcano, BoxedOperator, Operator,
 };
 pub use parallel::{
-    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, run_pipeline_traced_sched,
-    BuildSpec, ParallelPipeline, ParallelSource, ScalingLedger, SinkSpec, StageSpec,
+    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, ParallelPipeline,
+    ParallelSource, ScalingLedger, SinkSpec, StageSpec,
 };
 pub use scan::{FullTableScan, IndexScan, SortScan};
-pub use schedule::{
-    default_claim_morsels, default_query_timeout_ms, QueryHandle, QueryOutput, Scheduler,
-};
+pub use schedule::{QueryHandle, QueryOutput, Scheduler};
 pub use sort::Sort;
-pub use spill::{
-    charge_spill_io, mem_budget_bytes, spill_io_ns, spill_partitions, spill_write, SpillFile,
-};
+pub use spill::{charge_spill_io, mem_budget_bytes, spill_io_ns, spill_write, SpillFile};

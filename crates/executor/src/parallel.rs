@@ -57,23 +57,28 @@
 //! stable over serial-order input, recorded as the ledger's serial
 //! suffix).
 //!
-//! Multi-worker execution lives in [`crate::schedule`]: the worker pool
-//! belongs to a persistent [`crate::Scheduler`] serving *queries* (each
-//! an independent phase state machine with its own source lock,
-//! per-worker work-stealing morsel deques, and sink), not to a single
-//! pipeline run. [`run_pipeline`] at `workers > 1` submits the pipeline
-//! as the sole query of an ephemeral scheduler; this module keeps the
-//! specs, the per-morsel machinery (sources, stages, partial sinks) and
-//! the single-worker inline driver that the traced ledger runs on.
+//! Execution lives in [`crate::schedule`], the one pipeline driver: the
+//! worker pool belongs to a persistent [`crate::Scheduler`] serving
+//! *queries* (each an independent phase state machine with its own
+//! source lock, per-worker work-stealing morsel deques, and sink), not
+//! to a single pipeline run. [`run_pipeline`] submits the pipeline as
+//! the sole query of an ephemeral scheduler at every worker count, one
+//! included; this module keeps the specs, the per-morsel machinery
+//! (sources, stages, partial sinks) and the scaling model.
 //!
-//! [`run_pipeline_traced`] additionally records a per-morsel
+//! [`run_pipeline_traced`] is the same run on one worker with the
+//! query's trace on: the scheduler itself records a per-morsel
 //! virtual-clock ledger ([`ScalingLedger`]) — with separate build-phase
-//! sections and a serial suffix — from which a deterministic scaling
-//! model predicts the parallel makespan at any worker count: a
-//! discrete-event replay of the scheduler's own policy (chunked
-//! claiming via `claim_size`, per-worker queues, steal-from-longest
-//! with the [`STEAL_PENALTY_PERMILLE`] locality surcharge on stolen
-//! morsels — modeled only; execution charges nothing for a steal). The
+//! sections and a serial suffix — from clock snapshots at its own
+//! admit / claim / process / phase-advance / sort sites (see the
+//! "Trace sites" paragraph in [`crate::schedule`]), so the model's
+//! input is produced by the code it models. From the ledger a
+//! deterministic scaling model predicts the parallel makespan at any
+//! worker count: a discrete-event replay of the scheduler's own policy
+//! (chunked claiming via `claim_size`, per-worker queues,
+//! steal-from-longest with the [`STEAL_PENALTY_PERMILLE`] locality
+//! surcharge on stolen morsels — modeled only; execution charges
+//! nothing for a steal). The
 //! perf-smoke `parallel`, `join` and `serve` experiments gate on that
 //! model because, unlike wall clock on a shared CI runner (or this
 //! repo's build hosts), it is bit-stable across machines. See
@@ -423,7 +428,7 @@ impl SourceCore {
 pub const STEAL_PENALTY_PERMILLE: u64 = 150;
 
 /// Morsels a worker claims from the source in one lock hold: the fixed
-/// override when `fixed > 0` (the `SMOOTH_CLAIM_MORSELS` knob), else
+/// override when `fixed > 0` (`Scheduler::set_claim_morsels`), else
 /// guided self-scheduling — the remaining work split over twice the
 /// pool, clamped to `[1, 64]` — so runs start large (amortizing lock
 /// traffic) and shrink toward single morsels at the tail (keeping the
@@ -441,7 +446,7 @@ pub(crate) fn claim_size(fixed: usize, remaining: usize, workers: usize) -> usiz
 /// hinted sources (heap scans) chunk via [`claim_size`]; hint-less
 /// sources (Smooth/Switch shared operators, which run whole as the
 /// serial section) always claim one morsel — even under a fixed
-/// `SMOOTH_CLAIM_MORSELS` override, since queued chunks behind a serial
+/// `set_claim_morsels` override, since queued chunks behind a serial
 /// source can never fan out and only inflate the lock hold. Matches the
 /// scaling model, which never chunks non-chunked sources.
 pub(crate) fn source_claim(fixed: usize, hint: Option<usize>, workers: usize) -> usize {
@@ -967,21 +972,6 @@ pub fn multi_query_makespan_ns(
     simulate(ledgers, workers, max_queries).0
 }
 
-/// Project `schema` down to `cols`, in order.
-fn project_schema_cols(schema: &Schema, cols: &[usize]) -> Result<Schema> {
-    let kept = cols
-        .iter()
-        .map(|&c| {
-            if c >= schema.len() {
-                Err(Error::schema(format!("project column {c} out of range")))
-            } else {
-                Ok(schema.column(c).clone())
-            }
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Schema::new(kept)
-}
-
 /// The output schema of a stage chain at plan time: projections prune,
 /// probes splice in the probed build's payload schema from `prior` —
 /// the (output schema, join type) of every build the chain may
@@ -996,7 +986,7 @@ pub(crate) fn staged_schema(
     for stage in stages {
         match stage {
             StageSpec::Filter(_) => {}
-            StageSpec::Project(cols) => schema = project_schema_cols(&schema, cols)?,
+            StageSpec::Project(cols) => schema = schema.project(cols)?,
             StageSpec::Probe(i) => {
                 let (build_schema, ty) = prior.get(*i).ok_or_else(|| {
                     Error::plan(format!("probe stage references build {i} before it is built"))
@@ -1014,19 +1004,18 @@ pub(crate) fn staged_schema(
 /// Resolve a stage-spec chain into runtime stages against the built
 /// probe tables, tracking the running schema so each probe stage knows
 /// its gathered output typing. Build-side chains pass the tables of
-/// earlier builds; the main pipeline passes all of them. Returns the
-/// stages plus the chain's output schema.
+/// earlier builds; the main pipeline passes all of them.
 pub(crate) fn resolve_stages(
     specs: &[StageSpec],
     mut schema: Schema,
     tables: &[Arc<ProbeTable>],
-) -> Result<(Vec<Stage>, Schema)> {
+) -> Result<Vec<Stage>> {
     let mut resolved = Vec::with_capacity(specs.len());
     for spec in specs {
         match spec {
             StageSpec::Filter(p) => resolved.push(Stage::Filter(p.clone())),
             StageSpec::Project(cols) => {
-                schema = project_schema_cols(&schema, cols)?;
+                schema = schema.project(cols)?;
                 resolved.push(Stage::Project(cols.clone()));
             }
             StageSpec::Probe(i) => {
@@ -1041,298 +1030,22 @@ pub(crate) fn resolve_stages(
             }
         }
     }
-    Ok((resolved, schema))
+    Ok(resolved)
 }
 
-/// A [`BuildSpec`] with its source pulled out so the open cascade in
-/// [`prepare`] can open sources in `open_at`/`open_order` order, not
-/// build order.
-struct BuildMeta {
-    stages: Vec<StageSpec>,
-    right_col: usize,
-    left_col: usize,
-    ty: JoinType,
-    partitions: usize,
-    mem_bytes: usize,
-    open_at: usize,
-    open_order: usize,
-}
-
-/// Drain one build pipeline into its probe table on the calling thread,
-/// charging the clock exactly like the serial [`crate::HashJoin`] build
-/// (one hash op per build-input row, build-input I/O in serial morsel
-/// order). The source core arrives pre-opened — [`prepare`]'s cascade
-/// ordered the opens. Nested probe stages resolve against the tables
-/// of *earlier* builds and settle their deferred grace passes when the
-/// build input is exhausted, exactly where the serial probe exhaustion
-/// would. Multi-worker builds run as a scheduler phase instead
-/// ([`crate::schedule`]); the merged table is byte-identical either way.
-fn run_build(
-    meta: &BuildMeta,
-    core: SourceCore,
-    decoder_spec: Option<(Schema, Predicate)>,
-    tables: &[Arc<ProbeTable>],
-    storage: &Storage,
-    ledger: Option<&mut ScalingLedger>,
-) -> Result<ProbeTable> {
-    let partitions = meta.partitions.max(1);
-    let (stages, schema) = resolve_stages(&meta.stages, core.schema(), tables)?;
-    if meta.right_col >= schema.len() {
-        return Err(Error::plan(format!(
-            "hash-join build key column {} out of range",
-            meta.right_col
-        )));
-    }
-    let mut table = build_inline(
-        core,
-        decoder_spec,
-        &stages,
-        &schema,
-        meta.right_col,
-        partitions,
-        storage,
-        ledger,
-    )?;
-    // The build's probe input is exhausted: settle deferred grace-join
-    // passes on every table its stages probed ([`finish_probe`] is
-    // idempotent, so the final blanket pass stays a no-op for these).
-    for stage in &stages {
-        if let Stage::Probe(t, _) = stage {
-            t.table.finish_probe(storage)?;
-        }
-    }
-    table.apply_budget(storage, meta.mem_bytes)?;
-    Ok(ProbeTable { table, left_col: meta.left_col, ty: meta.ty })
-}
-
-/// Single-worker build: claim and ingest in morsel order — optionally
-/// recording the per-morsel build ledger sections.
-#[allow(clippy::too_many_arguments)]
-fn build_inline(
-    mut core: SourceCore,
-    decoder_spec: Option<(Schema, Predicate)>,
-    stages: &[Stage],
-    schema: &Schema,
-    right_col: usize,
-    partitions: usize,
-    storage: &Storage,
-    mut ledger: Option<&mut ScalingLedger>,
-) -> Result<JoinBuildTable> {
-    let clock = storage.clock();
-    let cpu_hash = storage.cpu().hash_op_ns;
-    let mut decoder = decoder_spec.map(|(s, p)| HeapDecoder::new(s, p));
-    let mut table = JoinBuildTable::with_partitions(schema, right_col, partitions);
-    loop {
-        let before = clock.snapshot();
-        let Some(item) = core.pull(storage)? else { break };
-        let after_src = clock.snapshot();
-        let batch = process_item(item, &mut decoder, stages, storage)?;
-        clock.charge_cpu(cpu_hash * batch.len() as u64);
-        table.insert_batch(batch)?;
-        if let Some(l) = ledger.as_deref_mut() {
-            let after_proc = clock.snapshot();
-            l.build_src_ns.push(after_src.since(&before).total_ns());
-            l.build_proc_ns.push(after_proc.since(&after_src).total_ns());
-        }
-    }
-    core.close()?;
-    Ok(table)
-}
-
-/// Everything a pipeline run needs after the open/build prefix.
-struct Prepared {
-    core: SourceCore,
-    decoder_spec: Option<(Schema, Predicate)>,
-    stages: Vec<Stage>,
-    /// Schema of the morsels leaving the last stage.
-    staged: Schema,
-    sink: SinkSpec,
-    storage: Storage,
-}
-
-/// Open the probe source, replay the serial open cascade over the
-/// build sources (`open_at`/`open_order` — tranche 0 before any build
-/// drains, tranche `i + 1` right after build `i` completes), run the
-/// builds inline in build order, and instantiate the runtime stages.
-fn prepare(pipeline: ParallelPipeline, mut ledger: Option<&mut ScalingLedger>) -> Result<Prepared> {
-    let ParallelPipeline { source, builds, stages, sink, storage, morsel_rows } = pipeline;
-    let clock = storage.clock();
-    let open_start = clock.snapshot();
-    let schema = source.schema();
-    let (core, decoder_spec) = open_source(source, morsel_rows)?;
-    let (mut sources, metas): (Vec<Option<ParallelSource>>, Vec<BuildMeta>) = builds
-        .into_iter()
-        .map(|b| {
-            let BuildSpec {
-                source,
-                stages,
-                right_col,
-                left_col,
-                ty,
-                partitions,
-                mem_bytes,
-                open_at,
-                open_order,
-            } = b;
-            (
-                Some(source),
-                BuildMeta {
-                    stages,
-                    right_col,
-                    left_col,
-                    ty,
-                    partitions,
-                    mem_bytes,
-                    open_at,
-                    open_order,
-                },
-            )
-        })
-        .unzip();
-    let mut order: Vec<usize> = (0..metas.len()).collect();
-    order.sort_by_key(|&i| metas[i].open_order);
-    let mut opened: Vec<Option<OpenedSource>> = (0..metas.len()).map(|_| None).collect();
-    for &i in &order {
-        if metas[i].open_at == 0 {
-            if let Some(src) = sources[i].take() {
-                opened[i] = Some(open_source(src, morsel_rows)?);
-            }
-        }
-    }
-    if let Some(l) = ledger.as_deref_mut() {
-        l.prefix_ns = clock.snapshot().since(&open_start).total_ns();
-        l.src_chunked = decoder_spec.is_some();
-    }
-    let mut tables: Vec<Arc<ProbeTable>> = Vec::with_capacity(metas.len());
-    for (i, meta) in metas.iter().enumerate() {
-        let (bcore, bdec) = opened[i].take().ok_or_else(|| {
-            Error::plan(format!("build {i} source never opened (open_at {})", meta.open_at))
-        })?;
-        let chunked = bdec.is_some();
-        let table = run_build(meta, bcore, bdec, &tables, &storage, ledger.as_deref_mut())?;
-        tables.push(Arc::new(table));
-        // Close this build's ledger segment: the next build (and the
-        // probe phase) starts only after this one completed.
-        if let Some(l) = ledger.as_deref_mut() {
-            l.build_bounds.push(l.build_src_ns.len());
-            l.build_chunked.push(chunked);
-        }
-        // Open the next tranche. Any clock charge these opens make
-        // folds into the ledger prefix — build sources are scans whose
-        // opens charge nothing, so the attribution stays exact in
-        // practice.
-        let before_opens = clock.snapshot();
-        for &j in &order {
-            if metas[j].open_at == i + 1 {
-                if let Some(src) = sources[j].take() {
-                    opened[j] = Some(open_source(src, morsel_rows)?);
-                }
-            }
-        }
-        if let Some(l) = ledger.as_deref_mut() {
-            l.prefix_ns += clock.snapshot().since(&before_opens).total_ns();
-        }
-    }
-    let (resolved, staged) = resolve_stages(&stages, schema, &tables)?;
-    Ok(Prepared { core, decoder_spec, stages: resolved, staged, sink, storage })
-}
-
-/// Execute the pipeline on `workers` worker threads (1 runs inline on
-/// the calling thread; more submit it as the sole query of an ephemeral
-/// [`crate::Scheduler`]). Returns the result rows, byte-identical to
-/// [`crate::collect_rows`] over the equivalent serial operator tree.
+/// Execute the pipeline as the sole query of an ephemeral
+/// `workers`-thread [`crate::Scheduler`]. Returns the result rows,
+/// byte-identical to [`crate::collect_rows`] over the equivalent serial
+/// operator tree.
 pub fn run_pipeline(pipeline: ParallelPipeline, workers: usize) -> Result<Vec<Row>> {
-    if workers <= 1 {
-        run_inline(pipeline, None)
-    } else {
-        let scheduler = crate::schedule::Scheduler::new(workers, 1);
-        let handle = scheduler.submit(pipeline)?;
-        Ok(handle.wait()?.into_rows())
-    }
+    Ok(crate::schedule::run_solo(pipeline, workers, false)?.0.into_rows())
 }
 
-/// Single-worker execution that also records the per-morsel
+/// One-worker execution that also records the per-morsel
 /// [`ScalingLedger`] for the deterministic scaling model.
 pub fn run_pipeline_traced(pipeline: ParallelPipeline) -> Result<(Vec<Row>, ScalingLedger)> {
-    let mut ledger = ScalingLedger::default();
-    let rows = run_inline(pipeline, Some(&mut ledger))?;
-    Ok((rows, ledger))
-}
-
-/// Throw-away (removed with `run_inline`): the same trace recorded by
-/// the scheduler, for the ledger differential test.
-#[doc(hidden)]
-pub fn run_pipeline_traced_sched(pipeline: ParallelPipeline) -> Result<(Vec<Row>, ScalingLedger)> {
     let (out, ledger) = crate::schedule::run_solo(pipeline, 1, true)?;
     Ok((out.into_rows(), ledger))
-}
-
-fn run_inline(
-    pipeline: ParallelPipeline,
-    mut ledger: Option<&mut ScalingLedger>,
-) -> Result<Vec<Row>> {
-    let clock_storage = pipeline.storage.clone();
-    let clock = clock_storage.clock();
-    let Prepared { mut core, decoder_spec, stages, staged, sink, storage } =
-        prepare(pipeline, ledger.as_deref_mut())?;
-    let mut decoder = decoder_spec.map(|(schema, pred)| HeapDecoder::new(schema, pred));
-    let (mut agg, exact) = match &sink {
-        SinkSpec::Collect | SinkSpec::Sort { .. } => (None, false),
-        SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
-            (Some(PartialAgg::new(&staged, group_cols, aggs)?), *merge_exact)
-        }
-    };
-    let mut rows = Vec::new();
-    let mut seq = 0u64;
-    loop {
-        let before = clock.snapshot();
-        let Some(item) = core.pull(&storage)? else { break };
-        let after_src = clock.snapshot();
-        let batch = process_item(item, &mut decoder, &stages, &storage)?;
-        let after_proc = clock.snapshot();
-        match agg.as_mut() {
-            Some(state) => state.update(&storage, seq, &batch)?,
-            None => rows.extend(batch.into_rows()),
-        }
-        if let Some(l) = ledger.as_deref_mut() {
-            let after_sink = clock.snapshot();
-            let agg_ns = after_sink.since(&after_proc).total_ns();
-            let proc_ns = after_proc.since(&after_src).total_ns();
-            l.src_ns.push(after_src.since(&before).total_ns());
-            // An exact-merge aggregate runs on the workers; an ordered
-            // fold runs on the sink. Attribute its charge accordingly.
-            if exact || agg.is_none() {
-                l.proc_ns.push(proc_ns + agg_ns);
-                l.sink_ns.push(0);
-            } else {
-                l.proc_ns.push(proc_ns);
-                l.sink_ns.push(agg_ns);
-            }
-        }
-        seq += 1;
-    }
-    if let Some(state) = agg {
-        rows = state.finish()?.into_rows();
-    }
-    // Probe input fully consumed: charge any deferred grace-join spill
-    // passes, exactly where the serial probe exhaustion would.
-    for stage in &stages {
-        if let Stage::Probe(table, _) = stage {
-            table.table.finish_probe(&storage)?;
-        }
-    }
-    core.close()?;
-    // The ordered-scan sink's final sort: the serial suffix after every
-    // morsel drained (the serial `Sort` operator closes its child
-    // before sorting too, so charges land in the identical order).
-    if let SinkSpec::Sort { keys, mem_bytes } = &sink {
-        let before = clock.snapshot();
-        crate::sort::sort_rows_charged(&storage, &mut rows, keys, *mem_bytes)?;
-        if let Some(l) = ledger {
-            l.suffix_ns = clock.snapshot().since(&before).total_ns();
-        }
-    }
-    Ok(rows)
 }
 
 // Compile-time Send audit: everything a worker thread touches.
@@ -1416,6 +1129,61 @@ mod tests {
             sink: SinkSpec::Collect,
             storage: s.clone(),
             morsel_rows: batch_size(),
+        }
+    }
+
+    /// A heap-source build on `c1` that opens in tranche `at`.
+    fn heap_build(heap: &Arc<HeapFile>, pred: Predicate, ty: JoinType, at: usize) -> BuildSpec {
+        BuildSpec {
+            source: ParallelSource::Heap {
+                heap: Arc::clone(heap),
+                predicate: pred,
+                readahead: crate::scan::FULL_SCAN_READAHEAD,
+            },
+            stages: Vec::new(),
+            right_col: 1,
+            left_col: 1,
+            ty,
+            partitions: crate::BUILD_PARTITIONS,
+            // Unbudgeted: spill I/O is charged outside the per-morsel
+            // sections, and the ledger tests reconcile to the clock.
+            mem_bytes: 0,
+            open_at: at,
+            open_order: at,
+        }
+    }
+
+    /// Trace `make`'s pipeline under a collect, an ordered-fold
+    /// aggregate and a sort sink — between them every sink-side ledger
+    /// field is exercised — and hand `check` each ledger once it
+    /// reconciles with the clock of the run it traced: a trace site
+    /// missing from the scheduler fails here.
+    fn traced_under_each_sink(
+        make: impl Fn(&Storage) -> ParallelPipeline,
+        check: impl Fn(&ScalingLedger),
+    ) {
+        for sink in [
+            SinkSpec::Collect,
+            SinkSpec::Aggregate {
+                group_cols: vec![1],
+                aggs: vec![AggFunc::CountStar, AggFunc::Sum(0)],
+                merge_exact: false,
+            },
+            SinkSpec::Sort { keys: vec![crate::sort::SortKey::asc(1)], mem_bytes: 0 },
+        ] {
+            let folds = matches!(sink, SinkSpec::Aggregate { .. });
+            let sorts = matches!(sink, SinkSpec::Sort { .. });
+            let s = storage();
+            let (rows, ledger) =
+                run_pipeline_traced(ParallelPipeline { sink, ..make(&s) }).unwrap();
+            assert!(!rows.is_empty());
+            assert!(!ledger.src_ns.is_empty());
+            assert_eq!(ledger.total_ns(), s.clock().snapshot().total_ns(), "ledger vs clock");
+            assert_eq!(ledger.sink_ns.iter().any(|&ns| ns > 0), folds, "ordered-sink sections");
+            assert_eq!(ledger.suffix_ns > 0, sorts, "sort suffix");
+            // One worker's makespan is exactly the serial total.
+            assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
+            check(&ledger);
         }
     }
 
@@ -1533,19 +1301,9 @@ mod tests {
             let s_par = storage();
             let mut pipeline = heap_pipeline(&probe, &s_par, vec![StageSpec::Probe(0)]);
             pipeline.builds.push(BuildSpec {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&build),
-                    predicate: pred.clone(),
-                    readahead: crate::scan::FULL_SCAN_READAHEAD,
-                },
-                stages: Vec::new(),
-                right_col: 1,
-                left_col: 1,
-                ty: JoinType::Inner,
-                partitions: crate::BUILD_PARTITIONS,
+                // The serial `HashJoin` above runs under the default.
                 mem_bytes: crate::spill::mem_budget_bytes(),
-                open_at: 0,
-                open_order: 0,
+                ..heap_build(&build, pred.clone(), JoinType::Inner, 0)
             });
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
@@ -1634,6 +1392,34 @@ mod tests {
             vec![StageSpec::Filter(Predicate::StrEq { col: 1, value: "x".into() })],
         );
         assert!(run_pipeline(pipeline, 4).is_err());
+        // One worker is the same driver, fault site and containment
+        // included: a morsel panic injected on the probe heap — after
+        // the build phase ran, and under a budget spilled — comes back
+        // as a typed error, and the failed query's overflow files go.
+        use crate::SpillFile;
+        use smooth_storage::FaultConfig;
+        let build = table(1500);
+        let spent = [0usize, 1024].map(|mem_bytes| {
+            let s = storage();
+            s.set_faults(Some(FaultConfig::new(11).panic(1.0).scope_to_file(heap.file_id())));
+            let baseline = SpillFile::live_count();
+            let mut pipeline = heap_pipeline(&heap, &s, vec![StageSpec::Probe(0)]);
+            let spec = heap_build(&build, Predicate::True, JoinType::Inner, 0);
+            pipeline.builds.push(BuildSpec { mem_bytes, ..spec });
+            let err = run_pipeline(pipeline, 1).unwrap_err();
+            assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
+            // Other tests in this binary may hold overflow files for a
+            // moment; a leak stays.
+            for _ in 0..200 {
+                if SpillFile::live_count() <= baseline {
+                    break;
+                }
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            assert!(SpillFile::live_count() <= baseline, "failed query leaked overflow files");
+            s.clock().snapshot().io_ns
+        });
+        assert!(spent[1] > spent[0], "the budgeted build spilled before the probe panicked");
     }
 
     #[test]
@@ -1666,27 +1452,26 @@ mod tests {
     #[test]
     fn ledger_model_is_consistent() {
         let heap = table(3000);
-        let s = storage();
-        let pipeline = heap_pipeline(&heap, &s, vec![StageSpec::Filter(Predicate::int_lt(1, 500))]);
-        let (rows, ledger) = run_pipeline_traced(pipeline).unwrap();
-        assert!(!rows.is_empty());
-        assert!(!ledger.src_ns.is_empty());
-        // One worker's makespan is exactly the serial total.
-        assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
-        // More workers never slow the model down, and speedup is bounded
-        // by the serialized source.
-        let m2 = ledger.makespan_ns(2);
-        let m4 = ledger.makespan_ns(4);
-        assert!(m2 <= ledger.makespan_ns(1));
-        assert!(m4 <= m2);
-        let src_total: u64 = ledger.src_ns.iter().sum();
-        assert!(m4 >= src_total, "source sections serialize");
-        assert!(ledger.speedup(4) >= 1.0);
-        // Modeled source-lock wait: zero at one worker (a lone worker
-        // never races itself), monotone data: more workers can only add
-        // contention on the serialized source.
-        assert_eq!(ledger.modeled_src_wait_ns(1), 0);
-        assert!(ledger.modeled_src_wait_ns(8) >= ledger.modeled_src_wait_ns(2));
+        let filter = vec![StageSpec::Filter(Predicate::int_lt(1, 500))];
+        traced_under_each_sink(
+            |s| heap_pipeline(&heap, s, filter.clone()),
+            |ledger| {
+                // More workers never slow the model down, and speedup is
+                // bounded by the serialized source.
+                let m2 = ledger.makespan_ns(2);
+                let m4 = ledger.makespan_ns(4);
+                assert!(m2 <= ledger.makespan_ns(1));
+                assert!(m4 <= m2);
+                let src_total: u64 = ledger.src_ns.iter().sum();
+                assert!(m4 >= src_total, "source sections serialize");
+                assert!(ledger.speedup(4) >= 1.0);
+                // Modeled source-lock wait: zero at one worker (a lone
+                // worker never races itself), monotone data: more workers
+                // can only add contention on the serialized source.
+                assert_eq!(ledger.modeled_src_wait_ns(1), 0);
+                assert!(ledger.modeled_src_wait_ns(8) >= ledger.modeled_src_wait_ns(2));
+            },
+        );
     }
 
     #[test]
@@ -1725,34 +1510,21 @@ mod tests {
     fn traced_build_sections_feed_the_model() {
         let probe = table(1000);
         let build = table(2000);
-        let s = storage();
-        let mut pipeline = heap_pipeline(&probe, &s, vec![StageSpec::Probe(0)]);
-        pipeline.builds.push(BuildSpec {
-            source: ParallelSource::Heap {
-                heap: Arc::clone(&build),
-                predicate: Predicate::True,
-                readahead: crate::scan::FULL_SCAN_READAHEAD,
+        traced_under_each_sink(
+            |s| {
+                let mut pipeline = heap_pipeline(&probe, s, vec![StageSpec::Probe(0)]);
+                pipeline.builds.push(heap_build(&build, Predicate::True, JoinType::Inner, 0));
+                pipeline
             },
-            stages: Vec::new(),
-            right_col: 1,
-            left_col: 1,
-            ty: JoinType::Inner,
-            partitions: crate::BUILD_PARTITIONS,
-            mem_bytes: crate::spill::mem_budget_bytes(),
-            open_at: 0,
-            open_order: 0,
-        });
-        let (rows, ledger) = run_pipeline_traced(pipeline).unwrap();
-        assert!(!rows.is_empty());
-        assert!(!ledger.build_src_ns.is_empty(), "build morsels recorded");
-        assert_eq!(ledger.build_src_ns.len(), ledger.build_proc_ns.len());
-        assert_eq!(ledger.build_bounds, vec![ledger.build_src_ns.len()]);
-        // The one-worker makespan still reproduces the serial total with
-        // the build phase folded in.
-        assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
-        assert!(ledger.build_speedup(1) == 1.0);
-        assert!(ledger.build_speedup(4) >= 1.0);
-        assert!(ledger.makespan_ns(4) <= ledger.makespan_ns(2));
+            |ledger| {
+                assert!(!ledger.build_src_ns.is_empty(), "build morsels recorded");
+                assert_eq!(ledger.build_src_ns.len(), ledger.build_proc_ns.len());
+                assert_eq!(ledger.build_bounds, vec![ledger.build_src_ns.len()]);
+                assert!(ledger.build_speedup(1) == 1.0);
+                assert!(ledger.build_speedup(4) >= 1.0);
+                assert!(ledger.makespan_ns(4) <= ledger.makespan_ns(2));
+            },
+        );
     }
 
     #[test]
@@ -1762,64 +1534,30 @@ mod tests {
         let probe = table(800);
         let build_a = table(1200);
         let build_b = table(1200);
-        let s = storage();
-        let mut pipeline =
-            heap_pipeline(&probe, &s, vec![StageSpec::Probe(0), StageSpec::Probe(1)]);
-        for (bi, heap) in [&build_a, &build_b].into_iter().enumerate() {
-            pipeline.builds.push(BuildSpec {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(heap),
-                    predicate: Predicate::int_half_open(1, 0, 40),
-                    readahead: crate::scan::FULL_SCAN_READAHEAD,
-                },
-                stages: Vec::new(),
-                right_col: 1,
-                left_col: 1,
-                ty: JoinType::LeftSemi,
-                partitions: crate::BUILD_PARTITIONS,
-                mem_bytes: crate::spill::mem_budget_bytes(),
+        let chained = |s: &Storage| {
+            let mut pipeline =
+                heap_pipeline(&probe, s, vec![StageSpec::Probe(0), StageSpec::Probe(1)]);
+            for (bi, heap) in [&build_a, &build_b].into_iter().enumerate() {
                 // Left-deep serial cascade: build 1's source opens only
                 // after build 0 drains.
-                open_at: bi,
-                open_order: bi,
-            });
-        }
-        let (rows, ledger) = run_pipeline_traced(pipeline).unwrap();
-        assert!(!rows.is_empty());
-        assert_eq!(ledger.build_bounds.len(), 2, "one segment per build");
-        assert_eq!(*ledger.build_bounds.last().unwrap(), ledger.build_src_ns.len());
-        assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
-        // The barriered schedule can never beat the (incorrect)
-        // barrier-free packing of both builds as one phase.
-        let one_phase =
-            ScalingLedger { build_bounds: vec![], ..ledger.clone() }.build_makespan_ns(4);
-        assert!(ledger.build_makespan_ns(4) >= one_phase);
-        // The parallel runs still match serial with chained builds.
-        let serial_rows = rows.clone();
-        for workers in [2usize, 4] {
-            let s_par = storage();
-            let mut pipeline =
-                heap_pipeline(&probe, &s_par, vec![StageSpec::Probe(0), StageSpec::Probe(1)]);
-            for (bi, heap) in [&build_a, &build_b].into_iter().enumerate() {
-                pipeline.builds.push(BuildSpec {
-                    source: ParallelSource::Heap {
-                        heap: Arc::clone(heap),
-                        predicate: Predicate::int_half_open(1, 0, 40),
-                        readahead: crate::scan::FULL_SCAN_READAHEAD,
-                    },
-                    stages: Vec::new(),
-                    right_col: 1,
-                    left_col: 1,
-                    ty: JoinType::LeftSemi,
-                    partitions: crate::BUILD_PARTITIONS,
-                    mem_bytes: crate::spill::mem_budget_bytes(),
-                    // Left-deep serial cascade: build 1's source opens
-                    // only after build 0 drains.
-                    open_at: bi,
-                    open_order: bi,
-                });
+                let pred = Predicate::int_half_open(1, 0, 40);
+                pipeline.builds.push(heap_build(heap, pred, JoinType::LeftSemi, bi));
             }
-            let got = run_pipeline(pipeline, workers).unwrap();
+            pipeline
+        };
+        traced_under_each_sink(chained, |ledger| {
+            assert_eq!(ledger.build_bounds.len(), 2, "one segment per build");
+            assert_eq!(*ledger.build_bounds.last().unwrap(), ledger.build_src_ns.len());
+            // The barriered schedule can never beat the (incorrect)
+            // barrier-free packing of both builds as one phase.
+            let one_phase =
+                ScalingLedger { build_bounds: vec![], ..ledger.clone() }.build_makespan_ns(4);
+            assert!(ledger.build_makespan_ns(4) >= one_phase);
+        });
+        // The parallel runs still match serial with chained builds.
+        let serial_rows = run_pipeline(chained(&storage()), 1).unwrap();
+        for workers in [2usize, 4] {
+            let got = run_pipeline(chained(&storage()), workers).unwrap();
             assert_eq!(got, serial_rows, "chained builds diverge at {workers} workers");
         }
     }
@@ -1847,7 +1585,7 @@ mod tests {
 
     #[test]
     fn fixed_override_applies_only_to_hinted_sources() {
-        // SMOOTH_CLAIM_MORSELS (fixed > 0) wins over guidance for heap
+        // A fixed override (fixed > 0) wins over guidance for heap
         // sources (which hint their remaining runs)...
         assert_eq!(claim_size(8, 1000, 4), 8);
         assert_eq!(source_claim(8, Some(1000), 4), 8);

@@ -38,8 +38,8 @@
 //! query runs a three-rung ladder (`try_work`): pop the front of its
 //! own deque; else take the source lock once and claim a *chunk* of up
 //! to `k` morsels (`claim_size` in [`crate::parallel`] — fixed by
-//! `SMOOTH_CLAIM_MORSELS`, or guided by the source's remaining-work
-//! hint), charging their pull I/O in exact serial seq order under the
+//! [`Scheduler::set_claim_morsels`], or guided by the source's
+//! remaining-work hint), charging their pull I/O in exact serial seq order under the
 //! lock and queueing them locally; else steal the *back* of the
 //! longest peer deque (ties to the lowest index — deterministic victim
 //! selection). Queued morsels count in `inflight` from the moment they
@@ -66,10 +66,29 @@
 //! build side of a hash join), resolves later builds' stages against
 //! the now-installed tables, opens tranche `i + 1`, and installs the
 //! next phase's source. After the last build the parked probe source
-//! is installed and the probe phase begins. `ordered:` heap scans run as a normal
+//! is installed and the probe phase begins. Stage chains are walked
+//! twice and only twice: `staged_schema` validates every chain — build
+//! side and probe side alike — and types the sink at plan time, so
+//! plan errors surface before the query is queued; `resolve_stages`
+//! binds a chain to the finished tables when its phase is installed.
+//! `ordered:` heap scans run as a normal
 //! chunked probe phase over the partitioned heap source with a
 //! charged stable sort at the sink ([`SinkSpec::Sort`]) — rows and
 //! charges byte-identical to the serial Sort-over-scan plan.
+//!
+//! **Trace sites.** [`crate::run_pipeline_traced`] runs a query solo
+//! on a one-worker pool with its trace on, and the scheduler fills the
+//! [`crate::ScalingLedger`] — the scaling model's input — from
+//! virtual-clock snapshots at the sites every query passes through:
+//! `admit` (the source opens: `prefix_ns`, `src_chunked`), each `pull`
+//! in `claim_chunk` (`src_ns` / `build_src_ns`), `ActiveQuery::process`
+//! (`proc_ns` / `build_proc_ns`, and `sink_ns` for the ordered sink's
+//! fold), `advance_build` (`build_bounds`, `build_chunked`, later
+//! tranches' opens into `prefix_ns`) and `complete_ok`'s sort
+//! (`suffix_ns`). The clock is engine-global, so a trace means
+//! something only on one worker with nothing else running on the same
+//! storage; an untraced query pays one `Option` test per site — no
+//! snapshot, no lock.
 //!
 //! **Slot pools and the `(seq, idx)` MIN rule.** Worker-side partial
 //! state (build partials, exact-merge aggregation partials) lives in
@@ -100,8 +119,8 @@ use crate::expr::Predicate;
 use crate::join::{JoinBuildPartial, JoinBuildTable};
 use crate::parallel::{
     open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec, HeapDecoder,
-    ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, ScalingLedger, SinkSpec, SourceCore,
-    SourceItem, Stage, StageSpec,
+    OpenedSource, ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, ScalingLedger,
+    SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
 };
 use crate::sort::SortKey;
 use crate::{AggFunc, JoinType};
@@ -253,7 +272,7 @@ struct BuildPhase {
     /// Opened-but-not-yet-draining source: bushy trees open build
     /// sources in the serial cascade's open order, which can be
     /// several phases before the build itself drains.
-    parked: Mutex<Option<ParkedSource>>,
+    parked: Mutex<Option<OpenedSource>>,
     /// Raw build-side stage specs; resolved against the finished
     /// tables when this build's phase starts (nested probes reference
     /// earlier builds only — validated at plan time).
@@ -273,15 +292,6 @@ struct BuildPhase {
     open_at: usize,
     /// Open position within the tranche — see [`BuildSpec::open_order`].
     open_order: usize,
-}
-
-/// A probe stage validated at plan time: probe references are checked
-/// and output schemas precomputed, so resolution after the builds is
-/// infallible.
-enum PlannedStage {
-    Filter(Predicate),
-    Project(Vec<usize>),
-    Probe(usize, Schema),
 }
 
 /// Terminal merge discipline.
@@ -314,10 +324,6 @@ struct SinkState {
     ordered_agg: Option<PartialAgg>,
 }
 
-/// An opened source parked until its phase starts: the opened core
-/// plus the scan-filter spec it re-assembles with when installed.
-type ParkedSource = (SourceCore, Option<(Schema, Predicate)>);
-
 /// One claimed-but-unprocessed morsel sitting in a worker's local
 /// queue. Claiming charges the pull I/O in serial seq order under the
 /// source lock; everything here is the charge-free remainder (decode
@@ -338,7 +344,9 @@ struct ActiveQuery {
     storage: Storage,
     morsel_rows: usize,
     builds: Vec<BuildPhase>,
-    probe_specs: Vec<PlannedStage>,
+    /// Raw probe-chain stage specs (validated at plan time; resolved
+    /// against the finished tables by [`install_probe_phase`]).
+    probe_specs: Vec<StageSpec>,
     sink_kind: SinkKind,
     /// The staged output schema — what every probe morsel conforms to
     /// after the last stage (the aggregate sink's input typing).
@@ -346,7 +354,7 @@ struct ActiveQuery {
     /// The probe source, opened at admission (serial open order) and
     /// parked until the builds finish.
     probe_source: Mutex<Option<ParallelSource>>,
-    parked_probe: Mutex<Option<ParkedSource>>,
+    parked_probe: Mutex<Option<OpenedSource>>,
     /// Per-worker local morsel queues (work stealing): a claiming
     /// worker deposits its chunk here; dry workers steal from the
     /// longest peer queue. Queued morsels count in `inflight`, so a
@@ -390,7 +398,6 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let ParallelPipeline { source, builds, stages, sink, storage, morsel_rows } = pipeline;
-        let mut schema = source.schema();
         let mut build_phases: Vec<BuildPhase> = Vec::with_capacity(builds.len());
         let mut prior: Vec<(Schema, JoinType)> = Vec::with_capacity(builds.len());
         for (i, build) in builds.into_iter().enumerate() {
@@ -432,26 +439,7 @@ impl ActiveQuery {
                 open_order,
             });
         }
-        let mut probe_specs = Vec::with_capacity(stages.len());
-        for spec in stages {
-            match spec {
-                StageSpec::Filter(p) => probe_specs.push(PlannedStage::Filter(p)),
-                StageSpec::Project(cols) => {
-                    schema = staged_schema(schema, &[StageSpec::Project(cols.clone())], &[])?;
-                    probe_specs.push(PlannedStage::Project(cols));
-                }
-                StageSpec::Probe(i) => {
-                    let phase = build_phases
-                        .get(i)
-                        .ok_or_else(|| Error::plan(format!("probe stage references build {i}")))?;
-                    schema = match phase.ty {
-                        JoinType::Inner => schema.join(&phase.schema),
-                        JoinType::LeftSemi => schema,
-                    };
-                    probe_specs.push(PlannedStage::Probe(i, schema.clone()));
-                }
-            }
-        }
+        let schema = staged_schema(source.schema(), &stages, &prior)?;
         let (sink_kind, ordered_agg) = match sink {
             SinkSpec::Collect => (SinkKind::Collect, None),
             SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
@@ -468,7 +456,7 @@ impl ActiveQuery {
             storage,
             morsel_rows,
             builds: build_phases,
-            probe_specs,
+            probe_specs: stages,
             sink_kind,
             out_schema: schema,
             probe_source: Mutex::new(Some(source)),
@@ -530,13 +518,12 @@ impl ActiveQuery {
             // probe source is still present here.
             let probe = lock(&self.probe_source).take().expect("a query admits once");
             let prefix = self.trace_mark();
-            let (probe_core, probe_decoder) = open_source(probe, self.morsel_rows)?;
-            let chunked = probe_decoder.is_some();
+            let probe = open_source(probe, self.morsel_rows)?;
+            let chunked = probe.1.is_some();
             if self.builds.is_empty() {
-                self.resolve_probe_stages();
-                *lock(&self.src) = SrcState::new(probe_core, probe_decoder, PhaseKind::Probe);
+                install_probe_phase(self, probe, &mut lock(&self.src))?;
             } else {
-                *lock(&self.parked_probe) = Some((probe_core, probe_decoder));
+                *lock(&self.parked_probe) = Some(probe);
                 open_build_tranche(self, 0)?;
                 install_build_phase(self, 0, &mut lock(&self.src))?;
             }
@@ -548,24 +535,6 @@ impl ActiveQuery {
         })();
         lock(&self.stats).merge(&mark.delta());
         result
-    }
-
-    /// Swap probe references for the finished tables (infallible: the
-    /// references and schemas were validated at plan time).
-    fn resolve_probe_stages(&self) {
-        let tables = lock(&self.tables);
-        let resolved: Vec<Stage> = self
-            .probe_specs
-            .iter()
-            .map(|spec| match spec {
-                PlannedStage::Filter(p) => Stage::Filter(p.clone()),
-                PlannedStage::Project(cols) => Stage::Project(cols.clone()),
-                PlannedStage::Probe(i, schema) => {
-                    Stage::Probe(Arc::clone(&tables[*i]), schema.clone())
-                }
-            })
-            .collect();
-        *lock(&self.probe_stages) = Some(Arc::new(resolved));
     }
 
     /// Process one claimed source item outside the source lock and
@@ -699,11 +668,11 @@ struct SchedCore {
     max_queries: usize,
     /// Pool size; sizes per-query local queues and the guided claim.
     workers: usize,
-    /// Per-query timeout in virtual-clock milliseconds (0 = none);
-    /// `SMOOTH_QUERY_TIMEOUT_MS` seeds it, `set_timeout_ms` overrides.
+    /// Per-query timeout in virtual-clock milliseconds (0 = none, the
+    /// default); set by `set_timeout_ms`.
     timeout_ms: AtomicU64,
-    /// Morsels per source claim (0 = guided by remaining work);
-    /// `SMOOTH_CLAIM_MORSELS` seeds it, `set_claim_morsels` overrides.
+    /// Morsels per source claim (0 = guided by remaining work, the
+    /// default); set by `set_claim_morsels`.
     claim_morsels: AtomicUsize,
 }
 
@@ -721,30 +690,6 @@ fn install_panic_hook() {
             }
         }));
     });
-}
-
-/// Per-query timeout used when none is set on a scheduler: the
-/// `SMOOTH_QUERY_TIMEOUT_MS` environment variable in **virtual-clock**
-/// milliseconds (read once per process and latched, like
-/// `SMOOTH_WORKERS`), default 0 = no timeout.
-pub fn default_query_timeout_ms() -> u64 {
-    static MS: OnceLock<u64> = OnceLock::new();
-    *MS.get_or_init(|| {
-        std::env::var("SMOOTH_QUERY_TIMEOUT_MS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-    })
-}
-
-/// Morsels per source claim when none is set on a scheduler: the
-/// `SMOOTH_CLAIM_MORSELS` environment variable (read once per process
-/// and latched, like `SMOOTH_WORKERS`), default 0 = guided — each
-/// claim takes `remaining / (2 · workers)` clamped to `[1, 64]`, so
-/// chunks shrink toward 1 as the source drains (classic guided
-/// self-scheduling; see `claim_size` in [`crate::parallel`]).
-pub fn default_claim_morsels() -> usize {
-    static N: OnceLock<usize> = OnceLock::new();
-    *N.get_or_init(|| {
-        std::env::var("SMOOTH_CLAIM_MORSELS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-    })
 }
 
 /// The engine's persistent worker pool: serves every submitted query
@@ -772,8 +717,8 @@ impl Scheduler {
             cv: Condvar::new(),
             max_queries: max_queries.max(1),
             workers: workers.max(1),
-            timeout_ms: AtomicU64::new(default_query_timeout_ms()),
-            claim_morsels: AtomicUsize::new(default_claim_morsels()),
+            timeout_ms: AtomicU64::new(0),
+            claim_morsels: AtomicUsize::new(0),
         });
         let threads = (0..workers.max(1))
             .map(|i| {
@@ -1245,13 +1190,10 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     if i + 1 < q.builds.len() {
         install_build_phase(q, i + 1, src)
     } else {
-        q.resolve_probe_stages();
         // invariant: `admit` parks the probe source whenever builds
         // exist, and only the last build's finalizer reaches here.
-        let (core, decoder) =
-            lock(&q.parked_probe).take().expect("probe source parked at admission");
-        *src = SrcState::new(core, decoder, PhaseKind::Probe);
-        Ok(())
+        let probe = lock(&q.parked_probe).take().expect("probe source parked at admission");
+        install_probe_phase(q, probe, src)
     }
 }
 
@@ -1281,10 +1223,19 @@ fn install_build_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<
     let (core, decoder) = lock(&phase.parked).take().ok_or_else(|| {
         Error::plan(format!("build {i} source never opened (open_at {})", phase.open_at))
     })?;
-    let tables = lock(&q.tables).clone();
-    let (stages, _) = resolve_stages(&phase.spec_stages, core.schema(), &tables)?;
+    let stages = resolve_stages(&phase.spec_stages, core.schema(), &lock(&q.tables))?;
     *lock(&phase.stages) = Some(Arc::new(stages));
     *src = SrcState::new(core, decoder, PhaseKind::Build(i));
+    Ok(())
+}
+
+/// Start the probe phase: resolve its stages against the finished
+/// tables and install the opened probe source as the active phase.
+fn install_probe_phase(q: &ActiveQuery, probe: OpenedSource, src: &mut SrcState) -> Result<()> {
+    let (core, decoder) = probe;
+    let stages = resolve_stages(&q.probe_specs, core.schema(), &lock(&q.tables))?;
+    *lock(&q.probe_stages) = Some(Arc::new(stages));
+    *src = SrcState::new(core, decoder, PhaseKind::Probe);
     Ok(())
 }
 

@@ -211,7 +211,9 @@ mod tests {
             input((0..1024).map(|i| (1023 - i, i)).collect()),
             st.clone(),
             vec![SortKey::asc(0)],
-        );
+        )
+        // The closed form below is the in-memory sort's.
+        .with_mem_budget(0);
         collect_rows(&mut s).unwrap();
         let delta = st.clock().snapshot().cpu_ns - before;
         assert_eq!(delta, st.cpu().sort_cmp_ns * 1024 * 10);

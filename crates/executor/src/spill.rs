@@ -44,21 +44,6 @@ pub fn mem_budget_bytes() -> usize {
     })
 }
 
-/// Grace-join recursion fan-out: how many sub-partitions an overflowing
-/// spilled partition re-partitions into. The `SMOOTH_SPILL_PARTITIONS`
-/// environment variable (clamped to 2..=64, read once and latched),
-/// default 8.
-pub fn spill_partitions() -> usize {
-    static PARTS: OnceLock<usize> = OnceLock::new();
-    *PARTS.get_or_init(|| {
-        std::env::var("SMOOTH_SPILL_PARTITIONS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(2, 64))
-            .unwrap_or(8)
-    })
-}
-
 /// Modeled cost of transferring one `bytes`-long overflow file (in
 /// either direction): one seek plus sequential page transfers on
 /// `device`. Zero bytes cost nothing — no file, no seek.

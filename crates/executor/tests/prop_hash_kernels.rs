@@ -437,9 +437,6 @@ type SpillTally = (usize, u64, u64, u64, u64);
 /// as `(budget, partitions) → tally`.
 #[test]
 fn budgeted_build_spill_accounting_is_pinned() {
-    if std::env::var_os("SMOOTH_SPILL_PARTITIONS").is_some() {
-        return; // the pinned trees assume the default grace fan-out
-    }
     let pinned: [((usize, usize), SpillTally); 6] = [
         ((2048, 1), (1, 7200, 400, 6_250_000, 22_625_000)),
         ((2048, 7), (5, 5310, 295, 3_125_000, 12_500_000)),

@@ -170,6 +170,11 @@ proptest! {
         let build = probe_table(&build_keys);
         let ty = if semi { JoinType::LeftSemi } else { JoinType::Inner };
         let pred = Predicate::int_half_open(1, 0, hi);
+        // Spill accounting is a function of the partition count by
+        // design, and the serial operator always uses the default: off
+        // it, the sweep is an in-memory property.
+        let mem_bytes =
+            if partitions == BUILD_PARTITIONS { smooth_executor::mem_budget_bytes() } else { 0 };
         let s_serial = storage(32);
         let mut serial_op = HashJoin::new(
             Box::new(FullTableScan::new(Arc::clone(&probe), s_serial.clone(), Predicate::True)),
@@ -178,7 +183,8 @@ proptest! {
             1,
             ty,
             s_serial.clone(),
-        );
+        )
+        .with_mem_budget(mem_bytes);
         let expected = collect_rows(&mut serial_op).unwrap();
         for workers in WORKER_GRID {
             let s_par = storage(32);
@@ -199,7 +205,7 @@ proptest! {
                     left_col: 1,
                     ty,
                     partitions,
-                    mem_bytes: smooth_executor::mem_budget_bytes(),
+                    mem_bytes,
                     open_at: 0,
                     open_order: 0,
                 }],

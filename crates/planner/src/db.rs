@@ -27,14 +27,14 @@
 //! The pool is engine-global: concurrent [`Session`]s (cheap handles
 //! from [`Database::session`]) share it, along with the buffer pool,
 //! disk-arm tracker and virtual clock. At most
-//! [`Database::max_queries`] queries run concurrently
-//! (`SMOOTH_MAX_QUERIES`, default 4); submissions beyond the cap queue
-//! FIFO. Every [`QueryResult`] carries per-query
-//! [`ScanStatistics`] — tuple flow, pages/bytes read, buffer hits,
+//! [`Database::max_queries`] queries run concurrently (default 4);
+//! submissions beyond the cap queue FIFO. Every [`QueryResult`]
+//! carries per-query [`ScanStatistics`] — tuple flow, pages/bytes read, buffer hits,
 //! source-lock wait — attributed exactly to that query even under
 //! concurrency (`RunStats`' clock/I-O *deltas*, by contrast, read the
 //! shared engine counters and are only meaningful single-session).
 
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -43,7 +43,7 @@ use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, BoxedOperator, BuildSpec, Filter, FullTableScan, HashAggregate,
-    HashJoin, IndexNestedLoopJoin, IndexScan, MergeJoin, Operator, ParallelPipeline,
+    HashJoin, IndexNestedLoopJoin, IndexScan, JoinType, MergeJoin, Operator, ParallelPipeline,
     ParallelSource, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan,
     StageSpec,
 };
@@ -54,7 +54,7 @@ use smooth_storage::{
 };
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
-use crate::catalog::{Catalog, TableEntry};
+use crate::catalog::{Catalog, IndexEntry, TableEntry};
 use crate::optimizer::{AccessPathKind, Optimizer};
 use crate::plan::{AccessPathChoice, JoinSpec, JoinStrategy, LogicalPlan, ScanSpec};
 
@@ -165,29 +165,21 @@ pub fn default_mem_bytes() -> usize {
     smooth_executor::mem_budget_bytes()
 }
 
-/// Concurrent-query admission cap used when none is set on the
-/// instance: the `SMOOTH_MAX_QUERIES` environment variable (clamped to
-/// 1..=1024, read **once per process** and latched), else 4.
-pub fn default_max_queries() -> usize {
-    static MAX_QUERIES: OnceLock<usize> = OnceLock::new();
-    *MAX_QUERIES.get_or_init(|| {
-        std::env::var("SMOOTH_MAX_QUERIES")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, 1024))
-            .unwrap_or(4)
-    })
-}
+/// What [`Predicate::split_index_range`] yields: `(col, lo, hi,
+/// residual)`.
+type RangeSplit = (usize, Bound<i64>, Bound<i64>, Predicate);
 
-/// A peeled hash-join build side: its morsel source, the per-worker
-/// stages it runs (filters, projections, nested probes), its output
-/// schema, and its slot in the serial open cascade (see
-/// `Database::peel_build`).
-struct PeeledBuild {
+/// Concurrent-query admission cap used when none is set on the
+/// instance.
+const DEFAULT_MAX_QUERIES: usize = 4;
+
+/// A peeled plan subtree: its morsel source, the per-worker stages
+/// above it (filters, projections, probes), its output schema, and its
+/// source's slot in the serial open cascade (see `Database::peel`).
+struct Peeled {
     source: ParallelSource,
     stages: Vec<StageSpec>,
     schema: Schema,
-    mem_bytes: usize,
     open_at: usize,
     open_order: usize,
 }
@@ -240,8 +232,8 @@ impl Database {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// Builder: fix the concurrent-query admission cap (overrides
-    /// `SMOOTH_MAX_QUERIES`). Submissions beyond the cap queue FIFO.
+    /// Builder: fix the concurrent-query admission cap (default 4).
+    /// Submissions beyond the cap queue FIFO.
     pub fn with_max_queries(mut self, max_queries: usize) -> Self {
         self.set_max_queries(max_queries);
         self
@@ -254,7 +246,7 @@ impl Database {
 
     /// Concurrent queries the shared worker pool admits at once.
     pub fn max_queries(&self) -> usize {
-        self.max_queries.unwrap_or_else(default_max_queries)
+        self.max_queries.unwrap_or(DEFAULT_MAX_QUERIES)
     }
 
     /// Builder: fix the per-operator memory budget in bytes (overrides
@@ -278,7 +270,7 @@ impl Database {
     }
 
     /// Builder: fix the per-query timeout in **virtual-clock**
-    /// milliseconds (overrides `SMOOTH_QUERY_TIMEOUT_MS`; 0 disables).
+    /// milliseconds (0, the default, disables).
     /// A query whose modeled CPU + I/O time crosses the deadline fails
     /// with [`Error::Cancelled`] at its next morsel boundary, releasing
     /// everything it held; other sessions are untouched.
@@ -302,14 +294,14 @@ impl Database {
 
     /// Per-query virtual-clock timeout in milliseconds (0 = none).
     pub fn query_timeout_ms(&self) -> u64 {
-        self.timeout_ms.unwrap_or_else(smooth_executor::default_query_timeout_ms)
+        self.timeout_ms.unwrap_or(0)
     }
 
     /// Builder: fix the worker pool's morsels-per-claim chunk size
-    /// (overrides `SMOOTH_CLAIM_MORSELS`; 0 = guided by remaining
-    /// work). Larger chunks amortize source-lock traffic and feed the
-    /// per-worker stealing queues; 1 reproduces the one-at-a-time
-    /// claims of the pre-stealing scheduler.
+    /// (0, the default, = guided by remaining work). Larger chunks
+    /// amortize source-lock traffic and feed the per-worker stealing
+    /// queues; 1 reproduces the one-at-a-time claims of the
+    /// pre-stealing scheduler.
     pub fn with_claim_morsels(mut self, n: usize) -> Self {
         self.set_claim_morsels(n);
         self
@@ -330,7 +322,7 @@ impl Database {
 
     /// Morsels per source claim (0 = guided).
     pub fn claim_morsels(&self) -> usize {
-        self.claim_morsels.unwrap_or_else(smooth_executor::default_claim_morsels)
+        self.claim_morsels.unwrap_or(0)
     }
 
     /// Builder: install a deterministic fault-injection configuration
@@ -552,21 +544,31 @@ impl Database {
         }
     }
 
+    /// The index on the range column of `spec`'s predicate, with the
+    /// `(col, lo, hi, residual)` split that drives it — what every
+    /// index-backed access path (`what`) needs.
+    fn need_index<'e>(
+        entry: &'e TableEntry,
+        spec: &ScanSpec,
+        what: &str,
+    ) -> Result<(&'e IndexEntry, RangeSplit)> {
+        spec.predicate
+            .split_index_range()
+            .and_then(|split| Some((entry.index_on(split.0)?, split)))
+            .ok_or_else(|| {
+                Error::plan(format!("{what} on '{}' needs an indexed range predicate", spec.table))
+            })
+    }
+
     fn build_scan(&self, spec: &ScanSpec) -> Result<BoxedOperator> {
         let entry = self.catalog.get(&spec.table)?;
         let heap = Arc::clone(&entry.heap);
-        let split = spec.predicate.split_index_range();
-        let indexed = split.clone().filter(|(col, _, _, _)| entry.index_on(*col).is_some());
-        let choice = self.resolve_access(entry, spec);
-        let need_index = |what: &str| {
-            indexed.clone().ok_or_else(|| {
-                Error::plan(format!("{what} on '{}' needs an indexed range predicate", spec.table))
-            })
-        };
+        let need_index = |what| Self::need_index(entry, spec, what);
         let sort_wrap = |op: BoxedOperator| -> Result<BoxedOperator> {
             if spec.ordered {
-                let (col, _, _, _) = split
-                    .clone()
+                let (col, _, _, _) = spec
+                    .predicate
+                    .split_index_range()
                     .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
                 Ok(Box::new(
                     Sort::new(op, self.storage.clone(), vec![SortKey::asc(col)])
@@ -576,7 +578,7 @@ impl Database {
                 Ok(op)
             }
         };
-        match choice {
+        match self.resolve_access(entry, spec) {
             AccessPathChoice::ForceFull => {
                 let op: BoxedOperator = Box::new(FullTableScan::new(
                     heap,
@@ -586,8 +588,7 @@ impl Database {
                 sort_wrap(op)
             }
             AccessPathChoice::ForceIndex => {
-                let (col, lo, hi, residual) = need_index("index scan")?;
-                let idx = entry.index_on(col).expect("checked");
+                let (idx, (_, lo, hi, residual)) = need_index("index scan")?;
                 Ok(Box::new(IndexScan::new(
                     heap,
                     Arc::clone(&idx.index),
@@ -598,8 +599,7 @@ impl Database {
                 )))
             }
             AccessPathChoice::ForceSort => {
-                let (col, lo, hi, residual) = need_index("sort scan")?;
-                let idx = entry.index_on(col).expect("checked");
+                let (idx, (_, lo, hi, residual)) = need_index("sort scan")?;
                 let op: BoxedOperator = Box::new(SortScan::new(
                     heap,
                     Arc::clone(&idx.index),
@@ -610,24 +610,9 @@ impl Database {
                 ));
                 sort_wrap(op)
             }
-            AccessPathChoice::Smooth(config) => {
-                let (col, lo, hi, residual) = need_index("smooth scan")?;
-                let idx = entry.index_on(col).expect("checked");
-                let config = config.with_order(config.ordered || spec.ordered);
-                Ok(Box::new(SmoothScan::new(
-                    heap,
-                    Arc::clone(&idx.index),
-                    self.storage.clone(),
-                    col,
-                    lo,
-                    hi,
-                    residual,
-                    config,
-                )))
-            }
+            AccessPathChoice::Smooth(config) => Ok(Box::new(self.build_smooth_scan(spec, config)?)),
             AccessPathChoice::Switch { estimate } => {
-                let (col, lo, hi, residual) = need_index("switch scan")?;
-                let idx = entry.index_on(col).expect("checked");
+                let (idx, (col, lo, hi, residual)) = need_index("switch scan")?;
                 Ok(Box::new(SwitchScan::new(
                     heap,
                     Arc::clone(&idx.index),
@@ -651,12 +636,7 @@ impl Database {
         config: SmoothScanConfig,
     ) -> Result<SmoothScan> {
         let entry = self.catalog.get(&spec.table)?;
-        let (col, lo, hi, residual) = spec
-            .predicate
-            .split_index_range()
-            .filter(|(col, _, _, _)| entry.index_on(*col).is_some())
-            .ok_or_else(|| Error::plan("smooth scan needs an indexed range predicate"))?;
-        let idx = entry.index_on(col).expect("checked");
+        let (idx, (col, lo, hi, residual)) = Self::need_index(entry, spec, "smooth scan")?;
         Ok(SmoothScan::new(
             Arc::clone(&entry.heap),
             Arc::clone(&idx.index),
@@ -701,7 +681,10 @@ impl Database {
             }
             other => (None, other),
         };
-        let (source, stages, builds, schema) = self.peel(inner)?;
+        let mut builds = Vec::new();
+        // The probe side's own open stamp is unused: its source opens
+        // first, at admission.
+        let Peeled { source, stages, schema, .. } = self.peel(inner, &mut builds, &mut 0)?;
         let sink = match sink_spec {
             Some((group_cols, aggs)) => {
                 // Validate exactly like HashAggregate::new.
@@ -727,23 +710,6 @@ impl Database {
             storage: self.storage.clone(),
             morsel_rows: batch_size(),
         }))
-    }
-
-    /// Validate a projection against `schema` exactly like `Project::new`
-    /// and return the projected schema (shared by the probe-side and
-    /// build-side peels).
-    fn project_schema(schema: &Schema, cols: &[usize]) -> Result<Schema> {
-        let kept = cols
-            .iter()
-            .map(|&c| {
-                if c >= schema.len() {
-                    Err(Error::schema(format!("project column {c} out of range")))
-                } else {
-                    Ok(schema.column(c).clone())
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Schema::new(kept)
     }
 
     /// Parallelize an `ordered:` full table scan: the partitioned heap
@@ -783,8 +749,7 @@ impl Database {
     /// Decompose one scan into a morsel source: an unordered full table
     /// scan becomes the *partitioned* heap source (workers decode page
     /// runs in parallel), anything else runs whole as a serial shared
-    /// source. Shared by the probe-side and build-side peels so both
-    /// resolve access paths identically.
+    /// source.
     fn scan_source(&self, spec: &ScanSpec) -> Result<(ParallelSource, Schema)> {
         let entry = self.catalog.get(&spec.table)?;
         if matches!(self.resolve_access(entry, spec), AccessPathChoice::ForceFull) && !spec.ordered
@@ -805,177 +770,85 @@ impl Database {
         Ok((ParallelSource::Shared { op }, schema))
     }
 
-    /// Bottom-up pipeline peel: returns the source, the per-worker
-    /// stages (source side first), the serial hash-join builds
-    /// (bottom-up), and the subtree's output schema.
-    #[allow(clippy::type_complexity)]
+    /// Bottom-up pipeline peel of a probe side or a hash-join *build
+    /// side*: filters and projections peel into stages; a hash join
+    /// peels its probe side first (whose source stays this subtree's
+    /// source, opening before the nested build's — the serial cascade),
+    /// then its build side, which lands in `builds` as a pipeline of
+    /// its own (source + stages, so the partitioned parallel build fans
+    /// its decode/insert CPU out too) probed through a
+    /// [`StageSpec::Probe`] stage. Builds accumulate in completion
+    /// order — nested builds before the builds that probe them — so
+    /// bushy trees (hash joins on the build side of hash joins)
+    /// parallelize end to end. An unordered full scan becomes the
+    /// partitioned heap source; any other leaf (sorts, non-hash joins,
+    /// nested aggregates) runs whole as a serial shared source.
+    ///
+    /// Every leaf is stamped with its slot in the serial open cascade:
+    /// `open_at` is how many builds must complete before the source
+    /// opens — the number accumulated when the leaf is reached, which
+    /// preserves the left-deep cascade (build `i + 1` opens when build
+    /// `i` drains) and lets bushy sources open at admission —
+    /// and `open_order` (from `open_seq`) numbers the opens across the
+    /// whole tree. Only the relative order matters: the scheduler
+    /// sorts each tranche by it.
     fn peel(
         &self,
         plan: &LogicalPlan,
-    ) -> Result<(ParallelSource, Vec<StageSpec>, Vec<BuildSpec>, Schema)> {
-        let mut builds = Vec::new();
-        let mut open_seq = 0;
-        let (source, stages, schema) = self.peel_into(plan, &mut builds, &mut open_seq)?;
-        Ok((source, stages, builds, schema))
-    }
-
-    /// The probe-side peel. `builds` accumulates every hash-join build
-    /// in completion order (nested builds land before the builds that
-    /// probe them); `open_seq` numbers build-source opens in the serial
-    /// cascade's open order across the whole tree.
-    fn peel_into(
-        &self,
-        plan: &LogicalPlan,
         builds: &mut Vec<BuildSpec>,
         open_seq: &mut usize,
-    ) -> Result<(ParallelSource, Vec<StageSpec>, Schema)> {
-        match plan {
-            LogicalPlan::Filter { input, predicate } => {
-                let (source, mut stages, schema) = self.peel_into(input, builds, open_seq)?;
-                stages.push(StageSpec::Filter(predicate.clone()));
-                Ok((source, stages, schema))
-            }
-            LogicalPlan::Project { input, cols } => {
-                let (source, mut stages, schema) = self.peel_into(input, builds, open_seq)?;
-                let schema = Self::project_schema(&schema, cols)?;
-                stages.push(StageSpec::Project(cols.clone()));
-                Ok((source, stages, schema))
-            }
-            LogicalPlan::Join(spec) if self.resolve_join_strategy(spec) == JoinStrategy::Hash => {
-                let (source, mut stages, left_schema) =
-                    self.peel_into(&spec.left, builds, open_seq)?;
-                // The build is a pipeline breaker with a pipeline of its
-                // own: decompose the right subtree into a build-side
-                // source + stages so the partitioned parallel build can
-                // fan its decode/insert CPU out too.
-                let build = self.peel_build(&spec.right, builds, open_seq)?;
-                let schema = Self::push_build(spec, build, &left_schema, &mut stages, builds)?;
-                Ok((source, stages, schema))
-            }
-            LogicalPlan::Scan(spec) => {
-                let (source, schema) = self.scan_source(spec)?;
-                Ok((source, Vec::new(), schema))
-            }
-            // Pipeline breakers that stay serial (sorts, non-hash joins,
-            // nested aggregates): the whole subtree is the shared source.
-            other => {
-                let op = self.build(other)?;
-                let schema = op.schema().clone();
-                Ok((ParallelSource::Shared { op }, Vec::new(), schema))
-            }
-        }
-    }
-
-    /// Validate one hash join against its peeled build side, append the
-    /// probe stage, and push the [`BuildSpec`]. Shared by the probe-side
-    /// and build-side peels so bushy trees compose the same way.
-    fn push_build(
-        spec: &JoinSpec,
-        build: PeeledBuild,
-        left_schema: &Schema,
-        stages: &mut Vec<StageSpec>,
-        builds: &mut Vec<BuildSpec>,
-    ) -> Result<Schema> {
-        if spec.right_col >= build.schema.len() {
-            return Err(Error::plan(format!(
-                "hash-join build key column {} out of range",
-                spec.right_col
-            )));
-        }
-        let schema = match spec.ty {
-            smooth_executor::JoinType::Inner => left_schema.join(&build.schema),
-            smooth_executor::JoinType::LeftSemi => left_schema.clone(),
+    ) -> Result<Peeled> {
+        let leaf = |(source, schema), builds: &[BuildSpec], open_seq: &mut usize| {
+            let open_order = *open_seq;
+            *open_seq += 1;
+            Peeled { source, stages: Vec::new(), schema, open_at: builds.len(), open_order }
         };
-        stages.push(StageSpec::Probe(builds.len()));
-        builds.push(BuildSpec {
-            source: build.source,
-            stages: build.stages,
-            right_col: spec.right_col,
-            left_col: spec.left_col,
-            ty: spec.ty,
-            partitions: smooth_executor::BUILD_PARTITIONS,
-            mem_bytes: build.mem_bytes,
-            open_at: build.open_at,
-            open_order: build.open_order,
-        });
-        Ok(schema)
-    }
-
-    /// Decompose a hash-join *build side* into its own morsel source
-    /// plus per-worker stages. Filters and projections peel into
-    /// stages; a nested hash join peels recursively — its own build
-    /// lands in `builds` first and the outer build-side pipeline probes
-    /// it through a [`StageSpec::Probe`] stage, so bushy trees (hash
-    /// joins on the build side of hash joins) parallelize end to end.
-    /// Anything deeper (a non-hash join, an aggregate, a sort) runs
-    /// unchanged as a serial shared source. An unordered full scan
-    /// becomes the partitioned heap source, so the build input's decode
-    /// fans out exactly like the probe side's.
-    ///
-    /// `open_at` captures how many builds must complete before this
-    /// source opens: the number of builds already accumulated when the
-    /// source is reached, which preserves the left-deep open cascade
-    /// (build `i + 1` opens when build `i` drains) and lets bushy
-    /// sources open at admission. `open_order` numbers the opens.
-    fn peel_build(
-        &self,
-        plan: &LogicalPlan,
-        builds: &mut Vec<BuildSpec>,
-        open_seq: &mut usize,
-    ) -> Result<PeeledBuild> {
         match plan {
             LogicalPlan::Filter { input, predicate } => {
-                let mut build = self.peel_build(input, builds, open_seq)?;
-                build.stages.push(StageSpec::Filter(predicate.clone()));
-                Ok(build)
+                let mut peeled = self.peel(input, builds, open_seq)?;
+                peeled.stages.push(StageSpec::Filter(predicate.clone()));
+                Ok(peeled)
             }
             LogicalPlan::Project { input, cols } => {
-                let mut build = self.peel_build(input, builds, open_seq)?;
-                build.schema = Self::project_schema(&build.schema, cols)?;
-                build.stages.push(StageSpec::Project(cols.clone()));
-                Ok(build)
+                let mut peeled = self.peel(input, builds, open_seq)?;
+                // Validates exactly like `Project::new`.
+                peeled.schema = peeled.schema.project(cols)?;
+                peeled.stages.push(StageSpec::Project(cols.clone()));
+                Ok(peeled)
             }
             LogicalPlan::Join(spec) if self.resolve_join_strategy(spec) == JoinStrategy::Hash => {
-                // Probe side first: its source is this build's source
-                // (and opens before the nested build's, mirroring the
-                // serial cascade), then the nested build lands below
-                // the outer one in `builds`.
-                let mut probe = self.peel_build(&spec.left, builds, open_seq)?;
-                let inner = self.peel_build(&spec.right, builds, open_seq)?;
-                let left_schema = probe.schema.clone();
-                probe.schema =
-                    Self::push_build(spec, inner, &left_schema, &mut probe.stages, builds)?;
+                let mut probe = self.peel(&spec.left, builds, open_seq)?;
+                let build = self.peel(&spec.right, builds, open_seq)?;
+                if spec.right_col >= build.schema.len() {
+                    return Err(Error::plan(format!(
+                        "hash-join build key column {} out of range",
+                        spec.right_col
+                    )));
+                }
+                probe.schema = match spec.ty {
+                    JoinType::Inner => probe.schema.join(&build.schema),
+                    JoinType::LeftSemi => probe.schema,
+                };
+                probe.stages.push(StageSpec::Probe(builds.len()));
+                builds.push(BuildSpec {
+                    source: build.source,
+                    stages: build.stages,
+                    right_col: spec.right_col,
+                    left_col: spec.left_col,
+                    ty: spec.ty,
+                    partitions: smooth_executor::BUILD_PARTITIONS,
+                    mem_bytes: self.mem_bytes(),
+                    open_at: build.open_at,
+                    open_order: build.open_order,
+                });
                 Ok(probe)
             }
-            LogicalPlan::Scan(spec) => {
-                let (source, schema) = self.scan_source(spec)?;
-                Ok(self.peeled_build(source, schema, builds, open_seq))
-            }
+            LogicalPlan::Scan(spec) => Ok(leaf(self.scan_source(spec)?, builds, open_seq)),
             other => {
                 let op = self.build(other)?;
                 let schema = op.schema().clone();
-                Ok(self.peeled_build(ParallelSource::Shared { op }, schema, builds, open_seq))
+                Ok(leaf((ParallelSource::Shared { op }, schema), builds, open_seq))
             }
-        }
-    }
-
-    /// Stamp a build-side source with its open tranche and order.
-    fn peeled_build(
-        &self,
-        source: ParallelSource,
-        schema: Schema,
-        builds: &[BuildSpec],
-        open_seq: &mut usize,
-    ) -> PeeledBuild {
-        let open_order = *open_seq;
-        *open_seq += 1;
-        PeeledBuild {
-            source,
-            stages: Vec::new(),
-            schema,
-            mem_bytes: self.mem_bytes(),
-            open_at: builds.len(),
-            open_order,
         }
     }
 

@@ -101,6 +101,20 @@ impl Schema {
         Ok(())
     }
 
+    /// Keep the columns at `cols`, in that order (projection outputs).
+    pub fn project(&self, cols: &[usize]) -> Result<Schema> {
+        let kept = cols
+            .iter()
+            .map(|&c| {
+                self.columns
+                    .get(c)
+                    .cloned()
+                    .ok_or_else(|| Error::schema(format!("project column {c} out of range")))
+            })
+            .collect::<Result<Vec<_>>>()?;
+        Schema::new(kept)
+    }
+
     /// Concatenate two schemas (for join outputs). Duplicate names on the
     /// right side get a `_r` suffix, as a pragmatic disambiguation.
     pub fn join(&self, right: &Schema) -> Schema {
@@ -171,6 +185,16 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert_eq!(s.column(2).name, "id_r");
         assert_eq!(s.column(3).name, "name_r");
+    }
+
+    #[test]
+    fn project_reorders_and_rejects_bad_ordinals() {
+        let s = two_col().project(&[1, 0]).unwrap();
+        assert_eq!((s.column(0).name.as_str(), s.column(1).name.as_str()), ("name", "id"));
+        let err = two_col().project(&[0, 2]).unwrap_err();
+        assert!(err.to_string().contains("project column 2 out of range"), "{err}");
+        // Projecting a column twice is a duplicate name, as in `new`.
+        assert!(two_col().project(&[0, 0]).unwrap_err().to_string().contains("duplicate"));
     }
 
     #[test]
