@@ -2,7 +2,7 @@
 # Unwrap lint for the fault-isolation surface: in the scheduler, the
 # parallel pipeline, the hash-table kernel with the join and aggregate
 # operators on it, the operator protocol with the scan, filter and sort
-# operators, the spill codec, and the planner's `Database` facade that
+# operators, the sorter, the spill codec, and the planner's `Database` facade that
 # lowers plans onto them, every `.unwrap()` / `.expect(`
 # outside `#[cfg(test)]` must either be replaced with a typed error or
 # sit within $WINDOW lines of an `// invariant:` comment stating why it
@@ -22,6 +22,7 @@ for f in \
     crates/executor/src/scan.rs \
     crates/executor/src/filter.rs \
     crates/executor/src/sort.rs \
+    crates/executor/src/extsort.rs \
     crates/executor/src/spill.rs \
     crates/planner/src/db.rs \
     crates/types/src/spill.rs; do

@@ -206,8 +206,8 @@ pub enum SinkSpec {
         merge_exact: bool,
     },
     /// Ordered-scan terminal: workers stream morsels to the sink in
-    /// morsel order (exactly like `Collect`) and one final
-    /// `sort_rows_charged` pass — the identical charge
+    /// morsel order (exactly like `Collect`) and one final pass of
+    /// them through the [`crate::ExternalSorter`] — the identical charge
     /// the serial [`crate::Sort`] operator above a full scan makes —
     /// restores global key order as the query's serial suffix
     /// ([`ScalingLedger::suffix_ns`] in the model). This is what lets

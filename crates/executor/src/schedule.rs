@@ -116,6 +116,7 @@ use smooth_storage::{tap_mark, ClockSnapshot, FileId, InjectedPanic, ScanStatist
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
 use crate::expr::Predicate;
+use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable};
 use crate::parallel::{
     open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec, HeapDecoder,
@@ -128,19 +129,16 @@ use crate::{AggFunc, JoinType};
 /// A completed query: its result plus the per-query scan statistics
 /// accumulated from the worker-side tap deltas.
 ///
-/// Collect and aggregate sinks stay *columnar* — the ordered morsels
-/// (or the one finished group batch) land in `batches` and no `Row`
-/// materializes inside the scheduler; sort sinks produce `rows` (their
-/// suffix is a charged row sort). At most one of the two is non-empty.
-/// Call [`QueryOutput::into_rows`] to materialize at the user-facing
-/// boundary.
+/// Every sink stays *columnar* — the ordered morsels, the one finished
+/// group batch or the sorted morsels land in `batches` and no `Row`
+/// materializes inside the scheduler. Call [`QueryOutput::into_rows`]
+/// to materialize at the user-facing boundary.
 #[derive(Debug)]
 pub struct QueryOutput {
     /// Columnar result batches (Collect sinks in serial morsel order;
-    /// aggregate sinks as one batch in first-seen group order).
+    /// aggregate sinks as one batch in first-seen group order; sort
+    /// sinks in key order, byte-identical to the serial `Sort`'s).
     pub batches: Vec<ColumnBatch>,
-    /// Row results (sort sinks), byte-identical to the serial driver's.
-    pub rows: Vec<Row>,
     /// Per-query scan/flow counters (`rows_total` is stamped by the
     /// planner, which knows catalog cardinalities).
     pub stats: ScanStatistics,
@@ -149,7 +147,7 @@ pub struct QueryOutput {
 impl QueryOutput {
     /// Total result rows without materializing anything.
     pub fn len(&self) -> usize {
-        self.batches.iter().map(ColumnBatch::len).sum::<usize>() + self.rows.len()
+        self.batches.iter().map(ColumnBatch::len).sum()
     }
 
     /// `true` when the query produced no rows.
@@ -160,14 +158,7 @@ impl QueryOutput {
     /// Materialize the result as rows — the row boundary for callers
     /// that want the classic `Vec<Row>`.
     pub fn into_rows(self) -> Vec<Row> {
-        let mut rows: Vec<Row> =
-            self.batches.into_iter().flat_map(ColumnBatch::into_rows).collect();
-        let mut tail = self.rows;
-        if rows.is_empty() {
-            return tail;
-        }
-        rows.append(&mut tail);
-        rows
+        self.batches.into_iter().flat_map(ColumnBatch::into_rows).collect()
     }
 }
 
@@ -302,7 +293,7 @@ enum SinkKind {
         aggs: Vec<AggFunc>,
         exact: bool,
     },
-    /// Ordered scan: rows buffer in morsel (= serial scan) order, then
+    /// Ordered scan: morsels buffer in serial scan order, then
     /// one charged sort pass at completion — the parallel plan's
     /// serial suffix, byte-identical to the serial `Sort` operator.
     Sort {
@@ -313,13 +304,12 @@ enum SinkKind {
 
 /// Order-preserving sink state: morsels buffer in a seq-keyed map and
 /// fold in sequence order, exactly as the serial driver emits them.
-/// Collect sinks fold into `batches` (columnar end to end); sort sinks
-/// fold into `rows` (their suffix is a charged row sort).
+/// Collect and sort sinks fold into `batches` (the sort's charged pass
+/// over them is the query's suffix).
 struct SinkState {
     pending: BTreeMap<u64, ColumnBatch>,
     next: u64,
     batches: Vec<ColumnBatch>,
-    rows: Vec<Row>,
     /// The in-order aggregation fold (non-exact merges only).
     ordered_agg: Option<PartialAgg>,
 }
@@ -469,7 +459,6 @@ impl ActiveQuery {
                 pending: BTreeMap::new(),
                 next: 0,
                 batches: Vec::new(),
-                rows: Vec::new(),
                 ordered_agg,
             }),
             agg_slots: Mutex::new(Vec::new()),
@@ -588,15 +577,13 @@ impl ActiveQuery {
                 self.trace_since(mark, |l, ns| l.proc_ns.push(ns));
                 // The ordered sink is a serialized section of its own.
                 let mark = self.trace_mark();
-                let collect = matches!(self.sink_kind, SinkKind::Collect);
                 let mut sink = lock(&self.sink);
                 sink.pending.insert(seq, batch);
-                let SinkState { pending, next, batches, rows, ordered_agg } = &mut *sink;
+                let SinkState { pending, next, batches, ordered_agg } = &mut *sink;
                 while let Some(m) = pending.remove(next) {
                     match ordered_agg.as_mut() {
                         Some(agg) => agg.update(&self.storage, *next, &m)?,
-                        None if collect => batches.push(m),
-                        None => rows.extend(m.into_rows()),
+                        None => batches.push(m),
                     }
                     *next += 1;
                 }
@@ -1255,14 +1242,14 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
         complete_err(q, core);
         return;
     }
+    let take_batches = || {
+        let mut sink = lock(&q.sink);
+        debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
+        std::mem::take(&mut sink.batches)
+    };
     let mut batches = Vec::new();
-    let rows = match &q.sink_kind {
-        SinkKind::Collect => {
-            let mut sink = lock(&q.sink);
-            debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
-            batches = std::mem::take(&mut sink.batches);
-            Vec::new()
-        }
+    match &q.sink_kind {
+        SinkKind::Collect => batches = take_batches(),
         SinkKind::Agg { group_cols, aggs, exact } => {
             let merged = if *exact {
                 let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
@@ -1288,27 +1275,26 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
                 Ok(batch) => batches.extend((!batch.is_empty()).then_some(batch)),
                 Err(e) => q.record_err(u64::MAX, e),
             }
-            Vec::new()
         }
         SinkKind::Sort { keys, mem_bytes } => {
-            // The buffered rows are in morsel = serial scan order, so
-            // this one stable sort pass produces — and charges —
+            // The buffered morsels are in serial scan order, so this
+            // one pass through the sorter produces — and charges —
             // exactly what the serial `Sort` operator does. It can
             // spill under a budget, so it can still fail the query.
-            let mut rows = {
-                let mut sink = lock(&q.sink);
-                debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
-                std::mem::take(&mut sink.rows)
-            };
+            let morsels = take_batches();
             let suffix = q.trace_mark();
             let mark = tap_mark();
-            let sorted = crate::sort::sort_rows_charged(&q.storage, &mut rows, keys, *mem_bytes);
+            let mut sorter = ExternalSorter::new(q.storage.clone(), keys.clone(), *mem_bytes);
+            let sorted = morsels
+                .into_iter()
+                .try_for_each(|m| sorter.push_batch(&m))
+                .and_then(|()| sorter.finish());
             lock(&q.stats).merge(&mark.delta());
             q.trace_since(suffix, |l, ns| l.suffix_ns = ns);
-            if let Err(e) = sorted {
-                q.record_err(u64::MAX, e);
+            match sorted {
+                Ok(sorted) => batches = sorted,
+                Err(e) => q.record_err(u64::MAX, e),
             }
-            rows
         }
     };
     if q.failed.load(Ordering::Acquire) {
@@ -1317,7 +1303,7 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
     }
     let mut stats = *lock(&q.stats);
     stats.lock_wait_ns = stats.lock_wait_ns.saturating_add(q.lock_wait_ns.load(Ordering::Relaxed));
-    finish(q, core, Ok(QueryOutput { batches, rows, stats }));
+    finish(q, core, Ok(QueryOutput { batches, stats }));
 }
 
 /// Finish a failed query with its first (lowest-seq) error, releasing
@@ -1335,7 +1321,6 @@ fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
         let mut sink = lock(&q.sink);
         sink.pending.clear();
         sink.batches.clear();
-        sink.rows.clear();
         sink.ordered_agg = None;
     }
     if let Some((parked, _)) = lock(&q.parked_probe).take() {
@@ -1444,7 +1429,6 @@ mod tests {
             .collect();
         for (handle, &(lo, hi)) in handles.into_iter().zip(&ranges) {
             let out = handle.wait().unwrap();
-            assert!(out.rows.is_empty(), "collect sink output stays columnar");
             assert!(out.stats.rows_scanned >= out.stats.rows_processed);
             assert_eq!(out.stats.rows_processed, out.len() as u64);
             assert!(out.stats.morsels > 0);

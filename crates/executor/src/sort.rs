@@ -4,15 +4,20 @@
 //! top of Full Scan or Sort Scan place this operator above the access path
 //! — the posterior-sorting overhead that Smooth Scan avoids in Fig. 5a.
 //!
-//! With a memory budget set ([`Sort::with_mem_budget`] /
-//! `SMOOTH_MEM_BYTES`), the sort runs through the external merge sort in
-//! [`crate::extsort`]: sorted runs cut at the budget boundary spill to
-//! charged overflow files and k-way-merge back, emitting exactly the
-//! rows — in exactly the order — the unbudgeted in-memory sort emits.
+//! The operator is columnar from ingest to emit: `open` feeds the child's
+//! morsels to the [`ExternalSorter`] in [`crate::extsort`] — a permutation
+//! sort over the typed key columns, with no budget or under one
+//! ([`Sort::with_mem_budget`] / `SMOOTH_MEM_BYTES`), in which case sorted
+//! runs cut at the budget boundary spill to charged overflow files and
+//! tournament-merge back — and keeps the sorted morsels it returns.
+//! [`Operator::next_columns`] hands those morsels on; [`Operator::next`]
+//! (the Volcano protocol, and what `MergeJoin` pulls) reads rows off the
+//! same morsels. The rows, their order and every clock charge are the
+//! same at every budget.
 
 use std::cmp::Ordering;
 
-use smooth_types::{Result, Row, Schema};
+use smooth_types::{ColumnBatch, ColumnBuffer, Result, Row, Schema};
 
 use crate::extsort::ExternalSorter;
 use crate::operator::{batch_size, BoxedOperator, Operator};
@@ -39,9 +44,11 @@ impl SortKey {
 }
 
 /// Lexicographic row comparison under `keys` ([`Value::total_cmp`] per
-/// column, descending keys reversed) — the one ordering the in-memory
-/// sort, the external runs and the k-way merge all share.
-pub(crate) fn compare_rows(a: &Row, b: &Row, keys: &[SortKey]) -> Ordering {
+/// column, descending keys reversed): the ordering the columnar sorter
+/// must reproduce, kept as the reference its tests sort rows by.
+///
+/// [`Value::total_cmp`]: smooth_types::Value::total_cmp
+pub fn compare_rows(a: &Row, b: &Row, keys: &[SortKey]) -> Ordering {
     for k in keys {
         let ord = a.get(k.column).total_cmp(b.get(k.column));
         let ord = if k.ascending { ord } else { ord.reverse() };
@@ -52,36 +59,6 @@ pub(crate) fn compare_rows(a: &Row, b: &Row, keys: &[SortKey]) -> Ordering {
     Ordering::Equal
 }
 
-/// Sort `rows` by `keys` with the operator's exact clock charges: under
-/// a memory budget the rows stream through the external merge sort
-/// (spilled runs charge overflow I/O); otherwise the in-memory path
-/// charges the closed-form `sort_cmp_ns · n · log2(n)` comparison cost
-/// and sorts stably. This is the one sort-with-accounting routine —
-/// [`Sort::open`] and the parallel ordered-scan sink
-/// ([`crate::SinkSpec::Sort`]) both call it, so their charges are
-/// byte-identical by construction.
-pub(crate) fn sort_rows_charged(
-    storage: &smooth_storage::Storage,
-    rows: &mut Vec<Row>,
-    keys: &[SortKey],
-    mem_bytes: usize,
-) -> Result<()> {
-    if mem_bytes > 0 {
-        let mut sorter = ExternalSorter::new(storage.clone(), keys.to_vec(), mem_bytes);
-        for row in rows.drain(..) {
-            sorter.push(row)?;
-        }
-        *rows = sorter.finish()?;
-    } else {
-        let n = rows.len() as u64;
-        if n > 1 {
-            storage.clock().charge_cpu(storage.cpu().sort_cmp_ns * n * n.ilog2() as u64);
-        }
-        rows.sort_by(|a, b| compare_rows(a, b, keys));
-    }
-    Ok(())
-}
-
 /// Blocking sort operator.
 pub struct Sort {
     child: BoxedOperator,
@@ -90,7 +67,10 @@ pub struct Sort {
     /// Operator memory budget in bytes (0 = unlimited): beyond it the
     /// sort goes external ([`crate::extsort`]).
     mem_bytes: usize,
-    sorted: Option<std::vec::IntoIter<Row>>,
+    /// Sorted morsels not yet handed to `out`.
+    sorted: std::vec::IntoIter<ColumnBatch>,
+    /// The morsel being emitted; both protocols drain this one FIFO.
+    out: ColumnBuffer,
 }
 
 impl Sort {
@@ -99,7 +79,8 @@ impl Sort {
     /// knob.
     pub fn new(child: BoxedOperator, storage: smooth_storage::Storage, keys: Vec<SortKey>) -> Self {
         let mem_bytes = crate::spill::mem_budget_bytes();
-        Sort { child, keys, storage, mem_bytes, sorted: None }
+        let out = ColumnBuffer::for_schema(child.schema());
+        Sort { child, keys, storage, mem_bytes, sorted: Vec::new().into_iter(), out }
     }
 
     /// Builder: override the operator memory budget (0 = unlimited).
@@ -116,40 +97,45 @@ impl Operator for Sort {
 
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
-        let rows = if self.mem_bytes > 0 {
-            // Budgeted: stream through the external sorter, which cuts
-            // (and charges) a spilled run whenever the working set
-            // crosses the budget — batches never all materialize at
-            // once. When nothing ever spills its charges are exactly
-            // the in-memory path's.
-            let mut sorter =
-                ExternalSorter::new(self.storage.clone(), self.keys.clone(), self.mem_bytes);
-            while let Some(batch) = self.child.next_columns(batch_size())? {
-                for row in batch.into_rows() {
-                    sorter.push(row)?;
-                }
-            }
-            self.child.close()?;
-            sorter.finish()?
-        } else {
-            let mut rows = Vec::new();
-            while let Some(batch) = self.child.next_columns(batch_size())? {
-                rows.extend(batch.into_rows());
-            }
-            self.child.close()?;
-            sort_rows_charged(&self.storage, &mut rows, &self.keys, 0)?;
-            rows
-        };
-        self.sorted = Some(rows.into_iter());
+        // Morsels stream into the sorter, which under a budget cuts
+        // (and charges) a spilled run whenever the working set crosses
+        // it — the input never all materializes at once. When nothing
+        // spills the charges are exactly the unbudgeted sort's.
+        let mut sorter =
+            ExternalSorter::new(self.storage.clone(), self.keys.clone(), self.mem_bytes);
+        while let Some(batch) = self.child.next_columns(batch_size())? {
+            sorter.push_batch(&batch)?;
+        }
+        self.child.close()?;
+        self.sorted = sorter.finish()?.into_iter();
+        self.out.reset();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self.sorted.as_mut().and_then(|it| it.next()))
+        if self.out.is_drained() {
+            if let Some(morsel) = self.sorted.next() {
+                *self.out.fill() = morsel;
+            }
+        }
+        Ok(self.out.pop_row())
+    }
+
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        if self.out.is_drained() {
+            match self.sorted.next() {
+                // A whole sorted morsel leaves as it is.
+                Some(morsel) if morsel.len() <= max => return Ok(Some(morsel)),
+                Some(morsel) => *self.out.fill() = morsel,
+                None => return Ok(None),
+            }
+        }
+        Ok(self.out.pop_columns(max.max(1)))
     }
 
     fn close(&mut self) -> Result<()> {
-        self.sorted = None;
+        self.sorted = Vec::new().into_iter();
+        self.out.reset();
         Ok(())
     }
 
@@ -223,5 +209,24 @@ mod tests {
     fn empty_input() {
         let mut s = Sort::new(input(vec![]), storage(), vec![SortKey::asc(0)]);
         assert!(collect_rows(&mut s).unwrap().is_empty());
+    }
+
+    #[test]
+    fn protocols_interleave_on_the_sorted_stream() {
+        let rows: Vec<(i64, i64)> = (0..3000).map(|i| ((i * 7919) % 3000, i)).collect();
+        let mut s = Sort::new(input(rows), storage(), vec![SortKey::asc(0)]);
+        s.open().unwrap();
+        let mut seen = vec![s.next().unwrap().unwrap()];
+        seen.extend(s.next_columns(10).unwrap().unwrap().into_rows());
+        seen.push(s.next().unwrap().unwrap());
+        while let Some(b) = s.next_columns(batch_size()).unwrap() {
+            assert!(!b.is_empty() && b.len() <= batch_size());
+            seen.extend(b.into_rows());
+        }
+        s.close().unwrap();
+        assert_eq!(
+            seen.iter().map(|r| r.int(0).unwrap()).collect::<Vec<_>>(),
+            (0..3000).collect::<Vec<i64>>()
+        );
     }
 }

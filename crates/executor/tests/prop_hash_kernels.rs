@@ -15,13 +15,16 @@
 
 use std::collections::HashMap;
 
+mod common;
+
+use common::{Morsel, Replay};
 use proptest::prelude::*;
 use smooth_executor::{
     collect_rows, collect_rows_volcano, AggFunc, HashAggregate, JoinBuildPartial, JoinBuildTable,
-    JoinType, KeyTable, Operator,
+    JoinType, KeyTable,
 };
 use smooth_storage::Storage;
-use smooth_types::{Column, ColumnBatch, ColumnVector, DataType, Result, Row, Schema, Value};
+use smooth_types::{Column, ColumnBatch, ColumnVector, DataType, Row, Schema, Value};
 
 /// A value under the kernel's equality: floats by bit pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -73,32 +76,6 @@ fn key_type() -> impl Strategy<Value = DataType> {
     prop_oneof![Just(DataType::Int64), Just(DataType::Float64), Just(DataType::Text)]
 }
 
-/// One morsel: rows plus an optional selection vector (distinct
-/// physical indices, arbitrary order).
-#[derive(Debug, Clone)]
-struct Morsel {
-    rows: Vec<Row>,
-    selection: Option<Vec<u32>>,
-}
-
-impl Morsel {
-    fn batch(&self, schema: &Schema) -> ColumnBatch {
-        let mut batch = ColumnBatch::from_rows(schema, &self.rows).unwrap();
-        if let Some(sel) = &self.selection {
-            batch.set_selection(sel.clone());
-        }
-        batch
-    }
-
-    /// The live rows, in emission order.
-    fn live(&self) -> Vec<Row> {
-        match &self.selection {
-            Some(sel) => sel.iter().map(|&i| self.rows[i as usize].clone()).collect(),
-            None => self.rows.clone(),
-        }
-    }
-}
-
 /// Morsels of rows `keys ++ [v: Int?, f: Float?]` for the given key
 /// column types.
 fn morsels(key_types: Vec<DataType>, max_rows: usize) -> impl Strategy<Value = Vec<Morsel>> {
@@ -115,20 +92,7 @@ fn morsels(key_types: Vec<DataType>, max_rows: usize) -> impl Strategy<Value = V
             Row::new(keys)
         });
     let morsel = (proptest::collection::vec(row, 0..max_rows), any::<bool>(), any::<u64>())
-        .prop_map(|(rows, selected, seed)| {
-            // A selection keeps a seed-chosen subset, in rotated order.
-            let selection = selected.then(|| {
-                let n = rows.len() as u64;
-                let mut sel: Vec<u32> =
-                    (0..n).filter(|i| (seed >> (i % 61)) & 1 == 1).map(|i| i as u32).collect();
-                if !sel.is_empty() {
-                    let by = (seed % sel.len() as u64) as usize;
-                    sel.rotate_left(by);
-                }
-                sel
-            });
-            Morsel { rows, selection }
-        });
+        .prop_map(|(rows, selected, seed)| Morsel::new(rows, selected, seed));
     proptest::collection::vec(morsel, 0..4)
 }
 
@@ -141,61 +105,6 @@ fn schema_for(key_types: &[DataType]) -> Schema {
     cols.push(Column::nullable("v", DataType::Int64));
     cols.push(Column::nullable("f", DataType::Float64));
     Schema::new(cols).unwrap()
-}
-
-/// An operator replaying prepared morsels, selection vectors included.
-struct Replay {
-    schema: Schema,
-    morsels: Vec<Morsel>,
-    at: usize,
-    rows: std::vec::IntoIter<Row>,
-}
-
-impl Replay {
-    fn new(schema: Schema, morsels: Vec<Morsel>) -> Self {
-        Replay { schema, morsels, at: 0, rows: Vec::new().into_iter() }
-    }
-}
-
-impl Operator for Replay {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.at = 0;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.rows.next() {
-                return Ok(Some(row));
-            }
-            let Some(m) = self.morsels.get(self.at) else { return Ok(None) };
-            self.rows = m.live().into_iter();
-            self.at += 1;
-        }
-    }
-
-    fn next_columns(&mut self, _max: usize) -> Result<Option<ColumnBatch>> {
-        while let Some(m) = self.morsels.get(self.at) {
-            self.at += 1;
-            let batch = m.batch(&self.schema);
-            if !batch.is_empty() {
-                return Ok(Some(batch));
-            }
-        }
-        Ok(None)
-    }
-
-    fn close(&mut self) -> Result<()> {
-        Ok(())
-    }
-
-    fn label(&self) -> String {
-        "Replay".into()
-    }
 }
 
 fn float_of(v: &Value) -> Option<f64> {

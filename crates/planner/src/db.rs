@@ -92,19 +92,19 @@ pub struct QueryResult {
 }
 
 /// A query's *columnar* result plus its measurements — the
-/// late-materialization twin of [`QueryResult`]. Pipeline-shaped output
-/// (scans, filters, projections, joins) arrives as [`ColumnBatch`]es in
-/// serial morsel order; aggregate/sort sinks, which fold to rows by
-/// nature, arrive in `rows`. Exactly one of the two is non-empty for a
-/// non-empty result. Callers that want `Row`s call
-/// [`BatchResult::into_rows`] (or use [`Database::run`], which does it
-/// for them) — that conversion is the only place result tuples
-/// materialize.
+/// late-materialization twin of [`QueryResult`]. Every plan's output —
+/// scans, filters, projections, joins, aggregates and sorts alike —
+/// arrives as [`ColumnBatch`]es in result order. Callers that want
+/// `Row`s call [`BatchResult::into_rows`] (or use [`Database::run`],
+/// which does it for them) — that conversion is the only place result
+/// tuples materialize.
 #[derive(Debug)]
 pub struct BatchResult {
-    /// Columnar result batches, in serial morsel order.
+    /// Columnar result batches, in result order.
     pub batches: Vec<ColumnBatch>,
-    /// Row results from aggregate / sort sinks.
+    /// Always empty: no sink produces rows any more. The field is still
+    /// here because `benchmark/`, which may not change in the same PR as
+    /// the engine, iterates it; it goes with that package's next PR.
     pub rows: Vec<Row>,
     /// Engine-counter deltas around the run (see [`QueryResult::stats`]).
     pub stats: RunStats,
@@ -113,9 +113,9 @@ pub struct BatchResult {
 }
 
 impl BatchResult {
-    /// Total result rows across batches and folded rows.
+    /// Total result rows.
     pub fn len(&self) -> usize {
-        self.batches.iter().map(ColumnBatch::len).sum::<usize>() + self.rows.len()
+        self.batches.iter().map(ColumnBatch::len).sum()
     }
 
     /// True when the result has no rows.
@@ -126,11 +126,7 @@ impl BatchResult {
     /// Materialize every result tuple as a [`Row`] — the user-facing
     /// boundary where zero-copy text views become owned strings.
     pub fn into_rows(self) -> Vec<Row> {
-        let mut rows: Vec<Row> =
-            self.batches.into_iter().flat_map(ColumnBatch::into_rows).collect();
-        let mut tail = self.rows;
-        rows.append(&mut tail);
-        rows
+        self.batches.into_iter().flat_map(ColumnBatch::into_rows).collect()
     }
 
     /// Materialize into the row-carrying [`QueryResult`].
@@ -929,7 +925,7 @@ impl Database {
             clock: self.storage.clock().snapshot().since(&clock0),
             io: self.storage.io_snapshot().since(&io0),
         };
-        Ok(BatchResult { batches: out.batches, rows: out.rows, stats, scan: out.stats })
+        Ok(BatchResult { batches: out.batches, rows: Vec::new(), stats, scan: out.stats })
     }
 
     /// Cold-run an already-built operator (used when the caller needs to

@@ -169,9 +169,16 @@ impl TextColumn {
     /// (amortized — no per-value allocation).
     #[inline]
     pub fn push_owned(&mut self, s: &str) {
+        self.push_arena(s.as_bytes());
+    }
+
+    /// Append `bytes` (validated UTF-8 — a `&str`'s or another span's)
+    /// to the arena as one owned slot.
+    #[inline]
+    fn push_arena(&mut self, bytes: &[u8]) {
         let off = self.arena.len();
-        self.arena.extend_from_slice(s.as_bytes());
-        self.spans.push(TextSpan { buf: ARENA_SPAN, off, len: s.len() });
+        self.arena.extend_from_slice(bytes);
+        self.spans.push(TextSpan { buf: ARENA_SPAN, off, len: bytes.len() });
     }
 
     /// Append a zero-copy view of `s`, which must be a slice of
@@ -207,9 +214,7 @@ impl TextColumn {
     pub fn push_from(&mut self, src: &TextColumn, idx: usize) {
         let sp = src.spans[idx];
         if sp.buf == ARENA_SPAN {
-            let off = self.arena.len();
-            self.arena.extend_from_slice(&src.arena[sp.off..sp.off + sp.len]);
-            self.spans.push(TextSpan { buf: ARENA_SPAN, off, len: sp.len });
+            self.push_arena(&src.arena[sp.off..sp.off + sp.len]);
         } else {
             let backing = &src.bufs[sp.buf as usize];
             let buf = match self.bufs.last() {
@@ -630,6 +635,13 @@ impl ColumnVector {
     /// payload, so payload and mask gather independently. Typing must
     /// match.
     pub fn extend_gather(&mut self, src: &ColumnVector, idx: &[u32]) {
+        self.gather(src, idx, false);
+    }
+
+    /// [`ColumnVector::extend_gather`]; with `own_text`, every text
+    /// value's bytes copy into this vector's arena — views included — so
+    /// the destination pins none of `src`'s backing buffers.
+    fn gather(&mut self, src: &ColumnVector, idx: &[u32], own_text: bool) {
         self.nulls.extend(idx.iter().map(|&i| src.nulls[i as usize]));
         match (&mut self.values, &src.values) {
             (ColumnValues::Int(dst), ColumnValues::Int(s)) => {
@@ -640,11 +652,36 @@ impl ColumnVector {
             }
             (ColumnValues::Str(dst), ColumnValues::Str(s)) => {
                 dst.spans.reserve(idx.len());
+                let copied = |sp: &TextSpan| own_text || sp.buf == ARENA_SPAN;
+                let spans = idx.iter().map(|&i| &s.spans[i as usize]);
+                dst.arena.reserve(spans.filter(|sp| copied(sp)).map(|sp| sp.len).sum());
                 for &i in idx {
-                    dst.push_from(s, i as usize);
+                    if own_text {
+                        dst.push_arena(s.bytes_at(i as usize));
+                    } else {
+                        dst.push_from(s, i as usize);
+                    }
                 }
             }
             _ => unreachable!("gather between column vectors of different typing"),
+        }
+    }
+
+    /// Order `self[i]` against `other[j]` exactly as [`Value::total_cmp`]
+    /// orders the two slots' values — NULL first, `i64::cmp`,
+    /// `f64::total_cmp`, text byte-wise — without materializing a
+    /// `Value`. This is the sort comparator, read straight off the typed
+    /// key vectors.
+    #[inline]
+    pub fn slot_cmp(&self, i: usize, other: &ColumnVector, j: usize) -> std::cmp::Ordering {
+        if self.nulls[i] || other.nulls[j] {
+            return other.nulls[j].cmp(&self.nulls[i]);
+        }
+        match (&self.values, &other.values) {
+            (ColumnValues::Int(a), ColumnValues::Int(b)) => a[i].cmp(&b[j]),
+            (ColumnValues::Float(a), ColumnValues::Float(b)) => a[i].total_cmp(&b[j]),
+            (ColumnValues::Str(a), ColumnValues::Str(b)) => a.bytes_at(i).cmp(b.bytes_at(j)),
+            _ => self.value(i).total_cmp(&other.value(j)),
         }
     }
 
@@ -710,8 +747,8 @@ impl ColumnVector {
 /// A column-major batch: one [`ColumnVector`] per output column, a
 /// physical row count, and an optional selection vector naming the live
 /// rows (in emission order). Without a selection vector every physical
-/// row is live.
-#[derive(Debug, Clone, PartialEq)]
+/// row is live. The default batch has no columns (and so no rows).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ColumnBatch {
     columns: Vec<ColumnVector>,
     rows: usize,
@@ -730,22 +767,27 @@ impl ColumnBatch {
 
     /// An empty batch with the same column typing as `other`.
     pub fn like(other: &ColumnBatch) -> Self {
-        ColumnBatch {
-            columns: other
-                .columns
-                .iter()
-                .map(|c| ColumnVector {
-                    values: match &c.values {
-                        ColumnValues::Int(_) => ColumnValues::Int(Vec::new()),
-                        ColumnValues::Float(_) => ColumnValues::Float(Vec::new()),
-                        ColumnValues::Str(_) => ColumnValues::Str(TextColumn::default()),
-                    },
-                    nulls: Vec::new(),
-                })
-                .collect(),
-            rows: 0,
-            selection: None,
-        }
+        other.empty_like(false)
+    }
+
+    /// An empty batch typed like `self`; when `sized`, with room for as
+    /// many rows (and arena bytes) as `self` holds — what a buffer that
+    /// gave its batch away refills without regrowing.
+    fn empty_like(&self, sized: bool) -> Self {
+        let columns = self.columns.iter().map(|c| {
+            let n = if sized { c.nulls.len() } else { 0 };
+            let values = match &c.values {
+                ColumnValues::Int(_) => ColumnValues::Int(Vec::with_capacity(n)),
+                ColumnValues::Float(_) => ColumnValues::Float(Vec::with_capacity(n)),
+                ColumnValues::Str(t) => ColumnValues::Str(TextColumn {
+                    bufs: Vec::new(),
+                    arena: Vec::with_capacity(if sized { t.arena.len() } else { 0 }),
+                    spans: Vec::with_capacity(n),
+                }),
+            };
+            ColumnVector { values, nulls: Vec::with_capacity(n) }
+        });
+        ColumnBatch { columns: columns.collect(), rows: 0, selection: None }
     }
 
     /// Assemble a dense batch from finished column vectors, which must
@@ -1025,10 +1067,22 @@ impl ColumnBatch {
     /// [`ColumnBatch::append_dense`] for batches that carry a selection
     /// vector or need null-key skips.
     pub fn append_gather(&mut self, src: &ColumnBatch, idx: &[u32]) {
+        self.gather(src, idx, false);
+    }
+
+    /// [`ColumnBatch::append_gather`], except that the appended rows own
+    /// their text bytes — views copy into the arena too — so `src`'s
+    /// page buffers can be released. Blocking operators that hold rows
+    /// past the morsel (the sort) ingest this way.
+    pub fn append_gather_owned(&mut self, src: &ColumnBatch, idx: &[u32]) {
+        self.gather(src, idx, true);
+    }
+
+    fn gather(&mut self, src: &ColumnBatch, idx: &[u32], own_text: bool) {
         debug_assert!(self.selection.is_none(), "append under a selection vector");
         debug_assert_eq!(self.columns.len(), src.columns.len());
         for (dst, s) in self.columns.iter_mut().zip(&src.columns) {
-            dst.extend_gather(s, idx);
+            dst.gather(s, idx, own_text);
         }
         self.rows += idx.len();
     }
@@ -1131,11 +1185,18 @@ impl ColumnBuffer {
         Some(row)
     }
 
-    /// Emit up to `max` rows as a columnar morsel. The buffer keeps its
-    /// vector capacity across morsels (see [`ColumnBatch::extract_range`]).
+    /// Emit up to `max` rows as a columnar morsel. A request covering
+    /// the whole undrained buffer hands the batch itself over (no copy),
+    /// leaving an empty one of the same capacity behind; a partial one
+    /// copies its range out and the buffer keeps its vectors (see
+    /// [`ColumnBatch::extract_range`]).
     pub fn pop_columns(&mut self, max: usize) -> Option<ColumnBatch> {
         if self.is_drained() {
             return None;
+        }
+        if self.pos == 0 && max >= self.batch.physical_rows() {
+            let fresh = self.batch.empty_like(true);
+            return Some(std::mem::replace(&mut self.batch, fresh));
         }
         let end = (self.pos + max).min(self.batch.physical_rows());
         let out = self.batch.extract_range(self.pos, end);
@@ -1318,6 +1379,86 @@ mod tests {
         // refill after drain reuses the buffer
         buf.fill().push_row(&rows()[0]).unwrap();
         assert_eq!(buf.pop_columns(8).unwrap().into_rows(), vec![rows()[0].clone()]);
+    }
+
+    #[test]
+    fn pop_columns_hands_over_a_whole_buffer_and_stays_reusable() {
+        let s = schema();
+        let filled = || {
+            let mut buf = ColumnBuffer::for_schema(&s);
+            rows().iter().for_each(|r| buf.fill().push_row(r).unwrap());
+            buf
+        };
+        // Fast path: the request covers the undrained buffer. Slow
+        // path: the same rows leave as two range copies.
+        let mut fast = filled();
+        let whole = fast.pop_columns(3).unwrap();
+        let mut slow = filled();
+        let mut pieces = slow.pop_columns(2).unwrap();
+        pieces.append_dense(slow.pop_columns(2).unwrap());
+        assert_eq!(whole, pieces);
+        assert_eq!(whole.into_rows(), rows());
+        for buf in [&mut fast, &mut slow] {
+            assert!(buf.is_drained() && buf.pop_columns(8).is_none());
+            buf.fill().push_row(&rows()[2]).unwrap();
+            assert_eq!(buf.pop_row().unwrap(), rows()[2]);
+            buf.fill().push_row(&rows()[1]).unwrap();
+            assert_eq!(buf.pop_columns(1).unwrap().into_rows(), vec![rows()[1].clone()]);
+        }
+    }
+
+    #[test]
+    fn slot_cmp_orders_like_total_cmp() {
+        let s = Schema::new(vec![
+            Column::nullable("i", DataType::Int64),
+            Column::nullable("f", DataType::Float64),
+            Column::nullable("t", DataType::Text),
+        ])
+        .unwrap();
+        let ints = [Value::Null, Value::Int(i64::MIN), Value::Int(-1), Value::Int(7)];
+        let floats = [f64::NAN, -f64::NAN, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY, 1.5];
+        let texts = ["", "a", "ab", "é", "z", "日本"];
+        let rows: Vec<Row> = (0..12)
+            .map(|i| {
+                Row::new(vec![
+                    ints[i % ints.len()].clone(),
+                    if i % 5 == 4 { Value::Null } else { Value::Float(floats[i % floats.len()]) },
+                    if i % 7 == 6 { Value::Null } else { Value::str(texts[i % texts.len()]) },
+                ])
+            })
+            .collect();
+        let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
+        for c in 0..3 {
+            let col = batch.column(c);
+            for i in 0..rows.len() {
+                for j in 0..rows.len() {
+                    assert_eq!(
+                        col.slot_cmp(i, col, j),
+                        rows[i].get(c).total_cmp(rows[j].get(c)),
+                        "column {c}: slot {i} vs {j}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn owned_gather_pins_nothing() {
+        let s = schema();
+        force_text_views(true);
+        let bytes = rows()[0].encode(&s).unwrap();
+        let backing: SharedBytes = Arc::from(bytes.as_slice());
+        let mut viewed = ColumnBatch::for_schema(&s);
+        viewed.push_tuple_backed(&s, &backing, Some(&backing)).unwrap();
+        assert_eq!(Arc::strong_count(&backing), 2, "the decoded batch views the buffer");
+        let (mut shared, mut owned) = (ColumnBatch::for_schema(&s), ColumnBatch::for_schema(&s));
+        shared.append_gather(&viewed, &[0, 0]);
+        owned.append_gather_owned(&viewed, &[0, 0]);
+        assert_eq!(shared, owned);
+        assert_eq!(Arc::strong_count(&backing), 3, "only the sharing gather pins");
+        drop((viewed, shared));
+        assert_eq!(Arc::strong_count(&backing), 1);
+        assert_eq!(owned.into_rows(), vec![rows()[0].clone(); 2]);
     }
 
     #[test]

@@ -128,7 +128,7 @@ pub fn batch_row_len(batch: &ColumnBatch, phys: usize) -> usize {
         } else {
             match col.values() {
                 ColumnValues::Int(_) | ColumnValues::Float(_) => 9,
-                ColumnValues::Str(v) => 5 + v.get(phys).len(),
+                ColumnValues::Str(v) => 5 + v.bytes_at(phys).len(),
             }
         };
     }
@@ -156,10 +156,10 @@ pub fn encode_batch_row(batch: &ColumnBatch, phys: usize, out: &mut Vec<u8>) {
                 out.extend_from_slice(&v[phys].to_bits().to_le_bytes());
             }
             ColumnValues::Str(v) => {
-                let s = v.get(phys);
+                let s = v.bytes_at(phys);
                 out.push(3);
                 out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                out.extend_from_slice(s.as_bytes());
+                out.extend_from_slice(s);
             }
         }
     }

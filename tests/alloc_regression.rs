@@ -1,6 +1,6 @@
 //! Allocation-count regression guards: the zero-copy text-view scan
-//! path, and the hash-table kernel under hash aggregation and hash
-//! join.
+//! path, the hash-table kernel under hash aggregation and hash join,
+//! and the columnar sort.
 //!
 //! A counting [`GlobalAlloc`] wrapper tallies heap allocations while
 //! [`collect_batches`] drains a full scan over a pad-heavy (Text-column
@@ -23,18 +23,32 @@
 //! allocations per *batch* — under one per 64 marginal input rows. A
 //! boxed key per row, or a match list per distinct key, fails it.
 //!
+//! The sort guard drains a [`Sort`] over `(key, text)` batches,
+//! unbudgeted and under a budget that cuts dozens of runs: rows live
+//! in typed vectors and one text arena from ingest to emit, so the
+//! marginal cost is a few allocations per run and per output morsel —
+//! the same one-per-64-rows bound. A `Vec<Value>` or a `String` per
+//! sorted row fails it.
+//!
 //! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
-//! concurrent test pollutes the global counter.
+//! concurrent test pollutes the global counter (or the process-wide
+//! live [`SpillFile`] count and text-view latch the last tests read).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use smooth_executor::sort::SortKey;
 use smooth_executor::{
-    collect_batches, AggFunc, FullTableScan, HashAggregate, HashJoin, JoinType, Operator, Predicate,
+    collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin, JoinType,
+    Operator, Predicate, Sort, SpillFile,
 };
-use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
-use smooth_types::{force_text_views, Column, ColumnBatch, DataType, Result, Row, Schema, Value};
+use smooth_storage::{
+    CpuCosts, DeviceProfile, FaultConfig, HeapFile, HeapLoader, Storage, StorageConfig,
+};
+use smooth_types::{
+    force_text_views, Column, ColumnBatch, DataType, Result, Row, Schema, SharedBytes, Value,
+};
 
 struct CountingAlloc;
 
@@ -143,10 +157,20 @@ struct Prebuilt {
 impl Prebuilt {
     /// `rows` rows of `(i % keys, i)`, in [`BATCH_ROWS`]-row batches.
     fn new(rows: usize, keys: usize) -> Box<Self> {
-        let schema = int_schema(["k", "v"]);
-        let all: Vec<Row> = (0..rows)
-            .map(|i| Row::new(vec![Value::Int((i % keys) as i64), Value::Int(i as i64)]))
-            .collect();
+        Self::of(int_schema(["k", "v"]), rows, keys, |i| Value::Int(i as i64))
+    }
+
+    /// `rows` rows of `(i % keys, "pad-<i>")`.
+    fn with_text(rows: usize, keys: usize) -> Box<Self> {
+        let schema =
+            Schema::new(vec![Column::new("k", DataType::Int64), Column::new("s", DataType::Text)])
+                .unwrap();
+        Self::of(schema, rows, keys, |i| Value::str(format!("pad-{i:08}")))
+    }
+
+    fn of(schema: Schema, rows: usize, keys: usize, v: impl Fn(usize) -> Value) -> Box<Self> {
+        let all: Vec<Row> =
+            (0..rows).map(|i| Row::new(vec![Value::Int((i % keys) as i64), v(i)])).collect();
         let batches: Vec<ColumnBatch> =
             all.chunks(BATCH_ROWS).map(|c| ColumnBatch::from_rows(&schema, c).unwrap()).collect();
         Box::new(Prebuilt { schema, batches: batches.into_iter() })
@@ -234,4 +258,62 @@ fn hash_join_allocations_are_sublinear_in_build_and_probe_rows() {
     };
     run(BATCH_ROWS, BATCH_ROWS); // warm-up
     assert_marginal("hash join", run(10_000, 90_000), run(20_000, 180_000));
+}
+
+#[test]
+fn sort_allocations_are_sublinear_in_rows() {
+    let _serial = serial();
+    let run = |rows: usize, budget: usize| {
+        let child = Prebuilt::with_text(rows, rows / 7 + 1);
+        let mut op = Sort::new(child, storage(), vec![SortKey::asc(0)]).with_mem_budget(budget);
+        let (allocs, out) = allocs_for(&mut op);
+        assert_eq!(out, rows);
+        (allocs, rows)
+    };
+    run(BATCH_ROWS, 0); // warm-up
+    assert_marginal("in-memory sort", run(100_000, 0), run(200_000, 0));
+    // 27 encoded bytes a row: a run every ~2 400 rows, ~40 more at 2N.
+    assert_marginal("external sort", run(100_000, 64 << 10), run(200_000, 64 << 10));
+}
+
+#[test]
+fn run_cut_failing_mid_sort_leaks_no_spill_file() {
+    let _serial = serial();
+    let st = storage();
+    let live = SpillFile::live_count();
+    let mut sorter = ExternalSorter::new(st.clone(), vec![SortKey::asc(0)], 16 << 10);
+    let mut input = Prebuilt::with_text(4 * BATCH_ROWS, 100);
+    sorter.push_batch(&input.next_columns(BATCH_ROWS).unwrap().unwrap()).unwrap();
+    assert!(sorter.run_count() > 0 && SpillFile::live_count() > live, "runs hold their files");
+    st.set_faults(Some(FaultConfig::new(3).spill_err(1.0)));
+    let err = sorter.push_batch(&input.next_columns(BATCH_ROWS).unwrap().unwrap()).unwrap_err();
+    assert!(matches!(err, smooth_types::Error::Faulted { .. }), "{err}");
+    drop(sorter);
+    assert_eq!(SpillFile::live_count(), live);
+}
+
+#[test]
+fn sort_pins_no_page_frame_past_the_morsel() {
+    let _serial = serial();
+    force_text_views(true);
+    let schema = Schema::new(vec![Column::new("s", DataType::Text)]).unwrap();
+    let tuple = Row::new(vec![Value::str("a page-backed string")]).encode(&schema).unwrap();
+    let frame: SharedBytes = Arc::from(tuple.as_slice());
+    for budget in [0, 64] {
+        let morsel = || {
+            let mut batch = ColumnBatch::for_schema(&schema);
+            (0..8).for_each(|_| batch.push_tuple_backed(&schema, &frame, Some(&frame)).unwrap());
+            batch
+        };
+        let morsels = vec![morsel(), morsel(), morsel()];
+        assert_eq!(Arc::strong_count(&frame), 4, "every morsel views the frame");
+        let child = Box::new(Prebuilt { schema: schema.clone(), batches: morsels.into_iter() });
+        let mut sort = Sort::new(child, storage(), vec![SortKey::asc(0)]).with_mem_budget(budget);
+        sort.open().unwrap();
+        // The child's morsels are consumed and gone; the sorted output,
+        // its spilled runs included, owns its text.
+        assert_eq!(Arc::strong_count(&frame), 1, "budget {budget}: after open");
+        assert_eq!(sort.next_columns(BATCH_ROWS).unwrap().unwrap().len(), 24);
+        assert_eq!(Arc::strong_count(&frame), 1, "budget {budget}: after emit");
+    }
 }
