@@ -2,8 +2,10 @@
 # Unwrap lint for the fault-isolation surface: in the scheduler, the
 # parallel pipeline, the hash-table kernel with the join and aggregate
 # operators on it, the operator protocol with the scan, filter and sort
-# operators, the sorter, the spill codec, and the planner's `Database` facade that
-# lowers plans onto them, every `.unwrap()` / `.expect(`
+# operators, the predicate and tuple-layout decode path under them, the
+# sorter, the spill codec, the Smooth Scan operator with its Result
+# Cache, and the planner's `Database` facade that lowers plans onto
+# them, every `.unwrap()` / `.expect(`
 # outside `#[cfg(test)]` must either be replaced with a typed error or
 # sit within $WINDOW lines of an `// invariant:` comment stating why it
 # cannot fire (see docs/fault_model.md). Keeps panic containment from
@@ -20,11 +22,15 @@ for f in \
     crates/executor/src/agg.rs \
     crates/executor/src/operator.rs \
     crates/executor/src/scan.rs \
+    crates/executor/src/expr.rs \
     crates/executor/src/filter.rs \
     crates/executor/src/sort.rs \
     crates/executor/src/extsort.rs \
     crates/executor/src/spill.rs \
     crates/planner/src/db.rs \
+    crates/core/src/operator.rs \
+    crates/core/src/result_cache.rs \
+    crates/types/src/layout.rs \
     crates/types/src/spill.rs; do
     bad=$(awk -v w="$WINDOW" '
         /#\[cfg\(test\)\]/ { exit }

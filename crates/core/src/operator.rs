@@ -23,7 +23,9 @@ use std::sync::Arc;
 use smooth_executor::{Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid, Value};
+use smooth_types::{
+    ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema, Tid, TupleLayout,
+};
 
 use crate::cost_model::{CostModel, TableGeometry};
 use crate::page_cache::PageIdCache;
@@ -141,6 +143,9 @@ pub struct SmoothScan {
     residual: Predicate,
     /// Compiled `key range AND residual` filter, probed on encoded tuples.
     filter: ScanFilter,
+    /// Decoder for the tuples ordered mode emits one at a time: the
+    /// driving tuple and Result-Cache hits.
+    layout: TupleLayout,
     config: SmoothScanConfig,
     model: CostModel,
     // run-time state
@@ -152,8 +157,9 @@ pub struct SmoothScan {
     traditional_until: Option<u64>,
     /// Pending output: a columnar FIFO both iterator protocols drain.
     /// Unordered morphing regions decode their qualifiers straight into
-    /// it (no per-row materialization); Mode-0 tuples, Result-Cache hits
-    /// and ordered driving tuples append row-wise.
+    /// it a page at a time; Result-Cache hits and ordered driving tuples
+    /// decode into it a tuple at a time, owning their text; only Mode-0
+    /// tuples arrive as rows.
     out: ColumnBuffer,
     metrics: SmoothScanMetrics,
 }
@@ -184,6 +190,7 @@ impl SmoothScan {
         );
         let pages = heap.page_count();
         let out = ColumnBuffer::for_schema(heap.schema());
+        let layout = TupleLayout::all(heap.schema());
         SmoothScan {
             heap,
             index,
@@ -193,6 +200,7 @@ impl SmoothScan {
             hi,
             residual,
             filter,
+            layout,
             config,
             model,
             cursor: None,
@@ -220,32 +228,24 @@ impl SmoothScan {
         &self.model
     }
 
-    fn key_of(&self, row: &Row) -> Result<i64> {
-        match row.get(self.key_col) {
-            Value::Int(k) => Ok(*k),
-            other => Err(smooth_types::Error::exec(format!("non-integer index key {other}"))),
-        }
-    }
-
     /// Process all unvisited pages of the region `[start, start+len)`:
     /// mark them visited, collect qualifying tuples, update the policy.
-    /// In ordered mode the driving tuple (if it qualifies) is returned and
+    /// In ordered mode the driving tuple (if it qualifies) is emitted and
     /// other finds go to the Result Cache; in unordered mode everything is
     /// queued in the columnar output buffer.
     ///
-    /// Region processing is vectorized: the predicate is probed on the
-    /// encoded tuples (only the key/residual columns are decoded for
-    /// non-qualifiers) and the virtual clock is charged once per page
-    /// rather than per tuple, with totals identical to the per-tuple
-    /// accounting. In unordered mode the qualifiers additionally decode
-    /// *straight into column vectors* — the whole morphing region becomes
-    /// a columnar morsel without a single `Row` materializing. Ordered
-    /// mode stays row-wise (the Result Cache stores rows keyed by
-    /// `(key, tid)`), with identical clock totals either way.
-    fn process_region(&mut self, driving: Tid, len: u32) -> Result<Option<Row>> {
+    /// Region processing is vectorized: each page's tuples are located
+    /// and the predicate evaluated over them in one pass (only the
+    /// key/residual columns are decoded for non-qualifiers), and the
+    /// virtual clock is charged once per page rather than per tuple, with
+    /// totals identical to the per-tuple accounting. In unordered mode
+    /// the qualifiers decode *straight into column vectors*; in ordered
+    /// mode they are not decoded at all — the Result Cache keeps their
+    /// validated bytes until the cursor reaches them. No `Row`
+    /// materializes either way.
+    fn process_region(&mut self, driving: Tid, len: u32) -> Result<()> {
         let end = (driving.page.0 + len).min(self.heap.page_count());
         let cpu = *self.storage.cpu();
-        let mut driving_row = None;
         let mut pages_processed = 0u64;
         let mut pages_with_results = 0u64;
         let mut p = driving.page.0;
@@ -258,75 +258,61 @@ impl SmoothScan {
             let run = self.page_cache.unvisited_run(PageId(p), end - p);
             let pages = self.storage.read_heap_run(&self.heap, PageId(p), run)?;
             self.storage.charge_page_probes(run as u64);
+            // The slots still to inspect on the current page and their
+            // encoded tuples, reused across the run's pages.
+            let (mut slots, mut tuples) = (Vec::new(), Vec::new());
             for (pid, buf) in &pages {
                 self.page_cache.insert(*pid);
-                let had_result;
                 let view = PageView::new(buf)?;
                 let mut bitmap_ops = 0u64;
-                if self.config.ordered {
-                    let mut inspected = 0u64;
-                    let mut emitted = 0u64;
-                    let mut any = false;
-                    for slot in 0..view.slot_count() {
-                        let tid = Tid { page: *pid, slot };
-                        if let Some(tc) = &self.tuple_cache {
-                            bitmap_ops += 1;
-                            if tc.contains(tid) {
-                                continue; // already produced by Mode 0
-                            }
+                slots.clear();
+                tuples.clear();
+                for slot in 0..view.slot_count() {
+                    if let Some(tc) = &self.tuple_cache {
+                        bitmap_ops += 1;
+                        if tc.contains(Tid { page: *pid, slot }) {
+                            continue; // already produced by Mode 0
                         }
-                        inspected += 1;
-                        let bytes = view.get(slot)?;
-                        let Some(row) = self.filter.filter_decode(self.heap.schema(), bytes)?
-                        else {
-                            continue;
-                        };
-                        any = true;
-                        emitted += 1;
+                    }
+                    slots.push(slot);
+                    tuples.push(view.get(slot)?);
+                }
+                let (inspected, emitted) = if self.config.ordered {
+                    let emitted = self.filter.select(&tuples)? as u64;
+                    self.filter.check_selected_text(&tuples)?;
+                    smooth_storage::tap_rows(tuples.len() as u64, emitted);
+                    let keys = self
+                        .filter
+                        .probed_column(self.key_col)
+                        .ok_or_else(|| Error::exec("smooth scan filter does not read its key"))?;
+                    for &i in self.filter.selected() {
+                        let i = i as usize;
+                        let tid = Tid { page: *pid, slot: slots[i] };
                         if tid == driving {
-                            driving_row = Some(row);
+                            let out = self.out.fill();
+                            self.layout.decode_into(tuples[i], None, out.columns_mut())?;
+                            out.commit_rows(1);
                         } else {
-                            let key = self.key_of(&row)?;
-                            self.result_cache
-                                .as_mut()
-                                .expect("ordered mode has a result cache")
-                                .insert(&self.storage, key, tid, row);
+                            let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
+                            cache.insert(&self.storage, keys.int(i)?, tid, tuples[i]);
                         }
                     }
-                    had_result = any;
-                    self.storage.clock().charge_cpu(
-                        cpu.bitmap_op_ns * bitmap_ops
-                            + cpu.inspect_tuple_ns * inspected
-                            + cpu.emit_tuple_ns * emitted,
-                    );
+                    (tuples.len() as u64, emitted)
                 } else {
-                    let mut tuples: Vec<&[u8]> = Vec::with_capacity(view.slot_count() as usize);
-                    for slot in 0..view.slot_count() {
-                        if let Some(tc) = &self.tuple_cache {
-                            bitmap_ops += 1;
-                            if tc.contains(Tid { page: *pid, slot }) {
-                                continue; // already produced by Mode 0
-                            }
-                        }
-                        tuples.push(view.get(slot)?);
-                    }
-                    let (inspected, emitted) = self.filter.fill_columns(
+                    self.filter.fill_columns(
                         self.heap.schema(),
                         &tuples,
                         Some(buf),
                         self.out.fill(),
-                    )?;
-                    had_result = emitted > 0;
-                    self.storage.clock().charge_cpu(
-                        cpu.bitmap_op_ns * bitmap_ops
-                            + cpu.inspect_tuple_ns * inspected
-                            + cpu.emit_tuple_ns * emitted,
-                    );
-                }
+                    )?
+                };
+                self.storage.clock().charge_cpu(
+                    cpu.bitmap_op_ns * bitmap_ops
+                        + cpu.inspect_tuple_ns * inspected
+                        + cpu.emit_tuple_ns * emitted,
+                );
                 pages_processed += 1;
-                if had_result {
-                    pages_with_results += 1;
-                }
+                pages_with_results += u64::from(emitted > 0);
             }
             p += run.max(1);
         }
@@ -343,7 +329,7 @@ impl SmoothScan {
             }
             self.policy.observe_region(pages_processed, pages_with_results);
         }
-        Ok(driving_row)
+        Ok(())
     }
 
     /// Advance the driving cursor by one probe. Any rows this produces —
@@ -352,7 +338,8 @@ impl SmoothScan {
     /// output buffer in emission order. Returns `false` at cursor
     /// exhaustion.
     fn advance(&mut self) -> Result<bool> {
-        let Some((key, tid)) = self.cursor.as_mut().expect("opened").next() else {
+        let cursor = self.cursor.as_mut().ok_or_else(|| Error::exec("SmoothScan before open"))?;
+        let Some((key, tid)) = cursor.next() else {
             return Ok(false);
         };
         if let Some(rc) = self.result_cache.as_mut() {
@@ -374,13 +361,11 @@ impl SmoothScan {
         }
         // Smooth phase.
         if self.config.ordered {
-            let cached = self
-                .result_cache
-                .as_mut()
-                .expect("ordered mode has a result cache")
-                .probe(&self.storage, key, tid);
-            if let Some(row) = cached {
-                self.out.fill().push_owned_row(row)?;
+            let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
+            if let Some(tuple) = cache.probe(&self.storage, key, tid) {
+                let out = self.out.fill();
+                self.layout.decode_into(tuple, None, out.columns_mut())?;
+                out.commit_rows(1);
                 return Ok(true);
             }
         }
@@ -391,9 +376,7 @@ impl SmoothScan {
             return Ok(true);
         }
         let region = self.policy.region_pages();
-        if let Some(row) = self.process_region(tid, region)? {
-            self.out.fill().push_owned_row(row)?;
-        }
+        self.process_region(tid, region)?;
         Ok(true)
     }
 
@@ -412,7 +395,8 @@ impl SmoothScan {
         self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
         let row = self.heap.decode_slot(&page, tid.slot)?;
         if self.residual.eval(&row)? {
-            self.tuple_cache.as_mut().expect("traditional phase has a tuple cache").insert(tid);
+            let produced = self.tuple_cache.as_mut();
+            produced.ok_or_else(|| Error::exec("Mode 0 without a tuple cache"))?.insert(tid);
             self.metrics.mode0_tuples += 1;
             self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
             Ok(Some(row))
@@ -420,6 +404,11 @@ impl SmoothScan {
             Ok(None)
         }
     }
+}
+
+/// Ordered mode builds its Result Cache in `open`.
+fn no_result_cache() -> Error {
+    Error::exec("ordered SmoothScan before open")
 }
 
 impl Operator for SmoothScan {
@@ -523,7 +512,7 @@ mod tests {
     use super::*;
     use smooth_executor::collect_rows;
     use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
-    use smooth_types::{Column, DataType, Schema};
+    use smooth_types::{Column, DataType, Schema, Value};
 
     /// A micro-benchmark-shaped table: c0 = row number, c1 pseudo-random
     /// in [0, 1000), pad to make tuples non-trivial.
@@ -816,24 +805,75 @@ mod tests {
         // `result_cache_spill` set, the columnar protocol defers the
         // eviction sweep to morsel boundaries, so `resident` could cross
         // the threshold mid-batch and charge spill I/O the row-at-a-time
-        // protocol never pays. Rows *and* clock totals must now agree
-        // across both drivers.
+        // protocol never pays. Rows, clock totals and the Result Cache
+        // counters must agree across both drivers, spilling or not — and
+        // equal what the `Row`-holding cache this one replaced produced
+        // on the same table (the pinned values below): only the storage
+        // behind the map changed. The one counter that may differ by
+        // driver is the `max_resident` high-water mark under spill: an
+        // unspill counts its partition before the next sweep evicts the
+        // ones behind the cursor, and the columnar driver sweeps later.
         let (heap, index) = table(3000);
-        let mut cfg = SmoothScanConfig::default().with_order(true);
-        cfg.result_cache_spill = Some(50); // heavy pressure
-        let run =
-            |driver: fn(&mut dyn smooth_executor::Operator) -> smooth_types::Result<Vec<Row>>| {
-                let s = storage(64);
-                let mut ss = smooth(&heap, &index, &s, 800, cfg);
-                let rows = driver(&mut ss).unwrap();
-                assert!(ss.metrics().cache.spilled > 0, "pressure must spill: {:?}", ss.metrics());
-                (rows, s.clock().snapshot(), s.io_snapshot())
+        let pinned = |io_ns, max_resident, spilled| {
+            let cache = ResultCacheStats {
+                inserts: 2391,
+                requests: 2400,
+                hits: 2391,
+                evicted: 2391,
+                max_resident,
+                resident: 0,
+                spilled,
+                unspilled: spilled,
             };
-        let (volcano_rows, volcano_clock, volcano_io) = run(smooth_executor::collect_rows_volcano);
-        let (col_rows, col_clock, col_io) = run(collect_rows);
-        assert_eq!(col_rows, volcano_rows, "columnar rows");
-        assert_eq!(col_clock, volcano_clock, "columnar clock with spill enabled");
-        assert_eq!(col_io, volcano_io);
+            (2400, 4195968035863205168u64, 1_070_130, io_ns, cache)
+        };
+        type Driver = fn(&mut dyn smooth_executor::Operator) -> smooth_types::Result<Vec<Row>>;
+        let volcano: Driver = smooth_executor::collect_rows_volcano;
+        for (spill, driver, expected) in [
+            (None, volcano, pinned(148, 2391, 0)),
+            (None, collect_rows as Driver, pinned(148, 2391, 0)),
+            (Some(50), volcano, pinned(23_104, 852, 4248)),
+            (Some(50), collect_rows as Driver, pinned(23_104, 1278, 4248)),
+        ] {
+            let mut cfg = SmoothScanConfig::default().with_order(true);
+            cfg.result_cache_spill = spill; // Some(50): heavy pressure
+            let s = storage(64);
+            let mut ss = smooth(&heap, &index, &s, 800, cfg);
+            let rows = driver(&mut ss).unwrap();
+            let (clock, cache) = (s.clock().snapshot(), ss.metrics().cache);
+            let checksum = rows
+                .iter()
+                .fold(0u64, |h, r| h.wrapping_mul(31).wrapping_add(r.int(0).unwrap() as u64));
+            assert_eq!(
+                (rows.len(), checksum, clock.cpu_ns, clock.io_ns, cache),
+                expected,
+                "spill {spill:?}"
+            );
+            assert_eq!(s.io_snapshot().pages_read, 31);
+            assert_eq!(cache.spilled > 0, spill.is_some(), "pressure must spill: {cache:?}");
+        }
+    }
+
+    #[test]
+    fn ordered_scan_holds_no_page_frame_past_the_morsel() {
+        smooth_types::force_text_views(true);
+        let (heap, index) = table(3000);
+        let s = storage(64);
+        let mut ss = smooth(&heap, &index, &s, 800, SmoothScanConfig::default().with_order(true));
+        ss.open().unwrap();
+        let morsel = ss.next_columns(256).unwrap().unwrap();
+        let resident = ss.metrics().cache.resident;
+        assert!(resident > 1000, "tuples wait in the Result Cache: {resident}");
+        // Held: an emitted morsel, the output buffer and a well-filled
+        // cache. With the pool emptied, every heap page is referenced by
+        // the heap file and by this handle only — cached tuples and
+        // emitted text are copies, never views of a frame.
+        s.flush_pool();
+        for p in 0..heap.page_count() {
+            let page = heap.read_raw(PageId(p)).unwrap();
+            assert_eq!(Arc::strong_count(&page), 2, "page {p} is pinned");
+        }
+        assert_eq!(morsel.len(), 256);
     }
 
     #[test]

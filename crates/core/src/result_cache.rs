@@ -19,11 +19,22 @@
 //! * under memory pressure, partitions whose key ranges are furthest from
 //!   the cursor spill to overflow files and are charged sequential I/O to
 //!   write and later re-read.
+//!
+//! What waits is the tuple's **validated encoded bytes**, copied out of
+//! the page into the partition's own byte arena — not a `Row`, and not a
+//! view of the page. The scan has already walked the tuple's structure
+//! and checked its text when it selected it, so a hit decodes straight
+//! into the output columns through the scan's compiled
+//! `smooth_types::TupleLayout`; an insert is one `memcpy` and one map
+//! entry; bulk eviction frees a partition's arena at once. Because the
+//! cache owns its bytes, no buffer-pool frame stays pinned on behalf of a
+//! tuple that may wait for most of the scan.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use smooth_storage::Storage;
-use smooth_types::{Row, Tid};
+use smooth_types::Tid;
 
 /// Counters reported by Fig. 9a.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -48,13 +59,16 @@ pub struct ResultCacheStats {
 
 #[derive(Debug, Default)]
 struct Partition {
-    rows: HashMap<(i64, Tid), Row>,
+    /// `(key, tid)` → where the tuple's bytes sit in `bytes`.
+    slots: HashMap<(i64, Tid), Range<usize>>,
+    /// The cached tuples' encoded bytes, back to back.
+    bytes: Vec<u8>,
     /// Spilled to an overflow file: contents kept (simulated file), but
     /// access requires a charged re-read.
     spilled: bool,
 }
 
-/// Key-range-partitioned cache of rows found ahead of the cursor.
+/// Key-range-partitioned cache of tuples found ahead of the cursor.
 pub struct ResultCache {
     /// `bounds[i]` is the *exclusive* upper key of partition `i`;
     /// the last partition is unbounded.
@@ -114,8 +128,9 @@ impl ResultCache {
         self.bounds.partition_point(|&b| b <= key)
     }
 
-    /// Insert a tuple found ahead of the cursor.
-    pub fn insert(&mut self, storage: &Storage, key: i64, tid: Tid, row: Row) {
+    /// Insert a tuple found ahead of the cursor: its encoded bytes, which
+    /// the caller has validated, are copied into the cache.
+    pub fn insert(&mut self, storage: &Storage, key: i64, tid: Tid, tuple: &[u8]) {
         storage.clock().charge_cpu(storage.cpu().hash_op_ns);
         let p = self.partition_of(key);
         debug_assert!(p >= self.current, "insert behind the cursor");
@@ -126,7 +141,9 @@ impl ResultCache {
             storage.clock().charge_io(ns);
             self.stats.spilled += 1;
         }
-        if part.rows.insert((key, tid), row).is_none() {
+        let at = part.bytes.len()..part.bytes.len() + tuple.len();
+        part.bytes.extend_from_slice(tuple);
+        if part.slots.insert((key, tid), at).is_none() {
             self.stats.inserts += 1;
             if !part.spilled {
                 self.stats.resident += 1;
@@ -136,19 +153,19 @@ impl ResultCache {
         self.maybe_spill(storage);
     }
 
-    /// Probe for the tuple the cursor just reached.
-    pub fn probe(&mut self, storage: &Storage, key: i64, tid: Tid) -> Option<Row> {
+    /// Probe for the tuple the cursor just reached; a hit borrows its
+    /// encoded bytes.
+    pub fn probe(&mut self, storage: &Storage, key: i64, tid: Tid) -> Option<&[u8]> {
         storage.clock().charge_cpu(storage.cpu().hash_op_ns);
         self.stats.requests += 1;
         let p = self.partition_of(key);
         if self.parts[p].spilled {
             self.unspill(storage, p);
         }
-        let row = self.parts[p].rows.get(&(key, tid)).cloned();
-        if row.is_some() {
-            self.stats.hits += 1;
-        }
-        row
+        let part = &self.parts[p];
+        let tuple = part.slots.get(&(key, tid)).map(|at| &part.bytes[at.clone()]);
+        self.stats.hits += u64::from(tuple.is_some());
+        tuple
     }
 
     /// Record the cursor position without sweeping. Probes and inserts
@@ -175,7 +192,7 @@ impl ResultCache {
     pub fn advance_to(&mut self, key: i64) {
         while self.current < self.bounds.len() && self.bounds[self.current] <= key {
             let part = std::mem::take(&mut self.parts[self.current]);
-            let n = part.rows.len() as u64;
+            let n = part.slots.len() as u64;
             self.stats.evicted += n;
             if !part.spilled {
                 self.stats.resident -= n;
@@ -188,13 +205,12 @@ impl ResultCache {
     pub fn clear(&mut self) {
         self.pending_advance = None;
         for part in &mut self.parts {
-            let n = part.rows.len() as u64;
+            let n = part.slots.len() as u64;
             self.stats.evicted += n;
             if !part.spilled {
                 self.stats.resident = self.stats.resident.saturating_sub(n);
             }
-            part.rows.clear();
-            part.spilled = false;
+            *part = Partition::default();
         }
     }
 
@@ -235,9 +251,9 @@ impl ResultCache {
             // key range are spilled into the overflow files").
             let victim = (self.current..self.parts.len())
                 .rev()
-                .find(|&i| !self.parts[i].spilled && !self.parts[i].rows.is_empty());
+                .find(|&i| !self.parts[i].spilled && !self.parts[i].slots.is_empty());
             let Some(v) = victim else { return };
-            let n = self.parts[v].rows.len() as u64;
+            let n = self.parts[v].slots.len() as u64;
             if v == self.current && self.parts.len() == 1 {
                 return; // never spill the only active partition
             }
@@ -251,7 +267,7 @@ impl ResultCache {
 
     fn unspill(&mut self, storage: &Storage, p: usize) {
         let part = &mut self.parts[p];
-        let n = part.rows.len() as u64;
+        let n = part.slots.len() as u64;
         part.spilled = false;
         self.stats.unspilled += n;
         self.stats.resident += n;
@@ -264,22 +280,22 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smooth_types::Value;
 
     fn storage() -> Storage {
         Storage::default_hdd()
     }
 
-    fn row(v: i64) -> Row {
-        Row::new(vec![Value::Int(v)])
+    /// A stand-in encoded tuple (the cache never looks inside one).
+    fn row(v: i64) -> [u8; 8] {
+        v.to_le_bytes()
     }
 
     #[test]
     fn insert_probe_roundtrip() {
         let s = storage();
         let mut c = ResultCache::new(&[100, 200, 300], 4, 64);
-        c.insert(&s, 150, Tid::new(1, 1), row(150));
-        assert_eq!(c.probe(&s, 150, Tid::new(1, 1)), Some(row(150)));
+        c.insert(&s, 150, Tid::new(1, 1), &row(150));
+        assert_eq!(c.probe(&s, 150, Tid::new(1, 1)), Some(&row(150)[..]));
         assert_eq!(c.probe(&s, 150, Tid::new(1, 2)), None);
         let st = c.stats();
         assert_eq!((st.inserts, st.requests, st.hits), (1, 2, 1));
@@ -299,33 +315,33 @@ mod tests {
     fn bulk_eviction_on_advance() {
         let s = storage();
         let mut c = ResultCache::new(&[10, 20, 30], 4, 64);
-        c.insert(&s, 5, Tid::new(0, 0), row(5));
-        c.insert(&s, 15, Tid::new(0, 1), row(15));
-        c.insert(&s, 25, Tid::new(0, 2), row(25));
-        c.insert(&s, 35, Tid::new(0, 3), row(35));
+        c.insert(&s, 5, Tid::new(0, 0), &row(5));
+        c.insert(&s, 15, Tid::new(0, 1), &row(15));
+        c.insert(&s, 25, Tid::new(0, 2), &row(25));
+        c.insert(&s, 35, Tid::new(0, 3), &row(35));
         assert_eq!(c.stats().resident, 4);
         c.advance_to(20); // passes partitions [_,10) and [10,20)
         let st = c.stats();
         assert_eq!(st.evicted, 2);
         assert_eq!(st.resident, 2);
         // Items at/ahead of the cursor survive.
-        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(row(25)));
-        assert_eq!(c.probe(&s, 35, Tid::new(0, 3)), Some(row(35)));
+        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(&row(25)[..]));
+        assert_eq!(c.probe(&s, 35, Tid::new(0, 3)), Some(&row(35)[..]));
     }
 
     #[test]
     fn deferred_advance_sweeps_once_at_flush() {
         let s = storage();
         let mut c = ResultCache::new(&[10, 20, 30], 4, 64);
-        c.insert(&s, 5, Tid::new(0, 0), row(5));
-        c.insert(&s, 15, Tid::new(0, 1), row(15));
-        c.insert(&s, 25, Tid::new(0, 2), row(25));
+        c.insert(&s, 5, Tid::new(0, 0), &row(5));
+        c.insert(&s, 15, Tid::new(0, 1), &row(15));
+        c.insert(&s, 25, Tid::new(0, 2), &row(25));
         // Recording cursor keys evicts nothing yet …
         c.defer_advance(12);
         c.defer_advance(22);
         assert_eq!(c.stats().evicted, 0);
         // … and a deferred advance never hides a probe of the current key.
-        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(row(25)));
+        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(&row(25)[..]));
         // The flush sweeps to the highest recorded key.
         c.flush_advance();
         let st = c.stats();
@@ -340,9 +356,9 @@ mod tests {
     fn boundary_key_does_not_evict_its_own_partition() {
         let s = storage();
         let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 10, Tid::new(0, 0), row(10));
+        c.insert(&s, 10, Tid::new(0, 0), &row(10));
         c.advance_to(10); // partition [10, ∞) must survive
-        assert_eq!(c.probe(&s, 10, Tid::new(0, 0)), Some(row(10)));
+        assert_eq!(c.probe(&s, 10, Tid::new(0, 0)), Some(&row(10)[..]));
         assert_eq!(c.stats().evicted, 0);
     }
 
@@ -351,15 +367,15 @@ mod tests {
         let s = storage();
         let mut c = ResultCache::new(&[100, 200, 300], 4, 64).with_spill_threshold(2);
         // Fill three partitions; threshold 2 forces the furthest to spill.
-        c.insert(&s, 50, Tid::new(0, 0), row(50));
-        c.insert(&s, 150, Tid::new(0, 1), row(150));
+        c.insert(&s, 50, Tid::new(0, 0), &row(50));
+        c.insert(&s, 150, Tid::new(0, 1), &row(150));
         let io_before = s.clock().snapshot().io_ns;
-        c.insert(&s, 350, Tid::new(0, 2), row(350)); // exceeds threshold
+        c.insert(&s, 350, Tid::new(0, 2), &row(350)); // exceeds threshold
         let st = c.stats();
         assert!(st.spilled >= 1, "furthest partition spilled: {st:?}");
         assert!(s.clock().snapshot().io_ns > io_before, "spill charged I/O");
         // Probing the spilled partition brings it back (charged) and hits.
-        assert_eq!(c.probe(&s, 350, Tid::new(0, 2)), Some(row(350)));
+        assert_eq!(c.probe(&s, 350, Tid::new(0, 2)), Some(&row(350)[..]));
         assert!(c.stats().unspilled >= 1);
     }
 
@@ -377,23 +393,23 @@ mod tests {
         // third insert, so resident never crosses the limit — no spill.
         let s_eager = storage();
         let mut eager = ResultCache::new(&bounds, 4, 64).with_spill_threshold(limit);
-        eager.insert(&s_eager, 5, Tid::new(0, 0), row(5));
+        eager.insert(&s_eager, 5, Tid::new(0, 0), &row(5));
         eager.defer_advance(6);
         eager.flush_advance();
-        eager.insert(&s_eager, 15, Tid::new(0, 1), row(15));
+        eager.insert(&s_eager, 15, Tid::new(0, 1), &row(15));
         eager.defer_advance(12);
         eager.flush_advance(); // volcano sweeps here, before the next insert
-        eager.insert(&s_eager, 25, Tid::new(0, 2), row(25));
+        eager.insert(&s_eager, 25, Tid::new(0, 2), &row(25));
         eager.flush_advance();
         // Deferred sweeps: identical sequence, but the sweep for key 12
         // waits for the batch boundary after the third insert.
         let s_deferred = storage();
         let mut deferred = ResultCache::new(&bounds, 4, 64).with_spill_threshold(limit);
-        deferred.insert(&s_deferred, 5, Tid::new(0, 0), row(5));
+        deferred.insert(&s_deferred, 5, Tid::new(0, 0), &row(5));
         deferred.defer_advance(6);
-        deferred.insert(&s_deferred, 15, Tid::new(0, 1), row(15));
+        deferred.insert(&s_deferred, 15, Tid::new(0, 1), &row(15));
         deferred.defer_advance(12);
-        deferred.insert(&s_deferred, 25, Tid::new(0, 2), row(25));
+        deferred.insert(&s_deferred, 25, Tid::new(0, 2), &row(25));
         deferred.flush_advance();
         assert_eq!(
             s_deferred.clock().snapshot(),
@@ -410,8 +426,8 @@ mod tests {
     fn clear_releases_everything() {
         let s = storage();
         let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 5, Tid::new(0, 0), row(5));
-        c.insert(&s, 15, Tid::new(0, 1), row(15));
+        c.insert(&s, 5, Tid::new(0, 0), &row(5));
+        c.insert(&s, 15, Tid::new(0, 1), &row(15));
         c.clear();
         assert_eq!(c.stats().resident, 0);
         assert_eq!(c.probe(&s, 5, Tid::new(0, 0)), None);
@@ -421,10 +437,10 @@ mod tests {
     fn max_resident_high_water_mark() {
         let s = storage();
         let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 1, Tid::new(0, 0), row(1));
-        c.insert(&s, 2, Tid::new(0, 1), row(2));
+        c.insert(&s, 1, Tid::new(0, 0), &row(1));
+        c.insert(&s, 2, Tid::new(0, 1), &row(2));
         c.advance_to(10);
-        c.insert(&s, 11, Tid::new(0, 2), row(11));
+        c.insert(&s, 11, Tid::new(0, 2), &row(11));
         assert_eq!(c.stats().max_resident, 2);
     }
 }

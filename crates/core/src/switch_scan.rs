@@ -112,10 +112,11 @@ impl SwitchScan {
         self.storage.charge_page_probes(len as u64);
         self.next_page += len;
         let produced = self.produced.as_ref().expect("opened");
+        let mut tuples: Vec<&[u8]> = Vec::new();
         for (pid, page) in &pages {
             let view = PageView::new(page)?;
             let slots = view.slot_count();
-            let mut tuples: Vec<&[u8]> = Vec::with_capacity(slots as usize);
+            tuples.clear();
             for slot in 0..slots {
                 if produced.contains(Tid { page: *pid, slot }) {
                     continue;

@@ -1,4 +1,5 @@
-//! Predicates evaluated over rows.
+//! Predicates evaluated over rows, and their compiled form over encoded
+//! tuples.
 //!
 //! A small, concrete predicate language — range and equality tests
 //! composable with AND/OR/NOT — rather than a general expression tree:
@@ -6,11 +7,20 @@
 //! TPC-H-style workload) is a conjunction of column ranges and string
 //! equalities. NULL comparisons evaluate to false, the practical
 //! two-valued simplification of SQL's three-valued logic for filters.
+//!
+//! [`Predicate`] has two evaluators: [`Predicate::eval`] over one `Row`
+//! (the Volcano protocol and the tests' oracle) and a vectorized mask
+//! kernel over typed column vectors. [`ScanFilter`] binds a predicate to
+//! a scan schema and a compiled [`TupleLayout`], and is how every
+//! columnar heap read filters and decodes a page: locate the page's
+//! tuples once, gather the predicate's columns, run the mask kernel,
+//! gather all columns of the qualifiers only.
 
 use std::ops::Bound;
 
-use smooth_types::columns::decode_columns_append;
-use smooth_types::{ColumnBatch, ColumnValues, ColumnVector, Result, Row, Schema, Value};
+use smooth_types::{
+    ColumnBatch, ColumnValues, ColumnVector, Result, Row, Schema, SharedBytes, TupleLayout, Value,
+};
 
 /// The rows a vectorized kernel evaluates: every physical row of the
 /// batch (dense, no index indirection — the auto-vectorizable shape) or
@@ -107,24 +117,19 @@ impl Predicate {
     pub fn and(preds: Vec<Predicate>) -> Self {
         let mut flat: Vec<Predicate> =
             preds.into_iter().filter(|p| !matches!(p, Predicate::True)).collect();
-        match flat.len() {
-            0 => Predicate::True,
-            1 => flat.pop().unwrap(),
-            _ => Predicate::And(flat),
+        match flat.pop() {
+            None => Predicate::True,
+            Some(only) if flat.is_empty() => only,
+            Some(last) => {
+                flat.push(last);
+                Predicate::And(flat)
+            }
         }
     }
 
     /// Evaluate against a row. Comparisons against NULL are false.
-    #[inline]
     pub fn eval(&self, row: &Row) -> Result<bool> {
-        self.eval_values(row.values())
-    }
-
-    /// Evaluate against a value slice indexed by column ordinal. Only the
-    /// ordinals the predicate references are read, so a scan may pass a
-    /// scratch slice where unreferenced slots hold stale placeholders
-    /// (see [`Row::decode_columns_into`]).
-    pub fn eval_values(&self, values: &[Value]) -> Result<bool> {
+        let values = row.values();
         Ok(match self {
             Predicate::True => true,
             Predicate::IntRange { col, lo, hi } => match &values[*col] {
@@ -175,7 +180,7 @@ impl Predicate {
             },
             Predicate::And(ps) => {
                 for p in ps {
-                    if !p.eval_values(values)? {
+                    if !p.eval(row)? {
                         return Ok(false);
                     }
                 }
@@ -183,13 +188,13 @@ impl Predicate {
             }
             Predicate::Or(ps) => {
                 for p in ps {
-                    if p.eval_values(values)? {
+                    if p.eval(row)? {
                         return Ok(true);
                     }
                 }
                 false
             }
-            Predicate::Not(p) => !p.eval_values(values)?,
+            Predicate::Not(p) => !p.eval(row)?,
         })
     }
 
@@ -302,77 +307,6 @@ impl Predicate {
         Ok(())
     }
 
-    /// Row-wise evaluation against column vectors: the single-tuple twin
-    /// of [`Predicate::eval_mask`], short-circuiting like
-    /// [`Predicate::eval_values`] and allocating nothing. Used by the
-    /// high-match-rate scan path, which decides tuple by tuple.
-    fn eval_columns_at<'a, F>(&self, col: &F, i: usize) -> Result<bool>
-    where
-        F: Fn(usize) -> Result<&'a ColumnVector>,
-    {
-        Ok(match self {
-            Predicate::True => true,
-            Predicate::IntRange { col: c, lo, hi } => {
-                let v = col(*c)?;
-                let ColumnValues::Int(ints) = v.values() else {
-                    return Err(smooth_types::Error::exec("int predicate on non-int column"));
-                };
-                if v.is_null(i) {
-                    return Ok(false);
-                }
-                let x = ints[i];
-                (match lo {
-                    Bound::Unbounded => true,
-                    Bound::Included(l) => x >= *l,
-                    Bound::Excluded(l) => x > *l,
-                }) && (match hi {
-                    Bound::Unbounded => true,
-                    Bound::Included(h) => x <= *h,
-                    Bound::Excluded(h) => x < *h,
-                })
-            }
-            Predicate::StrEq { col: c, value } => {
-                let v = col(*c)?;
-                let ColumnValues::Str(strs) = v.values() else {
-                    return Err(smooth_types::Error::exec("string predicate on non-text column"));
-                };
-                !v.is_null(i) && strs.get(i) == value.as_str()
-            }
-            Predicate::StrIn { col: c, values } => {
-                let v = col(*c)?;
-                let ColumnValues::Str(strs) = v.values() else {
-                    return Err(smooth_types::Error::exec("string predicate on non-text column"));
-                };
-                !v.is_null(i) && values.iter().any(|a| a == strs.get(i))
-            }
-            Predicate::IntColLt { left, right } => {
-                let (l, r) = (col(*left)?, col(*right)?);
-                let (ColumnValues::Int(lv), ColumnValues::Int(rv)) = (l.values(), r.values())
-                else {
-                    return Err(smooth_types::Error::exec("column comparison on non-ints"));
-                };
-                !l.is_null(i) && !r.is_null(i) && lv[i] < rv[i]
-            }
-            Predicate::And(ps) => {
-                for p in ps {
-                    if !p.eval_columns_at(col, i)? {
-                        return Ok(false);
-                    }
-                }
-                true
-            }
-            Predicate::Or(ps) => {
-                for p in ps {
-                    if p.eval_columns_at(col, i)? {
-                        return Ok(true);
-                    }
-                }
-                false
-            }
-            Predicate::Not(p) => !p.eval_columns_at(col, i)?,
-        })
-    }
-
     /// Refine a batch's selection: evaluate the predicate over the live
     /// rows and return the surviving physical indices, in order. No row is
     /// materialized or moved — non-qualifiers simply drop out of the
@@ -444,62 +378,44 @@ impl Predicate {
     }
 }
 
-/// A predicate compiled against one scan schema, able to filter *encoded*
-/// tuples by decoding only the columns the predicate reads.
-///
-/// This is the vectorized scan's selection pushdown: for non-qualifying
-/// tuples the full [`Row::decode`] (one `Vec<Value>` plus a string
-/// allocation per text field) is skipped — the probe walks the tuple
-/// without materializing anything, so corrupt tuples still error exactly
-/// as under a full decode. Because a qualifying tuple is parsed twice
-/// under probing (probe, then decode), the filter is *adaptive*: it
-/// tracks the observed match rate, statistics-oblivious style, and
-/// switches to single-pass full decode once most tuples qualify. Probing
-/// is also skipped when the predicate reads every column.
+/// A predicate compiled against one scan schema: filters and decodes
+/// *encoded* tuples a page at a time through one [`TupleLayout`] — the
+/// vectorized scan's selection pushdown. [`ScanFilter::select`] locates
+/// the page's tuples (every tuple structurally validated, qualifying or
+/// not — a corrupt page errors exactly as under [`Row::decode`]), gathers
+/// just the columns the predicate reads and runs the mask kernel over
+/// them; [`ScanFilter::gather_selected`] then decodes all columns of the
+/// qualifiers only, off the offsets the same `locate` recorded. Nothing
+/// is parsed twice, so no match-rate regime favors another strategy.
 pub struct ScanFilter {
     predicate: Predicate,
-    /// Referenced ordinals (ascending); probing is possible when this is
-    /// a strict subset of the schema.
-    cols: Vec<usize>,
-    probe_possible: bool,
-    scratch: Vec<Value>,
-    /// Columnar probe scratch: one typed vector per referenced ordinal
-    /// (reused across pages — no steady-state allocation).
-    col_scratch: Vec<ColumnVector>,
-    /// Schema ordinal → index into `cols`/`col_scratch`.
-    col_map: Vec<Option<usize>>,
+    /// Decoder for every column of the scan schema.
+    layout: TupleLayout,
+    /// Probe scratch, by schema ordinal: a typed vector for each column
+    /// the predicate reads, holding one slot per tuple of the last
+    /// selected page (reused across pages — no steady-state allocation;
+    /// always owned, so it pins no page).
+    probed: Vec<Option<ColumnVector>>,
     /// Mask scratch for the columnar kernels.
     mask: Vec<bool>,
-    probed: u64,
-    matched: u64,
+    /// Indices of the last selected page's qualifiers, ascending.
+    selected: Vec<u32>,
 }
 
-/// Tuples examined before the match-rate heuristic may disable probing.
-const PROBE_WARMUP: u64 = 256;
+/// Up to this many qualifiers on a page decode row by row: a column pass
+/// has a fixed cost per column that a handful of values cannot amortize
+/// (an index scan's one tuple per page, a sort scan's sparse bitmap).
+const ROW_MAJOR_MAX: usize = 4;
 
 impl ScanFilter {
     /// Compile `predicate` for tuples of `schema`.
     pub fn new(predicate: Predicate, schema: &Schema) -> Self {
-        let cols = predicate.referenced_columns();
-        let probe_possible = cols.len() < schema.len();
-        let scratch = vec![Value::Null; schema.len()];
-        let col_scratch =
-            cols.iter().map(|&c| ColumnVector::for_type(schema.column(c).ty)).collect();
-        let mut col_map = vec![None; schema.len()];
-        for (k, &c) in cols.iter().enumerate() {
-            col_map[c] = Some(k);
+        let mut probed: Vec<Option<ColumnVector>> = vec![None; schema.len()];
+        for c in predicate.referenced_columns() {
+            probed[c] = Some(ColumnVector::for_type(schema.column(c).ty));
         }
-        ScanFilter {
-            predicate,
-            cols,
-            probe_possible,
-            scratch,
-            col_scratch,
-            col_map,
-            mask: Vec::new(),
-            probed: 0,
-            matched: 0,
-        }
+        let layout = TupleLayout::all(schema);
+        ScanFilter { predicate, layout, probed, mask: Vec::new(), selected: Vec::new() }
     }
 
     /// The compiled predicate.
@@ -507,33 +423,83 @@ impl ScanFilter {
         &self.predicate
     }
 
-    /// Probe-first pays off while fewer than half the tuples qualify;
-    /// past that, double-parsing qualifiers costs more than it saves.
-    fn probe_pays(&self) -> bool {
-        self.probe_possible && (self.probed < PROBE_WARMUP || self.matched * 2 < self.probed)
+    /// Validate `tuples` (one page's worth) and evaluate the predicate
+    /// over them, returning how many qualify; [`ScanFilter::selected`]
+    /// then names them. Feeds no scan statistics — scans that select
+    /// without [`ScanFilter::fill_columns`] tap their own counts.
+    pub fn select(&mut self, tuples: &[&[u8]]) -> Result<usize> {
+        self.layout.locate(tuples)?;
+        self.selected.clear();
+        if matches!(self.predicate, Predicate::True) {
+            self.selected.extend(0..tuples.len() as u32);
+            return Ok(tuples.len());
+        }
+        for (c, v) in self.probed.iter_mut().enumerate() {
+            if let Some(v) = v {
+                v.clear();
+                self.layout.gather(c, tuples, None, None, v)?;
+            }
+        }
+        let probed = &self.probed;
+        let lookup = |c: usize| -> Result<&ColumnVector> {
+            probed
+                .get(c)
+                .and_then(Option::as_ref)
+                .ok_or_else(|| smooth_types::Error::exec(format!("column {c} out of range")))
+        };
+        self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut self.mask)?;
+        self.selected.extend((0u32..).zip(&self.mask).filter(|(_, &m)| m).map(|(i, _)| i));
+        Ok(self.selected.len())
+    }
+
+    /// Indices (into the tuples last passed to [`ScanFilter::select`]) of
+    /// the qualifiers, ascending.
+    pub fn selected(&self) -> &[u32] {
+        &self.selected
+    }
+
+    /// Column `col` of the last selected page as the predicate read it:
+    /// one slot per tuple, qualifying or not. `None` unless the predicate
+    /// references `col`.
+    pub fn probed_column(&self, col: usize) -> Option<&ColumnVector> {
+        self.probed.get(col).and_then(Option::as_ref)
+    }
+
+    /// Append every column of the last selected qualifiers to `out` (one
+    /// vector per schema column), densely, in tuple order. `tuples` must
+    /// be the slice [`ScanFilter::select`] saw; with `backing` (the
+    /// shared buffer they slice into) text decodes as zero-copy views
+    /// pinning it, otherwise into `out`'s arenas.
+    pub fn gather_selected(
+        &self,
+        tuples: &[&[u8]],
+        backing: Option<&SharedBytes>,
+        out: &mut [ColumnVector],
+    ) -> Result<()> {
+        if self.selected.len() <= ROW_MAJOR_MAX {
+            let mut rows = self.selected.iter();
+            return rows
+                .try_for_each(|&t| self.layout.gather_row(tuples, t as usize, backing, out));
+        }
+        let rows = (self.selected.len() < tuples.len()).then_some(self.selected.as_slice());
+        out.iter_mut()
+            .enumerate()
+            .try_for_each(|(c, v)| self.layout.gather(c, tuples, rows, backing, v))
+    }
+
+    /// Check the text columns of the last selected qualifiers as
+    /// [`ScanFilter::gather_selected`] would, without decoding them —
+    /// for a consumer that keeps the encoded bytes and decodes later.
+    pub fn check_selected_text(&self, tuples: &[&[u8]]) -> Result<()> {
+        self.layout.check_text(tuples, &self.selected)
     }
 
     /// Decode the encoded tuple `bytes` if it qualifies; `None` otherwise.
+    /// The row-at-a-time form, kept for consumers that hold `Row`s.
     pub fn filter_decode(&mut self, schema: &Schema, bytes: &[u8]) -> Result<Option<Row>> {
-        if matches!(self.predicate, Predicate::True) {
-            smooth_storage::tap_rows(1, 1);
-            return Ok(Some(Row::decode(schema, bytes)?));
-        }
-        let matched = if self.probe_pays() {
-            Row::decode_columns_into(schema, bytes, &self.cols, &mut self.scratch)?;
-            let matched = self.predicate.eval_values(&self.scratch)?;
-            self.probed += 1;
-            self.matched += u64::from(matched);
-            matched.then(|| Row::decode(schema, bytes)).transpose()?
-        } else {
-            let row = Row::decode(schema, bytes)?;
-            let matched = self.predicate.eval(&row)?;
-            self.probed += 1;
-            self.matched += u64::from(matched);
-            matched.then_some(row)
-        };
-        smooth_storage::tap_rows(1, u64::from(matched.is_some()));
-        Ok(matched)
+        let matched = self.select(&[bytes])? == 1;
+        smooth_storage::tap_rows(1, u64::from(matched));
+        matched.then(|| Row::decode(schema, bytes)).transpose()
     }
 
     /// Columnar fill: append the qualifying tuples among `tuples` to
@@ -541,13 +507,6 @@ impl ScanFilter {
     /// the caller's clock accounting — `inspected` is always
     /// `tuples.len()`, so bulk per-page charges stay byte-for-byte
     /// identical to the per-tuple row path.
-    ///
-    /// Strategy mirrors [`ScanFilter::filter_decode`]'s adaptivity: while
-    /// probing pays, predicate columns are decoded into reused typed
-    /// vectors, the kernel produces a match mask, and only qualifiers are
-    /// fully decoded (no `Row`, no `Vec<Value>` — straight into `out`'s
-    /// column vectors). Once most tuples match, tuples are decoded in a
-    /// single pass and the rare non-qualifier is truncated back off.
     ///
     /// When `backing` names the shared buffer the `tuples` slices live in
     /// (the pinned page), qualifying text fields decode as zero-copy
@@ -558,57 +517,13 @@ impl ScanFilter {
         &mut self,
         schema: &Schema,
         tuples: &[&[u8]],
-        backing: Option<&smooth_types::SharedBytes>,
+        backing: Option<&SharedBytes>,
         out: &mut ColumnBatch,
     ) -> Result<(u64, u64)> {
-        let inspected = tuples.len() as u64;
-        if matches!(self.predicate, Predicate::True) {
-            for t in tuples {
-                out.push_tuple_backed(schema, t, backing)?;
-            }
-            smooth_storage::tap_rows(inspected, inspected);
-            return Ok((inspected, inspected));
-        }
-        let mut emitted = 0u64;
-        if self.probe_pays() {
-            for v in &mut self.col_scratch {
-                v.clear();
-            }
-            // Probe vectors are predicate scratch, never emitted — decode
-            // them owned so they don't pin pages past the probe.
-            for t in tuples {
-                decode_columns_append(schema, t, &self.cols, &mut self.col_scratch, None)?;
-            }
-            let scratch = &self.col_scratch;
-            let col_map = &self.col_map;
-            let lookup =
-                |c: usize| -> Result<&ColumnVector> {
-                    col_map.get(c).copied().flatten().map(|k| &scratch[k]).ok_or_else(|| {
-                        smooth_types::Error::exec(format!("column {c} out of range"))
-                    })
-                };
-            let mut mask = std::mem::take(&mut self.mask);
-            self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut mask)?;
-            for (t, &m) in tuples.iter().zip(&mask) {
-                if m {
-                    out.push_tuple_backed(schema, t, backing)?;
-                    emitted += 1;
-                }
-            }
-            self.mask = mask;
-        } else {
-            for t in tuples {
-                out.push_tuple_backed(schema, t, backing)?;
-                let last = out.physical_rows() - 1;
-                if self.predicate.eval_columns_at(&|c| out.column_checked(c), last)? {
-                    emitted += 1;
-                } else {
-                    out.truncate_rows(last);
-                }
-            }
-        }
-        self.probed += inspected;
-        self.matched += emitted;
+        debug_assert_eq!(schema.len(), self.layout.width());
+        let (inspected, emitted) = (tuples.len() as u64, self.select(tuples)? as u64);
+        self.gather_selected(tuples, backing, out.columns_mut())?;
+        out.commit_rows(emitted as usize);
         smooth_storage::tap_rows(inspected, emitted);
         Ok((inspected, emitted))
     }
@@ -814,8 +729,8 @@ mod tests {
         let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         let preds = [
             Predicate::True,
-            Predicate::int_lt(1, 5), // low match rate → probe path
-            Predicate::int_ge(1, 0), // high match rate → single-pass path after warmup
+            Predicate::int_lt(1, 5), // a few qualifiers a page → row-major gather
+            Predicate::int_ge(1, 0), // most of the page → column-major gather
             Predicate::And(vec![
                 Predicate::int_ge(0, 100),
                 Predicate::StrEq { col: 2, value: "x".into() },
@@ -832,7 +747,7 @@ mod tests {
             }
             let mut out = ColumnBatch::for_schema(&schema);
             let mut emitted_total = 0;
-            // feed in page-sized chunks so the adaptive heuristic flips
+            // feed in page-sized chunks, as a scan does
             for chunk in tuples.chunks(90) {
                 let (inspected, emitted) =
                     col_filter.fill_columns(&schema, chunk, None, &mut out).unwrap();

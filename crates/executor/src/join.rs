@@ -5,18 +5,24 @@
 //! hash joins (Q7) and merge joins fed by interesting orders — the
 //! situation where Smooth Scan's order preservation matters (Section IV-B,
 //! "Interaction with Other Operators").
+//!
+//! [`HashJoin`] and [`IndexNestedLoopJoin`] are columnar end to end (typed
+//! key vectors, column-wise gathers, one [`ColumnBuffer`] under both
+//! iterator protocols; the index join's decode path is described at its
+//! definition and in `docs/ARCHITECTURE.md`); [`MergeJoin`] and
+//! [`NestedLoopJoin`] work a row at a time and reach the columnar protocol
+//! through the trait-default bridge.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smooth_index::BTreeIndex;
-use smooth_storage::{HeapFile, Storage};
+use smooth_storage::{HeapFile, PageView, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Value,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Tid, Value,
 };
 
-use crate::expr::Predicate;
+use crate::expr::{Predicate, ScanFilter};
 use crate::hashtable::KeyTable;
 use crate::operator::{batch_size, BoxedOperator, Operator};
 use crate::spill::{charge_spill_io, spill_write, SpillFile};
@@ -1045,18 +1051,67 @@ impl Operator for NestedLoopJoin {
 /// B+-tree and fetch matching heap tuples ("a parameterized path",
 /// Section IV-B). The inner fetches are random heap I/O — the pattern that
 /// destroys Q12/Q19 in Fig. 1 when the outer cardinality is underestimated.
+///
+/// The join is columnar end to end: the outer key is read off the typed
+/// key vector, each fetched inner tuple is validated, residual-filtered
+/// and decoded through the inner side's compiled [`ScanFilter`] straight
+/// into the output's inner columns, and the outer columns of a whole
+/// morsel's matches gather in one pass per column. Inner text is copied
+/// into the output's arenas — one matched tuple must not pin its 8 KB
+/// page frame. Both iterator protocols drain one [`ColumnBuffer`] FIFO.
 pub struct IndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
-    inner_heap: Arc<HeapFile>,
-    inner_index: Arc<BTreeIndex>,
-    inner_residual: Predicate,
+    inner: InnerProbe,
+    schema: Schema,
+    /// Outer physical row of each joined row of the morsel being probed.
+    matched: Vec<u32>,
+    /// Pending join output; outer columns first, then (inner joins) the
+    /// inner table's.
+    out: ColumnBuffer,
+}
+
+/// The inner side of an [`IndexNestedLoopJoin`]: index probe, heap fetch
+/// and residual for one key at a time.
+struct InnerProbe {
+    heap: Arc<HeapFile>,
+    index: Arc<BTreeIndex>,
+    /// The inner residual, compiled over the inner table's tuples.
+    filter: ScanFilter,
     ty: JoinType,
     storage: Storage,
-    schema: Schema,
-    /// Joined rows awaiting emission, in probe order; both protocols
-    /// drain this one queue.
-    pending: VecDeque<Row>,
+    /// TIDs of the key being probed (reused across keys).
+    tids: Vec<Tid>,
+}
+
+impl InnerProbe {
+    /// Fetch the inner tuples of `key` in TID order and append the
+    /// residual-qualifying ones to `inner_cols` (one vector per inner
+    /// column; untouched by a semi join, which stops at its first match).
+    /// Returns how many joined rows `key` produces. Inner fetches feed no
+    /// scan statistics — they are probes, not a scan.
+    fn probe(&mut self, key: i64, inner_cols: &mut [ColumnVector]) -> Result<usize> {
+        self.index.probe_into(&self.storage, key, &mut self.tids);
+        let cpu = *self.storage.cpu();
+        let mut joined = 0;
+        for tid in &self.tids {
+            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
+            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
+            let tuple = [PageView::new(&page)?.get(tid.slot)?];
+            if self.filter.select(&tuple)? == 0 {
+                continue;
+            }
+            self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
+            joined += 1;
+            match self.ty {
+                JoinType::Inner => self.filter.gather_selected(&tuple, None, inner_cols)?,
+                // The residual runs per tuple in TID order so the first
+                // match ends the fetches, as the page counters expect.
+                JoinType::LeftSemi => break,
+            }
+        }
+        Ok(joined)
+    }
 }
 
 impl IndexNestedLoopJoin {
@@ -1071,45 +1126,57 @@ impl IndexNestedLoopJoin {
         storage: Storage,
     ) -> Self {
         let schema = join_schema(outer.schema(), inner_heap.schema(), ty);
-        IndexNestedLoopJoin {
-            outer,
-            outer_col,
-            inner_heap,
-            inner_index,
-            inner_residual,
-            ty,
-            storage,
-            schema,
-            pending: VecDeque::new(),
-        }
+        let out = ColumnBuffer::for_schema(&schema);
+        let filter = ScanFilter::new(inner_residual, inner_heap.schema());
+        let inner =
+            InnerProbe { heap: inner_heap, index: inner_index, filter, ty, storage, tids: vec![] };
+        IndexNestedLoopJoin { outer, outer_col, inner, schema, matched: Vec::new(), out }
     }
 
-    /// Probe the inner index for one outer row and queue its output in
-    /// `pending`: the inner matches in TID order, or — for a semi join —
-    /// the outer row itself on the first match.
-    fn probe(&mut self, outer_row: Row) -> Result<()> {
-        let key = match outer_row.get(self.outer_col) {
+    /// Probe one outer morsel to completion into the output buffer: the
+    /// inner matches of each live outer row in TID order, or — for a semi
+    /// join — the outer row itself on its first match.
+    fn probe_morsel(&mut self, outer: &ColumnBatch) -> Result<()> {
+        let key_col = outer.column_checked(self.outer_col)?;
+        let keys = match key_col.values() {
+            ColumnValues::Int(keys) => Some(keys),
+            _ => None,
+        };
+        let out = self.out.fill();
+        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.width());
+        self.matched.clear();
+        for row in outer.live_rows() {
+            if key_col.is_null(row) {
+                continue;
+            }
+            let Some(keys) = keys else {
+                return Err(Error::exec("INLJ key must be integer"));
+            };
+            let joined = self.inner.probe(keys[row], inner_cols)?;
+            self.matched.extend(std::iter::repeat_n(row as u32, joined));
+        }
+        for (dst, src) in outer_cols.iter_mut().zip(outer.columns()) {
+            dst.extend_gather(src, &self.matched);
+        }
+        out.commit_rows(self.matched.len());
+        Ok(())
+    }
+
+    /// [`IndexNestedLoopJoin::probe_morsel`] for one outer row of the
+    /// row-at-a-time protocol.
+    fn probe_row(&mut self, outer: &Row) -> Result<()> {
+        let key = match outer.get(self.outer_col) {
             Value::Int(k) => *k,
             Value::Null => return Ok(()),
             other => return Err(Error::exec(format!("INLJ key must be integer, got {other}"))),
         };
-        let tids = self.inner_index.probe(&self.storage, key);
-        let cpu = *self.storage.cpu();
-        for tid in tids {
-            let page = self.storage.read_heap_page(&self.inner_heap, tid.page)?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-            let inner_row = self.inner_heap.decode_slot(&page, tid.slot)?;
-            if self.inner_residual.eval(&inner_row)? {
-                self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                match self.ty {
-                    JoinType::Inner => self.pending.push_back(outer_row.concat(&inner_row)),
-                    JoinType::LeftSemi => {
-                        self.pending.push_back(outer_row);
-                        break;
-                    }
-                }
-            }
+        let out = self.out.fill();
+        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.len());
+        let joined = self.inner.probe(key, inner_cols)?;
+        for (dst, v) in outer_cols.iter_mut().zip(outer.values()) {
+            (0..joined).try_for_each(|_| dst.push_value(v))?;
         }
+        out.commit_rows(joined);
         Ok(())
     }
 }
@@ -1121,51 +1188,45 @@ impl Operator for IndexNestedLoopJoin {
 
     fn open(&mut self) -> Result<()> {
         self.outer.open()?;
-        self.pending.clear();
+        self.out.reset();
         Ok(())
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
         loop {
-            if let Some(row) = self.pending.pop_front() {
+            if let Some(row) = self.out.pop_row() {
                 return Ok(Some(row));
             }
             let Some(outer_row) = self.outer.next()? else { return Ok(None) };
-            self.probe(outer_row)?;
+            self.probe_row(&outer_row)?;
         }
     }
 
     /// Columnar probe loop: the outer side arrives a morsel at a time
     /// (so an outer scan reads ahead by whole morsels, as under every
     /// other columnar operator) and is probed to completion into the
-    /// shared `pending` queue; up to `max` joined rows leave per call.
+    /// shared output buffer; up to `max` joined rows leave per call.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        while self.pending.len() < max {
+        while self.out.pending() < max {
             let Some(outer) = self.outer.next_columns(max)? else { break };
-            for outer_row in outer.into_rows() {
-                self.probe(outer_row)?;
-            }
+            self.probe_morsel(&outer)?;
         }
-        let mut out = ColumnBatch::for_schema(&self.schema);
-        for row in self.pending.drain(..max.min(self.pending.len())) {
-            out.push_owned_row(row)?;
-        }
-        Ok((!out.is_empty()).then_some(out))
+        Ok(self.out.pop_columns(max))
     }
 
     fn close(&mut self) -> Result<()> {
-        self.pending.clear();
+        self.out.reset();
         self.outer.close()
     }
 
     fn label(&self) -> String {
         format!(
             "IndexNestedLoopJoin({:?}) [{} ⋈ {} via {}]",
-            self.ty,
+            self.inner.ty,
             self.outer.label(),
-            self.inner_heap.name(),
-            self.inner_index.name()
+            self.inner.heap.name(),
+            self.inner.index.name()
         )
     }
 }

@@ -482,12 +482,14 @@ pub(crate) fn open_source(source: ParallelSource, morsel_rows: usize) -> Result<
 pub(crate) struct HeapDecoder {
     schema: Schema,
     filter: ScanFilter,
+    /// Rows the previous morsel produced: the next one is sized from it.
+    last_rows: Option<usize>,
 }
 
 impl HeapDecoder {
     pub(crate) fn new(schema: Schema, predicate: Predicate) -> Self {
         let filter = ScanFilter::new(predicate, &schema);
-        HeapDecoder { schema, filter }
+        HeapDecoder { schema, filter, last_rows: None }
     }
 
     fn decode(&mut self, storage: &Storage, pages: &[(PageId, PageBuf)]) -> Result<ColumnBatch> {
@@ -498,19 +500,27 @@ impl HeapDecoder {
         // call) while the serialized source section holds only the
         // irreducible device I/O.
         storage.charge_page_probes(pages.len() as u64);
-        let mut out = ColumnBatch::for_schema(&self.schema);
+        // Size the morsel once instead of regrowing every vector by
+        // doubling: the run's slot count bounds it, and the previous
+        // morsel's yield (plus slack) predicts it under a filter.
+        let slots = pages.iter().try_fold(0usize, |n, (_, page)| {
+            PageView::new(page).map(|v| n + v.slot_count() as usize)
+        })?;
+        let rows = self.last_rows.map_or(slots, |n| (n + n / 8 + 16).min(slots));
+        let mut out = ColumnBatch::with_capacity(&self.schema, rows);
+        let mut tuples = Vec::new();
         for (_, page) in pages {
-            let view = PageView::new(page)?;
             fill_page_columns(
                 storage,
                 &mut self.filter,
                 &self.schema,
                 page,
-                &view,
-                0..view.slot_count(),
+                None,
+                &mut tuples,
                 &mut out,
             )?;
         }
+        self.last_rows = Some(out.physical_rows());
         Ok(out)
     }
 }

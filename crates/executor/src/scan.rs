@@ -25,21 +25,25 @@ use crate::operator::Operator;
 /// the columnar buffer `out`, charging the virtual clock in one bulk
 /// increment (identical totals to the per-tuple charges of the
 /// row-at-a-time path: one inspect per slot probed, one emit per
-/// qualifier).
-pub(crate) fn fill_page_columns(
+/// qualifier). `tuples` is the caller's slice scratch, reused across the
+/// pages of one fetched run.
+pub(crate) fn fill_page_columns<'a>(
     storage: &Storage,
     filter: &mut ScanFilter,
     schema: &Schema,
-    page: &smooth_storage::PageBuf,
-    view: &PageView<'_>,
-    slots: impl Iterator<Item = u16>,
+    page: &'a smooth_storage::PageBuf,
+    slots: Option<&[u16]>,
+    tuples: &mut Vec<&'a [u8]>,
     out: &mut ColumnBatch,
 ) -> Result<()> {
-    let mut tuples: Vec<&[u8]> = Vec::with_capacity(slots.size_hint().0);
-    for slot in slots {
-        tuples.push(view.get(slot)?);
+    let view = PageView::new(page)?;
+    tuples.clear();
+    tuples.reserve(slots.map_or(view.slot_count() as usize, <[u16]>::len));
+    match slots {
+        Some(slots) => slots.iter().try_for_each(|&s| view.get(s).map(|t| tuples.push(t)))?,
+        None => view.iter().try_for_each(|t| t.map(|t| tuples.push(t)))?,
     }
-    let (inspected, emitted) = filter.fill_columns(schema, &tuples, Some(page), out)?;
+    let (inspected, emitted) = filter.fill_columns(schema, tuples, Some(page), out)?;
     let cpu = storage.cpu();
     storage.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * emitted);
     Ok(())
@@ -98,15 +102,15 @@ impl FullTableScan {
             let pages = self.storage.read_heap_run(&self.heap, PageId(self.next_page), len)?;
             self.storage.charge_page_probes(len as u64);
             self.next_page += len;
+            let mut tuples = Vec::new();
             for (_, page) in &pages {
-                let view = PageView::new(page)?;
                 fill_page_columns(
                     &self.storage,
                     &mut self.filter,
                     self.heap.schema(),
                     page,
-                    &view,
-                    0..view.slot_count(),
+                    None,
+                    &mut tuples,
                     self.out.fill(),
                 )?;
             }
@@ -320,17 +324,17 @@ impl SortScan {
             let Some(run) = self.runs.pop_front() else { return Ok(false) };
             let pages = self.storage.read_heap_run(&self.heap, PageId(run.start), run.len)?;
             self.storage.charge_page_probes(run.len as u64);
+            let mut tuples = Vec::new();
             for (page_no, slots) in &run.page_slots {
                 let idx = (page_no - run.start) as usize;
                 let (_, page) = &pages[idx];
-                let view = PageView::new(page)?;
                 fill_page_columns(
                     &self.storage,
                     &mut self.filter,
                     self.heap.schema(),
                     page,
-                    &view,
-                    slots.iter().copied(),
+                    Some(slots),
+                    &mut tuples,
                     self.out.fill(),
                 )?;
             }

@@ -239,10 +239,18 @@ impl BTreeIndex {
     /// All TIDs for an exact key, in TID order (used by index-nested-loop
     /// joins). Charges the descent and any leaf walks.
     pub fn probe(&self, storage: &Storage, key: i64) -> Vec<Tid> {
-        if self.is_empty() {
-            return Vec::new();
-        }
         let mut out = Vec::new();
+        self.probe_into(storage, key, &mut out);
+        out
+    }
+
+    /// [`BTreeIndex::probe`] into a caller-owned buffer (cleared first),
+    /// so a probe loop allocates nothing per key.
+    pub fn probe_into(&self, storage: &Storage, key: i64, out: &mut Vec<Tid>) {
+        out.clear();
+        if self.is_empty() {
+            return;
+        }
         let mut leaf = self.descend(storage, key);
         let mut pos = self.leaves[leaf].entries.partition_point(|&(k, _)| k < key);
         loop {
@@ -263,7 +271,6 @@ impl BTreeIndex {
             out.push(tid);
             pos += 1;
         }
-        out
     }
 
     /// A `(key, tid)`-ordered cursor over `[lo, hi]` bounds. The descent to

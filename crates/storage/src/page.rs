@@ -129,8 +129,11 @@ impl<'a> PageView<'a> {
         let entry = HEADER_LEN + SLOT_LEN * slot as usize;
         let off = u16::from_le_bytes([self.bytes[entry], self.bytes[entry + 1]]) as usize;
         let len = u16::from_le_bytes([self.bytes[entry + 2], self.bytes[entry + 3]]) as usize;
-        if off + len > PAGE_SIZE || off < HEADER_LEN {
-            return Err(Error::corrupt(format!("slot {slot} points outside the page")));
+        // Tuple data lives in `[data_start, PAGE_SIZE)`; `new` checked that
+        // the slot array ends at or before `data_start`, so a slot that
+        // starts below it would alias the header or the slot array.
+        if off + len > PAGE_SIZE || off < self.data_start() as usize {
+            return Err(Error::corrupt(format!("slot {slot} points outside the tuple area")));
         }
         Ok(&self.bytes[off..off + len])
     }
@@ -197,6 +200,23 @@ mod tests {
         let mut img = vec![0u8; PAGE_SIZE];
         img[0..2].copy_from_slice(&5000u16.to_le_bytes()); // absurd slot count
         assert!(PageView::new(&img).is_err());
+    }
+
+    #[test]
+    fn slot_aliasing_the_slot_array_is_corrupt() {
+        let mut b = PageBuilder::new();
+        b.insert(b"alpha").unwrap();
+        b.insert(b"bravo").unwrap();
+        let mut img = b.freeze().to_vec();
+        // Point slot 1 at the slot array itself, then just below the
+        // tuple area: both inside the page, both past the header.
+        for off in [HEADER_LEN as u16, PAGE_SIZE as u16 - 11] {
+            img[HEADER_LEN + SLOT_LEN..HEADER_LEN + SLOT_LEN + 2]
+                .copy_from_slice(&off.to_le_bytes());
+            let view = PageView::new(&img).unwrap();
+            assert_eq!(view.get(0).unwrap(), b"alpha", "intact slots still read");
+            assert!(matches!(view.get(1), Err(Error::Corrupt(_))), "offset {off}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! strings, with a parallel null mask) and an optional *selection vector*
 //! naming the live rows. The layout exists for the hot paths:
 //!
-//! * scans decode pages straight into column vectors, paying no per-row
-//!   `Vec<Value>` allocation (see [`ColumnBatch::push_tuple`]);
+//! * scans decode pages straight into column vectors, a column at a time
+//!   through a compiled [`crate::layout::TupleLayout`], paying no per-row
+//!   `Vec<Value>` allocation;
 //! * predicates evaluate as tight loops over a single typed vector,
 //!   producing a selection vector instead of moving any data;
 //! * projection is column pruning, not per-row rebuilding.
@@ -28,9 +29,9 @@
 //! * A span into a [`SharedBytes`] buffer **pins** that buffer (an `Arc`
 //!   clone per distinct buffer, not per value) until the column is
 //!   cleared, compacted or dropped — scans hand their pinned page buffers
-//!   to the decode path (`ColumnVector::push_decoded`) so decoded text
-//!   borrows the page instead of allocating one `String` per qualifying
-//!   value.
+//!   to the decode path ([`crate::layout::TupleLayout::gather`]) so
+//!   decoded text borrows the page instead of allocating one `String` per
+//!   qualifying value.
 //! * Values with no backing buffer (row pushes, gathered copies of arena
 //!   spans, decode with views disabled via `SMOOTH_TEXT_VIEWS=0`) append
 //!   their bytes to the column-local arena: owned, but still amortized —
@@ -44,8 +45,8 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 
 use crate::error::{Error, Result};
+use crate::layout::TupleLayout;
 use crate::row::Row;
-use crate::row::{codec_is_null, codec_skip_field, codec_split_bitmap, codec_take};
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
 
@@ -66,10 +67,10 @@ static TEXT_VIEWS: AtomicU8 = AtomicU8::new(0);
 /// Text values decoded into owned arena bytes (each one would have been
 /// a `String` allocation under the pre-view layout). Monotone,
 /// process-global; consumers diff around a region of interest.
-static TEXT_DECODE_OWNED: AtomicU64 = AtomicU64::new(0);
+pub(crate) static TEXT_DECODE_OWNED: AtomicU64 = AtomicU64::new(0);
 
 /// Text values decoded as zero-copy views into a backing buffer.
-static TEXT_DECODE_VIEWS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static TEXT_DECODE_VIEWS: AtomicU64 = AtomicU64::new(0);
 
 /// Whether scan decode emits zero-copy text views (the default). Set
 /// `SMOOTH_TEXT_VIEWS=0` to degrade every decoded text value to owned
@@ -228,6 +229,12 @@ impl TextColumn {
         }
     }
 
+    /// Make room for `n` more slots.
+    #[inline]
+    pub(crate) fn reserve(&mut self, n: usize) {
+        self.spans.reserve(n);
+    }
+
     /// Append slots `[a, b)` of `src` (see [`TextColumn::push_from`]).
     fn append_range(&mut self, src: &TextColumn, a: usize, b: usize) {
         self.spans.reserve(b - a);
@@ -242,14 +249,6 @@ impl TextColumn {
         self.bufs.clear();
         self.arena.clear();
         self.spans.clear();
-    }
-
-    /// Keep the first `n` slots. Arena bytes and buffer pins of the
-    /// dropped tail are *not* reclaimed until the next `clear` /
-    /// compaction — this is the scan-side "undo the last append"
-    /// primitive, and the leaked tail is bounded by one fill cycle.
-    fn truncate(&mut self, n: usize) {
-        self.spans.truncate(n);
     }
 
     /// Drop the first `n` slots by rebuilding the column from the
@@ -269,65 +268,6 @@ impl PartialEq for TextColumn {
     fn eq(&self, other: &Self) -> bool {
         self.len() == other.len() && (0..self.len()).all(|i| self.bytes_at(i) == other.bytes_at(i))
     }
-}
-
-/// Decode only the columns listed in `cols` (ascending ordinals) of one
-/// encoded tuple, appending one slot to each of the parallel vectors
-/// `out[k]` (one per entry of `cols`). Unreferenced fixed-width fields
-/// coalesce into deferred skips. The whole tuple is still structurally
-/// validated — truncation or trailing bytes error exactly as under
-/// [`crate::row::Row::decode`] — so probing keeps the row and columnar
-/// protocols behaviorally identical on bad pages.
-///
-/// This is the columnar twin of [`crate::row::Row::decode_columns_into`]:
-/// the scan-side predicate probe that feeds the vectorized kernels without
-/// materializing a `Value` per field. When `backing` names the shared
-/// buffer that `bytes` is a slice of, decoded text fields become zero-copy
-/// views pinning that buffer (see the module docs); pass `None` to copy
-/// text into the column arena.
-pub fn decode_columns_append(
-    schema: &Schema,
-    bytes: &[u8],
-    cols: &[usize],
-    out: &mut [ColumnVector],
-    backing: Option<&SharedBytes>,
-) -> Result<()> {
-    debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be ascending");
-    debug_assert_eq!(cols.len(), out.len());
-    let (bitmap, mut rest) = codec_split_bitmap(schema, bytes)?;
-    let mut wanted = cols.iter().copied().enumerate().peekable();
-    let mut pending_skip = 0usize;
-    for (i, c) in schema.columns().iter().enumerate() {
-        let want = wanted.peek().map(|&(_, col)| col) == Some(i);
-        let slot = if want { wanted.next().map(|(k, _)| k) } else { None };
-        if codec_is_null(bitmap, i) {
-            if let Some(k) = slot {
-                out[k].push_null();
-            }
-            continue;
-        }
-        if slot.is_none() {
-            if let Some(w) = c.ty.fixed_width() {
-                pending_skip += w;
-                continue;
-            }
-        }
-        if pending_skip > 0 {
-            codec_take(&mut rest, pending_skip)?;
-            pending_skip = 0;
-        }
-        match slot {
-            Some(k) => out[k].push_decoded(c.ty, &mut rest, backing)?,
-            None => codec_skip_field(&mut rest, c.ty)?,
-        }
-    }
-    if pending_skip > 0 {
-        codec_take(&mut rest, pending_skip)?;
-    }
-    if !rest.is_empty() {
-        return Err(Error::corrupt("trailing bytes after tuple"));
-    }
-    Ok(())
 }
 
 /// The typed payload of one column vector.
@@ -357,14 +297,6 @@ impl ColumnValues {
             ColumnValues::Str(v) => v.clear(),
         }
     }
-
-    fn truncate(&mut self, n: usize) {
-        match self {
-            ColumnValues::Int(v) => v.truncate(n),
-            ColumnValues::Float(v) => v.truncate(n),
-            ColumnValues::Str(v) => v.truncate(n),
-        }
-    }
 }
 
 /// One column's worth of values: a typed vector plus a null mask.
@@ -373,19 +305,29 @@ impl ColumnValues {
 /// mask; kernels must consult [`ColumnVector::nulls`] before the payload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnVector {
-    values: ColumnValues,
-    nulls: Vec<bool>,
+    pub(crate) values: ColumnValues,
+    pub(crate) nulls: Vec<bool>,
 }
 
 impl ColumnVector {
     /// An empty vector typed for `ty`.
     pub fn for_type(ty: DataType) -> Self {
+        Self::with_capacity(ty, 0)
+    }
+
+    /// An empty vector typed for `ty` with room for `n` slots.
+    fn with_capacity(ty: DataType, n: usize) -> Self {
         let values = match ty {
-            DataType::Int32 | DataType::Int64 | DataType::Date => ColumnValues::Int(Vec::new()),
-            DataType::Float64 => ColumnValues::Float(Vec::new()),
-            DataType::Text => ColumnValues::Str(TextColumn::default()),
+            DataType::Int32 | DataType::Int64 | DataType::Date => {
+                ColumnValues::Int(Vec::with_capacity(n))
+            }
+            DataType::Float64 => ColumnValues::Float(Vec::with_capacity(n)),
+            DataType::Text => ColumnValues::Str(TextColumn {
+                spans: Vec::with_capacity(n),
+                ..TextColumn::default()
+            }),
         };
-        ColumnVector { values, nulls: Vec::new() }
+        ColumnVector { values, nulls: Vec::with_capacity(n) }
     }
 
     /// Number of slots (live or not — selection is batch-level).
@@ -422,11 +364,6 @@ impl ColumnVector {
     pub fn clear(&mut self) {
         self.values.clear();
         self.nulls.clear();
-    }
-
-    fn truncate(&mut self, n: usize) {
-        self.values.truncate(n);
-        self.nulls.truncate(n);
     }
 
     /// Append a NULL slot.
@@ -490,56 +427,6 @@ impl ColumnVector {
             Value::Int(x) => self.push_int(*x),
             Value::Float(x) => self.push_float(*x),
             Value::Str(s) => self.push_str(s),
-        }
-    }
-
-    /// Decode one non-null field of type `ty` from the front of `rest`
-    /// straight into the vector — the allocation-free scan decode path.
-    /// With `backing` (the shared buffer `rest` slices into) and views
-    /// enabled, text fields become zero-copy views pinning that buffer;
-    /// otherwise their bytes copy into the column arena.
-    #[inline]
-    pub(crate) fn push_decoded(
-        &mut self,
-        ty: DataType,
-        rest: &mut &[u8],
-        backing: Option<&SharedBytes>,
-    ) -> Result<()> {
-        match ty {
-            DataType::Int32 | DataType::Date => {
-                let b = codec_take(rest, 4)?;
-                self.push_int(i32::from_le_bytes(b.try_into().unwrap()) as i64)
-            }
-            DataType::Int64 => {
-                let b = codec_take(rest, 8)?;
-                self.push_int(i64::from_le_bytes(b.try_into().unwrap()))
-            }
-            DataType::Float64 => {
-                let b = codec_take(rest, 8)?;
-                self.push_float(f64::from_le_bytes(b.try_into().unwrap()))
-            }
-            DataType::Text => {
-                let b = codec_take(rest, 2)?;
-                let len = u16::from_le_bytes(b.try_into().unwrap()) as usize;
-                let bytes = codec_take(rest, len)?;
-                let s = std::str::from_utf8(bytes)
-                    .map_err(|_| Error::corrupt("non-utf8 text field"))?;
-                let ColumnValues::Str(v) = &mut self.values else {
-                    return Err(Error::exec("string pushed into a non-text column vector"));
-                };
-                match backing.filter(|_| text_views_enabled()) {
-                    Some(buf) => {
-                        TEXT_DECODE_VIEWS.fetch_add(1, Ordering::Relaxed);
-                        v.push_view(buf, s);
-                    }
-                    None => {
-                        TEXT_DECODE_OWNED.fetch_add(1, Ordering::Relaxed);
-                        v.push_owned(s);
-                    }
-                }
-                self.nulls.push(false);
-                Ok(())
-            }
         }
     }
 
@@ -758,11 +645,14 @@ pub struct ColumnBatch {
 impl ColumnBatch {
     /// An empty batch with one typed vector per column of `schema`.
     pub fn for_schema(schema: &Schema) -> Self {
-        ColumnBatch {
-            columns: schema.columns().iter().map(|c| ColumnVector::for_type(c.ty)).collect(),
-            rows: 0,
-            selection: None,
-        }
+        Self::with_capacity(schema, 0)
+    }
+
+    /// [`ColumnBatch::for_schema`] with room for `rows` rows in every
+    /// vector, for a producer that knows its morsel's size up front.
+    pub fn with_capacity(schema: &Schema, rows: usize) -> Self {
+        let columns = schema.columns().iter().map(|c| ColumnVector::with_capacity(c.ty, rows));
+        ColumnBatch { columns: columns.collect(), rows: 0, selection: None }
     }
 
     /// An empty batch with the same column typing as `other`.
@@ -780,7 +670,7 @@ impl ColumnBatch {
                 ColumnValues::Int(_) => ColumnValues::Int(Vec::with_capacity(n)),
                 ColumnValues::Float(_) => ColumnValues::Float(Vec::with_capacity(n)),
                 ColumnValues::Str(t) => ColumnValues::Str(TextColumn {
-                    bufs: Vec::new(),
+                    bufs: Vec::with_capacity(if sized { t.bufs.len() } else { 0 }),
                     arena: Vec::with_capacity(if sized { t.arena.len() } else { 0 }),
                     spans: Vec::with_capacity(n),
                 }),
@@ -923,16 +813,6 @@ impl ColumnBatch {
         self.rows -= n;
     }
 
-    /// Truncate to the first `n` physical rows (selection must be unset —
-    /// this is the scan-side "undo the last append" primitive).
-    pub fn truncate_rows(&mut self, n: usize) {
-        debug_assert!(self.selection.is_none(), "truncate under a selection vector");
-        for c in &mut self.columns {
-            c.truncate(n);
-        }
-        self.rows = self.rows.min(n);
-    }
-
     /// Append one row (selection must be unset).
     pub fn push_row(&mut self, row: &crate::row::Row) -> Result<()> {
         debug_assert!(self.selection.is_none(), "push under a selection vector");
@@ -978,7 +858,9 @@ impl ColumnBatch {
     /// Validation is as strict as [`crate::row::Row::decode`] (truncated
     /// or trailing bytes error); on error the batch state is unspecified
     /// and the query aborts. Text fields copy into the column arena; use
-    /// [`ColumnBatch::push_tuple_backed`] for zero-copy views.
+    /// [`ColumnBatch::push_tuple_backed`] for zero-copy views. This
+    /// compiles a [`TupleLayout`] per call — a convenience for one-off
+    /// decodes; operators hold a layout and decode pages through it.
     pub fn push_tuple(&mut self, schema: &Schema, bytes: &[u8]) -> Result<()> {
         self.push_tuple_backed(schema, bytes, None)
     }
@@ -995,17 +877,7 @@ impl ColumnBatch {
     ) -> Result<()> {
         debug_assert!(self.selection.is_none(), "push under a selection vector");
         debug_assert_eq!(schema.len(), self.columns.len());
-        let (bitmap, mut rest) = codec_split_bitmap(schema, bytes)?;
-        for (i, c) in schema.columns().iter().enumerate() {
-            if codec_is_null(bitmap, i) {
-                self.columns[i].push_null();
-            } else {
-                self.columns[i].push_decoded(c.ty, &mut rest, backing)?;
-            }
-        }
-        if !rest.is_empty() {
-            return Err(Error::corrupt("trailing bytes after tuple"));
-        }
+        TupleLayout::all(schema).decode_into(bytes, backing, &mut self.columns)?;
         self.rows += 1;
         Ok(())
     }
@@ -1336,29 +1208,33 @@ mod tests {
     }
 
     #[test]
-    fn decode_columns_append_probes_predicate_columns() {
+    fn layout_probes_predicate_columns() {
         let s = schema();
-        let mut probe = vec![
-            ColumnVector::for_type(DataType::Int64),
-            ColumnVector::for_type(DataType::Float64),
-        ];
-        for r in rows() {
-            let bytes = r.encode(&s).unwrap();
-            decode_columns_append(&s, &bytes, &[0, 2], &mut probe, None).unwrap();
+        let mut layout = TupleLayout::new(&s, &[0, 2]);
+        let encoded: Vec<Vec<u8>> = rows().iter().map(|r| r.encode(&s).unwrap()).collect();
+        let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+        let mut probe =
+            [ColumnVector::for_type(DataType::Int64), ColumnVector::for_type(DataType::Float64)];
+        layout.locate(&tuples).unwrap();
+        for (k, v) in probe.iter_mut().enumerate() {
+            layout.gather(k, &tuples, None, None, v).unwrap();
         }
         assert_eq!(probe[0].int(1).unwrap(), 2);
         assert!(probe[1].is_null(1));
         assert_eq!(probe[1].float(2).unwrap(), -1.0);
+        // a selection gathers just the named tuples, in order
+        let mut picked = ColumnVector::for_type(DataType::Int64);
+        layout.gather(0, &tuples, Some(&[2, 0]), None, &mut picked).unwrap();
+        assert_eq!((picked.len(), picked.int(0).unwrap(), picked.int(1).unwrap()), (2, 3, 1));
         // corruption past the probed columns still errors (full validation)
-        let bytes = rows()[0].encode(&s).unwrap();
-        let mut probe = vec![ColumnVector::for_type(DataType::Int64)];
-        assert!(
-            decode_columns_append(&s, &bytes[..bytes.len() - 1], &[0], &mut probe, None).is_err()
-        );
+        let mut layout = TupleLayout::new(&s, &[0]);
+        let bytes = &encoded[0];
+        assert!(layout.locate(&[&bytes[..bytes.len() - 1]]).is_err());
         let mut extra = bytes.clone();
         extra.push(0);
-        let mut probe = vec![ColumnVector::for_type(DataType::Int64)];
-        assert!(decode_columns_append(&s, &extra, &[0], &mut probe, None).is_err());
+        assert!(layout.locate(&[&extra]).is_err());
+        // … and one bad tuple fails its whole page
+        assert!(layout.locate(&[&encoded[1], &extra, &encoded[2]]).is_err());
     }
 
     #[test]
@@ -1558,15 +1434,6 @@ mod tests {
         let mut ragged = batch.columns().to_vec();
         ragged[0].push_null();
         assert!(ragged[0].len() == 4 && ColumnBatch::from_columns(ragged).is_err());
-    }
-
-    #[test]
-    fn truncate_undoes_appends() {
-        let s = schema();
-        let mut batch = ColumnBatch::from_rows(&s, &rows()).unwrap();
-        batch.truncate_rows(1);
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.into_rows(), rows()[..1].to_vec());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 
 pub mod columns;
 pub mod error;
+pub mod layout;
 pub mod row;
 pub mod schema;
 pub mod spill;
@@ -23,6 +24,7 @@ pub use columns::{
     ColumnValues, ColumnVector, SharedBytes, TextColumn, DEFAULT_BATCH_SIZE,
 };
 pub use error::{Error, Result};
+pub use layout::TupleLayout;
 pub use row::Row;
 pub use schema::{Column, Schema};
 pub use tid::{PageId, SlotId, Tid};

@@ -151,94 +151,6 @@ impl Row {
         }
         Ok(Row { values })
     }
-
-    /// Decode only the columns listed in `cols` (ascending ordinals) into
-    /// `scratch[col]`, skipping the payload bytes of every other field
-    /// without materializing them. `scratch` must be `schema.len()` long;
-    /// slots not listed in `cols` are left untouched.
-    ///
-    /// This is the scan-side predicate pushdown primitive: a batched scan
-    /// probes just the predicate columns of each on-page tuple and pays the
-    /// full [`Row::decode`] only for qualifying tuples. The whole tuple is
-    /// still structurally validated — every field is walked and trailing
-    /// bytes are rejected — so a corrupt tuple errors here exactly as it
-    /// would under [`Row::decode`], keeping the batch and row protocols
-    /// behaviorally identical on bad pages.
-    pub fn decode_columns_into(
-        schema: &Schema,
-        bytes: &[u8],
-        cols: &[usize],
-        scratch: &mut [Value],
-    ) -> Result<()> {
-        debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "cols must be ascending");
-        debug_assert_eq!(scratch.len(), schema.len());
-        let (bitmap, mut rest) = split_bitmap(schema, bytes)?;
-        let mut wanted = cols.iter().copied().peekable();
-        // Unreferenced fixed-width fields accumulate into one deferred
-        // skip, flushed only when an exact position is needed.
-        let mut pending_skip = 0usize;
-        for (i, c) in schema.columns().iter().enumerate() {
-            let want = wanted.peek() == Some(&i);
-            if want {
-                wanted.next();
-            }
-            if is_null(bitmap, i) {
-                if want {
-                    scratch[i] = Value::Null;
-                }
-                continue;
-            }
-            if !want {
-                if let Some(w) = c.ty.fixed_width() {
-                    pending_skip += w;
-                    continue;
-                }
-            }
-            if pending_skip > 0 {
-                take(&mut rest, pending_skip)?;
-                pending_skip = 0;
-            }
-            if want {
-                scratch[i] = decode_field(&mut rest, c.ty)?;
-            } else {
-                skip_field(&mut rest, c.ty)?;
-            }
-        }
-        if pending_skip > 0 {
-            take(&mut rest, pending_skip)?;
-        }
-        if !rest.is_empty() {
-            return Err(Error::corrupt("trailing bytes after tuple"));
-        }
-        Ok(())
-    }
-}
-
-/// Split `bytes` into the null bitmap and the payload under `schema`.
-/// Shared with the columnar decode path in [`crate::columns`].
-pub(crate) fn codec_split_bitmap<'a>(
-    schema: &Schema,
-    bytes: &'a [u8],
-) -> Result<(&'a [u8], &'a [u8])> {
-    split_bitmap(schema, bytes)
-}
-
-/// Whether field `i` is NULL under `bitmap` (columnar decode path).
-#[inline]
-pub(crate) fn codec_is_null(bitmap: &[u8], i: usize) -> bool {
-    is_null(bitmap, i)
-}
-
-/// Advance `rest` past `n` bytes (columnar decode path).
-#[inline]
-pub(crate) fn codec_take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    take(rest, n)
-}
-
-/// Skip one non-null field of type `ty` (columnar decode path).
-#[inline]
-pub(crate) fn codec_skip_field(rest: &mut &[u8], ty: DataType) -> Result<()> {
-    skip_field(rest, ty)
 }
 
 /// Split `bytes` into the null bitmap and the payload under `schema`.
@@ -293,20 +205,6 @@ fn decode_field(rest: &mut &[u8], ty: DataType) -> Result<Value> {
             )
         }
     })
-}
-
-/// Skip one non-null field of type `ty` without materializing it.
-#[inline]
-fn skip_field(rest: &mut &[u8], ty: DataType) -> Result<()> {
-    let n = match ty.fixed_width() {
-        Some(w) => w,
-        None => {
-            let b = take(rest, 2)?;
-            u16::from_le_bytes(b.try_into().unwrap()) as usize
-        }
-    };
-    take(rest, n)?;
-    Ok(())
 }
 
 impl From<Vec<Value>> for Row {
@@ -387,34 +285,34 @@ mod tests {
 
     #[test]
     fn decode_columns_probes_without_full_decode() {
+        use crate::columns::ColumnVector;
+        use crate::layout::TupleLayout;
         let s = schema();
-        let r = row();
-        let bytes = r.encode(&s).unwrap();
-        let mut scratch = vec![Value::Null; s.len()];
-        Row::decode_columns_into(&s, &bytes, &[1, 3], &mut scratch).unwrap();
-        assert_eq!(scratch[1], Value::Int(1 << 40));
-        assert_eq!(scratch[3], Value::Float(2.5));
-        // untouched slots keep their previous contents
-        assert_eq!(scratch[0], Value::Null);
+        // Columns `cols` of `bytes` through a compiled layout, as values.
+        let probe = |bytes: &[u8], cols: &[usize]| -> Result<Vec<Value>> {
+            let mut layout = TupleLayout::new(&s, cols);
+            let mut out: Vec<ColumnVector> =
+                cols.iter().map(|&c| ColumnVector::for_type(s.column(c).ty)).collect();
+            layout.decode_into(bytes, None, &mut out)?;
+            Ok(out.iter().map(|v| v.value(0)).collect())
+        };
+        let bytes = row().encode(&s).unwrap();
+        assert_eq!(probe(&bytes, &[1, 3]).unwrap(), [Value::Int(1 << 40), Value::Float(2.5)]);
         // columns after a variable-width field decode correctly
-        Row::decode_columns_into(&s, &bytes, &[4], &mut scratch).unwrap();
-        assert_eq!(scratch[4], Value::Int(19000));
+        assert_eq!(probe(&bytes, &[4]).unwrap(), [Value::Int(19000)]);
         // nulls decode as Null
         let withnull =
             Row::new(vec![Value::Int(1), Value::Int(2), Value::Null, Value::Null, Value::Int(0)]);
-        let bytes = withnull.encode(&s).unwrap();
-        Row::decode_columns_into(&s, &bytes, &[2, 4], &mut scratch).unwrap();
-        assert_eq!(scratch[2], Value::Null);
-        assert_eq!(scratch[4], Value::Int(0));
+        let nulled = withnull.encode(&s).unwrap();
+        assert_eq!(probe(&nulled, &[2, 4]).unwrap(), [Value::Null, Value::Int(0)]);
         // truncation surfaces as an error
-        assert!(Row::decode_columns_into(&s, &bytes[..2], &[4], &mut scratch).is_err());
+        assert!(probe(&nulled[..2], &[4]).is_err());
         // … even when the damage is past the last referenced column, and
         // trailing bytes are rejected — same strictness as Row::decode
-        let full = row().encode(&s).unwrap();
-        assert!(Row::decode_columns_into(&s, &full[..full.len() - 1], &[0], &mut scratch).is_err());
-        let mut extra = full.clone();
+        assert!(probe(&bytes[..bytes.len() - 1], &[0]).is_err());
+        let mut extra = bytes.clone();
         extra.push(0);
-        assert!(Row::decode_columns_into(&s, &extra, &[0], &mut scratch).is_err());
+        assert!(probe(&extra, &[0]).is_err());
     }
 
     #[test]

@@ -1,34 +1,11 @@
 //! Property tests for the row codec: arbitrary well-typed rows round-trip
 //! bit-exactly, and encoded length always matches the pre-computed size.
 
+mod common;
+
+use common::{arb_type, arb_value_for};
 use proptest::prelude::*;
-use smooth_types::{Column, DataType, Row, Schema, Value};
-
-fn arb_type() -> impl Strategy<Value = DataType> {
-    prop_oneof![
-        Just(DataType::Int32),
-        Just(DataType::Int64),
-        Just(DataType::Float64),
-        Just(DataType::Date),
-        Just(DataType::Text),
-    ]
-}
-
-fn arb_value_for(ty: DataType, nullable: bool) -> BoxedStrategy<Value> {
-    let base: BoxedStrategy<Value> = match ty {
-        DataType::Int32 | DataType::Date => {
-            (i32::MIN..=i32::MAX).prop_map(|v| Value::Int(v as i64)).boxed()
-        }
-        DataType::Int64 => any::<i64>().prop_map(Value::Int).boxed(),
-        DataType::Float64 => any::<f64>().prop_map(Value::Float).boxed(),
-        DataType::Text => "[a-zA-Z0-9 ]{0,40}".prop_map(Value::Str).boxed(),
-    };
-    if nullable {
-        prop_oneof![9 => base, 1 => Just(Value::Null)].boxed()
-    } else {
-        base
-    }
-}
+use smooth_types::{Column, Row, Schema};
 
 fn arb_schema_and_row() -> impl Strategy<Value = (Schema, Row)> {
     proptest::collection::vec((arb_type(), any::<bool>()), 1..12).prop_flat_map(|cols| {

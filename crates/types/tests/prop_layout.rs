@@ -1,0 +1,251 @@
+//! Property tests for the compiled tuple layout, with `Row::decode` as
+//! the reference decoder.
+//!
+//! Over generated schemas (all five types, nullable columns, text before,
+//! between and after fixed-width runs, 1–40 columns so the null bitmap
+//! spans bytes) and generated pages of rows with NULLs:
+//!
+//! * `locate` + `gather` of any wanted subset — dense, through a
+//!   selection, a row at a time, as page views or owned — equals the same
+//!   columns of `Row::decode`;
+//! * on hostile bytes — every truncation, appended bytes, every bitmap
+//!   bit flipped (the unused high bits of the last byte included), text
+//!   lengths overwritten, non-UTF-8 injected — the layout and
+//!   `Row::decode` agree on `Ok` vs `Error::Corrupt`, and neither panics.
+//!
+//! UTF-8 is checked where a value is materialized, so a layout that does
+//! not want a text column cannot see its bytes: for a wanted *subset* the
+//! agreement is one-sided (the layout never accepts what `Row::decode`
+//! rejects structurally, and never rejects what it accepts); with every
+//! column wanted it is exact.
+
+use std::sync::Arc;
+
+mod common;
+
+use common::{arb_type, arb_value_for};
+use proptest::prelude::*;
+use smooth_types::{
+    force_text_views, Column, ColumnVector, DataType, Error, Result, Row, Schema, SharedBytes,
+    TupleLayout, Value,
+};
+
+/// A generated case: the schema, a page of rows, which columns are
+/// wanted, and a seed for the mutations' free choices.
+#[derive(Debug, Clone)]
+struct Case {
+    schema: Schema,
+    rows: Vec<Row>,
+    wanted: Vec<usize>,
+    seed: u64,
+}
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    let columns = proptest::collection::vec((arb_type(), any::<bool>(), any::<bool>()), 1..41);
+    (columns, any::<bool>(), any::<bool>(), 1usize..6, any::<u64>()).prop_flat_map(
+        |(mut cols, text_first, text_last, n_rows, seed)| {
+            // Pin the shapes the compiled walk special-cases: text
+            // opening the tuple (an empty first run) and closing it (an
+            // empty tail run); the random middle covers text between runs.
+            if text_first {
+                cols[0].0 = DataType::Text;
+            }
+            if text_last {
+                cols.last_mut().expect("at least one column").0 = DataType::Text;
+            }
+            let schema = Schema::new(
+                cols.iter()
+                    .enumerate()
+                    .map(|(i, (ty, nullable, _))| {
+                        if *nullable {
+                            Column::nullable(format!("c{i}"), *ty)
+                        } else {
+                            Column::new(format!("c{i}"), *ty)
+                        }
+                    })
+                    .collect(),
+            )
+            .expect("unique names");
+            let wanted: Vec<usize> =
+                cols.iter().enumerate().filter(|(_, c)| c.2).map(|(i, _)| i).collect();
+            let row = cols.iter().map(|(ty, nullable, _)| arb_value_for(*ty, *nullable));
+            let row = row.collect::<Vec<_>>().prop_map(Row::new);
+            proptest::collection::vec(row, n_rows..n_rows + 1).prop_map(move |rows| Case {
+                schema: schema.clone(),
+                rows,
+                wanted: wanted.clone(),
+                seed,
+            })
+        },
+    )
+}
+
+/// Value equality with floats compared by bits (NaN equals itself).
+fn same(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+fn vectors(schema: &Schema, wanted: &[usize]) -> Vec<ColumnVector> {
+    wanted.iter().map(|&c| ColumnVector::for_type(schema.column(c).ty)).collect()
+}
+
+/// `locate` the page and `gather` every wanted column of every tuple.
+fn decode_page(
+    schema: &Schema,
+    wanted: &[usize],
+    tuples: &[&[u8]],
+    backing: Option<&SharedBytes>,
+) -> Result<Vec<ColumnVector>> {
+    let mut layout = TupleLayout::new(schema, wanted);
+    let mut out = vectors(schema, wanted);
+    layout.locate(tuples)?;
+    for (k, v) in out.iter_mut().enumerate() {
+        layout.gather(k, tuples, None, backing, v)?;
+    }
+    Ok(out)
+}
+
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Where each non-NULL text field of `row`'s encoding keeps its length
+/// prefix, and how long its payload is.
+fn text_fields(schema: &Schema, row: &Row) -> Vec<(usize, usize)> {
+    let mut pos = schema.len().div_ceil(8);
+    let mut out = Vec::new();
+    for (v, c) in row.values().iter().zip(schema.columns()) {
+        match (v, c.ty.fixed_width()) {
+            (Value::Null, _) => {}
+            (_, Some(w)) => pos += w,
+            (v, None) => {
+                let len = v.as_str().expect("text value").len();
+                out.push((pos, len));
+                pos += 2 + len;
+            }
+        }
+    }
+    out
+}
+
+/// The hostile variants of one valid encoding.
+fn mutations(schema: &Schema, row: &Row, bytes: &[u8], seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = seed;
+    let mut out: Vec<Vec<u8>> = (0..bytes.len()).map(|n| bytes[..n].to_vec()).collect();
+    for extra in [1usize, 2, 9] {
+        let mut longer = bytes.to_vec();
+        longer.extend((0..extra).map(|_| splitmix(&mut rng) as u8));
+        out.push(longer);
+    }
+    for bit in 0..8 * schema.len().div_ceil(8) {
+        let mut flipped = bytes.to_vec();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        out.push(flipped);
+    }
+    for (at, len) in text_fields(schema, row) {
+        let lens =
+            [0, len.wrapping_sub(1), len + 1, bytes.len(), 0xffff, splitmix(&mut rng) as usize];
+        for new_len in lens {
+            let mut relen = bytes.to_vec();
+            relen[at..at + 2].copy_from_slice(&(new_len as u16).to_le_bytes());
+            out.push(relen);
+        }
+        if len > 0 {
+            let mut invalid = bytes.to_vec();
+            invalid[at + 2 + splitmix(&mut rng) as usize % len] = 0xff;
+            out.push(invalid);
+        }
+    }
+    out
+}
+
+fn is_corrupt<T>(r: &Result<T>) -> bool {
+    matches!(r, Err(Error::Corrupt(_)))
+}
+
+proptest! {
+    #[test]
+    fn layout_decodes_what_row_decode_decodes(case in arb_case()) {
+        force_text_views(true);
+        let Case { schema, rows, wanted, seed } = case;
+        // One buffer holding the whole "page", so views have a backing.
+        let mut page = Vec::new();
+        let mut extents = Vec::new();
+        for r in &rows {
+            let at = page.len();
+            r.encode_into(&schema, &mut page).unwrap();
+            extents.push(at..page.len());
+        }
+        let page: SharedBytes = Arc::from(page);
+        let tuples: Vec<&[u8]> = extents.iter().map(|e| &page[e.clone()]).collect();
+        let reference: Vec<Row> =
+            tuples.iter().map(|t| Row::decode(&schema, t).unwrap()).collect();
+        let agrees = |cols: &[ColumnVector], picked: &[usize]| {
+            cols.iter().zip(&wanted).all(|(v, &c)| {
+                v.len() == picked.len()
+                    && picked.iter().enumerate().all(|(i, &t)| same(&v.value(i), reference[t].get(c)))
+            })
+        };
+        let all: Vec<usize> = (0..rows.len()).collect();
+        let owned = decode_page(&schema, &wanted, &tuples, None).unwrap();
+        prop_assert!(agrees(&owned, &all), "owned gather ≠ Row::decode");
+        let viewed = decode_page(&schema, &wanted, &tuples, Some(&page)).unwrap();
+        prop_assert!(viewed == owned, "views ≠ owned");
+        // Through a selection, and a row at a time.
+        let mut rng = seed;
+        let picked: Vec<usize> = all.iter().copied().filter(|_| splitmix(&mut rng) % 2 == 0).collect();
+        let sel: Vec<u32> = picked.iter().map(|&t| t as u32).collect();
+        let mut layout = TupleLayout::new(&schema, &wanted);
+        layout.locate(&tuples).unwrap();
+        let (mut by_sel, mut by_row) = (vectors(&schema, &wanted), vectors(&schema, &wanted));
+        for (k, v) in by_sel.iter_mut().enumerate() {
+            layout.gather(k, &tuples, Some(&sel), Some(&page), v).unwrap();
+        }
+        for &t in &picked {
+            layout.gather_row(&tuples, t, None, &mut by_row).unwrap();
+        }
+        prop_assert!(agrees(&by_sel, &picked), "selected gather ≠ Row::decode");
+        prop_assert!(by_row == by_sel, "row-major ≠ column-major");
+        layout.check_text(&tuples, &sel).unwrap();
+    }
+
+    #[test]
+    fn layout_and_row_decode_agree_on_hostile_bytes(case in arb_case()) {
+        let Case { schema, rows, wanted, seed } = case;
+        let everything: Vec<usize> = (0..schema.len()).collect();
+        let valid = rows[0].encode(&schema).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            let bytes = row.encode(&schema).unwrap();
+            for hostile in mutations(&schema, row, &bytes, seed ^ i as u64) {
+                let reference = Row::decode(&schema, &hostile);
+                let full = decode_page(&schema, &everything, &[&hostile], None);
+                prop_assert!(reference.is_ok() || is_corrupt(&reference), "{reference:?}");
+                prop_assert!(full.is_ok() || is_corrupt(&full), "{full:?}");
+                prop_assert!(full.is_ok() == reference.is_ok(), "{full:?} vs {reference:?}");
+                let part = decode_page(&schema, &wanted, &[&hostile], None);
+                prop_assert!(part.is_ok() || is_corrupt(&part), "{part:?}");
+                prop_assert!(part.is_ok() || reference.is_err(), "subset rejects a valid tuple");
+                // What the subset cannot see is text it does not read.
+                let unread = matches!(&reference, Err(Error::Corrupt(m)) if m.contains("utf8"));
+                prop_assert!(part.is_err() || reference.is_ok() || unread, "{reference:?}");
+                if let (Ok(cols), Ok(row)) = (&full, &reference) {
+                    let same_row = cols.iter().zip(row.values()).all(|(v, x)| same(&v.value(0), x));
+                    prop_assert!(same_row, "{cols:?} vs {row:?}");
+                }
+                // One bad tuple fails its page, wherever it sits.
+                let mut layout = TupleLayout::new(&schema, &wanted);
+                let located = layout.locate(&[&valid, &hostile, &valid]);
+                prop_assert!(located.is_ok() || is_corrupt(&located), "{located:?}");
+                prop_assert!(located.is_ok() || (reference.is_err() && part.is_err()));
+                prop_assert!(located.is_err() || reference.is_ok() || unread);
+            }
+        }
+    }
+}

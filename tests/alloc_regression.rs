@@ -30,6 +30,14 @@
 //! the same one-per-64-rows bound. A `Vec<Value>` or a `String` per
 //! sorted row fails it.
 //!
+//! Three guards sit on the decode path itself: a full scan over a warm
+//! pool allocates per 32-page *run* (the run, one slice scratch, one
+//! handed-over morsel), never per page; an index nested-loop join
+//! allocates nothing per probed outer row (no `Row`, `Vec<Value>` or
+//! `String` per inner match); and the process-global text decode
+//! counters, bumped once per column per page, still total exactly one
+//! per decoded text value.
+//!
 //! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
 //! concurrent test pollutes the global counter (or the process-wide
 //! live [`SpillFile`] count and text-view latch the last tests read).
@@ -40,14 +48,16 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
-    collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin, JoinType,
-    Operator, Predicate, Sort, SpillFile,
+    collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin,
+    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SpillFile,
 };
+use smooth_index::BTreeIndex;
 use smooth_storage::{
     CpuCosts, DeviceProfile, FaultConfig, HeapFile, HeapLoader, Storage, StorageConfig,
 };
 use smooth_types::{
-    force_text_views, Column, ColumnBatch, DataType, Result, Row, Schema, SharedBytes, Value,
+    force_text_views, text_decode_counters, Column, ColumnBatch, DataType, Result, Row, Schema,
+    SharedBytes, Value,
 };
 
 struct CountingAlloc;
@@ -138,6 +148,72 @@ fn text_views_keep_scan_allocations_sublinear_in_rows() {
         "per-row allocation straggler: {marginal_allocs} extra allocations \
          for {marginal_rows} extra rows ({small_allocs} at N, {large_allocs} at 2N)"
     );
+}
+
+#[test]
+fn full_scan_allocations_per_page_are_an_amortized_constant() {
+    let _serial = serial();
+    force_text_views(true);
+    const N: i64 = 8000;
+    // Allocations of a scan over a warm pool (so the storage layer's own
+    // miss handling stays out of the count) and the pages it read. Each
+    // request covers a whole 32-page refill, so morsels leave by handover
+    // and what is counted is the fill, not the copy into smaller morsels.
+    let drain = |op: &mut FullTableScan| {
+        op.open().unwrap();
+        let mut rows = 0;
+        while let Some(morsel) = op.next_columns(1 << 16).unwrap() {
+            rows += morsel.len();
+        }
+        op.close().unwrap();
+        rows
+    };
+    let scan = |rows: i64| {
+        let heap = pad_heavy_heap(rows);
+        let mut op = FullTableScan::new(Arc::clone(&heap), storage(), Predicate::True);
+        drain(&mut op);
+        let before = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(drain(&mut op), rows as usize);
+        (ALLOCS.load(Ordering::Relaxed) - before, heap.page_count() as u64)
+    };
+    scan(64); // warm-up
+    let (small, large) = (scan(N), scan(2 * N));
+    let (marginal_allocs, marginal_pages) = (large.0.saturating_sub(small.0), large.1 - small.1);
+    // Per 32-page run: the run itself, one slice scratch, one handed-over
+    // morsel — nothing per page, let alone per tuple.
+    assert!(
+        2 * marginal_allocs < marginal_pages,
+        "per-page allocation straggler: {marginal_allocs} extra allocations for \
+         {marginal_pages} extra pages ({} at N, {} at 2N)",
+        small.0,
+        large.0
+    );
+}
+
+#[test]
+fn text_decode_counters_count_each_decoded_value_once() {
+    let _serial = serial();
+    const N: u64 = 3000;
+    let heap = pad_heavy_heap(N as i64);
+    // `(owned, views)` decoded while scanning under `predicate`: the
+    // counters are bumped once per column per page, and must still total
+    // one per decoded text *value*.
+    let decoded = |predicate: Predicate, views: bool| {
+        force_text_views(views);
+        let before = text_decode_counters();
+        let mut op = FullTableScan::new(Arc::clone(&heap), storage(), predicate);
+        collect_batches(&mut op).unwrap();
+        let after = text_decode_counters();
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let pad_is = |value: &str| Predicate::StrEq { col: 1, value: value.into() };
+    assert_eq!(decoded(Predicate::True, true), (0, N), "every pad, as a view");
+    assert_eq!(decoded(Predicate::True, false), (N, 0), "every pad, owned");
+    assert_eq!(decoded(Predicate::int_lt(0, 300), true), (0, 300), "qualifiers only");
+    // A text predicate reads every pad into its (owned) probe scratch.
+    assert_eq!(decoded(pad_is("no such pad"), true), (N, 0));
+    assert_eq!(decoded(pad_is(&"x".repeat(64)), true), (N, N));
+    force_text_views(true);
 }
 
 /// Rows per pre-built batch (the engine's default morsel size).
@@ -258,6 +334,31 @@ fn hash_join_allocations_are_sublinear_in_build_and_probe_rows() {
     };
     run(BATCH_ROWS, BATCH_ROWS); // warm-up
     assert_marginal("hash join", run(10_000, 90_000), run(20_000, 180_000));
+}
+
+#[test]
+fn index_nested_loop_join_allocates_nothing_per_probed_row() {
+    let _serial = serial();
+    // Every outer row matches one pad-heavy inner tuple.
+    let inner = pad_heavy_heap(2000);
+    let index = Arc::new(BTreeIndex::build_from_heap("pk", &inner, 0).unwrap());
+    let run = |outer_rows: usize| {
+        let mut op = IndexNestedLoopJoin::new(
+            Prebuilt::new(outer_rows, 2000),
+            0,
+            Arc::clone(&inner),
+            Arc::clone(&index),
+            Predicate::True,
+            JoinType::Inner,
+            storage(),
+        );
+        let (allocs, out) = allocs_for(&mut op);
+        assert_eq!(out, outer_rows);
+        (allocs, outer_rows)
+    };
+    run(BATCH_ROWS); // warm-up
+    let (small, large) = (run(50_000), run(100_000));
+    assert_marginal("index nested-loop join", small, large);
 }
 
 #[test]

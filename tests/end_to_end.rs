@@ -187,3 +187,98 @@ fn smooth_scan_metrics_tell_the_morphing_story() {
     assert!(m.cache.hits > 0);
     assert!(m.morphing_accuracy().unwrap() > 0.9);
 }
+
+/// A page store that serves one page with one tuple cut short by a byte
+/// (its slot's length field shrunk), and every other page intact.
+struct OneBadTuple {
+    pages: smoothscan::storage::MemBackend,
+    bad_page: u32,
+}
+
+impl smoothscan::storage::Backend for OneBadTuple {
+    fn page_count(&self) -> u32 {
+        self.pages.page_count()
+    }
+
+    fn read(&self, page: u32) -> smoothscan::types::Result<smoothscan::storage::PageBuf> {
+        let image = self.pages.read(page)?;
+        if page != self.bad_page {
+            return Ok(image);
+        }
+        let mut bytes = image.to_vec();
+        let len_at = 4 + 4 * 3 + 2; // header, three slot entries, slot 3's offset
+        let len = u16::from_le_bytes([bytes[len_at], bytes[len_at + 1]]) - 1;
+        bytes[len_at..len_at + 2].copy_from_slice(&len.to_le_bytes());
+        Ok(bytes.into())
+    }
+
+    fn append(&mut self, page: smoothscan::storage::PageBuf) -> smoothscan::types::Result<u32> {
+        self.pages.append(page)
+    }
+}
+
+#[test]
+fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
+    use smoothscan::executor::{
+        collect_rows_volcano, FullTableScan, IndexNestedLoopJoin, IndexScan, SortScan,
+    };
+    use smoothscan::storage::{HeapLoader, MemBackend};
+    use std::ops::Bound;
+    use std::sync::Arc;
+    let load = |backend: Box<dyn smoothscan::storage::Backend>| {
+        let mut loader = HeapLoader::with_backend("t", micro::schema(), backend);
+        micro::rows(2000, 7).for_each(|r| assert!(loader.push(&r).is_ok()));
+        Arc::new(loader.finish().unwrap())
+    };
+    // The index is built over an intact twin (same rows, same TIDs).
+    let intact = load(Box::new(MemBackend::new()));
+    let heap = load(Box::new(OneBadTuple { pages: MemBackend::new(), bad_page: 5 }));
+    let index = Arc::new(smoothscan::index::BTreeIndex::build_from_heap("c2", &intact, 1).unwrap());
+    let storage = Storage::new(StorageConfig::default());
+    // Every predicate below passes over the bad tuple without it
+    // qualifying for anything a reader could skip: validation is per
+    // inspected tuple.
+    let (lo, hi) = (Bound::Included(0), Bound::Excluded(micro::KEY_DOMAIN));
+    let smooth = |ordered: bool| -> Box<dyn Operator> {
+        Box::new(smoothscan::core::SmoothScan::new(
+            Arc::clone(&heap),
+            Arc::clone(&index),
+            storage.clone(),
+            1,
+            lo,
+            hi,
+            Predicate::int_lt(0, 0),
+            SmoothScanConfig::default().with_order(ordered),
+        ))
+    };
+    // The join probes a few keys, the bad tuple's among them.
+    let bad_page = intact.read_raw(smoothscan::types::PageId(5)).unwrap();
+    let bad_key = intact.decode_slot(&bad_page, 3).unwrap().int(1).unwrap();
+    let outer = || {
+        let schema = Schema::new(vec![Column::new("fk", DataType::Int64)]).unwrap();
+        let keys = [bad_key - 1, bad_key, bad_key + 1].map(|k| Row::new(vec![Value::Int(k)]));
+        Box::new(smoothscan::executor::operator::ValuesOp::new(schema, keys.to_vec()))
+    };
+    let inlj = |ty: JoinType| -> Box<dyn Operator> {
+        let (heap, index) = (Arc::clone(&heap), Arc::clone(&index));
+        let residual = Predicate::int_lt(0, 0);
+        Box::new(IndexNestedLoopJoin::new(outer(), 0, heap, index, residual, ty, storage.clone()))
+    };
+    let (h, i, s) = (|| Arc::clone(&heap), || Arc::clone(&index), || storage.clone());
+    let residual = || Predicate::int_lt(0, 0);
+    let paths: Vec<(&str, Box<dyn Operator>)> = vec![
+        ("full", Box::new(FullTableScan::new(h(), s(), micro::predicate(0.0)))),
+        ("index", Box::new(IndexScan::new(h(), i(), s(), lo, hi, residual()))),
+        ("sort", Box::new(SortScan::new(h(), i(), s(), lo, hi, residual()))),
+        ("smooth", smooth(false)),
+        ("ordered smooth", smooth(true)),
+        ("inlj", inlj(JoinType::Inner)),
+        ("semi inlj", inlj(JoinType::LeftSemi)),
+    ];
+    for (path, mut op) in paths {
+        let by_row = collect_rows_volcano(op.as_mut());
+        assert!(matches!(by_row, Err(Error::Corrupt(_))), "{path} next(): {by_row:?}");
+        let by_morsel = collect_rows(op.as_mut());
+        assert!(matches!(by_morsel, Err(Error::Corrupt(_))), "{path} next_columns: {by_morsel:?}");
+    }
+}
