@@ -35,7 +35,7 @@ pub fn run() {
             let plan = micro::query(sel, false, access);
             let stats = db.run(&plan).expect("fig10 query").stats;
             cells.push(Report::secs(stats.secs()));
-            json_metric(Metric::gated(
+            json_metric(Metric::new(
                 format!("virtual.fig10.{}.{name}.secs", sel_tag(sel)),
                 stats.secs(),
                 "virtual_s",

@@ -44,7 +44,7 @@ pub fn run(ordered: bool) {
             let plan = micro::query(sel, ordered, access);
             let stats = db.run(&plan).expect("fig5 query").stats;
             cells.push(Report::secs(stats.secs()));
-            json_metric(Metric::gated(
+            json_metric(Metric::new(
                 format!("virtual.{id}.{}.{name}.secs", sel_tag(sel)),
                 stats.secs(),
                 "virtual_s",

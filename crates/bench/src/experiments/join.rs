@@ -20,20 +20,17 @@
 //! `join.virtual.sel10.clock_match` gate) pins rows, virtual CPU/IO
 //! clock totals and I/O counters of every N-worker run to the serial
 //! columnar driver — the partitioned build must be an
-//! execution-strategy change only. Measured wall clock is reported
-//! ungated.
+//! execution-strategy change only. The measured twin is `benchmark/`'s
+//! `executor.join_probe_w2_ns_per_row` and `executor.model_error_w2.join_sel10`.
 //!
 //! [`ScalingLedger`]: smooth_executor::ScalingLedger
 //! [`ScalingLedger::build_speedup`]: smooth_executor::ScalingLedger::build_speedup
 
-use std::time::Instant;
-
 use smooth_executor::{AggFunc, JoinType};
-use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, ScanSpec};
+use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::experiments::columnar::RUNS;
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
@@ -68,8 +65,7 @@ pub fn run() {
     let mut table = Report::new(
         "join",
         "columnar hash join with the parallel partitioned build at 10% build selectivity \
-         (modeled speedups from the virtual-clock ledger; wall speedup is host-dependent \
-         and ungated)",
+         (modeled speedups from the virtual-clock ledger)",
         &["shape", "w2", "w4", "w8", "build_w4", "virtual_ms_1w"],
     );
 
@@ -86,7 +82,7 @@ pub fn run() {
         serial.stats.clock.total_ns(),
         "traced pipeline must charge exactly the serial driver's clock"
     );
-    assert!(!ledger.build_src_ns.is_empty(), "build phase must be traced");
+    assert!(!ledger.phases[0].src_ns.is_empty(), "build phase must be traced");
 
     // Hard equality: N-worker runs (partitioned build + parallel probe)
     // charge identical virtual CPU/IO totals and produce identical rows.
@@ -117,46 +113,20 @@ pub fn run() {
         format!("{:.2}", ledger.total_ns() as f64 / 1e6),
     ]);
     for (w, s) in [(2usize, speedups[0]), (4, speedups[1]), (8, speedups[2])] {
-        let metric = if w == 4 {
-            Metric::gated(format!("join.virtual.sel10.model_speedup.w{w}"), s, "x", true)
-                .with_floor(MODEL_SPEEDUP_FLOOR)
-        } else {
-            Metric::gated(format!("join.virtual.sel10.model_speedup.w{w}"), s, "x", true)
-        };
-        json_metric(metric);
+        let metric = Metric::new(format!("join.virtual.sel10.model_speedup.w{w}"), s, "x", true);
+        json_metric(if w == 4 { metric.with_floor(MODEL_SPEEDUP_FLOOR) } else { metric });
     }
     // The headline: the blocking build phase itself now scales (it was
     // pinned at 1× by the serial build).
     json_metric(
-        Metric::gated("join.build.sel10.model_speedup.w4", build_w4, "x", true)
+        Metric::new("join.build.sel10.model_speedup.w4", build_w4, "x", true)
             .with_floor(BUILD_SPEEDUP_FLOOR),
     );
-
-    // Measured wall clock, 1 worker vs 4 (host-dependent — never gated).
-    let wall = |workers: usize, db: &mut Database| -> f64 {
-        db.set_workers(workers);
-        let mut best = f64::INFINITY;
-        db.run(&plan).expect("warmup");
-        for _ in 0..RUNS {
-            let t = Instant::now();
-            db.run(&plan).expect("timed run");
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let serial_wall = wall(1, &mut db);
-    let parallel_wall = wall(4, &mut db);
-    json_metric(Metric::info(
-        "join.wall_speedup.w4",
-        serial_wall / parallel_wall.max(1e-12),
-        "x",
-        true,
-    ));
 
     table.finish();
 
     // Survives to the report only after every equality assert held.
-    json_metric(Metric::gated("join.virtual.sel10.clock_match", 1.0, "bool", true).with_floor(1.0));
+    json_metric(Metric::new("join.virtual.sel10.clock_match", 1.0, "bool", true).with_floor(1.0));
 }
 
 #[cfg(test)]

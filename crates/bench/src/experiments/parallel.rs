@@ -12,7 +12,7 @@
 //!   aggregates (integer-fed, so the merge is exact). The CI gate holds
 //!   a ≥3.0× floor on the 4- and 8-worker *modeled* speedups here.
 //! * **scan** — the filtered scan collected as rows (ordered sink
-//!   merge), reported informationally.
+//!   merge).
 //!
 //! **Why the gated speedup is modeled, not wall-clock.** This repo gates
 //! only machine-comparable numbers (see `report.rs`): virtual-clock
@@ -24,8 +24,10 @@
 //! ([`smooth_executor::ScalingLedger`]): source sections (page-run I/O)
 //! serialize in morsel order — they share one lock and one disk arm —
 //! while decode/filter/aggregate sections pack onto workers. It is
-//! bit-stable across machines and reruns. Measured wall-clock speedup
-//! is still reported, ungated, for the record.
+//! bit-stable across machines and reruns. The measured twin is
+//! `benchmark/`'s `analytic_parallel` workload
+//! (`executor.parallel_speedup_w2`, with `executor.model_error_w2.*`
+//! holding this model against it).
 //!
 //! The experiment runs on a fast-device profile (NVMe-like, 2.7 GB/s
 //! sequential) because that is the regime where parallelism pays: on
@@ -39,14 +41,11 @@
 //! equal** — morsel-driven parallelism never changes what work the
 //! engine is charged for, only who executes it.
 
-use std::time::Instant;
-
 use smooth_executor::AggFunc;
-use smooth_planner::{AccessPathChoice, Database, LogicalPlan};
+use smooth_planner::{AccessPathChoice, LogicalPlan};
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::experiments::columnar::RUNS;
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
@@ -80,7 +79,7 @@ pub fn run() {
     let mut table = Report::new(
         "parallel",
         "morsel-driven parallel pipeline at 10% selectivity (modeled speedup from the \
-         virtual-clock ledger; wall speedup is host-dependent and ungated)",
+         virtual-clock ledger)",
         &["shape", "device", "w2", "w4", "w8", "virtual_ms_1w"],
     );
 
@@ -122,22 +121,11 @@ pub fn run() {
         }
 
         // How source-bound the shape is: the modeled time workers spend
-        // blocked on the serialized source lock at 4 workers
-        // (deterministic, from the ledger), next to the lock wait the
-        // 4-worker run actually measured (wall time — host-dependent,
-        // informational).
-        db.set_workers(4);
-        let measured = db.run(&plan).expect("measured run");
-        json_metric(Metric::info(
+        // blocked on the serialized source lock at 4 workers.
+        json_metric(Metric::new(
             format!("parallel.{shape}.sel10.model_src_wait_ms.w4"),
             ledger.modeled_src_wait_ns(4) as f64 / 1e6,
             "virtual_ms",
-            false,
-        ));
-        json_metric(Metric::info(
-            format!("parallel.{shape}.sel10.measured_lock_wait_ms.w4"),
-            measured.scan.lock_wait_ns as f64 / 1e6,
-            "wall_ms",
             false,
         ));
 
@@ -151,15 +139,11 @@ pub fn run() {
             format!("{:.2}", ledger.total_ns() as f64 / 1e6),
         ]);
         for (w, s) in [(2usize, speedups[0]), (4, speedups[1]), (8, speedups[2])] {
-            let metric = if shape == "agg" && (w == 4 || w == 8) {
-                // The headline gates: deterministic, machine-independent,
-                // baseline-compared AND floored.
-                Metric::gated(format!("parallel.{shape}.sel10.model_speedup.w{w}"), s, "x", true)
-                    .with_floor(MODEL_SPEEDUP_FLOOR)
-            } else {
-                Metric::gated(format!("parallel.{shape}.sel10.model_speedup.w{w}"), s, "x", true)
-            };
-            json_metric(metric);
+            let id = format!("parallel.{shape}.sel10.model_speedup.w{w}");
+            let metric = Metric::new(id, s, "x", true);
+            // The headline gates are floored as well as baseline-compared.
+            let headline = shape == "agg" && (w == 4 || w == 8);
+            json_metric(if headline { metric.with_floor(MODEL_SPEEDUP_FLOOR) } else { metric });
         }
     }
 
@@ -176,36 +160,13 @@ pub fn run() {
         Report::factor(hdd_ledger.speedup(8)),
         format!("{:.2}", hdd_ledger.total_ns() as f64 / 1e6),
     ]);
-    json_metric(Metric::info("parallel.agg.sel10.model_speedup_hdd.w4", hdd_speedup, "x", true));
-
-    // Measured wall clock, 1 worker vs 4 (host-dependent: tracks the
-    // model on multi-core hosts, ~1 on a single core — never gated).
-    let wall = |workers: usize, db: &mut Database, plan: &LogicalPlan| -> f64 {
-        db.set_workers(workers);
-        let mut best = f64::INFINITY;
-        db.run(plan).expect("warmup");
-        for _ in 0..RUNS {
-            let t = Instant::now();
-            db.run(plan).expect("timed run");
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let plan = agg_plan();
-    let serial_wall = wall(1, &mut db, &plan);
-    let parallel_wall = wall(4, &mut db, &plan);
-    json_metric(Metric::info(
-        "parallel.agg.sel10.wall_speedup.w4",
-        serial_wall / parallel_wall.max(1e-12),
-        "x",
-        true,
-    ));
+    json_metric(Metric::new("parallel.agg.sel10.model_speedup_hdd.w4", hdd_speedup, "x", true));
 
     table.finish();
 
     // Survives to the report only after every equality assert held.
     json_metric(
-        Metric::gated("parallel.virtual.sel10.clock_match", 1.0, "bool", true).with_floor(1.0),
+        Metric::new("parallel.virtual.sel10.clock_match", 1.0, "bool", true).with_floor(1.0),
     );
 }
 

@@ -17,7 +17,7 @@
 //! count. The ratio is > 1 exactly because cross-query scheduling fills
 //! the stalls each query's serialized source chain leaves on the pool
 //! with another query's decode work — and it is bit-stable across
-//! machines. Wall-clock queries/s is reported ungated.
+//! machines.
 //!
 //! **Correctness leg.** The experiment also runs the four sessions for
 //! real on `std::thread` and hard-asserts every session's rows — and
@@ -28,8 +28,6 @@
 //! unasserted here and byte-identical single-session elsewhere.
 //!
 //! [`Database`]: smooth_planner::Database
-
-use std::time::Instant;
 
 use smooth_executor::{multi_query_makespan_ns, AggFunc, JoinType, ScalingLedger};
 use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
@@ -88,7 +86,7 @@ pub fn run() {
     let mut table = Report::new(
         "serve",
         "N concurrent sessions on one shared engine, mixed plan set (modeled qps ratio \
-         from the per-query virtual-clock ledgers; wall qps is host-dependent and ungated)",
+         from the per-query virtual-clock ledgers)",
         &["shape", "rows", "rows_processed", "pages_read", "virtual_ms_1w"],
     );
 
@@ -112,19 +110,19 @@ pub fn run() {
             ]);
             // Per-query scan statistics, surfaced in the JSON report
             // (deterministic when the query runs alone).
-            json_metric(Metric::info(
+            json_metric(Metric::new(
                 format!("serve.{shape}.scan.rows_processed"),
                 got.scan.rows_processed as f64,
                 "rows",
                 true,
             ));
-            json_metric(Metric::info(
+            json_metric(Metric::new(
                 format!("serve.{shape}.scan.pages_read"),
                 got.scan.pages_read as f64,
                 "pages",
                 false,
             ));
-            json_metric(Metric::info(
+            json_metric(Metric::new(
                 format!("serve.{shape}.scan.mb_read"),
                 got.scan.mb_read(),
                 "mb",
@@ -142,10 +140,10 @@ pub fn run() {
     let ratio = chained as f64 / served.max(1) as f64;
     let modeled_wait: u64 = ledgers.iter().map(|l| l.modeled_src_wait_ns(WORKERS)).sum();
     json_metric(
-        Metric::gated(format!("serve.mixed.model_qps_ratio.w{WORKERS}"), ratio, "x", true)
+        Metric::new(format!("serve.mixed.model_qps_ratio.w{WORKERS}"), ratio, "x", true)
             .with_floor(MODEL_QPS_RATIO_FLOOR),
     );
-    json_metric(Metric::info(
+    json_metric(Metric::new(
         format!("serve.mixed.model_src_wait_ms.w{WORKERS}"),
         modeled_wait as f64 / 1e6,
         "virtual_ms",
@@ -154,50 +152,33 @@ pub fn run() {
 
     // The real concurrent leg: one thread per session, every run's rows
     // and scan attribution must equal the solo run exactly.
-    let wall = Instant::now();
-    let lock_wait_ns: u64 = std::thread::scope(|scope| {
-        let handles: Vec<_> = mixed
-            .iter()
-            .zip(&solo)
-            .map(|((shape, plan), (rows, scan, _))| {
-                let db = &db;
-                scope.spawn(move || {
-                    let session = db.session();
-                    let mut wait = 0u64;
-                    for _ in 0..REPEATS {
-                        let got = session.run(plan).expect("concurrent run");
-                        assert_eq!(&got.rows, rows, "{shape}: concurrent rows diverge from solo");
-                        assert_eq!(
-                            got.scan.rows_processed, scan.rows_processed,
-                            "{shape}: per-query row attribution diverges under concurrency"
-                        );
-                        wait += got.scan.lock_wait_ns;
-                    }
-                    wait
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("session thread")).sum()
+    std::thread::scope(|scope| {
+        for ((shape, plan), (rows, scan, _)) in mixed.iter().zip(&solo) {
+            let db = &db;
+            scope.spawn(move || {
+                let session = db.session();
+                for _ in 0..REPEATS {
+                    let got = session.run(plan).expect("concurrent run");
+                    assert_eq!(&got.rows, rows, "{shape}: concurrent rows diverge from solo");
+                    assert_eq!(
+                        got.scan.rows_processed, scan.rows_processed,
+                        "{shape}: per-query row attribution diverges under concurrency"
+                    );
+                }
+            });
+        }
     });
-    let elapsed = wall.elapsed().as_secs_f64();
-    let queries = (SESSIONS * REPEATS) as f64;
-    json_metric(Metric::info("serve.mixed.wall_qps.w4", queries / elapsed.max(1e-12), "qps", true));
-    json_metric(Metric::info(
-        "serve.mixed.measured_lock_wait_ms",
-        lock_wait_ns as f64 / 1e6,
-        "wall_ms",
-        false,
-    ));
+    let queries = SESSIONS * REPEATS;
 
     table.finish();
     println!(
         "  [modeled qps ratio {ratio:.3}x over one-at-a-time at {WORKERS} workers; \
-         {queries:.0} concurrent queries row-identical to solo]"
+         {queries} concurrent queries row-identical to solo]"
     );
 
     // Survives to the report only after every concurrent-equality assert
     // held (the serve analogue of the clock_match gates).
-    json_metric(Metric::gated("serve.mixed.rows_match", 1.0, "bool", true).with_floor(1.0));
+    json_metric(Metric::new("serve.mixed.rows_match", 1.0, "bool", true).with_floor(1.0));
 }
 
 #[cfg(test)]

@@ -99,46 +99,33 @@ impl Report {
     }
 }
 
-/// One measured quantity in the perf-smoke JSON report.
+/// One measured quantity in the perf-smoke JSON report. Every metric
+/// gates: the report carries only what is comparable across machines —
+/// virtual-clock times, counters, ratios of them and booleans, all
+/// deterministic at a given scale — never a host timing (`benchmark/`
+/// measures the wall clock, with warm-up, repetition and a spread).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Metric {
-    /// Stable identifier, e.g. `batch.fullscan.sel10.speedup`.
+    /// Stable identifier, e.g. `parallel.agg.sel10.model_speedup.w4`.
     pub id: String,
     /// Measured value.
     pub value: f64,
-    /// Unit label, e.g. `x`, `virtual_s`, `wall_s`, `krows_per_s`.
+    /// Unit label, e.g. `x`, `virtual_s`, `pages`, `bool`.
     pub unit: String,
     /// Direction of goodness.
     pub higher_is_better: bool,
-    /// Whether the CI baseline comparison gates on this metric. Gate only
-    /// what is comparable across machines: virtual-clock times (fully
-    /// deterministic) and same-machine ratios like speedups — never raw
-    /// wall-clock numbers.
-    pub gate: bool,
     /// Optional absolute floor (higher-is-better metrics): the gate fails
     /// when `value < floor` even if no baseline entry exists.
     pub floor: Option<f64>,
 }
 
 impl Metric {
-    /// An ungated, informational metric.
-    pub fn info(id: impl Into<String>, value: f64, unit: &str, higher_is_better: bool) -> Self {
-        Metric {
-            id: id.into(),
-            value,
-            unit: unit.into(),
-            higher_is_better,
-            gate: false,
-            floor: None,
-        }
+    /// A metric compared against the committed baseline.
+    pub fn new(id: impl Into<String>, value: f64, unit: &str, higher_is_better: bool) -> Self {
+        Metric { id: id.into(), value, unit: unit.into(), higher_is_better, floor: None }
     }
 
-    /// A gated metric compared against the committed baseline.
-    pub fn gated(id: impl Into<String>, value: f64, unit: &str, higher_is_better: bool) -> Self {
-        Metric { gate: true, ..Metric::info(id, value, unit, higher_is_better) }
-    }
-
-    /// Builder: add an absolute floor to a gated metric.
+    /// Builder: add an absolute floor.
     pub fn with_floor(mut self, floor: f64) -> Self {
         self.floor = Some(floor);
         self
@@ -196,12 +183,11 @@ impl JsonReport {
             };
             out.push_str(&format!(
                 "    {{\"id\": \"{}\", \"value\": {}, \"unit\": \"{}\", \
-                 \"higher_is_better\": {}, \"gate\": {}{}}}{}\n",
+                 \"higher_is_better\": {}{}}}{}\n",
                 escape(&m.id),
                 num(m.value),
                 escape(&m.unit),
                 m.higher_is_better,
-                m.gate,
                 floor,
                 if i + 1 < self.metrics.len() { "," } else { "" },
             ));
@@ -215,10 +201,14 @@ impl JsonReport {
         fs::write(path, self.to_json())
     }
 
-    /// Parse a report previously written by [`JsonReport::save`] (the
-    /// one-metric-per-line shape; not a general JSON parser).
+    /// Read a report previously written by [`JsonReport::save`].
     pub fn load(path: &Path) -> std::io::Result<Self> {
-        let body = fs::read_to_string(path)?;
+        Ok(Self::parse(&fs::read_to_string(path)?))
+    }
+
+    /// Parse the text [`JsonReport::to_json`] writes (the
+    /// one-metric-per-line shape; not a general JSON parser).
+    pub fn parse(body: &str) -> Self {
         let mut report = JsonReport::default();
         for line in body.lines() {
             let line = line.trim();
@@ -251,24 +241,20 @@ impl JsonReport {
                     value,
                     unit: field("unit").map(|u| unquote(&u)).unwrap_or_default(),
                     higher_is_better: field("higher_is_better").as_deref() == Some("true"),
-                    gate: field("gate").as_deref() == Some("true"),
                     floor: field("floor").and_then(|f| f.parse().ok()),
                 });
             }
         }
-        Ok(report)
+        report
     }
 
-    /// Compare against a `baseline` report: the workload scales must
-    /// match (virtual-clock metrics are only comparable at identical
-    /// scale), every gated metric present in both must not regress by
-    /// more than [`GATE_TOLERANCE`], every metric with a floor must meet
-    /// it, and every gated or floored baseline metric must still be
-    /// reported (a vanished metric would otherwise disarm the gate
-    /// silently). Gate and floor flags are taken from whichever side
-    /// declares them, so neither dropping a metric nor downgrading it to
-    /// informational can sneak past the committed baseline. Returns
-    /// human-readable failures (empty = pass).
+    /// Compare against a `baseline` report: the scales must match
+    /// (virtual-clock metrics are only comparable at identical scale),
+    /// every baseline metric must still be reported and must not have
+    /// regressed by more than [`GATE_TOLERANCE`], and every metric of
+    /// this run that declares a floor must meet it. A metric the
+    /// baseline does not know yet passes. Returns human-readable
+    /// failures (empty = pass).
     pub fn regressions(&self, baseline: &JsonReport) -> Vec<String> {
         let mut failures = Vec::new();
         for (key, base_value) in &baseline.scales {
@@ -289,36 +275,14 @@ impl JsonReport {
             return failures;
         }
         for base in &baseline.metrics {
-            if (base.gate || base.floor.is_some()) && !self.metrics.iter().any(|m| m.id == base.id)
-            {
+            let Some(m) = self.metrics.iter().find(|m| m.id == base.id) else {
                 failures.push(format!(
-                    "{}: gated/floored baseline metric missing from this run (rename it in \
-                     the baseline too, or the gate is disarmed)",
+                    "{}: baseline metric missing from this run (retire it from the baseline \
+                     too, or the gate is disarmed)",
                     base.id
                 ));
-            }
-        }
-        for m in &self.metrics {
-            let base = baseline.metrics.iter().find(|b| b.id == m.id);
-            // Gate and floor flags are honored from *either* side: a code
-            // change that downgrades a metric to informational cannot
-            // disarm the committed baseline's gate.
-            let floor = match (m.floor, base.and_then(|b| b.floor)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                (a, b) => a.or(b),
-            };
-            if let Some(floor) = floor {
-                if m.value < floor {
-                    failures.push(format!(
-                        "{}: {:.4} {} is below the required floor {:.4}",
-                        m.id, m.value, m.unit, floor
-                    ));
-                }
-            }
-            let Some(base) = base else { continue };
-            if !m.gate && !base.gate {
                 continue;
-            }
+            };
             let ok = if base.higher_is_better {
                 m.value >= base.value / GATE_TOLERANCE
             } else {
@@ -332,6 +296,14 @@ impl JsonReport {
                     m.unit,
                     ((GATE_TOLERANCE - 1.0) * 100.0).round(),
                     base.value
+                ));
+            }
+        }
+        for m in &self.metrics {
+            if let Some(floor) = m.floor.filter(|&floor| m.value < floor) {
+                failures.push(format!(
+                    "{}: {:.4} {} is below the required floor {:.4}",
+                    m.id, m.value, m.unit, floor
                 ));
             }
         }
@@ -384,6 +356,15 @@ pub fn json_metric(metric: Metric) {
     }
 }
 
+/// Record a scale knob an experiment settles at run time (the `faults`
+/// seed search), under the same no-op rule as [`json_metric`]: a
+/// baseline taken at a different value refuses the comparison.
+pub fn json_scale(key: &str, value: f64) {
+    if let Some(report) = JSON_SINK.lock().unwrap().as_mut() {
+        report.scale(key, value);
+    }
+}
+
 /// Finish collecting and take the report.
 pub fn json_take() -> Option<JsonReport> {
     JSON_SINK.lock().unwrap().take()
@@ -416,9 +397,9 @@ mod tests {
         let mut r = JsonReport::new("perf-smoke");
         r.scale("micro_rows", 40000.0);
         r.scale("tpch_sf", 0.005);
-        r.push(Metric::gated("batch.speedup", 3.25, "x", true).with_floor(1.5));
-        r.push(Metric::gated("virtual.full.secs", 12.5, "virtual_s", false));
-        r.push(Metric::info("wall.batch.secs", 0.8, "wall_s", false));
+        r.push(Metric::new("batch.speedup", 3.25, "x", true).with_floor(1.5));
+        r.push(Metric::new("virtual.full.secs", 12.5, "virtual_s", false));
+        r.push(Metric::new("serve.scan.pages_read", 435.0, "pages", false));
         r
     }
 
@@ -431,6 +412,7 @@ mod tests {
         r.save(&path).unwrap();
         let loaded = JsonReport::load(&path).unwrap();
         assert_eq!(loaded, r);
+        assert!(!r.to_json().contains("\"gate\""), "one metric kind: no gate key");
     }
 
     #[test]
@@ -441,44 +423,53 @@ mod tests {
         ok.metrics[0].value = 3.25 / 1.2;
         assert!(ok.regressions(&base).is_empty(), "{:?}", ok.regressions(&base));
         let mut slow = sample();
-        slow.metrics[1].value = 12.5 * 1.3; // +30%: fails
+        slow.metrics[1].value = 12.5 * 1.26; // +26%: fails
         assert_eq!(slow.regressions(&base).len(), 1);
         let mut slower_ratio = sample();
         slower_ratio.metrics[0].value = 3.25 / 1.4; // speedup collapsed: fails
         assert_eq!(slower_ratio.regressions(&base).len(), 1);
-        // floor applies even without a matching baseline entry
+        // every metric gates: a counter fails like any other id
+        let mut counter = sample();
+        counter.metrics[2].value = 435.0 * 1.26;
+        assert_eq!(counter.regressions(&base).len(), 1);
+        // below its floor fails, with or without a baseline entry
         let mut floored = JsonReport::new("perf-smoke");
-        floored.push(Metric::gated("batch.speedup", 1.2, "x", true).with_floor(1.5));
+        floored.push(Metric::new("batch.speedup", 1.2, "x", true).with_floor(1.5));
         assert_eq!(floored.regressions(&JsonReport::new("empty")).len(), 1);
-        // ungated wall metrics never fail the gate
-        let mut wall = sample();
-        wall.metrics[2].value = 100.0;
-        assert!(wall.regressions(&base).is_empty());
-        // a gated baseline metric that vanished from the fresh run fails
-        let mut dropped = sample();
-        dropped.metrics.remove(1);
-        assert_eq!(dropped.regressions(&base).len(), 1);
-        // a floored (even if ungated) baseline metric that vanished fails too
-        let mut base_floored = sample();
-        base_floored.metrics[0].gate = false;
-        let mut dropped_floor = base_floored.clone();
-        dropped_floor.metrics.remove(0);
-        assert_eq!(dropped_floor.regressions(&base_floored).len(), 1);
-        // but dropping an ungated, unfloored metric is fine
-        let mut dropped_info = sample();
-        dropped_info.metrics.remove(2);
-        assert!(dropped_info.regressions(&base).is_empty());
-        // downgrading a gated/floored metric to informational in code
-        // does not disarm the baseline's gate or floor
-        let mut downgraded = sample();
-        downgraded.metrics[0].gate = false;
-        downgraded.metrics[0].floor = None;
-        downgraded.metrics[0].value = 1.2; // below the baseline's 1.5 floor
-        downgraded.metrics[1].gate = false;
-        downgraded.metrics[1].value = 12.5 * 1.3; // >25% virtual regression
-                                                  // metric 0 fails its floor AND the baseline's relative gate;
-                                                  // metric 1 fails the baseline's relative gate: three failures.
-        assert_eq!(downgraded.regressions(&base).len(), 3);
+        let mut below = sample();
+        below.metrics[0].value = 1.2; // under the floor AND >25% under the baseline
+        assert_eq!(below.regressions(&base).len(), 2);
+        // any baseline id that vanished from the fresh run fails
+        for i in 0..3 {
+            let mut dropped = sample();
+            dropped.metrics.remove(i);
+            let failures = dropped.regressions(&base);
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("missing"), "{failures:?}");
+        }
+        // an id the baseline does not know yet passes
+        let mut grown = sample();
+        grown.push(Metric::new("fig6.new.secs", 1.0, "virtual_s", false));
+        assert!(grown.regressions(&base).is_empty());
+    }
+
+    /// The committed trajectory point publishes nothing timed on the
+    /// host: no wall-clock unit, no wall-clock ratio.
+    #[test]
+    fn committed_baseline_holds_no_host_timing() {
+        let committed = JsonReport::parse(include_str!("../../../BENCH_smoke.json"));
+        assert!(!committed.metrics.is_empty(), "baseline parsed");
+        for m in &committed.metrics {
+            let columnar_ratio = m.id.starts_with("columnar.") && m.id.ends_with(".speedup");
+            assert!(
+                !matches!(m.unit.as_str(), "wall_s" | "wall_ms" | "qps")
+                    && !m.id.contains(".wall_speedup")
+                    && !columnar_ratio,
+                "{} ({}) is a host timing",
+                m.id,
+                m.unit
+            );
+        }
     }
 
     #[test]
@@ -496,13 +487,16 @@ mod tests {
 
     #[test]
     fn json_sink_collects_only_when_active() {
-        json_metric(Metric::info("dropped", 1.0, "x", true));
+        json_metric(Metric::new("dropped", 1.0, "x", true));
+        json_scale("dropped", 1.0);
         assert!(json_take().is_none());
         json_begin(JsonReport::new("s"));
-        json_metric(Metric::info("kept", 1.0, "x", true));
+        json_metric(Metric::new("kept", 1.0, "x", true));
+        json_scale("seed", 7.0);
         let got = json_take().unwrap();
         assert_eq!(got.metrics.len(), 1);
         assert_eq!(got.metrics[0].id, "kept");
+        assert_eq!(got.scales, vec![("seed".to_string(), 7.0)]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use smooth_executor::{Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid};
+use smooth_types::{ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema, Tid};
 
 use crate::tuple_cache::TupleIdCache;
 
@@ -111,7 +111,7 @@ impl SwitchScan {
         let pages = self.storage.read_heap_run(&self.heap, PageId(self.next_page), len)?;
         self.storage.charge_page_probes(len as u64);
         self.next_page += len;
-        let produced = self.produced.as_ref().expect("opened");
+        let produced = self.produced.as_ref().ok_or_else(not_open)?;
         let mut tuples: Vec<&[u8]> = Vec::new();
         for (pid, page) in &pages {
             let view = PageView::new(page)?;
@@ -139,6 +139,10 @@ impl SwitchScan {
     }
 }
 
+fn not_open() -> Error {
+    Error::exec("SwitchScan before open")
+}
+
 impl Operator for SwitchScan {
     fn schema(&self) -> &Schema {
         self.heap.schema()
@@ -159,7 +163,7 @@ impl Operator for SwitchScan {
         let cpu = *self.storage.cpu();
         // Phase 1: traditional index scan under cardinality monitoring.
         while !self.switched {
-            let Some((_, tid)) = self.cursor.as_mut().expect("opened").next() else {
+            let Some((_, tid)) = self.cursor.as_mut().ok_or_else(not_open)?.next() else {
                 return Ok(None);
             };
             let page = self.storage.read_heap_page(&self.heap, tid.page)?;
@@ -176,7 +180,7 @@ impl Operator for SwitchScan {
                 break;
             }
             self.produced_count += 1;
-            self.produced.as_mut().expect("opened").insert(tid);
+            self.produced.as_mut().ok_or_else(not_open)?.insert(tid);
             self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
             return Ok(Some(row));
         }

@@ -1,6 +1,6 @@
-//! Join operators: Hash, Merge, Nested-Loop and Index-Nested-Loop.
+//! Join operators: Hash, Merge and Index-Nested-Loop.
 //!
-//! The TPC-H-style experiments exercise all four: the paper's Fig. 4
+//! The TPC-H-style experiments exercise all three: the paper's Fig. 4
 //! queries use nested-loop joins with primary-key index lookups (Q4, Q14),
 //! hash joins (Q7) and merge joins fed by interesting orders — the
 //! situation where Smooth Scan's order preservation matters (Section IV-B,
@@ -9,9 +9,9 @@
 //! [`HashJoin`] and [`IndexNestedLoopJoin`] are columnar end to end (typed
 //! key vectors, column-wise gathers, one [`ColumnBuffer`] under both
 //! iterator protocols; the index join's decode path is described at its
-//! definition and in `docs/ARCHITECTURE.md`); [`MergeJoin`] and
-//! [`NestedLoopJoin`] work a row at a time and reach the columnar protocol
-//! through the trait-default bridge.
+//! definition and in `docs/ARCHITECTURE.md`); [`MergeJoin`] works a row
+//! at a time and reaches the columnar protocol through the trait-default
+//! bridge.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -954,99 +954,6 @@ impl Operator for MergeJoin {
     }
 }
 
-/// Naive nested-loop join with an arbitrary pair predicate (theta join);
-/// the right side is materialized once.
-pub struct NestedLoopJoin {
-    left: BoxedOperator,
-    right: BoxedOperator,
-    /// Evaluated over the concatenated pair.
-    predicate: Predicate,
-    ty: JoinType,
-    storage: Storage,
-    schema: Schema,
-    right_rows: Vec<Row>,
-    left_row: Option<Row>,
-    right_pos: usize,
-}
-
-impl NestedLoopJoin {
-    /// Join where `predicate` is evaluated over `left ++ right` rows.
-    pub fn new(
-        left: BoxedOperator,
-        right: BoxedOperator,
-        predicate: Predicate,
-        ty: JoinType,
-        storage: Storage,
-    ) -> Self {
-        let schema = join_schema(left.schema(), right.schema(), ty);
-        NestedLoopJoin {
-            left,
-            right,
-            predicate,
-            ty,
-            storage,
-            schema,
-            right_rows: Vec::new(),
-            left_row: None,
-            right_pos: 0,
-        }
-    }
-}
-
-impl Operator for NestedLoopJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        self.right_rows.clear();
-        while let Some(batch) = self.right.next_columns(batch_size())? {
-            self.right_rows.extend(batch.into_rows());
-        }
-        self.right.close()?;
-        self.left_row = None;
-        self.right_pos = 0;
-        Ok(())
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if self.left_row.is_none() {
-                self.left_row = self.left.next()?;
-                self.right_pos = 0;
-            }
-            let Some(left_row) = self.left_row.clone() else { return Ok(None) };
-            while self.right_pos < self.right_rows.len() {
-                let pair = left_row.concat(&self.right_rows[self.right_pos]);
-                self.right_pos += 1;
-                self.storage.clock().charge_cpu(self.storage.cpu().inspect_tuple_ns);
-                if self.predicate.eval(&pair)? {
-                    self.storage.clock().charge_cpu(self.storage.cpu().emit_tuple_ns);
-                    match self.ty {
-                        JoinType::Inner => return Ok(Some(pair)),
-                        JoinType::LeftSemi => {
-                            self.left_row = None;
-                            return Ok(Some(left_row));
-                        }
-                    }
-                }
-            }
-            self.left_row = None;
-        }
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.right_rows.clear();
-        self.left.close()
-    }
-
-    fn label(&self) -> String {
-        format!("NestedLoopJoin({:?}) [{} ⋈ {}]", self.ty, self.left.label(), self.right.label())
-    }
-}
-
 /// Index nested-loop join: for each outer row, probe the inner table's
 /// B+-tree and fetch matching heap tuples ("a parameterized path",
 /// Section IV-B). The inner fetches are random heap I/O — the pattern that
@@ -1332,22 +1239,6 @@ mod tests {
             storage(),
         );
         assert!(collect_rows(&mut j).unwrap().is_empty());
-    }
-
-    #[test]
-    fn nested_loop_theta_join() {
-        // join on left.a < right.b, expressed over the concatenated row —
-        // realized here as NOT(b <= a) via per-pair evaluation; we use a
-        // range check helper instead: pair passes when col0 < col3.
-        let left = values("a", "x", vec![(1, 0), (5, 0)]);
-        let right = values("y", "b", vec![(0, 3), (0, 10)]);
-        // Predicate: col3 (b) > col0 (a) can't be expressed directly by the
-        // IntRange variants over two columns, so emulate with Or/And of
-        // fixed ranges per this small domain — instead test equi via NLJ.
-        let mut j = NestedLoopJoin::new(left, right, Predicate::True, JoinType::Inner, storage());
-        let rows = collect_rows(&mut j).unwrap();
-        assert_eq!(rows.len(), 4); // cross product under True
-        assert_eq!(j.schema().len(), 4);
     }
 
     #[test]

@@ -64,14 +64,14 @@ pub use filter::{Filter, Project};
 pub use hashtable::KeyTable;
 pub use join::{
     HashJoin, IndexNestedLoopJoin, JoinBuildPartial, JoinBuildTable, JoinType, MergeJoin,
-    NestedLoopJoin, BUILD_PARTITIONS,
+    BUILD_PARTITIONS,
 };
 pub use operator::{
     batch_size, collect_batches, collect_rows, collect_rows_volcano, BoxedOperator, Operator,
 };
 pub use parallel::{
-    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, ParallelPipeline,
-    ParallelSource, ScalingLedger, SinkSpec, StageSpec,
+    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, LedgerPhase,
+    ParallelPipeline, ParallelSource, ScalingLedger, SinkSpec, StageSpec,
 };
 pub use scan::{FullTableScan, IndexScan, SortScan};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};

@@ -68,15 +68,17 @@
 //!
 //! [`run_pipeline_traced`] is the same run on one worker with the
 //! query's trace on: the scheduler itself records a per-morsel
-//! virtual-clock ledger ([`ScalingLedger`]) — with separate build-phase
-//! sections and a serial suffix — from clock snapshots at its own
+//! virtual-clock ledger ([`ScalingLedger`]) — a serial prefix, one
+//! [`LedgerPhase`] per build and one for the probe phase, a serial
+//! suffix — from clock snapshots at its own
 //! admit / claim / process / phase-advance / sort sites (see the
 //! "Trace sites" paragraph in [`crate::schedule`]), so the model's
 //! input is produced by the code it models. From the ledger a
 //! deterministic scaling model predicts the parallel makespan at any
 //! worker count: a discrete-event replay of the scheduler's own policy
-//! (chunked claiming via `claim_size`, per-worker queues,
-//! steal-from-longest with the [`STEAL_PENALTY_PERMILLE`] locality
+//! through the functions the scheduler itself calls (chunked claiming
+//! via `source_claim`, per-worker queues, `steal_victim`'s
+//! steal-from-longest, with the [`STEAL_PENALTY_PERMILLE`] locality
 //! surcharge on stolen morsels — modeled only; execution charges
 //! nothing for a steal). The
 //! perf-smoke `parallel`, `join` and `serve` experiments gate on that
@@ -84,6 +86,7 @@
 //! repo's build hosts), it is bit-stable across machines. See
 //! `docs/scheduler_v2.md`.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
@@ -456,6 +459,18 @@ pub(crate) fn source_claim(fixed: usize, hint: Option<usize>, workers: usize) ->
     }
 }
 
+/// Whom dry worker `me` steals from, given every worker's queue length
+/// in index order: the longest peer queue, ties toward the lowest
+/// index, never `me`, `None` when every peer queue is empty. Execution
+/// and the scaling model share this one choice.
+pub(crate) fn steal_victim(me: usize, lens: impl IntoIterator<Item = usize>) -> Option<usize> {
+    lens.into_iter()
+        .enumerate()
+        .filter(|&(v, len)| v != me && len > 0)
+        .max_by_key(|&(v, len)| (len, std::cmp::Reverse(v)))
+        .map(|(v, _)| v)
+}
+
 /// An opened source: the locked core plus (for heap sources) the
 /// thread-local decoder recipe workers instantiate per claim.
 pub(crate) type OpenedSource = (SourceCore, Option<(Schema, Predicate)>);
@@ -547,76 +562,52 @@ pub(crate) fn process_item(
     Ok(batch)
 }
 
-/// Per-morsel virtual-clock ledger recorded by
-/// [`run_pipeline_traced`]: the deterministic input to the scaling
-/// model. All values are virtual nanoseconds off the shared clock.
+/// One phase of a traced query — a hash-join build or the final probe
+/// phase — as the scheduler ran it: one entry per morsel, in claim
+/// order. All values are virtual nanoseconds off the shared clock.
 #[derive(Debug, Default, Clone)]
-pub struct ScalingLedger {
-    /// Serial prefix: source open (builds are traced separately below).
-    pub prefix_ns: u64,
-    /// Per-morsel build-phase source sections (serialized build-input
-    /// I/O), concatenated across all builds in build order.
-    pub build_src_ns: Vec<u64>,
-    /// End index (exclusive) of each build's sections within the build
-    /// vectors: the driver runs each build to completion before the next
-    /// one starts, so the model must barrier between builds too.
-    pub build_bounds: Vec<usize>,
-    /// Per-morsel build-phase worker sections (decode, build stages,
-    /// key partitioning and map inserts) — these fan out across the
-    /// pool.
-    pub build_proc_ns: Vec<u64>,
+pub struct LedgerPhase {
     /// Per-morsel source-section charges (I/O + in-lock CPU) — a
     /// serialized resource.
     pub src_ns: Vec<u64>,
-    /// Per-morsel worker-side charges (decode, stages, exact partial
-    /// aggregation) — these fan out across the pool.
+    /// Per-morsel worker-side charges (decode, stages, the build's
+    /// payload append or the exact partial aggregation) — these fan out
+    /// across the pool.
     pub proc_ns: Vec<u64>,
     /// Per-morsel ordered-sink charges (the order-preserving aggregate
-    /// fold when the merge is not exact) — a second serialized resource.
+    /// fold when the merge is not exact) — a second serialized
+    /// resource. Empty for a phase with no sink: every build.
     pub sink_ns: Vec<u64>,
+    /// Whether the phase's source supports chunked claiming
+    /// (heap-backed); shared operator sources claim one morsel per lock
+    /// hold.
+    pub chunked: bool,
+}
+
+/// Per-morsel virtual-clock ledger recorded by
+/// [`run_pipeline_traced`]: the deterministic input to the scaling
+/// model, in the scheduler's own shape — a serial prefix, the phases it
+/// ran to completion one after another, a serial suffix.
+#[derive(Debug, Default, Clone)]
+pub struct ScalingLedger {
+    /// Serial prefix: every source open (the probe source and tranche 0
+    /// at admission, later tranches as their builds complete).
+    pub prefix_ns: u64,
+    /// The build phases in build order, then the probe phase. The
+    /// driver runs each to completion before the next starts, so the
+    /// model barriers between them too.
+    pub phases: Vec<LedgerPhase>,
     /// Serial suffix after the last morsel: the ordered-scan sink's
     /// final sort pass ([`SinkSpec::Sort`]) — one thread, after every
     /// worker drained.
     pub suffix_ns: u64,
-    /// Whether each build phase's source supports chunked claiming
-    /// (heap-backed — one entry per recorded build bound). Shared
-    /// operator sources claim one morsel per lock hold.
-    pub build_chunked: Vec<bool>,
-    /// Whether the probe phase's source supports chunked claiming.
-    pub src_chunked: bool,
 }
 
 impl ScalingLedger {
     /// Total virtual time of the single-threaded run.
     pub fn total_ns(&self) -> u64 {
-        self.prefix_ns
-            + self.build_src_ns.iter().sum::<u64>()
-            + self.build_proc_ns.iter().sum::<u64>()
-            + self.src_ns.iter().sum::<u64>()
-            + self.proc_ns.iter().sum::<u64>()
-            + self.sink_ns.iter().sum::<u64>()
-            + self.suffix_ns
-    }
-
-    /// The per-build section ranges within the build vectors. The driver
-    /// runs each build to completion before the next starts, so each
-    /// range schedules behind a barrier; sections past the last recorded
-    /// bound (or all of them, when no bounds were recorded) form a final
-    /// segment so the model never silently drops work.
-    fn build_segments(&self) -> Vec<std::ops::Range<usize>> {
-        let mut segments = Vec::with_capacity(self.build_bounds.len() + 1);
-        let mut start = 0usize;
-        for &end in &self.build_bounds {
-            let end = end.min(self.build_src_ns.len());
-            if end > start {
-                segments.push(start..end);
-            }
-            start = start.max(end);
-        }
-        if start < self.build_src_ns.len() {
-            segments.push(start..self.build_src_ns.len());
-        }
-        segments
+        let sections = self.phases.iter().flat_map(|p| [&p.src_ns, &p.proc_ns, &p.sink_ns]);
+        self.prefix_ns + sections.flatten().sum::<u64>() + self.suffix_ns
     }
 
     /// Deterministic makespan of the pipeline at `workers` workers,
@@ -628,8 +619,12 @@ impl ScalingLedger {
         simulate(std::slice::from_ref(self), workers, 1).0
     }
 
-    /// Modeled speedup over the single-worker makespan (which equals
-    /// [`ScalingLedger::total_ns`] — the serial run — by construction).
+    /// Modeled speedup over the single-worker makespan. That base is
+    /// [`ScalingLedger::total_ns`] — the serial run — except that the
+    /// model runs the ordered fold as a resource of its own: non-zero
+    /// sink sections over several morsels (non-exact aggregate merges;
+    /// no ledger the perf gates trace) overlap their worker's next
+    /// morsel and the base reads short (`docs/scheduler_v2.md`).
     pub fn speedup(&self, workers: usize) -> f64 {
         self.makespan_ns(1) as f64 / self.makespan_ns(workers).max(1) as f64
     }
@@ -646,16 +641,9 @@ impl ScalingLedger {
     /// Makespan of the build phases alone (no prefix, no probe phase,
     /// no suffix).
     pub fn build_makespan_ns(&self, workers: usize) -> u64 {
-        let builds_only = ScalingLedger {
-            prefix_ns: 0,
-            suffix_ns: 0,
-            src_ns: Vec::new(),
-            proc_ns: Vec::new(),
-            sink_ns: Vec::new(),
-            src_chunked: false,
-            ..self.clone()
-        };
-        simulate(std::slice::from_ref(&builds_only), workers, 1).0
+        let builds = &self.phases[..self.phases.len().saturating_sub(1)];
+        let builds_only = ScalingLedger { prefix_ns: 0, phases: builds.to_vec(), suffix_ns: 0 };
+        builds_only.makespan_ns(workers)
     }
 
     /// Modeled speedup of the blocking build phase alone — what the
@@ -663,51 +651,14 @@ impl ScalingLedger {
     pub fn build_speedup(&self, workers: usize) -> f64 {
         self.build_makespan_ns(1) as f64 / self.build_makespan_ns(workers).max(1) as f64
     }
-
-    /// The per-phase morsel sections in execution order: every build
-    /// segment (source + worker sections, no sink) followed by the
-    /// probe phase (source + worker + ordered-sink sections). Input to
-    /// the unified scheduling model.
-    fn phases(&self) -> Vec<SimPhase<'_>> {
-        let mut phases: Vec<SimPhase<'_>> = self
-            .build_segments()
-            .into_iter()
-            .enumerate()
-            .map(|(i, seg)| SimPhase {
-                src: &self.build_src_ns[seg.clone()],
-                proc: &self.build_proc_ns[seg],
-                sink: None,
-                chunked: self.build_chunked.get(i).copied().unwrap_or(false),
-            })
-            .collect();
-        phases.push(SimPhase {
-            src: &self.src_ns,
-            proc: &self.proc_ns,
-            sink: Some(&self.sink_ns),
-            chunked: self.src_chunked,
-        });
-        phases
-    }
-}
-
-/// One phase of a traced query inside the scheduling model.
-struct SimPhase<'a> {
-    src: &'a [u64],
-    proc: &'a [u64],
-    /// Ordered-sink sections (probe phase only).
-    sink: Option<&'a [u64]>,
-    /// Heap-backed phases claim guided chunk runs ([`claim_size`]);
-    /// shared-operator phases claim one morsel per lock hold — exactly
-    /// what execution does.
-    chunked: bool,
 }
 
 /// One claimed-but-unprocessed morsel sitting in a worker's local
 /// queue, available to its owner (front pops) or to a stealing peer
-/// (back pops, at the modeled locality penalty).
+/// (back pops, at the modeled locality penalty). It belongs to its
+/// query's current phase: queued morsels pin the phase.
 struct SimItem {
     query: usize,
-    phase: usize,
     idx: usize,
     /// Earliest processing start: the end of the claim's source I/O.
     ready: u64,
@@ -715,9 +666,7 @@ struct SimItem {
 
 /// One traced query's progress through its phases.
 struct SimQuery<'a> {
-    phases: Vec<SimPhase<'a>>,
-    prefix_ns: u64,
-    suffix_ns: u64,
+    ledger: &'a ScalingLedger,
     /// Current phase / next unclaimed morsel within it.
     phase: usize,
     next_src: usize,
@@ -741,24 +690,40 @@ struct SimQuery<'a> {
     finished: Option<u64>,
 }
 
-impl SimQuery<'_> {
+impl<'a> SimQuery<'a> {
+    /// The phase being drained (`None` once every phase is).
+    fn current(&self) -> Option<&'a LedgerPhase> {
+        self.ledger.phases.get(self.phase)
+    }
+
     fn admit(&mut self, at: u64) {
         self.admitted = true;
         // The serial prefix (source open) precedes the first claim.
-        let start = at + self.prefix_ns;
+        self.enter_phase(at + self.ledger.prefix_ns);
+        self.advance();
+    }
+
+    /// Start the current phase at `start`: every chain is free from
+    /// then, and the sink's reorder buffer is empty.
+    fn enter_phase(&mut self, start: u64) {
+        self.next_src = 0;
         self.avail = start;
         self.src_free = start;
         self.sink_free = start;
         self.phase_done = start;
-        self.enter_phase();
-        self.advance();
+        self.sink_done = vec![None; self.current().map_or(0, |p| p.sink_ns.len())];
+        self.sink_next = 0;
     }
 
-    /// Reset the per-phase sink reorder state for the current phase.
-    fn enter_phase(&mut self) {
-        let len = self.phases.get(self.phase).map_or(0, |p| p.src.len());
-        self.sink_done = vec![None; len];
-        self.sink_next = 0;
+    /// Take queued morsel `item` off the books and run its worker
+    /// section on a worker free from `at`, at `permille` of its traced
+    /// cost; returns the completion time.
+    fn run_queued(&mut self, at: u64, item: &SimItem, permille: u64) -> u64 {
+        self.queued -= 1;
+        // invariant: queued morsels pin their phase, so it is still the
+        // current one.
+        let proc = self.current().expect("a queued morsel pins its phase").proc_ns[item.idx];
+        at.max(item.ready) + proc * permille / 1000
     }
 
     /// Record one processed morsel's completion; fold any
@@ -766,13 +731,13 @@ impl SimQuery<'_> {
     /// strictly in seq order).
     fn complete(&mut self, idx: usize, done: u64) {
         self.phase_done = self.phase_done.max(done);
-        let sink = self.phases[self.phase].sink;
-        if let Some(sink) = sink {
-            self.sink_done[idx] = Some(done);
-            while let Some(d) = self.sink_done.get(self.sink_next).copied().flatten() {
-                self.sink_free = self.sink_free.max(d) + sink[self.sink_next];
-                self.sink_next += 1;
-            }
+        let Some(sink) = self.current().map(|p| &p.sink_ns).filter(|s| !s.is_empty()) else {
+            return;
+        };
+        self.sink_done[idx] = Some(done);
+        while let Some(d) = self.sink_done.get(self.sink_next).copied().flatten() {
+            self.sink_free = self.sink_free.max(d) + sink[self.sink_next];
+            self.sink_next += 1;
         }
     }
 
@@ -780,19 +745,14 @@ impl SimQuery<'_> {
     /// finished — serial suffix appended — when every phase is done.
     fn advance(&mut self) {
         while self.finished.is_none() {
-            match self.phases.get(self.phase) {
-                Some(p) if self.next_src < p.src.len() || self.queued > 0 => return,
+            let end = self.phase_done.max(self.sink_free);
+            match self.current() {
+                Some(p) if self.next_src < p.src_ns.len() || self.queued > 0 => return,
                 Some(_) => {
-                    let end = self.phase_done.max(self.sink_free);
                     self.phase += 1;
-                    self.next_src = 0;
-                    self.avail = end;
-                    self.src_free = end;
-                    self.sink_free = end;
-                    self.phase_done = end;
-                    self.enter_phase();
+                    self.enter_phase(end);
                 }
-                None => self.finished = Some(self.phase_done.max(self.sink_free) + self.suffix_ns),
+                None => self.finished = Some(end + self.ledger.suffix_ns),
             }
         }
     }
@@ -806,7 +766,9 @@ impl SimQuery<'_> {
 /// equivalence, back-to-back chaining under an admission cap of one)
 /// hold by construction.
 ///
-/// The model mirrors the executor's scheduler dynamics exactly:
+/// The model mirrors the executor's scheduler dynamics exactly, and
+/// takes the scheduler's own decisions from the functions the scheduler
+/// calls ([`source_claim`], [`steal_victim`]):
 ///
 /// * Each query walks its phases behind barriers; within a phase the
 ///   source sections serialize in morsel order on the query's source
@@ -819,7 +781,8 @@ impl SimQuery<'_> {
 ///   then **steals** the back of the longest peer queue, paying the
 ///   [`STEAL_PENALTY_PERMILLE`] locality penalty on the stolen
 ///   morsel's worker section. One worker therefore never steals, which
-///   keeps the one-worker makespan exactly equal to the serial total.
+///   keeps the one-worker makespan equal to the serial total (up to
+///   the ordered fold's overlap — see [`ScalingLedger::speedup`]).
 /// * Ordered-sink sections fold strictly in morsel order off a reorder
 ///   buffer; the serial suffix (an ordered scan's final sort) runs
 ///   after the last phase.
@@ -830,10 +793,8 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
     let max_queries = max_queries.max(1);
     let mut queries: Vec<SimQuery<'_>> = ledgers
         .iter()
-        .map(|l| SimQuery {
-            phases: l.phases(),
-            prefix_ns: l.prefix_ns,
-            suffix_ns: l.suffix_ns,
+        .map(|ledger| SimQuery {
+            ledger,
             phase: 0,
             next_src: 0,
             queued: 0,
@@ -847,14 +808,14 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
             finished: None,
         })
         .collect();
-    let mut waiting: std::collections::VecDeque<usize> = (0..queries.len()).collect();
+    let mut waiting: VecDeque<usize> = (0..queries.len()).collect();
     let mut makespan = 0u64;
     let mut wait = 0u64;
     // Admit one query at `at`; if it finishes instantly (empty ledger),
     // its slot frees immediately — chain into the next waiting query.
     fn admit_chain(
         queries: &mut [SimQuery<'_>],
-        waiting: &mut std::collections::VecDeque<usize>,
+        waiting: &mut VecDeque<usize>,
         mut at: u64,
         makespan: &mut u64,
     ) {
@@ -873,93 +834,71 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
         admit_chain(&mut queries, &mut waiting, 0, &mut makespan);
     }
     let mut worker_free = vec![0u64; workers];
-    let mut local: Vec<std::collections::VecDeque<SimItem>> =
-        (0..workers).map(|_| std::collections::VecDeque::new()).collect();
+    let mut local: Vec<VecDeque<SimItem>> = (0..workers).map(|_| VecDeque::new()).collect();
     loop {
         // The earliest-free worker acts next (ties to the lowest
         // index).
         // invariant: `workers` is clamped to >= 1 above, so the range
         // is never empty.
         let w = (0..workers).min_by_key(|&i| worker_free[i]).expect("workers >= 1");
-        // 1. Drain the local queue, exactly as `try_work` pops its own
-        //    deque before touching the source.
-        if let Some(item) = local[w].pop_front() {
-            let proc = queries[item.query].phases[item.phase].proc[item.idx];
-            let done = worker_free[w].max(item.ready) + proc;
-            worker_free[w] = done;
-            let q = &mut queries[item.query];
-            q.queued -= 1;
-            q.complete(item.idx, done);
-            q.advance();
-            if let Some(end) = q.finished {
-                makespan = makespan.max(end);
-                admit_chain(&mut queries, &mut waiting, end, &mut makespan);
-            }
-            continue;
-        }
-        // 2. Claim a chunk from the query whose source can start
-        //    earliest (ties to the lowest query index).
-        let claim = queries
+        // The scheduler's ladder (`try_work`), one rung per arm; each
+        // yields the morsel `w` processes and when it completes.
+        let (qi, idx, done) = if let Some(item) = local[w].pop_front() {
+            // 1. Drain the local queue before touching the source.
+            let done = queries[item.query].run_queued(worker_free[w], &item, 1000);
+            (item.query, item.idx, done)
+        } else if let Some((start, qi)) = queries
             .iter()
             .enumerate()
             .filter(|(_, q)| q.admitted && q.finished.is_none())
-            .filter(|(_, q)| q.phases.get(q.phase).is_some_and(|p| q.next_src < p.src.len()))
+            .filter(|(_, q)| q.current().is_some_and(|p| q.next_src < p.src_ns.len()))
             .map(|(i, q)| (worker_free[w].max(q.avail).max(q.src_free), i))
-            .min();
-        if let Some((start, qi)) = claim {
-            let (k, first, chunk_end, first_done, phase) = {
-                let q = &queries[qi];
-                let p = &q.phases[q.phase];
-                let remaining = p.src.len() - q.next_src;
-                let k = if p.chunked { claim_size(0, remaining, workers) } else { 1 };
-                let k = k.min(remaining);
-                let first = q.next_src;
-                let chunk_end = start + p.src[first..first + k].iter().sum::<u64>();
-                (k, first, chunk_end, chunk_end + p.proc[first], q.phase)
-            };
+            .min()
+        {
+            // 2. Claim a chunk from the query whose source can start
+            //    earliest (ties to the lowest query index): process its
+            //    first morsel, queue the rest locally.
             let q = &mut queries[qi];
+            // invariant: the filter above kept only queries with an
+            // unclaimed morsel in their current phase.
+            let p = q.current().expect("claimable query has a current phase");
+            let remaining = p.src_ns.len() - q.next_src;
+            let k = source_claim(0, p.chunked.then_some(remaining), workers).min(remaining);
+            let first = q.next_src;
+            let chunk_end = start + p.src_ns[first..first + k].iter().sum::<u64>();
             // Time this worker sat blocked on the source lock before
             // its claim could start.
             wait += q.src_free.saturating_sub(worker_free[w].max(q.avail));
             q.src_free = chunk_end;
             q.next_src = first + k;
             q.queued += k - 1;
-            worker_free[w] = first_done;
-            q.complete(first, first_done);
-            for i in 1..k {
-                local[w].push_back(SimItem { query: qi, phase, idx: first + i, ready: chunk_end });
-            }
-            q.advance();
-            if let Some(end) = q.finished {
-                makespan = makespan.max(end);
-                admit_chain(&mut queries, &mut waiting, end, &mut makespan);
-            }
-            continue;
+            local[w].extend((first + 1..first + k).map(|idx| SimItem {
+                query: qi,
+                idx,
+                ready: chunk_end,
+            }));
+            (qi, first, chunk_end + p.proc_ns[first])
+        } else if let Some(item) =
+            steal_victim(w, local.iter().map(VecDeque::len)).and_then(|v| local[v].pop_back())
+        {
+            // 3. Steal the back of the longest peer queue, paying the
+            //    locality penalty.
+            let stolen = 1000 + STEAL_PENALTY_PERMILLE;
+            let done = queries[item.query].run_queued(worker_free[w], &item, stolen);
+            (item.query, item.idx, done)
+        } else {
+            // Nothing to pop, claim or steal anywhere: every admitted
+            // query has drained (and eagerly advanced to finished).
+            break;
+        };
+        worker_free[w] = done;
+        let q = &mut queries[qi];
+        q.complete(idx, done);
+        q.advance();
+        if let Some(end) = q.finished {
+            makespan = makespan.max(end);
+            admit_chain(&mut queries, &mut waiting, end, &mut makespan);
         }
-        // 3. Steal the back of the longest peer queue (ties to the
-        //    lowest worker index), paying the locality penalty.
-        let stolen = (0..workers)
-            .filter(|&v| v != w && !local[v].is_empty())
-            .max_by_key(|&v| (local[v].len(), std::cmp::Reverse(v)))
-            .and_then(|v| local[v].pop_back());
-        if let Some(item) = stolen {
-            let proc = queries[item.query].phases[item.phase].proc[item.idx];
-            let proc = proc * (1000 + STEAL_PENALTY_PERMILLE) / 1000;
-            let done = worker_free[w].max(item.ready) + proc;
-            worker_free[w] = done;
-            let q = &mut queries[item.query];
-            q.queued -= 1;
-            q.complete(item.idx, done);
-            q.advance();
-            if let Some(end) = q.finished {
-                makespan = makespan.max(end);
-                admit_chain(&mut queries, &mut waiting, end, &mut makespan);
-            }
-            continue;
-        }
-        // Nothing to pop, claim or steal anywhere: every admitted query
-        // has drained (and eagerly advanced to finished).
-        break;
     }
     (makespan, wait)
 }
@@ -1187,9 +1126,10 @@ mod tests {
             let (rows, ledger) =
                 run_pipeline_traced(ParallelPipeline { sink, ..make(&s) }).unwrap();
             assert!(!rows.is_empty());
-            assert!(!ledger.src_ns.is_empty());
+            let probe = ledger.phases.last().expect("the probe phase is always recorded");
+            assert!(!probe.src_ns.is_empty());
             assert_eq!(ledger.total_ns(), s.clock().snapshot().total_ns(), "ledger vs clock");
-            assert_eq!(ledger.sink_ns.iter().any(|&ns| ns > 0), folds, "ordered-sink sections");
+            assert_eq!(probe.sink_ns.iter().any(|&ns| ns > 0), folds, "ordered-sink sections");
             assert_eq!(ledger.suffix_ns > 0, sorts, "sort suffix");
             // One worker's makespan is exactly the serial total.
             assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
@@ -1472,7 +1412,8 @@ mod tests {
                 let m4 = ledger.makespan_ns(4);
                 assert!(m2 <= ledger.makespan_ns(1));
                 assert!(m4 <= m2);
-                let src_total: u64 = ledger.src_ns.iter().sum();
+                assert_eq!(ledger.phases.len(), 1, "no builds: the probe phase alone");
+                let src_total: u64 = ledger.phases[0].src_ns.iter().sum();
                 assert!(m4 >= src_total, "source sections serialize");
                 assert!(ledger.speedup(4) >= 1.0);
                 // Modeled source-lock wait: zero at one worker (a lone
@@ -1512,7 +1453,7 @@ mod tests {
         assert!(served <= solo_chain, "served {served} > chained {solo_chain}");
         // And never beats the total-work lower bound on the serialized
         // per-query source chains.
-        let src_total: u64 = ledger.src_ns.iter().sum();
+        let src_total: u64 = ledger.phases[0].src_ns.iter().sum();
         assert!(served >= src_total + ledger.prefix_ns);
     }
 
@@ -1527,9 +1468,13 @@ mod tests {
                 pipeline
             },
             |ledger| {
-                assert!(!ledger.build_src_ns.is_empty(), "build morsels recorded");
-                assert_eq!(ledger.build_src_ns.len(), ledger.build_proc_ns.len());
-                assert_eq!(ledger.build_bounds, vec![ledger.build_src_ns.len()]);
+                let [build, probe] = &ledger.phases[..] else {
+                    panic!("one build phase, then the probe phase: {ledger:?}");
+                };
+                assert!(!build.src_ns.is_empty(), "build morsels recorded");
+                assert_eq!(build.src_ns.len(), build.proc_ns.len());
+                assert!(build.sink_ns.is_empty(), "a build has no ordered sink");
+                assert!(build.chunked && probe.chunked, "both sources are heap-backed");
                 assert!(ledger.build_speedup(1) == 1.0);
                 assert!(ledger.build_speedup(4) >= 1.0);
                 assert!(ledger.makespan_ns(4) <= ledger.makespan_ns(2));
@@ -1556,12 +1501,20 @@ mod tests {
             pipeline
         };
         traced_under_each_sink(chained, |ledger| {
-            assert_eq!(ledger.build_bounds.len(), 2, "one segment per build");
-            assert_eq!(*ledger.build_bounds.last().unwrap(), ledger.build_src_ns.len());
+            let [a, b, probe] = &ledger.phases[..] else {
+                panic!("one phase per build, then the probe phase: {ledger:?}");
+            };
+            assert!(!a.src_ns.is_empty() && !b.src_ns.is_empty(), "both builds recorded");
             // The barriered schedule can never beat the (incorrect)
             // barrier-free packing of both builds as one phase.
-            let one_phase =
-                ScalingLedger { build_bounds: vec![], ..ledger.clone() }.build_makespan_ns(4);
+            let merged = LedgerPhase {
+                src_ns: [&a.src_ns[..], &b.src_ns[..]].concat(),
+                proc_ns: [&a.proc_ns[..], &b.proc_ns[..]].concat(),
+                sink_ns: Vec::new(),
+                chunked: a.chunked,
+            };
+            let one_phase = ScalingLedger { phases: vec![merged, probe.clone()], ..ledger.clone() }
+                .build_makespan_ns(4);
             assert!(ledger.build_makespan_ns(4) >= one_phase);
         });
         // The parallel runs still match serial with chained builds.
@@ -1570,6 +1523,46 @@ mod tests {
             let got = run_pipeline(chained(&storage()), workers).unwrap();
             assert_eq!(got, serial_rows, "chained builds diverge at {workers} workers");
         }
+    }
+
+    #[test]
+    fn one_worker_replays_a_hand_built_ledger_as_the_serial_total() {
+        // A shared-source build, a chunked build, a probe phase whose
+        // sink folds at the end: one worker never waits, steals or
+        // overlaps, so the model adds every section up and nothing else.
+        let build = |src_ns: Vec<u64>, proc_ns: Vec<u64>, chunked| LedgerPhase {
+            src_ns,
+            proc_ns,
+            sink_ns: Vec::new(),
+            chunked,
+        };
+        let ledger = ScalingLedger {
+            prefix_ns: 7,
+            phases: vec![
+                build(vec![5, 5, 5], vec![40, 10, 30], false),
+                build(vec![3; 40], (1..=40).collect(), true),
+                LedgerPhase {
+                    src_ns: vec![2, 2, 2, 2],
+                    proc_ns: vec![9, 1, 9, 1],
+                    sink_ns: vec![0, 0, 0, 4],
+                    chunked: true,
+                },
+            ],
+            suffix_ns: 11,
+        };
+        assert_eq!(ledger.total_ns(), 7 + (15 + 80) + (120 + 820) + (8 + 20 + 4) + 11);
+        assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
+        assert_eq!(ledger.build_makespan_ns(1), (15 + 80) + (120 + 820));
+        assert!(ledger.makespan_ns(4) < ledger.total_ns());
+    }
+
+    #[test]
+    fn steal_victim_is_the_longest_peer_queue_lowest_index_first() {
+        assert_eq!(steal_victim(0, [0, 2, 5, 1]), Some(2), "longest queue");
+        assert_eq!(steal_victim(0, [9, 3, 3, 1]), Some(1), "ties to the lowest index");
+        assert_eq!(steal_victim(2, [1, 0, 9, 0]), Some(0), "never itself, however long");
+        assert_eq!(steal_victim(1, [0, 4, 0]), None, "every peer queue is empty");
+        assert_eq!(steal_victim(0, [3]), None, "a lone worker has no peers");
     }
 
     #[test]

@@ -280,7 +280,6 @@ pub struct SortScan {
     lo: Bound<i64>,
     hi: Bound<i64>,
     filter: ScanFilter,
-    prefetch_gap: u32,
     runs: VecDeque<PrefetchRun>,
     out: smooth_types::ColumnBuffer,
 }
@@ -297,23 +296,7 @@ impl SortScan {
     ) -> Self {
         let filter = ScanFilter::new(residual, heap.schema());
         let out = smooth_types::ColumnBuffer::for_schema(heap.schema());
-        SortScan {
-            heap,
-            index,
-            storage,
-            lo,
-            hi,
-            filter,
-            prefetch_gap: SORT_SCAN_PREFETCH_GAP,
-            runs: VecDeque::new(),
-            out,
-        }
-    }
-
-    /// Override the prefetch gap (ablation benches).
-    pub fn with_prefetch_gap(mut self, gap: u32) -> Self {
-        self.prefetch_gap = gap;
-        self
+        SortScan { heap, index, storage, lo, hi, filter, runs: VecDeque::new(), out }
     }
 
     /// Refill from the next coalesced prefetch run(s). Returns `false`
@@ -379,7 +362,7 @@ impl Operator for SortScan {
         let mut current: Option<PrefetchRun> = None;
         for (page, slots) in page_slots {
             match current.as_mut() {
-                Some(run) if page - (run.start + run.len - 1) <= self.prefetch_gap => {
+                Some(run) if page - (run.start + run.len - 1) <= SORT_SCAN_PREFETCH_GAP => {
                     run.len = page - run.start + 1;
                     run.page_slots.push((page, slots));
                 }

@@ -42,7 +42,8 @@
 //! remaining-work hint), charging their pull I/O in exact serial seq order under the
 //! lock and queueing them locally; else steal the *back* of the
 //! longest peer deque (ties to the lowest index — deterministic victim
-//! selection). Queued morsels count in `inflight` from the moment they
+//! selection, `steal_victim` in [`crate::parallel`], which the scaling
+//! model calls too). Queued morsels count in `inflight` from the moment they
 //! are claimed, so a phase cannot finalize with queued work, and
 //! failed/cancelled queries drain their queues (at claim) and discard
 //! per item (at process). Execution charges nothing for a steal; the
@@ -79,12 +80,14 @@
 //! **Trace sites.** [`crate::run_pipeline_traced`] runs a query solo
 //! on a one-worker pool with its trace on, and the scheduler fills the
 //! [`crate::ScalingLedger`] — the scaling model's input — from
-//! virtual-clock snapshots at the sites every query passes through:
-//! `admit` (the source opens: `prefix_ns`, `src_chunked`), each `pull`
-//! in `claim_chunk` (`src_ns` / `build_src_ns`), `ActiveQuery::process`
-//! (`proc_ns` / `build_proc_ns`, and `sink_ns` for the ordered sink's
-//! fold), `advance_build` (`build_bounds`, `build_chunked`, later
-//! tranches' opens into `prefix_ns`) and `complete_ok`'s sort
+//! virtual-clock snapshots at the sites every query passes through.
+//! The ledger has the scheduler's shape — one
+//! [`crate::LedgerPhase`] per build, in build order, then the probe
+//! phase — and every site writes its own phase by index: `admit` (the
+//! source opens: `prefix_ns`), each `pull` in `claim_chunk` (`src_ns`,
+//! `chunked`), `ActiveQuery::process` (`proc_ns`, and `sink_ns` for
+//! the ordered sink's fold), `advance_build` (later tranches' opens
+//! into `prefix_ns`) and `complete_ok`'s sort
 //! (`suffix_ns`). The clock is engine-global, so a trace means
 //! something only on one worker with nothing else running on the same
 //! storage; an untraced query pays one `Option` test per site — no
@@ -119,12 +122,11 @@ use crate::expr::Predicate;
 use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable};
 use crate::parallel::{
-    open_source, process_item, resolve_stages, source_claim, staged_schema, BuildSpec, HeapDecoder,
-    OpenedSource, ParallelPipeline, ParallelSource, PartialAgg, ProbeTable, ScalingLedger,
-    SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
+    open_source, process_item, resolve_stages, source_claim, staged_schema, steal_victim,
+    BuildSpec, HeapDecoder, LedgerPhase, OpenedSource, ParallelPipeline, ParallelSource,
+    PartialAgg, ProbeTable, ScalingLedger, SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
 };
-use crate::sort::SortKey;
-use crate::{AggFunc, JoinType};
+use crate::JoinType;
 
 /// A completed query: its result plus the per-query scan statistics
 /// accumulated from the worker-side tap deltas.
@@ -285,23 +287,6 @@ struct BuildPhase {
     open_order: usize,
 }
 
-/// Terminal merge discipline.
-enum SinkKind {
-    Collect,
-    Agg {
-        group_cols: Vec<usize>,
-        aggs: Vec<AggFunc>,
-        exact: bool,
-    },
-    /// Ordered scan: morsels buffer in serial scan order, then
-    /// one charged sort pass at completion — the parallel plan's
-    /// serial suffix, byte-identical to the serial `Sort` operator.
-    Sort {
-        keys: Vec<SortKey>,
-        mem_bytes: usize,
-    },
-}
-
 /// Order-preserving sink state: morsels buffer in a seq-keyed map and
 /// fold in sequence order, exactly as the serial driver emits them.
 /// Collect and sort sinks fold into `batches` (the sort's charged pass
@@ -337,7 +322,8 @@ struct ActiveQuery {
     /// Raw probe-chain stage specs (validated at plan time; resolved
     /// against the finished tables by [`install_probe_phase`]).
     probe_specs: Vec<StageSpec>,
-    sink_kind: SinkKind,
+    /// Terminal merge discipline.
+    sink_spec: SinkSpec,
     /// The staged output schema — what every probe morsel conforms to
     /// after the last stage (the aggregate sink's input typing).
     out_schema: Schema,
@@ -388,7 +374,8 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let ParallelPipeline { source, builds, stages, sink, storage, morsel_rows } = pipeline;
-        let mut build_phases: Vec<BuildPhase> = Vec::with_capacity(builds.len());
+        let build_count = builds.len();
+        let mut build_phases: Vec<BuildPhase> = Vec::with_capacity(build_count);
         let mut prior: Vec<(Schema, JoinType)> = Vec::with_capacity(builds.len());
         for (i, build) in builds.into_iter().enumerate() {
             let BuildSpec {
@@ -430,24 +417,18 @@ impl ActiveQuery {
             });
         }
         let schema = staged_schema(source.schema(), &stages, &prior)?;
-        let (sink_kind, ordered_agg) = match sink {
-            SinkSpec::Collect => (SinkKind::Collect, None),
-            SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
-                let ordered = if merge_exact {
-                    None
-                } else {
-                    Some(PartialAgg::new(&schema, &group_cols, &aggs)?)
-                };
-                (SinkKind::Agg { group_cols, aggs, exact: merge_exact }, ordered)
+        let ordered_agg = match &sink {
+            SinkSpec::Aggregate { group_cols, aggs, merge_exact: false } => {
+                Some(PartialAgg::new(&schema, group_cols, aggs)?)
             }
-            SinkSpec::Sort { keys, mem_bytes } => (SinkKind::Sort { keys, mem_bytes }, None),
+            _ => None,
         };
         Ok(ActiveQuery {
             storage,
             morsel_rows,
             builds: build_phases,
             probe_specs: stages,
-            sink_kind,
+            sink_spec: sink,
             out_schema: schema,
             probe_source: Mutex::new(Some(source)),
             parked_probe: Mutex::new(None),
@@ -471,7 +452,10 @@ impl ActiveQuery {
             stats: Mutex::new(ScanStatistics::default()),
             lock_wait_ns: AtomicU64::new(0),
             done_tx: Mutex::new(Some(tx)),
-            trace: traced.then(Mutex::default),
+            trace: traced.then(|| {
+                let phases = vec![LedgerPhase::default(); build_count + 1];
+                Mutex::new(ScalingLedger { phases, ..ScalingLedger::default() })
+            }),
         })
     }
 
@@ -495,6 +479,15 @@ impl ActiveQuery {
         }
     }
 
+    /// Where `kind`'s sections go in the ledger: builds in build order,
+    /// the probe phase last.
+    fn ledger_phase(&self, kind: PhaseKind) -> usize {
+        match kind {
+            PhaseKind::Build(i) => i,
+            PhaseKind::Probe => self.builds.len(),
+        }
+    }
+
     /// Open the query's sources for its first phase. Runs at admission,
     /// outside the scheduler state lock. The probe source opens first —
     /// the exact open order of the serial driver — then every tranche-0
@@ -508,7 +501,6 @@ impl ActiveQuery {
             let probe = lock(&self.probe_source).take().expect("a query admits once");
             let prefix = self.trace_mark();
             let probe = open_source(probe, self.morsel_rows)?;
-            let chunked = probe.1.is_some();
             if self.builds.is_empty() {
                 install_probe_phase(self, probe, &mut lock(&self.src))?;
             } else {
@@ -516,10 +508,7 @@ impl ActiveQuery {
                 open_build_tranche(self, 0)?;
                 install_build_phase(self, 0, &mut lock(&self.src))?;
             }
-            self.trace_since(prefix, |l, ns| {
-                l.prefix_ns = ns;
-                l.src_chunked = chunked;
-            });
+            self.trace_since(prefix, |l, ns| l.prefix_ns = ns);
             Ok(())
         })();
         lock(&self.stats).merge(&mark.delta());
@@ -535,6 +524,7 @@ impl ActiveQuery {
         item: SourceItem,
         decoder: &mut Option<HeapDecoder>,
     ) -> Result<()> {
+        let phase_idx = self.ledger_phase(kind);
         match kind {
             PhaseKind::Build(i) => {
                 let phase = &self.builds[i];
@@ -549,7 +539,7 @@ impl ActiveQuery {
                     .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, phase.right_col));
                 partial.fold(seq, batch)?;
                 lock(&self.build_slots).push(partial);
-                self.trace_since(mark, |l, ns| l.build_proc_ns.push(ns));
+                self.trace_since(mark, |l, ns| l.phases[phase_idx].proc_ns.push(ns));
                 Ok(())
             }
             PhaseKind::Probe => {
@@ -558,7 +548,8 @@ impl ActiveQuery {
                     .ok_or_else(|| Error::exec("probe morsel before stages resolved"))?;
                 let mark = self.trace_mark();
                 let batch = process_item(item, decoder, &stages, &self.storage)?;
-                if let SinkKind::Agg { group_cols, aggs, exact: true } = &self.sink_kind {
+                if let SinkSpec::Aggregate { group_cols, aggs, merge_exact: true } = &self.sink_spec
+                {
                     let slot = lock(&self.agg_slots).pop();
                     let mut slot = match slot {
                         Some(slot) => slot,
@@ -569,12 +560,12 @@ impl ActiveQuery {
                     // An exact-merge fold runs on the workers: it is
                     // part of the morsel's worker section.
                     self.trace_since(mark, |l, ns| {
-                        l.proc_ns.push(ns);
-                        l.sink_ns.push(0);
+                        l.phases[phase_idx].proc_ns.push(ns);
+                        l.phases[phase_idx].sink_ns.push(0);
                     });
                     return Ok(());
                 }
-                self.trace_since(mark, |l, ns| l.proc_ns.push(ns));
+                self.trace_since(mark, |l, ns| l.phases[phase_idx].proc_ns.push(ns));
                 // The ordered sink is a serialized section of its own.
                 let mark = self.trace_mark();
                 let mut sink = lock(&self.sink);
@@ -587,10 +578,26 @@ impl ActiveQuery {
                     }
                     *next += 1;
                 }
-                self.trace_since(mark, |l, ns| l.sink_ns.push(ns));
+                self.trace_since(mark, |l, ns| l.phases[phase_idx].sink_ns.push(ns));
                 Ok(())
             }
         }
+    }
+
+    /// Morsel-boundary check, at claim and at process time alike:
+    /// cancellation and the virtual-clock timeout surface as
+    /// [`Error::Cancelled`] at morsel `seq` and drain through the same
+    /// path as any other error. Returns whether the query has failed.
+    fn failed_at(&self, seq: u64) -> bool {
+        if !self.failed.load(Ordering::Acquire) {
+            let deadline = self.deadline_ns.load(Ordering::Relaxed);
+            if self.cancelled.load(Ordering::Acquire)
+                || (deadline > 0 && self.storage.clock().snapshot().total_ns() >= deadline)
+            {
+                self.record_err(seq, Error::Cancelled);
+            }
+        }
+        self.failed.load(Ordering::Acquire)
     }
 
     /// Record a failure, keeping the lowest-seq error (the one the
@@ -911,18 +918,7 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
     if src.finalized || src.done || src.core.is_none() {
         return false;
     }
-    // Morsel-boundary checks: cancellation and the virtual-clock
-    // timeout both surface as `Error::Cancelled` and drain through the
-    // same failure path as any other error.
-    if !q.failed.load(Ordering::Acquire) {
-        let deadline = q.deadline_ns.load(Ordering::Relaxed);
-        if q.cancelled.load(Ordering::Acquire)
-            || (deadline > 0 && q.storage.clock().snapshot().total_ns() >= deadline)
-        {
-            q.record_err(src.seq, Error::Cancelled);
-        }
-    }
-    if q.failed.load(Ordering::Acquire) {
+    if q.failed_at(src.seq) {
         src.done = true;
         drop(src);
         // Queued morsels of a failed query are dead work: discard them
@@ -940,6 +936,7 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
         source_claim(fixed, c.remaining_hint(), core.workers)
     };
     let kind = src.kind;
+    let (phase_idx, chunked) = (q.ledger_phase(kind), src.decoder_spec.is_some());
     let mut claimed: Vec<Pending> = Vec::with_capacity(k);
     // Some(Ok) = source exhausted mid-chunk, Some(Err) = pull failed.
     let mut end: Option<Result<()>> = None;
@@ -949,9 +946,9 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
         let mark = q.trace_mark();
         match src.core.as_mut().expect("checked above").pull(&q.storage) {
             Ok(Some(item)) => {
-                q.trace_since(mark, |l, ns| match kind {
-                    PhaseKind::Build(_) => l.build_src_ns.push(ns),
-                    PhaseKind::Probe => l.src_ns.push(ns),
+                q.trace_since(mark, |l, ns| {
+                    l.phases[phase_idx].src_ns.push(ns);
+                    l.phases[phase_idx].chunked = chunked;
                 });
                 let file = src.core.as_ref().and_then(SourceCore::file_id);
                 claimed.push(Pending { kind, seq: src.seq, item, file });
@@ -980,10 +977,15 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
     if let Some(Err(e)) = end {
         q.record_err(err_seq, e);
     }
-    let extras = claimed.len() > 1;
-    if !claimed.is_empty() {
-        lock(&q.queues[widx]).extend(claimed);
+    if claimed.is_empty() {
+        // Nothing claimed — the source ran dry or failed — so this claim
+        // finalizes the phase itself; after a non-empty claim `inflight`
+        // is nonzero and the last morsel processed does.
+        maybe_finalize(q, core);
+        return true;
     }
+    let extras = claimed.len() > 1;
+    lock(&q.queues[widx]).extend(claimed);
     if extras {
         // Wake sleeping peers: the surplus is up for stealing.
         {
@@ -992,28 +994,15 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
         }
         core.cv.notify_all();
     }
-    // If the source just ran dry, the claimed items (queued on this
-    // worker) keep `inflight` nonzero; the last one processed
-    // finalizes. With nothing claimed this claim itself finalizes.
-    maybe_finalize(q, core);
     true
 }
 
 /// Process one queued morsel (local or stolen) outside the source
 /// lock, delivering it to the phase's partial state.
 fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
-    // Morsel-boundary checks, same as at claim time: a queued morsel
-    // of a cancelled, timed-out, or failed query is discarded — its
-    // result could never be delivered anyway.
-    if !q.failed.load(Ordering::Acquire) {
-        let deadline = q.deadline_ns.load(Ordering::Relaxed);
-        if q.cancelled.load(Ordering::Acquire)
-            || (deadline > 0 && q.storage.clock().snapshot().total_ns() >= deadline)
-        {
-            q.record_err(p.seq, Error::Cancelled);
-        }
-    }
-    if q.failed.load(Ordering::Acquire) {
+    // A queued morsel of a cancelled, timed-out, or failed query is
+    // discarded — its result could never be delivered anyway.
+    if q.failed_at(p.seq) {
         if q.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
             maybe_finalize(q, core);
         }
@@ -1021,13 +1010,20 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
     }
     let Pending { kind, seq, item, file } = p;
     let mark = tap_mark();
-    // Decoder pool: pop one under a brief source relock (or build a
-    // fresh one from the spec). `inflight > 0` pins the phase, so the
-    // SrcState — and its decoder spec — is still the one this morsel
-    // was claimed from, stolen morsels included.
-    let mut decoder = {
-        let mut src = lock(&q.src);
-        src.decoders.pop().or_else(|| src.decoder_spec.clone().map(|(s, p)| HeapDecoder::new(s, p)))
+    // Decoder pool, for page runs only (a shared operator's ready
+    // batch must not queue behind that operator's next pull for a
+    // decoder it has no use for): pop one under a brief source relock,
+    // or build a fresh one from the spec. `inflight > 0` pins the
+    // phase, so the SrcState — and its decoder spec — is still the one
+    // this morsel was claimed from, stolen morsels included.
+    let mut decoder = match &item {
+        SourceItem::Batch(_) => None,
+        SourceItem::Pages(_) => {
+            let mut src = lock(&q.src);
+            src.decoders
+                .pop()
+                .or_else(|| src.decoder_spec.clone().map(|(s, p)| HeapDecoder::new(s, p)))
+        }
     };
     // Panic containment: injected chaos panics (the morsel fault site)
     // and *any* real panic in morsel processing unwind to here and
@@ -1062,14 +1058,12 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
     true
 }
 
-/// Steal the *back* of the longest peer queue: the morsel farthest
+/// Steal the *back* of [`steal_victim`]'s queue: the morsel farthest
 /// from the owner's working set, so the owner keeps its hot front.
-/// Ties break toward the lowest worker index. Best-effort — a peer may
-/// drain its queue between the length probe and the pop.
+/// Best-effort — a peer may drain its queue between the length probe
+/// and the pop.
 fn steal(q: &Arc<ActiveQuery>, widx: usize) -> Option<Pending> {
-    let victim = (0..q.queues.len())
-        .filter(|&v| v != widx)
-        .max_by_key(|&v| (lock(&q.queues[v]).len(), std::cmp::Reverse(v)))?;
+    let victim = steal_victim(widx, q.queues.iter().map(|queue| lock(queue).len()))?;
     lock(&q.queues[victim]).pop_back()
 }
 
@@ -1161,19 +1155,13 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     // Build `i` completed: open the sources of tranche `i + 1` in the
     // serial cascade's open order (bushy trees open build sources
     // before their own phase starts). Whatever these opens charge is
-    // serial time: it joins the traced prefix, after the bound that
-    // closes this build's ledger segment.
-    let chunked = src.decoder_spec.is_some();
+    // serial time: it joins the traced prefix.
     let opens = q.trace_mark();
     let mark = tap_mark();
     let tranche = open_build_tranche(q, i + 1);
     lock(&q.stats).merge(&mark.delta());
     tranche?;
-    q.trace_since(opens, |l, ns| {
-        l.build_bounds.push(l.build_src_ns.len());
-        l.build_chunked.push(chunked);
-        l.prefix_ns += ns;
-    });
+    q.trace_since(opens, |l, ns| l.prefix_ns += ns);
     if i + 1 < q.builds.len() {
         install_build_phase(q, i + 1, src)
     } else {
@@ -1248,10 +1236,10 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
         std::mem::take(&mut sink.batches)
     };
     let mut batches = Vec::new();
-    match &q.sink_kind {
-        SinkKind::Collect => batches = take_batches(),
-        SinkKind::Agg { group_cols, aggs, exact } => {
-            let merged = if *exact {
+    match &q.sink_spec {
+        SinkSpec::Collect => batches = take_batches(),
+        SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
+            let merged = if *merge_exact {
                 let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
                 let first = match slots.next() {
                     Some(slot) => Ok(slot),
@@ -1276,7 +1264,7 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
                 Err(e) => q.record_err(u64::MAX, e),
             }
         }
-        SinkKind::Sort { keys, mem_bytes } => {
+        SinkSpec::Sort { keys, mem_bytes } => {
             // The buffered morsels are in serial scan order, so this
             // one pass through the sorter produces — and charges —
             // exactly what the serial `Sort` operator does. It can

@@ -31,17 +31,22 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::OnceLock;
 
 use smooth_storage::{DeviceProfile, Storage};
-use smooth_types::{Result, PAGE_SIZE};
+use smooth_types::{env_knob, Result, PAGE_SIZE};
 
 /// Per-operator memory budget in bytes: the `SMOOTH_MEM_BYTES`
-/// environment variable, read **once per process** and latched. `0`
-/// or unset means unlimited — no operator ever spills. Tests and embedders override per instance via
+/// environment variable, read **once per process** and latched
+/// ([`smooth_types::env_knob`]: a value that is not a plain byte count
+/// aborts). `0` or unset means unlimited — no operator ever spills.
+/// Tests and embedders override per instance via
 /// `Database::set_mem_bytes` / the operators' `with_mem_budget`.
 pub fn mem_budget_bytes() -> usize {
     static BYTES: OnceLock<usize> = OnceLock::new();
-    *BYTES.get_or_init(|| {
-        std::env::var("SMOOTH_MEM_BYTES").ok().and_then(|v| v.parse::<usize>().ok()).unwrap_or(0)
-    })
+    *BYTES.get_or_init(|| env_knob("SMOOTH_MEM_BYTES", parse_mem_bytes).unwrap_or(0))
+}
+
+/// The `SMOOTH_MEM_BYTES` syntax: decimal digits, no `k` / `M` suffix.
+fn parse_mem_bytes(text: &str) -> std::result::Result<usize, String> {
+    text.parse().map_err(|e| format!("expected a byte count in decimal digits ({e})"))
 }
 
 /// Modeled cost of transferring one `bytes`-long overflow file (in
@@ -132,6 +137,15 @@ impl SpillFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mem_bytes_knob_takes_plain_byte_counts_only() {
+        assert_eq!(parse_mem_bytes("0"), Ok(0));
+        assert_eq!(parse_mem_bytes("16384"), Ok(16384));
+        for bad in ["", "abc", "16k", "-1", "1.5", " 64"] {
+            assert!(parse_mem_bytes(bad).is_err(), "{bad:?}");
+        }
+    }
 
     #[test]
     fn spill_io_matches_result_cache_formula() {

@@ -12,7 +12,7 @@ use smooth_executor::sort::SortKey;
 use smooth_executor::{
     collect_rows, collect_rows_volcano, operator::ValuesOp, AggFunc, BoxedOperator, Filter,
     FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan, JoinType, MergeJoin,
-    NestedLoopJoin, Operator, Predicate, Project, Sort, SortScan,
+    Operator, Predicate, Project, Sort, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
@@ -322,9 +322,6 @@ proptest! {
         for ty in [JoinType::Inner, JoinType::LeftSemi] {
             let mut hj = HashJoin::new(mk_left(), mk_right(), 0, 0, ty, storage());
             assert_protocols_equivalent(&mut hj, max);
-            let mut nlj =
-                NestedLoopJoin::new(mk_left(), mk_right(), Predicate::int_ge(1, 0), ty, storage());
-            assert_protocols_equivalent(&mut nlj, max);
         }
         let mut ls = left.clone();
         ls.sort();
@@ -337,7 +334,7 @@ proptest! {
 
     /// The `next_columns` trait default (loop `next()`, one row→column
     /// conversion) over the operators that implement only `next()` —
-    /// `ValuesOp`, `MergeJoin`, `NestedLoopJoin` — and the INLJ's native
+    /// `ValuesOp`, `MergeJoin` — and the INLJ's native
     /// morsel-pulling variant over an outer that does no I/O: batches
     /// non-empty and ≤ `max`, `None` sticky, row sequence and clock delta
     /// equal to the pure-`next()` drain, nothing lost or duplicated when
@@ -368,13 +365,6 @@ proptest! {
         let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
         let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
         for ty in [JoinType::Inner, JoinType::LeftSemi] {
-            assert_row_queue_equivalent(
-                &|s| {
-                    let (l, r) = (values_op("lk", "lv", &left), values_op("rk", "rv", &right));
-                    Box::new(NestedLoopJoin::new(l, r, Predicate::int_ge(1, 0), ty, s.clone()))
-                },
-                max,
-            );
             assert_row_queue_equivalent(
                 &|s| {
                     Box::new(IndexNestedLoopJoin::new(

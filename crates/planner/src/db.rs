@@ -52,7 +52,7 @@ use smooth_storage::{
     tap_mark, ClockSnapshot, FaultConfig, HeapLoader, IoStatsDelta, ScanStatistics, Storage,
     StorageConfig,
 };
-use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
+use smooth_types::{env_knob, ColumnBatch, Error, Result, Row, Schema};
 
 use crate::catalog::{Catalog, IndexEntry, TableEntry};
 use crate::optimizer::{AccessPathKind, Optimizer};
@@ -138,17 +138,21 @@ impl BatchResult {
 
 /// Worker-pool width used by [`Database::run`] when none is set on the
 /// instance: the `SMOOTH_WORKERS` environment variable (minimum 1, read
-/// **once per process** and latched), else the number of available
-/// cores.
+/// **once per process** and latched — [`smooth_types::env_knob`]: a
+/// value that is not a whole number aborts), else the number of
+/// available cores.
 pub fn default_workers() -> usize {
     static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
-        std::env::var("SMOOTH_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|n| n.clamp(1, 1024))
+        env_knob("SMOOTH_WORKERS", parse_workers)
             .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
     })
+}
+
+/// The `SMOOTH_WORKERS` syntax: a whole number, clamped to `1..=1024`.
+fn parse_workers(text: &str) -> std::result::Result<usize, String> {
+    let n: usize = text.parse().map_err(|e| format!("expected a worker count ({e})"))?;
+    Ok(n.clamp(1, 1024))
 }
 
 /// Per-operator memory budget used when none is set on the instance:
@@ -188,8 +192,8 @@ pub struct Database {
     workers: Option<usize>,
     max_queries: Option<usize>,
     mem_bytes: Option<usize>,
-    timeout_ms: Option<u64>,
-    claim_morsels: Option<usize>,
+    timeout_ms: u64,
+    claim_morsels: usize,
     /// The engine's worker pool, built on first parallel run and keyed
     /// by the (workers, max_queries) knobs so knob changes rebuild it.
     scheduler: Mutex<Option<(usize, usize, Arc<Scheduler>)>>,
@@ -204,8 +208,8 @@ impl Database {
             workers: None,
             max_queries: None,
             mem_bytes: None,
-            timeout_ms: None,
-            claim_morsels: None,
+            timeout_ms: 0,
+            claim_morsels: 0,
             scheduler: Mutex::new(None),
         }
     }
@@ -265,60 +269,34 @@ impl Database {
         self.mem_bytes.unwrap_or_else(default_mem_bytes)
     }
 
-    /// Builder: fix the per-query timeout in **virtual-clock**
-    /// milliseconds (0, the default, disables).
-    /// A query whose modeled CPU + I/O time crosses the deadline fails
-    /// with [`Error::Cancelled`] at its next morsel boundary, releasing
-    /// everything it held; other sessions are untouched.
-    pub fn with_query_timeout_ms(mut self, ms: u64) -> Self {
-        self.set_query_timeout_ms(ms);
-        self
-    }
-
-    /// Fix the per-query timeout (see
-    /// [`Database::with_query_timeout_ms`]).
+    /// Fix the per-query timeout in **virtual-clock** milliseconds (0,
+    /// the default, disables). A query whose modeled CPU + I/O time
+    /// crosses the deadline fails with [`Error::Cancelled`] at its next
+    /// morsel boundary, releasing everything it held; other sessions
+    /// are untouched.
     pub fn set_query_timeout_ms(&mut self, ms: u64) {
-        self.timeout_ms = Some(ms);
-        // The pool may already exist: the knob is a live atomic on the
-        // scheduler, so apply it there too rather than forcing a
-        // rebuild (which would tear down the worker threads).
-        let slot = self.scheduler.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((_, _, s)) = slot.as_ref() {
-            s.set_timeout_ms(ms);
-        }
+        self.timeout_ms = ms;
+        self.on_live_pool(|s| s.set_timeout_ms(ms));
     }
 
     /// Per-query virtual-clock timeout in milliseconds (0 = none).
     pub fn query_timeout_ms(&self) -> u64 {
-        self.timeout_ms.unwrap_or(0)
+        self.timeout_ms
     }
 
-    /// Builder: fix the worker pool's morsels-per-claim chunk size
-    /// (0, the default, = guided by remaining work). Larger chunks
-    /// amortize source-lock traffic and feed the per-worker stealing
-    /// queues; 1 reproduces the one-at-a-time claims of the
-    /// pre-stealing scheduler.
-    pub fn with_claim_morsels(mut self, n: usize) -> Self {
-        self.set_claim_morsels(n);
-        self
-    }
-
-    /// Fix the morsels-per-claim chunk size (see
-    /// [`Database::with_claim_morsels`]).
+    /// Fix the worker pool's morsels-per-claim chunk size (0, the
+    /// default, = guided by remaining work). Larger chunks amortize
+    /// source-lock traffic and feed the per-worker stealing queues; 1
+    /// reproduces the one-at-a-time claims of the pre-stealing
+    /// scheduler.
     pub fn set_claim_morsels(&mut self, n: usize) {
-        self.claim_morsels = Some(n);
-        // The pool may already exist: the knob is a live atomic on the
-        // scheduler, so apply it there too rather than forcing a
-        // rebuild (which would tear down the worker threads).
-        let slot = self.scheduler.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((_, _, s)) = slot.as_ref() {
-            s.set_claim_morsels(n);
-        }
+        self.claim_morsels = n;
+        self.on_live_pool(|s| s.set_claim_morsels(n));
     }
 
     /// Morsels per source claim (0 = guided).
     pub fn claim_morsels(&self) -> usize {
-        self.claim_morsels.unwrap_or(0)
+        self.claim_morsels
     }
 
     /// Builder: install a deterministic fault-injection configuration
@@ -347,6 +325,16 @@ impl Database {
         Session { db: self, id: NEXT_SESSION.fetch_add(1, Ordering::Relaxed) }
     }
 
+    /// Apply a knob that is a live atomic on the scheduler to the pool
+    /// that may already exist, rather than forcing a rebuild (which
+    /// would tear down the worker threads).
+    fn on_live_pool(&self, apply: impl FnOnce(&Scheduler)) {
+        let slot = self.scheduler.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some((_, _, s)) = slot.as_ref() {
+            apply(s);
+        }
+    }
+
     /// The persistent worker pool for the current knob settings,
     /// building (or rebuilding, after a knob change) it on demand.
     fn scheduler(&self) -> Arc<Scheduler> {
@@ -357,12 +345,8 @@ impl Database {
             Some((w, m, s)) if *w == workers && *m == max_queries => Arc::clone(s),
             _ => {
                 let s = Arc::new(Scheduler::new(workers, max_queries));
-                if let Some(ms) = self.timeout_ms {
-                    s.set_timeout_ms(ms);
-                }
-                if let Some(n) = self.claim_morsels {
-                    s.set_claim_morsels(n);
-                }
+                s.set_timeout_ms(self.timeout_ms);
+                s.set_claim_morsels(self.claim_morsels);
                 *slot = Some((workers, max_queries, Arc::clone(&s)));
                 s
             }
@@ -907,13 +891,8 @@ impl Database {
 
     /// Cold-run an already-decomposed pipeline on the database's
     /// persistent worker pool (`scan.rows_total` stays 0 here — only
-    /// [`Database::run`] sees the plan).
-    pub fn run_parallel(&self, pipeline: ParallelPipeline) -> Result<QueryResult> {
-        Ok(self.run_parallel_batches(pipeline)?.into_result())
-    }
-
-    /// Columnar twin of [`Database::run_parallel`]: Collect-sink output
-    /// arrives as the scheduler's ordered batches, untouched.
+    /// [`Database::run`] sees the plan). Collect-sink output arrives as
+    /// the scheduler's ordered batches, untouched.
     pub fn run_parallel_batches(&self, pipeline: ParallelPipeline) -> Result<BatchResult> {
         self.storage.flush_pool();
         let clock0 = self.storage.clock().snapshot();
@@ -1298,6 +1277,12 @@ mod tests {
         let db = db.with_workers(0);
         assert_eq!(db.workers(), 1, "worker count floors at 1");
         assert!(default_workers() >= 1);
+        assert_eq!(parse_workers("4"), Ok(4));
+        assert_eq!(parse_workers("0"), Ok(1), "floors at 1");
+        assert_eq!(parse_workers("99999"), Ok(1024), "caps at 1024");
+        for bad in ["", "abc", "4x", "-2", "2.0"] {
+            assert!(parse_workers(bad).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //! tipping point sits at a fraction of a percent of selectivity, so a
 //! correlation-blind estimate flips plans exactly like DBMS-X in Fig. 1.
 
-use std::ops::Bound;
-
 use smooth_core::{CostModel, TableGeometry};
 use smooth_executor::Predicate;
 use smooth_stats::{RangePredicate, StaleCatalog, StatsQuality};
@@ -229,11 +227,6 @@ impl Optimizer {
         }
         lo as f64 / total.max(1) as f64
     }
-}
-
-/// Convenience: the micro-benchmark predicate `lo <= col < hi` as bounds.
-pub fn bounds_of(pred: &Predicate) -> Option<(usize, Bound<i64>, Bound<i64>, Predicate)> {
-    pred.split_index_range()
 }
 
 #[cfg(test)]

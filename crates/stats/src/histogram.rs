@@ -43,11 +43,9 @@ impl EquiWidthHistogram {
     /// Build from values with the given bucket count (min 1).
     pub fn build(values: &[i64], buckets: usize) -> Self {
         let buckets = buckets.max(1);
-        if values.is_empty() {
+        let Some((&min, &max)) = values.iter().min().zip(values.iter().max()) else {
             return EquiWidthHistogram { min: 0, max: 0, counts: vec![0; buckets], total: 0 };
-        }
-        let min = *values.iter().min().unwrap();
-        let max = *values.iter().max().unwrap();
+        };
         let mut counts = vec![0u64; buckets];
         let span = (max - min).max(0) as u128 + 1;
         for &v in values {
@@ -131,11 +129,12 @@ impl EquiDepthHistogram {
             // A heavy value can make several quantiles identical; merging
             // keeps every bucket's value range non-degenerate so no mass is
             // lost at estimation time.
-            if !depth.is_empty() && *bounds.last().unwrap() == ub {
-                *depth.last_mut().unwrap() += (end - start) as u64;
-            } else {
-                bounds.push(ub);
-                depth.push((end - start) as u64);
+            match depth.last_mut() {
+                Some(last) if bounds.last() == Some(&ub) => *last += (end - start) as u64,
+                _ => {
+                    bounds.push(ub);
+                    depth.push((end - start) as u64);
+                }
             }
             start = end;
         }

@@ -154,45 +154,45 @@ impl FaultConfig {
 
     /// Parse the `SMOOTH_FAULTS` syntax:
     /// `"seed=1,io_err=0.01,corrupt=0.001,spill_err=0.01,panic=0.005,file=3"`.
-    /// Every key is optional; unknown keys or malformed values yield
-    /// `None` (the caller treats that as "no faults" rather than
-    /// guessing).
-    pub fn parse(s: &str) -> Option<FaultConfig> {
+    /// Every key is optional (the empty string is the inactive default);
+    /// an unknown key, a malformed value or a probability outside
+    /// `[0, 1]` is an error naming the offending part — never a guess.
+    pub fn parse(s: &str) -> std::result::Result<FaultConfig, String> {
         let mut cfg = FaultConfig::default();
         for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) = part.split_once('=')?;
+            let (key, value) =
+                part.split_once('=').ok_or_else(|| format!("`{part}` is not key=value"))?;
+            let value = value.trim();
+            let bad = |what: &str| format!("`{part}`: {what}");
+            let prob = || {
+                let p = value.parse::<f64>().ok().filter(|p| (0.0..=1.0).contains(p));
+                p.ok_or_else(|| bad("not a probability in [0, 1]"))
+            };
             match key.trim() {
-                "seed" => cfg.seed = value.trim().parse().ok()?,
-                "io_err" => cfg.io_err = parse_prob(value)?,
-                "corrupt" => cfg.corrupt = parse_prob(value)?,
-                "spill_err" => cfg.spill_err = parse_prob(value)?,
-                "panic" => cfg.panic = parse_prob(value)?,
-                "file" => cfg.file = Some(value.trim().parse().ok()?),
-                _ => return None,
+                "seed" => cfg.seed = value.parse().map_err(|_| bad("seed is not a u64"))?,
+                "io_err" => cfg.io_err = prob()?,
+                "corrupt" => cfg.corrupt = prob()?,
+                "spill_err" => cfg.spill_err = prob()?,
+                "panic" => cfg.panic = prob()?,
+                "file" => cfg.file = Some(value.parse().map_err(|_| bad("file is not a u32"))?),
+                _ => return Err(bad("unknown key")),
             }
         }
-        Some(cfg)
+        Ok(cfg)
     }
 
     /// The process-wide `SMOOTH_FAULTS` config, if any — parsed once
-    /// and latched, like every `SMOOTH_*` knob.
+    /// and latched, like every `SMOOTH_*` knob
+    /// ([`smooth_types::env_knob`]: a value [`FaultConfig::parse`]
+    /// rejects aborts, so a misspelt chaos leg cannot run fault-free).
     pub fn from_env() -> Option<FaultConfig> {
         static ENV: std::sync::OnceLock<Option<FaultConfig>> = std::sync::OnceLock::new();
-        *ENV.get_or_init(|| std::env::var("SMOOTH_FAULTS").ok().and_then(|s| Self::parse(&s)))
+        *ENV.get_or_init(|| smooth_types::env_knob("SMOOTH_FAULTS", Self::parse))
     }
 
     /// Whether any site has a non-zero probability.
     pub fn is_active(&self) -> bool {
         self.io_err > 0.0 || self.corrupt > 0.0 || self.spill_err > 0.0 || self.panic > 0.0
-    }
-}
-
-fn parse_prob(v: &str) -> Option<f64> {
-    let p: f64 = v.trim().parse().ok()?;
-    if p.is_finite() {
-        Some(p.clamp(0.0, 1.0))
-    } else {
-        None
     }
 }
 
@@ -336,13 +336,26 @@ mod tests {
 
     #[test]
     fn parse_rejects_garbage() {
-        assert!(FaultConfig::parse("seed").is_none());
-        assert!(FaultConfig::parse("bogus=1").is_none());
-        assert!(FaultConfig::parse("io_err=NaN").is_none());
-        assert!(FaultConfig::parse("seed=x").is_none());
-        // Probabilities clamp rather than reject.
-        assert_eq!(FaultConfig::parse("io_err=7").unwrap().io_err, 1.0);
+        for bad in [
+            "seed",
+            "bogus=1",
+            "seed=2015,io_error=0.05", // one misspelt key fails the lot
+            "io_err=NaN",
+            "io_err=abc",
+            "seed=x",
+            "file=-1",
+            "io_err=7", // out of range: rejected, not clamped
+            "panic=-0.1",
+        ] {
+            let err = FaultConfig::parse(bad).unwrap_err();
+            assert!(!err.is_empty(), "{bad:?}");
+        }
+        assert!(FaultConfig::parse("seed=1,bogus=1").unwrap_err().contains("bogus"));
         assert!(!FaultConfig::parse("").unwrap().is_active());
+        // The CI chaos leg's own string parses.
+        let ci = FaultConfig::parse("seed=2015,io_err=0.05,spill_err=0.05,panic=0.02").unwrap();
+        assert!(ci.is_active());
+        assert_eq!(ci.seed, 2015);
     }
 
     #[test]

@@ -285,11 +285,6 @@ impl Storage {
     pub fn distinct_pages_for(&self, file: FileId) -> u64 {
         self.inner.tracker.lock().distinct_pages_for(file)
     }
-
-    /// Buffer pool occupancy (pages resident).
-    pub fn pool_len(&self) -> usize {
-        self.inner.pool.lock().len()
-    }
 }
 
 #[cfg(test)]

@@ -75,17 +75,27 @@ pub(crate) static TEXT_DECODE_VIEWS: AtomicU64 = AtomicU64::new(0);
 /// Whether scan decode emits zero-copy text views (the default). Set
 /// `SMOOTH_TEXT_VIEWS=0` to degrade every decoded text value to owned
 /// arena bytes — the escape hatch if view lifetimes are ever suspected
-/// of misbehaving. Read once and latched; [`force_text_views`]
-/// overrides it in-process.
+/// of misbehaving. Read once and latched ([`crate::env_knob`]: any
+/// value but `0` / `1` aborts); [`force_text_views`] overrides it
+/// in-process.
 pub fn text_views_enabled() -> bool {
     match TEXT_VIEWS.load(Ordering::Relaxed) {
         1 => true,
         2 => false,
         _ => {
-            let on = std::env::var("SMOOTH_TEXT_VIEWS").map_or(true, |v| v != "0");
+            let on = crate::env_knob("SMOOTH_TEXT_VIEWS", parse_text_views).unwrap_or(true);
             TEXT_VIEWS.store(if on { 1 } else { 2 }, Ordering::Relaxed);
             on
         }
+    }
+}
+
+/// The `SMOOTH_TEXT_VIEWS` syntax: `1` (views, the default) or `0`.
+fn parse_text_views(text: &str) -> std::result::Result<bool, String> {
+    match text {
+        "1" => Ok(true),
+        "0" => Ok(false),
+        _ => Err("expected 0 or 1".into()),
     }
 }
 
@@ -1083,6 +1093,15 @@ mod tests {
     use super::*;
     use crate::row::Row;
     use crate::schema::Column;
+
+    #[test]
+    fn text_views_knob_takes_zero_or_one_only() {
+        assert_eq!(parse_text_views("1"), Ok(true));
+        assert_eq!(parse_text_views("0"), Ok(false));
+        for bad in ["", "abc", "true", "2", " 1"] {
+            assert!(parse_text_views(bad).is_err(), "{bad:?}");
+        }
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![

@@ -11,6 +11,7 @@
 //! B+-tree, the executor and the Smooth Scan operator evolve independently.
 
 pub mod columns;
+pub mod env;
 pub mod error;
 pub mod layout;
 pub mod row;
@@ -23,6 +24,7 @@ pub use columns::{
     force_text_views, text_decode_counters, text_views_enabled, ColumnBatch, ColumnBuffer,
     ColumnValues, ColumnVector, SharedBytes, TextColumn, DEFAULT_BATCH_SIZE,
 };
+pub use env::env_knob;
 pub use error::{Error, Result};
 pub use layout::TupleLayout;
 pub use row::Row;

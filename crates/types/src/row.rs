@@ -178,25 +178,26 @@ fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
     Ok(head)
 }
 
+/// Advance `rest` past `N` bytes, returning them as an array.
+#[inline]
+fn take_array<const N: usize>(rest: &mut &[u8]) -> Result<[u8; N]> {
+    let (head, tail) =
+        rest.split_first_chunk::<N>().ok_or_else(|| Error::corrupt("tuple truncated"))?;
+    *rest = tail;
+    Ok(*head)
+}
+
 /// Decode one non-null field of type `ty` from the front of `rest`.
 #[inline]
 fn decode_field(rest: &mut &[u8], ty: DataType) -> Result<Value> {
     Ok(match ty {
         DataType::Int32 | DataType::Date => {
-            let b = take(rest, 4)?;
-            Value::Int(i32::from_le_bytes(b.try_into().unwrap()) as i64)
+            Value::Int(i32::from_le_bytes(take_array(rest)?) as i64)
         }
-        DataType::Int64 => {
-            let b = take(rest, 8)?;
-            Value::Int(i64::from_le_bytes(b.try_into().unwrap()))
-        }
-        DataType::Float64 => {
-            let b = take(rest, 8)?;
-            Value::Float(f64::from_le_bytes(b.try_into().unwrap()))
-        }
+        DataType::Int64 => Value::Int(i64::from_le_bytes(take_array(rest)?)),
+        DataType::Float64 => Value::Float(f64::from_le_bytes(take_array(rest)?)),
         DataType::Text => {
-            let b = take(rest, 2)?;
-            let len = u16::from_le_bytes(b.try_into().unwrap()) as usize;
+            let len = u16::from_le_bytes(take_array(rest)?) as usize;
             let s = take(rest, len)?;
             Value::Str(
                 std::str::from_utf8(s)

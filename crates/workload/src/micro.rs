@@ -28,6 +28,8 @@ pub fn schema() -> Schema {
     let mut cols: Vec<Column> =
         (1..=10).map(|i| Column::new(format!("c{i}"), DataType::Int64)).collect();
     cols.push(Column::new("pad", DataType::Text));
+    // invariant: eleven distinct, fixed column names — the only thing
+    // `Schema::new` rejects is a duplicate.
     Schema::new(cols).expect("static schema")
 }
 

@@ -23,11 +23,6 @@ pub struct Scale {
 }
 
 impl Scale {
-    /// The default experiment scale.
-    pub fn default_bench() -> Self {
-        Scale { sf: 0.02, seed: 2015 }
-    }
-
     /// A tiny scale for unit tests.
     pub fn tiny() -> Self {
         Scale { sf: 0.002, seed: 7 }
