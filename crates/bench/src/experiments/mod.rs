@@ -18,7 +18,6 @@ pub mod join;
 pub mod parallel;
 pub mod serve;
 pub mod spill;
-pub mod textscan;
 
 /// Known experiment ids, in paper order.
 pub const ALL: &[&str] = &[
@@ -37,7 +36,6 @@ pub const ALL: &[&str] = &[
     "costmodel",
     "cr",
     "columnar",
-    "textscan",
     "parallel",
     "join",
     "serve",
@@ -62,7 +60,6 @@ pub fn run(id: &str) -> bool {
         "table1" | "costmodel" => costmodel::run(),
         "cr" => cr::run(),
         "columnar" => columnar::run(),
-        "textscan" => textscan::run(),
         "parallel" => parallel::run(),
         "join" => join::run(),
         "serve" => serve::run(),

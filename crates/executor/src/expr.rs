@@ -18,8 +18,9 @@
 
 use std::ops::Bound;
 
+use smooth_storage::PageBuf;
 use smooth_types::{
-    ColumnBatch, ColumnValues, ColumnVector, Result, Row, Schema, SharedBytes, TupleLayout, Value,
+    ColumnBatch, ColumnValues, ColumnVector, Result, Row, Schema, TupleLayout, Value,
 };
 
 /// The rows a vectorized kernel evaluates: every physical row of the
@@ -258,7 +259,7 @@ impl Predicate {
                     return Err(smooth_types::Error::exec("string predicate on non-text column"));
                 };
                 let nulls = v.nulls();
-                fill!(|i| !nulls[i] && strs.get(i) == value.as_str());
+                fill!(|i| !nulls[i] && strs.bytes_at(i) == value.as_bytes());
             }
             Predicate::StrIn { col: c, values } => {
                 let v = col(*c)?;
@@ -266,7 +267,10 @@ impl Predicate {
                     return Err(smooth_types::Error::exec("string predicate on non-text column"));
                 };
                 let nulls = v.nulls();
-                fill!(|i| !nulls[i] && values.iter().any(|a| a == strs.get(i)));
+                fill!(|i| !nulls[i] && {
+                    let s = strs.bytes_at(i);
+                    values.iter().any(|a| a.as_bytes() == s)
+                });
             }
             Predicate::IntColLt { left, right } => {
                 let (l, r) = (col(*left)?, col(*right)?);
@@ -393,8 +397,7 @@ pub struct ScanFilter {
     layout: TupleLayout,
     /// Probe scratch, by schema ordinal: a typed vector for each column
     /// the predicate reads, holding one slot per tuple of the last
-    /// selected page (reused across pages — no steady-state allocation;
-    /// always owned, so it pins no page).
+    /// selected page (reused across pages — no steady-state allocation).
     probed: Vec<Option<ColumnVector>>,
     /// Mask scratch for the columnar kernels.
     mask: Vec<bool>,
@@ -437,7 +440,7 @@ impl ScanFilter {
         for (c, v) in self.probed.iter_mut().enumerate() {
             if let Some(v) = v {
                 v.clear();
-                self.layout.gather(c, tuples, None, None, v)?;
+                self.layout.gather(c, tuples, None, v)?;
             }
         }
         let probed = &self.probed;
@@ -467,24 +470,14 @@ impl ScanFilter {
 
     /// Append every column of the last selected qualifiers to `out` (one
     /// vector per schema column), densely, in tuple order. `tuples` must
-    /// be the slice [`ScanFilter::select`] saw; with `backing` (the
-    /// shared buffer they slice into) text decodes as zero-copy views
-    /// pinning it, otherwise into `out`'s arenas.
-    pub fn gather_selected(
-        &self,
-        tuples: &[&[u8]],
-        backing: Option<&SharedBytes>,
-        out: &mut [ColumnVector],
-    ) -> Result<()> {
+    /// be the slice [`ScanFilter::select`] saw.
+    pub fn gather_selected(&self, tuples: &[&[u8]], out: &mut [ColumnVector]) -> Result<()> {
         if self.selected.len() <= ROW_MAJOR_MAX {
             let mut rows = self.selected.iter();
-            return rows
-                .try_for_each(|&t| self.layout.gather_row(tuples, t as usize, backing, out));
+            return rows.try_for_each(|&t| self.layout.gather_row(tuples, t as usize, out));
         }
         let rows = (self.selected.len() < tuples.len()).then_some(self.selected.as_slice());
-        out.iter_mut()
-            .enumerate()
-            .try_for_each(|(c, v)| self.layout.gather(c, tuples, rows, backing, v))
+        out.iter_mut().enumerate().try_for_each(|(c, v)| self.layout.gather(c, tuples, rows, v))
     }
 
     /// Check the text columns of the last selected qualifiers as
@@ -508,21 +501,19 @@ impl ScanFilter {
     /// `tuples.len()`, so bulk per-page charges stay byte-for-byte
     /// identical to the per-tuple row path.
     ///
-    /// When `backing` names the shared buffer the `tuples` slices live in
-    /// (the pinned page), qualifying text fields decode as zero-copy
-    /// views pinning that buffer (see [`smooth_types::TextColumn`]) —
-    /// allocation behavior only; emitted rows, charges and I/O are
-    /// byte-identical with or without it.
+    /// `_backing` is ignored (text always copies into `out`'s arenas): the
+    /// parameter stays only because the wall-clock `benchmark/` package
+    /// passes it and changes in PRs of its own; engine callers pass `None`.
     pub fn fill_columns(
         &mut self,
         schema: &Schema,
         tuples: &[&[u8]],
-        backing: Option<&SharedBytes>,
+        _backing: Option<&PageBuf>,
         out: &mut ColumnBatch,
     ) -> Result<(u64, u64)> {
         debug_assert_eq!(schema.len(), self.layout.width());
         let (inspected, emitted) = (tuples.len() as u64, self.select(tuples)? as u64);
-        self.gather_selected(tuples, backing, out.columns_mut())?;
+        self.gather_selected(tuples, out.columns_mut())?;
         out.commit_rows(emitted as usize);
         smooth_storage::tap_rows(inspected, emitted);
         Ok((inspected, emitted))
@@ -568,6 +559,35 @@ mod tests {
         assert!(!q.eval(&row(0, "z")).unwrap());
         let n = Predicate::Not(Box::new(Predicate::True));
         assert!(!n.eval(&row(0, "")).unwrap());
+    }
+
+    #[test]
+    fn text_masks_compare_bytes_like_row_eval() {
+        use smooth_types::{Column, DataType};
+        let schema = Schema::new(vec![Column::nullable("s", DataType::Text)]).unwrap();
+        let texts = ["", "ok", "o", "okay", "é", "日本", "日", "e\u{301}"];
+        let mut rows: Vec<Row> = texts.iter().map(|t| Row::new(vec![Value::str(*t)])).collect();
+        rows.insert(3, Row::new(vec![Value::Null]));
+        let batch = ColumnBatch::from_rows(&schema, &rows).unwrap();
+        let accept = |values: &[&str]| values.iter().map(|v| v.to_string()).collect();
+        let preds = [
+            Predicate::StrEq { col: 0, value: "ok".into() },
+            Predicate::StrEq { col: 0, value: String::new() },
+            Predicate::StrEq { col: 0, value: "日本".into() },
+            Predicate::StrIn { col: 0, values: accept(&["okay", "é", ""]) },
+            Predicate::StrIn { col: 0, values: accept(&["日", "nothing"]) },
+            Predicate::StrIn { col: 0, values: Vec::new() },
+        ];
+        // Dense, and through a selection vector naming the rows backwards.
+        let mut reversed = batch.clone();
+        reversed.set_selection((0..rows.len() as u32).rev().collect());
+        for pred in &preds {
+            let matches = |i: &u32| pred.eval(&rows[*i as usize]).unwrap();
+            let expected: Vec<u32> = (0..rows.len() as u32).filter(matches).collect();
+            assert_eq!(pred.filter_batch(&batch).unwrap(), expected, "{pred:?}");
+            let expected: Vec<u32> = expected.into_iter().rev().collect();
+            assert_eq!(pred.filter_batch(&reversed).unwrap(), expected, "{pred:?} (sparse)");
+        }
     }
 
     #[test]

@@ -2,12 +2,10 @@
 //!
 //! Backs [`crate::Sort`] and the parallel [`crate::SinkSpec::Sort`]
 //! sink. No `Row` exists in here: input morsels are gathered into one
-//! accumulation [`ColumnBatch`] that *owns* its text bytes (an arena
-//! copy — no page frame stays pinned past the morsel that carried it),
-//! the sort is a stable sort of a `u32` permutation compared straight
-//! off the typed key vectors ([`ColumnVector::slot_cmp`], the order of
-//! `Value::total_cmp`), and the output is that permutation gathered into
-//! morsel-sized batches.
+//! accumulation [`ColumnBatch`], the sort is a stable sort of a `u32`
+//! permutation compared straight off the typed key vectors
+//! ([`ColumnVector::slot_cmp`], the order of `Value::total_cmp`), and the
+//! output is that permutation gathered into morsel-sized batches.
 //!
 //! With a budget, the accumulation is cut into a *run* whenever its
 //! spill-codec byte size ([`codec::batch_row_len`], equal to the row
@@ -89,11 +87,10 @@ impl ExternalSorter {
         }
     }
 
-    /// Ingest the live rows of one morsel, copying text bytes so that
-    /// `batch`'s page buffers are free to go, and cutting a run after
-    /// each row that takes the working set over the budget. Fails only
-    /// if a run's overflow-file write fails (injected `spill_err` faults
-    /// that exhaust their retries).
+    /// Ingest the live rows of one morsel, cutting a run after each row
+    /// that takes the working set over the budget. Fails only if a run's
+    /// overflow-file write fails (injected `spill_err` faults that
+    /// exhaust their retries).
     pub fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
         self.adopt_typing(batch);
         let mut live = std::mem::take(&mut self.live);
@@ -110,13 +107,13 @@ impl ExternalSorter {
             for (i, &phys) in live.iter().enumerate() {
                 self.cur_bytes += codec::batch_row_len(batch, phys as usize) as u64;
                 if self.cur_bytes > self.budget {
-                    self.cur.append_gather_owned(batch, &live[from..=i]);
+                    self.cur.append_gather(batch, &live[from..=i]);
                     from = i + 1;
                     self.cut_run()?;
                 }
             }
         }
-        self.cur.append_gather_owned(batch, &live[from..]);
+        self.cur.append_gather(batch, &live[from..]);
         Ok(())
     }
 

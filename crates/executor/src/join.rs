@@ -963,9 +963,8 @@ impl Operator for MergeJoin {
 /// key vector, each fetched inner tuple is validated, residual-filtered
 /// and decoded through the inner side's compiled [`ScanFilter`] straight
 /// into the output's inner columns, and the outer columns of a whole
-/// morsel's matches gather in one pass per column. Inner text is copied
-/// into the output's arenas — one matched tuple must not pin its 8 KB
-/// page frame. Both iterator protocols drain one [`ColumnBuffer`] FIFO.
+/// morsel's matches gather in one pass per column. Both iterator
+/// protocols drain one [`ColumnBuffer`] FIFO.
 pub struct IndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
@@ -1011,7 +1010,7 @@ impl InnerProbe {
             self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
             joined += 1;
             match self.ty {
-                JoinType::Inner => self.filter.gather_selected(&tuple, None, inner_cols)?,
+                JoinType::Inner => self.filter.gather_selected(&tuple, inner_cols)?,
                 // The residual runs per tuple in TID order so the first
                 // match ends the fetches, as the page counters expect.
                 JoinType::LeftSemi => break,

@@ -9,7 +9,7 @@
 //! * **Sort Scan** (a.k.a. Bitmap Heap Scan) — drain the index, sort TIDs in
 //!   page order, fetch nearly sequentially; blocking, order-destroying;
 //! * Filter / Project / Sort;
-//! * Nested-Loop, Index-Nested-Loop, Hash and Merge joins;
+//! * Index-Nested-Loop, Hash and Merge joins;
 //! * hash and scalar aggregation.
 //!
 //! Every operator charges CPU per tuple touched and performs all I/O

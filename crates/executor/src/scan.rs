@@ -43,7 +43,7 @@ pub(crate) fn fill_page_columns<'a>(
         Some(slots) => slots.iter().try_for_each(|&s| view.get(s).map(|t| tuples.push(t)))?,
         None => view.iter().try_for_each(|t| t.map(|t| tuples.push(t)))?,
     }
-    let (inspected, emitted) = filter.fill_columns(schema, tuples, Some(page), out)?;
+    let (inspected, emitted) = filter.fill_columns(schema, tuples, None, out)?;
     let cpu = storage.cpu();
     storage.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * emitted);
     Ok(())
@@ -241,7 +241,7 @@ impl Operator for IndexScan {
             let view = PageView::new(&page)?;
             let bytes = view.get(tid.slot)?;
             let (_, emitted) =
-                self.filter.fill_columns(self.heap.schema(), &[bytes], Some(&page), &mut out)?;
+                self.filter.fill_columns(self.heap.schema(), &[bytes], None, &mut out)?;
             self.storage.clock().charge_cpu(cpu.inspect_tuple_ns + cpu.emit_tuple_ns * emitted);
         }
         Ok((!out.is_empty()).then_some(out))

@@ -15,9 +15,7 @@ use smooth_index::BTreeIndex;
 use smooth_storage::{
     CpuCosts, DeviceProfile, HeapFile, HeapLoader, PageView, Storage, StorageConfig,
 };
-use smooth_types::{
-    force_text_views, Column, ColumnBatch, DataType, Error, PageId, Row, Schema, Value,
-};
+use smooth_types::{Column, ColumnBatch, DataType, Error, Row, Schema, Value};
 
 /// Inner table for the INLJ matrix: `k` cycles through 0..20 (so every
 /// key is duplicated across pages), `v` is the row number, `pad` is
@@ -149,34 +147,6 @@ fn inlj_protocols_match_a_row_decode_reference_loop() {
             }
         }
     }
-}
-
-#[test]
-fn inlj_inner_columns_pin_no_page_frame() {
-    force_text_views(true);
-    let (heap, index) = inlj_inner();
-    let s = Storage::default_hdd();
-    let mut join = IndexNestedLoopJoin::new(
-        inlj_outer(),
-        1,
-        Arc::clone(&heap),
-        index,
-        Predicate::True,
-        JoinType::Inner,
-        s.clone(),
-    );
-    join.open().unwrap();
-    let morsel = join.next_columns(1024).unwrap().unwrap();
-    assert!(morsel.column(5).str(1).unwrap().starts_with("pad-"), "inner text was joined");
-    // Held: one joined morsel and the operator's buffers. With the
-    // pool emptied, every inner page is referenced by the heap file
-    // and by this handle only — the joined text is an arena copy.
-    s.flush_pool();
-    for p in 0..heap.page_count() {
-        let page = heap.read_raw(PageId(p)).unwrap();
-        assert_eq!(Arc::strong_count(&page), 2, "inner page {p} is pinned");
-    }
-    drop(morsel);
 }
 
 #[test]

@@ -11,10 +11,11 @@
 //! `run_operator_batches` drain the operator tree with
 //! [`collect_batches`], which requests [`smooth_types::ColumnBatch`]es
 //! of `smooth_executor::batch_size()` rows per virtual call rather
-//! than one tuple at a time, and the result stays columnar — text columns keep their zero-copy views into
-//! pinned heap pages. `Row`s materialize only when a caller crosses the
-//! user-facing boundary ([`BatchResult::into_rows`], or the
-//! row-carrying [`Database::run`] / [`QueryResult`] wrappers).
+//! than one tuple at a time, and the result stays columnar — text sits in
+//! one byte arena per column, and no result holds a page frame. `Row`s
+//! materialize only when a caller crosses the user-facing boundary
+//! ([`BatchResult::into_rows`], or the row-carrying [`Database::run`] /
+//! [`QueryResult`] wrappers).
 //!
 //! With more than one worker configured (`SMOOTH_WORKERS` /
 //! [`Database::with_workers`], default = available cores), `run`
@@ -124,7 +125,7 @@ impl BatchResult {
     }
 
     /// Materialize every result tuple as a [`Row`] — the user-facing
-    /// boundary where zero-copy text views become owned strings.
+    /// boundary where arena text becomes owned strings.
     pub fn into_rows(self) -> Vec<Row> {
         self.batches.into_iter().flat_map(ColumnBatch::into_rows).collect()
     }
@@ -869,9 +870,8 @@ impl Database {
     /// Cold-run a plan and keep the result *columnar*: the
     /// late-materialization entry point. Same measurement protocol as
     /// [`Database::run`] (which is a thin `into_result()` over this),
-    /// but pipeline-shaped results stay as [`ColumnBatch`]es — text
-    /// columns keep their zero-copy views — until the caller decides
-    /// whether rows are needed at all.
+    /// but pipeline-shaped results stay as [`ColumnBatch`]es until the
+    /// caller decides whether rows are needed at all.
     pub fn run_batches(&self, plan: &LogicalPlan) -> Result<BatchResult> {
         let mut result = if self.workers() > 1 {
             match self.parallel_pipeline(plan)? {
@@ -931,13 +931,6 @@ impl Database {
             io: self.storage.io_snapshot().since(&io0),
         };
         Ok(BatchResult { batches, rows: Vec::new(), stats, scan })
-    }
-
-    /// Run with a filter applied on top (for plans whose predicate cannot
-    /// push into the scan). Routed through [`Database::run`], so the
-    /// filter becomes a per-worker stage under the parallel driver.
-    pub fn run_filtered(&self, plan: &LogicalPlan, pred: Predicate) -> Result<QueryResult> {
-        self.run(&plan.clone().filter(pred))
     }
 
     /// Submit a plan to the shared worker pool **without blocking**,
@@ -1000,11 +993,6 @@ impl<'db> Session<'db> {
     /// Run a plan on the shared engine (see [`Database::run`]).
     pub fn run(&self, plan: &LogicalPlan) -> Result<QueryResult> {
         self.db.run(plan)
-    }
-
-    /// Run with a filter applied on top (see [`Database::run_filtered`]).
-    pub fn run_filtered(&self, plan: &LogicalPlan, pred: Predicate) -> Result<QueryResult> {
-        self.db.run_filtered(plan, pred)
     }
 
     /// Submit a plan without blocking, returning a cancellable
@@ -1228,6 +1216,7 @@ mod tests {
                     (serial.stats.clock.cpu_ns, serial.stats.clock.io_ns),
                     "clock at {workers} workers"
                 );
+                assert_eq!(io_key(&got.stats.io), io_key(&serial.stats.io), "{workers} workers");
             }
         }
     }
@@ -1255,19 +1244,6 @@ mod tests {
         );
         assert!(db.parallel_pipeline(&bad).is_err());
         assert!(db.with_workers(4).run(&bad).is_err());
-    }
-
-    #[test]
-    fn run_filtered_matches_under_parallel_driver() {
-        let mut db = db(2000);
-        let plan = q(300, AccessPathChoice::ForceFull);
-        db.set_workers(1);
-        let serial = db.run_filtered(&plan, Predicate::int_lt(0, 700)).unwrap();
-        db.set_workers(4);
-        let parallel = db.run_filtered(&plan, Predicate::int_lt(0, 700)).unwrap();
-        assert_eq!(parallel.rows, serial.rows);
-        assert_eq!(io_key(&parallel.stats.io), io_key(&serial.stats.io));
-        assert!(!serial.rows.is_empty());
     }
 
     #[test]

@@ -26,11 +26,8 @@ const HEADER_LEN: usize = 4;
 /// Bytes per slot-array entry.
 const SLOT_LEN: usize = 4;
 
-/// An immutable, reference-counted page image. This is the same type as
-/// [`smooth_types::SharedBytes`], so a pinned page can be handed straight
-/// to the columnar decoder as the backing buffer for zero-copy text
-/// views.
-pub type PageBuf = smooth_types::SharedBytes;
+/// An immutable, reference-counted page image.
+pub type PageBuf = Arc<[u8]>;
 
 /// Builder for one page: accepts tuples until full, then freezes.
 #[derive(Debug)]

@@ -12,40 +12,18 @@
 //!   producing a selection vector instead of moving any data;
 //! * projection is column pruning, not per-row rebuilding.
 //!
-//! Zero-copy-ish adapters ([`ColumnBatch::from_rows`],
-//! [`ColumnBatch::into_rows`]) bridge to the row-at-a-time protocol so
-//! row-only operators keep working; `String`s materialize only at that
-//! row boundary.
+//! Adapters ([`ColumnBatch::from_rows`], [`ColumnBatch::into_rows`])
+//! bridge to the row-at-a-time protocol so row-only operators keep
+//! working; `String`s materialize only at that row boundary.
 //!
 //! Typing follows the schema: `Int32`/`Int64`/`Date` columns widen into an
-//! `i64` vector, `Float64` into `f64`, `Text` into a [`TextColumn`] — a
-//! view layout of `(buffer, offset, length)` spans over shared page-backed
-//! byte buffers ([`SharedBytes`]) with an owned byte arena for values that
-//! have no backing buffer. NULL slots carry a default value in the typed
-//! vector and `true` in the null mask.
-//!
-//! # Text view rules
-//!
-//! * A span into a [`SharedBytes`] buffer **pins** that buffer (an `Arc`
-//!   clone per distinct buffer, not per value) until the column is
-//!   cleared, compacted or dropped — scans hand their pinned page buffers
-//!   to the decode path ([`crate::layout::TupleLayout::gather`]) so
-//!   decoded text borrows the page instead of allocating one `String` per
-//!   qualifying value.
-//! * Values with no backing buffer (row pushes, gathered copies of arena
-//!   spans, decode with views disabled via `SMOOTH_TEXT_VIEWS=0`) append
-//!   their bytes to the column-local arena: owned, but still amortized —
-//!   no per-value allocation.
-//! * Views degrade to owned bytes automatically whenever a slice does not
-//!   lie inside its claimed backing buffer, and serialization
-//!   ([`crate::spill`]) always **copies out**, so spill files and caches
-//!   own their bytes and never pin pages.
-
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+//! `i64` vector, `Float64` into `f64`, `Text` into a [`TextColumn`] — one
+//! byte arena per column plus one end offset per slot, so text costs no
+//! per-value allocation and every batch owns its bytes (no result holds a
+//! page frame). NULL slots carry a default value in the typed vector and
+//! `true` in the null mask.
 
 use crate::error::{Error, Result};
-use crate::layout::TupleLayout;
 use crate::row::Row;
 use crate::schema::Schema;
 use crate::value::{DataType, Value};
@@ -56,227 +34,99 @@ use crate::value::{DataType, Value};
 /// is ~11 pages worth of output).
 pub const DEFAULT_BATCH_SIZE: usize = 1024;
 
-/// A shared, immutable byte buffer that text views can borrow from. The
-/// storage layer's page buffers (`PageBuf`) are exactly this type, so a
-/// scan can hand its pinned page run straight to the decoder.
-pub type SharedBytes = Arc<[u8]>;
-
-/// Latched `SMOOTH_TEXT_VIEWS` knob: `0` = unread, `1` = on, `2` = off.
-static TEXT_VIEWS: AtomicU8 = AtomicU8::new(0);
-
-/// Text values decoded into owned arena bytes (each one would have been
-/// a `String` allocation under the pre-view layout). Monotone,
-/// process-global; consumers diff around a region of interest.
-pub(crate) static TEXT_DECODE_OWNED: AtomicU64 = AtomicU64::new(0);
-
-/// Text values decoded as zero-copy views into a backing buffer.
-pub(crate) static TEXT_DECODE_VIEWS: AtomicU64 = AtomicU64::new(0);
-
-/// Whether scan decode emits zero-copy text views (the default). Set
-/// `SMOOTH_TEXT_VIEWS=0` to degrade every decoded text value to owned
-/// arena bytes — the escape hatch if view lifetimes are ever suspected
-/// of misbehaving. Read once and latched ([`crate::env_knob`]: any
-/// value but `0` / `1` aborts); [`force_text_views`] overrides it
-/// in-process.
-pub fn text_views_enabled() -> bool {
-    match TEXT_VIEWS.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = crate::env_knob("SMOOTH_TEXT_VIEWS", parse_text_views).unwrap_or(true);
-            TEXT_VIEWS.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// The `SMOOTH_TEXT_VIEWS` syntax: `1` (views, the default) or `0`.
-fn parse_text_views(text: &str) -> std::result::Result<bool, String> {
-    match text {
-        "1" => Ok(true),
-        "0" => Ok(false),
-        _ => Err("expected 0 or 1".into()),
-    }
-}
-
-/// Override the text-view latch in-process (benchmarks comparing the
-/// view and owned decode paths; tests). Rows are byte-identical either
-/// way — only allocation behavior changes.
-pub fn force_text_views(on: bool) {
-    TEXT_VIEWS.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Cumulative `(owned, views)` text decode counters: how many decoded
-/// text values materialized owned arena bytes vs. zero-copy views.
-/// Monotone and process-global — diff two readings around the region of
-/// interest.
-pub fn text_decode_counters() -> (u64, u64) {
-    (TEXT_DECODE_OWNED.load(Ordering::Relaxed), TEXT_DECODE_VIEWS.load(Ordering::Relaxed))
-}
-
-/// Sentinel `buf` index marking a span that lives in the owned arena.
-const ARENA_SPAN: u32 = u32::MAX;
-
-/// One text value: a `(buffer, offset, length)` triple into either a
-/// shared backing buffer (`buf < ARENA_SPAN`, indexing
-/// [`TextColumn::bufs`]) or the column-local arena (`buf == ARENA_SPAN`).
-#[derive(Debug, Clone, Copy)]
-struct TextSpan {
-    buf: u32,
-    off: usize,
-    len: usize,
-}
-
-/// A `Text` column payload: spans into shared page-backed buffers plus an
-/// owned byte arena — no per-value `String`. See the module docs for the
-/// view rules. Equality is logical (value by value), independent of which
-/// representation each value uses.
-#[derive(Debug, Clone, Default)]
+/// A `Text` column payload: every slot's UTF-8 bytes back to back in one
+/// arena, and where each slot ends — no per-value `String`.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TextColumn {
-    /// Distinct backing buffers, deduplicated against the most recent
-    /// entry (scans decode page by page, so consecutive views share one
-    /// buffer). Each entry pins its buffer until `clear` or drop.
-    bufs: Vec<SharedBytes>,
-    /// Owned bytes for values without a backing buffer.
-    arena: Vec<u8>,
-    /// One span per slot, in slot order.
-    spans: Vec<TextSpan>,
+    /// The slots' bytes, concatenated in slot order.
+    bytes: Vec<u8>,
+    /// `ends[i]`: where slot `i` stops in `bytes`; it starts where slot
+    /// `i - 1` stops (at 0 for the first).
+    ends: Vec<usize>,
 }
 
 impl TextColumn {
     /// Number of slots.
     #[inline]
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.ends.len()
     }
 
     /// `true` when the column holds no slots.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The raw UTF-8 bytes at `idx` — what key hashing and equality read
-    /// (no re-validation, unlike [`TextColumn::get`]).
+    /// Where slot `idx` starts in the arena (`idx == len()` is the end).
+    #[inline]
+    fn start(&self, idx: usize) -> usize {
+        idx.checked_sub(1).map_or(0, |prev| self.ends[prev])
+    }
+
+    /// The raw UTF-8 bytes at `idx` — what key hashing, equality and
+    /// ordering read (no re-validation, unlike [`TextColumn::get`]).
     #[inline]
     pub fn bytes_at(&self, idx: usize) -> &[u8] {
-        let sp = self.spans[idx];
-        if sp.buf == ARENA_SPAN {
-            &self.arena[sp.off..sp.off + sp.len]
-        } else {
-            &self.bufs[sp.buf as usize][sp.off..sp.off + sp.len]
-        }
+        &self.bytes[self.start(idx)..self.ends[idx]]
     }
 
     /// The string at `idx` (panics when out of bounds, like indexing).
     #[inline]
     pub fn get(&self, idx: usize) -> &str {
-        // invariant: every push validates UTF-8 before recording a span
-        // (views validate at decode; arena bytes come from `&str`s).
-        std::str::from_utf8(self.bytes_at(idx)).expect("text spans hold validated UTF-8")
+        // invariant: every slot's bytes came from a `&str` or from
+        // another column's slot.
+        std::str::from_utf8(self.bytes_at(idx)).expect("text slots hold validated UTF-8")
     }
 
-    /// Append an owned value: bytes copy into the column arena
-    /// (amortized — no per-value allocation).
+    /// Append a value: its bytes copy into the arena (amortized — no
+    /// per-value allocation).
     #[inline]
     pub fn push_owned(&mut self, s: &str) {
-        self.push_arena(s.as_bytes());
+        self.push_bytes(s.as_bytes());
     }
 
-    /// Append `bytes` (validated UTF-8 — a `&str`'s or another span's)
-    /// to the arena as one owned slot.
+    /// Append `bytes` (validated UTF-8 — a `&str`'s or another slot's) as
+    /// one slot.
     #[inline]
-    fn push_arena(&mut self, bytes: &[u8]) {
-        let off = self.arena.len();
-        self.arena.extend_from_slice(bytes);
-        self.spans.push(TextSpan { buf: ARENA_SPAN, off, len: bytes.len() });
+    fn push_bytes(&mut self, bytes: &[u8]) {
+        self.bytes.extend_from_slice(bytes);
+        self.ends.push(self.bytes.len());
     }
 
-    /// Append a zero-copy view of `s`, which must be a slice of
-    /// `backing` — the backing buffer is pinned (one `Arc` clone per
-    /// distinct buffer) until the column is cleared or dropped. Degrades
-    /// to [`TextColumn::push_owned`] when the slice does not lie inside
-    /// `backing`, so callers never need to pre-check containment.
-    #[inline]
-    pub fn push_view(&mut self, backing: &SharedBytes, s: &str) {
-        let base = backing.as_ptr() as usize;
-        let p = s.as_ptr() as usize;
-        let Some(off) = p.checked_sub(base).filter(|&o| o + s.len() <= backing.len()) else {
-            self.push_owned(s);
-            return;
-        };
-        let buf = match self.bufs.last() {
-            Some(last) if Arc::ptr_eq(last, backing) => self.bufs.len() - 1,
-            _ => {
-                self.bufs.push(Arc::clone(backing));
-                self.bufs.len() - 1
-            }
-        };
-        debug_assert!(buf < ARENA_SPAN as usize, "text column buffer index overflow");
-        self.spans.push(TextSpan { buf: buf as u32, off, len: s.len() });
-    }
-
-    /// Append slot `idx` of `src`: view spans share the backing buffer
-    /// (an `Arc` clone at most — zero bytes move); arena spans copy
-    /// their bytes into this column's arena. Neither allocates per
-    /// value. This is the gather/move primitive behind
+    /// Append slot `idx` of `src` — the gather primitive behind
     /// [`ColumnVector::push_from`] and friends.
     #[inline]
     pub fn push_from(&mut self, src: &TextColumn, idx: usize) {
-        let sp = src.spans[idx];
-        if sp.buf == ARENA_SPAN {
-            self.push_arena(&src.arena[sp.off..sp.off + sp.len]);
-        } else {
-            let backing = &src.bufs[sp.buf as usize];
-            let buf = match self.bufs.last() {
-                Some(last) if Arc::ptr_eq(last, backing) => self.bufs.len() - 1,
-                _ => {
-                    self.bufs.push(Arc::clone(backing));
-                    self.bufs.len() - 1
-                }
-            };
-            self.spans.push(TextSpan { buf: buf as u32, ..sp });
-        }
+        self.push_bytes(src.bytes_at(idx));
     }
 
     /// Make room for `n` more slots.
     #[inline]
     pub(crate) fn reserve(&mut self, n: usize) {
-        self.spans.reserve(n);
+        self.ends.reserve(n);
     }
 
-    /// Append slots `[a, b)` of `src` (see [`TextColumn::push_from`]).
+    /// Append slots `[a, b)` of `src`: one copy of their byte range, and
+    /// their ends rebased onto this arena.
     fn append_range(&mut self, src: &TextColumn, a: usize, b: usize) {
-        self.spans.reserve(b - a);
-        for i in a..b {
-            self.push_from(src, i);
-        }
+        let (from, base) = (src.start(a), self.bytes.len());
+        self.bytes.extend_from_slice(&src.bytes[from..src.start(b)]);
+        self.ends.extend(src.ends[a..b].iter().map(|end| end - from + base));
     }
 
-    /// Drop every slot, releasing the arena and every pinned buffer
-    /// (capacity is kept).
+    /// Drop every slot (capacity is kept).
     pub fn clear(&mut self) {
-        self.bufs.clear();
-        self.arena.clear();
-        self.spans.clear();
+        self.bytes.clear();
+        self.ends.clear();
     }
 
-    /// Drop the first `n` slots by rebuilding the column from the
-    /// survivors — views keep sharing their buffers, arena bytes
-    /// recompact — so dead prefixes release their pinned pages. Called
-    /// by the cursor-buffer compaction only when the consumed prefix
-    /// dominates, keeping the rebuild amortized O(1) per slot.
+    /// Drop the first `n` slots and their bytes, shifting the rest down.
     fn drop_prefix(&mut self, n: usize) {
-        let mut fresh = TextColumn::default();
-        fresh.spans.reserve(self.spans.len() - n);
-        fresh.append_range(self, n, self.spans.len());
-        *self = fresh;
-    }
-}
-
-impl PartialEq for TextColumn {
-    fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && (0..self.len()).all(|i| self.bytes_at(i) == other.bytes_at(i))
+        let cut = self.start(n);
+        self.bytes.drain(..cut);
+        self.ends.drain(..n);
+        self.ends.iter_mut().for_each(|end| *end -= cut);
     }
 }
 
@@ -287,7 +137,7 @@ pub enum ColumnValues {
     Int(Vec<i64>),
     /// `Float64` columns.
     Float(Vec<f64>),
-    /// `Text` columns (view layout — see [`TextColumn`]).
+    /// `Text` columns (see [`TextColumn`]).
     Str(TextColumn),
 }
 
@@ -332,10 +182,9 @@ impl ColumnVector {
                 ColumnValues::Int(Vec::with_capacity(n))
             }
             DataType::Float64 => ColumnValues::Float(Vec::with_capacity(n)),
-            DataType::Text => ColumnValues::Str(TextColumn {
-                spans: Vec::with_capacity(n),
-                ..TextColumn::default()
-            }),
+            DataType::Text => {
+                ColumnValues::Str(TextColumn { bytes: Vec::new(), ends: Vec::with_capacity(n) })
+            }
         };
         ColumnVector { values, nulls: Vec::with_capacity(n) }
     }
@@ -493,22 +342,22 @@ impl ColumnVector {
     /// Order `self[idx]` against a [`Value`] under [`Value::total_cmp`]
     /// semantics, without materializing a `Value`.
     pub fn cmp_value(&self, idx: usize, other: &Value) -> std::cmp::Ordering {
-        // Cheap for Int/Float; Str compares borrowed.
+        // Cheap for Int/Float; Str compares bytes (`str`'s order is byte
+        // order) with no re-validation.
         match (&self.values, other) {
             _ if self.nulls[idx] => Value::Null.total_cmp(other),
             (ColumnValues::Int(v), Value::Int(b)) => v[idx].cmp(b),
             (ColumnValues::Int(v), Value::Float(b)) => (v[idx] as f64).total_cmp(b),
             (ColumnValues::Float(v), Value::Float(b)) => v[idx].total_cmp(b),
             (ColumnValues::Float(v), Value::Int(b)) => v[idx].total_cmp(&(*b as f64)),
-            (ColumnValues::Str(v), Value::Str(b)) => v.get(idx).cmp(b.as_str()),
+            (ColumnValues::Str(v), Value::Str(b)) => v.bytes_at(idx).cmp(b.as_bytes()),
             _ => self.value(idx).total_cmp(other),
         }
     }
 
     /// Append slot `idx` of `src` — the gather primitive of the columnar
     /// hash-join probe, where one build row can be emitted under many
-    /// probe rows. Text views share their backing buffer (an `Arc` clone
-    /// at most); arena text copies bytes — never a per-value allocation.
+    /// probe rows. Text copies its bytes — never a per-value allocation.
     /// Both vectors must share their typing (they come from batches of
     /// the same schema column).
     #[inline]
@@ -532,13 +381,6 @@ impl ColumnVector {
     /// payload, so payload and mask gather independently. Typing must
     /// match.
     pub fn extend_gather(&mut self, src: &ColumnVector, idx: &[u32]) {
-        self.gather(src, idx, false);
-    }
-
-    /// [`ColumnVector::extend_gather`]; with `own_text`, every text
-    /// value's bytes copy into this vector's arena — views included — so
-    /// the destination pins none of `src`'s backing buffers.
-    fn gather(&mut self, src: &ColumnVector, idx: &[u32], own_text: bool) {
         self.nulls.extend(idx.iter().map(|&i| src.nulls[i as usize]));
         match (&mut self.values, &src.values) {
             (ColumnValues::Int(dst), ColumnValues::Int(s)) => {
@@ -548,17 +390,9 @@ impl ColumnVector {
                 dst.extend(idx.iter().map(|&i| s[i as usize]))
             }
             (ColumnValues::Str(dst), ColumnValues::Str(s)) => {
-                dst.spans.reserve(idx.len());
-                let copied = |sp: &TextSpan| own_text || sp.buf == ARENA_SPAN;
-                let spans = idx.iter().map(|&i| &s.spans[i as usize]);
-                dst.arena.reserve(spans.filter(|sp| copied(sp)).map(|sp| sp.len).sum());
-                for &i in idx {
-                    if own_text {
-                        dst.push_arena(s.bytes_at(i as usize));
-                    } else {
-                        dst.push_from(s, i as usize);
-                    }
-                }
+                dst.reserve(idx.len());
+                dst.bytes.reserve(idx.iter().map(|&i| s.bytes_at(i as usize).len()).sum());
+                idx.iter().for_each(|&i| dst.push_from(s, i as usize));
             }
             _ => unreachable!("gather between column vectors of different typing"),
         }
@@ -626,13 +460,11 @@ impl ColumnVector {
         }
     }
 
-    /// Append slots `[a, b)` of `src`. Fixed-width payloads copy with one
-    /// `memcpy`; text spans share their backing buffers or copy arena
-    /// bytes (the source range stays intact but should be treated as
-    /// consumed).
-    fn extend_taken_range(&mut self, src: &mut ColumnVector, a: usize, b: usize) {
+    /// Append slots `[a, b)` of `src`: one `memcpy` per payload (for
+    /// text, of the slots' byte range).
+    fn extend_range(&mut self, src: &ColumnVector, a: usize, b: usize) {
         self.nulls.extend_from_slice(&src.nulls[a..b]);
-        match (&mut self.values, &mut src.values) {
+        match (&mut self.values, &src.values) {
             (ColumnValues::Int(dst), ColumnValues::Int(s)) => dst.extend_from_slice(&s[a..b]),
             (ColumnValues::Float(dst), ColumnValues::Float(s)) => dst.extend_from_slice(&s[a..b]),
             (ColumnValues::Str(dst), ColumnValues::Str(s)) => dst.append_range(s, a, b),
@@ -680,9 +512,8 @@ impl ColumnBatch {
                 ColumnValues::Int(_) => ColumnValues::Int(Vec::with_capacity(n)),
                 ColumnValues::Float(_) => ColumnValues::Float(Vec::with_capacity(n)),
                 ColumnValues::Str(t) => ColumnValues::Str(TextColumn {
-                    bufs: Vec::with_capacity(if sized { t.bufs.len() } else { 0 }),
-                    arena: Vec::with_capacity(if sized { t.arena.len() } else { 0 }),
-                    spans: Vec::with_capacity(n),
+                    bytes: Vec::with_capacity(if sized { t.bytes.len() } else { 0 }),
+                    ends: Vec::with_capacity(n),
                 }),
             };
             ColumnVector { values, nulls: Vec::with_capacity(n) }
@@ -863,35 +694,6 @@ impl ColumnBatch {
         Ok(())
     }
 
-    /// Decode one encoded tuple of `schema` straight into the column
-    /// vectors — no intermediate `Row` or `Vec<Value>` is materialized.
-    /// Validation is as strict as [`crate::row::Row::decode`] (truncated
-    /// or trailing bytes error); on error the batch state is unspecified
-    /// and the query aborts. Text fields copy into the column arena; use
-    /// [`ColumnBatch::push_tuple_backed`] for zero-copy views. This
-    /// compiles a [`TupleLayout`] per call — a convenience for one-off
-    /// decodes; operators hold a layout and decode pages through it.
-    pub fn push_tuple(&mut self, schema: &Schema, bytes: &[u8]) -> Result<()> {
-        self.push_tuple_backed(schema, bytes, None)
-    }
-
-    /// [`ColumnBatch::push_tuple`] with a backing buffer: when `backing`
-    /// names the shared buffer `bytes` slices into (a pinned page run),
-    /// text fields decode as zero-copy views pinning that buffer — see
-    /// the module docs for the view rules.
-    pub fn push_tuple_backed(
-        &mut self,
-        schema: &Schema,
-        bytes: &[u8],
-        backing: Option<&SharedBytes>,
-    ) -> Result<()> {
-        debug_assert!(self.selection.is_none(), "push under a selection vector");
-        debug_assert_eq!(schema.len(), self.columns.len());
-        TupleLayout::all(schema).decode_into(bytes, backing, &mut self.columns)?;
-        self.rows += 1;
-        Ok(())
-    }
-
     /// Materialize the live row at `selection[live_idx]` (string bytes
     /// copy out).
     pub fn row(&self, live_idx: usize) -> crate::row::Row {
@@ -903,75 +705,59 @@ impl ColumnBatch {
     }
 
     /// Materialize the *physical* row at `idx` for cursor-style
-    /// consumption. String bytes copy out of their span (the batch stays
+    /// consumption. String bytes copy out of the arena (the batch stays
     /// intact, but callers should treat the slot as consumed).
     pub fn take_row(&mut self, idx: usize) -> crate::row::Row {
         crate::row::Row::new(self.columns.iter().map(|c| c.value(idx)).collect())
     }
 
-    /// Split physical rows `[a, b)` into a new batch. Fixed-width
-    /// payloads copy (one `memcpy` per column); text spans share their
-    /// backing buffers or copy arena bytes — the source range stays
-    /// intact but should be treated as consumed. The source keeps its
-    /// physical rows — and, crucially, its vector capacity, so a fill
-    /// buffer that extracts morsels and then clears never reallocates in
-    /// steady state. Selection must be unset.
+    /// Copy physical rows `[a, b)` into a new batch, one `memcpy` per
+    /// column payload. The source keeps its physical rows — and,
+    /// crucially, its vector capacity, so a fill buffer that extracts
+    /// morsels and then clears never reallocates in steady state.
+    /// Selection must be unset.
     pub fn extract_range(&mut self, a: usize, b: usize) -> ColumnBatch {
         debug_assert!(self.selection.is_none(), "range extract under a selection vector");
         debug_assert!(a <= b && b <= self.rows);
         let mut out = ColumnBatch::like(self);
-        for (dst, src) in out.columns.iter_mut().zip(&mut self.columns) {
-            dst.extend_taken_range(src, a, b);
+        for (dst, src) in out.columns.iter_mut().zip(&self.columns) {
+            dst.extend_range(src, a, b);
         }
         out.rows = b - a;
         out
     }
 
-    /// Move-append every physical row of `other` (which must be dense and
-    /// share this batch's column typing). Fixed-width payloads copy with
-    /// one `memcpy` per column; text views hand their backing buffers
-    /// over — no per-row `String` clone. This is the bulk-ingest
+    /// Append every physical row of `other` (which must be dense and
+    /// share this batch's column typing), one `memcpy` per column
+    /// payload — no per-row `String` clone. This is the bulk-ingest
     /// primitive of the columnar hash-join build side.
-    pub fn append_dense(&mut self, mut other: ColumnBatch) {
+    pub fn append_dense(&mut self, other: ColumnBatch) {
         debug_assert!(self.selection.is_none(), "append under a selection vector");
         debug_assert!(other.selection.is_none(), "dense append of a selected batch");
         debug_assert_eq!(self.columns.len(), other.columns.len());
         let n = other.rows;
-        for (dst, src) in self.columns.iter_mut().zip(&mut other.columns) {
-            dst.extend_taken_range(src, 0, n);
+        for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
+            dst.extend_range(src, 0, n);
         }
         self.rows += n;
     }
 
     /// Append the physical rows of `src` named by `idx`, in order
-    /// (typing must match; text shares or copies — see
-    /// [`ColumnVector::extend_gather`]). The bulk companion of
-    /// [`ColumnBatch::append_dense`] for batches that carry a selection
-    /// vector or need null-key skips.
+    /// (typing must match; see [`ColumnVector::extend_gather`]). The
+    /// bulk companion of [`ColumnBatch::append_dense`] for batches that
+    /// carry a selection vector or need null-key skips.
     pub fn append_gather(&mut self, src: &ColumnBatch, idx: &[u32]) {
-        self.gather(src, idx, false);
-    }
-
-    /// [`ColumnBatch::append_gather`], except that the appended rows own
-    /// their text bytes — views copy into the arena too — so `src`'s
-    /// page buffers can be released. Blocking operators that hold rows
-    /// past the morsel (the sort) ingest this way.
-    pub fn append_gather_owned(&mut self, src: &ColumnBatch, idx: &[u32]) {
-        self.gather(src, idx, true);
-    }
-
-    fn gather(&mut self, src: &ColumnBatch, idx: &[u32], own_text: bool) {
         debug_assert!(self.selection.is_none(), "append under a selection vector");
         debug_assert_eq!(self.columns.len(), src.columns.len());
         for (dst, s) in self.columns.iter_mut().zip(&src.columns) {
-            dst.gather(s, idx, own_text);
+            dst.extend_gather(s, idx);
         }
         self.rows += idx.len();
     }
 
     /// Consume into rows (the column→row adapter), honoring the selection
     /// vector. This is the row-materialization boundary: string bytes
-    /// copy out of their spans into owned `String`s.
+    /// copy out of the arena into owned `String`s.
     pub fn into_rows(mut self) -> Vec<crate::row::Row> {
         match self.selection.take() {
             None => (0..self.rows).map(|i| self.take_row(i)).collect(),
@@ -1080,7 +866,7 @@ impl ColumnBuffer {
             let fresh = self.batch.empty_like(true);
             return Some(std::mem::replace(&mut self.batch, fresh));
         }
-        let end = (self.pos + max).min(self.batch.physical_rows());
+        let end = self.pos.saturating_add(max).min(self.batch.physical_rows());
         let out = self.batch.extract_range(self.pos, end);
         self.pos = end;
         self.reset_if_drained();
@@ -1091,17 +877,9 @@ impl ColumnBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::TupleLayout;
     use crate::row::Row;
     use crate::schema::Column;
-
-    #[test]
-    fn text_views_knob_takes_zero_or_one_only() {
-        assert_eq!(parse_text_views("1"), Ok(true));
-        assert_eq!(parse_text_views("0"), Ok(false));
-        for bad in ["", "abc", "true", "2", " 1"] {
-            assert!(parse_text_views(bad).is_err(), "{bad:?}");
-        }
-    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1133,22 +911,24 @@ mod tests {
     }
 
     #[test]
-    fn push_tuple_decodes_without_rows() {
+    fn decode_into_decodes_without_rows() {
         let s = schema();
+        let mut layout = TupleLayout::all(&s);
         let mut batch = ColumnBatch::for_schema(&s);
         for r in rows() {
             let bytes = r.encode(&s).unwrap();
-            batch.push_tuple(&s, &bytes).unwrap();
+            layout.decode_into(&bytes, batch.columns_mut()).unwrap();
+            batch.commit_rows(1);
         }
         assert_eq!(batch.into_rows(), rows());
         // corrupt tuples error with Row::decode strictness
         let mut batch = ColumnBatch::for_schema(&s);
         let bytes = rows()[0].encode(&s).unwrap();
-        assert!(batch.push_tuple(&s, &bytes[..bytes.len() - 1]).is_err());
+        assert!(layout.decode_into(&bytes[..bytes.len() - 1], batch.columns_mut()).is_err());
         let mut extra = bytes.clone();
         extra.push(0);
         let mut batch = ColumnBatch::for_schema(&s);
-        assert!(batch.push_tuple(&s, &extra).is_err());
+        assert!(layout.decode_into(&extra, batch.columns_mut()).is_err());
     }
 
     #[test]
@@ -1236,14 +1016,14 @@ mod tests {
             [ColumnVector::for_type(DataType::Int64), ColumnVector::for_type(DataType::Float64)];
         layout.locate(&tuples).unwrap();
         for (k, v) in probe.iter_mut().enumerate() {
-            layout.gather(k, &tuples, None, None, v).unwrap();
+            layout.gather(k, &tuples, None, v).unwrap();
         }
         assert_eq!(probe[0].int(1).unwrap(), 2);
         assert!(probe[1].is_null(1));
         assert_eq!(probe[1].float(2).unwrap(), -1.0);
         // a selection gathers just the named tuples, in order
         let mut picked = ColumnVector::for_type(DataType::Int64);
-        layout.gather(0, &tuples, Some(&[2, 0]), None, &mut picked).unwrap();
+        layout.gather(0, &tuples, Some(&[2, 0]), &mut picked).unwrap();
         assert_eq!((picked.len(), picked.int(0).unwrap(), picked.int(1).unwrap()), (2, 3, 1));
         // corruption past the probed columns still errors (full validation)
         let mut layout = TupleLayout::new(&s, &[0]);
@@ -1338,25 +1118,6 @@ mod tests {
     }
 
     #[test]
-    fn owned_gather_pins_nothing() {
-        let s = schema();
-        force_text_views(true);
-        let bytes = rows()[0].encode(&s).unwrap();
-        let backing: SharedBytes = Arc::from(bytes.as_slice());
-        let mut viewed = ColumnBatch::for_schema(&s);
-        viewed.push_tuple_backed(&s, &backing, Some(&backing)).unwrap();
-        assert_eq!(Arc::strong_count(&backing), 2, "the decoded batch views the buffer");
-        let (mut shared, mut owned) = (ColumnBatch::for_schema(&s), ColumnBatch::for_schema(&s));
-        shared.append_gather(&viewed, &[0, 0]);
-        owned.append_gather_owned(&viewed, &[0, 0]);
-        assert_eq!(shared, owned);
-        assert_eq!(Arc::strong_count(&backing), 3, "only the sharing gather pins");
-        drop((viewed, shared));
-        assert_eq!(Arc::strong_count(&backing), 1);
-        assert_eq!(owned.into_rows(), vec![rows()[0].clone(); 2]);
-    }
-
-    #[test]
     fn column_buffer_compacts_consumed_prefix_on_refill() {
         let s = Schema::new(vec![
             Column::new("a", DataType::Int64),
@@ -1431,17 +1192,14 @@ mod tests {
         let mut i = ColumnVector::for_type(DataType::Int64);
         i.push_int(0).unwrap();
         assert!(!i.slot_eq(0, &f, 0), "differently typed vectors never match");
-        // Text compares by bytes regardless of representation.
-        let backing: SharedBytes = Arc::from(&b"0123456789abc"[..]);
-        let mut viewed = TextColumn::default();
-        viewed.push_view(&backing, std::str::from_utf8(&backing[..]).unwrap());
-        let viewed = ColumnVector { values: ColumnValues::Str(viewed), nulls: vec![false] };
-        let mut owned = ColumnVector::for_type(DataType::Text);
-        owned.push_str("0123456789abc").unwrap();
-        owned.push_str("0123456789abd").unwrap();
-        assert!(viewed.slot_eq(0, &owned, 0) && !viewed.slot_eq(0, &owned, 1));
-        assert_eq!(viewed.slot_hash(0), owned.slot_hash(0));
-        assert_ne!(owned.slot_hash(0), owned.slot_hash(1));
+        // Text compares by bytes, wherever the slot sits in its arena.
+        let mut t = ColumnVector::for_type(DataType::Text);
+        for s in ["0123456789abc", "0123456789abd", "0123456789abc"] {
+            t.push_str(s).unwrap();
+        }
+        assert!(t.slot_eq(0, &t, 2) && !t.slot_eq(0, &t, 1));
+        assert_eq!(t.slot_hash(0), t.slot_hash(2));
+        assert_ne!(t.slot_hash(0), t.slot_hash(1));
     }
 
     #[test]
@@ -1456,70 +1214,15 @@ mod tests {
     }
 
     #[test]
-    fn text_views_pin_backing_without_copying() {
-        let mut col = TextColumn::default();
-        let backing: SharedBytes = Arc::from(&b"hello world"[..]);
-        let s = std::str::from_utf8(&backing[0..5]).unwrap();
-        col.push_view(&backing, s);
-        let tail = std::str::from_utf8(&backing[6..11]).unwrap();
-        col.push_view(&backing, tail);
-        assert_eq!(col.get(0), "hello");
-        assert_eq!(col.get(1), "world");
-        assert_eq!(col.bufs.len(), 1, "consecutive views dedup their buffer");
-        assert!(col.arena.is_empty(), "views copy no bytes");
-        assert_eq!(Arc::strong_count(&backing), 2, "column pins the buffer");
-        col.clear();
-        assert_eq!(Arc::strong_count(&backing), 1, "clear releases the pin");
-    }
-
-    #[test]
-    fn text_view_degrades_to_owned_outside_backing() {
-        let mut col = TextColumn::default();
-        let backing: SharedBytes = Arc::from(&b"abc"[..]);
-        col.push_view(&backing, "elsewhere");
-        assert_eq!(col.get(0), "elsewhere");
-        assert!(col.bufs.is_empty(), "foreign slice falls back to the arena");
-        assert_eq!(col.arena, b"elsewhere");
-    }
-
-    #[test]
-    fn text_equality_is_representation_independent() {
-        let backing: SharedBytes = Arc::from(&b"xyz"[..]);
-        let mut viewed = TextColumn::default();
-        viewed.push_view(&backing, std::str::from_utf8(&backing[0..3]).unwrap());
-        let mut owned = TextColumn::default();
-        owned.push_owned("xyz");
-        assert_eq!(viewed, owned);
-        owned.push_owned("more");
-        assert_ne!(viewed, owned);
-    }
-
-    #[test]
     fn text_drop_prefix_recompacts_and_releases() {
-        let backing: SharedBytes = Arc::from(&b"aabb"[..]);
         let mut col = TextColumn::default();
-        col.push_view(&backing, std::str::from_utf8(&backing[0..2]).unwrap());
-        col.push_owned("kept");
-        col.drop_prefix(1);
-        assert_eq!(col.len(), 1);
-        assert_eq!(col.get(0), "kept");
-        assert!(col.bufs.is_empty(), "dropping the only view releases its pin");
-        assert_eq!(col.arena, b"kept", "arena recompacts to the survivors");
-    }
-
-    #[test]
-    fn push_tuple_backed_decodes_views_byte_identical() {
-        let s = schema();
-        force_text_views(true);
-        let mut owned = ColumnBatch::for_schema(&s);
-        let mut viewed = ColumnBatch::for_schema(&s);
-        for r in rows() {
-            let bytes = r.encode(&s).unwrap();
-            let backing: SharedBytes = Arc::from(bytes.as_slice());
-            owned.push_tuple(&s, &bytes).unwrap();
-            viewed.push_tuple_backed(&s, &backing, Some(&backing)).unwrap();
+        for s in ["aa", "", "kept", "é"] {
+            col.push_owned(s);
         }
-        assert_eq!(owned, viewed, "views are logically identical to owned decode");
-        assert_eq!(viewed.into_rows(), rows());
+        col.drop_prefix(2);
+        assert_eq!((col.len(), col.get(0), col.get(1)), (2, "kept", "é"));
+        assert_eq!(col.bytes, "kepté".as_bytes(), "arena recompacts to the survivors");
+        col.push_owned("more");
+        assert_eq!(col.get(2), "more");
     }
 }

@@ -16,19 +16,14 @@
 //! * [`TupleLayout::gather`] turns one column of that table into typed
 //!   values: one loop **per column per page** (reserve once,
 //!   `from_le_bytes` off the recorded offsets, null mask beside it), text
-//!   validated as UTF-8 and appended as a zero-copy view of the page or
-//!   as an arena copy under the view rules of [`crate::columns`].
+//!   validated as UTF-8 and copied into the column's arena
+//!   ([`crate::columns::TextColumn`]).
 //!
 //! UTF-8 is a property of a *value*, so it is checked where a value is
 //! materialized (`gather`), not where the tuple is walked (`locate`): a
 //! scan validates the text it reads, like the probe it replaced.
 
-use std::sync::atomic::Ordering;
-
-use crate::columns::{
-    text_views_enabled, ColumnValues, ColumnVector, SharedBytes, TextColumn, TEXT_DECODE_OWNED,
-    TEXT_DECODE_VIEWS,
-};
+use crate::columns::{ColumnValues, ColumnVector};
 use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::value::DataType;
@@ -261,17 +256,14 @@ impl TupleLayout {
     /// Append wanted column `k` of the located tuples named by `rows`
     /// (indices into the located page, in order; every tuple when `None`)
     /// to `out`. `tuples` must be the slice last passed to
-    /// [`TupleLayout::locate`]. When `backing` names the shared buffer
-    /// the tuples are slices of and views are enabled, text becomes
-    /// zero-copy views pinning it; otherwise text copies into `out`'s
-    /// arena. Non-UTF-8 text is [`Error::Corrupt`]. Panics when `rows`
-    /// names a tuple out of range, like indexing.
+    /// [`TupleLayout::locate`]. Text copies into `out`'s arena; non-UTF-8
+    /// text is [`Error::Corrupt`]. Panics when `rows` names a tuple out
+    /// of range, like indexing.
     pub fn gather(
         &self,
         k: usize,
         tuples: &[&[u8]],
         rows: Option<&[u32]>,
-        backing: Option<&SharedBytes>,
         out: &mut ColumnVector,
     ) -> Result<()> {
         let offs = self.column(k, tuples)?;
@@ -309,7 +301,7 @@ impl TupleLayout {
             }
             DataType::Int64 => fixed!(Int, 8, i64::from_le_bytes),
             DataType::Float64 => fixed!(Float, 8, f64::from_le_bytes),
-            DataType::Text => return self.gather_text(offs, tuples, rows, backing, out),
+            DataType::Text => return self.gather_text(offs, tuples, rows, out),
         }
         match rows {
             None => out.nulls.extend(offs.iter().map(|&off| off == NULL_AT)),
@@ -327,50 +319,36 @@ impl TupleLayout {
         offs: &[u32],
         tuples: &[&[u8]],
         rows: Option<&[u32]>,
-        backing: Option<&SharedBytes>,
         out: &mut ColumnVector,
     ) -> Result<()> {
         let ColumnValues::Str(text) = &mut out.values else {
             return Err(mistyped());
         };
-        let backing = backing.filter(|_| text_views_enabled());
         let count = rows.map_or(offs.len(), <[u32]>::len);
         out.nulls.reserve(count);
         text.reserve(count);
-        let mut decoded = 0u64;
         let mut push = |t: usize| -> Result<()> {
             let value = text_at(tuples[t], offs[t])?;
             out.nulls.push(value.is_none());
-            decoded += u64::from(value.is_some());
-            push_text(text, value, backing);
+            text.push_owned(value.unwrap_or_default());
             Ok(())
         };
         match rows {
-            None => (0..offs.len()).try_for_each(&mut push)?,
-            Some(rows) => rows.iter().try_for_each(|&t| push(t as usize))?,
+            None => (0..offs.len()).try_for_each(&mut push),
+            Some(rows) => rows.iter().try_for_each(|&t| push(t as usize)),
         }
-        count_text(backing.is_some(), decoded);
-        Ok(())
     }
 
     /// Append every wanted column of located tuple `t` to the parallel
     /// vectors `out` (one per wanted column): [`TupleLayout::gather`] a
     /// row at a time, which is cheaper than one pass per column when only
     /// a few tuples are wanted.
-    pub fn gather_row(
-        &self,
-        tuples: &[&[u8]],
-        t: usize,
-        backing: Option<&SharedBytes>,
-        out: &mut [ColumnVector],
-    ) -> Result<()> {
+    pub fn gather_row(&self, tuples: &[&[u8]], t: usize, out: &mut [ColumnVector]) -> Result<()> {
         let n = self.located;
         if tuples.len() != n || out.len() != self.types.len() {
             return Err(Error::exec("gather over tuples the layout did not locate"));
         }
         let bytes = tuples[t];
-        let backing = backing.filter(|_| text_views_enabled());
-        let mut decoded = 0u64;
         for (k, (&ty, v)) in self.types.iter().zip(out).enumerate() {
             let off = self.offs[k * n + t];
             let at = off as usize;
@@ -388,15 +366,10 @@ impl TupleLayout {
                     dst.push(f64::from_le_bytes(bytes_at(bytes, at).ok_or_else(moved)?))
                 }
                 (DataType::Text, ColumnValues::Str(text)) => {
-                    let value = text_at(bytes, off)?;
-                    decoded += u64::from(value.is_some());
-                    push_text(text, value, backing);
+                    text.push_owned(text_at(bytes, off)?.unwrap_or_default())
                 }
                 _ => return Err(mistyped()),
             }
-        }
-        if decoded > 0 {
-            count_text(backing.is_some(), decoded);
         }
         Ok(())
     }
@@ -416,14 +389,9 @@ impl TupleLayout {
 
     /// Decode one tuple: [`TupleLayout::locate`] it, then gather its
     /// wanted columns into the parallel vectors `out`.
-    pub fn decode_into(
-        &mut self,
-        bytes: &[u8],
-        backing: Option<&SharedBytes>,
-        out: &mut [ColumnVector],
-    ) -> Result<()> {
+    pub fn decode_into(&mut self, bytes: &[u8], out: &mut [ColumnVector]) -> Result<()> {
         self.locate(&[bytes])?;
-        self.gather_row(&[bytes], 0, backing, out)
+        self.gather_row(&[bytes], 0, out)
     }
 }
 
@@ -435,16 +403,6 @@ fn mistyped() -> Error {
 /// bytes than `locate` walked.
 fn moved() -> Error {
     Error::corrupt("tuple changed between locate and gather")
-}
-
-/// Append one text slot: a view of `backing` when there is one, an arena
-/// copy otherwise (and the empty default payload for NULL).
-#[inline]
-fn push_text(text: &mut TextColumn, value: Option<&str>, backing: Option<&SharedBytes>) {
-    match (value, backing) {
-        (Some(value), Some(buf)) => text.push_view(buf, value),
-        (value, _) => text.push_owned(value.unwrap_or_default()),
-    }
 }
 
 /// The validated text value whose length prefix sits at `off` of `bytes`,
@@ -459,12 +417,4 @@ fn text_at(bytes: &[u8], off: u32) -> Result<Option<&str>> {
         .and_then(|len| bytes.get(start..start + u16::from_le_bytes(len) as usize))
         .ok_or_else(moved)?;
     std::str::from_utf8(value).map(Some).map_err(|_| Error::corrupt("non-utf8 text field"))
-}
-
-/// Add `decoded` text values to the process-global decode counters — once
-/// per column per page (or per row), never per value: every scan worker
-/// writes this cache line.
-fn count_text(views: bool, decoded: u64) {
-    let counter = if views { &TEXT_DECODE_VIEWS } else { &TEXT_DECODE_OWNED };
-    counter.fetch_add(decoded, Ordering::Relaxed);
 }

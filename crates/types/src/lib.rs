@@ -21,8 +21,7 @@ pub mod tid;
 pub mod value;
 
 pub use columns::{
-    force_text_views, text_decode_counters, text_views_enabled, ColumnBatch, ColumnBuffer,
-    ColumnValues, ColumnVector, SharedBytes, TextColumn, DEFAULT_BATCH_SIZE,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, TextColumn, DEFAULT_BATCH_SIZE,
 };
 pub use env::env_knob;
 pub use error::{Error, Result};

@@ -294,7 +294,7 @@ mod tests {
             let mut layout = TupleLayout::new(&s, cols);
             let mut out: Vec<ColumnVector> =
                 cols.iter().map(|&c| ColumnVector::for_type(s.column(c).ty)).collect();
-            layout.decode_into(bytes, None, &mut out)?;
+            layout.decode_into(bytes, &mut out)?;
             Ok(out.iter().map(|v| v.value(0)).collect())
         };
         let bytes = row().encode(&s).unwrap();

@@ -136,10 +136,8 @@ pub fn batch_row_len(batch: &ColumnBatch, phys: usize) -> usize {
 }
 
 /// Append physical row `phys` of a [`ColumnBatch`] to `out` under the
-/// spill codec. This is the view layout's copy-on-spill escape hatch:
-/// string bytes are written straight from their spans (views included)
-/// without materializing a [`Value`], so spill files always own their
-/// bytes and never pin page buffers.
+/// spill codec: string bytes are written straight from the column
+/// arena, without materializing a [`Value`].
 pub fn encode_batch_row(batch: &ColumnBatch, phys: usize, out: &mut Vec<u8>) {
     for col in batch.columns() {
         if col.is_null(phys) {

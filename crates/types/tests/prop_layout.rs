@@ -6,8 +6,8 @@
 //! spans bytes) and generated pages of rows with NULLs:
 //!
 //! * `locate` + `gather` of any wanted subset — dense, through a
-//!   selection, a row at a time, as page views or owned — equals the same
-//!   columns of `Row::decode`;
+//!   selection, a row at a time — equals the same columns of
+//!   `Row::decode`;
 //! * on hostile bytes — every truncation, appended bytes, every bitmap
 //!   bit flipped (the unused high bits of the last byte included), text
 //!   lengths overwritten, non-UTF-8 injected — the layout and
@@ -19,15 +19,12 @@
 //! rejects structurally, and never rejects what it accepts); with every
 //! column wanted it is exact.
 
-use std::sync::Arc;
-
 mod common;
 
 use common::{arb_type, arb_value_for};
 use proptest::prelude::*;
 use smooth_types::{
-    force_text_views, Column, ColumnVector, DataType, Error, Result, Row, Schema, SharedBytes,
-    TupleLayout, Value,
+    Column, ColumnVector, DataType, Error, Result, Row, Schema, TupleLayout, Value,
 };
 
 /// A generated case: the schema, a page of rows, which columns are
@@ -93,17 +90,12 @@ fn vectors(schema: &Schema, wanted: &[usize]) -> Vec<ColumnVector> {
 }
 
 /// `locate` the page and `gather` every wanted column of every tuple.
-fn decode_page(
-    schema: &Schema,
-    wanted: &[usize],
-    tuples: &[&[u8]],
-    backing: Option<&SharedBytes>,
-) -> Result<Vec<ColumnVector>> {
+fn decode_page(schema: &Schema, wanted: &[usize], tuples: &[&[u8]]) -> Result<Vec<ColumnVector>> {
     let mut layout = TupleLayout::new(schema, wanted);
     let mut out = vectors(schema, wanted);
     layout.locate(tuples)?;
     for (k, v) in out.iter_mut().enumerate() {
-        layout.gather(k, tuples, None, backing, v)?;
+        layout.gather(k, tuples, None, v)?;
     }
     Ok(out)
 }
@@ -173,18 +165,9 @@ fn is_corrupt<T>(r: &Result<T>) -> bool {
 proptest! {
     #[test]
     fn layout_decodes_what_row_decode_decodes(case in arb_case()) {
-        force_text_views(true);
         let Case { schema, rows, wanted, seed } = case;
-        // One buffer holding the whole "page", so views have a backing.
-        let mut page = Vec::new();
-        let mut extents = Vec::new();
-        for r in &rows {
-            let at = page.len();
-            r.encode_into(&schema, &mut page).unwrap();
-            extents.push(at..page.len());
-        }
-        let page: SharedBytes = Arc::from(page);
-        let tuples: Vec<&[u8]> = extents.iter().map(|e| &page[e.clone()]).collect();
+        let encoded: Vec<Vec<u8>> = rows.iter().map(|r| r.encode(&schema).unwrap()).collect();
+        let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         let reference: Vec<Row> =
             tuples.iter().map(|t| Row::decode(&schema, t).unwrap()).collect();
         let agrees = |cols: &[ColumnVector], picked: &[usize]| {
@@ -194,10 +177,8 @@ proptest! {
             })
         };
         let all: Vec<usize> = (0..rows.len()).collect();
-        let owned = decode_page(&schema, &wanted, &tuples, None).unwrap();
-        prop_assert!(agrees(&owned, &all), "owned gather ≠ Row::decode");
-        let viewed = decode_page(&schema, &wanted, &tuples, Some(&page)).unwrap();
-        prop_assert!(viewed == owned, "views ≠ owned");
+        let dense = decode_page(&schema, &wanted, &tuples).unwrap();
+        prop_assert!(agrees(&dense, &all), "dense gather ≠ Row::decode");
         // Through a selection, and a row at a time.
         let mut rng = seed;
         let picked: Vec<usize> = all.iter().copied().filter(|_| splitmix(&mut rng) % 2 == 0).collect();
@@ -206,10 +187,10 @@ proptest! {
         layout.locate(&tuples).unwrap();
         let (mut by_sel, mut by_row) = (vectors(&schema, &wanted), vectors(&schema, &wanted));
         for (k, v) in by_sel.iter_mut().enumerate() {
-            layout.gather(k, &tuples, Some(&sel), Some(&page), v).unwrap();
+            layout.gather(k, &tuples, Some(&sel), v).unwrap();
         }
         for &t in &picked {
-            layout.gather_row(&tuples, t, None, &mut by_row).unwrap();
+            layout.gather_row(&tuples, t, &mut by_row).unwrap();
         }
         prop_assert!(agrees(&by_sel, &picked), "selected gather ≠ Row::decode");
         prop_assert!(by_row == by_sel, "row-major ≠ column-major");
@@ -225,11 +206,11 @@ proptest! {
             let bytes = row.encode(&schema).unwrap();
             for hostile in mutations(&schema, row, &bytes, seed ^ i as u64) {
                 let reference = Row::decode(&schema, &hostile);
-                let full = decode_page(&schema, &everything, &[&hostile], None);
+                let full = decode_page(&schema, &everything, &[&hostile]);
                 prop_assert!(reference.is_ok() || is_corrupt(&reference), "{reference:?}");
                 prop_assert!(full.is_ok() || is_corrupt(&full), "{full:?}");
                 prop_assert!(full.is_ok() == reference.is_ok(), "{full:?} vs {reference:?}");
-                let part = decode_page(&schema, &wanted, &[&hostile], None);
+                let part = decode_page(&schema, &wanted, &[&hostile]);
                 prop_assert!(part.is_ok() || is_corrupt(&part), "{part:?}");
                 prop_assert!(part.is_ok() || reference.is_err(), "subset rejects a valid tuple");
                 // What the subset cannot see is text it does not read.

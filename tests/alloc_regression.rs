@@ -1,15 +1,14 @@
-//! Allocation-count regression guards: the zero-copy text-view scan
-//! path, the hash-table kernel under hash aggregation and hash join,
-//! and the columnar sort.
+//! Allocation-count regression guards: the text-heavy scan path, the
+//! hash-table kernel under hash aggregation and hash join, and the
+//! columnar sort.
 //!
 //! A counting [`GlobalAlloc`] wrapper tallies heap allocations while
 //! [`collect_batches`] drains a full scan over a pad-heavy (Text-column
 //! dominated) table. Doubling the row count must **not** double the
-//! allocation count: `TextColumn` stores text as spans into pinned page
-//! buffers (views) or into a shared append-only arena (owned), so
-//! neither mode allocates per value — the marginal allocation cost of
-//! extra rows is per-*page* and per-*batch* (buffer growth, span
-//! vectors, `Arc` bookkeeping). The bound below — fewer than one
+//! allocation count: `TextColumn` stores text in one append-only arena
+//! per column, so no value allocates — the marginal allocation cost of
+//! extra rows is per-*page* and per-*batch* (buffer growth, offset
+//! vectors). The bound below — fewer than one
 //! allocation per 8 marginal rows — fails loudly if anyone
 //! reintroduces a per-row allocation straggler (a `String` per decoded
 //! value, a `Vec<Value>` per tuple) into decode, filter, or batch
@@ -30,17 +29,15 @@
 //! the same one-per-64-rows bound. A `Vec<Value>` or a `String` per
 //! sorted row fails it.
 //!
-//! Three guards sit on the decode path itself: a full scan over a warm
+//! Two guards sit on the decode path itself: a full scan over a warm
 //! pool allocates per 32-page *run* (the run, one slice scratch, one
-//! handed-over morsel), never per page; an index nested-loop join
+//! handed-over morsel), never per page; and an index nested-loop join
 //! allocates nothing per probed outer row (no `Row`, `Vec<Value>` or
-//! `String` per inner match); and the process-global text decode
-//! counters, bumped once per column per page, still total exactly one
-//! per decoded text value.
+//! `String` per inner match).
 //!
 //! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
 //! concurrent test pollutes the global counter (or the process-wide
-//! live [`SpillFile`] count and text-view latch the last tests read).
+//! live [`SpillFile`] count the last test reads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,10 +52,7 @@ use smooth_index::BTreeIndex;
 use smooth_storage::{
     CpuCosts, DeviceProfile, FaultConfig, HeapFile, HeapLoader, Storage, StorageConfig,
 };
-use smooth_types::{
-    force_text_views, text_decode_counters, Column, ColumnBatch, DataType, Result, Row, Schema,
-    SharedBytes, Value,
-};
+use smooth_types::{Column, ColumnBatch, DataType, Result, Row, Schema, Value};
 
 struct CountingAlloc;
 
@@ -128,9 +122,8 @@ fn allocs_for_scan(heap: &Arc<HeapFile>) -> (u64, usize) {
 }
 
 #[test]
-fn text_views_keep_scan_allocations_sublinear_in_rows() {
+fn text_scan_allocations_are_sublinear_in_rows() {
     let _serial = serial();
-    force_text_views(true);
     const N: i64 = 4000;
     // Warm-up drains one-time lazy state (env latches, thread locals)
     // so it never lands in either measured window.
@@ -153,7 +146,6 @@ fn text_views_keep_scan_allocations_sublinear_in_rows() {
 #[test]
 fn full_scan_allocations_per_page_are_an_amortized_constant() {
     let _serial = serial();
-    force_text_views(true);
     const N: i64 = 8000;
     // Allocations of a scan over a warm pool (so the storage layer's own
     // miss handling stays out of the count) and the pages it read. Each
@@ -188,32 +180,6 @@ fn full_scan_allocations_per_page_are_an_amortized_constant() {
         small.0,
         large.0
     );
-}
-
-#[test]
-fn text_decode_counters_count_each_decoded_value_once() {
-    let _serial = serial();
-    const N: u64 = 3000;
-    let heap = pad_heavy_heap(N as i64);
-    // `(owned, views)` decoded while scanning under `predicate`: the
-    // counters are bumped once per column per page, and must still total
-    // one per decoded text *value*.
-    let decoded = |predicate: Predicate, views: bool| {
-        force_text_views(views);
-        let before = text_decode_counters();
-        let mut op = FullTableScan::new(Arc::clone(&heap), storage(), predicate);
-        collect_batches(&mut op).unwrap();
-        let after = text_decode_counters();
-        (after.0 - before.0, after.1 - before.1)
-    };
-    let pad_is = |value: &str| Predicate::StrEq { col: 1, value: value.into() };
-    assert_eq!(decoded(Predicate::True, true), (0, N), "every pad, as a view");
-    assert_eq!(decoded(Predicate::True, false), (N, 0), "every pad, owned");
-    assert_eq!(decoded(Predicate::int_lt(0, 300), true), (0, 300), "qualifiers only");
-    // A text predicate reads every pad into its (owned) probe scratch.
-    assert_eq!(decoded(pad_is("no such pad"), true), (N, 0));
-    assert_eq!(decoded(pad_is(&"x".repeat(64)), true), (N, N));
-    force_text_views(true);
 }
 
 /// Rows per pre-built batch (the engine's default morsel size).
@@ -391,30 +357,4 @@ fn run_cut_failing_mid_sort_leaks_no_spill_file() {
     assert!(matches!(err, smooth_types::Error::Faulted { .. }), "{err}");
     drop(sorter);
     assert_eq!(SpillFile::live_count(), live);
-}
-
-#[test]
-fn sort_pins_no_page_frame_past_the_morsel() {
-    let _serial = serial();
-    force_text_views(true);
-    let schema = Schema::new(vec![Column::new("s", DataType::Text)]).unwrap();
-    let tuple = Row::new(vec![Value::str("a page-backed string")]).encode(&schema).unwrap();
-    let frame: SharedBytes = Arc::from(tuple.as_slice());
-    for budget in [0, 64] {
-        let morsel = || {
-            let mut batch = ColumnBatch::for_schema(&schema);
-            (0..8).for_each(|_| batch.push_tuple_backed(&schema, &frame, Some(&frame)).unwrap());
-            batch
-        };
-        let morsels = vec![morsel(), morsel(), morsel()];
-        assert_eq!(Arc::strong_count(&frame), 4, "every morsel views the frame");
-        let child = Box::new(Prebuilt { schema: schema.clone(), batches: morsels.into_iter() });
-        let mut sort = Sort::new(child, storage(), vec![SortKey::asc(0)]).with_mem_budget(budget);
-        sort.open().unwrap();
-        // The child's morsels are consumed and gone; the sorted output,
-        // its spilled runs included, owns its text.
-        assert_eq!(Arc::strong_count(&frame), 1, "budget {budget}: after open");
-        assert_eq!(sort.next_columns(BATCH_ROWS).unwrap().unwrap().len(), 24);
-        assert_eq!(Arc::strong_count(&frame), 1, "budget {budget}: after emit");
-    }
 }

@@ -188,6 +188,51 @@ fn smooth_scan_metrics_tell_the_morphing_story() {
     assert!(m.morphing_accuracy().unwrap() > 0.9);
 }
 
+/// No result holds a page frame: with a query's `BatchResult` still held
+/// and the pool emptied, every page of every table is referenced by its
+/// heap file and by this test's handle alone. Text reaches the result as
+/// arena bytes, never as a view of the frame it was read from, so what a
+/// result costs in memory is what its batches hold.
+#[test]
+fn no_result_holds_a_page_frame() {
+    use smoothscan::types::PageId;
+    use std::sync::Arc;
+    let mut db = micro_db(20_000);
+    let smooth = AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic());
+    let all = || LogicalPlan::scan(ScanSpec::new(micro::TABLE, Predicate::True));
+    let few = LogicalPlan::scan(ScanSpec::new(micro::TABLE, Predicate::int_lt(0, 300)));
+    let plans = [
+        ("full scan, 100%", micro::query(1.0, false, AccessPathChoice::ForceFull)),
+        ("index scan, 1%", micro::query(0.01, false, AccessPathChoice::ForceIndex)),
+        ("smooth scan", micro::query(0.1, false, smooth.clone())),
+        ("ordered smooth scan", micro::query(0.1, true, smooth)),
+        // Both carry the inner side's `pad` text into the result.
+        ("hash join", few.clone().join(all(), 0, 0, JoinType::Inner, JoinStrategy::Hash)),
+        (
+            "index nested-loop join",
+            few.join(all(), micro::C2, micro::C2, JoinType::Inner, JoinStrategy::IndexNestedLoop),
+        ),
+        ("sort", micro::query(0.2, false, AccessPathChoice::ForceFull).sort(vec![SortKey::asc(2)])),
+    ];
+    for workers in [1, 4] {
+        db.set_workers(workers);
+        for (what, plan) in &plans {
+            let held = db.run_batches(plan).unwrap();
+            assert!(!held.is_empty(), "{what} returns rows");
+            db.storage().flush_pool();
+            for table in db.catalog().table_names() {
+                let heap = &db.table(&table).unwrap().heap;
+                for p in 0..heap.page_count() {
+                    let page = heap.read_raw(PageId(p)).unwrap();
+                    let holders = Arc::strong_count(&page);
+                    assert_eq!(holders, 2, "{what} at {workers} workers holds {table} page {p}");
+                }
+            }
+            drop(held);
+        }
+    }
+}
+
 /// A page store that serves one page with one tuple cut short by a byte
 /// (its slot's length field shrunk), and every other page intact.
 struct OneBadTuple {

@@ -34,11 +34,23 @@ use smoothscan::prelude::{
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
 fn sessions() -> usize {
-    std::env::var("SMOOTH_TEST_SESSIONS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|n| n.clamp(1, 64))
-        .unwrap_or(4)
+    smooth_types::env_knob("SMOOTH_TEST_SESSIONS", parse_sessions).unwrap_or(4)
+}
+
+/// The `SMOOTH_TEST_SESSIONS` syntax: a whole number, clamped to `1..=64`.
+fn parse_sessions(text: &str) -> Result<usize, String> {
+    let n: usize = text.parse().map_err(|e| format!("expected a session count ({e})"))?;
+    Ok(n.clamp(1, 64))
+}
+
+#[test]
+fn sessions_knob_takes_whole_numbers_only() {
+    assert_eq!(parse_sessions("4"), Ok(4));
+    assert_eq!(parse_sessions("0"), Ok(1), "floors at 1");
+    assert_eq!(parse_sessions("500"), Ok(64), "caps at 64");
+    for bad in ["", "four", "4x", "-1", "2.0"] {
+        assert!(parse_sessions(bad).is_err(), "{bad:?}");
+    }
 }
 
 /// Deterministic pseudo-random column: spreads keys over [0, domain).

@@ -488,10 +488,10 @@ fn ordered_scans_parallelize_with_sort_sink() {
 }
 
 /// Pad-heavy database: Text columns dominate every tuple (one fixed
-/// 80-byte pad plus one variable-length tail), so these legs push the
-/// zero-copy text-view path — page-backed decode, cross-operator
-/// handoff, ordered sink merge — through every driver. Fresh per run,
-/// for the same cold-run independence as [`database`].
+/// 80-byte pad plus one variable-length tail), so these legs push text
+/// — arena decode, cross-operator handoff, ordered sink merge — through
+/// every driver. Fresh per run, for the same cold-run independence as
+/// [`database`].
 fn text_database() -> Database {
     let mut db = Database::new(StorageConfig {
         device: DeviceProfile::custom("t", 1, 10),
@@ -560,12 +560,11 @@ fn text_run(plan: &LogicalPlan, workers: usize, budget: usize) -> QueryResult {
     db.run(plan).expect("driver run")
 }
 
-/// Text-heavy scans at 1% / 10% / 100% selectivity: the zero-copy view
-/// decode path must be accounting-invisible. Rows (with their text
-/// payloads), virtual clock and I/O counters are identical across the
-/// Volcano oracle, the columnar driver and the parallel driver at
-/// every worker count — views change where string bytes live, never
-/// what the query returns or is charged.
+/// Text-heavy scans at 1% / 10% / 100% selectivity: rows (with their
+/// text payloads), virtual clock and I/O counters are identical across
+/// the Volcano oracle, the columnar driver and the parallel driver at
+/// every worker count — where string bytes live never changes what the
+/// query returns or is charged.
 #[test]
 fn text_heavy_scans_agree_across_drivers() {
     // c1 = scramble(i, 1000) over 1000 rows: width w selects ~w/1000.
@@ -598,10 +597,9 @@ fn text_heavy_scans_agree_across_drivers() {
     }
 }
 
-/// Spill-under-views legs: a tiny per-operator budget forces the grace
+/// Text-heavy spill legs: a tiny per-operator budget forces the grace
 /// hash join (and, sorted, the external sort) to run text through the
-/// copy-on-spill codec — views may never leak a page pin into an
-/// overflow file. Rows stay byte-identical to the unbudgeted run and
+/// spill codec. Rows stay byte-identical to the unbudgeted run and
 /// every driver charges the same clock and I/O under the same budget.
 #[test]
 fn text_heavy_spill_legs_agree_under_views() {
