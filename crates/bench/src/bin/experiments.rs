@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! experiments <id>...                 run the listed experiments
-//! experiments all                     run everything (DESIGN.md §3 order)
+//! experiments all                     run everything (experiment-index order)
 //! experiments --list                  show known ids
 //! experiments --json PATH <id>...     also write a JSON perf report
 //! experiments --check BASE <id>...    fail (exit 1) when a metric of the

@@ -1,16 +1,19 @@
-//! Columnar vs Volcano execution on the micro-benchmark table.
+//! Root-drained vs morsel-drained execution on the micro-benchmark table.
 //!
-//! Not a paper figure: this experiment proves the two drivers
-//! interchangeable. For all four access paths on the 10%-selectivity
-//! micro query the virtual-clock totals (CPU and I/O charges) under the
-//! columnar driver must be *identical* to the Volcano driver, byte for
-//! byte — the columnar data plane never changes what work the engine is
-//! charged for, only how fast the host executes it. Those totals are
-//! the cross-machine trajectory numbers (`virtual.micro.sel10.*`).
+//! Not a paper figure. For all four access paths on the 10%-selectivity
+//! micro query the virtual-clock totals (CPU and I/O charges) of a run
+//! drained a row at a time at the root (`collect_rows_volcano`) must be
+//! *identical* to the columnar driver's, byte for byte. Since `next()`
+//! became the one-row view of `next_columns` the two runs share every
+//! fill, so this holds by construction — a batch-size-invariance check,
+//! no longer a cross-check of two implementations; the per-tuple charges
+//! are pinned in closed form by `prop_exec`, `prop_smooth` and
+//! `prop_sort`. The totals remain the cross-machine trajectory numbers
+//! (`virtual.micro.sel10.*`).
 //!
 //! How fast the host executes it is `benchmark/`'s question: its
 //! `executor.driver_volcano_ns_per_row` and
-//! `executor.driver_columnar_ns_per_row` kernels time the two drivers
+//! `executor.driver_columnar_ns_per_row` kernels time the two drains
 //! with warm-up, repetition and a spread.
 
 use smooth_core::SmoothScanConfig;
@@ -26,9 +29,9 @@ use crate::setup;
 pub fn run() {
     let db = setup::micro_db(DeviceProfile::hdd());
 
-    // Driver interchangeability, and the deterministic virtual-clock
-    // trajectory: the four access paths on the 10%-selectivity micro
-    // query charge identical totals (CPU and I/O) under both drivers.
+    // The deterministic virtual-clock trajectory: the four access paths
+    // on the 10%-selectivity micro query, charging identical totals (CPU
+    // and I/O) however the root is drained.
     let mut virt = Report::new(
         "columnar_virtual",
         "Access paths at 10% selectivity (virtual s, columnar pipeline)",

@@ -1,5 +1,6 @@
-//! One module per paper artifact. See DESIGN.md §3 for the experiment
-//! index mapping each module to its figure/table, workload and parameters.
+//! One module per paper artifact. The experiment index in
+//! `docs/ARCHITECTURE.md` maps each id to its figure/table, workload,
+//! scales and gated ids.
 
 pub mod columnar;
 pub mod costmodel;

@@ -5,9 +5,9 @@
 //! fig6, fig7a, fig7b, fig8, fig9, fig10, fig11, table1, costmodel, cr}.
 //!
 //! Every experiment prints the paper's rows/series to stdout and writes a
-//! CSV under `results/`. Scales default to the DESIGN.md values and can be
-//! lowered for smoke runs via the environment variables `MICRO_ROWS`,
-//! `SKEW_ROWS` and `TPCH_SF`.
+//! CSV under `results/`. Scales default to the values in the experiment
+//! index (`docs/ARCHITECTURE.md`) and can be lowered for smoke runs via
+//! the environment variables `MICRO_ROWS`, `SKEW_ROWS` and `TPCH_SF`.
 
 pub mod experiments;
 pub mod report;

@@ -1,4 +1,5 @@
-//! Shared experiment setup: databases at the DESIGN.md scales.
+//! Shared experiment setup: databases at the experiment index's scales
+//! (`docs/ARCHITECTURE.md`).
 
 use smooth_executor::{run_pipeline_traced, ScalingLedger};
 use smooth_planner::{Database, LogicalPlan};
@@ -43,7 +44,7 @@ pub fn tpch_sf() -> f64 {
 }
 
 /// Storage config for a table of `pages` pages: the pool holds 1/16 of the
-/// heap (cold-run regime, DESIGN.md §6).
+/// heap, clamped to 64..8192 pages (the cold-run regime).
 pub fn storage_config(device: DeviceProfile, pages: u64) -> StorageConfig {
     StorageConfig {
         device,

@@ -19,10 +19,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use smooth_executor::{BoxedOperator, Operator, Predicate, ScanFilter};
+use smooth_executor::{batch_size, BoxedOperator, Operator, Predicate, ScanFilter};
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{PageId, Result, Row, Schema, Value};
+use smooth_types::{
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, PageId, Result, Row, Schema,
+};
 
 use crate::page_cache::PageIdCache;
 
@@ -49,11 +51,14 @@ pub struct SmoothInnerPath {
     storage: Storage,
     key_col: usize,
     /// Compiled residual, probed on *encoded* tuples during the harvest —
-    /// non-qualifiers are never fully decoded (the PR 2 `ScanFilter`
-    /// selection pushdown, applied to the morphing INLJ).
+    /// non-qualifiers are never fully decoded.
     filter: ScanFilter,
     visited: PageIdCache,
-    harvested: HashMap<i64, Vec<Row>>,
+    /// Every residual-qualifying tuple of the visited pages, in harvest
+    /// order, as typed columns.
+    harvested: ColumnBatch,
+    /// Rows of `harvested` per (non-NULL) join key, in harvest order.
+    by_key: HashMap<i64, Vec<u32>>,
     metrics: InnerPathMetrics,
 }
 
@@ -69,6 +74,7 @@ impl SmoothInnerPath {
     ) -> Self {
         let pages = heap.page_count();
         let filter = ScanFilter::new(residual, heap.schema());
+        let harvested = ColumnBatch::for_schema(heap.schema());
         SmoothInnerPath {
             heap,
             index,
@@ -76,7 +82,8 @@ impl SmoothInnerPath {
             key_col,
             filter,
             visited: PageIdCache::new(pages),
-            harvested: HashMap::new(),
+            harvested,
+            by_key: HashMap::new(),
             metrics: InnerPathMetrics::default(),
         }
     }
@@ -90,75 +97,80 @@ impl SmoothInnerPath {
         let page = self.storage.read_heap_page(&self.heap, page_id)?;
         self.visited.insert(page_id);
         self.metrics.pages_fetched += 1;
-        let cpu = *self.storage.cpu();
-        let view = PageView::new(&page)?;
-        let slots = view.slot_count();
+        let tuples = PageView::new(&page)?.iter().collect::<Result<Vec<_>>>()?;
+        let first = self.harvested.physical_rows();
+        let (inspected, _) =
+            self.filter.fill_columns(self.heap.schema(), &tuples, None, &mut self.harvested)?;
+        let keys = self.harvested.column_checked(self.key_col)?;
+        let ColumnValues::Int(ints) = keys.values() else {
+            return Err(Error::exec("join key must be integer"));
+        };
         let mut hash_ops = 0u64;
-        for slot in 0..slots {
-            let bytes = view.get(slot)?;
-            let Some(row) = self.filter.filter_decode(self.heap.schema(), bytes)? else {
-                continue;
-            };
-            if let Value::Int(k) = row.get(self.key_col) {
-                let k = *k;
+        for (row, &key) in ints.iter().enumerate().skip(first) {
+            if !keys.is_null(row) {
                 hash_ops += 1;
-                self.harvested.entry(k).or_default().push(row);
-                self.metrics.rows_harvested += 1;
+                self.by_key.entry(key).or_default().push(row as u32);
             }
         }
-        // Bulk per-page charge, identical totals to the per-tuple path:
-        // one inspect per slot, one hash op per harvested row.
+        self.metrics.rows_harvested += hash_ops;
+        // One bulk charge per page: one inspect per slot, one hash op per
+        // harvested row.
+        let cpu = self.storage.cpu();
         self.storage
             .clock()
-            .charge_cpu(cpu.inspect_tuple_ns * slots as u64 + cpu.hash_op_ns * hash_ops);
+            .charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.hash_op_ns * hash_ops);
         Ok(())
     }
 
-    /// All inner rows matching `key`, in harvest order. Pages are fetched
-    /// at most once across the whole join.
-    pub fn probe(&mut self, key: i64) -> Result<Vec<Row>> {
+    /// Append all inner rows matching `key`, in harvest order, to
+    /// `inner_cols` (one vector per inner column) and return how many
+    /// there are. Pages are fetched at most once across the whole join.
+    pub fn probe(&mut self, key: i64, inner_cols: &mut [ColumnVector]) -> Result<usize> {
         self.metrics.probes += 1;
         let cpu = *self.storage.cpu();
         self.storage.clock().charge_cpu(cpu.hash_op_ns);
-        if self.metrics.fully_morphed {
-            // Pure hash-join regime: the index is no longer consulted.
-            self.metrics.cache_only_probes += 1;
-            return Ok(self.harvested.get(&key).cloned().unwrap_or_default());
-        }
-        let tids = self.index.probe(&self.storage, key);
+        // Once fully morphed this is the pure hash-join regime: the index
+        // is no longer consulted.
         let mut fetched_any = false;
-        for tid in tids {
-            self.storage.clock().charge_cpu(cpu.bitmap_op_ns);
-            if !self.visited.contains(tid.page) {
-                self.harvest_page(tid.page)?;
-                fetched_any = true;
+        if !self.metrics.fully_morphed {
+            for tid in self.index.probe(&self.storage, key) {
+                self.storage.clock().charge_cpu(cpu.bitmap_op_ns);
+                if !self.visited.contains(tid.page) {
+                    self.harvest_page(tid.page)?;
+                    fetched_any = true;
+                }
             }
+            self.metrics.fully_morphed = self.visited.len() == self.heap.page_count();
         }
-        if !fetched_any {
-            self.metrics.cache_only_probes += 1;
+        self.metrics.cache_only_probes += u64::from(!fetched_any);
+        let rows = self.by_key.get(&key).map_or(&[][..], Vec::as_slice);
+        for (dst, src) in inner_cols.iter_mut().zip(self.harvested.columns()) {
+            dst.extend_gather(src, rows);
         }
-        if self.visited.len() == self.heap.page_count() {
-            self.metrics.fully_morphed = true;
-        }
-        Ok(self.harvested.get(&key).cloned().unwrap_or_default())
+        Ok(rows.len())
     }
 }
 
 /// Index-nested-loop join whose inner side is a [`SmoothInnerPath`] — the
-/// Section IV-B "morphable join" sketch made concrete.
+/// Section IV-B "morphable join" sketch made concrete. Shaped like the
+/// executor's `IndexNestedLoopJoin`: outer morsels probe to completion
+/// into one output buffer, outer columns gathering once per morsel.
 pub struct SmoothIndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
     inner: SmoothInnerPath,
     schema: Schema,
-    pending: Vec<Row>,
+    /// Outer physical row of each joined row of the morsel being probed.
+    matched: Vec<u32>,
+    out: ColumnBuffer,
 }
 
 impl SmoothIndexNestedLoopJoin {
     /// `outer.outer_col = inner.key_col` via the inner path's index.
     pub fn new(outer: BoxedOperator, outer_col: usize, inner: SmoothInnerPath) -> Self {
         let schema = outer.schema().join(inner.heap.schema());
-        SmoothIndexNestedLoopJoin { outer, outer_col, inner, schema, pending: Vec::new() }
+        let out = ColumnBuffer::for_schema(&schema);
+        SmoothIndexNestedLoopJoin { outer, outer_col, inner, schema, matched: Vec::new(), out }
     }
 
     /// The inner path's morphing counters.
@@ -166,26 +178,26 @@ impl SmoothIndexNestedLoopJoin {
         self.inner.metrics()
     }
 
-    /// Probe the morphing inner path for one outer row; matches queue in
-    /// `pending` (reversed, so `pop()` preserves harvest order).
-    fn probe_outer(&mut self, outer_row: Row) -> Result<()> {
-        let key = match outer_row.get(self.outer_col) {
-            Value::Int(k) => *k,
-            Value::Null => return Ok(()),
-            other => {
-                return Err(smooth_types::Error::exec(format!(
-                    "join key must be integer, got {other}"
-                )))
-            }
-        };
-        let matches = self.inner.probe(key)?;
-        let cpu = *self.inner.storage.cpu();
-        self.inner.storage.clock().charge_cpu(cpu.emit_tuple_ns * matches.len() as u64);
-        debug_assert!(self.pending.is_empty(), "probe with undrained pending rows");
-        for m in matches.iter().rev() {
-            self.pending.push(outer_row.concat(m));
+    /// Pull one outer morsel and probe the morphing inner path for each of
+    /// its live rows, matches in harvest order. Returns `false` at outer
+    /// exhaustion.
+    fn advance(&mut self, max: usize) -> Result<bool> {
+        let Some(outer) = self.outer.next_columns(max)? else { return Ok(false) };
+        let key_col = outer.column_checked(self.outer_col)?;
+        let out = self.out.fill();
+        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.width());
+        self.matched.clear();
+        for row in outer.live_rows().filter(|&row| !key_col.is_null(row)) {
+            let joined = self.inner.probe(key_col.int(row)?, inner_cols)?;
+            self.matched.extend(std::iter::repeat_n(row as u32, joined));
         }
-        Ok(())
+        for (dst, src) in outer_cols.iter_mut().zip(outer.columns()) {
+            dst.extend_gather(src, &self.matched);
+        }
+        out.commit_rows(self.matched.len());
+        let cpu = self.inner.storage.cpu();
+        self.inner.storage.clock().charge_cpu(cpu.emit_tuple_ns * self.matched.len() as u64);
+        Ok(true)
     }
 }
 
@@ -196,22 +208,23 @@ impl Operator for SmoothIndexNestedLoopJoin {
 
     fn open(&mut self) -> Result<()> {
         self.outer.open()?;
-        self.pending.clear();
+        self.out.reset();
         Ok(())
     }
 
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        let max = max.max(1);
+        while self.out.pending() < max && self.advance(max)? {}
+        Ok(self.out.pop_columns(max))
+    }
+
     fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.pending.pop() {
-                return Ok(Some(row));
-            }
-            let Some(outer_row) = self.outer.next()? else { return Ok(None) };
-            self.probe_outer(outer_row)?;
-        }
+        while self.out.is_drained() && self.advance(batch_size())? {}
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
-        self.pending.clear();
+        self.out.reset();
         self.outer.close()
     }
 
@@ -231,7 +244,7 @@ mod tests {
     use smooth_executor::operator::ValuesOp;
     use smooth_executor::{collect_rows, IndexNestedLoopJoin, JoinType};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
-    use smooth_types::{Column, DataType};
+    use smooth_types::{Column, DataType, Value};
 
     /// Inner table: `fanout` rows per key, each stripe a scrambled
     /// permutation of the keys so one key's matches scatter across pages
@@ -334,8 +347,9 @@ mod tests {
         // A second pass over every key must not touch the device at all.
         let io_before = s.io_snapshot().pages_read;
         let mut join2_inner = join.inner;
+        let mut cols = ColumnBatch::for_schema(heap.schema());
         for k in 0..30 {
-            assert_eq!(join2_inner.probe(k).unwrap().len(), 4);
+            assert_eq!(join2_inner.probe(k, cols.columns_mut()).unwrap(), 4);
         }
         assert_eq!(s.io_snapshot().pages_read, io_before, "pure hash-join regime");
     }
@@ -372,10 +386,12 @@ mod tests {
     fn residual_filters_harvested_rows() {
         let (heap, index) = inner_table(20, 4);
         let s = storage();
+        let mut rows = ColumnBatch::for_schema(heap.schema());
         let mut inner = SmoothInnerPath::new(heap, index, s, 0, Predicate::int_lt(1, 2));
-        let rows = inner.probe(5).unwrap();
-        assert_eq!(rows.len(), 2, "only v < 2 qualifies");
-        assert!(rows.iter().all(|r| r.int(1).unwrap() < 2));
-        assert!(inner.probe(99).unwrap().is_empty());
+        let found = inner.probe(5, rows.columns_mut()).unwrap();
+        assert_eq!(found, 2, "only v < 2 qualifies");
+        assert_eq!(inner.probe(99, rows.columns_mut()).unwrap(), 0);
+        rows.commit_rows(found);
+        assert!(rows.into_rows().iter().all(|r| r.int(0).unwrap() == 5 && r.int(1).unwrap() < 2));
     }
 }

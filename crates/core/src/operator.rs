@@ -140,7 +140,6 @@ pub struct SmoothScan {
     key_col: usize,
     lo: Bound<i64>,
     hi: Bound<i64>,
-    residual: Predicate,
     /// Compiled `key range AND residual` filter, probed on encoded tuples.
     filter: ScanFilter,
     /// Decoder for the tuples ordered mode emits one at a time: the
@@ -155,11 +154,10 @@ pub struct SmoothScan {
     result_cache: Option<ResultCache>,
     policy: MorphPolicy,
     traditional_until: Option<u64>,
-    /// Pending output: a columnar FIFO both iterator protocols drain.
-    /// Unordered morphing regions decode their qualifiers straight into
-    /// it a page at a time; Result-Cache hits and ordered driving tuples
-    /// decode into it a tuple at a time, owning their text; only Mode-0
-    /// tuples arrive as rows.
+    /// Pending output, a columnar FIFO. Unordered morphing regions decode
+    /// their qualifiers straight into it a page at a time; Mode-0 tuples,
+    /// Result-Cache hits and ordered driving tuples decode into it a
+    /// tuple at a time.
     out: ColumnBuffer,
     metrics: SmoothScanMetrics,
 }
@@ -179,7 +177,7 @@ impl SmoothScan {
         config: SmoothScanConfig,
     ) -> Self {
         let full_pred =
-            Predicate::and(vec![Predicate::IntRange { col: key_col, lo, hi }, residual.clone()]);
+            Predicate::and(vec![Predicate::IntRange { col: key_col, lo, hi }, residual]);
         let filter = ScanFilter::new(full_pred, heap.schema());
         let model = CostModel::new(
             TableGeometry::new(
@@ -198,7 +196,6 @@ impl SmoothScan {
             key_col,
             lo,
             hi,
-            residual,
             filter,
             layout,
             config,
@@ -348,9 +345,7 @@ impl SmoothScan {
                 self.traditional_until = None;
                 self.metrics.triggered = true;
             } else {
-                if let Some(row) = self.mode0_step(tid)? {
-                    self.out.fill().push_owned_row(row)?;
-                }
+                self.mode0_step(tid)?;
                 return Ok(true);
             }
         }
@@ -375,29 +370,32 @@ impl SmoothScan {
         Ok(true)
     }
 
-    /// Batch-boundary Result-Cache sweep: applied once per protocol call,
-    /// so ordered-mode eviction bookkeeping amortizes over whole morsels.
+    /// Batch-boundary Result-Cache sweep: applied once per call, so
+    /// ordered-mode eviction bookkeeping amortizes over whole morsels.
     fn flush_cache_eviction(&mut self) {
         if let Some(rc) = self.result_cache.as_mut() {
             rc.flush_advance();
         }
     }
 
-    /// One traditional (Mode 0) index-scan step for the driving TID.
-    fn mode0_step(&mut self, tid: Tid) -> Result<Option<Row>> {
+    /// One traditional (Mode 0) index-scan step for the driving TID: fetch
+    /// its page, inspect the tuple and, if it qualifies, record it in the
+    /// Tuple-ID cache and decode it into the output buffer.
+    fn mode0_step(&mut self, tid: Tid) -> Result<()> {
         let page = self.storage.read_heap_page(&self.heap, tid.page)?;
         let cpu = *self.storage.cpu();
         self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-        let row = self.heap.decode_slot(&page, tid.slot)?;
-        if self.residual.eval(&row)? {
+        let tuple = [PageView::new(&page)?.get(tid.slot)?];
+        if self.filter.select(&tuple)? == 1 {
             let produced = self.tuple_cache.as_mut();
             produced.ok_or_else(|| Error::exec("Mode 0 without a tuple cache"))?.insert(tid);
             self.metrics.mode0_tuples += 1;
             self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-            Ok(Some(row))
-        } else {
-            Ok(None)
+            let out = self.out.fill();
+            self.filter.gather_selected(&tuple, out.columns_mut())?;
+            out.commit_rows(1);
         }
+        Ok(())
     }
 }
 
@@ -442,40 +440,25 @@ impl Operator for SmoothScan {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.flush_cache_eviction();
-        loop {
-            if let Some(row) = self.out.pop_row() {
-                self.metrics.tuples_emitted += 1;
-                return Ok(Some(row));
-            }
-            if !self.advance()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Columnar Smooth Scan: cursor probes run until a whole morsel is
-    /// buffered, then it leaves in one call. Morphing decisions (trigger
-    /// cardinality, region growth) still advance per probe — the batch
-    /// boundary never coarsens the switch logic, it only amortizes
-    /// emission. Unordered morphing regions leave as columnar morsels
-    /// whose qualifiers never materialized as rows; per-page clock-charge
-    /// totals are unchanged, so all mode-switch logic and region
-    /// accounting survive byte-for-byte.
+    /// Cursor probes run until a whole morsel is buffered, then it leaves
+    /// in one call. Morphing decisions (trigger cardinality, region
+    /// growth) still advance per probe — the batch boundary never coarsens
+    /// the switch logic, it only amortizes emission.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         self.flush_cache_eviction();
         let max = max.max(1);
-        while self.out.pending() < max {
-            if !self.advance()? {
-                break;
-            }
-        }
+        while self.out.pending() < max && self.advance()? {}
         let batch = self.out.pop_columns(max);
-        if let Some(b) = &batch {
-            self.metrics.tuples_emitted += b.len() as u64;
-        }
+        self.metrics.tuples_emitted += batch.as_ref().map_or(0, |b| b.len() as u64);
         Ok(batch)
+    }
+
+    fn next(&mut self) -> Result<Option<Row>> {
+        self.flush_cache_eviction();
+        while self.out.is_drained() && self.advance()? {}
+        let row = self.out.pop_row();
+        self.metrics.tuples_emitted += u64::from(row.is_some());
+        Ok(row)
     }
 
     fn close(&mut self) -> Result<()> {

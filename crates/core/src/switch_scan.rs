@@ -11,7 +11,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_executor::{Operator, Predicate, ScanFilter};
+use smooth_executor::{batch_size, Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
 use smooth_types::{ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema, Tid};
@@ -31,7 +31,6 @@ pub struct SwitchScan {
     hi: Bound<i64>,
     /// Compiled `key range AND residual` filter, probed on encoded tuples.
     filter: ScanFilter,
-    residual: Predicate,
     /// The optimizer's cardinality estimate — the switch threshold.
     estimate: u64,
     cursor: Option<IndexCursor>,
@@ -39,8 +38,8 @@ pub struct SwitchScan {
     produced_count: u64,
     switched: bool,
     next_page: u32,
-    /// Phase-2 output: full-scan refills decode qualifiers straight into
-    /// this columnar FIFO, which both protocols drain.
+    /// Pending output of either phase: index probes and full-scan refills
+    /// decode qualifiers straight into this columnar FIFO.
     out: ColumnBuffer,
 }
 
@@ -58,7 +57,7 @@ impl SwitchScan {
         estimate: u64,
     ) -> Self {
         let full_pred =
-            Predicate::and(vec![Predicate::IntRange { col: key_col, lo, hi }, residual.clone()]);
+            Predicate::and(vec![Predicate::IntRange { col: key_col, lo, hi }, residual]);
         let filter = ScanFilter::new(full_pred, heap.schema());
         let out = ColumnBuffer::for_schema(heap.schema());
         SwitchScan {
@@ -69,7 +68,6 @@ impl SwitchScan {
             lo,
             hi,
             filter,
-            residual,
             estimate,
             cursor: None,
             produced: None,
@@ -93,6 +91,36 @@ impl SwitchScan {
     /// Key column ordinal (used by planners for EXPLAIN output).
     pub fn key_col(&self) -> usize {
         self.key_col
+    }
+
+    /// Phase 1: one index probe under cardinality monitoring — the cliff
+    /// must fire at the exact tuple. A qualifier within the estimate
+    /// decodes into the output buffer; the first one beyond it is thrown
+    /// away (the full scan will re-find it) and the scan restarts as a
+    /// full scan. Returns `false` at cursor exhaustion.
+    fn probe_phase1(&mut self) -> Result<bool> {
+        let Some((_, tid)) = self.cursor.as_mut().ok_or_else(not_open)?.next() else {
+            return Ok(false);
+        };
+        let cpu = *self.storage.cpu();
+        let page = self.storage.read_heap_page(&self.heap, tid.page)?;
+        self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
+        let tuple = [PageView::new(&page)?.get(tid.slot)?];
+        if self.filter.select(&tuple)? == 0 {
+            return Ok(true);
+        }
+        if self.produced_count >= self.estimate {
+            self.switched = true;
+            self.cursor = None;
+            return Ok(true);
+        }
+        self.produced_count += 1;
+        self.produced.as_mut().ok_or_else(not_open)?.insert(tid);
+        self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
+        let out = self.out.fill();
+        self.filter.gather_selected(&tuple, out.columns_mut())?;
+        out.commit_rows(1);
+        Ok(true)
     }
 
     /// Phase-2 refill: read one readahead run into the columnar output
@@ -133,6 +161,15 @@ impl SwitchScan {
         }
         Ok(true)
     }
+
+    /// Buffer output: index probes until `want` rows are pending or the
+    /// cliff is taken, then — once the index phase's rows have left —
+    /// full-scan runs until one yields a row.
+    fn fill(&mut self, want: usize) -> Result<()> {
+        while !self.switched && self.out.pending() < want && self.probe_phase1()? {}
+        while self.switched && self.out.is_drained() && self.fill_phase2()? {}
+        Ok(())
+    }
 }
 
 fn not_open() -> Error {
@@ -155,70 +192,17 @@ impl Operator for SwitchScan {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        let cpu = *self.storage.cpu();
-        // Phase 1: traditional index scan under cardinality monitoring.
-        while !self.switched {
-            let Some((_, tid)) = self.cursor.as_mut().ok_or_else(not_open)?.next() else {
-                return Ok(None);
-            };
-            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-            let row = self.heap.decode_slot(&page, tid.slot)?;
-            if !self.residual.eval(&row)? {
-                continue;
-            }
-            if self.produced_count >= self.estimate {
-                // Cardinality violated: throw away this tuple (the full
-                // scan will re-find it) and restart as a full scan.
-                self.switched = true;
-                self.cursor = None;
-                break;
-            }
-            self.produced_count += 1;
-            self.produced.as_mut().ok_or_else(not_open)?.insert(tid);
-            self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-            return Ok(Some(row));
-        }
-        // Phase 2: full scan, skipping already-produced tuples.
-        loop {
-            if let Some(row) = self.out.pop_row() {
-                return Ok(Some(row));
-            }
-            if !self.fill_phase2()? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Columnar Switch Scan: the index phase still runs per-row (the
-    /// cliff must fire at the exact tuple), the full-scan phase emits
-    /// columnar morsels straight off the refill buffer.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        if !self.switched {
-            let mut out = ColumnBatch::for_schema(self.heap.schema());
-            while out.physical_rows() < max && !self.switched {
-                match self.next()? {
-                    Some(row) => out.push_owned_row(row)?,
-                    None => break,
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
-            }
-            if !self.switched {
-                return Ok(None); // exhausted within the index phase
-            }
+        self.fill(max)?;
+        Ok(self.out.pop_columns(max))
+    }
+
+    fn next(&mut self) -> Result<Option<Row>> {
+        if self.out.is_drained() {
+            self.fill(batch_size())?;
         }
-        loop {
-            if let Some(batch) = self.out.pop_columns(max) {
-                return Ok(Some(batch));
-            }
-            if !self.fill_phase2()? {
-                return Ok(None);
-            }
-        }
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {

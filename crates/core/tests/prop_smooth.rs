@@ -1,29 +1,33 @@
-//! Property tests: Smooth Scan must return *exactly* the rows a full scan +
-//! filter returns — same multiset, no duplicates, no losses — for every
-//! policy, trigger, order mode, selectivity, data distribution and buffer
-//! pool size. This is the paper's correctness obligation: morphing is an
-//! execution-strategy change only, never a semantics change. The
-//! columnar iterator protocol carries the same obligation:
-//! `next_columns` must yield the identical row sequence as `next`,
-//! including across mode switches and with both protocols interleaved on
-//! one stream.
+//! Property tests: Smooth Scan must return *exactly* the rows the
+//! predicate keeps of the `Vec<Row>` the table was loaded from — same
+//! multiset, no duplicates, no losses — for every policy, trigger, order
+//! mode, selectivity, data distribution and buffer pool size. This is the
+//! paper's correctness obligation: morphing is an execution-strategy
+//! change only, never a semantics change. The oracle is that filter, not
+//! another scan: a `FullTableScan` runs the same `ScanFilter` the morphing
+//! scans do. Batch size carries the same obligation — `next()`,
+//! `next_columns(1)`, `next_columns(max)` and the two interleaved yield
+//! one row sequence, including across mode switches — and the per-tuple
+//! charges of the traditional phases (Switch Scan's index phase, Smooth
+//! Scan's Mode 0) are pinned in closed form.
 
 use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, Trigger};
-use smooth_executor::{collect_rows, collect_rows_volcano, FullTableScan, Operator, Predicate};
+use smooth_executor::{collect_rows, collect_rows_volcano, Operator, Predicate};
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
 
-/// Drain through `next_columns(max)` only, checking the batch contract.
+/// Drain through `next_columns(max)` only, checking the batch contract:
+/// between one and `max` live rows, `None` sticky.
 fn collect_columnar(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     op.open().unwrap();
     let mut rows = Vec::new();
     while let Some(batch) = op.next_columns(max).unwrap() {
-        assert!(!batch.is_empty() && batch.len() <= max);
+        assert!(!batch.is_empty() && batch.len() <= max, "{} rows for max={max}", batch.len());
         rows.extend(batch.into_rows());
     }
     assert!(op.next_columns(max).unwrap().is_none(), "None must be sticky");
@@ -46,6 +50,14 @@ fn collect_interleaved(op: &mut dyn Operator, max: usize) -> Vec<Row> {
     rows
 }
 
+/// The table's rows in load order: `(row number, key, pad)`.
+fn table_rows(keys: &[i64]) -> Vec<Row> {
+    let row = |(i, &k): (usize, &i64)| {
+        Row::new(vec![Value::Int(i as i64), Value::Int(k), Value::str("p".repeat(80))])
+    };
+    keys.iter().enumerate().map(row).collect()
+}
+
 fn build_table(keys: &[i64]) -> (Arc<HeapFile>, Arc<BTreeIndex>) {
     let schema = Schema::new(vec![
         Column::new("c0", DataType::Int64),
@@ -54,13 +66,31 @@ fn build_table(keys: &[i64]) -> (Arc<HeapFile>, Arc<BTreeIndex>) {
     ])
     .unwrap();
     let mut l = HeapLoader::new_mem("t", schema);
-    for (i, &k) in keys.iter().enumerate() {
-        l.push(&Row::new(vec![Value::Int(i as i64), Value::Int(k), Value::str("p".repeat(80))]))
-            .unwrap();
+    for r in table_rows(keys) {
+        l.push(&r).unwrap();
     }
     let heap = Arc::new(l.finish().unwrap());
     let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
     (heap, index)
+}
+
+/// What any scan of the table under `predicate` must return: the loaded
+/// rows it keeps, canonically ordered.
+fn oracle(keys: &[i64], predicate: &Predicate) -> Vec<(i64, i64)> {
+    canonical(table_rows(keys).into_iter().filter(|r| predicate.eval(r).unwrap()).collect())
+}
+
+/// The CPU a bare index cursor charges for the first `entries` entries of
+/// `[lo, hi)` — or, for `None`, for the whole range and the probe that
+/// finds it exhausted.
+fn cursor_cpu(index: &Arc<BTreeIndex>, lo: i64, hi: i64, entries: Option<usize>) -> u64 {
+    let s = storage(8);
+    let mut cursor = index.range(&s, Bound::Included(lo), Bound::Excluded(hi));
+    match entries {
+        Some(n) => assert_eq!((0..n).filter_map(|_| cursor.next()).count(), n),
+        None => drop(cursor.collect_all()),
+    }
+    s.clock().snapshot().cpu_ns
 }
 
 fn storage(pool: usize) -> Storage {
@@ -103,12 +133,7 @@ proptest! {
         let (heap, index) = build_table(&keys);
         let s = storage(pool);
         let hi = lo + width;
-        let mut oracle = FullTableScan::new(
-            Arc::clone(&heap),
-            s.clone(),
-            Predicate::int_half_open(1, lo, hi),
-        );
-        let expected = canonical(collect_rows(&mut oracle).unwrap());
+        let expected = oracle(&keys, &Predicate::int_half_open(1, lo, hi));
 
         let trigger = match trigger_card {
             None => Trigger::Eager,
@@ -150,12 +175,7 @@ proptest! {
     ) {
         let (heap, index) = build_table(&keys);
         let s = storage(16);
-        let mut oracle = FullTableScan::new(
-            Arc::clone(&heap),
-            s.clone(),
-            Predicate::int_half_open(1, 0, hi),
-        );
-        let expected = canonical(collect_rows(&mut oracle).unwrap());
+        let expected = oracle(&keys, &Predicate::int_half_open(1, 0, hi));
         let mut sw = smooth_core::SwitchScan::new(
             heap,
             index,
@@ -177,9 +197,7 @@ proptest! {
     ) {
         let (heap, index) = build_table(&keys);
         let s = storage(32);
-        let mut oracle =
-            FullTableScan::new(Arc::clone(&heap), s.clone(), Predicate::int_lt(1, 25));
-        let expected = canonical(collect_rows(&mut oracle).unwrap());
+        let expected = oracle(&keys, &Predicate::int_lt(1, 25));
         let mut config = SmoothScanConfig::default().with_order(true);
         config.result_cache_spill = Some(spill);
         let mut ss = SmoothScan::new(
@@ -198,10 +216,12 @@ proptest! {
         prop_assert_eq!(canonical(rows), expected);
     }
 
-    /// `next_columns` ≡ `next` for Smooth Scan across every policy, order
+    /// Batch-size invariance for Smooth Scan across every policy, order
     /// mode and trigger — in particular across the Mode-0 → morphing
     /// switch an OptimizerDriven trigger fires mid-scan — and for Switch
-    /// Scan across its index → full-scan cliff.
+    /// Scan across its index → full-scan cliff: `next()`, and
+    /// `next_columns` at 1, 2, 7, an arbitrary `max` and 4096 rows, alone
+    /// and interleaved, yield one row sequence, every batch within `max`.
     #[test]
     fn batch_protocol_equals_row_protocol_across_mode_switches(
         keys in proptest::collection::vec(0i64..150, 50..1000),
@@ -238,7 +258,9 @@ proptest! {
             config,
         );
         let volcano = collect_rows_volcano(&mut ss).unwrap();
-        prop_assert_eq!(&collect_columnar(&mut ss, max), &volcano);
+        for max in [1, 2, 7, max, 4096] {
+            prop_assert_eq!(&collect_columnar(&mut ss, max), &volcano);
+        }
         prop_assert_eq!(&collect_interleaved(&mut ss, max), &volcano);
         // The emission counter counts each tuple once under every protocol.
         prop_assert_eq!(ss.metrics().tuples_emitted as usize, volcano.len());
@@ -254,14 +276,16 @@ proptest! {
             estimate,
         );
         let volcano = collect_rows_volcano(&mut sw).unwrap();
-        prop_assert_eq!(&collect_columnar(&mut sw, max), &volcano);
+        for max in [1, 2, 7, max, 4096] {
+            prop_assert_eq!(&collect_columnar(&mut sw, max), &volcano);
+        }
         prop_assert_eq!(&collect_interleaved(&mut sw, max), &volcano);
     }
 
-    /// `next_columns` ≡ `next` for the morphing INLJ (Section IV-B inner
-    /// path), whose harvest cache state evolves with probe order. The
-    /// join implements only `next()`, so this pins the trait-default
-    /// bridge: same rows and the same clock delta under every drain.
+    /// Batch-size invariance for the morphing INLJ (Section IV-B inner
+    /// path), whose harvest cache state evolves with probe order: the
+    /// same rows — the nested-loop join of the outer keys with the loaded
+    /// inner rows — and the same clock and I/O deltas under every drain.
     #[test]
     fn morphing_join_batch_protocol_equals_row_protocol(
         fks in proptest::collection::vec(0i64..60, 0..150),
@@ -295,7 +319,93 @@ proptest! {
             (drain(&mut join), s.clock().snapshot(), s.io_snapshot())
         };
         let volcano = run(&|op| collect_rows_volcano(op).unwrap());
-        prop_assert_eq!(&run(&|op| collect_columnar(op, max)), &volcano);
+        let inner_rows = table_rows(&inner_keys);
+        let expected: Vec<Row> = outer_rows
+            .iter()
+            .flat_map(|o| inner_rows.iter().filter(|i| i.get(1) == o.get(0)).map(|i| o.concat(i)))
+            .collect();
+        prop_assert_eq!(&volcano.0, &expected);
+        for max in [1, 2, 7, max, 4096] {
+            prop_assert_eq!(&run(&|op| collect_columnar(op, max)), &volcano);
+        }
         prop_assert_eq!(&run(&|op| collect_interleaved(op, max)), &volcano);
+    }
+
+    /// The traditional phases charge in closed form, every count taken
+    /// from the loaded rows: what a bare cursor charges for the index
+    /// entries consumed, one pool lookup and one inspect per TID fetched,
+    /// one emit per tuple produced. Smooth Scan's Mode 0 under a trigger
+    /// that never fires consumes the whole range. Switch Scan's index
+    /// phase consumes entries up to and including the qualifier that
+    /// breaks the estimate — fetched and inspected, never emitted — and
+    /// the full scan that follows pays one pool probe per page, one
+    /// Tuple-ID-cache check per slot, one inspect per tuple the index
+    /// phase did not produce and one emit per qualifier it did not.
+    #[test]
+    fn traditional_phases_charge_their_closed_form(
+        keys in proptest::collection::vec(0i64..100, 50..800),
+        lo in 0i64..100,
+        width in 0i64..110,
+        residual_hi in 0i64..900,
+        estimate in 0u64..300,
+    ) {
+        let (heap, index) = build_table(&keys);
+        let (hi, cpu) = (lo + width, CpuCosts::default());
+        // The range's index entries in (key, TID) order — TIDs follow load
+        // order — and which of them the residual on `c0` keeps.
+        let mut entries: Vec<(i64, usize)> =
+            (0..keys.len()).filter(|&i| keys[i] >= lo && keys[i] < hi).map(|i| (keys[i], i)).collect();
+        entries.sort_unstable();
+        let keeps = |&(_, i): &(i64, usize)| (i as i64) < residual_hi;
+        let qualifiers = entries.iter().filter(|e| keeps(e)).count() as u64;
+        let residual = || Predicate::int_lt(0, residual_hi);
+        let (lo_b, hi_b) = (Bound::Included(lo), Bound::Excluded(hi));
+        let per_tid = cpu.hash_op_ns + cpu.inspect_tuple_ns;
+
+        let s = storage(16);
+        let never = Trigger::OptimizerDriven {
+            estimated_cardinality: u64::MAX,
+            policy: PolicyKind::Elastic,
+        };
+        let config = SmoothScanConfig::default().with_trigger(never);
+        let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+        let mut mode0 = SmoothScan::new(h, i, s.clone(), 1, lo_b, hi_b, residual(), config);
+        prop_assert_eq!(collect_rows(&mut mode0).unwrap().len() as u64, qualifiers);
+        prop_assert_eq!(mode0.metrics().mode0_tuples, qualifiers);
+        prop_assert_eq!(
+            s.clock().snapshot().cpu_ns,
+            cursor_cpu(&index, lo, hi, None) + per_tid * entries.len() as u64 + cpu.emit_tuple_ns * qualifiers
+        );
+
+        let s = storage(16);
+        let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+        let mut sw = smooth_core::SwitchScan::new(h, i, s.clone(), 1, lo_b, hi_b, residual(), estimate);
+        // The cliff tuple is the qualifier after the `estimate`-th.
+        let cliff = entries.iter().enumerate().filter(|(_, e)| keeps(e)).nth(estimate as usize);
+        let index_phase = match cliff {
+            Some((at, _)) => {
+                cursor_cpu(&index, lo, hi, Some(at + 1)) + per_tid * (at + 1) as u64 + cpu.emit_tuple_ns * estimate
+            }
+            None => cursor_cpu(&index, lo, hi, None) + per_tid * entries.len() as u64 + cpu.emit_tuple_ns * qualifiers,
+        };
+        sw.open().unwrap();
+        let first = sw.next_columns(usize::MAX).unwrap();
+        prop_assert_eq!(sw.switched(), cliff.is_some());
+        if estimate > 0 {
+            // The index phase's rows leave before the full scan starts.
+            prop_assert_eq!(first.map_or(0, |b| b.len() as u64), qualifiers.min(estimate));
+            prop_assert_eq!(s.clock().snapshot().cpu_ns, index_phase);
+        }
+        while sw.next_columns(usize::MAX).unwrap().is_some() {}
+        // A taken cliff means `estimate` tuples left through the index.
+        let tuples = keys.len() as u64;
+        let full_phase = cliff.map_or(0, |_| {
+            cpu.hash_op_ns * heap.page_count() as u64
+                + cpu.bitmap_op_ns * tuples
+                + cpu.inspect_tuple_ns * (tuples - estimate)
+                + cpu.emit_tuple_ns * (qualifiers - estimate)
+        });
+        let expected = index_phase + full_phase;
+        prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
     }
 }

@@ -385,9 +385,8 @@ impl GroupFold {
 /// it degenerates to a scalar aggregate producing exactly one row.
 ///
 /// The input drains through the columnar protocol into a `GroupFold`;
-/// the result is one [`ColumnBatch`] (groups in first-seen order) drained
-/// through whichever protocol the parent speaks — `Row`s materialize
-/// only under `next()`.
+/// the result is one [`ColumnBatch`] (groups in first-seen order);
+/// `Row`s materialize only under `next()`.
 pub struct HashAggregate {
     child: BoxedOperator,
     group_cols: Vec<usize>,

@@ -8,9 +8,10 @@
 //! equalities. NULL comparisons evaluate to false, the practical
 //! two-valued simplification of SQL's three-valued logic for filters.
 //!
-//! [`Predicate`] has two evaluators: [`Predicate::eval`] over one `Row`
-//! (the Volcano protocol and the tests' oracle) and a vectorized mask
-//! kernel over typed column vectors. [`ScanFilter`] binds a predicate to
+//! [`Predicate`] has two evaluators: a vectorized mask kernel over typed
+//! column vectors, which is what every operator runs, and
+//! [`Predicate::eval`] over one `Row`, the reference the kernels are
+//! tested against (no operator calls it). [`ScanFilter`] binds a predicate to
 //! a scan schema and a compiled [`TupleLayout`], and is how every
 //! columnar heap read filters and decodes a page: locate the page's
 //! tuples once, gather the predicate's columns, run the mask kernel,
@@ -487,19 +488,11 @@ impl ScanFilter {
         self.layout.check_text(tuples, &self.selected)
     }
 
-    /// Decode the encoded tuple `bytes` if it qualifies; `None` otherwise.
-    /// The row-at-a-time form, kept for consumers that hold `Row`s.
-    pub fn filter_decode(&mut self, schema: &Schema, bytes: &[u8]) -> Result<Option<Row>> {
-        let matched = self.select(&[bytes])? == 1;
-        smooth_storage::tap_rows(1, u64::from(matched));
-        matched.then(|| Row::decode(schema, bytes)).transpose()
-    }
-
     /// Columnar fill: append the qualifying tuples among `tuples` to
     /// `out`, densely, in input order. Returns `(inspected, emitted)` for
     /// the caller's clock accounting — `inspected` is always
-    /// `tuples.len()`, so bulk per-page charges stay byte-for-byte
-    /// identical to the per-tuple row path.
+    /// `tuples.len()`, so a bulk per-page charge totals what per-tuple
+    /// charges would.
     ///
     /// `_backing` is ignored (text always copies into `out`'s arenas): the
     /// parameter stays only because the wall-clock `benchmark/` package
@@ -668,11 +661,10 @@ mod tests {
             let mut filter = ScanFilter::new(pred.clone(), &schema);
             for r in &rows {
                 let bytes = r.encode(&schema).unwrap();
-                let got = filter.filter_decode(&schema, &bytes).unwrap();
-                assert_eq!(got.is_some(), pred.eval(r).unwrap(), "{pred:?} on {r:?}");
-                if let Some(decoded) = got {
-                    assert_eq!(&decoded, r);
-                }
+                let mut got = ColumnBatch::for_schema(&schema);
+                let (_, emitted) = filter.fill_columns(&schema, &[&bytes], None, &mut got).unwrap();
+                assert_eq!(emitted == 1, pred.eval(r).unwrap(), "{pred:?} on {r:?}");
+                assert_eq!(got.into_rows(), vec![r.clone(); emitted as usize]);
             }
         }
     }
@@ -728,7 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn fill_columns_matches_filter_decode() {
+    fn fill_columns_matches_row_eval() {
         use smooth_types::{Column, DataType};
         let schema = Schema::new(vec![
             Column::new("a", DataType::Int64),
@@ -757,14 +749,9 @@ mod tests {
             ]),
         ];
         for pred in preds {
-            let mut row_filter = ScanFilter::new(pred.clone(), &schema);
             let mut col_filter = ScanFilter::new(pred.clone(), &schema);
-            let mut expected = Vec::new();
-            for t in &tuples {
-                if let Some(r) = row_filter.filter_decode(&schema, t).unwrap() {
-                    expected.push(r);
-                }
-            }
+            let expected: Vec<Row> =
+                rows.iter().filter(|r| pred.eval(r).unwrap()).cloned().collect();
             let mut out = ColumnBatch::for_schema(&schema);
             let mut emitted_total = 0;
             // feed in page-sized chunks, as a scan does

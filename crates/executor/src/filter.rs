@@ -1,11 +1,12 @@
 //! Filter and Project operators.
 //!
-//! Both have native columnar paths: `Filter` refines the child batch's
-//! *selection vector* (no row is materialized or moved — non-qualifiers
-//! simply drop out of the selection), and `Project` is pure column
-//! pruning (vectors move by ordinal; rows are never rebuilt).
+//! `Filter` refines the child batch's *selection vector* (no row is
+//! materialized or moved — non-qualifiers simply drop out of the
+//! selection), and `Project` is pure column pruning (vectors move by
+//! ordinal; rows are never rebuilt). Neither buffers, so `next()` is the
+//! provided one-row view.
 
-use smooth_types::{ColumnBatch, Result, Row, Schema};
+use smooth_types::{ColumnBatch, Result, Schema};
 
 use crate::expr::Predicate;
 use crate::operator::{BoxedOperator, Operator};
@@ -32,17 +33,8 @@ impl Operator for Filter {
         self.child.open()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.child.next()? {
-            if self.predicate.eval(&row)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Columnar filter: evaluate the predicate as a vectorized kernel and
-    /// refine the child batch's selection vector in place.
+    /// Evaluate the predicate as a vectorized kernel and refine the child
+    /// batch's selection vector in place.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         loop {
             let Some(mut batch) = self.child.next_columns(max)? else { return Ok(None) };
@@ -87,14 +79,7 @@ impl Operator for Project {
         self.child.open()
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        Ok(self
-            .child
-            .next()?
-            .map(|row| Row::new(self.columns.iter().map(|&c| row.get(c).clone()).collect())))
-    }
-
-    /// Columnar projection: move the kept column vectors, touch no row.
+    /// Move the kept column vectors, touch no row.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let Some(batch) = self.child.next_columns(max)? else { return Ok(None) };
         Ok(Some(batch.project(&self.columns)?))
@@ -113,7 +98,7 @@ impl Operator for Project {
 mod tests {
     use super::*;
     use crate::operator::{collect_rows, ValuesOp};
-    use smooth_types::{Column, DataType, Value};
+    use smooth_types::{Column, DataType, Row, Value};
 
     fn input() -> BoxedOperator {
         let schema =

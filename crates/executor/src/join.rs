@@ -6,20 +6,19 @@
 //! situation where Smooth Scan's order preservation matters (Section IV-B,
 //! "Interaction with Other Operators").
 //!
-//! [`HashJoin`] and [`IndexNestedLoopJoin`] are columnar end to end (typed
-//! key vectors, column-wise gathers, one [`ColumnBuffer`] under both
-//! iterator protocols; the index join's decode path is described at its
-//! definition and in `docs/ARCHITECTURE.md`); [`MergeJoin`] works a row
-//! at a time and reaches the columnar protocol through the trait-default
-//! bridge.
+//! All three are columnar end to end: typed key vectors, column-wise
+//! gathers into one [`ColumnBuffer`] that `next_columns` and its one-row
+//! view drain (the index join's decode path is described at its
+//! definition and in `docs/ARCHITECTURE.md`).
 
+use std::cmp::Ordering::{Equal, Less};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageView, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Tid, Value,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Tid,
 };
 
 use crate::expr::{Predicate, ScanFilter};
@@ -684,9 +683,7 @@ impl JoinBuildPartial {
 /// [`JoinBuildTable`] (typed key map over payload column vectors — no
 /// `Vec<Row>`), probes read keys vector-at-a-time off the probe batch's
 /// key column, and matches gather left and right payload columns directly
-/// into the output batch without ever concatenating `Row`s. Both
-/// iterator protocols drain one [`ColumnBuffer`] FIFO, so they interleave
-/// freely on a single probe order.
+/// into the output batch without ever concatenating `Row`s.
 pub struct HashJoin {
     left: BoxedOperator,
     right: BoxedOperator,
@@ -698,8 +695,7 @@ pub struct HashJoin {
     /// Per-operator memory budget in bytes (0 = unlimited); the build
     /// table spills to overflow files beyond it.
     mem_bytes: usize,
-    /// Pending join output (filled by whole probe morsels, drained by
-    /// whichever protocol the parent speaks).
+    /// Pending join output, filled by whole probe morsels.
     out: ColumnBuffer,
 }
 
@@ -776,29 +772,19 @@ impl Operator for HashJoin {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.out.pop_row() {
-                return Ok(Some(row));
-            }
-            if !self.advance(batch_size())? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Columnar probe: keys are read vector-at-a-time off the left key
-    /// column; on a hit the left columns and the matched payload columns
-    /// gather straight into the output vectors — no `Row` materializes
-    /// anywhere, and misses cost one hash probe and nothing else.
+    /// Keys are read vector-at-a-time off the left key column; on a hit
+    /// the left columns and the matched payload columns gather straight
+    /// into the output vectors, and misses cost one hash probe and
+    /// nothing else.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        while self.out.pending() < max {
-            if !self.advance(max)? {
-                break;
-            }
-        }
+        while self.out.pending() < max && self.advance(max)? {}
         Ok(self.out.pop_columns(max))
+    }
+
+    fn next(&mut self) -> Result<Option<Row>> {
+        while self.out.is_drained() && self.advance(batch_size())? {}
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
@@ -813,26 +799,63 @@ impl Operator for HashJoin {
     }
 }
 
-/// Merge join over inputs already sorted on their join columns (inner only).
+/// One sorted input of a [`MergeJoin`]: the morsel being read and the next
+/// unread live row in it.
+struct MergeInput {
+    op: BoxedOperator,
+    /// Join-key ordinal.
+    col: usize,
+    batch: ColumnBatch,
+    /// Live-row position in `batch`.
+    pos: usize,
+}
+
+impl MergeInput {
+    fn new(op: BoxedOperator, col: usize) -> Self {
+        MergeInput { op, col, batch: ColumnBatch::default(), pos: 0 }
+    }
+
+    fn open(&mut self) -> Result<()> {
+        (self.batch, self.pos) = (ColumnBatch::default(), 0);
+        self.op.open()
+    }
+
+    /// Physical index in `batch` of the next unread row, pulling the next
+    /// morsel once this one is spent; `None` at exhaustion.
+    fn head(&mut self) -> Result<Option<usize>> {
+        while self.pos >= self.batch.len() {
+            let Some(batch) = self.op.next_columns(batch_size())? else { return Ok(None) };
+            (self.batch, self.pos) = (batch, 0);
+        }
+        Ok(Some(self.batch.selection().map_or(self.pos, |sel| sel[self.pos] as usize)))
+    }
+
+    /// The key column of the current morsel.
+    fn key(&self) -> Result<&ColumnVector> {
+        self.batch.column_checked(self.col)
+    }
+}
+
+/// Merge join over inputs already sorted on their join columns (inner
+/// only; NULL keys match nothing, as under [`HashJoin`]).
 ///
-/// Keeps the default (row-looping) `next_columns`: the merge frontier
-/// advances one key group at a time, so there is no page- or batch-shaped
-/// unit of work to amortize — vectorizing it would only buffer rows it
-/// already buffers.
+/// The frontier advances one left row at a time: the right rows sharing
+/// its key are gathered once into `group` and replayed under every left
+/// row of that key, each left row's matches gathering column-wise into
+/// the output buffer. One comparison is charged per key change on the
+/// left and per right row skipped, one emit per joined row.
 pub struct MergeJoin {
-    left: BoxedOperator,
-    right: BoxedOperator,
-    left_col: usize,
-    right_col: usize,
+    left: MergeInput,
+    right: MergeInput,
     storage: Storage,
     schema: Schema,
-    left_row: Option<Row>,
-    right_row: Option<Row>,
-    /// The buffered group of right rows sharing the current key.
-    right_group: Vec<Row>,
-    group_key: Option<Value>,
-    group_pos: usize,
-    started: bool,
+    /// The right rows sharing the current key.
+    group: ColumnBatch,
+    /// Gather scratch: the left row repeated once per group row.
+    left_idx: Vec<u32>,
+    /// Gather scratch: `0..group rows`.
+    group_idx: Vec<u32>,
+    out: ColumnBuffer,
 }
 
 impl MergeJoin {
@@ -846,35 +869,58 @@ impl MergeJoin {
     ) -> Self {
         let schema = join_schema(left.schema(), right.schema(), JoinType::Inner);
         MergeJoin {
-            left,
-            right,
-            left_col,
-            right_col,
+            group: ColumnBatch::for_schema(right.schema()),
+            out: ColumnBuffer::for_schema(&schema),
+            left: MergeInput::new(left, left_col),
+            right: MergeInput::new(right, right_col),
             storage,
             schema,
-            left_row: None,
-            right_row: None,
-            right_group: Vec::new(),
-            group_key: None,
-            group_pos: 0,
-            started: false,
+            left_idx: Vec::new(),
+            group_idx: Vec::new(),
         }
     }
 
-    fn fill_right_group(&mut self, key: &Value) -> Result<()> {
-        self.right_group.clear();
-        self.group_key = Some(key.clone());
-        self.group_pos = 0;
-        loop {
-            match &self.right_row {
-                Some(r) if r.get(self.right_col) == key => {
-                    self.right_group.push(r.clone());
-                    self.right_row = self.right.next()?;
+    /// Join the next left row into the output buffer. Returns `false`
+    /// once the left input is exhausted.
+    fn advance(&mut self) -> Result<bool> {
+        let Some(l) = self.left.head()? else { return Ok(false) };
+        let cpu = *self.storage.cpu();
+        let lkey = self.left.key()?;
+        let replay = self.group.physical_rows() > 0
+            && self.group.column_checked(self.right.col)?.slot_cmp(0, lkey, l).is_eq();
+        if !replay {
+            self.storage.clock().charge_cpu(cpu.sort_cmp_ns);
+            self.group.clear();
+            // Skip the right rows below the key, then gather the run equal
+            // to it; NULL sorts first and equals nothing.
+            while let Some(r) = self.right.head()? {
+                match self.right.key()?.slot_cmp(r, lkey, l) {
+                    Less => self.storage.clock().charge_cpu(cpu.sort_cmp_ns),
+                    Equal if !lkey.is_null(l) => {
+                        self.group.append_gather(&self.right.batch, &[r as u32])
+                    }
+                    _ => break,
                 }
-                _ => break,
+                self.right.pos += 1;
             }
+            self.group_idx.clear();
+            self.group_idx.extend(0..self.group.physical_rows() as u32);
         }
-        Ok(())
+        let n = self.group_idx.len();
+        self.left_idx.clear();
+        self.left_idx.resize(n, l as u32);
+        let out = self.out.fill();
+        let (left_cols, right_cols) = out.columns_mut().split_at_mut(self.left.batch.width());
+        for (dst, src) in left_cols.iter_mut().zip(self.left.batch.columns()) {
+            dst.extend_gather(src, &self.left_idx);
+        }
+        for (dst, src) in right_cols.iter_mut().zip(self.group.columns()) {
+            dst.extend_gather(src, &self.group_idx);
+        }
+        out.commit_rows(n);
+        self.storage.clock().charge_cpu(cpu.emit_tuple_ns * n as u64);
+        self.left.pos += 1;
+        Ok(true)
     }
 }
 
@@ -886,71 +932,31 @@ impl Operator for MergeJoin {
     fn open(&mut self) -> Result<()> {
         self.left.open()?;
         self.right.open()?;
-        self.left_row = None;
-        self.right_row = None;
-        self.right_group.clear();
-        self.group_key = None;
-        self.group_pos = 0;
-        self.started = false;
+        self.group.clear();
+        self.out.reset();
         Ok(())
     }
 
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        let max = max.max(1);
+        while self.out.pending() < max && self.advance()? {}
+        Ok(self.out.pop_columns(max))
+    }
+
     fn next(&mut self) -> Result<Option<Row>> {
-        if !self.started {
-            self.left_row = self.left.next()?;
-            self.right_row = self.right.next()?;
-            self.started = true;
-        }
-        loop {
-            let Some(left_row) = self.left_row.clone() else { return Ok(None) };
-            let lkey = left_row.get(self.left_col).clone();
-            // Emit from the buffered group if it matches the current key.
-            if self.group_key.as_ref() == Some(&lkey) {
-                if self.group_pos < self.right_group.len() {
-                    let out = left_row.concat(&self.right_group[self.group_pos]);
-                    self.group_pos += 1;
-                    self.storage.clock().charge_cpu(self.storage.cpu().emit_tuple_ns);
-                    return Ok(Some(out));
-                }
-                // group exhausted for this left row: advance left, replay group
-                self.left_row = self.left.next()?;
-                self.group_pos = 0;
-                continue;
-            }
-            self.storage.clock().charge_cpu(self.storage.cpu().sort_cmp_ns);
-            // Advance right until its key >= left key, then build the group.
-            loop {
-                match &self.right_row {
-                    Some(r) if r.get(self.right_col).total_cmp(&lkey).is_lt() => {
-                        self.storage.clock().charge_cpu(self.storage.cpu().sort_cmp_ns);
-                        self.right_row = self.right.next()?;
-                    }
-                    _ => break,
-                }
-            }
-            match &self.right_row {
-                Some(r) if *r.get(self.right_col) == lkey => {
-                    self.fill_right_group(&lkey.clone())?;
-                }
-                _ => {
-                    // No right match: skip this left row. Reset the group so
-                    // stale buffers never replay for a later key.
-                    self.group_key = None;
-                    self.right_group.clear();
-                    self.left_row = self.left.next()?;
-                }
-            }
-        }
+        while self.out.is_drained() && self.advance()? {}
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
-        self.right_group.clear();
-        self.left.close()?;
-        self.right.close()
+        self.group.clear();
+        self.out.reset();
+        self.left.op.close()?;
+        self.right.op.close()
     }
 
     fn label(&self) -> String {
-        format!("MergeJoin [{} ⋈ {}]", self.left.label(), self.right.label())
+        format!("MergeJoin [{} ⋈ {}]", self.left.op.label(), self.right.op.label())
     }
 }
 
@@ -963,8 +969,7 @@ impl Operator for MergeJoin {
 /// key vector, each fetched inner tuple is validated, residual-filtered
 /// and decoded through the inner side's compiled [`ScanFilter`] straight
 /// into the output's inner columns, and the outer columns of a whole
-/// morsel's matches gather in one pass per column. Both iterator
-/// protocols drain one [`ColumnBuffer`] FIFO.
+/// morsel's matches gather in one pass per column.
 pub struct IndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
@@ -1039,51 +1044,26 @@ impl IndexNestedLoopJoin {
         IndexNestedLoopJoin { outer, outer_col, inner, schema, matched: Vec::new(), out }
     }
 
-    /// Probe one outer morsel to completion into the output buffer: the
-    /// inner matches of each live outer row in TID order, or — for a semi
-    /// join — the outer row itself on its first match.
-    fn probe_morsel(&mut self, outer: &ColumnBatch) -> Result<()> {
+    /// Pull one outer morsel (so an outer scan reads ahead by whole
+    /// morsels, as under every other operator) and probe it to completion
+    /// into the output buffer: the inner matches of each live outer row
+    /// in TID order, or — for a semi join — the outer row itself on its
+    /// first match. Returns `false` at outer exhaustion.
+    fn advance(&mut self, max: usize) -> Result<bool> {
+        let Some(outer) = self.outer.next_columns(max)? else { return Ok(false) };
         let key_col = outer.column_checked(self.outer_col)?;
-        let keys = match key_col.values() {
-            ColumnValues::Int(keys) => Some(keys),
-            _ => None,
-        };
         let out = self.out.fill();
         let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.width());
         self.matched.clear();
-        for row in outer.live_rows() {
-            if key_col.is_null(row) {
-                continue;
-            }
-            let Some(keys) = keys else {
-                return Err(Error::exec("INLJ key must be integer"));
-            };
-            let joined = self.inner.probe(keys[row], inner_cols)?;
+        for row in outer.live_rows().filter(|&row| !key_col.is_null(row)) {
+            let joined = self.inner.probe(key_col.int(row)?, inner_cols)?;
             self.matched.extend(std::iter::repeat_n(row as u32, joined));
         }
         for (dst, src) in outer_cols.iter_mut().zip(outer.columns()) {
             dst.extend_gather(src, &self.matched);
         }
         out.commit_rows(self.matched.len());
-        Ok(())
-    }
-
-    /// [`IndexNestedLoopJoin::probe_morsel`] for one outer row of the
-    /// row-at-a-time protocol.
-    fn probe_row(&mut self, outer: &Row) -> Result<()> {
-        let key = match outer.get(self.outer_col) {
-            Value::Int(k) => *k,
-            Value::Null => return Ok(()),
-            other => return Err(Error::exec(format!("INLJ key must be integer, got {other}"))),
-        };
-        let out = self.out.fill();
-        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.len());
-        let joined = self.inner.probe(key, inner_cols)?;
-        for (dst, v) in outer_cols.iter_mut().zip(outer.values()) {
-            (0..joined).try_for_each(|_| dst.push_value(v))?;
-        }
-        out.commit_rows(joined);
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -1098,27 +1078,16 @@ impl Operator for IndexNestedLoopJoin {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.out.pop_row() {
-                return Ok(Some(row));
-            }
-            let Some(outer_row) = self.outer.next()? else { return Ok(None) };
-            self.probe_row(&outer_row)?;
-        }
-    }
-
-    /// Columnar probe loop: the outer side arrives a morsel at a time
-    /// (so an outer scan reads ahead by whole morsels, as under every
-    /// other columnar operator) and is probed to completion into the
-    /// shared output buffer; up to `max` joined rows leave per call.
+    /// Up to `max` joined rows leave per call.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         let max = max.max(1);
-        while self.out.pending() < max {
-            let Some(outer) = self.outer.next_columns(max)? else { break };
-            self.probe_morsel(&outer)?;
-        }
+        while self.out.pending() < max && self.advance(max)? {}
         Ok(self.out.pop_columns(max))
+    }
+
+    fn next(&mut self) -> Result<Option<Row>> {
+        while self.out.is_drained() && self.advance(batch_size())? {}
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
@@ -1142,7 +1111,7 @@ mod tests {
     use super::*;
     use crate::operator::{collect_rows, ValuesOp};
     use smooth_storage::HeapLoader;
-    use smooth_types::{Column, DataType};
+    use smooth_types::{Column, DataType, Value};
 
     fn schema(names: &[&str]) -> Schema {
         Schema::new(names.iter().map(|n| Column::new(*n, DataType::Int64)).collect()).unwrap()

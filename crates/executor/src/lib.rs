@@ -18,19 +18,17 @@
 //! itself lives in `smooth-core` and plugs into the same [`Operator`]
 //! protocol.
 //!
-//! Operators speak two interchangeable protocols: the classic Volcano
-//! `next()` and the columnar `next_columns()`
+//! Operators speak one protocol, the columnar `next_columns()`
 //! ([`smooth_types::ColumnBatch`]: typed column vectors plus a selection
-//! vector). The vectorized scans push predicate evaluation down onto the
-//! encoded tuples via [`ScanFilter`] — probing only predicate columns
-//! into reused typed vectors, evaluating range/comparison predicates as
-//! branch-light kernels, and decoding qualifiers straight into column
-//! vectors with no per-row allocation. [`collect_batches`] drives plans
-//! through the columnar protocol end to end and keeps the result
-//! columnar; [`collect_rows`] is its row-materializing convenience, and
-//! [`collect_rows_volcano`] keeps the row-at-a-time reference driver,
-//! retained permanently as the semantics oracle the property suites pin
-//! every other driver against, not as a performance baseline.
+//! vector); the classic Volcano `next()` is its provided one-row view.
+//! The scans push predicate evaluation down onto the encoded tuples via
+//! [`ScanFilter`] — probing only predicate columns into reused typed
+//! vectors, evaluating range/comparison predicates as branch-light
+//! kernels, and decoding qualifiers straight into column vectors with no
+//! per-row allocation. [`collect_batches`] drives a plan and keeps the
+//! result columnar; [`collect_rows`] is its row-materializing
+//! convenience, and [`collect_rows_volcano`] drains the root a row at a
+//! time — the `max = 1` leg of batch-size invariance.
 //!
 //! The [`parallel`] module adds morsel-driven parallel pipeline
 //! execution (HyPer-style worker pool over [`smooth_types::ColumnBatch`]

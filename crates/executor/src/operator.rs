@@ -1,60 +1,59 @@
-//! The iterator protocol: row-at-a-time and columnar.
+//! The iterator protocol: columnar morsels, and a one-row view of them.
 //!
 //! `open → next* → close`, the pipeline model whose preservation is one of
 //! Smooth Scan's selling points over Sort Scan ("Smooth Scan adheres to the
 //! pipelining model, which is important since the access path operators are
 //! executed first and can stall the rest of the stack", Section VI-C).
 //!
-//! Beside the classic Volcano `next()` — the reference every driver is
-//! property-tested against — the trait offers one vectorized protocol,
+//! There is one protocol. An operator implements
 //! [`Operator::next_columns`]: a column-major [`ColumnBatch`] of up to
-//! `max` rows per virtual call, with typed vectors and a selection vector.
-//! Its default bridges down (loop `next()`, one row→column conversion), so
-//! row-only operators keep working unchanged; hot operators override it to
-//! amortize dynamic dispatch, per-tuple `Result`/`Option` traffic and
-//! virtual-clock charges across a whole page or batch, and to skip per-row
-//! `Vec<Value>` materialization entirely. The two protocols may be
-//! interleaved freely on the same operator — they consume the same
-//! underlying stream and together produce the exact row sequence either
-//! would alone.
+//! `max` rows per virtual call, with typed vectors and a selection vector,
+//! so dynamic dispatch, `Result`/`Option` traffic and virtual-clock charges
+//! amortize over a page or a morsel and no per-row `Vec<Value>` is built.
+//! The classic Volcano [`Operator::next`] is *provided*: the same stream
+//! asked for one row at a time. Operators that buffer their output in a
+//! [`smooth_types::ColumnBuffer`] override it with a `pop_row` drain in
+//! front of the fill `next_columns` uses, which spares a batch per row and
+//! changes nothing else — no operator has a second decode, predicate or
+//! join implementation. The two calls may be interleaved freely on one
+//! operator: they consume one underlying stream. What the engine computes
+//! is held to a reference evaluator outside it (`tests/common/reference.rs`);
+//! `next()` is kept as the `max = 1` leg of batch-size invariance.
 
-use smooth_types::{ColumnBatch, Result, Row, Schema, DEFAULT_BATCH_SIZE};
+use smooth_types::{ColumnBatch, Error, Result, Row, Schema, DEFAULT_BATCH_SIZE};
 
 /// A physical operator producing rows.
 pub trait Operator {
     /// Output schema.
     fn schema(&self) -> &Schema;
 
-    /// Prepare for production. Must be called before `next`.
+    /// Prepare for production. Must be called before `next_columns`.
     fn open(&mut self) -> Result<()>;
-
-    /// Produce the next row, or `None` when exhausted.
-    fn next(&mut self) -> Result<Option<Row>>;
 
     /// Produce up to `max` rows as a columnar batch, or `None` when
     /// exhausted.
     ///
-    /// Contract: a returned batch is non-empty and holds at most `max`
-    /// live rows; short batches do *not* signal exhaustion (operators emit
-    /// at natural morsel boundaries such as a heap page run), only `None`
-    /// does. The live-row sequence across calls is identical to what
-    /// repeated `next()` calls would produce, and the two protocols may be
-    /// interleaved freely on one operator.
-    ///
-    /// The default implementation bridges from `next()` (up to `max` rows
-    /// pushed into one fresh batch), so every operator works unchanged; hot
-    /// operators override it to decode straight into column vectors and
-    /// to filter via selection vectors instead of moving rows.
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        let mut out = ColumnBatch::for_schema(self.schema());
-        while out.physical_rows() < max {
-            match self.next()? {
-                Some(row) => out.push_owned_row(row)?,
-                None => break,
-            }
+    /// Contract: a returned batch holds between one and `max` live rows
+    /// (`max = 0` asks for one); short batches do *not* signal exhaustion
+    /// (operators emit at natural morsel boundaries such as a heap page
+    /// run), only `None` does, and `None` is sticky. The live-row sequence
+    /// across calls does not depend on the `max` of any call.
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>>;
+
+    /// Produce the next row, or `None` when exhausted: the one-row view of
+    /// [`Operator::next_columns`]. An override may only drain the
+    /// operator's own output buffer a row at a time in front of the same
+    /// fill.
+    fn next(&mut self) -> Result<Option<Row>> {
+        let Some(batch) = self.next_columns(1)? else { return Ok(None) };
+        if batch.len() != 1 {
+            return Err(Error::exec(format!(
+                "{} returned {} rows to next_columns(1)",
+                self.label(),
+                batch.len()
+            )));
         }
-        Ok((!out.is_empty()).then_some(out))
+        Ok(Some(batch.row(0)))
     }
 
     /// Release resources. Idempotent.
@@ -101,9 +100,10 @@ pub fn collect_batches(op: &mut dyn Operator) -> Result<Vec<ColumnBatch>> {
     Ok(batches)
 }
 
-/// Run an operator to completion through the row-at-a-time protocol.
-/// Kept as the Volcano reference driver (and the baseline the `columnar`
-/// perf-smoke experiment measures the columnar path against).
+/// Run an operator to completion one row at a time: the Volcano driver.
+/// Only the root is drained by row — everything beneath it runs
+/// `next_columns` — so this is the `max = 1` leg of batch-size invariance
+/// (and what `benchmark/`'s reference pass calls), not a second engine.
 pub fn collect_rows_volcano(op: &mut dyn Operator) -> Result<Vec<Row>> {
     op.open()?;
     let mut rows = Vec::new();
@@ -119,13 +119,12 @@ pub struct ValuesOp {
     schema: Schema,
     rows: Vec<Row>,
     pos: usize,
-    opened: bool,
 }
 
 impl ValuesOp {
     /// Wrap a batch of rows with their schema.
     pub fn new(schema: Schema, rows: Vec<Row>) -> Self {
-        ValuesOp { schema, rows, pos: 0, opened: false }
+        ValuesOp { schema, rows, pos: 0 }
     }
 }
 
@@ -136,23 +135,17 @@ impl Operator for ValuesOp {
 
     fn open(&mut self) -> Result<()> {
         self.pos = 0;
-        self.opened = true;
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        debug_assert!(self.opened, "next() before open()");
-        if self.pos < self.rows.len() {
-            let r = self.rows[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(r))
-        } else {
-            Ok(None)
-        }
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        let end = self.pos.saturating_add(max.max(1)).min(self.rows.len());
+        let rows = &self.rows[self.pos..end];
+        self.pos = end;
+        (!rows.is_empty()).then(|| ColumnBatch::from_rows(&self.schema, rows)).transpose()
     }
 
     fn close(&mut self) -> Result<()> {
-        self.opened = false;
         Ok(())
     }
 
@@ -228,7 +221,7 @@ mod tests {
             (0..23).map(|i| Row::new(vec![Value::Int(i), Value::str(format!("r{i}"))])).collect();
         let mut op = ValuesOp::new(schema, rows.clone());
         assert_eq!(collect_rows(&mut op).unwrap(), rows, "columnar driver");
-        // text survives the bridge with both protocols on one stream
+        // text survives the one-row view, interleaved with batches
         op.open().unwrap();
         let mut seen = Vec::new();
         seen.push(op.next().unwrap().unwrap());

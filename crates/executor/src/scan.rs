@@ -16,17 +16,16 @@ use std::sync::Arc;
 
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, PageId, Result, Row, Schema, Tid};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid};
 
 use crate::expr::{Predicate, ScanFilter};
-use crate::operator::Operator;
+use crate::operator::{batch_size, Operator};
 
 /// Probe-and-fill one page's listed slots through `filter` straight into
 /// the columnar buffer `out`, charging the virtual clock in one bulk
-/// increment (identical totals to the per-tuple charges of the
-/// row-at-a-time path: one inspect per slot probed, one emit per
-/// qualifier). `tuples` is the caller's slice scratch, reused across the
-/// pages of one fetched run.
+/// increment (one inspect per slot probed, one emit per qualifier).
+/// `tuples` is the caller's slice scratch, reused across the pages of one
+/// fetched run.
 pub(crate) fn fill_page_columns<'a>(
     storage: &Storage,
     filter: &mut ScanFilter,
@@ -61,24 +60,24 @@ pub const SORT_SCAN_PREFETCH_GAP: u32 = 16;
 
 /// Sequential scan over the whole heap.
 ///
-/// The scan is columnar-native: every refill probes one readahead run of
-/// pages through the [`ScanFilter`] and decodes the qualifiers straight
-/// into a [`smooth_types::ColumnBuffer`] (no per-row `Vec<Value>`), from which
-/// both iterator protocols drain in one shared FIFO order.
+/// Every refill probes one readahead run of pages through the
+/// [`ScanFilter`] and decodes the qualifiers straight into a
+/// [`ColumnBuffer`] (no per-row `Vec<Value>`), which `next_columns` and
+/// its one-row view drain in FIFO order.
 pub struct FullTableScan {
     heap: Arc<HeapFile>,
     storage: Storage,
     filter: ScanFilter,
     readahead: u32,
     next_page: u32,
-    out: smooth_types::ColumnBuffer,
+    out: ColumnBuffer,
 }
 
 impl FullTableScan {
     /// Scan `heap`, emitting rows matching `predicate`.
     pub fn new(heap: Arc<HeapFile>, storage: Storage, predicate: Predicate) -> Self {
         let filter = ScanFilter::new(predicate, heap.schema());
-        let out = smooth_types::ColumnBuffer::for_schema(heap.schema());
+        let out = ColumnBuffer::for_schema(heap.schema());
         FullTableScan { heap, storage, filter, readahead: FULL_SCAN_READAHEAD, next_page: 0, out }
     }
 
@@ -88,16 +87,13 @@ impl FullTableScan {
         self
     }
 
-    /// Refill the output buffer from the next readahead run(s). Returns
-    /// `false` at heap exhaustion. CPU is charged per page in bulk, with
-    /// totals identical to per-tuple accounting.
-    fn refill(&mut self) -> Result<bool> {
-        debug_assert!(self.out.is_drained());
-        loop {
-            let total = self.heap.page_count();
-            if self.next_page >= total {
-                return Ok(false);
-            }
+    /// Once the output buffer is drained, refill it from the next
+    /// readahead run(s) holding a qualifier; it stays drained only at heap
+    /// exhaustion. CPU is charged per page in bulk, with totals identical
+    /// to per-tuple accounting.
+    fn refill(&mut self) -> Result<()> {
+        let total = self.heap.page_count();
+        while self.out.is_drained() && self.next_page < total {
             let len = self.readahead.min(total - self.next_page);
             let pages = self.storage.read_heap_run(&self.heap, PageId(self.next_page), len)?;
             self.storage.charge_page_probes(len as u64);
@@ -114,10 +110,8 @@ impl FullTableScan {
                     self.out.fill(),
                 )?;
             }
-            if !self.out.is_drained() {
-                return Ok(true);
-            }
         }
+        Ok(())
     }
 }
 
@@ -132,30 +126,14 @@ impl Operator for FullTableScan {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.out.pop_row() {
-                return Ok(Some(row));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        self.refill()?;
+        Ok(self.out.pop_columns(max.max(1)))
     }
 
-    /// Columnar scan: one readahead run per refill, qualifiers decoded
-    /// directly into column vectors, morsels leave without row
-    /// materialization.
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        loop {
-            if let Some(batch) = self.out.pop_columns(max) {
-                return Ok(Some(batch));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
+    fn next(&mut self) -> Result<Option<Row>> {
+        self.refill()?;
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
@@ -169,6 +147,11 @@ impl Operator for FullTableScan {
 }
 
 /// Index scan: key-ordered, one heap fetch per qualifying entry.
+///
+/// The heap fetch per TID *is* the index scan's cost profile; what the
+/// columnar fill removes is the per-tuple dispatch and the full decode of
+/// residual-failing rows — qualifiers decode straight into the
+/// [`ColumnBuffer`].
 pub struct IndexScan {
     heap: Arc<HeapFile>,
     index: Arc<BTreeIndex>,
@@ -177,6 +160,7 @@ pub struct IndexScan {
     hi: Bound<i64>,
     filter: ScanFilter,
     cursor: Option<IndexCursor>,
+    out: ColumnBuffer,
 }
 
 impl IndexScan {
@@ -191,7 +175,27 @@ impl IndexScan {
         residual: Predicate,
     ) -> Self {
         let filter = ScanFilter::new(residual, heap.schema());
-        IndexScan { heap, index, storage, lo, hi, filter, cursor: None }
+        let out = ColumnBuffer::for_schema(heap.schema());
+        IndexScan { heap, index, storage, lo, hi, filter, cursor: None, out }
+    }
+
+    /// Run cursor probes — one heap fetch, one inspect and, for a
+    /// qualifier, one emit each — until `want` rows are buffered or the
+    /// range is exhausted.
+    fn fill(&mut self, want: usize) -> Result<()> {
+        let Some(cursor) = self.cursor.as_mut() else {
+            return Err(smooth_types::Error::exec("IndexScan before open"));
+        };
+        let cpu = *self.storage.cpu();
+        while self.out.pending() < want {
+            let Some((_, tid)) = cursor.next() else { break };
+            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
+            let tuple = [PageView::new(&page)?.get(tid.slot)?];
+            let (_, emitted) =
+                self.filter.fill_columns(self.heap.schema(), &tuple, None, self.out.fill())?;
+            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns + cpu.emit_tuple_ns * emitted);
+        }
+        Ok(())
     }
 }
 
@@ -202,53 +206,26 @@ impl Operator for IndexScan {
 
     fn open(&mut self) -> Result<()> {
         self.cursor = Some(self.index.range(&self.storage, self.lo, self.hi));
+        self.out.reset();
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        let cursor = self
-            .cursor
-            .as_mut()
-            .ok_or_else(|| smooth_types::Error::exec("IndexScan::next before open"))?;
-        while let Some((_, tid)) = cursor.next() {
-            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-            let cpu = self.storage.cpu();
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-            let row = self.heap.decode_slot(&page, tid.slot)?;
-            if self.filter.predicate().eval(&row)? {
-                self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        let max = max.max(1);
+        self.fill(max)?;
+        Ok(self.out.pop_columns(max))
     }
 
-    /// Columnar index scan: one virtual call drives up to `max` cursor
-    /// probes. The heap fetch per qualifying TID is unchanged (that random
-    /// I/O *is* the index scan's cost profile); what batching removes is
-    /// the per-tuple dispatch and the full decode of residual-failing
-    /// rows — qualifiers decode straight into column vectors.
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let Some(cursor) = self.cursor.as_mut() else {
-            return Err(smooth_types::Error::exec("IndexScan::next_columns before open"));
-        };
-        let max = max.max(1);
-        let mut out = ColumnBatch::for_schema(self.heap.schema());
-        let cpu = *self.storage.cpu();
-        while out.physical_rows() < max {
-            let Some((_, tid)) = cursor.next() else { break };
-            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-            let view = PageView::new(&page)?;
-            let bytes = view.get(tid.slot)?;
-            let (_, emitted) =
-                self.filter.fill_columns(self.heap.schema(), &[bytes], None, &mut out)?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns + cpu.emit_tuple_ns * emitted);
+    fn next(&mut self) -> Result<Option<Row>> {
+        if self.out.is_drained() {
+            self.fill(batch_size())?;
         }
-        Ok((!out.is_empty()).then_some(out))
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
         self.cursor = None;
+        self.out.reset();
         Ok(())
     }
 
@@ -268,11 +245,9 @@ struct PrefetchRun {
 
 /// Sort Scan (Bitmap Heap Scan): blocking TID sort, then page-ordered fetch.
 ///
-/// Like [`FullTableScan`], the refill is columnar-native: only the
-/// qualifying slots the bitmap named are probed (PR 2's `ScanFilter`
-/// encoded-tuple pushdown, now applied to the TID-ordered refill on every
-/// protocol), and qualifiers decode straight into the shared
-/// [`smooth_types::ColumnBuffer`].
+/// Like [`FullTableScan`]'s, the refill probes encoded tuples — only the
+/// slots the bitmap named — and decodes qualifiers straight into the
+/// [`ColumnBuffer`].
 pub struct SortScan {
     heap: Arc<HeapFile>,
     index: Arc<BTreeIndex>,
@@ -281,7 +256,7 @@ pub struct SortScan {
     hi: Bound<i64>,
     filter: ScanFilter,
     runs: VecDeque<PrefetchRun>,
-    out: smooth_types::ColumnBuffer,
+    out: ColumnBuffer,
 }
 
 impl SortScan {
@@ -295,16 +270,16 @@ impl SortScan {
         residual: Predicate,
     ) -> Self {
         let filter = ScanFilter::new(residual, heap.schema());
-        let out = smooth_types::ColumnBuffer::for_schema(heap.schema());
+        let out = ColumnBuffer::for_schema(heap.schema());
         SortScan { heap, index, storage, lo, hi, filter, runs: VecDeque::new(), out }
     }
 
-    /// Refill from the next coalesced prefetch run(s). Returns `false`
-    /// once all runs are consumed.
-    fn refill(&mut self) -> Result<bool> {
-        debug_assert!(self.out.is_drained());
-        loop {
-            let Some(run) = self.runs.pop_front() else { return Ok(false) };
+    /// Once the output buffer is drained, refill it from the next
+    /// coalesced prefetch run(s); it stays drained only once all runs are
+    /// consumed.
+    fn refill(&mut self) -> Result<()> {
+        while self.out.is_drained() {
+            let Some(run) = self.runs.pop_front() else { break };
             let pages = self.storage.read_heap_run(&self.heap, PageId(run.start), run.len)?;
             self.storage.charge_page_probes(run.len as u64);
             let mut tuples = Vec::new();
@@ -321,10 +296,8 @@ impl SortScan {
                     self.out.fill(),
                 )?;
             }
-            if !self.out.is_drained() {
-                return Ok(true);
-            }
         }
+        Ok(())
     }
 }
 
@@ -381,31 +354,14 @@ impl Operator for SortScan {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.out.pop_row() {
-                return Ok(Some(row));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
+        self.refill()?;
+        Ok(self.out.pop_columns(max.max(1)))
     }
 
-    /// Columnar Sort Scan: one coalesced prefetch run per refill, only
-    /// the qualifying slots of each page inspected (the bitmap already
-    /// named them); qualifiers leave as column vectors without row
-    /// materialization.
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        loop {
-            if let Some(batch) = self.out.pop_columns(max) {
-                return Ok(Some(batch));
-            }
-            if !self.refill()? {
-                return Ok(None);
-            }
-        }
+    fn next(&mut self) -> Result<Option<Row>> {
+        self.refill()?;
+        Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {

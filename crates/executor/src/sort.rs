@@ -11,9 +11,8 @@
 //! runs cut at the budget boundary spill to charged overflow files and
 //! tournament-merge back — and keeps the sorted morsels it returns.
 //! [`Operator::next_columns`] hands those morsels on; [`Operator::next`]
-//! (the Volcano protocol, and what `MergeJoin` pulls) reads rows off the
-//! same morsels. The rows, their order and every clock charge are the
-//! same at every budget.
+//! reads rows off the same morsels. The rows, their order and every
+//! clock charge are the same at every budget.
 
 use std::cmp::Ordering;
 
@@ -69,7 +68,7 @@ pub struct Sort {
     mem_bytes: usize,
     /// Sorted morsels not yet handed to `out`.
     sorted: std::vec::IntoIter<ColumnBatch>,
-    /// The morsel being emitted; both protocols drain this one FIFO.
+    /// The morsel being emitted.
     out: ColumnBuffer,
 }
 

@@ -46,17 +46,20 @@ impl Morsel {
     }
 }
 
-/// An operator replaying prepared morsels, selection vectors included.
+/// An operator replaying prepared morsels, selection vectors included. A
+/// morsel leaves whole when it fits `max`, otherwise `max` live rows at a
+/// time under a selection vector naming them.
 pub struct Replay {
     schema: Schema,
     morsels: Vec<Morsel>,
     at: usize,
-    rows: std::vec::IntoIter<Row>,
+    /// Live rows of morsel `at` already emitted.
+    done: usize,
 }
 
 impl Replay {
     pub fn new(schema: Schema, morsels: Vec<Morsel>) -> Self {
-        Replay { schema, morsels, at: 0, rows: Vec::new().into_iter() }
+        Replay { schema, morsels, at: 0, done: 0 }
     }
 }
 
@@ -66,28 +69,24 @@ impl Operator for Replay {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.at = 0;
+        (self.at, self.done) = (0, 0);
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some(row) = self.rows.next() {
-                return Ok(Some(row));
-            }
-            let Some(m) = self.morsels.get(self.at) else { return Ok(None) };
-            self.rows = m.live().into_iter();
-            self.at += 1;
-        }
-    }
-
-    fn next_columns(&mut self, _max: usize) -> Result<Option<ColumnBatch>> {
+    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         while let Some(m) = self.morsels.get(self.at) {
-            self.at += 1;
-            let batch = m.batch(&self.schema);
-            if !batch.is_empty() {
-                return Ok(Some(batch));
+            let mut batch = m.batch(&self.schema);
+            let live: Vec<u32> =
+                batch.live_rows().skip(self.done).take(max.max(1)).map(|i| i as u32).collect();
+            if live.is_empty() {
+                (self.at, self.done) = (self.at + 1, 0);
+                continue;
             }
+            self.done += live.len();
+            if live.len() < batch.len() {
+                batch.set_selection(live);
+            }
+            return Ok(Some(batch));
         }
         Ok(None)
     }

@@ -13,8 +13,8 @@
 //! * projection is column pruning, not per-row rebuilding.
 //!
 //! Adapters ([`ColumnBatch::from_rows`], [`ColumnBatch::into_rows`])
-//! bridge to the row-at-a-time protocol so row-only operators keep
-//! working; `String`s materialize only at that row boundary.
+//! convert to and from rows at the edges (test inputs, results, the
+//! one-row `next()` view); `String`s materialize only at that boundary.
 //!
 //! Typing follows the schema: `Int32`/`Int64`/`Date` columns widen into an
 //! `i64` vector, `Float64` into `f64`, `Text` into a [`TextColumn`] — one
@@ -783,11 +783,11 @@ impl ColumnBatch {
 }
 
 /// A FIFO buffer over a dense [`ColumnBatch`]: operators fill it
-/// column-natively and drain it through whichever iterator protocol the
-/// parent speaks — one row ([`ColumnBuffer::pop_row`]) or a columnar
-/// morsel ([`ColumnBuffer::pop_columns`]). A single buffer backs both
-/// protocols, which is what keeps them interleavable on one operator:
-/// there is exactly one pending-output order.
+/// column-natively and drain it a columnar morsel at a time
+/// ([`ColumnBuffer::pop_columns`]) or, for the one-row view, a row at a
+/// time ([`ColumnBuffer::pop_row`]). One buffer backs both, which is what
+/// keeps the two calls interleavable on one operator: there is exactly
+/// one pending-output order.
 #[derive(Debug)]
 pub struct ColumnBuffer {
     batch: ColumnBatch,

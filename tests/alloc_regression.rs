@@ -228,10 +228,6 @@ impl Operator for Prebuilt {
         Ok(())
     }
 
-    fn next(&mut self) -> Result<Option<Row>> {
-        Err(smooth_types::Error::exec("Prebuilt speaks the columnar protocol only"))
-    }
-
     fn next_columns(&mut self, _max: usize) -> Result<Option<ColumnBatch>> {
         Ok(self.batches.next())
     }

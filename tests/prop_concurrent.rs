@@ -3,7 +3,10 @@
 //! random plans against **one shared database** — one buffer pool, one
 //! disk arm, one virtual clock, one worker pool — and every session
 //! must get back the **exact row sequence** a solo cold run of its plan
-//! returns on a fresh database, at every worker-pool width.
+//! returns on a fresh database, at every worker-pool width — and that
+//! solo run is itself held to [`common::reference`], the plan evaluator
+//! over the plain `Vec<Row>`s the tables were loaded from, so "what solo
+//! returns" is not the engine's word alone.
 //!
 //! Why rows only, not clock/I-O: result rows are required to be
 //! invariant under concurrency because everything result-bearing is
@@ -23,13 +26,14 @@
 //! sessions; plans replicate round-robin when it exceeds the generated
 //! plan count.
 
+mod common;
+
+use common::reference;
+use common::{schema, tables};
 use proptest::prelude::*;
 use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::{CpuCosts, DeviceProfile, StorageConfig};
-use smoothscan::prelude::{
-    AggFunc, Column, DataType, JoinType, PolicyKind, Predicate, Row, Schema, SmoothScanConfig,
-    Value,
-};
+use smoothscan::prelude::{AggFunc, JoinType, PolicyKind, Predicate, Row, SmoothScanConfig};
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
@@ -53,57 +57,33 @@ fn sessions_knob_takes_whole_numbers_only() {
     }
 }
 
-/// Deterministic pseudo-random column: spreads keys over [0, domain).
-fn scramble(i: i64, domain: i64) -> i64 {
-    ((i.wrapping_mul(2654435761)) % domain + domain) % domain
-}
-
-/// The same two-table database `prop_differential` uses: every
-/// construction is deterministic, so each call yields an identical
-/// engine whose cold runs are exactly reproducible.
+/// The same two-table database `prop_differential` uses, loaded from
+/// [`common::tables`]. Every construction is deterministic, so each call
+/// yields an identical engine whose cold runs are exactly reproducible.
 fn database(rows: i64) -> Database {
     let mut db = Database::new(StorageConfig {
         device: DeviceProfile::custom("t", 1, 10),
         cpu: CpuCosts::default(),
         pool_pages: 48,
     });
-    let schema = Schema::new(vec![
-        Column::new("c0", DataType::Int64),
-        Column::new("c1", DataType::Int64),
-        Column::nullable("c2", DataType::Int64),
-        Column::new("pad", DataType::Text),
-    ])
-    .unwrap();
-    db.load_table(
-        "t",
-        schema.clone(),
-        (0..rows).map(|i| {
-            let c2 = if i % 11 == 0 { Value::Null } else { Value::Int(scramble(i * 7, 500)) };
-            Row::new(vec![
-                Value::Int(i),
-                Value::Int(scramble(i, 300)),
-                c2,
-                Value::str("x".repeat(24)),
-            ])
-        }),
-    )
-    .unwrap();
-    db.create_index("t", 1, "t_c1").unwrap();
-    db.load_table(
-        "r",
-        schema,
-        (0..rows / 3).map(|i| {
-            Row::new(vec![
-                Value::Int(scramble(i, 300)),
-                Value::Int(scramble(i + 13, 300)),
-                Value::Int(i),
-                Value::str(format!("r{i}")),
-            ])
-        }),
-    )
-    .unwrap();
-    db.create_index("r", 1, "r_c1").unwrap();
+    let tables = tables(rows);
+    for name in ["t", "r"] {
+        db.load_table(name, schema(), tables[name].iter().cloned()).unwrap();
+        db.create_index(name, 1, &format!("{name}_c1")).unwrap();
+    }
     db
+}
+
+/// Cold-run `shape`'s plan alone, serial driver, under `budget`, and hold
+/// the rows to the reference.
+fn solo_run(shape: &PlanShape, budget: usize) -> Vec<Row> {
+    let plan = plan_for(shape);
+    let mut db = database(900);
+    db.set_workers(1);
+    db.set_mem_bytes(budget);
+    let rows = db.run(&plan).expect("solo run").rows;
+    reference::evaluate(&plan, &tables(900)).assert_matches(&rows, &format!("{shape:?}"));
+    rows
 }
 
 #[derive(Debug, Clone)]
@@ -205,14 +185,8 @@ proptest! {
     ) {
         // Solo references: each plan cold-run alone on its own fresh,
         // deterministically identical database, serial driver.
-        let solo: Vec<Vec<Row>> = shapes
-            .iter()
-            .map(|shape| {
-                let mut db = database(900);
-                db.set_workers(1);
-                db.run(&plan_for(shape)).expect("solo run").rows
-            })
-            .collect();
+        let budget = smoothscan::planner::db::default_mem_bytes();
+        let solo: Vec<Vec<Row>> = shapes.iter().map(|shape| solo_run(shape, budget)).collect();
 
         let n = sessions();
         for workers in WORKER_GRID {
@@ -280,15 +254,7 @@ proptest! {
         shapes in proptest::collection::vec(shape_strategy(), 4..5),
     ) {
         const BUDGET: usize = 4096;
-        let solo: Vec<Vec<Row>> = shapes
-            .iter()
-            .map(|shape| {
-                let mut db = database(900);
-                db.set_workers(1);
-                db.set_mem_bytes(BUDGET);
-                db.run(&plan_for(shape)).expect("solo budgeted run").rows
-            })
-            .collect();
+        let solo: Vec<Vec<Row>> = shapes.iter().map(|shape| solo_run(shape, BUDGET)).collect();
 
         let n = sessions();
         for workers in [2usize, 8] {

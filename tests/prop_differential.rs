@@ -4,9 +4,19 @@
 //! the **exact virtual CPU/IO clock totals** and the **exact I/O
 //! counters** across all three pipeline drivers:
 //!
-//! * the Volcano row-at-a-time driver (the permanent semantics oracle),
+//! * the Volcano driver — the root drained a row at a time, everything
+//!   beneath it on `next_columns` (the `max = 1` leg of batch-size
+//!   invariance, and what clocks and I/O are compared against),
 //! * the single-threaded columnar driver (`Database::run` at 1 worker),
 //! * the morsel-driven parallel driver at worker counts {1, 2, 4, 8}.
+//!
+//! The three share every kernel, so agreeing with each other cannot show
+//! a kernel right. What the rows *should be* comes from outside the
+//! engine: every Volcano run here is first held to
+//! [`common::reference`], a plan evaluator over the plain `Vec<Row>`s the
+//! tables were loaded from — as a sequence up to ties where the plan
+//! defines an order, as a multiset otherwise — and every other driver
+//! must then equal the Volcano rows exactly.
 //!
 //! Every execution strategy in this repo — batching, columnar layout,
 //! worker pools, the partitioned parallel hash-join build — is required
@@ -15,6 +25,10 @@
 //! end to end through the planner, for plan shapes no single-crate suite
 //! composes.
 
+mod common;
+
+use common::reference::{self, Tables};
+use common::{schema, scramble, tables};
 use proptest::prelude::*;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{collect_rows_volcano, ParallelSource, SinkSpec};
@@ -29,55 +43,22 @@ use smoothscan::prelude::{
 
 const WORKER_GRID: [usize; 3] = [2, 4, 8];
 
-/// Deterministic pseudo-random column: spreads keys over [0, domain).
-fn scramble(i: i64, domain: i64) -> i64 {
-    ((i.wrapping_mul(2654435761)) % domain + domain) % domain
-}
-
-fn database(rows: i64) -> Database {
+/// A fresh database over `tables`, every table indexed on `c1`.
+fn load(tables: &Tables, schema: &Schema) -> Database {
     let mut db = Database::new(StorageConfig {
         device: DeviceProfile::custom("t", 1, 10),
         cpu: CpuCosts::default(),
         pool_pages: 48,
     });
-    let schema = Schema::new(vec![
-        Column::new("c0", DataType::Int64),
-        Column::new("c1", DataType::Int64),
-        Column::nullable("c2", DataType::Int64),
-        Column::new("pad", DataType::Text),
-    ])
-    .unwrap();
-    db.load_table(
-        "t",
-        schema.clone(),
-        (0..rows).map(|i| {
-            let c2 = if i % 11 == 0 { Value::Null } else { Value::Int(scramble(i * 7, 500)) };
-            Row::new(vec![
-                Value::Int(i),
-                Value::Int(scramble(i, 300)),
-                c2,
-                Value::str("x".repeat(24)),
-            ])
-        }),
-    )
-    .unwrap();
-    db.create_index("t", 1, "t_c1").unwrap();
-    // A second, smaller table for build sides.
-    db.load_table(
-        "r",
-        schema,
-        (0..rows / 3).map(|i| {
-            Row::new(vec![
-                Value::Int(scramble(i, 300)),
-                Value::Int(scramble(i + 13, 300)),
-                Value::Int(i),
-                Value::str(format!("r{i}")),
-            ])
-        }),
-    )
-    .unwrap();
-    db.create_index("r", 1, "r_c1").unwrap();
+    for name in ["t", "r"] {
+        db.load_table(name, schema.clone(), tables[name].iter().cloned()).unwrap();
+        db.create_index(name, 1, &format!("{name}_c1")).unwrap();
+    }
     db
+}
+
+fn database(rows: i64) -> Database {
+    load(&tables(rows), &schema())
 }
 
 /// One scan-kind choice from the full repertoire.
@@ -104,6 +85,9 @@ enum JoinShape {
     HashInner,
     HashSemi,
     IndexNested,
+    /// Merge join on the nullable `c2` of both sides: NULL keys sort
+    /// first on either input and must match nothing.
+    MergeNullable,
 }
 
 fn join_strategy() -> impl Strategy<Value = JoinShape> {
@@ -112,6 +96,7 @@ fn join_strategy() -> impl Strategy<Value = JoinShape> {
         2 => Just(JoinShape::HashInner),
         1 => Just(JoinShape::HashSemi),
         1 => Just(JoinShape::IndexNested),
+        1 => Just(JoinShape::MergeNullable),
     ]
 }
 
@@ -169,6 +154,13 @@ fn plan_for(
             JoinType::Inner,
             JoinStrategy::IndexNestedLoop,
         ),
+        JoinShape::MergeNullable => scan.join(
+            LogicalPlan::scan(ScanSpec::new("t", Predicate::int_lt(0, 200))),
+            2,
+            2,
+            JoinType::Inner,
+            JoinStrategy::Merge,
+        ),
     };
     match agg {
         AggShape::None => joined,
@@ -207,13 +199,20 @@ fn run_volcano(plan: &LogicalPlan) -> QueryResult {
 /// [`run_volcano`] under an explicit per-operator memory budget in
 /// bytes (0 = unlimited).
 fn run_volcano_budgeted(plan: &LogicalPlan, budget: usize) -> QueryResult {
-    let mut db = database(900);
+    let tables = tables(900);
+    volcano(load(&tables, &schema()), &tables, plan, budget)
+}
+
+/// Cold-run `plan` on `db` through the Volcano driver under `budget`, and
+/// hold its rows to the reference evaluation over `tables`.
+fn volcano(mut db: Database, tables: &Tables, plan: &LogicalPlan, budget: usize) -> QueryResult {
     db.set_mem_bytes(budget);
     let mut op = db.build(plan).expect("plan builds");
     db.storage().flush_pool();
     let clock0 = db.storage().clock().snapshot();
     let io0 = db.storage().io_snapshot();
     let rows = collect_rows_volcano(op.as_mut()).expect("volcano run");
+    reference::evaluate(plan, tables).assert_matches(&rows, &format!("{plan:?}"));
     let stats = RunStats {
         rows: rows.len() as u64,
         clock: db.storage().clock().snapshot().since(&clock0),
@@ -443,6 +442,32 @@ proptest! {
     }
 }
 
+/// `JoinStrategy::Merge` over keys that are NULL on both inputs: every
+/// left row with a NULL `c2` meets a run of NULL-keyed right rows at the
+/// head of the sorted input and must join none of them (the row merge
+/// join this one replaced compared `Value`s with `==` and joined them
+/// all). Held to the reference like every Volcano run here, and equal
+/// across the drivers.
+#[test]
+fn merge_join_matches_no_null_keys() {
+    let plan = plan_for(
+        &AccessPathChoice::ForceFull,
+        0,
+        300,
+        None,
+        JoinShape::MergeNullable,
+        AggShape::None,
+    );
+    let volcano = run_volcano(&plan);
+    assert!(volcano.rows.iter().all(|r| !r.get(2).is_null()) && !volcano.rows.is_empty());
+    for workers in [1usize, 2, 4] {
+        let got = run_with_workers(&plan, workers);
+        assert_eq!(got.rows, volcano.rows, "rows diverge at {workers}w");
+        assert_eq!(got.stats.clock, volcano.stats.clock, "clock diverges at {workers}w");
+        assert_eq!(io_key(&got.stats.io), io_key(&volcano.stats.io), "I/O diverges at {workers}w");
+    }
+}
+
 /// `ordered:` heap-range scans no longer take the serial shared-source
 /// fallback: the planner lowers them to the partitioned heap source
 /// with a `Sort` sink, and rows/clock/IO equal the serial drivers at
@@ -492,64 +517,45 @@ fn ordered_scans_parallelize_with_sort_sink() {
 /// — arena decode, cross-operator handoff, ordered sink merge — through
 /// every driver. Fresh per run, for the same cold-run independence as
 /// [`database`].
-fn text_database() -> Database {
-    let mut db = Database::new(StorageConfig {
-        device: DeviceProfile::custom("t", 1, 10),
-        cpu: CpuCosts::default(),
-        pool_pages: 48,
+fn text_tables() -> Tables {
+    let t = (0..1000).map(|i| {
+        Row::new(vec![
+            Value::Int(i),
+            Value::Int(scramble(i, 1000)),
+            Value::str("p".repeat(80)),
+            Value::str(format!("tail-{i:04}-{}", "y".repeat((i % 17) as usize))),
+        ])
     });
-    let schema = Schema::new(vec![
+    let r = (0..300).map(|i| {
+        Row::new(vec![
+            Value::Int(scramble(i, 1000)),
+            Value::Int(i),
+            Value::str("q".repeat(64)),
+            Value::str(format!("r{i}")),
+        ])
+    });
+    Tables::from([("t", t.collect()), ("r", r.collect())])
+}
+
+fn text_schema() -> Schema {
+    Schema::new(vec![
         Column::new("c0", DataType::Int64),
         Column::new("c1", DataType::Int64),
         Column::new("pad", DataType::Text),
         Column::new("tail", DataType::Text),
     ])
-    .unwrap();
-    db.load_table(
-        "t",
-        schema.clone(),
-        (0..1000).map(|i| {
-            Row::new(vec![
-                Value::Int(i),
-                Value::Int(scramble(i, 1000)),
-                Value::str("p".repeat(80)),
-                Value::str(format!("tail-{i:04}-{}", "y".repeat((i % 17) as usize))),
-            ])
-        }),
-    )
-    .unwrap();
-    db.load_table(
-        "r",
-        schema,
-        (0..300).map(|i| {
-            Row::new(vec![
-                Value::Int(scramble(i, 1000)),
-                Value::Int(i),
-                Value::str("q".repeat(64)),
-                Value::str(format!("r{i}")),
-            ])
-        }),
-    )
-    .unwrap();
-    db
+    .unwrap()
+}
+
+fn text_database() -> Database {
+    load(&text_tables(), &text_schema())
 }
 
 /// Volcano oracle over [`text_database`] under a memory budget
-/// (0 = unlimited).
+/// (0 = unlimited), held to the reference.
 fn text_volcano(plan: &LogicalPlan, budget: usize) -> QueryResult {
-    let mut db = text_database();
-    db.set_mem_bytes(budget);
-    let mut op = db.build(plan).expect("plan builds");
-    db.storage().flush_pool();
-    let clock0 = db.storage().clock().snapshot();
-    let io0 = db.storage().io_snapshot();
-    let rows = collect_rows_volcano(op.as_mut()).expect("volcano run");
-    let stats = RunStats {
-        rows: rows.len() as u64,
-        clock: db.storage().clock().snapshot().since(&clock0),
-        io: db.storage().io_snapshot().since(&io0),
-    };
-    QueryResult { rows, stats, scan: Default::default() }
+    let tables = text_tables();
+    volcano(load(&tables, &text_schema()), &tables, plan, budget)
 }
 
 /// `Database::run` over [`text_database`] at a worker count and budget.
