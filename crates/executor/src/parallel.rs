@@ -158,9 +158,6 @@ pub struct BuildSpec {
     pub left_col: usize,
     /// Join semantics.
     pub ty: JoinType,
-    /// Spill partitions of the build table (probe results are
-    /// independent of it; [`crate::BUILD_PARTITIONS`] is the default).
-    pub partitions: usize,
     /// Operator memory budget in bytes for the build table (0 =
     /// unlimited); enforced once the partials are linked, so every worker
     /// count charges identical spill I/O
@@ -1055,7 +1052,6 @@ mod tests {
             right_col,
             left_col,
             ty,
-            partitions: crate::BUILD_PARTITIONS,
             mem_bytes: crate::spill::mem_budget_bytes(),
             open_at: 0,
             open_order: 0,
@@ -1093,7 +1089,6 @@ mod tests {
             right_col: 1,
             left_col: 1,
             ty,
-            partitions: crate::BUILD_PARTITIONS,
             // Unbudgeted: spill I/O is charged outside the per-morsel
             // sections, and the ledger tests reconcile to the clock.
             mem_bytes: 0,
@@ -1390,7 +1385,6 @@ mod tests {
                 right_col: 9, // out of range: must surface as a plan error
                 left_col: 1,
                 ty: JoinType::Inner,
-                partitions: crate::BUILD_PARTITIONS,
                 mem_bytes: crate::spill::mem_budget_bytes(),
                 open_at: 0,
                 open_order: 0,

@@ -51,39 +51,47 @@
 //! ([`crate::parallel::STEAL_PENALTY_PERMILLE`]). See
 //! `docs/scheduler_v2.md`.
 //!
-//! **The `ActiveQuery` phase state machine.** A query moves through
-//! `Build(0) → … → Build(n-1) → Probe → finalized`, tracked by the
-//! `SrcState` under the source lock (which phase the current decoder
-//! feeds, the claim seq, and the end-of-source latch). Build sources
-//! open in tranches ([`BuildSpec::open_at`] = how many builds must
-//! complete first, [`BuildSpec::open_order`] = the serial driver's
-//! open sequence): admission opens the probe source (serial open
-//! order), parks it, and opens tranche 0; when the last in-flight
+//! **The `ActiveQuery` phase state machine.** A query is one list of
+//! phases — the hash-join builds in build order, then the phase that
+//! feeds the sink — and moves through it front to back, `0 → … → n →
+//! finalized`, tracked by the `SrcState` under the source lock (which
+//! phase the current source feeds, the claim seq, and the
+//! end-of-source latch). Every phase is the same thing: a source, a
+//! stage chain, an open stamp; a build phase also says what table its
+//! morsels fold into, the last phase folds into the sink. The phase's
+//! index is its identity everywhere — in queued morsels, in the
+//! ledger, in the morsel-panic key. Sources open in tranches
+//! ([`BuildSpec::open_at`] = how many builds must complete first,
+//! [`BuildSpec::open_order`] = the serial driver's open sequence):
+//! admission opens tranche 0 — the last phase's source first (serial
+//! open order), then the builds' — parks them, and installs phase 0
+//! (with no builds, that *is* the last phase); when the last in-flight
 //! morsel of build `i` lands, the finalizing worker links the
 //! per-slot partial builds into one table in global build order
 //! ([`crate::JoinBuildTable::from_partials`] — charge-free, like the
 //! serial linking it reproduces) — finalizes any *nested* probe
 //! stages inside completed builds (bushy trees: a hash join on the
-//! build side of a hash join), resolves later builds' stages against
-//! the now-installed tables, opens tranche `i + 1`, and installs the
-//! next phase's source. After the last build the parked probe source
-//! is installed and the probe phase begins. Stage chains are walked
+//! build side of a hash join), opens tranche `i + 1`, and installs
+//! phase `i + 1`: its parked source, its stages resolved against the
+//! now-installed tables. Stage chains are walked
 //! twice and only twice: `staged_schema` validates every chain — build
 //! side and probe side alike — and types the sink at plan time, so
 //! plan errors surface before the query is queued; `resolve_stages`
 //! binds a chain to the finished tables when its phase is installed.
 //! `ordered:` heap scans run as a normal
-//! chunked probe phase over the partitioned heap source with a
+//! chunked last phase over the partitioned heap source with a
 //! charged stable sort at the sink ([`SinkSpec::Sort`]) — rows and
-//! charges byte-identical to the serial Sort-over-scan plan.
+//! charges byte-identical to the serial Sort-over-scan plan. A plan
+//! with nothing to fan out is the same machine with one phase whose
+//! source is the whole operator tree ([`ParallelSource::Shared`]).
 //!
 //! **Trace sites.** [`crate::run_pipeline_traced`] runs a query solo
 //! on a one-worker pool with its trace on, and the scheduler fills the
 //! [`crate::ScalingLedger`] — the scaling model's input — from
 //! virtual-clock snapshots at the sites every query passes through.
 //! The ledger has the scheduler's shape — one
-//! [`crate::LedgerPhase`] per build, in build order, then the probe
-//! phase — and every site writes its own phase by index: `admit` (the
+//! [`crate::LedgerPhase`] per phase, indexed like the query's own
+//! list — and every site writes its own phase by index: `admit` (the
 //! source opens: `prefix_ns`), each `pull` in `claim_chunk` (`src_ns`,
 //! `chunked`), `ActiveQuery::process` (`proc_ns`, and `sink_ns` for
 //! the ordered sink's fold), `advance_build` (later tranches' opens
@@ -120,7 +128,7 @@ use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
 use crate::expr::Predicate;
 use crate::extsort::ExternalSorter;
-use crate::join::{JoinBuildPartial, JoinBuildTable};
+use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
 use crate::parallel::{
     open_source, process_item, resolve_stages, source_claim, staged_schema, steal_victim,
     BuildSpec, HeapDecoder, LedgerPhase, OpenedSource, ParallelPipeline, ParallelSource,
@@ -202,15 +210,6 @@ impl QueryHandle {
     }
 }
 
-/// Which phase a query's source lock is currently feeding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum PhaseKind {
-    /// Draining build `i`'s input into the per-worker build partials.
-    Build(usize),
-    /// Draining the probe source through the probe stages.
-    Probe,
-}
-
 /// The serialized heart of a query: its morsel source, pulled under
 /// one lock in sequence order so all charged I/O happens in exactly
 /// the serial order. One `SrcState` per *phase*; advancing a phase
@@ -225,66 +224,80 @@ struct SrcState {
     seq: u64,
     done: bool,
     finalized: bool,
-    kind: PhaseKind,
+    /// Index into [`ActiveQuery::phases`] of the phase this source feeds.
+    phase: usize,
 }
 
 impl SrcState {
-    fn new(
-        core: SourceCore,
-        decoder_spec: Option<(Schema, Predicate)>,
-        kind: PhaseKind,
-    ) -> SrcState {
+    fn new(opened: Option<OpenedSource>, phase: usize) -> SrcState {
+        let (core, decoder_spec) = opened.unzip();
         SrcState {
-            core: Some(core),
-            decoder_spec,
+            core,
+            decoder_spec: decoder_spec.flatten(),
             decoders: Vec::new(),
             seq: 0,
             done: false,
             finalized: false,
-            kind,
-        }
-    }
-
-    fn empty() -> SrcState {
-        SrcState {
-            core: None,
-            decoder_spec: None,
-            decoders: Vec::new(),
-            seq: 0,
-            done: false,
-            finalized: false,
-            kind: PhaseKind::Probe,
+            phase,
         }
     }
 }
 
-/// One validated hash-join build phase.
-struct BuildPhase {
-    /// The unopened build source (taken when its open tranche runs).
+/// One validated phase of a query: a morsel source drained through a
+/// stage chain, into a hash-join build table (`build`) or — the last
+/// phase only — into the sink.
+struct Phase {
+    /// The unopened source (taken when its open tranche runs).
     source: Mutex<Option<ParallelSource>>,
-    /// Opened-but-not-yet-draining source: bushy trees open build
-    /// sources in the serial cascade's open order, which can be
-    /// several phases before the build itself drains.
+    /// Opened-but-not-yet-draining source: sources open in the serial
+    /// cascade's open order, which can be several phases before the
+    /// phase itself drains (the last phase's opens first of all).
     parked: Mutex<Option<OpenedSource>>,
-    /// Raw build-side stage specs; resolved against the finished
-    /// tables when this build's phase starts (nested probes reference
-    /// earlier builds only — validated at plan time).
+    /// Raw stage specs; resolved against the finished tables when this
+    /// phase starts (a build's nested probes reference earlier builds
+    /// only — validated at plan time).
     spec_stages: Vec<StageSpec>,
-    /// Resolved stages, installed by [`install_build_phase`].
+    /// Resolved stages, installed by [`install_phase`].
     stages: Mutex<Option<Arc<Vec<Stage>>>>,
-    schema: Schema,
-    right_col: usize,
-    left_col: usize,
-    ty: JoinType,
-    partitions: usize,
-    /// Operator memory budget for the merged build table (0 =
-    /// unlimited), enforced at [`advance_build`].
-    mem_bytes: usize,
     /// How many builds must have completed before this source opens
     /// (0 = at admission) — see [`BuildSpec::open_at`].
     open_at: usize,
     /// Open position within the tranche — see [`BuildSpec::open_order`].
     open_order: usize,
+    /// The table this phase builds; `None` = the phase that feeds the
+    /// sink.
+    build: Option<PhaseBuild>,
+}
+
+impl Phase {
+    fn new(
+        source: ParallelSource,
+        spec_stages: Vec<StageSpec>,
+        open_at: usize,
+        open_order: usize,
+        build: Option<PhaseBuild>,
+    ) -> Phase {
+        Phase {
+            source: Mutex::new(Some(source)),
+            parked: Mutex::new(None),
+            spec_stages,
+            stages: Mutex::new(None),
+            open_at,
+            open_order,
+            build,
+        }
+    }
+}
+
+/// What a build phase's morsels fold into.
+struct PhaseBuild {
+    schema: Schema,
+    right_col: usize,
+    left_col: usize,
+    ty: JoinType,
+    /// Operator memory budget for the merged build table (0 =
+    /// unlimited), enforced at [`advance_build`].
+    mem_bytes: usize,
 }
 
 /// Order-preserving sink state: morsels buffer in a seq-keyed map and
@@ -305,7 +318,7 @@ struct SinkState {
 /// and stage CPU), so *any* worker — owner or thief — can process it
 /// with byte-identical accounting.
 struct Pending {
-    kind: PhaseKind,
+    phase: usize,
     seq: u64,
     item: SourceItem,
     /// Source file for the morsel-panic fault site.
@@ -318,19 +331,16 @@ struct Pending {
 struct ActiveQuery {
     storage: Storage,
     morsel_rows: usize,
-    builds: Vec<BuildPhase>,
-    /// Raw probe-chain stage specs (validated at plan time; resolved
-    /// against the finished tables by [`install_probe_phase`]).
-    probe_specs: Vec<StageSpec>,
+    /// The builds in build order, then the phase that feeds the sink.
+    /// The index is the phase's identity everywhere: in `SrcState`, in
+    /// queued morsels, in the ledger.
+    phases: Vec<Phase>,
     /// Terminal merge discipline.
     sink_spec: SinkSpec,
-    /// The staged output schema — what every probe morsel conforms to
-    /// after the last stage (the aggregate sink's input typing).
+    /// The staged output schema — what every morsel of the last phase
+    /// conforms to after its last stage (the aggregate sink's input
+    /// typing).
     out_schema: Schema,
-    /// The probe source, opened at admission (serial open order) and
-    /// parked until the builds finish.
-    probe_source: Mutex<Option<ParallelSource>>,
-    parked_probe: Mutex<Option<OpenedSource>>,
     /// Per-worker local morsel queues (work stealing): a claiming
     /// worker deposits its chunk here; dry workers steal from the
     /// longest peer queue. Queued morsels count in `inflight`, so a
@@ -338,8 +348,6 @@ struct ActiveQuery {
     queues: Vec<Mutex<VecDeque<Pending>>>,
     /// Finished probe tables, one per build, in build order.
     tables: Mutex<Vec<Arc<ProbeTable>>>,
-    /// Probe stages, resolved once the last build's table lands.
-    probe_stages: Mutex<Option<Arc<Vec<Stage>>>>,
     src: Mutex<SrcState>,
     sink: Mutex<SinkState>,
     /// Slot pools for worker-side partial state (see module docs).
@@ -374,8 +382,7 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let ParallelPipeline { source, builds, stages, sink, storage, morsel_rows } = pipeline;
-        let build_count = builds.len();
-        let mut build_phases: Vec<BuildPhase> = Vec::with_capacity(build_count);
+        let mut phases: Vec<Phase> = Vec::with_capacity(builds.len() + 1);
         let mut prior: Vec<(Schema, JoinType)> = Vec::with_capacity(builds.len());
         for (i, build) in builds.into_iter().enumerate() {
             let BuildSpec {
@@ -384,13 +391,12 @@ impl ActiveQuery {
                 right_col,
                 left_col,
                 ty,
-                partitions,
                 mem_bytes,
                 open_at,
                 open_order,
             } = build;
-            let build_schema = staged_schema(source.schema(), &stages, &prior)?;
-            if right_col >= build_schema.len() {
+            let schema = staged_schema(source.schema(), &stages, &prior)?;
+            if right_col >= schema.len() {
                 return Err(Error::plan(format!(
                     "hash-join build key column {right_col} out of range"
                 )));
@@ -400,42 +406,33 @@ impl ActiveQuery {
                     "build {i} opens at tranche {open_at}, after its own phase starts"
                 )));
             }
-            prior.push((build_schema.clone(), ty));
-            build_phases.push(BuildPhase {
-                source: Mutex::new(Some(source)),
-                parked: Mutex::new(None),
-                spec_stages: stages,
-                stages: Mutex::new(None),
-                schema: build_schema,
-                right_col,
-                left_col,
-                ty,
-                partitions: partitions.max(1),
-                mem_bytes,
-                open_at,
-                open_order,
-            });
+            prior.push((schema.clone(), ty));
+            let build = PhaseBuild { schema, right_col, left_col, ty, mem_bytes };
+            phases.push(Phase::new(source, stages, open_at, open_order, Some(build)));
         }
         let schema = staged_schema(source.schema(), &stages, &prior)?;
+        // The last phase's source opens at admission, ahead of every
+        // build's (`open_tranche` sorts it first whatever its stamp).
+        phases.push(Phase::new(source, stages, 0, 0, None));
         let ordered_agg = match &sink {
             SinkSpec::Aggregate { group_cols, aggs, merge_exact: false } => {
                 Some(PartialAgg::new(&schema, group_cols, aggs)?)
             }
             _ => None,
         };
+        let trace = traced.then(|| {
+            let phases = vec![LedgerPhase::default(); phases.len()];
+            Mutex::new(ScalingLedger { phases, ..ScalingLedger::default() })
+        });
         Ok(ActiveQuery {
             storage,
             morsel_rows,
-            builds: build_phases,
-            probe_specs: stages,
+            phases,
             sink_spec: sink,
             out_schema: schema,
-            probe_source: Mutex::new(Some(source)),
-            parked_probe: Mutex::new(None),
             queues: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
             tables: Mutex::new(Vec::new()),
-            probe_stages: Mutex::new(None),
-            src: Mutex::new(SrcState::empty()),
+            src: Mutex::new(SrcState::new(None, 0)),
             sink: Mutex::new(SinkState {
                 pending: BTreeMap::new(),
                 next: 0,
@@ -452,10 +449,7 @@ impl ActiveQuery {
             stats: Mutex::new(ScanStatistics::default()),
             lock_wait_ns: AtomicU64::new(0),
             done_tx: Mutex::new(Some(tx)),
-            trace: traced.then(|| {
-                let phases = vec![LedgerPhase::default(); build_count + 1];
-                Mutex::new(ScalingLedger { phases, ..ScalingLedger::default() })
-            }),
+            trace,
         })
     }
 
@@ -479,35 +473,17 @@ impl ActiveQuery {
         }
     }
 
-    /// Where `kind`'s sections go in the ledger: builds in build order,
-    /// the probe phase last.
-    fn ledger_phase(&self, kind: PhaseKind) -> usize {
-        match kind {
-            PhaseKind::Build(i) => i,
-            PhaseKind::Probe => self.builds.len(),
-        }
-    }
-
     /// Open the query's sources for its first phase. Runs at admission,
-    /// outside the scheduler state lock. The probe source opens first —
-    /// the exact open order of the serial driver — then every tranche-0
-    /// build source in `open_order`, so single-query accounting is
-    /// byte-identical.
+    /// outside the scheduler state lock. The last phase's source opens
+    /// first — the exact open order of the serial driver — then every
+    /// tranche-0 build source in `open_order`, so single-query
+    /// accounting is byte-identical.
     fn admit(&self) -> Result<()> {
         let mark = tap_mark();
         let result = (|| {
-            // invariant: `pump` admits each query exactly once, so the
-            // probe source is still present here.
-            let probe = lock(&self.probe_source).take().expect("a query admits once");
             let prefix = self.trace_mark();
-            let probe = open_source(probe, self.morsel_rows)?;
-            if self.builds.is_empty() {
-                install_probe_phase(self, probe, &mut lock(&self.src))?;
-            } else {
-                *lock(&self.parked_probe) = Some(probe);
-                open_build_tranche(self, 0)?;
-                install_build_phase(self, 0, &mut lock(&self.src))?;
-            }
+            open_tranche(self, 0)?;
+            install_phase(self, 0, &mut lock(&self.src))?;
             self.trace_since(prefix, |l, ns| l.prefix_ns = ns);
             Ok(())
         })();
@@ -515,73 +491,74 @@ impl ActiveQuery {
         result
     }
 
+    /// Stable draw key for the morsel-panic fault site: phase-qualified
+    /// sequence number (build `i` is `(i + 1) << 48 | seq`, the last
+    /// phase plain `seq`), identical for a given query no matter the
+    /// worker count or interleaving (seqs are claimed in serial source
+    /// order).
+    fn morsel_panic_key(&self, phase: usize, seq: u64) -> u64 {
+        match self.phases[phase].build {
+            Some(_) => (phase as u64 + 1) << 48 | seq,
+            None => seq,
+        }
+    }
+
     /// Process one claimed source item outside the source lock and
     /// deliver it to the phase's partial state.
     fn process(
         &self,
-        kind: PhaseKind,
+        idx: usize,
         seq: u64,
         item: SourceItem,
         decoder: &mut Option<HeapDecoder>,
     ) -> Result<()> {
-        let phase_idx = self.ledger_phase(kind);
-        match kind {
-            PhaseKind::Build(i) => {
-                let phase = &self.builds[i];
-                let stages = lock(&phase.stages)
-                    .clone()
-                    .ok_or_else(|| Error::exec("build morsel before stages resolved"))?;
-                let mark = self.trace_mark();
-                let batch = process_item(item, decoder, &stages, &self.storage)?;
-                self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
-                let mut partial = lock(&self.build_slots)
-                    .pop()
-                    .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, phase.right_col));
-                partial.fold(seq, batch)?;
-                lock(&self.build_slots).push(partial);
-                self.trace_since(mark, |l, ns| l.phases[phase_idx].proc_ns.push(ns));
-                Ok(())
-            }
-            PhaseKind::Probe => {
-                let stages = lock(&self.probe_stages)
-                    .clone()
-                    .ok_or_else(|| Error::exec("probe morsel before stages resolved"))?;
-                let mark = self.trace_mark();
-                let batch = process_item(item, decoder, &stages, &self.storage)?;
-                if let SinkSpec::Aggregate { group_cols, aggs, merge_exact: true } = &self.sink_spec
-                {
-                    let slot = lock(&self.agg_slots).pop();
-                    let mut slot = match slot {
-                        Some(slot) => slot,
-                        None => PartialAgg::new(&self.out_schema, group_cols, aggs)?,
-                    };
-                    slot.update(&self.storage, seq, &batch)?;
-                    lock(&self.agg_slots).push(slot);
-                    // An exact-merge fold runs on the workers: it is
-                    // part of the morsel's worker section.
-                    self.trace_since(mark, |l, ns| {
-                        l.phases[phase_idx].proc_ns.push(ns);
-                        l.phases[phase_idx].sink_ns.push(0);
-                    });
-                    return Ok(());
-                }
-                self.trace_since(mark, |l, ns| l.phases[phase_idx].proc_ns.push(ns));
-                // The ordered sink is a serialized section of its own.
-                let mark = self.trace_mark();
-                let mut sink = lock(&self.sink);
-                sink.pending.insert(seq, batch);
-                let SinkState { pending, next, batches, ordered_agg } = &mut *sink;
-                while let Some(m) = pending.remove(next) {
-                    match ordered_agg.as_mut() {
-                        Some(agg) => agg.update(&self.storage, *next, &m)?,
-                        None => batches.push(m),
-                    }
-                    *next += 1;
-                }
-                self.trace_since(mark, |l, ns| l.phases[phase_idx].sink_ns.push(ns));
-                Ok(())
-            }
+        let phase = &self.phases[idx];
+        let stages = lock(&phase.stages)
+            .clone()
+            .ok_or_else(|| Error::exec("morsel before its phase's stages resolved"))?;
+        let mark = self.trace_mark();
+        let batch = process_item(item, decoder, &stages, &self.storage)?;
+        if let Some(build) = &phase.build {
+            self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
+            let mut partial = lock(&self.build_slots)
+                .pop()
+                .unwrap_or_else(|| JoinBuildPartial::new(&build.schema, build.right_col));
+            partial.fold(seq, batch)?;
+            lock(&self.build_slots).push(partial);
+            self.trace_since(mark, |l, ns| l.phases[idx].proc_ns.push(ns));
+            return Ok(());
         }
+        if let SinkSpec::Aggregate { group_cols, aggs, merge_exact: true } = &self.sink_spec {
+            let slot = lock(&self.agg_slots).pop();
+            let mut slot = match slot {
+                Some(slot) => slot,
+                None => PartialAgg::new(&self.out_schema, group_cols, aggs)?,
+            };
+            slot.update(&self.storage, seq, &batch)?;
+            lock(&self.agg_slots).push(slot);
+            // An exact-merge fold runs on the workers: it is part of
+            // the morsel's worker section.
+            self.trace_since(mark, |l, ns| {
+                l.phases[idx].proc_ns.push(ns);
+                l.phases[idx].sink_ns.push(0);
+            });
+            return Ok(());
+        }
+        self.trace_since(mark, |l, ns| l.phases[idx].proc_ns.push(ns));
+        // The ordered sink is a serialized section of its own.
+        let mark = self.trace_mark();
+        let mut sink = lock(&self.sink);
+        sink.pending.insert(seq, batch);
+        let SinkState { pending, next, batches, ordered_agg } = &mut *sink;
+        while let Some(m) = pending.remove(next) {
+            match ordered_agg.as_mut() {
+                Some(agg) => agg.update(&self.storage, *next, &m)?,
+                None => batches.push(m),
+            }
+            *next += 1;
+        }
+        self.trace_since(mark, |l, ns| l.phases[idx].sink_ns.push(ns));
+        Ok(())
     }
 
     /// Morsel-boundary check, at claim and at process time alike:
@@ -609,16 +586,6 @@ impl ActiveQuery {
             Some((s, _)) if *s <= seq => {}
             _ => *slot = Some((seq, e)),
         }
-    }
-}
-
-/// Stable draw key for the morsel-panic fault site: phase-qualified
-/// sequence number, identical for a given query no matter the worker
-/// count or interleaving (seqs are claimed in serial source order).
-fn morsel_panic_key(kind: PhaseKind, seq: u64) -> u64 {
-    match kind {
-        PhaseKind::Build(i) => (i as u64 + 1) << 48 | seq,
-        PhaseKind::Probe => seq,
     }
 }
 
@@ -935,8 +902,7 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
         let c = src.core.as_ref().expect("checked above");
         source_claim(fixed, c.remaining_hint(), core.workers)
     };
-    let kind = src.kind;
-    let (phase_idx, chunked) = (q.ledger_phase(kind), src.decoder_spec.is_some());
+    let (phase, chunked) = (src.phase, src.decoder_spec.is_some());
     let mut claimed: Vec<Pending> = Vec::with_capacity(k);
     // Some(Ok) = source exhausted mid-chunk, Some(Err) = pull failed.
     let mut end: Option<Result<()>> = None;
@@ -947,11 +913,11 @@ fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
         match src.core.as_mut().expect("checked above").pull(&q.storage) {
             Ok(Some(item)) => {
                 q.trace_since(mark, |l, ns| {
-                    l.phases[phase_idx].src_ns.push(ns);
-                    l.phases[phase_idx].chunked = chunked;
+                    l.phases[phase].src_ns.push(ns);
+                    l.phases[phase].chunked = chunked;
                 });
                 let file = src.core.as_ref().and_then(SourceCore::file_id);
-                claimed.push(Pending { kind, seq: src.seq, item, file });
+                claimed.push(Pending { phase, seq: src.seq, item, file });
                 src.seq += 1;
             }
             Ok(None) => {
@@ -1008,7 +974,7 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
         }
         return true;
     }
-    let Pending { kind, seq, item, file } = p;
+    let Pending { phase, seq, item, file } = p;
     let mark = tap_mark();
     // Decoder pool, for page runs only (a shared operator's ready
     // batch must not queue behind that operator's next pull for a
@@ -1030,10 +996,11 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
     // become a typed per-query error — the worker thread, the pool,
     // and every other query survive.
     let result = match catch_unwind(AssertUnwindSafe(|| {
-        if q.storage.morsel_panics(file, morsel_panic_key(kind, seq)) {
-            std::panic::panic_any(InjectedPanic { key: morsel_panic_key(kind, seq) });
+        let key = q.morsel_panic_key(phase, seq);
+        if q.storage.morsel_panics(file, key) {
+            std::panic::panic_any(InjectedPanic { key });
         }
-        q.process(kind, seq, item, &mut decoder)
+        q.process(phase, seq, item, &mut decoder)
     })) {
         Ok(r) => r,
         Err(payload) => {
@@ -1097,32 +1064,29 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
         }
         lock(&q.stats).merge(&mark.delta());
     }
-    let kind = src.kind;
+    let phase = src.phase;
     if q.failed.load(Ordering::Acquire) {
         drop(src);
         complete_err(q, core);
         return;
     }
-    match kind {
-        PhaseKind::Build(i) => {
-            let advanced = advance_build(q, i, &mut src);
-            drop(src);
-            match advanced {
-                Ok(()) => {
-                    let mut st = lock(&core.state);
-                    st.epoch += 1;
-                    drop(st);
-                    core.cv.notify_all();
-                }
-                Err(e) => {
-                    q.record_err(end_seq, e);
-                    complete_err(q, core);
-                }
-            }
+    if phase + 1 == q.phases.len() {
+        drop(src);
+        complete_ok(q, core);
+        return;
+    }
+    let advanced = advance_build(q, phase, &mut src);
+    drop(src);
+    match advanced {
+        Ok(()) => {
+            let mut st = lock(&core.state);
+            st.epoch += 1;
+            drop(st);
+            core.cv.notify_all();
         }
-        PhaseKind::Probe => {
-            drop(src);
-            complete_ok(q, core);
+        Err(e) => {
+            q.record_err(end_seq, e);
+            complete_err(q, core);
         }
     }
 }
@@ -1130,7 +1094,10 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
 /// Merge build `i`'s per-worker partials into its probe table and
 /// install the next phase into `src`.
 fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<()> {
-    let phase = &q.builds[i];
+    let phase = &q.phases[i];
+    // invariant: `plan` gives every phase but the last a build half,
+    // and `maybe_finalize` completes the last phase instead.
+    let build = phase.build.as_ref().expect("only the last phase has no build");
     // Build input exhausted: settle deferred grace-join passes on the
     // tables this build's nested probes touched — exactly where the
     // serial cascade's probe exhaustion charges them, before the new
@@ -1145,72 +1112,55 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     }
     let slots = std::mem::take(&mut *lock(&q.build_slots));
     let mut table =
-        JoinBuildTable::from_partials(&phase.schema, phase.right_col, phase.partitions, slots);
+        JoinBuildTable::from_partials(&build.schema, build.right_col, BUILD_PARTITIONS, slots);
     // The linked table is byte-identical to the serial build, so the
     // budget enforcement — and its charged spill I/O — is too. A
     // failed overflow-file write (injected spill fault) fails the
     // whole query here.
-    table.apply_budget(&q.storage, phase.mem_bytes)?;
-    lock(&q.tables).push(Arc::new(ProbeTable { table, left_col: phase.left_col, ty: phase.ty }));
+    table.apply_budget(&q.storage, build.mem_bytes)?;
+    lock(&q.tables).push(Arc::new(ProbeTable { table, left_col: build.left_col, ty: build.ty }));
     // Build `i` completed: open the sources of tranche `i + 1` in the
     // serial cascade's open order (bushy trees open build sources
     // before their own phase starts). Whatever these opens charge is
     // serial time: it joins the traced prefix.
     let opens = q.trace_mark();
     let mark = tap_mark();
-    let tranche = open_build_tranche(q, i + 1);
+    let tranche = open_tranche(q, i + 1);
     lock(&q.stats).merge(&mark.delta());
     tranche?;
     q.trace_since(opens, |l, ns| l.prefix_ns += ns);
-    if i + 1 < q.builds.len() {
-        install_build_phase(q, i + 1, src)
-    } else {
-        // invariant: `admit` parks the probe source whenever builds
-        // exist, and only the last build's finalizer reaches here.
-        let probe = lock(&q.parked_probe).take().expect("probe source parked at admission");
-        install_probe_phase(q, probe, src)
-    }
+    install_phase(q, i + 1, src)
 }
 
-/// Open every build source whose `open_at` tranche is `at`, in
-/// `open_order` — the serial driver's exact open order — and park the
-/// opened cores until their build phase starts. The caller brackets
-/// this with a tap mark so the open I/O is attributed to the query.
-fn open_build_tranche(q: &ActiveQuery, at: usize) -> Result<()> {
-    let mut order: Vec<usize> = (0..q.builds.len()).collect();
-    order.sort_by_key(|&j| q.builds[j].open_order);
-    for j in order {
-        if q.builds[j].open_at != at {
-            continue;
-        }
-        let Some(source) = lock(&q.builds[j].source).take() else { continue };
+/// Open every source whose `open_at` tranche is `at` — the last
+/// phase's first (it opens at admission, ahead of every build), then
+/// the builds' in `open_order`: the serial driver's exact open order —
+/// and park the opened cores until their phase starts. The caller
+/// brackets this with a tap mark so the open I/O is attributed to the
+/// query.
+fn open_tranche(q: &ActiveQuery, at: usize) -> Result<()> {
+    let mut order: Vec<&Phase> = q.phases.iter().filter(|p| p.open_at == at).collect();
+    order.sort_by_key(|p| (p.build.is_some(), p.open_order));
+    for phase in order {
+        let Some(source) = lock(&phase.source).take() else { continue };
         let opened = open_source(source, q.morsel_rows)?;
-        *lock(&q.builds[j].parked) = Some(opened);
+        *lock(&phase.parked) = Some(opened);
     }
     Ok(())
 }
 
-/// Start build `i`: resolve its stages against the finished tables
-/// (nested probes reference earlier builds only) and install its
-/// parked source as the query's active phase.
-fn install_build_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<()> {
-    let phase = &q.builds[i];
-    let (core, decoder) = lock(&phase.parked).take().ok_or_else(|| {
-        Error::plan(format!("build {i} source never opened (open_at {})", phase.open_at))
+/// Start phase `i`: resolve its stages against the finished tables (a
+/// build's nested probes reference earlier builds only; the last phase
+/// sees them all) and install its parked source as the query's active
+/// phase.
+fn install_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<()> {
+    let phase = &q.phases[i];
+    let opened = lock(&phase.parked).take().ok_or_else(|| {
+        Error::plan(format!("phase {i} source never opened (open_at {})", phase.open_at))
     })?;
-    let stages = resolve_stages(&phase.spec_stages, core.schema(), &lock(&q.tables))?;
+    let stages = resolve_stages(&phase.spec_stages, opened.0.schema(), &lock(&q.tables))?;
     *lock(&phase.stages) = Some(Arc::new(stages));
-    *src = SrcState::new(core, decoder, PhaseKind::Build(i));
-    Ok(())
-}
-
-/// Start the probe phase: resolve its stages against the finished
-/// tables and install the opened probe source as the active phase.
-fn install_probe_phase(q: &ActiveQuery, probe: OpenedSource, src: &mut SrcState) -> Result<()> {
-    let (core, decoder) = probe;
-    let stages = resolve_stages(&q.probe_specs, core.schema(), &lock(&q.tables))?;
-    *lock(&q.probe_stages) = Some(Arc::new(stages));
-    *src = SrcState::new(core, decoder, PhaseKind::Probe);
+    *src = SrcState::new(Some(opened), i);
     Ok(())
 }
 
@@ -1303,7 +1253,6 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
 fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
     lock(&q.build_slots).clear();
     lock(&q.agg_slots).clear();
-    *lock(&q.probe_stages) = None;
     lock(&q.tables).clear();
     {
         let mut sink = lock(&q.sink);
@@ -1311,12 +1260,9 @@ fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
         sink.batches.clear();
         sink.ordered_agg = None;
     }
-    if let Some((parked, _)) = lock(&q.parked_probe).take() {
-        let _ = parked.close();
-    }
-    // Bushy trees park opened build sources ahead of their phase;
-    // close any still waiting so a failed query leaves none open.
-    for phase in &q.builds {
+    // Sources park opened ahead of their phase; close any still
+    // waiting so a failed query leaves none open.
+    for phase in &q.phases {
         *lock(&phase.stages) = None;
         if let Some((parked, _)) = lock(&phase.parked).take() {
             let _ = parked.close();

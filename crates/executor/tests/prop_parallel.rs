@@ -275,7 +275,6 @@ proptest! {
                     right_col: 0,
                     left_col: 1,
                     ty,
-                    partitions: smooth_executor::BUILD_PARTITIONS,
                     mem_bytes: smooth_executor::mem_budget_bytes(),
                     open_at: 0,
                     open_order: 0,

@@ -1,6 +1,8 @@
 //! Property tests for the parallel partitioned hash-join build: for
-//! arbitrary data (null keys, duplicate keys, `Text` payloads), partition
-//! counts, morsel sizes and worker counts, the pipeline with a
+//! arbitrary data (null keys, duplicate keys, `Text` payloads), morsel
+//! sizes and worker counts (the spill fan-out is the constant
+//! `BUILD_PARTITIONS`; `join.rs`'s own tests sweep
+//! `JoinBuildTable::from_partials` over it), the pipeline with a
 //! partitioned build must produce the **exact row sequence** of the
 //! serial columnar [`HashJoin`] and charge the **exact same virtual
 //! CPU/IO clock totals** and I/O counters. The build phase — per-slot
@@ -16,9 +18,7 @@ use smooth_executor::parallel::{
     run_pipeline, BuildSpec, ParallelPipeline, ParallelSource, SinkSpec, StageSpec,
 };
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
-use smooth_executor::{
-    collect_rows, FullTableScan, HashJoin, JoinType, Predicate, BUILD_PARTITIONS,
-};
+use smooth_executor::{collect_rows, FullTableScan, HashJoin, JoinType, Predicate};
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
 
@@ -89,8 +89,8 @@ fn assert_equal_runs(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Shared-source build (a `ValuesOp` right side) across partition
-    /// counts, morsel sizes and worker counts ≡ the serial HashJoin —
+    /// Shared-source build (a `ValuesOp` right side) across morsel
+    /// sizes and worker counts ≡ the serial HashJoin —
     /// including NULL build keys, duplicate keys and Text payloads.
     #[test]
     fn partitioned_build_equals_serial_build(
@@ -100,9 +100,6 @@ proptest! {
             0..150,
         ),
         semi in any::<bool>(),
-        partitions in prop_oneof![
-            Just(1usize), Just(2usize), Just(7usize), Just(BUILD_PARTITIONS)
-        ],
         morsel_rows in 1usize..120,
     ) {
         let heap = probe_table(&probe_keys);
@@ -134,7 +131,6 @@ proptest! {
                     right_col: 0,
                     left_col: 1,
                     ty,
-                    partitions,
                     mem_bytes: smooth_executor::mem_budget_bytes(),
                     open_at: 0,
                     open_order: 0,
@@ -148,33 +144,26 @@ proptest! {
             assert_equal_runs(
                 (&expected, &s_serial),
                 (&got, &s_par),
-                &format!(
-                    "{ty:?}, {workers} workers, {partitions} partitions, morsel {morsel_rows}"
-                ),
+                &format!("{ty:?}, {workers} workers, morsel {morsel_rows}"),
             )?;
         }
     }
 
     /// Heap-source build side (build input I/O serialized under the build
     /// lock, decode + filter + insert fanned out) ≡ the serial HashJoin
-    /// over a pushed-down scan, across worker counts and partitions.
+    /// over a pushed-down scan, across worker counts.
     #[test]
     fn heap_build_pipeline_equals_serial_build(
         probe_keys in proptest::collection::vec(0i64..80, 1..400),
         build_keys in proptest::collection::vec(0i64..80, 1..600),
         hi in 0i64..90,
         semi in any::<bool>(),
-        partitions in prop_oneof![Just(1usize), Just(3usize), Just(BUILD_PARTITIONS)],
     ) {
         let probe = probe_table(&probe_keys);
         let build = probe_table(&build_keys);
         let ty = if semi { JoinType::LeftSemi } else { JoinType::Inner };
         let pred = Predicate::int_half_open(1, 0, hi);
-        // Spill accounting is a function of the partition count by
-        // design, and the serial operator always uses the default: off
-        // it, the sweep is an in-memory property.
-        let mem_bytes =
-            if partitions == BUILD_PARTITIONS { smooth_executor::mem_budget_bytes() } else { 0 };
+        let mem_bytes = smooth_executor::mem_budget_bytes();
         let s_serial = storage(32);
         let mut serial_op = HashJoin::new(
             Box::new(FullTableScan::new(Arc::clone(&probe), s_serial.clone(), Predicate::True)),
@@ -204,7 +193,6 @@ proptest! {
                     right_col: 1,
                     left_col: 1,
                     ty,
-                    partitions,
                     mem_bytes,
                     open_at: 0,
                     open_order: 0,
@@ -218,7 +206,7 @@ proptest! {
             assert_equal_runs(
                 (&expected, &s_serial),
                 (&got, &s_par),
-                &format!("{ty:?} heap build, {workers} workers, {partitions} partitions"),
+                &format!("{ty:?} heap build, {workers} workers"),
             )?;
         }
     }
@@ -265,7 +253,6 @@ proptest! {
                     right_col: 1,
                     left_col: 1,
                     ty: JoinType::Inner,
-                    partitions: BUILD_PARTITIONS,
                     mem_bytes: smooth_executor::mem_budget_bytes(),
                     open_at: 0,
                     open_order: 0,

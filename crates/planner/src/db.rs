@@ -7,23 +7,30 @@
 //! [`RunStats`] — execution time split into CPU and I/O wait (Fig. 4),
 //! I/O requests and bytes moved (Table II).
 //!
-//! Queries execute through the columnar pipeline: `run_batches` /
-//! `run_operator_batches` drain the operator tree with
-//! [`collect_batches`], which requests [`smooth_types::ColumnBatch`]es
-//! of `smooth_executor::batch_size()` rows per virtual call rather
-//! than one tuple at a time, and the result stays columnar — text sits in
-//! one byte arena per column, and no result holds a page frame. `Row`s
-//! materialize only when a caller crosses the user-facing boundary
+//! There is one query lifecycle. Every `run` / `run_batches` /
+//! `submit` lowers its plan once (a private, total `lower`: the peeled
+//! pipeline, or — when nothing fans out — the whole operator tree as a
+//! shared source under a collect sink) and hands it to the database's
+//! **persistent** worker pool ([`smooth_executor::Scheduler`]) as a
+//! scheduled query. The worker count (`SMOOTH_WORKERS` /
+//! [`Database::with_workers`], default = available cores) selects the
+//! pool's width, never a driver, so the per-query timeout,
+//! cancellation, panic containment, FIFO admission and per-query
+//! statistics hold for every plan at every width. Morsels are
+//! [`smooth_types::ColumnBatch`]es of `smooth_executor::batch_size()`
+//! rows and the result stays columnar — text sits in one byte arena
+//! per column, and no result holds a page frame. `Row`s materialize
+//! only when a caller crosses the user-facing boundary
 //! ([`BatchResult::into_rows`], or the row-carrying [`Database::run`] /
 //! [`QueryResult`] wrappers).
 //!
-//! With more than one worker configured (`SMOOTH_WORKERS` /
-//! [`Database::with_workers`], default = available cores), `run`
-//! decomposes the plan via [`Database::parallel_pipeline`] and submits
-//! it to the database's **persistent** worker pool
-//! ([`smooth_executor::Scheduler`]) — same rows, byte for byte, and
-//! (when the query runs alone) the same virtual clock/I-O totals, with
-//! per-worker stages doing the CPU-heavy work in parallel.
+//! The operator tree itself ([`Database::build`]) drained on the
+//! calling thread by [`collect_batches`]
+//! ([`Database::run_operator_batches`]) is the protocol reference: same
+//! rows, byte for byte, and (when the query runs alone) the same
+//! virtual clock/I-O totals as the pool at any width. The suites and
+//! callers that must keep the operator for its metrics use it; `run`
+//! does not.
 //!
 //! The pool is engine-global: concurrent [`Session`]s (cheap handles
 //! from [`Database::session`]) share it, along with the buffer pool,
@@ -138,8 +145,8 @@ impl BatchResult {
 }
 
 /// Worker-pool width used by [`Database::run`] when none is set on the
-/// instance: the `SMOOTH_WORKERS` environment variable (minimum 1, read
-/// **once per process** and latched — [`smooth_types::env_knob`]: a
+/// instance: the `SMOOTH_WORKERS` environment variable (clamped to
+/// `1..=1024`, read **once per process** and latched — [`smooth_types::env_knob`]: a
 /// value that is not a whole number aborts), else the number of
 /// available cores.
 pub fn default_workers() -> usize {
@@ -150,10 +157,15 @@ pub fn default_workers() -> usize {
     })
 }
 
-/// The `SMOOTH_WORKERS` syntax: a whole number, clamped to `1..=1024`.
+/// The widest pool the engine will spawn: `SMOOTH_WORKERS` and
+/// [`Database::set_workers`] both clamp to `1..=MAX_WORKERS`.
+const MAX_WORKERS: usize = 1024;
+
+/// The `SMOOTH_WORKERS` syntax: a whole number, clamped to
+/// `1..=`[`MAX_WORKERS`].
 fn parse_workers(text: &str) -> std::result::Result<usize, String> {
     let n: usize = text.parse().map_err(|e| format!("expected a worker count ({e})"))?;
-    Ok(n.clamp(1, 1024))
+    Ok(n.clamp(1, MAX_WORKERS))
 }
 
 /// Per-operator memory budget used when none is set on the instance:
@@ -195,7 +207,7 @@ pub struct Database {
     mem_bytes: Option<usize>,
     timeout_ms: u64,
     claim_morsels: usize,
-    /// The engine's worker pool, built on first parallel run and keyed
+    /// The engine's worker pool, built on first run and keyed
     /// by the (workers, max_queries) knobs so knob changes rebuild it.
     scheduler: Mutex<Option<(usize, usize, Arc<Scheduler>)>>,
 }
@@ -216,8 +228,10 @@ impl Database {
     }
 
     /// Builder: fix the worker-pool width for [`Database::run`]
-    /// (overrides `SMOOTH_WORKERS` / the core count). `1` forces the
-    /// single-threaded columnar driver.
+    /// (overrides `SMOOTH_WORKERS` / the core count; clamped to
+    /// `1..=1024` like it). The width selects how many threads serve
+    /// the engine's queries, never which driver runs them: `1` is a
+    /// one-thread pool.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.set_workers(workers);
         self
@@ -225,7 +239,7 @@ impl Database {
 
     /// Fix the worker-pool width (see [`Database::with_workers`]).
     pub fn set_workers(&mut self, workers: usize) {
-        self.workers = Some(workers.max(1));
+        self.workers = Some(workers.clamp(1, MAX_WORKERS));
     }
 
     /// Worker-pool width `run` will use.
@@ -233,14 +247,8 @@ impl Database {
         self.workers.unwrap_or_else(default_workers)
     }
 
-    /// Builder: fix the concurrent-query admission cap (default 4).
-    /// Submissions beyond the cap queue FIFO.
-    pub fn with_max_queries(mut self, max_queries: usize) -> Self {
-        self.set_max_queries(max_queries);
-        self
-    }
-
-    /// Fix the admission cap (see [`Database::with_max_queries`]).
+    /// Fix the concurrent-query admission cap (default 4). Submissions
+    /// beyond the cap — blocking `run`s included — queue FIFO.
     pub fn set_max_queries(&mut self, max_queries: usize) {
         self.max_queries = Some(max_queries.max(1));
     }
@@ -280,11 +288,6 @@ impl Database {
         self.on_live_pool(|s| s.set_timeout_ms(ms));
     }
 
-    /// Per-query virtual-clock timeout in milliseconds (0 = none).
-    pub fn query_timeout_ms(&self) -> u64 {
-        self.timeout_ms
-    }
-
     /// Fix the worker pool's morsels-per-claim chunk size (0, the
     /// default, = guided by remaining work). Larger chunks amortize
     /// source-lock traffic and feed the per-worker stealing queues; 1
@@ -295,22 +298,11 @@ impl Database {
         self.on_live_pool(|s| s.set_claim_morsels(n));
     }
 
-    /// Morsels per source claim (0 = guided).
-    pub fn claim_morsels(&self) -> usize {
-        self.claim_morsels
-    }
-
-    /// Builder: install a deterministic fault-injection configuration
-    /// on this database's storage (overrides `SMOOTH_FAULTS`; see
-    /// `docs/fault_model.md`). Injected faults are a pure function of
-    /// the seed and the I/O's coordinates, so runs replay exactly.
-    pub fn with_faults(self, cfg: FaultConfig) -> Self {
-        self.set_faults(Some(cfg));
-        self
-    }
-
-    /// Install (or, with `None`, remove) the fault-injection
-    /// configuration (see [`Database::with_faults`]).
+    /// Install (or, with `None`, remove) a deterministic
+    /// fault-injection configuration on this database's storage
+    /// (overrides `SMOOTH_FAULTS`; see `docs/fault_model.md`). Injected
+    /// faults are a pure function of the seed and the I/O's
+    /// coordinates, so runs replay exactly.
     pub fn set_faults(&self, cfg: Option<FaultConfig>) {
         self.storage.set_faults(cfg);
     }
@@ -636,8 +628,10 @@ impl Database {
     }
 
     /// Decompose `plan` into a [`ParallelPipeline`] for the morsel-driven
-    /// worker pool, or `None` when nothing in the plan would fan out
-    /// (in which case `run` stays on the single-threaded driver).
+    /// worker pool, or `None` when nothing in the plan would fan out:
+    /// the whole operator tree is then one serial shared source, which
+    /// `run` and `submit` still hand to the pool (so `None` says "one
+    /// worker's worth of work", not "another driver").
     ///
     /// The decomposition peels parallel-safe nodes off the top — one
     /// `Aggregate` (the sink), then `Filter` / `Project` / hash-strategy
@@ -651,104 +645,82 @@ impl Database {
     /// above them still parallelize. Plan validation errors (missing
     /// tables, bad ordinals) surface here identically to [`Database::build`].
     pub fn parallel_pipeline(&self, plan: &LogicalPlan) -> Result<Option<ParallelPipeline>> {
-        if let LogicalPlan::Scan(spec) = plan {
-            if let Some(pipeline) = self.ordered_scan_pipeline(spec)? {
-                return Ok(Some(pipeline));
-            }
-        }
-        let (sink_spec, inner) = match plan {
-            LogicalPlan::Aggregate { input, group_cols, aggs } => {
-                (Some((group_cols.clone(), aggs.clone())), input.as_ref())
-            }
-            other => (None, other),
-        };
+        let pipeline = self.lower(plan)?;
+        let serial_only = pipeline.stages.is_empty()
+            && pipeline.builds.is_empty()
+            && matches!(pipeline.source, ParallelSource::Shared { .. })
+            && matches!(pipeline.sink, SinkSpec::Collect);
+        Ok((!serial_only).then_some(pipeline))
+    }
+
+    /// The one lowering every execution goes through — total: a plan
+    /// with nothing to fan out comes back as its whole operator tree
+    /// in a shared source under a collect sink, which the pool drains
+    /// one morsel at a time, checking the cancel flag and the deadline
+    /// at every boundary. This is also the one place the sink is
+    /// chosen: an `Aggregate` root folds at the aggregate sink; an
+    /// `ordered:` full table scan at the root is its partitioned heap
+    /// scan — page runs decoded across workers, morsels buffered in
+    /// heap order — under the sort sink, whose completion runs the
+    /// charged stable sort pass the `Sort`-over-`FullTableScan` tree
+    /// runs, so rows *and* charges are byte-identical to it (other
+    /// ordered access paths order at the source and stay shared);
+    /// everything else collects.
+    fn lower(&self, plan: &LogicalPlan) -> Result<ParallelPipeline> {
         let mut builds = Vec::new();
-        // The probe side's own open stamp is unused: its source opens
-        // first, at admission.
-        let Peeled { source, stages, schema, .. } = self.peel(inner, &mut builds, &mut 0)?;
-        let sink = match sink_spec {
-            Some((group_cols, aggs)) => {
-                // Validate exactly like HashAggregate::new.
-                smooth_executor::agg::output_schema(&schema, &group_cols, &aggs)?;
-                let merge_exact = aggs.iter().all(|a| a.merge_exact(&schema));
-                SinkSpec::Aggregate { group_cols, aggs, merge_exact }
-            }
-            None => SinkSpec::Collect,
+        let ordered_heap = match plan {
+            LogicalPlan::Scan(spec) if spec.ordered => self.heap_source(spec)?.map(|h| (h, spec)),
+            _ => None,
         };
-        if stages.is_empty()
-            && builds.is_empty()
-            && matches!(source, ParallelSource::Shared { .. })
-            && matches!(sink, SinkSpec::Collect)
-        {
-            // Nothing would fan out: the whole plan is the serial section.
-            return Ok(None);
-        }
-        Ok(Some(ParallelPipeline {
+        let (source, stages, sink) = match (plan, ordered_heap) {
+            (_, Some(((source, _), spec))) => {
+                // Same validation — and error — as the tree's sort wrap.
+                let (col, _, _, _) = spec
+                    .predicate
+                    .split_index_range()
+                    .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
+                let keys = vec![SortKey::asc(col)];
+                (source, Vec::new(), SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() })
+            }
+            (LogicalPlan::Aggregate { input, group_cols, aggs }, None) => {
+                let Peeled { source, stages, schema, .. } =
+                    self.peel(input, &mut builds, &mut 0)?;
+                // Validate exactly like HashAggregate::new.
+                smooth_executor::agg::output_schema(&schema, group_cols, aggs)?;
+                let merge_exact = aggs.iter().all(|a| a.merge_exact(&schema));
+                let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
+                (source, stages, SinkSpec::Aggregate { group_cols, aggs, merge_exact })
+            }
+            (other, None) => {
+                // The root's own open stamp is unused: its source opens
+                // first, at admission.
+                let Peeled { source, stages, .. } = self.peel(other, &mut builds, &mut 0)?;
+                (source, stages, SinkSpec::Collect)
+            }
+        };
+        Ok(ParallelPipeline {
             source,
             builds,
             stages,
             sink,
             storage: self.storage.clone(),
             morsel_rows: batch_size(),
-        }))
+        })
     }
 
-    /// Parallelize an `ordered:` full table scan: the partitioned heap
-    /// source decodes page runs across workers, rows buffer at the sink
-    /// in morsel (= heap) order, and completion runs the same charged
-    /// stable sort pass the serial `Sort`-over-`FullTableScan` plan
-    /// runs — so rows *and* charges are byte-identical to the serial
-    /// driver. Other ordered access paths (sort scan, smooth scan)
-    /// order at the source and keep their serial shared-source path.
-    fn ordered_scan_pipeline(&self, spec: &ScanSpec) -> Result<Option<ParallelPipeline>> {
-        if !spec.ordered {
-            return Ok(None);
-        }
+    /// The *partitioned* heap source (workers decode page runs in
+    /// parallel) of a scan that resolves to a full table scan; `None`
+    /// for every other access path. Takes no notice of `spec.ordered`:
+    /// the caller owes the order.
+    fn heap_source(&self, spec: &ScanSpec) -> Result<Option<(ParallelSource, Schema)>> {
         let entry = self.catalog.get(&spec.table)?;
         if !matches!(self.resolve_access(entry, spec), AccessPathChoice::ForceFull) {
             return Ok(None);
         }
-        // Same validation — and error — as the serial plan's sort wrap.
-        let (col, _, _, _) = spec
-            .predicate
-            .split_index_range()
-            .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
-        Ok(Some(ParallelPipeline {
-            source: ParallelSource::Heap {
-                heap: Arc::clone(&entry.heap),
-                predicate: spec.predicate.clone(),
-                readahead: FULL_SCAN_READAHEAD,
-            },
-            builds: Vec::new(),
-            stages: Vec::new(),
-            sink: SinkSpec::Sort { keys: vec![SortKey::asc(col)], mem_bytes: self.mem_bytes() },
-            storage: self.storage.clone(),
-            morsel_rows: batch_size(),
-        }))
-    }
-
-    /// Decompose one scan into a morsel source: an unordered full table
-    /// scan becomes the *partitioned* heap source (workers decode page
-    /// runs in parallel), anything else runs whole as a serial shared
-    /// source.
-    fn scan_source(&self, spec: &ScanSpec) -> Result<(ParallelSource, Schema)> {
-        let entry = self.catalog.get(&spec.table)?;
-        if matches!(self.resolve_access(entry, spec), AccessPathChoice::ForceFull) && !spec.ordered
-        {
-            let heap = Arc::clone(&entry.heap);
-            let schema = heap.schema().clone();
-            return Ok((
-                ParallelSource::Heap {
-                    heap,
-                    predicate: spec.predicate.clone(),
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                schema,
-            ));
-        }
-        let op = self.build_scan(spec)?;
-        let schema = op.schema().clone();
-        Ok((ParallelSource::Shared { op }, schema))
+        let heap = Arc::clone(&entry.heap);
+        let schema = heap.schema().clone();
+        let predicate = spec.predicate.clone();
+        Ok(Some((ParallelSource::Heap { heap, predicate, readahead: FULL_SCAN_READAHEAD }, schema)))
     }
 
     /// Bottom-up pipeline peel of a probe side or a hash-join *build
@@ -817,18 +789,26 @@ impl Database {
                     right_col: spec.right_col,
                     left_col: spec.left_col,
                     ty: spec.ty,
-                    partitions: smooth_executor::BUILD_PARTITIONS,
                     mem_bytes: self.mem_bytes(),
                     open_at: build.open_at,
                     open_order: build.open_order,
                 });
                 Ok(probe)
             }
-            LogicalPlan::Scan(spec) => Ok(leaf(self.scan_source(spec)?, builds, open_seq)),
             other => {
-                let op = self.build(other)?;
-                let schema = op.schema().clone();
-                Ok(leaf((ParallelSource::Shared { op }, schema), builds, open_seq))
+                let heap = match other {
+                    LogicalPlan::Scan(spec) if !spec.ordered => self.heap_source(spec)?,
+                    _ => None,
+                };
+                let source = match heap {
+                    Some(heap) => heap,
+                    None => {
+                        let op = self.build(other)?;
+                        let schema = op.schema().clone();
+                        (ParallelSource::Shared { op }, schema)
+                    }
+                };
+                Ok(leaf(source, builds, open_seq))
             }
         }
     }
@@ -857,12 +837,13 @@ impl Database {
     /// Cold-run a plan: flush the buffer pool, execute to completion, and
     /// report rows plus clock/I-O deltas and per-query scan statistics.
     ///
-    /// With more than one worker configured (`SMOOTH_WORKERS` /
-    /// [`Database::with_workers`]) and a plan with parallelizable work,
-    /// execution goes through the engine's persistent worker pool — the
-    /// rows are identical to the single-threaded columnar driver either
-    /// way, and so are the virtual clock/I-O totals when the query runs
-    /// alone.
+    /// Every run is a scheduled query on the engine's persistent worker
+    /// pool, whatever the plan's shape and whatever the pool's width
+    /// (`SMOOTH_WORKERS` / [`Database::with_workers`]) — so the
+    /// per-query timeout, cancellation, panic containment and FIFO
+    /// admission hold for all of them. The rows are identical to the
+    /// operator tree drained by [`collect_batches`], and so are the
+    /// virtual clock/I-O totals when the query runs alone.
     pub fn run(&self, plan: &LogicalPlan) -> Result<QueryResult> {
         Ok(self.run_batches(plan)?.into_result())
     }
@@ -873,20 +854,28 @@ impl Database {
     /// but pipeline-shaped results stay as [`ColumnBatch`]es until the
     /// caller decides whether rows are needed at all.
     pub fn run_batches(&self, plan: &LogicalPlan) -> Result<BatchResult> {
-        let mut result = if self.workers() > 1 {
-            match self.parallel_pipeline(plan)? {
-                Some(pipeline) => self.run_parallel_batches(pipeline)?,
-                None => {
-                    let mut op = self.build(plan)?;
-                    self.run_operator_batches(op.as_mut())?
-                }
-            }
-        } else {
-            let mut op = self.build(plan)?;
-            self.run_operator_batches(op.as_mut())?
-        };
+        let mut result = self.run_parallel_batches(self.lower(plan)?)?;
         result.scan.rows_total = self.plan_rows_total(plan);
         Ok(result)
+    }
+
+    /// The cold-run measurement protocol around one execution: flush
+    /// the buffer pool, snapshot the engine counters, `execute`, and
+    /// report the deltas beside what it returned.
+    fn measured(
+        &self,
+        execute: impl FnOnce() -> Result<(Vec<ColumnBatch>, ScanStatistics)>,
+    ) -> Result<BatchResult> {
+        self.storage.flush_pool();
+        let clock0 = self.storage.clock().snapshot();
+        let io0 = self.storage.io_snapshot();
+        let (batches, scan) = execute()?;
+        let stats = RunStats {
+            rows: batches.iter().map(ColumnBatch::len).sum::<usize>() as u64,
+            clock: self.storage.clock().snapshot().since(&clock0),
+            io: self.storage.io_snapshot().since(&io0),
+        };
+        Ok(BatchResult { batches, rows: Vec::new(), stats, scan })
     }
 
     /// Cold-run an already-decomposed pipeline on the database's
@@ -894,17 +883,10 @@ impl Database {
     /// [`Database::run`] sees the plan). Collect-sink output arrives as
     /// the scheduler's ordered batches, untouched.
     pub fn run_parallel_batches(&self, pipeline: ParallelPipeline) -> Result<BatchResult> {
-        self.storage.flush_pool();
-        let clock0 = self.storage.clock().snapshot();
-        let io0 = self.storage.io_snapshot();
-        let scheduler = self.scheduler();
-        let out = scheduler.submit(pipeline)?.wait()?;
-        let stats = RunStats {
-            rows: out.len() as u64,
-            clock: self.storage.clock().snapshot().since(&clock0),
-            io: self.storage.io_snapshot().since(&io0),
-        };
-        Ok(BatchResult { batches: out.batches, rows: Vec::new(), stats, scan: out.stats })
+        self.measured(|| {
+            let out = self.scheduler().submit(pipeline)?.wait()?;
+            Ok((out.batches, out.stats))
+        })
     }
 
     /// Cold-run an already-built operator (used when the caller needs to
@@ -915,54 +897,28 @@ impl Database {
         Ok(self.run_operator_batches(op)?.into_result())
     }
 
-    /// Columnar twin of [`Database::run_operator`]: drains via
-    /// [`collect_batches`], so no `Row` materializes anywhere in the
-    /// serial path.
+    /// Columnar twin of [`Database::run_operator`]: drains the tree on
+    /// the calling thread via [`collect_batches`], outside the pool —
+    /// no admission, no timeout. This is the protocol reference the
+    /// suites hold the pool to, not a path `run` takes.
     pub fn run_operator_batches(&self, op: &mut dyn Operator) -> Result<BatchResult> {
-        self.storage.flush_pool();
-        let clock0 = self.storage.clock().snapshot();
-        let io0 = self.storage.io_snapshot();
-        let mark = tap_mark();
-        let batches = collect_batches(op)?;
-        let scan = mark.delta();
-        let stats = RunStats {
-            rows: batches.iter().map(ColumnBatch::len).sum::<usize>() as u64,
-            clock: self.storage.clock().snapshot().since(&clock0),
-            io: self.storage.io_snapshot().since(&io0),
-        };
-        Ok(BatchResult { batches, rows: Vec::new(), stats, scan })
+        self.measured(|| {
+            let mark = tap_mark();
+            let batches = collect_batches(op)?;
+            Ok((batches, mark.delta()))
+        })
     }
 
     /// Submit a plan to the shared worker pool **without blocking**,
     /// returning a [`QueryHandle`] that can be waited on or cancelled
-    /// ([`QueryHandle::cancel`]). Plans with nothing to fan out run as
-    /// a serial shared source on the pool, so every submitted query —
-    /// parallel or not — is cancellable and subject to the per-query
-    /// timeout. Unlike [`Database::run`] this neither flushes the
+    /// ([`QueryHandle::cancel`]). The plan lowers exactly as it does
+    /// under [`Database::run`]. Unlike `run` this neither flushes the
     /// buffer pool nor snapshots the engine counters: the handle's
     /// [`smooth_executor::QueryOutput`] carries per-query
     /// [`ScanStatistics`] instead (with `rows_total` left 0 — only
     /// `run` stamps it).
     pub fn submit(&self, plan: &LogicalPlan) -> Result<QueryHandle> {
-        let pipeline = match self.parallel_pipeline(plan)? {
-            Some(pipeline) => pipeline,
-            None => {
-                // Serial section only: wrap the whole operator tree as
-                // the shared morsel source with a collect sink, which
-                // the pool drains one morsel at a time — checking the
-                // cancel flag and deadline at every boundary.
-                let op = self.build(plan)?;
-                ParallelPipeline {
-                    source: ParallelSource::Shared { op },
-                    builds: Vec::new(),
-                    stages: Vec::new(),
-                    sink: SinkSpec::Collect,
-                    storage: self.storage.clone(),
-                    morsel_rows: batch_size(),
-                }
-            }
-        };
-        self.scheduler().submit(pipeline)
+        self.scheduler().submit(self.lower(plan)?)
     }
 }
 
@@ -1143,8 +1099,9 @@ mod tests {
         assert!(db.run(&missing).is_err());
     }
 
-    /// Serial reference for a plan on `db`: cold-run through the
-    /// single-threaded columnar driver regardless of the worker setting.
+    /// Serial reference for a plan on `db`: the operator tree, cold-run
+    /// on this thread by `collect_batches` — outside the pool,
+    /// whatever its width.
     fn serial_reference(db: &Database, plan: &LogicalPlan) -> QueryResult {
         let mut op = db.build(plan).unwrap();
         db.run_operator(op.as_mut()).unwrap()
@@ -1169,9 +1126,8 @@ mod tests {
             AccessPathChoice::Auto,
         ] {
             let plan = q(250, access.clone());
-            db.set_workers(1);
             let serial = serial_reference(&db, &plan);
-            for workers in [2usize, 4, 8] {
+            for workers in [1usize, 2, 4, 8] {
                 db.set_workers(workers);
                 let got = db.run(&plan).unwrap();
                 assert_eq!(got.rows, serial.rows, "{access:?} rows at {workers} workers");
@@ -1205,9 +1161,8 @@ mod tests {
             .aggregate(vec![1], vec![AggFunc::CountStar, AggFunc::Min(0), AggFunc::Max(0)]);
         let filtered = q(400, AccessPathChoice::ForceFull).filter(Predicate::int_lt(0, 900));
         for plan in [join, agg_over_join, filtered] {
-            db.set_workers(1);
             let serial = serial_reference(&db, &plan);
-            for workers in [2usize, 4] {
+            for workers in [1usize, 2, 4] {
                 db.set_workers(workers);
                 let got = db.run(&plan).unwrap();
                 assert_eq!(got.rows, serial.rows, "rows at {workers} workers");
@@ -1227,11 +1182,27 @@ mod tests {
         // Unordered full scan → partitioned heap source.
         let p = db.parallel_pipeline(&q(100, AccessPathChoice::ForceFull)).unwrap().unwrap();
         assert!(matches!(p.source, smooth_executor::ParallelSource::Heap { .. }));
-        // A bare adaptive scan has no stages to fan out → serial driver.
-        assert!(db
-            .parallel_pipeline(&q(100, AccessPathChoice::Smooth(SmoothScanConfig::default())))
-            .unwrap()
-            .is_none());
+        // A bare adaptive scan has no stages to fan out → `None`; what
+        // runs is the whole tree as a shared source under a collect sink.
+        let smooth = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()));
+        assert!(db.parallel_pipeline(&smooth).unwrap().is_none());
+        let p = db.lower(&smooth).unwrap();
+        assert!(matches!(p.source, smooth_executor::ParallelSource::Shared { .. }));
+        assert!(matches!(p.sink, smooth_executor::SinkSpec::Collect));
+        assert!(p.stages.is_empty() && p.builds.is_empty());
+        // An ordered full scan at the root sorts at the sink; under a
+        // filter it is the Sort-over-scan tree as a shared source.
+        let ordered = LogicalPlan::scan(
+            ScanSpec::new("t", Predicate::int_half_open(1, 0, 100))
+                .with_order()
+                .with_access(AccessPathChoice::ForceFull),
+        );
+        let p = db.lower(&ordered).unwrap();
+        assert!(matches!(p.source, smooth_executor::ParallelSource::Heap { .. }));
+        assert!(matches!(p.sink, smooth_executor::SinkSpec::Sort { .. }));
+        let p = db.lower(&ordered.filter(Predicate::int_lt(0, 900))).unwrap();
+        assert!(matches!(p.source, smooth_executor::ParallelSource::Shared { .. }));
+        assert!(matches!(p.sink, smooth_executor::SinkSpec::Collect));
         // …but an aggregate above it parallelizes on the stages.
         let plan = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()))
             .aggregate(vec![], vec![AggFunc::CountStar]);
@@ -1252,6 +1223,8 @@ mod tests {
         assert!(db.workers() >= 1);
         let db = db.with_workers(0);
         assert_eq!(db.workers(), 1, "worker count floors at 1");
+        let db = db.with_workers(99_999);
+        assert_eq!(db.workers(), 1024, "and caps at 1024, like SMOOTH_WORKERS");
         assert!(default_workers() >= 1);
         assert_eq!(parse_workers("4"), Ok(4));
         assert_eq!(parse_workers("0"), Ok(1), "floors at 1");
@@ -1293,7 +1266,8 @@ mod tests {
 
     #[test]
     fn sessions_share_the_engine_and_number_uniquely() {
-        let db = db(1000).with_workers(2).with_max_queries(2);
+        let mut db = db(1000).with_workers(2);
+        db.set_max_queries(2);
         let a = db.session();
         let b = db.session();
         assert_ne!(a.id(), b.id());
@@ -1317,8 +1291,8 @@ mod tests {
     #[test]
     fn submit_returns_the_same_rows_as_run() {
         let db = db(2000).with_workers(2);
-        // A parallelizable plan and a serial-only one (bare adaptive
-        // scan) both go through the pool and match the blocking driver.
+        // A plan that fans out and one that does not (bare adaptive
+        // scan) lower the same way under `submit` and `run`.
         for plan in [
             q(250, AccessPathChoice::ForceFull),
             q(250, AccessPathChoice::Smooth(SmoothScanConfig::default())),
@@ -1358,7 +1332,6 @@ mod tests {
         let mut db = db(500).with_workers(2);
         db.run(&q(10, AccessPathChoice::ForceFull)).unwrap();
         db.set_query_timeout_ms(250_000);
-        assert_eq!(db.query_timeout_ms(), 250_000);
         assert_eq!(db.scheduler().timeout_ms(), 250_000);
         db.set_workers(3);
         assert_eq!(db.scheduler().timeout_ms(), 250_000, "survives a pool rebuild");
@@ -1370,7 +1343,8 @@ mod tests {
 
     #[test]
     fn injected_faults_fail_queries_typed_through_the_facade() {
-        let db = db(2000).with_workers(2).with_faults(FaultConfig::new(21).io_err(1.0));
+        let db = db(2000).with_workers(2);
+        db.set_faults(Some(FaultConfig::new(21).io_err(1.0)));
         let err = db.run(&q(250, AccessPathChoice::ForceFull)).unwrap_err();
         assert!(matches!(err, Error::Faulted { .. }), "{err}");
         // Removing the faults restores the engine.

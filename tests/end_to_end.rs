@@ -233,6 +233,49 @@ fn no_result_holds_a_page_frame() {
     }
 }
 
+/// Every `Database::run` is a scheduled query, so the lifecycle
+/// guarantees — the virtual-clock timeout, panic containment at the
+/// morsel fault site, FIFO admission — hold for a plan with nothing to
+/// fan out (a bare adaptive scan, ≈ 10 virtual ms on the HDD profile)
+/// and at a pool width of one exactly as they do for a parallel plan on
+/// a wide pool.
+#[test]
+fn lifecycle_guarantees_hold_at_every_width_and_plan_shape() {
+    let smooth = AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic());
+    let plan = micro::query(0.05, false, smooth);
+    let mut db = micro_db(30_000);
+    db.set_faults(None);
+    db.set_workers(1);
+    let solo = db.run(&plan).unwrap();
+    assert!(solo.rows.len() > 1000 && solo.stats.secs() > 0.005, "{:?}", solo.stats);
+    for workers in [1, 2] {
+        db.set_workers(workers);
+        db.set_query_timeout_ms(1);
+        let timed_out = db.run(&plan).map(|r| r.rows.len());
+        assert!(matches!(timed_out, Err(Error::Cancelled)), "{workers} workers: {timed_out:?}");
+        db.set_query_timeout_ms(0);
+        db.set_faults(Some(FaultConfig::new(7).panic(1.0)));
+        let panicked = db.run(&plan).map(|r| r.rows.len());
+        assert!(
+            matches!(&panicked, Err(Error::Exec(msg)) if msg.contains("panic (morsel key ")),
+            "{workers} workers: {panicked:?}"
+        );
+        db.set_faults(None);
+        assert_eq!(db.run(&plan).unwrap().rows, solo.rows, "{workers} workers survive a panic");
+    }
+    // One worker, one admission slot, two sessions: the second `run`
+    // queues behind the first instead of driving itself on its caller.
+    db.set_workers(1);
+    db.set_max_queries(1);
+    let (a, b) = std::thread::scope(|s| {
+        let a = s.spawn(|| db.session().run(&plan));
+        let b = s.spawn(|| db.session().run(&plan));
+        (a.join().unwrap().unwrap(), b.join().unwrap().unwrap())
+    });
+    assert_eq!(a.rows, solo.rows);
+    assert_eq!(b.rows, solo.rows);
+}
+
 /// A page store that serves one page with one tuple cut short by a byte
 /// (its slot's length field shrunk), and every other page intact.
 struct OneBadTuple {

@@ -2,13 +2,17 @@
 //! plans — scan kind × predicates × join shapes × aggregates ×
 //! Smooth/Switch policies — must produce the **exact row sequence**,
 //! the **exact virtual CPU/IO clock totals** and the **exact I/O
-//! counters** across all three pipeline drivers:
+//! counters** across all three ways a plan is driven:
 //!
-//! * the Volcano driver — the root drained a row at a time, everything
-//!   beneath it on `next_columns` (the `max = 1` leg of batch-size
-//!   invariance, and what clocks and I/O are compared against),
-//! * the single-threaded columnar driver (`Database::run` at 1 worker),
-//! * the morsel-driven parallel driver at worker counts {1, 2, 4, 8}.
+//! * the Volcano driver — the operator tree's root drained a row at a
+//!   time, everything beneath it on `next_columns` (the `max = 1` leg
+//!   of batch-size invariance, and what clocks and I/O are compared
+//!   against),
+//! * the columnar driver — the same operator tree (`Database::build`)
+//!   drained by `collect_batches` on the calling thread
+//!   (`run_operator_batches`), outside the pool,
+//! * `Database::run` — a scheduled query on the worker pool — at pool
+//!   widths {1, 2, 4, 8}.
 //!
 //! The three share every kernel, so agreeing with each other cannot show
 //! a kernel right. What the rows *should be* comes from outside the
@@ -41,7 +45,7 @@ use smoothscan::prelude::{
     Value,
 };
 
-const WORKER_GRID: [usize; 3] = [2, 4, 8];
+const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
 /// A fresh database over `tables`, every table indexed on `c1`.
 fn load(tables: &Tables, schema: &Schema) -> Database {
@@ -221,8 +225,23 @@ fn volcano(mut db: Database, tables: &Tables, plan: &LogicalPlan, budget: usize)
     QueryResult { rows, stats, scan: Default::default() }
 }
 
-/// Cold-run through `Database::run` at a fixed worker count, again on a
-/// fresh database.
+/// Cold-run the operator tree itself — `Database::build`, drained by
+/// `collect_batches` on this thread, outside the pool — on a fresh
+/// database: the columnar leg.
+fn run_tree(plan: &LogicalPlan) -> QueryResult {
+    run_tree_budgeted(plan, smoothscan::planner::db::default_mem_bytes())
+}
+
+/// [`run_tree`] under an explicit per-operator memory budget.
+fn run_tree_budgeted(plan: &LogicalPlan, budget: usize) -> QueryResult {
+    let mut db = database(900);
+    db.set_mem_bytes(budget);
+    let mut op = db.build(plan).expect("plan builds");
+    db.run_operator(op.as_mut()).expect("tree run")
+}
+
+/// Cold-run through `Database::run` — the pool — at a fixed width, again
+/// on a fresh database.
 fn run_with_workers(plan: &LogicalPlan, workers: usize) -> QueryResult {
     run_budgeted(plan, workers, smoothscan::planner::db::default_mem_bytes())
 }
@@ -250,7 +269,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Rows, virtual clock and I/O counters are identical across the
-    /// Volcano, columnar and parallel drivers for random plans.
+    /// Volcano and columnar drains of the tree and the pool at every
+    /// width, for random plans.
     #[test]
     fn drivers_agree_on_random_plans(
         access in access_strategy(),
@@ -266,8 +286,8 @@ proptest! {
         // Oracle: the Volcano row-at-a-time driver.
         let volcano = run_volcano(&plan);
 
-        // Single-threaded columnar driver.
-        let columnar = run_with_workers(&plan, 1);
+        // The operator tree, drained columnar.
+        let columnar = run_tree(&plan);
         prop_assert!(columnar.rows == volcano.rows, "columnar rows diverge: {context}");
         prop_assert!(
             (columnar.stats.clock.cpu_ns, columnar.stats.clock.io_ns)
@@ -281,7 +301,7 @@ proptest! {
             "columnar I/O diverges: {context}"
         );
 
-        // Parallel driver at every worker count.
+        // The pool at every width.
         for workers in WORKER_GRID {
             let parallel = run_with_workers(&plan, workers);
             prop_assert!(
@@ -317,7 +337,7 @@ proptest! {
         let plan = plan_for(&AccessPathChoice::Smooth(cfg), lo, width, None,
             JoinShape::None, AggShape::None);
         let volcano = run_volcano(&plan);
-        let columnar = run_with_workers(&plan, 1);
+        let columnar = run_tree(&plan);
         prop_assert!(columnar.rows == volcano.rows, "rows diverge (spill={spill})");
         prop_assert!(
             (columnar.stats.clock.cpu_ns, columnar.stats.clock.io_ns)
@@ -326,7 +346,7 @@ proptest! {
             columnar.stats.clock,
             volcano.stats.clock
         );
-        for workers in [2usize, 8] {
+        for workers in [1usize, 2, 8] {
             let parallel = run_with_workers(&plan, workers);
             prop_assert!(parallel.rows == volcano.rows);
             prop_assert!(
@@ -366,7 +386,7 @@ proptest! {
             "spill can only add I/O-lane time: {context}"
         );
 
-        let columnar = run_budgeted(&plan, 1, budget);
+        let columnar = run_tree_budgeted(&plan, budget);
         prop_assert!(columnar.rows == volcano.rows, "budgeted columnar rows diverge: {context}");
         prop_assert!(
             (columnar.stats.clock.cpu_ns, columnar.stats.clock.io_ns)

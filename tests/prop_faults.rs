@@ -19,11 +19,13 @@
 //!    [`Error::Exec`]) — it never hangs the pool and never leaks
 //!    overflow files.
 //!
-//! Worker-count equivalence holds for I/O-level faults at *every* width
-//! because page-run draws happen at source-claim time, serialized in
-//! sequence order. Morsel panics only exist under the worker pool
-//! (`workers >= 2` with a parallelizable plan), so panic legs compare
-//! pool widths only.
+//! Worker-count equivalence holds for every fault kind at *every*
+//! width, one worker included, because every `Database::run` is a
+//! scheduled query on the pool whatever the plan's shape: page-run
+//! draws happen at source-claim time, serialized in sequence order,
+//! and morsel-panic draws key on `(file, phase-qualified seq)`, with
+//! seqs claimed in serial source order however many workers claim
+//! them.
 //!
 //! Every database built here installs its fault config explicitly
 //! (including `None`), so a process-global `SMOOTH_FAULTS` (the CI
@@ -254,7 +256,7 @@ proptest! {
         mix in mix_strategy(),
     ) {
         let plan = plan_for(&shape);
-        // Fault-free reference, serial driver, fresh database.
+        // Fault-free reference, one-worker pool, fresh database.
         let reference = {
             let mut db = database(900);
             db.set_workers(1);
@@ -262,11 +264,8 @@ proptest! {
         };
         let mut db = database(900);
         db.set_faults(Some(mix.config()));
-        // Morsel panics exist only under the pool: the serial leg is
-        // only outcome-comparable when the mix draws none.
-        let grid: &[usize] = if mix.panic > 0.0 { &[2, 4, 8] } else { &[1, 2, 4, 8] };
         let mut first: Option<Outcome> = None;
-        for &workers in grid {
+        for workers in [1usize, 2, 4, 8] {
             db.set_workers(workers);
             let got = outcome(&db, &plan);
             if let Outcome::Rows(rows) = &got {
