@@ -7,7 +7,7 @@
 # it raises it on purpose, in review, instead of in prose.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=10339
+CEILING=10219
 lines=$(cat crates/executor/src/*.rs crates/planner/src/*.rs | wc -l)
 echo "crates/executor/src + crates/planner/src: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

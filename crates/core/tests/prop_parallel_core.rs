@@ -14,7 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, SwitchScan, Trigger};
 use smooth_executor::parallel::{
-    run_pipeline, ParallelPipeline, ParallelSource, SinkSpec, StageSpec,
+    run_pipeline, ParallelPipeline, ParallelSource, PhaseSpec, SinkSpec, StageSpec,
 };
 use smooth_executor::{AggFunc, BoxedOperator, Filter, HashAggregate, Operator, Predicate};
 use smooth_index::BTreeIndex;
@@ -93,11 +93,13 @@ fn check_against_serial(
     for workers in WORKER_GRID {
         let s_par = storage(pool);
         let pipeline = ParallelPipeline {
-            source: ParallelSource::Shared { op: mk_source(&s_par) },
-            builds: Vec::new(),
-            stages: vec![StageSpec::Filter(stage_pred.clone())],
+            phases: vec![PhaseSpec {
+                source: ParallelSource::Shared { op: mk_source(&s_par) },
+                stages: vec![StageSpec::Filter(stage_pred.clone())],
+                build: None,
+            }],
             sink: if aggregate {
-                SinkSpec::Aggregate { group_cols: vec![1], aggs: aggs.clone(), merge_exact: true }
+                SinkSpec::Aggregate { group_cols: vec![1], aggs: aggs.clone() }
             } else {
                 SinkSpec::Collect
             },

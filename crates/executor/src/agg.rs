@@ -455,7 +455,8 @@ impl Operator for HashAggregate {
 
     fn close(&mut self) -> Result<()> {
         self.out.reset();
-        Ok(())
+        // A failed `open` left the child open mid-drain.
+        self.child.close()
     }
 
     fn label(&self) -> String {

@@ -35,7 +35,7 @@ pub enum JoinType {
     LeftSemi,
 }
 
-fn join_schema(left: &Schema, right: &Schema, ty: JoinType) -> Schema {
+pub(crate) fn join_schema(left: &Schema, right: &Schema, ty: JoinType) -> Schema {
     match ty {
         JoinType::Inner => left.join(right),
         JoinType::LeftSemi => left.clone(),
@@ -684,6 +684,15 @@ impl JoinBuildPartial {
 /// `Vec<Row>`), probes read keys vector-at-a-time off the probe batch's
 /// key column, and matches gather left and right payload columns directly
 /// into the output batch without ever concatenating `Row`s.
+///
+/// `open` is build-first: open the build child, drain it, close it,
+/// enforce the budget — and only then open the probe child. So a tree of
+/// hash joins opens its leaves in the order the morsel pipeline runs its
+/// phases (nested builds, this build, the probe side —
+/// [`crate::ParallelPipeline::phases`]): tree and pipeline share one
+/// open order by construction, a tree of hash joins has at most one
+/// leaf open at a time, and a build that fails never opens the probe
+/// side.
 pub struct HashJoin {
     left: BoxedOperator,
     right: BoxedOperator,
@@ -756,7 +765,6 @@ impl Operator for HashJoin {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.left.open()?;
         self.right.open()?;
         self.table.clear();
         self.out.reset();
@@ -769,7 +777,8 @@ impl Operator for HashJoin {
         }
         self.right.close()?;
         self.table.apply_budget(&self.storage, self.mem_bytes)?;
-        Ok(())
+        // Only now the probe side: see the type's docs.
+        self.left.open()
     }
 
     /// Keys are read vector-at-a-time off the left key column; on a hit
@@ -791,6 +800,8 @@ impl Operator for HashJoin {
         self.table.finish_probe(&self.storage)?;
         self.table.clear();
         self.out.reset();
+        // The build child too: a failed `open` left it open mid-drain.
+        self.right.close()?;
         self.left.close()
     }
 

@@ -68,8 +68,8 @@ pub use operator::{
     batch_size, collect_batches, collect_rows, collect_rows_volcano, BoxedOperator, Operator,
 };
 pub use parallel::{
-    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, BuildSpec, LedgerPhase,
-    ParallelPipeline, ParallelSource, ScalingLedger, SinkSpec, StageSpec,
+    multi_query_makespan_ns, run_pipeline, run_pipeline_traced, LedgerPhase, ParallelPipeline,
+    ParallelSource, PhaseBuild, PhaseSpec, ScalingLedger, SinkSpec, StageSpec,
 };
 pub use scan::{FullTableScan, IndexScan, SortScan};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};

@@ -32,12 +32,14 @@
 //!   serial operators charge, so totals are independent of how rows are
 //!   grouped into morsels and of which worker processed them.
 //!
-//! Pipeline breakers merge deterministically. Hash-join builds are their
-//! own parallel phase, run before the probe phase starts: each
-//! [`BuildSpec`] carries a morsel source (and filter/projection/nested
-//! probe stages) of its own plus an open tranche
-//! ([`BuildSpec::open_at`]/[`BuildSpec::open_order`] — the serial
-//! driver's open cascade, generalized to bushy trees), workers claim
+//! Pipeline breakers merge deterministically. A pipeline is a list of
+//! phases ([`PhaseSpec`]: a morsel source and its filter / projection /
+//! nested-probe stages) run to completion one after another — the
+//! hash-join builds, then the phase that feeds the sink — and a source
+//! opens when its phase starts. That is the order [`crate::HashJoin`]
+//! opens its inputs in (build first, then the probe side), so the
+//! operator tree and the pipeline open, read and close the same leaves
+//! in the same order, for left-deep and bushy trees alike. Workers claim
 //! build morsels under the source lock (so build-input I/O happens in
 //! the exact serial order) and fold them into per-slot partial builds
 //! ([`crate::JoinBuildPartial`]: appended payload rows plus each row's
@@ -71,7 +73,7 @@
 //! virtual-clock ledger ([`ScalingLedger`]) — a serial prefix, one
 //! [`LedgerPhase`] per build and one for the probe phase, a serial
 //! suffix — from clock snapshots at its own
-//! admit / claim / process / phase-advance / sort sites (see the
+//! phase-install / claim / process / sort sites (see the
 //! "Trace sites" paragraph in [`crate::schedule`]), so the model's
 //! input is produced by the code it models. From the ledger a
 //! deterministic scaling model predicts the parallel makespan at any
@@ -94,7 +96,7 @@ use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema};
 
 use crate::agg::GroupFold;
 use crate::expr::{Predicate, ScanFilter};
-use crate::join::{JoinBuildPartial, JoinBuildTable};
+use crate::join::{join_schema, JoinBuildPartial, JoinBuildTable};
 use crate::operator::BoxedOperator;
 use crate::scan::fill_page_columns;
 use crate::{AggFunc, JoinType};
@@ -136,22 +138,31 @@ impl ParallelSource {
     }
 }
 
-/// One hash-join build input: a pipeline of its own (morsel source plus
-/// filter/projection stages), drained **before** the probe phase starts.
-/// Build-input I/O serializes under the build source's lock in morsel
-/// order — exactly the order the serial [`crate::HashJoin`] build would
-/// issue it — while decode, the build-side stages and the payload
-/// append fan out across the worker pool into per-slot
-/// [`JoinBuildPartial`]s.
-pub struct BuildSpec {
-    /// The build-side morsel source (right input).
+/// One phase of a query: a morsel source drained through a per-worker
+/// stage chain, into a hash-join build table (`build`) or — the last
+/// phase only — into the sink. The source opens when the phase starts
+/// and closes when it ends, so at most one source of a query is open at
+/// a time; its I/O serializes under the source lock in morsel order —
+/// exactly the order the serial operator tree would issue it — while
+/// decode, the stages and a build's payload append fan out across the
+/// worker pool (per-slot [`JoinBuildPartial`]s for a build).
+pub struct PhaseSpec {
+    /// The phase's morsel source (a build's right input, or the probe
+    /// side that feeds the sink).
     pub source: ParallelSource,
-    /// Per-worker build-side stages: [`StageSpec::Filter`] /
-    /// [`StageSpec::Project`] plus [`StageSpec::Probe`] against
-    /// *earlier* builds — a hash join sitting on the build side of
-    /// another hash join runs as a fully parallel build phase of its
+    /// Per-worker stages, source side first: [`StageSpec::Filter`] /
+    /// [`StageSpec::Project`] plus [`StageSpec::Probe`] against builds
+    /// of *earlier* phases — so a hash join sitting on the build side
+    /// of another hash join runs as a fully parallel build phase of its
     /// own instead of collapsing into a serial `Shared` source.
     pub stages: Vec<StageSpec>,
+    /// The table this phase builds; `None` for the last phase, which
+    /// feeds the sink.
+    pub build: Option<PhaseBuild>,
+}
+
+/// What a build phase's morsels fold into.
+pub struct PhaseBuild {
     /// Key ordinal in the build rows.
     pub right_col: usize,
     /// Key ordinal in the probe rows.
@@ -163,17 +174,6 @@ pub struct BuildSpec {
     /// count charges identical spill I/O
     /// ([`crate::JoinBuildTable::apply_budget`]).
     pub mem_bytes: usize,
-    /// How many builds must have *completed* before this build's source
-    /// opens: the serial open cascade reaches its `open()` right after
-    /// build `open_at - 1` drains (0 = opens during admission, before
-    /// any build runs). Bushy trees open sources earlier than they
-    /// drain, so this is independent of the build's own position.
-    pub open_at: usize,
-    /// Position of this source's `open()` among the build-source opens
-    /// sharing the same `open_at` tranche — together they reproduce the
-    /// serial cascade's exact open order, so sources whose `open()`
-    /// charges the clock charge in the serial order.
-    pub open_order: usize,
 }
 
 /// A per-worker morsel transform, declared against the build list.
@@ -196,14 +196,12 @@ pub enum SinkSpec {
     Aggregate {
         /// Group-by ordinals (empty = scalar).
         group_cols: Vec<usize>,
-        /// Aggregates per group.
+        /// Aggregates per group. When every one merges exactly over
+        /// the sink's input ([`AggFunc::merge_exact`]), workers hold
+        /// partial maps merged by first-seen position; otherwise the
+        /// sink folds morsels in order, keeping float sums
+        /// byte-identical to the serial fold.
         aggs: Vec<AggFunc>,
-        /// When every aggregate merges exactly
-        /// ([`AggFunc::merge_exact`]), workers hold partial maps merged
-        /// by first-seen position; otherwise the sink folds morsels in
-        /// order on the coordinator, keeping float sums byte-identical
-        /// to the serial fold.
-        merge_exact: bool,
     },
     /// Ordered-scan terminal: workers stream morsels to the sink in
     /// morsel order (exactly like `Collect`) and one final pass of
@@ -225,13 +223,12 @@ pub enum SinkSpec {
 
 /// A decomposed pipeline ready for the worker pool.
 pub struct ParallelPipeline {
-    /// Morsel source.
-    pub source: ParallelSource,
-    /// Hash-join builds, bottom-up (the order the serial open cascade
-    /// would drain them). Each is a parallel phase of its own.
-    pub builds: Vec<BuildSpec>,
-    /// Per-worker stages, source side first.
-    pub stages: Vec<StageSpec>,
+    /// The hash-join builds in completion order — the order the serial
+    /// operator tree opens and drains them: a join's build side, nested
+    /// builds first, before anything on its probe side — then the phase
+    /// that feeds the sink. Each runs to completion before the next
+    /// starts.
+    pub phases: Vec<PhaseSpec>,
     /// Terminal merge.
     pub sink: SinkSpec,
     /// Shared storage handle (clock + pool the whole pipeline charges).
@@ -408,14 +405,6 @@ impl SourceCore {
             SourceCore::Shared { .. } => None,
         }
     }
-
-    /// The schema of the morsels this source emits.
-    pub(crate) fn schema(&self) -> Schema {
-        match self {
-            SourceCore::Heap { heap, .. } => heap.schema().clone(),
-            SourceCore::Shared { op, .. } => op.schema().clone(),
-        }
-    }
 }
 
 /// Modeled NUMA-style locality penalty on stolen morsels, in permille:
@@ -587,8 +576,7 @@ pub struct LedgerPhase {
 /// ran to completion one after another, a serial suffix.
 #[derive(Debug, Default, Clone)]
 pub struct ScalingLedger {
-    /// Serial prefix: every source open (the probe source and tranche 0
-    /// at admission, later tranches as their builds complete).
+    /// Serial prefix: every source open (one per phase, as it starts).
     pub prefix_ns: u64,
     /// The build phases in build order, then the probe phase. The
     /// driver runs each to completion before the next starts, so the
@@ -918,33 +906,59 @@ pub fn multi_query_makespan_ns(
     simulate(ledgers, workers, max_queries).0
 }
 
-/// The output schema of a stage chain at plan time: projections prune,
-/// probes splice in the probed build's payload schema from `prior` —
-/// the (output schema, join type) of every build the chain may
-/// reference, in build order. A probe of a build that is not available
-/// yet (nested probes may only reference *earlier* builds) is a plan
-/// error.
-pub(crate) fn staged_schema(
-    mut schema: Schema,
-    stages: &[StageSpec],
-    prior: &[(Schema, JoinType)],
-) -> Result<Schema> {
-    for stage in stages {
-        match stage {
-            StageSpec::Filter(_) => {}
-            StageSpec::Project(cols) => schema = schema.project(cols)?,
-            StageSpec::Probe(i) => {
-                let (build_schema, ty) = prior.get(*i).ok_or_else(|| {
-                    Error::plan(format!("probe stage references build {i} before it is built"))
-                })?;
-                schema = match ty {
-                    JoinType::Inner => schema.join(build_schema),
-                    JoinType::LeftSemi => schema,
-                };
+impl ParallelPipeline {
+    /// The plan-time walk of every stage chain — build side and probe
+    /// side alike: each phase's staged output schema (projections
+    /// prune, probes splice in the probed build's payload schema), in
+    /// phase order. Every plan error a pipeline can carry surfaces
+    /// here, before anything is queued: a probe of a build that is not
+    /// built yet (nested probes may only reference *earlier* phases), a
+    /// bad projection, a build key or an aggregate column out of range,
+    /// a phase list that is not builds-then-sink.
+    pub fn staged_schemas(&self) -> Result<Vec<Schema>> {
+        let mut schemas: Vec<Schema> = Vec::with_capacity(self.phases.len());
+        for (i, phase) in self.phases.iter().enumerate() {
+            let mut schema = phase.source.schema();
+            for stage in &phase.stages {
+                match stage {
+                    StageSpec::Filter(_) => {}
+                    StageSpec::Project(cols) => schema = schema.project(cols)?,
+                    StageSpec::Probe(b) => {
+                        let build = self.phases[..i].get(*b).and_then(|p| p.build.as_ref());
+                        let build = build.ok_or_else(|| {
+                            Error::plan(format!(
+                                "probe stage references build {b} before it is built"
+                            ))
+                        })?;
+                        schema = join_schema(&schema, &schemas[*b], build.ty);
+                    }
+                }
             }
+            match &phase.build {
+                Some(build) if build.right_col >= schema.len() => {
+                    return Err(Error::plan(format!(
+                        "hash-join build key column {} out of range",
+                        build.right_col
+                    )));
+                }
+                build if build.is_some() == (i + 1 == self.phases.len()) => {
+                    return Err(Error::plan(
+                        "every phase but the last builds a table; the last feeds the sink",
+                    ));
+                }
+                _ => {}
+            }
+            schemas.push(schema);
+        }
+        match (&self.sink, schemas.last()) {
+            (_, None) => Err(Error::plan("a pipeline needs the phase that feeds its sink")),
+            // Validates exactly like `HashAggregate::new`.
+            (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
+                crate::agg::output_schema(input, group_cols, aggs).map(|_| schemas)
+            }
+            _ => Ok(schemas),
         }
     }
-    Ok(schema)
 }
 
 /// Resolve a stage-spec chain into runtime stages against the built
@@ -968,10 +982,7 @@ pub(crate) fn resolve_stages(
                 let table = tables.get(*i).ok_or_else(|| {
                     Error::plan(format!("probe stage references build {i} before it is built"))
                 })?;
-                schema = match table.ty {
-                    JoinType::Inner => schema.join(table.table.schema()),
-                    JoinType::LeftSemi => schema,
-                };
+                schema = join_schema(&schema, table.table.schema(), table.ty);
                 resolved.push(Stage::Probe(Arc::clone(table), schema.clone()));
             }
         }
@@ -1017,13 +1028,20 @@ mod tests {
             Column::new("c0", DataType::Int64),
             Column::new("c1", DataType::Int64),
             Column::new("pad", DataType::Text),
+            Column::new("f", DataType::Float64),
         ])
         .unwrap();
         let mut loader = HeapLoader::new_mem("t", schema);
         for i in 0..rows {
             let c1 = (i * 2654435761 % 1000 + 1000) % 1000;
+            let pad = Value::str("x".repeat(30));
             loader
-                .push(&Row::new(vec![Value::Int(i), Value::Int(c1), Value::str("x".repeat(30))]))
+                .push(&Row::new(vec![
+                    Value::Int(i),
+                    Value::Int(c1),
+                    pad,
+                    Value::Float(i as f64 * 0.3),
+                ]))
                 .unwrap();
         }
         Arc::new(loader.finish().unwrap())
@@ -1037,63 +1055,59 @@ mod tests {
         })
     }
 
+    /// A shared-source build phase over `rows`, under the default budget.
     fn values_build(
         schema: &Schema,
         rows: &[Row],
         right_col: usize,
         left_col: usize,
         ty: JoinType,
-    ) -> BuildSpec {
-        BuildSpec {
+    ) -> PhaseSpec {
+        let mem_bytes = crate::spill::mem_budget_bytes();
+        PhaseSpec {
             source: ParallelSource::Shared {
                 op: Box::new(ValuesOp::new(schema.clone(), rows.to_vec())),
             },
             stages: Vec::new(),
-            right_col,
-            left_col,
-            ty,
-            mem_bytes: crate::spill::mem_budget_bytes(),
-            open_at: 0,
-            open_order: 0,
+            build: Some(PhaseBuild { right_col, left_col, ty, mem_bytes }),
         }
     }
 
+    fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate) -> ParallelSource {
+        let readahead = crate::scan::FULL_SCAN_READAHEAD;
+        ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead }
+    }
+
+    /// `builds`, then a heap scan of `heap` through `stages` into a
+    /// collect sink.
     fn heap_pipeline(
         heap: &Arc<HeapFile>,
         s: &Storage,
+        mut builds: Vec<PhaseSpec>,
         stages: Vec<StageSpec>,
     ) -> ParallelPipeline {
+        builds.push(PhaseSpec { source: heap_source(heap, Predicate::True), stages, build: None });
         ParallelPipeline {
-            source: ParallelSource::Heap {
-                heap: Arc::clone(heap),
-                predicate: Predicate::True,
-                readahead: crate::scan::FULL_SCAN_READAHEAD,
-            },
-            builds: Vec::new(),
-            stages,
+            phases: builds,
             sink: SinkSpec::Collect,
             storage: s.clone(),
             morsel_rows: batch_size(),
         }
     }
 
-    /// A heap-source build on `c1` that opens in tranche `at`.
-    fn heap_build(heap: &Arc<HeapFile>, pred: Predicate, ty: JoinType, at: usize) -> BuildSpec {
-        BuildSpec {
-            source: ParallelSource::Heap {
-                heap: Arc::clone(heap),
-                predicate: pred,
-                readahead: crate::scan::FULL_SCAN_READAHEAD,
-            },
+    /// A heap-source build phase on `c1` under a `mem_bytes` budget (0
+    /// — unbudgeted — for the ledger tests: spill I/O is charged
+    /// outside the per-morsel sections they reconcile to the clock).
+    fn heap_build(
+        heap: &Arc<HeapFile>,
+        pred: Predicate,
+        ty: JoinType,
+        mem_bytes: usize,
+    ) -> PhaseSpec {
+        PhaseSpec {
+            source: heap_source(heap, pred),
             stages: Vec::new(),
-            right_col: 1,
-            left_col: 1,
-            ty,
-            // Unbudgeted: spill I/O is charged outside the per-morsel
-            // sections, and the ledger tests reconcile to the clock.
-            mem_bytes: 0,
-            open_at: at,
-            open_order: at,
+            build: Some(PhaseBuild { right_col: 1, left_col: 1, ty, mem_bytes }),
         }
     }
 
@@ -1108,10 +1122,10 @@ mod tests {
     ) {
         for sink in [
             SinkSpec::Collect,
+            // A float sum never merges exactly: the ordered fold.
             SinkSpec::Aggregate {
                 group_cols: vec![1],
-                aggs: vec![AggFunc::CountStar, AggFunc::Sum(0)],
-                merge_exact: false,
+                aggs: vec![AggFunc::CountStar, AggFunc::Sum(3)],
             },
             SinkSpec::Sort { keys: vec![crate::sort::SortKey::asc(1)], mem_bytes: 0 },
         ] {
@@ -1144,7 +1158,8 @@ mod tests {
         let expected = collect_rows(&mut op).unwrap();
         for workers in [1usize, 2, 4, 8] {
             let s_par = storage();
-            let pipeline = heap_pipeline(&heap, &s_par, vec![StageSpec::Filter(pred.clone())]);
+            let pipeline =
+                heap_pipeline(&heap, &s_par, Vec::new(), vec![StageSpec::Filter(pred.clone())]);
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
             assert_eq!(
@@ -1172,16 +1187,13 @@ mod tests {
         let expected = collect_rows(&mut op).unwrap();
         for workers in [1usize, 3, 8] {
             let s_par = storage();
+            let scan = FullTableScan::new(Arc::clone(&heap), s_par.clone(), Predicate::True);
             let pipeline = ParallelPipeline {
-                source: ParallelSource::Shared {
-                    op: Box::new(FullTableScan::new(
-                        Arc::clone(&heap),
-                        s_par.clone(),
-                        Predicate::True,
-                    )),
-                },
-                builds: Vec::new(),
-                stages: vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
+                phases: vec![PhaseSpec {
+                    source: ParallelSource::Shared { op: Box::new(scan) },
+                    stages: vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
+                    build: None,
+                }],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
@@ -1215,8 +1227,8 @@ mod tests {
             let expected = collect_rows(&mut hj).unwrap();
             for workers in [1usize, 2, 4] {
                 let s_par = storage();
-                let mut pipeline = heap_pipeline(&heap, &s_par, vec![StageSpec::Probe(0)]);
-                pipeline.builds.push(values_build(&right_schema, &right_rows, 0, 1, ty));
+                let builds = vec![values_build(&right_schema, &right_rows, 0, 1, ty)];
+                let pipeline = heap_pipeline(&heap, &s_par, builds, vec![StageSpec::Probe(0)]);
                 let got = run_pipeline(pipeline, workers).unwrap();
                 assert_eq!(got, expected, "{ty:?} rows diverge at {workers} workers");
                 assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot(), "{ty:?}");
@@ -1244,12 +1256,10 @@ mod tests {
         assert!(!expected.is_empty());
         for workers in [1usize, 2, 4, 8] {
             let s_par = storage();
-            let mut pipeline = heap_pipeline(&probe, &s_par, vec![StageSpec::Probe(0)]);
-            pipeline.builds.push(BuildSpec {
-                // The serial `HashJoin` above runs under the default.
-                mem_bytes: crate::spill::mem_budget_bytes(),
-                ..heap_build(&build, pred.clone(), JoinType::Inner, 0)
-            });
+            // The serial `HashJoin` above runs under the default budget.
+            let mem_bytes = crate::spill::mem_budget_bytes();
+            let builds = vec![heap_build(&build, pred.clone(), JoinType::Inner, mem_bytes)];
+            let pipeline = heap_pipeline(&probe, &s_par, builds, vec![StageSpec::Probe(0)]);
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
             assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
@@ -1273,12 +1283,9 @@ mod tests {
         let expected = collect_rows(&mut agg).unwrap();
         for workers in [1usize, 2, 4, 8] {
             let s_par = storage();
-            let mut pipeline = heap_pipeline(&heap, &s_par, Vec::new());
-            pipeline.sink = SinkSpec::Aggregate {
-                group_cols: group_cols.clone(),
-                aggs: aggs.clone(),
-                merge_exact: true,
-            };
+            let mut pipeline = heap_pipeline(&heap, &s_par, Vec::new(), Vec::new());
+            pipeline.sink =
+                SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "groups diverge at {workers} workers");
             assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
@@ -1313,12 +1320,9 @@ mod tests {
         let expected = collect_rows(&mut agg).unwrap();
         for workers in [1usize, 2, 4] {
             let s_par = storage();
-            let mut pipeline = heap_pipeline(&heap, &s_par, Vec::new());
-            pipeline.sink = SinkSpec::Aggregate {
-                group_cols: group_cols.clone(),
-                aggs: aggs.clone(),
-                merge_exact: false,
-            };
+            let mut pipeline = heap_pipeline(&heap, &s_par, Vec::new(), Vec::new());
+            pipeline.sink =
+                SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "float fold diverges at {workers} workers");
             assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
@@ -1334,6 +1338,7 @@ mod tests {
         let pipeline = heap_pipeline(
             &heap,
             &s,
+            Vec::new(),
             vec![StageSpec::Filter(Predicate::StrEq { col: 1, value: "x".into() })],
         );
         assert!(run_pipeline(pipeline, 4).is_err());
@@ -1348,9 +1353,8 @@ mod tests {
             let s = storage();
             s.set_faults(Some(FaultConfig::new(11).panic(1.0).scope_to_file(heap.file_id())));
             let baseline = SpillFile::live_count();
-            let mut pipeline = heap_pipeline(&heap, &s, vec![StageSpec::Probe(0)]);
-            let spec = heap_build(&build, Predicate::True, JoinType::Inner, 0);
-            pipeline.builds.push(BuildSpec { mem_bytes, ..spec });
+            let builds = vec![heap_build(&build, Predicate::True, JoinType::Inner, mem_bytes)];
+            let pipeline = heap_pipeline(&heap, &s, builds, vec![StageSpec::Probe(0)]);
             let err = run_pipeline(pipeline, 1).unwrap_err();
             assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
             // Other tests in this binary may hold overflow files for a
@@ -1373,22 +1377,10 @@ mod tests {
         let right_schema = Schema::new(vec![Column::new("rk", DataType::Int64)]).unwrap();
         for workers in [1usize, 4] {
             let s = storage();
-            let mut pipeline = heap_pipeline(&heap, &s, vec![StageSpec::Probe(0)]);
-            pipeline.builds.push(BuildSpec {
-                source: ParallelSource::Shared {
-                    op: Box::new(ValuesOp::new(
-                        right_schema.clone(),
-                        vec![Row::new(vec![Value::Int(1)])],
-                    )),
-                },
-                stages: Vec::new(),
-                right_col: 9, // out of range: must surface as a plan error
-                left_col: 1,
-                ty: JoinType::Inner,
-                mem_bytes: crate::spill::mem_budget_bytes(),
-                open_at: 0,
-                open_order: 0,
-            });
+            // Build key 9 is out of range: must surface as a plan error.
+            let rows = [Row::new(vec![Value::Int(1)])];
+            let builds = vec![values_build(&right_schema, &rows, 9, 1, JoinType::Inner)];
+            let pipeline = heap_pipeline(&heap, &s, builds, vec![StageSpec::Probe(0)]);
             assert!(run_pipeline(pipeline, workers).is_err(), "{workers} workers");
         }
     }
@@ -1398,7 +1390,7 @@ mod tests {
         let heap = table(3000);
         let filter = vec![StageSpec::Filter(Predicate::int_lt(1, 500))];
         traced_under_each_sink(
-            |s| heap_pipeline(&heap, s, filter.clone()),
+            |s| heap_pipeline(&heap, s, Vec::new(), filter.clone()),
             |ledger| {
                 // More workers never slow the model down, and speedup is
                 // bounded by the serialized source.
@@ -1423,7 +1415,8 @@ mod tests {
     fn multi_query_model_reduces_to_single_query_chains() {
         let heap = table(3000);
         let s = storage();
-        let pipeline = heap_pipeline(&heap, &s, vec![StageSpec::Filter(Predicate::int_lt(1, 500))]);
+        let filter = vec![StageSpec::Filter(Predicate::int_lt(1, 500))];
+        let pipeline = heap_pipeline(&heap, &s, Vec::new(), filter);
         let (_, ledger) = run_pipeline_traced(pipeline).unwrap();
         for workers in [1usize, 2, 4] {
             // One query: the multi-query schedule IS the single-query one.
@@ -1457,9 +1450,8 @@ mod tests {
         let build = table(2000);
         traced_under_each_sink(
             |s| {
-                let mut pipeline = heap_pipeline(&probe, s, vec![StageSpec::Probe(0)]);
-                pipeline.builds.push(heap_build(&build, Predicate::True, JoinType::Inner, 0));
-                pipeline
+                let builds = vec![heap_build(&build, Predicate::True, JoinType::Inner, 0)];
+                heap_pipeline(&probe, s, builds, vec![StageSpec::Probe(0)])
             },
             |ledger| {
                 let [build, probe] = &ledger.phases[..] else {
@@ -1484,15 +1476,10 @@ mod tests {
         let build_a = table(1200);
         let build_b = table(1200);
         let chained = |s: &Storage| {
-            let mut pipeline =
-                heap_pipeline(&probe, s, vec![StageSpec::Probe(0), StageSpec::Probe(1)]);
-            for (bi, heap) in [&build_a, &build_b].into_iter().enumerate() {
-                // Left-deep serial cascade: build 1's source opens only
-                // after build 0 drains.
-                let pred = Predicate::int_half_open(1, 0, 40);
-                pipeline.builds.push(heap_build(heap, pred, JoinType::LeftSemi, bi));
-            }
-            pipeline
+            let pred = Predicate::int_half_open(1, 0, 40);
+            let builds = [&build_a, &build_b]
+                .map(|heap| heap_build(heap, pred.clone(), JoinType::LeftSemi, 0));
+            heap_pipeline(&probe, s, builds.into(), vec![StageSpec::Probe(0), StageSpec::Probe(1)])
         };
         traced_under_each_sink(chained, |ledger| {
             let [a, b, probe] = &ledger.phases[..] else {

@@ -52,29 +52,30 @@
 //! `docs/scheduler_v2.md`.
 //!
 //! **The `ActiveQuery` phase state machine.** A query is one list of
-//! phases — the hash-join builds in build order, then the phase that
-//! feeds the sink — and moves through it front to back, `0 → … → n →
-//! finalized`, tracked by the `SrcState` under the source lock (which
-//! phase the current source feeds, the claim seq, and the
-//! end-of-source latch). Every phase is the same thing: a source, a
-//! stage chain, an open stamp; a build phase also says what table its
+//! phases ([`PhaseSpec`]) — the hash-join builds in completion order,
+//! then the phase that feeds the sink — and moves through it front to
+//! back, `0 → … → n → finalized`, tracked by the `SrcState` under the
+//! source lock (which phase the current source feeds, the claim seq,
+//! and the end-of-source latch). Every phase is the same thing: a
+//! source and a stage chain; a build phase also says what table its
 //! morsels fold into, the last phase folds into the sink. The phase's
 //! index is its identity everywhere — in queued morsels, in the
-//! ledger, in the morsel-panic key. Sources open in tranches
-//! ([`BuildSpec::open_at`] = how many builds must complete first,
-//! [`BuildSpec::open_order`] = the serial driver's open sequence):
-//! admission opens tranche 0 — the last phase's source first (serial
-//! open order), then the builds' — parks them, and installs phase 0
-//! (with no builds, that *is* the last phase); when the last in-flight
-//! morsel of build `i` lands, the finalizing worker links the
-//! per-slot partial builds into one table in global build order
-//! ([`crate::JoinBuildTable::from_partials`] — charge-free, like the
-//! serial linking it reproduces) — finalizes any *nested* probe
-//! stages inside completed builds (bushy trees: a hash join on the
-//! build side of a hash join), opens tranche `i + 1`, and installs
-//! phase `i + 1`: its parked source, its stages resolved against the
-//! now-installed tables. Stage chains are walked
-//! twice and only twice: `staged_schema` validates every chain — build
+//! ledger, in the morsel-panic key. **A source opens when its phase is
+//! installed** (`install_phase`) and closes when the phase finalizes,
+//! so a query has at most one source open at a time, in phase order —
+//! which is the order the operator tree opens its leaves in, because
+//! [`crate::HashJoin`] builds before it opens its probe side. Admission
+//! installs phase 0 (with no builds, that *is* the last phase); when
+//! the last in-flight morsel of build `i` lands, the finalizing worker
+//! links the per-slot partial builds into one table in global build
+//! order ([`crate::JoinBuildTable::from_partials`] — charge-free, like
+//! the serial linking it reproduces) — finalizes any *nested* probe
+//! stages inside the completed build (bushy trees: a hash join on the
+//! build side of a hash join) and installs phase `i + 1`: its source
+//! opened, its stages resolved against the tables built so far. A
+//! query that fails in phase `i` never opens a later source. Stage
+//! chains are walked twice and only twice:
+//! [`ParallelPipeline::staged_schemas`] validates every chain — build
 //! side and probe side alike — and types the sink at plan time, so
 //! plan errors surface before the query is queued; `resolve_stages`
 //! binds a chain to the finished tables when its phase is installed.
@@ -91,15 +92,14 @@
 //! virtual-clock snapshots at the sites every query passes through.
 //! The ledger has the scheduler's shape — one
 //! [`crate::LedgerPhase`] per phase, indexed like the query's own
-//! list — and every site writes its own phase by index: `admit` (the
-//! source opens: `prefix_ns`), each `pull` in `claim_chunk` (`src_ns`,
-//! `chunked`), `ActiveQuery::process` (`proc_ns`, and `sink_ns` for
-//! the ordered sink's fold), `advance_build` (later tranches' opens
-//! into `prefix_ns`) and `complete_ok`'s sort
-//! (`suffix_ns`). The clock is engine-global, so a trace means
-//! something only on one worker with nothing else running on the same
-//! storage; an untraced query pays one `Option` test per site — no
-//! snapshot, no lock.
+//! list — and every site writes its own phase by index:
+//! `install_phase` (the phase's source opens: summed into
+//! `prefix_ns`), each `pull` in `claim_chunk` (`src_ns`, `chunked`),
+//! `ActiveQuery::process` (`proc_ns`, and `sink_ns` for the ordered
+//! sink's fold) and `complete_ok`'s sort (`suffix_ns`). The clock is
+//! engine-global, so a trace means something only on one worker with
+//! nothing else running on the same storage; an untraced query pays one
+//! `Option` test per site — no snapshot, no lock.
 //!
 //! **Slot pools and the `(seq, idx)` MIN rule.** Worker-side partial
 //! state (build partials, exact-merge aggregation partials) lives in
@@ -130,11 +130,10 @@ use crate::expr::Predicate;
 use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
 use crate::parallel::{
-    open_source, process_item, resolve_stages, source_claim, staged_schema, steal_victim,
-    BuildSpec, HeapDecoder, LedgerPhase, OpenedSource, ParallelPipeline, ParallelSource,
-    PartialAgg, ProbeTable, ScalingLedger, SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
+    open_source, process_item, resolve_stages, source_claim, steal_victim, HeapDecoder,
+    LedgerPhase, OpenedSource, ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec,
+    ProbeTable, ScalingLedger, SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
 };
-use crate::JoinType;
 
 /// A completed query: its result plus the per-query scan statistics
 /// accumulated from the worker-side tap deltas.
@@ -247,57 +246,21 @@ impl SrcState {
 /// stage chain, into a hash-join build table (`build`) or — the last
 /// phase only — into the sink.
 struct Phase {
-    /// The unopened source (taken when its open tranche runs).
+    /// The unopened source, taken — and opened — when the phase starts.
     source: Mutex<Option<ParallelSource>>,
-    /// Opened-but-not-yet-draining source: sources open in the serial
-    /// cascade's open order, which can be several phases before the
-    /// phase itself drains (the last phase's opens first of all).
-    parked: Mutex<Option<OpenedSource>>,
     /// Raw stage specs; resolved against the finished tables when this
     /// phase starts (a build's nested probes reference earlier builds
     /// only — validated at plan time).
     spec_stages: Vec<StageSpec>,
     /// Resolved stages, installed by [`install_phase`].
     stages: Mutex<Option<Arc<Vec<Stage>>>>,
-    /// How many builds must have completed before this source opens
-    /// (0 = at admission) — see [`BuildSpec::open_at`].
-    open_at: usize,
-    /// Open position within the tranche — see [`BuildSpec::open_order`].
-    open_order: usize,
-    /// The table this phase builds; `None` = the phase that feeds the
-    /// sink.
-    build: Option<PhaseBuild>,
-}
-
-impl Phase {
-    fn new(
-        source: ParallelSource,
-        spec_stages: Vec<StageSpec>,
-        open_at: usize,
-        open_order: usize,
-        build: Option<PhaseBuild>,
-    ) -> Phase {
-        Phase {
-            source: Mutex::new(Some(source)),
-            parked: Mutex::new(None),
-            spec_stages,
-            stages: Mutex::new(None),
-            open_at,
-            open_order,
-            build,
-        }
-    }
-}
-
-/// What a build phase's morsels fold into.
-struct PhaseBuild {
+    /// The staged output schema: what every morsel of this phase
+    /// conforms to after its last stage — a build table's payload
+    /// typing, the aggregate sink's input typing.
     schema: Schema,
-    right_col: usize,
-    left_col: usize,
-    ty: JoinType,
-    /// Operator memory budget for the merged build table (0 =
-    /// unlimited), enforced at [`advance_build`].
-    mem_bytes: usize,
+    /// The table this phase builds (its budget is enforced at
+    /// [`advance_build`]); `None` = the phase that feeds the sink.
+    build: Option<PhaseBuild>,
 }
 
 /// Order-preserving sink state: morsels buffer in a seq-keyed map and
@@ -337,10 +300,11 @@ struct ActiveQuery {
     phases: Vec<Phase>,
     /// Terminal merge discipline.
     sink_spec: SinkSpec,
-    /// The staged output schema — what every morsel of the last phase
-    /// conforms to after its last stage (the aggregate sink's input
-    /// typing).
-    out_schema: Schema,
+    /// An aggregate sink whose every aggregate merges exactly over the
+    /// last phase's schema ([`crate::AggFunc::merge_exact`]): workers
+    /// fold partial slots, merged at completion. Otherwise the sink
+    /// folds in morsel order.
+    merge_exact: bool,
     /// Per-worker local morsel queues (work stealing): a claiming
     /// worker deposits its chunk here; dry workers steal from the
     /// longest peer queue. Queued morsels count in `inflight`, so a
@@ -381,45 +345,28 @@ impl ActiveQuery {
         workers: usize,
         traced: bool,
     ) -> Result<ActiveQuery> {
-        let ParallelPipeline { source, builds, stages, sink, storage, morsel_rows } = pipeline;
-        let mut phases: Vec<Phase> = Vec::with_capacity(builds.len() + 1);
-        let mut prior: Vec<(Schema, JoinType)> = Vec::with_capacity(builds.len());
-        for (i, build) in builds.into_iter().enumerate() {
-            let BuildSpec {
-                source,
-                stages,
-                right_col,
-                left_col,
-                ty,
-                mem_bytes,
-                open_at,
-                open_order,
-            } = build;
-            let schema = staged_schema(source.schema(), &stages, &prior)?;
-            if right_col >= schema.len() {
-                return Err(Error::plan(format!(
-                    "hash-join build key column {right_col} out of range"
-                )));
+        let schemas = pipeline.staged_schemas()?;
+        let (merge_exact, ordered_agg) = match (&pipeline.sink, schemas.last()) {
+            (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
+                let exact = aggs.iter().all(|a| a.merge_exact(input));
+                let ordered =
+                    if exact { None } else { Some(PartialAgg::new(input, group_cols, aggs)?) };
+                (exact, ordered)
             }
-            if open_at > i {
-                return Err(Error::plan(format!(
-                    "build {i} opens at tranche {open_at}, after its own phase starts"
-                )));
-            }
-            prior.push((schema.clone(), ty));
-            let build = PhaseBuild { schema, right_col, left_col, ty, mem_bytes };
-            phases.push(Phase::new(source, stages, open_at, open_order, Some(build)));
-        }
-        let schema = staged_schema(source.schema(), &stages, &prior)?;
-        // The last phase's source opens at admission, ahead of every
-        // build's (`open_tranche` sorts it first whatever its stamp).
-        phases.push(Phase::new(source, stages, 0, 0, None));
-        let ordered_agg = match &sink {
-            SinkSpec::Aggregate { group_cols, aggs, merge_exact: false } => {
-                Some(PartialAgg::new(&schema, group_cols, aggs)?)
-            }
-            _ => None,
+            _ => (false, None),
         };
+        let ParallelPipeline { phases, sink, storage, morsel_rows } = pipeline;
+        let phases: Vec<Phase> = phases
+            .into_iter()
+            .zip(schemas)
+            .map(|(PhaseSpec { source, stages, build }, schema)| Phase {
+                source: Mutex::new(Some(source)),
+                spec_stages: stages,
+                stages: Mutex::new(None),
+                schema,
+                build,
+            })
+            .collect();
         let trace = traced.then(|| {
             let phases = vec![LedgerPhase::default(); phases.len()];
             Mutex::new(ScalingLedger { phases, ..ScalingLedger::default() })
@@ -429,7 +376,7 @@ impl ActiveQuery {
             morsel_rows,
             phases,
             sink_spec: sink,
-            out_schema: schema,
+            merge_exact,
             queues: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
             tables: Mutex::new(Vec::new()),
             src: Mutex::new(SrcState::new(None, 0)),
@@ -453,6 +400,13 @@ impl ActiveQuery {
         })
     }
 
+    /// The sink's input typing: the last phase's staged schema.
+    fn sink_input(&self) -> &Schema {
+        // invariant: `staged_schemas`, run by `plan`, rejects an empty
+        // phase list.
+        &self.phases.last().expect("a query has at least one phase").schema
+    }
+
     /// Trace site, opening half: the clock reading a traced query's
     /// next ledger section starts from (`None` — no snapshot — on every
     /// other query).
@@ -471,24 +425,6 @@ impl ActiveQuery {
             let ns = self.storage.clock().snapshot().since(&mark).total_ns();
             record(&mut lock(trace), ns);
         }
-    }
-
-    /// Open the query's sources for its first phase. Runs at admission,
-    /// outside the scheduler state lock. The last phase's source opens
-    /// first — the exact open order of the serial driver — then every
-    /// tranche-0 build source in `open_order`, so single-query
-    /// accounting is byte-identical.
-    fn admit(&self) -> Result<()> {
-        let mark = tap_mark();
-        let result = (|| {
-            let prefix = self.trace_mark();
-            open_tranche(self, 0)?;
-            install_phase(self, 0, &mut lock(&self.src))?;
-            self.trace_since(prefix, |l, ns| l.prefix_ns = ns);
-            Ok(())
-        })();
-        lock(&self.stats).merge(&mark.delta());
-        result
     }
 
     /// Stable draw key for the morsel-panic fault site: phase-qualified
@@ -522,17 +458,19 @@ impl ActiveQuery {
             self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
             let mut partial = lock(&self.build_slots)
                 .pop()
-                .unwrap_or_else(|| JoinBuildPartial::new(&build.schema, build.right_col));
+                .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, build.right_col));
             partial.fold(seq, batch)?;
             lock(&self.build_slots).push(partial);
             self.trace_since(mark, |l, ns| l.phases[idx].proc_ns.push(ns));
             return Ok(());
         }
-        if let SinkSpec::Aggregate { group_cols, aggs, merge_exact: true } = &self.sink_spec {
+        if let (SinkSpec::Aggregate { group_cols, aggs }, true) =
+            (&self.sink_spec, self.merge_exact)
+        {
             let slot = lock(&self.agg_slots).pop();
             let mut slot = match slot {
                 Some(slot) => slot,
-                None => PartialAgg::new(&self.out_schema, group_cols, aggs)?,
+                None => PartialAgg::new(&phase.schema, group_cols, aggs)?,
             };
             slot.update(&self.storage, seq, &batch)?;
             lock(&self.agg_slots).push(slot);
@@ -776,8 +714,8 @@ impl Drop for Scheduler {
     }
 }
 
-/// Admit waiting queries up to the cap. Source opening runs outside
-/// the state lock (it performs I/O); `admitting` holds the slot.
+/// Admit waiting queries up to the cap. The first phase's source opens
+/// outside the state lock (it performs I/O); `admitting` holds the slot.
 fn pump(core: &SchedCore) {
     loop {
         let query = {
@@ -789,8 +727,8 @@ fn pump(core: &SchedCore) {
             st.admitting += 1;
             q
         };
-        // Stamp the virtual-clock deadline before opening sources so
-        // admission I/O counts against the timeout too.
+        // Stamp the virtual-clock deadline before the first source
+        // opens so admission I/O counts against the timeout too.
         let timeout_ms = core.timeout_ms.load(Ordering::Relaxed);
         if timeout_ms > 0 {
             let now = query.storage.clock().snapshot().total_ns();
@@ -802,7 +740,8 @@ fn pump(core: &SchedCore) {
             // it in `waiting`): fail it instead of admitting.
             Err(Error::Cancelled)
         } else {
-            query.admit()
+            // Admission starts the first phase.
+            install_phase(&query, 0, &mut lock(&query.src))
         };
         {
             let mut st = lock(&core.state);
@@ -1100,7 +1039,7 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     let build = phase.build.as_ref().expect("only the last phase has no build");
     // Build input exhausted: settle deferred grace-join passes on the
     // tables this build's nested probes touched — exactly where the
-    // serial cascade's probe exhaustion charges them, before the new
+    // operator tree's probe exhaustion charges them, before the new
     // table's budget enforcement below. `finish_probe` is idempotent,
     // so `complete_ok`'s blanket pass over all tables stays safe.
     if let Some(stages) = lock(&phase.stages).clone() {
@@ -1112,54 +1051,35 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     }
     let slots = std::mem::take(&mut *lock(&q.build_slots));
     let mut table =
-        JoinBuildTable::from_partials(&build.schema, build.right_col, BUILD_PARTITIONS, slots);
+        JoinBuildTable::from_partials(&phase.schema, build.right_col, BUILD_PARTITIONS, slots);
     // The linked table is byte-identical to the serial build, so the
     // budget enforcement — and its charged spill I/O — is too. A
     // failed overflow-file write (injected spill fault) fails the
     // whole query here.
     table.apply_budget(&q.storage, build.mem_bytes)?;
     lock(&q.tables).push(Arc::new(ProbeTable { table, left_col: build.left_col, ty: build.ty }));
-    // Build `i` completed: open the sources of tranche `i + 1` in the
-    // serial cascade's open order (bushy trees open build sources
-    // before their own phase starts). Whatever these opens charge is
-    // serial time: it joins the traced prefix.
-    let opens = q.trace_mark();
-    let mark = tap_mark();
-    let tranche = open_tranche(q, i + 1);
-    lock(&q.stats).merge(&mark.delta());
-    tranche?;
-    q.trace_since(opens, |l, ns| l.prefix_ns += ns);
     install_phase(q, i + 1, src)
-}
-
-/// Open every source whose `open_at` tranche is `at` — the last
-/// phase's first (it opens at admission, ahead of every build), then
-/// the builds' in `open_order`: the serial driver's exact open order —
-/// and park the opened cores until their phase starts. The caller
-/// brackets this with a tap mark so the open I/O is attributed to the
-/// query.
-fn open_tranche(q: &ActiveQuery, at: usize) -> Result<()> {
-    let mut order: Vec<&Phase> = q.phases.iter().filter(|p| p.open_at == at).collect();
-    order.sort_by_key(|p| (p.build.is_some(), p.open_order));
-    for phase in order {
-        let Some(source) = lock(&phase.source).take() else { continue };
-        let opened = open_source(source, q.morsel_rows)?;
-        *lock(&phase.parked) = Some(opened);
-    }
-    Ok(())
 }
 
 /// Start phase `i`: resolve its stages against the finished tables (a
 /// build's nested probes reference earlier builds only; the last phase
-/// sees them all) and install its parked source as the query's active
-/// phase.
+/// sees them all), open its source — the previous phase's is closed,
+/// so a query has at most one open at a time, in phase order, which is
+/// the operator tree's open order — and install both as the query's
+/// active phase. Whatever the open charges is attributed to the query
+/// and is serial time: it joins the traced prefix.
 fn install_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<()> {
     let phase = &q.phases[i];
-    let opened = lock(&phase.parked).take().ok_or_else(|| {
-        Error::plan(format!("phase {i} source never opened (open_at {})", phase.open_at))
-    })?;
-    let stages = resolve_stages(&phase.spec_stages, opened.0.schema(), &lock(&q.tables))?;
+    let source = lock(&phase.source)
+        .take()
+        .ok_or_else(|| Error::exec(format!("phase {i} installed twice")))?;
+    let stages = resolve_stages(&phase.spec_stages, source.schema(), &lock(&q.tables))?;
     *lock(&phase.stages) = Some(Arc::new(stages));
+    let (opens, mark) = (q.trace_mark(), tap_mark());
+    let opened = open_source(source, q.morsel_rows);
+    lock(&q.stats).merge(&mark.delta());
+    let opened = opened?;
+    q.trace_since(opens, |l, ns| l.prefix_ns += ns);
     *src = SrcState::new(Some(opened), i);
     Ok(())
 }
@@ -1188,12 +1108,12 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
     let mut batches = Vec::new();
     match &q.sink_spec {
         SinkSpec::Collect => batches = take_batches(),
-        SinkSpec::Aggregate { group_cols, aggs, merge_exact } => {
-            let merged = if *merge_exact {
+        SinkSpec::Aggregate { group_cols, aggs } => {
+            let merged = if q.merge_exact {
                 let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
                 let first = match slots.next() {
                     Some(slot) => Ok(slot),
-                    None => PartialAgg::new(&q.out_schema, group_cols, aggs),
+                    None => PartialAgg::new(q.sink_input(), group_cols, aggs),
                 };
                 first.map(|mut merged| {
                     slots.for_each(|slot| merged.merge(slot));
@@ -1246,10 +1166,11 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
 
 /// Finish a failed query with its first (lowest-seq) error, releasing
 /// everything it still holds: worker-side partial slots, finished
-/// build tables (dropping their overflow spill files), the sink
-/// buffer, and any parked source — so a failed query leaves no build
-/// memory, no spill files, and no open sources behind, no matter which
-/// phase it died in.
+/// build tables (dropping their overflow spill files) and the sink
+/// buffer — so a failed query leaves no build memory and no spill files
+/// behind, no matter which phase it died in. No source is left open
+/// either: the failing phase's was closed by `maybe_finalize`, and no
+/// later phase's was ever opened.
 fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
     lock(&q.build_slots).clear();
     lock(&q.agg_slots).clear();
@@ -1260,13 +1181,8 @@ fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
         sink.batches.clear();
         sink.ordered_agg = None;
     }
-    // Sources park opened ahead of their phase; close any still
-    // waiting so a failed query leaves none open.
     for phase in &q.phases {
         *lock(&phase.stages) = None;
-        if let Some((parked, _)) = lock(&phase.parked).take() {
-            let _ = parked.close();
-        }
     }
     let err = lock(&q.err)
         .take()
@@ -1331,14 +1247,13 @@ mod tests {
     fn scan_pipeline(heap: &Arc<HeapFile>, s: &Storage, lo: i64, hi: i64) -> ParallelPipeline {
         // The predicate rides in the scan itself (the planner pushes it
         // there), so `rows_processed` reflects qualifying tuples.
+        let source = ParallelSource::Heap {
+            heap: Arc::clone(heap),
+            predicate: Predicate::int_half_open(1, lo, hi),
+            readahead: crate::scan::FULL_SCAN_READAHEAD,
+        };
         ParallelPipeline {
-            source: ParallelSource::Heap {
-                heap: Arc::clone(heap),
-                predicate: Predicate::int_half_open(1, lo, hi),
-                readahead: crate::scan::FULL_SCAN_READAHEAD,
-            },
-            builds: Vec::new(),
-            stages: Vec::new(),
+            phases: vec![PhaseSpec { source, stages: Vec::new(), build: None }],
             sink: SinkSpec::Collect,
             storage: s.clone(),
             morsel_rows: batch_size(),

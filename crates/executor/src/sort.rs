@@ -135,7 +135,8 @@ impl Operator for Sort {
     fn close(&mut self) -> Result<()> {
         self.sorted = Vec::new().into_iter();
         self.out.reset();
-        Ok(())
+        // A failed `open` left the child open mid-drain.
+        self.child.close()
     }
 
     fn label(&self) -> String {

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::parallel::{
-    run_pipeline, BuildSpec, ParallelPipeline, ParallelSource, SinkSpec, StageSpec,
+    run_pipeline, ParallelPipeline, ParallelSource, PhaseBuild, PhaseSpec, SinkSpec, StageSpec,
 };
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
@@ -48,6 +48,15 @@ fn storage(pool: usize) -> Storage {
         cpu: CpuCosts::default(),
         pool_pages: pool,
     })
+}
+
+fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate, readahead: u32) -> ParallelSource {
+    ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead }
+}
+
+/// The phase that feeds the sink: `source` through `stages`.
+fn sink_phase(source: ParallelSource, stages: Vec<StageSpec>) -> PhaseSpec {
+    PhaseSpec { source, stages, build: None }
 }
 
 /// Drain a serial operator through the columnar protocol at a fixed
@@ -114,13 +123,10 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(pool);
             let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&heap),
-                    predicate: Predicate::True,
-                    readahead,
-                },
-                builds: Vec::new(),
-                stages: vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
+                phases: vec![sink_phase(
+                    heap_source(&heap, Predicate::True, readahead),
+                    vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
+                )],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
@@ -154,13 +160,10 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(32);
             let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&heap),
-                    predicate: pred.clone(),
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                builds: Vec::new(),
-                stages: Vec::new(),
+                phases: vec![sink_phase(
+                    heap_source(&heap, pred.clone(), FULL_SCAN_READAHEAD),
+                    Vec::new(),
+                )],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
@@ -214,9 +217,10 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(16);
             let pipeline = ParallelPipeline {
-                source: ParallelSource::Shared { op: mk_scan(&s_par) },
-                builds: Vec::new(),
-                stages: vec![StageSpec::Filter(residual.clone())],
+                phases: vec![sink_phase(
+                    ParallelSource::Shared { op: mk_scan(&s_par) },
+                    vec![StageSpec::Filter(residual.clone())],
+                )],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: max,
@@ -262,24 +266,24 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(32);
             let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&heap),
-                    predicate: Predicate::True,
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                builds: vec![BuildSpec {
-                    source: ParallelSource::Shared {
-                        op: Box::new(ValuesOp::new(right_schema.clone(), right_rows.clone())),
+                phases: vec![
+                    PhaseSpec {
+                        source: ParallelSource::Shared {
+                            op: Box::new(ValuesOp::new(right_schema.clone(), right_rows.clone())),
+                        },
+                        stages: Vec::new(),
+                        build: Some(PhaseBuild {
+                            right_col: 0,
+                            left_col: 1,
+                            ty,
+                            mem_bytes: smooth_executor::mem_budget_bytes(),
+                        }),
                     },
-                    stages: Vec::new(),
-                    right_col: 0,
-                    left_col: 1,
-                    ty,
-                    mem_bytes: smooth_executor::mem_budget_bytes(),
-                    open_at: 0,
-                    open_order: 0,
-                }],
-                stages: vec![StageSpec::Probe(0)],
+                    sink_phase(
+                        heap_source(&heap, Predicate::True, FULL_SCAN_READAHEAD),
+                        vec![StageSpec::Probe(0)],
+                    ),
+                ],
                 sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
@@ -328,18 +332,11 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(32);
             let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&heap),
-                    predicate: Predicate::True,
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                builds: Vec::new(),
-                stages: vec![StageSpec::Filter(pred.clone())],
-                sink: SinkSpec::Aggregate {
-                    group_cols: group_cols.clone(),
-                    aggs: aggs.clone(),
-                    merge_exact: true,
-                },
+                phases: vec![sink_phase(
+                    heap_source(&heap, Predicate::True, FULL_SCAN_READAHEAD),
+                    vec![StageSpec::Filter(pred.clone())],
+                )],
+                sink: SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() },
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
             };

@@ -10,17 +10,21 @@
 //! execution-strategy change only, like every other form of parallelism
 //! in this repo.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::parallel::{
-    run_pipeline, BuildSpec, ParallelPipeline, ParallelSource, SinkSpec, StageSpec,
+    run_pipeline, ParallelPipeline, ParallelSource, PhaseBuild, PhaseSpec, SinkSpec, StageSpec,
 };
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
-use smooth_executor::{collect_rows, FullTableScan, HashJoin, JoinType, Predicate};
+use smooth_executor::sort::SortKey;
+use smooth_executor::{
+    collect_rows, AggFunc, BoxedOperator, FullTableScan, HashAggregate, HashJoin, JoinType,
+    Operator, Predicate, Sort,
+};
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
-use smooth_types::{Column, DataType, Row, Schema, Value};
+use smooth_types::{Column, ColumnBatch, DataType, Row, Schema, Value};
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
@@ -67,6 +71,34 @@ fn storage(pool: usize) -> Storage {
         cpu: CpuCosts::default(),
         pool_pages: pool,
     })
+}
+
+fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate) -> ParallelSource {
+    ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead: FULL_SCAN_READAHEAD }
+}
+
+/// One build phase keyed `right_col`, then a full scan of `probe`
+/// probing it on `c1` into a collect sink.
+fn join_pipeline(
+    (source, stages): (ParallelSource, Vec<StageSpec>),
+    (right_col, ty, mem_bytes): (usize, JoinType, usize),
+    probe: &Arc<HeapFile>,
+    (storage, morsel_rows): (&Storage, usize),
+) -> ParallelPipeline {
+    let build = Some(PhaseBuild { right_col, left_col: 1, ty, mem_bytes });
+    ParallelPipeline {
+        phases: vec![
+            PhaseSpec { source, stages, build },
+            PhaseSpec {
+                source: heap_source(probe, Predicate::True),
+                stages: vec![StageSpec::Probe(0)],
+                build: None,
+            },
+        ],
+        sink: SinkSpec::Collect,
+        storage: storage.clone(),
+        morsel_rows,
+    }
 }
 
 fn assert_equal_runs(
@@ -117,29 +149,13 @@ proptest! {
         let expected = collect_rows(&mut serial_op).unwrap();
         for workers in WORKER_GRID {
             let s_par = storage(32);
-            let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&heap),
-                    predicate: Predicate::True,
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                builds: vec![BuildSpec {
-                    source: ParallelSource::Shared {
-                        op: Box::new(ValuesOp::new(right_schema.clone(), right_rows.clone())),
-                    },
-                    stages: Vec::new(),
-                    right_col: 0,
-                    left_col: 1,
-                    ty,
-                    mem_bytes: smooth_executor::mem_budget_bytes(),
-                    open_at: 0,
-                    open_order: 0,
-                }],
-                stages: vec![StageSpec::Probe(0)],
-                sink: SinkSpec::Collect,
-                storage: s_par.clone(),
-                morsel_rows,
-            };
+            let values = ValuesOp::new(right_schema.clone(), right_rows.clone());
+            let pipeline = join_pipeline(
+                (ParallelSource::Shared { op: Box::new(values) }, Vec::new()),
+                (0, ty, smooth_executor::mem_budget_bytes()),
+                &heap,
+                (&s_par, morsel_rows),
+            );
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
                 (&expected, &s_serial),
@@ -177,31 +193,12 @@ proptest! {
         let expected = collect_rows(&mut serial_op).unwrap();
         for workers in WORKER_GRID {
             let s_par = storage(32);
-            let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&probe),
-                    predicate: Predicate::True,
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                builds: vec![BuildSpec {
-                    source: ParallelSource::Heap {
-                        heap: Arc::clone(&build),
-                        predicate: pred.clone(),
-                        readahead: FULL_SCAN_READAHEAD,
-                    },
-                    stages: Vec::new(),
-                    right_col: 1,
-                    left_col: 1,
-                    ty,
-                    mem_bytes,
-                    open_at: 0,
-                    open_order: 0,
-                }],
-                stages: vec![StageSpec::Probe(0)],
-                sink: SinkSpec::Collect,
-                storage: s_par.clone(),
-                morsel_rows: smooth_executor::batch_size(),
-            };
+            let pipeline = join_pipeline(
+                (heap_source(&build, pred.clone()), Vec::new()),
+                (1, ty, mem_bytes),
+                &probe,
+                (&s_par, smooth_executor::batch_size()),
+            );
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
                 (&expected, &s_serial),
@@ -237,31 +234,12 @@ proptest! {
         let expected = collect_rows(&mut serial_op).unwrap();
         for workers in [1usize, 4] {
             let s_par = storage(32);
-            let pipeline = ParallelPipeline {
-                source: ParallelSource::Heap {
-                    heap: Arc::clone(&probe),
-                    predicate: Predicate::True,
-                    readahead: FULL_SCAN_READAHEAD,
-                },
-                builds: vec![BuildSpec {
-                    source: ParallelSource::Heap {
-                        heap: Arc::clone(&build),
-                        predicate: Predicate::True,
-                        readahead: FULL_SCAN_READAHEAD,
-                    },
-                    stages: vec![StageSpec::Filter(residual.clone())],
-                    right_col: 1,
-                    left_col: 1,
-                    ty: JoinType::Inner,
-                    mem_bytes: smooth_executor::mem_budget_bytes(),
-                    open_at: 0,
-                    open_order: 0,
-                }],
-                stages: vec![StageSpec::Probe(0)],
-                sink: SinkSpec::Collect,
-                storage: s_par.clone(),
-                morsel_rows: smooth_executor::batch_size(),
-            };
+            let pipeline = join_pipeline(
+                (heap_source(&build, Predicate::True), vec![StageSpec::Filter(residual.clone())]),
+                (1, JoinType::Inner, smooth_executor::mem_budget_bytes()),
+                &probe,
+                (&s_par, smooth_executor::batch_size()),
+            );
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
                 (&expected, &s_serial),
@@ -270,4 +248,184 @@ proptest! {
             )?;
         }
     }
+}
+
+/// Every `open` / `close` a query's sources see, in order.
+type OpenLog = Arc<Mutex<Vec<String>>>;
+
+/// A named `ValuesOp` that appends its `open` and `close` to a shared
+/// log (a `close` only when it is open: the call is idempotent) and, if
+/// `fails`, errors on its second morsel.
+struct Logged {
+    name: &'static str,
+    inner: ValuesOp,
+    log: OpenLog,
+    is_open: bool,
+    fails: bool,
+    pulls: usize,
+}
+
+impl Operator for Logged {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn open(&mut self) -> smooth_types::Result<()> {
+        self.log.lock().unwrap().push(format!("open {}", self.name));
+        self.is_open = true;
+        self.inner.open()
+    }
+
+    fn next_columns(&mut self, _max: usize) -> smooth_types::Result<Option<ColumnBatch>> {
+        self.pulls += 1;
+        if self.fails && self.pulls == 2 {
+            return Err(smooth_types::Error::exec(format!("{} fails mid-drain", self.name)));
+        }
+        // Small morsels, so every source is pulled more than once.
+        self.inner.next_columns(4)
+    }
+
+    fn close(&mut self) -> smooth_types::Result<()> {
+        if std::mem::take(&mut self.is_open) {
+            self.log.lock().unwrap().push(format!("close {}", self.name));
+        }
+        self.inner.close()
+    }
+
+    fn label(&self) -> String {
+        self.name.into()
+    }
+}
+
+/// The rule, on a left-deep and a bushy tree of hash joins: a source
+/// opens when its phase starts. `HashJoin::open` builds before it opens
+/// its probe side, so the operator tree and the pool open the same
+/// leaves in the same order — phase order — with never two open at
+/// once, and a build that fails opens nothing after it.
+#[test]
+fn sources_open_in_phase_order_one_at_a_time() {
+    let schema =
+        Schema::new(vec![Column::new("k", DataType::Int64), Column::new("v", DataType::Int64)])
+            .unwrap();
+    let join = |probe: BoxedOperator, build: BoxedOperator| -> BoxedOperator {
+        Box::new(HashJoin::new(probe, build, 0, 0, JoinType::Inner, storage(8)))
+    };
+    let phase = |op: BoxedOperator, probes: &[usize], builds: bool| PhaseSpec {
+        source: ParallelSource::Shared { op },
+        stages: probes.iter().map(|&b| StageSpec::Probe(b)).collect(),
+        build: builds.then_some(PhaseBuild {
+            right_col: 0,
+            left_col: 0,
+            ty: JoinType::Inner,
+            mem_bytes: 0,
+        }),
+    };
+    // One shape twice — the operator tree and its phases — over leaves
+    // logging to one fresh log; `fails` names the leaf that errors.
+    let shape = |left_deep: bool, fails: Option<&str>| {
+        let log = OpenLog::default();
+        let leaf = |name: &'static str, rows: i64| -> BoxedOperator {
+            let rows =
+                (0..rows).map(|i| Row::new(vec![Value::Int(i % 7), Value::Int(i)])).collect();
+            Box::new(Logged {
+                name,
+                inner: ValuesOp::new(schema.clone(), rows),
+                log: Arc::clone(&log),
+                is_open: false,
+                fails: fails == Some(name),
+                pulls: 0,
+            })
+        };
+        let (tree, phases) = if left_deep {
+            // (p ⋈ a) ⋈ b: the outer join's build comes first.
+            let tree = join(join(leaf("p", 40), leaf("a", 9)), leaf("b", 11));
+            let builds = [phase(leaf("b", 11), &[], true), phase(leaf("a", 9), &[], true)];
+            (tree, Vec::from(builds).into_iter().chain([phase(leaf("p", 40), &[1, 0], false)]))
+        } else {
+            // p ⋈ (x ⋈ y): the build side is itself a join.
+            let tree = join(leaf("p", 40), join(leaf("x", 9), leaf("y", 11)));
+            let builds = [phase(leaf("y", 11), &[], true), phase(leaf("x", 9), &[0], true)];
+            (tree, Vec::from(builds).into_iter().chain([phase(leaf("p", 40), &[1], false)]))
+        };
+        (log, tree, phases.collect::<Vec<_>>())
+    };
+    let run_tree = |mut tree: BoxedOperator| {
+        let rows = collect_rows(tree.as_mut());
+        // The owner closes the root, whether or not `open` got through.
+        tree.close().unwrap();
+        rows
+    };
+    let run_pool = |phases: Vec<PhaseSpec>, workers: usize| {
+        let (sink, storage) = (SinkSpec::Collect, storage(8));
+        run_pipeline(ParallelPipeline { phases, sink, storage, morsel_rows: 4 }, workers)
+    };
+    let events = |log: OpenLog| log.lock().unwrap().clone();
+
+    for (left_deep, order) in [(true, ["b", "a", "p"]), (false, ["y", "x", "p"])] {
+        // (b) Phase order, each source closed before the next opens.
+        let in_order: Vec<String> =
+            order.iter().flat_map(|n| [format!("open {n}"), format!("close {n}")]).collect();
+        // (c) The first build fails mid-drain: it is closed, and nothing
+        // after it ever opens.
+        let failed = &in_order[..2];
+        let (log, tree, _) = shape(left_deep, None);
+        let expected = run_tree(tree).unwrap();
+        assert!(!expected.is_empty());
+        assert_eq!(events(log), in_order, "tree, left_deep={left_deep}");
+        let (log, tree, _) = shape(left_deep, Some(order[0]));
+        assert!(run_tree(tree).is_err());
+        assert_eq!(events(log), failed, "failed tree, left_deep={left_deep}");
+        // (a) The pool sees what the tree sees, at every width.
+        for workers in [1usize, 2, 4] {
+            let context = format!("left_deep={left_deep}, {workers} workers");
+            let (log, _, phases) = shape(left_deep, None);
+            assert_eq!(run_pool(phases, workers).unwrap(), expected, "rows, {context}");
+            assert_eq!(events(log), in_order, "{context}");
+            let (log, _, phases) = shape(left_deep, Some(order[0]));
+            assert!(run_pool(phases, workers).is_err(), "{context}");
+            assert_eq!(events(log), failed, "failed build, {context}");
+        }
+    }
+}
+
+/// A blocking operator over a child that fails on its second morsel:
+/// `open` fails mid-drain, and the operator's `close` must still close
+/// the child it was draining.
+fn assert_failed_open_closes_child(wrap: impl FnOnce(BoxedOperator) -> BoxedOperator) {
+    let schema = Schema::new(vec![Column::new("k", DataType::Int64)]).unwrap();
+    let log = OpenLog::default();
+    let child = Logged {
+        name: "child",
+        inner: ValuesOp::new(schema, (0..9).map(|i| Row::new(vec![Value::Int(i)])).collect()),
+        log: Arc::clone(&log),
+        is_open: false,
+        fails: true,
+        pulls: 0,
+    };
+    let mut op = wrap(Box::new(child));
+    assert!(op.open().is_err(), "{}", op.label());
+    op.close().unwrap();
+    assert_eq!(*log.lock().unwrap(), ["open child", "close child"], "{}", op.label());
+}
+
+#[test]
+fn hash_join_closes_its_build_child_after_a_failed_open() {
+    assert_failed_open_closes_child(|build| {
+        let probe = Box::new(ValuesOp::new(build.schema().clone(), Vec::new()));
+        Box::new(HashJoin::new(probe, build, 0, 0, JoinType::Inner, storage(8)))
+    });
+}
+
+#[test]
+fn sort_closes_its_child_after_a_failed_open() {
+    assert_failed_open_closes_child(|child| {
+        Box::new(Sort::new(child, storage(8), vec![SortKey::asc(0)]))
+    });
+}
+
+#[test]
+fn hash_aggregate_closes_its_child_after_a_failed_open() {
+    assert_failed_open_closes_child(|child| {
+        Box::new(HashAggregate::new(child, vec![0], vec![AggFunc::CountStar], storage(8)).unwrap())
+    });
 }

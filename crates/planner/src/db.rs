@@ -9,10 +9,13 @@
 //!
 //! There is one query lifecycle. Every `run` / `run_batches` /
 //! `submit` lowers its plan once (a private, total `lower`: the peeled
-//! pipeline, or — when nothing fans out — the whole operator tree as a
-//! shared source under a collect sink) and hands it to the database's
-//! **persistent** worker pool ([`smooth_executor::Scheduler`]) as a
-//! scheduled query. The worker count (`SMOOTH_WORKERS` /
+//! pipeline — a list of phases, hash-join builds first, in the order
+//! the operator tree opens them; the executor validates their stage
+//! chains and types them — or, when nothing fans out, the whole
+//! operator tree as a shared source under a collect sink) and hands it
+//! to the database's **persistent** worker pool
+//! ([`smooth_executor::Scheduler`]) as a scheduled query. The worker
+//! count (`SMOOTH_WORKERS` /
 //! [`Database::with_workers`], default = available cores) selects the
 //! pool's width, never a driver, so the per-query timeout,
 //! cancellation, panic containment, FIFO admission and per-query
@@ -50,9 +53,9 @@ use smooth_core::{SmoothScan, SmoothScanConfig, SwitchScan};
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
-    batch_size, collect_batches, BoxedOperator, BuildSpec, Filter, FullTableScan, HashAggregate,
-    HashJoin, IndexNestedLoopJoin, IndexScan, JoinType, MergeJoin, Operator, ParallelPipeline,
-    ParallelSource, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan,
+    batch_size, collect_batches, BoxedOperator, Filter, FullTableScan, HashAggregate, HashJoin,
+    IndexNestedLoopJoin, IndexScan, MergeJoin, Operator, ParallelPipeline, ParallelSource,
+    PhaseBuild, PhaseSpec, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan,
     StageSpec,
 };
 use smooth_stats::StatsQuality;
@@ -185,17 +188,6 @@ type RangeSplit = (usize, Bound<i64>, Bound<i64>, Predicate);
 /// Concurrent-query admission cap used when none is set on the
 /// instance.
 const DEFAULT_MAX_QUERIES: usize = 4;
-
-/// A peeled plan subtree: its morsel source, the per-worker stages
-/// above it (filters, projections, probes), its output schema, and its
-/// source's slot in the serial open cascade (see `Database::peel`).
-struct Peeled {
-    source: ParallelSource,
-    stages: Vec<StageSpec>,
-    schema: Schema,
-    open_at: usize,
-    open_order: usize,
-}
 
 /// An engine instance: storage manager + catalog + (lazily) the
 /// persistent worker pool concurrent sessions share.
@@ -646,10 +638,11 @@ impl Database {
     /// tables, bad ordinals) surface here identically to [`Database::build`].
     pub fn parallel_pipeline(&self, plan: &LogicalPlan) -> Result<Option<ParallelPipeline>> {
         let pipeline = self.lower(plan)?;
-        let serial_only = pipeline.stages.is_empty()
-            && pipeline.builds.is_empty()
-            && matches!(pipeline.source, ParallelSource::Shared { .. })
-            && matches!(pipeline.sink, SinkSpec::Collect);
+        let serial_only = matches!(
+            (&pipeline.phases[..], &pipeline.sink),
+            ([PhaseSpec { source: ParallelSource::Shared { .. }, stages, .. }], SinkSpec::Collect)
+                if stages.is_empty()
+        );
         Ok((!serial_only).then_some(pipeline))
     }
 
@@ -665,134 +658,96 @@ impl Database {
     /// charged stable sort pass the `Sort`-over-`FullTableScan` tree
     /// runs, so rows *and* charges are byte-identical to it (other
     /// ordered access paths order at the source and stay shared);
-    /// everything else collects.
+    /// everything else collects. Schemas are the executor's business:
+    /// [`ParallelPipeline::staged_schemas`] fails where the operator
+    /// constructors [`Database::build`] calls would.
     fn lower(&self, plan: &LogicalPlan) -> Result<ParallelPipeline> {
-        let mut builds = Vec::new();
+        let mut phases = Vec::new();
         let ordered_heap = match plan {
             LogicalPlan::Scan(spec) if spec.ordered => self.heap_source(spec)?.map(|h| (h, spec)),
             _ => None,
         };
-        let (source, stages, sink) = match (plan, ordered_heap) {
-            (_, Some(((source, _), spec))) => {
+        let (last, sink) = match (plan, ordered_heap) {
+            (_, Some((source, spec))) => {
                 // Same validation — and error — as the tree's sort wrap.
                 let (col, _, _, _) = spec
                     .predicate
                     .split_index_range()
                     .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
                 let keys = vec![SortKey::asc(col)];
-                (source, Vec::new(), SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() })
+                let last = PhaseSpec { source, stages: Vec::new(), build: None };
+                (last, SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() })
             }
             (LogicalPlan::Aggregate { input, group_cols, aggs }, None) => {
-                let Peeled { source, stages, schema, .. } =
-                    self.peel(input, &mut builds, &mut 0)?;
-                // Validate exactly like HashAggregate::new.
-                smooth_executor::agg::output_schema(&schema, group_cols, aggs)?;
-                let merge_exact = aggs.iter().all(|a| a.merge_exact(&schema));
                 let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
-                (source, stages, SinkSpec::Aggregate { group_cols, aggs, merge_exact })
+                (self.peel(input, &mut phases)?, SinkSpec::Aggregate { group_cols, aggs })
             }
-            (other, None) => {
-                // The root's own open stamp is unused: its source opens
-                // first, at admission.
-                let Peeled { source, stages, .. } = self.peel(other, &mut builds, &mut 0)?;
-                (source, stages, SinkSpec::Collect)
-            }
+            (other, None) => (self.peel(other, &mut phases)?, SinkSpec::Collect),
         };
-        Ok(ParallelPipeline {
-            source,
-            builds,
-            stages,
+        phases.push(last);
+        let pipeline = ParallelPipeline {
+            phases,
             sink,
             storage: self.storage.clone(),
             morsel_rows: batch_size(),
-        })
+        };
+        pipeline.staged_schemas()?;
+        Ok(pipeline)
     }
 
     /// The *partitioned* heap source (workers decode page runs in
     /// parallel) of a scan that resolves to a full table scan; `None`
     /// for every other access path. Takes no notice of `spec.ordered`:
     /// the caller owes the order.
-    fn heap_source(&self, spec: &ScanSpec) -> Result<Option<(ParallelSource, Schema)>> {
+    fn heap_source(&self, spec: &ScanSpec) -> Result<Option<ParallelSource>> {
         let entry = self.catalog.get(&spec.table)?;
         if !matches!(self.resolve_access(entry, spec), AccessPathChoice::ForceFull) {
             return Ok(None);
         }
         let heap = Arc::clone(&entry.heap);
-        let schema = heap.schema().clone();
         let predicate = spec.predicate.clone();
-        Ok(Some((ParallelSource::Heap { heap, predicate, readahead: FULL_SCAN_READAHEAD }, schema)))
+        Ok(Some(ParallelSource::Heap { heap, predicate, readahead: FULL_SCAN_READAHEAD }))
     }
 
-    /// Bottom-up pipeline peel of a probe side or a hash-join *build
-    /// side*: filters and projections peel into stages; a hash join
-    /// peels its probe side first (whose source stays this subtree's
-    /// source, opening before the nested build's — the serial cascade),
-    /// then its build side, which lands in `builds` as a pipeline of
-    /// its own (source + stages, so the partitioned parallel build fans
-    /// its decode/insert CPU out too) probed through a
-    /// [`StageSpec::Probe`] stage. Builds accumulate in completion
-    /// order — nested builds before the builds that probe them — so
-    /// bushy trees (hash joins on the build side of hash joins)
-    /// parallelize end to end. An unordered full scan becomes the
-    /// partitioned heap source; any other leaf (sorts, non-hash joins,
-    /// nested aggregates) runs whole as a serial shared source.
-    ///
-    /// Every leaf is stamped with its slot in the serial open cascade:
-    /// `open_at` is how many builds must complete before the source
-    /// opens — the number accumulated when the leaf is reached, which
-    /// preserves the left-deep cascade (build `i + 1` opens when build
-    /// `i` drains) and lets bushy sources open at admission —
-    /// and `open_order` (from `open_seq`) numbers the opens across the
-    /// whole tree. Only the relative order matters: the scheduler
-    /// sorts each tranche by it.
-    fn peel(
-        &self,
-        plan: &LogicalPlan,
-        builds: &mut Vec<BuildSpec>,
-        open_seq: &mut usize,
-    ) -> Result<Peeled> {
-        let leaf = |(source, schema), builds: &[BuildSpec], open_seq: &mut usize| {
-            let open_order = *open_seq;
-            *open_seq += 1;
-            Peeled { source, stages: Vec::new(), schema, open_at: builds.len(), open_order }
-        };
+    /// Pipeline peel of a probe side or a hash-join *build side* into
+    /// one phase (`build` left `None`: the caller says what it feeds):
+    /// filters and projections peel into stages; a hash join peels its
+    /// build side **first** — nested builds land in `builds` ahead of
+    /// it, then the build itself as a phase of its own (source +
+    /// stages, so the partitioned parallel build fans its decode/insert
+    /// CPU out too) — and only then its probe side, which keeps this
+    /// subtree's source and probes the build through a
+    /// [`StageSpec::Probe`] stage. That is [`HashJoin`]'s own open
+    /// order, so `builds` accumulates in the order the operator tree
+    /// opens and drains them — completion order *is* open order, for
+    /// left-deep and bushy trees (hash joins on the build side of hash
+    /// joins) alike. An unordered full scan becomes the partitioned
+    /// heap source; any other leaf (sorts, non-hash joins, nested
+    /// aggregates) runs whole as a serial shared source.
+    fn peel(&self, plan: &LogicalPlan, builds: &mut Vec<PhaseSpec>) -> Result<PhaseSpec> {
         match plan {
             LogicalPlan::Filter { input, predicate } => {
-                let mut peeled = self.peel(input, builds, open_seq)?;
-                peeled.stages.push(StageSpec::Filter(predicate.clone()));
-                Ok(peeled)
+                let mut phase = self.peel(input, builds)?;
+                phase.stages.push(StageSpec::Filter(predicate.clone()));
+                Ok(phase)
             }
             LogicalPlan::Project { input, cols } => {
-                let mut peeled = self.peel(input, builds, open_seq)?;
-                // Validates exactly like `Project::new`.
-                peeled.schema = peeled.schema.project(cols)?;
-                peeled.stages.push(StageSpec::Project(cols.clone()));
-                Ok(peeled)
+                let mut phase = self.peel(input, builds)?;
+                phase.stages.push(StageSpec::Project(cols.clone()));
+                Ok(phase)
             }
             LogicalPlan::Join(spec) if self.resolve_join_strategy(spec) == JoinStrategy::Hash => {
-                let mut probe = self.peel(&spec.left, builds, open_seq)?;
-                let build = self.peel(&spec.right, builds, open_seq)?;
-                if spec.right_col >= build.schema.len() {
-                    return Err(Error::plan(format!(
-                        "hash-join build key column {} out of range",
-                        spec.right_col
-                    )));
-                }
-                probe.schema = match spec.ty {
-                    JoinType::Inner => probe.schema.join(&build.schema),
-                    JoinType::LeftSemi => probe.schema,
-                };
-                probe.stages.push(StageSpec::Probe(builds.len()));
-                builds.push(BuildSpec {
-                    source: build.source,
-                    stages: build.stages,
+                let mut build = self.peel(&spec.right, builds)?;
+                build.build = Some(PhaseBuild {
                     right_col: spec.right_col,
                     left_col: spec.left_col,
                     ty: spec.ty,
                     mem_bytes: self.mem_bytes(),
-                    open_at: build.open_at,
-                    open_order: build.open_order,
                 });
+                let built = builds.len();
+                builds.push(build);
+                let mut probe = self.peel(&spec.left, builds)?;
+                probe.stages.push(StageSpec::Probe(built));
                 Ok(probe)
             }
             other => {
@@ -802,13 +757,9 @@ impl Database {
                 };
                 let source = match heap {
                     Some(heap) => heap,
-                    None => {
-                        let op = self.build(other)?;
-                        let schema = op.schema().clone();
-                        (ParallelSource::Shared { op }, schema)
-                    }
+                    None => ParallelSource::Shared { op: self.build(other)? },
                 };
-                Ok(leaf(source, builds, open_seq))
+                Ok(PhaseSpec { source, stages: Vec::new(), build: None })
             }
         }
     }
@@ -1181,15 +1132,15 @@ mod tests {
         let db = db(1000);
         // Unordered full scan → partitioned heap source.
         let p = db.parallel_pipeline(&q(100, AccessPathChoice::ForceFull)).unwrap().unwrap();
-        assert!(matches!(p.source, smooth_executor::ParallelSource::Heap { .. }));
+        assert!(matches!(p.phases[0].source, ParallelSource::Heap { .. }));
         // A bare adaptive scan has no stages to fan out → `None`; what
         // runs is the whole tree as a shared source under a collect sink.
         let smooth = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()));
         assert!(db.parallel_pipeline(&smooth).unwrap().is_none());
         let p = db.lower(&smooth).unwrap();
-        assert!(matches!(p.source, smooth_executor::ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, smooth_executor::SinkSpec::Collect));
-        assert!(p.stages.is_empty() && p.builds.is_empty());
+        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
+        assert!(matches!(p.sink, SinkSpec::Collect));
+        assert!(p.phases.len() == 1 && p.phases[0].stages.is_empty());
         // An ordered full scan at the root sorts at the sink; under a
         // filter it is the Sort-over-scan tree as a shared source.
         let ordered = LogicalPlan::scan(
@@ -1198,17 +1149,31 @@ mod tests {
                 .with_access(AccessPathChoice::ForceFull),
         );
         let p = db.lower(&ordered).unwrap();
-        assert!(matches!(p.source, smooth_executor::ParallelSource::Heap { .. }));
-        assert!(matches!(p.sink, smooth_executor::SinkSpec::Sort { .. }));
+        assert!(matches!(p.phases[0].source, ParallelSource::Heap { .. }));
+        assert!(matches!(p.sink, SinkSpec::Sort { .. }));
         let p = db.lower(&ordered.filter(Predicate::int_lt(0, 900))).unwrap();
-        assert!(matches!(p.source, smooth_executor::ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, smooth_executor::SinkSpec::Collect));
+        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
+        assert!(matches!(p.sink, SinkSpec::Collect));
         // …but an aggregate above it parallelizes on the stages.
         let plan = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()))
             .aggregate(vec![], vec![AggFunc::CountStar]);
         let p = db.parallel_pipeline(&plan).unwrap().unwrap();
-        assert!(matches!(p.source, smooth_executor::ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, smooth_executor::SinkSpec::Aggregate { merge_exact: true, .. }));
+        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
+        assert!(matches!(p.sink, SinkSpec::Aggregate { .. }));
+        // Builds come in `HashJoin`'s open order — a join's build side
+        // before anything on its probe side: (t ⋈ a) ⋈ b lowers to
+        // [b, a, t], t probing a (phase 1), then b (phase 0).
+        let t = |hi| q(hi, AccessPathChoice::ForceFull);
+        let semi = smooth_executor::JoinType::LeftSemi;
+        let hash = |l: LogicalPlan, r| l.join(r, 1, 1, semi, JoinStrategy::Hash);
+        let p = db.lower(&hash(hash(t(900), t(20)), t(30))).unwrap();
+        let scans = p.phases.iter().map(|phase| match &phase.source {
+            ParallelSource::Heap { predicate, .. } => predicate.clone(),
+            ParallelSource::Shared { .. } => panic!("a full scan is a heap source"),
+        });
+        let expected = [30, 20, 900].map(|hi| Predicate::int_half_open(1, 0, hi));
+        assert_eq!(scans.collect::<Vec<_>>(), expected);
+        assert!(matches!(p.phases[2].stages[..], [StageSpec::Probe(1), StageSpec::Probe(0)]));
         // Plan errors surface from the decomposition exactly like build().
         let bad = LogicalPlan::scan(
             ScanSpec::new("t", Predicate::int_eq(0, 1)).with_access(AccessPathChoice::ForceIndex),

@@ -505,7 +505,7 @@ fn ordered_scans_parallelize_with_sort_sink() {
         .expect("plan builds")
         .expect("ordered heap scan must produce a parallel pipeline, not the serial fallback");
     assert!(
-        matches!(pipeline.source, ParallelSource::Heap { .. }),
+        matches!(pipeline.phases[0].source, ParallelSource::Heap { .. }),
         "ordered scan must keep the partitioned heap source"
     );
     assert!(
@@ -675,33 +675,52 @@ fn text_heavy_spill_legs_agree_under_views() {
 /// resolves its nested probe stage inside the build pipeline and
 /// parallelizes end to end, byte- and charge-identical to the serial
 /// drivers.
+///
+/// The second shape is the one that can *see* the order sources open
+/// in: a self-join whose probe side is a Sort Scan — its `open` drains
+/// the index — and whose build side reads the same table, index and
+/// heap, through Smooth Scan. Open the probe side before the build
+/// instead of after it and the pool holds different pages when each
+/// walks them, so a tree and a pool that disagree about open order
+/// disagree here about clock and I/O.
 #[test]
 fn bushy_hash_joins_agree_across_drivers() {
-    let inner = LogicalPlan::scan(ScanSpec::new("r", Predicate::int_lt(2, 250))).join(
-        LogicalPlan::scan(ScanSpec::new("t", Predicate::int_half_open(1, 0, 150))),
-        1,
-        1,
-        JoinType::Inner,
-        JoinStrategy::Hash,
+    let t = |lo: i64, hi: i64, access: AccessPathChoice| {
+        LogicalPlan::scan(
+            ScanSpec::new("t", Predicate::int_half_open(1, lo, hi)).with_access(access),
+        )
+    };
+    let r = LogicalPlan::scan(ScanSpec::new("r", Predicate::int_lt(2, 250)));
+    let hash = |probe: LogicalPlan, build: LogicalPlan, right_col: usize| {
+        probe.join(build, 1, right_col, JoinType::Inner, JoinStrategy::Hash)
+    };
+    let full_over_full = hash(
+        t(30, 230, AccessPathChoice::Auto),
+        hash(r.clone(), t(0, 150, AccessPathChoice::Auto), 1),
+        0,
     );
-    let plan = LogicalPlan::scan(ScanSpec::new("t", Predicate::int_half_open(1, 30, 30 + 200)))
-        .join(inner, 1, 0, JoinType::Inner, JoinStrategy::Hash);
-
-    let volcano = run_volcano(&plan);
-    for workers in WORKER_GRID {
-        for claim in [0usize, 1] {
-            let got = run_chunked(&plan, workers, claim);
-            assert_eq!(got.rows, volcano.rows, "bushy rows diverge at {workers}w claim={claim}");
-            assert_eq!(
-                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                "bushy clock diverges at {workers}w claim={claim}"
-            );
-            assert_eq!(
-                io_key(&got.stats.io),
-                io_key(&volcano.stats.io),
-                "bushy I/O diverges at {workers}w claim={claim}"
-            );
+    let smooth = AccessPathChoice::Smooth(SmoothScanConfig::default());
+    let sort_over_smooth =
+        hash(t(30, 230, AccessPathChoice::ForceSort), hash(t(0, 150, smooth), r, 1), 1);
+    for (shape, plan) in [("full⋈(r⋈full)", full_over_full), ("sort⋈(smooth⋈r)", sort_over_smooth)]
+    {
+        let volcano = run_volcano(&plan);
+        assert!(!volcano.rows.is_empty(), "{shape} joins something");
+        for workers in WORKER_GRID {
+            for claim in [0usize, 1] {
+                let got = run_chunked(&plan, workers, claim);
+                assert_eq!(got.rows, volcano.rows, "{shape} rows at {workers}w claim={claim}");
+                assert_eq!(
+                    (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+                    (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+                    "{shape} clock at {workers}w claim={claim}"
+                );
+                assert_eq!(
+                    io_key(&got.stats.io),
+                    io_key(&volcano.stats.io),
+                    "{shape} I/O at {workers}w claim={claim}"
+                );
+            }
         }
     }
 }
