@@ -5,9 +5,20 @@
 # not exceed the ceiling committed here. A PR that shrinks the engine
 # lowers CEILING to its result in the same change; one that has to grow
 # it raises it on purpose, in review, instead of in prose.
+#
+# Raises so far:
+# * PR 24, 10219 -> 10640 (+421; the issue's target was +350): column
+#   pruning is a new pass, not a cheaper kernel. `planner/src/prune.rs`
+#   (169 lines: the required-columns walk and its six node rules), the
+#   `remap`s it rewrites ordinals with (`Predicate`, `AggFunc`), a scan
+#   filter compiled for predicate ∪ output columns with `with_columns` on
+#   every access path, emit lists through `probe_emit` / `HashJoin` /
+#   `IndexNestedLoopJoin` / `PhaseBuild`, and the labels `explain` pins
+#   the narrowing with. It bought -29 % on `analytic_serial`'s round
+#   (CHANGES.md, PR 24); nothing it adds is a second path or a knob.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=10219
+CEILING=10640
 lines=$(cat crates/executor/src/*.rs crates/planner/src/*.rs | wc -l)
 echo "crates/executor/src + crates/planner/src: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

@@ -50,6 +50,8 @@ pub struct SmoothInnerPath {
     index: Arc<BTreeIndex>,
     storage: Storage,
     key_col: usize,
+    /// Position of `key_col` among the harvested columns.
+    key_slot: usize,
     /// Compiled residual, probed on *encoded* tuples during the harvest —
     /// non-qualifiers are never fully decoded.
     filter: ScanFilter,
@@ -80,12 +82,30 @@ impl SmoothInnerPath {
             index,
             storage,
             key_col,
+            key_slot: key_col,
             filter,
             visited: PageIdCache::new(pages),
             harvested,
             by_key: HashMap::new(),
             metrics: InnerPathMetrics::default(),
         }
+    }
+
+    /// Builder: harvest — and emit from [`SmoothInnerPath::probe`] — only
+    /// the columns `cols` of the heap (strictly ascending ordinals; `None`
+    /// = all). The join key must be among them: the harvest is keyed on
+    /// it.
+    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
+        let kept = cols.map_or(Some(self.key_col), |c| c.iter().position(|&c| c == self.key_col));
+        self.key_slot = kept.ok_or_else(|| Error::plan("inner path must keep its join key"))?;
+        self.filter.narrow(self.heap.schema(), cols)?;
+        self.harvested = ColumnBatch::for_schema(self.filter.schema());
+        Ok(self)
+    }
+
+    /// The schema of the inner rows [`SmoothInnerPath::probe`] emits.
+    pub fn schema(&self) -> &Schema {
+        self.filter.schema()
     }
 
     /// Morphing counters.
@@ -99,9 +119,8 @@ impl SmoothInnerPath {
         self.metrics.pages_fetched += 1;
         let tuples = PageView::new(&page)?.iter().collect::<Result<Vec<_>>>()?;
         let first = self.harvested.physical_rows();
-        let (inspected, _) =
-            self.filter.fill_columns(self.heap.schema(), &tuples, None, &mut self.harvested)?;
-        let keys = self.harvested.column_checked(self.key_col)?;
+        let (inspected, _) = self.filter.fill(&tuples, &mut self.harvested)?;
+        let keys = self.harvested.column_checked(self.key_slot)?;
         let ColumnValues::Int(ints) = keys.values() else {
             return Err(Error::exec("join key must be integer"));
         };
@@ -168,7 +187,7 @@ pub struct SmoothIndexNestedLoopJoin {
 impl SmoothIndexNestedLoopJoin {
     /// `outer.outer_col = inner.key_col` via the inner path's index.
     pub fn new(outer: BoxedOperator, outer_col: usize, inner: SmoothInnerPath) -> Self {
-        let schema = outer.schema().join(inner.heap.schema());
+        let schema = outer.schema().join(inner.schema());
         let out = ColumnBuffer::for_schema(&schema);
         SmoothIndexNestedLoopJoin { outer, outer_col, inner, schema, matched: Vec::new(), out }
     }
@@ -380,6 +399,37 @@ mod tests {
             smooth_reads < plain_reads,
             "harvesting must cut page traffic: {smooth_reads} vs {plain_reads}"
         );
+    }
+
+    #[test]
+    fn narrowed_inner_path_harvests_only_its_columns() {
+        let (heap, index) = inner_table(20, 4);
+        let keys: Vec<i64> = (0..25).collect();
+        let path = |cols: Option<&[usize]>| {
+            SmoothInnerPath::new(
+                Arc::clone(&heap),
+                Arc::clone(&index),
+                storage(),
+                0,
+                Predicate::True,
+            )
+            .with_columns(cols)
+        };
+        let mut full = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, path(None).unwrap());
+        // `v` and the pad are neither read nor emitted: the harvest
+        // holds `k` alone.
+        let narrow = path(Some(&[0])).unwrap();
+        assert_eq!(narrow.schema().len(), 1);
+        let mut narrow = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, narrow);
+        let expected: Vec<Row> = collect_rows(&mut full)
+            .unwrap()
+            .iter()
+            .map(|r| Row::new(vec![r.get(0).clone(), r.get(1).clone()]))
+            .collect();
+        assert_eq!(collect_rows(&mut narrow).unwrap(), expected);
+        assert_eq!(expected.len(), 80);
+        // The harvest is keyed on the join key: it cannot be dropped.
+        assert!(path(Some(&[1, 2])).is_err());
     }
 
     #[test]

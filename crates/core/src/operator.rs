@@ -211,6 +211,18 @@ impl SmoothScan {
         }
     }
 
+    /// Builder: emit only the columns `cols` of the heap (strictly
+    /// ascending ordinals; `None` = all). The filter still reads the key
+    /// and whatever the residual names; every emission path — region
+    /// fills, Mode 0, the ordered driving tuple and Result-Cache hits —
+    /// decodes exactly `cols`.
+    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
+        let table = self.heap.schema();
+        self.out = self.filter.narrow(table, cols)?;
+        self.layout = cols.map_or_else(|| TupleLayout::all(table), |c| TupleLayout::new(table, c));
+        Ok(self)
+    }
+
     /// Execution counters (valid during and after execution).
     pub fn metrics(&self) -> SmoothScanMetrics {
         let mut m = self.metrics;
@@ -296,7 +308,7 @@ impl SmoothScan {
                     }
                     (tuples.len() as u64, emitted)
                 } else {
-                    self.filter.fill_columns(self.heap.schema(), &tuples, None, self.out.fill())?
+                    self.filter.fill(&tuples, self.out.fill())?
                 };
                 self.storage.clock().charge_cpu(
                     cpu.bitmap_op_ns * bitmap_ops
@@ -406,7 +418,7 @@ fn no_result_cache() -> Error {
 
 impl Operator for SmoothScan {
     fn schema(&self) -> &Schema {
-        self.heap.schema()
+        self.filter.schema()
     }
 
     fn open(&mut self) -> Result<()> {
@@ -475,12 +487,13 @@ impl Operator for SmoothScan {
 
     fn label(&self) -> String {
         format!(
-            "SmoothScan({} via {}, {:?}, {:?}{})",
+            "SmoothScan({} via {}, {:?}, {:?}{}){}",
             self.heap.name(),
             self.index.name(),
             self.config.policy,
             self.config.trigger,
-            if self.config.ordered { ", ordered" } else { "" }
+            if self.config.ordered { ", ordered" } else { "" },
+            self.filter.columns_label()
         )
     }
 }

@@ -78,6 +78,13 @@ impl SwitchScan {
         }
     }
 
+    /// Builder: emit only the columns `cols` of the heap (strictly
+    /// ascending ordinals; `None` = all), in both phases.
+    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
+        self.out = self.filter.narrow(self.heap.schema(), cols)?;
+        Ok(self)
+    }
+
     /// Whether the cliff was taken.
     pub fn switched(&self) -> bool {
         self.switched
@@ -151,8 +158,7 @@ impl SwitchScan {
                 }
                 tuples.push(view.get(slot)?);
             }
-            let (inspected, emitted) =
-                self.filter.fill_columns(self.heap.schema(), &tuples, None, self.out.fill())?;
+            let (inspected, emitted) = self.filter.fill(&tuples, self.out.fill())?;
             self.storage.clock().charge_cpu(
                 cpu.bitmap_op_ns * slots as u64
                     + cpu.inspect_tuple_ns * inspected
@@ -178,7 +184,7 @@ fn not_open() -> Error {
 
 impl Operator for SwitchScan {
     fn schema(&self) -> &Schema {
-        self.heap.schema()
+        self.filter.schema()
     }
 
     fn open(&mut self) -> Result<()> {
@@ -213,10 +219,11 @@ impl Operator for SwitchScan {
 
     fn label(&self) -> String {
         format!(
-            "SwitchScan({} via {}, estimate={})",
+            "SwitchScan({} via {}, estimate={}){}",
             self.heap.name(),
             self.index.name(),
-            self.estimate
+            self.estimate,
+            self.filter.columns_label()
         )
     }
 }

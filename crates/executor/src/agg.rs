@@ -51,6 +51,22 @@ impl AggFunc {
         }
     }
 
+    /// The same aggregate over renumbered input columns: every ordinal
+    /// `c` it reads becomes `to(c)`; `None` if one has no new ordinal
+    /// (column pruning's rewrite, like [`crate::Predicate::remap`]).
+    /// `to` sees exactly the columns the aggregate reads, in order.
+    pub fn remap(&self, to: &mut dyn FnMut(usize) -> Option<usize>) -> Option<AggFunc> {
+        Some(match *self {
+            AggFunc::CountStar => AggFunc::CountStar,
+            AggFunc::Count(c) => AggFunc::Count(to(c)?),
+            AggFunc::Sum(c) => AggFunc::Sum(to(c)?),
+            AggFunc::SumProduct(a, b) => AggFunc::SumProduct(to(a)?, to(b)?),
+            AggFunc::Avg(c) => AggFunc::Avg(to(c)?),
+            AggFunc::Min(c) => AggFunc::Min(to(c)?),
+            AggFunc::Max(c) => AggFunc::Max(to(c)?),
+        })
+    }
+
     fn output_column(&self, child: &Schema, ordinal: usize) -> Column {
         let name = |f: &str, c: usize| format!("{f}_{}", child.column(c).name);
         match self {

@@ -11,17 +11,18 @@
 //! [`Predicate`] has two evaluators: a vectorized mask kernel over typed
 //! column vectors, which is what every operator runs, and
 //! [`Predicate::eval`] over one `Row`, the reference the kernels are
-//! tested against (no operator calls it). [`ScanFilter`] binds a predicate to
-//! a scan schema and a compiled [`TupleLayout`], and is how every
-//! columnar heap read filters and decodes a page: locate the page's
-//! tuples once, gather the predicate's columns, run the mask kernel,
-//! gather all columns of the qualifiers only.
+//! tested against (no operator calls it). [`ScanFilter`] binds a predicate
+//! and a set of output columns to a table schema and a compiled
+//! [`TupleLayout`], and is how every columnar heap read filters and
+//! decodes a page: locate the page's tuples once, gather the predicate's
+//! columns, run the mask kernel, gather the output columns of the
+//! qualifiers only.
 
 use std::ops::Bound;
 
 use smooth_storage::PageBuf;
 use smooth_types::{
-    ColumnBatch, ColumnValues, ColumnVector, Result, Row, Schema, TupleLayout, Value,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Result, Row, Schema, TupleLayout, Value,
 };
 
 /// The rows a vectorized kernel evaluates: every physical row of the
@@ -336,25 +337,40 @@ impl Predicate {
     /// Collect the column ordinals this predicate reads, ascending and
     /// deduplicated.
     pub fn referenced_columns(&self) -> Vec<usize> {
-        fn walk(p: &Predicate, out: &mut Vec<usize>) {
-            match p {
-                Predicate::True => {}
-                Predicate::IntRange { col, .. }
-                | Predicate::StrEq { col, .. }
-                | Predicate::StrIn { col, .. } => out.push(*col),
-                Predicate::IntColLt { left, right } => {
-                    out.push(*left);
-                    out.push(*right);
-                }
-                Predicate::And(ps) | Predicate::Or(ps) => ps.iter().for_each(|p| walk(p, out)),
-                Predicate::Not(p) => walk(p, out),
-            }
-        }
         let mut cols = Vec::new();
-        walk(self, &mut cols);
+        self.remap(&mut |c| {
+            cols.push(c);
+            Some(c)
+        });
         cols.sort_unstable();
         cols.dedup();
         cols
+    }
+
+    /// The same predicate over renumbered columns: every ordinal `c` it
+    /// reads becomes `to(c)`; `None` as soon as one has no new ordinal.
+    /// Column pruning's rewrite — what a node's predicate reads after its
+    /// input lost the columns nobody asked for.
+    pub fn remap(&self, to: &mut dyn FnMut(usize) -> Option<usize>) -> Option<Predicate> {
+        let mut all = |ps: &[Predicate]| ps.iter().map(|p| p.remap(to)).collect::<Option<Vec<_>>>();
+        Some(match self {
+            Predicate::True => Predicate::True,
+            Predicate::IntRange { col, lo, hi } => {
+                Predicate::IntRange { col: to(*col)?, lo: *lo, hi: *hi }
+            }
+            Predicate::StrEq { col, value } => {
+                Predicate::StrEq { col: to(*col)?, value: value.clone() }
+            }
+            Predicate::StrIn { col, values } => {
+                Predicate::StrIn { col: to(*col)?, values: values.clone() }
+            }
+            Predicate::IntColLt { left, right } => {
+                Predicate::IntColLt { left: to(*left)?, right: to(*right)? }
+            }
+            Predicate::And(ps) => Predicate::And(all(ps)?),
+            Predicate::Or(ps) => Predicate::Or(all(ps)?),
+            Predicate::Not(p) => Predicate::Not(Box::new(p.remap(to)?)),
+        })
     }
 
     /// If this predicate constrains exactly one integer column with a range
@@ -383,23 +399,35 @@ impl Predicate {
     }
 }
 
-/// A predicate compiled against one scan schema: filters and decodes
-/// *encoded* tuples a page at a time through one [`TupleLayout`] — the
-/// vectorized scan's selection pushdown. [`ScanFilter::select`] locates
-/// the page's tuples (every tuple structurally validated, qualifying or
-/// not — a corrupt page errors exactly as under [`Row::decode`]), gathers
-/// just the columns the predicate reads and runs the mask kernel over
-/// them; [`ScanFilter::gather_selected`] then decodes all columns of the
+/// A predicate and a set of output columns compiled against one table
+/// schema: filters and decodes *encoded* tuples a page at a time through
+/// one [`TupleLayout`] bound to *predicate columns ∪ output columns* —
+/// the vectorized scan's selection pushdown and its column pruning.
+/// [`ScanFilter::select`] locates the page's tuples (every tuple
+/// structurally validated, qualifying or not, whatever is wanted — a
+/// corrupt page errors exactly as under [`Row::decode`]), gathers just
+/// the columns the predicate reads and runs the mask kernel over them;
+/// [`ScanFilter::gather_selected`] then decodes the output columns of the
 /// qualifiers only, off the offsets the same `locate` recorded. Nothing
-/// is parsed twice, so no match-rate regime favors another strategy.
+/// is parsed twice, and a column neither read nor emitted is walked past,
+/// never materialized (so its text is never UTF-8-checked). Emitting
+/// every column ([`ScanFilter::new`]) is one output set among others.
+#[derive(Clone)]
 pub struct ScanFilter {
     predicate: Predicate,
-    /// Decoder for every column of the scan schema.
+    /// The output columns' schema: the table's, narrowed.
+    schema: Schema,
+    /// Columns of the table (a narrower output prints itself in labels).
+    table_width: usize,
+    /// Decoder for the predicate's and the output's columns.
     layout: TupleLayout,
-    /// Probe scratch, by schema ordinal: a typed vector for each column
-    /// the predicate reads, holding one slot per tuple of the last
-    /// selected page (reused across pages — no steady-state allocation).
-    probed: Vec<Option<ColumnVector>>,
+    /// The layout slot of each output column, in output order.
+    out_slots: Vec<usize>,
+    /// Probe scratch, by table ordinal: the layout slot of, and a typed
+    /// vector for, each column the predicate reads, holding one value per
+    /// tuple of the last selected page (reused across pages — no
+    /// steady-state allocation).
+    probed: Vec<Option<(usize, ColumnVector)>>,
     /// Mask scratch for the columnar kernels.
     mask: Vec<bool>,
     /// Indices of the last selected page's qualifiers, ascending.
@@ -412,14 +440,47 @@ pub struct ScanFilter {
 const ROW_MAJOR_MAX: usize = 4;
 
 impl ScanFilter {
-    /// Compile `predicate` for tuples of `schema`.
+    /// Compile `predicate` for tuples of `schema`, emitting every column.
     pub fn new(predicate: Predicate, schema: &Schema) -> Self {
-        let mut probed: Vec<Option<ColumnVector>> = vec![None; schema.len()];
-        for c in predicate.referenced_columns() {
-            probed[c] = Some(ColumnVector::for_type(schema.column(c).ty));
+        Self::bind(predicate, schema, None, schema.clone())
+    }
+
+    /// Compile `predicate` for tuples of `table`, emitting the columns
+    /// `cols` (strictly ascending table ordinals — [`Schema::narrow`];
+    /// `None` = all of them).
+    pub fn with_output(p: Predicate, table: &Schema, cols: Option<&[usize]>) -> Result<Self> {
+        Ok(Self::bind(p, table, cols, table.narrow(cols)?))
+    }
+
+    fn bind(predicate: Predicate, table: &Schema, cols: Option<&[usize]>, schema: Schema) -> Self {
+        let out: Vec<usize> = cols.map_or_else(|| (0..table.len()).collect(), <[usize]>::to_vec);
+        let refs = predicate.referenced_columns();
+        let mut wanted: Vec<usize> = out.iter().chain(&refs).copied().collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        let slot = |c: usize| wanted.partition_point(|&w| w < c);
+        let mut probed: Vec<Option<(usize, ColumnVector)>> = vec![None; table.len()];
+        for c in refs {
+            probed[c] = Some((slot(c), ColumnVector::for_type(table.column(c).ty)));
         }
-        let layout = TupleLayout::all(schema);
-        ScanFilter { predicate, layout, probed, mask: Vec::new(), selected: Vec::new() }
+        ScanFilter {
+            predicate,
+            schema,
+            table_width: table.len(),
+            layout: TupleLayout::new(table, &wanted),
+            out_slots: out.iter().map(|&c| slot(c)).collect(),
+            probed,
+            mask: Vec::new(),
+            selected: Vec::new(),
+        }
+    }
+
+    /// Re-compile for the output columns `cols` of `table` (see
+    /// [`ScanFilter::with_output`]) and hand back the empty output
+    /// buffer typed for them — the body of every scan's `with_columns`.
+    pub fn narrow(&mut self, table: &Schema, cols: Option<&[usize]>) -> Result<ColumnBuffer> {
+        *self = Self::with_output(self.predicate.clone(), table, cols)?;
+        Ok(ColumnBuffer::for_schema(&self.schema))
     }
 
     /// The compiled predicate.
@@ -427,10 +488,26 @@ impl ScanFilter {
         &self.predicate
     }
 
+    /// The schema of the rows this filter emits.
+    pub fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// `[a, b, c]` — the output columns by name — when the output is
+    /// narrower than the table, else empty: what a scan appends to its
+    /// `EXPLAIN` label.
+    pub fn columns_label(&self) -> String {
+        if self.schema.len() == self.table_width {
+            return String::new();
+        }
+        let names: Vec<&str> = self.schema.columns().iter().map(|c| c.name.as_str()).collect();
+        format!("[{}]", names.join(", "))
+    }
+
     /// Validate `tuples` (one page's worth) and evaluate the predicate
     /// over them, returning how many qualify; [`ScanFilter::selected`]
     /// then names them. Feeds no scan statistics — scans that select
-    /// without [`ScanFilter::fill_columns`] tap their own counts.
+    /// without [`ScanFilter::fill`] tap their own counts.
     pub fn select(&mut self, tuples: &[&[u8]]) -> Result<usize> {
         self.layout.locate(tuples)?;
         self.selected.clear();
@@ -438,17 +515,16 @@ impl ScanFilter {
             self.selected.extend(0..tuples.len() as u32);
             return Ok(tuples.len());
         }
-        for (c, v) in self.probed.iter_mut().enumerate() {
-            if let Some(v) = v {
-                v.clear();
-                self.layout.gather(c, tuples, None, v)?;
-            }
+        for (slot, v) in self.probed.iter_mut().flatten() {
+            v.clear();
+            self.layout.gather(*slot, tuples, None, v)?;
         }
         let probed = &self.probed;
         let lookup = |c: usize| -> Result<&ColumnVector> {
             probed
                 .get(c)
                 .and_then(Option::as_ref)
+                .map(|(_, v)| v)
                 .ok_or_else(|| smooth_types::Error::exec(format!("column {c} out of range")))
         };
         self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut self.mask)?;
@@ -462,54 +538,64 @@ impl ScanFilter {
         &self.selected
     }
 
-    /// Column `col` of the last selected page as the predicate read it:
-    /// one slot per tuple, qualifying or not. `None` unless the predicate
-    /// references `col`.
+    /// Column `col` (a table ordinal) of the last selected page as the
+    /// predicate read it: one slot per tuple, qualifying or not. `None`
+    /// unless the predicate references `col`.
     pub fn probed_column(&self, col: usize) -> Option<&ColumnVector> {
-        self.probed.get(col).and_then(Option::as_ref)
+        self.probed.get(col).and_then(Option::as_ref).map(|(_, v)| v)
     }
 
-    /// Append every column of the last selected qualifiers to `out` (one
-    /// vector per schema column), densely, in tuple order. `tuples` must
-    /// be the slice [`ScanFilter::select`] saw.
+    /// Append the output columns of the last selected qualifiers to `out`
+    /// (one vector per output column), densely, in tuple order. `tuples`
+    /// must be the slice [`ScanFilter::select`] saw.
     pub fn gather_selected(&self, tuples: &[&[u8]], out: &mut [ColumnVector]) -> Result<()> {
         if self.selected.len() <= ROW_MAJOR_MAX {
+            let (layout, slots) = (&self.layout, &self.out_slots);
             let mut rows = self.selected.iter();
-            return rows.try_for_each(|&t| self.layout.gather_row(tuples, t as usize, out));
+            return rows.try_for_each(|&t| layout.gather_row_of(tuples, t as usize, slots, out));
+        }
+        if out.len() != self.out_slots.len() {
+            return Err(smooth_types::Error::exec("gather into a batch of another width"));
         }
         let rows = (self.selected.len() < tuples.len()).then_some(self.selected.as_slice());
-        out.iter_mut().enumerate().try_for_each(|(c, v)| self.layout.gather(c, tuples, rows, v))
+        let mut cols = out.iter_mut().zip(&self.out_slots);
+        cols.try_for_each(|(v, &k)| self.layout.gather(k, tuples, rows, v))
     }
 
-    /// Check the text columns of the last selected qualifiers as
-    /// [`ScanFilter::gather_selected`] would, without decoding them —
-    /// for a consumer that keeps the encoded bytes and decodes later.
+    /// Check the text among the output columns of the last selected
+    /// qualifiers as [`ScanFilter::gather_selected`] would, without
+    /// decoding them (the text the predicate read was checked when it
+    /// was probed) — for a consumer that keeps the encoded bytes and
+    /// decodes the same columns later.
     pub fn check_selected_text(&self, tuples: &[&[u8]]) -> Result<()> {
         self.layout.check_text(tuples, &self.selected)
     }
 
     /// Columnar fill: append the qualifying tuples among `tuples` to
-    /// `out`, densely, in input order. Returns `(inspected, emitted)` for
-    /// the caller's clock accounting — `inspected` is always
-    /// `tuples.len()`, so a bulk per-page charge totals what per-tuple
-    /// charges would.
-    ///
-    /// `_backing` is ignored (text always copies into `out`'s arenas): the
-    /// parameter stays only because the wall-clock `benchmark/` package
-    /// passes it and changes in PRs of its own; engine callers pass `None`.
-    pub fn fill_columns(
-        &mut self,
-        schema: &Schema,
-        tuples: &[&[u8]],
-        _backing: Option<&PageBuf>,
-        out: &mut ColumnBatch,
-    ) -> Result<(u64, u64)> {
-        debug_assert_eq!(schema.len(), self.layout.width());
+    /// `out` (typed for [`ScanFilter::schema`]), densely, in input order.
+    /// Returns `(inspected, emitted)` for the caller's clock accounting —
+    /// `inspected` is always `tuples.len()`, so a bulk per-page charge
+    /// totals what per-tuple charges would.
+    pub fn fill(&mut self, tuples: &[&[u8]], out: &mut ColumnBatch) -> Result<(u64, u64)> {
         let (inspected, emitted) = (tuples.len() as u64, self.select(tuples)? as u64);
         self.gather_selected(tuples, out.columns_mut())?;
         out.commit_rows(emitted as usize);
         smooth_storage::tap_rows(inspected, emitted);
         Ok((inspected, emitted))
+    }
+
+    /// [`ScanFilter::fill`] under the signature the wall-clock
+    /// `benchmark/` package calls, which changes in PRs of its own:
+    /// `_schema` and `_backing` are ignored (the filter knows its table,
+    /// and text always copies into `out`'s arenas).
+    pub fn fill_columns(
+        &mut self,
+        _schema: &Schema,
+        tuples: &[&[u8]],
+        _backing: Option<&PageBuf>,
+        out: &mut ColumnBatch,
+    ) -> Result<(u64, u64)> {
+        self.fill(tuples, out)
     }
 }
 

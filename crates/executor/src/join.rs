@@ -42,6 +42,13 @@ pub(crate) fn join_schema(left: &Schema, right: &Schema, ty: JoinType) -> Schema
     }
 }
 
+/// `, emit n of m` — how many of a join's `m` columns it emits — for its
+/// `EXPLAIN` label; empty when it emits them all.
+fn emit_label(emit: Option<&[usize]>, left: &Schema, right: &Schema, ty: JoinType) -> String {
+    let joined = left.len() + if ty == JoinType::Inner { right.len() } else { 0 };
+    emit.map_or_else(String::new, |e| format!(", emit {} of {joined}", e.len()))
+}
+
 /// Spill partitions per build table: the unit [`JoinBuildTable::
 /// apply_budget`] sizes and spills, and what probe rows are routed by
 /// once something has spilled. Fixed (rather than derived from the
@@ -325,21 +332,37 @@ impl JoinBuildTable {
         }
     }
 
-    /// Probe one columnar morsel, gathering every match into `out`
-    /// (typed `probe columns ++ payload columns` for an inner join,
-    /// probe columns alone for a semi join): matches in global build
-    /// order, null probe keys never match. Charges one hash op per live
-    /// probe row and one emit per produced row, each as **one charge
-    /// per morsel** — addition commutes, so totals equal the per-row
-    /// charges they replace. Both the serial [`HashJoin`] and the
-    /// parallel driver's probe stage call this — the probe charge model
-    /// lives in exactly one place.
+    /// [`JoinBuildTable::probe_emit`] emitting every column.
     pub fn probe_columns(
         &self,
         storage: &Storage,
         batch: &ColumnBatch,
         probe_col: usize,
         ty: JoinType,
+        out: &mut ColumnBatch,
+    ) -> Result<()> {
+        self.probe_emit(storage, batch, probe_col, ty, None, out)
+    }
+
+    /// Probe one columnar morsel, gathering every match into `out`:
+    /// matches in global build order, null probe keys never match. The
+    /// join's columns are `probe columns ++ payload columns` for an
+    /// inner join and the probe columns alone for a semi join; `out` is
+    /// typed for the ones `emit` lists (strictly ascending ordinals of
+    /// them — validated where the join's schema is, [`Schema::narrow`]),
+    /// all of them when `None`, and no other column is gathered.
+    /// Charges one hash op per live probe row and one emit per produced
+    /// row, each as **one charge per morsel** — addition commutes, so
+    /// totals equal the per-row charges they replace. Both the serial
+    /// [`HashJoin`] and the parallel driver's probe stage call this —
+    /// the probe charge model lives in exactly one place.
+    pub fn probe_emit(
+        &self,
+        storage: &Storage,
+        batch: &ColumnBatch,
+        probe_col: usize,
+        ty: JoinType,
+        emit: Option<&[usize]>,
         out: &mut ColumnBatch,
     ) -> Result<()> {
         let cpu = *storage.cpu();
@@ -371,16 +394,20 @@ impl JoinBuildTable {
             }
         }
         storage.clock().charge_cpu(cpu.emit_tuple_ns * probe_rows.len() as u64);
-        // Phase 2: gather every output column in one typed loop.
+        // Phase 2: gather every emitted column in one typed loop — a
+        // probe column off the morsel, a payload column off the table.
         let left_width = batch.width();
-        let cols = out.columns_mut();
-        for (dst, src) in cols.iter_mut().zip(batch.columns()) {
-            dst.extend_gather(src, &probe_rows);
-        }
-        if ty == JoinType::Inner {
-            for (dst, src) in cols[left_width..].iter_mut().zip(self.payload.columns()) {
-                dst.extend_gather(src, &build_rows);
+        let gather = |dst: &mut ColumnVector, c: usize| -> Result<()> {
+            match c.checked_sub(left_width) {
+                None => dst.extend_gather(batch.column_checked(c)?, &probe_rows),
+                Some(c) => dst.extend_gather(self.payload.column_checked(c)?, &build_rows),
             }
+            Ok(())
+        };
+        let cols = out.columns_mut().iter_mut();
+        match emit {
+            Some(emit) => cols.zip(emit).try_for_each(|(dst, &c)| gather(dst, c))?,
+            None => cols.zip(0..).try_for_each(|(dst, c)| gather(dst, c))?,
         }
         out.commit_rows(probe_rows.len());
         Ok(())
@@ -704,6 +731,8 @@ pub struct HashJoin {
     /// Per-operator memory budget in bytes (0 = unlimited); the build
     /// table spills to overflow files beyond it.
     mem_bytes: usize,
+    /// The columns of `left ++ right` this join emits (`None` = all).
+    emit: Option<Vec<usize>>,
     /// Pending join output, filled by whole probe morsels.
     out: ColumnBuffer,
 }
@@ -724,7 +753,18 @@ impl HashJoin {
         let table = JoinBuildTable::new(right.schema(), right_col);
         let out = ColumnBuffer::for_schema(&schema);
         let mem_bytes = crate::spill::mem_budget_bytes();
-        HashJoin { left, right, left_col, ty, storage, schema, table, mem_bytes, out }
+        HashJoin { left, right, left_col, ty, storage, schema, table, mem_bytes, emit: None, out }
+    }
+
+    /// Builder: emit only the columns `emit` of `left ++ right` (strictly
+    /// ascending; `left` alone under a semi join) — no other column is
+    /// gathered. The build table still stores every build column.
+    pub fn with_emit(mut self, emit: Option<Vec<usize>>) -> Result<Self> {
+        let joined = join_schema(self.left.schema(), self.right.schema(), self.ty);
+        self.schema = joined.narrow(emit.as_deref())?;
+        self.out = ColumnBuffer::for_schema(&self.schema);
+        self.emit = emit;
+        Ok(self)
     }
 
     /// Builder: override the operator memory budget (0 = unlimited).
@@ -740,11 +780,12 @@ impl HashJoin {
     fn advance(&mut self, max: usize) -> Result<bool> {
         match self.left.next_columns(max)? {
             Some(batch) => {
-                self.table.probe_columns(
+                self.table.probe_emit(
                     &self.storage,
                     &batch,
                     self.left_col,
                     self.ty,
+                    self.emit.as_deref(),
                     self.out.fill(),
                 )?;
                 Ok(true)
@@ -806,7 +847,9 @@ impl Operator for HashJoin {
     }
 
     fn label(&self) -> String {
-        format!("HashJoin({:?}) [{} ⋈ {}]", self.ty, self.left.label(), self.right.label())
+        let emit =
+            emit_label(self.emit.as_deref(), self.left.schema(), self.right.schema(), self.ty);
+        format!("HashJoin({:?}{emit}) [{} ⋈ {}]", self.ty, self.left.label(), self.right.label())
     }
 }
 
@@ -984,6 +1027,10 @@ impl Operator for MergeJoin {
 pub struct IndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
+    /// The outer columns this join emits, ascending.
+    outer_emit: Vec<usize>,
+    /// `, emit n of m` when narrower than `outer ++ inner`.
+    emit_label: String,
     inner: InnerProbe,
     schema: Schema,
     /// Outer physical row of each joined row of the morsel being probed.
@@ -1052,7 +1099,48 @@ impl IndexNestedLoopJoin {
         let filter = ScanFilter::new(inner_residual, inner_heap.schema());
         let inner =
             InnerProbe { heap: inner_heap, index: inner_index, filter, ty, storage, tids: vec![] };
-        IndexNestedLoopJoin { outer, outer_col, inner, schema, matched: Vec::new(), out }
+        let outer_emit = (0..outer.schema().len()).collect();
+        let emit_label = String::new();
+        let matched = Vec::new();
+        IndexNestedLoopJoin {
+            outer,
+            outer_col,
+            outer_emit,
+            emit_label,
+            inner,
+            schema,
+            matched,
+            out,
+        }
+    }
+
+    /// Builder: the inner side is the table narrowed to `inner_cols`
+    /// (strictly ascending; `None` = all), and of `outer ++ inner` only
+    /// the columns `emit` (likewise) are emitted. No other outer column
+    /// is gathered, and the inner side's [`ScanFilter`] is re-compiled
+    /// to decode exactly the inner columns that are emitted — under a
+    /// semi join, none.
+    pub fn with_emit(
+        mut self,
+        inner_cols: Option<&[usize]>,
+        emit: Option<&[usize]>,
+    ) -> Result<Self> {
+        let (table, ty) = (self.inner.heap.schema(), self.inner.ty);
+        let (outer, inner) = (self.outer.schema(), table.narrow(inner_cols)?);
+        self.schema = join_schema(outer, &inner, ty).narrow(emit)?;
+        self.emit_label = emit_label(emit, outer, &inner, ty);
+        let emitted = emit.map_or_else(|| (0..self.schema.len()).collect(), <[usize]>::to_vec);
+        let (outer_emit, inner_emit) =
+            emitted.split_at(emitted.partition_point(|&c| c < outer.len()));
+        // `narrow(emit)` bounds every ordinal by `outer ++ inner`.
+        let decoded: Vec<usize> = inner_emit
+            .iter()
+            .map(|&c| inner_cols.map_or(c - outer.len(), |cols| cols[c - outer.len()]))
+            .collect();
+        self.outer_emit = outer_emit.to_vec();
+        self.inner.filter.narrow(table, Some(&decoded))?;
+        self.out = ColumnBuffer::for_schema(&self.schema);
+        Ok(self)
     }
 
     /// Pull one outer morsel (so an outer scan reads ahead by whole
@@ -1064,14 +1152,14 @@ impl IndexNestedLoopJoin {
         let Some(outer) = self.outer.next_columns(max)? else { return Ok(false) };
         let key_col = outer.column_checked(self.outer_col)?;
         let out = self.out.fill();
-        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.width());
+        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(self.outer_emit.len());
         self.matched.clear();
         for row in outer.live_rows().filter(|&row| !key_col.is_null(row)) {
             let joined = self.inner.probe(key_col.int(row)?, inner_cols)?;
             self.matched.extend(std::iter::repeat_n(row as u32, joined));
         }
-        for (dst, src) in outer_cols.iter_mut().zip(outer.columns()) {
-            dst.extend_gather(src, &self.matched);
+        for (dst, &c) in outer_cols.iter_mut().zip(&self.outer_emit) {
+            dst.extend_gather(outer.column_checked(c)?, &self.matched);
         }
         out.commit_rows(self.matched.len());
         Ok(true)
@@ -1108,8 +1196,9 @@ impl Operator for IndexNestedLoopJoin {
 
     fn label(&self) -> String {
         format!(
-            "IndexNestedLoopJoin({:?}) [{} ⋈ {} via {}]",
+            "IndexNestedLoopJoin({:?}{}) [{} ⋈ {} via {}]",
             self.inner.ty,
+            self.emit_label,
             self.outer.label(),
             self.inner.heap.name(),
             self.inner.index.name()

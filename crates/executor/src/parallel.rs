@@ -112,6 +112,9 @@ pub enum ParallelSource {
         heap: Arc<HeapFile>,
         /// Scan predicate (pushed into the per-worker [`ScanFilter`]).
         predicate: Predicate,
+        /// The heap columns morsels carry (strictly ascending; `None` =
+        /// all) — the per-worker [`ScanFilter`]'s output set.
+        cols: Option<Vec<usize>>,
         /// Pages fetched per morsel (use
         /// [`crate::scan::FULL_SCAN_READAHEAD`] to match the serial
         /// scan's request pattern).
@@ -130,10 +133,10 @@ pub enum ParallelSource {
 
 impl ParallelSource {
     /// The schema of the morsels this source emits.
-    pub(crate) fn schema(&self) -> Schema {
+    pub(crate) fn schema(&self) -> Result<Schema> {
         match self {
-            ParallelSource::Heap { heap, .. } => heap.schema().clone(),
-            ParallelSource::Shared { op } => op.schema().clone(),
+            ParallelSource::Heap { heap, cols, .. } => heap.schema().narrow(cols.as_deref()),
+            ParallelSource::Shared { op } => Ok(op.schema().clone()),
         }
     }
 }
@@ -174,6 +177,10 @@ pub struct PhaseBuild {
     /// count charges identical spill I/O
     /// ([`crate::JoinBuildTable::apply_budget`]).
     pub mem_bytes: usize,
+    /// The columns of `probe rows ++ build rows` a probe of this table
+    /// emits (strictly ascending; `None` = all) —
+    /// [`crate::JoinBuildTable::probe_emit`].
+    pub emit: Option<Vec<usize>>,
 }
 
 /// A per-worker morsel transform, declared against the build list.
@@ -239,11 +246,12 @@ pub struct ParallelPipeline {
 }
 
 /// A shared, read-only hash-join probe table: the merged columnar build
-/// plus the probe-side key ordinal and join semantics.
+/// plus the probe-side key ordinal, join semantics and emit list.
 pub(crate) struct ProbeTable {
     pub(crate) table: JoinBuildTable,
     pub(crate) left_col: usize,
     pub(crate) ty: JoinType,
+    pub(crate) emit: Option<Vec<usize>>,
 }
 
 /// A runtime stage (build references resolved; the probe stage carries
@@ -266,11 +274,12 @@ impl Stage {
             Stage::Project(cols) => batch.project(cols),
             // The shared probe loop ([`JoinBuildTable::probe_columns`] —
             // the exact code the serial [`crate::HashJoin`] runs, so the
-            // charge model lives in one place) gathers probe columns and
-            // matched payload columns straight into a fresh batch.
-            Stage::Probe(table, out_schema) => {
+            // charge model lives in one place) gathers the emitted probe
+            // and matched payload columns straight into a fresh batch.
+            Stage::Probe(t, out_schema) => {
                 let mut out = ColumnBatch::for_schema(out_schema);
-                table.table.probe_columns(storage, &batch, table.left_col, table.ty, &mut out)?;
+                let emit = t.emit.as_deref();
+                t.table.probe_emit(storage, &batch, t.left_col, t.ty, emit, &mut out)?;
                 Ok(out)
             }
         }
@@ -458,19 +467,16 @@ pub(crate) fn steal_victim(me: usize, lens: impl IntoIterator<Item = usize>) -> 
 }
 
 /// An opened source: the locked core plus (for heap sources) the
-/// thread-local decoder recipe workers instantiate per claim.
-pub(crate) type OpenedSource = (SourceCore, Option<(Schema, Predicate)>);
+/// compiled filter each worker's thread-local decoder clones.
+pub(crate) type OpenedSource = (SourceCore, Option<ScanFilter>);
 
 /// Open a [`ParallelSource`] into its locked core plus (for heap
-/// sources) the thread-local decoder recipe.
+/// sources) the thread-local decoders' filter.
 pub(crate) fn open_source(source: ParallelSource, morsel_rows: usize) -> Result<OpenedSource> {
     match source {
-        ParallelSource::Heap { heap, predicate, readahead } => {
-            let schema = heap.schema().clone();
-            Ok((
-                SourceCore::Heap { heap, next: 0, readahead: readahead.max(1) },
-                Some((schema, predicate)),
-            ))
+        ParallelSource::Heap { heap, predicate, readahead, cols } => {
+            let filter = ScanFilter::with_output(predicate, heap.schema(), cols.as_deref())?;
+            Ok((SourceCore::Heap { heap, next: 0, readahead: readahead.max(1) }, Some(filter)))
         }
         ParallelSource::Shared { mut op } => {
             op.open()?;
@@ -481,16 +487,14 @@ pub(crate) fn open_source(source: ParallelSource, morsel_rows: usize) -> Result<
 
 /// Thread-local decode state for the partitioned heap source.
 pub(crate) struct HeapDecoder {
-    schema: Schema,
     filter: ScanFilter,
     /// Rows the previous morsel produced: the next one is sized from it.
     last_rows: Option<usize>,
 }
 
 impl HeapDecoder {
-    pub(crate) fn new(schema: Schema, predicate: Predicate) -> Self {
-        let filter = ScanFilter::new(predicate, &schema);
-        HeapDecoder { schema, filter, last_rows: None }
+    pub(crate) fn new(filter: ScanFilter) -> Self {
+        HeapDecoder { filter, last_rows: None }
     }
 
     fn decode(&mut self, storage: &Storage, pages: &[(PageId, PageBuf)]) -> Result<ColumnBatch> {
@@ -508,18 +512,10 @@ impl HeapDecoder {
             PageView::new(page).map(|v| n + v.slot_count() as usize)
         })?;
         let rows = self.last_rows.map_or(slots, |n| (n + n / 8 + 16).min(slots));
-        let mut out = ColumnBatch::with_capacity(&self.schema, rows);
+        let mut out = ColumnBatch::with_capacity(self.filter.schema(), rows);
         let mut tuples = Vec::new();
         for (_, page) in pages {
-            fill_page_columns(
-                storage,
-                &mut self.filter,
-                &self.schema,
-                page,
-                None,
-                &mut tuples,
-                &mut out,
-            )?;
+            fill_page_columns(storage, &mut self.filter, page, None, &mut tuples, &mut out)?;
         }
         self.last_rows = Some(out.physical_rows());
         Ok(out)
@@ -918,7 +914,7 @@ impl ParallelPipeline {
     pub fn staged_schemas(&self) -> Result<Vec<Schema>> {
         let mut schemas: Vec<Schema> = Vec::with_capacity(self.phases.len());
         for (i, phase) in self.phases.iter().enumerate() {
-            let mut schema = phase.source.schema();
+            let mut schema = phase.source.schema()?;
             for stage in &phase.stages {
                 match stage {
                     StageSpec::Filter(_) => {}
@@ -930,7 +926,8 @@ impl ParallelPipeline {
                                 "probe stage references build {b} before it is built"
                             ))
                         })?;
-                        schema = join_schema(&schema, &schemas[*b], build.ty);
+                        schema = join_schema(&schema, &schemas[*b], build.ty)
+                            .narrow(build.emit.as_deref())?;
                     }
                 }
             }
@@ -982,7 +979,8 @@ pub(crate) fn resolve_stages(
                 let table = tables.get(*i).ok_or_else(|| {
                     Error::plan(format!("probe stage references build {i} before it is built"))
                 })?;
-                schema = join_schema(&schema, table.table.schema(), table.ty);
+                schema = join_schema(&schema, table.table.schema(), table.ty)
+                    .narrow(table.emit.as_deref())?;
                 resolved.push(Stage::Probe(Arc::clone(table), schema.clone()));
             }
         }
@@ -1069,13 +1067,13 @@ mod tests {
                 op: Box::new(ValuesOp::new(schema.clone(), rows.to_vec())),
             },
             stages: Vec::new(),
-            build: Some(PhaseBuild { right_col, left_col, ty, mem_bytes }),
+            build: Some(PhaseBuild { right_col, left_col, ty, mem_bytes, emit: None }),
         }
     }
 
     fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate) -> ParallelSource {
         let readahead = crate::scan::FULL_SCAN_READAHEAD;
-        ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead }
+        ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead, cols: None }
     }
 
     /// `builds`, then a heap scan of `heap` through `stages` into a
@@ -1107,7 +1105,7 @@ mod tests {
         PhaseSpec {
             source: heap_source(heap, pred),
             stages: Vec::new(),
-            build: Some(PhaseBuild { right_col: 1, left_col: 1, ty, mem_bytes }),
+            build: Some(PhaseBuild { right_col: 1, left_col: 1, ty, mem_bytes, emit: None }),
         }
     }
 
@@ -1589,7 +1587,7 @@ mod tests {
         let pages = heap.page_count() as usize;
         let readahead = 4u32;
         let (core, _) = open_source(
-            ParallelSource::Heap { heap, predicate: Predicate::True, readahead },
+            ParallelSource::Heap { heap, predicate: Predicate::True, readahead, cols: None },
             batch_size(),
         )
         .unwrap();

@@ -29,7 +29,6 @@ use crate::operator::{batch_size, Operator};
 pub(crate) fn fill_page_columns<'a>(
     storage: &Storage,
     filter: &mut ScanFilter,
-    schema: &Schema,
     page: &'a smooth_storage::PageBuf,
     slots: Option<&[u16]>,
     tuples: &mut Vec<&'a [u8]>,
@@ -42,7 +41,7 @@ pub(crate) fn fill_page_columns<'a>(
         Some(slots) => slots.iter().try_for_each(|&s| view.get(s).map(|t| tuples.push(t)))?,
         None => view.iter().try_for_each(|t| t.map(|t| tuples.push(t)))?,
     }
-    let (inspected, emitted) = filter.fill_columns(schema, tuples, None, out)?;
+    let (inspected, emitted) = filter.fill(tuples, out)?;
     let cpu = storage.cpu();
     storage.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * emitted);
     Ok(())
@@ -81,6 +80,14 @@ impl FullTableScan {
         FullTableScan { heap, storage, filter, readahead: FULL_SCAN_READAHEAD, next_page: 0, out }
     }
 
+    /// Builder: emit only the columns `cols` of the heap (strictly
+    /// ascending ordinals; `None` = all). The predicate still reads
+    /// whatever it names.
+    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
+        self.out = self.filter.narrow(self.heap.schema(), cols)?;
+        Ok(self)
+    }
+
     /// Override the readahead window (ablation benches).
     pub fn with_readahead(mut self, pages: u32) -> Self {
         self.readahead = pages.max(1);
@@ -103,7 +110,6 @@ impl FullTableScan {
                 fill_page_columns(
                     &self.storage,
                     &mut self.filter,
-                    self.heap.schema(),
                     page,
                     None,
                     &mut tuples,
@@ -117,7 +123,7 @@ impl FullTableScan {
 
 impl Operator for FullTableScan {
     fn schema(&self) -> &Schema {
-        self.heap.schema()
+        self.filter.schema()
     }
 
     fn open(&mut self) -> Result<()> {
@@ -142,7 +148,7 @@ impl Operator for FullTableScan {
     }
 
     fn label(&self) -> String {
-        format!("FullTableScan({})", self.heap.name())
+        format!("FullTableScan({}){}", self.heap.name(), self.filter.columns_label())
     }
 }
 
@@ -179,6 +185,14 @@ impl IndexScan {
         IndexScan { heap, index, storage, lo, hi, filter, cursor: None, out }
     }
 
+    /// Builder: emit only the columns `cols` of the heap (strictly
+    /// ascending ordinals; `None` = all). The predicate still reads
+    /// whatever it names.
+    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
+        self.out = self.filter.narrow(self.heap.schema(), cols)?;
+        Ok(self)
+    }
+
     /// Run cursor probes — one heap fetch, one inspect and, for a
     /// qualifier, one emit each — until `want` rows are buffered or the
     /// range is exhausted.
@@ -191,8 +205,7 @@ impl IndexScan {
             let Some((_, tid)) = cursor.next() else { break };
             let page = self.storage.read_heap_page(&self.heap, tid.page)?;
             let tuple = [PageView::new(&page)?.get(tid.slot)?];
-            let (_, emitted) =
-                self.filter.fill_columns(self.heap.schema(), &tuple, None, self.out.fill())?;
+            let (_, emitted) = self.filter.fill(&tuple, self.out.fill())?;
             self.storage.clock().charge_cpu(cpu.inspect_tuple_ns + cpu.emit_tuple_ns * emitted);
         }
         Ok(())
@@ -201,7 +214,7 @@ impl IndexScan {
 
 impl Operator for IndexScan {
     fn schema(&self) -> &Schema {
-        self.heap.schema()
+        self.filter.schema()
     }
 
     fn open(&mut self) -> Result<()> {
@@ -230,7 +243,8 @@ impl Operator for IndexScan {
     }
 
     fn label(&self) -> String {
-        format!("IndexScan({} via {})", self.heap.name(), self.index.name())
+        let cols = self.filter.columns_label();
+        format!("IndexScan({} via {}){cols}", self.heap.name(), self.index.name())
     }
 }
 
@@ -274,6 +288,14 @@ impl SortScan {
         SortScan { heap, index, storage, lo, hi, filter, runs: VecDeque::new(), out }
     }
 
+    /// Builder: emit only the columns `cols` of the heap (strictly
+    /// ascending ordinals; `None` = all). The predicate still reads
+    /// whatever it names.
+    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
+        self.out = self.filter.narrow(self.heap.schema(), cols)?;
+        Ok(self)
+    }
+
     /// Once the output buffer is drained, refill it from the next
     /// coalesced prefetch run(s); it stays drained only once all runs are
     /// consumed.
@@ -289,7 +311,6 @@ impl SortScan {
                 fill_page_columns(
                     &self.storage,
                     &mut self.filter,
-                    self.heap.schema(),
                     page,
                     Some(slots),
                     &mut tuples,
@@ -303,7 +324,7 @@ impl SortScan {
 
 impl Operator for SortScan {
     fn schema(&self) -> &Schema {
-        self.heap.schema()
+        self.filter.schema()
     }
 
     fn open(&mut self) -> Result<()> {
@@ -371,7 +392,8 @@ impl Operator for SortScan {
     }
 
     fn label(&self) -> String {
-        format!("SortScan({} via {})", self.heap.name(), self.index.name())
+        let cols = self.filter.columns_label();
+        format!("SortScan({} via {}){cols}", self.heap.name(), self.index.name())
     }
 }
 

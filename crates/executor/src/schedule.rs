@@ -126,7 +126,7 @@ use std::time::Instant;
 use smooth_storage::{tap_mark, ClockSnapshot, FileId, InjectedPanic, ScanStatistics, Storage};
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
-use crate::expr::Predicate;
+use crate::expr::ScanFilter;
 use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
 use crate::parallel::{
@@ -216,7 +216,7 @@ impl QueryHandle {
 /// drivers' per-phase numbering).
 struct SrcState {
     core: Option<SourceCore>,
-    decoder_spec: Option<(Schema, Predicate)>,
+    decoder_spec: Option<ScanFilter>,
     /// Idle decoder pool: claiming workers pop one (or build a fresh
     /// one from the spec) and return it after decoding.
     decoders: Vec<HeapDecoder>,
@@ -925,9 +925,7 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
         SourceItem::Batch(_) => None,
         SourceItem::Pages(_) => {
             let mut src = lock(&q.src);
-            src.decoders
-                .pop()
-                .or_else(|| src.decoder_spec.clone().map(|(s, p)| HeapDecoder::new(s, p)))
+            src.decoders.pop().or_else(|| src.decoder_spec.clone().map(HeapDecoder::new))
         }
     };
     // Panic containment: injected chaos panics (the morsel fault site)
@@ -1057,7 +1055,8 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     // failed overflow-file write (injected spill fault) fails the
     // whole query here.
     table.apply_budget(&q.storage, build.mem_bytes)?;
-    lock(&q.tables).push(Arc::new(ProbeTable { table, left_col: build.left_col, ty: build.ty }));
+    let (left_col, ty, emit) = (build.left_col, build.ty, build.emit.clone());
+    lock(&q.tables).push(Arc::new(ProbeTable { table, left_col, ty, emit }));
     install_phase(q, i + 1, src)
 }
 
@@ -1073,7 +1072,7 @@ fn install_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<()> {
     let source = lock(&phase.source)
         .take()
         .ok_or_else(|| Error::exec(format!("phase {i} installed twice")))?;
-    let stages = resolve_stages(&phase.spec_stages, source.schema(), &lock(&q.tables))?;
+    let stages = resolve_stages(&phase.spec_stages, source.schema()?, &lock(&q.tables))?;
     *lock(&phase.stages) = Some(Arc::new(stages));
     let (opens, mark) = (q.trace_mark(), tap_mark());
     let opened = open_source(source, q.morsel_rows);
@@ -1215,7 +1214,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::operator::collect_rows;
-    use crate::{batch_size, FullTableScan, SinkSpec};
+    use crate::{batch_size, FullTableScan, Predicate, SinkSpec};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
     use smooth_types::{Column, DataType, DataType::Int64, Value};
 
@@ -1251,6 +1250,7 @@ mod tests {
             heap: Arc::clone(heap),
             predicate: Predicate::int_half_open(1, lo, hi),
             readahead: crate::scan::FULL_SCAN_READAHEAD,
+            cols: None,
         };
         ParallelPipeline {
             phases: vec![PhaseSpec { source, stages: Vec::new(), build: None }],

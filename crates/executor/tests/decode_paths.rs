@@ -172,32 +172,48 @@ fn corrupt_tuples_fail_their_page_in_both_forms() {
         v
     };
     // bitmap(1) + a(8) + len(2) puts `s` at 11; + "x" + len(2), `t` at 14.
+    // Each case: rejected when every column is emitted / when only `a` is
+    // (so `t` is neither read nor emitted, and `s` is read, not emitted).
     let cases = [
-        ("truncated non-qualifier", miss[..miss.len() - 1].to_vec(), true),
-        ("trailing byte on a non-qualifier", [&miss[..], &[0]].concat(), true),
-        ("text length past the tuple", with(&miss, 12, 0xff), true),
-        ("null bit without room for the rest", with(&hit, 0, 0b010), true),
-        ("non-utf8 in a predicate column", with(&miss, 11, 0xff), true),
-        ("non-utf8 in a qualifier's unread column", with(&hit, 14, 0xff), true),
-        // Text is checked where a value is materialized: a
-        // non-qualifier's unread column never is.
-        ("non-utf8 in a non-qualifier's unread column", with(&miss, 14, 0xff), false),
+        ("truncated non-qualifier", miss[..miss.len() - 1].to_vec(), true, true),
+        ("trailing byte on a non-qualifier", [&miss[..], &[0]].concat(), true, true),
+        // Structure is validated whatever is wanted: `t`'s length prefix.
+        ("unwanted text's length past the tuple", with(&miss, 12, 0xff), true, true),
+        ("null bit without room for the rest", with(&hit, 0, 0b010), true, true),
+        ("non-utf8 in a predicate column", with(&miss, 11, 0xff), true, true),
+        // Text is checked where a value is materialized: an unread
+        // column's is when it is emitted, and never for a non-qualifier.
+        ("non-utf8 in a qualifier's unread column", with(&hit, 14, 0xff), true, false),
+        ("non-utf8 in a non-qualifier's unread column", with(&miss, 14, 0xff), false, false),
     ];
-    for (what, bad, rejected) in cases {
-        let mut filter = ScanFilter::new(pred.clone(), &schema);
-        // Alone (what an index probe hands over) and amid a page.
-        let mut out = ColumnBatch::for_schema(&schema);
-        let decoded = filter.fill_columns(&schema, &[&bad], None, &mut out);
-        let mut out = ColumnBatch::for_schema(&schema);
-        let page: [&[u8]; 4] = [&hit, &miss, &bad, &hit];
-        let filled = filter.fill_columns(&schema, &page, None, &mut out);
-        if rejected {
-            assert!(matches!(decoded, Err(Error::Corrupt(_))), "{what}: {decoded:?}");
-            assert!(matches!(filled, Err(Error::Corrupt(_))), "{what}: {filled:?}");
-            assert!(Row::decode(&schema, &bad).is_err(), "{what}: the reference agrees");
-        } else {
-            assert_eq!(decoded.unwrap(), (1, 0), "{what}");
-            assert_eq!(filled.unwrap(), (4, 2), "{what}");
+    let only_a = schema.narrow(Some(&[0])).unwrap();
+    for (what, bad, full_rejects, pruned_rejects) in cases {
+        for (out, cols, rejected) in
+            [(&schema, None, full_rejects), (&only_a, Some(&[0usize][..]), pruned_rejects)]
+        {
+            let mut filter = ScanFilter::with_output(pred.clone(), &schema, cols).unwrap();
+            // Alone (what an index probe hands over) and amid a page.
+            let decoded = filter.fill(&[&bad], &mut ColumnBatch::for_schema(out));
+            let page: [&[u8]; 4] = [&hit, &miss, &bad, &hit];
+            let mut got = ColumnBatch::for_schema(out);
+            let filled = filter.fill(&page, &mut got);
+            // Ordered Smooth Scan's form: select, check the text it will
+            // decode later, keep the bytes.
+            let checked = filter.select(&page).and_then(|_| filter.check_selected_text(&page));
+            if rejected {
+                assert!(matches!(decoded, Err(Error::Corrupt(_))), "{what} {cols:?}: {decoded:?}");
+                assert!(matches!(filled, Err(Error::Corrupt(_))), "{what} {cols:?}: {filled:?}");
+                assert!(matches!(checked, Err(Error::Corrupt(_))), "{what} {cols:?}: {checked:?}");
+                assert!(Row::decode(&schema, &bad).is_err(), "{what}: the reference agrees");
+            } else {
+                // The mangled tuple itself qualifies when it was made from `hit`.
+                let bad_hits = u64::from(bad[1] == 50);
+                assert_eq!(decoded.unwrap(), (1, bad_hits), "{what} {cols:?}");
+                assert_eq!(filled.unwrap(), (4, 2 + bad_hits), "{what} {cols:?}");
+                checked.unwrap_or_else(|e| panic!("{what} {cols:?}: {e}"));
+                let a: Vec<Value> = got.into_rows().iter().map(|r| r.get(0).clone()).collect();
+                assert_eq!(a, vec![Value::Int(50); 2 + bad_hits as usize], "{what} {cols:?}");
+            }
         }
     }
 }

@@ -51,7 +51,7 @@ fn storage(pool: usize) -> Storage {
 }
 
 fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate, readahead: u32) -> ParallelSource {
-    ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead }
+    ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead, cols: None }
 }
 
 /// The phase that feeds the sink: `source` through `stages`.
@@ -277,6 +277,7 @@ proptest! {
                             left_col: 1,
                             ty,
                             mem_bytes: smooth_executor::mem_budget_bytes(),
+                            emit: None,
                         }),
                     },
                     sink_phase(

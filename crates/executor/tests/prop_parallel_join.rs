@@ -74,7 +74,12 @@ fn storage(pool: usize) -> Storage {
 }
 
 fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate) -> ParallelSource {
-    ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead: FULL_SCAN_READAHEAD }
+    ParallelSource::Heap {
+        heap: Arc::clone(heap),
+        predicate,
+        readahead: FULL_SCAN_READAHEAD,
+        cols: None,
+    }
 }
 
 /// One build phase keyed `right_col`, then a full scan of `probe`
@@ -85,7 +90,7 @@ fn join_pipeline(
     probe: &Arc<HeapFile>,
     (storage, morsel_rows): (&Storage, usize),
 ) -> ParallelPipeline {
-    let build = Some(PhaseBuild { right_col, left_col: 1, ty, mem_bytes });
+    let build = Some(PhaseBuild { right_col, left_col: 1, ty, mem_bytes, emit: None });
     ParallelPipeline {
         phases: vec![
             PhaseSpec { source, stages, build },
@@ -318,6 +323,7 @@ fn sources_open_in_phase_order_one_at_a_time() {
             left_col: 0,
             ty: JoinType::Inner,
             mem_bytes: 0,
+            emit: None,
         }),
     };
     // One shape twice — the operator tree and its phases — over leaves

@@ -8,8 +8,9 @@
 //! I/O requests and bytes moved (Table II).
 //!
 //! There is one query lifecycle. Every `run` / `run_batches` /
-//! `submit` lowers its plan once (a private, total `lower`: the peeled
-//! pipeline — a list of phases, hash-join builds first, in the order
+//! `submit` lowers its plan once (a private, total `lower`: the plan
+//! narrowed to the columns it reads — [`crate::prune()`], always — then
+//! the peeled pipeline — a list of phases, hash-join builds first, in the order
 //! the operator tree opens them; the executor validates their stage
 //! chains and types them — or, when nothing fans out, the whole
 //! operator tree as a shared source under a collect sink) and hands it
@@ -68,6 +69,7 @@ use smooth_types::{env_knob, ColumnBatch, Error, Result, Row, Schema};
 use crate::catalog::{Catalog, IndexEntry, TableEntry};
 use crate::optimizer::{AccessPathKind, Optimizer};
 use crate::plan::{AccessPathChoice, JoinSpec, JoinStrategy, LogicalPlan, ScanSpec};
+use crate::prune::prune;
 
 /// Per-query measurements.
 #[derive(Debug, Clone, Copy, Default)]
@@ -377,13 +379,20 @@ impl Database {
         self.catalog.get(name)
     }
 
-    /// Build the physical operator tree for a plan.
+    /// Build the physical operator tree for a plan — for the plan
+    /// [`prune`] narrows it to: every scan decodes, and every join
+    /// gathers, only the columns the plan reads.
     pub fn build(&self, plan: &LogicalPlan) -> Result<BoxedOperator> {
+        self.build_node(&prune(&self.catalog, plan))
+    }
+
+    /// The operator tree of an already-pruned plan.
+    fn build_node(&self, plan: &LogicalPlan) -> Result<BoxedOperator> {
         match plan {
             LogicalPlan::Scan(spec) => self.build_scan(spec),
             LogicalPlan::Join(spec) => {
                 let strategy = self.resolve_join_strategy(spec);
-                let left = self.build(&spec.left)?;
+                let left = self.build_node(&spec.left)?;
                 match strategy {
                     JoinStrategy::IndexNestedLoop => {
                         let LogicalPlan::Scan(rspec) = &spec.right else {
@@ -392,13 +401,14 @@ impl Database {
                             ));
                         };
                         let entry = self.catalog.get(&rspec.table)?;
-                        let idx = entry.index_on(spec.right_col).ok_or_else(|| {
+                        let key = rspec.table_col(spec.right_col);
+                        let idx = key.and_then(|key| entry.index_on(key)).ok_or_else(|| {
                             Error::plan(format!(
                                 "no index on {}.{} for INLJ",
                                 rspec.table, spec.right_col
                             ))
                         })?;
-                        Ok(Box::new(IndexNestedLoopJoin::new(
+                        let join = IndexNestedLoopJoin::new(
                             left,
                             spec.left_col,
                             Arc::clone(&entry.heap),
@@ -406,10 +416,11 @@ impl Database {
                             rspec.predicate.clone(),
                             spec.ty,
                             self.storage.clone(),
-                        )))
+                        );
+                        Ok(Box::new(join.with_emit(rspec.cols.as_deref(), spec.emit.as_deref())?))
                     }
                     JoinStrategy::Hash | JoinStrategy::Auto => {
-                        let right = self.build(&spec.right)?;
+                        let right = self.build_node(&spec.right)?;
                         Ok(Box::new(
                             HashJoin::new(
                                 left,
@@ -419,7 +430,8 @@ impl Database {
                                 spec.ty,
                                 self.storage.clone(),
                             )
-                            .with_mem_budget(self.mem_bytes()),
+                            .with_mem_budget(self.mem_bytes())
+                            .with_emit(spec.emit.clone())?,
                         ))
                     }
                     JoinStrategy::Merge => {
@@ -435,24 +447,33 @@ impl Database {
                         );
                         let right = Box::new(
                             Sort::new(
-                                self.build(&spec.right)?,
+                                self.build_node(&spec.right)?,
                                 self.storage.clone(),
                                 vec![SortKey::asc(spec.right_col)],
                             )
                             .with_mem_budget(self.mem_bytes()),
                         );
-                        Ok(Box::new(MergeJoin::new(
+                        let join: BoxedOperator = Box::new(MergeJoin::new(
                             left,
                             right,
                             spec.left_col,
                             spec.right_col,
                             self.storage.clone(),
-                        )))
+                        ));
+                        // The merge join gathers every column; its emit
+                        // list is a projection above it.
+                        match &spec.emit {
+                            Some(emit) => {
+                                join.schema().narrow(Some(emit))?;
+                                Ok(Box::new(Project::new(join, emit.clone())?))
+                            }
+                            None => Ok(join),
+                        }
                     }
                 }
             }
             LogicalPlan::Aggregate { input, group_cols, aggs } => {
-                let child = self.build(input)?;
+                let child = self.build_node(input)?;
                 Ok(Box::new(HashAggregate::new(
                     child,
                     group_cols.clone(),
@@ -461,18 +482,18 @@ impl Database {
                 )?))
             }
             LogicalPlan::Sort { input, keys } => {
-                let child = self.build(input)?;
+                let child = self.build_node(input)?;
                 Ok(Box::new(
                     Sort::new(child, self.storage.clone(), keys.clone())
                         .with_mem_budget(self.mem_bytes()),
                 ))
             }
             LogicalPlan::Project { input, cols } => {
-                let child = self.build(input)?;
+                let child = self.build_node(input)?;
                 Ok(Box::new(Project::new(child, cols.clone())?))
             }
             LogicalPlan::Filter { input, predicate } => {
-                let child = self.build(input)?;
+                let child = self.build_node(input)?;
                 Ok(Box::new(Filter::new(child, predicate.clone())))
             }
         }
@@ -525,18 +546,28 @@ impl Database {
             })
     }
 
+    /// The key an `ordered:` scan sorts its output on where its access
+    /// path does not deliver the order itself: the range column of its
+    /// predicate, as an ordinal of the scan's output.
+    fn order_key(spec: &ScanSpec) -> Result<SortKey> {
+        let (col, _, _, _) = spec
+            .predicate
+            .split_index_range()
+            .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
+        let key = spec.output_col(col);
+        key.map(SortKey::asc)
+            .ok_or_else(|| Error::plan("ordered scan does not emit its key column"))
+    }
+
     fn build_scan(&self, spec: &ScanSpec) -> Result<BoxedOperator> {
         let entry = self.catalog.get(&spec.table)?;
         let heap = Arc::clone(&entry.heap);
+        let cols = spec.cols.as_deref();
         let need_index = |what| Self::need_index(entry, spec, what);
         let sort_wrap = |op: BoxedOperator| -> Result<BoxedOperator> {
             if spec.ordered {
-                let (col, _, _, _) = spec
-                    .predicate
-                    .split_index_range()
-                    .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
                 Ok(Box::new(
-                    Sort::new(op, self.storage.clone(), vec![SortKey::asc(col)])
+                    Sort::new(op, self.storage.clone(), vec![Self::order_key(spec)?])
                         .with_mem_budget(self.mem_bytes()),
                 ))
             } else {
@@ -545,40 +576,25 @@ impl Database {
         };
         match self.resolve_access(entry, spec) {
             AccessPathChoice::ForceFull => {
-                let op: BoxedOperator = Box::new(FullTableScan::new(
-                    heap,
-                    self.storage.clone(),
-                    spec.predicate.clone(),
-                ));
-                sort_wrap(op)
+                let scan = FullTableScan::new(heap, self.storage.clone(), spec.predicate.clone());
+                sort_wrap(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::ForceIndex => {
                 let (idx, (_, lo, hi, residual)) = need_index("index scan")?;
-                Ok(Box::new(IndexScan::new(
-                    heap,
-                    Arc::clone(&idx.index),
-                    self.storage.clone(),
-                    lo,
-                    hi,
-                    residual,
-                )))
+                let index = Arc::clone(&idx.index);
+                let scan = IndexScan::new(heap, index, self.storage.clone(), lo, hi, residual);
+                Ok(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::ForceSort => {
                 let (idx, (_, lo, hi, residual)) = need_index("sort scan")?;
-                let op: BoxedOperator = Box::new(SortScan::new(
-                    heap,
-                    Arc::clone(&idx.index),
-                    self.storage.clone(),
-                    lo,
-                    hi,
-                    residual,
-                ));
-                sort_wrap(op)
+                let index = Arc::clone(&idx.index);
+                let scan = SortScan::new(heap, index, self.storage.clone(), lo, hi, residual);
+                sort_wrap(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::Smooth(config) => Ok(Box::new(self.build_smooth_scan(spec, config)?)),
             AccessPathChoice::Switch { estimate } => {
                 let (idx, (col, lo, hi, residual)) = need_index("switch scan")?;
-                Ok(Box::new(SwitchScan::new(
+                let scan = SwitchScan::new(
                     heap,
                     Arc::clone(&idx.index),
                     self.storage.clone(),
@@ -587,7 +603,8 @@ impl Database {
                     hi,
                     residual,
                     estimate,
-                )))
+                );
+                Ok(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::Auto => unreachable!("resolved above"),
         }
@@ -602,7 +619,7 @@ impl Database {
     ) -> Result<SmoothScan> {
         let entry = self.catalog.get(&spec.table)?;
         let (idx, (col, lo, hi, residual)) = Self::need_index(entry, spec, "smooth scan")?;
-        Ok(SmoothScan::new(
+        let scan = SmoothScan::new(
             Arc::clone(&entry.heap),
             Arc::clone(&idx.index),
             self.storage.clone(),
@@ -611,7 +628,8 @@ impl Database {
             hi,
             residual,
             config.with_order(config.ordered || spec.ordered),
-        ))
+        );
+        scan.with_columns(spec.cols.as_deref())
     }
 
     /// EXPLAIN: the physical operator tree the plan would run as.
@@ -646,7 +664,8 @@ impl Database {
         Ok((!serial_only).then_some(pipeline))
     }
 
-    /// The one lowering every execution goes through — total: a plan
+    /// The one lowering every execution goes through, over the pruned
+    /// plan ([`prune`]) — total: a plan
     /// with nothing to fan out comes back as its whole operator tree
     /// in a shared source under a collect sink, which the pool drains
     /// one morsel at a time, checking the cancel flag and the deadline
@@ -662,6 +681,7 @@ impl Database {
     /// [`ParallelPipeline::staged_schemas`] fails where the operator
     /// constructors [`Database::build`] calls would.
     fn lower(&self, plan: &LogicalPlan) -> Result<ParallelPipeline> {
+        let plan = &prune(&self.catalog, plan);
         let mut phases = Vec::new();
         let ordered_heap = match plan {
             LogicalPlan::Scan(spec) if spec.ordered => self.heap_source(spec)?.map(|h| (h, spec)),
@@ -670,11 +690,7 @@ impl Database {
         let (last, sink) = match (plan, ordered_heap) {
             (_, Some((source, spec))) => {
                 // Same validation — and error — as the tree's sort wrap.
-                let (col, _, _, _) = spec
-                    .predicate
-                    .split_index_range()
-                    .ok_or_else(|| Error::plan("ordered scan without a range predicate column"))?;
-                let keys = vec![SortKey::asc(col)];
+                let keys = vec![Self::order_key(spec)?];
                 let last = PhaseSpec { source, stages: Vec::new(), build: None };
                 (last, SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() })
             }
@@ -705,8 +721,8 @@ impl Database {
             return Ok(None);
         }
         let heap = Arc::clone(&entry.heap);
-        let predicate = spec.predicate.clone();
-        Ok(Some(ParallelSource::Heap { heap, predicate, readahead: FULL_SCAN_READAHEAD }))
+        let (predicate, cols) = (spec.predicate.clone(), spec.cols.clone());
+        Ok(Some(ParallelSource::Heap { heap, predicate, readahead: FULL_SCAN_READAHEAD, cols }))
     }
 
     /// Pipeline peel of a probe side or a hash-join *build side* into
@@ -743,6 +759,7 @@ impl Database {
                     left_col: spec.left_col,
                     ty: spec.ty,
                     mem_bytes: self.mem_bytes(),
+                    emit: spec.emit.clone(),
                 });
                 let built = builds.len();
                 builds.push(build);
@@ -757,7 +774,7 @@ impl Database {
                 };
                 let source = match heap {
                     Some(heap) => heap,
-                    None => ParallelSource::Shared { op: self.build(other)? },
+                    None => ParallelSource::Shared { op: self.build_node(other)? },
                 };
                 Ok(PhaseSpec { source, stages: Vec::new(), build: None })
             }

@@ -11,6 +11,8 @@
 //! * [`catalog`] — tables, indexes, statistics, staleness injection;
 //! * [`plan`] — logical plans (scan/join/aggregate/sort/project);
 //! * [`optimizer`] — access-path and join-strategy selection;
+//! * [`prune`](mod@prune) — column pruning: every scan and join narrowed to
+//!   the columns the plan reads;
 //! * [`db`] — the [`db::Database`] facade: load, index, analyze, run, and
 //!   measure queries under a chosen execution discipline.
 
@@ -18,8 +20,10 @@ pub mod catalog;
 pub mod db;
 pub mod optimizer;
 pub mod plan;
+pub mod prune;
 
 pub use catalog::{Catalog, IndexEntry, TableEntry};
 pub use db::{BatchResult, Database, QueryResult, RunStats, Session};
 pub use optimizer::{AccessPathKind, Optimizer};
 pub use plan::{AccessPathChoice, JoinSpec, JoinStrategy, LogicalPlan, ScanSpec};
+pub use prune::prune;

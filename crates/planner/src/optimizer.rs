@@ -155,7 +155,7 @@ impl Optimizer {
         // index on the join column.
         let LogicalPlan::Scan(rspec) = right else { return JoinStrategy::Hash };
         let Ok(rentry) = catalog.get(&rspec.table) else { return JoinStrategy::Hash };
-        if rentry.index_on(right_col).is_none() {
+        if rspec.table_col(right_col).and_then(|key| rentry.index_on(key)).is_none() {
             return JoinStrategy::Hash;
         }
         let outer_rows = Self::estimate_rows(catalog, left);

@@ -41,12 +41,17 @@ pub struct ScanSpec {
     pub ordered: bool,
     /// Access-path discipline.
     pub access: AccessPathChoice,
+    /// The table columns the scan emits, strictly ascending (`None` =
+    /// all). The predicate names *table* ordinals whatever is emitted.
+    /// Written by [`crate::prune()`]; a hand-built plan may set it too.
+    pub cols: Option<Vec<usize>>,
 }
 
 impl ScanSpec {
     /// An auto-planned scan.
     pub fn new(table: impl Into<String>, predicate: Predicate) -> Self {
-        ScanSpec { table: table.into(), predicate, ordered: false, access: AccessPathChoice::Auto }
+        let (table, access) = (table.into(), AccessPathChoice::Auto);
+        ScanSpec { table, predicate, ordered: false, access, cols: None }
     }
 
     /// Builder: require key order.
@@ -59,6 +64,16 @@ impl ScanSpec {
     pub fn with_access(mut self, access: AccessPathChoice) -> Self {
         self.access = access;
         self
+    }
+
+    /// The table ordinal of the scan's output column `out`.
+    pub fn table_col(&self, out: usize) -> Option<usize> {
+        self.cols.as_ref().map_or(Some(out), |cols| cols.get(out).copied())
+    }
+
+    /// Where the scan's output carries table column `col`, if it does.
+    pub fn output_col(&self, col: usize) -> Option<usize> {
+        self.cols.as_ref().map_or(Some(col), |cols| cols.iter().position(|&c| c == col))
     }
 }
 
@@ -91,6 +106,10 @@ pub struct JoinSpec {
     pub ty: JoinType,
     /// Strategy discipline.
     pub strategy: JoinStrategy,
+    /// The columns of `left ++ right` (of `left` alone for a semi join)
+    /// the join emits, strictly ascending (`None` = all). Written by
+    /// [`crate::prune()`]; a hand-built plan may set it too.
+    pub emit: Option<Vec<usize>>,
 }
 
 /// A logical query plan.
@@ -155,6 +174,7 @@ impl LogicalPlan {
             right_col,
             ty,
             strategy,
+            emit: None,
         }))
     }
 

@@ -344,13 +344,38 @@ impl TupleLayout {
     /// row at a time, which is cheaper than one pass per column when only
     /// a few tuples are wanted.
     pub fn gather_row(&self, tuples: &[&[u8]], t: usize, out: &mut [ColumnVector]) -> Result<()> {
+        self.gather_row_slots(tuples, t, 0..self.types.len(), out)
+    }
+
+    /// [`TupleLayout::gather_row`] over the wanted columns `slots` only
+    /// (positions in the wanted list), one vector of `out` each — for a
+    /// consumer that located more columns than it emits (a scan's
+    /// predicate-only columns).
+    pub fn gather_row_of(
+        &self,
+        tuples: &[&[u8]],
+        t: usize,
+        slots: &[usize],
+        out: &mut [ColumnVector],
+    ) -> Result<()> {
+        self.gather_row_slots(tuples, t, slots.iter().copied(), out)
+    }
+
+    fn gather_row_slots(
+        &self,
+        tuples: &[&[u8]],
+        t: usize,
+        slots: impl ExactSizeIterator<Item = usize> + Clone,
+        out: &mut [ColumnVector],
+    ) -> Result<()> {
         let n = self.located;
-        if tuples.len() != n || out.len() != self.types.len() {
+        let known = slots.clone().all(|k| k < self.types.len());
+        if tuples.len() != n || out.len() != slots.len() || !known {
             return Err(Error::exec("gather over tuples the layout did not locate"));
         }
         let bytes = tuples[t];
-        for (k, (&ty, v)) in self.types.iter().zip(out).enumerate() {
-            let off = self.offs[k * n + t];
+        for (k, v) in slots.zip(out) {
+            let (ty, off) = (self.types[k], self.offs[k * n + t]);
             let at = off as usize;
             v.nulls.push(off == NULL_AT);
             match (ty, &mut v.values) {

@@ -115,6 +115,25 @@ impl Schema {
         Schema::new(kept)
     }
 
+    /// Column pruning: this schema (`None`), or its columns at `cols` —
+    /// strictly ascending ordinals, so a narrowing can only drop columns,
+    /// never reorder or repeat them (that is [`Schema::project`]'s job).
+    /// What every scan output list and join emit list is validated by.
+    /// Names are kept as they are: a join schema may legally hold a
+    /// repeated `_r` name, and narrowing it must not start rejecting it.
+    pub fn narrow(&self, cols: Option<&[usize]>) -> Result<Schema> {
+        let Some(cols) = cols else { return Ok(self.clone()) };
+        if !cols.windows(2).all(|w| w[0] < w[1]) {
+            return Err(Error::plan(format!("column list {cols:?} is not strictly ascending")));
+        }
+        match cols.last() {
+            Some(&c) if c >= self.columns.len() => {
+                Err(Error::schema(format!("column {c} out of range ({})", self.columns.len())))
+            }
+            _ => Ok(Schema { columns: cols.iter().map(|&c| self.columns[c].clone()).collect() }),
+        }
+    }
+
     /// Concatenate two schemas (for join outputs). Duplicate names on the
     /// right side get a `_r` suffix, as a pragmatic disambiguation.
     pub fn join(&self, right: &Schema) -> Schema {
@@ -195,6 +214,20 @@ mod tests {
         assert!(err.to_string().contains("project column 2 out of range"), "{err}");
         // Projecting a column twice is a duplicate name, as in `new`.
         assert!(two_col().project(&[0, 0]).unwrap_err().to_string().contains("duplicate"));
+    }
+
+    #[test]
+    fn narrow_drops_columns_and_nothing_else() {
+        let joined = two_col().join(&two_col()).join(&two_col());
+        assert_eq!(joined.narrow(None).unwrap(), joined);
+        // `id_r` twice: legal in a join schema, and it stays legal narrowed.
+        let kept = joined.narrow(Some(&[1, 2, 4])).unwrap();
+        let names: Vec<&str> = kept.columns().iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["name", "id_r", "id_r"]);
+        assert_eq!(joined.narrow(Some(&[])).unwrap().len(), 0);
+        for bad in [&[1, 0][..], &[2, 2], &[0, 6]] {
+            assert!(joined.narrow(Some(bad)).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! spans bytes) and generated pages of rows with NULLs:
 //!
 //! * `locate` + `gather` of any wanted subset — dense, through a
-//!   selection, a row at a time — equals the same columns of
-//!   `Row::decode`;
+//!   selection, a row at a time, a row at a time over some of the
+//!   located columns — equals the same columns of `Row::decode`;
 //! * on hostile bytes — every truncation, appended bytes, every bitmap
 //!   bit flipped (the unused high bits of the last byte included), text
 //!   lengths overwritten, non-UTF-8 injected — the layout and
@@ -195,6 +195,19 @@ proptest! {
         prop_assert!(agrees(&by_sel, &picked), "selected gather ≠ Row::decode");
         prop_assert!(by_row == by_sel, "row-major ≠ column-major");
         layout.check_text(&tuples, &sel).unwrap();
+        // A row at a time over some of the located columns only (a scan
+        // that locates its predicate's columns and emits others).
+        let slots: Vec<usize> = (0..wanted.len()).filter(|_| splitmix(&mut rng) % 2 == 0).collect();
+        let emitted: Vec<usize> = slots.iter().map(|&k| wanted[k]).collect();
+        let mut some = vectors(&schema, &emitted);
+        for &t in &picked {
+            layout.gather_row_of(&tuples, t, &slots, &mut some).unwrap();
+        }
+        let expected: Vec<ColumnVector> = slots.iter().map(|&k| by_sel[k].clone()).collect();
+        prop_assert!(some == expected, "row-major over a slot subset ≠ column-major");
+        let mut one = vec![ColumnVector::for_type(DataType::Int64)];
+        let unknown = layout.gather_row_of(&tuples, 0, &[wanted.len()], &mut one);
+        prop_assert!(unknown.is_err(), "a slot the layout does not record");
     }
 
     #[test]

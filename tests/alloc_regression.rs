@@ -29,11 +29,13 @@
 //! the same one-per-64-rows bound. A `Vec<Value>` or a `String` per
 //! sorted row fails it.
 //!
-//! Two guards sit on the decode path itself: a full scan over a warm
+//! Three guards sit on the decode path itself: a full scan over a warm
 //! pool allocates per 32-page *run* (the run, one slice scratch, one
-//! handed-over morsel), never per page; and an index nested-loop join
+//! handed-over morsel), never per page; an index nested-loop join
 //! allocates nothing per probed outer row (no `Row`, `Vec<Value>` or
-//! `String` per inner match).
+//! `String` per inner match); and an aggregate that does not read the
+//! pad allocates the same bytes whatever the pad's width (a pruned
+//! column grows no arena).
 //!
 //! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
 //! concurrent test pollutes the global counter (or the process-wide
@@ -49,6 +51,7 @@ use smooth_executor::{
     IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SpillFile,
 };
 use smooth_index::BTreeIndex;
+use smooth_planner::{AccessPathChoice, Database, LogicalPlan, ScanSpec};
 use smooth_storage::{
     CpuCosts, DeviceProfile, FaultConfig, HeapFile, HeapLoader, Storage, StorageConfig,
 };
@@ -57,10 +60,13 @@ use smooth_types::{Column, ColumnBatch, DataType, Result, Row, Schema, Value};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for: every allocation's size, every reallocation's growth.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -70,11 +76,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -180,6 +188,64 @@ fn full_scan_allocations_per_page_are_an_amortized_constant() {
         small.0,
         large.0
     );
+}
+
+/// An aggregate that does not read the pad must not pay for it: the
+/// planner prunes the column, so no text arena grows for it, and the
+/// bytes allocated do not follow the pad's width (what differs between
+/// a 40- and a 400-byte pad is the page count — a few hundred bytes of
+/// run bookkeeping per 32 pages — where decoding the pad would copy all
+/// of it). The calls are no more than the same aggregate over a
+/// full-width scan makes, which is what every plan ran before pruning.
+#[test]
+fn an_aggregate_that_does_not_read_the_pad_allocates_nothing_for_it() {
+    let _serial = serial();
+    const ROWS: i64 = 4000;
+    let aggs = || vec![AggFunc::CountStar, AggFunc::Sum(0)];
+    // (calls, bytes) of one warm drain of `op`.
+    let drain = |op: &mut dyn Operator| {
+        collect_batches(op).unwrap();
+        let before = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+        let batches = collect_batches(op).unwrap();
+        let after = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
+        assert_eq!(batches[0].row(0).int(0).unwrap(), ROWS);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    // The planner's (pruned) tree and the full-width tree, at one pad width.
+    let measure = |pad: usize| {
+        let mut db = Database::new(StorageConfig {
+            device: DeviceProfile::custom("t", 1, 10),
+            cpu: CpuCosts::default(),
+            pool_pages: 4096,
+        });
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int64),
+            Column::new("pad", DataType::Text),
+        ]);
+        let rows = (0..ROWS).map(|i| Row::new(vec![Value::Int(i), Value::str("x".repeat(pad))]));
+        db.load_table("t", schema.unwrap(), rows).unwrap();
+        let scan = ScanSpec::new("t", Predicate::True).with_access(AccessPathChoice::ForceFull);
+        let mut pruned = db.build(&LogicalPlan::scan(scan).aggregate(vec![], aggs())).unwrap();
+        assert!(pruned.label().contains("FullTableScan(t)[id]"), "{}", pruned.label());
+        let heap = Arc::clone(&db.table("t").unwrap().heap);
+        let scan = FullTableScan::new(heap, db.storage().clone(), Predicate::True);
+        let mut full =
+            HashAggregate::new(Box::new(scan), vec![], aggs(), db.storage().clone()).unwrap();
+        (drain(pruned.as_mut()), drain(&mut full))
+    };
+    measure(8); // warm-up
+    let ((narrow_pruned, narrow_full), (wide_pruned, wide_full)) = (measure(40), measure(400));
+    let pad_growth = ROWS as u64 * 360;
+    assert!(
+        wide_pruned.1.saturating_sub(narrow_pruned.1) < pad_growth / 64,
+        "bytes follow the width of a column nobody reads: {narrow_pruned:?} at 40, \
+         {wide_pruned:?} at 400"
+    );
+    // The harness sees the pad when it is decoded.
+    assert!(wide_full.1 - narrow_full.1 >= pad_growth, "{narrow_full:?} vs {wide_full:?}");
+    for (pruned, full) in [(narrow_pruned, narrow_full), (wide_pruned, wide_full)] {
+        assert!(pruned.0 <= full.0, "pruning added allocations: {pruned:?} vs {full:?}");
+    }
 }
 
 /// Rows per pre-built batch (the engine's default morsel size).

@@ -1,6 +1,8 @@
 //! Shared by the workspace-level property suites: the reference
-//! evaluator, and the two-table fixture both suites load and evaluate.
+//! evaluator, the two-table fixture the suites load and evaluate, and
+//! the random-plan generator over it.
 
+pub mod plans;
 pub mod reference;
 
 use reference::Tables;

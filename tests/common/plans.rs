@@ -1,0 +1,119 @@
+//! The random-plan generator the differential suite and the pruning
+//! suite share: scan kind × predicates × join shape × aggregate shape
+//! over the two-table fixture of [`super::tables`].
+#![allow(dead_code)] // each suite uses its own subset
+
+use proptest::prelude::*;
+use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
+use smoothscan::prelude::{AggFunc, JoinType, PolicyKind, Predicate, SmoothScanConfig};
+
+/// One scan-kind choice from the full repertoire.
+pub fn access_strategy() -> impl Strategy<Value = AccessPathChoice> {
+    prop_oneof![
+        Just(AccessPathChoice::ForceFull),
+        Just(AccessPathChoice::ForceIndex),
+        Just(AccessPathChoice::ForceSort),
+        (0usize..3, any::<bool>()).prop_map(|(p, ordered)| {
+            let policy =
+                [PolicyKind::Greedy, PolicyKind::SelectivityIncrease, PolicyKind::Elastic][p];
+            AccessPathChoice::Smooth(
+                SmoothScanConfig::default().with_policy(policy).with_order(ordered),
+            )
+        }),
+        (1u64..400).prop_map(|estimate| AccessPathChoice::Switch { estimate }),
+        Just(AccessPathChoice::Auto),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+pub enum JoinShape {
+    None,
+    HashInner,
+    HashSemi,
+    IndexNested,
+    /// Merge join on the nullable `c2` of both sides: NULL keys sort
+    /// first on either input and must match nothing.
+    MergeNullable,
+}
+
+pub fn join_strategy() -> impl Strategy<Value = JoinShape> {
+    prop_oneof![
+        2 => Just(JoinShape::None),
+        2 => Just(JoinShape::HashInner),
+        1 => Just(JoinShape::HashSemi),
+        1 => Just(JoinShape::IndexNested),
+        1 => Just(JoinShape::MergeNullable),
+    ]
+}
+
+#[derive(Debug, Clone, Copy)]
+pub enum AggShape {
+    None,
+    ExactGrouped,
+    FloatAvg,
+    Scalar,
+}
+
+pub fn agg_strategy() -> impl Strategy<Value = AggShape> {
+    prop_oneof![
+        2 => Just(AggShape::None),
+        1 => Just(AggShape::ExactGrouped),
+        1 => Just(AggShape::FloatAvg),
+        1 => Just(AggShape::Scalar),
+    ]
+}
+
+/// Assemble the plan under test.
+pub fn plan_for(
+    access: &AccessPathChoice,
+    lo: i64,
+    width: i64,
+    residual: Option<i64>,
+    join: JoinShape,
+    agg: AggShape,
+) -> LogicalPlan {
+    let mut pred = Predicate::int_half_open(1, lo, lo + width);
+    if let Some(hi) = residual {
+        pred = Predicate::and(vec![pred, Predicate::int_lt(0, hi)]);
+    }
+    let scan = LogicalPlan::scan(ScanSpec::new("t", pred).with_access(access.clone()));
+    let joined = match join {
+        JoinShape::None => scan,
+        JoinShape::HashInner => scan.join(
+            LogicalPlan::scan(ScanSpec::new("r", Predicate::True)),
+            1,
+            0,
+            JoinType::Inner,
+            JoinStrategy::Hash,
+        ),
+        JoinShape::HashSemi => scan.join(
+            LogicalPlan::scan(ScanSpec::new("r", Predicate::int_lt(2, 200))),
+            1,
+            0,
+            JoinType::LeftSemi,
+            JoinStrategy::Hash,
+        ),
+        JoinShape::IndexNested => scan.join(
+            LogicalPlan::scan(ScanSpec::new("r", Predicate::True)),
+            1,
+            1,
+            JoinType::Inner,
+            JoinStrategy::IndexNestedLoop,
+        ),
+        JoinShape::MergeNullable => scan.join(
+            LogicalPlan::scan(ScanSpec::new("t", Predicate::int_lt(0, 200))),
+            2,
+            2,
+            JoinType::Inner,
+            JoinStrategy::Merge,
+        ),
+    };
+    match agg {
+        AggShape::None => joined,
+        AggShape::ExactGrouped => {
+            joined.aggregate(vec![1], vec![AggFunc::CountStar, AggFunc::Min(0), AggFunc::Max(0)])
+        }
+        AggShape::FloatAvg => joined.aggregate(vec![1], vec![AggFunc::Avg(0), AggFunc::CountStar]),
+        AggShape::Scalar => joined.aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)]),
+    }
+}

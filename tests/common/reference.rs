@@ -88,6 +88,21 @@ fn aggregate(f: &AggFunc, rows: &[&Row]) -> Value {
     }
 }
 
+/// The columns `cols` of every row, in that order — a projection, a
+/// narrowed scan, a join's emit list.
+fn pick(Expected { rows, order }: Expected, cols: &[usize]) -> Expected {
+    let pick = |r: &Row| Row::new(cols.iter().map(|&c| r.get(c).clone()).collect());
+    // The defined order survives as far as its leading keys do.
+    let kept = |k: &SortKey| {
+        let column = cols.iter().position(|&c| c == k.column)?;
+        Some(SortKey { column, ..*k })
+    };
+    Expected {
+        rows: rows.iter().map(pick).collect(),
+        order: order.iter().map_while(kept).collect(),
+    }
+}
+
 /// Evaluate `plan` over `tables`.
 pub fn evaluate(plan: &LogicalPlan, tables: &Tables) -> Expected {
     match plan {
@@ -100,26 +115,18 @@ pub fn evaluate(plan: &LogicalPlan, tables: &Tables) -> Expected {
                 order.push(SortKey::asc(order_column(&spec.predicate).expect("ordered scan key")));
                 rows.sort_by(|a, b| compare(a, b, &order));
             }
-            Expected { rows, order }
+            // A narrowed scan emits `cols` of the table's columns.
+            match &spec.cols {
+                Some(cols) => pick(Expected { rows, order }, cols),
+                None => Expected { rows, order },
+            }
         }
         LogicalPlan::Filter { input, predicate } => {
             let mut out = evaluate(input, tables);
             out.rows.retain(|r| predicate.eval(r).unwrap());
             out
         }
-        LogicalPlan::Project { input, cols } => {
-            let Expected { rows, order } = evaluate(input, tables);
-            let pick = |r: &Row| Row::new(cols.iter().map(|&c| r.get(c).clone()).collect());
-            // The defined order survives as far as its leading keys do.
-            let kept = |k: &SortKey| {
-                let column = cols.iter().position(|&c| c == k.column)?;
-                Some(SortKey { column, ..*k })
-            };
-            Expected {
-                rows: rows.iter().map(pick).collect(),
-                order: order.iter().map_while(kept).collect(),
-            }
-        }
+        LogicalPlan::Project { input, cols } => pick(evaluate(input, tables), cols),
         LogicalPlan::Sort { input, keys } => {
             let mut rows = evaluate(input, tables).rows;
             rows.sort_by(|a, b| compare(a, b, keys));
@@ -140,7 +147,11 @@ pub fn evaluate(plan: &LogicalPlan, tables: &Tables) -> Expected {
                     JoinType::LeftSemi => rows.extend(matches.next().map(|_| l.clone())),
                 }
             }
-            Expected { rows, order: Vec::new() }
+            // A join with an emit list emits those of its columns.
+            match &spec.emit {
+                Some(emit) => pick(Expected { rows, order: Vec::new() }, emit),
+                None => Expected { rows, order: Vec::new() },
+            }
         }
         LogicalPlan::Aggregate { input, group_cols, aggs } => {
             let input = evaluate(input, tables).rows;
