@@ -21,9 +21,9 @@ use std::sync::Arc;
 
 use smooth_executor::{batch_size, BoxedOperator, Operator, Predicate, ScanFilter};
 use smooth_index::BTreeIndex;
-use smooth_storage::{HeapFile, PageView, Storage};
+use smooth_storage::{HeapFile, PageView, Session, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, PageId, Result, Row, Schema,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, PageId, Result, Row, Schema, Tid,
 };
 
 use crate::page_cache::PageIdCache;
@@ -56,6 +56,11 @@ pub struct SmoothInnerPath {
     /// non-qualifiers are never fully decoded.
     filter: ScanFilter,
     visited: PageIdCache,
+    /// The slot count of each visited page, by page number: a TID past
+    /// it is corruption, not a miss.
+    slot_counts: Vec<u16>,
+    /// TIDs of the key being probed (reused across keys).
+    tids: Vec<Tid>,
     /// Every residual-qualifying tuple of the visited pages, in harvest
     /// order, as typed columns.
     harvested: ColumnBatch,
@@ -85,6 +90,8 @@ impl SmoothInnerPath {
             key_slot: key_col,
             filter,
             visited: PageIdCache::new(pages),
+            slot_counts: vec![0; pages as usize],
+            tids: Vec::new(),
             harvested,
             by_key: HashMap::new(),
             metrics: InnerPathMetrics::default(),
@@ -113,11 +120,14 @@ impl SmoothInnerPath {
         self.metrics
     }
 
-    fn harvest_page(&mut self, page_id: PageId) -> Result<()> {
-        let page = self.storage.read_heap_page(&self.heap, page_id)?;
+    fn harvest_page(&mut self, s: &mut Session, page_id: PageId) -> Result<()> {
+        let page = s.read_heap_page(&self.heap, page_id)?;
+        s.release();
         self.visited.insert(page_id);
         self.metrics.pages_fetched += 1;
-        let tuples = PageView::new(&page)?.iter().collect::<Result<Vec<_>>>()?;
+        let view = PageView::new(&page)?;
+        self.slot_counts[page_id.0 as usize] = view.slot_count();
+        let tuples = view.iter().collect::<Result<Vec<_>>>()?;
         let first = self.harvested.physical_rows();
         let (inspected, _) = self.filter.fill(&tuples, &mut self.harvested)?;
         let keys = self.harvested.column_checked(self.key_slot)?;
@@ -134,31 +144,42 @@ impl SmoothInnerPath {
         self.metrics.rows_harvested += hash_ops;
         // One bulk charge per page: one inspect per slot, one hash op per
         // harvested row.
-        let cpu = self.storage.cpu();
-        self.storage
-            .clock()
-            .charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.hash_op_ns * hash_ops);
+        s.charge_cpu(s.cpu().inspect_tuple_ns * inspected + s.cpu().hash_op_ns * hash_ops);
         Ok(())
     }
 
     /// Append all inner rows matching `key`, in harvest order, to
     /// `inner_cols` (one vector per inner column) and return how many
-    /// there are. Pages are fetched at most once across the whole join.
-    pub fn probe(&mut self, key: i64, inner_cols: &mut [ColumnVector]) -> Result<usize> {
+    /// there are. Pages are fetched at most once across the whole join;
+    /// index and heap accesses go through `s`, released before a harvest
+    /// inspects a page.
+    pub fn probe(
+        &mut self,
+        s: &mut Session,
+        key: i64,
+        inner_cols: &mut [ColumnVector],
+    ) -> Result<usize> {
         self.metrics.probes += 1;
-        let cpu = *self.storage.cpu();
-        self.storage.clock().charge_cpu(cpu.hash_op_ns);
+        let cpu = *s.cpu();
+        s.charge_cpu(cpu.hash_op_ns);
         // Once fully morphed this is the pure hash-join regime: the index
         // is no longer consulted.
         let mut fetched_any = false;
         if !self.metrics.fully_morphed {
-            for tid in self.index.probe(&self.storage, key) {
-                self.storage.clock().charge_cpu(cpu.bitmap_op_ns);
+            let mut tids = std::mem::take(&mut self.tids);
+            self.index.probe_into(s, key, &mut tids);
+            for &tid in &tids {
+                s.charge_cpu(cpu.bitmap_op_ns);
                 if !self.visited.contains(tid.page) {
-                    self.harvest_page(tid.page)?;
+                    self.harvest_page(s, tid.page)?;
                     fetched_any = true;
                 }
+                let slots = self.slot_counts[tid.page.0 as usize];
+                if tid.slot >= slots {
+                    return Err(Error::corrupt(format!("TID {tid} past its page's {slots} slots")));
+                }
             }
+            self.tids = tids;
             self.metrics.fully_morphed = self.visited.len() == self.heap.page_count();
         }
         self.metrics.cache_only_probes += u64::from(!fetched_any);
@@ -206,16 +227,18 @@ impl SmoothIndexNestedLoopJoin {
         let out = self.out.fill();
         let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.width());
         self.matched.clear();
+        let storage = self.inner.storage.clone();
+        let s = &mut storage.session();
         for row in outer.live_rows().filter(|&row| !key_col.is_null(row)) {
-            let joined = self.inner.probe(key_col.int(row)?, inner_cols)?;
+            let joined = self.inner.probe(s, key_col.int(row)?, inner_cols)?;
             self.matched.extend(std::iter::repeat_n(row as u32, joined));
         }
+        s.release();
         for (dst, src) in outer_cols.iter_mut().zip(outer.columns()) {
             dst.extend_gather(src, &self.matched);
         }
         out.commit_rows(self.matched.len());
-        let cpu = self.inner.storage.cpu();
-        self.inner.storage.clock().charge_cpu(cpu.emit_tuple_ns * self.matched.len() as u64);
+        s.charge_cpu(s.cpu().emit_tuple_ns * self.matched.len() as u64);
         Ok(true)
     }
 }
@@ -368,7 +391,7 @@ mod tests {
         let mut join2_inner = join.inner;
         let mut cols = ColumnBatch::for_schema(heap.schema());
         for k in 0..30 {
-            assert_eq!(join2_inner.probe(k, cols.columns_mut()).unwrap(), 4);
+            assert_eq!(join2_inner.probe(&mut s.session(), k, cols.columns_mut()).unwrap(), 4);
         }
         assert_eq!(s.io_snapshot().pages_read, io_before, "pure hash-join regime");
     }
@@ -437,10 +460,11 @@ mod tests {
         let (heap, index) = inner_table(20, 4);
         let s = storage();
         let mut rows = ColumnBatch::for_schema(heap.schema());
-        let mut inner = SmoothInnerPath::new(heap, index, s, 0, Predicate::int_lt(1, 2));
-        let found = inner.probe(5, rows.columns_mut()).unwrap();
+        let mut inner = SmoothInnerPath::new(heap, index, s.clone(), 0, Predicate::int_lt(1, 2));
+        let session = &mut s.session();
+        let found = inner.probe(session, 5, rows.columns_mut()).unwrap();
         assert_eq!(found, 2, "only v < 2 qualifies");
-        assert_eq!(inner.probe(99, rows.columns_mut()).unwrap(), 0);
+        assert_eq!(inner.probe(session, 99, rows.columns_mut()).unwrap(), 0);
         rows.commit_rows(found);
         assert!(rows.into_rows().iter().all(|r| r.int(0).unwrap() == 5 && r.int(1).unwrap() < 2));
     }

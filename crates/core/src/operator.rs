@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use smooth_executor::{Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
-use smooth_storage::{HeapFile, PageView, Storage};
+use smooth_storage::{HeapFile, PageView, Session, Storage};
 use smooth_types::{
     ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema, Tid, TupleLayout,
 };
@@ -251,22 +251,24 @@ impl SmoothScan {
     /// the qualifiers decode *straight into column vectors*; in ordered
     /// mode they are not decoded at all — the Result Cache keeps their
     /// validated bytes until the cursor reaches them. No `Row`
-    /// materializes either way.
-    fn process_region(&mut self, driving: Tid, len: u32) -> Result<()> {
+    /// materializes either way. The session holds the storage lock for
+    /// each run's read only, never across the inspection.
+    fn process_region(&mut self, s: &mut Session, driving: Tid, len: u32) -> Result<()> {
         let end = (driving.page.0 + len).min(self.heap.page_count());
-        let cpu = *self.storage.cpu();
+        let cpu = *s.cpu();
         let mut pages_processed = 0u64;
         let mut pages_with_results = 0u64;
         let mut p = driving.page.0;
         while p < end {
-            self.storage.clock().charge_cpu(cpu.bitmap_op_ns);
+            s.charge_cpu(cpu.bitmap_op_ns);
             if self.page_cache.contains(PageId(p)) {
                 p += 1;
                 continue;
             }
             let run = self.page_cache.unvisited_run(PageId(p), end - p);
-            let pages = self.storage.read_heap_run(&self.heap, PageId(p), run)?;
-            self.storage.charge_page_probes(run as u64);
+            let pages = s.read_heap_run(&self.heap, PageId(p), run)?;
+            s.charge_cpu(cpu.hash_op_ns * run as u64); // the pool probes
+            s.release();
             // The slots still to inspect on the current page and their
             // encoded tuples, reused across the run's pages.
             let (mut slots, mut tuples) = (Vec::new(), Vec::new());
@@ -303,14 +305,14 @@ impl SmoothScan {
                             out.commit_rows(1);
                         } else {
                             let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
-                            cache.insert(&self.storage, keys.int(i)?, tid, tuples[i]);
+                            cache.insert(s, keys.int(i)?, tid, tuples[i]);
                         }
                     }
                     (tuples.len() as u64, emitted)
                 } else {
                     self.filter.fill(&tuples, self.out.fill())?
                 };
-                self.storage.clock().charge_cpu(
+                s.charge_cpu(
                     cpu.bitmap_op_ns * bitmap_ops
                         + cpu.inspect_tuple_ns * inspected
                         + cpu.emit_tuple_ns * emitted,
@@ -341,9 +343,9 @@ impl SmoothScan {
     /// whole region's worth of unordered finds — append to the columnar
     /// output buffer in emission order. Returns `false` at cursor
     /// exhaustion.
-    fn advance(&mut self) -> Result<bool> {
+    fn advance(&mut self, s: &mut Session) -> Result<bool> {
         let cursor = self.cursor.as_mut().ok_or_else(|| Error::exec("SmoothScan before open"))?;
-        let Some((key, tid)) = cursor.next() else {
+        let Some((key, tid)) = cursor.next_in(s) else {
             return Ok(false);
         };
         if let Some(rc) = self.result_cache.as_mut() {
@@ -357,28 +359,29 @@ impl SmoothScan {
                 self.traditional_until = None;
                 self.metrics.triggered = true;
             } else {
-                self.mode0_step(tid)?;
+                self.mode0_step(s, tid)?;
                 return Ok(true);
             }
         }
         // Smooth phase.
         if self.config.ordered {
             let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
-            if let Some(tuple) = cache.probe(&self.storage, key, tid) {
+            if let Some(tuple) = cache.probe(s, key, tid) {
+                s.release();
                 let out = self.out.fill();
                 self.layout.decode_into(tuple, out.columns_mut())?;
                 out.commit_rows(1);
                 return Ok(true);
             }
         }
-        self.storage.clock().charge_cpu(self.storage.cpu().bitmap_op_ns);
+        s.charge_cpu(s.cpu().bitmap_op_ns);
         if self.page_cache.contains(tid.page) {
             // Page fully examined before: the tuple either did not
             // qualify or was already produced.
             return Ok(true);
         }
         let region = self.policy.region_pages();
-        self.process_region(tid, region)?;
+        self.process_region(s, tid, region)?;
         Ok(true)
     }
 
@@ -393,16 +396,17 @@ impl SmoothScan {
     /// One traditional (Mode 0) index-scan step for the driving TID: fetch
     /// its page, inspect the tuple and, if it qualifies, record it in the
     /// Tuple-ID cache and decode it into the output buffer.
-    fn mode0_step(&mut self, tid: Tid) -> Result<()> {
-        let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-        let cpu = *self.storage.cpu();
-        self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
+    fn mode0_step(&mut self, s: &mut Session, tid: Tid) -> Result<()> {
+        let page = s.read_heap_page(&self.heap, tid.page)?;
+        s.release();
+        let cpu = *s.cpu();
+        s.charge_cpu(cpu.inspect_tuple_ns);
         let tuple = [PageView::new(&page)?.get(tid.slot)?];
         if self.filter.select(&tuple)? == 1 {
             let produced = self.tuple_cache.as_mut();
             produced.ok_or_else(|| Error::exec("Mode 0 without a tuple cache"))?.insert(tid);
             self.metrics.mode0_tuples += 1;
-            self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
+            s.charge_cpu(cpu.emit_tuple_ns);
             let out = self.out.fill();
             self.filter.gather_selected(&tuple, out.columns_mut())?;
             out.commit_rows(1);
@@ -443,6 +447,7 @@ impl Operator for SmoothScan {
                 &self.index.root_separators(),
                 self.config.result_cache_partitions,
                 self.heap.schema().estimated_tuple_width(16),
+                self.storage.device(),
             );
             match self.config.result_cache_spill {
                 Some(limit) => cache.with_spill_threshold(limit),
@@ -455,11 +460,14 @@ impl Operator for SmoothScan {
     /// Cursor probes run until a whole morsel is buffered, then it leaves
     /// in one call. Morphing decisions (trigger cardinality, region
     /// growth) still advance per probe — the batch boundary never coarsens
-    /// the switch logic, it only amortizes emission.
+    /// the switch logic, it only amortizes emission and, on one storage
+    /// session, the lock and clock traffic of the probes.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         self.flush_cache_eviction();
         let max = max.max(1);
-        while self.out.pending() < max && self.advance()? {}
+        let storage = self.storage.clone();
+        let s = &mut storage.session();
+        while self.out.pending() < max && self.advance(s)? {}
         let batch = self.out.pop_columns(max);
         self.metrics.tuples_emitted += batch.as_ref().map_or(0, |b| b.len() as u64);
         Ok(batch)
@@ -467,7 +475,9 @@ impl Operator for SmoothScan {
 
     fn next(&mut self) -> Result<Option<Row>> {
         self.flush_cache_eviction();
-        while self.out.is_drained() && self.advance()? {}
+        let storage = self.storage.clone();
+        let s = &mut storage.session();
+        while self.out.is_drained() && self.advance(s)? {}
         let row = self.out.pop_row();
         self.metrics.tuples_emitted += u64::from(row.is_some());
         Ok(row)

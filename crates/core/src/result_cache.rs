@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::ops::Range;
 
-use smooth_storage::Storage;
+use smooth_storage::{DeviceProfile, Session};
 use smooth_types::Tid;
 
 /// Counters reported by Fig. 9a.
@@ -82,13 +82,21 @@ pub struct ResultCache {
     spill_threshold: Option<usize>,
     /// Approximate bytes per row for spill I/O accounting.
     row_bytes: usize,
+    /// The scan's device, captured at construction: spills are priced
+    /// from it without asking the storage (whose lock a session may hold).
+    device: DeviceProfile,
     stats: ResultCacheStats,
 }
 
 impl ResultCache {
     /// Build from index-root separator keys, using up to `partitions`
-    /// ranges. `row_bytes` sizes spill I/O.
-    pub fn new(separators: &[i64], partitions: usize, row_bytes: usize) -> Self {
+    /// ranges. `row_bytes` sizes spill I/O on `device`.
+    pub fn new(
+        separators: &[i64],
+        partitions: usize,
+        row_bytes: usize,
+        device: DeviceProfile,
+    ) -> Self {
         let partitions = partitions.max(1);
         let mut bounds: Vec<i64> = Vec::new();
         if partitions > 1 && !separators.is_empty() {
@@ -108,6 +116,7 @@ impl ResultCache {
             pending_advance: None,
             spill_threshold: None,
             row_bytes: row_bytes.max(1),
+            device,
             stats: ResultCacheStats::default(),
         }
     }
@@ -130,17 +139,16 @@ impl ResultCache {
 
     /// Insert a tuple found ahead of the cursor: its encoded bytes, which
     /// the caller has validated, are copied into the cache.
-    pub fn insert(&mut self, storage: &Storage, key: i64, tid: Tid, tuple: &[u8]) {
-        storage.clock().charge_cpu(storage.cpu().hash_op_ns);
+    pub fn insert(&mut self, s: &mut Session, key: i64, tid: Tid, tuple: &[u8]) {
+        s.charge_cpu(s.cpu().hash_op_ns);
         let p = self.partition_of(key);
         debug_assert!(p >= self.current, "insert behind the cursor");
-        let part = &mut self.parts[p];
-        if part.spilled {
+        if self.parts[p].spilled {
             // Appending to a spilled partition keeps it on "disk".
-            let ns = Self::spill_io_ns(storage, self.row_bytes, 1);
-            storage.clock().charge_io(ns);
+            s.storage().clock().charge_io(self.spill_io_ns(1));
             self.stats.spilled += 1;
         }
+        let part = &mut self.parts[p];
         let at = part.bytes.len()..part.bytes.len() + tuple.len();
         part.bytes.extend_from_slice(tuple);
         if part.slots.insert((key, tid), at).is_none() {
@@ -150,17 +158,17 @@ impl ResultCache {
                 self.stats.max_resident = self.stats.max_resident.max(self.stats.resident);
             }
         }
-        self.maybe_spill(storage);
+        self.maybe_spill(s);
     }
 
     /// Probe for the tuple the cursor just reached; a hit borrows its
     /// encoded bytes.
-    pub fn probe(&mut self, storage: &Storage, key: i64, tid: Tid) -> Option<&[u8]> {
-        storage.clock().charge_cpu(storage.cpu().hash_op_ns);
+    pub fn probe(&mut self, s: &mut Session, key: i64, tid: Tid) -> Option<&[u8]> {
+        s.charge_cpu(s.cpu().hash_op_ns);
         self.stats.requests += 1;
         let p = self.partition_of(key);
         if self.parts[p].spilled {
-            self.unspill(storage, p);
+            self.unspill(s, p);
         }
         let part = &self.parts[p];
         let tuple = part.slots.get(&(key, tid)).map(|at| &part.bytes[at.clone()]);
@@ -229,11 +237,11 @@ impl ResultCache {
     /// never the disk-arm counters (see `docs/larger_than_memory.md`).
     /// `row_bytes` is clamped to ≥ 1 at construction, so `tuples > 0`
     /// always yields a non-zero transfer.
-    fn spill_io_ns(storage: &Storage, row_bytes: usize, tuples: u64) -> u64 {
-        smooth_executor::spill_io_ns(&storage.device(), tuples * row_bytes as u64)
+    fn spill_io_ns(&self, tuples: u64) -> u64 {
+        smooth_executor::spill_io_ns(&self.device, tuples * self.row_bytes as u64)
     }
 
-    fn maybe_spill(&mut self, storage: &Storage) {
+    fn maybe_spill(&mut self, s: &Session) {
         let Some(limit) = self.spill_threshold else { return };
         // Sweep any deferred cursor advance *before* the spill decision:
         // the columnar protocol defers the eviction sweep to morsel
@@ -260,20 +268,18 @@ impl ResultCache {
             self.parts[v].spilled = true;
             self.stats.spilled += n;
             self.stats.resident -= n;
-            let ns = Self::spill_io_ns(storage, self.row_bytes, n);
-            storage.clock().charge_io(ns);
+            s.storage().clock().charge_io(self.spill_io_ns(n));
         }
     }
 
-    fn unspill(&mut self, storage: &Storage, p: usize) {
+    fn unspill(&mut self, s: &Session, p: usize) {
         let part = &mut self.parts[p];
         let n = part.slots.len() as u64;
         part.spilled = false;
         self.stats.unspilled += n;
         self.stats.resident += n;
         self.stats.max_resident = self.stats.max_resident.max(self.stats.resident);
-        let ns = Self::spill_io_ns(storage, self.row_bytes, n);
-        storage.clock().charge_io(ns);
+        s.storage().clock().charge_io(self.spill_io_ns(n));
     }
 }
 
@@ -281,8 +287,14 @@ impl ResultCache {
 mod tests {
     use super::*;
 
+    use smooth_storage::Storage;
+
     fn storage() -> Storage {
         Storage::default_hdd()
+    }
+
+    fn cache(separators: &[i64], partitions: usize) -> ResultCache {
+        ResultCache::new(separators, partitions, 64, DeviceProfile::hdd())
     }
 
     /// A stand-in encoded tuple (the cache never looks inside one).
@@ -293,55 +305,55 @@ mod tests {
     #[test]
     fn insert_probe_roundtrip() {
         let s = storage();
-        let mut c = ResultCache::new(&[100, 200, 300], 4, 64);
-        c.insert(&s, 150, Tid::new(1, 1), &row(150));
-        assert_eq!(c.probe(&s, 150, Tid::new(1, 1)), Some(&row(150)[..]));
-        assert_eq!(c.probe(&s, 150, Tid::new(1, 2)), None);
+        let mut c = cache(&[100, 200, 300], 4);
+        c.insert(&mut s.session(), 150, Tid::new(1, 1), &row(150));
+        assert_eq!(c.probe(&mut s.session(), 150, Tid::new(1, 1)), Some(&row(150)[..]));
+        assert_eq!(c.probe(&mut s.session(), 150, Tid::new(1, 2)), None);
         let st = c.stats();
         assert_eq!((st.inserts, st.requests, st.hits), (1, 2, 1));
     }
 
     #[test]
     fn partitions_follow_separators() {
-        let c = ResultCache::new(&(0..100).collect::<Vec<i64>>(), 8, 64);
+        let c = cache(&(0..100).collect::<Vec<i64>>(), 8);
         assert_eq!(c.partition_count(), 8);
-        let c = ResultCache::new(&[], 8, 64);
+        let c = cache(&[], 8);
         assert_eq!(c.partition_count(), 1);
-        let c = ResultCache::new(&[5], 1, 64);
+        let c = cache(&[5], 1);
         assert_eq!(c.partition_count(), 1);
     }
 
     #[test]
     fn bulk_eviction_on_advance() {
         let s = storage();
-        let mut c = ResultCache::new(&[10, 20, 30], 4, 64);
-        c.insert(&s, 5, Tid::new(0, 0), &row(5));
-        c.insert(&s, 15, Tid::new(0, 1), &row(15));
-        c.insert(&s, 25, Tid::new(0, 2), &row(25));
-        c.insert(&s, 35, Tid::new(0, 3), &row(35));
+        let mut c = cache(&[10, 20, 30], 4);
+        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5));
+        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15));
+        c.insert(&mut s.session(), 25, Tid::new(0, 2), &row(25));
+        c.insert(&mut s.session(), 35, Tid::new(0, 3), &row(35));
         assert_eq!(c.stats().resident, 4);
         c.advance_to(20); // passes partitions [_,10) and [10,20)
         let st = c.stats();
         assert_eq!(st.evicted, 2);
         assert_eq!(st.resident, 2);
         // Items at/ahead of the cursor survive.
-        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(&row(25)[..]));
-        assert_eq!(c.probe(&s, 35, Tid::new(0, 3)), Some(&row(35)[..]));
+        assert_eq!(c.probe(&mut s.session(), 25, Tid::new(0, 2)), Some(&row(25)[..]));
+        assert_eq!(c.probe(&mut s.session(), 35, Tid::new(0, 3)), Some(&row(35)[..]));
     }
 
     #[test]
     fn deferred_advance_sweeps_once_at_flush() {
         let s = storage();
-        let mut c = ResultCache::new(&[10, 20, 30], 4, 64);
-        c.insert(&s, 5, Tid::new(0, 0), &row(5));
-        c.insert(&s, 15, Tid::new(0, 1), &row(15));
-        c.insert(&s, 25, Tid::new(0, 2), &row(25));
+        let mut c = cache(&[10, 20, 30], 4);
+        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5));
+        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15));
+        c.insert(&mut s.session(), 25, Tid::new(0, 2), &row(25));
         // Recording cursor keys evicts nothing yet …
         c.defer_advance(12);
         c.defer_advance(22);
         assert_eq!(c.stats().evicted, 0);
         // … and a deferred advance never hides a probe of the current key.
-        assert_eq!(c.probe(&s, 25, Tid::new(0, 2)), Some(&row(25)[..]));
+        assert_eq!(c.probe(&mut s.session(), 25, Tid::new(0, 2)), Some(&row(25)[..]));
         // The flush sweeps to the highest recorded key.
         c.flush_advance();
         let st = c.stats();
@@ -355,27 +367,27 @@ mod tests {
     #[test]
     fn boundary_key_does_not_evict_its_own_partition() {
         let s = storage();
-        let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 10, Tid::new(0, 0), &row(10));
+        let mut c = cache(&[10], 2);
+        c.insert(&mut s.session(), 10, Tid::new(0, 0), &row(10));
         c.advance_to(10); // partition [10, ∞) must survive
-        assert_eq!(c.probe(&s, 10, Tid::new(0, 0)), Some(&row(10)[..]));
+        assert_eq!(c.probe(&mut s.session(), 10, Tid::new(0, 0)), Some(&row(10)[..]));
         assert_eq!(c.stats().evicted, 0);
     }
 
     #[test]
     fn spilling_under_pressure_and_transparent_unspill() {
         let s = storage();
-        let mut c = ResultCache::new(&[100, 200, 300], 4, 64).with_spill_threshold(2);
+        let mut c = cache(&[100, 200, 300], 4).with_spill_threshold(2);
         // Fill three partitions; threshold 2 forces the furthest to spill.
-        c.insert(&s, 50, Tid::new(0, 0), &row(50));
-        c.insert(&s, 150, Tid::new(0, 1), &row(150));
+        c.insert(&mut s.session(), 50, Tid::new(0, 0), &row(50));
+        c.insert(&mut s.session(), 150, Tid::new(0, 1), &row(150));
         let io_before = s.clock().snapshot().io_ns;
-        c.insert(&s, 350, Tid::new(0, 2), &row(350)); // exceeds threshold
+        c.insert(&mut s.session(), 350, Tid::new(0, 2), &row(350)); // exceeds threshold
         let st = c.stats();
         assert!(st.spilled >= 1, "furthest partition spilled: {st:?}");
         assert!(s.clock().snapshot().io_ns > io_before, "spill charged I/O");
         // Probing the spilled partition brings it back (charged) and hits.
-        assert_eq!(c.probe(&s, 350, Tid::new(0, 2)), Some(&row(350)[..]));
+        assert_eq!(c.probe(&mut s.session(), 350, Tid::new(0, 2)), Some(&row(350)[..]));
         assert!(c.stats().unspilled >= 1);
     }
 
@@ -392,24 +404,24 @@ mod tests {
         // Per-key sweeps: the cursor advance evicts [_,10) before the
         // third insert, so resident never crosses the limit — no spill.
         let s_eager = storage();
-        let mut eager = ResultCache::new(&bounds, 4, 64).with_spill_threshold(limit);
-        eager.insert(&s_eager, 5, Tid::new(0, 0), &row(5));
+        let mut eager = cache(&bounds, 4).with_spill_threshold(limit);
+        eager.insert(&mut s_eager.session(), 5, Tid::new(0, 0), &row(5));
         eager.defer_advance(6);
         eager.flush_advance();
-        eager.insert(&s_eager, 15, Tid::new(0, 1), &row(15));
+        eager.insert(&mut s_eager.session(), 15, Tid::new(0, 1), &row(15));
         eager.defer_advance(12);
         eager.flush_advance(); // volcano sweeps here, before the next insert
-        eager.insert(&s_eager, 25, Tid::new(0, 2), &row(25));
+        eager.insert(&mut s_eager.session(), 25, Tid::new(0, 2), &row(25));
         eager.flush_advance();
         // Deferred sweeps: identical sequence, but the sweep for key 12
         // waits for the batch boundary after the third insert.
         let s_deferred = storage();
-        let mut deferred = ResultCache::new(&bounds, 4, 64).with_spill_threshold(limit);
-        deferred.insert(&s_deferred, 5, Tid::new(0, 0), &row(5));
+        let mut deferred = cache(&bounds, 4).with_spill_threshold(limit);
+        deferred.insert(&mut s_deferred.session(), 5, Tid::new(0, 0), &row(5));
         deferred.defer_advance(6);
-        deferred.insert(&s_deferred, 15, Tid::new(0, 1), &row(15));
+        deferred.insert(&mut s_deferred.session(), 15, Tid::new(0, 1), &row(15));
         deferred.defer_advance(12);
-        deferred.insert(&s_deferred, 25, Tid::new(0, 2), &row(25));
+        deferred.insert(&mut s_deferred.session(), 25, Tid::new(0, 2), &row(25));
         deferred.flush_advance();
         assert_eq!(
             s_deferred.clock().snapshot(),
@@ -425,22 +437,22 @@ mod tests {
     #[test]
     fn clear_releases_everything() {
         let s = storage();
-        let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 5, Tid::new(0, 0), &row(5));
-        c.insert(&s, 15, Tid::new(0, 1), &row(15));
+        let mut c = cache(&[10], 2);
+        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5));
+        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15));
         c.clear();
         assert_eq!(c.stats().resident, 0);
-        assert_eq!(c.probe(&s, 5, Tid::new(0, 0)), None);
+        assert_eq!(c.probe(&mut s.session(), 5, Tid::new(0, 0)), None);
     }
 
     #[test]
     fn max_resident_high_water_mark() {
         let s = storage();
-        let mut c = ResultCache::new(&[10], 2, 64);
-        c.insert(&s, 1, Tid::new(0, 0), &row(1));
-        c.insert(&s, 2, Tid::new(0, 1), &row(2));
+        let mut c = cache(&[10], 2);
+        c.insert(&mut s.session(), 1, Tid::new(0, 0), &row(1));
+        c.insert(&mut s.session(), 2, Tid::new(0, 1), &row(2));
         c.advance_to(10);
-        c.insert(&s, 11, Tid::new(0, 2), &row(11));
+        c.insert(&mut s.session(), 11, Tid::new(0, 2), &row(11));
         assert_eq!(c.stats().max_resident, 2);
     }
 }

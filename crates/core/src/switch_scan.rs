@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use smooth_executor::{batch_size, Operator, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
-use smooth_storage::{HeapFile, PageView, Storage};
+use smooth_storage::{HeapFile, PageView, Session, Storage};
 use smooth_types::{ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema, Tid};
 
 use crate::tuple_cache::TupleIdCache;
@@ -105,13 +105,14 @@ impl SwitchScan {
     /// decodes into the output buffer; the first one beyond it is thrown
     /// away (the full scan will re-find it) and the scan restarts as a
     /// full scan. Returns `false` at cursor exhaustion.
-    fn probe_phase1(&mut self) -> Result<bool> {
-        let Some((_, tid)) = self.cursor.as_mut().ok_or_else(not_open)?.next() else {
+    fn probe_phase1(&mut self, s: &mut Session) -> Result<bool> {
+        let Some((_, tid)) = self.cursor.as_mut().ok_or_else(not_open)?.next_in(s) else {
             return Ok(false);
         };
-        let cpu = *self.storage.cpu();
-        let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-        self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
+        let cpu = *s.cpu();
+        let page = s.read_heap_page(&self.heap, tid.page)?;
+        s.release();
+        s.charge_cpu(cpu.inspect_tuple_ns);
         let tuple = [PageView::new(&page)?.get(tid.slot)?];
         if self.filter.select(&tuple)? == 0 {
             return Ok(true);
@@ -123,7 +124,7 @@ impl SwitchScan {
         }
         self.produced_count += 1;
         self.produced.as_mut().ok_or_else(not_open)?.insert(tid);
-        self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
+        s.charge_cpu(cpu.emit_tuple_ns);
         let out = self.out.fill();
         self.filter.gather_selected(&tuple, out.columns_mut())?;
         out.commit_rows(1);
@@ -136,15 +137,16 @@ impl SwitchScan {
     /// qualifiers decode straight into column vectors, and the clock is
     /// charged per page with totals identical to per-tuple accounting.
     /// Returns `false` once the heap is exhausted.
-    fn fill_phase2(&mut self) -> Result<bool> {
+    fn fill_phase2(&mut self, s: &mut Session) -> Result<bool> {
         let total = self.heap.page_count();
         if self.next_page >= total {
             return Ok(false);
         }
-        let cpu = *self.storage.cpu();
+        let cpu = *s.cpu();
         let len = READAHEAD.min(total - self.next_page);
-        let pages = self.storage.read_heap_run(&self.heap, PageId(self.next_page), len)?;
-        self.storage.charge_page_probes(len as u64);
+        let pages = s.read_heap_run(&self.heap, PageId(self.next_page), len)?;
+        s.charge_cpu(cpu.hash_op_ns * len as u64); // the pool probes
+        s.release();
         self.next_page += len;
         let produced = self.produced.as_ref().ok_or_else(not_open)?;
         let mut tuples: Vec<&[u8]> = Vec::new();
@@ -159,7 +161,7 @@ impl SwitchScan {
                 tuples.push(view.get(slot)?);
             }
             let (inspected, emitted) = self.filter.fill(&tuples, self.out.fill())?;
-            self.storage.clock().charge_cpu(
+            s.charge_cpu(
                 cpu.bitmap_op_ns * slots as u64
                     + cpu.inspect_tuple_ns * inspected
                     + cpu.emit_tuple_ns * emitted,
@@ -170,10 +172,13 @@ impl SwitchScan {
 
     /// Buffer output: index probes until `want` rows are pending or the
     /// cliff is taken, then — once the index phase's rows have left —
-    /// full-scan runs until one yields a row.
+    /// full-scan runs until one yields a row; all on one storage session,
+    /// released before every inspection.
     fn fill(&mut self, want: usize) -> Result<()> {
-        while !self.switched && self.out.pending() < want && self.probe_phase1()? {}
-        while self.switched && self.out.is_drained() && self.fill_phase2()? {}
+        let storage = self.storage.clone();
+        let s = &mut storage.session();
+        while !self.switched && self.out.pending() < want && self.probe_phase1(s)? {}
+        while self.switched && self.out.is_drained() && self.fill_phase2(s)? {}
         Ok(())
     }
 }

@@ -6,21 +6,27 @@
 //! is wanted, so a bad length inside a column nobody reads is still
 //! `Error::Corrupt` on every path, qualifier or not; text is validated
 //! where a value is materialized, so non-UTF-8 bytes in a column that is
-//! neither read nor emitted are not read and not an error.
+//! neither read nor emitted are not read and not an error. And a TID past
+//! its page's slot count — the page header lying about an entry of the
+//! engine's own index — is `Error::Corrupt` on every reader that
+//! addresses tuples by TID.
 
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, SwitchScan, Trigger};
+use smooth_core::{
+    PolicyKind, SmoothIndexNestedLoopJoin, SmoothInnerPath, SmoothScan, SmoothScanConfig,
+    SwitchScan, Trigger,
+};
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
-    collect_rows, run_pipeline, FullTableScan, IndexNestedLoopJoin, IndexScan, JoinType,
+    collect_rows, run_pipeline, FullTableScan, IndexNestedLoopJoin, IndexScan, JoinType, Operator,
     ParallelPipeline, ParallelSource, PhaseSpec, Predicate, SinkSpec, SortScan,
 };
 use smooth_index::BTreeIndex;
-use smooth_storage::{Backend, HeapFile, HeapLoader, MemBackend, PageBuf, Storage};
-use smooth_types::{Column, DataType, Error, Result, Row, Schema, Value};
+use smooth_storage::{Backend, HeapFile, HeapLoader, MemBackend, PageBuf, PageView, Storage};
+use smooth_types::{Column, DataType, Error, PageId, Result, Row, Schema, Value};
 
 /// A page store that rewrites every page on its way in — how a test
 /// gets hostile bytes under a real heap: each occurrence of `from`
@@ -51,6 +57,28 @@ impl Backend for Mangled {
     }
 }
 
+/// A page store whose page headers claim one slot fewer than the page
+/// holds: the last tuple of every page is still there, but a TID naming
+/// it is past the page's slot count.
+struct ShortSlotted(MemBackend);
+
+impl Backend for ShortSlotted {
+    fn page_count(&self) -> u32 {
+        self.0.page_count()
+    }
+
+    fn read(&self, page: u32) -> Result<PageBuf> {
+        self.0.read(page)
+    }
+
+    fn append(&mut self, page: PageBuf) -> Result<u32> {
+        let mut bytes = page.to_vec();
+        let slots = u16::from_le_bytes([bytes[0], bytes[1]]) - 1;
+        bytes[..2].copy_from_slice(&slots.to_le_bytes());
+        self.0.append(bytes.into())
+    }
+}
+
 fn schema() -> Schema {
     Schema::new(vec![
         Column::new("k", DataType::Int64),
@@ -77,7 +105,11 @@ fn rows() -> Vec<Row> {
 
 fn heap(from: &[u8], to: &[u8]) -> Arc<HeapFile> {
     let backend = Mangled { pages: MemBackend::new(), from: from.to_vec(), to: to.to_vec() };
-    let mut loader = HeapLoader::with_backend("t", schema(), Box::new(backend));
+    heap_on(Box::new(backend))
+}
+
+fn heap_on(backend: Box<dyn Backend>) -> Arc<HeapFile> {
+    let mut loader = HeapLoader::with_backend("t", schema(), backend);
     for row in rows() {
         loader.push(&row).unwrap();
     }
@@ -226,5 +258,56 @@ fn hostile_bytes_under_a_pruned_layout() {
         for (what, got) in read_every_way(&broken, &index, cols) {
             assert!(matches!(got, Err(Error::Corrupt(_))), "{what} emitting {cols:?}: {got:?}");
         }
+    }
+}
+
+#[test]
+fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
+    let clean = heap(b"", b"");
+    let index = Arc::new(BTreeIndex::build_from_heap("t_k", &clean, 0).unwrap());
+    let short = heap_on(Box::new(ShortSlotted(MemBackend::new())));
+    let (h, i, s) = (|| Arc::clone(&short), || Arc::clone(&index), Storage::default_hdd);
+    let (lo, hi, t) = (Bound::Unbounded, Bound::Unbounded, || Predicate::True);
+    // Every key, so every page's last tuple is asked for by its TID, and
+    // Smooth Scan's trigger never fires, so it stays in Mode 0 throughout.
+    // The joins' outer side leads with the key of page 0's last tuple:
+    // the morphing inner path consults the index only until it has
+    // harvested every page.
+    let page0 = clean.read_raw(PageId(0)).unwrap();
+    let last_of_page0 = i64::from(PageView::new(&page0).unwrap().slot_count() - 1);
+    let mode0 =
+        Trigger::OptimizerDriven { estimated_cardinality: 10_000, policy: PolicyKind::Greedy };
+    let smooth = |ordered: bool| {
+        let config = SmoothScanConfig::default().with_order(ordered).with_trigger(mode0);
+        collect_rows(&mut SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config))
+    };
+    let outer = || {
+        let keys = std::iter::once(last_of_page0 % 50).chain(0..50);
+        let keys = keys.map(|k| Row::new(vec![Value::Int(k)])).collect();
+        Box::new(ValuesOp::new(
+            Schema::new(vec![Column::new("fk", DataType::Int64)]).unwrap(),
+            keys,
+        ))
+    };
+    let join = |ty, residual| IndexNestedLoopJoin::new(outer(), 0, h(), i(), residual, ty, s());
+    let morphing =
+        SmoothIndexNestedLoopJoin::new(outer(), 0, SmoothInnerPath::new(h(), i(), s(), 0, t()));
+    let read: Vec<(&str, Box<dyn Operator>)> = vec![
+        ("index scan", Box::new(IndexScan::new(h(), i(), s(), lo, hi, t()))),
+        ("sort scan", Box::new(SortScan::new(h(), i(), s(), lo, hi, t()))),
+        (
+            "switch scan's index phase",
+            Box::new(SwitchScan::new(h(), i(), s(), 0, lo, hi, t(), 10_000)),
+        ),
+        ("index join inner side", Box::new(join(JoinType::Inner, t()))),
+        // Nothing passes the residual: no first match stops the fetches.
+        ("index semi join", Box::new(join(JoinType::LeftSemi, Predicate::int_lt(1, 0)))),
+        ("morphing inner path", Box::new(morphing)),
+    ];
+    let read = read.into_iter().map(|(what, mut op)| (what, collect_rows(op.as_mut())));
+    let smooths =
+        [("smooth scan through mode 0", smooth(false)), ("ordered, through mode 0", smooth(true))];
+    for (what, got) in read.chain(smooths) {
+        assert!(matches!(got, Err(Error::Corrupt(_))), "{what}: {got:?}");
     }
 }

@@ -16,14 +16,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smooth_index::BTreeIndex;
-use smooth_storage::{HeapFile, PageView, Storage};
+use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
 use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, Tid,
+    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, SlotId, Tid,
 };
 
 use crate::expr::{Predicate, ScanFilter};
 use crate::hashtable::KeyTable;
 use crate::operator::{batch_size, BoxedOperator, Operator};
+use crate::scan::slot_tuples;
 use crate::spill::{charge_spill_io, spill_write, SpillFile};
 
 /// Supported join semantics.
@@ -1040,8 +1041,8 @@ pub struct IndexNestedLoopJoin {
     out: ColumnBuffer,
 }
 
-/// The inner side of an [`IndexNestedLoopJoin`]: index probe, heap fetch
-/// and residual for one key at a time.
+/// The inner side of an [`IndexNestedLoopJoin`] and its per-morsel
+/// scratch.
 struct InnerProbe {
     heap: Arc<HeapFile>,
     index: Arc<BTreeIndex>,
@@ -1051,36 +1052,10 @@ struct InnerProbe {
     storage: Storage,
     /// TIDs of the key being probed (reused across keys).
     tids: Vec<Tid>,
-}
-
-impl InnerProbe {
-    /// Fetch the inner tuples of `key` in TID order and append the
-    /// residual-qualifying ones to `inner_cols` (one vector per inner
-    /// column; untouched by a semi join, which stops at its first match).
-    /// Returns how many joined rows `key` produces. Inner fetches feed no
-    /// scan statistics — they are probes, not a scan.
-    fn probe(&mut self, key: i64, inner_cols: &mut [ColumnVector]) -> Result<usize> {
-        self.index.probe_into(&self.storage, key, &mut self.tids);
-        let cpu = *self.storage.cpu();
-        let mut joined = 0;
-        for tid in &self.tids {
-            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns);
-            let tuple = [PageView::new(&page)?.get(tid.slot)?];
-            if self.filter.select(&tuple)? == 0 {
-                continue;
-            }
-            self.storage.clock().charge_cpu(cpu.emit_tuple_ns);
-            joined += 1;
-            match self.ty {
-                JoinType::Inner => self.filter.gather_selected(&tuple, inner_cols)?,
-                // The residual runs per tuple in TID order so the first
-                // match ends the fetches, as the page counters expect.
-                JoinType::LeftSemi => break,
-            }
-        }
-        Ok(joined)
-    }
+    /// The morsel's fetched inner tuples (emptied after every morsel) and
+    /// the outer row each was fetched for.
+    fetched: Vec<(PageBuf, SlotId)>,
+    owners: Vec<u32>,
 }
 
 impl IndexNestedLoopJoin {
@@ -1097,8 +1072,9 @@ impl IndexNestedLoopJoin {
         let schema = join_schema(outer.schema(), inner_heap.schema(), ty);
         let out = ColumnBuffer::for_schema(&schema);
         let filter = ScanFilter::new(inner_residual, inner_heap.schema());
-        let inner =
-            InnerProbe { heap: inner_heap, index: inner_index, filter, ty, storage, tids: vec![] };
+        let (heap, index, tids, fetched, owners) =
+            (inner_heap, inner_index, vec![], vec![], vec![]);
+        let inner = InnerProbe { heap, index, filter, ty, storage, tids, fetched, owners };
         let outer_emit = (0..outer.schema().len()).collect();
         let emit_label = String::new();
         let matched = Vec::new();
@@ -1144,20 +1120,48 @@ impl IndexNestedLoopJoin {
     }
 
     /// Pull one outer morsel (so an outer scan reads ahead by whole
-    /// morsels, as under every other operator) and probe it to completion
-    /// into the output buffer: the inner matches of each live outer row
-    /// in TID order, or — for a semi join — the outer row itself on its
-    /// first match. Returns `false` at outer exhaustion.
+    /// morsels) and probe it to completion: its live non-NULL keys in row
+    /// order on one storage session — descent, leaf walk, TID-ordered heap
+    /// fetches, as a key-at-a-time loop issues them — then the residual
+    /// over every fetched tuple at once. A semi join inspects as it
+    /// fetches, so its first match ends the key's fetches. Inner fetches
+    /// feed no scan statistics. Returns `false` at outer exhaustion.
     fn advance(&mut self, max: usize) -> Result<bool> {
         let Some(outer) = self.outer.next_columns(max)? else { return Ok(false) };
-        let key_col = outer.column_checked(self.outer_col)?;
+        let keys = outer.column_checked(self.outer_col)?;
         let out = self.out.fill();
         let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(self.outer_emit.len());
+        let InnerProbe { heap, index, filter, ty, storage, tids, fetched, owners } =
+            &mut self.inner;
+        let (s, cpu) = (&mut storage.session(), *storage.cpu());
         self.matched.clear();
-        for row in outer.live_rows().filter(|&row| !key_col.is_null(row)) {
-            let joined = self.inner.probe(key_col.int(row)?, inner_cols)?;
-            self.matched.extend(std::iter::repeat_n(row as u32, joined));
+        owners.clear();
+        fetched.clear();
+        for row in outer.live_rows().filter(|&row| !keys.is_null(row)) {
+            index.probe_into(s, keys.int(row)?, tids);
+            for tid in tids.iter() {
+                let page = s.read_heap_page(heap, tid.page)?;
+                if *ty == JoinType::Inner {
+                    fetched.push((page, tid.slot));
+                    owners.push(row as u32);
+                    continue;
+                }
+                s.release();
+                s.charge_cpu(cpu.inspect_tuple_ns);
+                if filter.select(&[PageView::new(&page)?.get(tid.slot)?])? == 1 {
+                    s.charge_cpu(cpu.emit_tuple_ns);
+                    self.matched.push(row as u32);
+                    break;
+                }
+            }
         }
+        s.release();
+        let tuples = slot_tuples(fetched)?;
+        let emitted = filter.select(&tuples)? as u64;
+        s.charge_cpu(cpu.inspect_tuple_ns * tuples.len() as u64 + cpu.emit_tuple_ns * emitted);
+        self.matched.extend(filter.selected().iter().map(|&i| owners[i as usize]));
+        filter.gather_selected(&tuples, inner_cols)?;
+        fetched.clear(); // hold no page frame between calls
         for (dst, &c) in outer_cols.iter_mut().zip(&self.outer_emit) {
             dst.extend_gather(outer.column_checked(c)?, &self.matched);
         }

@@ -15,8 +15,8 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use smooth_index::{BTreeIndex, IndexCursor};
-use smooth_storage::{HeapFile, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, Tid};
+use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId};
 
 use crate::expr::{Predicate, ScanFilter};
 use crate::operator::{batch_size, Operator};
@@ -29,7 +29,7 @@ use crate::operator::{batch_size, Operator};
 pub(crate) fn fill_page_columns<'a>(
     storage: &Storage,
     filter: &mut ScanFilter,
-    page: &'a smooth_storage::PageBuf,
+    page: &'a PageBuf,
     slots: Option<&[u16]>,
     tuples: &mut Vec<&'a [u8]>,
     out: &mut ColumnBatch,
@@ -193,23 +193,41 @@ impl IndexScan {
         Ok(self)
     }
 
-    /// Run cursor probes — one heap fetch, one inspect and, for a
-    /// qualifier, one emit each — until `want` rows are buffered or the
-    /// range is exhausted.
+    /// Run cursor probes until `want` rows are buffered or the range is
+    /// exhausted. Each round walks at most `want − pending` TIDs (each
+    /// yields at most one row, so never one a TID-at-a-time loop would not
+    /// have read) and fetches their pages on one storage session, then
+    /// fills them in one pass: one inspect per TID, one emit per qualifier.
     fn fill(&mut self, want: usize) -> Result<()> {
         let Some(cursor) = self.cursor.as_mut() else {
             return Err(smooth_types::Error::exec("IndexScan before open"));
         };
-        let cpu = *self.storage.cpu();
         while self.out.pending() < want {
-            let Some((_, tid)) = cursor.next() else { break };
-            let page = self.storage.read_heap_page(&self.heap, tid.page)?;
-            let tuple = [PageView::new(&page)?.get(tid.slot)?];
-            let (_, emitted) = self.filter.fill(&tuple, self.out.fill())?;
-            self.storage.clock().charge_cpu(cpu.inspect_tuple_ns + cpu.emit_tuple_ns * emitted);
+            let (n, s) = (want - self.out.pending(), &mut self.storage.session());
+            let mut fetched = Vec::with_capacity(n);
+            while fetched.len() < n {
+                let Some((_, tid)) = cursor.next_in(s) else { break };
+                fetched.push((s.read_heap_page(&self.heap, tid.page)?, tid.slot));
+            }
+            s.release();
+            let (inspected, emitted) =
+                self.filter.fill(&slot_tuples(&fetched)?, self.out.fill())?;
+            s.charge_cpu(s.cpu().inspect_tuple_ns * inspected + s.cpu().emit_tuple_ns * emitted);
+            if fetched.len() < n {
+                break; // the range is exhausted
+            }
         }
         Ok(())
     }
+}
+
+/// The tuples at the `(page, slot)`s of fetched pages, in order.
+pub(crate) fn slot_tuples(fetched: &[(PageBuf, SlotId)]) -> Result<Vec<&[u8]>> {
+    let mut tuples = Vec::with_capacity(fetched.len()); // one allocation per morsel
+    for (page, slot) in fetched {
+        tuples.push(PageView::new(page)?.get(*slot)?);
+    }
+    Ok(tuples)
 }
 
 impl Operator for IndexScan {
@@ -330,18 +348,17 @@ impl Operator for SortScan {
     fn open(&mut self) -> Result<()> {
         self.runs.clear();
         self.out.reset();
-        // Phase 1 (blocking): drain the index range.
-        let mut tids: Vec<Tid> = self
-            .index
-            .range(&self.storage, self.lo, self.hi)
-            .collect_all()
-            .into_iter()
-            .map(|(_, tid)| tid)
-            .collect();
+        // Phase 1 (blocking): drain the index range on one session.
+        let mut cursor = self.index.range(&self.storage, self.lo, self.hi);
+        let (mut tids, s) = (Vec::new(), &mut self.storage.session());
+        while let Some((_, tid)) = cursor.next_in(s) {
+            tids.push(tid);
+        }
+        s.release();
         // Phase 2: sort TIDs in physical (page-major) order.
         let n = tids.len() as u64;
         if n > 1 {
-            self.storage.clock().charge_cpu(self.storage.cpu().sort_cmp_ns * n * n.ilog2() as u64);
+            s.charge_cpu(s.cpu().sort_cmp_ns * n * n.ilog2() as u64);
         }
         tids.sort_unstable();
         // Phase 3: group by page, then coalesce ascending pages whose gaps

@@ -1215,8 +1215,11 @@ mod tests {
     use super::*;
     use crate::operator::collect_rows;
     use crate::{batch_size, FullTableScan, Predicate, SinkSpec};
+    use crate::{BoxedOperator, IndexNestedLoopJoin, IndexScan, JoinType};
+    use smooth_index::BTreeIndex;
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
     use smooth_types::{Column, DataType, DataType::Int64, Value};
+    use std::ops::Bound;
 
     fn table(rows: i64, name: &str) -> Arc<HeapFile> {
         let schema = Schema::new(vec![
@@ -1252,6 +1255,10 @@ mod tests {
             readahead: crate::scan::FULL_SCAN_READAHEAD,
             cols: None,
         };
+        pipeline(source, s)
+    }
+
+    fn pipeline(source: ParallelSource, s: &Storage) -> ParallelPipeline {
         ParallelPipeline {
             phases: vec![PhaseSpec { source, stages: Vec::new(), build: None }],
             sink: SinkSpec::Collect,
@@ -1306,26 +1313,37 @@ mod tests {
 
     #[test]
     fn per_query_stats_attribute_io_under_concurrency() {
-        // Two concurrent full scans over *different* heaps on one
-        // shared storage: each query's pages must equal its own heap's
-        // page count (attribution never leaks across queries), and the
-        // sum of per-query pages equals the engine-global counter.
-        let a = table(2400, "heap_a");
-        let b = table(1200, "heap_b");
-        let s = storage();
+        // Queries racing on one storage at two workers: full scans of two
+        // heaps of their own — each query's pages are its heap's, nothing
+        // leaks across queries — and an Index Scan and an index join whose
+        // storage sessions tap their traffic as they drop. Per-query
+        // pages, hits and requests sum to the engine's.
+        let (a, b, c) = (table(2400, "heap_a"), table(1200, "heap_b"), table(1500, "heap_c"));
+        let index = Arc::new(BTreeIndex::build_from_heap("c1", &c, 1).unwrap());
+        let (h, i, t, s) =
+            (|| Arc::clone(&c), || Arc::clone(&index), || Predicate::True, storage());
         s.reset_metrics();
-        let scheduler = Scheduler::new(4, 4);
-        let ha = scheduler.submit(scan_pipeline(&a, &s, 0, 1000)).unwrap();
-        let hb = scheduler.submit(scan_pipeline(&b, &s, 0, 1000)).unwrap();
-        let oa = ha.wait().unwrap();
-        let ob = hb.wait().unwrap();
-        assert_eq!(oa.stats.pages_read, u64::from(a.page_count()));
-        assert_eq!(ob.stats.pages_read, u64::from(b.page_count()));
-        assert_eq!(oa.stats.rows_scanned, 2400);
-        assert_eq!(ob.stats.rows_scanned, 1200);
-        let engine = s.io_snapshot();
-        assert_eq!(engine.pages_read, oa.stats.pages_read + ob.stats.pages_read);
-        assert_eq!(engine.buffer_hits, oa.stats.buffer_hits + ob.stats.buffer_hits);
+        let range = (Bound::Included(100), Bound::Excluded(400));
+        let index_scan = IndexScan::new(h(), i(), s.clone(), range.0, range.1, t());
+        let outer = Box::new(FullTableScan::new(h(), s.clone(), Predicate::int_lt(0, 600)));
+        let inlj = IndexNestedLoopJoin::new(outer, 1, h(), i(), t(), JoinType::Inner, s.clone());
+        let shared = |op: BoxedOperator| pipeline(ParallelSource::Shared { op }, &s);
+        let queries = [scan_pipeline(&a, &s, 0, 1000), scan_pipeline(&b, &s, 0, 1000)];
+        let queries =
+            queries.into_iter().chain([shared(Box::new(index_scan)), shared(Box::new(inlj))]);
+        let scheduler = Scheduler::new(2, 4);
+        let handles: Vec<_> = queries.map(|q| scheduler.submit(q).unwrap()).collect();
+        let stats: Vec<ScanStatistics> =
+            handles.into_iter().map(|h| h.wait().unwrap().stats).collect();
+        assert_eq!(stats[0].pages_read, u64::from(a.page_count()));
+        assert_eq!(stats[1].pages_read, u64::from(b.page_count()));
+        assert_eq!((stats[0].rows_scanned, stats[1].rows_scanned), (2400, 1200));
+        assert!(stats[2..].iter().all(|q| q.pages_read > 0 && q.io_requests > 0));
+        let (engine, sum) =
+            (s.io_snapshot(), |f: fn(&ScanStatistics) -> u64| stats.iter().map(f).sum());
+        assert_eq!(engine.pages_read, sum(|q| q.pages_read));
+        assert_eq!(engine.buffer_hits, sum(|q| q.buffer_hits));
+        assert_eq!(engine.io_requests, sum(|q| q.io_requests));
     }
 
     #[test]

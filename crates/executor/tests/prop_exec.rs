@@ -10,7 +10,10 @@
 //! held to. What it no longer is is evidence for the *charges* (both
 //! calls run one fill): those are pinned by closed forms instead —
 //! [`index_scan_charges_its_closed_form`] here, `prop_sort`'s, and
-//! `prop_smooth`'s for Switch Scan and Smooth Scan's Mode 0.
+//! `prop_smooth`'s for Switch Scan and Smooth Scan's Mode 0 — and the
+//! morsel-at-a-time index paths, which fetch a whole morsel on one storage
+//! session before they inspect it, by a hand-written loop over the
+//! per-call storage API ([`morsel_index_paths_charge_what_per_call_loops_charge`]).
 
 mod common;
 
@@ -26,7 +29,10 @@ use smooth_executor::{
     Operator, Predicate, Project, Sort, SortScan,
 };
 use smooth_index::BTreeIndex;
-use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
+use smooth_storage::{
+    ClockSnapshot, CpuCosts, DeviceProfile, HeapFile, HeapLoader, IoSnapshot, Storage,
+    StorageConfig,
+};
 use smooth_types::{Column, DataType, Row, Schema, Value};
 
 /// Drain an operator through `next_columns(max)` only, checking the
@@ -396,8 +402,139 @@ proptest! {
     }
 }
 
+/// What a run shows: its rows, the virtual clock and the I/O counters.
+type Observed = (Vec<Row>, ClockSnapshot, IoSnapshot);
+
+fn observe(s: &Storage, rows: Vec<Row>) -> Observed {
+    (rows, s.clock().snapshot(), s.io_snapshot())
+}
+
+/// The index join the per-call way: per outer row in order, one
+/// `BTreeIndex::probe`, then one `Storage::read_heap_page` per TID; the
+/// inspect / emit charges in closed form. NULL keys join nothing.
+fn inlj_reference(
+    s: &Storage,
+    (heap, index): (&HeapFile, &Arc<BTreeIndex>),
+    outer: &[Row],
+    ty: JoinType,
+    passes: impl Fn(&Row) -> bool,
+) -> Observed {
+    let (mut rows, mut inspected, mut emitted) = (Vec::new(), 0, 0);
+    for o in outer {
+        let Value::Int(key) = *o.get(0) else { continue };
+        for tid in index.probe(s, key) {
+            let page = s.read_heap_page(heap, tid.page).unwrap();
+            let inner = heap.decode_slot(&page, tid.slot).unwrap();
+            inspected += 1;
+            if passes(&inner) {
+                emitted += 1;
+                if ty == JoinType::LeftSemi {
+                    rows.push(o.clone());
+                    break;
+                }
+                rows.push(Row::new(o.values().iter().chain(inner.values()).cloned().collect()));
+            }
+        }
+    }
+    let cpu = s.cpu();
+    s.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * emitted);
+    observe(s, rows)
+}
+
+/// Index Scan the per-call way: one `IndexCursor::next` and one
+/// `Storage::read_heap_page` per TID.
+fn index_scan_reference(
+    s: &Storage,
+    (heap, index): (&HeapFile, &Arc<BTreeIndex>),
+    (lo, hi): (Bound<i64>, Bound<i64>),
+    passes: impl Fn(&Row) -> bool,
+) -> Observed {
+    let (mut rows, mut inspected) = (Vec::new(), 0);
+    let mut cursor = index.range(s, lo, hi);
+    while let Some((_, tid)) = cursor.next() {
+        let page = s.read_heap_page(heap, tid.page).unwrap();
+        let row = heap.decode_slot(&page, tid.slot).unwrap();
+        inspected += 1;
+        if passes(&row) {
+            rows.push(row);
+        }
+    }
+    let cpu = s.cpu();
+    s.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * rows.len() as u64);
+    observe(s, rows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The morsel paths fetch a whole morsel's TIDs on one storage session
+    /// and inspect them afterwards; that must move no charge. Over a
+    /// padded table on a 2–8-page pool — every heap fetch can evict an
+    /// index node, so the interleaving of index touches and heap reads
+    /// decides every hit, miss and seq / rand verdict — the index join
+    /// (inner and semi; duplicate, missing and NULL outer keys; a
+    /// residual) and Index Scan, drained through `next()` and at
+    /// `max ∈ {1, 2, 7, 1024}`, show the rows, clock and I/O counters of
+    /// the per-call loop.
+    #[test]
+    fn morsel_index_paths_charge_what_per_call_loops_charge(
+        keys in proptest::collection::vec(0i64..30, 1..160),
+        outer in proptest::collection::vec(-1i64..36, 0..70),
+        fanout in 2usize..7,
+        pool_pages in 2usize..9,
+        residual_hi in 0i64..200,
+        lo in 0i64..30,
+        width in 0i64..35,
+    ) {
+        let schema = Schema::new(vec![
+            Column::new("c0", DataType::Int64),
+            Column::new("c1", DataType::Int64),
+            Column::new("pad", DataType::Text),
+        ])
+        .unwrap();
+        let mut loader = HeapLoader::new_mem("t", schema);
+        let mut entries = Vec::new();
+        for (i, &k) in keys.iter().enumerate() {
+            let row = Row::new(vec![Value::Int(i as i64), Value::Int(k), Value::str("p".repeat(900))]);
+            entries.push((k, loader.push(&row).unwrap()));
+        }
+        let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
+        let index = Arc::new(BTreeIndex::build_with_fanout("i", entries, fanout));
+        let tables = (heap.as_ref(), &index);
+        let storage = || Storage::new(StorageConfig {
+            device: DeviceProfile::custom("t", 1, 10),
+            cpu: CpuCosts::default(),
+            pool_pages,
+        });
+        let passes = |row: &Row| row.int(0).unwrap() < residual_hi;
+        let (h, i, residual) = (|| Arc::clone(&heap), || Arc::clone(&index), || Predicate::int_lt(0, residual_hi));
+        let key = |k: i64| if k < 0 { Value::Null } else { Value::Int(k) };
+        let outer: Vec<Row> = outer.iter().map(|&k| Row::new(vec![key(k)])).collect();
+        let key_schema = Schema::new(vec![Column::nullable("fk", DataType::Int64)]).unwrap();
+        let range = (Bound::Included(lo), Bound::Excluded(lo + width));
+        let drains: [&Drain; 5] = [
+            &|op| collect_rows_volcano(op).unwrap(),
+            &|op| collect_columnar(op, 1),
+            &|op| collect_columnar(op, 2),
+            &|op| collect_columnar(op, 7),
+            &|op| collect_columnar(op, 1024),
+        ];
+        for ty in [JoinType::Inner, JoinType::LeftSemi] {
+            let expected = inlj_reference(&storage(), tables, &outer, ty, passes);
+            for drain in drains {
+                let s = storage();
+                let values = Box::new(ValuesOp::new(key_schema.clone(), outer.clone()));
+                let mut inlj = IndexNestedLoopJoin::new(values, 0, h(), i(), residual(), ty, s.clone());
+                prop_assert!(observe(&s, drain(&mut inlj)) == expected, "{ty:?}");
+            }
+        }
+        let expected = index_scan_reference(&storage(), tables, range, passes);
+        for drain in drains {
+            let s = storage();
+            let mut scan = IndexScan::new(h(), i(), s.clone(), range.0, range.1, residual());
+            prop_assert_eq!(observe(&s, drain(&mut scan)), expected.clone());
+        }
+    }
 
     /// The `max` contract, searched rather than stated: every engine
     /// operator hands back between one and `max` live rows per call for

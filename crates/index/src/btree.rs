@@ -16,7 +16,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_storage::{FileId, HeapFile, Storage};
+use smooth_storage::{FileId, HeapFile, Session, Storage};
 use smooth_types::{Error, PageId, Result, Tid, Value, PAGE_SIZE};
 
 use crate::cursor::IndexCursor;
@@ -217,22 +217,22 @@ impl BTreeIndex {
     /// Descend from the root to the leaf that may contain the first entry
     /// `>= (key, Tid::MIN)`, charging one virtual-page touch per node.
     /// Returns the leaf position.
-    pub(crate) fn descend(&self, storage: &Storage, key: i64) -> usize {
-        storage.clock().charge_cpu(storage.cpu().index_node_search_ns * self.height() as u64);
+    pub(crate) fn descend(&self, s: &mut Session, key: i64) -> usize {
+        s.charge_cpu(s.cpu().index_node_search_ns * self.height() as u64);
         let mut child: u32 = 0;
         for level in self.internal_levels.iter().rev() {
             let node = &level[child as usize];
-            storage.touch_index_page(self.file_id, node.page_id);
+            s.touch_index_page(self.file_id, node.page_id);
             // Leftmost child that can contain the first entry with a key
             // >= `key`: separators are each child's minimum key, and a run
             // of duplicates may begin in the child *before* the first
             // separator equal to `key`.
-            let pos = node.sep_keys.partition_point(|&s| s < key);
+            let pos = node.sep_keys.partition_point(|&sep| sep < key);
             let idx = pos.saturating_sub(1);
             child = node.children[idx];
         }
         let leaf = &self.leaves[child as usize];
-        storage.touch_index_page(self.file_id, leaf.page_id);
+        s.touch_index_page(self.file_id, leaf.page_id);
         child as usize
     }
 
@@ -240,18 +240,18 @@ impl BTreeIndex {
     /// joins). Charges the descent and any leaf walks.
     pub fn probe(&self, storage: &Storage, key: i64) -> Vec<Tid> {
         let mut out = Vec::new();
-        self.probe_into(storage, key, &mut out);
+        self.probe_into(&mut storage.session(), key, &mut out);
         out
     }
 
-    /// [`BTreeIndex::probe`] into a caller-owned buffer (cleared first),
-    /// so a probe loop allocates nothing per key.
-    pub fn probe_into(&self, storage: &Storage, key: i64, out: &mut Vec<Tid>) {
+    /// [`BTreeIndex::probe`] on a session, into a caller-owned buffer
+    /// (cleared first), so a probe loop allocates nothing per key.
+    pub fn probe_into(&self, s: &mut Session, key: i64, out: &mut Vec<Tid>) {
         out.clear();
         if self.is_empty() {
             return;
         }
-        let mut leaf = self.descend(storage, key);
+        let mut leaf = self.descend(s, key);
         let mut pos = self.leaves[leaf].entries.partition_point(|&(k, _)| k < key);
         loop {
             if pos >= self.leaves[leaf].entries.len() {
@@ -260,14 +260,14 @@ impl BTreeIndex {
                 }
                 leaf += 1;
                 pos = 0;
-                storage.touch_index_page(self.file_id, self.leaves[leaf].page_id);
+                s.touch_index_page(self.file_id, self.leaves[leaf].page_id);
                 continue;
             }
             let (k, tid) = self.leaves[leaf].entries[pos];
             if k != key {
                 break;
             }
-            storage.clock().charge_cpu(storage.cpu().index_leaf_step_ns);
+            s.charge_cpu(s.cpu().index_leaf_step_ns);
             out.push(tid);
             pos += 1;
         }
@@ -282,7 +282,7 @@ impl BTreeIndex {
         lo: Bound<i64>,
         hi: Bound<i64>,
     ) -> IndexCursor {
-        IndexCursor::new(Arc::clone(self), storage.clone(), lo, hi)
+        IndexCursor::new(Arc::clone(self), storage, lo, hi)
     }
 
     /// A cursor over the whole index.

@@ -12,15 +12,21 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_storage::Storage;
+use smooth_storage::{Session, Storage};
 use smooth_types::Tid;
 
 use crate::btree::BTreeIndex;
 
 /// Iterator state for one index range scan.
 pub struct IndexCursor {
-    index: Arc<BTreeIndex>,
+    /// What [`IndexCursor::next`] opens its one-step session on.
     storage: Storage,
+    walk: Walk,
+}
+
+/// Where a cursor stands in the leaf level.
+struct Walk {
+    index: Arc<BTreeIndex>,
     hi: Bound<i64>,
     leaf: usize,
     pos: usize,
@@ -30,45 +36,71 @@ pub struct IndexCursor {
 impl IndexCursor {
     pub(crate) fn new(
         index: Arc<BTreeIndex>,
-        storage: Storage,
+        storage: &Storage,
         lo: Bound<i64>,
         hi: Bound<i64>,
     ) -> Self {
-        if index.is_empty() {
-            return IndexCursor { index, storage, hi, leaf: 0, pos: 0, exhausted: true };
-        }
-        // Position at the first entry satisfying the lower bound.
-        let (leaf, pos) = match lo {
-            Bound::Unbounded => {
-                // Touch the leftmost spine.
-                let leaf = index.descend(&storage, i64::MIN);
-                (leaf, 0)
+        let mut walk = Walk { index, hi, leaf: 0, pos: 0, exhausted: true };
+        if !walk.index.is_empty() {
+            let s = &mut storage.session();
+            // Position at the first entry satisfying the lower bound; an
+            // unbounded one touches the leftmost spine.
+            let k = match lo {
+                Bound::Unbounded => i64::MIN,
+                Bound::Included(k) | Bound::Excluded(k) => k,
+            };
+            walk.leaf = walk.index.descend(s, k);
+            walk.pos = walk.index.leaves[walk.leaf].entries.partition_point(|&(key, _)| key < k);
+            walk.exhausted = false;
+            walk.skip_empty_leaves(s);
+            if let Bound::Excluded(k) = lo {
+                // Skip the run of duplicates equal to the excluded bound;
+                // the run may span leaf boundaries.
+                while !walk.exhausted && walk.index.leaves[walk.leaf].entries[walk.pos].0 == k {
+                    walk.pos += 1;
+                    walk.skip_empty_leaves(s);
+                }
             }
-            Bound::Included(k) | Bound::Excluded(k) => Self::seek(&index, &storage, k),
-        };
-        let mut c = IndexCursor { index, storage, hi, leaf, pos, exhausted: false };
-        c.skip_empty_leaves();
-        if let Bound::Excluded(k) = lo {
-            // Skip the run of duplicates equal to the excluded bound; the
-            // run may span leaf boundaries.
-            while !c.exhausted && c.index.leaves[c.leaf].entries[c.pos].0 == k {
-                c.pos += 1;
-                c.skip_empty_leaves();
-            }
         }
-        c
+        IndexCursor { storage: storage.clone(), walk }
     }
 
-    /// Find the first position with key `>= k`.
-    fn seek(index: &BTreeIndex, storage: &Storage, k: i64) -> (usize, usize) {
-        let leaf_idx = index.descend(storage, k);
-        let leaf = &index.leaves[leaf_idx];
-        let pos = leaf.entries.partition_point(|&(key, _)| key < k);
-        (leaf_idx, pos)
+    /// Peek at the next `(key, tid)` without consuming it or charging CPU.
+    pub fn peek(&self) -> Option<(i64, Tid)> {
+        let w = &self.walk;
+        if w.exhausted {
+            return None;
+        }
+        let (key, tid) = w.index.leaves[w.leaf].entries[w.pos];
+        w.within_hi(key).then_some((key, tid))
     }
 
+    /// The next `(key, tid)` pair, or `None` past the upper bound: one
+    /// leaf step charged to `s`, and a page touch when it crosses into
+    /// the next leaf.
+    pub fn next_in(&mut self, s: &mut Session) -> Option<(i64, Tid)> {
+        self.walk.next_in(s)
+    }
+
+    /// [`IndexCursor::next_in`] as a one-step session.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Option<(i64, Tid)> {
+        self.walk.next_in(&mut self.storage.session())
+    }
+
+    /// Drain the cursor into a vector, on one session (tests).
+    pub fn collect_all(mut self) -> Vec<(i64, Tid)> {
+        let (mut out, s) = (Vec::new(), &mut self.storage.session());
+        while let Some(e) = self.walk.next_in(s) {
+            out.push(e);
+        }
+        out
+    }
+}
+
+impl Walk {
     /// Advance over exhausted leaves, charging a touch per new leaf.
-    fn skip_empty_leaves(&mut self) {
+    fn skip_empty_leaves(&mut self, s: &mut Session) {
         while self.pos >= self.index.leaves[self.leaf].entries.len() {
             if self.leaf + 1 >= self.index.leaves.len() {
                 self.exhausted = true;
@@ -76,8 +108,7 @@ impl IndexCursor {
             }
             self.leaf += 1;
             self.pos = 0;
-            let page = self.index.leaves[self.leaf].page_id;
-            self.storage.touch_index_page(self.index.file_id(), page);
+            s.touch_index_page(self.index.file_id(), self.index.leaves[self.leaf].page_id);
         }
     }
 
@@ -89,18 +120,7 @@ impl IndexCursor {
         }
     }
 
-    /// Peek at the next `(key, tid)` without consuming it or charging CPU.
-    pub fn peek(&self) -> Option<(i64, Tid)> {
-        if self.exhausted {
-            return None;
-        }
-        let (key, tid) = self.index.leaves[self.leaf].entries[self.pos];
-        self.within_hi(key).then_some((key, tid))
-    }
-
-    /// The next `(key, tid)` pair, or `None` past the upper bound.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Option<(i64, Tid)> {
+    fn next_in(&mut self, s: &mut Session) -> Option<(i64, Tid)> {
         if self.exhausted {
             return None;
         }
@@ -109,19 +129,10 @@ impl IndexCursor {
             self.exhausted = true;
             return None;
         }
-        self.storage.clock().charge_cpu(self.storage.cpu().index_leaf_step_ns);
+        s.charge_cpu(s.cpu().index_leaf_step_ns);
         self.pos += 1;
-        self.skip_empty_leaves();
+        self.skip_empty_leaves(s);
         Some((key, tid))
-    }
-
-    /// Drain the cursor into a vector (tests and Sort Scan TID collection).
-    pub fn collect_all(mut self) -> Vec<(i64, Tid)> {
-        let mut out = Vec::new();
-        while let Some(e) = self.next() {
-            out.push(e);
-        }
-        out
     }
 }
 

@@ -8,8 +8,9 @@
 //!
 //! Node *contents* live in memory (the index is rebuilt per experiment, as
 //! `CREATE INDEX` is setup work), but node *residency* is tracked through
-//! the shared buffer pool: every descent and every leaf step touches
-//! virtual index pages via [`smooth_storage::Storage::touch_index_page`], so
+//! the shared buffer pool: every descent and every leaf crossing touches
+//! virtual index pages via [`smooth_storage::Session::touch_index_page`]
+//! (on the caller's storage session, one per operator call), so
 //! tree I/O is charged with the same device model as heap I/O — `height`
 //! random touches per cold descent plus sequential leaf walks, exactly the
 //! structure of Eq. (11).

@@ -28,6 +28,7 @@ pub mod heap;
 pub mod page;
 pub mod pool;
 pub mod scanstats;
+pub mod session;
 pub mod stats;
 pub mod storage;
 pub mod tracker;
@@ -41,6 +42,7 @@ pub use heap::{HeapFile, HeapLoader};
 pub use page::{PageBuf, PageBuilder, PageView};
 pub use pool::BufferPool;
 pub use scanstats::{tap_mark, tap_rows, ScanStatistics, TapMark};
+pub use session::Session;
 pub use stats::{IoSnapshot, IoStatsDelta};
 pub use storage::{FileId, Storage, StorageConfig};
 pub use tracker::DiskTracker;

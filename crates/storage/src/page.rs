@@ -115,10 +115,12 @@ impl<'a> PageView<'a> {
         u16::from_le_bytes([self.bytes[2], self.bytes[3]])
     }
 
-    /// Raw bytes of the tuple in `slot`.
+    /// Raw bytes of the tuple in `slot`. A slot past the page's slot
+    /// count is [`Error::Corrupt`]: readers address tuples by TID, an
+    /// index entry the engine built, so it is the page header that lies.
     pub fn get(&self, slot: SlotId) -> Result<&'a [u8]> {
         if slot >= self.slot_count() {
-            return Err(Error::exec(format!(
+            return Err(Error::corrupt(format!(
                 "slot {slot} out of range (page has {})",
                 self.slot_count()
             )));
@@ -157,7 +159,7 @@ mod tests {
         assert_eq!(v.slot_count(), 2);
         assert_eq!(v.get(0).unwrap(), b"alpha");
         assert_eq!(v.get(1).unwrap(), b"bravo!");
-        assert!(v.get(2).is_err());
+        assert!(matches!(v.get(2), Err(Error::Corrupt(_))), "a TID past the slot count");
     }
 
     #[test]

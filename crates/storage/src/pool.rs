@@ -11,6 +11,7 @@
 //! (cold-run methodology: caches are flushed before each query).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::page::PageBuf;
 use crate::storage::FileId;
@@ -36,7 +37,7 @@ struct Frame {
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<(FileId, u32), usize>,
+    map: HashMap<(FileId, u32), usize, BuildHasherDefault<PageKeyHasher>>,
     hand: usize,
 }
 
@@ -47,7 +48,7 @@ impl BufferPool {
         BufferPool {
             capacity,
             frames: Vec::with_capacity(capacity.min(4096)),
-            map: HashMap::with_capacity(capacity.min(4096)),
+            map: HashMap::with_capacity_and_hasher(capacity.min(4096), Default::default()),
             hand: 0,
         }
     }
@@ -114,6 +115,28 @@ impl BufferPool {
         self.frames.clear();
         self.map.clear();
         self.hand = 0;
+    }
+}
+
+/// The pool map's hasher: every page access looks its `(file, page)` key
+/// up, and SipHash's resistance to crafted collisions buys nothing for
+/// keys the engine numbers itself. One multiply-rotate per `u32` word
+/// (the scheme of rustc's `FxHasher`) mixes them well enough. The map is
+/// never iterated, so no order depends on it.
+#[derive(Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u32(b.into()));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 

@@ -142,17 +142,12 @@ pub fn tap_rows(scanned: u64, processed: u64) {
     TAP.set(c);
 }
 
-/// Tick device traffic: `pages` transferred in `requests` requests.
-pub(crate) fn tap_io(pages: u64, requests: u64) {
+/// Tick storage traffic: `pages` transferred in `requests` requests, and
+/// `hits` buffer-pool hits.
+pub(crate) fn tap_storage(pages: u64, requests: u64, hits: u64) {
     let mut c = TAP.get();
     c.pages_read += pages;
     c.io_requests += requests;
-    TAP.set(c);
-}
-
-/// Tick buffer-pool hits.
-pub(crate) fn tap_hits(hits: u64) {
-    let mut c = TAP.get();
     c.buffer_hits += hits;
     TAP.set(c);
 }
@@ -166,8 +161,7 @@ mod tests {
         let outer = tap_mark();
         tap_rows(10, 4);
         let inner = tap_mark();
-        tap_io(3, 1);
-        tap_hits(2);
+        tap_storage(3, 1, 2);
         let d_inner = inner.delta();
         assert_eq!(d_inner.rows_scanned, 0);
         assert_eq!(d_inner.pages_read, 3);

@@ -18,8 +18,8 @@ use crate::device::DeviceProfile;
 use crate::faults::{FaultConfig, FaultInjector};
 use crate::heap::HeapFile;
 use crate::page::PageBuf;
-use crate::pool::{BufferPool, Cached};
-use crate::scanstats::{tap_hits, tap_io};
+use crate::pool::BufferPool;
+use crate::session::{assert_unlocked, Session};
 use crate::stats::IoSnapshot;
 use crate::tracker::DiskTracker;
 
@@ -108,11 +108,13 @@ impl Storage {
 
     /// The current device profile.
     pub fn device(&self) -> DeviceProfile {
+        assert_unlocked("Storage::device");
         self.inner.tracker.lock().device()
     }
 
     /// Swap the device profile (between experiments).
     pub fn set_device(&self, device: DeviceProfile) {
+        assert_unlocked("Storage::set_device");
         self.inner.tracker.lock().set_device(device);
     }
 
@@ -137,7 +139,7 @@ impl Storage {
     /// no-op without an injector, otherwise the injector's retry /
     /// backoff / fail verdict (see [`FaultInjector::page_read`]).
     #[inline]
-    fn page_fault_check(&self, file: FileId, page: u32) -> Result<()> {
+    pub(crate) fn page_fault_check(&self, file: FileId, page: u32) -> Result<()> {
         match self.faults() {
             None => Ok(()),
             Some(inj) => inj.page_read(&self.inner.clock, file, page),
@@ -159,24 +161,20 @@ impl Storage {
         self.faults().is_some_and(|inj| inj.morsel_panics(file, key))
     }
 
-    /// Read one heap page through the pool, charging on miss.
+    /// A [`Session`]: page accesses under one lazily taken lock, charges
+    /// flushed when it drops.
+    pub fn session(&self) -> Session<'_> {
+        Session::new(self)
+    }
+
+    /// The pool and tracker mutexes, in the order a session takes them.
+    pub(crate) fn locks(&self) -> (&Mutex<BufferPool>, &Mutex<DiskTracker>) {
+        (&self.inner.pool, &self.inner.tracker)
+    }
+
+    /// [`Session::read_heap_page`] as a one-access session.
     pub fn read_heap_page(&self, heap: &HeapFile, page: PageId) -> Result<PageBuf> {
-        self.inner.clock.charge_cpu(self.inner.cpu.hash_op_ns); // pool lookup
-        let file = heap.file_id();
-        {
-            let mut pool = self.inner.pool.lock();
-            if let Some(Cached::Heap(buf)) = pool.get(file, page.0) {
-                self.inner.tracker.lock().note_buffer_hit();
-                tap_hits(1);
-                return Ok(buf);
-            }
-        }
-        self.page_fault_check(file, page.0)?;
-        self.inner.tracker.lock().read_run(&self.inner.clock, file, page.0, 1);
-        tap_io(1, 1);
-        let buf = heap.read_raw(page)?;
-        self.inner.pool.lock().insert(file, page.0, Cached::Heap(buf.clone()));
-        Ok(buf)
+        self.session().read_heap_page(heap, page)
     }
 
     /// Charge the buffer-pool probe CPU for `pages` pages of a heap
@@ -189,100 +187,45 @@ impl Storage {
         self.inner.clock.charge_cpu(self.inner.cpu.hash_op_ns * pages);
     }
 
-    /// Read a contiguous run of heap pages `[start, start+len)` through the
-    /// pool. Resident pages are served from cache; the missing pages are
-    /// coalesced into maximal contiguous device requests (each one seek +
-    /// sequential transfers). Returns the pages in order. Callers charge
-    /// the per-page pool-probe CPU via [`Storage::charge_page_probes`].
+    /// [`Session::read_heap_run`] as a one-access session.
     pub fn read_heap_run(
         &self,
         heap: &HeapFile,
         start: PageId,
         len: u32,
     ) -> Result<Vec<(PageId, PageBuf)>> {
-        let file = heap.file_id();
-        let mut out = Vec::with_capacity(len as usize);
-        let mut missing: Vec<u32> = Vec::new();
-        {
-            let mut pool = self.inner.pool.lock();
-            let mut tracker = self.inner.tracker.lock();
-            for p in start.0..start.0 + len {
-                match pool.get(file, p) {
-                    Some(Cached::Heap(buf)) => {
-                        tracker.note_buffer_hit();
-                        out.push((PageId(p), buf));
-                    }
-                    _ => missing.push(p),
-                }
-            }
-        }
-        tap_hits(out.len() as u64);
-        // Coalesce misses into maximal contiguous runs and fetch each.
-        let mut i = 0;
-        while i < missing.len() {
-            let run_start = missing[i];
-            let mut run_len = 1u32;
-            while i + (run_len as usize) < missing.len()
-                && missing[i + run_len as usize] == run_start + run_len
-            {
-                run_len += 1;
-            }
-            // Fault-gate the whole run before charging it: a faulted
-            // page fails the read with the disk-arm counters untouched.
-            for p in run_start..run_start + run_len {
-                self.page_fault_check(file, p)?;
-            }
-            self.inner.tracker.lock().read_run(&self.inner.clock, file, run_start, run_len);
-            tap_io(run_len as u64, 1);
-            for p in run_start..run_start + run_len {
-                let buf = heap.read_raw(PageId(p))?;
-                self.inner.pool.lock().insert(file, p, Cached::Heap(buf.clone()));
-                out.push((PageId(p), buf));
-            }
-            i += run_len as usize;
-        }
-        out.sort_unstable_by_key(|(p, _)| *p);
-        Ok(out)
+        self.session().read_heap_run(heap, start, len)
     }
 
-    /// Touch a *virtual* page (a B+-tree node): pool residency decides
-    /// whether the device is charged. Returns `true` on a pool hit.
+    /// [`Session::touch_index_page`] as a one-access session.
     pub fn touch_index_page(&self, file: FileId, node: u32) -> bool {
-        self.inner.clock.charge_cpu(self.inner.cpu.hash_op_ns);
-        {
-            let mut pool = self.inner.pool.lock();
-            if pool.get(file, node).is_some() {
-                self.inner.tracker.lock().note_buffer_hit();
-                tap_hits(1);
-                return true;
-            }
-            pool.insert(file, node, Cached::Virtual);
-        }
-        self.inner.tracker.lock().read_run(&self.inner.clock, file, node, 1);
-        tap_io(1, 1);
-        false
+        self.session().touch_index_page(file, node)
     }
 
     /// Flush the buffer pool (the paper's cold-run methodology: "we clear
     /// database buffer caches as well as OS file system caches before each
     /// query execution", Section VI-A).
     pub fn flush_pool(&self) {
+        assert_unlocked("Storage::flush_pool");
         self.inner.pool.lock().clear();
     }
 
     /// Zero the clock and all I/O counters (between experiments).
     pub fn reset_metrics(&self) {
+        assert_unlocked("Storage::reset_metrics");
         self.inner.clock.reset();
         self.inner.tracker.lock().reset();
     }
 
     /// Current I/O counters.
     pub fn io_snapshot(&self) -> IoSnapshot {
+        assert_unlocked("Storage::io_snapshot");
         self.inner.tracker.lock().snapshot()
     }
 
     /// Distinct pages transferred for `file` since the last reset.
     pub fn distinct_pages_for(&self, file: FileId) -> u64 {
+        assert_unlocked("Storage::distinct_pages_for");
         self.inner.tracker.lock().distinct_pages_for(file)
     }
 }
@@ -443,6 +386,49 @@ mod tests {
         assert!(s.faults().is_none());
         assert!(!s.morsel_panics(None, 0));
         assert!(s.spill_fault_check(1 << 20, 100).is_ok());
+    }
+
+    #[test]
+    fn a_session_charges_what_one_call_sessions_charge_and_flushes_on_drop() {
+        use crate::scanstats::tap_mark;
+        let heap = small_heap(2000);
+        let f = FileId::fresh();
+        // Index touches, page reads and runs over a 4-page pool, so hits,
+        // evictions and seq / rand verdicts all depend on the order.
+        let pages = [0, 1, 1, 7, 2, 3];
+        let (per_call, mark) = (storage(4), tap_mark());
+        for p in pages {
+            per_call.touch_index_page(f, p);
+            per_call.read_heap_page(&heap, PageId(p)).unwrap();
+            per_call.read_heap_run(&heap, PageId(p), 3).unwrap();
+            per_call.clock().charge_cpu(5);
+        }
+        let per_call_tap = mark.delta();
+        let (batched, mark) = (storage(4), tap_mark());
+        let mut session = batched.session();
+        for p in pages {
+            session.touch_index_page(f, p);
+            session.read_heap_page(&heap, PageId(p)).unwrap();
+            session.release();
+            session.read_heap_run(&heap, PageId(p), 3).unwrap();
+            session.charge_cpu(5);
+        }
+        assert_eq!(batched.clock().snapshot().cpu_ns, 0, "CPU waits for the drop");
+        assert_eq!(mark.delta().buffer_hits, 0, "so does the tap");
+        drop(session);
+        assert_eq!(batched.clock().snapshot(), per_call.clock().snapshot());
+        assert_eq!(batched.io_snapshot(), per_call.io_snapshot());
+        assert_eq!(mark.delta(), per_call_tap);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "Storage::device while this thread's storage session holds")]
+    fn a_reentrant_storage_lock_panics_instead_of_hanging() {
+        let s = storage(4);
+        let mut session = s.session();
+        session.touch_index_page(FileId::fresh(), 0);
+        s.device();
     }
 
     #[test]
