@@ -25,9 +25,18 @@
 #   both index paths share, and the attribution test in `schedule.rs`
 #   growing an Index Scan and an index join. It bought -9 % on
 #   `analytic_serial`'s round and -33 % on `tpch_q4` (CHANGES.md).
+# * 10679 -> 10700 (+21): one index join with two inner sides. The
+#   executor gains the `InnerPath` trait, the plain side's impl block
+#   around the unchanged probe loop and `IndexNestedLoopJoin::with_inner`;
+#   the planner gains the arm that gives a `Smooth(_)` inner access the
+#   morphing side. Against them go the model's steal surcharge
+#   (`STEAL_PENALTY_PERMILLE` and `run_queued`'s `permille`, -21 lines)
+#   and, in `crates/core`, the second join operator
+#   (`SmoothIndexNestedLoopJoin`): `crates/{core,executor,planner}/src`
+#   together end where they started.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=10679
+CEILING=10700
 lines=$(cat crates/executor/src/*.rs crates/planner/src/*.rs | wc -l)
 echo "crates/executor/src + crates/planner/src: $lines lines (ceiling $CEILING)"
 if [ "$lines" -gt "$CEILING" ]; then

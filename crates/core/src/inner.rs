@@ -9,33 +9,38 @@
 //! input found along the way, INLJ morphs into a variant of Hash Join over
 //! time, with the index used only when a tuple is not found in the cache."
 //!
-//! [`SmoothInnerPath`] implements exactly that: every heap page fetched
-//! for one probe is *harvested* — all residual-qualifying tuples on it are
-//! cached under their join keys — so later probes whose matches live on
+//! [`SmoothInnerPath`] implements exactly that, as an [`InnerPath`] of the
+//! executor's one `IndexNestedLoopJoin`: every heap page fetched for one
+//! probe is *harvested* — all residual-qualifying tuples on it are cached
+//! under their join keys — so later probes whose matches live on
 //! already-visited pages are served without touching the device. Once
 //! every heap page has been visited, the structure has fully morphed into
 //! a hash table and the B+-tree is no longer consulted.
+//!
+//! A memory budget bounds the harvest's encoded bytes. Past it no new page
+//! is harvested: a key's tuples on unvisited pages are fetched, filtered
+//! and emitted directly, after its cached rows — every qualifying row of
+//! every visited page — so no row is lost or repeated, only reordered.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use smooth_executor::{batch_size, BoxedOperator, Operator, Predicate, ScanFilter};
+use smooth_executor::{InnerPath, JoinType, Predicate, ScanFilter};
 use smooth_index::BTreeIndex;
-use smooth_storage::{HeapFile, PageView, Session, Storage};
-use smooth_types::{
-    ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, PageId, Result, Row, Schema, Tid,
-};
+use smooth_storage::{HeapFile, PageView, Session};
+use smooth_types::spill::batch_row_len;
+use smooth_types::{ColumnBatch, ColumnValues, ColumnVector, Error, PageId, Result, Schema, Tid};
 
 use crate::page_cache::PageIdCache;
 
 /// Counters for the inner path's morphing progress.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct InnerPathMetrics {
-    /// Probe calls received.
+    /// Keys probed.
     pub probes: u64,
-    /// Probes answered entirely from the harvest cache.
+    /// Probes that fetched no heap page.
     pub cache_only_probes: u64,
-    /// Heap pages fetched (each at most once).
+    /// Heap pages harvested (each at most once).
     pub pages_fetched: u64,
     /// Rows harvested into the cache.
     pub rows_harvested: u64,
@@ -44,14 +49,19 @@ pub struct InnerPathMetrics {
 }
 
 /// A morphing inner access path: B+-tree look-ups that harvest whole pages
-/// into a by-key cache.
+/// into a by-key cache. The planner takes it for an index join whose
+/// inner scan's access is `AccessPathChoice::Smooth(_)`; the
+/// `SmoothScanConfig` that choice carries — policy, trigger, order, Result
+/// Cache — configures a scan and does not apply to an inner side.
 pub struct SmoothInnerPath {
     heap: Arc<HeapFile>,
     index: Arc<BTreeIndex>,
-    storage: Storage,
+    /// The join key's table ordinal and its position among the harvested
+    /// columns.
     key_col: usize,
-    /// Position of `key_col` among the harvested columns.
     key_slot: usize,
+    /// Positions of the appended columns among the harvested ones.
+    emitted: Vec<usize>,
     /// Compiled residual, probed on *encoded* tuples during the harvest —
     /// non-qualifiers are never fully decoded.
     filter: ScanFilter,
@@ -62,57 +72,51 @@ pub struct SmoothInnerPath {
     /// TIDs of the key being probed (reused across keys).
     tids: Vec<Tid>,
     /// Every residual-qualifying tuple of the visited pages, in harvest
-    /// order, as typed columns.
+    /// order, and its rows per (non-NULL) join key.
     harvested: ColumnBatch,
-    /// Rows of `harvested` per (non-NULL) join key, in harvest order.
     by_key: HashMap<i64, Vec<u32>>,
+    /// Harvest budget in encoded bytes (0 = unlimited); what it holds.
+    mem_bytes: usize,
+    held_bytes: usize,
+    /// The probed key's qualifiers on pages left unharvested.
+    direct: ColumnBatch,
     metrics: InnerPathMetrics,
 }
 
 impl SmoothInnerPath {
-    /// Build an inner path over `index` (on `key_col` of `heap`);
-    /// `residual` filters harvested rows.
+    /// An unbudgeted inner path over `index` (on `key_col` of `heap`),
+    /// harvesting every column; `residual` filters harvested rows.
     pub fn new(
         heap: Arc<HeapFile>,
         index: Arc<BTreeIndex>,
-        storage: Storage,
         key_col: usize,
         residual: Predicate,
     ) -> Self {
-        let pages = heap.page_count();
-        let filter = ScanFilter::new(residual, heap.schema());
-        let harvested = ColumnBatch::for_schema(heap.schema());
+        let (pages, batch) = (heap.page_count(), ColumnBatch::for_schema(heap.schema()));
         SmoothInnerPath {
-            heap,
-            index,
-            storage,
-            key_col,
             key_slot: key_col,
-            filter,
+            emitted: (0..heap.schema().len()).collect(),
+            filter: ScanFilter::new(residual, heap.schema()),
             visited: PageIdCache::new(pages),
             slot_counts: vec![0; pages as usize],
             tids: Vec::new(),
-            harvested,
+            harvested: ColumnBatch::like(&batch),
             by_key: HashMap::new(),
+            mem_bytes: 0,
+            held_bytes: 0,
+            direct: batch,
             metrics: InnerPathMetrics::default(),
+            heap,
+            index,
+            key_col,
         }
     }
 
-    /// Builder: harvest — and emit from [`SmoothInnerPath::probe`] — only
-    /// the columns `cols` of the heap (strictly ascending ordinals; `None`
-    /// = all). The join key must be among them: the harvest is keyed on
-    /// it.
-    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
-        let kept = cols.map_or(Some(self.key_col), |c| c.iter().position(|&c| c == self.key_col));
-        self.key_slot = kept.ok_or_else(|| Error::plan("inner path must keep its join key"))?;
-        self.filter.narrow(self.heap.schema(), cols)?;
-        self.harvested = ColumnBatch::for_schema(self.filter.schema());
-        Ok(self)
-    }
-
-    /// The schema of the inner rows [`SmoothInnerPath::probe`] emits.
-    pub fn schema(&self) -> &Schema {
-        self.filter.schema()
+    /// Builder: bound the harvest to `bytes` of encoded rows (0 =
+    /// unlimited); see the module docs.
+    pub fn with_mem_budget(mut self, bytes: usize) -> Self {
+        self.mem_bytes = bytes;
+        self
     }
 
     /// Morphing counters.
@@ -136,6 +140,7 @@ impl SmoothInnerPath {
         };
         let mut hash_ops = 0u64;
         for (row, &key) in ints.iter().enumerate().skip(first) {
+            self.held_bytes += batch_row_len(&self.harvested, row);
             if !keys.is_null(row) {
                 hash_ops += 1;
                 self.by_key.entry(key).or_default().push(row as u32);
@@ -148,31 +153,32 @@ impl SmoothInnerPath {
         Ok(())
     }
 
-    /// Append all inner rows matching `key`, in harvest order, to
-    /// `inner_cols` (one vector per inner column) and return how many
-    /// there are. Pages are fetched at most once across the whole join;
-    /// index and heap accesses go through `s`, released before a harvest
-    /// inspects a page.
-    pub fn probe(
-        &mut self,
-        s: &mut Session,
-        key: i64,
-        inner_cols: &mut [ColumnVector],
-    ) -> Result<usize> {
+    /// Make every qualifying row of `key` reachable: harvest the unvisited
+    /// pages its TIDs name — past the budget, fill `direct` from them
+    /// instead — unless the cache alone answers (fully morphed, or a
+    /// semi-join key that has harvested rows).
+    fn lookup(&mut self, s: &mut Session, key: i64, semi: bool) -> Result<()> {
         self.metrics.probes += 1;
         let cpu = *s.cpu();
         s.charge_cpu(cpu.hash_op_ns);
-        // Once fully morphed this is the pure hash-join regime: the index
-        // is no longer consulted.
+        self.direct.clear();
         let mut fetched_any = false;
-        if !self.metrics.fully_morphed {
+        if !(self.metrics.fully_morphed || semi && self.by_key.contains_key(&key)) {
             let mut tids = std::mem::take(&mut self.tids);
             self.index.probe_into(s, key, &mut tids);
             for &tid in &tids {
                 s.charge_cpu(cpu.bitmap_op_ns);
                 if !self.visited.contains(tid.page) {
-                    self.harvest_page(s, tid.page)?;
                     fetched_any = true;
+                    if self.mem_bytes > 0 && self.held_bytes >= self.mem_bytes {
+                        let page = s.read_heap_page(&self.heap, tid.page)?;
+                        s.release();
+                        s.charge_cpu(cpu.inspect_tuple_ns);
+                        let tuple = PageView::new(&page)?.get(tid.slot)?;
+                        self.filter.fill(&[tuple], &mut self.direct)?;
+                        continue;
+                    }
+                    self.harvest_page(s, tid.page)?;
                 }
                 let slots = self.slot_counts[tid.page.0 as usize];
                 if tid.slot >= slots {
@@ -183,100 +189,67 @@ impl SmoothInnerPath {
             self.metrics.fully_morphed = self.visited.len() == self.heap.page_count();
         }
         self.metrics.cache_only_probes += u64::from(!fetched_any);
-        let rows = self.by_key.get(&key).map_or(&[][..], Vec::as_slice);
-        for (dst, src) in inner_cols.iter_mut().zip(self.harvested.columns()) {
-            dst.extend_gather(src, rows);
-        }
-        Ok(rows.len())
+        Ok(())
     }
 }
 
-/// Index-nested-loop join whose inner side is a [`SmoothInnerPath`] — the
-/// Section IV-B "morphable join" sketch made concrete. Shaped like the
-/// executor's `IndexNestedLoopJoin`: outer morsels probe to completion
-/// into one output buffer, outer columns gathering once per morsel.
-pub struct SmoothIndexNestedLoopJoin {
-    outer: BoxedOperator,
-    outer_col: usize,
-    inner: SmoothInnerPath,
-    schema: Schema,
-    /// Outer physical row of each joined row of the morsel being probed.
-    matched: Vec<u32>,
-    out: ColumnBuffer,
-}
-
-impl SmoothIndexNestedLoopJoin {
-    /// `outer.outer_col = inner.key_col` via the inner path's index.
-    pub fn new(outer: BoxedOperator, outer_col: usize, inner: SmoothInnerPath) -> Self {
-        let schema = outer.schema().join(inner.schema());
-        let out = ColumnBuffer::for_schema(&schema);
-        SmoothIndexNestedLoopJoin { outer, outer_col, inner, schema, matched: Vec::new(), out }
+impl InnerPath for SmoothInnerPath {
+    fn table(&self) -> &Schema {
+        self.heap.schema()
     }
 
-    /// The inner path's morphing counters.
-    pub fn inner_metrics(&self) -> InnerPathMetrics {
-        self.inner.metrics()
-    }
-
-    /// Pull one outer morsel and probe the morphing inner path for each of
-    /// its live rows, matches in harvest order. Returns `false` at outer
-    /// exhaustion.
-    fn advance(&mut self, max: usize) -> Result<bool> {
-        let Some(outer) = self.outer.next_columns(max)? else { return Ok(false) };
-        let key_col = outer.column_checked(self.outer_col)?;
-        let out = self.out.fill();
-        let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(outer.width());
-        self.matched.clear();
-        let storage = self.inner.storage.clone();
-        let s = &mut storage.session();
-        for row in outer.live_rows().filter(|&row| !key_col.is_null(row)) {
-            let joined = self.inner.probe(s, key_col.int(row)?, inner_cols)?;
-            self.matched.extend(std::iter::repeat_n(row as u32, joined));
+    /// Harvests `decoded ∪ {key}` — the harvest is keyed on the join
+    /// column — and appends only `decoded`.
+    fn narrow(&mut self, decoded: &[usize]) -> Result<()> {
+        let mut kept = decoded.to_vec();
+        let slot = kept.binary_search(&self.key_col).unwrap_or_else(|at| at);
+        let key_appended = kept.get(slot) == Some(&self.key_col);
+        if !key_appended {
+            kept.insert(slot, self.key_col);
         }
-        s.release();
-        for (dst, src) in outer_cols.iter_mut().zip(outer.columns()) {
-            dst.extend_gather(src, &self.matched);
-        }
-        out.commit_rows(self.matched.len());
-        s.charge_cpu(s.cpu().emit_tuple_ns * self.matched.len() as u64);
-        Ok(true)
-    }
-}
-
-impl Operator for SmoothIndexNestedLoopJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.outer.open()?;
-        self.out.reset();
+        self.filter.narrow(self.heap.schema(), Some(&kept))?;
+        self.key_slot = slot;
+        self.emitted = (0..kept.len()).filter(|&c| key_appended || c != slot).collect();
+        self.harvested = ColumnBatch::for_schema(self.filter.schema());
+        self.direct = ColumnBatch::like(&self.harvested);
         Ok(())
     }
 
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        while self.out.pending() < max && self.advance(max)? {}
-        Ok(self.out.pop_columns(max))
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        while self.out.is_drained() && self.advance(batch_size())? {}
-        Ok(self.out.pop_row())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.out.reset();
-        self.outer.close()
+    /// Key by key, the cached matches in harvest order, then any the
+    /// budget left on unharvested pages; on `s`, released before a page
+    /// is inspected.
+    fn probe(
+        &mut self,
+        s: &mut Session,
+        ty: JoinType,
+        outer: &ColumnBatch,
+        keys: &ColumnVector,
+        inner_cols: &mut [ColumnVector],
+        owners: &mut Vec<u32>,
+    ) -> Result<()> {
+        let first = owners.len();
+        for row in outer.live_rows().filter(|&row| !keys.is_null(row)) {
+            let key = keys.int(row)?;
+            self.lookup(s, key, ty == JoinType::LeftSemi)?;
+            let cached = self.by_key.get(&key).map_or(&[][..], Vec::as_slice);
+            let direct: Vec<u32> = (0..self.direct.physical_rows() as u32).collect();
+            let matches = cached.len() + direct.len();
+            if ty == JoinType::LeftSemi {
+                owners.extend((matches > 0).then_some(row as u32));
+                continue;
+            }
+            for (dst, &c) in inner_cols.iter_mut().zip(&self.emitted) {
+                dst.extend_gather(self.harvested.column(c), cached);
+                dst.extend_gather(self.direct.column(c), &direct);
+            }
+            owners.extend(std::iter::repeat_n(row as u32, matches));
+        }
+        s.charge_cpu(s.cpu().emit_tuple_ns * (owners.len() - first) as u64);
+        Ok(())
     }
 
     fn label(&self) -> String {
-        format!(
-            "SmoothIndexNestedLoopJoin [{} ⋈ {} via {}]",
-            self.outer.label(),
-            self.inner.heap.name(),
-            self.inner.index.name()
-        )
+        format!("SmoothInnerPath({} via {})", self.heap.name(), self.index.name())
     }
 }
 
@@ -284,13 +257,17 @@ impl Operator for SmoothIndexNestedLoopJoin {
 mod tests {
     use super::*;
     use smooth_executor::operator::ValuesOp;
-    use smooth_executor::{collect_rows, IndexNestedLoopJoin, JoinType};
-    use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
-    use smooth_types::{Column, DataType, Value};
+    use smooth_executor::{collect_rows, BoxedOperator, IndexNestedLoopJoin};
+    use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, Storage, StorageConfig};
+    use smooth_types::{Column, DataType, Row, Value};
 
-    /// Inner table: `fanout` rows per key, each stripe a scrambled
-    /// permutation of the keys so one key's matches scatter across pages
-    /// (7919 is coprime with all test key counts).
+    const INNER: JoinType = JoinType::Inner;
+    const SEMI: JoinType = JoinType::LeftSemi;
+
+    /// Inner table `(k, v, pad)`: `fanout` rows per key, each stripe a
+    /// scrambled permutation of the keys so one key's matches scatter
+    /// across pages (7919 is coprime with all test key counts); `v` is
+    /// the stripe.
     fn inner_table(keys: i64, fanout: i64) -> (Arc<HeapFile>, Arc<BTreeIndex>) {
         let schema = Schema::new(vec![
             Column::new("k", DataType::Int64),
@@ -312,11 +289,8 @@ mod tests {
     }
 
     fn storage() -> Storage {
-        Storage::new(StorageConfig {
-            device: DeviceProfile::custom("t", 1, 10),
-            cpu: CpuCosts::default(),
-            pool_pages: 8,
-        })
+        let (device, cpu) = (DeviceProfile::custom("t", 1, 10), CpuCosts::default());
+        Storage::new(StorageConfig { device, cpu, pool_pages: 8 })
     }
 
     fn outer(keys: &[i64]) -> BoxedOperator {
@@ -327,36 +301,41 @@ mod tests {
         ))
     }
 
-    fn canonical(rows: Vec<Row>) -> Vec<(i64, i64, i64)> {
-        let mut v: Vec<(i64, i64, i64)> = rows
-            .iter()
-            .map(|r| (r.int(0).unwrap(), r.int(1).unwrap(), r.int(2).unwrap()))
-            .collect();
-        v.sort_unstable();
-        v
+    /// The one index join over `path`, its outer side probing `keys`:
+    /// the rows in a canonical order.
+    fn join(keys: &[i64], path: SmoothInnerPath, ty: JoinType, s: &Storage) -> Vec<Row> {
+        let mut op = IndexNestedLoopJoin::with_inner(outer(keys), 0, Box::new(path), ty, s.clone());
+        canonical(collect_rows(&mut op).unwrap())
+    }
+
+    fn canonical(mut rows: Vec<Row>) -> Vec<Row> {
+        rows.sort_by_cached_key(|r| format!("{r:?}"));
+        rows
+    }
+
+    /// Probe `keys` through `path` as one outer morsel; the owners.
+    fn probe(path: &mut SmoothInnerPath, s: &Storage, ty: JoinType, keys: &[i64]) -> Vec<u32> {
+        let batch = outer(keys).next_columns(keys.len()).unwrap().unwrap();
+        let (mut cols, mut owners) = (ColumnBatch::for_schema(path.table()), Vec::new());
+        let session = &mut s.session();
+        path.probe(session, ty, &batch, batch.column(0), cols.columns_mut(), &mut owners).unwrap();
+        owners
     }
 
     #[test]
     fn agrees_with_plain_inlj() {
         let (heap, index) = inner_table(50, 6);
         let keys: Vec<i64> = (0..120).map(|i| (i * 7) % 55).collect(); // some misses
-        let s1 = storage();
-        let mut plain = IndexNestedLoopJoin::new(
-            outer(&keys),
-            0,
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            Predicate::True,
-            JoinType::Inner,
-            s1,
-        );
-        let expected = canonical(collect_rows(&mut plain).unwrap());
-        let s2 = storage();
-        let inner = SmoothInnerPath::new(heap, index, s2, 0, Predicate::True);
-        let mut smooth = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, inner);
-        let got = canonical(collect_rows(&mut smooth).unwrap());
-        assert_eq!(got, expected);
-        assert!(!expected.is_empty());
+        let path =
+            || SmoothInnerPath::new(Arc::clone(&heap), Arc::clone(&index), 0, Predicate::True);
+        for ty in [INNER, SEMI] {
+            let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+            let mut plain =
+                IndexNestedLoopJoin::new(outer(&keys), 0, h, i, Predicate::True, ty, storage());
+            let expected = canonical(collect_rows(&mut plain).unwrap());
+            assert_eq!(join(&keys, path(), ty, &storage()), expected, "{ty:?}");
+            assert!(!expected.is_empty());
+        }
     }
 
     #[test]
@@ -364,11 +343,9 @@ mod tests {
         let (heap, index) = inner_table(40, 5);
         // Every key probed three times.
         let keys: Vec<i64> = (0..40).chain(0..40).chain(0..40).collect();
-        let s = storage();
-        let inner = SmoothInnerPath::new(heap, index, s.clone(), 0, Predicate::True);
-        let mut join = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, inner);
-        collect_rows(&mut join).unwrap();
-        let m = join.inner_metrics();
+        let mut path = SmoothInnerPath::new(heap, index, 0, Predicate::True);
+        assert_eq!(probe(&mut path, &storage(), INNER, &keys).len(), 600);
+        let m = path.metrics();
         assert_eq!(m.probes, 120);
         assert!(m.cache_only_probes >= 80, "repeat probes served from cache: {m:?}");
         // Pages fetched at most once each despite 120 probes.
@@ -378,22 +355,30 @@ mod tests {
     #[test]
     fn morphs_fully_into_a_hash_join() {
         let (heap, index) = inner_table(30, 4);
-        let all_keys: Vec<i64> = (0..30).collect();
-        let s = storage();
-        let inner = SmoothInnerPath::new(Arc::clone(&heap), index, s.clone(), 0, Predicate::True);
-        let mut join = SmoothIndexNestedLoopJoin::new(outer(&all_keys), 0, inner);
-        collect_rows(&mut join).unwrap();
-        let m = join.inner_metrics();
+        let (all_keys, s): (Vec<i64>, _) = ((0..30).collect(), storage());
+        let mut path = SmoothInnerPath::new(Arc::clone(&heap), index, 0, Predicate::True);
+        probe(&mut path, &s, INNER, &all_keys);
+        let m = path.metrics();
         assert!(m.fully_morphed, "{m:?}");
         assert_eq!(m.pages_fetched, heap.page_count() as u64);
         // A second pass over every key must not touch the device at all.
         let io_before = s.io_snapshot().pages_read;
-        let mut join2_inner = join.inner;
-        let mut cols = ColumnBatch::for_schema(heap.schema());
-        for k in 0..30 {
-            assert_eq!(join2_inner.probe(&mut s.session(), k, cols.columns_mut()).unwrap(), 4);
-        }
+        let owners = probe(&mut path, &s, INNER, &all_keys);
+        assert_eq!(owners, (0..30).flat_map(|k| [k; 4]).collect::<Vec<u32>>());
         assert_eq!(s.io_snapshot().pages_read, io_before, "pure hash-join regime");
+    }
+
+    #[test]
+    fn a_semi_key_with_harvested_rows_skips_the_index() {
+        let (heap, index) = inner_table(40, 5);
+        let s = storage();
+        let mut path = SmoothInnerPath::new(heap, index, 0, Predicate::True);
+        assert_eq!(probe(&mut path, &s, INNER, &[5]).len(), 5);
+        let (clock, io) = (s.clock().snapshot(), s.io_snapshot());
+        assert_eq!(probe(&mut path, &s, SEMI, &[5, 5]), vec![0, 1]);
+        let (cpu, spent) = (CpuCosts::default(), s.clock().snapshot().since(&clock));
+        assert_eq!((spent.cpu_ns, spent.io_ns), (2 * (cpu.hash_op_ns + cpu.emit_tuple_ns), 0));
+        assert_eq!(s.io_snapshot().since(&io).io_requests, 0, "no index node touched");
     }
 
     #[test]
@@ -401,23 +386,14 @@ mod tests {
         let (heap, index) = inner_table(600, 6);
         let keys: Vec<i64> = (0..600).collect();
         // Plain INLJ with a tiny pool re-reads pages per duplicate TID.
-        let s1 = storage();
-        let mut plain = IndexNestedLoopJoin::new(
-            outer(&keys),
-            0,
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            Predicate::True,
-            JoinType::Inner,
-            s1.clone(),
-        );
+        let (s1, s2) = (storage(), storage());
+        let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+        let mut plain =
+            IndexNestedLoopJoin::new(outer(&keys), 0, h, i, Predicate::True, INNER, s1.clone());
         collect_rows(&mut plain).unwrap();
-        let plain_reads = s1.io_snapshot().pages_read;
-        let s2 = storage();
-        let inner = SmoothInnerPath::new(heap, index, s2.clone(), 0, Predicate::True);
-        let mut smooth = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, inner);
-        collect_rows(&mut smooth).unwrap();
-        let smooth_reads = s2.io_snapshot().pages_read;
+        join(&keys, SmoothInnerPath::new(heap, index, 0, Predicate::True), INNER, &s2);
+        let (plain_reads, smooth_reads) =
+            (s1.io_snapshot().pages_read, s2.io_snapshot().pages_read);
         assert!(
             smooth_reads < plain_reads,
             "harvesting must cut page traffic: {smooth_reads} vs {plain_reads}"
@@ -427,45 +403,45 @@ mod tests {
     #[test]
     fn narrowed_inner_path_harvests_only_its_columns() {
         let (heap, index) = inner_table(20, 4);
-        let keys: Vec<i64> = (0..25).collect();
-        let path = |cols: Option<&[usize]>| {
-            SmoothInnerPath::new(
-                Arc::clone(&heap),
-                Arc::clone(&index),
-                storage(),
-                0,
-                Predicate::True,
-            )
-            .with_columns(cols)
-        };
-        let mut full = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, path(None).unwrap());
-        // `v` and the pad are neither read nor emitted: the harvest
-        // holds `k` alone.
-        let narrow = path(Some(&[0])).unwrap();
-        assert_eq!(narrow.schema().len(), 1);
-        let mut narrow = SmoothIndexNestedLoopJoin::new(outer(&keys), 0, narrow);
-        let expected: Vec<Row> = collect_rows(&mut full)
-            .unwrap()
-            .iter()
-            .map(|r| Row::new(vec![r.get(0).clone(), r.get(1).clone()]))
-            .collect();
-        assert_eq!(collect_rows(&mut narrow).unwrap(), expected);
-        assert_eq!(expected.len(), 80);
-        // The harvest is keyed on the join key: it cannot be dropped.
-        assert!(path(Some(&[1, 2])).is_err());
+        let mut path = SmoothInnerPath::new(heap, index, 0, Predicate::True);
+        // `v` alone is appended; the harvest still holds `k`, its key.
+        path.narrow(&[1]).unwrap();
+        assert_eq!((path.harvested.width(), path.key_slot, &path.emitted[..]), (2, 0, &[1][..]));
+        let join =
+            IndexNestedLoopJoin::with_inner(outer(&[3, 30]), 0, Box::new(path), INNER, storage());
+        let rows = collect_rows(&mut join.with_emit(None, Some(&[0, 2])).unwrap()).unwrap();
+        let pairs: Vec<(i64, i64)> =
+            rows.iter().map(|r| (r.int(0).unwrap(), r.int(1).unwrap())).collect();
+        assert_eq!(pairs, [(3, 0), (3, 1), (3, 2), (3, 3)]);
     }
 
     #[test]
     fn residual_filters_harvested_rows() {
         let (heap, index) = inner_table(20, 4);
-        let s = storage();
-        let mut rows = ColumnBatch::for_schema(heap.schema());
-        let mut inner = SmoothInnerPath::new(heap, index, s.clone(), 0, Predicate::int_lt(1, 2));
-        let session = &mut s.session();
-        let found = inner.probe(session, 5, rows.columns_mut()).unwrap();
-        assert_eq!(found, 2, "only v < 2 qualifies");
-        assert_eq!(inner.probe(session, 99, rows.columns_mut()).unwrap(), 0);
-        rows.commit_rows(found);
-        assert!(rows.into_rows().iter().all(|r| r.int(0).unwrap() == 5 && r.int(1).unwrap() < 2));
+        let path = SmoothInnerPath::new(heap, index, 0, Predicate::int_lt(1, 2));
+        let rows = join(&[5, 99], path, INNER, &storage());
+        assert_eq!(rows.len(), 2, "only v < 2 qualifies");
+        assert!(rows.iter().all(|r| r.int(0).unwrap() == 5 && r.int(2).unwrap() < 2));
+    }
+
+    #[test]
+    fn a_one_page_budget_returns_the_unbudgeted_rows() {
+        let (heap, index) = inner_table(60, 5);
+        assert!(heap.page_count() > 2);
+        let keys: Vec<i64> = (0..70).chain(0..70).collect();
+        let path = || {
+            SmoothInnerPath::new(Arc::clone(&heap), Arc::clone(&index), 0, Predicate::int_lt(1, 4))
+        };
+        // What the harvest of page 0 — key 0's first TID — holds.
+        let mut one = path();
+        one.harvest_page(&mut storage().session(), PageId(0)).unwrap();
+        for ty in [INNER, SEMI] {
+            let mut budgeted = path().with_mem_budget(one.held_bytes);
+            let owners = probe(&mut budgeted, &storage(), ty, &keys);
+            assert_eq!(budgeted.metrics().pages_fetched, 1, "{ty:?}");
+            let free = join(&keys, path(), ty, &storage());
+            assert_eq!(owners.len(), free.len(), "{ty:?}");
+            assert_eq!(join(&keys, path().with_mem_budget(one.held_bytes), ty, &storage()), free);
+        }
     }
 }

@@ -33,7 +33,7 @@ pub mod trigger;
 pub mod tuple_cache;
 
 pub use cost_model::{CostModel, TableGeometry};
-pub use inner::{InnerPathMetrics, SmoothIndexNestedLoopJoin, SmoothInnerPath};
+pub use inner::{InnerPathMetrics, SmoothInnerPath};
 pub use operator::{SmoothScan, SmoothScanConfig, SmoothScanMetrics};
 pub use page_cache::PageIdCache;
 pub use policy::{MorphPolicy, PolicyKind};

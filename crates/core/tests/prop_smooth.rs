@@ -15,8 +15,11 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, Trigger};
-use smooth_executor::{collect_rows, collect_rows_volcano, Operator, Predicate};
+use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
+use smooth_executor::operator::ValuesOp;
+use smooth_executor::{
+    collect_rows, collect_rows_volcano, IndexNestedLoopJoin, JoinType, Operator, Predicate,
+};
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
@@ -282,17 +285,20 @@ proptest! {
         prop_assert_eq!(&collect_interleaved(&mut sw, max), &volcano);
     }
 
-    /// Batch-size invariance for the morphing INLJ (Section IV-B inner
-    /// path), whose harvest cache state evolves with probe order: the
-    /// same rows — the nested-loop join of the outer keys with the loaded
-    /// inner rows — and the same clock and I/O deltas under every drain.
+    /// Batch-size invariance for the index join on the morphing inner
+    /// side (Section IV-B), whose harvest cache state evolves with probe
+    /// order: the same rows — the nested-loop join (or semi join) of the
+    /// outer keys with the loaded inner rows — and the same clock and I/O
+    /// deltas under every drain.
     #[test]
     fn morphing_join_batch_protocol_equals_row_protocol(
         fks in proptest::collection::vec(0i64..60, 0..150),
         max in 1usize..50,
+        semi in any::<bool>(),
     ) {
         let inner_keys: Vec<i64> = (0..200).map(|i| (i * 7919) % 50).collect();
         let (heap, index) = build_table(&inner_keys);
+        let ty = if semi { JoinType::LeftSemi } else { JoinType::Inner };
         let outer_schema =
             Schema::new(vec![Column::new("fk", DataType::Int64)]).unwrap();
         let outer_rows: Vec<Row> =
@@ -301,29 +307,22 @@ proptest! {
         // cumulative state that a reopen deliberately does not reset.
         let run = |drain: &dyn Fn(&mut dyn Operator) -> Vec<Row>| {
             let s = storage(8);
-            let inner = smooth_core::SmoothInnerPath::new(
-                Arc::clone(&heap),
-                Arc::clone(&index),
-                s.clone(),
-                1,
-                Predicate::True,
-            );
-            let mut join = smooth_core::SmoothIndexNestedLoopJoin::new(
-                Box::new(smooth_executor::operator::ValuesOp::new(
-                    outer_schema.clone(),
-                    outer_rows.clone(),
-                )),
-                0,
-                inner,
-            );
+            let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+            let inner = Box::new(SmoothInnerPath::new(h, i, 1, Predicate::True));
+            let outer = Box::new(ValuesOp::new(outer_schema.clone(), outer_rows.clone()));
+            let mut join = IndexNestedLoopJoin::with_inner(outer, 0, inner, ty, s.clone());
             (drain(&mut join), s.clock().snapshot(), s.io_snapshot())
         };
         let volcano = run(&|op| collect_rows_volcano(op).unwrap());
         let inner_rows = table_rows(&inner_keys);
-        let expected: Vec<Row> = outer_rows
-            .iter()
-            .flat_map(|o| inner_rows.iter().filter(|i| i.get(1) == o.get(0)).map(|i| o.concat(i)))
-            .collect();
+        let matches = |o: &Row| inner_rows.iter().filter(|i| i.get(1) == o.get(0)).count();
+        let expected: Vec<Row> = match ty {
+            JoinType::Inner => outer_rows
+                .iter()
+                .flat_map(|o| inner_rows.iter().filter(|i| i.get(1) == o.get(0)).map(|i| o.concat(i)))
+                .collect(),
+            JoinType::LeftSemi => outer_rows.iter().filter(|o| matches(o) > 0).cloned().collect(),
+        };
         prop_assert_eq!(&volcano.0, &expected);
         for max in [1, 2, 7, max, 4096] {
             prop_assert_eq!(&run(&|op| collect_columnar(op, max)), &volcano);

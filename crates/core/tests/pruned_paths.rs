@@ -1,6 +1,6 @@
 //! Every reader built on `ScanFilter`, narrowed: the five access paths
 //! (Smooth Scan unordered, ordered and through Mode 0), the partitioned
-//! heap source and the index join's inner side emit exactly the columns
+//! heap source and both inner sides of the index join emit exactly the columns
 //! asked for — and meet hostile bytes the way `docs/ARCHITECTURE.md`
 //! ("The decode path") says: a tuple's *structure* is validated whatever
 //! is wanted, so a bad length inside a column nobody reads is still
@@ -14,10 +14,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_core::{
-    PolicyKind, SmoothIndexNestedLoopJoin, SmoothInnerPath, SmoothScan, SmoothScanConfig,
-    SwitchScan, Trigger,
-};
+use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, SwitchScan, Trigger};
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
@@ -146,9 +143,12 @@ fn read_every_way(
     };
     let mode0 = Trigger::OptimizerDriven { estimated_cardinality: 40, policy: PolicyKind::Greedy };
     let width = cols.map_or(4, <[usize]>::len);
-    let keys = (0..20).map(|k| Row::new(vec![Value::Int(k)])).collect();
-    let key_schema = Schema::new(vec![Column::new("fk", DataType::Int64)]).unwrap();
-    let outer = Box::new(ValuesOp::new(key_schema, keys));
+    let outer = || {
+        let keys = (0..20).map(|k| Row::new(vec![Value::Int(k)])).collect();
+        let key_schema = Schema::new(vec![Column::new("fk", DataType::Int64)]).unwrap();
+        Box::new(ValuesOp::new(key_schema, keys))
+    };
+    let morphing = Box::new(SmoothInnerPath::new(h(), i(), 0, residual()));
     let pipeline = ParallelPipeline {
         phases: vec![PhaseSpec {
             source: ParallelSource::Heap {
@@ -196,7 +196,13 @@ fn read_every_way(
         ("heap source", run_pipeline(pipeline, 2)),
         (
             "index join inner side",
-            IndexNestedLoopJoin::new(outer, 0, h(), i(), residual(), JoinType::Inner, s())
+            IndexNestedLoopJoin::new(outer(), 0, h(), i(), residual(), JoinType::Inner, s())
+                .with_emit(cols, Some(&(1..=width).collect::<Vec<_>>()))
+                .and_then(|mut op| collect_rows(&mut op)),
+        ),
+        (
+            "morphing index join inner side",
+            IndexNestedLoopJoin::with_inner(outer(), 0, morphing, JoinType::Inner, s())
                 .with_emit(cols, Some(&(1..=width).collect::<Vec<_>>()))
                 .and_then(|mut op| collect_rows(&mut op)),
         ),
@@ -290,8 +296,10 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
         ))
     };
     let join = |ty, residual| IndexNestedLoopJoin::new(outer(), 0, h(), i(), residual, ty, s());
-    let morphing =
-        SmoothIndexNestedLoopJoin::new(outer(), 0, SmoothInnerPath::new(h(), i(), s(), 0, t()));
+    let morphing = |ty| {
+        let inner = Box::new(SmoothInnerPath::new(h(), i(), 0, t()));
+        IndexNestedLoopJoin::with_inner(outer(), 0, inner, ty, s())
+    };
     let read: Vec<(&str, Box<dyn Operator>)> = vec![
         ("index scan", Box::new(IndexScan::new(h(), i(), s(), lo, hi, t()))),
         ("sort scan", Box::new(SortScan::new(h(), i(), s(), lo, hi, t()))),
@@ -302,7 +310,8 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
         ("index join inner side", Box::new(join(JoinType::Inner, t()))),
         // Nothing passes the residual: no first match stops the fetches.
         ("index semi join", Box::new(join(JoinType::LeftSemi, Predicate::int_lt(1, 0)))),
-        ("morphing inner path", Box::new(morphing)),
+        ("morphing index join", Box::new(morphing(JoinType::Inner))),
+        ("morphing index semi join", Box::new(morphing(JoinType::LeftSemi))),
     ];
     let read = read.into_iter().map(|(what, mut op)| (what, collect_rows(op.as_mut())));
     let smooths =

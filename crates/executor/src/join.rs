@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use smooth_index::BTreeIndex;
-use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
+use smooth_storage::{HeapFile, PageBuf, PageView, Session, Storage};
 use smooth_types::{
     ColumnBatch, ColumnBuffer, ColumnValues, ColumnVector, Error, Result, Row, Schema, SlotId, Tid,
 };
@@ -1015,16 +1015,41 @@ impl Operator for MergeJoin {
     }
 }
 
+/// The inner side of an [`IndexNestedLoopJoin`]: the plain side
+/// ([`IndexNestedLoopJoin::new`]) fetches every match through the index;
+/// `smooth_core::SmoothInnerPath` caches each page it fetches by key, so
+/// the join morphs toward a hash join (Section IV-B).
+pub trait InnerPath: Send {
+    /// The inner table's schema.
+    fn table(&self) -> &Schema;
+    /// Decode — and append — only the table columns `decoded` (strictly
+    /// ascending), before the first probe.
+    fn narrow(&mut self, decoded: &[usize]) -> Result<()>;
+    /// Probe the morsel's live, non-NULL `keys` in row order on `s`:
+    /// append each match's columns to `inner_cols` and its outer row to
+    /// `owners` (a semi join: each outer row at most once, no columns).
+    fn probe(
+        &mut self,
+        s: &mut Session,
+        ty: JoinType,
+        outer: &ColumnBatch,
+        keys: &ColumnVector,
+        inner_cols: &mut [ColumnVector],
+        owners: &mut Vec<u32>,
+    ) -> Result<()>;
+    /// What the join's `EXPLAIN` label names as its inner side.
+    fn label(&self) -> String;
+}
+
 /// Index nested-loop join: for each outer row, probe the inner table's
 /// B+-tree and fetch matching heap tuples ("a parameterized path",
 /// Section IV-B). The inner fetches are random heap I/O — the pattern that
 /// destroys Q12/Q19 in Fig. 1 when the outer cardinality is underestimated.
 ///
 /// The join is columnar end to end: the outer key is read off the typed
-/// key vector, each fetched inner tuple is validated, residual-filtered
-/// and decoded through the inner side's compiled [`ScanFilter`] straight
-/// into the output's inner columns, and the outer columns of a whole
-/// morsel's matches gather in one pass per column.
+/// key vector, its [`InnerPath`] appends the matches' inner columns a
+/// morsel at a time, and the outer columns of a whole morsel's matches
+/// gather in one pass per column.
 pub struct IndexNestedLoopJoin {
     outer: BoxedOperator,
     outer_col: usize,
@@ -1032,7 +1057,9 @@ pub struct IndexNestedLoopJoin {
     outer_emit: Vec<usize>,
     /// `, emit n of m` when narrower than `outer ++ inner`.
     emit_label: String,
-    inner: InnerProbe,
+    inner: Box<dyn InnerPath>,
+    ty: JoinType,
+    storage: Storage,
     schema: Schema,
     /// Outer physical row of each joined row of the morsel being probed.
     matched: Vec<u32>,
@@ -1041,25 +1068,82 @@ pub struct IndexNestedLoopJoin {
     out: ColumnBuffer,
 }
 
-/// The inner side of an [`IndexNestedLoopJoin`] and its per-morsel
-/// scratch.
-struct InnerProbe {
+/// The plain inner side and its per-morsel scratch.
+struct IndexProbe {
     heap: Arc<HeapFile>,
     index: Arc<BTreeIndex>,
     /// The inner residual, compiled over the inner table's tuples.
     filter: ScanFilter,
-    ty: JoinType,
-    storage: Storage,
     /// TIDs of the key being probed (reused across keys).
     tids: Vec<Tid>,
     /// The morsel's fetched inner tuples (emptied after every morsel) and
     /// the outer row each was fetched for.
     fetched: Vec<(PageBuf, SlotId)>,
-    owners: Vec<u32>,
+    fetched_for: Vec<u32>,
+}
+
+impl InnerPath for IndexProbe {
+    fn table(&self) -> &Schema {
+        self.heap.schema()
+    }
+
+    fn narrow(&mut self, decoded: &[usize]) -> Result<()> {
+        self.filter.narrow(self.heap.schema(), Some(decoded)).map(drop)
+    }
+
+    /// Descent, leaf walk, TID-ordered heap fetches for every key, as a
+    /// key-at-a-time loop issues them — then the residual over every
+    /// fetched tuple at once. A semi join inspects as it fetches, so its
+    /// first match ends the key's fetches. Feeds no scan statistics.
+    fn probe(
+        &mut self,
+        s: &mut Session,
+        ty: JoinType,
+        outer: &ColumnBatch,
+        keys: &ColumnVector,
+        inner_cols: &mut [ColumnVector],
+        owners: &mut Vec<u32>,
+    ) -> Result<()> {
+        let IndexProbe { heap, index, filter, tids, fetched, fetched_for } = self;
+        let cpu = *s.cpu();
+        fetched_for.clear();
+        fetched.clear();
+        for row in outer.live_rows().filter(|&row| !keys.is_null(row)) {
+            index.probe_into(s, keys.int(row)?, tids);
+            for tid in tids.iter() {
+                let page = s.read_heap_page(heap, tid.page)?;
+                if ty == JoinType::Inner {
+                    fetched.push((page, tid.slot));
+                    fetched_for.push(row as u32);
+                    continue;
+                }
+                s.release();
+                s.charge_cpu(cpu.inspect_tuple_ns);
+                if filter.select(&[PageView::new(&page)?.get(tid.slot)?])? == 1 {
+                    s.charge_cpu(cpu.emit_tuple_ns);
+                    owners.push(row as u32);
+                    break;
+                }
+            }
+        }
+        s.release();
+        let tuples = slot_tuples(fetched)?;
+        let emitted = filter.select(&tuples)? as u64;
+        s.charge_cpu(cpu.inspect_tuple_ns * tuples.len() as u64 + cpu.emit_tuple_ns * emitted);
+        owners.extend(filter.selected().iter().map(|&i| fetched_for[i as usize]));
+        filter.gather_selected(&tuples, inner_cols)?;
+        fetched.clear(); // hold no page frame between calls
+        Ok(())
+    }
+
+    fn label(&self) -> String {
+        format!("{} via {}", self.heap.name(), self.index.name())
+    }
 }
 
 impl IndexNestedLoopJoin {
-    /// `outer.outer_col = inner.indexed_col` via `inner_index`.
+    /// `outer.outer_col = inner.indexed_col` via `inner_index`, on the
+    /// plain inner side.
     pub fn new(
         outer: BoxedOperator,
         outer_col: usize,
@@ -1069,42 +1153,49 @@ impl IndexNestedLoopJoin {
         ty: JoinType,
         storage: Storage,
     ) -> Self {
-        let schema = join_schema(outer.schema(), inner_heap.schema(), ty);
-        let out = ColumnBuffer::for_schema(&schema);
-        let filter = ScanFilter::new(inner_residual, inner_heap.schema());
-        let (heap, index, tids, fetched, owners) =
+        let (heap, index, tids, fetched, fetched_for) =
             (inner_heap, inner_index, vec![], vec![], vec![]);
-        let inner = InnerProbe { heap, index, filter, ty, storage, tids, fetched, owners };
-        let outer_emit = (0..outer.schema().len()).collect();
-        let emit_label = String::new();
-        let matched = Vec::new();
+        let filter = ScanFilter::new(inner_residual, heap.schema());
+        let inner = IndexProbe { heap, index, filter, tids, fetched, fetched_for };
+        Self::with_inner(outer, outer_col, Box::new(inner), ty, storage)
+    }
+
+    /// `outer.outer_col` joined to the key `inner` probes.
+    pub fn with_inner(
+        outer: BoxedOperator,
+        outer_col: usize,
+        inner: Box<dyn InnerPath>,
+        ty: JoinType,
+        storage: Storage,
+    ) -> Self {
+        let schema = join_schema(outer.schema(), inner.table(), ty);
         IndexNestedLoopJoin {
+            outer_emit: (0..outer.schema().len()).collect(),
             outer,
             outer_col,
-            outer_emit,
-            emit_label,
+            emit_label: String::new(),
             inner,
+            ty,
+            storage,
+            out: ColumnBuffer::for_schema(&schema),
             schema,
-            matched,
-            out,
+            matched: Vec::new(),
         }
     }
 
     /// Builder: the inner side is the table narrowed to `inner_cols`
     /// (strictly ascending; `None` = all), and of `outer ++ inner` only
     /// the columns `emit` (likewise) are emitted. No other outer column
-    /// is gathered, and the inner side's [`ScanFilter`] is re-compiled
-    /// to decode exactly the inner columns that are emitted — under a
-    /// semi join, none.
+    /// is gathered, and the inner side decodes exactly the inner columns
+    /// that are emitted ([`InnerPath::narrow`]) — under a semi join, none.
     pub fn with_emit(
         mut self,
         inner_cols: Option<&[usize]>,
         emit: Option<&[usize]>,
     ) -> Result<Self> {
-        let (table, ty) = (self.inner.heap.schema(), self.inner.ty);
-        let (outer, inner) = (self.outer.schema(), table.narrow(inner_cols)?);
-        self.schema = join_schema(outer, &inner, ty).narrow(emit)?;
-        self.emit_label = emit_label(emit, outer, &inner, ty);
+        let (outer, inner) = (self.outer.schema(), self.inner.table().narrow(inner_cols)?);
+        self.schema = join_schema(outer, &inner, self.ty).narrow(emit)?;
+        self.emit_label = emit_label(emit, outer, &inner, self.ty);
         let emitted = emit.map_or_else(|| (0..self.schema.len()).collect(), <[usize]>::to_vec);
         let (outer_emit, inner_emit) =
             emitted.split_at(emitted.partition_point(|&c| c < outer.len()));
@@ -1114,54 +1205,22 @@ impl IndexNestedLoopJoin {
             .map(|&c| inner_cols.map_or(c - outer.len(), |cols| cols[c - outer.len()]))
             .collect();
         self.outer_emit = outer_emit.to_vec();
-        self.inner.filter.narrow(table, Some(&decoded))?;
+        self.inner.narrow(&decoded)?;
         self.out = ColumnBuffer::for_schema(&self.schema);
         Ok(self)
     }
 
     /// Pull one outer morsel (so an outer scan reads ahead by whole
-    /// morsels) and probe it to completion: its live non-NULL keys in row
-    /// order on one storage session — descent, leaf walk, TID-ordered heap
-    /// fetches, as a key-at-a-time loop issues them — then the residual
-    /// over every fetched tuple at once. A semi join inspects as it
-    /// fetches, so its first match ends the key's fetches. Inner fetches
-    /// feed no scan statistics. Returns `false` at outer exhaustion.
+    /// morsels) and probe it to completion on one storage session.
+    /// Returns `false` at outer exhaustion.
     fn advance(&mut self, max: usize) -> Result<bool> {
         let Some(outer) = self.outer.next_columns(max)? else { return Ok(false) };
         let keys = outer.column_checked(self.outer_col)?;
         let out = self.out.fill();
         let (outer_cols, inner_cols) = out.columns_mut().split_at_mut(self.outer_emit.len());
-        let InnerProbe { heap, index, filter, ty, storage, tids, fetched, owners } =
-            &mut self.inner;
-        let (s, cpu) = (&mut storage.session(), *storage.cpu());
         self.matched.clear();
-        owners.clear();
-        fetched.clear();
-        for row in outer.live_rows().filter(|&row| !keys.is_null(row)) {
-            index.probe_into(s, keys.int(row)?, tids);
-            for tid in tids.iter() {
-                let page = s.read_heap_page(heap, tid.page)?;
-                if *ty == JoinType::Inner {
-                    fetched.push((page, tid.slot));
-                    owners.push(row as u32);
-                    continue;
-                }
-                s.release();
-                s.charge_cpu(cpu.inspect_tuple_ns);
-                if filter.select(&[PageView::new(&page)?.get(tid.slot)?])? == 1 {
-                    s.charge_cpu(cpu.emit_tuple_ns);
-                    self.matched.push(row as u32);
-                    break;
-                }
-            }
-        }
-        s.release();
-        let tuples = slot_tuples(fetched)?;
-        let emitted = filter.select(&tuples)? as u64;
-        s.charge_cpu(cpu.inspect_tuple_ns * tuples.len() as u64 + cpu.emit_tuple_ns * emitted);
-        self.matched.extend(filter.selected().iter().map(|&i| owners[i as usize]));
-        filter.gather_selected(&tuples, inner_cols)?;
-        fetched.clear(); // hold no page frame between calls
+        let s = &mut self.storage.session();
+        self.inner.probe(s, self.ty, &outer, keys, inner_cols, &mut self.matched)?;
         for (dst, &c) in outer_cols.iter_mut().zip(&self.outer_emit) {
             dst.extend_gather(outer.column_checked(c)?, &self.matched);
         }
@@ -1200,12 +1259,11 @@ impl Operator for IndexNestedLoopJoin {
 
     fn label(&self) -> String {
         format!(
-            "IndexNestedLoopJoin({:?}{}) [{} ⋈ {} via {}]",
-            self.inner.ty,
+            "IndexNestedLoopJoin({:?}{}) [{} ⋈ {}]",
+            self.ty,
             self.emit_label,
             self.outer.label(),
-            self.inner.heap.name(),
-            self.inner.index.name()
+            self.inner.label()
         )
     }
 }
@@ -1313,50 +1371,29 @@ mod tests {
         assert!(collect_rows(&mut j).unwrap().is_empty());
     }
 
-    #[test]
-    fn inlj_fetches_inner_rows_through_the_index() {
-        // Inner table: 500 rows, key = i (unique) plus payload.
-        let inner_schema = schema(&["pk", "payload"]);
-        let mut l = HeapLoader::new_mem("inner", inner_schema);
-        for i in 0..500i64 {
-            l.push(&Row::new(vec![Value::Int(i), Value::Int(i * 2)])).unwrap();
+    /// An index join probing `outer`'s second column against `(pk, pk·f)`
+    /// for `pk` in `0..n`, indexed on `pk`.
+    fn inlj(n: i64, f: i64, outer: Vec<(i64, i64)>, ty: JoinType) -> Vec<Vec<i64>> {
+        let mut l = HeapLoader::new_mem("inner", schema(&["pk", "payload"]));
+        for i in 0..n {
+            l.push(&Row::new(vec![Value::Int(i), Value::Int(i * f)])).unwrap();
         }
         let heap = Arc::new(l.finish().unwrap());
         let index = Arc::new(BTreeIndex::build_from_heap("pk_idx", &heap, 0).unwrap());
-        let outer = values("a", "fk", vec![(0, 3), (1, 499), (2, 1000)]);
-        let mut j = IndexNestedLoopJoin::new(
-            outer,
-            1,
-            heap,
-            index,
-            Predicate::True,
-            JoinType::Inner,
-            storage(),
-        );
-        let rows = pairs(&collect_rows(&mut j).unwrap());
+        let outer = values("a", "fk", outer);
+        let mut j = IndexNestedLoopJoin::new(outer, 1, heap, index, Predicate::True, ty, storage());
+        pairs(&collect_rows(&mut j).unwrap())
+    }
+
+    #[test]
+    fn inlj_fetches_inner_rows_through_the_index() {
+        let rows = inlj(500, 2, vec![(0, 3), (1, 499), (2, 1000)], JoinType::Inner);
         assert_eq!(rows, vec![vec![0, 3, 3, 6], vec![1, 499, 499, 998]]);
     }
 
     #[test]
     fn inlj_semi_join() {
-        let inner_schema = schema(&["pk", "payload"]);
-        let mut l = HeapLoader::new_mem("inner", inner_schema);
-        for i in 0..100i64 {
-            l.push(&Row::new(vec![Value::Int(i), Value::Int(0)])).unwrap();
-        }
-        let heap = Arc::new(l.finish().unwrap());
-        let index = Arc::new(BTreeIndex::build_from_heap("pk_idx", &heap, 0).unwrap());
-        let outer = values("a", "fk", vec![(7, 50), (8, 200)]);
-        let mut j = IndexNestedLoopJoin::new(
-            outer,
-            1,
-            heap,
-            index,
-            Predicate::True,
-            JoinType::LeftSemi,
-            storage(),
-        );
-        let rows = pairs(&collect_rows(&mut j).unwrap());
+        let rows = inlj(100, 0, vec![(7, 50), (8, 200)], JoinType::LeftSemi);
         assert_eq!(rows, vec![vec![7, 50]]);
     }
 

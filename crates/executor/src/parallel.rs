@@ -80,9 +80,7 @@
 //! worker count: a discrete-event replay of the scheduler's own policy
 //! through the functions the scheduler itself calls (chunked claiming
 //! via `source_claim`, per-worker queues, `steal_victim`'s
-//! steal-from-longest, with the [`STEAL_PENALTY_PERMILLE`] locality
-//! surcharge on stolen morsels — modeled only; execution charges
-//! nothing for a steal). The
+//! steal-from-longest). The
 //! perf-smoke `parallel`, `join` and `serve` experiments gate on that
 //! model because, unlike wall clock on a shared CI runner (or this
 //! repo's build hosts), it is bit-stable across machines. See
@@ -416,15 +414,6 @@ impl SourceCore {
     }
 }
 
-/// Modeled NUMA-style locality penalty on stolen morsels, in permille:
-/// a morsel processed by a worker other than the one whose local queue
-/// held it costs 15% extra worker-side time **in the scaling model
-/// only**. Execution never charges it — the virtual clock stays
-/// byte-identical across worker counts — it prices remote-queue
-/// traffic into the deterministic model so the perf gates reward
-/// locality-preserving schedules over steal-happy ones.
-pub const STEAL_PENALTY_PERMILLE: u64 = 150;
-
 /// Morsels a worker claims from the source in one lock hold: the fixed
 /// override when `fixed > 0` (`Scheduler::set_claim_morsels`), else
 /// guided self-scheduling — the remaining work split over twice the
@@ -636,7 +625,7 @@ impl ScalingLedger {
 
 /// One claimed-but-unprocessed morsel sitting in a worker's local
 /// queue, available to its owner (front pops) or to a stealing peer
-/// (back pops, at the modeled locality penalty). It belongs to its
+/// (back pops). It belongs to its
 /// query's current phase: queued morsels pin the phase.
 struct SimItem {
     query: usize,
@@ -697,14 +686,14 @@ impl<'a> SimQuery<'a> {
     }
 
     /// Take queued morsel `item` off the books and run its worker
-    /// section on a worker free from `at`, at `permille` of its traced
-    /// cost; returns the completion time.
-    fn run_queued(&mut self, at: u64, item: &SimItem, permille: u64) -> u64 {
+    /// section on a worker free from `at`; returns `(query, morsel,
+    /// completion time)`.
+    fn run_queued(&mut self, at: u64, item: &SimItem) -> (usize, usize, u64) {
         self.queued -= 1;
         // invariant: queued morsels pin their phase, so it is still the
         // current one.
         let proc = self.current().expect("a queued morsel pins its phase").proc_ns[item.idx];
-        at.max(item.ready) + proc * permille / 1000
+        (item.query, item.idx, at.max(item.ready) + proc)
     }
 
     /// Record one processed morsel's completion; fold any
@@ -759,9 +748,8 @@ impl<'a> SimQuery<'a> {
 ///   can start earliest — [`claim_size`]-guided runs for heap-backed
 ///   phases, single morsels for shared-operator phases — processing
 ///   the first morsel itself and queueing the rest locally, and only
-///   then **steals** the back of the longest peer queue, paying the
-///   [`STEAL_PENALTY_PERMILLE`] locality penalty on the stolen
-///   morsel's worker section. One worker therefore never steals, which
+///   then **steals** the back of the longest peer queue, at the stolen
+///   morsel's traced cost. One worker therefore never steals, which
 ///   keeps the one-worker makespan equal to the serial total (up to
 ///   the ordered fold's overlap — see [`ScalingLedger::speedup`]).
 /// * Ordered-sink sections fold strictly in morsel order off a reorder
@@ -826,8 +814,7 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
         // yields the morsel `w` processes and when it completes.
         let (qi, idx, done) = if let Some(item) = local[w].pop_front() {
             // 1. Drain the local queue before touching the source.
-            let done = queries[item.query].run_queued(worker_free[w], &item, 1000);
-            (item.query, item.idx, done)
+            queries[item.query].run_queued(worker_free[w], &item)
         } else if let Some((start, qi)) = queries
             .iter()
             .enumerate()
@@ -862,11 +849,8 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
         } else if let Some(item) =
             steal_victim(w, local.iter().map(VecDeque::len)).and_then(|v| local[v].pop_back())
         {
-            // 3. Steal the back of the longest peer queue, paying the
-            //    locality penalty.
-            let stolen = 1000 + STEAL_PENALTY_PERMILLE;
-            let done = queries[item.query].run_queued(worker_free[w], &item, stolen);
-            (item.query, item.idx, done)
+            // 3. Steal the back of the longest peer queue.
+            queries[item.query].run_queued(worker_free[w], &item)
         } else {
             // Nothing to pop, claim or steal anywhere: every admitted
             // query has drained (and eagerly advanced to finished).

@@ -46,10 +46,8 @@
 //! model calls too). Queued morsels count in `inflight` from the moment they
 //! are claimed, so a phase cannot finalize with queued work, and
 //! failed/cancelled queries drain their queues (at claim) and discard
-//! per item (at process). Execution charges nothing for a steal; the
-//! scaling model prices steals with a locality penalty
-//! ([`crate::parallel::STEAL_PENALTY_PERMILLE`]). See
-//! `docs/scheduler_v2.md`.
+//! per item (at process). Neither execution nor the scaling model
+//! charges anything for a steal. See `docs/scheduler_v2.md`.
 //!
 //! **The `ActiveQuery` phase state machine.** A query is one list of
 //! phases ([`PhaseSpec`]) — the hash-join builds in completion order,
@@ -803,10 +801,7 @@ fn try_work(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
     if claim_chunk(q, core, widx) {
         return true;
     }
-    // 3. Dry: steal the coldest morsel from the busiest peer. The
-    // execution charges nothing extra for a steal — the locality cost
-    // exists only in the scaling model
-    // ([`crate::parallel::STEAL_PENALTY_PERMILLE`]).
+    // 3. Dry: steal the coldest morsel from the busiest peer.
     match steal(q, widx) {
         Some(p) => process_pending(q, core, p),
         None => false,

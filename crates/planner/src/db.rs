@@ -50,7 +50,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use smooth_core::{SmoothScan, SmoothScanConfig, SwitchScan};
+use smooth_core::{SmoothInnerPath, SmoothScan, SmoothScanConfig, SwitchScan};
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
@@ -408,15 +408,20 @@ impl Database {
                                 rspec.table, spec.right_col
                             ))
                         })?;
-                        let join = IndexNestedLoopJoin::new(
-                            left,
-                            spec.left_col,
-                            Arc::clone(&entry.heap),
-                            Arc::clone(&idx.index),
-                            rspec.predicate.clone(),
-                            spec.ty,
-                            self.storage.clone(),
-                        );
+                        let (heap, index) = (Arc::clone(&entry.heap), Arc::clone(&idx.index));
+                        let (col, ty, pred) = (spec.left_col, spec.ty, rspec.predicate.clone());
+                        let storage = self.storage.clone();
+                        // A Smooth inner access morphs (Section IV-B).
+                        let join = match rspec.access {
+                            AccessPathChoice::Smooth(_) => {
+                                let inner = SmoothInnerPath::new(heap, index, idx.column, pred);
+                                let inner = Box::new(inner.with_mem_budget(self.mem_bytes()));
+                                IndexNestedLoopJoin::with_inner(left, col, inner, ty, storage)
+                            }
+                            _ => {
+                                IndexNestedLoopJoin::new(left, col, heap, index, pred, ty, storage)
+                            }
+                        };
                         Ok(Box::new(join.with_emit(rspec.cols.as_deref(), spec.emit.as_deref())?))
                     }
                     JoinStrategy::Hash | JoinStrategy::Auto => {

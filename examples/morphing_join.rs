@@ -4,24 +4,23 @@
 //! input found along the way, INLJ morphs into a variant of Hash Join over
 //! time, with the index used only when a tuple is not found in the cache."
 //!
-//! This example joins an orders stream against a lineitem-style inner
-//! table through [`SmoothInnerPath`]: every page fetched for one probe is
-//! harvested whole, so high-fan-out FK joins stop touching the disk long
-//! before the outer side is exhausted.
+//! This example runs one index-nested-loop plan twice against a
+//! lineitem-style inner table: once on the plain inner side, once with
+//! Smooth Scan as the inner access, which the planner turns into the
+//! morphing inner side. Every page fetched for one probe is harvested
+//! whole, so high-fan-out FK joins stop touching the disk long before the
+//! outer side is exhausted.
 //!
 //! ```sh
 //! cargo run --release --example morphing_join
 //! ```
 
-use std::sync::Arc;
-
-use smoothscan::core::{SmoothIndexNestedLoopJoin, SmoothInnerPath};
-use smoothscan::executor::{collect_rows, operator::ValuesOp, IndexNestedLoopJoin, JoinType};
-use smoothscan::index::BTreeIndex;
 use smoothscan::prelude::*;
-use smoothscan::storage::HeapLoader;
 
 fn main() {
+    // An unbounded harvest (the paper's setting) on a 64-page pool.
+    let mut db = Database::new(StorageConfig { pool_pages: 64, ..StorageConfig::default() })
+        .with_mem_bytes(0);
     // Inner: 240k rows, 6 per key, keys scattered across pages (FK order
     // is unrelated to physical placement — the painful real-world case).
     let schema = Schema::new(vec![
@@ -31,74 +30,60 @@ fn main() {
     ])
     .unwrap();
     let keys = 40_000i64;
-    let mut loader = HeapLoader::new_mem("lineitems", schema);
-    for rep in 0..6i64 {
-        for j in 0..keys {
+    let rows = (0..6i64).flat_map(|rep| {
+        (0..keys).map(move |j| {
             let k = (j.wrapping_mul(7919) + rep * 13) % keys;
-            loader
-                .push(&Row::new(vec![
-                    Value::Int(k),
-                    Value::Int(rep * 100),
-                    Value::str("·".repeat(40)),
-                ]))
-                .unwrap();
-        }
-    }
-    let heap = Arc::new(loader.finish().unwrap());
-    let index = Arc::new(BTreeIndex::build_from_heap("fk_idx", &heap, 0).unwrap());
-    let storage_for = || Storage::new(StorageConfig { pool_pages: 64, ..StorageConfig::default() });
+            Row::new(vec![Value::Int(k), Value::Int(rep * 100), Value::str("·".repeat(40))])
+        })
+    });
+    db.load_table("lineitems", schema, rows).unwrap();
+    db.create_index("lineitems", 0, "fk_idx").unwrap();
+    // Outer: every key probed twice.
+    let probes = Schema::new(vec![Column::new("k", DataType::Int64)]).unwrap();
+    let outer_keys = (0..keys).chain(0..keys).map(|k| Row::new(vec![Value::Int(k)]));
+    db.load_table("probes", probes, outer_keys).unwrap();
+    let inner = db.table("lineitems").unwrap().heap.clone();
     println!(
         "inner: {} rows over {} pages; outer: every key probed twice\n",
-        heap.tuple_count(),
-        heap.page_count()
+        inner.tuple_count(),
+        inner.page_count()
     );
 
-    let outer_keys: Vec<i64> = (0..keys).chain(0..keys).collect();
-    let outer = |storage: &Storage| -> Box<ValuesOp> {
-        let _ = storage;
-        let schema = Schema::new(vec![Column::new("k", DataType::Int64)]).unwrap();
-        Box::new(ValuesOp::new(
-            schema,
-            outer_keys.iter().map(|&k| Row::new(vec![Value::Int(k)])).collect(),
-        ))
+    // The two plans differ only in the inner scan's access path.
+    let plan = |access: AccessPathChoice| {
+        let outer =
+            ScanSpec::new("probes", Predicate::True).with_access(AccessPathChoice::ForceFull);
+        let inner = ScanSpec::new("lineitems", Predicate::True).with_access(access);
+        LogicalPlan::scan(outer)
+            .join(LogicalPlan::scan(inner), 0, 0, JoinType::Inner, JoinStrategy::IndexNestedLoop)
+            .aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(2)])
     };
-
-    // Plain INLJ: one (random) heap fetch per TID, forever.
-    let s1 = storage_for();
-    let mut plain = IndexNestedLoopJoin::new(
-        outer(&s1),
-        0,
-        Arc::clone(&heap),
-        Arc::clone(&index),
-        Predicate::True,
-        JoinType::Inner,
-        s1.clone(),
-    );
-    let n1 = collect_rows(&mut plain).unwrap().len();
-    let t1 = s1.clock().snapshot();
-    let io1 = s1.io_snapshot();
-
-    // Morphing INLJ: harvested pages never fetched again; after full
-    // coverage the index is bypassed entirely.
-    let s2 = storage_for();
-    let inner = SmoothInnerPath::new(heap, index, s2.clone(), 0, Predicate::True);
-    let mut morphing = SmoothIndexNestedLoopJoin::new(outer(&s2), 0, inner);
-    let n2 = collect_rows(&mut morphing).unwrap().len();
-    let t2 = s2.clock().snapshot();
-    let io2 = s2.io_snapshot();
-    let m = morphing.inner_metrics();
-
-    assert_eq!(n1, n2);
-    println!("{:<22} {:>10} {:>14} {:>12}", "join", "time (s)", "pages read", "rows");
-    println!("{:<22} {:>10.2} {:>14} {:>12}", "plain INLJ", t1.total_secs(), io1.pages_read, n1);
-    println!("{:<22} {:>10.2} {:>14} {:>12}", "morphing INLJ", t2.total_secs(), io2.pages_read, n2);
+    let disciplines = [
+        ("plain INLJ", AccessPathChoice::Auto),
+        ("morphing INLJ", AccessPathChoice::Smooth(SmoothScanConfig::default())),
+    ];
+    println!("{:<16} {:>10} {:>12} {:>12}  plan", "join", "time (s)", "pages read", "rows");
+    let mut runs = Vec::new();
+    for (name, access) in disciplines {
+        let plan = plan(access);
+        let r = db.run(&plan).unwrap();
+        let joined = r.rows[0].int(0).unwrap();
+        let (secs, pages) = (r.stats.secs(), r.stats.io.pages_read);
+        println!(
+            "{name:<16} {secs:>10.2} {pages:>12} {joined:>12}  {}",
+            db.explain(&plan).unwrap()
+        );
+        runs.push((r.rows, secs, pages));
+    }
+    let [(plain_rows, plain_secs, plain_pages), (morph_rows, morph_secs, morph_pages)] = &runs[..]
+    else {
+        unreachable!("two disciplines")
+    };
+    assert_eq!(plain_rows, morph_rows, "both joins return the same count and sum");
+    assert!(morph_pages < plain_pages, "harvesting reads fewer pages");
     println!(
-        "\nmorphing stats: {} probes, {} served cache-only, fully morphed into a hash join: {}",
-        m.probes, m.cache_only_probes, m.fully_morphed
-    );
-    println!(
-        "speedup {:.1}x with {:.0}x less page traffic — the §IV-B \"morphable join\" payoff",
-        t1.total_secs() / t2.total_secs(),
-        io1.pages_read as f64 / io2.pages_read as f64
+        "\nspeedup {:.1}x with {:.0}x less page traffic — the §IV-B \"morphable join\" payoff",
+        plain_secs / morph_secs,
+        *plain_pages as f64 / *morph_pages as f64
     );
 }

@@ -30,7 +30,13 @@ pub enum JoinShape {
     None,
     HashInner,
     HashSemi,
-    IndexNested,
+    /// An index join of `t` with itself on `c1` — a semi join when
+    /// `semi` — on the plain inner side, or on the morphing one when
+    /// `smooth` (the inner scan's access is then Smooth Scan).
+    IndexNested {
+        smooth: bool,
+        semi: bool,
+    },
     /// Merge join on the nullable `c2` of both sides: NULL keys sort
     /// first on either input and must match nothing.
     MergeNullable,
@@ -41,7 +47,8 @@ pub fn join_strategy() -> impl Strategy<Value = JoinShape> {
         2 => Just(JoinShape::None),
         2 => Just(JoinShape::HashInner),
         1 => Just(JoinShape::HashSemi),
-        1 => Just(JoinShape::IndexNested),
+        2 => (any::<bool>(), any::<bool>())
+            .prop_map(|(smooth, semi)| JoinShape::IndexNested { smooth, semi }),
         1 => Just(JoinShape::MergeNullable),
     ]
 }
@@ -93,13 +100,15 @@ pub fn plan_for(
             JoinType::LeftSemi,
             JoinStrategy::Hash,
         ),
-        JoinShape::IndexNested => scan.join(
-            LogicalPlan::scan(ScanSpec::new("r", Predicate::True)),
-            1,
-            1,
-            JoinType::Inner,
-            JoinStrategy::IndexNestedLoop,
-        ),
+        JoinShape::IndexNested { smooth, semi } => {
+            let access = match smooth {
+                true => AccessPathChoice::Smooth(SmoothScanConfig::default()),
+                false => AccessPathChoice::Auto,
+            };
+            let ty = if semi { JoinType::LeftSemi } else { JoinType::Inner };
+            let inner = ScanSpec::new("t", Predicate::int_lt(0, 600)).with_access(access);
+            scan.join(LogicalPlan::scan(inner), 1, 1, ty, JoinStrategy::IndexNestedLoop)
+        }
         JoinShape::MergeNullable => scan.join(
             LogicalPlan::scan(ScanSpec::new("t", Predicate::int_lt(0, 200))),
             2,

@@ -158,6 +158,34 @@ fn tpch_pipeline_round_trips() {
     }
 }
 
+/// An index join whose inner scan's access is Smooth Scan runs on the
+/// morphing inner side (Section IV-B) through `Database::run`: `explain`
+/// names it, it returns what the plain side returns — inner and semi —
+/// and through a small pool it reads far fewer pages, since it harvests
+/// each inner page at most once.
+#[test]
+fn a_smooth_inner_access_runs_the_morphing_index_join() {
+    let config = StorageConfig { pool_pages: 16, ..StorageConfig::default() };
+    let mut db = Database::new(config).with_mem_bytes(0);
+    micro::install(&mut db, 20_000, 5).unwrap();
+    let plan = |access, ty| {
+        let inner = ScanSpec::new(micro::TABLE, Predicate::True).with_access(access);
+        micro::query(1.0, false, AccessPathChoice::ForceFull)
+            .join(LogicalPlan::scan(inner), micro::C2, micro::C2, ty, JoinStrategy::IndexNestedLoop)
+            .aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)])
+    };
+    let smooth = AccessPathChoice::Smooth(SmoothScanConfig::default());
+    for ty in [JoinType::Inner, JoinType::LeftSemi] {
+        let plain = db.run(&plan(AccessPathChoice::ForceIndex, ty)).unwrap();
+        let morphing = db.run(&plan(smooth.clone(), ty)).unwrap();
+        assert_eq!(morphing.rows, plain.rows, "{ty:?}");
+        let label = db.explain(&plan(smooth.clone(), ty)).unwrap();
+        assert!(label.contains("⋈ SmoothInnerPath(micro via micro_c2)]"), "{label}");
+        let (morphed, probed) = (morphing.stats.io.pages_read, plain.stats.io.pages_read);
+        assert!(4 * morphed < probed, "{ty:?}: {morphed} vs {probed} pages");
+    }
+}
+
 #[test]
 fn stats_damage_changes_plans_not_results() {
     let mut db = Database::new(StorageConfig::default());

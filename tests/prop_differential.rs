@@ -1,6 +1,7 @@
 //! Cross-driver differential property suite: proptest-generated random
-//! plans — scan kind × predicates × join shapes × aggregates ×
-//! Smooth/Switch policies — must produce the **exact row sequence**,
+//! plans — scan kind × predicates × join shapes (the index join on either
+//! inner side among them) × aggregates × Smooth/Switch policies — must
+//! produce the **exact row sequence**,
 //! the **exact virtual CPU/IO clock totals** and the **exact I/O
 //! counters** across all three ways a plan is driven:
 //!
