@@ -2,11 +2,12 @@
 # Ratchet for the ROADMAP's tracked design metric: the lines of code in
 # `crates/executor/src` + `crates/planner/src` (tests and comments
 # included — the number the ROADMAP has quoted since the re-anchor) must
-# not exceed the ceiling committed here. A PR that shrinks the engine
-# lowers CEILING to its result in the same change; one that has to grow
-# it raises it on purpose, in review, instead of in prose.
+# not exceed the ceiling committed here, and with `crates/core/src` added
+# they must not exceed the combined one below. A PR that shrinks the
+# engine lowers its ceilings to its result in the same change; one that
+# has to grow it raises them on purpose, in review, instead of in prose.
 #
-# Raises so far:
+# Moves so far:
 # * PR 24, 10219 -> 10640 (+421; the issue's target was +350): column
 #   pruning is a new pass, not a cheaper kernel. `planner/src/prune.rs`
 #   (169 lines: the required-columns walk and its six node rules), the
@@ -34,13 +35,34 @@
 #   and, in `crates/core`, the second join operator
 #   (`SmoothIndexNestedLoopJoin`): `crates/{core,executor,planner}/src`
 #   together end where they started.
+# * 10700 -> 10699 (-1): scans decode one morsel ahead. The page queue
+#   and its one fill loop (`PageQueue`, `fill_from`) replace Sort Scan's
+#   TID sort, per-page slot lists and prefetch-run structs and Full Scan's
+#   hand-rolled fill loop; `fill_page_columns` is gone (the heap decoder,
+#   its last caller, loops inline). The TID bitmap Sort Scan walks is
+#   `smooth_types::TidBitmap`, beside `Tid`, because Smooth and Switch
+#   Scan's Tuple-ID cache is now that same type.
+#
+# COMBINED_CEILING ratchets `crates/{core,executor,planner}/src` together
+# (13766 when it was added, where it still stands): code shared by core
+# and executor can move between them, and only the sum shows that. The
+# PR that added it moved Smooth Scan's region inspection onto the
+# executor's page queue and deleted core's Tuple-ID cache bitmap, leaving
+# the sum where it was.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=10700
-lines=$(cat crates/executor/src/*.rs crates/planner/src/*.rs | wc -l)
-echo "crates/executor/src + crates/planner/src: $lines lines (ceiling $CEILING)"
-if [ "$lines" -gt "$CEILING" ]; then
-    echo "error: over the line budget by $((lines - CEILING)) —" \
-        "delete something, or raise CEILING in ci/loc_budget.sh and say why" >&2
-    exit 1
-fi
+CEILING=10699
+COMBINED_CEILING=13766
+check() {
+    echo "$1: $2 lines (ceiling $3)"
+    if [ "$2" -gt "$3" ]; then
+        echo "error: over the line budget by $(($2 - $3)) —" \
+            "delete something, or raise $4 in ci/loc_budget.sh and say why" >&2
+        exit 1
+    fi
+}
+check "crates/executor/src + crates/planner/src" \
+    "$(cat crates/executor/src/*.rs crates/planner/src/*.rs | wc -l)" "$CEILING" CEILING
+check "crates/{core,executor,planner}/src" \
+    "$(cat crates/core/src/*.rs crates/executor/src/*.rs crates/planner/src/*.rs | wc -l)" \
+    "$COMBINED_CEILING" COMBINED_CEILING

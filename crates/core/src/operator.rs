@@ -20,7 +20,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_executor::{Operator, Predicate, ScanFilter};
+use smooth_executor::{fill_from, Operator, PageQueue, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Session, Storage};
 use smooth_types::{
@@ -32,7 +32,7 @@ use crate::page_cache::PageIdCache;
 use crate::policy::{MorphPolicy, PolicyKind};
 use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::trigger::Trigger;
-use crate::tuple_cache::TupleIdCache;
+use crate::tuple_cache::{unproduced, TupleIdCache};
 
 /// Configuration of one Smooth Scan instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -154,8 +154,13 @@ pub struct SmoothScan {
     result_cache: Option<ResultCache>,
     policy: MorphPolicy,
     traditional_until: Option<u64>,
-    /// Pending output, a columnar FIFO. Unordered morphing regions decode
-    /// their qualifiers straight into it a page at a time; Mode-0 tuples,
+    /// An unordered region's fetched pages, not yet inspected.
+    queue: PageQueue,
+    /// The open region: its size, the pages inspected and those holding a
+    /// result so far.
+    region: (u32, u64, u64),
+    /// Pending output, a columnar FIFO. Queued region pages decode their
+    /// qualifiers straight into it a page at a time; Mode-0 tuples,
     /// Result-Cache hits and ordered driving tuples decode into it a
     /// tuple at a time.
     out: ColumnBuffer,
@@ -206,6 +211,8 @@ impl SmoothScan {
             result_cache: None,
             policy: MorphPolicy::new(config.policy, config.max_region_pages),
             traditional_until: None,
+            queue: PageQueue::default(),
+            region: (0, 0, 0),
             out,
             metrics: SmoothScanMetrics::default(),
         }
@@ -237,27 +244,28 @@ impl SmoothScan {
         &self.model
     }
 
-    /// Process all unvisited pages of the region `[start, start+len)`:
-    /// mark them visited, collect qualifying tuples, update the policy.
-    /// In ordered mode the driving tuple (if it qualifies) is emitted and
-    /// other finds go to the Result Cache; in unordered mode everything is
-    /// queued in the columnar output buffer.
+    /// Fetch every unvisited page of the region `[start, start+len)` and
+    /// mark it visited. Ordered mode inspects each run at once: the driving
+    /// tuple (if it qualifies) is emitted, other finds go to the Result
+    /// Cache, and the region closes. Unordered mode queues the runs for
+    /// [`SmoothScan::fill`] to inspect a morsel at a time; the region
+    /// closes when its last page is inspected, always before the cursor's
+    /// next probe.
     ///
-    /// Region processing is vectorized: each page's tuples are located
-    /// and the predicate evaluated over them in one pass (only the
-    /// key/residual columns are decoded for non-qualifiers), and the
-    /// virtual clock is charged once per page rather than per tuple, with
-    /// totals identical to the per-tuple accounting. In unordered mode
-    /// the qualifiers decode *straight into column vectors*; in ordered
-    /// mode they are not decoded at all — the Result Cache keeps their
-    /// validated bytes until the cursor reaches them. No `Row`
-    /// materializes either way. The session holds the storage lock for
-    /// each run's read only, never across the inspection.
+    /// Inspection is vectorized: each page's tuples are located and the
+    /// predicate evaluated over them in one pass (only the key/residual
+    /// columns are decoded for non-qualifiers), and the virtual clock is
+    /// charged once per page rather than per tuple, with totals identical
+    /// to the per-tuple accounting. In unordered mode the qualifiers decode
+    /// *straight into column vectors*; in ordered mode they are not decoded
+    /// at all — the Result Cache keeps their validated bytes until the
+    /// cursor reaches them. No `Row` materializes either way. The session
+    /// holds the storage lock for each run's read only, never across the
+    /// inspection.
     fn process_region(&mut self, s: &mut Session, driving: Tid, len: u32) -> Result<()> {
         let end = (driving.page.0 + len).min(self.heap.page_count());
         let cpu = *s.cpu();
-        let mut pages_processed = 0u64;
-        let mut pages_with_results = 0u64;
+        self.region = (len, 0, 0);
         let mut p = driving.page.0;
         while p < end {
             s.charge_cpu(cpu.bitmap_op_ns);
@@ -269,80 +277,106 @@ impl SmoothScan {
             let pages = s.read_heap_run(&self.heap, PageId(p), run)?;
             s.charge_cpu(cpu.hash_op_ns * run as u64); // the pool probes
             s.release();
+            p += run.max(1);
+            for (pid, _) in &pages {
+                self.page_cache.insert(*pid);
+            }
+            if !self.config.ordered {
+                self.queue.extend(pages);
+                continue;
+            }
             // The slots still to inspect on the current page and their
             // encoded tuples, reused across the run's pages.
             let (mut slots, mut tuples) = (Vec::new(), Vec::new());
             for (pid, buf) in &pages {
-                self.page_cache.insert(*pid);
-                let view = PageView::new(buf)?;
-                let mut bitmap_ops = 0u64;
                 slots.clear();
                 tuples.clear();
-                for slot in 0..view.slot_count() {
-                    if let Some(tc) = &self.tuple_cache {
-                        bitmap_ops += 1;
-                        if tc.contains(Tid { page: *pid, slot }) {
-                            continue; // already produced by Mode 0
-                        }
+                let (tc, view) = (self.tuple_cache.as_ref(), PageView::new(buf)?);
+                let bitmap_ops = unproduced(tc, *pid, &view, &mut tuples, |s| slots.push(s))?;
+                let emitted = self.filter.select(&tuples)? as u64;
+                self.filter.check_selected_text(&tuples)?;
+                smooth_storage::tap_rows(tuples.len() as u64, emitted);
+                let keys = self
+                    .filter
+                    .probed_column(self.key_col)
+                    .ok_or_else(|| Error::exec("smooth scan filter does not read its key"))?;
+                for &i in self.filter.selected() {
+                    let i = i as usize;
+                    let tid = Tid { page: *pid, slot: slots[i] };
+                    if tid == driving {
+                        let out = self.out.fill();
+                        self.layout.decode_into(tuples[i], out.columns_mut())?;
+                        out.commit_rows(1);
+                    } else {
+                        let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
+                        cache.insert(s, keys.int(i)?, tid, tuples[i]);
                     }
-                    slots.push(slot);
-                    tuples.push(view.get(slot)?);
                 }
-                let (inspected, emitted) = if self.config.ordered {
-                    let emitted = self.filter.select(&tuples)? as u64;
-                    self.filter.check_selected_text(&tuples)?;
-                    smooth_storage::tap_rows(tuples.len() as u64, emitted);
-                    let keys = self
-                        .filter
-                        .probed_column(self.key_col)
-                        .ok_or_else(|| Error::exec("smooth scan filter does not read its key"))?;
-                    for &i in self.filter.selected() {
-                        let i = i as usize;
-                        let tid = Tid { page: *pid, slot: slots[i] };
-                        if tid == driving {
-                            let out = self.out.fill();
-                            self.layout.decode_into(tuples[i], out.columns_mut())?;
-                            out.commit_rows(1);
-                        } else {
-                            let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
-                            cache.insert(s, keys.int(i)?, tid, tuples[i]);
-                        }
-                    }
-                    (tuples.len() as u64, emitted)
-                } else {
-                    self.filter.fill(&tuples, self.out.fill())?
-                };
                 s.charge_cpu(
                     cpu.bitmap_op_ns * bitmap_ops
-                        + cpu.inspect_tuple_ns * inspected
+                        + cpu.inspect_tuple_ns * tuples.len() as u64
                         + cpu.emit_tuple_ns * emitted,
                 );
-                pages_processed += 1;
-                pages_with_results += u64::from(emitted > 0);
+                self.region.1 += 1;
+                self.region.2 += u64::from(emitted > 0);
             }
-            p += run.max(1);
         }
-        // Update policy + metrics with this region's outcome.
-        if pages_processed > 0 {
-            self.metrics.regions += 1;
-            self.metrics.pages_fetched += pages_processed;
-            self.metrics.pages_with_results += pages_with_results;
-            self.metrics.max_region_pages = self.metrics.max_region_pages.max(len);
-            if len <= 1 {
-                self.metrics.mode1_pages += pages_processed;
-            } else {
-                self.metrics.mode2_pages += pages_processed;
+        if self.config.ordered {
+            self.close_region();
+        }
+        Ok(())
+    }
+
+    /// Fold the region's outcome into the policy and the metrics (a region
+    /// that processed no page leaves both alone).
+    fn close_region(&mut self) {
+        let (len, pages, with_results) = std::mem::take(&mut self.region);
+        if pages == 0 {
+            return;
+        }
+        self.metrics.regions += 1;
+        self.metrics.pages_fetched += pages;
+        self.metrics.pages_with_results += with_results;
+        self.metrics.max_region_pages = self.metrics.max_region_pages.max(len);
+        if len <= 1 {
+            self.metrics.mode1_pages += pages;
+        } else {
+            self.metrics.mode2_pages += pages;
+        }
+        self.policy.observe_region(pages, with_results);
+    }
+
+    /// Buffer up to `max` rows: inspect queued region pages (see
+    /// [`fill_from`]) while any wait, closing the region with its
+    /// last one, and advance the cursor while none do.
+    fn fill(&mut self, s: &mut Session, max: usize) -> Result<()> {
+        while self.out.pending() < max {
+            if self.queue.is_empty() {
+                if !self.advance(s)? {
+                    break;
+                }
+                continue;
             }
-            self.policy.observe_region(pages_processed, pages_with_results);
+            let (op_ns, tc, out) = (s.cpu().bitmap_op_ns, self.tuple_cache.as_ref(), &mut self.out);
+            let (pages, with_results) =
+                fill_from(&mut self.queue, s, max, &mut self.filter, out, |p, v, t| {
+                    Ok(op_ns * unproduced(tc, p, v, t, |_| {})?)
+                })?;
+            self.region.1 += pages;
+            self.region.2 += with_results;
+            if !self.queue.is_empty() {
+                break; // the next page starts the next morsel
+            }
+            self.close_region();
         }
         Ok(())
     }
 
     /// Advance the driving cursor by one probe. Any rows this produces —
-    /// a Mode-0 tuple, a Result-Cache hit, the ordered driving tuple, or a
-    /// whole region's worth of unordered finds — append to the columnar
-    /// output buffer in emission order. Returns `false` at cursor
-    /// exhaustion.
+    /// a Mode-0 tuple, a Result-Cache hit or the ordered driving tuple —
+    /// append to the columnar output buffer in emission order; an
+    /// unordered region's pages join the page queue. Returns `false` at
+    /// cursor exhaustion.
     fn advance(&mut self, s: &mut Session) -> Result<bool> {
         let cursor = self.cursor.as_mut().ok_or_else(|| Error::exec("SmoothScan before open"))?;
         let Some((key, tid)) = cursor.next_in(s) else {
@@ -404,7 +438,7 @@ impl SmoothScan {
         let tuple = [PageView::new(&page)?.get(tid.slot)?];
         if self.filter.select(&tuple)? == 1 {
             let produced = self.tuple_cache.as_mut();
-            produced.ok_or_else(|| Error::exec("Mode 0 without a tuple cache"))?.insert(tid);
+            produced.ok_or_else(|| Error::exec("Mode 0 without a tuple cache"))?.insert(tid)?;
             self.metrics.mode0_tuples += 1;
             s.charge_cpu(cpu.emit_tuple_ns);
             let out = self.out.fill();
@@ -428,12 +462,14 @@ impl Operator for SmoothScan {
     fn open(&mut self) -> Result<()> {
         self.cursor = Some(self.index.range(&self.storage, self.lo, self.hi));
         self.page_cache = PageIdCache::new(self.heap.page_count());
+        self.queue.clear();
+        self.region = (0, 0, 0);
         self.out.reset();
         self.metrics = SmoothScanMetrics::default();
         self.traditional_until = self.config.trigger.trigger_cardinality(&self.model);
-        self.tuple_cache = self.traditional_until.map(|_| {
-            TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page() as u32)
-        });
+        self.tuple_cache = self
+            .traditional_until
+            .map(|_| TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page()));
         self.policy = MorphPolicy::new(
             if self.traditional_until.is_some() {
                 self.config.trigger.post_trigger_policy(self.config.policy)
@@ -466,8 +502,7 @@ impl Operator for SmoothScan {
         self.flush_cache_eviction();
         let max = max.max(1);
         let storage = self.storage.clone();
-        let s = &mut storage.session();
-        while self.out.pending() < max && self.advance(s)? {}
+        self.fill(&mut storage.session(), max)?;
         let batch = self.out.pop_columns(max);
         self.metrics.tuples_emitted += batch.as_ref().map_or(0, |b| b.len() as u64);
         Ok(batch)
@@ -476,8 +511,7 @@ impl Operator for SmoothScan {
     fn next(&mut self) -> Result<Option<Row>> {
         self.flush_cache_eviction();
         let storage = self.storage.clone();
-        let s = &mut storage.session();
-        while self.out.is_drained() && self.advance(s)? {}
+        self.fill(&mut storage.session(), 1)?;
         let row = self.out.pop_row();
         self.metrics.tuples_emitted += u64::from(row.is_some());
         Ok(row)
@@ -491,6 +525,7 @@ impl Operator for SmoothScan {
         if let Some(rc) = self.result_cache.as_mut() {
             rc.clear();
         }
+        self.queue.clear();
         self.out.reset();
         Ok(())
     }

@@ -31,9 +31,10 @@
 //! tuple that may wait for most of the scan.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 
-use smooth_storage::{DeviceProfile, Session};
+use smooth_storage::{DeviceProfile, PageKeyHasher, Session};
 use smooth_types::Tid;
 
 /// Counters reported by Fig. 9a.
@@ -59,8 +60,9 @@ pub struct ResultCacheStats {
 
 #[derive(Debug, Default)]
 struct Partition {
-    /// `(key, tid)` → where the tuple's bytes sit in `bytes`.
-    slots: HashMap<(i64, Tid), Range<usize>>,
+    /// `(key, tid)` → where the tuple's bytes sit in `bytes` (never
+    /// iterated, so the fixed hasher orders nothing).
+    slots: HashMap<(i64, Tid), Range<usize>, BuildHasherDefault<PageKeyHasher>>,
     /// The cached tuples' encoded bytes, back to back.
     bytes: Vec<u8>,
     /// Spilled to an overflow file: contents kept (simulated file), but

@@ -11,12 +11,12 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_executor::{batch_size, Operator, Predicate, ScanFilter};
+use smooth_executor::{batch_size, fill_from, Operator, PageQueue, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Session, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema, Tid};
+use smooth_types::{ColumnBatch, ColumnBuffer, Error, PageId, Result, Row, Schema};
 
-use crate::tuple_cache::TupleIdCache;
+use crate::tuple_cache::{unproduced, TupleIdCache};
 
 /// Pages per full-scan readahead request after the switch.
 const READAHEAD: u32 = 32;
@@ -38,6 +38,8 @@ pub struct SwitchScan {
     produced_count: u64,
     switched: bool,
     next_page: u32,
+    /// Full-scan runs fetched but not yet inspected.
+    queue: PageQueue,
     /// Pending output of either phase: index probes and full-scan refills
     /// decode qualifiers straight into this columnar FIFO.
     out: ColumnBuffer,
@@ -74,6 +76,7 @@ impl SwitchScan {
             produced_count: 0,
             switched: false,
             next_page: 0,
+            queue: PageQueue::default(),
             out,
         }
     }
@@ -123,7 +126,7 @@ impl SwitchScan {
             return Ok(true);
         }
         self.produced_count += 1;
-        self.produced.as_mut().ok_or_else(not_open)?.insert(tid);
+        self.produced.as_mut().ok_or_else(not_open)?.insert(tid)?;
         s.charge_cpu(cpu.emit_tuple_ns);
         let out = self.out.fill();
         self.filter.gather_selected(&tuple, out.columns_mut())?;
@@ -131,54 +134,46 @@ impl SwitchScan {
         Ok(true)
     }
 
-    /// Phase-2 refill: read one readahead run into the columnar output
-    /// buffer, skipping tuples the index phase already produced.
-    /// Vectorized — the predicate is probed on the encoded tuples,
-    /// qualifiers decode straight into column vectors, and the clock is
-    /// charged per page with totals identical to per-tuple accounting.
-    /// Returns `false` once the heap is exhausted.
-    fn fill_phase2(&mut self, s: &mut Session) -> Result<bool> {
+    /// Phase 2: queue the next readahead run. Returns `false` once the
+    /// heap is exhausted.
+    fn read_phase2(&mut self, s: &mut Session) -> Result<bool> {
         let total = self.heap.page_count();
         if self.next_page >= total {
             return Ok(false);
         }
-        let cpu = *s.cpu();
         let len = READAHEAD.min(total - self.next_page);
         let pages = s.read_heap_run(&self.heap, PageId(self.next_page), len)?;
-        s.charge_cpu(cpu.hash_op_ns * len as u64); // the pool probes
+        s.charge_cpu(s.cpu().hash_op_ns * len as u64); // the pool probes
         s.release();
         self.next_page += len;
-        let produced = self.produced.as_ref().ok_or_else(not_open)?;
-        let mut tuples: Vec<&[u8]> = Vec::new();
-        for (pid, page) in &pages {
-            let view = PageView::new(page)?;
-            let slots = view.slot_count();
-            tuples.clear();
-            for slot in 0..slots {
-                if produced.contains(Tid { page: *pid, slot }) {
-                    continue;
-                }
-                tuples.push(view.get(slot)?);
-            }
-            let (inspected, emitted) = self.filter.fill(&tuples, self.out.fill())?;
-            s.charge_cpu(
-                cpu.bitmap_op_ns * slots as u64
-                    + cpu.inspect_tuple_ns * inspected
-                    + cpu.emit_tuple_ns * emitted,
-            );
-        }
+        self.queue.extend(pages);
         Ok(true)
     }
 
     /// Buffer output: index probes until `want` rows are pending or the
-    /// cliff is taken, then — once the index phase's rows have left —
-    /// full-scan runs until one yields a row; all on one storage session,
-    /// released before every inspection.
+    /// cliff is taken, then full-scan runs, inspected a morsel at a time
+    /// (see [`fill_from`]) and skipping tuples the index phase already
+    /// produced; all on one storage session, released before every
+    /// inspection. The clock is charged per page with totals identical to
+    /// per-tuple accounting.
     fn fill(&mut self, want: usize) -> Result<()> {
         let storage = self.storage.clone();
         let s = &mut storage.session();
         while !self.switched && self.out.pending() < want && self.probe_phase1(s)? {}
-        while self.switched && self.out.is_drained() && self.fill_phase2(s)? {}
+        while self.switched && self.out.pending() < want {
+            // A run is read once the rows before it have left: the index
+            // phase's rows leave before the full scan starts.
+            if self.queue.is_empty() && !(self.out.is_drained() && self.read_phase2(s)?) {
+                break;
+            }
+            let (op_ns, produced) = (s.cpu().bitmap_op_ns, self.produced.as_ref());
+            fill_from(&mut self.queue, s, want, &mut self.filter, &mut self.out, |p, v, t| {
+                Ok(op_ns * unproduced(produced, p, v, t, |_| {})?)
+            })?;
+            if !self.queue.is_empty() {
+                break; // the next page starts the next morsel
+            }
+        }
         Ok(())
     }
 }
@@ -195,10 +190,11 @@ impl Operator for SwitchScan {
     fn open(&mut self) -> Result<()> {
         self.cursor = Some(self.index.range(&self.storage, self.lo, self.hi));
         self.produced =
-            Some(TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page() as u32));
+            Some(TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page()));
         self.produced_count = 0;
         self.switched = false;
         self.next_page = 0;
+        self.queue.clear();
         self.out.reset();
         Ok(())
     }
@@ -218,6 +214,7 @@ impl Operator for SwitchScan {
 
     fn close(&mut self) -> Result<()> {
         self.cursor = None;
+        self.queue.clear();
         self.out.reset();
         Ok(())
     }

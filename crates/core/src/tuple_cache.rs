@@ -6,64 +6,31 @@
 //! the Eager strategy the cache is unnecessary — a point the paper credits
 //! to strict `(indexkey, TID)` ordering.)
 
-use smooth_types::Tid;
+use smooth_storage::PageView;
+use smooth_types::{PageId, Result, Tid};
 
-/// Bitmap of already-produced tuples, addressed by dense TID ordinal.
-#[derive(Debug, Clone)]
-pub struct TupleIdCache {
-    bits: Vec<u64>,
-    slots_per_page: u32,
-    set_count: u64,
-}
+/// Bitmap of already-produced tuples: a [`smooth_types::TidBitmap`], one
+/// bit per tuple slot, page-major.
+pub use smooth_types::TidBitmap as TupleIdCache;
 
-impl TupleIdCache {
-    /// A cache for a heap of `pages` pages with at most `slots_per_page`
-    /// tuples per page.
-    pub fn new(pages: u32, slots_per_page: u32) -> Self {
-        let slots = pages as u64 * slots_per_page as u64;
-        TupleIdCache {
-            bits: vec![0u64; (slots as usize).div_ceil(64)],
-            slots_per_page,
-            set_count: 0,
+/// Append the tuples of `page` that `produced` does not hold — all of them
+/// without a cache — to `tuples` in slot order, telling `slot` each one's
+/// slot. Returns the bitmap checks made: one per slot with a cache.
+pub(crate) fn unproduced<'p>(
+    produced: Option<&TupleIdCache>,
+    page: PageId,
+    view: &PageView<'p>,
+    tuples: &mut Vec<&'p [u8]>,
+    mut slot: impl FnMut(u16),
+) -> Result<u64> {
+    for s in 0..view.slot_count() {
+        if produced.is_some_and(|c| c.contains(Tid { page, slot: s })) {
+            continue;
         }
+        slot(s);
+        tuples.push(view.get(s)?);
     }
-
-    /// Whether the tuple has been produced already.
-    #[inline]
-    pub fn contains(&self, tid: Tid) -> bool {
-        let i = tid.ordinal(self.slots_per_page) as usize;
-        self.bits[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    /// Record a produced tuple; returns `true` if newly set.
-    #[inline]
-    pub fn insert(&mut self, tid: Tid) -> bool {
-        let i = tid.ordinal(self.slots_per_page) as usize;
-        let mask = 1u64 << (i % 64);
-        let word = &mut self.bits[i / 64];
-        if *word & mask == 0 {
-            *word |= mask;
-            self.set_count += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Number of recorded tuples.
-    pub fn len(&self) -> u64 {
-        self.set_count
-    }
-
-    /// `true` when nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.set_count == 0
-    }
-
-    /// Heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
+    Ok(produced.map_or(0, |_| u64::from(view.slot_count())))
 }
 
 #[cfg(test)]
@@ -75,9 +42,9 @@ mod tests {
         let mut c = TupleIdCache::new(100, 120);
         let t = Tid::new(40, 77);
         assert!(!c.contains(t));
-        assert!(c.insert(t));
+        assert!(c.insert(t).unwrap());
         assert!(c.contains(t));
-        assert!(!c.insert(t));
+        assert!(!c.insert(t).unwrap());
         assert_eq!(c.len(), 1);
         assert!(!c.is_empty());
     }
@@ -85,9 +52,9 @@ mod tests {
     #[test]
     fn distinct_tids_do_not_collide() {
         let mut c = TupleIdCache::new(10, 120);
-        c.insert(Tid::new(0, 119));
+        c.insert(Tid::new(0, 119)).unwrap();
         assert!(!c.contains(Tid::new(1, 0)));
-        c.insert(Tid::new(1, 0));
+        c.insert(Tid::new(1, 0)).unwrap();
         assert_eq!(c.len(), 2);
     }
 

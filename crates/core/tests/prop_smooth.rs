@@ -224,7 +224,10 @@ proptest! {
     /// switch an OptimizerDriven trigger fires mid-scan — and for Switch
     /// Scan across its index → full-scan cliff: `next()`, and
     /// `next_columns` at 1, 2, 7, an arbitrary `max` and 4096 rows, alone
-    /// and interleaved, yield one row sequence, every batch within `max`.
+    /// and interleaved, yield one row sequence, every batch within `max` —
+    /// and, for Smooth Scan, one clock, one set of I/O counters and one set
+    /// of morphing counters (regions, pages fetched / with results, Mode-1
+    /// / Mode-2 pages, largest region).
     #[test]
     fn batch_protocol_equals_row_protocol_across_mode_switches(
         keys in proptest::collection::vec(0i64..150, 50..1000),
@@ -250,23 +253,26 @@ proptest! {
             .with_policy(policy)
             .with_order(ordered)
             .with_trigger(trigger);
-        let mut ss = SmoothScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            1,
-            Bound::Included(lo),
-            Bound::Excluded(hi),
-            Predicate::True,
-            config,
-        );
-        let volcano = collect_rows_volcano(&mut ss).unwrap();
+        // A fresh scan over a fresh storage per drain: an unordered region
+        // is inspected across calls, so the clock, the I/O counters and
+        // the morphing counters must agree as well as the rows.
+        let run = |drain: &dyn Fn(&mut dyn Operator) -> Vec<Row>| {
+            let s = storage(24);
+            let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+            let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
+            let mut ss = SmoothScan::new(h, i, s.clone(), 1, lo, hi, Predicate::True, config);
+            let rows = drain(&mut ss);
+            let m = ss.metrics();
+            // The emission counter counts each tuple once under every protocol.
+            assert_eq!(m.tuples_emitted as usize, rows.len());
+            let pages = (m.pages_fetched, m.pages_with_results, m.mode1_pages, m.mode2_pages);
+            (rows, s.clock().snapshot(), s.io_snapshot(), (m.regions, pages, m.max_region_pages))
+        };
+        let volcano = run(&|op| collect_rows_volcano(op).unwrap());
         for max in [1, 2, 7, max, 4096] {
-            prop_assert_eq!(&collect_columnar(&mut ss, max), &volcano);
+            prop_assert_eq!(&run(&|op| collect_columnar(op, max)), &volcano);
         }
-        prop_assert_eq!(&collect_interleaved(&mut ss, max), &volcano);
-        // The emission counter counts each tuple once under every protocol.
-        prop_assert_eq!(ss.metrics().tuples_emitted as usize, volcano.len());
+        prop_assert_eq!(&run(&|op| collect_interleaved(op, max)), &volcano);
 
         let mut sw = smooth_core::SwitchScan::new(
             Arc::clone(&heap),

@@ -9,7 +9,8 @@
 //! neither read nor emitted are not read and not an error. And a TID past
 //! its page's slot count — the page header lying about an entry of the
 //! engine's own index — is `Error::Corrupt` on every reader that
-//! addresses tuples by TID.
+//! addresses tuples by TID, and an index entry past the heap is
+//! `Error::Corrupt` on Sort Scan, whose TID bitmap has no bit for it.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -23,7 +24,7 @@ use smooth_executor::{
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{Backend, HeapFile, HeapLoader, MemBackend, PageBuf, PageView, Storage};
-use smooth_types::{Column, DataType, Error, PageId, Result, Row, Schema, Value};
+use smooth_types::{Column, DataType, Error, PageId, Result, Row, Schema, Tid, Value};
 
 /// A page store that rewrites every page on its way in — how a test
 /// gets hostile bytes under a real heap: each occurrence of `from`
@@ -318,5 +319,26 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
         [("smooth scan through mode 0", smooth(false)), ("ordered, through mode 0", smooth(true))];
     for (what, got) in read.chain(smooths) {
         assert!(matches!(got, Err(Error::Corrupt(_))), "{what}: {got:?}");
+    }
+}
+
+#[test]
+fn sort_scan_rejects_an_index_entry_outside_the_heap() {
+    // An index naming a page past the heap, a slot past the fullest page
+    // (in the page's own last word, or just past its words: the next
+    // page's first bit) or both: `Error::Corrupt` as the range is walked,
+    // never a bit set out of bounds or on a neighbouring page.
+    let heap = heap(b"", b"");
+    let (pages, slots) = (heap.page_count(), heap.max_slots_per_page());
+    let past_words = slots.div_ceil(64) * 64;
+    let hostile =
+        [(pages, 0), (0, slots), (0, past_words), (pages - 1, past_words), (u32::MAX, u16::MAX)];
+    for (page, slot) in hostile {
+        let entries = vec![(1, Tid::new(0, 0)), (2, Tid::new(page, slot))];
+        let index = Arc::new(BTreeIndex::build("hostile", entries));
+        let (all, s) = (Bound::Unbounded, Storage::default_hdd());
+        let mut scan = SortScan::new(Arc::clone(&heap), index, s, all, all, Predicate::True);
+        let got = collect_rows(&mut scan);
+        assert!(matches!(got, Err(Error::Corrupt(_))), "({page}, {slot}): {got:?}");
     }
 }

@@ -6,8 +6,8 @@
 //! * **Full Table Scan** — sequential page runs with readahead;
 //! * **Index Scan** — B+-tree range cursor driving random heap fetches,
 //!   preserving key order;
-//! * **Sort Scan** (a.k.a. Bitmap Heap Scan) — drain the index, sort TIDs in
-//!   page order, fetch nearly sequentially; blocking, order-destroying;
+//! * **Sort Scan** (a.k.a. Bitmap Heap Scan) — drain the index into a TID
+//!   bitmap, fetch nearly sequentially; blocking, order-destroying;
 //! * Filter / Project / Sort;
 //! * Index-Nested-Loop, Hash and Merge joins;
 //! * hash and scalar aggregation.
@@ -71,7 +71,7 @@ pub use parallel::{
     multi_query_makespan_ns, run_pipeline, run_pipeline_traced, LedgerPhase, ParallelPipeline,
     ParallelSource, PhaseBuild, PhaseSpec, ScalingLedger, SinkSpec, StageSpec,
 };
-pub use scan::{FullTableScan, IndexScan, SortScan};
+pub use scan::{every_tuple, fill_from, FullTableScan, IndexScan, PageQueue, SortScan};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};
 pub use sort::Sort;
 pub use spill::{charge_spill_io, mem_budget_bytes, spill_io_ns, spill_write, SpillFile};

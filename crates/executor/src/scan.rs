@@ -5,46 +5,66 @@
 //! * [`IndexScan`] — walks the B+-tree range cursor and fetches one heap
 //!   page per qualifying TID; preserves key order but pays a random access
 //!   (and possibly a repeated page visit) per tuple (Eq. 11).
-//! * [`SortScan`] — PostgreSQL's Bitmap Heap Scan: drains the index range,
-//!   sorts TIDs in page order, then fetches each qualifying page once in a
-//!   nearly sequential pattern. Blocking, and the index's key order is
-//!   destroyed (Section II "Sort Scan").
+//! * [`SortScan`] — PostgreSQL's Bitmap Heap Scan: drains the index range
+//!   into a TID bitmap, then fetches each qualifying page once, in page
+//!   order, in a nearly sequential pattern. Blocking, and the index's key
+//!   order is destroyed (Section II "Sort Scan").
+//!
+//! A scan reads at its own I/O granularity but decodes one morsel ahead:
+//! what it fetched waits, still encoded, in a [`PageQueue`].
 
 use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
 use smooth_index::{BTreeIndex, IndexCursor};
-use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId};
+use smooth_storage::{HeapFile, PageBuf, PageView, Session, Storage};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId, TidBitmap};
 
 use crate::expr::{Predicate, ScanFilter};
 use crate::operator::{batch_size, Operator};
 
-/// Probe-and-fill one page's listed slots through `filter` straight into
-/// the columnar buffer `out`, charging the virtual clock in one bulk
-/// increment (one inspect per slot probed, one emit per qualifier).
-/// `tuples` is the caller's slice scratch, reused across the pages of one
-/// fetched run.
-pub(crate) fn fill_page_columns<'a>(
-    storage: &Storage,
+/// [`fill_from`]'s slot picker for every tuple of a page.
+pub fn every_tuple<'p>(_: PageId, view: &PageView<'p>, tuples: &mut Vec<&'p [u8]>) -> Result<u64> {
+    tuples.reserve(view.slot_count() as usize);
+    view.iter().try_for_each(|t| t.map(|t| tuples.push(t)))?;
+    Ok(0)
+}
+
+/// Fetched heap pages waiting, still encoded, to be inspected: a scan
+/// queues whole I/O units and [`fill_from`] inspects them a page at a
+/// time, only as far as the caller's morsel reaches.
+pub type PageQueue = VecDeque<(PageId, PageBuf)>;
+
+/// Inspect `queue`'s pages in order through `filter` into `out` until `max`
+/// rows are pending or the queue is empty, charging `s` per tuple probed and
+/// emitted plus the CPU `slots` returns for picking a page's tuples. A page
+/// whose tuples could take the pending rows past `max` stays queued unless
+/// none are pending — so `slots` must have no other effect, every call
+/// inspects a page, and a morsel that fits leaves `out` by handover. Returns
+/// the pages inspected and how many of them held a qualifier.
+pub fn fill_from(
+    queue: &mut PageQueue,
+    s: &mut Session,
+    max: usize,
     filter: &mut ScanFilter,
-    page: &'a PageBuf,
-    slots: Option<&[u16]>,
-    tuples: &mut Vec<&'a [u8]>,
-    out: &mut ColumnBatch,
-) -> Result<()> {
-    let view = PageView::new(page)?;
-    tuples.clear();
-    tuples.reserve(slots.map_or(view.slot_count() as usize, <[u16]>::len));
-    match slots {
-        Some(slots) => slots.iter().try_for_each(|&s| view.get(s).map(|t| tuples.push(t)))?,
-        None => view.iter().try_for_each(|t| t.map(|t| tuples.push(t)))?,
+    out: &mut ColumnBuffer,
+    mut slots: impl for<'p> FnMut(PageId, &PageView<'p>, &mut Vec<&'p [u8]>) -> Result<u64>,
+) -> Result<(u64, u64)> {
+    let (cpu, mut tuples, mut done) = (*s.cpu(), Vec::new(), (0, 0));
+    for (pid, page) in queue.iter() {
+        tuples.clear();
+        let picked_ns = slots(*pid, &PageView::new(page)?, &mut tuples)?;
+        let pending = out.pending();
+        if pending >= max || pending > 0 && pending + tuples.len() > max {
+            break;
+        }
+        let (inspected, emitted) = filter.fill(&tuples, out.fill())?;
+        s.charge_cpu(picked_ns + cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * emitted);
+        done = (done.0 + 1, done.1 + u64::from(emitted > 0));
     }
-    let (inspected, emitted) = filter.fill(tuples, out)?;
-    let cpu = storage.cpu();
-    storage.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * emitted);
-    Ok(())
+    queue.drain(..done.0 as usize);
+    Ok(done)
 }
 
 /// Pages fetched per full-scan readahead request (256 KB, the order of
@@ -59,16 +79,17 @@ pub const SORT_SCAN_PREFETCH_GAP: u32 = 16;
 
 /// Sequential scan over the whole heap.
 ///
-/// Every refill probes one readahead run of pages through the
-/// [`ScanFilter`] and decodes the qualifiers straight into a
-/// [`ColumnBuffer`] (no per-row `Vec<Value>`), which `next_columns` and
-/// its one-row view drain in FIFO order.
+/// Reads one readahead run of pages at a time into a [`PageQueue`] and
+/// probes them through the [`ScanFilter`] a morsel at a time, decoding the
+/// qualifiers straight into a [`ColumnBuffer`] (no per-row `Vec<Value>`),
+/// which `next_columns` and its one-row view drain in FIFO order.
 pub struct FullTableScan {
     heap: Arc<HeapFile>,
     storage: Storage,
     filter: ScanFilter,
     readahead: u32,
     next_page: u32,
+    queue: PageQueue,
     out: ColumnBuffer,
 }
 
@@ -77,7 +98,8 @@ impl FullTableScan {
     pub fn new(heap: Arc<HeapFile>, storage: Storage, predicate: Predicate) -> Self {
         let filter = ScanFilter::new(predicate, heap.schema());
         let out = ColumnBuffer::for_schema(heap.schema());
-        FullTableScan { heap, storage, filter, readahead: FULL_SCAN_READAHEAD, next_page: 0, out }
+        let (readahead, queue) = (FULL_SCAN_READAHEAD, PageQueue::default());
+        FullTableScan { heap, storage, filter, readahead, next_page: 0, queue, out }
     }
 
     /// Builder: emit only the columns `cols` of the heap (strictly
@@ -94,27 +116,24 @@ impl FullTableScan {
         self
     }
 
-    /// Once the output buffer is drained, refill it from the next
-    /// readahead run(s) holding a qualifier; it stays drained only at heap
-    /// exhaustion. CPU is charged per page in bulk, with totals identical
-    /// to per-tuple accounting.
-    fn refill(&mut self) -> Result<()> {
-        let total = self.heap.page_count();
-        while self.out.is_drained() && self.next_page < total {
-            let len = self.readahead.min(total - self.next_page);
-            let pages = self.storage.read_heap_run(&self.heap, PageId(self.next_page), len)?;
-            self.storage.charge_page_probes(len as u64);
-            self.next_page += len;
-            let mut tuples = Vec::new();
-            for (_, page) in &pages {
-                fill_page_columns(
-                    &self.storage,
-                    &mut self.filter,
-                    page,
-                    None,
-                    &mut tuples,
-                    self.out.fill(),
-                )?;
+    /// Buffer up to `max` rows (see [`fill_from`]), reading the next
+    /// readahead run whenever the queue runs dry.
+    fn refill(&mut self, max: usize) -> Result<()> {
+        let (total, s) = (self.heap.page_count(), &mut self.storage.session());
+        while self.out.pending() < max {
+            if self.queue.is_empty() {
+                if self.next_page >= total {
+                    break;
+                }
+                let len = self.readahead.min(total - self.next_page);
+                self.queue.extend(s.read_heap_run(&self.heap, PageId(self.next_page), len)?);
+                s.charge_cpu(s.cpu().hash_op_ns * len as u64); // the pool probes
+                s.release();
+                self.next_page += len;
+            }
+            fill_from(&mut self.queue, s, max, &mut self.filter, &mut self.out, every_tuple)?;
+            if !self.queue.is_empty() {
+                break; // the next page starts the next morsel
             }
         }
         Ok(())
@@ -128,21 +147,24 @@ impl Operator for FullTableScan {
 
     fn open(&mut self) -> Result<()> {
         self.next_page = 0;
+        self.queue.clear();
         self.out.reset();
         Ok(())
     }
 
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        self.refill()?;
-        Ok(self.out.pop_columns(max.max(1)))
+        let max = max.max(1);
+        self.refill(max)?;
+        Ok(self.out.pop_columns(max))
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
-        self.refill()?;
+        self.refill(1)?;
         Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
+        self.queue.clear();
         self.out.reset();
         Ok(())
     }
@@ -266,20 +288,10 @@ impl Operator for IndexScan {
     }
 }
 
-/// One coalesced fetch of the Sort Scan: a page run plus the qualifying
-/// slots within it.
-struct PrefetchRun {
-    start: u32,
-    len: u32,
-    /// `(page, sorted slots)` pairs for pages in this run that hold results.
-    page_slots: Vec<(u32, Vec<u16>)>,
-}
-
-/// Sort Scan (Bitmap Heap Scan): blocking TID sort, then page-ordered fetch.
-///
-/// Like [`FullTableScan`]'s, the refill probes encoded tuples — only the
-/// slots the bitmap named — and decodes qualifiers straight into the
-/// [`ColumnBuffer`].
+/// Sort Scan (Bitmap Heap Scan): a blocking walk of the index range into a
+/// TID bitmap, then page-ordered fetch. Each coalesced prefetch run is one
+/// `read_heap_run`; its pages with bits set wait in a [`PageQueue`], and
+/// the fill probes only the slots the bitmap names.
 pub struct SortScan {
     heap: Arc<HeapFile>,
     index: Arc<BTreeIndex>,
@@ -287,7 +299,10 @@ pub struct SortScan {
     lo: Bound<i64>,
     hi: Bound<i64>,
     filter: ScanFilter,
-    runs: VecDeque<PrefetchRun>,
+    tids: TidBitmap,
+    /// The first page no prefetch run has reached.
+    next_page: u32,
+    queue: PageQueue,
     out: ColumnBuffer,
 }
 
@@ -303,7 +318,8 @@ impl SortScan {
     ) -> Self {
         let filter = ScanFilter::new(residual, heap.schema());
         let out = ColumnBuffer::for_schema(heap.schema());
-        SortScan { heap, index, storage, lo, hi, filter, runs: VecDeque::new(), out }
+        let (tids, queue) = (TidBitmap::default(), PageQueue::default());
+        SortScan { heap, index, storage, lo, hi, filter, tids, next_page: 0, queue, out }
     }
 
     /// Builder: emit only the columns `cols` of the heap (strictly
@@ -314,26 +330,31 @@ impl SortScan {
         Ok(self)
     }
 
-    /// Once the output buffer is drained, refill it from the next
-    /// coalesced prefetch run(s); it stays drained only once all runs are
-    /// consumed.
-    fn refill(&mut self) -> Result<()> {
-        while self.out.is_drained() {
-            let Some(run) = self.runs.pop_front() else { break };
-            let pages = self.storage.read_heap_run(&self.heap, PageId(run.start), run.len)?;
-            self.storage.charge_page_probes(run.len as u64);
-            let mut tuples = Vec::new();
-            for (page_no, slots) in &run.page_slots {
-                let idx = (page_no - run.start) as usize;
-                let (_, page) = &pages[idx];
-                fill_page_columns(
-                    &self.storage,
-                    &mut self.filter,
-                    page,
-                    Some(slots),
-                    &mut tuples,
-                    self.out.fill(),
-                )?;
+    /// Buffer up to `max` rows (see [`fill_from`]), fetching the next
+    /// prefetch run whenever the queue runs dry: the next page with a bit
+    /// set and every later one within the prefetch gap of the one before.
+    fn refill(&mut self, max: usize) -> Result<()> {
+        let (tids, total, s) = (&self.tids, self.heap.page_count(), &mut self.storage.session());
+        while self.out.pending() < max {
+            if self.queue.is_empty() {
+                let mut set = (self.next_page..total).filter(|&p| tids.has_page(p));
+                let Some(start) = set.next() else { break };
+                let near =
+                    |last, p| if p - last > SORT_SCAN_PREFETCH_GAP { Err(last) } else { Ok(p) };
+                let len = set.try_fold(start, near).unwrap_or_else(|last| last) - start + 1;
+                let pages = s.read_heap_run(&self.heap, PageId(start), len)?;
+                s.charge_cpu(s.cpu().hash_op_ns * u64::from(len)); // the pool probes
+                s.release();
+                self.next_page = start + len;
+                self.queue.extend(pages.into_iter().filter(|(p, _)| tids.has_page(p.0)));
+            }
+            let out = &mut self.out;
+            fill_from(&mut self.queue, s, max, &mut self.filter, out, |p, view, tuples| {
+                tids.slots(p.0).try_for_each(|slot| view.get(slot).map(|t| tuples.push(t)))?;
+                Ok(0)
+            })?;
+            if !self.queue.is_empty() {
+                break; // the next page starts the next morsel
             }
         }
         Ok(())
@@ -346,64 +367,39 @@ impl Operator for SortScan {
     }
 
     fn open(&mut self) -> Result<()> {
-        self.runs.clear();
+        self.queue.clear();
         self.out.reset();
-        // Phase 1 (blocking): drain the index range on one session.
+        self.next_page = 0;
+        // Blocking: walk the index range into the bitmap on one session.
+        // Its page-major order is the TIDs' sorted order; the clock still
+        // charges Table I's sort of the `n` of them.
+        self.tids = TidBitmap::new(self.heap.page_count(), self.heap.max_slots_per_page());
         let mut cursor = self.index.range(&self.storage, self.lo, self.hi);
-        let (mut tids, s) = (Vec::new(), &mut self.storage.session());
+        let s = &mut self.storage.session();
         while let Some((_, tid)) = cursor.next_in(s) {
-            tids.push(tid);
+            self.tids.insert(tid)?;
         }
-        s.release();
-        // Phase 2: sort TIDs in physical (page-major) order.
-        let n = tids.len() as u64;
+        let n = self.tids.len();
         if n > 1 {
             s.charge_cpu(s.cpu().sort_cmp_ns * n * n.ilog2() as u64);
-        }
-        tids.sort_unstable();
-        // Phase 3: group by page, then coalesce ascending pages whose gaps
-        // fit the prefetch window into single runs.
-        let mut page_slots: Vec<(u32, Vec<u16>)> = Vec::new();
-        for tid in tids {
-            match page_slots.last_mut() {
-                Some((p, slots)) if *p == tid.page.0 => slots.push(tid.slot),
-                _ => page_slots.push((tid.page.0, vec![tid.slot])),
-            }
-        }
-        let mut current: Option<PrefetchRun> = None;
-        for (page, slots) in page_slots {
-            match current.as_mut() {
-                Some(run) if page - (run.start + run.len - 1) <= SORT_SCAN_PREFETCH_GAP => {
-                    run.len = page - run.start + 1;
-                    run.page_slots.push((page, slots));
-                }
-                _ => {
-                    if let Some(done) = current.take() {
-                        self.runs.push_back(done);
-                    }
-                    current =
-                        Some(PrefetchRun { start: page, len: 1, page_slots: vec![(page, slots)] });
-                }
-            }
-        }
-        if let Some(done) = current.take() {
-            self.runs.push_back(done);
         }
         Ok(())
     }
 
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        self.refill()?;
-        Ok(self.out.pop_columns(max.max(1)))
+        let max = max.max(1);
+        self.refill(max)?;
+        Ok(self.out.pop_columns(max))
     }
 
     fn next(&mut self) -> Result<Option<Row>> {
-        self.refill()?;
+        self.refill(1)?;
         Ok(self.out.pop_row())
     }
 
     fn close(&mut self) -> Result<()> {
-        self.runs.clear();
+        self.tids = TidBitmap::default();
+        self.queue.clear();
         self.out.reset();
         Ok(())
     }

@@ -244,7 +244,8 @@ proptest! {
     }
 
     /// Batch-size invariance for every access path and the index join,
-    /// for arbitrary data, ranges, residuals and batch sizes.
+    /// for arbitrary data, ranges, residuals and batch sizes — for the
+    /// access paths, of the charged clock and I/O as well as of the rows.
     #[test]
     fn scan_batch_protocol_equals_row_protocol(
         keys in proptest::collection::vec(0i64..100, 1..500),
@@ -263,30 +264,16 @@ proptest! {
         let s = storage();
         let hi = lo + width;
         let residual = Predicate::int_lt(0, residual_hi);
-        let mut full = FullTableScan::new(
-            Arc::clone(&heap),
-            s.clone(),
-            Predicate::and(vec![Predicate::int_half_open(1, lo, hi), residual.clone()]),
-        );
-        assert_protocols_equivalent(&mut full, max);
-        let mut is = IndexScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            std::ops::Bound::Included(lo),
-            std::ops::Bound::Excluded(hi),
-            residual.clone(),
-        );
-        assert_protocols_equivalent(&mut is, max);
-        let mut ss = SortScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            std::ops::Bound::Included(lo),
-            std::ops::Bound::Excluded(hi),
-            residual.clone(),
-        );
-        assert_protocols_equivalent(&mut ss, max);
+        // The three access paths: rows, clock and I/O, whatever the drain.
+        let both = Predicate::and(vec![Predicate::int_half_open(1, lo, hi), residual.clone()]);
+        let (h, i) = (|| Arc::clone(&heap), || Arc::clone(&index));
+        let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
+        let full = |s: &Storage| FullTableScan::new(h(), s.clone(), both.clone());
+        assert_drains_charge_identically(&|s| Box::new(full(s)), max);
+        let is = |s: &Storage| IndexScan::new(h(), i(), s.clone(), lo, hi, residual.clone());
+        assert_drains_charge_identically(&|s| Box::new(is(s)), max);
+        let ss = |s: &Storage| SortScan::new(h(), i(), s.clone(), lo, hi, residual.clone());
+        assert_drains_charge_identically(&|s| Box::new(ss(s)), max);
         for ty in [JoinType::Inner, JoinType::LeftSemi] {
             let outer_rows: Vec<(i64, i64)> =
                 (0..40).map(|i| (i, (i * 13) % 120)).collect();

@@ -40,7 +40,7 @@ pub use device::DeviceProfile;
 pub use faults::{FaultConfig, FaultInjector, InjectedPanic};
 pub use heap::{HeapFile, HeapLoader};
 pub use page::{PageBuf, PageBuilder, PageView};
-pub use pool::BufferPool;
+pub use pool::{BufferPool, PageKeyHasher};
 pub use scanstats::{tap_mark, tap_rows, ScanStatistics, TapMark};
 pub use session::Session;
 pub use stats::{IoSnapshot, IoStatsDelta};

@@ -118,21 +118,31 @@ impl BufferPool {
     }
 }
 
-/// The pool map's hasher: every page access looks its `(file, page)` key
-/// up, and SipHash's resistance to crafted collisions buys nothing for
-/// keys the engine numbers itself. One multiply-rotate per `u32` word
-/// (the scheme of rustc's `FxHasher`) mixes them well enough. The map is
-/// never iterated, so no order depends on it.
+/// The hasher of maps whose keys hold numbers the engine assigns itself —
+/// the pool's `(file, page)`, the Result Cache's `(key, TID)` — and are
+/// looked up once per page access or cached tuple: SipHash's resistance to
+/// crafted collisions buys little for such keys. One multiply-rotate per
+/// `u32` word (the scheme of rustc's `FxHasher`) mixes them well enough.
+/// Neither map is iterated, so no order depends on it.
 #[derive(Default)]
-struct PageKeyHasher(u64);
+pub struct PageKeyHasher(u64);
 
 impl Hasher for PageKeyHasher {
     fn write(&mut self, bytes: &[u8]) {
         bytes.iter().for_each(|&b| self.write_u32(b.into()));
     }
 
+    fn write_u16(&mut self, word: u16) {
+        self.write_u32(word.into());
+    }
+
     fn write_u32(&mut self, word: u32) {
         self.0 = (self.0.rotate_left(5) ^ u64::from(word)).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.write_u32(word as u32);
+        self.write_u32((word >> 32) as u32);
     }
 
     fn finish(&self) -> u64 {

@@ -28,7 +28,7 @@ pub use error::{Error, Result};
 pub use layout::TupleLayout;
 pub use row::Row;
 pub use schema::{Column, Schema};
-pub use tid::{PageId, SlotId, Tid};
+pub use tid::{PageId, SlotId, Tid, TidBitmap};
 pub use value::{DataType, Value};
 
 /// Page size used throughout the engine, matching PostgreSQL's default

@@ -37,18 +37,25 @@
 //! pad allocates the same bytes whatever the pad's width (a pruned
 //! column grows no arena).
 //!
+//! One guard sits on memory rather than calls: the allocator also keeps
+//! live bytes and their high-water mark, and a 100 % Sort Scan or
+//! unordered Smooth Scan drained a morsel at a time may hold only O(pages)
+//! bookkeeping above the loaded table, at N and 2N rows alike.
+//!
 //! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
 //! concurrent test pollutes the global counter (or the process-wide
 //! live [`SpillFile`] count the last test reads).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use smooth_core::{SmoothScan, SmoothScanConfig};
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
-    collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin,
-    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SpillFile,
+    batch_size, collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin,
+    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SortScan, SpillFile,
 };
 use smooth_index::BTreeIndex;
 use smooth_planner::{AccessPathChoice, Database, LogicalPlan, ScanSpec};
@@ -62,27 +69,43 @@ struct CountingAlloc;
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 /// Bytes asked for: every allocation's size, every reallocation's growth.
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed, and their high-water mark since a
+/// test last lowered it to [`LIVE`].
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Count `bytes` more live bytes.
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
+        // Counted as the move it may be: both blocks live at once.
+        grow(new_size);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -245,6 +268,54 @@ fn an_aggregate_that_does_not_read_the_pad_allocates_nothing_for_it() {
     assert!(wide_full.1 - narrow_full.1 >= pad_growth, "{narrow_full:?} vs {wide_full:?}");
     for (pruned, full) in [(narrow_pruned, narrow_full), (wide_pruned, wide_full)] {
         assert!(pruned.0 <= full.0, "pruning added allocations: {pruned:?} vs {full:?}");
+    }
+}
+
+/// Decode-ahead is one morsel. A 100 % Sort Scan reads the whole heap as
+/// one prefetch run, and a 100 % unordered Smooth Scan grows its regions to
+/// hundreds of pages; drained a morsel at a time, each morsel dropped, what
+/// either holds above the loaded table is O(pages) bookkeeping — the TID
+/// bitmap or Page-ID cache, the fetched run's page handles — never the
+/// run's or the region's decoded rows (≈ 6 KB a page of this table).
+#[test]
+fn scans_hold_one_morsel_of_decoded_rows_not_a_run_or_a_region() {
+    let _serial = serial();
+    const N: i64 = 40_000;
+    // Peak live bytes of one drain above those live before it, and the
+    // heap's page count.
+    let peak = |rows: i64, smooth: bool| {
+        let heap = pad_heavy_heap(rows);
+        let index = Arc::new(BTreeIndex::build_from_heap("pk", &heap, 0).unwrap());
+        let (h, i, s, all) = (Arc::clone(&heap), index, storage(), Bound::Unbounded);
+        let mut op: Box<dyn Operator> = if smooth {
+            let config = SmoothScanConfig::default();
+            Box::new(SmoothScan::new(h, i, s, 0, all, all, Predicate::True, config))
+        } else {
+            Box::new(SortScan::new(h, i, s, all, all, Predicate::True))
+        };
+        let before = LIVE.load(Ordering::Relaxed);
+        PEAK.store(before, Ordering::Relaxed);
+        op.open().unwrap();
+        let mut drained = 0;
+        while let Some(morsel) = op.next_columns(batch_size()).unwrap() {
+            drained += morsel.len();
+        }
+        op.close().unwrap();
+        assert_eq!(drained, rows as usize);
+        (PEAK.load(Ordering::Relaxed) - before, u64::from(heap.page_count()))
+    };
+    for smooth in [false, true] {
+        peak(1000, smooth); // warm-up
+        let (small, large) = (peak(N, smooth), peak(2 * N, smooth));
+        let (marginal_bytes, marginal_pages) = (large.0.saturating_sub(small.0), large.1 - small.1);
+        assert!(
+            marginal_bytes < 256 * marginal_pages,
+            "{}: {marginal_bytes} more peak bytes for {marginal_pages} more pages \
+             ({} at N, {} at 2N)",
+            if smooth { "Smooth Scan" } else { "Sort Scan" },
+            small.0,
+            large.0
+        );
     }
 }
 
