@@ -42,17 +42,24 @@
 #   its last caller, loops inline). The TID bitmap Sort Scan walks is
 #   `smooth_types::TidBitmap`, beside `Tid`, because Smooth and Switch
 #   Scan's Tuple-ID cache is now that same type.
+# * 10699 -> 10390 (-309): one morsel per claim. The scheduler's guided
+#   chunk claims, per-worker morsel deques, work stealing and the
+#   `claim_morsels` knob go, with the scaling model's copy of them
+#   (`claim_size`, `source_claim`, `steal_victim`, `remaining_hint`,
+#   `LedgerPhase::chunked`, the simulator's local queues) and the
+#   planner's `on_live_pool`. Every counter and every `benchmark/`
+#   workload stayed where it was.
 #
 # COMBINED_CEILING ratchets `crates/{core,executor,planner}/src` together
-# (13766 when it was added, where it still stands): code shared by core
+# (13766 when it was added; 13457 after the one-morsel-claim change): code shared by core
 # and executor can move between them, and only the sum shows that. The
 # PR that added it moved Smooth Scan's region inspection onto the
 # executor's page queue and deleted core's Tuple-ID cache bitmap, leaving
 # the sum where it was.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=10699
-COMBINED_CEILING=13766
+CEILING=10390
+COMBINED_CEILING=13457
 check() {
     echo "$1: $2 lines (ceiling $3)"
     if [ "$2" -gt "$3" ]; then

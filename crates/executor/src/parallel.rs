@@ -62,8 +62,8 @@
 //! Execution lives in [`crate::schedule`], the one pipeline driver: the
 //! worker pool belongs to a persistent [`crate::Scheduler`] serving
 //! *queries* (each an independent phase state machine with its own
-//! source lock, per-worker work-stealing morsel deques, and sink), not
-//! to a single pipeline run. [`run_pipeline`] submits the pipeline as
+//! source lock and sink, claimed from one morsel at a time), not to a
+//! single pipeline run. [`run_pipeline`] submits the pipeline as
 //! the sole query of an ephemeral scheduler at every worker count, one
 //! included; this module keeps the specs, the per-morsel machinery
 //! (sources, stages, partial sinks) and the scaling model.
@@ -78,9 +78,7 @@
 //! input is produced by the code it models. From the ledger a
 //! deterministic scaling model predicts the parallel makespan at any
 //! worker count: a discrete-event replay of the scheduler's own policy
-//! through the functions the scheduler itself calls (chunked claiming
-//! via `source_claim`, per-worker queues, `steal_victim`'s
-//! steal-from-longest). The
+//! (the earliest-free worker claims one morsel, then processes it). The
 //! perf-smoke `parallel`, `join` and `serve` experiments gate on that
 //! model because, unlike wall clock on a shared CI runner (or this
 //! repo's build hosts), it is bit-stable across machines. See
@@ -398,61 +396,6 @@ impl SourceCore {
             SourceCore::Shared { .. } => None,
         }
     }
-
-    /// Morsels left to pull, when the source can tell: a heap scan
-    /// knows its remaining page runs, so guided chunk claiming
-    /// ([`claim_size`]) can size lock holds; a shared operator cannot,
-    /// so its claims stay single-morsel.
-    pub(crate) fn remaining_hint(&self) -> Option<usize> {
-        match self {
-            SourceCore::Heap { heap, next, readahead } => {
-                let left = heap.page_count().saturating_sub(*next) as usize;
-                Some(left.div_ceil((*readahead).max(1) as usize))
-            }
-            SourceCore::Shared { .. } => None,
-        }
-    }
-}
-
-/// Morsels a worker claims from the source in one lock hold: the fixed
-/// override when `fixed > 0` (`Scheduler::set_claim_morsels`), else
-/// guided self-scheduling — the remaining work split over twice the
-/// pool, clamped to `[1, 64]` — so runs start large (amortizing lock
-/// traffic) and shrink toward single morsels at the tail (keeping the
-/// finish balanced). Execution and the scaling model share this one
-/// formula so modeled chunk boundaries match the real ones.
-pub(crate) fn claim_size(fixed: usize, remaining: usize, workers: usize) -> usize {
-    if fixed > 0 {
-        fixed
-    } else {
-        (remaining / (2 * workers.max(1))).clamp(1, 64)
-    }
-}
-
-/// Claim size for a source given its [`SourceCore::remaining_hint`]:
-/// hinted sources (heap scans) chunk via [`claim_size`]; hint-less
-/// sources (Smooth/Switch shared operators, which run whole as the
-/// serial section) always claim one morsel — even under a fixed
-/// `set_claim_morsels` override, since queued chunks behind a serial
-/// source can never fan out and only inflate the lock hold. Matches the
-/// scaling model, which never chunks non-chunked sources.
-pub(crate) fn source_claim(fixed: usize, hint: Option<usize>, workers: usize) -> usize {
-    match hint {
-        Some(remaining) => claim_size(fixed, remaining, workers),
-        None => 1,
-    }
-}
-
-/// Whom dry worker `me` steals from, given every worker's queue length
-/// in index order: the longest peer queue, ties toward the lowest
-/// index, never `me`, `None` when every peer queue is empty. Execution
-/// and the scaling model share this one choice.
-pub(crate) fn steal_victim(me: usize, lens: impl IntoIterator<Item = usize>) -> Option<usize> {
-    lens.into_iter()
-        .enumerate()
-        .filter(|&(v, len)| v != me && len > 0)
-        .max_by_key(|&(v, len)| (len, std::cmp::Reverse(v)))
-        .map(|(v, _)| v)
 }
 
 /// An opened source: the locked core plus (for heap sources) the
@@ -552,10 +495,6 @@ pub struct LedgerPhase {
     /// fold when the merge is not exact) — a second serialized
     /// resource. Empty for a phase with no sink: every build.
     pub sink_ns: Vec<u64>,
-    /// Whether the phase's source supports chunked claiming
-    /// (heap-backed); shared operator sources claim one morsel per lock
-    /// hold.
-    pub chunked: bool,
 }
 
 /// Per-morsel virtual-clock ledger recorded by
@@ -585,9 +524,8 @@ impl ScalingLedger {
 
     /// Deterministic makespan of the pipeline at `workers` workers,
     /// from the unified scheduling model (`simulate`): build phases
-    /// first (each with its own source serialization, chunked claiming,
-    /// work stealing and completion barrier), then the probe phase,
-    /// then the serial suffix.
+    /// first (each with its own source serialization and completion
+    /// barrier), then the probe phase, then the serial suffix.
     pub fn makespan_ns(&self, workers: usize) -> u64 {
         simulate(std::slice::from_ref(self), workers, 1).0
     }
@@ -626,26 +564,12 @@ impl ScalingLedger {
     }
 }
 
-/// One claimed-but-unprocessed morsel sitting in a worker's local
-/// queue, available to its owner (front pops) or to a stealing peer
-/// (back pops). It belongs to its
-/// query's current phase: queued morsels pin the phase.
-struct SimItem {
-    query: usize,
-    idx: usize,
-    /// Earliest processing start: the end of the claim's source I/O.
-    ready: u64,
-}
-
 /// One traced query's progress through its phases.
 struct SimQuery<'a> {
     ledger: &'a ScalingLedger,
     /// Current phase / next unclaimed morsel within it.
     phase: usize,
     next_src: usize,
-    /// Morsels claimed into local queues but not yet processed — the
-    /// phase cannot barrier past them.
-    queued: usize,
     /// This phase's serialized source chain (one lock, one disk arm).
     src_free: u64,
     /// Ordered sink: per-morsel completion times buffer here and fold
@@ -688,17 +612,6 @@ impl<'a> SimQuery<'a> {
         self.sink_next = 0;
     }
 
-    /// Take queued morsel `item` off the books and run its worker
-    /// section on a worker free from `at`; returns `(query, morsel,
-    /// completion time)`.
-    fn run_queued(&mut self, at: u64, item: &SimItem) -> (usize, usize, u64) {
-        self.queued -= 1;
-        // invariant: queued morsels pin their phase, so it is still the
-        // current one.
-        let proc = self.current().expect("a queued morsel pins its phase").proc_ns[item.idx];
-        (item.query, item.idx, at.max(item.ready) + proc)
-    }
-
     /// Record one processed morsel's completion; fold any
     /// now-unblocked ordered-sink sections (the sink consumes morsels
     /// strictly in seq order).
@@ -720,7 +633,7 @@ impl<'a> SimQuery<'a> {
         while self.finished.is_none() {
             let end = self.phase_done.max(self.sink_free);
             match self.current() {
-                Some(p) if self.next_src < p.src_ns.len() || self.queued > 0 => return,
+                Some(p) if self.next_src < p.src_ns.len() => return,
                 Some(_) => {
                     self.phase += 1;
                     self.enter_phase(end);
@@ -739,20 +652,14 @@ impl<'a> SimQuery<'a> {
 /// equivalence, back-to-back chaining under an admission cap of one)
 /// hold by construction.
 ///
-/// The model mirrors the executor's scheduler dynamics exactly, and
-/// takes the scheduler's own decisions from the functions the scheduler
-/// calls ([`source_claim`], [`steal_victim`]):
+/// The model mirrors the executor's scheduler dynamics exactly:
 ///
 /// * Each query walks its phases behind barriers; within a phase the
 ///   source sections serialize in morsel order on the query's source
 ///   lock.
-/// * A free worker first drains its **own local queue** (front pops,
-///   no penalty), then **claims** a chunk from the query whose source
-///   can start earliest — [`claim_size`]-guided runs for heap-backed
-///   phases, single morsels for shared-operator phases — processing
-///   the first morsel itself and queueing the rest locally, and only
-///   then **steals** the back of the longest peer queue, at the stolen
-///   morsel's traced cost. One worker therefore never steals, which
+/// * The earliest-free worker **claims** one morsel from the query
+///   whose source can start earliest, then processes it itself — the
+///   scheduler's `try_work`. One worker therefore never waits, which
 ///   keeps the one-worker makespan equal to the serial total (up to
 ///   the ordered fold's overlap — see [`ScalingLedger::speedup`]).
 /// * Ordered-sink sections fold strictly in morsel order off a reorder
@@ -769,7 +676,6 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
             ledger,
             phase: 0,
             next_src: 0,
-            queued: 0,
             src_free: 0,
             sink_done: Vec::new(),
             sink_next: 0,
@@ -806,61 +712,37 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
         admit_chain(&mut queries, &mut waiting, 0, &mut makespan);
     }
     let mut worker_free = vec![0u64; workers];
-    let mut local: Vec<VecDeque<SimItem>> = (0..workers).map(|_| VecDeque::new()).collect();
     loop {
         // The earliest-free worker acts next (ties to the lowest
         // index).
         // invariant: `workers` is clamped to >= 1 above, so the range
         // is never empty.
         let w = (0..workers).min_by_key(|&i| worker_free[i]).expect("workers >= 1");
-        // The scheduler's ladder (`try_work`), one rung per arm; each
-        // yields the morsel `w` processes and when it completes.
-        let (qi, idx, done) = if let Some(item) = local[w].pop_front() {
-            // 1. Drain the local queue before touching the source.
-            queries[item.query].run_queued(worker_free[w], &item)
-        } else if let Some((start, qi)) = queries
+        // Claim from the query whose source can start earliest (ties
+        // to the lowest query index). Nothing to claim anywhere: every
+        // admitted query has drained (and eagerly advanced to finished).
+        let Some((start, qi)) = queries
             .iter()
             .enumerate()
             .filter(|(_, q)| q.admitted && q.finished.is_none())
             .filter(|(_, q)| q.current().is_some_and(|p| q.next_src < p.src_ns.len()))
             .map(|(i, q)| (worker_free[w].max(q.avail).max(q.src_free), i))
             .min()
-        {
-            // 2. Claim a chunk from the query whose source can start
-            //    earliest (ties to the lowest query index): process its
-            //    first morsel, queue the rest locally.
-            let q = &mut queries[qi];
-            // invariant: the filter above kept only queries with an
-            // unclaimed morsel in their current phase.
-            let p = q.current().expect("claimable query has a current phase");
-            let remaining = p.src_ns.len() - q.next_src;
-            let k = source_claim(0, p.chunked.then_some(remaining), workers).min(remaining);
-            let first = q.next_src;
-            let chunk_end = start + p.src_ns[first..first + k].iter().sum::<u64>();
-            // Time this worker sat blocked on the source lock before
-            // its claim could start.
-            wait += q.src_free.saturating_sub(worker_free[w].max(q.avail));
-            q.src_free = chunk_end;
-            q.next_src = first + k;
-            q.queued += k - 1;
-            local[w].extend((first + 1..first + k).map(|idx| SimItem {
-                query: qi,
-                idx,
-                ready: chunk_end,
-            }));
-            (qi, first, chunk_end + p.proc_ns[first])
-        } else if let Some(item) =
-            steal_victim(w, local.iter().map(VecDeque::len)).and_then(|v| local[v].pop_back())
-        {
-            // 3. Steal the back of the longest peer queue.
-            queries[item.query].run_queued(worker_free[w], &item)
-        } else {
-            // Nothing to pop, claim or steal anywhere: every admitted
-            // query has drained (and eagerly advanced to finished).
+        else {
             break;
         };
-        worker_free[w] = done;
         let q = &mut queries[qi];
+        // invariant: the filter above kept only queries with an
+        // unclaimed morsel in their current phase.
+        let p = q.current().expect("claimable query has a current phase");
+        let idx = q.next_src;
+        // Time this worker sat blocked on the source lock before its
+        // claim could start.
+        wait += q.src_free.saturating_sub(worker_free[w].max(q.avail));
+        q.src_free = start + p.src_ns[idx];
+        q.next_src += 1;
+        let done = q.src_free + p.proc_ns[idx];
+        worker_free[w] = done;
         q.complete(idx, done);
         q.advance();
         if let Some(end) = q.finished {
@@ -876,8 +758,8 @@ fn simulate(ledgers: &[ScalingLedger], workers: usize, max_queries: usize) -> (u
 /// experiment's cross-query scheduling gate. This is the same unified
 /// simulation as [`ScalingLedger::makespan_ns`] (`simulate`), just
 /// with several queries admitted: each keeps its own serialized source
-/// chain, ordered sink, build barriers, chunked claims and stealable
-/// local queues, while the worker pool is shared. At most `max_queries`
+/// chain, ordered sink and build barriers, while the worker pool is
+/// shared. At most `max_queries`
 /// queries run at once; the rest wait FIFO and are admitted when a
 /// running query completes. With one query (or `max_queries == 1`)
 /// this reduces to chained single-query makespans by construction.
@@ -1445,7 +1327,7 @@ mod tests {
                 assert!(!build.src_ns.is_empty(), "build morsels recorded");
                 assert_eq!(build.src_ns.len(), build.proc_ns.len());
                 assert!(build.sink_ns.is_empty(), "a build has no ordered sink");
-                assert!(build.chunked && probe.chunked, "both sources are heap-backed");
+                assert_eq!(probe.src_ns.len(), probe.proc_ns.len(), "one entry per probe morsel");
                 assert!(ledger.build_speedup(1) == 1.0);
                 assert!(ledger.build_speedup(4) >= 1.0);
                 assert!(ledger.makespan_ns(4) <= ledger.makespan_ns(2));
@@ -1477,7 +1359,6 @@ mod tests {
                 src_ns: [&a.src_ns[..], &b.src_ns[..]].concat(),
                 proc_ns: [&a.proc_ns[..], &b.proc_ns[..]].concat(),
                 sink_ns: Vec::new(),
-                chunked: a.chunked,
             };
             let one_phase = ScalingLedger { phases: vec![merged, probe.clone()], ..ledger.clone() }
                 .build_makespan_ns(4);
@@ -1493,25 +1374,23 @@ mod tests {
 
     #[test]
     fn one_worker_replays_a_hand_built_ledger_as_the_serial_total() {
-        // A shared-source build, a chunked build, a probe phase whose
-        // sink folds at the end: one worker never waits, steals or
-        // overlaps, so the model adds every section up and nothing else.
-        let build = |src_ns: Vec<u64>, proc_ns: Vec<u64>, chunked| LedgerPhase {
+        // Two builds, a probe phase whose sink folds at the end: one
+        // worker never waits or overlaps, so the model adds every
+        // section up and nothing else.
+        let build = |src_ns: Vec<u64>, proc_ns: Vec<u64>| LedgerPhase {
             src_ns,
             proc_ns,
             sink_ns: Vec::new(),
-            chunked,
         };
         let ledger = ScalingLedger {
             prefix_ns: 7,
             phases: vec![
-                build(vec![5, 5, 5], vec![40, 10, 30], false),
-                build(vec![3; 40], (1..=40).collect(), true),
+                build(vec![5, 5, 5], vec![40, 10, 30]),
+                build(vec![3; 40], (1..=40).collect()),
                 LedgerPhase {
                     src_ns: vec![2, 2, 2, 2],
                     proc_ns: vec![9, 1, 9, 1],
                     sink_ns: vec![0, 0, 0, 4],
-                    chunked: true,
                 },
             ],
             suffix_ns: 11,
@@ -1520,68 +1399,5 @@ mod tests {
         assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
         assert_eq!(ledger.build_makespan_ns(1), (15 + 80) + (120 + 820));
         assert!(ledger.makespan_ns(4) < ledger.total_ns());
-    }
-
-    #[test]
-    fn steal_victim_is_the_longest_peer_queue_lowest_index_first() {
-        assert_eq!(steal_victim(0, [0, 2, 5, 1]), Some(2), "longest queue");
-        assert_eq!(steal_victim(0, [9, 3, 3, 1]), Some(1), "ties to the lowest index");
-        assert_eq!(steal_victim(2, [1, 0, 9, 0]), Some(0), "never itself, however long");
-        assert_eq!(steal_victim(1, [0, 4, 0]), None, "every peer queue is empty");
-        assert_eq!(steal_victim(0, [3]), None, "a lone worker has no peers");
-    }
-
-    #[test]
-    fn guided_claims_shrink_toward_single_morsels() {
-        // Guided self-scheduling (no fixed override): claims start at
-        // remaining/(2·workers), clamped to [1, 64], and a simulated
-        // drain produces a non-increasing sequence ending in 1s.
-        assert_eq!(claim_size(0, 1000, 4), 64, "upper clamp");
-        assert_eq!(claim_size(0, 100, 4), 12);
-        assert_eq!(claim_size(0, 7, 4), 1, "lower clamp at the tail");
-        assert_eq!(claim_size(0, 0, 4), 1, "empty source still claims 1");
-        let mut remaining = 500usize;
-        let mut sizes = Vec::new();
-        while remaining > 0 {
-            let c = claim_size(0, remaining, 4).min(remaining);
-            sizes.push(c);
-            remaining -= c;
-        }
-        assert!(sizes.windows(2).all(|w| w[0] >= w[1]), "claims grow: {sizes:?}");
-        assert_eq!(*sizes.last().unwrap(), 1, "tail claims are single morsels");
-        assert_eq!(sizes.iter().sum::<usize>(), 500);
-    }
-
-    #[test]
-    fn fixed_override_applies_only_to_hinted_sources() {
-        // A fixed override (fixed > 0) wins over guidance for heap
-        // sources (which hint their remaining runs)...
-        assert_eq!(claim_size(8, 1000, 4), 8);
-        assert_eq!(source_claim(8, Some(1000), 4), 8);
-        assert_eq!(source_claim(0, Some(1000), 4), 64);
-        // ...but a hint-less serial source (Smooth/Switch shared
-        // operator) always claims exactly one morsel: queued chunks
-        // behind a serial source can never fan out, so a fixed
-        // override must not inflate its lock hold.
-        assert_eq!(source_claim(0, None, 4), 1);
-        assert_eq!(source_claim(64, None, 4), 1, "fixed override must not chunk serial sources");
-        assert_eq!(source_claim(64, None, 1), 1);
-    }
-
-    #[test]
-    fn shared_sources_hint_nothing_and_heap_sources_hint_runs() {
-        let heap = table(200);
-        let pages = heap.page_count() as usize;
-        let readahead = 4u32;
-        let (core, _) = open_source(
-            ParallelSource::Heap { heap, predicate: Predicate::True, readahead, cols: None },
-            batch_size(),
-        )
-        .unwrap();
-        assert_eq!(core.remaining_hint(), Some(pages.div_ceil(readahead as usize)));
-        let schema = Schema::new(vec![Column::new("x", DataType::Int64)]).unwrap();
-        let op: BoxedOperator = Box::new(ValuesOp::new(schema, vec![Row::new(vec![0i64.into()])]));
-        let (core, _) = open_source(ParallelSource::Shared { op }, batch_size()).unwrap();
-        assert_eq!(core.remaining_hint(), None, "shared operators cannot size lock holds");
     }
 }

@@ -33,21 +33,14 @@
 //! ([`ScanStatistics::lock_wait_ns`] — informational; the *modeled*
 //! contention lives in [`crate::ScalingLedger`]).
 //!
-//! **Work-stealing morsel queues.** Each `ActiveQuery` owns one
-//! pending-morsel deque per scheduler worker. A worker visiting a
-//! query runs a three-rung ladder (`try_work`): pop the front of its
-//! own deque; else take the source lock once and claim a *chunk* of up
-//! to `k` morsels (`claim_size` in [`crate::parallel`] — fixed by
-//! [`Scheduler::set_claim_morsels`], or guided by the source's
-//! remaining-work hint), charging their pull I/O in exact serial seq order under the
-//! lock and queueing them locally; else steal the *back* of the
-//! longest peer deque (ties to the lowest index — deterministic victim
-//! selection, `steal_victim` in [`crate::parallel`], which the scaling
-//! model calls too). Queued morsels count in `inflight` from the moment they
-//! are claimed, so a phase cannot finalize with queued work, and
-//! failed/cancelled queries drain their queues (at claim) and discard
-//! per item (at process). Neither execution nor the scaling model
-//! charges anything for a steal. See `docs/scheduler_v2.md`.
+//! **One morsel per claim.** A worker visiting a query (`try_work`)
+//! takes the query's source lock, pulls one morsel — charging its pull
+//! I/O in exact serial seq order — releases the lock and processes the
+//! morsel itself (`claim`, then `process_pending`). A claimed morsel
+//! counts in `inflight` until it is processed, so a phase cannot
+//! finalize under it; a failed or cancelled query stops claiming at
+//! its next claim and discards what was already claimed at process
+//! time. See `docs/scheduler_v2.md`.
 //!
 //! **The `ActiveQuery` phase state machine.** A query is one list of
 //! phases ([`PhaseSpec`]) — the hash-join builds in completion order,
@@ -57,7 +50,7 @@
 //! and the end-of-source latch). Every phase is the same thing: a
 //! source and a stage chain; a build phase also says what table its
 //! morsels fold into, the last phase folds into the sink. The phase's
-//! index is its identity everywhere — in queued morsels, in the
+//! index is its identity everywhere — in claimed morsels, in the
 //! ledger, in the morsel-panic key. **A source opens when its phase is
 //! installed** (`install_phase`) and closes when the phase finalizes,
 //! so a query has at most one source open at a time, in phase order —
@@ -78,7 +71,7 @@
 //! plan errors surface before the query is queued; `resolve_stages`
 //! binds a chain to the finished tables when its phase is installed.
 //! `ordered:` heap scans run as a normal
-//! chunked last phase over the partitioned heap source with a
+//! last phase over the partitioned heap source with a
 //! charged stable sort at the sink ([`SinkSpec::Sort`]) — rows and
 //! charges byte-identical to the serial Sort-over-scan plan. A plan
 //! with nothing to fan out is the same machine with one phase whose
@@ -92,7 +85,7 @@
 //! [`crate::LedgerPhase`] per phase, indexed like the query's own
 //! list — and every site writes its own phase by index:
 //! `install_phase` (the phase's source opens: summed into
-//! `prefix_ns`), each `pull` in `claim_chunk` (`src_ns`, `chunked`),
+//! `prefix_ns`), each `pull` in `claim` (`src_ns`),
 //! `ActiveQuery::process` (`proc_ns`, and `sink_ns` for the ordered
 //! sink's fold) and `complete_ok`'s sort (`suffix_ns`). The clock is
 //! engine-global, so a trace means something only on one worker with
@@ -110,8 +103,8 @@
 //! fold minimizes a group's first-seen position `(morsel seq, row
 //! idx)` on *every* row, and the merge minimizes across partials, so
 //! the recorded position equals the global first occurrence — hence a
-//! deterministic group order — regardless of fold order, chunk size,
-//! steals, or worker count.
+//! deterministic group order — regardless of fold order or worker
+//! count.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -128,9 +121,9 @@ use crate::expr::ScanFilter;
 use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
 use crate::parallel::{
-    open_source, process_item, resolve_stages, source_claim, steal_victim, HeapDecoder,
-    LedgerPhase, OpenedSource, ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec,
-    ProbeTable, ScalingLedger, SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
+    open_source, process_item, resolve_stages, HeapDecoder, LedgerPhase, OpenedSource,
+    ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec, ProbeTable, ScalingLedger,
+    SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
 };
 
 /// A completed query: its result plus the per-query scan statistics
@@ -273,11 +266,10 @@ struct SinkState {
     ordered_agg: Option<PartialAgg>,
 }
 
-/// One claimed-but-unprocessed morsel sitting in a worker's local
-/// queue. Claiming charges the pull I/O in serial seq order under the
-/// source lock; everything here is the charge-free remainder (decode
-/// and stage CPU), so *any* worker — owner or thief — can process it
-/// with byte-identical accounting.
+/// One claimed-but-unprocessed morsel. Claiming charges the pull I/O in
+/// serial seq order under the source lock; everything here is the
+/// charge-free remainder (decode and stage CPU), so whichever worker
+/// claimed it processes it with byte-identical accounting.
 struct Pending {
     phase: usize,
     seq: u64,
@@ -294,7 +286,7 @@ struct ActiveQuery {
     morsel_rows: usize,
     /// The builds in build order, then the phase that feeds the sink.
     /// The index is the phase's identity everywhere: in `SrcState`, in
-    /// queued morsels, in the ledger.
+    /// claimed morsels, in the ledger.
     phases: Vec<Phase>,
     /// Terminal merge discipline.
     sink_spec: SinkSpec,
@@ -303,11 +295,6 @@ struct ActiveQuery {
     /// fold partial slots, merged at completion. Otherwise the sink
     /// folds in morsel order.
     merge_exact: bool,
-    /// Per-worker local morsel queues (work stealing): a claiming
-    /// worker deposits its chunk here; dry workers steal from the
-    /// longest peer queue. Queued morsels count in `inflight`, so a
-    /// phase never finalizes with queued work.
-    queues: Vec<Mutex<VecDeque<Pending>>>,
     /// Finished probe tables, one per build, in build order.
     tables: Mutex<Vec<Arc<ProbeTable>>>,
     src: Mutex<SrcState>,
@@ -340,7 +327,6 @@ impl ActiveQuery {
     fn plan(
         pipeline: ParallelPipeline,
         tx: Sender<Result<QueryOutput>>,
-        workers: usize,
         traced: bool,
     ) -> Result<ActiveQuery> {
         let schemas = pipeline.staged_schemas()?;
@@ -375,7 +361,6 @@ impl ActiveQuery {
             phases,
             sink_spec: sink,
             merge_exact,
-            queues: (0..workers.max(1)).map(|_| Mutex::new(VecDeque::new())).collect(),
             tables: Mutex::new(Vec::new()),
             src: Mutex::new(SrcState::new(None, 0)),
             sink: Mutex::new(SinkState {
@@ -539,7 +524,7 @@ fn panic_error(payload: &(dyn std::any::Any + Send)) -> Error {
 }
 
 /// Poison-free std mutex lock: a worker that panics inside morsel
-/// processing is caught by `try_work`'s `catch_unwind`, but a panic in
+/// processing is caught by `process_pending`'s `catch_unwind`, but a panic in
 /// the narrow windows where scheduler locks are held must still not
 /// wedge the pool — recovering the poisoned guard keeps every other
 /// query running (the failing query's own error wins via `record_err`).
@@ -563,14 +548,9 @@ struct SchedCore {
     state: Mutex<SchedState>,
     cv: Condvar,
     max_queries: usize,
-    /// Pool size; sizes per-query local queues and the guided claim.
-    workers: usize,
     /// Per-query timeout in virtual-clock milliseconds (0 = none, the
     /// default); set by `set_timeout_ms`.
     timeout_ms: AtomicU64,
-    /// Morsels per source claim (0 = guided by remaining work, the
-    /// default); set by `set_claim_morsels`.
-    claim_morsels: AtomicUsize,
 }
 
 /// Route injected-panic payloads around the default "thread panicked"
@@ -613,9 +593,7 @@ impl Scheduler {
             }),
             cv: Condvar::new(),
             max_queries: max_queries.max(1),
-            workers: workers.max(1),
             timeout_ms: AtomicU64::new(0),
-            claim_morsels: AtomicUsize::new(0),
         });
         let threads = (0..workers.max(1))
             .map(|i| {
@@ -634,7 +612,7 @@ impl Scheduler {
 
     fn submit_query(&self, pipeline: ParallelPipeline, traced: bool) -> Result<QueryHandle> {
         let (tx, rx) = mpsc::channel();
-        let query = Arc::new(ActiveQuery::plan(pipeline, tx, self.core.workers, traced)?);
+        let query = Arc::new(ActiveQuery::plan(pipeline, tx, traced)?);
         {
             let mut st = lock(&self.core.state);
             if st.shutdown {
@@ -665,17 +643,6 @@ impl Scheduler {
     /// The current per-query timeout in virtual-clock milliseconds.
     pub fn timeout_ms(&self) -> u64 {
         self.core.timeout_ms.load(Ordering::Relaxed)
-    }
-
-    /// Override the morsels-per-claim chunk size (0 = guided).
-    /// Applies to claims made from now on, running queries included.
-    pub fn set_claim_morsels(&self, n: usize) {
-        self.core.claim_morsels.store(n, Ordering::Relaxed);
-    }
-
-    /// The current morsels-per-claim chunk size (0 = guided).
-    pub fn claim_morsels(&self) -> usize {
-        self.core.claim_morsels.load(Ordering::Relaxed)
     }
 }
 
@@ -771,7 +738,7 @@ fn worker_loop(core: &SchedCore, index: usize) {
         for i in 0..n {
             // Round-robin offset by worker index: workers spread over
             // queries instead of ganging up on the first one.
-            if try_work(&queries[(index + i) % n], core, index) {
+            if try_work(&queries[(index + i) % n], core) {
                 worked = true;
             }
         }
@@ -787,126 +754,68 @@ fn worker_loop(core: &SchedCore, index: usize) {
     }
 }
 
-/// Make one unit of progress on `q` as worker `widx`: pop the local
-/// queue, else claim a chunk from the source, else steal from the
-/// longest peer queue. Returns whether any progress was made.
-fn try_work(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
-    let widx = widx % q.queues.len();
-    // 1. Local queue first: the cheapest, locality-preserving path.
-    let local = lock(&q.queues[widx]).pop_front();
-    if let Some(p) = local {
-        return process_pending(q, core, p);
-    }
-    // 2. Claim a chunk of morsels from the query's source.
-    if claim_chunk(q, core, widx) {
-        return true;
-    }
-    // 3. Dry: steal the coldest morsel from the busiest peer.
-    match steal(q, widx) {
-        Some(p) => process_pending(q, core, p),
-        None => false,
-    }
+/// Make one unit of progress on `q`: claim one morsel, then process
+/// it. Returns whether a morsel was claimed.
+fn try_work(q: &Arc<ActiveQuery>, core: &SchedCore) -> bool {
+    claim(q, core).map(|p| process_pending(q, core, p)).is_some()
 }
 
-/// Claim up to [`claim_size`] morsels from `q`'s source under its
-/// lock — so all charged pull I/O stays in exact serial seq order —
-/// and deposit them in worker `widx`'s local queue. Returns whether
-/// any progress was made.
-fn claim_chunk(q: &Arc<ActiveQuery>, core: &SchedCore, widx: usize) -> bool {
+/// Claim the next morsel of `q`'s current phase under the source lock,
+/// so all charged pull I/O stays in exact serial seq order. `None` when
+/// there is nothing to hand out: the source is drained or failed, or the
+/// query has failed — the claim that finds out marks the source done and
+/// finalizes the phase if no morsel is still in flight.
+fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     let wait_start = Instant::now();
     let mut src = lock(&q.src);
     q.lock_wait_ns.fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
     if src.finalized || src.done || src.core.is_none() {
-        return false;
+        return None;
     }
-    if q.failed_at(src.seq) {
+    let (phase, seq) = (src.phase, src.seq);
+    if q.failed_at(seq) {
         src.done = true;
         drop(src);
-        // Queued morsels of a failed query are dead work: discard them
-        // so the phase can finalize without processing them.
-        drain_queues(q, core);
         maybe_finalize(q, core);
-        return true;
+        return None;
     }
-    let mark = tap_mark();
-    let fixed = core.claim_morsels.load(Ordering::Relaxed);
-    // invariant: `src.core.is_none()` returned above, so the core is
-    // still present (the source lock is held throughout the claim).
-    let k = {
-        let c = src.core.as_ref().expect("checked above");
-        source_claim(fixed, c.remaining_hint(), core.workers)
-    };
-    let (phase, chunked) = (src.phase, src.decoder_spec.is_some());
-    let mut claimed: Vec<Pending> = Vec::with_capacity(k);
-    // Some(Ok) = source exhausted mid-chunk, Some(Err) = pull failed.
-    let mut end: Option<Result<()>> = None;
-    for _ in 0..k {
-        // invariant: checked non-None above; the lock is held, so no
-        // one else can take the core out from under the claim.
-        let mark = q.trace_mark();
-        match src.core.as_mut().expect("checked above").pull(&q.storage) {
-            Ok(Some(item)) => {
-                q.trace_since(mark, |l, ns| {
-                    l.phases[phase].src_ns.push(ns);
-                    l.phases[phase].chunked = chunked;
-                });
-                let file = src.core.as_ref().and_then(SourceCore::file_id);
-                claimed.push(Pending { phase, seq: src.seq, item, file });
-                src.seq += 1;
-            }
-            Ok(None) => {
-                end = Some(Ok(()));
-                break;
-            }
-            Err(e) => {
-                end = Some(Err(e));
-                break;
-            }
-        }
-    }
-    let err_seq = src.seq;
-    if end.is_some() {
+    let (mark, trace) = (tap_mark(), q.trace_mark());
+    // invariant: `src.core.is_none()` returned above, and the source
+    // lock is held throughout the claim.
+    let c = src.core.as_mut().expect("checked above");
+    let pulled = c.pull(&q.storage);
+    let file = c.file_id();
+    if let Ok(Some(_)) = pulled {
+        q.trace_since(trace, |l, ns| l.phases[phase].src_ns.push(ns));
+        src.seq += 1;
+        // A claimed morsel pins the phase until it is processed.
+        q.inflight.fetch_add(1, Ordering::AcqRel);
+    } else {
         src.done = true;
     }
-    // Queued morsels pin the phase exactly like in-flight ones.
-    q.inflight.fetch_add(claimed.len(), Ordering::AcqRel);
     drop(src);
     // The pull I/O is this claim's attribution; `morsels` counts at
-    // processing time, once per item, wherever it runs.
+    // processing time.
     lock(&q.stats).merge(&mark.delta());
-    if let Some(Err(e)) = end {
-        q.record_err(err_seq, e);
+    match pulled {
+        Ok(Some(item)) => return Some(Pending { phase, seq, item, file }),
+        Ok(None) => {}
+        Err(e) => q.record_err(seq, e),
     }
-    if claimed.is_empty() {
-        // Nothing claimed — the source ran dry or failed — so this claim
-        // finalizes the phase itself; after a non-empty claim `inflight`
-        // is nonzero and the last morsel processed does.
-        maybe_finalize(q, core);
-        return true;
-    }
-    let extras = claimed.len() > 1;
-    lock(&q.queues[widx]).extend(claimed);
-    if extras {
-        // Wake sleeping peers: the surplus is up for stealing.
-        {
-            let mut st = lock(&core.state);
-            st.epoch += 1;
-        }
-        core.cv.notify_all();
-    }
-    true
+    maybe_finalize(q, core);
+    None
 }
 
-/// Process one queued morsel (local or stolen) outside the source
-/// lock, delivering it to the phase's partial state.
-fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
-    // A queued morsel of a cancelled, timed-out, or failed query is
+/// Process one claimed morsel outside the source lock, delivering it
+/// to the phase's partial state.
+fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) {
+    // A claimed morsel of a cancelled, timed-out, or failed query is
     // discarded — its result could never be delivered anyway.
     if q.failed_at(p.seq) {
         if q.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
             maybe_finalize(q, core);
         }
-        return true;
+        return;
     }
     let Pending { phase, seq, item, file } = p;
     let mark = tap_mark();
@@ -915,7 +824,7 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
     // decoder it has no use for): pop one under a brief source relock,
     // or build a fresh one from the spec. `inflight > 0` pins the
     // phase, so the SrcState — and its decoder spec — is still the one
-    // this morsel was claimed from, stolen morsels included.
+    // this morsel was claimed from.
     let mut decoder = match &item {
         SourceItem::Batch(_) => None,
         SourceItem::Pages(_) => {
@@ -952,28 +861,6 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) -> bool {
         q.record_err(seq, e);
     }
     if q.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
-        maybe_finalize(q, core);
-    }
-    true
-}
-
-/// Steal the *back* of [`steal_victim`]'s queue: the morsel farthest
-/// from the owner's working set, so the owner keeps its hot front.
-/// Best-effort — a peer may drain its queue between the length probe
-/// and the pop.
-fn steal(q: &Arc<ActiveQuery>, widx: usize) -> Option<Pending> {
-    let victim = steal_victim(widx, q.queues.iter().map(|queue| lock(queue).len()))?;
-    lock(&q.queues[victim]).pop_back()
-}
-
-/// Discard every queued morsel of a failed query, releasing their
-/// `inflight` pins so the phase can finalize.
-fn drain_queues(q: &Arc<ActiveQuery>, core: &SchedCore) {
-    let mut drained = 0;
-    for queue in &q.queues {
-        drained += lock(queue).drain(..).count();
-    }
-    if drained > 0 && q.inflight.fetch_sub(drained, Ordering::AcqRel) == drained {
         maybe_finalize(q, core);
     }
 }

@@ -200,7 +200,6 @@ pub struct Database {
     max_queries: Option<usize>,
     mem_bytes: Option<usize>,
     timeout_ms: u64,
-    claim_morsels: usize,
     /// The engine's worker pool, built on first run and keyed
     /// by the (workers, max_queries) knobs so knob changes rebuild it.
     scheduler: Mutex<Option<(usize, usize, Arc<Scheduler>)>>,
@@ -216,7 +215,6 @@ impl Database {
             max_queries: None,
             mem_bytes: None,
             timeout_ms: 0,
-            claim_morsels: 0,
             scheduler: Mutex::new(None),
         }
     }
@@ -279,17 +277,6 @@ impl Database {
     /// are untouched.
     pub fn set_query_timeout_ms(&mut self, ms: u64) {
         self.timeout_ms = ms;
-        self.on_live_pool(|s| s.set_timeout_ms(ms));
-    }
-
-    /// Fix the worker pool's morsels-per-claim chunk size (0, the
-    /// default, = guided by remaining work). Larger chunks amortize
-    /// source-lock traffic and feed the per-worker stealing queues; 1
-    /// reproduces the one-at-a-time claims of the pre-stealing
-    /// scheduler.
-    pub fn set_claim_morsels(&mut self, n: usize) {
-        self.claim_morsels = n;
-        self.on_live_pool(|s| s.set_claim_morsels(n));
     }
 
     /// Install (or, with `None`, remove) a deterministic
@@ -312,32 +299,25 @@ impl Database {
         Session { db: self, id: NEXT_SESSION.fetch_add(1, Ordering::Relaxed) }
     }
 
-    /// Apply a knob that is a live atomic on the scheduler to the pool
-    /// that may already exist, rather than forcing a rebuild (which
-    /// would tear down the worker threads).
-    fn on_live_pool(&self, apply: impl FnOnce(&Scheduler)) {
-        let slot = self.scheduler.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some((_, _, s)) = slot.as_ref() {
-            apply(s);
-        }
-    }
-
     /// The persistent worker pool for the current knob settings,
-    /// building (or rebuilding, after a knob change) it on demand.
+    /// building (or rebuilding, after a knob change) it on demand. The
+    /// query timeout is a live setting on the pool, re-applied each time
+    /// the pool is handed out, so changing it never tears down the
+    /// worker threads.
     fn scheduler(&self) -> Arc<Scheduler> {
         let workers = self.workers();
         let max_queries = self.max_queries();
         let mut slot = self.scheduler.lock().unwrap_or_else(|p| p.into_inner());
-        match slot.as_ref() {
+        let s = match slot.as_ref() {
             Some((w, m, s)) if *w == workers && *m == max_queries => Arc::clone(s),
             _ => {
                 let s = Arc::new(Scheduler::new(workers, max_queries));
-                s.set_timeout_ms(self.timeout_ms);
-                s.set_claim_morsels(self.claim_morsels);
                 *slot = Some((workers, max_queries, Arc::clone(&s)));
                 s
             }
-        }
+        };
+        s.set_timeout_ms(self.timeout_ms);
+        s
     }
 
     /// The shared storage handle.
@@ -609,7 +589,7 @@ impl Database {
                     residual,
                     estimate,
                 );
-                Ok(Box::new(scan.with_columns(cols)?))
+                sort_wrap(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::Auto => unreachable!("resolved above"),
         }
@@ -1002,7 +982,15 @@ mod tests {
     #[test]
     fn ordered_scans_sort_when_needed() {
         let db = db(2000);
-        for access in [AccessPathChoice::ForceFull, AccessPathChoice::ForceSort] {
+        for access in [
+            AccessPathChoice::ForceFull,
+            AccessPathChoice::ForceIndex,
+            AccessPathChoice::ForceSort,
+            AccessPathChoice::Smooth(SmoothScanConfig::default()),
+            AccessPathChoice::Switch { estimate: 0 },
+            AccessPathChoice::Switch { estimate: 100 },
+            AccessPathChoice::Auto,
+        ] {
             let plan = LogicalPlan::scan(
                 ScanSpec::new("t", Predicate::int_half_open(1, 0, 500))
                     .with_order()
@@ -1314,8 +1302,8 @@ mod tests {
 
     #[test]
     fn query_timeout_knob_reaches_the_scheduler() {
-        // An existing pool picks the knob up live; a later knob change
-        // that rebuilds the pool re-applies it.
+        // An existing pool picks the knob up at its next query; a later
+        // knob change that rebuilds the pool applies it too.
         let mut db = db(500).with_workers(2);
         db.run(&q(10, AccessPathChoice::ForceFull)).unwrap();
         db.set_query_timeout_ms(250_000);

@@ -1,6 +1,6 @@
 //! The random-plan generator the differential suite and the pruning
-//! suite share: scan kind × predicates × join shape × aggregate shape
-//! over the two-table fixture of [`super::tables`].
+//! suite share: scan kind × `ordered:` × predicates × join shape ×
+//! aggregate shape over the two-table fixture of [`super::tables`].
 #![allow(dead_code)] // each suite uses its own subset
 
 use proptest::prelude::*;
@@ -70,9 +70,11 @@ pub fn agg_strategy() -> impl Strategy<Value = AggShape> {
     ]
 }
 
-/// Assemble the plan under test.
+/// Assemble the plan under test: a scan of `t` — `ordered:` on its range
+/// column when `ordered` — under `join`, under `agg`.
 pub fn plan_for(
     access: &AccessPathChoice,
+    ordered: bool,
     lo: i64,
     width: i64,
     residual: Option<i64>,
@@ -83,7 +85,11 @@ pub fn plan_for(
     if let Some(hi) = residual {
         pred = Predicate::and(vec![pred, Predicate::int_lt(0, hi)]);
     }
-    let scan = LogicalPlan::scan(ScanSpec::new("t", pred).with_access(access.clone()));
+    let mut spec = ScanSpec::new("t", pred).with_access(access.clone());
+    if ordered {
+        spec = spec.with_order();
+    }
+    let scan = LogicalPlan::scan(spec);
     let joined = match join {
         JoinShape::None => scan,
         JoinShape::HashInner => scan.join(

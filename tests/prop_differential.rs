@@ -144,17 +144,6 @@ fn run_budgeted(plan: &LogicalPlan, workers: usize, budget: usize) -> QueryResul
     db.run(plan).expect("driver run")
 }
 
-/// [`run_with_workers`] with a forced per-claim chunk size
-/// (`Database::set_claim_morsels`): small chunks at high worker counts
-/// drain the source early and force the work-stealing path, large
-/// chunks pile morsels onto few queues and force steals from the back.
-fn run_chunked(plan: &LogicalPlan, workers: usize, claim: usize) -> QueryResult {
-    let mut db = database(900);
-    db.set_workers(workers);
-    db.set_claim_morsels(claim);
-    db.run(plan).expect("driver run")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -164,14 +153,17 @@ proptest! {
     #[test]
     fn drivers_agree_on_random_plans(
         access in access_strategy(),
+        ordered in any::<bool>(),
         lo in 0i64..300,
         width in 0i64..330,
         residual in prop_oneof![2 => Just(None), 1 => (0i64..900).prop_map(Some)],
         join in join_strategy(),
         agg in agg_strategy(),
     ) {
-        let plan = plan_for(&access, lo, width, residual, join, agg);
-        let context = format!("{access:?} lo={lo} width={width} res={residual:?} {join:?} {agg:?}");
+        let plan = plan_for(&access, ordered, lo, width, residual, join, agg);
+        let context = format!(
+            "{access:?} ordered={ordered} lo={lo} width={width} res={residual:?} {join:?} {agg:?}"
+        );
 
         // Oracle: the Volcano row-at-a-time driver.
         let volcano = run_volcano(&plan);
@@ -224,7 +216,7 @@ proptest! {
         let mut cfg = SmoothScanConfig::default().with_order(true);
         cfg.result_cache_spill = Some(spill);
         cfg.result_cache_partitions = partitions;
-        let plan = plan_for(&AccessPathChoice::Smooth(cfg), lo, width, None,
+        let plan = plan_for(&AccessPathChoice::Smooth(cfg), false, lo, width, None,
             JoinShape::None, AggShape::None);
         let volcano = run_volcano(&plan);
         let columnar = run_tree(&plan);
@@ -262,7 +254,7 @@ proptest! {
     ) {
         let join = if semi { JoinShape::HashSemi } else { JoinShape::HashInner };
         let mut plan =
-            plan_for(&AccessPathChoice::ForceFull, lo, width, None, join, AggShape::None);
+            plan_for(&AccessPathChoice::ForceFull, false, lo, width, None, join, AggShape::None);
         if sorted {
             plan = plan.sort(vec![SortKey::asc(2), SortKey::asc(0)]);
         }
@@ -310,48 +302,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Work-stealing legs: forced chunk sizes × worker counts. A fixed
-    /// claim of 1 maximizes source-lock interleaving; larger claims
-    /// queue runs of morsels on one worker's deque so dry peers must
-    /// steal. Rows, clock and I/O must equal the Volcano oracle under
-    /// every combination — stealing changes who holds a morsel, never
-    /// what the engine is charged for.
-    #[test]
-    fn drivers_agree_under_forced_chunk_sizes(
-        access in access_strategy(),
-        lo in 0i64..300,
-        width in 0i64..330,
-        join in join_strategy(),
-        agg in agg_strategy(),
-        claim in prop_oneof![Just(1usize), Just(2usize), Just(7usize), Just(64usize)],
-    ) {
-        let plan = plan_for(&access, lo, width, None, join, agg);
-        let context = format!("{access:?} lo={lo} width={width} {join:?} {agg:?} claim={claim}");
-        let volcano = run_volcano(&plan);
-        for workers in WORKER_GRID {
-            let parallel = run_chunked(&plan, workers, claim);
-            prop_assert!(
-                parallel.rows == volcano.rows,
-                "chunked rows diverge at {workers} workers: {context}"
-            );
-            prop_assert!(
-                (parallel.stats.clock.cpu_ns, parallel.stats.clock.io_ns)
-                    == (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                "chunked clock diverges at {workers} workers: {context} ({:?} vs {:?})",
-                parallel.stats.clock,
-                volcano.stats.clock
-            );
-            prop_assert!(
-                io_key(&parallel.stats.io) == io_key(&volcano.stats.io),
-                "chunked I/O diverges at {workers} workers: {context}"
-            );
-        }
-    }
-}
-
 /// `JoinStrategy::Merge` over keys that are NULL on both inputs: every
 /// left row with a NULL `c2` meets a run of NULL-keyed right rows at the
 /// head of the sorted input and must join none of them (the row merge
@@ -362,6 +312,7 @@ proptest! {
 fn merge_join_matches_no_null_keys() {
     let plan = plan_for(
         &AccessPathChoice::ForceFull,
+        false,
         0,
         300,
         None,
@@ -381,7 +332,7 @@ fn merge_join_matches_no_null_keys() {
 /// `ordered:` heap-range scans no longer take the serial shared-source
 /// fallback: the planner lowers them to the partitioned heap source
 /// with a `Sort` sink, and rows/clock/IO equal the serial drivers at
-/// every worker count and chunk size (guided and forced).
+/// every worker count.
 #[test]
 fn ordered_scans_parallelize_with_sort_sink() {
     let plan = LogicalPlan::scan(
@@ -405,20 +356,14 @@ fn ordered_scans_parallelize_with_sort_sink() {
 
     let volcano = run_volcano(&plan);
     for workers in WORKER_GRID {
-        for claim in [0usize, 1, 3] {
-            let got = run_chunked(&plan, workers, claim);
-            assert_eq!(got.rows, volcano.rows, "rows diverge at {workers}w claim={claim}");
-            assert_eq!(
-                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                "clock diverges at {workers}w claim={claim}"
-            );
-            assert_eq!(
-                io_key(&got.stats.io),
-                io_key(&volcano.stats.io),
-                "I/O diverges at {workers}w claim={claim}"
-            );
-        }
+        let got = run_with_workers(&plan, workers);
+        assert_eq!(got.rows, volcano.rows, "rows diverge at {workers}w");
+        assert_eq!(
+            (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+            (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+            "clock diverges at {workers}w"
+        );
+        assert_eq!(io_key(&got.stats.io), io_key(&volcano.stats.io), "I/O diverges at {workers}w");
     }
 }
 
@@ -597,20 +542,18 @@ fn bushy_hash_joins_agree_across_drivers() {
         let volcano = run_volcano(&plan);
         assert!(!volcano.rows.is_empty(), "{shape} joins something");
         for workers in WORKER_GRID {
-            for claim in [0usize, 1] {
-                let got = run_chunked(&plan, workers, claim);
-                assert_eq!(got.rows, volcano.rows, "{shape} rows at {workers}w claim={claim}");
-                assert_eq!(
-                    (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                    (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                    "{shape} clock at {workers}w claim={claim}"
-                );
-                assert_eq!(
-                    io_key(&got.stats.io),
-                    io_key(&volcano.stats.io),
-                    "{shape} I/O at {workers}w claim={claim}"
-                );
-            }
+            let got = run_with_workers(&plan, workers);
+            assert_eq!(got.rows, volcano.rows, "{shape} rows at {workers}w");
+            assert_eq!(
+                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+                (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+                "{shape} clock at {workers}w"
+            );
+            assert_eq!(
+                io_key(&got.stats.io),
+                io_key(&volcano.stats.io),
+                "{shape} I/O at {workers}w"
+            );
         }
     }
 }

@@ -379,67 +379,13 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(5))]
-
-    /// Work-stealing legs of the chaos contract: a forced per-claim
-    /// chunk size (`set_claim_morsels`) queues runs of morsels on one
-    /// worker's deque so dry peers steal them — fault draws must not
-    /// care. Page-run draws happen at claim time in serial seq order
-    /// and morsel-panic keys are pure functions of (phase, seq), so a
-    /// stolen morsel hits exactly the faults its locally-processed
-    /// twin would: survived runs return the fault-free rows, failures
-    /// stay typed, and the same settings replay exactly.
-    #[test]
-    fn fault_contract_holds_under_forced_chunk_sizes(
-        shape in shape_strategy(),
-        mix in mix_strategy(),
-        claim in prop_oneof![Just(1usize), Just(4usize), Just(64usize)],
-    ) {
-        let plan = plan_for(&shape);
-        let reference = {
-            let mut db = database(900);
-            db.set_workers(1);
-            db.run(&plan).expect("fault-free reference").rows
-        };
-        let mut db = database(900);
-        db.set_faults(Some(mix.config()));
-        db.set_claim_morsels(claim);
-        for workers in [2usize, 4, 8] {
-            db.set_workers(workers);
-            let got = outcome(&db, &plan);
-            match &got {
-                Outcome::Rows(rows) => prop_assert!(
-                    rows == &reference,
-                    "survived chunked run diverged at {workers} workers claim={claim} ({shape:?}, {mix:?})"
-                ),
-                Outcome::Failed(e) => prop_assert!(
-                    matches!(
-                        e,
-                        Error::Faulted { .. } | Error::Corrupt(_) | Error::Io(_) | Error::Exec(_)
-                    ),
-                    "chunked fault surfaced untyped: {e:?} ({shape:?}, {mix:?})"
-                ),
-            }
-            let again = outcome(&db, &plan);
-            prop_assert!(
-                again == got,
-                "chunked replay diverged at {workers} workers claim={claim} ({shape:?}, {mix:?})"
-            );
-        }
-    }
-}
-
-/// Panic containment composes with stealing: a huge forced claim puts
-/// the whole scan on the claiming worker's deque, so the other three
-/// workers can only contribute by stealing from its back — and with
-/// panics injected on every morsel of the scanned file, whichever
-/// worker processes a morsel (locally popped or stolen) panics. The
-/// query must fail with the typed injected-panic error, leak nothing,
-/// and leave the pool serving clean queries; a chunk size of 1 (no
-/// surplus to steal) must reach the same typed outcome.
+/// Panic containment at four workers: with panics injected on every
+/// morsel of the scanned file, whichever worker processes a morsel
+/// panics, while its peers claim and process the next ones. The query
+/// must fail with the typed injected-panic error, leak nothing, and
+/// leave the pool serving clean queries.
 #[test]
-fn panics_during_steals_contain_and_clean_up() {
+fn panics_on_four_workers_contain_and_clean_up() {
     let mut db = database(900);
     db.set_workers(4);
     let file = db.table("t").unwrap().heap.file_id();
@@ -452,12 +398,9 @@ fn panics_during_steals_contain_and_clean_up() {
     });
     db.set_faults(Some(FaultConfig::new(31).panic(1.0).scope_to_file(file)));
     let baseline = SpillFile::live_count();
-    for claim in [64usize, 1] {
-        db.set_claim_morsels(claim);
-        let err = db.run(&plan).unwrap_err();
-        assert!(matches!(err, Error::Exec(_)), "claim={claim}: {err}");
-        assert_spills_drain_to(baseline);
-    }
+    let err = db.run(&plan).unwrap_err();
+    assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
+    assert_spills_drain_to(baseline);
     db.set_faults(None);
     assert!(!db.run(&plan).unwrap().rows.is_empty(), "pool must survive contained panics");
 }

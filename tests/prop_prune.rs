@@ -75,6 +75,7 @@ proptest! {
     #[test]
     fn pruning_preserves_the_reference_result(
         access in access_strategy(),
+        ordered in any::<bool>(),
         lo in 0i64..300,
         width in 0i64..330,
         residual in prop_oneof![2 => Just(None), 1 => (0i64..300).prop_map(Some)],
@@ -83,7 +84,7 @@ proptest! {
         reader in 0usize..5,
     ) {
         let (tables, db) = fixture(300);
-        let plan = reader_above(plan_for(&access, lo, width, residual, join, agg), reader);
+        let plan = reader_above(plan_for(&access, ordered, lo, width, residual, join, agg), reader);
         let pruned = assert_prune_preserves(&plan, &tables, &db);
         // The root needs everything: its operator emits what the
         // reference's rows hold, column for column.
