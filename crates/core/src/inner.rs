@@ -131,7 +131,8 @@ impl SmoothInnerPath {
         self.metrics.pages_fetched += 1;
         let view = PageView::new(&page)?;
         self.slot_counts[page_id.0 as usize] = view.slot_count();
-        let tuples = view.iter().collect::<Result<Vec<_>>>()?;
+        let mut tuples = Vec::new();
+        view.tuples_into(&mut tuples)?;
         let first = self.harvested.physical_rows();
         let (inspected, _) = self.filter.fill(&tuples, &mut self.harvested)?;
         let keys = self.harvested.column_checked(self.key_slot)?;

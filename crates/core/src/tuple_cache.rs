@@ -13,9 +13,9 @@ use smooth_types::{PageId, Result, Tid};
 /// bit per tuple slot, page-major.
 pub use smooth_types::TidBitmap as TupleIdCache;
 
-/// Append the tuples of `page` that `produced` does not hold — all of them
-/// without a cache — to `tuples` in slot order, telling `slot` each one's
-/// slot. Returns the bitmap checks made: one per slot with a cache.
+/// Append the tuples of `page` that `produced` does not hold — all of them,
+/// in one slot walk, without a cache — to `tuples` in slot order, telling
+/// `slot` each one's slot. Returns the bitmap checks made: one per slot with a cache.
 pub(crate) fn unproduced<'p>(
     produced: Option<&TupleIdCache>,
     page: PageId,
@@ -23,14 +23,15 @@ pub(crate) fn unproduced<'p>(
     tuples: &mut Vec<&'p [u8]>,
     mut slot: impl FnMut(u16),
 ) -> Result<u64> {
-    for s in 0..view.slot_count() {
-        if produced.is_some_and(|c| c.contains(Tid { page, slot: s })) {
-            continue;
-        }
+    let Some(cache) = produced else {
+        (0..view.slot_count()).for_each(slot);
+        return view.tuples_into(tuples).map(|()| 0);
+    };
+    for s in (0..view.slot_count()).filter(|&s| !cache.contains(Tid { page, slot: s })) {
         slot(s);
         tuples.push(view.get(s)?);
     }
-    Ok(produced.map_or(0, |_| u64::from(view.slot_count())))
+    Ok(u64::from(view.slot_count()))
 }
 
 #[cfg(test)]

@@ -404,14 +404,12 @@ impl Predicate {
 /// one [`TupleLayout`] bound to *predicate columns ∪ output columns* —
 /// the vectorized scan's selection pushdown and its column pruning.
 /// [`ScanFilter::select`] locates the page's tuples (every tuple
-/// structurally validated, qualifying or not, whatever is wanted — a
-/// corrupt page errors exactly as under [`Row::decode`]), gathers just
-/// the columns the predicate reads and runs the mask kernel over them;
-/// [`ScanFilter::gather_selected`] then decodes the output columns of the
-/// qualifiers only, off the offsets the same `locate` recorded. Nothing
-/// is parsed twice, and a column neither read nor emitted is walked past,
-/// never materialized (so its text is never UTF-8-checked). Emitting
-/// every column ([`ScanFilter::new`]) is one output set among others.
+/// structurally validated, qualifying or not — a corrupt page errors
+/// exactly as under [`Row::decode`]), gathers the columns the predicate
+/// reads and runs the mask kernel over them; [`ScanFilter::gather_selected`]
+/// then decodes the output columns of the qualifiers only, from what the
+/// same `locate` recorded. Nothing is parsed twice, and a column neither
+/// read nor emitted is walked past, never materialized or UTF-8-checked.
 #[derive(Clone)]
 pub struct ScanFilter {
     predicate: Predicate,

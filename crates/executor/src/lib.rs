@@ -71,7 +71,7 @@ pub use parallel::{
     multi_query_makespan_ns, run_pipeline, run_pipeline_traced, LedgerPhase, ParallelPipeline,
     ParallelSource, PhaseBuild, PhaseSpec, ScalingLedger, SinkSpec, StageSpec,
 };
-pub use scan::{every_tuple, fill_from, FullTableScan, IndexScan, PageQueue, SortScan};
+pub use scan::{fill_from, FullTableScan, IndexScan, PageQueue, SortScan};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};
 pub use sort::Sort;
 pub use spill::{charge_spill_io, mem_budget_bytes, spill_io_ns, spill_write, SpillFile};

@@ -94,7 +94,6 @@ use crate::agg::GroupFold;
 use crate::expr::{Predicate, ScanFilter};
 use crate::join::{join_schema, JoinBuildPartial, JoinBuildTable};
 use crate::operator::BoxedOperator;
-use crate::scan::every_tuple;
 use crate::{AggFunc, JoinType};
 
 /// Where morsels come from.
@@ -446,9 +445,9 @@ impl HeapDecoder {
         let rows = self.last_rows.map_or(slots, |n| (n + n / 8 + 16).min(slots));
         let mut out = ColumnBatch::with_capacity(self.filter.schema(), rows);
         let (s, mut tuples) = (&mut storage.session(), Vec::new());
-        for (pid, page) in pages {
+        for (_, page) in pages {
             tuples.clear();
-            every_tuple(*pid, &PageView::new(page)?, &mut tuples)?;
+            PageView::new(page)?.tuples_into(&mut tuples)?;
             let (inspected, emitted) = self.filter.fill(&tuples, &mut out)?;
             s.charge_cpu(s.cpu().inspect_tuple_ns * inspected + s.cpu().emit_tuple_ns * emitted);
         }

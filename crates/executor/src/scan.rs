@@ -24,13 +24,6 @@ use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotI
 use crate::expr::{Predicate, ScanFilter};
 use crate::operator::{batch_size, Operator};
 
-/// [`fill_from`]'s slot picker for every tuple of a page.
-pub fn every_tuple<'p>(_: PageId, view: &PageView<'p>, tuples: &mut Vec<&'p [u8]>) -> Result<u64> {
-    tuples.reserve(view.slot_count() as usize);
-    view.iter().try_for_each(|t| t.map(|t| tuples.push(t)))?;
-    Ok(0)
-}
-
 /// Fetched heap pages waiting, still encoded, to be inspected: a scan
 /// queues whole I/O units and [`fill_from`] inspects them a page at a
 /// time, only as far as the caller's morsel reaches.
@@ -131,7 +124,8 @@ impl FullTableScan {
                 s.release();
                 self.next_page += len;
             }
-            fill_from(&mut self.queue, s, max, &mut self.filter, &mut self.out, every_tuple)?;
+            let (queue, filter, out) = (&mut self.queue, &mut self.filter, &mut self.out);
+            fill_from(queue, s, max, filter, out, |_, v, t| v.tuples_into(t).map(|()| 0))?;
             if !self.queue.is_empty() {
                 break; // the next page starts the next morsel
             }

@@ -28,10 +28,10 @@
 //! the claiming worker's thread inside the query's source lock, so
 //! bracketing each unit of work with a mark/delta pair attributes
 //! pages, requests, hits and tuple flow to exactly one query even
-//! under full concurrency. Workers also measure the wall-clock time
-//! they spend blocked acquiring each query's source lock
-//! ([`ScanStatistics::lock_wait_ns`] — informational; the *modeled*
-//! contention lives in [`crate::ScalingLedger`]).
+//! under full concurrency. Workers also time waiting for and holding
+//! each query's source lock and processing its morsels on the wall clock
+//! ([`ScanStatistics`]' `lock_wait_ns`, `src_hold_ns` and `proc_ns` —
+//! informational; the *modeled* contention lives in [`crate::ScalingLedger`]).
 //!
 //! **One morsel per claim.** A worker visiting a query (`try_work`)
 //! takes the query's source lock, pulls one morsel — charging its pull
@@ -315,6 +315,8 @@ struct ActiveQuery {
     err: Mutex<Option<(u64, Error)>>,
     stats: Mutex<ScanStatistics>,
     lock_wait_ns: AtomicU64,
+    src_hold_ns: AtomicU64,
+    proc_ns: AtomicU64,
     done_tx: Mutex<Option<Sender<Result<QueryOutput>>>>,
     /// The per-morsel virtual-clock ledger, recorded only for
     /// [`run_solo`]'s traced run (see the module docs).
@@ -378,6 +380,8 @@ impl ActiveQuery {
             err: Mutex::new(None),
             stats: Mutex::new(ScanStatistics::default()),
             lock_wait_ns: AtomicU64::new(0),
+            src_hold_ns: AtomicU64::new(0),
+            proc_ns: AtomicU64::new(0),
             done_tx: Mutex::new(Some(tx)),
             trace,
         })
@@ -768,22 +772,20 @@ fn try_work(q: &Arc<ActiveQuery>, core: &SchedCore) -> bool {
 fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     let wait_start = Instant::now();
     let mut src = lock(&q.src);
-    q.lock_wait_ns.fetch_add(wait_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    let held = Instant::now();
+    q.lock_wait_ns.fetch_add((held - wait_start).as_nanos() as u64, Ordering::Relaxed);
     if src.finalized || src.done || src.core.is_none() {
+        drop(src);
+        q.src_hold_ns.fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
         return None;
     }
     let (phase, seq) = (src.phase, src.seq);
-    if q.failed_at(seq) {
-        src.done = true;
-        drop(src);
-        maybe_finalize(q, core);
-        return None;
-    }
     let (mark, trace) = (tap_mark(), q.trace_mark());
     // invariant: `src.core.is_none()` returned above, and the source
     // lock is held throughout the claim.
     let c = src.core.as_mut().expect("checked above");
-    let pulled = c.pull(&q.storage);
+    // A failed query pulls nothing more: its source ends here.
+    let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(&q.storage) };
     let file = c.file_id();
     if let Ok(Some(_)) = pulled {
         q.trace_since(trace, |l, ns| l.phases[phase].src_ns.push(ns));
@@ -794,6 +796,7 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
         src.done = true;
     }
     drop(src);
+    q.src_hold_ns.fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
     // The pull I/O is this claim's attribution; `morsels` counts at
     // processing time.
     lock(&q.stats).merge(&mark.delta());
@@ -809,15 +812,20 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
 /// Process one claimed morsel outside the source lock, delivering it
 /// to the phase's partial state.
 fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) {
+    let entered = Instant::now();
     // A claimed morsel of a cancelled, timed-out, or failed query is
     // discarded — its result could never be delivered anyway.
-    if q.failed_at(p.seq) {
-        if q.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
-            maybe_finalize(q, core);
-        }
-        return;
+    if !q.failed_at(p.seq) {
+        process_morsel(q, p);
     }
-    let Pending { phase, seq, item, file } = p;
+    if q.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
+        maybe_finalize(q, core);
+    }
+    q.proc_ns.fetch_add(entered.elapsed().as_nanos() as u64, Ordering::Relaxed);
+}
+
+/// [`process_pending`]'s work on a morsel of a live query.
+fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) {
     let mark = tap_mark();
     // Decoder pool, for page runs only (a shared operator's ready
     // batch must not queue behind that operator's next pull for a
@@ -859,9 +867,6 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) {
     lock(&q.stats).merge(&delta);
     if let Err(e) = result {
         q.record_err(seq, e);
-    }
-    if q.inflight.fetch_sub(1, Ordering::AcqRel) == 1 {
-        maybe_finalize(q, core);
     }
 }
 
@@ -1041,7 +1046,9 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
         return;
     }
     let mut stats = *lock(&q.stats);
-    stats.lock_wait_ns = stats.lock_wait_ns.saturating_add(q.lock_wait_ns.load(Ordering::Relaxed));
+    stats.lock_wait_ns = q.lock_wait_ns.load(Ordering::Relaxed);
+    stats.src_hold_ns = q.src_hold_ns.load(Ordering::Relaxed);
+    stats.proc_ns = q.proc_ns.load(Ordering::Relaxed);
     finish(q, core, Ok(QueryOutput { batches, stats }));
 }
 

@@ -85,7 +85,9 @@ impl Default for PageBuilder {
     }
 }
 
-/// Read-only view over a frozen page image.
+/// Read-only view over a frozen page image. A reader of whole pages takes
+/// their tuples in one slot walk ([`PageView::tuples_into`]); a reader of
+/// TIDs takes one slot at a time ([`PageView::get`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PageView<'a> {
     bytes: &'a [u8],
@@ -132,16 +134,43 @@ impl<'a> PageView<'a> {
         // the slot array ends at or before `data_start`, so a slot that
         // starts below it would alias the header or the slot array.
         if off + len > PAGE_SIZE || off < self.data_start() as usize {
-            return Err(Error::corrupt(format!("slot {slot} points outside the tuple area")));
+            return Err(outside(slot as usize));
         }
         Ok(&self.bytes[off..off + len])
     }
 
-    /// Iterate over all tuples in slot order.
+    /// Append every tuple of the page to `out`, in slot order: one pass
+    /// over the slot array, with the slot count and the tuple area's start
+    /// read once and every slot checked as [`PageView::get`] checks it, so
+    /// the first slot `get` rejects fails the walk with the same
+    /// [`Error::Corrupt`]. What was appended before that stays in `out`.
+    pub fn tuples_into(&self, out: &mut Vec<&'a [u8]>) -> Result<()> {
+        let slots = self.slot_count() as usize;
+        let data_start = self.data_start() as usize;
+        // `new` checked that the slot array ends inside the page.
+        let entries = &self.bytes[HEADER_LEN..HEADER_LEN + SLOT_LEN * slots];
+        out.reserve(slots);
+        for (slot, e) in entries.chunks_exact(SLOT_LEN).enumerate() {
+            let off = u16::from_le_bytes([e[0], e[1]]) as usize;
+            let len = u16::from_le_bytes([e[2], e[3]]) as usize;
+            match self.bytes.get(off..off + len) {
+                Some(tuple) if off >= data_start => out.push(tuple),
+                _ => return Err(outside(slot)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Iterate over all tuples in slot order, a [`PageView::get`] per slot.
     pub fn iter(&self) -> impl Iterator<Item = Result<&'a [u8]>> + '_ {
         let view = *self;
         (0..self.slot_count()).map(move |s| view.get(s))
     }
+}
+
+/// The verdict on a slot whose tuple would lie outside the tuple area.
+fn outside(slot: usize) -> Error {
+    Error::corrupt(format!("slot {slot} points outside the tuple area"))
 }
 
 #[cfg(test)]
@@ -215,6 +244,9 @@ mod tests {
             let view = PageView::new(&img).unwrap();
             assert_eq!(view.get(0).unwrap(), b"alpha", "intact slots still read");
             assert!(matches!(view.get(1), Err(Error::Corrupt(_))), "offset {off}");
+            let mut walked = Vec::new();
+            assert!(matches!(view.tuples_into(&mut walked), Err(Error::Corrupt(_))));
+            assert_eq!(walked, [b"alpha"], "the walk stops at the slot `get` rejects");
         }
     }
 

@@ -46,6 +46,14 @@ pub struct ScanStatistics {
     /// query's source lock (measured, informational — not part of the
     /// deterministic virtual-clock model).
     pub lock_wait_ns: u64,
+    /// Wall-clock nanoseconds workers held this query's source lock in
+    /// their claims, from acquiring it to releasing it (measured,
+    /// informational): the serial part of a parallel query.
+    pub src_hold_ns: u64,
+    /// Wall-clock nanoseconds workers spent processing this query's
+    /// claimed morsels after releasing the source lock, from taking each
+    /// up to handing it over (measured, informational).
+    pub proc_ns: u64,
     /// Morsels processed for this query (0 under the serial driver,
     /// which runs no morsel loop).
     pub morsels: u64,
@@ -63,6 +71,8 @@ impl ScanStatistics {
         self.buffer_hits += other.buffer_hits;
         self.read_bytes += other.read_bytes;
         self.lock_wait_ns += other.lock_wait_ns;
+        self.src_hold_ns += other.src_hold_ns;
+        self.proc_ns += other.proc_ns;
         self.morsels += other.morsels;
     }
 
@@ -128,6 +138,8 @@ impl TapMark {
             buffer_hits: now.buffer_hits - self.0.buffer_hits,
             read_bytes: pages * PAGE_SIZE as u64,
             lock_wait_ns: 0,
+            src_hold_ns: 0,
+            proc_ns: 0,
             morsels: 0,
         }
     }
@@ -185,6 +197,8 @@ mod tests {
             buffer_hits: 4,
             read_bytes: 3 * PAGE_SIZE as u64,
             lock_wait_ns: 7,
+            src_hold_ns: 5,
+            proc_ns: 3,
             morsels: 1,
         };
         let b = a;
@@ -195,6 +209,7 @@ mod tests {
         assert_eq!(a.io_requests, 2);
         assert_eq!(a.buffer_hits, 8);
         assert_eq!(a.lock_wait_ns, 14);
+        assert_eq!((a.src_hold_ns, a.proc_ns), (10, 6));
         assert_eq!(a.morsels, 2);
     }
 

@@ -1,22 +1,29 @@
 //! Compiled tuple layouts: the one decoder under every columnar heap read.
 //!
-//! A [`TupleLayout`] is compiled **once** per (schema, wanted columns) and
-//! then decodes whole pages in two steps:
+//! A [`TupleLayout`] is compiled **once** per (schema, wanted columns)
+//! into *runs* — a maximal stretch of fixed-width fields and the text
+//! field (if any) that closes it — and then decodes whole pages in two
+//! steps:
 //!
 //! * [`TupleLayout::locate`] validates every tuple of the page exactly as
 //!   strictly as [`Row::decode`](crate::row::Row::decode) validates its
 //!   structure — a bitmap shorter than the schema, truncation inside any
 //!   field and trailing bytes all surface as [`Error::Corrupt`], for every
-//!   tuple handed in, wanted or not — and records one byte offset (or
-//!   NULL) per wanted column into a reused offset table. Runs of
-//!   fixed-width fields collapse to constant in-run offsets, so a
-//!   NULL-free tuple (one all-zero bitmap test) walks only its
-//!   variable-width fields; any other tuple takes a per-field walk into
-//!   the same table.
-//! * [`TupleLayout::gather`] turns one column of that table into typed
-//!   values: one loop **per column per page** (reserve once,
-//!   `from_le_bytes` off the recorded offsets, null mask beside it), text
-//!   validated as UTF-8 and copied into the column's arena
+//!   tuple handed in, wanted or not — and records where its wanted values
+//!   start. Inside a NULL-free tuple (one all-zero bitmap test) every
+//!   field sits at a constant offset from the start of its run, and the
+//!   first run starts right after the bitmap, so such a tuple records
+//!   only where each later run holding a wanted column starts: one entry
+//!   per text field in front of a wanted column, none at all for a
+//!   schema whose only text comes last. A tuple with NULLs (which occupy
+//!   no payload bytes, so nothing behind one sits at a constant offset)
+//!   takes a per-field walk that records one offset (or NULL) per wanted
+//!   column into a side table of the page.
+//! * [`TupleLayout::gather`] turns one column of the page into typed
+//!   values: one loop **per column per page** (reserve once, the value's
+//!   offset is its run's start plus the column's compiled in-run offset
+//!   — or its side-table entry — `from_le_bytes` off it, null mask beside
+//!   it), text validated as UTF-8 and copied into the column's arena
 //!   ([`crate::columns::TextColumn`]).
 //!
 //! UTF-8 is a property of a *value*, so it is checked where a value is
@@ -28,52 +35,83 @@ use crate::error::{Error, Result};
 use crate::schema::Schema;
 use crate::value::DataType;
 
-/// Offset-table entry of a NULL field. Tuples this long are rejected by
+/// Offset of a NULL field. Tuples this long are rejected by
 /// [`TupleLayout::locate`], so no real offset collides with it.
 const NULL_AT: u32 = u32::MAX;
 
 /// [`Field::slot`] of a column the layout does not record.
 const UNWANTED: u32 = u32::MAX;
 
+/// [`Wanted::run`] of a column in the first run, which starts right after
+/// the null bitmap and so is never recorded.
+const FIRST_RUN: u32 = u32::MAX;
+
+/// A NULL-free tuple's entry in [`Located::side_of`].
+const NO_SIDE: u32 = u32::MAX;
+
 /// One schema field, as the per-field walk sees it.
 #[derive(Debug, Clone, Copy)]
 struct Field {
     /// Payload bytes of a non-NULL value; `None` for length-prefixed text.
     width: Option<usize>,
-    /// Position in a tuple's row of the offset table, or [`UNWANTED`].
+    /// Position in the wanted list, or [`UNWANTED`].
     slot: u32,
 }
 
-/// A maximal run of fixed-width fields and the text field (if any) that
-/// ends it — the unit of the NULL-free walk.
-#[derive(Debug, Clone)]
-struct Segment {
-    /// In-run byte offsets of the wanted fixed-width fields, in order.
-    wanted_at: Vec<usize>,
-    /// Total bytes of the run.
+/// A run of fixed-width fields and the text field (if any) that closes
+/// it — the unit of the NULL-free walk.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    /// Total bytes of the fixed-width fields.
     fixed_width: usize,
-    /// The text field closing the run (`Some(wanted)`), or `None` for the
-    /// schema's tail run.
-    text: Option<bool>,
+    /// Closed by a text field (every run but the schema's tail).
+    text: bool,
+    /// A wanted column lives here, so a NULL-free tuple records where the
+    /// run starts (never set on the first run).
+    recorded: bool,
+}
+
+/// Where a wanted column sits in a NULL-free tuple.
+#[derive(Debug, Clone, Copy)]
+struct Wanted {
+    ty: DataType,
+    /// Index of its run's start among a tuple's recorded starts, or
+    /// [`FIRST_RUN`].
+    run: u32,
+    /// Byte offset from the run's start (of the length prefix, for text).
+    at: u32,
+}
+
+/// What [`TupleLayout::locate`] recorded about the last page.
+#[derive(Debug, Clone, Default)]
+struct Located {
+    /// Tuples on the page.
+    tuples: usize,
+    /// `starts[t * stride + r]`: where recorded run `r` of NULL-free
+    /// tuple `t` starts.
+    starts: Vec<u32>,
+    /// Per tuple up to the last one with NULLs, where its row of `side`
+    /// begins, or [`NO_SIDE`]: empty while the page has no NULL.
+    side_of: Vec<u32>,
+    /// One row per tuple with NULLs: the offset of each wanted column, or
+    /// [`NULL_AT`].
+    side: Vec<u32>,
 }
 
 /// A tuple decoder compiled for one schema and one set of wanted columns.
-/// It owns the offset table [`TupleLayout::locate`] fills and
-/// [`TupleLayout::gather`] reads, so a long-lived layout decodes page
-/// after page without allocating.
+/// It owns the run starts and side table [`TupleLayout::locate`] fills
+/// and [`TupleLayout::gather`] reads, so a long-lived layout decodes page
+/// after page without allocating once they have grown to a page's worth.
 #[derive(Debug, Clone)]
 pub struct TupleLayout {
     bitmap_len: usize,
-    /// Type of each wanted column, in offset-table order.
-    types: Vec<DataType>,
     fields: Vec<Field>,
-    segments: Vec<Segment>,
-    /// `offs[k * located + t]`: where wanted column `k` of located tuple
-    /// `t` starts (at its length prefix, for text), or [`NULL_AT`].
-    /// Column-major, so a gather reads one contiguous run.
-    offs: Vec<u32>,
-    /// Tuples in the table.
-    located: usize,
+    runs: Vec<Run>,
+    /// The wanted columns, in wanted-list order.
+    wanted: Vec<Wanted>,
+    /// Recorded run starts per NULL-free tuple.
+    stride: usize,
+    page: Located,
 }
 
 #[inline]
@@ -105,37 +143,41 @@ impl TupleLayout {
     pub fn new(schema: &Schema, wanted: &[usize]) -> Self {
         debug_assert!(wanted.windows(2).all(|w| w[0] < w[1]), "wanted must be ascending");
         debug_assert!(wanted.last().is_none_or(|&c| c < schema.len()));
+        let bitmap_len = schema.len().div_ceil(8);
         let mut fields = Vec::with_capacity(schema.len());
-        let mut segments = Vec::new();
-        let mut run = Segment { wanted_at: Vec::new(), fixed_width: 0, text: None };
+        let mut runs = vec![Run { fixed_width: 0, text: false, recorded: false }];
+        let mut placed = Vec::with_capacity(wanted.len());
         let mut next = wanted.iter().copied().enumerate().peekable();
         for (i, c) in schema.columns().iter().enumerate() {
             let slot = next.next_if(|&(_, col)| col == i).map(|(k, _)| k as u32);
             let width = c.ty.fixed_width();
             fields.push(Field { width, slot: slot.unwrap_or(UNWANTED) });
+            let r = runs.len() - 1;
+            let run = &mut runs[r];
+            if slot.is_some() {
+                run.recorded = r > 0;
+                placed.push((c.ty, r, run.fixed_width));
+            }
             match width {
-                Some(w) => {
-                    if slot.is_some() {
-                        run.wanted_at.push(run.fixed_width);
-                    }
-                    run.fixed_width += w;
-                }
+                Some(w) => run.fixed_width += w,
                 None => {
-                    run.text = Some(slot.is_some());
-                    let next_run = Segment { wanted_at: Vec::new(), fixed_width: 0, text: None };
-                    segments.push(std::mem::replace(&mut run, next_run));
+                    run.text = true;
+                    runs.push(Run { fixed_width: 0, text: false, recorded: false });
                 }
             }
         }
-        segments.push(run);
-        TupleLayout {
-            bitmap_len: schema.len().div_ceil(8),
-            types: wanted.iter().map(|&c| schema.column(c).ty).collect(),
-            fields,
-            segments,
-            offs: Vec::new(),
-            located: 0,
-        }
+        // A run's index among the recorded ones; the first run is never
+        // recorded and starts right after the bitmap.
+        let recorded_before = |r: usize| runs[..r].iter().filter(|r| r.recorded).count() as u32;
+        let wanted = placed
+            .into_iter()
+            .map(|(ty, r, at)| match r {
+                0 => Wanted { ty, run: FIRST_RUN, at: (bitmap_len + at) as u32 },
+                r => Wanted { ty, run: recorded_before(r), at: at as u32 },
+            })
+            .collect();
+        let stride = runs.iter().filter(|r| r.recorded).count();
+        TupleLayout { bitmap_len, fields, runs, wanted, stride, page: Located::default() }
     }
 
     /// Compile a layout recording every column of `schema`.
@@ -146,91 +188,89 @@ impl TupleLayout {
     /// Number of wanted columns.
     #[inline]
     pub fn width(&self) -> usize {
-        self.types.len()
+        self.wanted.len()
     }
 
-    /// Validate `tuples` (one page's worth) and record where each wanted
-    /// column of each tuple lives, replacing the previous page's table.
+    /// Validate `tuples` (one page's worth) and record where the wanted
+    /// columns of each tuple live, replacing the previous page's record.
     /// Errors exactly where [`Row::decode`](crate::row::Row::decode)
     /// rejects a tuple's structure; text bytes are checked by
     /// [`TupleLayout::gather`].
     pub fn locate(&mut self, tuples: &[&[u8]]) -> Result<()> {
-        let n = tuples.len();
-        self.located = n;
-        // Both walks write a tuple's slot in every column, so stale
-        // entries need no clearing.
-        let mut offs = std::mem::take(&mut self.offs);
-        offs.resize(n * self.types.len(), NULL_AT);
-        let located = (0..n).try_for_each(|t| self.locate_one(tuples[t], &mut offs, t, n));
-        self.offs = offs;
+        let mut page = std::mem::take(&mut self.page);
+        let located = self.record(tuples, &mut page);
+        self.page = page;
         located
     }
 
-    /// Walk tuple `t` of `n`, recording into its slot of each column of
-    /// `offs`. Both walks keep `pos <= bytes.len()` and check a field's
-    /// extent before recording its offset, so every recorded offset is in
-    /// bounds and below [`NULL_AT`].
-    #[inline]
-    fn locate_one(&self, bytes: &[u8], offs: &mut [u32], t: usize, n: usize) -> Result<()> {
-        let Some(bitmap) = bytes.get(..self.bitmap_len) else {
-            return Err(Error::corrupt("tuple shorter than its null bitmap"));
-        };
-        if bytes.len() >= NULL_AT as usize {
-            return Err(Error::corrupt("tuple longer than any page"));
+    /// [`TupleLayout::locate`] into `page`, which counts no tuple unless
+    /// every one of them is valid.
+    fn record(&self, tuples: &[&[u8]], page: &mut Located) -> Result<()> {
+        let (stride, width) = (self.stride, self.wanted.len());
+        page.tuples = 0;
+        page.side_of.clear();
+        page.side.clear();
+        // The NULL-free walk writes every start of its tuple, so stale
+        // entries need no clearing.
+        page.starts.resize(tuples.len() * stride, 0);
+        for (t, bytes) in tuples.iter().enumerate() {
+            let Some(bitmap) = bytes.get(..self.bitmap_len) else {
+                return Err(Error::corrupt("tuple shorter than its null bitmap"));
+            };
+            if bytes.len() >= NULL_AT as usize {
+                return Err(Error::corrupt("tuple longer than any page"));
+            }
+            let end = if bitmap.iter().all(|&b| b == 0) {
+                self.walk_runs(bytes, &mut page.starts[t * stride..(t + 1) * stride])?
+            } else {
+                page.side_of.resize(t, NO_SIDE);
+                page.side_of.push(page.side.len() as u32);
+                let row = page.side.len();
+                page.side.resize(row + width, NULL_AT);
+                self.walk_fields(bytes, bitmap, &mut page.side[row..])?
+            };
+            if end != bytes.len() {
+                return Err(Error::corrupt("trailing bytes after tuple"));
+            }
         }
-        let end = if bitmap.iter().all(|&b| b == 0) {
-            self.walk_segments(bytes, offs, t, n)?
-        } else {
-            self.walk_fields(bytes, bitmap, offs, t, n)?
-        };
-        if end != bytes.len() {
-            return Err(Error::corrupt("trailing bytes after tuple"));
-        }
+        page.tuples = tuples.len();
         Ok(())
     }
 
-    /// NULL-free walk: constant offsets inside each fixed run, one length
-    /// read per text field. Returns where the tuple ends.
+    /// NULL-free walk: one width check per run, one length read per text
+    /// field, recording the runs' starts into `starts`. Keeps `pos <=
+    /// bytes.len()`, so every recorded start is in bounds and below
+    /// [`NULL_AT`]. Returns where the tuple ends.
     #[inline]
-    fn walk_segments(&self, bytes: &[u8], offs: &mut [u32], t: usize, n: usize) -> Result<usize> {
-        let mut pos = self.bitmap_len;
-        // Column `k`'s slot for this tuple is `offs[k * n + t]`.
-        let mut slot = t;
-        for seg in &self.segments {
-            if bytes.len() - pos < seg.fixed_width {
+    fn walk_runs(&self, bytes: &[u8], starts: &mut [u32]) -> Result<usize> {
+        let (mut pos, mut recorded) = (self.bitmap_len, starts.iter_mut());
+        for run in &self.runs {
+            if run.recorded {
+                if let Some(start) = recorded.next() {
+                    *start = pos as u32;
+                }
+            }
+            if bytes.len() - pos < run.fixed_width {
                 return Err(truncated());
             }
-            for at in &seg.wanted_at {
-                offs[slot] = (pos + at) as u32;
-                slot += n;
-            }
-            pos += seg.fixed_width;
-            if let Some(wanted) = seg.text {
-                if wanted {
-                    offs[slot] = pos as u32;
-                    slot += n;
-                }
+            pos += run.fixed_width;
+            if run.text {
                 pos = skip_text(bytes, pos)?;
             }
         }
         Ok(pos)
     }
 
-    /// Per-field walk for tuples with NULLs (which occupy no payload
-    /// bytes, so nothing after one sits at a constant offset).
-    fn walk_fields(
-        &self,
-        bytes: &[u8],
-        bitmap: &[u8],
-        offs: &mut [u32],
-        t: usize,
-        n: usize,
-    ) -> Result<usize> {
+    /// Per-field walk for a tuple with NULLs, recording each wanted
+    /// column's offset (or [`NULL_AT`]) into its side-table row `side`.
+    /// Checks a field's extent before moving past it, so every recorded
+    /// offset is in bounds.
+    fn walk_fields(&self, bytes: &[u8], bitmap: &[u8], side: &mut [u32]) -> Result<usize> {
         let mut pos = self.bitmap_len;
         for (i, f) in self.fields.iter().enumerate() {
             let null = bitmap[i / 8] & (1 << (i % 8)) != 0;
             if f.slot != UNWANTED {
-                offs[f.slot as usize * n + t] = if null { NULL_AT } else { pos as u32 };
+                side[f.slot as usize] = if null { NULL_AT } else { pos as u32 };
             }
             if null {
                 continue;
@@ -244,13 +284,30 @@ impl TupleLayout {
         Ok(pos)
     }
 
-    /// The located offsets of wanted column `k`, one per tuple.
-    fn column(&self, k: usize, tuples: &[&[u8]]) -> Result<&[u32]> {
-        let n = self.located;
-        if tuples.len() != n || k >= self.types.len() {
+    /// Reject a gather of wanted column `k` over other tuples than the
+    /// last page located.
+    fn check_located(&self, k: usize, tuples: &[&[u8]]) -> Result<()> {
+        if tuples.len() != self.page.tuples || k >= self.wanted.len() {
             return Err(Error::exec("gather over tuples the layout did not locate"));
         }
-        Ok(&self.offs[k * n..(k + 1) * n])
+        Ok(())
+    }
+
+    /// Where wanted column `k` of located tuple `t` starts (at its length
+    /// prefix, for text), or [`NULL_AT`].
+    #[inline]
+    fn offset(&self, k: usize, t: usize) -> u32 {
+        let page = &self.page;
+        match page.side_of.get(t) {
+            Some(&row) if row != NO_SIDE => page.side[row as usize + k],
+            _ => {
+                let Wanted { run, at, .. } = self.wanted[k];
+                match run {
+                    FIRST_RUN => at,
+                    r => page.starts[t * self.stride + r as usize] + at,
+                }
+            }
+        }
     }
 
     /// Append wanted column `k` of the located tuples named by `rows`
@@ -266,7 +323,11 @@ impl TupleLayout {
         rows: Option<&[u32]>,
         out: &mut ColumnVector,
     ) -> Result<()> {
-        let offs = self.column(k, tuples)?;
+        self.check_located(k, tuples)?;
+        // A column of the first run sits at one offset in every tuple of
+        // a NULL-free page.
+        let Wanted { ty, run, at } = self.wanted[k];
+        let uniform = (run == FIRST_RUN && self.page.side_of.is_empty()).then_some(at);
         let mut intact = true;
         // One typed loop: `extend` over an exact-size iterator reserves
         // once and writes without per-element capacity checks.
@@ -287,25 +348,32 @@ impl TupleLayout {
                         }
                     }
                 };
-                match rows {
-                    None => dst.extend(offs.iter().zip(tuples).map(|(&off, t)| value(off, t))),
-                    Some(rows) => dst.extend(
-                        rows.iter().map(|&t| t as usize).map(|t| value(offs[t], tuples[t])),
-                    ),
+                let at = |t: usize| self.offset(k, t);
+                match (rows, uniform) {
+                    (None, Some(off)) => dst.extend(tuples.iter().map(|b| value(off, b))),
+                    (None, None) => {
+                        dst.extend(tuples.iter().enumerate().map(|(t, b)| value(at(t), b)))
+                    }
+                    (Some(rows), _) => dst
+                        .extend(rows.iter().map(|&t| t as usize).map(|t| value(at(t), tuples[t]))),
                 }
             }};
         }
-        match self.types[k] {
+        match ty {
             DataType::Int32 | DataType::Date => {
                 fixed!(Int, 4, |b| i32::from_le_bytes(b) as i64)
             }
             DataType::Int64 => fixed!(Int, 8, i64::from_le_bytes),
             DataType::Float64 => fixed!(Float, 8, f64::from_le_bytes),
-            DataType::Text => return self.gather_text(offs, tuples, rows, out),
+            DataType::Text => return self.gather_text(k, uniform, tuples, rows, out),
         }
+        let null = |t: usize| self.offset(k, t) == NULL_AT;
         match rows {
-            None => out.nulls.extend(offs.iter().map(|&off| off == NULL_AT)),
-            Some(rows) => out.nulls.extend(rows.iter().map(|&t| offs[t as usize] == NULL_AT)),
+            None if self.page.side_of.is_empty() => {
+                out.nulls.resize(out.nulls.len() + tuples.len(), false)
+            }
+            None => out.nulls.extend((0..tuples.len()).map(null)),
+            Some(rows) => out.nulls.extend(rows.iter().map(|&t| null(t as usize))),
         }
         if intact {
             Ok(())
@@ -316,7 +384,8 @@ impl TupleLayout {
 
     fn gather_text(
         &self,
-        offs: &[u32],
+        k: usize,
+        uniform: Option<u32>,
         tuples: &[&[u8]],
         rows: Option<&[u32]>,
         out: &mut ColumnVector,
@@ -324,17 +393,17 @@ impl TupleLayout {
         let ColumnValues::Str(text) = &mut out.values else {
             return Err(mistyped());
         };
-        let count = rows.map_or(offs.len(), <[u32]>::len);
+        let count = rows.map_or(tuples.len(), <[u32]>::len);
         out.nulls.reserve(count);
         text.reserve(count);
         let mut push = |t: usize| -> Result<()> {
-            let value = text_at(tuples[t], offs[t])?;
+            let value = text_at(tuples[t], uniform.unwrap_or_else(|| self.offset(k, t)))?;
             out.nulls.push(value.is_none());
             text.push_owned(value.unwrap_or_default());
             Ok(())
         };
         match rows {
-            None => (0..offs.len()).try_for_each(&mut push),
+            None => (0..tuples.len()).try_for_each(&mut push),
             Some(rows) => rows.iter().try_for_each(|&t| push(t as usize)),
         }
     }
@@ -344,7 +413,7 @@ impl TupleLayout {
     /// row at a time, which is cheaper than one pass per column when only
     /// a few tuples are wanted.
     pub fn gather_row(&self, tuples: &[&[u8]], t: usize, out: &mut [ColumnVector]) -> Result<()> {
-        self.gather_row_slots(tuples, t, 0..self.types.len(), out)
+        self.gather_row_slots(tuples, t, 0..self.wanted.len(), out)
     }
 
     /// [`TupleLayout::gather_row`] over the wanted columns `slots` only
@@ -368,14 +437,13 @@ impl TupleLayout {
         slots: impl ExactSizeIterator<Item = usize> + Clone,
         out: &mut [ColumnVector],
     ) -> Result<()> {
-        let n = self.located;
-        let known = slots.clone().all(|k| k < self.types.len());
-        if tuples.len() != n || out.len() != slots.len() || !known {
+        let known = slots.clone().all(|k| k < self.wanted.len());
+        if tuples.len() != self.page.tuples || out.len() != slots.len() || !known {
             return Err(Error::exec("gather over tuples the layout did not locate"));
         }
         let bytes = tuples[t];
         for (k, v) in slots.zip(out) {
-            let (ty, off) = (self.types[k], self.offs[k * n + t]);
+            let (ty, off) = (self.wanted[k].ty, self.offset(k, t));
             let at = off as usize;
             v.nulls.push(off == NULL_AT);
             match (ty, &mut v.values) {
@@ -404,10 +472,10 @@ impl TupleLayout {
     /// [`Error::Corrupt`] — without materializing a value: for consumers
     /// that keep validated tuple bytes and decode them later.
     pub fn check_text(&self, tuples: &[&[u8]], rows: &[u32]) -> Result<()> {
-        for (k, _) in self.types.iter().enumerate().filter(|(_, ty)| **ty == DataType::Text) {
-            let offs = self.column(k, tuples)?;
-            rows.iter()
-                .try_for_each(|&t| text_at(tuples[t as usize], offs[t as usize]).map(drop))?;
+        for (k, _) in self.wanted.iter().enumerate().filter(|(_, w)| w.ty == DataType::Text) {
+            self.check_located(k, tuples)?;
+            let t = |&t: &u32| t as usize;
+            rows.iter().map(t).try_for_each(|t| text_at(tuples[t], self.offset(k, t)).map(drop))?;
         }
         Ok(())
     }

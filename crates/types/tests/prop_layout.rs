@@ -7,7 +7,12 @@
 //!
 //! * `locate` + `gather` of any wanted subset — dense, through a
 //!   selection, a row at a time, a row at a time over some of the
-//!   located columns — equals the same columns of `Row::decode`;
+//!   located columns — equals the same columns of `Row::decode`, floats
+//!   compared bit for bit (a generated NaN equals itself);
+//! * one layout reused over three pages of 1–100 rows — tuples with and
+//!   without NULLs, then none with, then some again — decodes each page
+//!   as `Row::decode` does, so nothing one page records leaks into the
+//!   next;
 //! * on hostile bytes — every truncation, appended bytes, every bitmap
 //!   bit flipped (the unused high bits of the last byte included), text
 //!   lengths overwritten, non-UTF-8 injected — the layout and
@@ -37,44 +42,76 @@ struct Case {
     seed: u64,
 }
 
-fn arb_case() -> impl Strategy<Value = Case> {
+/// A generated schema shape: each column's type and nullability, and
+/// which columns are wanted.
+fn arb_shape() -> impl Strategy<Value = (Vec<(DataType, bool)>, Vec<usize>)> {
     let columns = proptest::collection::vec((arb_type(), any::<bool>(), any::<bool>()), 1..41);
-    (columns, any::<bool>(), any::<bool>(), 1usize..6, any::<u64>()).prop_flat_map(
-        |(mut cols, text_first, text_last, n_rows, seed)| {
-            // Pin the shapes the compiled walk special-cases: text
-            // opening the tuple (an empty first run) and closing it (an
-            // empty tail run); the random middle covers text between runs.
-            if text_first {
-                cols[0].0 = DataType::Text;
-            }
-            if text_last {
-                cols.last_mut().expect("at least one column").0 = DataType::Text;
-            }
-            let schema = Schema::new(
-                cols.iter()
-                    .enumerate()
-                    .map(|(i, (ty, nullable, _))| {
-                        if *nullable {
-                            Column::nullable(format!("c{i}"), *ty)
-                        } else {
-                            Column::new(format!("c{i}"), *ty)
-                        }
-                    })
-                    .collect(),
+    (columns, any::<bool>(), any::<bool>()).prop_map(|(mut cols, text_first, text_last)| {
+        // Pin the shapes the compiled walk special-cases: text opening
+        // the tuple (an empty first run) and closing it (an empty tail
+        // run); the random middle covers text between runs.
+        if text_first {
+            cols[0].0 = DataType::Text;
+        }
+        if text_last {
+            cols.last_mut().expect("at least one column").0 = DataType::Text;
+        }
+        let wanted = cols.iter().enumerate().filter(|(_, c)| c.2).map(|(i, _)| i).collect();
+        (cols.into_iter().map(|(ty, nullable, _)| (ty, nullable)).collect(), wanted)
+    })
+}
+
+fn schema_of(cols: &[(DataType, bool)]) -> Schema {
+    let columns = cols
+        .iter()
+        .enumerate()
+        .map(|(i, &(ty, nullable))| Column { nullable, ..Column::new(format!("c{i}"), ty) });
+    Schema::new(columns.collect()).expect("unique names")
+}
+
+/// A row of `cols`, with NULLs only where a column is nullable and
+/// `nulls` is set.
+fn arb_row(cols: &[(DataType, bool)], nulls: bool) -> impl Strategy<Value = Row> {
+    let row = cols.iter().map(|&(ty, nullable)| arb_value_for(ty, nullable && nulls));
+    row.collect::<Vec<_>>().prop_map(Row::new)
+}
+
+fn arb_case() -> impl Strategy<Value = Case> {
+    (arb_shape(), 1usize..6, any::<u64>()).prop_flat_map(|((cols, wanted), n, seed)| {
+        let schema = schema_of(&cols);
+        proptest::collection::vec(arb_row(&cols, true), n..n + 1).prop_map(move |rows| Case {
+            schema: schema.clone(),
+            rows,
+            wanted: wanted.clone(),
+            seed,
+        })
+    })
+}
+
+/// A schema with a nullable column, the wanted columns, and three
+/// consecutive pages of 1–100 rows: the first and the last mix tuples
+/// with and without NULLs (at least one with), the middle one has none.
+fn arb_pages() -> impl Strategy<Value = (Schema, Vec<usize>, Vec<Vec<Row>>)> {
+    (arb_shape(), any::<usize>()).prop_flat_map(|((mut cols, wanted), pick)| {
+        let nullable = pick % cols.len();
+        cols[nullable].1 = true;
+        let null_page = || {
+            let mixed = prop_oneof![arb_row(&cols, false), arb_row(&cols, true)];
+            (proptest::collection::vec(mixed, 1..101), any::<usize>()).prop_map(
+                move |(mut rows, at)| {
+                    let at = at % rows.len();
+                    let mut values = rows[at].clone().into_values();
+                    values[nullable] = Value::Null;
+                    rows[at] = Row::new(values);
+                    rows
+                },
             )
-            .expect("unique names");
-            let wanted: Vec<usize> =
-                cols.iter().enumerate().filter(|(_, c)| c.2).map(|(i, _)| i).collect();
-            let row = cols.iter().map(|(ty, nullable, _)| arb_value_for(*ty, *nullable));
-            let row = row.collect::<Vec<_>>().prop_map(Row::new);
-            proptest::collection::vec(row, n_rows..n_rows + 1).prop_map(move |rows| Case {
-                schema: schema.clone(),
-                rows,
-                wanted: wanted.clone(),
-                seed,
-            })
-        },
-    )
+        };
+        let free_page = proptest::collection::vec(arb_row(&cols, false), 1..101);
+        let (schema, wanted) = (schema_of(&cols), wanted.clone());
+        (null_page(), free_page, null_page())
+            .prop_map(move |(a, b, c)| (schema.clone(), wanted.clone(), vec![a, b, c]))
+    })
 }
 
 /// Value equality with floats compared by bits (NaN equals itself).
@@ -83,6 +120,24 @@ fn same(a: &Value, b: &Value) -> bool {
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
         _ => a == b,
     }
+}
+
+/// Column vectors equal value for value, floats by bits.
+fn same_columns(a: &[ColumnVector], b: &[ColumnVector]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.len() == y.len() && (0..x.len()).all(|i| same(&x.value(i), &y.value(i)))
+        })
+}
+
+/// `cols` (one vector per column of `wanted`) hold the tuples `picked`
+/// of `reference`, in order.
+fn agrees(cols: &[ColumnVector], wanted: &[usize], reference: &[Row], picked: &[usize]) -> bool {
+    cols.len() == wanted.len()
+        && cols.iter().zip(wanted).all(|(v, &c)| {
+            v.len() == picked.len()
+                && picked.iter().enumerate().all(|(i, &t)| same(&v.value(i), reference[t].get(c)))
+        })
 }
 
 fn vectors(schema: &Schema, wanted: &[usize]) -> Vec<ColumnVector> {
@@ -170,15 +225,9 @@ proptest! {
         let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         let reference: Vec<Row> =
             tuples.iter().map(|t| Row::decode(&schema, t).unwrap()).collect();
-        let agrees = |cols: &[ColumnVector], picked: &[usize]| {
-            cols.iter().zip(&wanted).all(|(v, &c)| {
-                v.len() == picked.len()
-                    && picked.iter().enumerate().all(|(i, &t)| same(&v.value(i), reference[t].get(c)))
-            })
-        };
         let all: Vec<usize> = (0..rows.len()).collect();
         let dense = decode_page(&schema, &wanted, &tuples).unwrap();
-        prop_assert!(agrees(&dense, &all), "dense gather ≠ Row::decode");
+        prop_assert!(agrees(&dense, &wanted, &reference, &all), "dense gather ≠ Row::decode");
         // Through a selection, and a row at a time.
         let mut rng = seed;
         let picked: Vec<usize> = all.iter().copied().filter(|_| splitmix(&mut rng) % 2 == 0).collect();
@@ -192,8 +241,8 @@ proptest! {
         for &t in &picked {
             layout.gather_row(&tuples, t, &mut by_row).unwrap();
         }
-        prop_assert!(agrees(&by_sel, &picked), "selected gather ≠ Row::decode");
-        prop_assert!(by_row == by_sel, "row-major ≠ column-major");
+        prop_assert!(agrees(&by_sel, &wanted, &reference, &picked), "selected gather ≠ Row::decode");
+        prop_assert!(same_columns(&by_row, &by_sel), "row-major ≠ column-major");
         layout.check_text(&tuples, &sel).unwrap();
         // A row at a time over some of the located columns only (a scan
         // that locates its predicate's columns and emits others).
@@ -204,10 +253,41 @@ proptest! {
             layout.gather_row_of(&tuples, t, &slots, &mut some).unwrap();
         }
         let expected: Vec<ColumnVector> = slots.iter().map(|&k| by_sel[k].clone()).collect();
-        prop_assert!(some == expected, "row-major over a slot subset ≠ column-major");
+        prop_assert!(same_columns(&some, &expected), "row-major over a slot subset ≠ column-major");
         let mut one = vec![ColumnVector::for_type(DataType::Int64)];
         let unknown = layout.gather_row_of(&tuples, 0, &[wanted.len()], &mut one);
         prop_assert!(unknown.is_err(), "a slot the layout does not record");
+    }
+
+    #[test]
+    fn one_layout_decodes_page_after_page(pages in arb_pages()) {
+        // NULL-bearing, NULL-free, NULL-bearing again: run starts and
+        // side-table rows of one page must not leak into the next.
+        let (schema, wanted, pages) = pages;
+        let mut layout = TupleLayout::new(&schema, &wanted);
+        for (p, rows) in pages.iter().enumerate() {
+            let encoded: Vec<Vec<u8>> = rows.iter().map(|r| r.encode(&schema).unwrap()).collect();
+            let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
+            let reference: Vec<Row> =
+                tuples.iter().map(|t| Row::decode(&schema, t).unwrap()).collect();
+            layout.locate(&tuples).unwrap();
+            let (mut dense, mut by_sel, mut by_row) =
+                (vectors(&schema, &wanted), vectors(&schema, &wanted), vectors(&schema, &wanted));
+            let all: Vec<usize> = (0..rows.len()).collect();
+            let picked: Vec<usize> = all.iter().copied().filter(|t| (t + p) % 3 != 1).collect();
+            let sel: Vec<u32> = picked.iter().map(|&t| t as u32).collect();
+            for k in 0..wanted.len() {
+                layout.gather(k, &tuples, None, &mut dense[k]).unwrap();
+                layout.gather(k, &tuples, Some(&sel), &mut by_sel[k]).unwrap();
+            }
+            for &t in &picked {
+                layout.gather_row(&tuples, t, &mut by_row).unwrap();
+            }
+            layout.check_text(&tuples, &sel).unwrap();
+            prop_assert!(agrees(&dense, &wanted, &reference, &all), "page {p}: dense gather");
+            prop_assert!(agrees(&by_sel, &wanted, &reference, &picked), "page {p}: selected");
+            prop_assert!(agrees(&by_row, &wanted, &reference, &picked), "page {p}: row at a time");
+        }
     }
 
     #[test]

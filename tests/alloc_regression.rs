@@ -31,7 +31,8 @@
 //!
 //! Three guards sit on the decode path itself: a full scan over a warm
 //! pool allocates per 32-page *run* (the run, one slice scratch, one
-//! handed-over morsel), never per page; an index nested-loop join
+//! handed-over morsel), never per page, also when every page carries
+//! NULLs (the tuple layout's side table is reused, not regrown); an index nested-loop join
 //! allocates nothing per probed outer row (no `Row`, `Vec<Value>` or
 //! `String` per inner match); and an aggregate that does not read the
 //! pad allocates the same bytes whatever the pad's width (a pruned
@@ -174,9 +175,45 @@ fn text_scan_allocations_are_sublinear_in_rows() {
     );
 }
 
+/// Like [`pad_heavy_heap`], with two nullable columns that are NULL in
+/// every third row, so every page holds tuples with NULLs and without.
+fn nullable_heap(rows: i64) -> Arc<HeapFile> {
+    let schema = Schema::new(vec![
+        Column::new("id", DataType::Int64),
+        Column::nullable("note", DataType::Text),
+        Column::nullable("v", DataType::Int64),
+        Column::new("pad", DataType::Text),
+    ])
+    .unwrap();
+    let mut loader = HeapLoader::new_mem("t", schema);
+    for i in 0..rows {
+        let (note, v) = match i % 3 {
+            0 => (Value::Null, Value::Null),
+            _ => (Value::str("n"), Value::Int(i)),
+        };
+        loader.push(&Row::new(vec![Value::Int(i), note, v, Value::str("x".repeat(64))])).unwrap();
+    }
+    Arc::new(loader.finish().unwrap())
+}
+
 #[test]
 fn full_scan_allocations_per_page_are_an_amortized_constant() {
     let _serial = serial();
+    full_scan_allocates_per_run(pad_heavy_heap);
+}
+
+/// The tuple layout's side table for tuples with NULLs grows to a page's
+/// worth once and is reused, so a table whose every page carries NULLs
+/// allocates per run like one without.
+#[test]
+fn full_scan_allocations_per_page_stay_constant_when_every_page_has_nulls() {
+    let _serial = serial();
+    full_scan_allocates_per_run(nullable_heap);
+}
+
+/// Drain a full scan over `heap_of(N)` and `heap_of(2N)` rows and assert
+/// the marginal allocations are per 32-page run, never per page.
+fn full_scan_allocates_per_run(heap_of: fn(i64) -> Arc<HeapFile>) {
     const N: i64 = 8000;
     // Allocations of a scan over a warm pool (so the storage layer's own
     // miss handling stays out of the count) and the pages it read. Each
@@ -192,7 +229,7 @@ fn full_scan_allocations_per_page_are_an_amortized_constant() {
         rows
     };
     let scan = |rows: i64| {
-        let heap = pad_heavy_heap(rows);
+        let heap = heap_of(rows);
         let mut op = FullTableScan::new(Arc::clone(&heap), storage(), Predicate::True);
         drain(&mut op);
         let before = ALLOCS.load(Ordering::Relaxed);

@@ -216,6 +216,27 @@ fn smooth_scan_metrics_tell_the_morphing_story() {
     assert!(m.morphing_accuracy().unwrap() > 0.9);
 }
 
+/// The scheduler's wall-clock timers reach `Database::run`: a query that
+/// claimed morsels held its source lock and processed morsels for some
+/// time, and for no longer than its wall time on every worker. One heap
+/// source (decoded outside the lock) and one shared operator (decoded
+/// inside it).
+#[test]
+fn source_hold_and_processing_time_reach_the_query_statistics() {
+    let (mut db, workers) = (micro_db(40_000), 2);
+    db.set_workers(workers);
+    let smooth = AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic());
+    for access in [AccessPathChoice::ForceFull, smooth] {
+        let started = std::time::Instant::now();
+        let out = db.run(&micro::query(0.3, false, access.clone())).unwrap();
+        let bound = started.elapsed().as_nanos() as u64 * workers as u64;
+        assert!(out.scan.morsels > 4, "{access:?}: {:?}", out.scan);
+        for ns in [out.scan.src_hold_ns, out.scan.proc_ns] {
+            assert!(ns > 0 && ns <= bound, "{access:?}: {ns} ns, wall × workers {bound} ns");
+        }
+    }
+}
+
 /// No result holds a page frame: with a query's `BatchResult` still held
 /// and the pool emptied, every page of every table is referenced by its
 /// heap file and by this test's handle alone. Text reaches the result as
