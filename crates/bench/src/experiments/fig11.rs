@@ -1,7 +1,9 @@
 //! Fig. 11: the Switch Scan performance cliff.
 //!
-//! Switch Scan runs a plain index scan until the optimizer's 32 K-tuple
-//! estimate is violated, then restarts as a full scan. Expected shape: a
+//! Switch Scan — Smooth Scan under the Switch trigger — runs a plain
+//! index scan (Mode 0) until the optimizer's 32 K-tuple estimate is
+//! violated, then drops the cursor and reads the whole heap in full-scan
+//! readahead runs, skipping what Mode 0 produced. Expected shape: a
 //! vertical cliff right past the estimate's selectivity (the time jumps by
 //! a whole full-scan), then flat full-scan behaviour — versus Smooth
 //! Scan's smooth curve through the same region.

@@ -10,15 +10,14 @@
 //! * [`policy`] — the morphing policies: Greedy, Selectivity-Increase and
 //!   Elastic (Section III-B);
 //! * [`trigger`] — the morphing triggers: Eager, Optimizer-driven and
-//!   SLA-driven (Section III-C);
+//!   SLA-driven (Section III-C), and Switch, under which Smooth Scan is
+//!   Switch Scan, the binary-decision straw man (Sections III, VI-F);
 //! * [`page_cache`] / [`tuple_cache`] — the Page-ID and Tuple-ID bitmap
 //!   caches (Section IV-A);
 //! * [`result_cache`] — the key-range-partitioned Result Cache with bulk
 //!   eviction and spill accounting (Section IV-A);
 //! * [`inner`] — Smooth Scan as a *parameterized inner path* for
 //!   index-nested-loop joins, morphing toward a hash join (Section IV-B);
-//! * [`switch_scan`] — Switch Scan, the binary-decision straw man
-//!   (Sections III, VI-F);
 //! * [`cost_model`] — the analytical model, Eqs. (3)–(23), and the
 //!   competitive-ratio analysis of Section V.
 
@@ -28,7 +27,6 @@ pub mod operator;
 pub mod page_cache;
 pub mod policy;
 pub mod result_cache;
-pub mod switch_scan;
 pub mod trigger;
 pub mod tuple_cache;
 
@@ -38,6 +36,5 @@ pub use operator::{SmoothScan, SmoothScanConfig, SmoothScanMetrics};
 pub use page_cache::PageIdCache;
 pub use policy::{MorphPolicy, PolicyKind};
 pub use result_cache::{ResultCache, ResultCacheStats};
-pub use switch_scan::SwitchScan;
 pub use trigger::Trigger;
 pub use tuple_cache::TupleIdCache;

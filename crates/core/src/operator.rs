@@ -3,7 +3,7 @@
 //! Smooth Scan is driven by the B+-tree range cursor, exactly like an index
 //! scan — but instead of fetching one tuple per probe it *morphs*:
 //!
-//! * **Mode 0** (only under the Optimizer/SLA triggers): behave as a
+//! * **Mode 0** (only under the Optimizer, SLA and Switch triggers): behave as a
 //!   traditional index scan, recording produced tuples in the Tuple-ID
 //!   cache, until the trigger cardinality is exceeded.
 //! * **Mode 1 — Entire Page Probe**: examine *all* records of each heap
@@ -11,6 +11,11 @@
 //! * **Mode 2(+) — Flattening Access**: fetch a growing region of adjacent
 //!   pages per probe, replacing random with sequential I/O; the region
 //!   size is owned by the [`MorphPolicy`].
+//!
+//! Under [`Trigger::Switch`] the scan is Section VI-F's Switch Scan: when
+//! Mode 0's trigger fires it drops the cursor and, instead of morphing,
+//! reads the whole heap from page 0 in full-scan readahead runs — the
+//! performance cliff of Fig. 11.
 //!
 //! Already-visited pages are skipped via the Page-ID cache (the ✗ marks of
 //! Fig. 3). With an interesting order to respect, qualifying tuples found
@@ -20,6 +25,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
+use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{fill_from, Operator, PageQueue, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Session, Storage};
@@ -154,6 +160,8 @@ pub struct SmoothScan {
     result_cache: Option<ResultCache>,
     policy: MorphPolicy,
     traditional_until: Option<u64>,
+    /// Under the Switch trigger, once it fired: the next heap page to read.
+    heap_next: Option<u32>,
     /// An unordered region's fetched pages, not yet inspected.
     queue: PageQueue,
     /// The open region: its size, the pages inspected and those holding a
@@ -211,6 +219,7 @@ impl SmoothScan {
             result_cache: None,
             policy: MorphPolicy::new(config.policy, config.max_region_pages),
             traditional_until: None,
+            heap_next: None,
             queue: PageQueue::default(),
             region: (0, 0, 0),
             out,
@@ -376,8 +385,11 @@ impl SmoothScan {
     /// a Mode-0 tuple, a Result-Cache hit or the ordered driving tuple —
     /// append to the columnar output buffer in emission order; an
     /// unordered region's pages join the page queue. Returns `false` at
-    /// cursor exhaustion.
+    /// cursor exhaustion (after a switch, at the heap's end).
     fn advance(&mut self, s: &mut Session) -> Result<bool> {
+        if let Some(page) = self.heap_next {
+            return self.heap_run(s, page);
+        }
         let cursor = self.cursor.as_mut().ok_or_else(|| Error::exec("SmoothScan before open"))?;
         let Some((key, tid)) = cursor.next_in(s) else {
             return Ok(false);
@@ -392,6 +404,11 @@ impl SmoothScan {
             if self.metrics.mode0_tuples >= limit {
                 self.traditional_until = None;
                 self.metrics.triggered = true;
+                if matches!(self.config.trigger, Trigger::Switch { .. }) {
+                    // Switch Scan abandons the index for the whole heap.
+                    self.cursor = None;
+                    return self.heap_run(s, 0);
+                }
             } else {
                 self.mode0_step(s, tid)?;
                 return Ok(true);
@@ -417,6 +434,17 @@ impl SmoothScan {
         let region = self.policy.region_pages();
         self.process_region(s, tid, region)?;
         Ok(true)
+    }
+
+    /// Switch Scan after the switch: queue the readahead run of the heap
+    /// starting at `page` as a region. Returns `false` past the last page.
+    fn heap_run(&mut self, s: &mut Session, page: u32) -> Result<bool> {
+        let len = FULL_SCAN_READAHEAD.min(self.heap.page_count().saturating_sub(page));
+        self.heap_next = Some(page + len);
+        if len > 0 {
+            self.process_region(s, Tid { page: PageId(page), slot: 0 }, len)?;
+        }
+        Ok(len > 0)
     }
 
     /// Batch-boundary Result-Cache sweep: applied once per call, so
@@ -460,6 +488,11 @@ impl Operator for SmoothScan {
     }
 
     fn open(&mut self) -> Result<()> {
+        if self.config.ordered && matches!(self.config.trigger, Trigger::Switch { .. }) {
+            return Err(Error::exec(
+                "an ordered SmoothScan cannot switch: the Result Cache needs the cursor",
+            ));
+        }
         self.cursor = Some(self.index.range(&self.storage, self.lo, self.hi));
         self.page_cache = PageIdCache::new(self.heap.page_count());
         self.queue.clear();
@@ -467,6 +500,7 @@ impl Operator for SmoothScan {
         self.out.reset();
         self.metrics = SmoothScanMetrics::default();
         self.traditional_until = self.config.trigger.trigger_cardinality(&self.model);
+        self.heap_next = None;
         self.tuple_cache = self
             .traditional_until
             .map(|_| TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page()));
@@ -531,14 +565,18 @@ impl Operator for SmoothScan {
     }
 
     fn label(&self) -> String {
+        let (heap, index, cols) =
+            (self.heap.name(), self.index.name(), self.filter.columns_label());
+        if let Trigger::Switch { estimated_cardinality } = self.config.trigger {
+            return format!(
+                "SwitchScan({heap} via {index}, estimate={estimated_cardinality}){cols}"
+            );
+        }
         format!(
-            "SmoothScan({} via {}, {:?}, {:?}{}){}",
-            self.heap.name(),
-            self.index.name(),
+            "SmoothScan({heap} via {index}, {:?}, {:?}{}){cols}",
             self.config.policy,
             self.config.trigger,
             if self.config.ordered { ", ordered" } else { "" },
-            self.filter.columns_label()
         )
     }
 }
@@ -721,6 +759,55 @@ mod tests {
         assert!(!m.triggered);
         assert_eq!(m.pages_fetched, 0, "never morphed");
         assert_eq!(m.mode0_tuples as usize, rows.len());
+    }
+
+    fn switch(estimate: u64) -> SmoothScanConfig {
+        SmoothScanConfig::default()
+            .with_trigger(Trigger::Switch { estimated_cardinality: estimate })
+    }
+
+    #[test]
+    fn below_estimate_behaves_like_index_scan() {
+        let (heap, index) = table(3000);
+        let mut sw = smooth(&heap, &index, &storage(64), 20, switch(1000));
+        let rows = collect_rows(&mut sw).unwrap();
+        assert!(!sw.metrics().triggered);
+        assert_eq!(rows.len() as u64, sw.metrics().mode0_tuples);
+        let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
+        assert!(keys.windows(2).all(|w| w[0] <= w[1]), "key order before the switch");
+    }
+
+    #[test]
+    fn zero_estimate_switches_immediately() {
+        let (heap, index) = table(5000);
+        let s = storage(64);
+        let mut sw = smooth(&heap, &index, &s, 100, switch(0));
+        let rows = collect_rows(&mut sw).unwrap();
+        let m = sw.metrics();
+        assert!(m.triggered);
+        assert_eq!((m.mode0_tuples, m.max_region_pages), (0, FULL_SCAN_READAHEAD));
+        assert_eq!(m.regions, u64::from(heap.page_count().div_ceil(FULL_SCAN_READAHEAD)));
+        let ids: Vec<i64> = rows.iter().map(|r| r.int(0).unwrap()).collect();
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "heap order after the switch");
+        assert_eq!(sorted_by_key(rows), oracle(&heap, &s, 100));
+    }
+
+    #[test]
+    fn switch_pays_index_cost_plus_full_scan_cost() {
+        let (heap, index) = table(3000);
+        let s_full = storage(32);
+        collect_rows(&mut smooth_executor::FullTableScan::new(
+            Arc::clone(&heap),
+            s_full.clone(),
+            Predicate::int_half_open(1, 0, 500),
+        ))
+        .unwrap();
+        let s_sw = storage(32);
+        let mut sw = smooth(&heap, &index, &s_sw, 500, switch(50));
+        collect_rows(&mut sw).unwrap();
+        assert!(sw.metrics().triggered);
+        let (sw_io, full_io) = (s_sw.clock().snapshot().io_ns, s_full.clock().snapshot().io_ns);
+        assert!(sw_io > full_io, "cliff: {sw_io} vs full {full_io}");
     }
 
     #[test]

@@ -27,6 +27,16 @@ pub enum Trigger {
         /// The SLA: an upper bound on operator execution time.
         bound_ns: u64,
     },
+    /// Switch Scan, the binary-decision straw man of Section VI-F: the
+    /// Optimizer-driven trigger's index phase, then — instead of morphing —
+    /// the cursor is dropped and the whole heap is read from page 0 in
+    /// full-scan readahead runs, skipping the tuples already produced.
+    /// Unordered only: the Result Cache needs the cursor.
+    Switch {
+        /// The optimizer's cardinality estimate: the switch fires on the
+        /// next index entry once this many tuples have been produced.
+        estimated_cardinality: u64,
+    },
 }
 
 impl Trigger {
@@ -35,17 +45,18 @@ impl Trigger {
     pub fn trigger_cardinality(&self, model: &CostModel) -> Option<u64> {
         match self {
             Trigger::Eager => None,
-            Trigger::OptimizerDriven { estimated_cardinality, .. } => Some(*estimated_cardinality),
+            Trigger::OptimizerDriven { estimated_cardinality, .. }
+            | Trigger::Switch { estimated_cardinality } => Some(*estimated_cardinality),
             Trigger::SlaDriven { bound_ns } => {
                 Some(model.sla_trigger_cardinality(*bound_ns as f64))
             }
         }
     }
 
-    /// Policy to morph with once triggered.
+    /// Policy to morph with once triggered (Switch does not morph).
     pub fn post_trigger_policy(&self, default: PolicyKind) -> PolicyKind {
         match self {
-            Trigger::Eager => default,
+            Trigger::Eager | Trigger::Switch { .. } => default,
             Trigger::OptimizerDriven { policy, .. } => *policy,
             Trigger::SlaDriven { .. } => PolicyKind::Greedy,
         }

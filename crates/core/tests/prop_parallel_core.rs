@@ -1,8 +1,9 @@
 //! Property tests: the morsel-driven parallel driver over *adaptive*
-//! sources. Smooth Scan and Switch Scan run as the pipeline's serial
-//! shared source — their morph decisions, caches and per-probe region
-//! accounting stay centralized in the one operator instance — while
-//! filter and partial-aggregate stages fan out across the worker pool.
+//! sources. Smooth Scan, under every trigger (Switch Scan's included),
+//! runs as the pipeline's serial shared source — its morph decisions,
+//! caches and per-probe region accounting stay centralized in the one
+//! operator instance — while filter and partial-aggregate stages fan out
+//! across the worker pool.
 //! For every policy, trigger, order mode, worker count and morsel size,
 //! the parallel run must produce the exact row sequence of the
 //! single-threaded columnar driver and charge the exact same virtual
@@ -12,7 +13,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, SwitchScan, Trigger};
+use smooth_core::{PolicyKind, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::parallel::{
     run_pipeline, ParallelPipeline, ParallelSource, PhaseSpec, SinkSpec, StageSpec,
 };
@@ -125,8 +126,9 @@ proptest! {
 
     /// Smooth Scan as a shared parallel source across every policy,
     /// trigger and order mode — including OptimizerDriven triggers that
-    /// flip Mode 0 → morphing mid-scan — with filter / partial-aggregate
-    /// stages fanning out above it.
+    /// flip Mode 0 → morphing mid-scan and Switch triggers that drop the
+    /// cursor for the heap — with filter / partial-aggregate stages
+    /// fanning out above it. An ordered scan refuses the Switch trigger.
     #[test]
     fn parallel_smooth_scan_equals_serial(
         keys in proptest::collection::vec(0i64..150, 50..900),
@@ -134,7 +136,14 @@ proptest! {
         width in 0i64..170,
         policy in arb_policy(),
         ordered in any::<bool>(),
-        trigger_card in prop_oneof![Just(None), (0u64..200).prop_map(Some)],
+        trigger in prop_oneof![
+            Just(Trigger::Eager),
+            (0u64..200).prop_map(|c| Trigger::OptimizerDriven {
+                estimated_cardinality: c,
+                policy: PolicyKind::Elastic,
+            }),
+            (0u64..200).prop_map(|c| Trigger::Switch { estimated_cardinality: c }),
+        ],
         aggregate in any::<bool>(),
         pool in 6usize..48,
         max in 1usize..90,
@@ -142,13 +151,6 @@ proptest! {
     ) {
         let (heap, index) = build_table(&keys);
         let hi = lo + width;
-        let trigger = match trigger_card {
-            None => Trigger::Eager,
-            Some(c) => Trigger::OptimizerDriven {
-                estimated_cardinality: c,
-                policy: PolicyKind::Elastic,
-            },
-        };
         let config = SmoothScanConfig::default()
             .with_policy(policy)
             .with_order(ordered)
@@ -165,6 +167,10 @@ proptest! {
                 config,
             ))
         };
+        if ordered && matches!(trigger, Trigger::Switch { .. }) {
+            prop_assert!(mk_source(&storage(pool)).open().is_err(), "an ordered scan cannot switch");
+            return Ok(());
+        }
         check_against_serial(
             &mk_source,
             &Predicate::int_lt(0, stage_hi),
@@ -174,8 +180,8 @@ proptest! {
         )?;
     }
 
-    /// Switch Scan as a shared parallel source across its index →
-    /// full-scan cliff.
+    /// Switch Scan (Smooth Scan under the Switch trigger) as a shared
+    /// parallel source across its index → heap cliff.
     #[test]
     fn parallel_switch_scan_equals_serial(
         keys in proptest::collection::vec(0i64..100, 50..700),
@@ -187,16 +193,11 @@ proptest! {
     ) {
         let (heap, index) = build_table(&keys);
         let mk_source = |s: &Storage| -> BoxedOperator {
-            Box::new(SwitchScan::new(
-                Arc::clone(&heap),
-                Arc::clone(&index),
-                s.clone(),
-                1,
-                Bound::Included(0),
-                Bound::Excluded(hi),
-                Predicate::True,
-                estimate,
-            ))
+            let config = SmoothScanConfig::default()
+                .with_trigger(Trigger::Switch { estimated_cardinality: estimate });
+            let (lo, hi) = (Bound::Included(0), Bound::Excluded(hi));
+            let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+            Box::new(SmoothScan::new(h, i, s.clone(), 1, lo, hi, Predicate::True, config))
         };
         check_against_serial(
             &mk_source,

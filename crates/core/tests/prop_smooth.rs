@@ -8,8 +8,8 @@
 //! scans do. Batch size carries the same obligation — `next()`,
 //! `next_columns(1)`, `next_columns(max)` and the two interleaved yield
 //! one row sequence, including across mode switches — and the per-tuple
-//! charges of the traditional phases (Switch Scan's index phase, Smooth
-//! Scan's Mode 0) are pinned in closed form.
+//! charges of Mode 0 and of the Switch trigger's heap-order finish are
+//! pinned in closed form.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -17,6 +17,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::operator::ValuesOp;
+use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
     collect_rows, collect_rows_volcano, IndexNestedLoopJoin, JoinType, Operator, Predicate,
 };
@@ -119,6 +120,18 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
+/// Eager, or a trigger whose index phase ends at a cardinality below `max`:
+/// Optimizer-driven (morphing with Elastic afterwards) or Switch.
+fn arb_trigger(max: u64) -> impl Strategy<Value = Trigger> {
+    let optimizer =
+        |c| Trigger::OptimizerDriven { estimated_cardinality: c, policy: PolicyKind::Elastic };
+    prop_oneof![
+        Just(Trigger::Eager),
+        (0..max).prop_map(optimizer),
+        (0..max).prop_map(|c| Trigger::Switch { estimated_cardinality: c }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -179,16 +192,10 @@ proptest! {
         let (heap, index) = build_table(&keys);
         let s = storage(16);
         let expected = oracle(&keys, &Predicate::int_half_open(1, 0, hi));
-        let mut sw = smooth_core::SwitchScan::new(
-            heap,
-            index,
-            s,
-            1,
-            Bound::Included(0),
-            Bound::Excluded(hi),
-            Predicate::True,
-            estimate,
-        );
+        let config = SmoothScanConfig::default()
+            .with_trigger(Trigger::Switch { estimated_cardinality: estimate });
+        let (lo, hi) = (Bound::Included(0), Bound::Excluded(hi));
+        let mut sw = SmoothScan::new(heap, index, s, 1, lo, hi, Predicate::True, config);
         let rows = collect_rows(&mut sw).unwrap();
         prop_assert_eq!(canonical(rows), expected);
     }
@@ -221,13 +228,13 @@ proptest! {
 
     /// Batch-size invariance for Smooth Scan across every policy, order
     /// mode and trigger — in particular across the Mode-0 → morphing
-    /// switch an OptimizerDriven trigger fires mid-scan — and for Switch
-    /// Scan across its index → full-scan cliff: `next()`, and
-    /// `next_columns` at 1, 2, 7, an arbitrary `max` and 4096 rows, alone
-    /// and interleaved, yield one row sequence, every batch within `max` —
-    /// and, for Smooth Scan, one clock, one set of I/O counters and one set
-    /// of morphing counters (regions, pages fetched / with results, Mode-1
-    /// / Mode-2 pages, largest region).
+    /// switch an OptimizerDriven trigger fires mid-scan and the index →
+    /// heap cliff of the Switch trigger: `next()`, and `next_columns` at
+    /// 1, 2, 7, an arbitrary `max` and 4096 rows, alone and interleaved,
+    /// yield one row sequence, every batch within `max` — and one clock,
+    /// one set of I/O counters and one set of morphing counters (regions,
+    /// pages fetched / with results, Mode-1 / Mode-2 pages, largest
+    /// region). An ordered scan refuses the Switch trigger at `open`.
     #[test]
     fn batch_protocol_equals_row_protocol_across_mode_switches(
         keys in proptest::collection::vec(0i64..150, 50..1000),
@@ -235,24 +242,21 @@ proptest! {
         width in 0i64..170,
         policy in arb_policy(),
         ordered in any::<bool>(),
-        trigger_card in prop_oneof![Just(None), (0u64..200).prop_map(Some)],
-        estimate in 0u64..300,
+        trigger in arb_trigger(200),
         max in 1usize..90,
     ) {
         let (heap, index) = build_table(&keys);
-        let s = storage(24);
         let hi = lo + width;
-        let trigger = match trigger_card {
-            None => Trigger::Eager,
-            Some(c) => Trigger::OptimizerDriven {
-                estimated_cardinality: c,
-                policy: PolicyKind::Elastic,
-            },
-        };
         let config = SmoothScanConfig::default()
             .with_policy(policy)
             .with_order(ordered)
             .with_trigger(trigger);
+        if ordered && matches!(trigger, Trigger::Switch { .. }) {
+            let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
+            let mut ss = SmoothScan::new(heap, index, storage(24), 1, lo, hi, Predicate::True, config);
+            prop_assert!(ss.open().is_err(), "an ordered scan cannot switch");
+            return Ok(());
+        }
         // A fresh scan over a fresh storage per drain: an unordered region
         // is inspected across calls, so the clock, the I/O counters and
         // the morphing counters must agree as well as the rows.
@@ -273,22 +277,6 @@ proptest! {
             prop_assert_eq!(&run(&|op| collect_columnar(op, max)), &volcano);
         }
         prop_assert_eq!(&run(&|op| collect_interleaved(op, max)), &volcano);
-
-        let mut sw = smooth_core::SwitchScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            1,
-            Bound::Included(lo),
-            Bound::Excluded(hi),
-            Predicate::True,
-            estimate,
-        );
-        let volcano = collect_rows_volcano(&mut sw).unwrap();
-        for max in [1, 2, 7, max, 4096] {
-            prop_assert_eq!(&collect_columnar(&mut sw, max), &volcano);
-        }
-        prop_assert_eq!(&collect_interleaved(&mut sw, max), &volcano);
     }
 
     /// Batch-size invariance for the index join on the morphing inner
@@ -339,13 +327,14 @@ proptest! {
     /// The traditional phases charge in closed form, every count taken
     /// from the loaded rows: what a bare cursor charges for the index
     /// entries consumed, one pool lookup and one inspect per TID fetched,
-    /// one emit per tuple produced. Smooth Scan's Mode 0 under a trigger
-    /// that never fires consumes the whole range. Switch Scan's index
-    /// phase consumes entries up to and including the qualifier that
-    /// breaks the estimate — fetched and inspected, never emitted — and
-    /// the full scan that follows pays one pool probe per page, one
-    /// Tuple-ID-cache check per slot, one inspect per tuple the index
-    /// phase did not produce and one emit per qualifier it did not.
+    /// one emit per tuple produced. Mode 0 under a trigger that never
+    /// fires consumes the whole range. Under the Switch trigger it
+    /// consumes entries up to and including the one that fires it — the
+    /// entry after the `estimate`-th qualifier, never fetched — and the
+    /// heap-order finish pays one Page-ID-cache check per readahead run,
+    /// one pool probe per page, one Tuple-ID-cache check per slot, one
+    /// inspect per tuple Mode 0 did not produce and one emit per qualifier
+    /// it did not.
     #[test]
     fn traditional_phases_charge_their_closed_form(
         keys in proptest::collection::vec(0i64..100, 50..800),
@@ -383,34 +372,31 @@ proptest! {
         );
 
         let s = storage(16);
+        let switch = Trigger::Switch { estimated_cardinality: estimate };
+        let config = SmoothScanConfig::default().with_trigger(switch);
         let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
-        let mut sw = smooth_core::SwitchScan::new(h, i, s.clone(), 1, lo_b, hi_b, residual(), estimate);
-        // The cliff tuple is the qualifier after the `estimate`-th.
-        let cliff = entries.iter().enumerate().filter(|(_, e)| keeps(e)).nth(estimate as usize);
-        let index_phase = match cliff {
-            Some((at, _)) => {
-                cursor_cpu(&index, lo, hi, Some(at + 1)) + per_tid * (at + 1) as u64 + cpu.emit_tuple_ns * estimate
+        let mut sw = SmoothScan::new(h, i, s.clone(), 1, lo_b, hi_b, residual(), config);
+        let mut produced = 0;
+        let fires_at = entries.iter().position(|e| {
+            let fires = produced >= estimate;
+            produced += u64::from(keeps(e));
+            fires
+        });
+        let (tuples, pages) = (keys.len() as u64, u64::from(heap.page_count()));
+        let expected = match fires_at {
+            Some(at) => {
+                cursor_cpu(&index, lo, hi, Some(at + 1)) + per_tid * at as u64 + cpu.emit_tuple_ns * estimate
+                    + cpu.bitmap_op_ns * pages.div_ceil(u64::from(FULL_SCAN_READAHEAD))
+                    + cpu.hash_op_ns * pages
+                    + cpu.bitmap_op_ns * tuples
+                    + cpu.inspect_tuple_ns * (tuples - estimate)
+                    + cpu.emit_tuple_ns * (qualifiers - estimate)
             }
             None => cursor_cpu(&index, lo, hi, None) + per_tid * entries.len() as u64 + cpu.emit_tuple_ns * qualifiers,
         };
-        sw.open().unwrap();
-        let first = sw.next_columns(usize::MAX).unwrap();
-        prop_assert_eq!(sw.switched(), cliff.is_some());
-        if estimate > 0 {
-            // The index phase's rows leave before the full scan starts.
-            prop_assert_eq!(first.map_or(0, |b| b.len() as u64), qualifiers.min(estimate));
-            prop_assert_eq!(s.clock().snapshot().cpu_ns, index_phase);
-        }
-        while sw.next_columns(usize::MAX).unwrap().is_some() {}
-        // A taken cliff means `estimate` tuples left through the index.
-        let tuples = keys.len() as u64;
-        let full_phase = cliff.map_or(0, |_| {
-            cpu.hash_op_ns * heap.page_count() as u64
-                + cpu.bitmap_op_ns * tuples
-                + cpu.inspect_tuple_ns * (tuples - estimate)
-                + cpu.emit_tuple_ns * (qualifiers - estimate)
-        });
-        let expected = index_phase + full_phase;
+        prop_assert_eq!(collect_rows(&mut sw).unwrap().len() as u64, qualifiers);
+        let m = sw.metrics();
+        prop_assert_eq!((m.triggered, m.mode0_tuples), (fires_at.is_some(), qualifiers.min(estimate)));
         prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
     }
 }

@@ -15,7 +15,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, SwitchScan, Trigger};
+use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
@@ -184,12 +184,7 @@ fn read_every_way(
                 .with_columns(cols)
                 .and_then(|mut op| collect_rows(&mut op)),
         ),
-        (
-            "switch scan",
-            SwitchScan::new(h(), i(), s(), 0, lo, hi, residual(), 60)
-                .with_columns(cols)
-                .and_then(|mut op| collect_rows(&mut op)),
-        ),
+        ("switch scan", smooth(false, Trigger::Switch { estimated_cardinality: 60 })),
         ("smooth scan", smooth(false, Trigger::Eager)),
         ("ordered smooth scan", smooth(true, Trigger::Eager)),
         ("smooth scan through mode 0", smooth(false, mode0)),
@@ -288,6 +283,9 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
         let config = SmoothScanConfig::default().with_order(ordered).with_trigger(mode0);
         collect_rows(&mut SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config))
     };
+    let config =
+        SmoothScanConfig::default().with_trigger(Trigger::Switch { estimated_cardinality: 10_000 });
+    let switch = SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config);
     let outer = || {
         let keys = std::iter::once(last_of_page0 % 50).chain(0..50);
         let keys = keys.map(|k| Row::new(vec![Value::Int(k)])).collect();
@@ -304,10 +302,7 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
     let read: Vec<(&str, Box<dyn Operator>)> = vec![
         ("index scan", Box::new(IndexScan::new(h(), i(), s(), lo, hi, t()))),
         ("sort scan", Box::new(SortScan::new(h(), i(), s(), lo, hi, t()))),
-        (
-            "switch scan's index phase",
-            Box::new(SwitchScan::new(h(), i(), s(), 0, lo, hi, t(), 10_000)),
-        ),
+        ("switch scan's index phase", Box::new(switch)),
         ("index join inner side", Box::new(join(JoinType::Inner, t()))),
         // Nothing passes the residual: no first match stops the fetches.
         ("index semi join", Box::new(join(JoinType::LeftSemi, Predicate::int_lt(1, 0)))),

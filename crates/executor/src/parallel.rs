@@ -21,8 +21,8 @@
 //!   probe plus a memcpy per page); the expensive part, probing encoded
 //!   tuples and decoding qualifiers into column vectors, runs on the
 //!   claiming worker *outside* the lock with a thread-local
-//!   [`ScanFilter`]. For any other operator (Smooth Scan, Switch Scan,
-//!   index/sort scans, sorts) the whole operator *is* the serial
+//!   [`ScanFilter`]. For any other operator (Smooth Scan under every
+//!   trigger, index/sort scans, sorts) the whole operator *is* the serial
 //!   section: adaptive morph decisions stay centralized in one operator
 //!   instance, untouched by parallelism, exactly as the single-threaded
 //!   driver runs them.
@@ -118,7 +118,7 @@ pub enum ParallelSource {
     /// Any operator as a serial morsel source: workers take turns
     /// pulling `next_columns(morsel_rows)` under the source lock. The
     /// operator runs exactly as it would single-threaded — this is how
-    /// Smooth/Switch Scan morph accounting stays centralized — while
+    /// Smooth Scan's morph accounting stays centralized — while
     /// the stages above it still fan out.
     Shared {
         /// The source operator (opened by the driver).

@@ -10,10 +10,10 @@
 //! held to. What it no longer is is evidence for the *charges* (both
 //! calls run one fill): those are pinned by closed forms instead —
 //! [`index_scan_charges_its_closed_form`] here, `prop_sort`'s, and
-//! `prop_smooth`'s for Switch Scan and Smooth Scan's Mode 0 — and the
-//! morsel-at-a-time index paths, which fetch a whole morsel on one storage
-//! session before they inspect it, by a hand-written loop over the
-//! per-call storage API ([`morsel_index_paths_charge_what_per_call_loops_charge`]).
+//! `prop_smooth`'s for Smooth Scan's Mode 0, with and without the Switch
+//! trigger's finish — and the morsel-at-a-time index paths, which fetch a
+//! whole morsel on one storage session before they inspect it, by a
+//! hand-written loop over the per-call storage API ([`morsel_index_paths_charge_what_per_call_loops_charge`]).
 
 mod common;
 

@@ -50,7 +50,7 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use smooth_core::{SmoothInnerPath, SmoothScan, SmoothScanConfig, SwitchScan};
+use smooth_core::{SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
@@ -578,18 +578,10 @@ impl Database {
             }
             AccessPathChoice::Smooth(config) => Ok(Box::new(self.build_smooth_scan(spec, config)?)),
             AccessPathChoice::Switch { estimate } => {
-                let (idx, (col, lo, hi, residual)) = need_index("switch scan")?;
-                let scan = SwitchScan::new(
-                    heap,
-                    Arc::clone(&idx.index),
-                    self.storage.clone(),
-                    col,
-                    lo,
-                    hi,
-                    residual,
-                    estimate,
-                );
-                sort_wrap(Box::new(scan.with_columns(cols)?))
+                let trigger = Trigger::Switch { estimated_cardinality: estimate };
+                let config = SmoothScanConfig::default().with_trigger(trigger);
+                let unordered = ScanSpec { ordered: false, ..spec.clone() }; // sorted above
+                sort_wrap(Box::new(self.build_smooth_scan(&unordered, config)?))
             }
             AccessPathChoice::Auto => unreachable!("resolved above"),
         }
@@ -1045,6 +1037,12 @@ mod tests {
         assert!(text.contains("SmoothScan"), "{text}");
         let text = db.explain(&q(900, AccessPathChoice::Auto)).unwrap();
         assert!(text.contains("FullTableScan"), "{text}");
+        // Smooth Scan under the Switch trigger is Switch Scan; ordered, it is sorted above.
+        let spec = ScanSpec::new("t", Predicate::int_half_open(1, 0, 10))
+            .with_access(AccessPathChoice::Switch { estimate: 7 });
+        let label = |spec: ScanSpec| db.explain(&LogicalPlan::scan(spec)).unwrap();
+        assert!(label(spec.clone()).starts_with("SwitchScan(t via t_c1, estimate=7)"));
+        assert!(label(spec.with_order()).starts_with("Sort → SwitchScan(t via t_c1, estimate=7)"));
     }
 
     #[test]

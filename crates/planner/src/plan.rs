@@ -23,7 +23,7 @@ pub enum AccessPathChoice {
     ForceSort,
     /// Use Smooth Scan with this configuration.
     Smooth(SmoothScanConfig),
-    /// Use Switch Scan with this cardinality estimate.
+    /// Use Switch Scan (Smooth Scan under `Trigger::Switch`) with this cardinality estimate.
     Switch {
         /// Cardinality threshold at which the scan abandons the index.
         estimate: u64,

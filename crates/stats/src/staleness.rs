@@ -4,10 +4,10 @@
 //! The experiments need an optimizer that is *wrong in controlled ways*:
 //! Fig. 7b's Optimizer-Driven trigger fires when "the result cardinality
 //! exceeds the optimizer's estimate (15 K tuples)"; Fig. 11's Switch Scan
-//! flips at a 32 K-tuple estimate; Fig. 1's tuned DBMS-X picks index plans
-//! off correlation-blind underestimates. [`StatsQuality`] describes how an
-//! estimate is damaged, and [`StaleCatalog`] applies it on top of honest
-//! [`TableStats`].
+//! (Smooth Scan under the Switch trigger) flips at a 32 K-tuple estimate;
+//! Fig. 1's tuned DBMS-X picks index plans off correlation-blind
+//! underestimates. [`StatsQuality`] describes how an estimate is damaged,
+//! and [`StaleCatalog`] applies it on top of honest [`TableStats`].
 
 use crate::estimate::{conjunction_fraction, RangePredicate};
 use crate::table::TableStats;

@@ -62,8 +62,8 @@ impl fmt::Display for Tid {
 
 /// A set of TIDs as a page-major bitmap: `⌈max_slots / 64⌉` words a page,
 /// so a page's members come off its own words in ascending slot order.
-/// Sort Scan collects its index range into one; Smooth and Switch Scan's
-/// Tuple-ID cache (Section IV-A) is one.
+/// Sort Scan collects its index range into one; Smooth Scan's Tuple-ID
+/// cache (Section IV-A), Switch Scan's included, is one.
 #[derive(Debug, Clone, Default)]
 pub struct TidBitmap {
     bits: Vec<u64>,

@@ -44,7 +44,7 @@
 //! | [`index`] | `smooth-index` | non-clustered B+-tree |
 //! | [`stats`] | `smooth-stats` | histograms, estimation, staleness injection |
 //! | [`executor`] | `smooth-executor` | Volcano operators, traditional access paths |
-//! | [`core`] | `smooth-core` | **Smooth Scan**, Switch Scan, policies, triggers, cost model |
+//! | [`core`] | `smooth-core` | **Smooth Scan** (Switch Scan is its Switch trigger), policies, triggers, cost model |
 //! | [`planner`] | `smooth-planner` | optimizer, catalog, `Database` facade |
 //! | [`workload`] | `smooth-workload` | micro/skew/TPC-H-style generators and queries |
 
@@ -60,8 +60,8 @@ pub use smooth_workload as workload;
 /// Everything needed for typical use, one import away.
 pub mod prelude {
     pub use smooth_core::{
-        CostModel, PolicyKind, SmoothScan, SmoothScanConfig, SmoothScanMetrics, SwitchScan,
-        TableGeometry, Trigger,
+        CostModel, PolicyKind, SmoothScan, SmoothScanConfig, SmoothScanMetrics, TableGeometry,
+        Trigger,
     };
     pub use smooth_executor::sort::SortKey;
     pub use smooth_executor::{collect_rows, AggFunc, JoinType, Operator, Predicate};
