@@ -61,18 +61,26 @@
 #   of moved unit tests) and 11 to `trigger.rs`; the planner lowers
 #   `AccessPathChoice::Switch` through `build_smooth_scan` in 5 lines
 #   instead of 13, and pins the `explain` surface in 6.
+# * 10386 -> 10169 (-217), combined 13189 -> 12972: one closed form
+#   replaces the scaling simulator. `SimQuery`, `simulate`,
+#   `modeled_src_wait_ns` and `build_makespan_ns` go; `LedgerPhase` holds
+#   three per-phase sums instead of per-morsel `Vec`s, so the trace sites
+#   add instead of push, and `multi_query_makespan_ns` loses its
+#   admission cap. The ledger unit tests shrink with them (the modeled
+#   wait and cap-1 chaining assertions go; one hand-built ledger pins the
+#   closed form's laws). No line moved into `tests/`.
 #
 # COMBINED_CEILING ratchets `crates/{core,executor,planner}/src` together
 # (13766 when it was added; 13457 after the one-morsel-claim change; 13189
-# after Switch Scan became a trigger): code shared by core
+# after Switch Scan became a trigger; 12972 after the closed-form model): code shared by core
 # and executor can move between them, and only the sum shows that. The
 # PR that added it moved Smooth Scan's region inspection onto the
 # executor's page queue and deleted core's Tuple-ID cache bitmap, leaving
 # the sum where it was.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=10386
-COMBINED_CEILING=13189
+CEILING=10169
+COMBINED_CEILING=12972
 check() {
     echo "$1: $2 lines (ceiling $3)"
     if [ "$2" -gt "$3" ]; then

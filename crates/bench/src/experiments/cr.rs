@@ -18,8 +18,9 @@
 //!
 //! The gap, written down rather than gated: on SSD, Greedy and
 //! Selectivity-Increase exceed the ratio + 1 bound (8.07 and 4.27 against
-//! 3.0 at smoke scale; Greedy 72.3 at paper scale). Section V-A calls both
-//! policies unbounded, so no floor claims a bound for them.
+//! 3.0 at smoke scale; 72.3 and 7.37 at paper scale, where Greedy also
+//! exceeds HDD's 11 at 13.2). Section V-A calls both policies unbounded,
+//! so no floor claims a bound for them.
 
 use smooth_core::{CostModel, PolicyKind, SmoothScanConfig, TableGeometry};
 use smooth_planner::AccessPathChoice;

@@ -11,7 +11,7 @@
 //! scalar aggregate sink so the pipeline stays exact-merge.
 //!
 //! **Gates.** As everywhere in this repo, only machine-comparable
-//! numbers gate (see `report.rs`): the deterministic modeled speedups
+//! numbers gate (see `report.rs`): the deterministic closed-form speedups
 //! from the traced virtual-clock ledger ([`ScalingLedger`]) — the
 //! whole-pipeline 4-worker speedup and, the headline of this
 //! experiment, the modeled speedup of the **blocking build phase**
@@ -74,7 +74,7 @@ pub fn run() {
     let serial = db.run(&plan).expect("serial run");
 
     // Traced single-worker pipeline: identical rows and clock, plus the
-    // per-morsel ledger (build sections included) the model consumes.
+    // ledger (build sections included) the model consumes.
     let (n_traced, traced_ns, ledger) = setup::traced_run(&db, &plan);
     assert_eq!(n_traced as u64, serial.stats.rows, "traced row count");
     assert_eq!(
@@ -82,7 +82,7 @@ pub fn run() {
         serial.stats.clock.total_ns(),
         "traced pipeline must charge exactly the serial driver's clock"
     );
-    assert!(!ledger.phases[0].src_ns.is_empty(), "build phase must be traced");
+    assert!(ledger.phases[0].src_ns > 0, "build phase must be traced");
 
     // Hard equality: N-worker runs (partitioned build + parallel probe)
     // charge identical virtual CPU/IO totals and produce identical rows.

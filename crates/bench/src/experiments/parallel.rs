@@ -19,11 +19,13 @@
 //! times and deterministic ratios, never raw wall clock — a wall-clock
 //! parallel speedup would be a function of the CI runner's core count
 //! (and is physically capped at 1× on a single-core host). The model is
-//! the deterministic greedy schedule of the per-morsel virtual-clock
-//! ledger the traced single-worker run records
-//! ([`smooth_executor::ScalingLedger`]): source sections (page-run I/O)
-//! serialize in morsel order — they share one lock and one disk arm —
-//! while decode/filter/aggregate sections pack onto workers. It is
+//! a closed form over the virtual-clock ledger the traced single-worker
+//! run records ([`smooth_executor::ScalingLedger`]): source sections
+//! (page-run I/O) serialize — they share one lock and one disk arm —
+//! while decode/filter/aggregate sections spread over the workers, so a
+//! phase takes the longer of its summed source sections and its work
+//! divided by the worker count. `parallel.<shape>.sel10.serial_share`
+//! reports the source's share, the input that caps the speedup. It is
 //! bit-stable across machines and reruns. The measured twin is
 //! `benchmark/`'s `analytic_parallel` workload
 //! (`executor.parallel_speedup_w2`, with `executor.model_error_w2.*`
@@ -120,12 +122,12 @@ pub fn run() {
             );
         }
 
-        // How source-bound the shape is: the modeled time workers spend
-        // blocked on the serialized source lock at 4 workers.
+        // How source-bound the shape is: the serialized source's share
+        // of the run, which caps the modeled speedup.
         json_metric(Metric::new(
-            format!("parallel.{shape}.sel10.model_src_wait_ms.w4"),
-            ledger.modeled_src_wait_ns(4) as f64 / 1e6,
-            "virtual_ms",
+            format!("parallel.{shape}.sel10.serial_share"),
+            setup::serial_share(std::slice::from_ref(&ledger)),
+            "ratio",
             false,
         ));
 

@@ -9,15 +9,16 @@
 //!
 //! **Gates.** As everywhere in this repo, only machine-comparable
 //! numbers gate (see `report.rs`). The headline metric is the modeled
-//! throughput ratio `serve.mixed.model_qps_ratio.w4`: the deterministic
-//! greedy schedule of all four queries' traced virtual-clock ledgers
-//! over one shared 4-worker pool
-//! ([`smooth_executor::multi_query_makespan_ns`]), compared against
-//! running the same four queries one at a time at the same worker
-//! count. The ratio is > 1 exactly because cross-query scheduling fills
-//! the stalls each query's serialized source chain leaves on the pool
-//! with another query's decode work — and it is bit-stable across
-//! machines.
+//! throughput ratio `serve.mixed.model_qps_ratio.w4`: the closed-form
+//! makespan of all four queries' traced virtual-clock ledgers over one
+//! shared 4-worker pool ([`smooth_executor::multi_query_makespan_ns`]:
+//! the longest solo makespan, or the summed work spread over the pool),
+//! compared against running the same four queries one at a time at the
+//! same worker count. The ratio is > 1 exactly because cross-query
+//! scheduling fills the stalls each query's serialized source chain
+//! leaves on the pool with another query's decode work — and it is
+//! bit-stable across machines. `serve.mixed.serial_share` reports the
+//! four sources' share of the summed work.
 //!
 //! **Correctness leg.** The experiment also runs the four sessions for
 //! real on `std::thread` and hard-asserts every session's rows — and
@@ -136,17 +137,16 @@ pub fn run() {
     // shared pool vs the same four chained one at a time.
     let ledgers: Vec<ScalingLedger> = solo.iter().map(|(_, _, l)| l.clone()).collect();
     let chained: u64 = ledgers.iter().map(|l| l.makespan_ns(WORKERS)).sum();
-    let served = multi_query_makespan_ns(&ledgers, WORKERS, SESSIONS);
+    let served = multi_query_makespan_ns(&ledgers, WORKERS);
     let ratio = chained as f64 / served.max(1) as f64;
-    let modeled_wait: u64 = ledgers.iter().map(|l| l.modeled_src_wait_ns(WORKERS)).sum();
     json_metric(
         Metric::new(format!("serve.mixed.model_qps_ratio.w{WORKERS}"), ratio, "x", true)
             .with_floor(MODEL_QPS_RATIO_FLOOR),
     );
     json_metric(Metric::new(
-        format!("serve.mixed.model_src_wait_ms.w{WORKERS}"),
-        modeled_wait as f64 / 1e6,
-        "virtual_ms",
+        "serve.mixed.serial_share",
+        setup::serial_share(&ledgers),
+        "ratio",
         false,
     ));
 
@@ -204,7 +204,7 @@ mod tests {
             .collect();
         let ledgers: Vec<ScalingLedger> = solo.iter().map(|(_, l)| l.clone()).collect();
         let chained: u64 = ledgers.iter().map(|l| l.makespan_ns(WORKERS)).sum();
-        let served = multi_query_makespan_ns(&ledgers, WORKERS, SESSIONS);
+        let served = multi_query_makespan_ns(&ledgers, WORKERS);
         let ratio = chained as f64 / served.max(1) as f64;
         assert!(
             ratio >= MODEL_QPS_RATIO_FLOOR,

@@ -73,6 +73,15 @@ pub fn traced_run(db: &Database, plan: &LogicalPlan) -> (usize, u64, ScalingLedg
     (rows.len(), delta.total_ns(), ledger)
 }
 
+/// The share of traced runs' virtual time spent in serialized source
+/// sections (Σ `src_ns` over the total): the input that caps the
+/// closed-form scaling model's speedup.
+pub fn serial_share(ledgers: &[ScalingLedger]) -> f64 {
+    let src: u64 = ledgers.iter().flat_map(|l| &l.phases).map(|p| p.src_ns).sum();
+    let total: u64 = ledgers.iter().map(ScalingLedger::total_ns).sum();
+    src as f64 / total.max(1) as f64
+}
+
 /// A database holding the skewed table, indexed on `c2`.
 pub fn skew_db(device: DeviceProfile) -> Database {
     let rows = skew_rows();

@@ -31,7 +31,8 @@
 //! under full concurrency. Workers also time waiting for and holding
 //! each query's source lock and processing its morsels on the wall clock
 //! ([`ScanStatistics`]' `lock_wait_ns`, `src_hold_ns` and `proc_ns` —
-//! informational; the *modeled* contention lives in [`crate::ScalingLedger`]).
+//! informational; the scaling model reads [`crate::ScalingLedger`]'s
+//! virtual clock).
 //!
 //! **One morsel per claim.** A worker visiting a query (`try_work`)
 //! takes the query's source lock, pulls one morsel — charging its pull
@@ -83,7 +84,7 @@
 //! virtual-clock snapshots at the sites every query passes through.
 //! The ledger has the scheduler's shape — one
 //! [`crate::LedgerPhase`] per phase, indexed like the query's own
-//! list — and every site writes its own phase by index:
+//! list — and every site adds into its own phase by index:
 //! `install_phase` (the phase's source opens: summed into
 //! `prefix_ns`), each `pull` in `claim` (`src_ns`),
 //! `ActiveQuery::process` (`proc_ns`, and `sink_ns` for the ordered
@@ -318,7 +319,7 @@ struct ActiveQuery {
     src_hold_ns: AtomicU64,
     proc_ns: AtomicU64,
     done_tx: Mutex<Option<Sender<Result<QueryOutput>>>>,
-    /// The per-morsel virtual-clock ledger, recorded only for
+    /// The virtual-clock ledger, recorded only for
     /// [`run_solo`]'s traced run (see the module docs).
     trace: Option<Mutex<ScalingLedger>>,
 }
@@ -448,7 +449,7 @@ impl ActiveQuery {
                 .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, build.right_col));
             partial.fold(seq, batch)?;
             lock(&self.build_slots).push(partial);
-            self.trace_since(mark, |l, ns| l.phases[idx].proc_ns.push(ns));
+            self.trace_since(mark, |l, ns| l.phases[idx].proc_ns += ns);
             return Ok(());
         }
         if let (SinkSpec::Aggregate { group_cols, aggs }, true) =
@@ -463,13 +464,10 @@ impl ActiveQuery {
             lock(&self.agg_slots).push(slot);
             // An exact-merge fold runs on the workers: it is part of
             // the morsel's worker section.
-            self.trace_since(mark, |l, ns| {
-                l.phases[idx].proc_ns.push(ns);
-                l.phases[idx].sink_ns.push(0);
-            });
+            self.trace_since(mark, |l, ns| l.phases[idx].proc_ns += ns);
             return Ok(());
         }
-        self.trace_since(mark, |l, ns| l.phases[idx].proc_ns.push(ns));
+        self.trace_since(mark, |l, ns| l.phases[idx].proc_ns += ns);
         // The ordered sink is a serialized section of its own.
         let mark = self.trace_mark();
         let mut sink = lock(&self.sink);
@@ -482,7 +480,7 @@ impl ActiveQuery {
             }
             *next += 1;
         }
-        self.trace_since(mark, |l, ns| l.phases[idx].sink_ns.push(ns));
+        self.trace_since(mark, |l, ns| l.phases[idx].sink_ns += ns);
         Ok(())
     }
 
@@ -788,7 +786,7 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(&q.storage) };
     let file = c.file_id();
     if let Ok(Some(_)) = pulled {
-        q.trace_since(trace, |l, ns| l.phases[phase].src_ns.push(ns));
+        q.trace_since(trace, |l, ns| l.phases[phase].src_ns += ns);
         src.seq += 1;
         // A claimed morsel pins the phase until it is processed.
         q.inflight.fetch_add(1, Ordering::AcqRel);
