@@ -165,12 +165,12 @@ pub fn run() {
         .iter()
         .map(|(_, plan)| {
             db.storage().flush_pool();
-            db.session().run(plan).expect("solo survivor run").rows
+            db.run(plan).expect("solo survivor run").rows
         })
         .collect();
     db.storage().flush_pool();
     let before = db.storage().clock().snapshot();
-    let clean = db.session().run(&poison_plan()).expect("fault-free poison run");
+    let clean = db.run(&poison_plan()).expect("fault-free poison run");
     let clean_d = db.storage().clock().snapshot().since(&before);
 
     // The degraded solo run: same rows, same CPU lane, and an I/O lane
@@ -178,7 +178,7 @@ pub fn run() {
     db.set_faults(Some(cfg));
     db.storage().flush_pool();
     let before = db.storage().clock().snapshot();
-    let degraded = db.session().run(&poison_plan()).expect("degraded run survives its retries");
+    let degraded = db.run(&poison_plan()).expect("degraded run survives its retries");
     let degraded_d = db.storage().clock().snapshot().since(&before);
     db.set_faults(None);
     assert_eq!(degraded.rows, clean.rows, "retried faults changed query results");
@@ -197,14 +197,14 @@ pub fn run() {
         for ((shape, plan), rows) in survivors.iter().zip(&refs) {
             let db = &db;
             scope.spawn(move || {
-                let got = db.session().run(plan).expect("survivor beside a degraded session");
+                let got = db.run(plan).expect("survivor beside a degraded session");
                 assert_eq!(&got.rows, rows, "{shape}: rows diverge beside a degraded session");
             });
         }
         let db = &db;
         let clean_rows = &clean.rows;
         scope.spawn(move || {
-            let got = db.session().run(&poison_plan()).expect("degraded run under concurrency");
+            let got = db.run(&poison_plan()).expect("degraded run under concurrency");
             assert_eq!(&got.rows, clean_rows, "poison session: retried rows diverge");
         });
     });
@@ -217,13 +217,13 @@ pub fn run() {
         for ((shape, plan), rows) in survivors.iter().zip(&refs) {
             let db = &db;
             scope.spawn(move || {
-                let got = db.session().run(plan).expect("survivor beside a failing session");
+                let got = db.run(plan).expect("survivor beside a failing session");
                 assert_eq!(&got.rows, rows, "{shape}: rows diverge beside a failing session");
             });
         }
         let db = &db;
         scope.spawn(move || {
-            let err = db.session().run(&poison_plan()).expect_err("certain faults must fail");
+            let err = db.run(&poison_plan()).expect_err("certain faults must fail");
             assert_eq!(err, Error::Faulted { attempts: RETRY_LIMIT }, "wrong failure type");
         });
     });
@@ -232,7 +232,7 @@ pub fn run() {
     // Recovery: once faults clear the same engine serves the poisoned
     // plan again, and the failed query leaked no spill files.
     db.storage().flush_pool();
-    let recovered = db.session().run(&poison_plan()).expect("engine survives the poisoned leg");
+    let recovered = db.run(&poison_plan()).expect("engine survives the poisoned leg");
     assert_eq!(recovered.rows, clean.rows, "post-fault recovery returned different rows");
     assert_eq!(SpillFile::live_count(), live_spills, "fault legs leaked spill files");
 
@@ -307,16 +307,16 @@ mod tests {
         let (cfg, predicted_ns, _) = search_seed(file, pages);
 
         db.storage().flush_pool();
-        let clean_ref = db.session().run(&full_agg_plan("clean")).unwrap().rows;
+        let clean_ref = db.run(&full_agg_plan("clean")).unwrap().rows;
         db.storage().flush_pool();
         let before = db.storage().clock().snapshot();
-        let base = db.session().run(&poison_plan()).unwrap();
+        let base = db.run(&poison_plan()).unwrap();
         let base_d = db.storage().clock().snapshot().since(&before);
 
         db.set_faults(Some(cfg));
         db.storage().flush_pool();
         let before = db.storage().clock().snapshot();
-        let degraded = db.session().run(&poison_plan()).expect("survivable config");
+        let degraded = db.run(&poison_plan()).expect("survivable config");
         let degraded_d = db.storage().clock().snapshot().since(&before);
         assert_eq!(degraded.rows, base.rows);
         assert_eq!(degraded_d.cpu_ns, base_d.cpu_ns);
@@ -328,16 +328,16 @@ mod tests {
             let db = &db;
             let clean_ref = &clean_ref;
             scope.spawn(move || {
-                let got = db.session().run(&full_agg_plan("clean")).expect("clean neighbor");
+                let got = db.run(&full_agg_plan("clean")).expect("clean neighbor");
                 assert_eq!(&got.rows, clean_ref, "neighbor rows diverge beside a failing session");
             });
             scope.spawn(move || {
-                let err = db.session().run(&poison_plan()).expect_err("certain faults fail");
+                let err = db.run(&poison_plan()).expect_err("certain faults fail");
                 assert_eq!(err, Error::Faulted { attempts: RETRY_LIMIT });
             });
         });
         db.set_faults(None);
-        let recovered = db.session().run(&poison_plan()).unwrap();
+        let recovered = db.run(&poison_plan()).unwrap();
         assert_eq!(recovered.rows, base.rows);
     }
 }

@@ -99,7 +99,7 @@ pub fn run() {
     let solo: Vec<_> = mixed
         .iter()
         .map(|(shape, plan)| {
-            let got = db.session().run(plan).expect("solo run");
+            let got = db.run(plan).expect("solo run");
             let (n_traced, _, ledger) = setup::traced_run(&db, plan);
             assert_eq!(n_traced, got.rows.len(), "{shape}: traced row count");
             table.row(vec![
@@ -156,9 +156,8 @@ pub fn run() {
         for ((shape, plan), (rows, scan, _)) in mixed.iter().zip(&solo) {
             let db = &db;
             scope.spawn(move || {
-                let session = db.session();
                 for _ in 0..REPEATS {
-                    let got = session.run(plan).expect("concurrent run");
+                    let got = db.run(plan).expect("concurrent run");
                     assert_eq!(&got.rows, rows, "{shape}: concurrent rows diverge from solo");
                     assert_eq!(
                         got.scan.rows_processed, scan.rows_processed,
@@ -197,7 +196,7 @@ mod tests {
         let solo: Vec<_> = mixed
             .iter()
             .map(|(_, plan)| {
-                let rows = db.session().run(plan).expect("solo").rows;
+                let rows = db.run(plan).expect("solo").rows;
                 let (_, _, ledger) = setup::traced_run(&db, plan);
                 (rows, ledger)
             })
@@ -214,7 +213,7 @@ mod tests {
             for ((shape, plan), (rows, _)) in mixed.iter().zip(&solo) {
                 let db = &db;
                 scope.spawn(move || {
-                    let got = db.session().run(plan).expect("concurrent").rows;
+                    let got = db.run(plan).expect("concurrent").rows;
                     assert_eq!(&got, rows, "{shape}: concurrent rows diverge");
                 });
             }

@@ -54,10 +54,10 @@
 //! when the merge is exact ([`AggFunc::merge_exact`]), and
 //! otherwise fold on the ordered sink in morsel order so float sums
 //! stay byte-identical; plain row output is concatenated in morsel
-//! order, and `ordered:` heap-range scans sort on the sink
-//! ([`SinkSpec::Sort`] — the serial `Sort` operator's exact charges,
-//! stable over serial-order input, recorded as the ledger's serial
-//! suffix).
+//! order, and a root sort streams its morsels in morsel order into the
+//! sort sink ([`SinkSpec::Sort`] — the serial `Sort` operator's exact
+//! charges, stable over serial-order input, its final pass recorded as
+//! the ledger's serial suffix).
 //!
 //! Execution lives in [`crate::schedule`], the one pipeline driver: the
 //! worker pool belongs to a persistent [`crate::Scheduler`] serving
@@ -204,16 +204,15 @@ pub enum SinkSpec {
         /// byte-identical to the serial fold.
         aggs: Vec<AggFunc>,
     },
-    /// Ordered-scan terminal: workers stream morsels to the sink in
-    /// morsel order (exactly like `Collect`) and one final pass of
-    /// them through the [`crate::ExternalSorter`] — the identical charge
-    /// the serial [`crate::Sort`] operator above a full scan makes —
-    /// restores global key order as the query's serial suffix
-    /// ([`ScalingLedger::suffix_ns`] in the model). This is what lets
-    /// `ordered:` plans use the fully parallel heap source instead of
-    /// the serial shared-operator fallback.
+    /// Root sort: the sink folds each morsel, in morsel order, into
+    /// one [`crate::ExternalSorter`] — the identical charges the serial
+    /// [`crate::Sort`] operator makes over the same input — whose final
+    /// pass restores global key order as the query's serial suffix
+    /// ([`ScalingLedger::suffix_ns`] in the model). This is what lets a
+    /// sorted plan keep the stages and the fully parallel heap source
+    /// under it instead of running whole as one shared source.
     Sort {
-        /// Sort keys (the ordered scan's range column, ascending).
+        /// Sort keys, over the last phase's staged output.
         keys: Vec<crate::sort::SortKey>,
         /// Memory budget for the final sort (0 = unlimited; beyond it
         /// the sort goes external, charging spill I/O exactly as the
@@ -490,8 +489,8 @@ pub struct LedgerPhase {
     /// pool.
     pub proc_ns: u64,
     /// Ordered-sink sections (the order-preserving aggregate fold when
-    /// the merge is not exact) — a second serialized resource. Zero for
-    /// a phase with no sink: every build.
+    /// the merge is not exact, a root sort's spilled runs) — a second
+    /// serialized resource. Zero for a phase with no sink: every build.
     pub sink_ns: u64,
 }
 
@@ -522,9 +521,9 @@ pub struct ScalingLedger {
     /// driver runs each to completion before the next starts, so the
     /// model barriers between them too.
     pub phases: Vec<LedgerPhase>,
-    /// Serial suffix after the last morsel: the ordered-scan sink's
-    /// final sort pass ([`SinkSpec::Sort`]) — one thread, after every
-    /// worker drained.
+    /// Serial suffix after the last morsel: the root sort sink's final
+    /// pass ([`SinkSpec::Sort`]) — one thread, after every worker
+    /// drained.
     pub suffix_ns: u64,
 }
 

@@ -71,10 +71,9 @@
 //! side and probe side alike — and types the sink at plan time, so
 //! plan errors surface before the query is queued; `resolve_stages`
 //! binds a chain to the finished tables when its phase is installed.
-//! `ordered:` heap scans run as a normal
-//! last phase over the partitioned heap source with a
-//! charged stable sort at the sink ([`SinkSpec::Sort`]) — rows and
-//! charges byte-identical to the serial Sort-over-scan plan. A plan
+//! A root sort is a normal last phase whose morsels stream, in seq
+//! order, into the sort sink's sorter ([`SinkSpec::Sort`]) — rows and
+//! charges byte-identical to the serial `Sort` over the same input. A plan
 //! with nothing to fan out is the same machine with one phase whose
 //! source is the whole operator tree ([`ParallelSource::Shared`]).
 //!
@@ -88,7 +87,7 @@
 //! `install_phase` (the phase's source opens: summed into
 //! `prefix_ns`), each `pull` in `claim` (`src_ns`),
 //! `ActiveQuery::process` (`proc_ns`, and `sink_ns` for the ordered
-//! sink's fold) and `complete_ok`'s sort (`suffix_ns`). The clock is
+//! sink's fold) and `complete_ok`'s sort `finish` (`suffix_ns`). The clock is
 //! engine-global, so a trace means something only on one worker with
 //! nothing else running on the same storage; an untraced query pays one
 //! `Option` test per site — no snapshot, no lock.
@@ -257,14 +256,23 @@ struct Phase {
 
 /// Order-preserving sink state: morsels buffer in a seq-keyed map and
 /// fold in sequence order, exactly as the serial driver emits them.
-/// Collect and sort sinks fold into `batches` (the sort's charged pass
-/// over them is the query's suffix).
 struct SinkState {
     pending: BTreeMap<u64, ColumnBatch>,
     next: u64,
-    batches: Vec<ColumnBatch>,
+    /// What the morsels fold into; `None` for an exact-merge aggregate
+    /// (its workers fold partial slots instead) and once the query has
+    /// completed.
+    fold: Option<Fold>,
+}
+
+/// The one target an ordered sink folds each morsel into.
+enum Fold {
+    /// A collect sink's result batches.
+    Batches(Vec<ColumnBatch>),
     /// The in-order aggregation fold (non-exact merges only).
-    ordered_agg: Option<PartialAgg>,
+    Aggregate(PartialAgg),
+    /// A root sort's sorter; `complete_ok` finishes it.
+    Sort(ExternalSorter),
 }
 
 /// One claimed-but-unprocessed morsel. Claiming charges the pull I/O in
@@ -333,14 +341,21 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let schemas = pipeline.staged_schemas()?;
-        let (merge_exact, ordered_agg) = match (&pipeline.sink, schemas.last()) {
+        let (merge_exact, fold) = match (&pipeline.sink, schemas.last()) {
             (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
-                let exact = aggs.iter().all(|a| a.merge_exact(input));
-                let ordered =
-                    if exact { None } else { Some(PartialAgg::new(input, group_cols, aggs)?) };
-                (exact, ordered)
+                match aggs.iter().all(|a| a.merge_exact(input)) {
+                    true => (true, None),
+                    false => {
+                        (false, Some(Fold::Aggregate(PartialAgg::new(input, group_cols, aggs)?)))
+                    }
+                }
             }
-            _ => (false, None),
+            (SinkSpec::Sort { keys, mem_bytes }, _) => {
+                let sorter =
+                    ExternalSorter::new(pipeline.storage.clone(), keys.clone(), *mem_bytes);
+                (false, Some(Fold::Sort(sorter)))
+            }
+            _ => (false, Some(Fold::Batches(Vec::new()))),
         };
         let ParallelPipeline { phases, sink, storage, morsel_rows } = pipeline;
         let phases: Vec<Phase> = phases
@@ -366,12 +381,7 @@ impl ActiveQuery {
             merge_exact,
             tables: Mutex::new(Vec::new()),
             src: Mutex::new(SrcState::new(None, 0)),
-            sink: Mutex::new(SinkState {
-                pending: BTreeMap::new(),
-                next: 0,
-                batches: Vec::new(),
-                ordered_agg,
-            }),
+            sink: Mutex::new(SinkState { pending: BTreeMap::new(), next: 0, fold }),
             agg_slots: Mutex::new(Vec::new()),
             build_slots: Mutex::new(Vec::new()),
             inflight: AtomicUsize::new(0),
@@ -472,11 +482,13 @@ impl ActiveQuery {
         let mark = self.trace_mark();
         let mut sink = lock(&self.sink);
         sink.pending.insert(seq, batch);
-        let SinkState { pending, next, batches, ordered_agg } = &mut *sink;
+        let SinkState { pending, next, fold } = &mut *sink;
+        let fold = fold.as_mut().ok_or_else(|| Error::exec("morsel reached a completed sink"))?;
         while let Some(m) = pending.remove(next) {
-            match ordered_agg.as_mut() {
-                Some(agg) => agg.update(&self.storage, *next, &m)?,
-                None => batches.push(m),
+            match fold {
+                Fold::Batches(batches) => batches.push(m),
+                Fold::Aggregate(agg) => agg.update(&self.storage, *next, &m)?,
+                Fold::Sort(sorter) => sorter.push_batch(&m)?,
             }
             *next += 1;
         }
@@ -785,26 +797,32 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     // A failed query pulls nothing more: its source ends here.
     let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(&q.storage) };
     let file = c.file_id();
-    if let Ok(Some(_)) = pulled {
-        q.trace_since(trace, |l, ns| l.phases[phase].src_ns += ns);
-        src.seq += 1;
-        // A claimed morsel pins the phase until it is processed.
-        q.inflight.fetch_add(1, Ordering::AcqRel);
-    } else {
-        src.done = true;
-    }
+    let claimed = match pulled {
+        Ok(Some(item)) => {
+            q.trace_since(trace, |l, ns| l.phases[phase].src_ns += ns);
+            src.seq += 1;
+            // A claimed morsel pins the phase until it is processed.
+            q.inflight.fetch_add(1, Ordering::AcqRel);
+            Some(Pending { phase, seq, item, file })
+        }
+        // Recorded before `done` is set, under the lock: a worker that
+        // lands the last in-flight morsel and finalizes must see it.
+        Err(e) => {
+            q.record_err(seq, e);
+            None
+        }
+        Ok(None) => None,
+    };
+    src.done = claimed.is_none();
     drop(src);
     q.src_hold_ns.fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
     // The pull I/O is this claim's attribution; `morsels` counts at
     // processing time.
     lock(&q.stats).merge(&mark.delta());
-    match pulled {
-        Ok(Some(item)) => return Some(Pending { phase, seq, item, file }),
-        Ok(None) => {}
-        Err(e) => q.record_err(seq, e),
+    if claimed.is_none() {
+        maybe_finalize(q, core);
     }
-    maybe_finalize(q, core);
-    None
+    claimed
 }
 
 /// Process one claimed morsel outside the source lock, delivering it
@@ -984,65 +1002,47 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
         complete_err(q, core);
         return;
     }
-    let take_batches = || {
+    let fold = {
         let mut sink = lock(&q.sink);
         debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
-        std::mem::take(&mut sink.batches)
+        // Only `complete_ok` (run once — it empties `done_tx`) takes it.
+        sink.fold.take()
     };
-    let mut batches = Vec::new();
-    match &q.sink_spec {
-        SinkSpec::Collect => batches = take_batches(),
-        SinkSpec::Aggregate { group_cols, aggs } => {
-            let merged = if q.merge_exact {
-                let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
-                let first = match slots.next() {
-                    Some(slot) => Ok(slot),
-                    None => PartialAgg::new(q.sink_input(), group_cols, aggs),
-                };
-                first.map(|mut merged| {
-                    slots.for_each(|slot| merged.merge(slot));
-                    merged
-                })
-            } else {
-                let mut sink = lock(&q.sink);
-                debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
-                // `plan` installs the ordered agg for every non-exact
-                // aggregate sink, and only `complete_ok` (run once — it
-                // empties `done_tx`) takes it.
-                sink.ordered_agg
-                    .take()
-                    .ok_or_else(|| Error::exec("ordered aggregate taken before completion"))
-            };
-            match merged.and_then(PartialAgg::finish) {
-                Ok(batch) => batches.extend((!batch.is_empty()).then_some(batch)),
-                Err(e) => q.record_err(u64::MAX, e),
-            }
-        }
-        SinkSpec::Sort { keys, mem_bytes } => {
-            // The buffered morsels are in serial scan order, so this
-            // one pass through the sorter produces — and charges —
-            // exactly what the serial `Sort` operator does. It can
-            // spill under a budget, so it can still fail the query.
-            let morsels = take_batches();
-            let suffix = q.trace_mark();
-            let mark = tap_mark();
-            let mut sorter = ExternalSorter::new(q.storage.clone(), keys.clone(), *mem_bytes);
-            let sorted = morsels
-                .into_iter()
-                .try_for_each(|m| sorter.push_batch(&m))
-                .and_then(|()| sorter.finish());
+    let one = |batch: ColumnBatch| Vec::from_iter((!batch.is_empty()).then_some(batch));
+    let batches = match (fold, &q.sink_spec) {
+        (Some(Fold::Batches(batches)), _) => Ok(batches),
+        (Some(Fold::Aggregate(agg)), _) => agg.finish().map(one),
+        (Some(Fold::Sort(sorter)), _) => {
+            // Every morsel is in, in serial order: this is the serial
+            // `Sort`'s final pass, charges included. It can spill under
+            // a budget, so it can still fail the query.
+            let (suffix, mark) = (q.trace_mark(), tap_mark());
+            let sorted = sorter.finish();
             lock(&q.stats).merge(&mark.delta());
             q.trace_since(suffix, |l, ns| l.suffix_ns = ns);
-            match sorted {
-                Ok(sorted) => batches = sorted,
-                Err(e) => q.record_err(u64::MAX, e),
-            }
+            sorted
+        }
+        (None, SinkSpec::Aggregate { group_cols, aggs }) => {
+            let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
+            let first = match slots.next() {
+                Some(slot) => Ok(slot),
+                None => PartialAgg::new(q.sink_input(), group_cols, aggs),
+            };
+            first.and_then(|mut merged| {
+                slots.for_each(|slot| merged.merge(slot));
+                merged.finish().map(one)
+            })
+        }
+        (None, _) => Err(Error::exec("sink fold taken before completion")),
+    };
+    let batches = match batches {
+        Ok(batches) => batches,
+        Err(e) => {
+            q.record_err(u64::MAX, e);
+            complete_err(q, core);
+            return;
         }
     };
-    if q.failed.load(Ordering::Acquire) {
-        complete_err(q, core);
-        return;
-    }
     let mut stats = *lock(&q.stats);
     stats.lock_wait_ns = q.lock_wait_ns.load(Ordering::Relaxed);
     stats.src_hold_ns = q.src_hold_ns.load(Ordering::Relaxed);
@@ -1064,8 +1064,7 @@ fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
     {
         let mut sink = lock(&q.sink);
         sink.pending.clear();
-        sink.batches.clear();
-        sink.ordered_agg = None;
+        sink.fold = None;
     }
     for phase in &q.phases {
         *lock(&phase.stages) = None;

@@ -7,14 +7,20 @@
 //! [`RunStats`] — execution time split into CPU and I/O wait (Fig. 4),
 //! I/O requests and bytes moved (Table II).
 //!
-//! There is one query lifecycle. Every `run` / `run_batches` /
-//! `submit` lowers its plan once (a private, total `lower`: the plan
-//! narrowed to the columns it reads — [`crate::prune()`], always — then
-//! the peeled pipeline — a list of phases, hash-join builds first, in the order
-//! the operator tree opens them; the executor validates their stage
-//! chains and types them — or, when nothing fans out, the whole
-//! operator tree as a shared source under a collect sink) and hands it
-//! to the database's **persistent** worker pool
+//! There is one query lifecycle. Every `build` / `run` / `submit` first
+//! narrows the plan to the columns it reads ([`crate::prune()`], always)
+//! and then resolves it, once: every `Auto` access path and join
+//! strategy is picked, and every `ordered:` scan whose access path does
+//! not deliver key order (Full, Sort, Switch) becomes an explicit `Sort`
+//! on its range key over the same scan, unordered. The operator tree
+//! and the pipeline both read only that resolved plan. `run` /
+//! `run_batches` / `submit` lower it (a private, total `lower`: the
+//! peeled pipeline — a list of phases, hash-join builds first, in the
+//! order the operator tree opens them; the executor validates their
+//! stage chains and types them — under one sink: an `Aggregate` root
+//! folds at the aggregate sink, a `Sort` root at the sort sink, and
+//! everything else collects; what does not peel runs whole as a shared
+//! source) and hand it to the database's **persistent** worker pool
 //! ([`smooth_executor::Scheduler`]) as a scheduled query. The worker
 //! count (`SMOOTH_WORKERS` /
 //! [`Database::with_workers`], default = available cores) selects the
@@ -36,18 +42,17 @@
 //! callers that must keep the operator for its metrics use it; `run`
 //! does not.
 //!
-//! The pool is engine-global: concurrent [`Session`]s (cheap handles
-//! from [`Database::session`]) share it, along with the buffer pool,
-//! disk-arm tracker and virtual clock. At most
+//! The pool is engine-global: concurrent callers of [`Database::run`] /
+//! [`Database::submit`] share it, along with the buffer pool, disk-arm
+//! tracker and virtual clock. At most
 //! [`Database::max_queries`] queries run concurrently (default 4);
 //! submissions beyond the cap queue FIFO. Every [`QueryResult`]
 //! carries per-query [`ScanStatistics`] — tuple flow, pages/bytes read, buffer hits,
 //! source-lock wait — attributed exactly to that query even under
 //! concurrency (`RunStats`' clock/I-O *deltas*, by contrast, read the
-//! shared engine counters and are only meaningful single-session).
+//! shared engine counters and are only meaningful for a query run alone).
 
 use std::ops::Bound;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smooth_core::{SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
@@ -95,11 +100,11 @@ pub struct QueryResult {
     /// The result rows.
     pub rows: Vec<Row>,
     /// Engine-counter deltas around the run (clock, I/O). Meaningful
-    /// when the query ran alone; under concurrent sessions they include
+    /// when the query ran alone; under concurrent queries they include
     /// whatever else the engine did in the window.
     pub stats: RunStats,
     /// Per-query scan statistics, attributed exactly to this query even
-    /// under concurrent sessions (`rows_total` is stamped from catalog
+    /// under concurrent queries (`rows_total` is stamped from catalog
     /// cardinalities of the plan's base tables).
     pub scan: ScanStatistics,
 }
@@ -192,7 +197,7 @@ type RangeSplit = (usize, Bound<i64>, Bound<i64>, Predicate);
 const DEFAULT_MAX_QUERIES: usize = 4;
 
 /// An engine instance: storage manager + catalog + (lazily) the
-/// persistent worker pool concurrent sessions share.
+/// persistent worker pool concurrent queries share.
 pub struct Database {
     storage: Storage,
     catalog: Catalog,
@@ -273,7 +278,7 @@ impl Database {
     /// Fix the per-query timeout in **virtual-clock** milliseconds (0,
     /// the default, disables). A query whose modeled CPU + I/O time
     /// crosses the deadline fails with [`Error::Cancelled`] at its next
-    /// morsel boundary, releasing everything it held; other sessions
+    /// morsel boundary, releasing everything it held; other queries
     /// are untouched.
     pub fn set_query_timeout_ms(&mut self, ms: u64) {
         self.timeout_ms = ms;
@@ -286,17 +291,6 @@ impl Database {
     /// coordinates, so runs replay exactly.
     pub fn set_faults(&self, cfg: Option<FaultConfig>) {
         self.storage.set_faults(cfg);
-    }
-
-    /// A session handle onto this shared database. Sessions are cheap,
-    /// carry a process-unique id, and any number may run queries
-    /// concurrently: result rows are always exactly the rows a solo run
-    /// would return, while clock/I-O deltas interleave (one disk arm,
-    /// one buffer pool) — use [`QueryResult::scan`] for per-query
-    /// attribution.
-    pub fn session(&self) -> Session<'_> {
-        static NEXT_SESSION: AtomicU64 = AtomicU64::new(1);
-        Session { db: self, id: NEXT_SESSION.fetch_add(1, Ordering::Relaxed) }
     }
 
     /// The persistent worker pool for the current knob settings,
@@ -360,20 +354,88 @@ impl Database {
     }
 
     /// Build the physical operator tree for a plan — for the plan
-    /// [`prune`] narrows it to: every scan decodes, and every join
-    /// gathers, only the columns the plan reads.
+    /// [`prune`] narrows it to and `resolve` settles: every scan decodes,
+    /// and every join gathers, only the columns the plan reads.
     pub fn build(&self, plan: &LogicalPlan) -> Result<BoxedOperator> {
-        self.build_node(&prune(&self.catalog, plan))
+        self.build_node(&self.resolve(&prune(&self.catalog, plan))?)
     }
 
-    /// The operator tree of an already-pruned plan.
+    /// The one place the plan's open choices are made: every `Auto`
+    /// access path and join strategy picked by the [`Optimizer`], and
+    /// every `ordered:` scan whose access path does not deliver key order
+    /// (Full, Sort, Switch) rewritten as a `Sort` on its range key over
+    /// the same scan, unordered. The inner scan of an index-nested-loop
+    /// join is probed, not scanned: it stays as written.
+    fn resolve(&self, plan: &LogicalPlan) -> Result<LogicalPlan> {
+        let input = |input: &LogicalPlan| self.resolve(input).map(Box::new);
+        Ok(match plan {
+            LogicalPlan::Scan(spec) => {
+                let entry = self.catalog.get(&spec.table)?;
+                let (predicate, device) = (&spec.predicate, self.storage.device());
+                let access = match &spec.access {
+                    AccessPathChoice::Auto => {
+                        match Optimizer::choose_access_path(entry, predicate, spec.ordered, device)
+                        {
+                            AccessPathKind::FullScan => AccessPathChoice::ForceFull,
+                            AccessPathKind::IndexScan => AccessPathChoice::ForceIndex,
+                            AccessPathKind::SortScan => AccessPathChoice::ForceSort,
+                        }
+                    }
+                    other => other.clone(),
+                };
+                use AccessPathChoice::{ForceFull, ForceSort, Switch};
+                let sorted =
+                    spec.ordered && matches!(access, ForceFull | ForceSort | Switch { .. });
+                let ordered = spec.ordered && !sorted;
+                let scan = LogicalPlan::Scan(ScanSpec { access, ordered, ..spec.clone() });
+                if sorted {
+                    scan.sort(vec![Self::order_key(spec)?])
+                } else {
+                    scan
+                }
+            }
+            LogicalPlan::Join(spec) => {
+                let strategy = match spec.strategy {
+                    JoinStrategy::Auto => Optimizer::choose_join_strategy(
+                        &self.catalog,
+                        &spec.left,
+                        &spec.right,
+                        spec.right_col,
+                        self.storage.device(),
+                    ),
+                    other => other,
+                };
+                let left = self.resolve(&spec.left)?;
+                let right = match strategy {
+                    JoinStrategy::IndexNestedLoop => spec.right.clone(),
+                    _ => self.resolve(&spec.right)?,
+                };
+                let emit = spec.emit.clone();
+                LogicalPlan::Join(Box::new(JoinSpec { left, right, strategy, emit, ..**spec }))
+            }
+            LogicalPlan::Aggregate { input: i, group_cols, aggs } => {
+                let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
+                LogicalPlan::Aggregate { input: input(i)?, group_cols, aggs }
+            }
+            LogicalPlan::Sort { input: i, keys } => {
+                LogicalPlan::Sort { input: input(i)?, keys: keys.clone() }
+            }
+            LogicalPlan::Project { input: i, cols } => {
+                LogicalPlan::Project { input: input(i)?, cols: cols.clone() }
+            }
+            LogicalPlan::Filter { input: i, predicate } => {
+                LogicalPlan::Filter { input: input(i)?, predicate: predicate.clone() }
+            }
+        })
+    }
+
+    /// The operator tree of a resolved plan.
     fn build_node(&self, plan: &LogicalPlan) -> Result<BoxedOperator> {
         match plan {
             LogicalPlan::Scan(spec) => self.build_scan(spec),
             LogicalPlan::Join(spec) => {
-                let strategy = self.resolve_join_strategy(spec);
                 let left = self.build_node(&spec.left)?;
-                match strategy {
+                match spec.strategy {
                     JoinStrategy::IndexNestedLoop => {
                         let LogicalPlan::Scan(rspec) = &spec.right else {
                             return Err(Error::plan(
@@ -484,37 +546,6 @@ impl Database {
         }
     }
 
-    /// Resolve `Auto` join strategies the way [`Database::build`] would.
-    fn resolve_join_strategy(&self, spec: &JoinSpec) -> JoinStrategy {
-        match spec.strategy {
-            JoinStrategy::Auto => Optimizer::choose_join_strategy(
-                &self.catalog,
-                &spec.left,
-                &spec.right,
-                spec.right_col,
-                self.storage.device(),
-            ),
-            other => other,
-        }
-    }
-
-    /// Resolve an `Auto` access path the way [`Database::build`] would.
-    fn resolve_access(&self, entry: &TableEntry, spec: &ScanSpec) -> AccessPathChoice {
-        match &spec.access {
-            AccessPathChoice::Auto => match Optimizer::choose_access_path(
-                entry,
-                &spec.predicate,
-                spec.ordered,
-                self.storage.device(),
-            ) {
-                AccessPathKind::FullScan => AccessPathChoice::ForceFull,
-                AccessPathKind::IndexScan => AccessPathChoice::ForceIndex,
-                AccessPathKind::SortScan => AccessPathChoice::ForceSort,
-            },
-            other => other.clone(),
-        }
-    }
-
     /// The index on the range column of `spec`'s predicate, with the
     /// `(col, lo, hi, residual)` split that drives it — what every
     /// index-backed access path (`what`) needs.
@@ -549,20 +580,10 @@ impl Database {
         let heap = Arc::clone(&entry.heap);
         let cols = spec.cols.as_deref();
         let need_index = |what| Self::need_index(entry, spec, what);
-        let sort_wrap = |op: BoxedOperator| -> Result<BoxedOperator> {
-            if spec.ordered {
-                Ok(Box::new(
-                    Sort::new(op, self.storage.clone(), vec![Self::order_key(spec)?])
-                        .with_mem_budget(self.mem_bytes()),
-                ))
-            } else {
-                Ok(op)
-            }
-        };
-        match self.resolve_access(entry, spec) {
+        match &spec.access {
             AccessPathChoice::ForceFull => {
                 let scan = FullTableScan::new(heap, self.storage.clone(), spec.predicate.clone());
-                sort_wrap(Box::new(scan.with_columns(cols)?))
+                Ok(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::ForceIndex => {
                 let (idx, (_, lo, hi, residual)) = need_index("index scan")?;
@@ -574,16 +595,17 @@ impl Database {
                 let (idx, (_, lo, hi, residual)) = need_index("sort scan")?;
                 let index = Arc::clone(&idx.index);
                 let scan = SortScan::new(heap, index, self.storage.clone(), lo, hi, residual);
-                sort_wrap(Box::new(scan.with_columns(cols)?))
+                Ok(Box::new(scan.with_columns(cols)?))
             }
-            AccessPathChoice::Smooth(config) => Ok(Box::new(self.build_smooth_scan(spec, config)?)),
+            AccessPathChoice::Smooth(config) => {
+                Ok(Box::new(self.build_smooth_scan(spec, *config)?))
+            }
             AccessPathChoice::Switch { estimate } => {
-                let trigger = Trigger::Switch { estimated_cardinality: estimate };
+                let trigger = Trigger::Switch { estimated_cardinality: *estimate };
                 let config = SmoothScanConfig::default().with_trigger(trigger);
-                let unordered = ScanSpec { ordered: false, ..spec.clone() }; // sorted above
-                sort_wrap(Box::new(self.build_smooth_scan(&unordered, config)?))
+                Ok(Box::new(self.build_smooth_scan(spec, config)?))
             }
-            AccessPathChoice::Auto => unreachable!("resolved above"),
+            AccessPathChoice::Auto => unreachable!("`resolve` picks every Auto access path"),
         }
     }
 
@@ -620,13 +642,14 @@ impl Database {
     /// `run` and `submit` still hand to the pool (so `None` says "one
     /// worker's worth of work", not "another driver").
     ///
-    /// The decomposition peels parallel-safe nodes off the top — one
-    /// `Aggregate` (the sink), then `Filter` / `Project` / hash-strategy
+    /// The decomposition takes the sink off the top — an `Aggregate`
+    /// folds at the aggregate sink, a `Sort` at the sort sink — then
+    /// peels parallel-safe nodes — `Filter` / `Project` / hash-strategy
     /// `Join` probes (per-worker stages, build sides built and drained
-    /// serially) — until it reaches the morsel source. An unordered full
-    /// table scan becomes the *partitioned* heap source (workers decode
-    /// page runs in parallel); any other subtree (Smooth / Switch /
-    /// index / sort scans, non-hash joins, nested aggregates) runs
+    /// serially) — until it reaches the morsel source. A full table scan
+    /// becomes the *partitioned* heap source (workers decode page runs
+    /// in parallel); any other subtree (Smooth / Switch / index / sort
+    /// scans, non-hash joins, nested aggregates and sorts) runs
     /// unchanged as a serial shared source, which is exactly how the
     /// adaptive scans' morph decisions stay centralized while the stages
     /// above them still parallelize. Plan validation errors (missing
@@ -641,41 +664,29 @@ impl Database {
         Ok((!serial_only).then_some(pipeline))
     }
 
-    /// The one lowering every execution goes through, over the pruned
-    /// plan ([`prune`]) — total: a plan
-    /// with nothing to fan out comes back as its whole operator tree
-    /// in a shared source under a collect sink, which the pool drains
-    /// one morsel at a time, checking the cancel flag and the deadline
-    /// at every boundary. This is also the one place the sink is
-    /// chosen: an `Aggregate` root folds at the aggregate sink; an
-    /// `ordered:` full table scan at the root is its partitioned heap
-    /// scan — page runs decoded across workers, morsels buffered in
-    /// heap order — under the sort sink, whose completion runs the
-    /// charged stable sort pass the `Sort`-over-`FullTableScan` tree
-    /// runs, so rows *and* charges are byte-identical to it (other
-    /// ordered access paths order at the source and stay shared);
-    /// everything else collects. Schemas are the executor's business:
-    /// [`ParallelPipeline::staged_schemas`] fails where the operator
-    /// constructors [`Database::build`] calls would.
+    /// The one lowering every execution goes through, over the resolved
+    /// plan — total: a plan with nothing to fan out comes back as its
+    /// whole operator tree in a shared source under a collect sink,
+    /// which the pool drains one morsel at a time, checking the cancel
+    /// flag and the deadline at every boundary. This is also the one
+    /// place the sink is chosen: an `Aggregate` root folds at the
+    /// aggregate sink; a `Sort` root streams its input's morsels, in
+    /// serial order, into the sort sink's sorter — the charges the tree's
+    /// `Sort` makes over the same input, so rows *and* charges are
+    /// byte-identical to it; everything else collects. Schemas are the
+    /// executor's business: [`ParallelPipeline::staged_schemas`] fails
+    /// where the operator constructors [`Database::build`] calls would.
     fn lower(&self, plan: &LogicalPlan) -> Result<ParallelPipeline> {
-        let plan = &prune(&self.catalog, plan);
         let mut phases = Vec::new();
-        let ordered_heap = match plan {
-            LogicalPlan::Scan(spec) if spec.ordered => self.heap_source(spec)?.map(|h| (h, spec)),
-            _ => None,
-        };
-        let (last, sink) = match (plan, ordered_heap) {
-            (_, Some((source, spec))) => {
-                // Same validation — and error — as the tree's sort wrap.
-                let keys = vec![Self::order_key(spec)?];
-                let last = PhaseSpec { source, stages: Vec::new(), build: None };
-                (last, SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() })
+        let (last, sink) = match self.resolve(&prune(&self.catalog, plan))? {
+            LogicalPlan::Aggregate { input, group_cols, aggs } => {
+                (self.peel(&input, &mut phases)?, SinkSpec::Aggregate { group_cols, aggs })
             }
-            (LogicalPlan::Aggregate { input, group_cols, aggs }, None) => {
-                let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
-                (self.peel(input, &mut phases)?, SinkSpec::Aggregate { group_cols, aggs })
-            }
-            (other, None) => (self.peel(other, &mut phases)?, SinkSpec::Collect),
+            LogicalPlan::Sort { input, keys } => (
+                self.peel(&input, &mut phases)?,
+                SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() },
+            ),
+            other => (self.peel(&other, &mut phases)?, SinkSpec::Collect),
         };
         phases.push(last);
         let pipeline = ParallelPipeline {
@@ -686,20 +697,6 @@ impl Database {
         };
         pipeline.staged_schemas()?;
         Ok(pipeline)
-    }
-
-    /// The *partitioned* heap source (workers decode page runs in
-    /// parallel) of a scan that resolves to a full table scan; `None`
-    /// for every other access path. Takes no notice of `spec.ordered`:
-    /// the caller owes the order.
-    fn heap_source(&self, spec: &ScanSpec) -> Result<Option<ParallelSource>> {
-        let entry = self.catalog.get(&spec.table)?;
-        if !matches!(self.resolve_access(entry, spec), AccessPathChoice::ForceFull) {
-            return Ok(None);
-        }
-        let heap = Arc::clone(&entry.heap);
-        let (predicate, cols) = (spec.predicate.clone(), spec.cols.clone());
-        Ok(Some(ParallelSource::Heap { heap, predicate, readahead: FULL_SCAN_READAHEAD, cols }))
     }
 
     /// Pipeline peel of a probe side or a hash-join *build side* into
@@ -714,8 +711,8 @@ impl Database {
     /// order, so `builds` accumulates in the order the operator tree
     /// opens and drains them — completion order *is* open order, for
     /// left-deep and bushy trees (hash joins on the build side of hash
-    /// joins) alike. An unordered full scan becomes the partitioned
-    /// heap source; any other leaf (sorts, non-hash joins, nested
+    /// joins) alike. A full scan becomes the partitioned heap source;
+    /// any other leaf (other scans, sorts, non-hash joins, nested
     /// aggregates) runs whole as a serial shared source.
     fn peel(&self, plan: &LogicalPlan, builds: &mut Vec<PhaseSpec>) -> Result<PhaseSpec> {
         match plan {
@@ -729,7 +726,7 @@ impl Database {
                 phase.stages.push(StageSpec::Project(cols.clone()));
                 Ok(phase)
             }
-            LogicalPlan::Join(spec) if self.resolve_join_strategy(spec) == JoinStrategy::Hash => {
+            LogicalPlan::Join(spec) if spec.strategy == JoinStrategy::Hash => {
                 let mut build = self.peel(&spec.right, builds)?;
                 build.build = Some(PhaseBuild {
                     right_col: spec.right_col,
@@ -744,15 +741,15 @@ impl Database {
                 probe.stages.push(StageSpec::Probe(built));
                 Ok(probe)
             }
+            LogicalPlan::Scan(spec) if spec.access == AccessPathChoice::ForceFull => {
+                let heap = Arc::clone(&self.catalog.get(&spec.table)?.heap);
+                let (predicate, cols) = (spec.predicate.clone(), spec.cols.clone());
+                let readahead = FULL_SCAN_READAHEAD;
+                let source = ParallelSource::Heap { heap, predicate, readahead, cols };
+                Ok(PhaseSpec { source, stages: Vec::new(), build: None })
+            }
             other => {
-                let heap = match other {
-                    LogicalPlan::Scan(spec) if !spec.ordered => self.heap_source(spec)?,
-                    _ => None,
-                };
-                let source = match heap {
-                    Some(heap) => heap,
-                    None => ParallelSource::Shared { op: self.build_node(other)? },
-                };
+                let source = ParallelSource::Shared { op: self.build_node(other)? };
                 Ok(PhaseSpec { source, stages: Vec::new(), build: None })
             }
         }
@@ -864,47 +861,6 @@ impl Database {
     /// `run` stamps it).
     pub fn submit(&self, plan: &LogicalPlan) -> Result<QueryHandle> {
         self.scheduler().submit(self.lower(plan)?)
-    }
-}
-
-/// One client's handle onto a shared [`Database`]: queries submitted
-/// through concurrent sessions interleave on the engine's one worker
-/// pool, buffer pool and disk arm (admission-capped at
-/// [`Database::max_queries`]), yet each returns exactly the rows a solo
-/// run would — only the accounting interleaves. Obtained from
-/// [`Database::session`]; cheap enough to create per client or per
-/// request.
-#[derive(Clone, Copy)]
-pub struct Session<'db> {
-    db: &'db Database,
-    id: u64,
-}
-
-impl<'db> Session<'db> {
-    /// This session's process-unique id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// The shared database this session serves queries against.
-    pub fn database(&self) -> &'db Database {
-        self.db
-    }
-
-    /// Run a plan on the shared engine (see [`Database::run`]).
-    pub fn run(&self, plan: &LogicalPlan) -> Result<QueryResult> {
-        self.db.run(plan)
-    }
-
-    /// Submit a plan without blocking, returning a cancellable
-    /// [`QueryHandle`] (see [`Database::submit`]).
-    pub fn submit(&self, plan: &LogicalPlan) -> Result<QueryHandle> {
-        self.db.submit(plan)
-    }
-
-    /// EXPLAIN a plan (see [`Database::explain`]).
-    pub fn explain(&self, plan: &LogicalPlan) -> Result<String> {
-        self.db.explain(plan)
     }
 }
 
@@ -1162,6 +1118,19 @@ mod tests {
         let p = db.lower(&ordered.filter(Predicate::int_lt(0, 900))).unwrap();
         assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
         assert!(matches!(p.sink, SinkSpec::Collect));
+        // Every root sort sorts at the sink, over the heap source and
+        // the stages of a filtered full scan; under an aggregate it is
+        // the Sort-over-scan tree as a shared source.
+        let sorted = q(100, AccessPathChoice::ForceFull)
+            .filter(Predicate::int_lt(0, 900))
+            .sort(vec![SortKey::desc(0)]);
+        let p = db.lower(&sorted).unwrap();
+        assert!(matches!(p.phases[0].source, ParallelSource::Heap { .. }));
+        assert!(matches!(p.phases[0].stages[..], [StageSpec::Filter(_)]));
+        assert!(matches!(p.sink, SinkSpec::Sort { .. }));
+        let p = db.lower(&sorted.aggregate(vec![1], vec![AggFunc::CountStar])).unwrap();
+        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
+        assert!(matches!(p.sink, SinkSpec::Aggregate { .. }));
         // …but an aggregate above it parallelizes on the stages.
         let plan = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()))
             .aggregate(vec![], vec![AggFunc::CountStar]);
@@ -1238,21 +1207,6 @@ mod tests {
     }
 
     #[test]
-    fn sessions_share_the_engine_and_number_uniquely() {
-        let mut db = db(1000).with_workers(2);
-        db.set_max_queries(2);
-        let a = db.session();
-        let b = db.session();
-        assert_ne!(a.id(), b.id());
-        let plan = q(100, AccessPathChoice::ForceFull);
-        let ra = a.run(&plan).unwrap();
-        let rb = b.run(&plan).unwrap();
-        assert_eq!(ra.rows, rb.rows);
-        assert!(std::ptr::eq(a.database(), b.database()));
-        assert!(db.max_queries() == 2);
-    }
-
-    #[test]
     fn cold_runs_are_reproducible() {
         let db = db(2000);
         let a = db.run(&q(100, AccessPathChoice::ForceIndex)).unwrap().stats;
@@ -1271,7 +1225,7 @@ mod tests {
             q(250, AccessPathChoice::Smooth(SmoothScanConfig::default())),
         ] {
             let expected = db.run(&plan).unwrap();
-            let out = db.session().submit(&plan).unwrap().wait().unwrap();
+            let out = db.submit(&plan).unwrap().wait().unwrap();
             assert_eq!(out.into_rows(), expected.rows);
         }
         // Plan errors surface at submit, before anything runs.

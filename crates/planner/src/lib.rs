@@ -23,7 +23,7 @@ pub mod plan;
 pub mod prune;
 
 pub use catalog::{Catalog, IndexEntry, TableEntry};
-pub use db::{BatchResult, Database, QueryResult, RunStats, Session};
+pub use db::{BatchResult, Database, QueryResult, RunStats};
 pub use optimizer::{AccessPathKind, Optimizer};
 pub use plan::{AccessPathChoice, JoinSpec, JoinStrategy, LogicalPlan, ScanSpec};
 pub use prune::prune;

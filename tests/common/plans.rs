@@ -1,11 +1,12 @@
 //! The random-plan generator the differential suite and the pruning
 //! suite share: scan kind × `ordered:` × predicates × join shape ×
-//! aggregate shape over the two-table fixture of [`super::tables`].
+//! aggregate shape × root sort over the two-table fixture of
+//! [`super::tables`].
 #![allow(dead_code)] // each suite uses its own subset
 
 use proptest::prelude::*;
 use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
-use smoothscan::prelude::{AggFunc, JoinType, PolicyKind, Predicate, SmoothScanConfig};
+use smoothscan::prelude::{AggFunc, JoinType, PolicyKind, Predicate, SmoothScanConfig, SortKey};
 
 /// One scan-kind choice from the full repertoire.
 pub fn access_strategy() -> impl Strategy<Value = AccessPathChoice> {
@@ -70,8 +71,19 @@ pub fn agg_strategy() -> impl Strategy<Value = AggShape> {
     ]
 }
 
+/// A root sort's keys — `(pick, ascending)`, the pick taken modulo the
+/// plan's output width — one or two of them, or none (no sort).
+pub fn sort_strategy() -> impl Strategy<Value = Vec<(usize, bool)>> {
+    prop_oneof![
+        2 => Just(Vec::new()),
+        1 => proptest::collection::vec((0usize..8, any::<bool>()), 1..3),
+    ]
+}
+
 /// Assemble the plan under test: a scan of `t` — `ordered:` on its range
-/// column when `ordered` — under `join`, under `agg`.
+/// column when `ordered` — under `join`, under `agg`, under a sort on
+/// `sort`'s keys when there are any.
+#[allow(clippy::too_many_arguments)]
 pub fn plan_for(
     access: &AccessPathChoice,
     ordered: bool,
@@ -80,6 +92,7 @@ pub fn plan_for(
     residual: Option<i64>,
     join: JoinShape,
     agg: AggShape,
+    sort: &[(usize, bool)],
 ) -> LogicalPlan {
     let mut pred = Predicate::int_half_open(1, lo, lo + width);
     if let Some(hi) = residual {
@@ -123,12 +136,27 @@ pub fn plan_for(
             JoinStrategy::Merge,
         ),
     };
-    match agg {
-        AggShape::None => joined,
-        AggShape::ExactGrouped => {
-            joined.aggregate(vec![1], vec![AggFunc::CountStar, AggFunc::Min(0), AggFunc::Max(0)])
+    // Both tables are four columns wide.
+    let width = match join {
+        JoinShape::None | JoinShape::HashSemi | JoinShape::IndexNested { semi: true, .. } => 4,
+        _ => 8,
+    };
+    let (plan, width) = match agg {
+        AggShape::None => (joined, width),
+        AggShape::ExactGrouped => (
+            joined.aggregate(vec![1], vec![AggFunc::CountStar, AggFunc::Min(0), AggFunc::Max(0)]),
+            4,
+        ),
+        AggShape::FloatAvg => {
+            (joined.aggregate(vec![1], vec![AggFunc::Avg(0), AggFunc::CountStar]), 3)
         }
-        AggShape::FloatAvg => joined.aggregate(vec![1], vec![AggFunc::Avg(0), AggFunc::CountStar]),
-        AggShape::Scalar => joined.aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)]),
+        AggShape::Scalar => {
+            (joined.aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)]), 2)
+        }
+    };
+    let key = |&(pick, asc): &(usize, bool)| SortKey { column: pick % width, ascending: asc };
+    match sort {
+        [] => plan,
+        keys => plan.sort(keys.iter().map(key).collect()),
     }
 }

@@ -317,8 +317,8 @@ fn lifecycle_guarantees_hold_at_every_width_and_plan_shape() {
     db.set_workers(1);
     db.set_max_queries(1);
     let (a, b) = std::thread::scope(|s| {
-        let a = s.spawn(|| db.session().run(&plan));
-        let b = s.spawn(|| db.session().run(&plan));
+        let a = s.spawn(|| db.run(&plan));
+        let b = s.spawn(|| db.run(&plan));
         (a.join().unwrap().unwrap(), b.join().unwrap().unwrap())
     });
     assert_eq!(a.rows, solo.rows);

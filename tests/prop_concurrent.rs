@@ -1,8 +1,8 @@
-//! Concurrent-session differential property suite: N threads, each
-//! with its own [`smooth_planner::Session`], run proptest-generated
-//! random plans against **one shared database** — one buffer pool, one
-//! disk arm, one virtual clock, one worker pool — and every session
-//! must get back the **exact row sequence** a solo cold run of its plan
+//! Concurrent-session differential property suite: N threads — the
+//! sessions, each calling [`smooth_planner::Database::run`] — run
+//! proptest-generated random plans against **one shared database** —
+//! one buffer pool, one disk arm, one virtual clock, one worker pool —
+//! and every session must get back the **exact row sequence** a solo cold run of its plan
 //! returns on a fresh database, at every worker-pool width — and that
 //! solo run is itself held to [`common::reference`], the plan evaluator
 //! over the plain `Vec<Row>`s the tables were loaded from, so "what solo
@@ -202,10 +202,9 @@ proptest! {
                         let db = &db;
                         let shapes = &shapes;
                         scope.spawn(move || {
-                            let session = db.session();
                             let which = s % shapes.len();
                             let plan = plan_for(&shapes[which]);
-                            let out = session.run(&plan).expect("concurrent run");
+                            let out = db.run(&plan).expect("concurrent run");
                             (which, out.rows, out.scan.rows_processed)
                         })
                     })
@@ -267,10 +266,9 @@ proptest! {
                         let db = &db;
                         let shapes = &shapes;
                         scope.spawn(move || {
-                            let session = db.session();
                             let which = s % shapes.len();
                             let plan = plan_for(&shapes[which]);
-                            (which, session.run(&plan).expect("concurrent budgeted run").rows)
+                            (which, db.run(&plan).expect("concurrent budgeted run").rows)
                         })
                     })
                     .collect();

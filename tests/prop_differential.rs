@@ -32,7 +32,9 @@
 
 mod common;
 
-use common::plans::{access_strategy, agg_strategy, join_strategy, plan_for, AggShape, JoinShape};
+use common::plans::{
+    access_strategy, agg_strategy, join_strategy, plan_for, sort_strategy, AggShape, JoinShape,
+};
 use common::reference::{self, Tables};
 use common::{schema, scramble, tables};
 use proptest::prelude::*;
@@ -159,10 +161,12 @@ proptest! {
         residual in prop_oneof![2 => Just(None), 1 => (0i64..900).prop_map(Some)],
         join in join_strategy(),
         agg in agg_strategy(),
+        sort in sort_strategy(),
     ) {
-        let plan = plan_for(&access, ordered, lo, width, residual, join, agg);
+        let plan = plan_for(&access, ordered, lo, width, residual, join, agg, &sort);
         let context = format!(
-            "{access:?} ordered={ordered} lo={lo} width={width} res={residual:?} {join:?} {agg:?}"
+            "{access:?} ordered={ordered} lo={lo} width={width} res={residual:?} {join:?} {agg:?} \
+             sort={sort:?}"
         );
 
         // Oracle: the Volcano row-at-a-time driver.
@@ -217,7 +221,7 @@ proptest! {
         cfg.result_cache_spill = Some(spill);
         cfg.result_cache_partitions = partitions;
         let plan = plan_for(&AccessPathChoice::Smooth(cfg), false, lo, width, None,
-            JoinShape::None, AggShape::None);
+            JoinShape::None, AggShape::None, &[]);
         let volcano = run_volcano(&plan);
         let columnar = run_tree(&plan);
         prop_assert!(columnar.rows == volcano.rows, "rows diverge (spill={spill})");
@@ -253,8 +257,8 @@ proptest! {
         sorted in any::<bool>(),
     ) {
         let join = if semi { JoinShape::HashSemi } else { JoinShape::HashInner };
-        let mut plan =
-            plan_for(&AccessPathChoice::ForceFull, false, lo, width, None, join, AggShape::None);
+        let full = AccessPathChoice::ForceFull;
+        let mut plan = plan_for(&full, false, lo, width, None, join, AggShape::None, &[]);
         if sorted {
             plan = plan.sort(vec![SortKey::asc(2), SortKey::asc(0)]);
         }
@@ -318,6 +322,7 @@ fn merge_join_matches_no_null_keys() {
         None,
         JoinShape::MergeNullable,
         AggShape::None,
+        &[],
     );
     let volcano = run_volcano(&plan);
     assert!(volcano.rows.iter().all(|r| !r.get(2).is_null()) && !volcano.rows.is_empty());

@@ -342,12 +342,12 @@ proptest! {
                 .map(|shape| {
                     let db = &db;
                     let plan = plan_for(shape);
-                    scope.spawn(move || db.session().run(&plan).expect("clean session").rows)
+                    scope.spawn(move || db.run(&plan).expect("clean session").rows)
                 })
                 .collect();
             let db = &db;
             let poison_plan = &poison_plan;
-            let poisoned = scope.spawn(move || match db.session().run(poison_plan) {
+            let poisoned = scope.spawn(move || match db.run(poison_plan) {
                 Ok(out) => Outcome::Rows(out.rows),
                 Err(e) => Outcome::Failed(e),
             });

@@ -84,7 +84,8 @@ proptest! {
         reader in 0usize..5,
     ) {
         let (tables, db) = fixture(300);
-        let plan = reader_above(plan_for(&access, ordered, lo, width, residual, join, agg), reader);
+        let plan = plan_for(&access, ordered, lo, width, residual, join, agg, &[]);
+        let plan = reader_above(plan, reader);
         let pruned = assert_prune_preserves(&plan, &tables, &db);
         // The root needs everything: its operator emits what the
         // reference's rows hold, column for column.
@@ -171,8 +172,9 @@ fn a_semi_join_emits_from_its_left_side_only() {
     }
 }
 
-/// An `ordered:` full scan sorts under a wrap on its range key: the key
-/// survives a parent that never reads it, at whatever ordinal it lands.
+/// An `ordered:` full scan resolves to a `Sort` on its range key: the
+/// key survives a parent that never reads it, at whatever ordinal it
+/// lands.
 #[test]
 fn an_ordered_scan_keeps_the_key_its_sort_wrap_needs() {
     let (tables, db) = fixture(300);
