@@ -9,13 +9,26 @@
 //! SLA-driven (model-computed switch point for a 2×-full-scan bound, then
 //! Greedy). The SLA bound itself is reported as its own column (the orange
 //! dotted line of the paper's plot).
+//!
+//! **Gates (7b).** Under `--json` every grid point × trigger is an id
+//! (`virtual.fig7b.<sel>.{eager,optimizer,sla}.secs`), and one floor holds:
+//!
+//! * `fig7b.sla_bound_over_max` — the SLA bound over the SLA-driven run's
+//!   slowest grid point. Floor [`SLA_BOUND_OVER_MAX_FLOOR`], what the
+//!   engine does.
+//!
+//! The gap, written down rather than gated: the paper's SLA-driven run
+//! stays under its bound (a ratio of at least 1). At paper scale it does
+//! (0.7273 s against 0.7408 s, 1.02). At smoke scale it crosses its own
+//! 2×-full-scan bound from 75 % on (0.0667 s against 0.0617 s at 100 %,
+//! 0.925), so no floor claims the bound.
 
 use smooth_core::{CostModel, PolicyKind, SmoothScanConfig, TableGeometry, Trigger};
 use smooth_planner::AccessPathChoice;
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::report::Report;
+use crate::report::{json_metric, sel_tag, Metric, Report};
 use crate::setup;
 
 /// The paper's fine-grained x-axis: dense around the trigger region, then
@@ -25,6 +38,10 @@ fn fine_grid() -> Vec<f64> {
     g.extend([0.05, 0.10, 0.20, 0.30, 0.40, 0.50, 0.75, 1.0]);
     g
 }
+
+/// The SLA-driven run's slowest point over its bound (0.925 at smoke scale,
+/// 1.02 at paper scale).
+pub const SLA_BOUND_OVER_MAX_FLOOR: f64 = 0.9;
 
 /// Fig. 7a: policies.
 pub fn run_policies() {
@@ -72,23 +89,42 @@ pub fn run_triggers() {
         "triggering points (exec time, virtual s)",
         &["sel_%", "eager", "optimizer_driven", "sla_driven", "sla_bound"],
     );
+    let mut sla_max = 0.0f64;
     for sel in fine_grid() {
         let mut cells = vec![format!("{}", sel * 100.0)];
-        for trigger in [
-            Trigger::Eager,
-            Trigger::OptimizerDriven {
-                estimated_cardinality: optimizer_estimate,
-                policy: PolicyKind::SelectivityIncrease,
-            },
-            Trigger::SlaDriven { bound_ns: sla_bound_ns },
+        for (name, trigger) in [
+            ("eager", Trigger::Eager),
+            (
+                "optimizer",
+                Trigger::OptimizerDriven {
+                    estimated_cardinality: optimizer_estimate,
+                    policy: PolicyKind::SelectivityIncrease,
+                },
+            ),
+            ("sla", Trigger::SlaDriven { bound_ns: sla_bound_ns }),
         ] {
             let access =
                 AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().with_trigger(trigger));
             let stats = db.run(&micro::query(sel, false, access)).expect("fig7b").stats;
             cells.push(Report::secs(stats.secs()));
+            if name == "sla" {
+                sla_max = sla_max.max(stats.secs());
+            }
+            json_metric(Metric::new(
+                format!("virtual.fig7b.{}.{name}.secs", sel_tag(sel)),
+                stats.secs(),
+                "virtual_s",
+                false,
+            ));
         }
         cells.push(Report::secs(sla_bound_ns as f64 / 1e9));
         report.row(cells);
     }
     report.finish();
+    let over_max = sla_bound_ns as f64 / 1e9 / sla_max;
+    println!("  [SLA bound over the SLA-driven run's slowest point: {over_max:.3}]");
+    json_metric(
+        Metric::new("fig7b.sla_bound_over_max", over_max, "x", true)
+            .with_floor(SLA_BOUND_OVER_MAX_FLOOR),
+    );
 }
