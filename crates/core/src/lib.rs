@@ -10,8 +10,9 @@
 //! * [`policy`] — the morphing policies: Greedy, Selectivity-Increase and
 //!   Elastic (Section III-B);
 //! * [`trigger`] — the morphing triggers: Eager, Optimizer-driven and
-//!   SLA-driven (Section III-C), and Switch, under which Smooth Scan is
-//!   Switch Scan, the binary-decision straw man (Sections III, VI-F);
+//!   SLA-driven (Section III-C); Never, under which Smooth Scan is the
+//!   engine's Index Scan; and Switch, under which it is Switch Scan, the
+//!   binary-decision straw man (Sections III, VI-F);
 //! * [`page_cache`] / [`tuple_cache`] — the Page-ID and Tuple-ID bitmap
 //!   caches (Section IV-A);
 //! * [`result_cache`] — the key-range-partitioned Result Cache with bulk

@@ -3,9 +3,11 @@
 //! Smooth Scan is driven by the B+-tree range cursor, exactly like an index
 //! scan — but instead of fetching one tuple per probe it *morphs*:
 //!
-//! * **Mode 0** (only under the Optimizer, SLA and Switch triggers): behave as a
-//!   traditional index scan, recording produced tuples in the Tuple-ID
-//!   cache, until the trigger cardinality is exceeded.
+//! * **Mode 0** (under every trigger but Eager): behave as a traditional
+//!   index scan until the trigger cardinality is exceeded, recording
+//!   produced tuples in the Tuple-ID cache when a later phase can revisit
+//!   their pages. Under [`Trigger::Never`] Mode 0 covers the whole range:
+//!   that is the engine's Index Scan.
 //! * **Mode 1 — Entire Page Probe**: examine *all* records of each heap
 //!   page fetched, trading CPU for I/O (never visit a page twice).
 //! * **Mode 2(+) — Flattening Access**: fetch a growing region of adjacent
@@ -26,7 +28,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
-use smooth_executor::{fill_from, Operator, PageQueue, Predicate, ScanFilter};
+use smooth_executor::{fill_from, slot_tuples, Operator, PageQueue, Predicate, ScanFilter};
 use smooth_index::{BTreeIndex, IndexCursor};
 use smooth_storage::{HeapFile, PageView, Session, Storage};
 use smooth_types::{
@@ -317,7 +319,7 @@ impl SmoothScan {
                         self.layout.decode_into(tuples[i], out.columns_mut())?;
                         out.commit_rows(1);
                     } else {
-                        let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
+                        let cache = self.result_cache.as_mut().ok_or_else(not_open)?;
                         cache.insert(s, keys.int(i)?, tid, tuples[i]);
                     }
                 }
@@ -361,7 +363,7 @@ impl SmoothScan {
     fn fill(&mut self, s: &mut Session, max: usize) -> Result<()> {
         while self.out.pending() < max {
             if self.queue.is_empty() {
-                if !self.advance(s)? {
+                if !self.advance(s, max)? {
                     break;
                 }
                 continue;
@@ -381,16 +383,23 @@ impl SmoothScan {
         Ok(())
     }
 
-    /// Advance the driving cursor by one probe. Any rows this produces —
-    /// a Mode-0 tuple, a Result-Cache hit or the ordered driving tuple —
-    /// append to the columnar output buffer in emission order; an
+    /// Advance the driving cursor: in Mode 0 by one walk (see
+    /// [`SmoothScan::mode0`]), afterwards by one probe. Any rows this
+    /// produces — Mode-0 tuples, a Result-Cache hit or the ordered driving
+    /// tuple — append to the columnar output buffer in emission order; an
     /// unordered region's pages join the page queue. Returns `false` at
     /// cursor exhaustion (after a switch, at the heap's end).
-    fn advance(&mut self, s: &mut Session) -> Result<bool> {
+    fn advance(&mut self, s: &mut Session, max: usize) -> Result<bool> {
         if let Some(page) = self.heap_next {
             return self.heap_run(s, page);
         }
-        let cursor = self.cursor.as_mut().ok_or_else(|| Error::exec("SmoothScan before open"))?;
+        let produced = self.metrics.mode0_tuples;
+        if let Some(limit) = self.traditional_until.filter(|&limit| produced < limit) {
+            let left = usize::try_from(limit - produced).unwrap_or(usize::MAX);
+            let walk = (max - self.out.pending()).min(left);
+            return self.mode0(s, walk);
+        }
+        let cursor = self.cursor.as_mut().ok_or_else(not_open)?;
         let Some((key, tid)) = cursor.next_in(s) else {
             return Ok(false);
         };
@@ -399,24 +408,18 @@ impl SmoothScan {
             // per emitted batch (see `flush_cache_eviction`), not per key.
             rc.defer_advance(key);
         }
-        // Mode 0: traditional index scan until the trigger fires.
-        if let Some(limit) = self.traditional_until {
-            if self.metrics.mode0_tuples >= limit {
-                self.traditional_until = None;
-                self.metrics.triggered = true;
-                if matches!(self.config.trigger, Trigger::Switch { .. }) {
-                    // Switch Scan abandons the index for the whole heap.
-                    self.cursor = None;
-                    return self.heap_run(s, 0);
-                }
-            } else {
-                self.mode0_step(s, tid)?;
-                return Ok(true);
+        // Mode 0 produced its limit: the trigger fires on this entry.
+        if self.traditional_until.take().is_some() {
+            self.metrics.triggered = true;
+            if matches!(self.config.trigger, Trigger::Switch { .. }) {
+                // Switch Scan abandons the index for the whole heap.
+                self.cursor = None;
+                return self.heap_run(s, 0);
             }
         }
         // Smooth phase.
         if self.config.ordered {
-            let cache = self.result_cache.as_mut().ok_or_else(no_result_cache)?;
+            let cache = self.result_cache.as_mut().ok_or_else(not_open)?;
             if let Some(tuple) = cache.probe(s, key, tid) {
                 s.release();
                 let out = self.out.fill();
@@ -455,31 +458,40 @@ impl SmoothScan {
         }
     }
 
-    /// One traditional (Mode 0) index-scan step for the driving TID: fetch
-    /// its page, inspect the tuple and, if it qualifies, record it in the
-    /// Tuple-ID cache and decode it into the output buffer.
-    fn mode0_step(&mut self, s: &mut Session, tid: Tid) -> Result<()> {
-        let page = s.read_heap_page(&self.heap, tid.page)?;
-        s.release();
-        let cpu = *s.cpu();
-        s.charge_cpu(cpu.inspect_tuple_ns);
-        let tuple = [PageView::new(&page)?.get(tid.slot)?];
-        if self.filter.select(&tuple)? == 1 {
-            let produced = self.tuple_cache.as_mut();
-            produced.ok_or_else(|| Error::exec("Mode 0 without a tuple cache"))?.insert(tid)?;
-            self.metrics.mode0_tuples += 1;
-            s.charge_cpu(cpu.emit_tuple_ns);
-            let out = self.out.fill();
-            self.filter.gather_selected(&tuple, out.columns_mut())?;
-            out.commit_rows(1);
+    /// Mode 0, the traditional index scan: walk at most `n` index entries
+    /// — each yields at most one row, so with `n` capped at the trigger
+    /// cardinality minus the tuples produced the walk never passes the
+    /// trigger point — fetching their pages on one storage session, then
+    /// inspect them in one pass: one inspect per entry, one emit per
+    /// qualifier, whose TIDs the Tuple-ID cache records. Returns `false`
+    /// once the range is exhausted.
+    fn mode0(&mut self, s: &mut Session, n: usize) -> Result<bool> {
+        let cursor = self.cursor.as_mut().ok_or_else(not_open)?;
+        let (mut fetched, mut tids) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        while fetched.len() < n {
+            let Some((key, tid)) = cursor.next_in(s) else { break };
+            if let Some(rc) = self.result_cache.as_mut() {
+                rc.defer_advance(key);
+            }
+            fetched.push((s.read_heap_page(&self.heap, tid.page)?, tid.slot));
+            tids.push(tid);
         }
-        Ok(())
+        s.release();
+        let (inspected, emitted) = self.filter.fill(&slot_tuples(&fetched)?, self.out.fill())?;
+        s.charge_cpu(s.cpu().inspect_tuple_ns * inspected + s.cpu().emit_tuple_ns * emitted);
+        if let Some(produced) = self.tuple_cache.as_mut() {
+            for &i in self.filter.selected() {
+                produced.insert(tids[i as usize])?;
+            }
+        }
+        self.metrics.mode0_tuples += emitted;
+        Ok(fetched.len() == n)
     }
 }
 
-/// Ordered mode builds its Result Cache in `open`.
-fn no_result_cache() -> Error {
-    Error::exec("ordered SmoothScan before open")
+/// `open` builds the cursor and, in ordered mode, the Result Cache.
+fn not_open() -> Error {
+    Error::exec("SmoothScan before open")
 }
 
 impl Operator for SmoothScan {
@@ -501,9 +513,12 @@ impl Operator for SmoothScan {
         self.metrics = SmoothScanMetrics::default();
         self.traditional_until = self.config.trigger.trigger_cardinality(&self.model);
         self.heap_next = None;
-        self.tuple_cache = self
-            .traditional_until
-            .map(|_| TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page()));
+        // A trigger that never fires leaves no later phase to revisit
+        // Mode 0's pages, and emits in cursor order: no Tuple-ID cache and
+        // no Result Cache.
+        let fires = self.config.trigger != Trigger::Never;
+        self.tuple_cache = (fires && self.traditional_until.is_some())
+            .then(|| TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page()));
         self.policy = MorphPolicy::new(
             if self.traditional_until.is_some() {
                 self.config.trigger.post_trigger_policy(self.config.policy)
@@ -512,7 +527,7 @@ impl Operator for SmoothScan {
             },
             self.config.max_region_pages,
         );
-        self.result_cache = self.config.ordered.then(|| {
+        self.result_cache = (fires && self.config.ordered).then(|| {
             let cache = ResultCache::new(
                 &self.index.root_separators(),
                 self.config.result_cache_partitions,
@@ -528,10 +543,10 @@ impl Operator for SmoothScan {
     }
 
     /// Cursor probes run until a whole morsel is buffered, then it leaves
-    /// in one call. Morphing decisions (trigger cardinality, region
-    /// growth) still advance per probe — the batch boundary never coarsens
-    /// the switch logic, it only amortizes emission and, on one storage
-    /// session, the lock and clock traffic of the probes.
+    /// in one call. A Mode-0 walk stops at the trigger cardinality and
+    /// region growth advances per probe, so the batch boundary never
+    /// coarsens the switch logic; it only amortizes emission and, on one
+    /// storage session, the lock and clock traffic of the probes.
     fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
         self.flush_cache_eviction();
         let max = max.max(1);
@@ -567,17 +582,17 @@ impl Operator for SmoothScan {
     fn label(&self) -> String {
         let (heap, index, cols) =
             (self.heap.name(), self.index.name(), self.filter.columns_label());
-        if let Trigger::Switch { estimated_cardinality } = self.config.trigger {
-            return format!(
-                "SwitchScan({heap} via {index}, estimate={estimated_cardinality}){cols}"
-            );
+        match self.config.trigger {
+            Trigger::Never => format!("IndexScan({heap} via {index}){cols}"),
+            Trigger::Switch { estimated_cardinality } => {
+                format!("SwitchScan({heap} via {index}, estimate={estimated_cardinality}){cols}")
+            }
+            trigger => format!(
+                "SmoothScan({heap} via {index}, {:?}, {trigger:?}{}){cols}",
+                self.config.policy,
+                if self.config.ordered { ", ordered" } else { "" },
+            ),
         }
-        format!(
-            "SmoothScan({heap} via {index}, {:?}, {:?}{}){cols}",
-            self.config.policy,
-            self.config.trigger,
-            if self.config.ordered { ", ordered" } else { "" },
-        )
     }
 }
 
@@ -759,6 +774,49 @@ mod tests {
         assert!(!m.triggered);
         assert_eq!(m.pages_fetched, 0, "never morphed");
         assert_eq!(m.mode0_tuples as usize, rows.len());
+    }
+
+    fn never() -> SmoothScanConfig {
+        SmoothScanConfig::default().with_trigger(Trigger::Never)
+    }
+
+    #[test]
+    fn index_scan_emits_in_key_order() {
+        let (heap, index) = table(3000);
+        let s = storage(128);
+        for ordered in [false, true] {
+            let mut is = smooth(&heap, &index, &s, 300, never().with_order(ordered));
+            let rows = collect_rows(&mut is).unwrap();
+            let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
+            assert!(keys.windows(2).all(|w| w[0] <= w[1]));
+            assert_eq!(sorted_by_key(rows), oracle(&heap, &s, 300));
+            // Mode 0 throughout: no trigger, no region, no Result Cache.
+            let m = is.metrics();
+            assert_eq!((m.triggered, m.pages_fetched, m.cache.requests), (false, 0, 0));
+            assert_eq!(m.mode0_tuples, keys.len() as u64);
+            assert!(is.label().starts_with("IndexScan(t via i_c1)"), "{}", is.label());
+        }
+    }
+
+    #[test]
+    fn index_scan_costs_grow_with_selectivity_sort_scan_reads_pages_once() {
+        let (heap, index) = table(3000);
+        // A pool far smaller than the heap, so the index scan's repeated
+        // page visits actually hit the device (cold-cache regime).
+        let s = storage(4);
+        // Index scan, 50% selectivity: many random accesses, repeats.
+        collect_rows(&mut smooth(&heap, &index, &s, 500, never())).unwrap();
+        let is_io = s.io_snapshot();
+        s.reset_metrics();
+        s.flush_pool();
+        let (lo, hi) = (Bound::Included(0), Bound::Excluded(500));
+        let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
+        let mut ss = smooth_executor::SortScan::new(h, i, s.clone(), lo, hi, Predicate::True);
+        collect_rows(&mut ss).unwrap();
+        let ss_io = s.io_snapshot();
+        // Sort scan never rereads a heap page; index scan (tiny pool) does.
+        assert!(is_io.pages_read > ss_io.distinct_pages);
+        assert!(ss_io.io_requests < is_io.io_requests);
     }
 
     fn switch(estimate: u64) -> SmoothScanConfig {

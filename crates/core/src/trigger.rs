@@ -1,4 +1,7 @@
 //! Morphing triggers: *when* Smooth Scan starts morphing (Section III-C).
+//!
+//! Every trigger but Eager starts in Mode 0, the traditional index scan;
+//! one that never fires is the engine's Index Scan.
 
 use crate::cost_model::CostModel;
 use crate::policy::PolicyKind;
@@ -27,6 +30,9 @@ pub enum Trigger {
         /// The SLA: an upper bound on operator execution time.
         bound_ns: u64,
     },
+    /// Never morph: Mode 0 over the whole range — a traditional index scan
+    /// (Section II), key-ordered, one heap fetch per index entry.
+    Never,
     /// Switch Scan, the binary-decision straw man of Section VI-F: the
     /// Optimizer-driven trigger's index phase, then — instead of morphing —
     /// the cursor is dropped and the whole heap is read from page 0 in
@@ -41,10 +47,12 @@ pub enum Trigger {
 
 impl Trigger {
     /// The cardinality at which the traditional index phase must end
-    /// (`None` for Eager, which never runs a traditional phase).
+    /// (`None` for Eager, which never runs a traditional phase; `u64::MAX`
+    /// for Never, whose traditional phase never ends).
     pub fn trigger_cardinality(&self, model: &CostModel) -> Option<u64> {
         match self {
             Trigger::Eager => None,
+            Trigger::Never => Some(u64::MAX),
             Trigger::OptimizerDriven { estimated_cardinality, .. }
             | Trigger::Switch { estimated_cardinality } => Some(*estimated_cardinality),
             Trigger::SlaDriven { bound_ns } => {
@@ -53,10 +61,10 @@ impl Trigger {
         }
     }
 
-    /// Policy to morph with once triggered (Switch does not morph).
+    /// Policy to morph with once triggered (Never and Switch do not morph).
     pub fn post_trigger_policy(&self, default: PolicyKind) -> PolicyKind {
         match self {
-            Trigger::Eager | Trigger::Switch { .. } => default,
+            Trigger::Eager | Trigger::Never | Trigger::Switch { .. } => default,
             Trigger::OptimizerDriven { policy, .. } => *policy,
             Trigger::SlaDriven { .. } => PolicyKind::Greedy,
         }

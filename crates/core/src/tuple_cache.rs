@@ -1,10 +1,11 @@
 //! The Tuple-ID cache: one bit per tuple slot (Section IV-A).
 //!
-//! Needed only by the Optimizer- and SLA-driven triggers: tuples produced
-//! by the traditional index scan *before* morphing starts must not be
-//! produced again when Smooth Scan later processes their whole page. (With
-//! the Eager strategy the cache is unnecessary — a point the paper credits
-//! to strict `(indexkey, TID)` ordering.)
+//! Needed only by the triggers that fire after a traditional index scan —
+//! Optimizer-driven, SLA-driven and Switch: tuples Mode 0 produced *before*
+//! the trigger fires must not be produced again when Smooth Scan later
+//! processes their whole page. (With the Eager strategy the cache is
+//! unnecessary — a point the paper credits to strict `(indexkey, TID)`
+//! ordering — and under Never no later phase revisits a page.)
 
 use smooth_storage::PageView;
 use smooth_types::{PageId, Result, Tid};

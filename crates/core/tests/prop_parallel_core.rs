@@ -1,5 +1,6 @@
 //! Property tests: the morsel-driven parallel driver over *adaptive*
-//! sources. Smooth Scan, under every trigger (Switch Scan's included),
+//! sources. Smooth Scan, under every trigger (Index Scan's and Switch
+//! Scan's included),
 //! runs as the pipeline's serial shared source — its morph decisions,
 //! caches and per-probe region accounting stay centralized in the one
 //! operator instance — while filter and partial-aggregate stages fan out
@@ -126,8 +127,8 @@ proptest! {
 
     /// Smooth Scan as a shared parallel source across every policy,
     /// trigger and order mode — including OptimizerDriven triggers that
-    /// flip Mode 0 → morphing mid-scan and Switch triggers that drop the
-    /// cursor for the heap — with filter / partial-aggregate stages
+    /// flip Mode 0 → morphing mid-scan, Switch triggers that drop the
+    /// cursor for the heap and Never, Index Scan — with filter / partial-aggregate stages
     /// fanning out above it. An ordered scan refuses the Switch trigger.
     #[test]
     fn parallel_smooth_scan_equals_serial(
@@ -138,6 +139,7 @@ proptest! {
         ordered in any::<bool>(),
         trigger in prop_oneof![
             Just(Trigger::Eager),
+            Just(Trigger::Never),
             (0u64..200).prop_map(|c| Trigger::OptimizerDriven {
                 estimated_cardinality: c,
                 policy: PolicyKind::Elastic,

@@ -8,8 +8,9 @@
 //! scans do. Batch size carries the same obligation — `next()`,
 //! `next_columns(1)`, `next_columns(max)` and the two interleaved yield
 //! one row sequence, including across mode switches — and the per-tuple
-//! charges of Mode 0 and of the Switch trigger's heap-order finish are
-//! pinned in closed form.
+//! charges of Mode 0 (Index Scan being Mode 0 under a trigger that never
+//! fires) and of the Switch trigger's heap-order finish are pinned in
+//! closed form and against a per-call loop over the storage API.
 
 use std::ops::Bound;
 use std::sync::Arc;
@@ -22,7 +23,10 @@ use smooth_executor::{
     collect_rows, collect_rows_volcano, IndexNestedLoopJoin, JoinType, Operator, Predicate,
 };
 use smooth_index::BTreeIndex;
-use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, Storage, StorageConfig};
+use smooth_storage::{
+    ClockSnapshot, CpuCosts, DeviceProfile, HeapFile, HeapLoader, IoSnapshot, Storage,
+    StorageConfig,
+};
 use smooth_types::{Column, DataType, Row, Schema, Value};
 
 /// Drain through `next_columns(max)` only, checking the batch contract:
@@ -120,16 +124,56 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
-/// Eager, or a trigger whose index phase ends at a cardinality below `max`:
-/// Optimizer-driven (morphing with Elastic afterwards) or Switch.
+/// Eager, Never (Index Scan), or a trigger whose index phase ends at a
+/// cardinality below `max`: Optimizer-driven (morphing with Elastic
+/// afterwards) or Switch.
 fn arb_trigger(max: u64) -> impl Strategy<Value = Trigger> {
-    let optimizer =
-        |c| Trigger::OptimizerDriven { estimated_cardinality: c, policy: PolicyKind::Elastic };
     prop_oneof![
         Just(Trigger::Eager),
-        (0..max).prop_map(optimizer),
+        Just(Trigger::Never),
+        (0..max).prop_map(|c| optimizer(c, PolicyKind::Elastic)),
         (0..max).prop_map(|c| Trigger::Switch { estimated_cardinality: c }),
     ]
+}
+
+fn optimizer(estimated_cardinality: u64, policy: PolicyKind) -> Trigger {
+    Trigger::OptimizerDriven { estimated_cardinality, policy }
+}
+
+/// One way of running an opened-and-closed operator to completion.
+type Drain<'a> = dyn Fn(&mut dyn Operator) -> Vec<Row> + 'a;
+
+/// What a run shows: its rows, the virtual clock and the I/O counters.
+type Observed = (Vec<Row>, ClockSnapshot, IoSnapshot);
+
+fn observe(s: &Storage, rows: Vec<Row>) -> Observed {
+    (rows, s.clock().snapshot(), s.io_snapshot())
+}
+
+/// Index Scan the per-call way: one `IndexCursor::next` and one
+/// `Storage::read_heap_page` per TID, until the range is exhausted or
+/// `limit` tuples qualified; the inspect / emit charges in closed form.
+fn index_scan_reference(
+    s: &Storage,
+    (heap, index): (&HeapFile, &Arc<BTreeIndex>),
+    (lo, hi): (Bound<i64>, Bound<i64>),
+    passes: impl Fn(&Row) -> bool,
+    limit: u64,
+) -> Observed {
+    let (mut rows, mut inspected) = (Vec::new(), 0);
+    let mut cursor = index.range(s, lo, hi);
+    while (rows.len() as u64) < limit {
+        let Some((_, tid)) = cursor.next() else { break };
+        let page = s.read_heap_page(heap, tid.page).unwrap();
+        let row = heap.decode_slot(&page, tid.slot).unwrap();
+        inspected += 1;
+        if passes(&row) {
+            rows.push(row);
+        }
+    }
+    let cpu = s.cpu();
+    s.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * rows.len() as u64);
+    observe(s, rows)
 }
 
 proptest! {
@@ -144,20 +188,17 @@ proptest! {
         ordered in any::<bool>(),
         pool in 4usize..64,
         max_region in prop_oneof![Just(1u32), Just(4u32), Just(2048u32)],
-        trigger_card in prop_oneof![Just(None), (0u64..300).prop_map(Some)],
+        trigger in prop_oneof![
+            Just(Trigger::Eager),
+            Just(Trigger::Never),
+            (0u64..300).prop_map(|c| optimizer(c, PolicyKind::SelectivityIncrease)),
+        ],
     ) {
         let (heap, index) = build_table(&keys);
         let s = storage(pool);
         let hi = lo + width;
         let expected = oracle(&keys, &Predicate::int_half_open(1, lo, hi));
 
-        let trigger = match trigger_card {
-            None => Trigger::Eager,
-            Some(c) => Trigger::OptimizerDriven {
-                estimated_cardinality: c,
-                policy: PolicyKind::SelectivityIncrease,
-            },
-        };
         let mut config = SmoothScanConfig::default()
             .with_policy(policy)
             .with_order(ordered)
@@ -327,8 +368,7 @@ proptest! {
     /// The traditional phases charge in closed form, every count taken
     /// from the loaded rows: what a bare cursor charges for the index
     /// entries consumed, one pool lookup and one inspect per TID fetched,
-    /// one emit per tuple produced. Mode 0 under a trigger that never
-    /// fires consumes the whole range. Under the Switch trigger it
+    /// one emit per tuple produced. Under the Switch trigger Mode 0
     /// consumes entries up to and including the one that fires it — the
     /// entry after the `estimate`-th qualifier, never fetched — and the
     /// heap-order finish pays one Page-ID-cache check per readahead run,
@@ -357,21 +397,6 @@ proptest! {
         let per_tid = cpu.hash_op_ns + cpu.inspect_tuple_ns;
 
         let s = storage(16);
-        let never = Trigger::OptimizerDriven {
-            estimated_cardinality: u64::MAX,
-            policy: PolicyKind::Elastic,
-        };
-        let config = SmoothScanConfig::default().with_trigger(never);
-        let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
-        let mut mode0 = SmoothScan::new(h, i, s.clone(), 1, lo_b, hi_b, residual(), config);
-        prop_assert_eq!(collect_rows(&mut mode0).unwrap().len() as u64, qualifiers);
-        prop_assert_eq!(mode0.metrics().mode0_tuples, qualifiers);
-        prop_assert_eq!(
-            s.clock().snapshot().cpu_ns,
-            cursor_cpu(&index, lo, hi, None) + per_tid * entries.len() as u64 + cpu.emit_tuple_ns * qualifiers
-        );
-
-        let s = storage(16);
         let switch = Trigger::Switch { estimated_cardinality: estimate };
         let config = SmoothScanConfig::default().with_trigger(switch);
         let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
@@ -398,5 +423,136 @@ proptest! {
         let m = sw.metrics();
         prop_assert_eq!((m.triggered, m.mode0_tuples), (fires_at.is_some(), qualifiers.min(estimate)));
         prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
+    }
+
+    /// Index Scan's CPU charge in closed form, counts taken from the
+    /// loaded rows: what a bare cursor charges over the range, one pool
+    /// lookup and one inspect per TID fetched, one emit per qualifier —
+    /// through `next()` and at every batch size.
+    #[test]
+    fn index_scan_charges_its_closed_form(
+        keys in proptest::collection::vec(0i64..100, 1..500),
+        lo in 0i64..100,
+        width in 0i64..110,
+        residual_hi in 0i64..600,
+        ordered in any::<bool>(),
+    ) {
+        let (heap, index) = build_table(&keys);
+        let hi = lo + width;
+        let fetched: Vec<usize> = (0..keys.len()).filter(|&i| keys[i] >= lo && keys[i] < hi).collect();
+        let qualifiers = fetched.iter().filter(|&&i| (i as i64) < residual_hi).count() as u64;
+        let cpu = CpuCosts::default();
+        let expected = cursor_cpu(&index, lo, hi, None)
+            + (cpu.hash_op_ns + cpu.inspect_tuple_ns) * fetched.len() as u64
+            + cpu.emit_tuple_ns * qualifiers;
+        let drains: [&Drain; 3] = [
+            &|op| collect_rows_volcano(op).unwrap(),
+            &|op| collect_columnar(op, 1),
+            &|op| collect_columnar(op, 1024),
+        ];
+        let config = SmoothScanConfig::default().with_trigger(Trigger::Never).with_order(ordered);
+        for drain in drains {
+            let (s, h, i) = (storage(16), Arc::clone(&heap), Arc::clone(&index));
+            let (lo, hi, residual) = (Bound::Included(lo), Bound::Excluded(hi), Predicate::int_lt(0, residual_hi));
+            let mut scan = SmoothScan::new(h, i, s.clone(), 1, lo, hi, residual, config);
+            prop_assert_eq!(drain(&mut scan).len() as u64, qualifiers);
+            prop_assert_eq!(scan.metrics().mode0_tuples, qualifiers);
+            prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Mode 0 fetches a whole walk's TIDs on one storage session and
+    /// inspects them afterwards; that must move no charge. Over a padded
+    /// table on a 2–8-page pool — every heap fetch can evict an index
+    /// node, so the interleaving of index touches and heap reads decides
+    /// every hit, miss and seq / rand verdict — Index Scan, drained
+    /// through `next()` and at `max ∈ {1, 2, 7, 1024}`, shows the rows,
+    /// clock and I/O counters of the per-call loop. Under an Optimizer
+    /// trigger at `k` Mode 0 shows them up to the trigger point — after
+    /// `k` rows through `next()`, or one `next_columns(k)` — and every
+    /// drain leaves exactly the first `k` qualifiers to Mode 0.
+    #[test]
+    fn mode0_charges_what_the_per_call_loop_charges(
+        keys in proptest::collection::vec(0i64..30, 1..160),
+        fanout in 2usize..7,
+        pool_pages in 2usize..9,
+        residual_hi in 0i64..200,
+        lo in 0i64..30,
+        width in 0i64..35,
+        k in 0u64..40,
+    ) {
+        let schema = Schema::new(vec![
+            Column::new("c0", DataType::Int64),
+            Column::new("c1", DataType::Int64),
+            Column::new("pad", DataType::Text),
+        ])
+        .unwrap();
+        let mut loader = HeapLoader::new_mem("t", schema);
+        let mut entries = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let row = Row::new(vec![Value::Int(i as i64), Value::Int(key), Value::str("p".repeat(900))]);
+            entries.push((key, loader.push(&row).unwrap()));
+        }
+        let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
+        let index = Arc::new(BTreeIndex::build_with_fanout("i", entries, fanout));
+        let range = (Bound::Included(lo), Bound::Excluded(lo + width));
+        let passes = |row: &Row| row.int(0).unwrap() < residual_hi;
+        let scan = |s: &Storage, trigger| {
+            let (h, i, residual) = (Arc::clone(&heap), Arc::clone(&index), Predicate::int_lt(0, residual_hi));
+            let config = SmoothScanConfig::default().with_trigger(trigger);
+            SmoothScan::new(h, i, s.clone(), 1, range.0, range.1, residual, config)
+        };
+        let reference = |limit| index_scan_reference(&storage(pool_pages), (&heap, &index), range, passes, limit);
+        let drains: [&Drain; 5] = [
+            &|op| collect_rows_volcano(op).unwrap(),
+            &|op| collect_columnar(op, 1),
+            &|op| collect_columnar(op, 2),
+            &|op| collect_columnar(op, 7),
+            &|op| collect_columnar(op, 1024),
+        ];
+        let all = reference(u64::MAX);
+        for drain in drains {
+            let s = storage(pool_pages);
+            prop_assert!(observe(&s, drain(&mut scan(&s, Trigger::Never))) == all);
+        }
+        // Up to the trigger point, a row at a time and in one walk.
+        let trigger = optimizer(k, PolicyKind::Elastic);
+        let expected = reference(k);
+        let s = storage(pool_pages);
+        let mut ss = scan(&s, trigger);
+        ss.open().unwrap();
+        let rows = (0..k).map_while(|_| ss.next().unwrap()).collect();
+        prop_assert!(observe(&s, rows) == expected, "{k} rows through next()");
+        if k > 0 {
+            let s = storage(pool_pages);
+            let mut ss = scan(&s, trigger);
+            ss.open().unwrap();
+            let rows = ss.next_columns(k as usize).unwrap().map_or_else(Vec::new, |b| b.into_rows());
+            prop_assert!(observe(&s, rows) == expected, "next_columns({k})");
+        }
+        // The trigger fires on the first range entry, in (key, TID) order,
+        // after the `k`-th qualifier.
+        let mut order: Vec<(i64, i64)> = (0..keys.len() as i64)
+            .map(|i| (keys[i as usize], i))
+            .filter(|&(key, _)| key >= lo && key < lo + width)
+            .collect();
+        order.sort_unstable();
+        let mut produced = 0;
+        let fires = order.iter().any(|&(_, i)| {
+            let fires = produced >= k;
+            produced += u64::from(i < residual_hi);
+            fires
+        });
+        for drain in drains {
+            let s = storage(pool_pages);
+            let mut ss = scan(&s, trigger);
+            prop_assert_eq!(canonical(drain(&mut ss)), canonical(all.0.clone()));
+            let m = ss.metrics();
+            prop_assert_eq!((m.mode0_tuples, m.triggered), (k.min(produced), fires));
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Every reader built on `ScanFilter`, narrowed: the five access paths
-//! (Smooth Scan unordered, ordered and through Mode 0), the partitioned
+//! (Smooth Scan unordered, ordered and through Mode 0, Index Scan being
+//! Mode 0 throughout), the partitioned
 //! heap source and both inner sides of the index join emit exactly the columns
 //! asked for — and meet hostile bytes the way `docs/ARCHITECTURE.md`
 //! ("The decode path") says: a tuple's *structure* is validated whatever
@@ -19,7 +20,7 @@ use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Tri
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
-    collect_rows, run_pipeline, FullTableScan, IndexNestedLoopJoin, IndexScan, JoinType, Operator,
+    collect_rows, run_pipeline, FullTableScan, IndexNestedLoopJoin, JoinType, Operator,
     ParallelPipeline, ParallelSource, PhaseSpec, Predicate, SinkSpec, SortScan,
 };
 use smooth_index::BTreeIndex;
@@ -172,12 +173,8 @@ fn read_every_way(
                 .with_columns(cols)
                 .and_then(|mut op| collect_rows(&mut op)),
         ),
-        (
-            "index scan",
-            IndexScan::new(h(), i(), s(), lo, hi, residual())
-                .with_columns(cols)
-                .and_then(|mut op| collect_rows(&mut op)),
-        ),
+        ("index scan", smooth(false, Trigger::Never)),
+        ("ordered index scan", smooth(true, Trigger::Never)),
         (
             "sort scan",
             SortScan::new(h(), i(), s(), lo, hi, residual())
@@ -286,6 +283,8 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
     let config =
         SmoothScanConfig::default().with_trigger(Trigger::Switch { estimated_cardinality: 10_000 });
     let switch = SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config);
+    let config = SmoothScanConfig::default().with_trigger(Trigger::Never);
+    let index_scan = SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config);
     let outer = || {
         let keys = std::iter::once(last_of_page0 % 50).chain(0..50);
         let keys = keys.map(|k| Row::new(vec![Value::Int(k)])).collect();
@@ -300,7 +299,7 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
         IndexNestedLoopJoin::with_inner(outer(), 0, inner, ty, s())
     };
     let read: Vec<(&str, Box<dyn Operator>)> = vec![
-        ("index scan", Box::new(IndexScan::new(h(), i(), s(), lo, hi, t()))),
+        ("index scan", Box::new(index_scan)),
         ("sort scan", Box::new(SortScan::new(h(), i(), s(), lo, hi, t()))),
         ("switch scan's index phase", Box::new(switch)),
         ("index join inner side", Box::new(join(JoinType::Inner, t()))),

@@ -1,11 +1,10 @@
-//! Volcano-style query executor with the traditional access paths.
+//! Volcano-style query executor with two of the traditional access paths.
 //!
 //! Implements the PostgreSQL operator repertoire the paper measures against
-//! (Section II and VI):
+//! (Section II and VI) — all but Index Scan, which is Smooth Scan's Mode 0
+//! under a trigger that never fires (`smooth-core`):
 //!
 //! * **Full Table Scan** — sequential page runs with readahead;
-//! * **Index Scan** — B+-tree range cursor driving random heap fetches,
-//!   preserving key order;
 //! * **Sort Scan** (a.k.a. Bitmap Heap Scan) — drain the index into a TID
 //!   bitmap, fetch nearly sequentially; blocking, order-destroying;
 //! * Filter / Project / Sort;
@@ -71,7 +70,7 @@ pub use parallel::{
     multi_query_makespan_ns, run_pipeline, run_pipeline_traced, LedgerPhase, ParallelPipeline,
     ParallelSource, PhaseBuild, PhaseSpec, ScalingLedger, SinkSpec, StageSpec,
 };
-pub use scan::{fill_from, FullTableScan, IndexScan, PageQueue, SortScan};
+pub use scan::{fill_from, slot_tuples, FullTableScan, PageQueue, SortScan};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};
 pub use sort::Sort;
 pub use spill::{charge_spill_io, mem_budget_bytes, spill_io_ns, spill_write, SpillFile};

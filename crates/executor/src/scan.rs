@@ -1,14 +1,16 @@
-//! The three traditional access paths of Section II.
+//! Two of the three traditional access paths of Section II.
 //!
 //! * [`FullTableScan`] — reads every heap page in physical order with
 //!   readahead; cost is independent of selectivity (Eq. 10).
-//! * [`IndexScan`] — walks the B+-tree range cursor and fetches one heap
-//!   page per qualifying TID; preserves key order but pays a random access
-//!   (and possibly a repeated page visit) per tuple (Eq. 11).
 //! * [`SortScan`] — PostgreSQL's Bitmap Heap Scan: drains the index range
 //!   into a TID bitmap, then fetches each qualifying page once, in page
 //!   order, in a nearly sequential pattern. Blocking, and the index's key
 //!   order is destroyed (Section II "Sort Scan").
+//!
+//! The third, Index Scan (Eq. 11), is Smooth Scan's Mode 0 under a
+//! trigger that never fires (`smooth-core`); it and the index join fetch
+//! one heap page per TID and inspect the fetched tuples through
+//! [`slot_tuples`].
 //!
 //! A scan reads at its own I/O granularity but decodes one morsel ahead:
 //! what it fetched waits, still encoded, in a [`PageQueue`].
@@ -17,12 +19,12 @@ use std::collections::VecDeque;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_index::{BTreeIndex, IndexCursor};
+use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageBuf, PageView, Session, Storage};
 use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId, TidBitmap};
 
 use crate::expr::{Predicate, ScanFilter};
-use crate::operator::{batch_size, Operator};
+use crate::operator::Operator;
 
 /// Fetched heap pages waiting, still encoded, to be inspected: a scan
 /// queues whole I/O units and [`fill_from`] inspects them a page at a
@@ -168,118 +170,13 @@ impl Operator for FullTableScan {
     }
 }
 
-/// Index scan: key-ordered, one heap fetch per qualifying entry.
-///
-/// The heap fetch per TID *is* the index scan's cost profile; what the
-/// columnar fill removes is the per-tuple dispatch and the full decode of
-/// residual-failing rows — qualifiers decode straight into the
-/// [`ColumnBuffer`].
-pub struct IndexScan {
-    heap: Arc<HeapFile>,
-    index: Arc<BTreeIndex>,
-    storage: Storage,
-    lo: Bound<i64>,
-    hi: Bound<i64>,
-    filter: ScanFilter,
-    cursor: Option<IndexCursor>,
-    out: ColumnBuffer,
-}
-
-impl IndexScan {
-    /// Scan `index` over `[lo, hi]`; `residual` filters fetched rows
-    /// (predicates on other columns).
-    pub fn new(
-        heap: Arc<HeapFile>,
-        index: Arc<BTreeIndex>,
-        storage: Storage,
-        lo: Bound<i64>,
-        hi: Bound<i64>,
-        residual: Predicate,
-    ) -> Self {
-        let filter = ScanFilter::new(residual, heap.schema());
-        let out = ColumnBuffer::for_schema(heap.schema());
-        IndexScan { heap, index, storage, lo, hi, filter, cursor: None, out }
-    }
-
-    /// Builder: emit only the columns `cols` of the heap (strictly
-    /// ascending ordinals; `None` = all). The predicate still reads
-    /// whatever it names.
-    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
-        self.out = self.filter.narrow(self.heap.schema(), cols)?;
-        Ok(self)
-    }
-
-    /// Run cursor probes until `want` rows are buffered or the range is
-    /// exhausted. Each round walks at most `want − pending` TIDs (each
-    /// yields at most one row, so never one a TID-at-a-time loop would not
-    /// have read) and fetches their pages on one storage session, then
-    /// fills them in one pass: one inspect per TID, one emit per qualifier.
-    fn fill(&mut self, want: usize) -> Result<()> {
-        let Some(cursor) = self.cursor.as_mut() else {
-            return Err(smooth_types::Error::exec("IndexScan before open"));
-        };
-        while self.out.pending() < want {
-            let (n, s) = (want - self.out.pending(), &mut self.storage.session());
-            let mut fetched = Vec::with_capacity(n);
-            while fetched.len() < n {
-                let Some((_, tid)) = cursor.next_in(s) else { break };
-                fetched.push((s.read_heap_page(&self.heap, tid.page)?, tid.slot));
-            }
-            s.release();
-            let (inspected, emitted) =
-                self.filter.fill(&slot_tuples(&fetched)?, self.out.fill())?;
-            s.charge_cpu(s.cpu().inspect_tuple_ns * inspected + s.cpu().emit_tuple_ns * emitted);
-            if fetched.len() < n {
-                break; // the range is exhausted
-            }
-        }
-        Ok(())
-    }
-}
-
 /// The tuples at the `(page, slot)`s of fetched pages, in order.
-pub(crate) fn slot_tuples(fetched: &[(PageBuf, SlotId)]) -> Result<Vec<&[u8]>> {
+pub fn slot_tuples(fetched: &[(PageBuf, SlotId)]) -> Result<Vec<&[u8]>> {
     let mut tuples = Vec::with_capacity(fetched.len()); // one allocation per morsel
     for (page, slot) in fetched {
         tuples.push(PageView::new(page)?.get(*slot)?);
     }
     Ok(tuples)
-}
-
-impl Operator for IndexScan {
-    fn schema(&self) -> &Schema {
-        self.filter.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.cursor = Some(self.index.range(&self.storage, self.lo, self.hi));
-        self.out.reset();
-        Ok(())
-    }
-
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        self.fill(max)?;
-        Ok(self.out.pop_columns(max))
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.out.is_drained() {
-            self.fill(batch_size())?;
-        }
-        Ok(self.out.pop_row())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.cursor = None;
-        self.out.reset();
-        Ok(())
-    }
-
-    fn label(&self) -> String {
-        let cols = self.filter.columns_label();
-        format!("IndexScan({} via {}){cols}", self.heap.name(), self.index.name())
-    }
 }
 
 /// Sort Scan (Bitmap Heap Scan): a blocking walk of the index range into a
@@ -443,23 +340,13 @@ mod tests {
     }
 
     #[test]
-    fn all_three_paths_agree_on_results() {
+    fn sort_scan_agrees_with_full_scan() {
         let (heap, index) = table();
         let s = storage();
         let pred = Predicate::int_half_open(1, 0, 120);
         let mut full = FullTableScan::new(Arc::clone(&heap), s.clone(), pred.clone());
         let expected = sorted(crate::operator::collect_rows(&mut full).unwrap());
         assert!(!expected.is_empty());
-
-        let mut is = IndexScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            Bound::Included(0),
-            Bound::Excluded(120),
-            Predicate::True,
-        );
-        assert_eq!(sorted(crate::operator::collect_rows(&mut is).unwrap()), expected);
 
         let mut ss = SortScan::new(
             Arc::clone(&heap),
@@ -470,24 +357,6 @@ mod tests {
             Predicate::True,
         );
         assert_eq!(sorted(crate::operator::collect_rows(&mut ss).unwrap()), expected);
-    }
-
-    #[test]
-    fn index_scan_emits_in_key_order() {
-        let (heap, index) = table();
-        let s = storage();
-        let mut is = IndexScan::new(
-            heap,
-            index,
-            s,
-            Bound::Included(100),
-            Bound::Excluded(300),
-            Predicate::True,
-        );
-        let rows = crate::operator::collect_rows(&mut is).unwrap();
-        let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
-        assert!(keys.windows(2).all(|w| w[0] <= w[1]));
-        assert!(keys.iter().all(|&k| (100..300).contains(&k)));
     }
 
     #[test]
@@ -537,51 +406,13 @@ mod tests {
     }
 
     #[test]
-    fn index_scan_costs_grow_with_selectivity_sort_scan_reads_pages_once() {
-        let (heap, index) = table();
-        // A pool far smaller than the heap, so the index scan's repeated
-        // page visits actually hit the device (cold-cache regime).
-        let s = Storage::new(StorageConfig {
-            device: DeviceProfile::custom("t", 1, 10),
-            cpu: CpuCosts::default(),
-            pool_pages: 4,
-        });
-        // Index scan, 50% selectivity: many random accesses, repeats.
-        let mut is = IndexScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            Bound::Included(0),
-            Bound::Excluded(500),
-            Predicate::True,
-        );
-        crate::operator::collect_rows(&mut is).unwrap();
-        let is_io = s.io_snapshot();
-        s.reset_metrics();
-        s.flush_pool();
-        let mut ss = SortScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            Bound::Included(0),
-            Bound::Excluded(500),
-            Predicate::True,
-        );
-        crate::operator::collect_rows(&mut ss).unwrap();
-        let ss_io = s.io_snapshot();
-        // Sort scan never rereads a heap page; index scan (tiny pool) does.
-        assert!(is_io.pages_read > ss_io.distinct_pages);
-        assert!(ss_io.io_requests < is_io.io_requests);
-    }
-
-    #[test]
     fn residual_predicates_filter_fetched_rows() {
         let (heap, index) = table();
         let s = storage();
         let residual = Predicate::int_lt(0, 1500); // on c0, not the index key
-        let mut is =
-            IndexScan::new(heap, index, s, Bound::Included(0), Bound::Excluded(1000), residual);
-        let rows = crate::operator::collect_rows(&mut is).unwrap();
+        let mut ss =
+            SortScan::new(heap, index, s, Bound::Included(0), Bound::Excluded(1000), residual);
+        let rows = crate::operator::collect_rows(&mut ss).unwrap();
         assert_eq!(rows.len(), 1500);
         assert!(rows.iter().all(|r| r.int(0).unwrap() < 1500));
     }
@@ -589,26 +420,8 @@ mod tests {
     #[test]
     fn empty_range_yields_nothing() {
         let (heap, index) = table();
-        let s = storage();
-        for op in [
-            &mut IndexScan::new(
-                Arc::clone(&heap),
-                Arc::clone(&index),
-                s.clone(),
-                Bound::Included(5000),
-                Bound::Unbounded,
-                Predicate::True,
-            ) as &mut dyn Operator,
-            &mut SortScan::new(
-                heap,
-                index,
-                s.clone(),
-                Bound::Included(5000),
-                Bound::Unbounded,
-                Predicate::True,
-            ),
-        ] {
-            assert!(crate::operator::collect_rows(op).unwrap().is_empty());
-        }
+        let (lo, hi) = (Bound::Included(5000), Bound::Unbounded);
+        let mut ss = SortScan::new(heap, index, storage(), lo, hi, Predicate::True);
+        assert!(crate::operator::collect_rows(&mut ss).unwrap().is_empty());
     }
 }

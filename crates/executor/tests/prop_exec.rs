@@ -9,11 +9,11 @@
 //! operator does not override it and is what the `pop_row` overrides are
 //! held to. What it no longer is is evidence for the *charges* (both
 //! calls run one fill): those are pinned by closed forms instead —
-//! [`index_scan_charges_its_closed_form`] here, `prop_sort`'s, and
-//! `prop_smooth`'s for Smooth Scan's Mode 0, with and without the Switch
-//! trigger's finish — and the morsel-at-a-time index paths, which fetch a
-//! whole morsel on one storage session before they inspect it, by a
-//! hand-written loop over the per-call storage API ([`morsel_index_paths_charge_what_per_call_loops_charge`]).
+//! `prop_sort`'s, and `prop_smooth`'s for Smooth Scan's Mode 0 (Index
+//! Scan among them), with and without the Switch trigger's finish — and
+//! the morsel-at-a-time index join, which fetches a whole morsel on one
+//! storage session before it inspects it, by a hand-written loop over the
+//! per-call storage API ([`morsel_index_paths_charge_what_per_call_loops_charge`]).
 
 mod common;
 
@@ -25,8 +25,8 @@ use proptest::prelude::*;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     collect_rows, collect_rows_volcano, operator::ValuesOp, AggFunc, BoxedOperator, Filter,
-    FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, IndexScan, JoinType, MergeJoin,
-    Operator, Predicate, Project, Sort, SortScan,
+    FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, JoinType, MergeJoin, Operator,
+    Predicate, Project, Sort, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{
@@ -190,7 +190,7 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// All three scan paths return the same multiset as the predicate
+    /// Both executor scan paths return the same multiset as the predicate
     /// applied row-by-row, for arbitrary data and ranges.
     #[test]
     fn scan_paths_agree_with_row_filter(
@@ -223,15 +223,6 @@ proptest! {
             Predicate::int_half_open(1, lo, hi),
         );
         prop_assert_eq!(canonical(collect_rows(&mut full).unwrap()), expected.clone());
-        let mut is = IndexScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            std::ops::Bound::Included(lo),
-            std::ops::Bound::Excluded(hi),
-            Predicate::True,
-        );
-        prop_assert_eq!(canonical(collect_rows(&mut is).unwrap()), expected.clone());
         let mut ss = SortScan::new(
             heap,
             index,
@@ -243,7 +234,7 @@ proptest! {
         prop_assert_eq!(canonical(collect_rows(&mut ss).unwrap()), expected);
     }
 
-    /// Batch-size invariance for every access path and the index join,
+    /// Batch-size invariance for both executor access paths and the index join,
     /// for arbitrary data, ranges, residuals and batch sizes — for the
     /// access paths, of the charged clock and I/O as well as of the rows.
     #[test]
@@ -264,14 +255,12 @@ proptest! {
         let s = storage();
         let hi = lo + width;
         let residual = Predicate::int_lt(0, residual_hi);
-        // The three access paths: rows, clock and I/O, whatever the drain.
+        // The access paths: rows, clock and I/O, whatever the drain.
         let both = Predicate::and(vec![Predicate::int_half_open(1, lo, hi), residual.clone()]);
         let (h, i) = (|| Arc::clone(&heap), || Arc::clone(&index));
         let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
         let full = |s: &Storage| FullTableScan::new(h(), s.clone(), both.clone());
         assert_drains_charge_identically(&|s| Box::new(full(s)), max);
-        let is = |s: &Storage| IndexScan::new(h(), i(), s.clone(), lo, hi, residual.clone());
-        assert_drains_charge_identically(&|s| Box::new(is(s)), max);
         let ss = |s: &Storage| SortScan::new(h(), i(), s.clone(), lo, hi, residual.clone());
         assert_drains_charge_identically(&|s| Box::new(ss(s)), max);
         for ty in [JoinType::Inner, JoinType::LeftSemi] {
@@ -428,41 +417,18 @@ fn inlj_reference(
     observe(s, rows)
 }
 
-/// Index Scan the per-call way: one `IndexCursor::next` and one
-/// `Storage::read_heap_page` per TID.
-fn index_scan_reference(
-    s: &Storage,
-    (heap, index): (&HeapFile, &Arc<BTreeIndex>),
-    (lo, hi): (Bound<i64>, Bound<i64>),
-    passes: impl Fn(&Row) -> bool,
-) -> Observed {
-    let (mut rows, mut inspected) = (Vec::new(), 0);
-    let mut cursor = index.range(s, lo, hi);
-    while let Some((_, tid)) = cursor.next() {
-        let page = s.read_heap_page(heap, tid.page).unwrap();
-        let row = heap.decode_slot(&page, tid.slot).unwrap();
-        inspected += 1;
-        if passes(&row) {
-            rows.push(row);
-        }
-    }
-    let cpu = s.cpu();
-    s.clock().charge_cpu(cpu.inspect_tuple_ns * inspected + cpu.emit_tuple_ns * rows.len() as u64);
-    observe(s, rows)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The morsel paths fetch a whole morsel's TIDs on one storage session
-    /// and inspect them afterwards; that must move no charge. Over a
+    /// The index join fetches a whole morsel's TIDs on one storage session
+    /// and inspects them afterwards; that must move no charge. Over a
     /// padded table on a 2–8-page pool — every heap fetch can evict an
     /// index node, so the interleaving of index touches and heap reads
     /// decides every hit, miss and seq / rand verdict — the index join
     /// (inner and semi; duplicate, missing and NULL outer keys; a
-    /// residual) and Index Scan, drained through `next()` and at
-    /// `max ∈ {1, 2, 7, 1024}`, show the rows, clock and I/O counters of
-    /// the per-call loop.
+    /// residual), drained through `next()` and at `max ∈ {1, 2, 7,
+    /// 1024}`, shows the rows, clock and I/O counters of the per-call
+    /// loop. (`prop_smooth` holds Index Scan to its own per-call loop.)
     #[test]
     fn morsel_index_paths_charge_what_per_call_loops_charge(
         keys in proptest::collection::vec(0i64..30, 1..160),
@@ -470,8 +436,6 @@ proptest! {
         fanout in 2usize..7,
         pool_pages in 2usize..9,
         residual_hi in 0i64..200,
-        lo in 0i64..30,
-        width in 0i64..35,
     ) {
         let schema = Schema::new(vec![
             Column::new("c0", DataType::Int64),
@@ -498,7 +462,6 @@ proptest! {
         let key = |k: i64| if k < 0 { Value::Null } else { Value::Int(k) };
         let outer: Vec<Row> = outer.iter().map(|&k| Row::new(vec![key(k)])).collect();
         let key_schema = Schema::new(vec![Column::nullable("fk", DataType::Int64)]).unwrap();
-        let range = (Bound::Included(lo), Bound::Excluded(lo + width));
         let drains: [&Drain; 5] = [
             &|op| collect_rows_volcano(op).unwrap(),
             &|op| collect_columnar(op, 1),
@@ -514,12 +477,6 @@ proptest! {
                 let mut inlj = IndexNestedLoopJoin::new(values, 0, h(), i(), residual(), ty, s.clone());
                 prop_assert!(observe(&s, drain(&mut inlj)) == expected, "{ty:?}");
             }
-        }
-        let expected = index_scan_reference(&storage(), tables, range, passes);
-        for drain in drains {
-            let s = storage();
-            let mut scan = IndexScan::new(h(), i(), s.clone(), range.0, range.1, residual());
-            prop_assert_eq!(observe(&s, drain(&mut scan)), expected.clone());
         }
     }
 
@@ -577,7 +534,6 @@ proptest! {
             Box::new(inlj(JoinType::Inner)),
             Box::new(inlj(JoinType::LeftSemi)),
             Box::new(FullTableScan::new(h(), s.clone(), range)),
-            Box::new(IndexScan::new(h(), i(), s.clone(), lo_b, hi_b, residual())),
             Box::new(SortScan::new(h(), i(), s.clone(), lo_b, hi_b, residual())),
         ];
         // The replayed input is its morsels' live rows, at any `max`.
@@ -588,48 +544,6 @@ proptest! {
             for max in [1, 2, 7, 4096] {
                 prop_assert!(collect_columnar(op.as_mut(), max) == by_row, "{} at max={max}", op.label());
             }
-        }
-    }
-
-    /// Index Scan's CPU charge in closed form, counts taken from the
-    /// loaded rows: what a bare cursor charges over the range, one pool
-    /// lookup and one inspect per TID fetched, one emit per qualifier —
-    /// through `next()` and at every batch size.
-    #[test]
-    fn index_scan_charges_its_closed_form(
-        keys in proptest::collection::vec(0i64..100, 1..500),
-        lo in 0i64..100,
-        width in 0i64..110,
-        residual_hi in 0i64..600,
-    ) {
-        let mut loader = HeapLoader::new_mem("t", two_col_schema("c0", "c1"));
-        for (i, &k) in keys.iter().enumerate() {
-            loader.push(&Row::new(vec![Value::Int(i as i64), Value::Int(k)])).unwrap();
-        }
-        let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
-        let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
-        let (lo_b, hi_b) = (Bound::Included(lo), Bound::Excluded(lo + width));
-        let fetched: Vec<usize> =
-            (0..keys.len()).filter(|&i| keys[i] >= lo && keys[i] < lo + width).collect();
-        let qualifiers = fetched.iter().filter(|&&i| (i as i64) < residual_hi).count() as u64;
-        let bare = storage();
-        prop_assert_eq!(index.range(&bare, lo_b, hi_b).collect_all().len(), fetched.len());
-        let cpu = CpuCosts::default();
-        let expected = bare.clock().snapshot().cpu_ns
-            + (cpu.hash_op_ns + cpu.inspect_tuple_ns) * fetched.len() as u64
-            + cpu.emit_tuple_ns * qualifiers;
-        let drains: [&Drain; 3] = [
-            &|op| collect_rows_volcano(op).unwrap(),
-            &|op| collect_columnar(op, 1),
-            &|op| collect_columnar(op, 1024),
-        ];
-        for drain in drains {
-            let s = storage();
-            let residual = Predicate::int_lt(0, residual_hi);
-            let mut scan =
-                IndexScan::new(Arc::clone(&heap), Arc::clone(&index), s.clone(), lo_b, hi_b, residual);
-            prop_assert_eq!(drain(&mut scan).len() as u64, qualifiers);
-            prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
         }
     }
 }

@@ -16,8 +16,8 @@ use smooth_executor::parallel::{
 };
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
-    batch_size, collect_rows, AggFunc, Filter, FullTableScan, HashAggregate, HashJoin, IndexScan,
-    JoinType, Operator, Predicate, Project, SortScan,
+    batch_size, collect_rows, AggFunc, Filter, FullTableScan, HashAggregate, HashJoin, JoinType,
+    Operator, Predicate, Project, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, Storage, StorageConfig};
@@ -177,39 +177,28 @@ proptest! {
         }
     }
 
-    /// Index and sort scans as *shared* sources (the serial-section
-    /// fallback) with a filter stage above, across morsel sizes.
+    /// Sort Scan as a *shared* source (the serial-section fallback) with a
+    /// filter stage above, across morsel sizes. (`prop_parallel_core`
+    /// covers Smooth Scan, Index Scan included, as a shared source.)
     #[test]
     fn shared_scan_sources_equal_serial(
         keys in proptest::collection::vec(0i64..150, 1..700),
         lo in 0i64..150,
         width in 0i64..170,
         max in 1usize..90,
-        use_sort_scan in any::<bool>(),
     ) {
         let (heap, index) = build_table(&keys);
         let hi = lo + width;
         let residual = Predicate::int_ge(0, 0);
         let mk_scan = |s: &Storage| -> Box<dyn Operator + Send> {
-            if use_sort_scan {
-                Box::new(SortScan::new(
-                    Arc::clone(&heap),
-                    Arc::clone(&index),
-                    s.clone(),
-                    std::ops::Bound::Included(lo),
-                    std::ops::Bound::Excluded(hi),
-                    Predicate::True,
-                ))
-            } else {
-                Box::new(IndexScan::new(
-                    Arc::clone(&heap),
-                    Arc::clone(&index),
-                    s.clone(),
-                    std::ops::Bound::Included(lo),
-                    std::ops::Bound::Excluded(hi),
-                    Predicate::True,
-                ))
-            }
+            Box::new(SortScan::new(
+                Arc::clone(&heap),
+                Arc::clone(&index),
+                s.clone(),
+                std::ops::Bound::Included(lo),
+                std::ops::Bound::Excluded(hi),
+                Predicate::True,
+            ))
         };
         let s_serial = storage(16);
         let mut serial_op = Filter::new(mk_scan(&s_serial), residual.clone());
@@ -229,7 +218,7 @@ proptest! {
             assert_equal_runs(
                 (&expected, &s_serial),
                 (&got, &s_par),
-                &format!("shared scan (sort={use_sort_scan}), {workers} workers, max {max}"),
+                &format!("shared sort scan, {workers} workers, max {max}"),
             )?;
         }
     }

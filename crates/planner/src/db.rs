@@ -60,9 +60,8 @@ use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, BoxedOperator, Filter, FullTableScan, HashAggregate, HashJoin,
-    IndexNestedLoopJoin, IndexScan, MergeJoin, Operator, ParallelPipeline, ParallelSource,
-    PhaseBuild, PhaseSpec, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan,
-    StageSpec,
+    IndexNestedLoopJoin, MergeJoin, Operator, ParallelPipeline, ParallelSource, PhaseBuild,
+    PhaseSpec, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan, StageSpec,
 };
 use smooth_stats::StatsQuality;
 use smooth_storage::{
@@ -586,10 +585,8 @@ impl Database {
                 Ok(Box::new(scan.with_columns(cols)?))
             }
             AccessPathChoice::ForceIndex => {
-                let (idx, (_, lo, hi, residual)) = need_index("index scan")?;
-                let index = Arc::clone(&idx.index);
-                let scan = IndexScan::new(heap, index, self.storage.clone(), lo, hi, residual);
-                Ok(Box::new(scan.with_columns(cols)?))
+                let config = SmoothScanConfig::default().with_trigger(Trigger::Never);
+                Ok(Box::new(self.build_smooth_scan(spec, config)?))
             }
             AccessPathChoice::ForceSort => {
                 let (idx, (_, lo, hi, residual)) = need_index("sort scan")?;

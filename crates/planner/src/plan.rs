@@ -17,7 +17,7 @@ pub enum AccessPathChoice {
     Auto,
     /// Force a full table scan.
     ForceFull,
-    /// Force a (non-clustered) index scan.
+    /// Force a (non-clustered) index scan: Smooth Scan under `Trigger::Never`.
     ForceIndex,
     /// Force a sort (bitmap) scan.
     ForceSort,

@@ -85,6 +85,36 @@ fn triggers_agree_with_eager_results() {
 }
 
 #[test]
+fn scan_statistics_count_every_row_on_every_path_and_trigger() {
+    let db = micro_db(40_000);
+    let optimizer = |estimated_cardinality| Trigger::OptimizerDriven {
+        estimated_cardinality,
+        policy: PolicyKind::SelectivityIncrease,
+    };
+    let smooth =
+        |trigger| AccessPathChoice::Smooth(SmoothScanConfig::default().with_trigger(trigger));
+    for access in [
+        AccessPathChoice::ForceFull,
+        AccessPathChoice::ForceIndex,
+        AccessPathChoice::ForceSort,
+        AccessPathChoice::Switch { estimate: 1_000_000 },
+        AccessPathChoice::Switch { estimate: 100 },
+        smooth(Trigger::Eager),
+        smooth(optimizer(1_000_000)),
+        smooth(optimizer(100)),
+        smooth(Trigger::SlaDriven { bound_ns: 1 }),
+    ] {
+        for ordered in [false, true] {
+            let got = db.run(&micro::query(0.01, ordered, access.clone())).unwrap();
+            let (rows, scan) = (got.rows.len() as u64, got.scan);
+            assert!(rows > 0, "{access:?}");
+            assert_eq!(scan.rows_processed, rows, "{access:?}, ordered {ordered}");
+            assert!(scan.rows_scanned >= rows, "{access:?}, ordered {ordered}: {scan:?}");
+        }
+    }
+}
+
+#[test]
 fn smooth_scan_is_robust_where_index_scan_collapses() {
     let db = micro_db(60_000);
     // At 50% selectivity the index scan must be an order of magnitude
@@ -357,7 +387,7 @@ impl smoothscan::storage::Backend for OneBadTuple {
 #[test]
 fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
     use smoothscan::executor::{
-        collect_rows_volcano, FullTableScan, IndexNestedLoopJoin, IndexScan, SortScan,
+        collect_rows_volcano, FullTableScan, IndexNestedLoopJoin, SortScan,
     };
     use smoothscan::storage::{HeapLoader, MemBackend};
     use std::ops::Bound;
@@ -376,7 +406,7 @@ fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
     // qualifying for anything a reader could skip: validation is per
     // inspected tuple.
     let (lo, hi) = (Bound::Included(0), Bound::Excluded(micro::KEY_DOMAIN));
-    let smooth = |ordered: bool| -> Box<dyn Operator> {
+    let smooth = |ordered: bool, trigger: Trigger| -> Box<dyn Operator> {
         Box::new(smoothscan::core::SmoothScan::new(
             Arc::clone(&heap),
             Arc::clone(&index),
@@ -385,7 +415,7 @@ fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
             lo,
             hi,
             Predicate::int_lt(0, 0),
-            SmoothScanConfig::default().with_order(ordered),
+            SmoothScanConfig::default().with_order(ordered).with_trigger(trigger),
         ))
     };
     // The join probes a few keys, the bad tuple's among them.
@@ -405,10 +435,10 @@ fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
     let residual = || Predicate::int_lt(0, 0);
     let paths: Vec<(&str, Box<dyn Operator>)> = vec![
         ("full", Box::new(FullTableScan::new(h(), s(), micro::predicate(0.0)))),
-        ("index", Box::new(IndexScan::new(h(), i(), s(), lo, hi, residual()))),
+        ("index", smooth(false, Trigger::Never)),
         ("sort", Box::new(SortScan::new(h(), i(), s(), lo, hi, residual()))),
-        ("smooth", smooth(false)),
-        ("ordered smooth", smooth(true)),
+        ("smooth", smooth(false, Trigger::Eager)),
+        ("ordered smooth", smooth(true, Trigger::Eager)),
         ("inlj", inlj(JoinType::Inner)),
         ("semi inlj", inlj(JoinType::LeftSemi)),
     ];
