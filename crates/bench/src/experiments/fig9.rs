@@ -7,6 +7,25 @@
 //!
 //! 9b — morphing accuracy: fraction of fetched pages that contained at
 //! least one result; reaches 100% by ~2.5% selectivity.
+//!
+//! **Gates.** Under `--json` every grid point × variant is an id
+//! (`virtual.fig9.<sel>.{unordered,ordered}.secs`), and three shape floors
+//! hold:
+//!
+//! * `fig9.cache_hit_rate_from_sel5` — the lowest Result-Cache hit rate
+//!   from 5 % up. Floor [`CACHE_HIT_RATE_FLOOR`] (0.992 at smoke scale,
+//!   0.998 at paper scale).
+//! * `fig9.morphing_accuracy_from_sel5` — the lowest morphing accuracy
+//!   from 5 % up. Floor [`MORPHING_ACCURACY_FLOOR`] (0.991 / 0.992).
+//! * `fig9.unordered_over_ordered` — the lowest unordered ÷ ordered time
+//!   over the grid. Floor [`UNORDERED_OVER_ORDERED_FLOOR`], the paper's
+//!   "≤ 14 % overhead" (0.936 / 0.910).
+//!
+//! The gaps, written down rather than gated: the paper's hit rate reaches
+//! 100 % by 1 %, but at 1 % it reads 68.6 % at smoke scale and 88.5 % at
+//! paper scale; its accuracy reaches 100 % by 2.5 %, but at 1 % it reads
+//! 64.5 % and 60.0 %, and the grid has no 2.5 % point. So both floors start
+//! at 5 %, the first grid point past the paper's.
 
 use smooth_core::SmoothScanConfig;
 use smooth_executor::Operator;
@@ -14,8 +33,15 @@ use smooth_planner::ScanSpec;
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::report::Report;
+use crate::report::{json_metric, sel_tag, Metric, Report};
 use crate::setup;
+
+/// The lowest Result-Cache hit rate from 5 % selectivity up.
+pub const CACHE_HIT_RATE_FLOOR: f64 = 0.98;
+/// The lowest morphing accuracy from 5 % selectivity up.
+pub const MORPHING_ACCURACY_FLOOR: f64 = 0.98;
+/// The paper's "≤ 14 % overhead": unordered ÷ ordered ≥ 1 ÷ 1.14.
+pub const UNORDERED_OVER_ORDERED_FLOOR: f64 = 0.877;
 
 /// Run both panels from the same sweeps.
 pub fn run() {
@@ -25,6 +51,7 @@ pub fn run() {
         "result cache overhead/hit rate + morphing accuracy",
         &["sel_%", "cache_overhead_%", "cache_hit_rate_%", "morphing_accuracy_%"],
     );
+    let (mut min_hit, mut min_accuracy, mut min_ratio) = (1.0f64, 1.0f64, f64::INFINITY);
     for sel in micro::selectivity_grid() {
         // Unordered run: baseline time.
         let spec = ScanSpec::new(micro::TABLE, micro::predicate(sel));
@@ -38,20 +65,46 @@ pub fn run() {
         let with_cache = db.run_operator(&mut ordered).expect("ordered run").stats;
         let metrics = ordered.metrics();
         ordered.close().ok();
+        for (name, stats) in [("unordered", base), ("ordered", with_cache)] {
+            let id = format!("virtual.fig9.{}.{name}.secs", sel_tag(sel));
+            json_metric(Metric::new(id, stats.secs(), "virtual_s", false));
+        }
 
         let overhead = if base.clock.total_ns() > 0 {
             (with_cache.clock.total_ns() as f64 / base.clock.total_ns() as f64 - 1.0) * 100.0
         } else {
             0.0
         };
-        let hit_rate = metrics.cache_hit_rate().map_or(0.0, |r| r * 100.0);
-        let accuracy = metrics.morphing_accuracy().map_or(0.0, |a| a * 100.0);
+        if with_cache.clock.total_ns() > 0 {
+            min_ratio = min_ratio.min(base.secs() / with_cache.secs());
+        }
+        let hit_rate = metrics.cache_hit_rate().unwrap_or(0.0);
+        let accuracy = metrics.morphing_accuracy().unwrap_or(0.0);
+        if sel >= 0.05 {
+            (min_hit, min_accuracy) = (min_hit.min(hit_rate), min_accuracy.min(accuracy));
+        }
         report.row(vec![
             format!("{}", sel * 100.0),
             format!("{overhead:.1}"),
-            format!("{hit_rate:.1}"),
-            format!("{accuracy:.1}"),
+            format!("{:.1}", hit_rate * 100.0),
+            format!("{:.1}", accuracy * 100.0),
         ]);
     }
     report.finish();
+    println!(
+        "  [from 5%: hit rate >= {min_hit:.3}, accuracy >= {min_accuracy:.3}; \
+         unordered / ordered >= {min_ratio:.3}]"
+    );
+    json_metric(
+        Metric::new("fig9.cache_hit_rate_from_sel5", min_hit, "ratio", true)
+            .with_floor(CACHE_HIT_RATE_FLOOR),
+    );
+    json_metric(
+        Metric::new("fig9.morphing_accuracy_from_sel5", min_accuracy, "ratio", true)
+            .with_floor(MORPHING_ACCURACY_FLOOR),
+    );
+    json_metric(
+        Metric::new("fig9.unordered_over_ordered", min_ratio, "x", true)
+            .with_floor(UNORDERED_OVER_ORDERED_FLOOR),
+    );
 }
