@@ -88,11 +88,20 @@
 #   `operator.rs`. Two Index Scan unit tests move into `operator.rs`'s
 #   tests (+45 lines in core); the closed-form property moves from
 #   `prop_exec` to `prop_smooth`, which is under `tests/` on both sides.
+# * 9930 -> 9748 (-182), combined 12801 -> 12619: a merge join is a hash
+#   join under a sort. `MergeJoin` and `MergeInput` (structs, impls,
+#   export, 161 lines) and their three `join.rs` unit tests go, with
+#   `build_node`'s two-sort `Merge` arm; `resolve` lowers
+#   `JoinStrategy::Merge` through an 18-line `hash_under_sort`, and two
+#   `db.rs` tests (a `Merge` plan over the old unit tests' data, and the
+#   semi join that used to return inner-join rows) replace the unit
+#   tests. No line moved into `tests/`. This meets item 6's 9.8k budget.
 #
 # COMBINED_CEILING ratchets `crates/{core,executor,planner}/src` together
 # (13766 when it was added; 13457 after the one-morsel-claim change; 13189
 # after Switch Scan became a trigger; 12972 after the closed-form model;
-# 12924 after the resolve pass; 12801 after Index Scan became Mode 0):
+# 12924 after the resolve pass; 12801 after Index Scan became Mode 0;
+# 12619 after the merge join became a hash join under a sort):
 # code shared by core
 # and executor can move between them, and only the sum shows that. The
 # PR that added it moved Smooth Scan's region inspection onto the
@@ -100,8 +109,8 @@
 # the sum where it was.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=9930
-COMBINED_CEILING=12801
+CEILING=9748
+COMBINED_CEILING=12619
 check() {
     echo "$1: $2 lines (ceiling $3)"
     if [ "$2" -gt "$3" ]; then

@@ -1,17 +1,16 @@
-//! Join operators: Hash, Merge and Index-Nested-Loop.
+//! Join operators: Hash and Index-Nested-Loop.
 //!
-//! The TPC-H-style experiments exercise all three: the paper's Fig. 4
-//! queries use nested-loop joins with primary-key index lookups (Q4, Q14),
-//! hash joins (Q7) and merge joins fed by interesting orders — the
-//! situation where Smooth Scan's order preservation matters (Section IV-B,
-//! "Interaction with Other Operators").
+//! The paper's Fig. 4 queries use nested-loop joins with primary-key index
+//! lookups (Q4, Q14) and hash joins (Q7). A merge join is a plan shape,
+//! not an operator: the planner runs `JoinStrategy::Merge` as a hash join
+//! under a stable sort on the left key, which emits the rows a merge join
+//! over sorted inputs would, in its order.
 //!
-//! All three are columnar end to end: typed key vectors, column-wise
+//! Both are columnar end to end: typed key vectors, column-wise
 //! gathers into one [`ColumnBuffer`] that `next_columns` and its one-row
 //! view drain (the index join's decode path is described at its
 //! definition and in `docs/ARCHITECTURE.md`).
 
-use std::cmp::Ordering::{Equal, Less};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -854,167 +853,6 @@ impl Operator for HashJoin {
     }
 }
 
-/// One sorted input of a [`MergeJoin`]: the morsel being read and the next
-/// unread live row in it.
-struct MergeInput {
-    op: BoxedOperator,
-    /// Join-key ordinal.
-    col: usize,
-    batch: ColumnBatch,
-    /// Live-row position in `batch`.
-    pos: usize,
-}
-
-impl MergeInput {
-    fn new(op: BoxedOperator, col: usize) -> Self {
-        MergeInput { op, col, batch: ColumnBatch::default(), pos: 0 }
-    }
-
-    fn open(&mut self) -> Result<()> {
-        (self.batch, self.pos) = (ColumnBatch::default(), 0);
-        self.op.open()
-    }
-
-    /// Physical index in `batch` of the next unread row, pulling the next
-    /// morsel once this one is spent; `None` at exhaustion.
-    fn head(&mut self) -> Result<Option<usize>> {
-        while self.pos >= self.batch.len() {
-            let Some(batch) = self.op.next_columns(batch_size())? else { return Ok(None) };
-            (self.batch, self.pos) = (batch, 0);
-        }
-        Ok(Some(self.batch.selection().map_or(self.pos, |sel| sel[self.pos] as usize)))
-    }
-
-    /// The key column of the current morsel.
-    fn key(&self) -> Result<&ColumnVector> {
-        self.batch.column_checked(self.col)
-    }
-}
-
-/// Merge join over inputs already sorted on their join columns (inner
-/// only; NULL keys match nothing, as under [`HashJoin`]).
-///
-/// The frontier advances one left row at a time: the right rows sharing
-/// its key are gathered once into `group` and replayed under every left
-/// row of that key, each left row's matches gathering column-wise into
-/// the output buffer. One comparison is charged per key change on the
-/// left and per right row skipped, one emit per joined row.
-pub struct MergeJoin {
-    left: MergeInput,
-    right: MergeInput,
-    storage: Storage,
-    schema: Schema,
-    /// The right rows sharing the current key.
-    group: ColumnBatch,
-    /// Gather scratch: the left row repeated once per group row.
-    left_idx: Vec<u32>,
-    /// Gather scratch: `0..group rows`.
-    group_idx: Vec<u32>,
-    out: ColumnBuffer,
-}
-
-impl MergeJoin {
-    /// `left.left_col = right.right_col`, both inputs ascending on the key.
-    pub fn new(
-        left: BoxedOperator,
-        right: BoxedOperator,
-        left_col: usize,
-        right_col: usize,
-        storage: Storage,
-    ) -> Self {
-        let schema = join_schema(left.schema(), right.schema(), JoinType::Inner);
-        MergeJoin {
-            group: ColumnBatch::for_schema(right.schema()),
-            out: ColumnBuffer::for_schema(&schema),
-            left: MergeInput::new(left, left_col),
-            right: MergeInput::new(right, right_col),
-            storage,
-            schema,
-            left_idx: Vec::new(),
-            group_idx: Vec::new(),
-        }
-    }
-
-    /// Join the next left row into the output buffer. Returns `false`
-    /// once the left input is exhausted.
-    fn advance(&mut self) -> Result<bool> {
-        let Some(l) = self.left.head()? else { return Ok(false) };
-        let cpu = *self.storage.cpu();
-        let lkey = self.left.key()?;
-        let replay = self.group.physical_rows() > 0
-            && self.group.column_checked(self.right.col)?.slot_cmp(0, lkey, l).is_eq();
-        if !replay {
-            self.storage.clock().charge_cpu(cpu.sort_cmp_ns);
-            self.group.clear();
-            // Skip the right rows below the key, then gather the run equal
-            // to it; NULL sorts first and equals nothing.
-            while let Some(r) = self.right.head()? {
-                match self.right.key()?.slot_cmp(r, lkey, l) {
-                    Less => self.storage.clock().charge_cpu(cpu.sort_cmp_ns),
-                    Equal if !lkey.is_null(l) => {
-                        self.group.append_gather(&self.right.batch, &[r as u32])
-                    }
-                    _ => break,
-                }
-                self.right.pos += 1;
-            }
-            self.group_idx.clear();
-            self.group_idx.extend(0..self.group.physical_rows() as u32);
-        }
-        let n = self.group_idx.len();
-        self.left_idx.clear();
-        self.left_idx.resize(n, l as u32);
-        let out = self.out.fill();
-        let (left_cols, right_cols) = out.columns_mut().split_at_mut(self.left.batch.width());
-        for (dst, src) in left_cols.iter_mut().zip(self.left.batch.columns()) {
-            dst.extend_gather(src, &self.left_idx);
-        }
-        for (dst, src) in right_cols.iter_mut().zip(self.group.columns()) {
-            dst.extend_gather(src, &self.group_idx);
-        }
-        out.commit_rows(n);
-        self.storage.clock().charge_cpu(cpu.emit_tuple_ns * n as u64);
-        self.left.pos += 1;
-        Ok(true)
-    }
-}
-
-impl Operator for MergeJoin {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.left.open()?;
-        self.right.open()?;
-        self.group.clear();
-        self.out.reset();
-        Ok(())
-    }
-
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        while self.out.pending() < max && self.advance()? {}
-        Ok(self.out.pop_columns(max))
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        while self.out.is_drained() && self.advance()? {}
-        Ok(self.out.pop_row())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.group.clear();
-        self.out.reset();
-        self.left.op.close()?;
-        self.right.op.close()
-    }
-
-    fn label(&self) -> String {
-        format!("MergeJoin [{} ⋈ {}]", self.left.op.label(), self.right.op.label())
-    }
-}
-
 /// The inner side of an [`IndexNestedLoopJoin`]: the plain side
 /// ([`IndexNestedLoopJoin::new`]) fetches every match through the index;
 /// `smooth_core::SmoothInnerPath` caches each page it fetches by key, so
@@ -1333,44 +1171,6 @@ mod tests {
         assert_eq!(j.schema().len(), 2);
     }
 
-    #[test]
-    fn merge_join_handles_duplicate_groups() {
-        let left = values("k", "a", vec![(1, 0), (2, 1), (2, 2), (5, 3)]);
-        let right = values("k2", "b", vec![(0, 9), (2, 10), (2, 11), (4, 12), (5, 13)]);
-        let mut j = MergeJoin::new(left, right, 0, 0, storage());
-        let rows = pairs(&collect_rows(&mut j).unwrap());
-        assert_eq!(
-            rows,
-            vec![
-                vec![2, 1, 2, 10],
-                vec![2, 1, 2, 11],
-                vec![2, 2, 2, 10],
-                vec![2, 2, 2, 11],
-                vec![5, 3, 5, 13],
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_join_empty_sides() {
-        let mut j = MergeJoin::new(
-            values("k", "a", vec![]),
-            values("k2", "b", vec![(1, 1)]),
-            0,
-            0,
-            storage(),
-        );
-        assert!(collect_rows(&mut j).unwrap().is_empty());
-        let mut j = MergeJoin::new(
-            values("k", "a", vec![(1, 1)]),
-            values("k2", "b", vec![]),
-            0,
-            0,
-            storage(),
-        );
-        assert!(collect_rows(&mut j).unwrap().is_empty());
-    }
-
     /// An index join probing `outer`'s second column against `(pk, pk·f)`
     /// for `pk` in `0..n`, indexed on `pk`.
     fn inlj(n: i64, f: i64, outer: Vec<(i64, i64)>, ty: JoinType) -> Vec<Vec<i64>> {
@@ -1567,37 +1367,6 @@ mod tests {
             assert_eq!(matches(&table, Value::Float(-0.0), 1), ints(&[3, 7]));
             assert!(matches(&table, Value::Null, 1).is_empty());
         }
-    }
-
-    #[test]
-    fn hash_and_merge_agree() {
-        let data_l: Vec<(i64, i64)> = (0..200).map(|i| (i % 37, i)).collect();
-        let data_r: Vec<(i64, i64)> = (0..150).map(|i| (i % 23, i)).collect();
-        let mut sorted_l = data_l.clone();
-        sorted_l.sort();
-        let mut sorted_r = data_r.clone();
-        sorted_r.sort();
-        let mut hj = HashJoin::new(
-            values("k", "a", data_l),
-            values("k2", "b", data_r),
-            0,
-            0,
-            JoinType::Inner,
-            storage(),
-        );
-        let mut hj_rows = pairs(&collect_rows(&mut hj).unwrap());
-        hj_rows.sort();
-        let mut mj = MergeJoin::new(
-            values("k", "a", sorted_l),
-            values("k2", "b", sorted_r),
-            0,
-            0,
-            storage(),
-        );
-        let mut mj_rows = pairs(&collect_rows(&mut mj).unwrap());
-        mj_rows.sort();
-        assert_eq!(hj_rows, mj_rows);
-        assert!(!hj_rows.is_empty());
     }
 
     type Pairs = Vec<(i64, i64)>;

@@ -8,7 +8,8 @@
 //! * **Sort Scan** (a.k.a. Bitmap Heap Scan) — drain the index into a TID
 //!   bitmap, fetch nearly sequentially; blocking, order-destroying;
 //! * Filter / Project / Sort;
-//! * Index-Nested-Loop, Hash and Merge joins;
+//! * Index-Nested-Loop and Hash joins (the planner runs a merge join as a
+//!   hash join under a sort);
 //! * hash and scalar aggregation.
 //!
 //! Every operator charges CPU per tuple touched and performs all I/O
@@ -61,7 +62,7 @@ pub use filter::{Filter, Project};
 pub use hashtable::KeyTable;
 pub use join::{
     HashJoin, IndexNestedLoopJoin, InnerPath, JoinBuildPartial, JoinBuildTable, JoinType,
-    MergeJoin, BUILD_PARTITIONS,
+    BUILD_PARTITIONS,
 };
 pub use operator::{
     batch_size, collect_batches, collect_rows, collect_rows_volcano, BoxedOperator, Operator,

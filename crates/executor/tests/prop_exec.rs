@@ -25,8 +25,8 @@ use proptest::prelude::*;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     collect_rows, collect_rows_volcano, operator::ValuesOp, AggFunc, BoxedOperator, Filter,
-    FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, JoinType, MergeJoin, Operator,
-    Predicate, Project, Sort, SortScan,
+    FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, JoinType, Operator, Predicate,
+    Project, Sort, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{
@@ -139,7 +139,7 @@ fn canonical(rows: Vec<Row>) -> Vec<Vec<i64>> {
 
 proptest! {
     #[test]
-    fn hash_and_merge_joins_match_oracle(
+    fn hash_join_matches_oracle(
         left in proptest::collection::vec((0i64..20, any::<i64>()), 0..60),
         right in proptest::collection::vec((0i64..20, any::<i64>()), 0..60),
     ) {
@@ -152,19 +152,7 @@ proptest! {
             JoinType::Inner,
             storage(),
         );
-        prop_assert_eq!(canonical(collect_rows(&mut hj).unwrap()), expected.clone());
-        let mut ls = left.clone();
-        ls.sort();
-        let mut rs = right.clone();
-        rs.sort();
-        let mut mj = MergeJoin::new(
-            values_op("lk", "lv", &ls),
-            values_op("rk", "rv", &rs),
-            0,
-            0,
-            storage(),
-        );
-        prop_assert_eq!(canonical(collect_rows(&mut mj).unwrap()), expected);
+        prop_assert_eq!(canonical(collect_rows(&mut hj).unwrap()), expected);
     }
 
     #[test]
@@ -321,17 +309,15 @@ proptest! {
             let mut hj = HashJoin::new(mk_left(), mk_right(), 0, 0, ty, storage());
             assert_protocols_equivalent(&mut hj, max);
         }
-        let mut ls = left.clone();
-        ls.sort();
-        let mut rs = right.clone();
-        rs.sort();
-        let mut mj =
-            MergeJoin::new(values_op("lk", "lv", &ls), values_op("rk", "rv", &rs), 0, 0, storage());
-        assert_protocols_equivalent(&mut mj, max);
+        // What a merge join lowers to: a sort on the left key over a hash join.
+        let hj = HashJoin::new(mk_left(), mk_right(), 0, 0, JoinType::Inner, storage());
+        let mut merge = Sort::new(Box::new(hj), storage(), vec![SortKey::asc(0)]);
+        assert_protocols_equivalent(&mut merge, max);
     }
 
-    /// Where a batch boundary falls changes no charge: `ValuesOp`,
-    /// `MergeJoin` and the index join (over an outer that does no I/O)
+    /// Where a batch boundary falls changes no charge: `ValuesOp`, a
+    /// `Sort` over a `HashJoin` (what a merge join lowers to) and the
+    /// index join (over an outer that does no I/O)
     /// yield the same rows *and* the same clock and I/O deltas under
     /// every drain, nothing lost or duplicated when the calls interleave.
     #[test]
@@ -342,14 +328,11 @@ proptest! {
         max in 1usize..40,
     ) {
         assert_drains_charge_identically(&|_| values_op("lk", "lv", &left), max);
-        let mut ls = left.clone();
-        ls.sort();
-        let mut rs = right.clone();
-        rs.sort();
         assert_drains_charge_identically(
             &|s| {
-                let (l, r) = (values_op("lk", "lv", &ls), values_op("rk", "rv", &rs));
-                Box::new(MergeJoin::new(l, r, 0, 0, s.clone()))
+                let (l, r) = (values_op("lk", "lv", &left), values_op("rk", "rv", &right));
+                let hj = HashJoin::new(l, r, 0, 0, JoinType::Inner, s.clone());
+                Box::new(Sort::new(Box::new(hj), s.clone(), vec![SortKey::asc(0)]))
             },
             max,
         );
@@ -504,9 +487,6 @@ proptest! {
         let replay = || -> BoxedOperator {
             Box::new(Replay::new(two_col_schema("k", "v"), morsels.clone()))
         };
-        let sorted = |op: BoxedOperator| -> BoxedOperator {
-            Box::new(Sort::new(op, storage(), vec![SortKey::asc(0)]))
-        };
         let mut loader = HeapLoader::new_mem("t", two_col_schema("c0", "c1"));
         for (i, &k) in keys.iter().enumerate() {
             loader.push(&Row::new(vec![Value::Int(i as i64), Value::Int(k)])).unwrap();
@@ -530,7 +510,7 @@ proptest! {
             Box::new(HashAggregate::new(replay(), vec![0], aggs, s.clone()).unwrap()),
             Box::new(join(JoinType::Inner)),
             Box::new(join(JoinType::LeftSemi)),
-            Box::new(MergeJoin::new(sorted(replay()), sorted(values_op("rk", "rv", &right)), 0, 0, s.clone())),
+            Box::new(Sort::new(Box::new(join(JoinType::Inner)), s.clone(), vec![SortKey::asc(0)])),
             Box::new(inlj(JoinType::Inner)),
             Box::new(inlj(JoinType::LeftSemi)),
             Box::new(FullTableScan::new(h(), s.clone(), range)),

@@ -12,7 +12,8 @@
 //! and then resolves it, once: every `Auto` access path and join
 //! strategy is picked, and every `ordered:` scan whose access path does
 //! not deliver key order (Full, Sort, Switch) becomes an explicit `Sort`
-//! on its range key over the same scan, unordered. The operator tree
+//! on its range key over the same scan, unordered — as every merge join
+//! becomes a hash join under a `Sort` on its left key. The operator tree
 //! and the pipeline both read only that resolved plan. `run` /
 //! `run_batches` / `submit` lower it (a private, total `lower`: the
 //! peeled pipeline — a list of phases, hash-join builds first, in the
@@ -60,8 +61,8 @@ use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, BoxedOperator, Filter, FullTableScan, HashAggregate, HashJoin,
-    IndexNestedLoopJoin, MergeJoin, Operator, ParallelPipeline, ParallelSource, PhaseBuild,
-    PhaseSpec, Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan, StageSpec,
+    IndexNestedLoopJoin, Operator, ParallelPipeline, ParallelSource, PhaseBuild, PhaseSpec,
+    Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan, StageSpec,
 };
 use smooth_stats::StatsQuality;
 use smooth_storage::{
@@ -363,8 +364,9 @@ impl Database {
     /// access path and join strategy picked by the [`Optimizer`], and
     /// every `ordered:` scan whose access path does not deliver key order
     /// (Full, Sort, Switch) rewritten as a `Sort` on its range key over
-    /// the same scan, unordered. The inner scan of an index-nested-loop
-    /// join is probed, not scanned: it stays as written.
+    /// the same scan, unordered; every merge join likewise becomes a hash
+    /// join under a `Sort` on its left key. The inner scan of an
+    /// index-nested-loop join is probed, not scanned: it stays as written.
     fn resolve(&self, plan: &LogicalPlan) -> Result<LogicalPlan> {
         let input = |input: &LogicalPlan| self.resolve(input).map(Box::new);
         Ok(match plan {
@@ -409,8 +411,11 @@ impl Database {
                     JoinStrategy::IndexNestedLoop => spec.right.clone(),
                     _ => self.resolve(&spec.right)?,
                 };
-                let emit = spec.emit.clone();
-                LogicalPlan::Join(Box::new(JoinSpec { left, right, strategy, emit, ..**spec }))
+                let join = JoinSpec { left, right, strategy, emit: spec.emit.clone(), ..**spec };
+                match strategy {
+                    JoinStrategy::Merge => Self::hash_under_sort(join),
+                    _ => LogicalPlan::Join(Box::new(join)),
+                }
             }
             LogicalPlan::Aggregate { input: i, group_cols, aggs } => {
                 let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
@@ -426,6 +431,31 @@ impl Database {
                 LogicalPlan::Filter { input: input(i)?, predicate: predicate.clone() }
             }
         })
+    }
+
+    /// A merge join as the plan that runs it: the same join, hashed, under
+    /// a stable sort on the left key. The probe emits each left row's
+    /// matches in build order, so within a key the rows keep left-input
+    /// order, each left row's matches in right-input order — the order a
+    /// merge join over stably sorted inputs emits. A left key the emit
+    /// list drops is emitted for the sort and projected away above it.
+    fn hash_under_sort(mut join: JoinSpec) -> LogicalPlan {
+        join.strategy = JoinStrategy::Hash;
+        let col = join.left_col;
+        let Some(emit) = &mut join.emit else {
+            return LogicalPlan::Join(Box::new(join)).sort(vec![SortKey::asc(col)]);
+        };
+        let key = emit.partition_point(|&c| c < col);
+        let dropped = emit.get(key) != Some(&col);
+        if dropped {
+            emit.insert(key, col);
+        }
+        let width = emit.len();
+        let sorted = LogicalPlan::Join(Box::new(join)).sort(vec![SortKey::asc(key)]);
+        match dropped {
+            true => sorted.project((0..width).filter(|&c| c != key).collect()),
+            false => sorted,
+        }
     }
 
     /// The operator tree of a resolved plan.
@@ -465,7 +495,8 @@ impl Database {
                         };
                         Ok(Box::new(join.with_emit(rspec.cols.as_deref(), spec.emit.as_deref())?))
                     }
-                    JoinStrategy::Hash | JoinStrategy::Auto => {
+                    // `resolve` leaves index and hash joins only.
+                    _ => {
                         let right = self.build_node(&spec.right)?;
                         Ok(Box::new(
                             HashJoin::new(
@@ -479,42 +510,6 @@ impl Database {
                             .with_mem_budget(self.mem_bytes())
                             .with_emit(spec.emit.clone())?,
                         ))
-                    }
-                    JoinStrategy::Merge => {
-                        // Guarantee the ordering contract by sorting both
-                        // inputs on their join keys.
-                        let left = Box::new(
-                            Sort::new(
-                                left,
-                                self.storage.clone(),
-                                vec![SortKey::asc(spec.left_col)],
-                            )
-                            .with_mem_budget(self.mem_bytes()),
-                        );
-                        let right = Box::new(
-                            Sort::new(
-                                self.build_node(&spec.right)?,
-                                self.storage.clone(),
-                                vec![SortKey::asc(spec.right_col)],
-                            )
-                            .with_mem_budget(self.mem_bytes()),
-                        );
-                        let join: BoxedOperator = Box::new(MergeJoin::new(
-                            left,
-                            right,
-                            spec.left_col,
-                            spec.right_col,
-                            self.storage.clone(),
-                        ));
-                        // The merge join gathers every column; its emit
-                        // list is a projection above it.
-                        match &spec.emit {
-                            Some(emit) => {
-                                join.schema().narrow(Some(emit))?;
-                                Ok(Box::new(Project::new(join, emit.clone())?))
-                            }
-                            None => Ok(join),
-                        }
                     }
                 }
             }
@@ -864,7 +859,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smooth_executor::AggFunc;
+    use smooth_executor::{AggFunc, JoinType};
     use smooth_storage::{CpuCosts, DeviceProfile};
     use smooth_types::{Column, DataType, Value};
 
@@ -982,6 +977,48 @@ mod tests {
         assert_eq!(hash, auto);
     }
 
+    /// `l ⋈ r` on their first columns, each table loaded from `(k, v)`
+    /// pairs, under `ty` and `strategy`: the rows, as integers.
+    fn join_pairs(
+        l: &[(i64, i64)],
+        r: &[(i64, i64)],
+        ty: JoinType,
+        strategy: JoinStrategy,
+    ) -> Vec<Vec<i64>> {
+        let mut db = Database::new(StorageConfig::default());
+        for (name, rows) in [("l", l), ("r", r)] {
+            let cols = ["k", "v"].map(|c| Column::new(format!("{name}.{c}"), DataType::Int64));
+            let rows = rows.iter().map(|&(k, v)| Row::new(vec![Value::Int(k), Value::Int(v)]));
+            db.load_table(name, Schema::new(cols.to_vec()).unwrap(), rows).unwrap();
+        }
+        let scan = |t: &str| LogicalPlan::scan(ScanSpec::new(t, Predicate::True));
+        let rows = db.run(&scan("l").join(scan("r"), 0, 0, ty, strategy)).unwrap().rows;
+        rows.iter().map(|r| r.values().iter().map(|v| v.as_int().unwrap()).collect()).collect()
+    }
+
+    /// A merge join runs as a hash join under a sort on the left key:
+    /// duplicate keys on both sides join in key order, each left row's
+    /// matches in right-input order, and an empty side joins nothing.
+    #[test]
+    fn merge_plans_join_duplicate_groups_in_key_order() {
+        let l = [(1, 0), (2, 1), (2, 2), (5, 3)];
+        let r = [(0, 9), (2, 10), (2, 11), (4, 12), (5, 13)];
+        let merge = |l: &[_], r: &[_]| join_pairs(l, r, JoinType::Inner, JoinStrategy::Merge);
+        let want = [[2, 1, 2, 10], [2, 1, 2, 11], [2, 2, 2, 10], [2, 2, 2, 11], [5, 3, 5, 13]];
+        assert_eq!(merge(&l, &r), want);
+        assert!(merge(&[], &r).is_empty() && merge(&l, &[]).is_empty());
+    }
+
+    /// A semi merge join emits each left row with a match once, in key
+    /// order — not the inner join's concatenated pairs.
+    #[test]
+    fn merge_semi_joins_emit_each_matching_left_row_once() {
+        let l: Vec<(i64, i64)> = (0..10).map(|i| (i % 3, i)).collect();
+        let r: Vec<(i64, i64)> = (0..6).map(|i| (i % 2, i)).collect();
+        let got = join_pairs(&l, &r, JoinType::LeftSemi, JoinStrategy::Merge);
+        assert_eq!(got, [[0, 0], [0, 3], [0, 6], [0, 9], [1, 1], [1, 4], [1, 7]]);
+    }
+
     #[test]
     fn explain_names_the_operators() {
         let db = db(500);
@@ -996,6 +1033,15 @@ mod tests {
         let label = |spec: ScanSpec| db.explain(&LogicalPlan::scan(spec)).unwrap();
         assert!(label(spec.clone()).starts_with("SwitchScan(t via t_c1, estimate=7)"));
         assert!(label(spec.with_order()).starts_with("Sort → SwitchScan(t via t_c1, estimate=7)"));
+        // A merge join is a hash join under a sort on its left key.
+        let merge = q(10, AccessPathChoice::ForceFull).join(
+            q(10, AccessPathChoice::ForceFull),
+            1,
+            1,
+            JoinType::Inner,
+            JoinStrategy::Merge,
+        );
+        assert!(db.explain(&merge).unwrap().starts_with("Sort → HashJoin(Inner)"));
     }
 
     #[test]

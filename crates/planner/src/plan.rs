@@ -84,7 +84,9 @@ pub enum JoinStrategy {
     Auto,
     /// Hash join (build on the right input).
     Hash,
-    /// Merge join (inputs must arrive sorted on the join keys).
+    /// An equi-join whose rows come in left-key order: within a key,
+    /// left-input order, each left row's matches in right-input order.
+    /// It runs as a hash join under a sort on the left key.
     Merge,
     /// Index nested-loop: the right side must be a base-table scan whose
     /// join column is indexed.

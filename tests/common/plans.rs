@@ -38,9 +38,12 @@ pub enum JoinShape {
         smooth: bool,
         semi: bool,
     },
-    /// Merge join on the nullable `c2` of both sides: NULL keys sort
-    /// first on either input and must match nothing.
-    MergeNullable,
+    /// Merge join on the nullable `c2` of both sides — a semi join when
+    /// `semi`: NULL keys must match nothing, and the rows come in key
+    /// order.
+    MergeNullable {
+        semi: bool,
+    },
 }
 
 pub fn join_strategy() -> impl Strategy<Value = JoinShape> {
@@ -50,7 +53,7 @@ pub fn join_strategy() -> impl Strategy<Value = JoinShape> {
         1 => Just(JoinShape::HashSemi),
         2 => (any::<bool>(), any::<bool>())
             .prop_map(|(smooth, semi)| JoinShape::IndexNested { smooth, semi }),
-        1 => Just(JoinShape::MergeNullable),
+        1 => any::<bool>().prop_map(|semi| JoinShape::MergeNullable { semi }),
     ]
 }
 
@@ -128,17 +131,20 @@ pub fn plan_for(
             let inner = ScanSpec::new("t", Predicate::int_lt(0, 600)).with_access(access);
             scan.join(LogicalPlan::scan(inner), 1, 1, ty, JoinStrategy::IndexNestedLoop)
         }
-        JoinShape::MergeNullable => scan.join(
+        JoinShape::MergeNullable { semi } => scan.join(
             LogicalPlan::scan(ScanSpec::new("t", Predicate::int_lt(0, 200))),
             2,
             2,
-            JoinType::Inner,
+            if semi { JoinType::LeftSemi } else { JoinType::Inner },
             JoinStrategy::Merge,
         ),
     };
     // Both tables are four columns wide.
     let width = match join {
-        JoinShape::None | JoinShape::HashSemi | JoinShape::IndexNested { semi: true, .. } => 4,
+        JoinShape::None
+        | JoinShape::HashSemi
+        | JoinShape::IndexNested { semi: true, .. }
+        | JoinShape::MergeNullable { semi: true } => 4,
         _ => 8,
     };
     let (plan, width) = match agg {

@@ -17,7 +17,7 @@ use std::collections::HashMap;
 
 use smooth_executor::sort::SortKey;
 use smooth_executor::{AggFunc, JoinType, Predicate};
-use smooth_planner::LogicalPlan;
+use smooth_planner::{JoinStrategy, LogicalPlan};
 use smooth_types::{Row, Value};
 
 /// The tables a plan reads: name → rows in load order.
@@ -27,8 +27,9 @@ pub type Tables = HashMap<&'static str, Vec<Row>>;
 pub struct Expected {
     /// The rows, in the reference's own order.
     pub rows: Vec<Row>,
-    /// The order the plan *defines* (an `ordered:` scan, a `Sort`), as
-    /// keys over the output columns; empty when any order is right.
+    /// The order the plan *defines* (an `ordered:` scan, a `Sort`, a
+    /// merge join's left key), as keys over the output columns; empty
+    /// when any order is right.
     pub order: Vec<SortKey>,
 }
 
@@ -147,10 +148,15 @@ pub fn evaluate(plan: &LogicalPlan, tables: &Tables) -> Expected {
                     JoinType::LeftSemi => rows.extend(matches.next().map(|_| l.clone())),
                 }
             }
-            // A join with an emit list emits those of its columns.
+            // A merge join defines key order; one with an emit list emits
+            // those of its columns.
+            let order = match spec.strategy {
+                JoinStrategy::Merge => vec![SortKey::asc(spec.left_col)],
+                _ => Vec::new(),
+            };
             match &spec.emit {
-                Some(emit) => pick(Expected { rows, order: Vec::new() }, emit),
-                None => Expected { rows, order: Vec::new() },
+                Some(emit) => pick(Expected { rows, order }, emit),
+                None => Expected { rows, order },
             }
         }
         LogicalPlan::Aggregate { input, group_cols, aggs } => {

@@ -320,7 +320,7 @@ fn merge_join_matches_no_null_keys() {
         0,
         300,
         None,
-        JoinShape::MergeNullable,
+        JoinShape::MergeNullable { semi: false },
         AggShape::None,
         &[],
     );
