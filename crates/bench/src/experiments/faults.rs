@@ -26,7 +26,7 @@
 //! [`Error::Faulted`]), every survivor's rows equal its solo run, and
 //! the engine serves the poisoned plan again once faults clear.
 
-use smooth_executor::{AggFunc, JoinType, SpillFile};
+use smooth_executor::{AggFunc, JoinType};
 use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::faults::RETRY_LIMIT;
 use smooth_storage::{DeviceProfile, FaultConfig, FaultInjector, FileId, VirtualClock};
@@ -147,7 +147,6 @@ fn search_seed(file: FileId, pages: u32) -> (FaultConfig, u64, u32) {
 /// Run the fault-isolation experiment: the predicted-backoff gate and
 /// the two concurrent blast-radius legs.
 pub fn run() {
-    let live_spills = SpillFile::live_count();
     let mut db = setup::micro_db(nvme());
     db.set_faults(None); // the experiment owns the fault config
     db.load_table(POISON_TABLE, poison_schema(), poison_rows(POISON_ROWS)).expect("poison load");
@@ -230,11 +229,10 @@ pub fn run() {
     db.set_faults(None);
 
     // Recovery: once faults clear the same engine serves the poisoned
-    // plan again, and the failed query leaked no spill files.
+    // plan again.
     db.storage().flush_pool();
     let recovered = db.run(&poison_plan()).expect("engine survives the poisoned leg");
     assert_eq!(recovered.rows, clean.rows, "post-fault recovery returned different rows");
-    assert_eq!(SpillFile::live_count(), live_spills, "fault legs leaked spill files");
 
     let mut table = Report::new(
         "faults",

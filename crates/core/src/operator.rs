@@ -55,8 +55,6 @@ pub struct SmoothScanConfig {
     pub max_region_pages: u32,
     /// Result-Cache key-range partitions (Section IV-A).
     pub result_cache_partitions: usize,
-    /// Spill the Result Cache beyond this many resident tuples.
-    pub result_cache_spill: Option<usize>,
 }
 
 impl Default for SmoothScanConfig {
@@ -67,7 +65,6 @@ impl Default for SmoothScanConfig {
             ordered: false,
             max_region_pages: MorphPolicy::DEFAULT_MAX_REGION,
             result_cache_partitions: 16,
-            result_cache_spill: None,
         }
     }
 }
@@ -155,6 +152,8 @@ pub struct SmoothScan {
     layout: TupleLayout,
     config: SmoothScanConfig,
     model: CostModel,
+    /// Result-Cache memory budget in arena bytes (0 = unbudgeted).
+    mem_bytes: usize,
     // run-time state
     cursor: Option<IndexCursor>,
     page_cache: PageIdCache,
@@ -215,6 +214,7 @@ impl SmoothScan {
             layout,
             config,
             model,
+            mem_bytes: 0,
             cursor: None,
             page_cache: PageIdCache::new(pages),
             tuple_cache: None,
@@ -239,6 +239,14 @@ impl SmoothScan {
         self.out = self.filter.narrow(table, cols)?;
         self.layout = cols.map_or_else(|| TupleLayout::all(table), |c| TupleLayout::new(table, c));
         Ok(self)
+    }
+
+    /// Builder: the Result Cache's memory budget in bytes (0, the
+    /// default, = unbudgeted). Beyond it, the cache spills the partitions
+    /// furthest from the cursor (see [`ResultCache`]); rows never change.
+    pub fn with_mem_budget(mut self, bytes: usize) -> Self {
+        self.mem_bytes = bytes;
+        self
     }
 
     /// Execution counters (valid during and after execution).
@@ -320,7 +328,7 @@ impl SmoothScan {
                         out.commit_rows(1);
                     } else {
                         let cache = self.result_cache.as_mut().ok_or_else(not_open)?;
-                        cache.insert(s, keys.int(i)?, tid, tuples[i]);
+                        cache.insert(s, keys.int(i)?, tid, tuples[i])?;
                     }
                 }
                 s.charge_cpu(
@@ -528,16 +536,12 @@ impl Operator for SmoothScan {
             self.config.max_region_pages,
         );
         self.result_cache = (fires && self.config.ordered).then(|| {
-            let cache = ResultCache::new(
+            ResultCache::new(
                 &self.index.root_separators(),
                 self.config.result_cache_partitions,
-                self.heap.schema().estimated_tuple_width(16),
+                self.mem_bytes,
                 self.storage.device(),
-            );
-            match self.config.result_cache_spill {
-                Some(limit) => cache.with_spill_threshold(limit),
-                None => cache,
-            }
+            )
         });
         Ok(())
     }
@@ -969,9 +973,9 @@ mod tests {
         let (heap, index) = table(3000);
         let s = storage(64);
         let expected = oracle(&heap, &s, 800);
-        let mut cfg = SmoothScanConfig::default().with_order(true);
-        cfg.result_cache_spill = Some(50); // heavy pressure
-        let mut ss = smooth(&heap, &index, &s, 800, cfg);
+        let cfg = SmoothScanConfig::default().with_order(true);
+        // About fifty 59-byte tuples: heavy pressure.
+        let mut ss = smooth(&heap, &index, &s, 800, cfg).with_mem_budget(3000);
         let rows = collect_rows(&mut ss).unwrap();
         assert_eq!(sorted_by_key(rows.clone()), expected);
         let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
@@ -982,11 +986,11 @@ mod tests {
     #[test]
     fn ordered_spill_charges_identically_across_protocols() {
         // PR 3 latent divergence, fixed by sweeping eviction before the
-        // spill decision (`ResultCache::maybe_spill`): with
-        // `result_cache_spill` set, the columnar protocol defers the
-        // eviction sweep to morsel boundaries, so `resident` could cross
-        // the threshold mid-batch and charge spill I/O the row-at-a-time
-        // protocol never pays. Rows, clock totals and the Result Cache
+        // spill decision (`ResultCache::maybe_spill`): under a budget,
+        // the columnar protocol defers the eviction sweep to morsel
+        // boundaries, so the resident bytes could cross the budget
+        // mid-batch and charge spill I/O the row-at-a-time protocol never
+        // pays. Rows, clock totals and the Result Cache
         // counters must agree across both drivers, spilling or not — and
         // equal what the `Row`-holding cache this one replaced produced
         // on the same table (the pinned values below): only the storage
@@ -1010,16 +1014,16 @@ mod tests {
         };
         type Driver = fn(&mut dyn smooth_executor::Operator) -> smooth_types::Result<Vec<Row>>;
         let volcano: Driver = smooth_executor::collect_rows_volcano;
-        for (spill, driver, expected) in [
-            (None, volcano, pinned(148, 2391, 0)),
-            (None, collect_rows as Driver, pinned(148, 2391, 0)),
-            (Some(50), volcano, pinned(23_104, 852, 4248)),
-            (Some(50), collect_rows as Driver, pinned(23_104, 1278, 4248)),
+        // The budget is about fifty 59-byte tuples: heavy pressure.
+        for (budget, driver, expected) in [
+            (0, volcano, pinned(148, 2391, 0)),
+            (0, collect_rows as Driver, pinned(148, 2391, 0)),
+            (3000, volcano, pinned(23_122, 852, 4248)),
+            (3000, collect_rows as Driver, pinned(23_122, 1278, 4248)),
         ] {
-            let mut cfg = SmoothScanConfig::default().with_order(true);
-            cfg.result_cache_spill = spill; // Some(50): heavy pressure
+            let cfg = SmoothScanConfig::default().with_order(true);
             let s = storage(64);
-            let mut ss = smooth(&heap, &index, &s, 800, cfg);
+            let mut ss = smooth(&heap, &index, &s, 800, cfg).with_mem_budget(budget);
             let rows = driver(&mut ss).unwrap();
             let (clock, cache) = (s.clock().snapshot(), ss.metrics().cache);
             let checksum = rows
@@ -1028,10 +1032,10 @@ mod tests {
             assert_eq!(
                 (rows.len(), checksum, clock.cpu_ns, clock.io_ns, cache),
                 expected,
-                "spill {spill:?}"
+                "budget {budget}"
             );
             assert_eq!(s.io_snapshot().pages_read, 31);
-            assert_eq!(cache.spilled > 0, spill.is_some(), "pressure must spill: {cache:?}");
+            assert_eq!(cache.spilled > 0, budget > 0, "pressure must spill: {cache:?}");
         }
     }
 

@@ -16,9 +16,14 @@
 //!   cursor position per probe ([`ResultCache::defer_advance`]) but the
 //!   eviction sweep runs once per emitted batch
 //!   ([`ResultCache::flush_advance`]), not once per cursor key;
-//! * under memory pressure, partitions whose key ranges are furthest from
-//!   the cursor spill to overflow files and are charged sequential I/O to
-//!   write and later re-read.
+//! * under memory pressure — resident arena bytes over the scan's budget
+//!   (`SmoothScan::with_mem_budget`, the planner's `mem_bytes`) —
+//!   partitions whose key ranges are furthest from the cursor spill to
+//!   overflow files. A spill is its charge, as for the grace join and the
+//!   external sort: the arena stays where it is, and the clock pays one
+//!   fault-gated write of its bytes ([`smooth_executor::charge_spill_write`]),
+//!   one write per tuple appended to a spilled partition, and one re-read
+//!   when a probe brings the partition back.
 //!
 //! What waits is the tuple's **validated encoded bytes**, copied out of
 //! the page into the partition's own byte arena — not a `Row`, and not a
@@ -35,7 +40,7 @@ use std::hash::BuildHasherDefault;
 use std::ops::Range;
 
 use smooth_storage::{DeviceProfile, PageKeyHasher, Session};
-use smooth_types::Tid;
+use smooth_types::{Result, Tid};
 
 /// Counters reported by Fig. 9a.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,8 +70,8 @@ struct Partition {
     slots: HashMap<(i64, Tid), Range<usize>, BuildHasherDefault<PageKeyHasher>>,
     /// The cached tuples' encoded bytes, back to back.
     bytes: Vec<u8>,
-    /// Spilled to an overflow file: contents kept (simulated file), but
-    /// access requires a charged re-read.
+    /// Spilled to an overflow file: the arena stays, but access requires
+    /// a charged re-read.
     spilled: bool,
 }
 
@@ -80,10 +85,10 @@ pub struct ResultCache {
     current: usize,
     /// Highest cursor key recorded since the last eviction sweep.
     pending_advance: Option<i64>,
-    /// Spill when resident tuples exceed this (None = unlimited).
-    spill_threshold: Option<usize>,
-    /// Approximate bytes per row for spill I/O accounting.
-    row_bytes: usize,
+    /// Spill when resident arena bytes exceed this (0 = unbudgeted).
+    budget: usize,
+    /// Arena bytes of the partitions not spilled.
+    resident_bytes: usize,
     /// The scan's device, captured at construction: spills are priced
     /// from it without asking the storage (whose lock a session may hold).
     device: DeviceProfile,
@@ -92,11 +97,12 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// Build from index-root separator keys, using up to `partitions`
-    /// ranges. `row_bytes` sizes spill I/O on `device`.
+    /// ranges, spilling beyond `budget_bytes` of resident arena (0 =
+    /// never) with spill I/O priced on `device`.
     pub fn new(
         separators: &[i64],
         partitions: usize,
-        row_bytes: usize,
+        budget_bytes: usize,
         device: DeviceProfile,
     ) -> Self {
         let partitions = partitions.max(1);
@@ -116,17 +122,11 @@ impl ResultCache {
             parts: (0..nparts).map(|_| Partition::default()).collect(),
             current: 0,
             pending_advance: None,
-            spill_threshold: None,
-            row_bytes: row_bytes.max(1),
+            budget: budget_bytes,
+            resident_bytes: 0,
             device,
             stats: ResultCacheStats::default(),
         }
-    }
-
-    /// Enable spilling beyond `max_resident_tuples`.
-    pub fn with_spill_threshold(mut self, max_resident_tuples: usize) -> Self {
-        self.spill_threshold = Some(max_resident_tuples.max(1));
-        self
     }
 
     /// Number of partitions.
@@ -140,15 +140,18 @@ impl ResultCache {
     }
 
     /// Insert a tuple found ahead of the cursor: its encoded bytes, which
-    /// the caller has validated, are copied into the cache.
-    pub fn insert(&mut self, s: &mut Session, key: i64, tid: Tid, tuple: &[u8]) {
+    /// the caller has validated, are copied into the cache. Fails only if
+    /// a charged spill write fails (injected `spill_err` faults).
+    pub fn insert(&mut self, s: &mut Session, key: i64, tid: Tid, tuple: &[u8]) -> Result<()> {
         s.charge_cpu(s.cpu().hash_op_ns);
         let p = self.partition_of(key);
         debug_assert!(p >= self.current, "insert behind the cursor");
         if self.parts[p].spilled {
-            // Appending to a spilled partition keeps it on "disk".
-            s.storage().clock().charge_io(self.spill_io_ns(1));
+            // Appending to a spilled partition writes the tuple to its file.
+            self.charge_write(s, tuple.len(), 1)?;
             self.stats.spilled += 1;
+        } else {
+            self.resident_bytes += tuple.len();
         }
         let part = &mut self.parts[p];
         let at = part.bytes.len()..part.bytes.len() + tuple.len();
@@ -160,7 +163,7 @@ impl ResultCache {
                 self.stats.max_resident = self.stats.max_resident.max(self.stats.resident);
             }
         }
-        self.maybe_spill(s);
+        self.maybe_spill(s)
     }
 
     /// Probe for the tuple the cursor just reached; a hit borrows its
@@ -206,6 +209,7 @@ impl ResultCache {
             self.stats.evicted += n;
             if !part.spilled {
                 self.stats.resident -= n;
+                self.resident_bytes -= part.bytes.len();
             }
             self.current += 1;
         }
@@ -214,6 +218,7 @@ impl ResultCache {
     /// Drop everything (operator close).
     pub fn clear(&mut self) {
         self.pending_advance = None;
+        self.resident_bytes = 0;
         for part in &mut self.parts {
             let n = part.slots.len() as u64;
             self.stats.evicted += n;
@@ -229,59 +234,57 @@ impl ResultCache {
         self.stats
     }
 
-    /// Cost of writing or reading `tuples` rows of an overflow file: one
-    /// seek plus sequential page transfers on the scan's device.
-    ///
-    /// Shared invariant: this routes through the engine-wide overflow-file
-    /// formula ([`smooth_executor::spill_io_ns`]) so the Result Cache, the
-    /// grace hash join and the external sort all price spill bytes
-    /// identically — one charged sequential run on the scan's device,
-    /// never the disk-arm counters (see `docs/larger_than_memory.md`).
-    /// `row_bytes` is clamped to ≥ 1 at construction, so `tuples > 0`
-    /// always yields a non-zero transfer.
-    fn spill_io_ns(&self, tuples: u64) -> u64 {
-        smooth_executor::spill_io_ns(&self.device, tuples * self.row_bytes as u64)
+    /// Charge one overflow-file write of `bytes` arena bytes holding
+    /// `tuples` tuples: fault-gated, priced on the captured device.
+    fn charge_write(&self, s: &Session, bytes: usize, tuples: u64) -> Result<()> {
+        smooth_executor::charge_spill_write(s.storage(), &self.device, bytes as u64, tuples)
     }
 
-    fn maybe_spill(&mut self, s: &Session) {
-        let Some(limit) = self.spill_threshold else { return };
+    fn maybe_spill(&mut self, s: &Session) -> Result<()> {
+        if self.budget == 0 {
+            return Ok(());
+        }
         // Sweep any deferred cursor advance *before* the spill decision:
         // the columnar protocol defers the eviction sweep to morsel
-        // boundaries, so without this `resident` could cross the
-        // threshold mid-batch and charge spill I/O the row-at-a-time
-        // protocol never pays. Evicting first makes the resident count at
+        // boundaries, so without this the resident bytes could cross the
+        // budget mid-batch and charge spill I/O the row-at-a-time
+        // protocol never pays. Evicting first makes the resident bytes at
         // every spill decision identical no matter how the protocol
         // batches its sweeps — the volcano and columnar drivers charge
-        // byte-identical spill I/O. (Without a spill threshold the
-        // sweep stays at the protocol boundary, unchanged.)
+        // byte-identical spill I/O. (Unbudgeted, the sweep stays at the
+        // protocol boundary, unchanged.)
         self.flush_advance();
-        while self.stats.resident as usize > limit {
+        while self.resident_bytes > self.budget {
             // Spill the resident partition furthest from the cursor
             // ("caches containing the ranges the furthest from the current
             // key range are spilled into the overflow files").
             let victim = (self.current..self.parts.len())
                 .rev()
                 .find(|&i| !self.parts[i].spilled && !self.parts[i].slots.is_empty());
-            let Some(v) = victim else { return };
-            let n = self.parts[v].slots.len() as u64;
+            let Some(v) = victim else { return Ok(()) };
             if v == self.current && self.parts.len() == 1 {
-                return; // never spill the only active partition
+                return Ok(()); // never spill the only active partition
             }
+            let (n, bytes) = (self.parts[v].slots.len() as u64, self.parts[v].bytes.len());
+            self.charge_write(s, bytes, n)?;
             self.parts[v].spilled = true;
             self.stats.spilled += n;
             self.stats.resident -= n;
-            s.storage().clock().charge_io(self.spill_io_ns(n));
+            self.resident_bytes -= bytes;
         }
+        Ok(())
     }
 
     fn unspill(&mut self, s: &Session, p: usize) {
         let part = &mut self.parts[p];
         let n = part.slots.len() as u64;
         part.spilled = false;
+        self.resident_bytes += part.bytes.len();
         self.stats.unspilled += n;
         self.stats.resident += n;
         self.stats.max_resident = self.stats.max_resident.max(self.stats.resident);
-        s.storage().clock().charge_io(self.spill_io_ns(n));
+        let ns = smooth_executor::spill_io_ns(&self.device, part.bytes.len() as u64);
+        s.storage().clock().charge_io(ns);
     }
 }
 
@@ -296,7 +299,11 @@ mod tests {
     }
 
     fn cache(separators: &[i64], partitions: usize) -> ResultCache {
-        ResultCache::new(separators, partitions, 64, DeviceProfile::hdd())
+        budgeted(separators, partitions, 0)
+    }
+
+    fn budgeted(separators: &[i64], partitions: usize, budget: usize) -> ResultCache {
+        ResultCache::new(separators, partitions, budget, DeviceProfile::hdd())
     }
 
     /// A stand-in encoded tuple (the cache never looks inside one).
@@ -308,7 +315,7 @@ mod tests {
     fn insert_probe_roundtrip() {
         let s = storage();
         let mut c = cache(&[100, 200, 300], 4);
-        c.insert(&mut s.session(), 150, Tid::new(1, 1), &row(150));
+        c.insert(&mut s.session(), 150, Tid::new(1, 1), &row(150)).unwrap();
         assert_eq!(c.probe(&mut s.session(), 150, Tid::new(1, 1)), Some(&row(150)[..]));
         assert_eq!(c.probe(&mut s.session(), 150, Tid::new(1, 2)), None);
         let st = c.stats();
@@ -329,10 +336,10 @@ mod tests {
     fn bulk_eviction_on_advance() {
         let s = storage();
         let mut c = cache(&[10, 20, 30], 4);
-        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5));
-        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15));
-        c.insert(&mut s.session(), 25, Tid::new(0, 2), &row(25));
-        c.insert(&mut s.session(), 35, Tid::new(0, 3), &row(35));
+        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5)).unwrap();
+        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15)).unwrap();
+        c.insert(&mut s.session(), 25, Tid::new(0, 2), &row(25)).unwrap();
+        c.insert(&mut s.session(), 35, Tid::new(0, 3), &row(35)).unwrap();
         assert_eq!(c.stats().resident, 4);
         c.advance_to(20); // passes partitions [_,10) and [10,20)
         let st = c.stats();
@@ -347,9 +354,9 @@ mod tests {
     fn deferred_advance_sweeps_once_at_flush() {
         let s = storage();
         let mut c = cache(&[10, 20, 30], 4);
-        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5));
-        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15));
-        c.insert(&mut s.session(), 25, Tid::new(0, 2), &row(25));
+        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5)).unwrap();
+        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15)).unwrap();
+        c.insert(&mut s.session(), 25, Tid::new(0, 2), &row(25)).unwrap();
         // Recording cursor keys evicts nothing yet …
         c.defer_advance(12);
         c.defer_advance(22);
@@ -370,7 +377,7 @@ mod tests {
     fn boundary_key_does_not_evict_its_own_partition() {
         let s = storage();
         let mut c = cache(&[10], 2);
-        c.insert(&mut s.session(), 10, Tid::new(0, 0), &row(10));
+        c.insert(&mut s.session(), 10, Tid::new(0, 0), &row(10)).unwrap();
         c.advance_to(10); // partition [10, ∞) must survive
         assert_eq!(c.probe(&mut s.session(), 10, Tid::new(0, 0)), Some(&row(10)[..]));
         assert_eq!(c.stats().evicted, 0);
@@ -379,15 +386,18 @@ mod tests {
     #[test]
     fn spilling_under_pressure_and_transparent_unspill() {
         let s = storage();
-        let mut c = cache(&[100, 200, 300], 4).with_spill_threshold(2);
-        // Fill three partitions; threshold 2 forces the furthest to spill.
-        c.insert(&mut s.session(), 50, Tid::new(0, 0), &row(50));
-        c.insert(&mut s.session(), 150, Tid::new(0, 1), &row(150));
+        // Two 8-byte tuples fit the budget; a third forces the furthest
+        // partition to spill.
+        let mut c = budgeted(&[100, 200, 300], 4, 16);
+        c.insert(&mut s.session(), 50, Tid::new(0, 0), &row(50)).unwrap();
+        c.insert(&mut s.session(), 150, Tid::new(0, 1), &row(150)).unwrap();
         let io_before = s.clock().snapshot().io_ns;
-        c.insert(&mut s.session(), 350, Tid::new(0, 2), &row(350)); // exceeds threshold
+        c.insert(&mut s.session(), 350, Tid::new(0, 2), &row(350)).unwrap(); // over the budget
         let st = c.stats();
-        assert!(st.spilled >= 1, "furthest partition spilled: {st:?}");
-        assert!(s.clock().snapshot().io_ns > io_before, "spill charged I/O");
+        assert_eq!(st.spilled, 1, "furthest partition spilled: {st:?}");
+        // The spill is priced by the arena bytes it moves: one 8-byte tuple.
+        let write = smooth_executor::spill_io_ns(&DeviceProfile::hdd(), 8);
+        assert_eq!(s.clock().snapshot().io_ns - io_before, write, "spill charged its bytes");
         // Probing the spilled partition brings it back (charged) and hits.
         assert_eq!(c.probe(&mut s.session(), 350, Tid::new(0, 2)), Some(&row(350)[..]));
         assert!(c.stats().unspilled >= 1);
@@ -400,30 +410,31 @@ mod tests {
         // sweep runs per cursor key (the row-at-a-time protocol) or is
         // deferred to a batch boundary (the columnar protocol). The
         // sweep-before-spill rule in `maybe_spill` makes the resident
-        // count at every spill decision protocol-independent.
+        // bytes at every spill decision protocol-independent.
         let bounds = [10i64, 20, 30];
-        let limit = 2;
-        // Per-key sweeps: the cursor advance evicts [_,10) before the
-        // third insert, so resident never crosses the limit — no spill.
+        let budget = 16; // two 8-byte tuples
+                         // Per-key sweeps: the cursor advance evicts [_,10) before the
+                         // third insert, so resident bytes never cross the budget — no
+                         // spill.
         let s_eager = storage();
-        let mut eager = cache(&bounds, 4).with_spill_threshold(limit);
-        eager.insert(&mut s_eager.session(), 5, Tid::new(0, 0), &row(5));
+        let mut eager = budgeted(&bounds, 4, budget);
+        eager.insert(&mut s_eager.session(), 5, Tid::new(0, 0), &row(5)).unwrap();
         eager.defer_advance(6);
         eager.flush_advance();
-        eager.insert(&mut s_eager.session(), 15, Tid::new(0, 1), &row(15));
+        eager.insert(&mut s_eager.session(), 15, Tid::new(0, 1), &row(15)).unwrap();
         eager.defer_advance(12);
         eager.flush_advance(); // volcano sweeps here, before the next insert
-        eager.insert(&mut s_eager.session(), 25, Tid::new(0, 2), &row(25));
+        eager.insert(&mut s_eager.session(), 25, Tid::new(0, 2), &row(25)).unwrap();
         eager.flush_advance();
         // Deferred sweeps: identical sequence, but the sweep for key 12
         // waits for the batch boundary after the third insert.
         let s_deferred = storage();
-        let mut deferred = cache(&bounds, 4).with_spill_threshold(limit);
-        deferred.insert(&mut s_deferred.session(), 5, Tid::new(0, 0), &row(5));
+        let mut deferred = budgeted(&bounds, 4, budget);
+        deferred.insert(&mut s_deferred.session(), 5, Tid::new(0, 0), &row(5)).unwrap();
         deferred.defer_advance(6);
-        deferred.insert(&mut s_deferred.session(), 15, Tid::new(0, 1), &row(15));
+        deferred.insert(&mut s_deferred.session(), 15, Tid::new(0, 1), &row(15)).unwrap();
         deferred.defer_advance(12);
-        deferred.insert(&mut s_deferred.session(), 25, Tid::new(0, 2), &row(25));
+        deferred.insert(&mut s_deferred.session(), 25, Tid::new(0, 2), &row(25)).unwrap();
         deferred.flush_advance();
         assert_eq!(
             s_deferred.clock().snapshot(),
@@ -433,15 +444,15 @@ mod tests {
             eager.stats()
         );
         assert_eq!(deferred.stats().spilled, eager.stats().spilled);
-        assert_eq!(eager.stats().spilled, 0, "eviction keeps residency under the threshold");
+        assert_eq!(eager.stats().spilled, 0, "eviction keeps residency under the budget");
     }
 
     #[test]
     fn clear_releases_everything() {
         let s = storage();
         let mut c = cache(&[10], 2);
-        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5));
-        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15));
+        c.insert(&mut s.session(), 5, Tid::new(0, 0), &row(5)).unwrap();
+        c.insert(&mut s.session(), 15, Tid::new(0, 1), &row(15)).unwrap();
         c.clear();
         assert_eq!(c.stats().resident, 0);
         assert_eq!(c.probe(&mut s.session(), 5, Tid::new(0, 0)), None);
@@ -451,10 +462,10 @@ mod tests {
     fn max_resident_high_water_mark() {
         let s = storage();
         let mut c = cache(&[10], 2);
-        c.insert(&mut s.session(), 1, Tid::new(0, 0), &row(1));
-        c.insert(&mut s.session(), 2, Tid::new(0, 1), &row(2));
+        c.insert(&mut s.session(), 1, Tid::new(0, 0), &row(1)).unwrap();
+        c.insert(&mut s.session(), 2, Tid::new(0, 1), &row(2)).unwrap();
         c.advance_to(10);
-        c.insert(&mut s.session(), 11, Tid::new(0, 2), &row(11));
+        c.insert(&mut s.session(), 11, Tid::new(0, 2), &row(11)).unwrap();
         assert_eq!(c.stats().max_resident, 2);
     }
 }

@@ -244,13 +244,12 @@ proptest! {
     #[test]
     fn ordered_smooth_scan_with_spill_equals_oracle(
         keys in proptest::collection::vec(0i64..50, 100..900),
-        spill in 1usize..40,
+        budget in 64usize..4096,
     ) {
         let (heap, index) = build_table(&keys);
         let s = storage(32);
         let expected = oracle(&keys, &Predicate::int_lt(1, 25));
-        let mut config = SmoothScanConfig::default().with_order(true);
-        config.result_cache_spill = Some(spill);
+        let config = SmoothScanConfig::default().with_order(true);
         let mut ss = SmoothScan::new(
             heap,
             index,
@@ -260,7 +259,8 @@ proptest! {
             Bound::Excluded(25),
             Predicate::True,
             config,
-        );
+        )
+        .with_mem_budget(budget);
         let rows = collect_rows(&mut ss).unwrap();
         let ks: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
         prop_assert!(ks.windows(2).all(|w| w[0] <= w[1]));

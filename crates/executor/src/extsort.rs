@@ -10,12 +10,13 @@
 //! With a budget, the accumulation is cut into a *run* whenever its
 //! spill-codec byte size ([`codec::batch_row_len`], equal to the row
 //! codec's `row_len`) crosses the budget: the chunk is sorted (charged
-//! `sort_cmp_ns · n·⌊log₂ n⌋`, exactly like the in-memory sort),
-//! serialized in sorted order to a charged overflow file
-//! ([`crate::spill`]) and appended to the batch of spilled runs, which
-//! stays addressable — overflow files are charged accounting, like every
-//! spill in this engine. When the input ends every run file is re-read
-//! (one charged transfer each) and the k runs merge through a loser
+//! `sort_cmp_ns · n·⌊log₂ n⌋`, exactly like the in-memory sort) and
+//! appended in sorted order to the batch of spilled runs, and the run's
+//! encoded byte count is charged as one fault-gated overflow-file write
+//! ([`crate::spill::charge_spill_write`]). The rows are held once, in
+//! that batch: a spill is its charge, like every spill in this engine.
+//! When the input ends every run is re-read (one charged transfer of its
+//! bytes each) and the k runs merge through a loser
 //! tree keyed `(sort keys, run index)`: at most ⌈log₂ k⌉ comparisons
 //! per output row, which is what the clock's `sort_cmp_ns · n·⌈log₂ k⌉`
 //! merge charge has always assumed. Runs are consecutive input chunks,
@@ -38,7 +39,7 @@ use smooth_types::{
 
 use crate::operator::batch_size;
 use crate::sort::SortKey;
-use crate::spill::{charge_spill_io, spill_write, SpillFile};
+use crate::spill::{charge_spill_io, charge_spill_write};
 
 /// Sort accumulator: [`ExternalSorter::push_batch`] morsels, then
 /// [`ExternalSorter::finish`].
@@ -56,8 +57,8 @@ pub struct ExternalSorter {
     /// `[run_ends[r - 1], run_ends[r])`, each range stably sorted.
     spilled: ColumnBatch,
     run_ends: Vec<u32>,
-    /// One really-serialized overflow file per run.
-    files: Vec<SpillFile>,
+    /// Encoded bytes of each run, for the merge pass's re-read charge.
+    run_bytes: Vec<u64>,
     /// Scratch: the live-row indices of the morsel being ingested.
     live: Vec<u32>,
 }
@@ -74,7 +75,7 @@ impl ExternalSorter {
             cur_bytes: 0,
             spilled: ColumnBatch::default(),
             run_ends: Vec::new(),
-            files: Vec::new(),
+            run_bytes: Vec::new(),
             live: Vec::new(),
         }
     }
@@ -89,7 +90,7 @@ impl ExternalSorter {
 
     /// Ingest the live rows of one morsel, cutting a run after each row
     /// that takes the working set over the budget. Fails only if a run's
-    /// overflow-file write fails (injected `spill_err` faults that
+    /// charged overflow-file write fails (injected `spill_err` faults that
     /// exhaust their retries).
     pub fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
         self.adopt_typing(batch);
@@ -157,16 +158,13 @@ impl ExternalSorter {
     }
 
     /// Sort the accumulated chunk (charged like the in-memory sort),
-    /// serialize it in sorted order, charge the overflow-file write and
-    /// append it to the spilled runs.
+    /// charge its encoded bytes as one overflow-file write and append it
+    /// in sorted order to the spilled runs.
     fn cut_run(&mut self) -> Result<()> {
         let perm = self.sorted_perm(&self.cur)?;
-        let mut data = Vec::with_capacity(self.cur_bytes as usize);
-        for &i in &perm {
-            codec::encode_batch_row(&self.cur, i as usize, &mut data);
-        }
-        debug_assert_eq!(data.len() as u64, self.cur_bytes);
-        self.files.push(spill_write(&self.storage, data, perm.len() as u64)?);
+        let device = self.storage.device();
+        charge_spill_write(&self.storage, &device, self.cur_bytes, perm.len() as u64)?;
+        self.run_bytes.push(self.cur_bytes);
         self.spilled.append_gather(&self.cur, &perm);
         self.run_ends.push(row_index(self.spilled.physical_rows())?);
         self.cur.clear();
@@ -176,13 +174,13 @@ impl ExternalSorter {
 
     /// Number of runs spilled so far.
     pub fn run_count(&self) -> usize {
-        self.files.len()
+        self.run_bytes.len()
     }
 
     /// Finish the sort: the fully-sorted output as morsel-sized batches,
     /// the same rows in the same order at every budget.
     pub fn finish(mut self) -> Result<Vec<ColumnBatch>> {
-        let (sorted_from, order) = if self.files.is_empty() {
+        let (sorted_from, order) = if self.run_bytes.is_empty() {
             // Never spilled: exactly the in-memory sort and its charge.
             (&self.cur, self.sorted_perm(&self.cur)?)
         } else {
@@ -190,12 +188,12 @@ impl ExternalSorter {
                 // The final partial chunk merges like any other run.
                 self.cut_run()?;
             }
-            // Merge pass: re-read every run file, then k-way select.
-            for file in &self.files {
-                charge_spill_io(&self.storage, file.bytes_len());
+            // Merge pass: re-read every run, then k-way select.
+            for &bytes in &self.run_bytes {
+                charge_spill_io(&self.storage, bytes);
             }
             let total = self.spilled.physical_rows() as u64;
-            let merge_depth = self.files.len().next_power_of_two().trailing_zeros() as u64;
+            let merge_depth = self.run_bytes.len().next_power_of_two().trailing_zeros() as u64;
             if total > 0 && merge_depth > 0 {
                 self.storage
                     .clock()
@@ -352,27 +350,6 @@ mod tests {
         assert_eq!(out.len(), 400);
         assert_eq!(out[0].int(1).unwrap(), 399);
         assert!(st.clock().snapshot().since(&before).io_ns > 0);
-    }
-
-    #[test]
-    fn run_files_round_trip_through_the_codec() {
-        let keys = vec![SortKey::asc(0)];
-        let mut sorter = ExternalSorter::new(storage(), keys, 256);
-        sorter.push_batch(&batch(&rows(100))).unwrap();
-        assert!(sorter.run_count() > 0);
-        let mut start = 0;
-        for (file, &end) in sorter.files.iter().zip(&sorter.run_ends) {
-            let mut decoded = Vec::new();
-            let mut at = 0;
-            while at < file.data().len() {
-                let (row, used) = codec::decode_row(&file.data()[at..], 2).unwrap();
-                decoded.push(row);
-                at += used;
-            }
-            let run: Vec<Row> = (start..end as usize).map(|i| sorter.spilled.row(i)).collect();
-            assert_eq!(decoded, run);
-            start = end as usize;
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use crate::expr::{Predicate, ScanFilter};
 use crate::hashtable::KeyTable;
 use crate::operator::{batch_size, BoxedOperator, Operator};
 use crate::scan::slot_tuples;
-use crate::spill::{charge_spill_io, spill_write, SpillFile};
+use crate::spill::{charge_spill_io, charge_spill_write};
 
 /// Supported join semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,16 +112,12 @@ struct GraceNode {
     probe_bytes: AtomicU64,
 }
 
-/// Spill state of one over-budget [`JoinBuildTable`]: the per-partition
-/// grace trees plus the really-serialized overflow files for the
-/// spilled top-level partitions.
+/// Spill state of one over-budget [`JoinBuildTable`]: the grace trees
+/// of the spilled top-level partitions.
 struct GraceSpill {
     /// `trees[p]` is `Some` exactly when top-level partition `p`
     /// spilled.
     trees: Vec<Option<GraceNode>>,
-    /// Serialized overflow file per spilled top-level partition,
-    /// parallel to `trees`.
-    files: Vec<Option<SpillFile>>,
     /// One-shot latch for [`JoinBuildTable::finish_probe`].
     finished: AtomicBool,
 }
@@ -154,8 +150,9 @@ struct GraceSpill {
 ///    accounting, the probe index is not partitioned), sizes them under
 ///    the spill codec and, if the total exceeds the operator's memory
 ///    budget, spills whole partitions largest-first (ties to the lowest
-///    index) until the retained set fits. A spilled partition becomes
-///    an overflow file plus a grace tree: while a (sub-)partition still
+///    index) until the retained set fits. A spilled partition is
+///    charged one overflow-file write of its encoded bytes and becomes
+///    a grace tree: while a (sub-)partition still
 ///    exceeds the budget it re-partitions into
 ///    `GRACE_FANOUT` (8) children under a level-salted
 ///    hash, and each repartition pass charges a re-read and re-write of
@@ -169,11 +166,11 @@ struct GraceSpill {
 ///    re-partitioned alongside the build files, and each leaf pair
 ///    re-read to join.
 ///
-/// Spilled partitions keep their rows addressable — spilling is a
-/// *charged accounting* state, like the Result Cache's partition
-/// spills, so probe results stay byte-identical to the unbudgeted run
-/// by construction while the virtual clock pays the full grace-join
-/// I/O. See `docs/larger_than_memory.md`.
+/// Spilled partitions keep their rows where they are, in the one
+/// payload batch — a spill is its charge, as for the external sort and
+/// the Result Cache — so probe results stay byte-identical to the
+/// unbudgeted run by construction while the virtual clock pays the full
+/// grace-join I/O. See `docs/larger_than_memory.md`.
 pub struct JoinBuildTable {
     /// Distinct keys; entry id indexes `head` / `tail`.
     keys: KeyTable,
@@ -417,9 +414,9 @@ impl JoinBuildTable {
     /// assign every build row to its spill partition, size the
     /// partitions under the spill codec and, while the retained total
     /// exceeds `budget_bytes`, spill whole partitions largest-first
-    /// (ties to the lowest partition index) into charged overflow
-    /// files, recursing on any partition that alone still exceeds the
-    /// budget (see the type-level lifecycle docs).
+    /// (ties to the lowest partition index), each charged as one
+    /// overflow-file write, recursing on any partition that alone still
+    /// exceeds the budget (see the type-level lifecycle docs).
     /// A zero budget means unlimited: the call is free and charges
     /// nothing. Must run at exactly one deterministic point per build —
     /// after the serial build loop, or after the parallel partials are
@@ -451,25 +448,21 @@ impl JoinBuildTable {
         let mut order: Vec<usize> = (0..sizes.len()).filter(|&p| sizes[p] > 0).collect();
         order.sort_by_key(|&p| (std::cmp::Reverse(sizes[p]), p));
         let mut trees: Vec<Option<GraceNode>> = (0..sizes.len()).map(|_| None).collect();
-        let mut files: Vec<Option<SpillFile>> = (0..sizes.len()).map(|_| None).collect();
+        let device = storage.device();
         let mut retained = total;
         for p in order {
             if retained <= budget {
                 break;
             }
             retained -= sizes[p];
-            let mut data = Vec::with_capacity(sizes[p] as usize);
-            for &r in &rows[p] {
-                smooth_types::spill::encode_batch_row(&self.payload, r as usize, &mut data);
-            }
             // The initial spill writes the whole partition once
             // (fault-gated: a failed write fails the build) …
-            files[p] = Some(spill_write(storage, data, rows[p].len() as u64)?);
+            charge_spill_write(storage, &device, sizes[p], rows[p].len() as u64)?;
             // … and every overflowing (sub-)partition re-reads and
             // re-writes its bytes per recursion level (charged inside).
             trees[p] = Some(self.grace_node(storage, &rows[p], sizes[p], 0, budget));
         }
-        self.spill = Some(GraceSpill { trees, files, finished: AtomicBool::new(false) });
+        self.spill = Some(GraceSpill { trees, finished: AtomicBool::new(false) });
         Ok(())
     }
 
@@ -572,9 +565,9 @@ impl JoinBuildTable {
             // Probe overflow spools to the partition's probe file once.
             let bytes = Self::probe_subtree_bytes(root);
             if bytes > 0 {
-                storage.spill_fault_check(bytes, Self::probe_subtree_rows(root))?;
+                let rows = Self::probe_subtree_rows(root);
+                charge_spill_write(storage, &storage.device(), bytes, rows)?;
             }
-            charge_spill_io(storage, bytes);
             Self::finish_node(root, storage);
         }
         Ok(())
@@ -621,25 +614,16 @@ impl JoinBuildTable {
         self.spill.as_ref().map_or(0, |s| s.trees.iter().flatten().count())
     }
 
-    /// Encoded bytes written by the initial partition spills (the
-    /// overflow files' total length; recursion re-writes not included).
+    /// Encoded bytes written by the initial partition spills (recursion
+    /// re-writes not included).
     pub fn spilled_build_bytes(&self) -> u64 {
-        self.spill.as_ref().map_or(0, |s| s.files.iter().flatten().map(SpillFile::bytes_len).sum())
+        self.spill.as_ref().map_or(0, |s| s.trees.iter().flatten().map(|t| t.bytes).sum())
     }
 
     /// Build tuples living in spilled partitions (0 when the table fits
     /// its budget).
     pub fn spilled_build_rows(&self) -> u64 {
         self.spill.as_ref().map_or(0, |s| s.trees.iter().flatten().map(|t| t.tuples).sum())
-    }
-
-    /// The spilled partitions' overflow files (partition index, file),
-    /// for inspection by tests and experiments.
-    pub fn spill_files(&self) -> impl Iterator<Item = (usize, &SpillFile)> {
-        self.spill
-            .iter()
-            .flat_map(|s| s.files.iter().enumerate())
-            .filter_map(|(p, f)| f.as_ref().map(|f| (p, f)))
     }
 }
 
@@ -1426,49 +1410,6 @@ mod tests {
         assert_eq!(spilled, 0);
         assert_eq!(rows_big, rows_free);
         assert_eq!((cpu_big, io_big), (cpu_free, io_free));
-    }
-
-    #[test]
-    fn overflow_files_round_trip_the_spilled_partitions() {
-        let (_, right) = spill_inputs();
-        let st = storage();
-        let mut j = HashJoin::new(
-            values("a", "k", vec![(0, 0)]),
-            values("k2", "b", right.clone()),
-            1,
-            0,
-            JoinType::Inner,
-            st.clone(),
-        )
-        .with_mem_budget(1024);
-        let _ = drain(&mut j);
-        let table = &j.table;
-        assert!(table.spilled_partition_count() > 0);
-        assert_eq!(table.spilled_build_bytes(), {
-            let mut total = 0u64;
-            for (_, file) in table.spill_files() {
-                total += file.bytes_len();
-            }
-            total
-        });
-        let mut decoded_rows = 0u64;
-        for (_, file) in table.spill_files() {
-            let mut at = 0;
-            while at < file.data().len() {
-                let (row, used) = smooth_types::spill::decode_row(&file.data()[at..], 2).unwrap();
-                // Every spilled row is a real build-side row.
-                let pair = (row.int(0).unwrap(), row.int(1).unwrap());
-                assert!(right.contains(&pair), "decoded {pair:?} not in build input");
-                decoded_rows += 1;
-                at += used;
-            }
-            assert_eq!(decoded_rows, file.rows(), "file row count matches its contents");
-            decoded_rows = 0;
-        }
-        assert_eq!(
-            table.spill_files().map(|(_, f)| f.rows()).sum::<u64>(),
-            table.spilled_build_rows(),
-        );
     }
 
     #[test]

@@ -74,4 +74,6 @@ pub use parallel::{
 pub use scan::{fill_from, slot_tuples, FullTableScan, PageQueue, SortScan};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};
 pub use sort::Sort;
-pub use spill::{charge_spill_io, mem_budget_bytes, spill_io_ns, spill_write, SpillFile};
+pub use spill::{
+    charge_spill_io, charge_spill_write, mem_budget_bytes, spill_io_ns, spill_write, SpillFile,
+};

@@ -2,32 +2,37 @@
 //! under larger-than-memory execution.
 //!
 //! The engine exposes one memory knob, `SMOOTH_MEM_BYTES`: the working
-//! memory each *blocking operator instance* (a hash-join build, a sort)
-//! of an active query may hold before it must spill, in the spirit of
-//! PostgreSQL's `work_mem`. The budget is per operator rather than a
-//! shared per-query pool on purpose: operator open order differs
-//! between the serial and parallel drivers, so a shared pool would make
-//! spill decisions — and therefore the virtual clock — depend on the
-//! driver, breaking the engine-wide byte-identical accounting
-//! invariant. `0` (the default) means unlimited; see
-//! `docs/larger_than_memory.md` for the full ownership story.
+//! memory each *blocking operator instance* (a hash-join build, a sort,
+//! an ordered Smooth Scan's Result Cache) of an active query may hold
+//! before it must spill, in the spirit of PostgreSQL's `work_mem`. The
+//! budget is per operator rather than a shared per-query pool on
+//! purpose: operator open order differs between the serial and parallel
+//! drivers, so a shared pool would make spill decisions — and therefore
+//! the virtual clock — depend on the driver, breaking the engine-wide
+//! byte-identical accounting invariant. `0` (the default) means
+//! unlimited; see `docs/larger_than_memory.md` for the full ownership
+//! story.
 //!
-//! Spilling in this engine is *modeled the way all I/O is modeled*: an
-//! overflow file is a real serialized byte buffer (the spill codec,
-//! [`smooth_types::spill`]), but its transfer cost lands on the virtual
-//! clock's I/O arm rather than a filesystem. [`spill_io_ns`] is the one
-//! formula every overflow file in the engine pays — the grace hash
-//! join's partition files, the external sort's runs, and the Smooth
-//! Scan Result Cache's partition spills in `smooth-core` all route
-//! through it. The shared invariant: one overflow-file transfer costs
-//! one seek plus sequential page transfers of its byte length
+//! Spilling in this engine is *modeled the way all I/O is modeled*: a
+//! spill is its charge. When an operator's working set crosses its
+//! budget it keeps its rows where they are — the grace join's build
+//! batch, the external sort's spilled runs, the Result Cache's partition
+//! arenas in `smooth-core` — and pays, on the virtual clock, for the
+//! overflow file those rows would fill: [`charge_spill_write`] fault-gates
+//! the write and charges its encoded byte count, and every later re-read
+//! is one more [`charge_spill_io`]. The byte counts are the ones the
+//! operators already keep (the spill codec's
+//! [`smooth_types::spill::batch_row_len`] for the join and the sort,
+//! arena bytes for the Result Cache), so no row is encoded to spill it.
+//! [`spill_io_ns`] is the one formula every overflow transfer pays: one
+//! seek plus sequential page transfers of its byte length
 //! (`ceil(bytes / PAGE_SIZE)` pages, minimum one) on the scan device,
-//! charged to the clock's I/O lane and *never* to the disk-arm
-//! counters — overflow files live beside the heap, not in it, so the
-//! buffer pool, sequential/random classification and page counters are
-//! unperturbed.
+//! charged to the clock's I/O lane and *never* to the disk-arm counters —
+//! overflow files live beside the heap, not in it, so the buffer pool,
+//! sequential/random classification and page counters are unperturbed.
+//! The budget therefore bounds what an operator is *charged* for, not the
+//! memory it holds.
 
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::sync::OnceLock;
 
 use smooth_storage::{DeviceProfile, Storage};
@@ -70,67 +75,48 @@ pub fn charge_spill_io(storage: &Storage, bytes: u64) {
     }
 }
 
-/// Write one overflow file: fault-gate the write (the storage
-/// instance's [`smooth_storage::FaultInjector`], if any, may retry
-/// with backoff or fail it), charge the transfer, and wrap the bytes
-/// as a [`SpillFile`]. Every operator spill should route through this
-/// rather than pairing [`charge_spill_io`] with [`SpillFile::new`] by
-/// hand, so injected `spill_err` faults cover all of them.
-pub fn spill_write(storage: &Storage, data: Vec<u8>, rows: u64) -> Result<SpillFile> {
-    storage.spill_fault_check(data.len() as u64, rows)?;
-    charge_spill_io(storage, data.len() as u64);
-    Ok(SpillFile::new(data, rows))
+/// Charge one overflow-file write of `bytes` encoded bytes holding
+/// `rows` rows: fault-gate it (the storage instance's
+/// [`smooth_storage::FaultInjector`], if any, may retry with backoff or
+/// fail it), then charge the transfer on `device`. Every operator spill
+/// routes through this, so injected `spill_err` faults cover all of
+/// them. `device` is a parameter because the Result Cache prices its
+/// spills from the device it captured at open: its calls run under a
+/// storage session, whose lock [`Storage::device`] would wait on.
+pub fn charge_spill_write(
+    storage: &Storage,
+    device: &DeviceProfile,
+    bytes: u64,
+    rows: u64,
+) -> Result<()> {
+    storage.spill_fault_check(bytes, rows)?;
+    let ns = spill_io_ns(device, bytes);
+    if ns > 0 {
+        storage.clock().charge_io(ns);
+    }
+    Ok(())
 }
 
-/// Overflow files alive in the process right now (created minus
-/// dropped). Tests assert this returns to its baseline after a query
-/// completes or fails — spill files must never leak past their query.
-static LIVE_SPILL_FILES: AtomicIsize = AtomicIsize::new(0);
+/// [`charge_spill_write`] of already-encoded bytes, kept as one
+/// overflow file. No operator holds one — a spill is its charge — but
+/// `benchmark/`'s `executor.spill_write_ns_per_byte` kernel times the
+/// encode-and-write path through it.
+pub fn spill_write(storage: &Storage, data: Vec<u8>, rows: u64) -> Result<SpillFile> {
+    charge_spill_write(storage, &storage.device(), data.len() as u64, rows)?;
+    Ok(SpillFile { data })
+}
 
-/// One overflow file: really-serialized tuple bytes (the
-/// [`smooth_types::spill`] codec) held as a buffer, with its transfer
-/// costs charged through [`charge_spill_io`] by the owning operator.
+/// Really-serialized tuple bytes (the [`smooth_types::spill`] codec)
+/// whose write [`spill_write`] charged.
 #[derive(Debug)]
 pub struct SpillFile {
     data: Vec<u8>,
-    rows: u64,
-}
-
-impl Drop for SpillFile {
-    fn drop(&mut self) {
-        LIVE_SPILL_FILES.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 impl SpillFile {
-    /// Wrap already-encoded rows as an overflow file (the caller
-    /// charges the write through [`charge_spill_io`]; prefer
-    /// [`spill_write`], which also fault-gates it).
-    pub fn new(data: Vec<u8>, rows: u64) -> Self {
-        LIVE_SPILL_FILES.fetch_add(1, Ordering::Relaxed);
-        SpillFile { data, rows }
-    }
-
-    /// Number of [`SpillFile`]s alive in the process (for leak
-    /// assertions in tests — a completed or failed query must leave
-    /// this where it found it).
-    pub fn live_count() -> isize {
-        LIVE_SPILL_FILES.load(Ordering::Relaxed)
-    }
-
     /// Serialized byte length.
     pub fn bytes_len(&self) -> u64 {
         self.data.len() as u64
-    }
-
-    /// Encoded row count.
-    pub fn rows(&self) -> u64 {
-        self.rows
-    }
-
-    /// The raw encoded bytes.
-    pub fn data(&self) -> &[u8] {
-        &self.data
     }
 }
 
@@ -174,18 +160,13 @@ mod tests {
     }
 
     #[test]
-    fn spill_write_charges_and_tracks_liveness() {
+    fn spill_write_charges_its_bytes() {
         let storage = Storage::default_hdd();
-        let before_live = SpillFile::live_count();
         let clock0 = storage.clock().snapshot();
         let f = spill_write(&storage, vec![0u8; 1000], 10).unwrap();
         assert_eq!(f.bytes_len(), 1000);
-        assert_eq!(f.rows(), 10);
-        assert_eq!(SpillFile::live_count(), before_live + 1);
         let clock = storage.clock().snapshot().since(&clock0);
         assert_eq!(clock.io_ns, spill_io_ns(&storage.device(), 1000));
-        drop(f);
-        assert_eq!(SpillFile::live_count(), before_live);
     }
 
     #[test]
@@ -193,14 +174,12 @@ mod tests {
         use smooth_storage::FaultConfig;
         let storage = Storage::default_hdd();
         storage.set_faults(Some(FaultConfig::new(3).spill_err(1.0)));
-        let before_live = SpillFile::live_count();
         let clock0 = storage.clock().snapshot();
-        let err = spill_write(&storage, vec![0u8; 1000], 10).unwrap_err();
+        let err = charge_spill_write(&storage, &storage.device(), 1000, 10).unwrap_err();
         assert!(matches!(err, smooth_types::Error::Faulted { .. }));
-        // The failed write charged only its retry backoff — not the
-        // transfer — and created no file.
+        // The failed write charged only its retry backoff, not the
+        // transfer.
         let clock = storage.clock().snapshot().since(&clock0);
         assert_eq!(clock.io_ns, smooth_storage::faults::total_backoff_ns(3));
-        assert_eq!(SpillFile::live_count(), before_live);
     }
 }

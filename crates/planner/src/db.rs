@@ -181,9 +181,10 @@ fn parse_workers(text: &str) -> std::result::Result<usize, String> {
 /// Per-operator memory budget used when none is set on the instance:
 /// the process-wide `SMOOTH_MEM_BYTES` knob
 /// ([`smooth_executor::mem_budget_bytes`]); `0` = unlimited. Each
-/// blocking operator instance (hash-join build, sort) of an active
-/// query gets this budget and spills to charged overflow files beyond
-/// it — see `docs/larger_than_memory.md`.
+/// blocking operator instance (hash-join build, sort, an ordered Smooth
+/// Scan's Result Cache) of an active query gets this budget and spills
+/// to charged overflow files beyond it — see
+/// `docs/larger_than_memory.md`.
 pub fn default_mem_bytes() -> usize {
     smooth_executor::mem_budget_bytes()
 }
@@ -257,8 +258,8 @@ impl Database {
 
     /// Builder: fix the per-operator memory budget in bytes (overrides
     /// `SMOOTH_MEM_BYTES`; 0 = unlimited). Each blocking operator of a
-    /// query — hash-join build, sort — spills to charged overflow files
-    /// beyond it.
+    /// query — hash-join build, sort, an ordered Smooth Scan's Result
+    /// Cache — spills to charged overflow files beyond it.
     pub fn with_mem_bytes(mut self, mem_bytes: usize) -> Self {
         self.set_mem_bytes(mem_bytes);
         self
@@ -620,7 +621,7 @@ impl Database {
             residual,
             config.with_order(config.ordered || spec.ordered),
         );
-        scan.with_columns(spec.cols.as_deref())
+        scan.with_mem_budget(self.mem_bytes()).with_columns(spec.cols.as_deref())
     }
 
     /// EXPLAIN: the physical operator tree the plan would run as.

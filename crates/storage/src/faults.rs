@@ -10,8 +10,9 @@
 //!   [`Storage::read_heap_run`](crate::storage::Storage::read_heap_run) misses) can fail transiently
 //!   (`io_err`) or permanently (`corrupt`). Buffer-pool hits never
 //!   fault: a cached page needs no device.
-//! * **spill writes** (overflow files in `smooth-executor`'s spill
-//!   layer) can fail transiently (`spill_err`).
+//! * **spill writes** (the charged overflow-file writes of the grace
+//!   join, the external sort and the Result Cache) can fail transiently
+//!   (`spill_err`).
 //! * **worker morsels** (the scheduler's execution boundary) can
 //!   panic (`panic`), exercising the engine's panic containment.
 //!

@@ -1,12 +1,13 @@
 //! The spill codec: how tuples are serialized into overflow files.
 //!
 //! Larger-than-memory operators (the grace hash join and the external
-//! merge sort in `smooth-executor`) spill tuples to overflow files when
-//! their working set exceeds the memory budget. This module defines the
-//! one on-disk tuple layout they all share, so spill *sizes* — which
-//! drive the charged overflow-file I/O — are computed identically
-//! everywhere, whether the tuples at hand are materialized [`Row`]s or
-//! columns inside a [`ColumnBatch`].
+//! merge sort in `smooth-executor`) charge for spilling tuples to
+//! overflow files when their working set exceeds the memory budget — a
+//! spill is its charge; the rows stay where they are. This module
+//! defines the one on-disk tuple layout those charges are sized by, so
+//! spill *sizes* — which drive the charged overflow-file I/O — are
+//! computed identically everywhere, whether the tuples at hand are
+//! materialized [`Row`]s or columns inside a [`ColumnBatch`].
 //!
 //! Layout, per value: a 1-byte tag, then a fixed or length-prefixed
 //! payload —

@@ -38,16 +38,19 @@
 //! pad allocates the same bytes whatever the pad's width (a pruned
 //! column grows no arena).
 //!
-//! One guard sits on memory rather than calls: the allocator also keeps
-//! live bytes and their high-water mark, and a 100 % Sort Scan or
-//! unordered Smooth Scan drained a morsel at a time may hold only O(pages)
-//! bookkeeping above the loaded table, at N and 2N rows alike.
+//! Three guards sit on memory rather than calls: the allocator also keeps
+//! live bytes and their high-water mark. A 100 % Sort Scan or unordered
+//! Smooth Scan drained a morsel at a time may hold only O(pages)
+//! bookkeeping above the loaded table, at N and 2N rows alike; a sort
+//! that spills holds its rows once, so its peak stays near the in-memory
+//! sort's; and a sort whose run cut fails leaves nothing live once
+//! dropped.
 //!
 //! Every `#[test]` here holds [`SERIAL`] for its whole body, so no
-//! concurrent test pollutes the global counter (or the process-wide
-//! live [`SpillFile`] count the last test reads).
+//! concurrent test pollutes the global counters.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -56,7 +59,7 @@ use smooth_core::{SmoothScan, SmoothScanConfig};
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin,
-    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SortScan, SpillFile,
+    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SortScan,
 };
 use smooth_index::BTreeIndex;
 use smooth_planner::{AccessPathChoice, Database, LogicalPlan, ScanSpec};
@@ -75,10 +78,22 @@ static BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Bytes this thread allocated minus those it freed: [`LIVE`] without
+    /// the test harness's own threads.
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
 /// Count `bytes` more live bytes.
 fn grow(bytes: usize) {
     let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK.fetch_max(live, Ordering::Relaxed);
+    thread_live(bytes as i64);
+}
+
+/// Count `delta` more live bytes on this thread.
+fn thread_live(delta: i64) {
+    let _ = THREAD_LIVE.try_with(|n| n.set(n.get() + delta));
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
@@ -91,6 +106,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        thread_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
@@ -107,6 +123,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // Counted as the move it may be: both blocks live at once.
         grow(new_size);
         LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        thread_live(-(layout.size() as i64));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -513,18 +530,62 @@ fn sort_allocations_are_sublinear_in_rows() {
     assert_marginal("external sort", run(100_000, 64 << 10), run(200_000, 64 << 10));
 }
 
+/// A spill is its charge: the external sort keeps each spilled run once,
+/// in its run batch, and encodes no second copy into an overflow file.
+/// So draining a [`Sort`] under a 64 KiB budget (dozens of runs) peaks
+/// within [`SPILLED_SORT_PEAK_BOUND`] of the same drain unbudgeted (1.24×:
+/// 5.36 against 4.33 MB; what the budget adds is the merge's order vector
+/// and the run batch's growth). An encoded copy of every row (27 bytes a
+/// row here) takes the budgeted peak past it: 7.96 MB, 1.84×.
+#[test]
+fn a_spilled_sort_holds_no_second_copy_of_its_rows() {
+    let _serial = serial();
+    const ROWS: usize = 100_000;
+    // Peak live bytes of one drain above those live before it.
+    let peak = |budget: usize| {
+        let child = Prebuilt::with_text(ROWS, ROWS / 7 + 1);
+        let mut op = Sort::new(child, storage(), vec![SortKey::asc(0)]).with_mem_budget(budget);
+        let before = LIVE.load(Ordering::Relaxed);
+        PEAK.store(before, Ordering::Relaxed);
+        op.open().unwrap();
+        let mut drained = 0;
+        while let Some(morsel) = op.next_columns(batch_size()).unwrap() {
+            drained += morsel.len();
+        }
+        op.close().unwrap();
+        assert_eq!(drained, ROWS);
+        PEAK.load(Ordering::Relaxed) - before
+    };
+    peak(0); // warm-up
+    let (free, spilled) = (peak(0), peak(64 << 10));
+    assert!(
+        spilled as f64 <= SPILLED_SORT_PEAK_BOUND * free as f64,
+        "a spilled sort peaked at {spilled} live bytes, the in-memory sort at {free}"
+    );
+}
+
+/// How far a spilled sort's peak live bytes may exceed the in-memory
+/// sort's (see [`a_spilled_sort_holds_no_second_copy_of_its_rows`]).
+const SPILLED_SORT_PEAK_BOUND: f64 = 1.4;
+
+/// A run cut that fails (an injected spill-write fault) fails the sort
+/// typed, and dropping the sorter frees everything it held: this
+/// thread's live bytes return to where they were before it was built.
 #[test]
 fn run_cut_failing_mid_sort_leaks_no_spill_file() {
     let _serial = serial();
     let st = storage();
-    let live = SpillFile::live_count();
-    let mut sorter = ExternalSorter::new(st.clone(), vec![SortKey::asc(0)], 16 << 10);
     let mut input = Prebuilt::with_text(4 * BATCH_ROWS, 100);
-    sorter.push_batch(&input.next_columns(BATCH_ROWS).unwrap().unwrap()).unwrap();
-    assert!(sorter.run_count() > 0 && SpillFile::live_count() > live, "runs hold their files");
+    let first = input.next_columns(BATCH_ROWS).unwrap().unwrap();
+    let second = input.next_columns(BATCH_ROWS).unwrap().unwrap();
+    let live = THREAD_LIVE.with(Cell::get);
+    let mut sorter = ExternalSorter::new(st.clone(), vec![SortKey::asc(0)], 16 << 10);
+    sorter.push_batch(&first).unwrap();
+    assert!(sorter.run_count() > 0, "the first morsel cuts runs");
     st.set_faults(Some(FaultConfig::new(3).spill_err(1.0)));
-    let err = sorter.push_batch(&input.next_columns(BATCH_ROWS).unwrap().unwrap()).unwrap_err();
+    let err = sorter.push_batch(&second).unwrap_err();
     assert!(matches!(err, smooth_types::Error::Faulted { .. }), "{err}");
+    st.set_faults(None);
     drop(sorter);
-    assert_eq!(SpillFile::live_count(), live);
+    assert_eq!(THREAD_LIVE.with(Cell::get), live, "the failed sorter left bytes live");
 }

@@ -59,6 +59,34 @@ fn ordered_queries_respect_key_order_on_every_path() {
     }
 }
 
+/// The Result Cache is under the engine's memory budget: an `ordered:`
+/// Smooth Scan run through `Database::run` under a small `mem_bytes`
+/// returns the unbudgeted rows in the same order, at one worker and two,
+/// and charges more I/O — its spilled partitions' overflow writes and
+/// re-reads — on the I/O lane only.
+#[test]
+fn an_ordered_smooth_scan_spills_its_result_cache_under_mem_bytes() {
+    let mut db = micro_db(30_000);
+    let plan = micro::query(0.1, true, AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic()));
+    let mut run = |workers, mem_bytes| {
+        db.set_workers(workers);
+        db.set_mem_bytes(mem_bytes);
+        db.storage().flush_pool();
+        db.run(&plan).unwrap()
+    };
+    let free = run(1, 0);
+    for workers in [1, 2] {
+        let budgeted = run(workers, 16 << 10);
+        assert!(budgeted.rows == free.rows, "the budget changed the rows at {workers} workers");
+        let (clock, free_clock) = (budgeted.stats.clock, free.stats.clock);
+        assert_eq!(clock.cpu_ns, free_clock.cpu_ns, "spill charges only the I/O lane");
+        assert!(
+            clock.io_ns > free_clock.io_ns,
+            "the Result Cache did not spill at {workers} workers: {clock:?} vs {free_clock:?}"
+        );
+    }
+}
+
 #[test]
 fn triggers_agree_with_eager_results() {
     let db = micro_db(30_000);

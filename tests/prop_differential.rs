@@ -209,31 +209,30 @@ proptest! {
     }
 
     /// Ordered Smooth Scan with Result-Cache spilling: the PR 3 latent
-    /// divergence regime, pinned across drivers and spill thresholds.
+    /// divergence regime, pinned across drivers and byte budgets.
     #[test]
     fn drivers_agree_on_ordered_smooth_scan_with_spill(
         lo in 0i64..200,
         width in 1i64..300,
-        spill in 10usize..200,
+        budget in 512usize..16384,
         partitions in 2usize..24,
     ) {
         let mut cfg = SmoothScanConfig::default().with_order(true);
-        cfg.result_cache_spill = Some(spill);
         cfg.result_cache_partitions = partitions;
         let plan = plan_for(&AccessPathChoice::Smooth(cfg), false, lo, width, None,
             JoinShape::None, AggShape::None, &[]);
-        let volcano = run_volcano(&plan);
-        let columnar = run_tree(&plan);
-        prop_assert!(columnar.rows == volcano.rows, "rows diverge (spill={spill})");
+        let volcano = run_volcano_budgeted(&plan, budget);
+        let columnar = run_tree_budgeted(&plan, budget);
+        prop_assert!(columnar.rows == volcano.rows, "rows diverge (budget={budget})");
         prop_assert!(
             (columnar.stats.clock.cpu_ns, columnar.stats.clock.io_ns)
                 == (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-            "ordered+spill clock diverges (spill={spill}, partitions={partitions}): {:?} vs {:?}",
+            "ordered+spill clock diverges (budget={budget}, partitions={partitions}): {:?} vs {:?}",
             columnar.stats.clock,
             volcano.stats.clock
         );
         for workers in [1usize, 2, 8] {
-            let parallel = run_with_workers(&plan, workers);
+            let parallel = run_budgeted(&plan, workers, budget);
             prop_assert!(parallel.rows == volcano.rows);
             prop_assert!(
                 (parallel.stats.clock.cpu_ns, parallel.stats.clock.io_ns)

