@@ -107,13 +107,22 @@
 #   with_mem_budget` instead of the `result_cache_spill` tuple knob
 #   (+15 lines: the budget, the resident-byte count and the fault-gated
 #   writes). No line moved into `tests/`.
+# * 9637 -> 9626 (-11), combined 12523 -> 12523: branch-free predicate
+#   kernels. `eval_mask`'s dense arms bind zipped slices through one
+#   `fill!` shape, `AND` / `OR` share one arm that folds into a reused
+#   mask, a `compact` helper replaces the two filter-and-collect index
+#   loops, and `Predicate::eval` lost its hand-written bound matches
+#   (`RangeBounds::contains`) and repeated error blocks; the executor
+#   ends 11 lines shorter. Core gains them back: the Result Cache stops
+#   spilling the cursor's own partition and `defer_advance` folds its
+#   match (-4 lines), and a unit test pins the spill rule (+15).
 #
 # COMBINED_CEILING ratchets `crates/{core,executor,planner}/src` together
 # (13766 when it was added; 13457 after the one-morsel-claim change; 13189
 # after Switch Scan became a trigger; 12972 after the closed-form model;
 # 12924 after the resolve pass; 12801 after Index Scan became Mode 0;
 # 12619 after the merge join became a hash join under a sort; 12523 after
-# a spill became its charge):
+# a spill became its charge, unchanged by the branch-free kernels):
 # code shared by core
 # and executor can move between them, and only the sum shows that. The
 # PR that added it moved Smooth Scan's region inspection onto the
@@ -121,7 +130,7 @@
 # the sum where it was.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=9637
+CEILING=9626
 COMBINED_CEILING=12523
 check() {
     echo "$1: $2 lines (ceiling $3)"

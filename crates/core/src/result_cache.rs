@@ -18,7 +18,7 @@
 //!   ([`ResultCache::flush_advance`]), not once per cursor key;
 //! * under memory pressure — resident arena bytes over the scan's budget
 //!   (`SmoothScan::with_mem_budget`, the planner's `mem_bytes`) —
-//!   partitions whose key ranges are furthest from the cursor spill to
+//!   partitions ahead of the cursor's own, furthest first, spill to
 //!   overflow files. A spill is its charge, as for the grace join and the
 //!   external sort: the arena stays where it is, and the clock pays one
 //!   fault-gated write of its bytes ([`smooth_executor::charge_spill_write`]),
@@ -185,10 +185,7 @@ impl ResultCache {
     /// are unaffected by a deferred advance (a key never evicts its own
     /// partition), so the sweep can wait for the next batch boundary.
     pub fn defer_advance(&mut self, key: i64) {
-        self.pending_advance = Some(match self.pending_advance {
-            Some(prev) => prev.max(key),
-            None => key,
-        });
+        self.pending_advance = Some(self.pending_advance.map_or(key, |prev| prev.max(key)));
     }
 
     /// Run the eviction sweep for every cursor position recorded since
@@ -257,14 +254,12 @@ impl ResultCache {
         while self.resident_bytes > self.budget {
             // Spill the resident partition furthest from the cursor
             // ("caches containing the ranges the furthest from the current
-            // key range are spilled into the overflow files").
-            let victim = (self.current..self.parts.len())
+            // key range are spilled into the overflow files"), never the
+            // cursor's own: the next probe would read it straight back.
+            let victim = (self.current + 1..self.parts.len())
                 .rev()
                 .find(|&i| !self.parts[i].spilled && !self.parts[i].slots.is_empty());
             let Some(v) = victim else { return Ok(()) };
-            if v == self.current && self.parts.len() == 1 {
-                return Ok(()); // never spill the only active partition
-            }
             let (n, bytes) = (self.parts[v].slots.len() as u64, self.parts[v].bytes.len());
             self.charge_write(s, bytes, n)?;
             self.parts[v].spilled = true;
@@ -401,6 +396,22 @@ mod tests {
         // Probing the spilled partition brings it back (charged) and hits.
         assert_eq!(c.probe(&mut s.session(), 350, Tid::new(0, 2)), Some(&row(350)[..]));
         assert!(c.stats().unspilled >= 1);
+    }
+
+    #[test]
+    fn the_cursors_partition_never_spills() {
+        // A budget of one 8-byte tuple, two tuples in the cursor's range
+        // [_, 100): spilling them would buy a write and a re-read.
+        let (s, mut c) = (storage(), budgeted(&[100, 200], 3, 8));
+        c.insert(&mut s.session(), 10, Tid::new(0, 0), &row(10)).unwrap();
+        c.insert(&mut s.session(), 20, Tid::new(0, 1), &row(20)).unwrap();
+        assert_eq!(c.probe(&mut s.session(), 10, Tid::new(0, 0)), Some(&row(10)[..]));
+        let st = c.stats();
+        assert_eq!((st.spilled, st.unspilled, st.resident), (0, 0, 2), "{st:?}");
+        assert_eq!(s.clock().snapshot().io_ns, 0, "no spill write, no re-read");
+        // A partition ahead of the cursor is what goes.
+        c.insert(&mut s.session(), 150, Tid::new(0, 2), &row(150)).unwrap();
+        assert_eq!((c.stats().spilled, c.stats().resident), (1, 2));
     }
 
     #[test]

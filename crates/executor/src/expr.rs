@@ -8,17 +8,17 @@
 //! equalities. NULL comparisons evaluate to false, the practical
 //! two-valued simplification of SQL's three-valued logic for filters.
 //!
-//! [`Predicate`] has two evaluators: a vectorized mask kernel over typed
-//! column vectors, which is what every operator runs, and
+//! [`Predicate`] has two evaluators: branch-free mask kernels over typed
+//! column vectors (`&`, not `&&`; no per-element bounds check; `AND` /
+//! `OR` fold into reused masks), which every operator runs, and
 //! [`Predicate::eval`] over one `Row`, the reference the kernels are
-//! tested against (no operator calls it). [`ScanFilter`] binds a predicate
-//! and a set of output columns to a table schema and a compiled
-//! [`TupleLayout`], and is how every columnar heap read filters and
-//! decodes a page: locate the page's tuples once, gather the predicate's
-//! columns, run the mask kernel, gather the output columns of the
-//! qualifiers only.
+//! tested against. [`ScanFilter`] binds a predicate and output columns
+//! to a table schema and a compiled [`TupleLayout`]: every columnar heap
+//! read locates a page's tuples once, gathers the predicate's columns,
+//! runs the kernel, compacts the mask branch-free into the qualifiers'
+//! indices and gathers the output columns of those only.
 
-use std::ops::Bound;
+use std::ops::{Bound, RangeBounds};
 
 use smooth_storage::PageBuf;
 use smooth_types::{
@@ -43,6 +43,25 @@ impl RowSet<'_> {
             RowSet::Sparse(idx) => idx.len(),
         }
     }
+}
+
+/// Replace `out` with the `ids` whose `mask` entry is set, in order:
+/// every id is written and the cursor moves by its mask bit, so a page
+/// of mixed verdicts costs no mispredicted branch.
+fn compact(mask: &[bool], ids: impl Iterator<Item = u32>, out: &mut Vec<u32>) {
+    out.clear();
+    out.resize(mask.len(), 0);
+    let (slots, mut kept) = (out.as_mut_slice(), 0);
+    for (&m, id) in mask.iter().zip(ids) {
+        slots[kept] = id;
+        kept += usize::from(m);
+    }
+    out.truncate(kept);
+}
+
+/// The row path's type error: `what`, then the value it met.
+fn mistyped(what: &str, met: impl std::fmt::Display) -> smooth_types::Error {
+    smooth_types::Error::exec(format!("{what} {met}"))
 }
 
 /// A boolean predicate over one row.
@@ -136,49 +155,25 @@ impl Predicate {
         Ok(match self {
             Predicate::True => true,
             Predicate::IntRange { col, lo, hi } => match &values[*col] {
-                Value::Int(v) => {
-                    (match lo {
-                        Bound::Unbounded => true,
-                        Bound::Included(l) => *v >= *l,
-                        Bound::Excluded(l) => *v > *l,
-                    }) && (match hi {
-                        Bound::Unbounded => true,
-                        Bound::Included(h) => *v <= *h,
-                        Bound::Excluded(h) => *v < *h,
-                    })
-                }
+                Value::Int(v) => (*lo, *hi).contains(v),
                 Value::Null => false,
-                other => {
-                    return Err(smooth_types::Error::exec(format!(
-                        "int predicate on non-int value {other}"
-                    )))
-                }
+                other => return Err(mistyped("int predicate on non-int value", other)),
             },
             Predicate::StrEq { col, value } => match &values[*col] {
                 Value::Str(s) => s == value,
                 Value::Null => false,
-                other => {
-                    return Err(smooth_types::Error::exec(format!(
-                        "string predicate on non-string value {other}"
-                    )))
-                }
+                other => return Err(mistyped("string predicate on non-string value", other)),
             },
             Predicate::StrIn { col, values: accepted } => match &values[*col] {
                 Value::Str(s) => accepted.iter().any(|v| v == s),
                 Value::Null => false,
-                other => {
-                    return Err(smooth_types::Error::exec(format!(
-                        "string predicate on non-string value {other}"
-                    )))
-                }
+                other => return Err(mistyped("string predicate on non-string value", other)),
             },
             Predicate::IntColLt { left, right } => match (&values[*left], &values[*right]) {
                 (Value::Int(a), Value::Int(b)) => a < b,
                 (Value::Null, _) | (_, Value::Null) => false,
                 (a, b) => {
-                    return Err(smooth_types::Error::exec(format!(
-                        "column comparison on non-ints: {a} vs {b}"
-                    )))
+                    return Err(mistyped("column comparison on non-ints:", format!("{a} vs {b}")))
                 }
             },
             Predicate::And(ps) => {
@@ -203,27 +198,44 @@ impl Predicate {
 
     /// Vectorized evaluation: compute the boolean outcome for each row of
     /// `rows` into `out` (`out[k]` answers the `k`-th listed row), reading
-    /// column vectors through `col`. Kernels are tight, branch-light loops
-    /// over a single typed vector; the dense case iterates the vectors
-    /// directly (no index indirection), the auto-vectorizable shape the
-    /// columnar layout exists for. NULL comparisons are false, as in the
-    /// row path.
+    /// column vectors through `col`. Kernels are branch-free loops over
+    /// typed vectors (`&` of the NULL test and the comparisons, not `&&`);
+    /// the dense case cuts every vector to the row count first, so no
+    /// index is bounds-checked — the auto-vectorizable shape the columnar
+    /// layout exists for. `AND` / `OR` fold their children into a mask
+    /// taken from `spare` and handed back, so a long-lived caller
+    /// allocates none per call. NULL comparisons are false, as in the row
+    /// path.
     ///
     /// Type errors surface per *column* here (a vector is uniformly
     /// typed), where the row path surfaces them per value; on well-typed
     /// plans the two agree exactly.
-    fn eval_mask<'a, F>(&self, col: &F, rows: RowSet<'_>, out: &mut Vec<bool>) -> Result<()>
+    fn eval_mask<'a, F>(
+        &self,
+        col: &F,
+        rows: RowSet<'_>,
+        out: &mut Vec<bool>,
+        spare: &mut Vec<Vec<bool>>,
+    ) -> Result<()>
     where
         F: Fn(usize) -> Result<&'a ColumnVector>,
     {
         out.clear();
-        /// Expand one kernel body for both row-set shapes.
+        /// Expand one kernel body for both row-set shapes, binding each
+        /// `$x` to row `$i`'s element of the slice `$xs`.
         macro_rules! fill {
-            (|$i:ident| $body:expr) => {
+            ($i:ident; $($x:ident = $xs:expr),+; $body:expr) => {
                 match rows {
-                    RowSet::Dense(n) => out.extend((0..n).map(|$i| $body)),
+                    RowSet::Dense(n) => {
+                        $(let $x = &$xs[..n];)+
+                        out.extend((0..n).map(|$i| {
+                            $(let $x = $x[$i];)+
+                            $body
+                        }))
+                    }
                     RowSet::Sparse(idx) => out.extend(idx.iter().map(|&x| {
                         let $i = x as usize;
+                        $(let $x = $xs[$i];)+
                         $body
                     })),
                 }
@@ -236,7 +248,6 @@ impl Predicate {
                 let ColumnValues::Int(ints) = v.values() else {
                     return Err(smooth_types::Error::exec("int predicate on non-int column"));
                 };
-                let nulls = v.nulls();
                 // Normalize the bounds once; an overflowing exclusive
                 // bound can match nothing.
                 let lo_v = match lo {
@@ -249,30 +260,26 @@ impl Predicate {
                     Bound::Included(h) => Some(*h),
                     Bound::Excluded(h) => h.checked_sub(1),
                 };
-                let (Some(lo_v), Some(hi_v)) = (lo_v, hi_v) else {
+                let (Some(lo), Some(hi)) = (lo_v, hi_v) else {
                     out.resize(rows.len(), false);
                     return Ok(());
                 };
-                fill!(|i| !nulls[i] && ints[i] >= lo_v && ints[i] <= hi_v);
+                fill!(i; x = ints, null = v.nulls(); !null & (x >= lo) & (x <= hi));
             }
             Predicate::StrEq { col: c, value } => {
                 let v = col(*c)?;
                 let ColumnValues::Str(strs) = v.values() else {
                     return Err(smooth_types::Error::exec("string predicate on non-text column"));
                 };
-                let nulls = v.nulls();
-                fill!(|i| !nulls[i] && strs.bytes_at(i) == value.as_bytes());
+                fill!(i; null = v.nulls(); !null & (strs.bytes_at(i) == value.as_bytes()));
             }
             Predicate::StrIn { col: c, values } => {
                 let v = col(*c)?;
                 let ColumnValues::Str(strs) = v.values() else {
                     return Err(smooth_types::Error::exec("string predicate on non-text column"));
                 };
-                let nulls = v.nulls();
-                fill!(|i| !nulls[i] && {
-                    let s = strs.bytes_at(i);
-                    values.iter().any(|a| a.as_bytes() == s)
-                });
+                let hit = |s: &[u8]| values.iter().any(|a| a.as_bytes() == s);
+                fill!(i; null = v.nulls(); !null & hit(strs.bytes_at(i)));
             }
             Predicate::IntColLt { left, right } => {
                 let (l, r) = (col(*left)?, col(*right)?);
@@ -280,31 +287,22 @@ impl Predicate {
                 else {
                     return Err(smooth_types::Error::exec("column comparison on non-ints"));
                 };
-                let (ln, rn) = (l.nulls(), r.nulls());
-                fill!(|i| !ln[i] && !rn[i] && lv[i] < rv[i]);
+                fill!(i; a = lv, b = rv, an = l.nulls(), bn = r.nulls(); !(an | bn) & (a < b));
             }
-            Predicate::And(ps) => {
-                out.resize(rows.len(), true);
-                let mut tmp = Vec::with_capacity(rows.len());
+            Predicate::And(ps) | Predicate::Or(ps) => {
+                let and = matches!(self, Predicate::And(_));
+                out.resize(rows.len(), and);
+                let mut tmp = spare.pop().unwrap_or_default();
                 for p in ps {
-                    p.eval_mask(col, rows, &mut tmp)?;
-                    for (o, t) in out.iter_mut().zip(&tmp) {
-                        *o &= *t;
+                    p.eval_mask(col, rows, &mut tmp, spare)?;
+                    for (o, &t) in out.iter_mut().zip(&tmp) {
+                        *o = if and { *o & t } else { *o | t };
                     }
                 }
-            }
-            Predicate::Or(ps) => {
-                out.resize(rows.len(), false);
-                let mut tmp = Vec::with_capacity(rows.len());
-                for p in ps {
-                    p.eval_mask(col, rows, &mut tmp)?;
-                    for (o, t) in out.iter_mut().zip(&tmp) {
-                        *o |= *t;
-                    }
-                }
+                spare.push(tmp);
             }
             Predicate::Not(p) => {
-                p.eval_mask(col, rows, out)?;
+                p.eval_mask(col, rows, out, spare)?;
                 for o in out.iter_mut() {
                     *o = !*o;
                 }
@@ -319,19 +317,14 @@ impl Predicate {
     /// selection vector.
     pub fn filter_batch(&self, batch: &ColumnBatch) -> Result<Vec<u32>> {
         let col = |c: usize| batch.column_checked(c);
-        match batch.selection() {
-            Some(sel) => {
-                let mut mask = Vec::with_capacity(sel.len());
-                self.eval_mask(&col, RowSet::Sparse(sel), &mut mask)?;
-                Ok(sel.iter().zip(&mask).filter(|(_, &m)| m).map(|(&i, _)| i).collect())
-            }
-            None => {
-                let n = batch.physical_rows();
-                let mut mask = Vec::with_capacity(n);
-                self.eval_mask(&col, RowSet::Dense(n), &mut mask)?;
-                Ok((0u32..).zip(&mask).filter(|(_, &m)| m).map(|(i, _)| i).collect())
-            }
+        let rows = batch.selection().map_or(RowSet::Dense(batch.physical_rows()), RowSet::Sparse);
+        let (mut mask, mut kept) = (Vec::new(), Vec::new());
+        self.eval_mask(&col, rows, &mut mask, &mut Vec::new())?;
+        match rows {
+            RowSet::Dense(_) => compact(&mask, 0.., &mut kept),
+            RowSet::Sparse(sel) => compact(&mask, sel.iter().copied(), &mut kept),
         }
+        Ok(kept)
     }
 
     /// Collect the column ordinals this predicate reads, ascending and
@@ -380,20 +373,12 @@ impl Predicate {
     pub fn split_index_range(&self) -> Option<(usize, Bound<i64>, Bound<i64>, Predicate)> {
         match self {
             Predicate::IntRange { col, lo, hi } => Some((*col, *lo, *hi, Predicate::True)),
-            Predicate::And(ps) => {
-                let idx = ps.iter().position(|p| matches!(p, Predicate::IntRange { .. }))?;
-                if let Predicate::IntRange { col, lo, hi } = &ps[idx] {
-                    let rest: Vec<Predicate> = ps
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| *i != idx)
-                        .map(|(_, p)| p.clone())
-                        .collect();
-                    Some((*col, *lo, *hi, Predicate::and(rest)))
-                } else {
-                    None
-                }
-            }
+            Predicate::And(ps) => ps.iter().enumerate().find_map(|(i, p)| {
+                let Predicate::IntRange { col, lo, hi } = p else { return None };
+                let mut rest = ps.clone();
+                rest.remove(i);
+                Some((*col, *lo, *hi, Predicate::and(rest)))
+            }),
             _ => None,
         }
     }
@@ -426,8 +411,10 @@ pub struct ScanFilter {
     /// tuple of the last selected page (reused across pages — no
     /// steady-state allocation).
     probed: Vec<Option<(usize, ColumnVector)>>,
-    /// Mask scratch for the columnar kernels.
+    /// Mask scratch for the columnar kernels, and spare masks for their
+    /// `AND` / `OR` folds.
     mask: Vec<bool>,
+    spare: Vec<Vec<bool>>,
     /// Indices of the last selected page's qualifiers, ascending.
     selected: Vec<u32>,
 }
@@ -469,6 +456,7 @@ impl ScanFilter {
             out_slots: out.iter().map(|&c| slot(c)).collect(),
             probed,
             mask: Vec::new(),
+            spare: Vec::new(),
             selected: Vec::new(),
         }
     }
@@ -525,8 +513,9 @@ impl ScanFilter {
                 .map(|(_, v)| v)
                 .ok_or_else(|| smooth_types::Error::exec(format!("column {c} out of range")))
         };
-        self.predicate.eval_mask(&lookup, RowSet::Dense(tuples.len()), &mut self.mask)?;
-        self.selected.extend((0u32..).zip(&self.mask).filter(|(_, &m)| m).map(|(i, _)| i));
+        let rows = RowSet::Dense(tuples.len());
+        self.predicate.eval_mask(&lookup, rows, &mut self.mask, &mut self.spare)?;
+        compact(&self.mask, 0.., &mut self.selected);
         Ok(self.selected.len())
     }
 

@@ -10,15 +10,21 @@
 //!   structure — a bitmap shorter than the schema, truncation inside any
 //!   field and trailing bytes all surface as [`Error::Corrupt`], for every
 //!   tuple handed in, wanted or not — and records where its wanted values
-//!   start. Inside a NULL-free tuple (one all-zero bitmap test) every
-//!   field sits at a constant offset from the start of its run, and the
-//!   first run starts right after the bitmap, so such a tuple records
-//!   only where each later run holding a wanted column starts: one entry
-//!   per text field in front of a wanted column, none at all for a
-//!   schema whose only text comes last. A tuple with NULLs (which occupy
-//!   no payload bytes, so nothing behind one sits at a constant offset)
-//!   takes a per-field walk that records one offset (or NULL) per wanted
-//!   column into a side table of the page.
+//!   start. Inside a NULL-free tuple every field sits at a constant
+//!   offset from the start of its run, and the first run starts right
+//!   after the bitmap, so such a tuple records only where each later run
+//!   holding a wanted column starts: one entry per text field in front of
+//!   a wanted column, none at all for a schema whose only text comes
+//!   last. NULL-free tuples go through one tight walk over the runs — an
+//!   all-zero bitmap test, a width step per run, a read per text length,
+//!   `end == len` — that counts the tuples passing instead of returning a
+//!   `Result` per tuple, so a valid page is walked at about the speed of
+//!   touching it. The tuple it stops at takes a per-field walk, which
+//!   records a tuple with NULLs (NULLs occupy no payload bytes, so
+//!   nothing behind one sits at a constant offset) as one offset (or
+//!   NULL) per wanted column in a side table of the page, and re-runs the
+//!   checks on a broken one to name its fault: every verdict is the one a
+//!   per-tuple check gives.
 //! * [`TupleLayout::gather`] turns one column of the page into typed
 //!   values: one loop **per column per page** (reserve once, the value's
 //!   offset is its run's start plus the column's compiled in-run offset
@@ -213,58 +219,72 @@ impl TupleLayout {
         // The NULL-free walk writes every start of its tuple, so stale
         // entries need no clearing.
         page.starts.resize(tuples.len() * stride, 0);
-        for (t, bytes) in tuples.iter().enumerate() {
+        let mut t = 0;
+        while t < tuples.len() {
+            t += self.walk_free(&tuples[t..], &mut page.starts[t * stride..]);
+            let Some(&bytes) = tuples.get(t) else { break };
+            // A tuple with NULLs, or a broken one: the per-field walk
+            // records the first and names what is wrong with the second.
             let Some(bitmap) = bytes.get(..self.bitmap_len) else {
                 return Err(Error::corrupt("tuple shorter than its null bitmap"));
             };
             if bytes.len() >= NULL_AT as usize {
                 return Err(Error::corrupt("tuple longer than any page"));
             }
-            let end = if bitmap.iter().all(|&b| b == 0) {
-                self.walk_runs(bytes, &mut page.starts[t * stride..(t + 1) * stride])?
-            } else {
-                page.side_of.resize(t, NO_SIDE);
-                page.side_of.push(page.side.len() as u32);
-                let row = page.side.len();
-                page.side.resize(row + width, NULL_AT);
-                self.walk_fields(bytes, bitmap, &mut page.side[row..])?
-            };
-            if end != bytes.len() {
+            page.side_of.resize(t, NO_SIDE);
+            page.side_of.push(page.side.len() as u32);
+            let row = page.side.len();
+            page.side.resize(row + width, NULL_AT);
+            if self.walk_fields(bytes, bitmap, &mut page.side[row..])? != bytes.len() {
                 return Err(Error::corrupt("trailing bytes after tuple"));
             }
+            t += 1;
         }
         page.tuples = tuples.len();
         Ok(())
     }
 
-    /// NULL-free walk: one width check per run, one length read per text
-    /// field, recording the runs' starts into `starts`. Keeps `pos <=
-    /// bytes.len()`, so every recorded start is in bounds and below
-    /// [`NULL_AT`]. Returns where the tuple ends.
-    #[inline]
-    fn walk_runs(&self, bytes: &[u8], starts: &mut [u32]) -> Result<usize> {
-        let (mut pos, mut recorded) = (self.bitmap_len, starts.iter_mut());
-        for run in &self.runs {
-            if run.recorded {
-                if let Some(start) = recorded.next() {
-                    *start = pos as u32;
+    /// The NULL-free walk: how many of `tuples`, from the first, are
+    /// NULL-free tuples that end exactly where their last run does, with
+    /// the starts of each one's recorded runs written to `starts`
+    /// (`stride` entries per tuple). One width step per run and one
+    /// length read per text field, and a count instead of an error per
+    /// tuple, so a page of valid tuples runs at the speed of touching
+    /// them; the tuple it stops at goes to the per-field walk, which
+    /// tells a tuple with NULLs from a broken one. Every start it writes
+    /// for a counted tuple lies within that tuple, below [`NULL_AT`].
+    fn walk_free(&self, tuples: &[&[u8]], starts: &mut [u32]) -> usize {
+        let walk = |bytes: &[u8], starts: &mut [u32]| {
+            let Some(bitmap) = bytes.get(..self.bitmap_len) else { return false };
+            let mut pos = self.bitmap_len;
+            let mut recorded = starts.iter_mut();
+            for run in &self.runs {
+                if run.recorded {
+                    if let Some(start) = recorded.next() {
+                        *start = pos as u32;
+                    }
+                }
+                pos += run.fixed_width;
+                if run.text {
+                    let Some(len) = bytes_at::<2>(bytes, pos) else { return false };
+                    pos += 2 + u16::from_le_bytes(len) as usize;
                 }
             }
-            if bytes.len() - pos < run.fixed_width {
-                return Err(truncated());
-            }
-            pos += run.fixed_width;
-            if run.text {
-                pos = skip_text(bytes, pos)?;
-            }
-        }
-        Ok(pos)
+            let nulls = bitmap.iter().fold(0, |any, &b| any | b);
+            (nulls == 0) & (pos == bytes.len()) & (pos < NULL_AT as usize)
+        };
+        let stopped = match self.stride {
+            0 => tuples.iter().position(|b| !walk(b, &mut [])),
+            n => tuples.iter().zip(starts.chunks_exact_mut(n)).position(|(b, s)| !walk(b, s)),
+        };
+        stopped.unwrap_or(tuples.len())
     }
 
-    /// Per-field walk for a tuple with NULLs, recording each wanted
-    /// column's offset (or [`NULL_AT`]) into its side-table row `side`.
-    /// Checks a field's extent before moving past it, so every recorded
-    /// offset is in bounds.
+    /// Per-field walk for a tuple the NULL-free walk stopped at,
+    /// recording each wanted column's offset (or [`NULL_AT`]) into its
+    /// side-table row `side`. Checks a field's extent before moving past
+    /// it, so every recorded offset is in bounds, and fails where
+    /// [`Row::decode`](crate::row::Row::decode) does.
     fn walk_fields(&self, bytes: &[u8], bitmap: &[u8], side: &mut [u32]) -> Result<usize> {
         let mut pos = self.bitmap_len;
         for (i, f) in self.fields.iter().enumerate() {

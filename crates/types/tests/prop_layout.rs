@@ -16,7 +16,11 @@
 //! * on hostile bytes — every truncation, appended bytes, every bitmap
 //!   bit flipped (the unused high bits of the last byte included), text
 //!   lengths overwritten, non-UTF-8 injected — the layout and
-//!   `Row::decode` agree on `Ok` vs `Error::Corrupt`, and neither panics.
+//!   `Row::decode` agree on `Ok` vs `Error::Corrupt`, and neither panics;
+//! * the same hostile tuple first or last on a page of 64 valid NULL-free
+//!   tuples — so the NULL-free walk meets it fresh or after a long valid
+//!   prefix — fails the page exactly when `Row::decode` rejects its
+//!   structure, with the same error text.
 //!
 //! UTF-8 is checked where a value is materialized, so a layout that does
 //! not want a text column cannot see its bytes: for a wanted *subset* the
@@ -32,12 +36,13 @@ use smooth_types::{
     Column, ColumnVector, DataType, Error, Result, Row, Schema, TupleLayout, Value,
 };
 
-/// A generated case: the schema, a page of rows, which columns are
-/// wanted, and a seed for the mutations' free choices.
+/// A generated case: the schema, a page of rows, a row without NULLs,
+/// which columns are wanted, and a seed for the mutations' free choices.
 #[derive(Debug, Clone)]
 struct Case {
     schema: Schema,
     rows: Vec<Row>,
+    free: Row,
     wanted: Vec<usize>,
     seed: u64,
 }
@@ -79,9 +84,11 @@ fn arb_row(cols: &[(DataType, bool)], nulls: bool) -> impl Strategy<Value = Row>
 fn arb_case() -> impl Strategy<Value = Case> {
     (arb_shape(), 1usize..6, any::<u64>()).prop_flat_map(|((cols, wanted), n, seed)| {
         let schema = schema_of(&cols);
-        proptest::collection::vec(arb_row(&cols, true), n..n + 1).prop_map(move |rows| Case {
+        let rows = proptest::collection::vec(arb_row(&cols, true), n..n + 1);
+        (rows, arb_row(&cols, false)).prop_map(move |(rows, free)| Case {
             schema: schema.clone(),
             rows,
+            free,
             wanted: wanted.clone(),
             seed,
         })
@@ -217,10 +224,15 @@ fn is_corrupt<T>(r: &Result<T>) -> bool {
     matches!(r, Err(Error::Corrupt(_)))
 }
 
+/// `None` for `Ok`, else the error's text.
+fn failure<T>(r: &Result<T>) -> Option<String> {
+    r.as_ref().err().map(Error::to_string)
+}
+
 proptest! {
     #[test]
     fn layout_decodes_what_row_decode_decodes(case in arb_case()) {
-        let Case { schema, rows, wanted, seed } = case;
+        let Case { schema, rows, wanted, seed, .. } = case;
         let encoded: Vec<Vec<u8>> = rows.iter().map(|r| r.encode(&schema).unwrap()).collect();
         let tuples: Vec<&[u8]> = encoded.iter().map(Vec::as_slice).collect();
         let reference: Vec<Row> =
@@ -292,7 +304,7 @@ proptest! {
 
     #[test]
     fn layout_and_row_decode_agree_on_hostile_bytes(case in arb_case()) {
-        let Case { schema, rows, wanted, seed } = case;
+        let Case { schema, rows, wanted, seed, .. } = case;
         let everything: Vec<usize> = (0..schema.len()).collect();
         let valid = rows[0].encode(&schema).unwrap();
         for (i, row) in rows.iter().enumerate() {
@@ -319,6 +331,37 @@ proptest! {
                 prop_assert!(located.is_ok() || is_corrupt(&located), "{located:?}");
                 prop_assert!(located.is_ok() || (reference.is_err() && part.is_err()));
                 prop_assert!(located.is_err() || reference.is_ok() || unread);
+            }
+        }
+    }
+
+    #[test]
+    fn a_hostile_tuple_fails_its_page_behind_a_long_valid_prefix(case in arb_case()) {
+        let Case { schema, rows, free, wanted, seed } = case;
+        let free = free.encode(&schema).unwrap();
+        let everything: Vec<usize> = (0..schema.len()).collect();
+        let mut layouts = [TupleLayout::new(&schema, &wanted), TupleLayout::new(&schema, &everything)];
+        for (i, row) in rows.iter().enumerate() {
+            let bytes = row.encode(&schema).unwrap();
+            for hostile in mutations(&schema, row, &bytes, seed ^ i as u64) {
+                let reference = Row::decode(&schema, &hostile);
+                // `locate` does not read text, so where `Row::decode`
+                // stops at non-UTF-8 the reference is the tuple alone.
+                let unread = matches!(&reference, Err(Error::Corrupt(m)) if m.contains("utf8"));
+                let expected = match unread {
+                    true => failure(&layouts[1].locate(&[&hostile])),
+                    false => failure(&reference),
+                };
+                for layout in &mut layouts {
+                    for at in [0, 64] {
+                        let mut page = vec![free.as_slice(); 64];
+                        page.insert(at, &hostile);
+                        let located = layout.locate(&page);
+                        prop_assert!(located.is_ok() || is_corrupt(&located), "{located:?}");
+                        let got = failure(&located);
+                        prop_assert!(got == expected, "at {at}: {got:?} vs {expected:?}");
+                    }
+                }
             }
         }
     }

@@ -32,7 +32,9 @@
 //! Three guards sit on the decode path itself: a full scan over a warm
 //! pool allocates per 32-page *run* (the run, one slice scratch, one
 //! handed-over morsel), never per page, also when every page carries
-//! NULLs (the tuple layout's side table is reused, not regrown); an index nested-loop join
+//! NULLs (the tuple layout's side table is reused, not regrown) and
+//! under a two-column `AND` (its masks are reused scratch); an index
+//! nested-loop join
 //! allocates nothing per probed outer row (no `Row`, `Vec<Value>` or
 //! `String` per inner match); and an aggregate that does not read the
 //! pad allocates the same bytes whatever the pad's width (a pruned
@@ -216,7 +218,17 @@ fn nullable_heap(rows: i64) -> Arc<HeapFile> {
 #[test]
 fn full_scan_allocations_per_page_are_an_amortized_constant() {
     let _serial = serial();
-    full_scan_allocates_per_run(pad_heavy_heap);
+    full_scan_allocates_per_run(pad_heavy_heap, Predicate::True);
+}
+
+/// An `AND` folds its children's masks into reused scratch, so a scan
+/// filtering on two columns allocates per run like one without a
+/// predicate: no mask per page.
+#[test]
+fn full_scan_allocations_per_page_stay_constant_under_a_conjunction() {
+    let _serial = serial();
+    let pad = Predicate::StrEq { col: 1, value: "x".repeat(64) };
+    full_scan_allocates_per_run(pad_heavy_heap, Predicate::and(vec![Predicate::int_ge(0, 0), pad]));
 }
 
 /// The tuple layout's side table for tuples with NULLs grows to a page's
@@ -225,12 +237,13 @@ fn full_scan_allocations_per_page_are_an_amortized_constant() {
 #[test]
 fn full_scan_allocations_per_page_stay_constant_when_every_page_has_nulls() {
     let _serial = serial();
-    full_scan_allocates_per_run(nullable_heap);
+    full_scan_allocates_per_run(nullable_heap, Predicate::True);
 }
 
-/// Drain a full scan over `heap_of(N)` and `heap_of(2N)` rows and assert
-/// the marginal allocations are per 32-page run, never per page.
-fn full_scan_allocates_per_run(heap_of: fn(i64) -> Arc<HeapFile>) {
+/// Drain a full scan under `predicate` (which every row passes) over
+/// `heap_of(N)` and `heap_of(2N)` rows and assert the marginal
+/// allocations are per 32-page run, never per page.
+fn full_scan_allocates_per_run(heap_of: fn(i64) -> Arc<HeapFile>, predicate: Predicate) {
     const N: i64 = 8000;
     // Allocations of a scan over a warm pool (so the storage layer's own
     // miss handling stays out of the count) and the pages it read. Each
@@ -247,7 +260,7 @@ fn full_scan_allocates_per_run(heap_of: fn(i64) -> Arc<HeapFile>) {
     };
     let scan = |rows: i64| {
         let heap = heap_of(rows);
-        let mut op = FullTableScan::new(Arc::clone(&heap), storage(), Predicate::True);
+        let mut op = FullTableScan::new(Arc::clone(&heap), storage(), predicate.clone());
         drain(&mut op);
         let before = ALLOCS.load(Ordering::Relaxed);
         assert_eq!(drain(&mut op), rows as usize);
