@@ -29,7 +29,7 @@
 use smooth_executor::{AggFunc, JoinType};
 use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
 use smooth_storage::faults::RETRY_LIMIT;
-use smooth_storage::{DeviceProfile, FaultConfig, FaultInjector, FileId, VirtualClock};
+use smooth_storage::{FaultConfig, FaultInjector, FileId, VirtualClock};
 use smooth_types::{Column, DataType, Error, Row, Schema, Value};
 use smooth_workload::micro;
 
@@ -52,12 +52,6 @@ const POISON_ROWS: i64 = 20_000;
 const IO_ERR: f64 = 0.25;
 /// Pads poison tuples to the micro table's ~90-byte geometry.
 const PAD: &str = "................................................................";
-
-/// NVMe-like profile (as `serve`): queries are CPU-bound enough for the
-/// shared pool to matter, so isolation is actually exercised.
-fn nvme() -> DeviceProfile {
-    DeviceProfile::custom("nvme", 3_000, 6_000)
-}
 
 fn poison_schema() -> Schema {
     Schema::new(vec![
@@ -147,7 +141,7 @@ fn search_seed(file: FileId, pages: u32) -> (FaultConfig, u64, u32) {
 /// Run the fault-isolation experiment: the predicted-backoff gate and
 /// the two concurrent blast-radius legs.
 pub fn run() {
-    let mut db = setup::micro_db(nvme());
+    let mut db = setup::micro_db(setup::nvme());
     db.set_faults(None); // the experiment owns the fault config
     db.load_table(POISON_TABLE, poison_schema(), poison_rows(POISON_ROWS)).expect("poison load");
     db.set_workers(WORKERS);
@@ -292,7 +286,7 @@ mod tests {
     /// neighbor is untouched beside a permanently failing session.
     #[test]
     fn predicted_backoff_is_exact_and_neighbors_survive() {
-        let mut db = Database::new(setup::storage_config(nvme(), 64));
+        let mut db = Database::new(setup::storage_config(setup::nvme(), 64));
         db.set_faults(None);
         db.load_table(POISON_TABLE, poison_schema(), poison_rows(4_000)).unwrap();
         db.load_table("clean", poison_schema(), poison_rows(4_000)).unwrap();

@@ -28,9 +28,8 @@
 use smooth_core::SmoothScanConfig;
 use smooth_planner::AccessPathChoice;
 use smooth_storage::DeviceProfile;
-use smooth_workload::micro;
 
-use crate::report::{json_metric, sel_tag, Metric, Report};
+use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
 /// Switch Scan's cliff is at least one full-scan time.
@@ -47,41 +46,20 @@ pub fn run() {
     // 400 M tuples); the cliff appears at the next grid point, 0.009%.
     let estimate = (rows as f64 * 0.00008) as u64;
     println!("  [switch scan estimate = {estimate} tuples]");
-    let mut report = Report::new(
+    let report = Report::new(
         "fig11",
         "switch scan cliff (exec time, virtual s)",
         &["sel_%", "full_scan", "switch_scan", "smooth_scan"],
     );
     let grid =
         [0.00001, 0.00005, 0.00007, 0.00008, 0.00009, 0.0001, 0.0005, 0.001, 0.01, 0.10, 0.50, 1.0];
+    let variants = [
+        ("full", AccessPathChoice::ForceFull),
+        ("switch", AccessPathChoice::Switch { estimate }),
+        ("smooth", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic())),
+    ];
     // Per grid point: (full, switch, smooth) seconds.
-    let mut series = Vec::new();
-    for sel in grid {
-        let mut cells = vec![format!("{}", sel * 100.0)];
-        let mut secs = [0.0; 3];
-        for (slot, (name, access)) in [
-            ("full", AccessPathChoice::ForceFull),
-            ("switch", AccessPathChoice::Switch { estimate }),
-            ("smooth", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic())),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let plan = micro::query(sel, false, access);
-            let stats = db.run(&plan).expect("fig11 query").stats;
-            cells.push(Report::secs(stats.secs()));
-            secs[slot] = stats.secs();
-            json_metric(Metric::new(
-                format!("virtual.fig11.{}.{name}.secs", sel_tag(sel)),
-                stats.secs(),
-                "virtual_s",
-                false,
-            ));
-        }
-        series.push(secs);
-        report.row(cells);
-    }
-    report.finish();
+    let series = setup::sweep(&db, report, &grid, false, variants, &[]);
     // Switch Scan's cliff: its largest step between adjacent grid points.
     let (at, cliff) = series
         .windows(2)

@@ -26,7 +26,7 @@ use smooth_planner::AccessPathChoice;
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::report::{json_metric, sel_tag, Metric, Report};
+use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
 /// Mode 1 alone removes Index Scan's repeated page visits: at 100 % it is
@@ -39,39 +39,20 @@ pub const FULL_OVER_FLATTENING_FLOOR: f64 = 0.6;
 /// Run the mode-sensitivity sweep.
 pub fn run() {
     let db = setup::micro_db(DeviceProfile::hdd());
-    let mut report = Report::new(
+    let report = Report::new(
         "fig6",
         "mode sensitivity (exec time, virtual s)",
         &["sel_%", "full_scan", "index_scan", "ss_entire_page_probe", "ss_flattening"],
     );
-    // At the last grid point (100 %): (full, index, mode1, flattening) seconds.
-    let mut secs = [0.0; 4];
-    for sel in micro::selectivity_grid() {
-        let mut cells = vec![format!("{}", sel * 100.0)];
-        for (slot, (name, access)) in [
-            ("full", AccessPathChoice::ForceFull),
-            ("index", AccessPathChoice::ForceIndex),
-            ("mode1", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().mode1_only())),
-            ("flattening", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic())),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let plan = micro::query(sel, false, access);
-            let stats = db.run(&plan).expect("fig6 query").stats;
-            cells.push(Report::secs(stats.secs()));
-            secs[slot] = stats.secs();
-            json_metric(Metric::new(
-                format!("virtual.fig6.{}.{name}.secs", sel_tag(sel)),
-                stats.secs(),
-                "virtual_s",
-                false,
-            ));
-        }
-        report.row(cells);
-    }
-    report.finish();
-    let [full, index, mode1, flattening] = secs;
+    let variants = [
+        ("full", AccessPathChoice::ForceFull),
+        ("index", AccessPathChoice::ForceIndex),
+        ("mode1", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().mode1_only())),
+        ("flattening", AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic())),
+    ];
+    let series = setup::sweep(&db, report, &micro::selectivity_grid(), false, variants, &[]);
+    // At the last grid point (100 %).
+    let [full, index, mode1, flattening] = series[series.len() - 1];
     println!(
         "  [at 100%: index scan {:.1}x mode 1 only; flattening {:.2}x a full scan]",
         index / mode1,

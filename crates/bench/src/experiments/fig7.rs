@@ -47,7 +47,7 @@ use smooth_planner::AccessPathChoice;
 use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
-use crate::report::{json_metric, sel_tag, Metric, Report};
+use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
 /// The paper's fine-grained x-axis: dense around the trigger region, then
@@ -70,32 +70,23 @@ pub const SLA_BOUND_OVER_MAX_FLOOR: f64 = 0.9;
 /// Fig. 7a: policies.
 pub fn run_policies() {
     let db = setup::micro_db(DeviceProfile::hdd());
-    let mut report = Report::new(
+    let report = Report::new(
         "fig7a",
         "morphing policies (exec time, virtual s)",
         &["sel_%", "greedy", "selectivity_increase", "elastic"],
     );
+    let variants = [
+        ("greedy", PolicyKind::Greedy),
+        ("selectivity_increase", PolicyKind::SelectivityIncrease),
+        ("elastic", PolicyKind::Elastic),
+    ]
+    .map(|(name, policy)| {
+        (name, AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().with_policy(policy)))
+    });
+    let grid = fine_grid();
+    let series = setup::sweep(&db, report, &grid, false, variants, &[]);
     let (mut greedy_over_elastic, mut spread) = (f64::INFINITY, f64::INFINITY);
-    for sel in fine_grid() {
-        let mut cells = vec![format!("{}", sel * 100.0)];
-        let mut secs = Vec::with_capacity(3);
-        for (name, policy) in [
-            ("greedy", PolicyKind::Greedy),
-            ("selectivity_increase", PolicyKind::SelectivityIncrease),
-            ("elastic", PolicyKind::Elastic),
-        ] {
-            let access =
-                AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().with_policy(policy));
-            let stats = db.run(&micro::query(sel, false, access)).expect("fig7a").stats;
-            cells.push(Report::secs(stats.secs()));
-            secs.push(stats.secs());
-            json_metric(Metric::new(
-                format!("virtual.fig7a.{}.{name}.secs", sel_tag(sel)),
-                stats.secs(),
-                "virtual_s",
-                false,
-            ));
-        }
+    for (&sel, secs) in grid.iter().zip(&series) {
         if sel < 0.01 {
             greedy_over_elastic = greedy_over_elastic.min(secs[0] / secs[2]);
         }
@@ -104,9 +95,7 @@ pub fn run_policies() {
                 secs.iter().fold((f64::INFINITY, 0.0f64), |(lo, hi), &t| (lo.min(t), hi.max(t)));
             spread = spread.min(lo / hi);
         }
-        report.row(cells);
     }
-    report.finish();
     println!(
         "  [below 1%: greedy / elastic >= {greedy_over_elastic:.3}; \
          from 10%: fastest / slowest policy >= {spread:.3}]"
@@ -141,44 +130,29 @@ pub fn run_triggers() {
          switch point = {sla_trigger} tuples]",
         sla_bound_ns as f64 / 1e9
     );
-    let mut report = Report::new(
+    let report = Report::new(
         "fig7b",
         "triggering points (exec time, virtual s)",
         &["sel_%", "eager", "optimizer_driven", "sla_driven", "sla_bound"],
     );
-    let mut sla_max = 0.0f64;
-    for sel in fine_grid() {
-        let mut cells = vec![format!("{}", sel * 100.0)];
-        for (name, trigger) in [
-            ("eager", Trigger::Eager),
-            (
-                "optimizer",
-                Trigger::OptimizerDriven {
-                    estimated_cardinality: optimizer_estimate,
-                    policy: PolicyKind::SelectivityIncrease,
-                },
-            ),
-            ("sla", Trigger::SlaDriven { bound_ns: sla_bound_ns }),
-        ] {
-            let access =
-                AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().with_trigger(trigger));
-            let stats = db.run(&micro::query(sel, false, access)).expect("fig7b").stats;
-            cells.push(Report::secs(stats.secs()));
-            if name == "sla" {
-                sla_max = sla_max.max(stats.secs());
-            }
-            json_metric(Metric::new(
-                format!("virtual.fig7b.{}.{name}.secs", sel_tag(sel)),
-                stats.secs(),
-                "virtual_s",
-                false,
-            ));
-        }
-        cells.push(Report::secs(sla_bound_ns as f64 / 1e9));
-        report.row(cells);
-    }
-    report.finish();
-    let over_max = sla_bound_ns as f64 / 1e9 / sla_max;
+    let variants = [
+        ("eager", Trigger::Eager),
+        (
+            "optimizer",
+            Trigger::OptimizerDriven {
+                estimated_cardinality: optimizer_estimate,
+                policy: PolicyKind::SelectivityIncrease,
+            },
+        ),
+        ("sla", Trigger::SlaDriven { bound_ns: sla_bound_ns }),
+    ]
+    .map(|(name, trigger)| {
+        (name, AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().with_trigger(trigger)))
+    });
+    let sla_bound = sla_bound_ns as f64 / 1e9;
+    let series = setup::sweep(&db, report, &fine_grid(), false, variants, &[sla_bound]);
+    let sla_max = series.iter().fold(0.0f64, |max, secs| max.max(secs[2]));
+    let over_max = sla_bound / sla_max;
     println!("  [SLA bound over the SLA-driven run's slowest point: {over_max:.3}]");
     json_metric(
         Metric::new("fig7b.sla_bound_over_max", over_max, "x", true)

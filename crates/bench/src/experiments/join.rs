@@ -28,7 +28,6 @@
 
 use smooth_executor::{AggFunc, JoinType};
 use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
-use smooth_storage::DeviceProfile;
 use smooth_workload::micro;
 
 use crate::report::{json_metric, Metric, Report};
@@ -39,16 +38,11 @@ pub const MODEL_SPEEDUP_FLOOR: f64 = 1.8;
 /// Modeled 4-worker speedup floor on the build phase alone.
 pub const BUILD_SPEEDUP_FLOOR: f64 = 1.5;
 
-/// NVMe-like profile: the fast-device regime where the scan and build
-/// become CPU-bound and the worker pool matters (same profile as the
-/// `parallel` experiment).
-fn nvme() -> DeviceProfile {
-    DeviceProfile::custom("nvme", 3_000, 6_000)
-}
-
 /// Self-join of the micro table on `c2`: full-scan probe side, filtered
-/// build side at 10% selectivity, scalar aggregate sink.
-fn join_plan() -> LogicalPlan {
+/// build side at 10% selectivity, scalar aggregate sink (also the
+/// `spill` experiment's join shape and the `serve` experiment's `join`
+/// session).
+pub fn join_plan() -> LogicalPlan {
     let probe = micro::query(1.0, false, AccessPathChoice::ForceFull);
     let build = LogicalPlan::scan(
         ScanSpec::new(micro::TABLE, micro::predicate(0.1)).with_access(AccessPathChoice::ForceFull),
@@ -60,7 +54,7 @@ fn join_plan() -> LogicalPlan {
 
 /// Run the join-scaling experiment and the equality checks.
 pub fn run() {
-    let mut db = setup::micro_db(nvme());
+    let mut db = setup::micro_db(setup::nvme());
     let plan = join_plan();
     let mut table = Report::new(
         "join",
@@ -69,38 +63,12 @@ pub fn run() {
         &["shape", "w2", "w4", "w8", "build_w4", "virtual_ms_1w"],
     );
 
-    // Single-worker reference through the serial columnar driver.
-    db.set_workers(1);
-    let serial = db.run(&plan).expect("serial run");
-
-    // Traced single-worker pipeline: identical rows and clock, plus the
-    // ledger (build sections included) the model consumes.
-    let (n_traced, traced_ns, ledger) = setup::traced_run(&db, &plan);
-    assert_eq!(n_traced as u64, serial.stats.rows, "traced row count");
-    assert_eq!(
-        traced_ns,
-        serial.stats.clock.total_ns(),
-        "traced pipeline must charge exactly the serial driver's clock"
-    );
+    // One-worker reference, the ledger (build sections included) the
+    // model consumes, and hard equality at every width: the partitioned
+    // build and parallel probe change who works, not what is charged.
+    let (reference, ledger) = setup::traced_reference(&mut db, &plan);
     assert!(ledger.phases[0].src_ns > 0, "build phase must be traced");
-
-    // Hard equality: N-worker runs (partitioned build + parallel probe)
-    // charge identical virtual CPU/IO totals and produce identical rows.
-    for workers in [2usize, 4, 8] {
-        db.set_workers(workers);
-        let got = db.run(&plan).expect("parallel run");
-        assert_eq!(got.rows, serial.rows, "rows diverge at {workers} workers");
-        assert_eq!(
-            (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-            (serial.stats.clock.cpu_ns, serial.stats.clock.io_ns),
-            "virtual clock totals must be identical at {workers} workers"
-        );
-        assert_eq!(
-            (got.stats.io.io_requests, got.stats.io.pages_read, got.stats.io.buffer_hits),
-            (serial.stats.io.io_requests, serial.stats.io.pages_read, serial.stats.io.buffer_hits),
-            "I/O counters must be identical at {workers} workers"
-        );
-    }
+    setup::same_at_every_width(&mut db, &plan, &reference);
 
     let speedups: Vec<f64> = [2, 4, 8].iter().map(|&w| ledger.speedup(w)).collect();
     let build_w4 = ledger.build_speedup(4);
@@ -138,13 +106,9 @@ mod tests {
     /// equal the serial driver's exactly.
     #[test]
     fn build_speedup_clears_floor_and_clocks_match() {
-        let mut db = setup::micro_db(nvme());
+        let mut db = setup::micro_db(setup::nvme());
         let plan = join_plan();
-        db.set_workers(1);
-        let serial = db.run(&plan).expect("serial");
-        let (n, traced_ns, ledger) = setup::traced_run(&db, &plan);
-        assert_eq!(n as u64, serial.stats.rows);
-        assert_eq!(traced_ns, serial.stats.clock.total_ns());
+        let (serial, ledger) = setup::traced_reference(&mut db, &plan);
         assert!(
             ledger.build_speedup(4) >= BUILD_SPEEDUP_FLOOR,
             "modeled 4-worker build speedup {:.2} under the {BUILD_SPEEDUP_FLOOR} floor",
@@ -155,9 +119,6 @@ mod tests {
             "modeled 4-worker speedup {:.2} under the {MODEL_SPEEDUP_FLOOR} floor",
             ledger.speedup(4)
         );
-        db.set_workers(4);
-        let parallel = db.run(&plan).expect("parallel");
-        assert_eq!(parallel.rows, serial.rows);
-        assert_eq!(parallel.stats.clock, serial.stats.clock);
+        setup::same_at_every_width(&mut db, &plan, &serial);
     }
 }

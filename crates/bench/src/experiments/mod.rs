@@ -1,4 +1,5 @@
-//! One module per paper artifact. The experiment index in
+//! One module per paper artifact (`fig5.rs` runs Fig. 10 as well: the
+//! 5b sweep on SSD). The experiment index in
 //! `docs/ARCHITECTURE.md` maps each id to its figure/table, workload,
 //! scales and gated ids.
 
@@ -7,7 +8,6 @@ pub mod costmodel;
 pub mod cr;
 pub mod faults;
 pub mod fig1;
-pub mod fig10;
 pub mod fig11;
 pub mod fig4;
 pub mod fig5;
@@ -49,14 +49,12 @@ pub fn run(id: &str) -> bool {
     match id {
         "fig1" => fig1::run(),
         "fig4" | "table2" => fig4::run(),
-        "fig5a" => fig5::run(true),
-        "fig5b" => fig5::run(false),
+        "fig5a" | "fig5b" | "fig10" => fig5::run(id),
         "fig6" => fig6::run(),
         "fig7a" => fig7::run_policies(),
         "fig7b" => fig7::run_triggers(),
         "fig8" => fig8::run(),
         "fig9" => fig9::run(),
-        "fig10" => fig10::run(),
         "fig11" => fig11::run(),
         "table1" | "costmodel" => costmodel::run(),
         "cr" => cr::run(),

@@ -58,26 +58,22 @@ use crate::setup;
 /// source-bound ceiling past 3× at smoke scale.
 pub const MODEL_SPEEDUP_FLOOR: f64 = 3.0;
 
-/// NVMe-like profile: ~2.7 GB/s sequential, random 2× — the fast-device
-/// regime where the scan becomes CPU-bound and the worker pool matters.
-fn nvme() -> DeviceProfile {
-    DeviceProfile::custom("nvme", 3_000, 6_000)
-}
-
-fn agg_plan() -> LogicalPlan {
+/// The aggregate shape, also the `serve` experiment's `agg` session.
+pub fn agg_plan() -> LogicalPlan {
     micro::query(0.1, false, AccessPathChoice::ForceFull).aggregate(
         vec![],
         vec![AggFunc::CountStar, AggFunc::Sum(2), AggFunc::Min(0), AggFunc::Max(0)],
     )
 }
 
-fn scan_plan() -> LogicalPlan {
+/// The scan shape, also the `serve` experiment's `scan` session.
+pub fn scan_plan() -> LogicalPlan {
     micro::query(0.1, false, AccessPathChoice::ForceFull)
 }
 
 /// Run the parallel-scaling experiment and the equality checks.
 pub fn run() {
-    let mut db = setup::micro_db(nvme());
+    let mut db = setup::micro_db(setup::nvme());
     let mut table = Report::new(
         "parallel",
         "morsel-driven parallel pipeline at 10% selectivity (modeled speedup from the \
@@ -86,41 +82,10 @@ pub fn run() {
     );
 
     for (shape, plan) in [("agg", agg_plan()), ("scan", scan_plan())] {
-        // Single-worker reference through the serial columnar driver.
-        db.set_workers(1);
-        let serial = db.run(&plan).expect("serial run");
-
-        // Traced single-worker pipeline: identical rows and clock, plus
-        // the per-morsel ledger the scaling model consumes.
-        let (n_traced, traced_ns, ledger) = setup::traced_run(&db, &plan);
-        assert_eq!(n_traced as u64, serial.stats.rows, "{shape}: traced row count");
-        assert_eq!(
-            traced_ns,
-            serial.stats.clock.total_ns(),
-            "{shape}: traced pipeline must charge exactly the serial driver's clock"
-        );
-
-        // Hard equality: N-worker runs charge the identical virtual
-        // CPU/IO totals and produce the identical rows.
-        for workers in [2usize, 4, 8] {
-            db.set_workers(workers);
-            let got = db.run(&plan).expect("parallel run");
-            assert_eq!(got.rows, serial.rows, "{shape}: rows diverge at {workers} workers");
-            assert_eq!(
-                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                (serial.stats.clock.cpu_ns, serial.stats.clock.io_ns),
-                "{shape}: virtual clock totals must be identical at {workers} workers"
-            );
-            assert_eq!(
-                (got.stats.io.io_requests, got.stats.io.pages_read, got.stats.io.buffer_hits),
-                (
-                    serial.stats.io.io_requests,
-                    serial.stats.io.pages_read,
-                    serial.stats.io.buffer_hits
-                ),
-                "{shape}: I/O counters must be identical at {workers} workers"
-            );
-        }
+        // One-worker reference, the per-morsel ledger the scaling model
+        // consumes, and hard equality at every width.
+        let (reference, ledger) = setup::traced_reference(&mut db, &plan);
+        setup::same_at_every_width(&mut db, &plan, &reference);
 
         // How source-bound the shape is: the serialized source's share
         // of the run, which caps the modeled speedup.
@@ -182,22 +147,15 @@ mod tests {
     /// N-worker clock totals equal the serial driver's exactly.
     #[test]
     fn model_speedup_clears_floor_and_clocks_match() {
-        let mut db = setup::micro_db(nvme());
+        let mut db = setup::micro_db(setup::nvme());
         let plan = agg_plan();
-        db.set_workers(1);
-        let serial = db.run(&plan).expect("serial");
-        let (n, traced_ns, ledger) = setup::traced_run(&db, &plan);
-        assert_eq!(n as u64, serial.stats.rows);
-        assert_eq!(traced_ns, serial.stats.clock.total_ns());
+        let (serial, ledger) = setup::traced_reference(&mut db, &plan);
         assert!(
             ledger.speedup(4) >= MODEL_SPEEDUP_FLOOR,
             "modeled 4-worker speedup {:.2} under the {MODEL_SPEEDUP_FLOOR} floor",
             ledger.speedup(4)
         );
-        db.set_workers(4);
-        let parallel = db.run(&plan).expect("parallel");
-        assert_eq!(parallel.rows, serial.rows);
-        assert_eq!(parallel.stats.clock, serial.stats.clock);
+        setup::same_at_every_width(&mut db, &plan, &serial);
         // And the pipeline entry point agrees with the Database wiring.
         let pipeline = db.parallel_pipeline(&plan).unwrap().unwrap();
         db.storage().flush_pool();

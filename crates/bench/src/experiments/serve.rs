@@ -30,11 +30,11 @@
 //!
 //! [`Database`]: smooth_planner::Database
 
-use smooth_executor::{multi_query_makespan_ns, AggFunc, JoinType, ScalingLedger};
-use smooth_planner::{AccessPathChoice, JoinStrategy, LogicalPlan, ScanSpec};
-use smooth_storage::DeviceProfile;
+use smooth_executor::{multi_query_makespan_ns, AggFunc, ScalingLedger};
+use smooth_planner::{AccessPathChoice, LogicalPlan};
 use smooth_workload::micro;
 
+use crate::experiments::{join, parallel};
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
@@ -49,40 +49,24 @@ pub const MODEL_QPS_RATIO_FLOOR: f64 = 1.05;
 /// admission, not just a single burst).
 const REPEATS: usize = 2;
 
-/// NVMe-like profile (same as the `parallel` and `join` experiments):
-/// the regime where queries are CPU-bound enough for the pool to matter.
-fn nvme() -> DeviceProfile {
-    DeviceProfile::custom("nvme", 3_000, 6_000)
-}
-
-/// The mixed plan set: one shape per session.
+/// The mixed plan set: one shape per session — the `parallel`
+/// experiment's two shapes, a grouped average and the `join`
+/// experiment's self-join.
 fn plans() -> Vec<(&'static str, LogicalPlan)> {
-    let scan = micro::query(0.1, false, AccessPathChoice::ForceFull);
-    let agg = micro::query(0.1, false, AccessPathChoice::ForceFull).aggregate(
-        vec![],
-        vec![AggFunc::CountStar, AggFunc::Sum(2), AggFunc::Min(0), AggFunc::Max(0)],
-    );
     let group = micro::query(0.01, false, AccessPathChoice::ForceFull)
         .aggregate(vec![micro::C2], vec![AggFunc::Avg(2), AggFunc::CountStar]);
-    let join = micro::query(1.0, false, AccessPathChoice::ForceFull)
-        .join(
-            LogicalPlan::scan(
-                ScanSpec::new(micro::TABLE, micro::predicate(0.1))
-                    .with_access(AccessPathChoice::ForceFull),
-            ),
-            micro::C2,
-            micro::C2,
-            JoinType::Inner,
-            JoinStrategy::Hash,
-        )
-        .aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)]);
-    vec![("scan", scan), ("agg", agg), ("group", group), ("join", join)]
+    vec![
+        ("scan", parallel::scan_plan()),
+        ("agg", parallel::agg_plan()),
+        ("group", group),
+        ("join", join::join_plan()),
+    ]
 }
 
 /// Run the serving experiment: the modeled throughput gate and the real
 /// concurrent-session correctness leg.
 pub fn run() {
-    let mut db = setup::micro_db(nvme());
+    let mut db = setup::micro_db(setup::nvme());
     let mixed = plans();
     let mut table = Report::new(
         "serve",
@@ -189,7 +173,7 @@ mod tests {
     /// return solo-identical rows.
     #[test]
     fn model_ratio_clears_floor_and_concurrent_rows_match() {
-        let mut db = setup::micro_db(nvme());
+        let mut db = setup::micro_db(setup::nvme());
         db.set_workers(WORKERS);
         db.set_max_queries(SESSIONS);
         let mixed = plans();

@@ -29,11 +29,10 @@
 //!   the in-memory sort's.
 
 use smooth_executor::sort::SortKey;
-use smooth_executor::{AggFunc, JoinType};
-use smooth_planner::{AccessPathChoice, Database, JoinStrategy, LogicalPlan, ScanSpec};
-use smooth_storage::DeviceProfile;
+use smooth_planner::{AccessPathChoice, Database, LogicalPlan, QueryResult};
 use smooth_workload::micro;
 
+use crate::experiments::join::join_plan;
 use crate::report::{json_metric, Metric, Report};
 use crate::setup;
 
@@ -44,24 +43,6 @@ pub const TIGHT_BUDGET: usize = 16 << 10;
 pub const HUGE_BUDGET: usize = 1 << 30;
 /// Floor (ms) on the modeled spill I/O of either budgeted leg.
 pub const SPILL_MS_FLOOR: f64 = 0.05;
-
-/// NVMe-like profile (same as the `join` experiment): spill charges
-/// must register even on the fastest modeled device.
-fn nvme() -> DeviceProfile {
-    DeviceProfile::custom("nvme", 3_000, 6_000)
-}
-
-/// The `join` experiment's self-join: full-scan probe side, filtered
-/// build side at 10% selectivity, scalar aggregate sink.
-fn join_plan() -> LogicalPlan {
-    let probe = micro::query(1.0, false, AccessPathChoice::ForceFull);
-    let build = LogicalPlan::scan(
-        ScanSpec::new(micro::TABLE, micro::predicate(0.1)).with_access(AccessPathChoice::ForceFull),
-    );
-    probe
-        .join(build, micro::C2, micro::C2, JoinType::Inner, JoinStrategy::Hash)
-        .aggregate(vec![], vec![AggFunc::CountStar, AggFunc::Sum(0)])
-}
 
 /// The filtered scan topped by an explicit sort on `c2` (the scan's
 /// heap order is by `c0`, so the sort really reorders).
@@ -76,22 +57,15 @@ fn run_budgeted(
     plan: &LogicalPlan,
     workers: usize,
     budget: usize,
-) -> smooth_planner::QueryResult {
+) -> QueryResult {
     db.set_workers(workers);
     db.set_mem_bytes(budget);
-    db.storage().flush_pool();
     db.run(plan).expect("budgeted run")
-}
-
-/// The per-run comparable I/O counters (`distinct_pages` is cumulative
-/// over the storage's lifetime, so per-run deltas on one db differ).
-fn io_key(io: &smooth_storage::IoSnapshot) -> (u64, u64, u64, u64, u64) {
-    (io.io_requests, io.pages_read, io.seq_pages, io.rand_pages, io.buffer_hits)
 }
 
 /// Run the larger-than-memory experiment and its equality checks.
 pub fn run() {
-    let mut db = setup::micro_db(nvme());
+    let mut db = setup::micro_db(setup::nvme());
     let mut table = Report::new(
         "spill",
         "grace hash join and external sort under SMOOTH_MEM_BYTES (modeled spill I/O from \
@@ -108,11 +82,9 @@ pub fn run() {
         tight.stats.clock.cpu_ns, free.stats.clock.cpu_ns,
         "spill charges must land on the I/O lane only"
     );
-    // (`distinct_pages` is cumulative over the storage's lifetime, so
-    // successive runs on one db legitimately differ there.)
     assert_eq!(
-        io_key(&tight.stats.io),
-        io_key(&free.stats.io),
+        setup::disk_arm(&tight.stats.io),
+        setup::disk_arm(&free.stats.io),
         "overflow files are modeled transfers — disk-arm counters stay untouched"
     );
     let join_spill_ns = tight.stats.clock.io_ns - free.stats.clock.io_ns;
@@ -120,19 +92,7 @@ pub fn run() {
 
     // Budgeted parallel runs must be byte-identical to the budgeted
     // serial run — worker interleavings cannot perturb spill charges.
-    for workers in [2usize, 4, 8] {
-        let got = run_budgeted(&mut db, &plan, workers, TIGHT_BUDGET);
-        assert_eq!(got.rows, tight.rows, "budgeted rows diverge at {workers} workers");
-        assert_eq!(
-            got.stats.clock, tight.stats.clock,
-            "budgeted clock diverges at {workers} workers"
-        );
-        assert_eq!(
-            io_key(&got.stats.io),
-            io_key(&tight.stats.io),
-            "budgeted I/O diverges at {workers} workers"
-        );
-    }
+    setup::same_at_every_width(&mut db, &plan, &tight);
 
     // Zero-spill assert: a budget the build fits charges *exactly* the
     // unbudgeted clock — the in-memory path is untouched.
@@ -186,7 +146,7 @@ mod tests {
     /// the huge budget charges exactly the unbudgeted clock.
     #[test]
     fn tight_budget_spills_and_huge_budget_is_exact() {
-        let mut db = setup::micro_db(nvme());
+        let mut db = setup::micro_db(setup::nvme());
         let plan = join_plan();
         let free = run_budgeted(&mut db, &plan, 1, 0);
         let tight = run_budgeted(&mut db, &plan, 1, TIGHT_BUDGET);

@@ -25,6 +25,11 @@ impl Report {
         }
     }
 
+    /// The experiment id the report was started for.
+    pub fn id(&self) -> &str {
+        &self.id
+    }
+
     /// Append a data row (stringified by the caller).
     pub fn row(&mut self, cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.headers.len());

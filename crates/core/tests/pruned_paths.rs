@@ -12,9 +12,16 @@
 //! engine's own index — is `Error::Corrupt` on every reader that
 //! addresses tuples by TID, and an index entry past the heap is
 //! `Error::Corrupt` on Sort Scan, whose TID bitmap has no bit for it.
+//! Whatever one mutation of one page image does — a truncation, a
+//! flipped bit in the slot array or in a text length prefix, a rewritten
+//! slot count — every reader returns rows or `Error::Corrupt`, never a
+//! panic or another error.
 
 use std::ops::Bound;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+
+use proptest::prelude::*;
 
 use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::operator::ValuesOp;
@@ -25,7 +32,7 @@ use smooth_executor::{
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{Backend, HeapFile, HeapLoader, MemBackend, PageBuf, PageView, Storage};
-use smooth_types::{Column, DataType, Error, PageId, Result, Row, Schema, Tid, Value};
+use smooth_types::{Column, DataType, Error, PageId, Result, Row, Schema, Tid, Value, PAGE_SIZE};
 
 /// A page store that rewrites every page on its way in — how a test
 /// gets hostile bytes under a real heap: each occurrence of `from`
@@ -75,6 +82,73 @@ impl Backend for ShortSlotted {
         let slots = u16::from_le_bytes([bytes[0], bytes[1]]) - 1;
         bytes[..2].copy_from_slice(&slots.to_le_bytes());
         self.0.append(bytes.into())
+    }
+}
+
+/// One mutation of one page image.
+#[derive(Debug, Clone, Copy)]
+enum Mutation {
+    /// The image cut to this many bytes.
+    Truncate(usize),
+    /// A bit of the slot array flipped: bit `bit % 8` of byte `byte`,
+    /// counted modulo the array's length.
+    SlotBit { byte: usize, bit: usize },
+    /// A bit of the text length prefixes (`s`'s, then `t`'s: 32 bits) of
+    /// the tuple in slot `slot`, counted modulo the page's slot count.
+    LengthBit { slot: usize, bit: usize },
+    /// The header's slot count rewritten.
+    SlotCount(u16),
+}
+
+fn arb_mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (0..PAGE_SIZE).prop_map(Mutation::Truncate),
+        (any::<usize>(), 0..8usize).prop_map(|(byte, bit)| Mutation::SlotBit { byte, bit }),
+        (any::<usize>(), 0..32usize).prop_map(|(slot, bit)| Mutation::LengthBit { slot, bit }),
+        any::<u16>().prop_map(Mutation::SlotCount),
+    ]
+}
+
+impl Mutation {
+    fn apply(self, bytes: &mut Vec<u8>) {
+        let slots = usize::from(u16::from_le_bytes([bytes[0], bytes[1]]));
+        match self {
+            Mutation::Truncate(len) => bytes.truncate(len),
+            Mutation::SlotBit { byte, bit } => bytes[4 + byte % (4 * slots)] ^= 1 << (bit % 8),
+            Mutation::LengthBit { slot, bit } => {
+                let entry = 4 + 4 * (slot % slots);
+                let tuple = usize::from(u16::from_le_bytes([bytes[entry], bytes[entry + 1]]));
+                // Bitmap (1 byte), `k` and `a` (8 each): `s`'s prefix at
+                // 17, its one byte at 19, `t`'s prefix at 20.
+                bytes[tuple + [17, 18, 20, 21][bit / 8]] ^= 1 << (bit % 8);
+            }
+            Mutation::SlotCount(n) => bytes[..2].copy_from_slice(&n.to_le_bytes()),
+        }
+    }
+}
+
+/// A page store that applies `mutation` to page `page` on its way in.
+struct Hostile {
+    pages: MemBackend,
+    page: u32,
+    mutation: Mutation,
+}
+
+impl Backend for Hostile {
+    fn page_count(&self) -> u32 {
+        self.pages.page_count()
+    }
+
+    fn read(&self, page: u32) -> Result<PageBuf> {
+        self.pages.read(page)
+    }
+
+    fn append(&mut self, page: PageBuf) -> Result<u32> {
+        let mut bytes = page.to_vec();
+        if self.pages.page_count() == self.page {
+            self.mutation.apply(&mut bytes);
+        }
+        self.pages.append(bytes.into())
     }
 }
 
@@ -334,5 +408,34 @@ fn sort_scan_rejects_an_index_entry_outside_the_heap() {
         let mut scan = SortScan::new(Arc::clone(&heap), index, s, all, all, Predicate::True);
         let got = collect_rows(&mut scan);
         assert!(matches!(got, Err(Error::Corrupt(_))), "({page}, {slot}): {got:?}");
+    }
+}
+
+proptest! {
+    #[test]
+    fn every_reader_survives_one_mutated_page(
+        page in 0..4u32,
+        mutation in arb_mutation(),
+        cols in prop_oneof![
+            Just(None),
+            Just(Some(vec![0usize, 1])),
+            Just(Some(vec![1, 3])),
+            Just(Some(vec![])),
+        ],
+    ) {
+        let clean = heap(b"", b"");
+        let index = Arc::new(BTreeIndex::build_from_heap("t_k", &clean, 0).unwrap());
+        let page = page % clean.page_count();
+        let hostile = heap_on(Box::new(Hostile { pages: MemBackend::new(), page, mutation }));
+        let read = catch_unwind(AssertUnwindSafe(|| {
+            read_every_way(&hostile, &index, cols.as_deref())
+        }));
+        prop_assert!(read.is_ok(), "a reader panicked on page {page} under {mutation:?}");
+        for (what, got) in read.unwrap_or_default() {
+            prop_assert!(
+                matches!(got, Ok(_) | Err(Error::Corrupt(_))),
+                "{what} emitting {cols:?}, page {page} under {mutation:?}: {got:?}"
+            );
+        }
     }
 }

@@ -169,64 +169,6 @@ impl Optimizer {
             JoinStrategy::Hash
         }
     }
-
-    /// "Tuning tool": propose one secondary index per table, on the column
-    /// most often constrained by the workload's range predicates — the
-    /// moral equivalent of the DBMS-X advisor the paper runs with a 5 GB
-    /// budget (Section VI-B).
-    pub fn advise_indexes(workload: &[LogicalPlan]) -> Vec<(String, usize)> {
-        use std::collections::HashMap;
-        let mut votes: HashMap<(String, usize), usize> = HashMap::new();
-        fn walk(plan: &LogicalPlan, votes: &mut HashMap<(String, usize), usize>) {
-            match plan {
-                LogicalPlan::Scan(spec) => {
-                    if let Some((col, _, _, _)) = spec.predicate.split_index_range() {
-                        *votes.entry((spec.table.clone(), col)).or_default() += 1;
-                    }
-                }
-                LogicalPlan::Join(j) => {
-                    walk(&j.left, votes);
-                    walk(&j.right, votes);
-                }
-                LogicalPlan::Aggregate { input, .. }
-                | LogicalPlan::Sort { input, .. }
-                | LogicalPlan::Project { input, .. }
-                | LogicalPlan::Filter { input, .. } => walk(input, votes),
-            }
-        }
-        for plan in workload {
-            walk(plan, &mut votes);
-        }
-        // Keep the most-voted column per table.
-        let mut best: HashMap<String, (usize, usize)> = HashMap::new();
-        for ((table, col), n) in votes {
-            let e = best.entry(table).or_insert((col, 0));
-            if n > e.1 {
-                *e = (col, n);
-            }
-        }
-        let mut out: Vec<(String, usize)> = best.into_iter().map(|(t, (c, _))| (t, c)).collect();
-        out.sort();
-        out
-    }
-
-    /// Honest tipping point: the selectivity where the index scan model
-    /// crosses the full scan model (Section II puts it at a fraction of a
-    /// percent on HDDs).
-    pub fn tipping_selectivity(entry: &TableEntry, device: DeviceProfile) -> f64 {
-        let model = Self::cost_model(entry, device);
-        let total = model.geometry.tuples;
-        let (mut lo, mut hi) = (0u64, total);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if model.is_cost_ns(mid) < model.fs_cost_ns() {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo as f64 / total.max(1) as f64
-    }
 }
 
 #[cfg(test)]
@@ -302,15 +244,6 @@ mod tests {
     }
 
     #[test]
-    fn tipping_point_is_a_fraction_of_a_percent_on_hdd() {
-        let c = catalog(100_000);
-        let tip = Optimizer::tipping_selectivity(c.get("t").unwrap(), DeviceProfile::hdd());
-        assert!(tip > 0.0 && tip < 0.02, "tipping at {tip}");
-        let ssd = Optimizer::tipping_selectivity(c.get("t").unwrap(), DeviceProfile::ssd());
-        assert!(ssd > tip, "SSD tolerates more index accesses: {ssd} vs {tip}");
-    }
-
-    #[test]
     fn join_strategy_flips_with_outer_estimate() {
         let mut c = catalog(100_000);
         let hdd = DeviceProfile::hdd();
@@ -331,15 +264,5 @@ mod tests {
         );
         // No index on the join column → hash regardless.
         assert_eq!(Optimizer::choose_join_strategy(&c, &outer, &inner, 0, hdd), JoinStrategy::Hash);
-    }
-
-    #[test]
-    fn advisor_votes_for_predicate_columns() {
-        let q1 = LogicalPlan::scan(crate::plan::ScanSpec::new("t", Predicate::int_eq(1, 5)));
-        let q2 = LogicalPlan::scan(crate::plan::ScanSpec::new("t", Predicate::int_eq(1, 9)))
-            .aggregate(vec![], vec![smooth_executor::AggFunc::CountStar]);
-        let q3 = LogicalPlan::scan(crate::plan::ScanSpec::new("t", Predicate::int_eq(0, 1)));
-        let advice = Optimizer::advise_indexes(&[q1, q2, q3]);
-        assert_eq!(advice, vec![("t".to_string(), 1)]);
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::HashSet;
 use std::ops::Bound;
 
-use crate::histogram::{EquiDepthHistogram, Histogram};
+use crate::histogram::EquiDepthHistogram;
 
 /// Statistics for one (integer-like) column: min/max, distinct count, null
 /// fraction and an equi-depth histogram.
@@ -20,18 +20,13 @@ pub struct ColumnStats {
     histogram: EquiDepthHistogram,
 }
 
-/// Default histogram resolution (PostgreSQL's `default_statistics_target`
+/// Histogram resolution (PostgreSQL's `default_statistics_target`
 /// is 100; we keep the same order of magnitude).
 pub const DEFAULT_BUCKETS: usize = 100;
 
 impl ColumnStats {
     /// Analyze a column from its non-null values and the total row count.
     pub fn analyze(values: &[i64], total_rows: u64) -> Self {
-        Self::analyze_with_buckets(values, total_rows, DEFAULT_BUCKETS)
-    }
-
-    /// Analyze with an explicit histogram resolution.
-    pub fn analyze_with_buckets(values: &[i64], total_rows: u64, buckets: usize) -> Self {
         let distinct = values.iter().collect::<HashSet<_>>().len() as u64;
         let null_fraction =
             if total_rows == 0 { 0.0 } else { 1.0 - values.len() as f64 / total_rows as f64 };
@@ -40,7 +35,7 @@ impl ColumnStats {
             max: values.iter().max().copied(),
             distinct,
             null_fraction: null_fraction.clamp(0.0, 1.0),
-            histogram: EquiDepthHistogram::build(values, buckets),
+            histogram: EquiDepthHistogram::build(values, DEFAULT_BUCKETS),
         }
     }
 

@@ -78,19 +78,6 @@ pub fn conjunction_fraction(stats: &TableStats, preds: &[RangePredicate]) -> f64
     preds.iter().map(|p| range_fraction(stats, p)).product()
 }
 
-/// Estimated cardinality of an equi-join between two tables on the given
-/// columns: `|R| * |S| / max(ndv(R.a), ndv(S.b))` (System-R).
-pub fn equijoin_cardinality(
-    left: &TableStats,
-    left_col: usize,
-    right: &TableStats,
-    right_col: usize,
-) -> f64 {
-    let ndv_l = left.column(left_col).map_or(1, |c| c.distinct).max(1);
-    let ndv_r = right.column(right_col).map_or(1, |c| c.distinct).max(1);
-    (left.row_count as f64 * right.row_count as f64) / ndv_l.max(ndv_r) as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,13 +124,6 @@ mod tests {
         let stats = correlated_table();
         let p = RangePredicate::half_open(7, 0, 1); // no such column analyzed
         assert_eq!(range_fraction(&stats, &p), DEFAULT_RANGE_SELECTIVITY);
-    }
-
-    #[test]
-    fn join_cardinality_pk_fk() {
-        let stats = correlated_table(); // 10k rows, 100 distinct in c1
-        let card = equijoin_cardinality(&stats, 0, &stats, 0);
-        assert!((card - 10_000.0 * 10_000.0 / 100.0).abs() < 1.0);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! suboptimal plans that severely hurt performance" (Section I). This crate
 //! supplies both sides of that story:
 //!
-//! * honest statistics — equi-width and equi-depth [`histogram`]s,
+//! * honest statistics — equi-depth [`histogram`]s,
 //!   per-column and per-table summaries ([`mod@column`], [`mod@table`]) and the
 //!   selectivity arithmetic ([`estimate`]) a textbook optimizer uses;
 //! * controlled damage — [`staleness`] wraps a catalog and injects the
@@ -22,6 +22,6 @@ pub mod table;
 
 pub use column::ColumnStats;
 pub use estimate::{range_fraction, RangePredicate};
-pub use histogram::{EquiDepthHistogram, EquiWidthHistogram, Histogram};
+pub use histogram::EquiDepthHistogram;
 pub use staleness::{StaleCatalog, StatsQuality};
 pub use table::TableStats;
