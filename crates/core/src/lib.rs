@@ -11,8 +11,9 @@
 //!   Elastic (Section III-B);
 //! * [`trigger`] — the morphing triggers: Eager, Optimizer-driven and
 //!   SLA-driven (Section III-C); Never, under which Smooth Scan is the
-//!   engine's Index Scan; and Switch, under which it is Switch Scan, the
-//!   binary-decision straw man (Sections III, VI-F);
+//!   engine's Index Scan; Switch, under which it is Switch Scan, the
+//!   binary-decision straw man; and Sort, under which it is Sort Scan,
+//!   PostgreSQL's Bitmap Heap Scan (Sections II, III, VI-F);
 //! * [`page_cache`] / [`tuple_cache`] — the Page-ID and Tuple-ID bitmap
 //!   caches (Section IV-A);
 //! * [`result_cache`] — the key-range-partitioned Result Cache with bulk

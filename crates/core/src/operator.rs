@@ -17,7 +17,11 @@
 //! Under [`Trigger::Switch`] the scan is Section VI-F's Switch Scan: when
 //! Mode 0's trigger fires it drops the cursor and, instead of morphing,
 //! reads the whole heap from page 0 in full-scan readahead runs — the
-//! performance cliff of Fig. 11.
+//! performance cliff of Fig. 11. Under [`Trigger::Sort`] it is Section
+//! II's Sort Scan: `open` walks the whole range into the Tuple-ID cache,
+//! and the same heap cursor then reads only the marked pages, in runs
+//! coalesced within [`SORT_SCAN_PREFETCH_GAP`], inspecting only the
+//! marked slots.
 //!
 //! Already-visited pages are skipped via the Page-ID cache (the ✗ marks of
 //! Fig. 3). With an interesting order to respect, qualifying tuples found
@@ -41,6 +45,12 @@ use crate::policy::{MorphPolicy, PolicyKind};
 use crate::result_cache::{ResultCache, ResultCacheStats};
 use crate::trigger::Trigger;
 use crate::tuple_cache::{unproduced, TupleIdCache};
+
+/// Maximum gap (in pages) bridged by the Sort Scan prefetcher: ascending
+/// page requests closer than this are coalesced into one sequential run,
+/// modeling the "nearly sequential pattern, easily detected by disk
+/// prefetchers" of Section II.
+pub const SORT_SCAN_PREFETCH_GAP: u32 = 16;
 
 /// Configuration of one Smooth Scan instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,7 +155,9 @@ pub struct SmoothScan {
     key_col: usize,
     lo: Bound<i64>,
     hi: Bound<i64>,
-    /// Compiled `key range AND residual` filter, probed on encoded tuples.
+    /// Compiled `key range AND residual` filter, probed on encoded tuples
+    /// (the residual alone under Sort, which inspects only the tuples the
+    /// index named).
     filter: ScanFilter,
     /// Decoder for the tuples ordered mode emits one at a time: the
     /// driving tuple and Result-Cache hits.
@@ -161,7 +173,8 @@ pub struct SmoothScan {
     result_cache: Option<ResultCache>,
     policy: MorphPolicy,
     traditional_until: Option<u64>,
-    /// Under the Switch trigger, once it fired: the next heap page to read.
+    /// Under the Switch trigger once it fired, and under Sort: the next
+    /// heap page to read.
     heap_next: Option<u32>,
     /// An unordered region's fetched pages, not yet inspected.
     queue: PageQueue,
@@ -190,9 +203,11 @@ impl SmoothScan {
         residual: Predicate,
         config: SmoothScanConfig,
     ) -> Self {
-        let full_pred =
-            Predicate::and(vec![Predicate::IntRange { col: key_col, lo, hi }, residual]);
-        let filter = ScanFilter::new(full_pred, heap.schema());
+        let predicate = match config.trigger {
+            Trigger::Sort => residual,
+            _ => Predicate::and(vec![Predicate::IntRange { col: key_col, lo, hi }, residual]),
+        };
+        let filter = ScanFilter::new(predicate, heap.schema());
         let model = CostModel::new(
             TableGeometry::new(
                 (heap.schema().estimated_tuple_width(16) as u64).max(1),
@@ -377,9 +392,16 @@ impl SmoothScan {
                 continue;
             }
             let (op_ns, tc, out) = (s.cpu().bitmap_op_ns, self.tuple_cache.as_ref(), &mut self.out);
+            let marked = tc.filter(|_| self.config.trigger == Trigger::Sort);
             let (pages, with_results) =
                 fill_from(&mut self.queue, s, max, &mut self.filter, out, |p, v, t| {
-                    Ok(op_ns * unproduced(tc, p, v, t, |_| {})?)
+                    let Some(marked) = marked else {
+                        return Ok(op_ns * unproduced(tc, p, v, t, |_| {})?);
+                    };
+                    marked
+                        .slots(p.0)
+                        .try_for_each(|slot| v.get(slot).map(|tuple| t.push(tuple)))?;
+                    Ok(0)
                 })?;
             self.region.1 += pages;
             self.region.2 += with_results;
@@ -396,7 +418,8 @@ impl SmoothScan {
     /// produces — Mode-0 tuples, a Result-Cache hit or the ordered driving
     /// tuple — append to the columnar output buffer in emission order; an
     /// unordered region's pages join the page queue. Returns `false` at
-    /// cursor exhaustion (after a switch, at the heap's end).
+    /// cursor exhaustion (after a switch, at the heap's end; under Sort,
+    /// past the last marked page).
     fn advance(&mut self, s: &mut Session, max: usize) -> Result<bool> {
         if let Some(page) = self.heap_next {
             return self.heap_run(s, page);
@@ -448,14 +471,52 @@ impl SmoothScan {
     }
 
     /// Switch Scan after the switch: queue the readahead run of the heap
-    /// starting at `page` as a region. Returns `false` past the last page.
+    /// starting at `page` as a region. Sort Scan: queue the marked pages of
+    /// the next run as a region — the first marked page from `page` on and
+    /// every later one within [`SORT_SCAN_PREFETCH_GAP`] of the one before,
+    /// read as one run at one pool probe a page. Returns `false` past the
+    /// last (marked) page.
     fn heap_run(&mut self, s: &mut Session, page: u32) -> Result<bool> {
-        let len = FULL_SCAN_READAHEAD.min(self.heap.page_count().saturating_sub(page));
-        self.heap_next = Some(page + len);
-        if len > 0 {
-            self.process_region(s, Tid { page: PageId(page), slot: 0 }, len)?;
+        let total = self.heap.page_count();
+        let (Trigger::Sort, Some(marked)) = (self.config.trigger, &self.tuple_cache) else {
+            let len = FULL_SCAN_READAHEAD.min(total.saturating_sub(page));
+            self.heap_next = Some(page + len);
+            if len > 0 {
+                self.process_region(s, Tid { page: PageId(page), slot: 0 }, len)?;
+            }
+            return Ok(len > 0);
+        };
+        let mut set = (page..total).filter(|&p| marked.has_page(p));
+        let Some(start) = set.next() else { return Ok(false) };
+        let near = |last, p| if p - last > SORT_SCAN_PREFETCH_GAP { Err(last) } else { Ok(p) };
+        let len = set.try_fold(start, near).unwrap_or_else(|last| last) - start + 1;
+        let pages = s.read_heap_run(&self.heap, PageId(start), len)?;
+        s.charge_cpu(s.cpu().hash_op_ns * u64::from(len)); // the pool probes
+        s.release();
+        self.heap_next = Some(start + len);
+        self.region = (len, 0, 0);
+        self.queue.extend(pages.into_iter().filter(|(p, _)| marked.has_page(p.0)));
+        Ok(true)
+    }
+
+    /// Sort Scan's blocking phase: walk the whole range into the Tuple-ID
+    /// cache on one session, fetching nothing, and point the heap cursor
+    /// at page 0. The bitmap's page-major order is the TIDs' sorted order;
+    /// the clock still charges Table I's sort of the `n` of them.
+    fn mark_range(&mut self) -> Result<()> {
+        let mut cursor = self.cursor.take().ok_or_else(not_open)?;
+        let mut marked = TupleIdCache::new(self.heap.page_count(), self.heap.max_slots_per_page());
+        let s = &mut self.storage.session();
+        while let Some((_, tid)) = cursor.next_in(s) {
+            marked.insert(tid)?;
         }
-        Ok(len > 0)
+        let n = marked.len();
+        if n > 1 {
+            s.charge_cpu(s.cpu().sort_cmp_ns * n * u64::from(n.ilog2()));
+        }
+        self.tuple_cache = Some(marked);
+        self.heap_next = Some(0);
+        Ok(())
     }
 
     /// Batch-boundary Result-Cache sweep: applied once per call, so
@@ -508,9 +569,11 @@ impl Operator for SmoothScan {
     }
 
     fn open(&mut self) -> Result<()> {
-        if self.config.ordered && matches!(self.config.trigger, Trigger::Switch { .. }) {
+        if self.config.ordered
+            && matches!(self.config.trigger, Trigger::Switch { .. } | Trigger::Sort)
+        {
             return Err(Error::exec(
-                "an ordered SmoothScan cannot switch: the Result Cache needs the cursor",
+                "an ordered SmoothScan cannot switch or sort: the Result Cache needs the cursor",
             ));
         }
         self.cursor = Some(self.index.range(&self.storage, self.lo, self.hi));
@@ -543,6 +606,9 @@ impl Operator for SmoothScan {
                 self.storage.device(),
             )
         });
+        if self.config.trigger == Trigger::Sort {
+            self.mark_range()?;
+        }
         Ok(())
     }
 
@@ -575,6 +641,7 @@ impl Operator for SmoothScan {
             self.metrics.cache = rc.stats();
         }
         self.cursor = None;
+        self.tuple_cache = None;
         if let Some(rc) = self.result_cache.as_mut() {
             rc.clear();
         }
@@ -588,6 +655,7 @@ impl Operator for SmoothScan {
             (self.heap.name(), self.index.name(), self.filter.columns_label());
         match self.config.trigger {
             Trigger::Never => format!("IndexScan({heap} via {index}){cols}"),
+            Trigger::Sort => format!("SortScan({heap} via {index}){cols}"),
             Trigger::Switch { estimated_cardinality } => {
                 format!("SwitchScan({heap} via {index}, estimate={estimated_cardinality}){cols}")
             }
@@ -813,14 +881,71 @@ mod tests {
         let is_io = s.io_snapshot();
         s.reset_metrics();
         s.flush_pool();
-        let (lo, hi) = (Bound::Included(0), Bound::Excluded(500));
-        let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
-        let mut ss = smooth_executor::SortScan::new(h, i, s.clone(), lo, hi, Predicate::True);
-        collect_rows(&mut ss).unwrap();
+        collect_rows(&mut smooth(&heap, &index, &s, 500, sort())).unwrap();
         let ss_io = s.io_snapshot();
         // Sort scan never rereads a heap page; index scan (tiny pool) does.
         assert!(is_io.pages_read > ss_io.distinct_pages);
         assert!(ss_io.io_requests < is_io.io_requests);
+    }
+
+    fn sort() -> SmoothScanConfig {
+        SmoothScanConfig::default().with_trigger(Trigger::Sort)
+    }
+
+    #[test]
+    fn sort_scan_agrees_with_full_scan() {
+        let (heap, index) = table(3000);
+        let s = storage(128);
+        let mut ss = smooth(&heap, &index, &s, 120, sort());
+        assert_eq!(sorted_by_key(collect_rows(&mut ss).unwrap()), oracle(&heap, &s, 120));
+        assert!(ss.label().starts_with("SortScan(t via i_c1)"), "{}", ss.label());
+        assert!(smooth(&heap, &index, &s, 120, sort().with_order(true)).open().is_err());
+    }
+
+    #[test]
+    fn sort_scan_emits_in_page_order() {
+        let (heap, index) = table(3000);
+        let rows = collect_rows(&mut smooth(&heap, &index, &storage(128), 500, sort())).unwrap();
+        // c0 is the load order == physical order.
+        let c0: Vec<i64> = rows.iter().map(|r| r.int(0).unwrap()).collect();
+        assert!(c0.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn sort_scan_residual_filters_fetched_rows() {
+        let (heap, index) = table(3000);
+        let (lo, hi, residual) =
+            (Bound::Included(0), Bound::Excluded(1000), Predicate::int_lt(0, 1500));
+        let mut ss = SmoothScan::new(heap, index, storage(128), 1, lo, hi, residual, sort());
+        let rows = collect_rows(&mut ss).unwrap();
+        assert_eq!(rows.len(), 1500);
+        assert!(rows.iter().all(|r| r.int(0).unwrap() < 1500));
+    }
+
+    #[test]
+    fn sort_scan_empty_range_yields_nothing() {
+        let (heap, index) = table(3000);
+        let (lo, hi) = (Bound::Included(5000), Bound::Unbounded);
+        let mut ss = SmoothScan::new(heap, index, storage(128), 1, lo, hi, Predicate::True, sort());
+        assert!(collect_rows(&mut ss).unwrap().is_empty());
+        assert_eq!(ss.metrics().regions, 0);
+    }
+
+    #[test]
+    fn sort_scan_reports_each_prefetch_run_as_a_region() {
+        // Marked pages 0 and 3 make one run; 20 is 17 pages on, past the
+        // gap, and starts a run that 36 and 37 join; 60 runs alone.
+        let (heap, _) = table(10_000);
+        let marked = [0, 3, 20, 36, 37, 60];
+        let entries = marked.iter().flat_map(|&p| [(0, Tid::new(p, 0)), (0, Tid::new(p, 2))]);
+        let index = Arc::new(BTreeIndex::build("gappy", entries.collect()));
+        let mut ss = smooth(&heap, &index, &storage(64), 1, sort());
+        assert_eq!(collect_rows(&mut ss).unwrap().len(), 2 * marked.len());
+        let m = ss.metrics();
+        assert_eq!((m.regions, m.max_region_pages), (3, 18));
+        assert_eq!((m.pages_fetched, m.pages_with_results), (6, 6));
+        assert_eq!((m.mode1_pages, m.mode2_pages), (1, 5));
+        assert_eq!((m.mode0_tuples, m.triggered), (0, false));
     }
 
     fn switch(estimate: u64) -> SmoothScanConfig {

@@ -1,7 +1,10 @@
 //! Morphing triggers: *when* Smooth Scan starts morphing (Section III-C).
 //!
-//! Every trigger but Eager starts in Mode 0, the traditional index scan;
-//! one that never fires is the engine's Index Scan.
+//! Every trigger but Eager and Sort starts in Mode 0, the traditional
+//! index scan; one that never fires is the engine's Index Scan. The other
+//! two traditional paths of Section II are triggers too: Switch Scan drops
+//! the cursor for the heap once its estimate is exceeded, and Sort Scan
+//! walks the whole range before it fetches a page.
 
 use crate::cost_model::CostModel;
 use crate::policy::PolicyKind;
@@ -43,15 +46,22 @@ pub enum Trigger {
         /// next index entry once this many tuples have been produced.
         estimated_cardinality: u64,
     },
+    /// Sort Scan, PostgreSQL's Bitmap Heap Scan (Section II): `open` walks
+    /// the whole range into the Tuple-ID cache without fetching anything,
+    /// then the marked pages are read once each, in page order, in runs
+    /// coalesced within `SORT_SCAN_PREFETCH_GAP`, and only their marked
+    /// slots are inspected. Blocking, and unordered only: page order
+    /// destroys key order.
+    Sort,
 }
 
 impl Trigger {
     /// The cardinality at which the traditional index phase must end
-    /// (`None` for Eager, which never runs a traditional phase; `u64::MAX`
-    /// for Never, whose traditional phase never ends).
+    /// (`None` for Eager and Sort, which never run a traditional phase;
+    /// `u64::MAX` for Never, whose traditional phase never ends).
     pub fn trigger_cardinality(&self, model: &CostModel) -> Option<u64> {
         match self {
-            Trigger::Eager => None,
+            Trigger::Eager | Trigger::Sort => None,
             Trigger::Never => Some(u64::MAX),
             Trigger::OptimizerDriven { estimated_cardinality, .. }
             | Trigger::Switch { estimated_cardinality } => Some(*estimated_cardinality),
@@ -61,10 +71,11 @@ impl Trigger {
         }
     }
 
-    /// Policy to morph with once triggered (Never and Switch do not morph).
+    /// Policy to morph with once triggered (Never, Switch and Sort do not
+    /// morph).
     pub fn post_trigger_policy(&self, default: PolicyKind) -> PolicyKind {
         match self {
-            Trigger::Eager | Trigger::Never | Trigger::Switch { .. } => default,
+            Trigger::Eager | Trigger::Never | Trigger::Switch { .. } | Trigger::Sort => default,
             Trigger::OptimizerDriven { policy, .. } => *policy,
             Trigger::SlaDriven { .. } => PolicyKind::Greedy,
         }

@@ -6,6 +6,11 @@
 //! processes their whole page. (With the Eager strategy the cache is
 //! unnecessary — a point the paper credits to strict `(indexkey, TID)`
 //! ordering — and under Never no later phase revisits a page.)
+//!
+//! Under the Sort trigger the same bitmap holds Sort Scan's *marked* set
+//! instead: every TID of the index range, walked in at `open`. It decides
+//! which pages the heap cursor reads and which of their slots are
+//! inspected.
 
 use smooth_storage::PageView;
 use smooth_types::{PageId, Result, Tid};

@@ -1,7 +1,7 @@
 //! Property tests: the morsel-driven parallel driver over *adaptive*
-//! sources. Smooth Scan, under every trigger (Index Scan's and Switch
-//! Scan's included),
-//! runs as the pipeline's serial shared source — its morph decisions,
+//! sources. Smooth Scan, under every trigger (Index Scan's, Sort Scan's
+//! and Switch Scan's included), runs as the pipeline's serial shared
+//! source — its morph decisions,
 //! caches and per-probe region accounting stay centralized in the one
 //! operator instance — while filter and partial-aggregate stages fan out
 //! across the worker pool.
@@ -128,8 +128,9 @@ proptest! {
     /// Smooth Scan as a shared parallel source across every policy,
     /// trigger and order mode — including OptimizerDriven triggers that
     /// flip Mode 0 → morphing mid-scan, Switch triggers that drop the
-    /// cursor for the heap and Never, Index Scan — with filter / partial-aggregate stages
-    /// fanning out above it. An ordered scan refuses the Switch trigger.
+    /// cursor for the heap, Never, Index Scan, and Sort, Sort Scan — with
+    /// filter / partial-aggregate stages fanning out above it. An ordered
+    /// scan refuses the Switch and Sort triggers.
     #[test]
     fn parallel_smooth_scan_equals_serial(
         keys in proptest::collection::vec(0i64..150, 50..900),
@@ -140,6 +141,7 @@ proptest! {
         trigger in prop_oneof![
             Just(Trigger::Eager),
             Just(Trigger::Never),
+            Just(Trigger::Sort),
             (0u64..200).prop_map(|c| Trigger::OptimizerDriven {
                 estimated_cardinality: c,
                 policy: PolicyKind::Elastic,
@@ -169,8 +171,9 @@ proptest! {
                 config,
             ))
         };
-        if ordered && matches!(trigger, Trigger::Switch { .. }) {
-            prop_assert!(mk_source(&storage(pool)).open().is_err(), "an ordered scan cannot switch");
+        if ordered && matches!(trigger, Trigger::Switch { .. } | Trigger::Sort) {
+            let refused = mk_source(&storage(pool)).open().is_err();
+            prop_assert!(refused, "an ordered scan cannot switch or sort");
             return Ok(());
         }
         check_against_serial(

@@ -9,13 +9,15 @@
 //! `next_columns(1)`, `next_columns(max)` and the two interleaved yield
 //! one row sequence, including across mode switches — and the per-tuple
 //! charges of Mode 0 (Index Scan being Mode 0 under a trigger that never
-//! fires) and of the Switch trigger's heap-order finish are pinned in
-//! closed form and against a per-call loop over the storage API.
+//! fires), of the Switch trigger's heap-order finish and of the Sort
+//! trigger's walk and prefetch runs are pinned in closed form, and Mode 0
+//! against a per-call loop over the storage API.
 
 use std::ops::Bound;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use smooth_core::operator::SORT_SCAN_PREFETCH_GAP;
 use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::operator::ValuesOp;
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
@@ -124,13 +126,14 @@ fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
-/// Eager, Never (Index Scan), or a trigger whose index phase ends at a
-/// cardinality below `max`: Optimizer-driven (morphing with Elastic
-/// afterwards) or Switch.
+/// Eager, Never (Index Scan), Sort (Sort Scan), or a trigger whose index
+/// phase ends at a cardinality below `max`: Optimizer-driven (morphing
+/// with Elastic afterwards) or Switch.
 fn arb_trigger(max: u64) -> impl Strategy<Value = Trigger> {
     prop_oneof![
         Just(Trigger::Eager),
         Just(Trigger::Never),
+        Just(Trigger::Sort),
         (0..max).prop_map(|c| optimizer(c, PolicyKind::Elastic)),
         (0..max).prop_map(|c| Trigger::Switch { estimated_cardinality: c }),
     ]
@@ -191,12 +194,15 @@ proptest! {
         trigger in prop_oneof![
             Just(Trigger::Eager),
             Just(Trigger::Never),
+            Just(Trigger::Sort),
             (0u64..300).prop_map(|c| optimizer(c, PolicyKind::SelectivityIncrease)),
         ],
     ) {
         let (heap, index) = build_table(&keys);
         let s = storage(pool);
         let hi = lo + width;
+        // Sort Scan emits in page order: unordered only.
+        let ordered = ordered && trigger != Trigger::Sort;
         let expected = oracle(&keys, &Predicate::int_half_open(1, lo, hi));
 
         let mut config = SmoothScanConfig::default()
@@ -275,7 +281,8 @@ proptest! {
     /// yield one row sequence, every batch within `max` — and one clock,
     /// one set of I/O counters and one set of morphing counters (regions,
     /// pages fetched / with results, Mode-1 / Mode-2 pages, largest
-    /// region). An ordered scan refuses the Switch trigger at `open`.
+    /// region). An ordered scan refuses the Switch and Sort triggers at
+    /// `open`.
     #[test]
     fn batch_protocol_equals_row_protocol_across_mode_switches(
         keys in proptest::collection::vec(0i64..150, 50..1000),
@@ -292,10 +299,10 @@ proptest! {
             .with_policy(policy)
             .with_order(ordered)
             .with_trigger(trigger);
-        if ordered && matches!(trigger, Trigger::Switch { .. }) {
+        if ordered && matches!(trigger, Trigger::Switch { .. } | Trigger::Sort) {
             let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
             let mut ss = SmoothScan::new(heap, index, storage(24), 1, lo, hi, Predicate::True, config);
-            prop_assert!(ss.open().is_err(), "an ordered scan cannot switch");
+            prop_assert!(ss.open().is_err(), "an ordered scan cannot switch or sort");
             return Ok(());
         }
         // A fresh scan over a fresh storage per drain: an unordered region
@@ -423,6 +430,65 @@ proptest! {
         let m = sw.metrics();
         prop_assert_eq!((m.triggered, m.mode0_tuples), (fires_at.is_some(), qualifiers.min(estimate)));
         prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
+    }
+
+    /// Sort Scan's CPU charge in closed form, counts taken from the loaded
+    /// rows: what a bare cursor charges over the range, Table I's sort of
+    /// the `n` TIDs it walks, one pool probe per page of each prefetch run
+    /// — the marked pages, cut where the next one lies more than
+    /// `SORT_SCAN_PREFETCH_GAP` pages on — one inspect per index entry and
+    /// one emit per qualifier, through `next()` and at every batch size.
+    /// On a pool that holds the table, each run is one I/O request. Tables
+    /// of up to a few dozen heap pages and narrow ranges leave gaps on
+    /// both sides of the prefetch gap.
+    #[test]
+    fn sort_scan_charges_its_closed_form(
+        keys in proptest::collection::vec(0i64..1000, 1..3000),
+        lo in 0i64..1000,
+        width in 0i64..60,
+        residual_hi in 0i64..3000,
+        pool in 64usize..128,
+    ) {
+        let (heap, index) = build_table(&keys);
+        let (hi, cpu) = (lo + width, CpuCosts::default());
+        let (lo_b, hi_b) = (Bound::Included(lo), Bound::Excluded(hi));
+        let walk = storage(pool);
+        let entries = index.range(&walk, lo_b, hi_b).collect_all();
+        let n = entries.len() as u64;
+        let in_range = |i: usize| keys[i] >= lo && keys[i] < hi;
+        let qualifiers = (0..keys.len()).filter(|&i| in_range(i) && (i as i64) < residual_hi).count();
+        let mut marked: Vec<u32> = entries.iter().map(|(_, tid)| tid.page.0).collect();
+        marked.sort_unstable();
+        marked.dedup();
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for p in marked {
+            match runs.last_mut() {
+                Some(run) if p - run.1 <= SORT_SCAN_PREFETCH_GAP => run.1 = p,
+                _ => runs.push((p, p)),
+            }
+        }
+        let run_pages: u64 = runs.iter().map(|&(first, last)| u64::from(last - first + 1)).sum();
+        let sort_ns = if n > 1 { cpu.sort_cmp_ns * n * u64::from(n.ilog2()) } else { 0 };
+        let expected = cursor_cpu(&index, lo, hi, None)
+            + sort_ns
+            + cpu.hash_op_ns * run_pages
+            + cpu.inspect_tuple_ns * n
+            + cpu.emit_tuple_ns * qualifiers as u64;
+        let requests = walk.io_snapshot().io_requests + runs.len() as u64;
+        let drains: [&Drain; 3] = [
+            &|op| collect_rows_volcano(op).unwrap(),
+            &|op| collect_columnar(op, 1),
+            &|op| collect_columnar(op, 1024),
+        ];
+        let config = SmoothScanConfig::default().with_trigger(Trigger::Sort);
+        for drain in drains {
+            let (s, h, i, residual) = (storage(pool), Arc::clone(&heap), Arc::clone(&index), Predicate::int_lt(0, residual_hi));
+            let mut scan = SmoothScan::new(h, i, s.clone(), 1, lo_b, hi_b, residual, config);
+            prop_assert_eq!(drain(&mut scan).len(), qualifiers);
+            prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);
+            prop_assert_eq!(s.io_snapshot().io_requests, requests);
+            prop_assert_eq!(scan.metrics().regions, runs.len() as u64);
+        }
     }
 
     /// Index Scan's CPU charge in closed form, counts taken from the

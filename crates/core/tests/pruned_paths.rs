@@ -1,6 +1,7 @@
-//! Every reader built on `ScanFilter`, narrowed: the five access paths
-//! (Smooth Scan unordered, ordered and through Mode 0, Index Scan being
-//! Mode 0 throughout), the partitioned
+//! Every reader built on `ScanFilter`, narrowed: the access paths (Full
+//! Scan, and Smooth Scan unordered, ordered, through Mode 0 and under the
+//! Never, Sort and Switch triggers — Index, Sort and Switch Scan), the
+//! partitioned
 //! heap source and both inner sides of the index join emit exactly the columns
 //! asked for — and meet hostile bytes the way `docs/ARCHITECTURE.md`
 //! ("The decode path") says: a tuple's *structure* is validated whatever
@@ -28,7 +29,7 @@ use smooth_executor::operator::ValuesOp;
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
     collect_rows, run_pipeline, FullTableScan, IndexNestedLoopJoin, JoinType, Operator,
-    ParallelPipeline, ParallelSource, PhaseSpec, Predicate, SinkSpec, SortScan,
+    ParallelPipeline, ParallelSource, PhaseSpec, Predicate, SinkSpec,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{Backend, HeapFile, HeapLoader, MemBackend, PageBuf, PageView, Storage};
@@ -249,12 +250,7 @@ fn read_every_way(
         ),
         ("index scan", smooth(false, Trigger::Never)),
         ("ordered index scan", smooth(true, Trigger::Never)),
-        (
-            "sort scan",
-            SortScan::new(h(), i(), s(), lo, hi, residual())
-                .with_columns(cols)
-                .and_then(|mut op| collect_rows(&mut op)),
-        ),
+        ("sort scan", smooth(false, Trigger::Sort)),
         ("switch scan", smooth(false, Trigger::Switch { estimated_cardinality: 60 })),
         ("smooth scan", smooth(false, Trigger::Eager)),
         ("ordered smooth scan", smooth(true, Trigger::Eager)),
@@ -359,6 +355,8 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
     let switch = SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config);
     let config = SmoothScanConfig::default().with_trigger(Trigger::Never);
     let index_scan = SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config);
+    let config = SmoothScanConfig::default().with_trigger(Trigger::Sort);
+    let sort_scan = SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config);
     let outer = || {
         let keys = std::iter::once(last_of_page0 % 50).chain(0..50);
         let keys = keys.map(|k| Row::new(vec![Value::Int(k)])).collect();
@@ -374,7 +372,7 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
     };
     let read: Vec<(&str, Box<dyn Operator>)> = vec![
         ("index scan", Box::new(index_scan)),
-        ("sort scan", Box::new(SortScan::new(h(), i(), s(), lo, hi, t()))),
+        ("sort scan", Box::new(sort_scan)),
         ("switch scan's index phase", Box::new(switch)),
         ("index join inner side", Box::new(join(JoinType::Inner, t()))),
         // Nothing passes the residual: no first match stops the fetches.
@@ -405,7 +403,9 @@ fn sort_scan_rejects_an_index_entry_outside_the_heap() {
         let entries = vec![(1, Tid::new(0, 0)), (2, Tid::new(page, slot))];
         let index = Arc::new(BTreeIndex::build("hostile", entries));
         let (all, s) = (Bound::Unbounded, Storage::default_hdd());
-        let mut scan = SortScan::new(Arc::clone(&heap), index, s, all, all, Predicate::True);
+        let config = SmoothScanConfig::default().with_trigger(Trigger::Sort);
+        let mut scan =
+            SmoothScan::new(Arc::clone(&heap), index, s, 0, all, all, Predicate::True, config);
         let got = collect_rows(&mut scan);
         assert!(matches!(got, Err(Error::Corrupt(_))), "({page}, {slot}): {got:?}");
     }

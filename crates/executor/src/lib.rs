@@ -1,12 +1,13 @@
-//! Volcano-style query executor with two of the traditional access paths.
+//! Volcano-style query executor with the traditional access path that
+//! reads no index.
 //!
 //! Implements the PostgreSQL operator repertoire the paper measures against
-//! (Section II and VI) — all but Index Scan, which is Smooth Scan's Mode 0
-//! under a trigger that never fires (`smooth-core`):
+//! (Section II and VI) — all but the index-driven access paths, which are
+//! Smooth Scan configurations (`smooth-core`): Index Scan is its Mode 0
+//! under a trigger that never fires, Sort Scan (a.k.a. Bitmap Heap Scan)
+//! and Switch Scan are triggers of their own:
 //!
 //! * **Full Table Scan** — sequential page runs with readahead;
-//! * **Sort Scan** (a.k.a. Bitmap Heap Scan) — drain the index into a TID
-//!   bitmap, fetch nearly sequentially; blocking, order-destroying;
 //! * Filter / Project / Sort;
 //! * Index-Nested-Loop and Hash joins (the planner runs a merge join as a
 //!   hash join under a sort);
@@ -71,7 +72,7 @@ pub use parallel::{
     multi_query_makespan_ns, run_pipeline, run_pipeline_traced, LedgerPhase, ParallelPipeline,
     ParallelSource, PhaseBuild, PhaseSpec, ScalingLedger, SinkSpec, StageSpec,
 };
-pub use scan::{fill_from, slot_tuples, FullTableScan, PageQueue, SortScan};
+pub use scan::{fill_from, slot_tuples, FullTableScan, PageQueue};
 pub use schedule::{QueryHandle, QueryOutput, Scheduler};
 pub use sort::Sort;
 pub use spill::{

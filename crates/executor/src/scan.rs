@@ -1,27 +1,23 @@
-//! Two of the three traditional access paths of Section II.
+//! The traditional access path that reads no index: [`FullTableScan`]
+//! (Section II) reads every heap page in physical order with readahead;
+//! its cost is independent of selectivity (Eq. 10).
 //!
-//! * [`FullTableScan`] — reads every heap page in physical order with
-//!   readahead; cost is independent of selectivity (Eq. 10).
-//! * [`SortScan`] — PostgreSQL's Bitmap Heap Scan: drains the index range
-//!   into a TID bitmap, then fetches each qualifying page once, in page
-//!   order, in a nearly sequential pattern. Blocking, and the index's key
-//!   order is destroyed (Section II "Sort Scan").
-//!
-//! The third, Index Scan (Eq. 11), is Smooth Scan's Mode 0 under a
-//! trigger that never fires (`smooth-core`); it and the index join fetch
-//! one heap page per TID and inspect the fetched tuples through
-//! [`slot_tuples`].
+//! The two index-driven ones are Smooth Scan configurations
+//! (`smooth-core`): Index Scan (Eq. 11) is Mode 0 under a trigger that
+//! never fires, and Sort Scan (PostgreSQL's Bitmap Heap Scan) walks the
+//! range into a TID bitmap and then reads the marked pages in page order.
+//! Index Scan and the index join fetch one heap page per TID and inspect
+//! the fetched tuples through [`slot_tuples`]; every scan that reads whole
+//! pages inspects them through [`fill_from`].
 //!
 //! A scan reads at its own I/O granularity but decodes one morsel ahead:
 //! what it fetched waits, still encoded, in a [`PageQueue`].
 
 use std::collections::VecDeque;
-use std::ops::Bound;
 use std::sync::Arc;
 
-use smooth_index::BTreeIndex;
 use smooth_storage::{HeapFile, PageBuf, PageView, Session, Storage};
-use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId, TidBitmap};
+use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId};
 
 use crate::expr::{Predicate, ScanFilter};
 use crate::operator::Operator;
@@ -65,12 +61,6 @@ pub fn fill_from(
 /// Pages fetched per full-scan readahead request (256 KB, the order of
 /// magnitude OS readahead gives PostgreSQL sequential scans).
 pub const FULL_SCAN_READAHEAD: u32 = 32;
-
-/// Maximum gap (in pages) bridged by the Sort Scan prefetcher: ascending
-/// page requests closer than this are coalesced into one sequential run,
-/// modeling the "nearly sequential pattern, easily detected by disk
-/// prefetchers" of Section II.
-pub const SORT_SCAN_PREFETCH_GAP: u32 = 16;
 
 /// Sequential scan over the whole heap.
 ///
@@ -179,128 +169,6 @@ pub fn slot_tuples(fetched: &[(PageBuf, SlotId)]) -> Result<Vec<&[u8]>> {
     Ok(tuples)
 }
 
-/// Sort Scan (Bitmap Heap Scan): a blocking walk of the index range into a
-/// TID bitmap, then page-ordered fetch. Each coalesced prefetch run is one
-/// `read_heap_run`; its pages with bits set wait in a [`PageQueue`], and
-/// the fill probes only the slots the bitmap names.
-pub struct SortScan {
-    heap: Arc<HeapFile>,
-    index: Arc<BTreeIndex>,
-    storage: Storage,
-    lo: Bound<i64>,
-    hi: Bound<i64>,
-    filter: ScanFilter,
-    tids: TidBitmap,
-    /// The first page no prefetch run has reached.
-    next_page: u32,
-    queue: PageQueue,
-    out: ColumnBuffer,
-}
-
-impl SortScan {
-    /// Build a Sort Scan over `[lo, hi]` of `index`.
-    pub fn new(
-        heap: Arc<HeapFile>,
-        index: Arc<BTreeIndex>,
-        storage: Storage,
-        lo: Bound<i64>,
-        hi: Bound<i64>,
-        residual: Predicate,
-    ) -> Self {
-        let filter = ScanFilter::new(residual, heap.schema());
-        let out = ColumnBuffer::for_schema(heap.schema());
-        let (tids, queue) = (TidBitmap::default(), PageQueue::default());
-        SortScan { heap, index, storage, lo, hi, filter, tids, next_page: 0, queue, out }
-    }
-
-    /// Builder: emit only the columns `cols` of the heap (strictly
-    /// ascending ordinals; `None` = all). The predicate still reads
-    /// whatever it names.
-    pub fn with_columns(mut self, cols: Option<&[usize]>) -> Result<Self> {
-        self.out = self.filter.narrow(self.heap.schema(), cols)?;
-        Ok(self)
-    }
-
-    /// Buffer up to `max` rows (see [`fill_from`]), fetching the next
-    /// prefetch run whenever the queue runs dry: the next page with a bit
-    /// set and every later one within the prefetch gap of the one before.
-    fn refill(&mut self, max: usize) -> Result<()> {
-        let (tids, total, s) = (&self.tids, self.heap.page_count(), &mut self.storage.session());
-        while self.out.pending() < max {
-            if self.queue.is_empty() {
-                let mut set = (self.next_page..total).filter(|&p| tids.has_page(p));
-                let Some(start) = set.next() else { break };
-                let near =
-                    |last, p| if p - last > SORT_SCAN_PREFETCH_GAP { Err(last) } else { Ok(p) };
-                let len = set.try_fold(start, near).unwrap_or_else(|last| last) - start + 1;
-                let pages = s.read_heap_run(&self.heap, PageId(start), len)?;
-                s.charge_cpu(s.cpu().hash_op_ns * u64::from(len)); // the pool probes
-                s.release();
-                self.next_page = start + len;
-                self.queue.extend(pages.into_iter().filter(|(p, _)| tids.has_page(p.0)));
-            }
-            let out = &mut self.out;
-            fill_from(&mut self.queue, s, max, &mut self.filter, out, |p, view, tuples| {
-                tids.slots(p.0).try_for_each(|slot| view.get(slot).map(|t| tuples.push(t)))?;
-                Ok(0)
-            })?;
-            if !self.queue.is_empty() {
-                break; // the next page starts the next morsel
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Operator for SortScan {
-    fn schema(&self) -> &Schema {
-        self.filter.schema()
-    }
-
-    fn open(&mut self) -> Result<()> {
-        self.queue.clear();
-        self.out.reset();
-        self.next_page = 0;
-        // Blocking: walk the index range into the bitmap on one session.
-        // Its page-major order is the TIDs' sorted order; the clock still
-        // charges Table I's sort of the `n` of them.
-        self.tids = TidBitmap::new(self.heap.page_count(), self.heap.max_slots_per_page());
-        let mut cursor = self.index.range(&self.storage, self.lo, self.hi);
-        let s = &mut self.storage.session();
-        while let Some((_, tid)) = cursor.next_in(s) {
-            self.tids.insert(tid)?;
-        }
-        let n = self.tids.len();
-        if n > 1 {
-            s.charge_cpu(s.cpu().sort_cmp_ns * n * n.ilog2() as u64);
-        }
-        Ok(())
-    }
-
-    fn next_columns(&mut self, max: usize) -> Result<Option<ColumnBatch>> {
-        let max = max.max(1);
-        self.refill(max)?;
-        Ok(self.out.pop_columns(max))
-    }
-
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.refill(1)?;
-        Ok(self.out.pop_row())
-    }
-
-    fn close(&mut self) -> Result<()> {
-        self.tids = TidBitmap::default();
-        self.queue.clear();
-        self.out.reset();
-        Ok(())
-    }
-
-    fn label(&self) -> String {
-        let cols = self.filter.columns_label();
-        format!("SortScan({} via {}){cols}", self.heap.name(), self.index.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,7 +176,7 @@ mod tests {
     use smooth_types::{Column, DataType, Schema, Value};
 
     /// 3000-row table; c0 = row number, c1 = pseudo-random in [0, 1000).
-    fn table() -> (Arc<HeapFile>, Arc<BTreeIndex>) {
+    fn table() -> Arc<HeapFile> {
         let schema = Schema::new(vec![
             Column::new("c0", DataType::Int64),
             Column::new("c1", DataType::Int64),
@@ -321,9 +189,7 @@ mod tests {
             l.push(&Row::new(vec![Value::Int(i), Value::Int(c1), Value::str("x".repeat(40))]))
                 .unwrap();
         }
-        let heap = Arc::new(l.finish().unwrap());
-        let index = Arc::new(BTreeIndex::build_from_heap("i_c1", &heap, 1).unwrap());
-        (heap, index)
+        Arc::new(l.finish().unwrap())
     }
 
     fn storage() -> Storage {
@@ -334,52 +200,9 @@ mod tests {
         })
     }
 
-    fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
-        rows.sort_by_key(|r| r.int(0).unwrap());
-        rows
-    }
-
-    #[test]
-    fn sort_scan_agrees_with_full_scan() {
-        let (heap, index) = table();
-        let s = storage();
-        let pred = Predicate::int_half_open(1, 0, 120);
-        let mut full = FullTableScan::new(Arc::clone(&heap), s.clone(), pred.clone());
-        let expected = sorted(crate::operator::collect_rows(&mut full).unwrap());
-        assert!(!expected.is_empty());
-
-        let mut ss = SortScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            s.clone(),
-            Bound::Included(0),
-            Bound::Excluded(120),
-            Predicate::True,
-        );
-        assert_eq!(sorted(crate::operator::collect_rows(&mut ss).unwrap()), expected);
-    }
-
-    #[test]
-    fn sort_scan_emits_in_page_order() {
-        let (heap, index) = table();
-        let s = storage();
-        let mut ss = SortScan::new(
-            heap,
-            index,
-            s,
-            Bound::Included(0),
-            Bound::Excluded(500),
-            Predicate::True,
-        );
-        let rows = crate::operator::collect_rows(&mut ss).unwrap();
-        // c0 is the load order == physical order.
-        let c0: Vec<i64> = rows.iter().map(|r| r.int(0).unwrap()).collect();
-        assert!(c0.windows(2).all(|w| w[0] < w[1]));
-    }
-
     #[test]
     fn full_scan_io_is_selectivity_independent() {
-        let (heap, _) = table();
+        let heap = table();
         let s = storage();
         let mut narrow = FullTableScan::new(Arc::clone(&heap), s.clone(), Predicate::int_eq(1, 3));
         crate::operator::collect_rows(&mut narrow).unwrap();
@@ -395,7 +218,7 @@ mod tests {
 
     #[test]
     fn full_scan_uses_few_requests() {
-        let (heap, _) = table();
+        let heap = table();
         let s = storage();
         let mut f = FullTableScan::new(Arc::clone(&heap), s.clone(), Predicate::True);
         crate::operator::collect_rows(&mut f).unwrap();
@@ -403,25 +226,5 @@ mod tests {
         let expected = (heap.page_count() as u64).div_ceil(FULL_SCAN_READAHEAD as u64);
         assert_eq!(io.io_requests, expected);
         assert!(io.seq_pages > io.rand_pages);
-    }
-
-    #[test]
-    fn residual_predicates_filter_fetched_rows() {
-        let (heap, index) = table();
-        let s = storage();
-        let residual = Predicate::int_lt(0, 1500); // on c0, not the index key
-        let mut ss =
-            SortScan::new(heap, index, s, Bound::Included(0), Bound::Excluded(1000), residual);
-        let rows = crate::operator::collect_rows(&mut ss).unwrap();
-        assert_eq!(rows.len(), 1500);
-        assert!(rows.iter().all(|r| r.int(0).unwrap() < 1500));
-    }
-
-    #[test]
-    fn empty_range_yields_nothing() {
-        let (heap, index) = table();
-        let (lo, hi) = (Bound::Included(5000), Bound::Unbounded);
-        let mut ss = SortScan::new(heap, index, storage(), lo, hi, Predicate::True);
-        assert!(crate::operator::collect_rows(&mut ss).unwrap().is_empty());
     }
 }

@@ -1101,11 +1101,10 @@ mod tests {
     use super::*;
     use crate::operator::collect_rows;
     use crate::{batch_size, FullTableScan, Predicate, SinkSpec};
-    use crate::{BoxedOperator, IndexNestedLoopJoin, JoinType, SortScan};
+    use crate::{BoxedOperator, IndexNestedLoopJoin, JoinType};
     use smooth_index::BTreeIndex;
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
     use smooth_types::{Column, DataType, DataType::Int64, Value};
-    use std::ops::Bound;
 
     fn table(rows: i64, name: &str) -> Arc<HeapFile> {
         let schema = Schema::new(vec![
@@ -1201,22 +1200,22 @@ mod tests {
     fn per_query_stats_attribute_io_under_concurrency() {
         // Queries racing on one storage at two workers: full scans of two
         // heaps of their own — each query's pages are its heap's, nothing
-        // leaks across queries — and a Sort Scan and an index join whose
-        // storage sessions tap their traffic as they drop. Per-query
-        // pages, hits and requests sum to the engine's.
+        // leaks across queries — and, over a third heap, a whole full scan
+        // and an index join as shared sources, whose storage sessions tap
+        // their traffic as they drop. Per-query pages, hits and requests
+        // sum to the engine's.
         let (a, b, c) = (table(2400, "heap_a"), table(1200, "heap_b"), table(1500, "heap_c"));
         let index = Arc::new(BTreeIndex::build_from_heap("c1", &c, 1).unwrap());
         let (h, i, t, s) =
             (|| Arc::clone(&c), || Arc::clone(&index), || Predicate::True, storage());
         s.reset_metrics();
-        let range = (Bound::Included(100), Bound::Excluded(400));
-        let sort_scan = SortScan::new(h(), i(), s.clone(), range.0, range.1, t());
+        let full_scan = FullTableScan::new(h(), s.clone(), Predicate::int_half_open(1, 100, 400));
         let outer = Box::new(FullTableScan::new(h(), s.clone(), Predicate::int_lt(0, 600)));
         let inlj = IndexNestedLoopJoin::new(outer, 1, h(), i(), t(), JoinType::Inner, s.clone());
         let shared = |op: BoxedOperator| pipeline(ParallelSource::Shared { op }, &s);
         let queries = [scan_pipeline(&a, &s, 0, 1000), scan_pipeline(&b, &s, 0, 1000)];
         let queries =
-            queries.into_iter().chain([shared(Box::new(sort_scan)), shared(Box::new(inlj))]);
+            queries.into_iter().chain([shared(Box::new(full_scan)), shared(Box::new(inlj))]);
         let scheduler = Scheduler::new(2, 4);
         let handles: Vec<_> = queries.map(|q| scheduler.submit(q).unwrap()).collect();
         let stats: Vec<ScanStatistics> =

@@ -1,5 +1,5 @@
 //! Property tests for the executor: join operators must agree with a
-//! nested-loop oracle for arbitrary inputs, every access path must
+//! nested-loop oracle for arbitrary inputs, the full table scan must
 //! return the same multiset as the predicate applied to the loaded rows,
 //! and every operator's row sequence must be invariant under the batch
 //! size it is asked for — `next()` ≡ `next_columns(1)` ≡
@@ -17,7 +17,6 @@
 
 mod common;
 
-use std::ops::Bound;
 use std::sync::Arc;
 
 use common::{Morsel, Replay};
@@ -26,7 +25,7 @@ use smooth_executor::sort::SortKey;
 use smooth_executor::{
     collect_rows, collect_rows_volcano, operator::ValuesOp, AggFunc, BoxedOperator, Filter,
     FullTableScan, HashAggregate, HashJoin, IndexNestedLoopJoin, JoinType, Operator, Predicate,
-    Project, Sort, SortScan,
+    Project, Sort,
 };
 use smooth_index::BTreeIndex;
 use smooth_storage::{
@@ -178,8 +177,10 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Both executor scan paths return the same multiset as the predicate
-    /// applied row-by-row, for arbitrary data and ranges.
+    /// The full table scan returns the same multiset as the predicate
+    /// applied row-by-row, for arbitrary data and ranges (`prop_smooth`
+    /// holds the index-driven paths, Smooth Scan configurations all, to
+    /// the same oracle).
     #[test]
     fn scan_paths_agree_with_row_filter(
         keys in proptest::collection::vec(0i64..100, 1..600),
@@ -192,7 +193,6 @@ proptest! {
             loader.push(&Row::new(vec![Value::Int(i as i64), Value::Int(k)])).unwrap();
         }
         let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
-        let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
         let s = storage();
         let hi = lo + width;
         let expected: Vec<Vec<i64>> = {
@@ -210,21 +210,12 @@ proptest! {
             s.clone(),
             Predicate::int_half_open(1, lo, hi),
         );
-        prop_assert_eq!(canonical(collect_rows(&mut full).unwrap()), expected.clone());
-        let mut ss = SortScan::new(
-            heap,
-            index,
-            s,
-            std::ops::Bound::Included(lo),
-            std::ops::Bound::Excluded(hi),
-            Predicate::True,
-        );
-        prop_assert_eq!(canonical(collect_rows(&mut ss).unwrap()), expected);
+        prop_assert_eq!(canonical(collect_rows(&mut full).unwrap()), expected);
     }
 
-    /// Batch-size invariance for both executor access paths and the index join,
+    /// Batch-size invariance for the full table scan and the index join,
     /// for arbitrary data, ranges, residuals and batch sizes — for the
-    /// access paths, of the charged clock and I/O as well as of the rows.
+    /// scan, of the charged clock and I/O as well as of the rows.
     #[test]
     fn scan_batch_protocol_equals_row_protocol(
         keys in proptest::collection::vec(0i64..100, 1..500),
@@ -245,12 +236,8 @@ proptest! {
         let residual = Predicate::int_lt(0, residual_hi);
         // The access paths: rows, clock and I/O, whatever the drain.
         let both = Predicate::and(vec![Predicate::int_half_open(1, lo, hi), residual.clone()]);
-        let (h, i) = (|| Arc::clone(&heap), || Arc::clone(&index));
-        let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
-        let full = |s: &Storage| FullTableScan::new(h(), s.clone(), both.clone());
+        let full = |s: &Storage| FullTableScan::new(Arc::clone(&heap), s.clone(), both.clone());
         assert_drains_charge_identically(&|s| Box::new(full(s)), max);
-        let ss = |s: &Storage| SortScan::new(h(), i(), s.clone(), lo, hi, residual.clone());
-        assert_drains_charge_identically(&|s| Box::new(ss(s)), max);
         for ty in [JoinType::Inner, JoinType::LeftSemi] {
             let outer_rows: Vec<(i64, i64)> =
                 (0..40).map(|i| (i, (i * 13) % 120)).collect();
@@ -494,7 +481,6 @@ proptest! {
         let heap: Arc<HeapFile> = Arc::new(loader.finish().unwrap());
         let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
         let (h, i, s) = (|| Arc::clone(&heap), || Arc::clone(&index), storage());
-        let (lo_b, hi_b) = (Bound::Included(lo), Bound::Excluded(lo + 9));
         let residual = || Predicate::int_lt(0, residual_hi);
         let range = Predicate::and(vec![Predicate::int_half_open(1, lo, lo + 9), residual()]);
         let aggs = vec![AggFunc::CountStar, AggFunc::Sum(1), AggFunc::Min(1)];
@@ -514,7 +500,6 @@ proptest! {
             Box::new(inlj(JoinType::Inner)),
             Box::new(inlj(JoinType::LeftSemi)),
             Box::new(FullTableScan::new(h(), s.clone(), range)),
-            Box::new(SortScan::new(h(), i(), s.clone(), lo_b, hi_b, residual())),
         ];
         // The replayed input is its morsels' live rows, at any `max`.
         let live: Vec<Row> = morsels.iter().flat_map(Morsel::live).collect();

@@ -17,15 +17,14 @@ use smooth_executor::parallel::{
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
     batch_size, collect_rows, AggFunc, Filter, FullTableScan, HashAggregate, HashJoin, JoinType,
-    Operator, Predicate, Project, SortScan,
+    Operator, Predicate, Project,
 };
-use smooth_index::BTreeIndex;
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
 
-fn build_table(keys: &[i64]) -> (Arc<HeapFile>, Arc<BTreeIndex>) {
+fn build_table(keys: &[i64]) -> Arc<HeapFile> {
     let schema = Schema::new(vec![
         Column::new("c0", DataType::Int64),
         Column::new("c1", DataType::Int64),
@@ -37,9 +36,7 @@ fn build_table(keys: &[i64]) -> (Arc<HeapFile>, Arc<BTreeIndex>) {
         l.push(&Row::new(vec![Value::Int(i as i64), Value::Int(k), Value::str("p".repeat(60))]))
             .unwrap();
     }
-    let heap = Arc::new(l.finish().unwrap());
-    let index = Arc::new(BTreeIndex::build_from_heap("i", &heap, 1).unwrap());
-    (heap, index)
+    Arc::new(l.finish().unwrap())
 }
 
 fn storage(pool: usize) -> Storage {
@@ -104,7 +101,7 @@ proptest! {
         pool in 8usize..64,
         readahead in prop_oneof![Just(1u32), Just(3u32), Just(8u32), Just(FULL_SCAN_READAHEAD)],
     ) {
-        let (heap, _) = build_table(&keys);
+        let heap = build_table(&keys);
         let hi = lo + width;
         let pred = Predicate::int_half_open(1, lo, hi);
         let s_serial = storage(pool);
@@ -148,7 +145,7 @@ proptest! {
         hi in 0i64..220,
         residual_hi in 0i64..900,
     ) {
-        let (heap, _) = build_table(&keys);
+        let heap = build_table(&keys);
         let pred = Predicate::and(vec![
             Predicate::int_half_open(1, 0, hi),
             Predicate::int_lt(0, residual_hi),
@@ -177,9 +174,11 @@ proptest! {
         }
     }
 
-    /// Sort Scan as a *shared* source (the serial-section fallback) with a
-    /// filter stage above, across morsel sizes. (`prop_parallel_core`
-    /// covers Smooth Scan, Index Scan included, as a shared source.)
+    /// A whole operator as a *shared* source (the serial-section fallback)
+    /// with a filter stage above, across morsel sizes: a full table scan
+    /// over the key range, not partitioned. (`prop_parallel_core` covers
+    /// Smooth Scan, Index, Sort and Switch Scan included, as a shared
+    /// source.)
     #[test]
     fn shared_scan_sources_equal_serial(
         keys in proptest::collection::vec(0i64..150, 1..700),
@@ -187,18 +186,10 @@ proptest! {
         width in 0i64..170,
         max in 1usize..90,
     ) {
-        let (heap, index) = build_table(&keys);
-        let hi = lo + width;
-        let residual = Predicate::int_ge(0, 0);
+        let heap = build_table(&keys);
+        let (range, residual) = (Predicate::int_half_open(1, lo, lo + width), Predicate::int_ge(0, 0));
         let mk_scan = |s: &Storage| -> Box<dyn Operator + Send> {
-            Box::new(SortScan::new(
-                Arc::clone(&heap),
-                Arc::clone(&index),
-                s.clone(),
-                std::ops::Bound::Included(lo),
-                std::ops::Bound::Excluded(hi),
-                Predicate::True,
-            ))
+            Box::new(FullTableScan::new(Arc::clone(&heap), s.clone(), range.clone()))
         };
         let s_serial = storage(16);
         let mut serial_op = Filter::new(mk_scan(&s_serial), residual.clone());
@@ -218,7 +209,7 @@ proptest! {
             assert_equal_runs(
                 (&expected, &s_serial),
                 (&got, &s_par),
-                &format!("shared sort scan, {workers} workers, max {max}"),
+                &format!("shared full scan, {workers} workers, max {max}"),
             )?;
         }
     }
@@ -231,7 +222,7 @@ proptest! {
         right in proptest::collection::vec((0i64..80, -50i64..50), 0..120),
         semi in any::<bool>(),
     ) {
-        let (heap, _) = build_table(&keys);
+        let heap = build_table(&keys);
         let ty = if semi { JoinType::LeftSemi } else { JoinType::Inner };
         let right_schema = Schema::new(vec![
             Column::new("rk", DataType::Int64),
@@ -295,7 +286,7 @@ proptest! {
         scalar in any::<bool>(),
         filtered_hi in 0i64..45,
     ) {
-        let (heap, _) = build_table(&keys);
+        let heap = build_table(&keys);
         let group_cols: Vec<usize> = if scalar { vec![] } else { vec![1] };
         let aggs = vec![
             AggFunc::CountStar,

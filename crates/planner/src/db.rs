@@ -53,7 +53,6 @@
 //! concurrency (`RunStats`' clock/I-O *deltas*, by contrast, read the
 //! shared engine counters and are only meaningful for a query run alone).
 
-use std::ops::Bound;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smooth_core::{SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
@@ -62,7 +61,7 @@ use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, BoxedOperator, Filter, FullTableScan, HashAggregate, HashJoin,
     IndexNestedLoopJoin, Operator, ParallelPipeline, ParallelSource, PhaseBuild, PhaseSpec,
-    Predicate, Project, QueryHandle, Scheduler, SinkSpec, Sort, SortScan, StageSpec,
+    Project, QueryHandle, Scheduler, SinkSpec, Sort, StageSpec,
 };
 use smooth_stats::StatsQuality;
 use smooth_storage::{
@@ -71,7 +70,7 @@ use smooth_storage::{
 };
 use smooth_types::{env_knob, ColumnBatch, Error, Result, Row, Schema};
 
-use crate::catalog::{Catalog, IndexEntry, TableEntry};
+use crate::catalog::{Catalog, TableEntry};
 use crate::optimizer::{AccessPathKind, Optimizer};
 use crate::plan::{AccessPathChoice, JoinSpec, JoinStrategy, LogicalPlan, ScanSpec};
 use crate::prune::prune;
@@ -188,10 +187,6 @@ fn parse_workers(text: &str) -> std::result::Result<usize, String> {
 pub fn default_mem_bytes() -> usize {
     smooth_executor::mem_budget_bytes()
 }
-
-/// What [`Predicate::split_index_range`] yields: `(col, lo, hi,
-/// residual)`.
-type RangeSplit = (usize, Bound<i64>, Bound<i64>, Predicate);
 
 /// Concurrent-query admission cap used when none is set on the
 /// instance.
@@ -362,32 +357,49 @@ impl Database {
     }
 
     /// The one place the plan's open choices are made: every `Auto`
-    /// access path and join strategy picked by the [`Optimizer`], and
-    /// every `ordered:` scan whose access path does not deliver key order
-    /// (Full, Sort, Switch) rewritten as a `Sort` on its range key over
-    /// the same scan, unordered; every merge join likewise becomes a hash
-    /// join under a `Sort` on its left key. The inner scan of an
-    /// index-nested-loop join is probed, not scanned: it stays as written.
+    /// access path and join strategy picked by the [`Optimizer`], every
+    /// index-driven access path made the Smooth Scan configuration that
+    /// runs it (Index Scan under `Trigger::Never`, Sort Scan under
+    /// `Trigger::Sort`, Switch Scan under `Trigger::Switch`), and every
+    /// `ordered:` scan whose access path does not deliver key order (Full,
+    /// and Smooth under Sort or Switch) rewritten as a `Sort` on its range
+    /// key over the same scan, unordered; every merge join likewise
+    /// becomes a hash join under a `Sort` on its left key. The inner scan
+    /// of an index-nested-loop join is probed, not scanned: it stays as
+    /// written.
     fn resolve(&self, plan: &LogicalPlan) -> Result<LogicalPlan> {
         let input = |input: &LogicalPlan| self.resolve(input).map(Box::new);
         Ok(match plan {
             LogicalPlan::Scan(spec) => {
                 let entry = self.catalog.get(&spec.table)?;
                 let (predicate, device) = (&spec.predicate, self.storage.device());
-                let access = match &spec.access {
+                let smooth = |trigger| {
+                    AccessPathChoice::Smooth(SmoothScanConfig::default().with_trigger(trigger))
+                };
+                let mut access = match &spec.access {
                     AccessPathChoice::Auto => {
                         match Optimizer::choose_access_path(entry, predicate, spec.ordered, device)
                         {
                             AccessPathKind::FullScan => AccessPathChoice::ForceFull,
-                            AccessPathKind::IndexScan => AccessPathChoice::ForceIndex,
-                            AccessPathKind::SortScan => AccessPathChoice::ForceSort,
+                            AccessPathKind::IndexScan => smooth(Trigger::Never),
+                            AccessPathKind::SortScan => smooth(Trigger::Sort),
                         }
+                    }
+                    AccessPathChoice::ForceIndex => smooth(Trigger::Never),
+                    AccessPathChoice::ForceSort => smooth(Trigger::Sort),
+                    AccessPathChoice::Switch { estimate } => {
+                        smooth(Trigger::Switch { estimated_cardinality: *estimate })
                     }
                     other => other.clone(),
                 };
-                use AccessPathChoice::{ForceFull, ForceSort, Switch};
-                let sorted =
-                    spec.ordered && matches!(access, ForceFull | ForceSort | Switch { .. });
+                let sorted = match &mut access {
+                    AccessPathChoice::Smooth(config)
+                        if matches!(config.trigger, Trigger::Switch { .. } | Trigger::Sort) =>
+                    {
+                        std::mem::take(&mut config.ordered) || spec.ordered
+                    }
+                    access => spec.ordered && *access == AccessPathChoice::ForceFull,
+                };
                 let ordered = spec.ordered && !sorted;
                 let scan = LogicalPlan::Scan(ScanSpec { access, ordered, ..spec.clone() });
                 if sorted {
@@ -541,22 +553,6 @@ impl Database {
         }
     }
 
-    /// The index on the range column of `spec`'s predicate, with the
-    /// `(col, lo, hi, residual)` split that drives it — what every
-    /// index-backed access path (`what`) needs.
-    fn need_index<'e>(
-        entry: &'e TableEntry,
-        spec: &ScanSpec,
-        what: &str,
-    ) -> Result<(&'e IndexEntry, RangeSplit)> {
-        spec.predicate
-            .split_index_range()
-            .and_then(|split| Some((entry.index_on(split.0)?, split)))
-            .ok_or_else(|| {
-                Error::plan(format!("{what} on '{}' needs an indexed range predicate", spec.table))
-            })
-    }
-
     /// The key an `ordered:` scan sorts its output on where its access
     /// path does not deliver the order itself: the range column of its
     /// predicate, as an ordinal of the scan's output.
@@ -571,34 +567,16 @@ impl Database {
     }
 
     fn build_scan(&self, spec: &ScanSpec) -> Result<BoxedOperator> {
-        let entry = self.catalog.get(&spec.table)?;
-        let heap = Arc::clone(&entry.heap);
-        let cols = spec.cols.as_deref();
-        let need_index = |what| Self::need_index(entry, spec, what);
         match &spec.access {
             AccessPathChoice::ForceFull => {
+                let heap = Arc::clone(&self.catalog.get(&spec.table)?.heap);
                 let scan = FullTableScan::new(heap, self.storage.clone(), spec.predicate.clone());
-                Ok(Box::new(scan.with_columns(cols)?))
-            }
-            AccessPathChoice::ForceIndex => {
-                let config = SmoothScanConfig::default().with_trigger(Trigger::Never);
-                Ok(Box::new(self.build_smooth_scan(spec, config)?))
-            }
-            AccessPathChoice::ForceSort => {
-                let (idx, (_, lo, hi, residual)) = need_index("sort scan")?;
-                let index = Arc::clone(&idx.index);
-                let scan = SortScan::new(heap, index, self.storage.clone(), lo, hi, residual);
-                Ok(Box::new(scan.with_columns(cols)?))
+                Ok(Box::new(scan.with_columns(spec.cols.as_deref())?))
             }
             AccessPathChoice::Smooth(config) => {
                 Ok(Box::new(self.build_smooth_scan(spec, *config)?))
             }
-            AccessPathChoice::Switch { estimate } => {
-                let trigger = Trigger::Switch { estimated_cardinality: *estimate };
-                let config = SmoothScanConfig::default().with_trigger(trigger);
-                Ok(Box::new(self.build_smooth_scan(spec, config)?))
-            }
-            AccessPathChoice::Auto => unreachable!("`resolve` picks every Auto access path"),
+            _ => unreachable!("`resolve` leaves Full and Smooth access paths only"),
         }
     }
 
@@ -610,7 +588,14 @@ impl Database {
         config: SmoothScanConfig,
     ) -> Result<SmoothScan> {
         let entry = self.catalog.get(&spec.table)?;
-        let (idx, (col, lo, hi, residual)) = Self::need_index(entry, spec, "smooth scan")?;
+        let (idx, (col, lo, hi, residual)) = spec
+            .predicate
+            .split_index_range()
+            .and_then(|split| Some((entry.index_on(split.0)?, split)))
+            .ok_or_else(|| {
+                let table = &spec.table;
+                Error::plan(format!("smooth scan on '{table}' needs an indexed range predicate"))
+            })?;
         let scan = SmoothScan::new(
             Arc::clone(&entry.heap),
             Arc::clone(&idx.index),
@@ -860,7 +845,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smooth_executor::{AggFunc, JoinType};
+    use smooth_executor::{AggFunc, JoinType, Predicate};
     use smooth_storage::{CpuCosts, DeviceProfile};
     use smooth_types::{Column, DataType, Value};
 
@@ -920,26 +905,39 @@ mod tests {
         }
     }
 
+    /// Every access path runs an ordered scan in key order, every one to
+    /// the same keys: a Smooth access under a trigger that cannot keep the
+    /// order (Switch, Sort) gets the `Sort` that `Switch` and `ForceSort`
+    /// get.
     #[test]
     fn ordered_scans_sort_when_needed() {
         let db = db(2000);
-        for access in [
-            AccessPathChoice::ForceFull,
-            AccessPathChoice::ForceIndex,
-            AccessPathChoice::ForceSort,
-            AccessPathChoice::Smooth(SmoothScanConfig::default()),
-            AccessPathChoice::Switch { estimate: 0 },
-            AccessPathChoice::Switch { estimate: 100 },
-            AccessPathChoice::Auto,
-        ] {
-            let plan = LogicalPlan::scan(
-                ScanSpec::new("t", Predicate::int_half_open(1, 0, 500))
-                    .with_order()
-                    .with_access(access.clone()),
-            );
-            let got = db.run(&plan).unwrap();
-            let keys: Vec<i64> = got.rows.iter().map(|r| r.int(1).unwrap()).collect();
-            assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{access:?}");
+        let smooth = |trigger| SmoothScanConfig::default().with_trigger(trigger);
+        let switch = smooth(Trigger::Switch { estimated_cardinality: 5 });
+        for hi in [300, 500] {
+            let mut expected = None;
+            for access in [
+                AccessPathChoice::ForceFull,
+                AccessPathChoice::ForceIndex,
+                AccessPathChoice::ForceSort,
+                AccessPathChoice::Smooth(SmoothScanConfig::default()),
+                AccessPathChoice::Smooth(switch),
+                AccessPathChoice::Smooth(switch.with_order(true)),
+                AccessPathChoice::Smooth(smooth(Trigger::Sort)),
+                AccessPathChoice::Switch { estimate: 0 },
+                AccessPathChoice::Switch { estimate: 100 },
+                AccessPathChoice::Auto,
+            ] {
+                let plan = LogicalPlan::scan(
+                    ScanSpec::new("t", Predicate::int_half_open(1, 0, hi))
+                        .with_order()
+                        .with_access(access.clone()),
+                );
+                let got = db.run(&plan).unwrap();
+                let keys: Vec<i64> = got.rows.iter().map(|r| r.int(1).unwrap()).collect();
+                assert!(keys.windows(2).all(|w| w[0] <= w[1]), "{access:?}");
+                assert_eq!(&keys, expected.get_or_insert_with(|| keys.clone()), "{access:?}");
+            }
         }
     }
 
@@ -1034,6 +1032,20 @@ mod tests {
         let label = |spec: ScanSpec| db.explain(&LogicalPlan::scan(spec)).unwrap();
         assert!(label(spec.clone()).starts_with("SwitchScan(t via t_c1, estimate=7)"));
         assert!(label(spec.with_order()).starts_with("Sort → SwitchScan(t via t_c1, estimate=7)"));
+        // So is it when a Smooth access names the trigger, and asks for
+        // the order itself.
+        let switch = Trigger::Switch { estimated_cardinality: 7 };
+        let config = SmoothScanConfig::default().with_trigger(switch).with_order(true);
+        let spec = ScanSpec::new("t", Predicate::int_half_open(1, 0, 10))
+            .with_access(AccessPathChoice::Smooth(config));
+        assert!(label(spec).starts_with("Sort → SwitchScan(t via t_c1, estimate=7)"));
+        // Sort Scan is Smooth Scan under the Sort trigger, pruned like any scan.
+        let spec = ScanSpec::new("t", Predicate::int_half_open(1, 0, 10))
+            .with_access(AccessPathChoice::ForceSort);
+        let pruned = LogicalPlan::scan(spec.clone()).project(vec![0]);
+        assert_eq!(label(spec.clone()), "SortScan(t via t_c1)");
+        assert!(label(spec.with_order()).starts_with("Sort → SortScan(t via t_c1)"));
+        assert!(db.explain(&pruned).unwrap().ends_with("SortScan(t via t_c1)[c0]"));
         // A merge join is a hash join under a sort on its left key.
         let merge = q(10, AccessPathChoice::ForceFull).join(
             q(10, AccessPathChoice::ForceFull),

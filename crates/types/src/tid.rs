@@ -62,8 +62,9 @@ impl fmt::Display for Tid {
 
 /// A set of TIDs as a page-major bitmap: `⌈max_slots / 64⌉` words a page,
 /// so a page's members come off its own words in ascending slot order.
-/// Sort Scan collects its index range into one; Smooth Scan's Tuple-ID
-/// cache (Section IV-A), Switch Scan's included, is one.
+/// Smooth Scan's Tuple-ID cache (Section IV-A) is one — under the Switch
+/// trigger the tuples Mode 0 produced, under Sort the index range Sort
+/// Scan walked.
 #[derive(Debug, Clone, Default)]
 pub struct TidBitmap {
     bits: Vec<u64>,

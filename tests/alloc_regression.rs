@@ -57,11 +57,11 @@ use std::ops::Bound;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use smooth_core::{SmoothScan, SmoothScanConfig};
+use smooth_core::{SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, AggFunc, ExternalSorter, FullTableScan, HashAggregate, HashJoin,
-    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort, SortScan,
+    IndexNestedLoopJoin, JoinType, Operator, Predicate, Sort,
 };
 use smooth_index::BTreeIndex;
 use smooth_planner::{AccessPathChoice, Database, LogicalPlan, ScanSpec};
@@ -354,12 +354,9 @@ fn scans_hold_one_morsel_of_decoded_rows_not_a_run_or_a_region() {
         let heap = pad_heavy_heap(rows);
         let index = Arc::new(BTreeIndex::build_from_heap("pk", &heap, 0).unwrap());
         let (h, i, s, all) = (Arc::clone(&heap), index, storage(), Bound::Unbounded);
-        let mut op: Box<dyn Operator> = if smooth {
-            let config = SmoothScanConfig::default();
-            Box::new(SmoothScan::new(h, i, s, 0, all, all, Predicate::True, config))
-        } else {
-            Box::new(SortScan::new(h, i, s, all, all, Predicate::True))
-        };
+        let trigger = if smooth { Trigger::Eager } else { Trigger::Sort };
+        let config = SmoothScanConfig::default().with_trigger(trigger);
+        let mut op = SmoothScan::new(h, i, s, 0, all, all, Predicate::True, config);
         let before = LIVE.load(Ordering::Relaxed);
         PEAK.store(before, Ordering::Relaxed);
         op.open().unwrap();

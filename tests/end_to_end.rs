@@ -414,9 +414,7 @@ impl smoothscan::storage::Backend for OneBadTuple {
 
 #[test]
 fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
-    use smoothscan::executor::{
-        collect_rows_volcano, FullTableScan, IndexNestedLoopJoin, SortScan,
-    };
+    use smoothscan::executor::{collect_rows_volcano, FullTableScan, IndexNestedLoopJoin};
     use smoothscan::storage::{HeapLoader, MemBackend};
     use std::ops::Bound;
     use std::sync::Arc;
@@ -459,12 +457,11 @@ fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
         let residual = Predicate::int_lt(0, 0);
         Box::new(IndexNestedLoopJoin::new(outer(), 0, heap, index, residual, ty, storage.clone()))
     };
-    let (h, i, s) = (|| Arc::clone(&heap), || Arc::clone(&index), || storage.clone());
-    let residual = || Predicate::int_lt(0, 0);
+    let full = FullTableScan::new(Arc::clone(&heap), storage.clone(), micro::predicate(0.0));
     let paths: Vec<(&str, Box<dyn Operator>)> = vec![
-        ("full", Box::new(FullTableScan::new(h(), s(), micro::predicate(0.0)))),
+        ("full", Box::new(full)),
         ("index", smooth(false, Trigger::Never)),
-        ("sort", Box::new(SortScan::new(h(), i(), s(), lo, hi, residual()))),
+        ("sort", smooth(false, Trigger::Sort)),
         ("smooth", smooth(false, Trigger::Eager)),
         ("ordered smooth", smooth(true, Trigger::Eager)),
         ("inlj", inlj(JoinType::Inner)),
