@@ -26,7 +26,6 @@ use proptest::prelude::*;
 
 use smooth_core::{PolicyKind, SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
 use smooth_executor::operator::ValuesOp;
-use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
     collect_rows, run_pipeline, FullTableScan, IndexNestedLoopJoin, JoinType, Operator,
     ParallelPipeline, ParallelSource, PhaseSpec, Predicate, SinkSpec,
@@ -226,21 +225,18 @@ fn read_every_way(
         Box::new(ValuesOp::new(key_schema, keys))
     };
     let morphing = Box::new(SmoothInnerPath::new(h(), i(), 0, residual()));
-    let pipeline = ParallelPipeline {
-        phases: vec![PhaseSpec {
-            source: ParallelSource::Heap {
-                heap: h(),
-                predicate: full.clone(),
-                readahead: FULL_SCAN_READAHEAD,
-                cols: cols.map(<[usize]>::to_vec),
-            },
-            stages: Vec::new(),
-            build: None,
-        }],
-        sink: SinkSpec::Collect,
-        storage: s(),
-        morsel_rows: 1024,
-    };
+    let storage = s();
+    let heap_source = FullTableScan::new(h(), storage.clone(), full.clone())
+        .with_columns(cols)
+        .and_then(|scan| {
+            let phases = vec![PhaseSpec {
+                source: ParallelSource::Heap(Box::new(scan)),
+                stages: Vec::new(),
+                build: None,
+            }];
+            let sink = SinkSpec::Collect;
+            run_pipeline(ParallelPipeline { phases, sink, storage, morsel_rows: 1024 }, 2)
+        });
     let mut read = vec![
         (
             "full scan",
@@ -256,7 +252,7 @@ fn read_every_way(
         ("ordered smooth scan", smooth(true, Trigger::Eager)),
         ("smooth scan through mode 0", smooth(false, mode0)),
         ("ordered smooth scan through mode 0", smooth(true, mode0)),
-        ("heap source", run_pipeline(pipeline, 2)),
+        ("heap source", heap_source),
         (
             "index join inner side",
             IndexNestedLoopJoin::new(outer(), 0, h(), i(), residual(), JoinType::Inner, s())

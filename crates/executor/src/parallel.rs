@@ -16,16 +16,17 @@
 //!   or random by whether it physically continues the previous one, and
 //!   buffer-pool residency depends on access order — so all charged I/O
 //!   happens inside the source lock, in exactly the order the
-//!   single-threaded driver would issue it. For a heap scan the lock
-//!   covers only the page-run fetch (readahead-sized, cheap — a pool
-//!   probe plus a memcpy per page); the expensive part, probing encoded
-//!   tuples and decoding qualifiers into column vectors, runs on the
-//!   claiming worker *outside* the lock with a thread-local
-//!   [`ScanFilter`]. For any other operator (Smooth Scan under every
-//!   trigger, index/sort scans, sorts) the whole operator *is* the serial
-//!   section: adaptive morph decisions stay centralized in one operator
-//!   instance, untouched by parallelism, exactly as the single-threaded
-//!   driver runs them.
+//!   single-threaded driver would issue it. For a full table scan the
+//!   lock covers only [`FullTableScan`]'s fetch half, the readahead run's
+//!   device I/O; its inspect half — the pool probes, probing encoded
+//!   tuples and decoding qualifiers into column vectors — runs on the
+//!   claiming worker *outside* the lock, on a worker-local copy of the
+//!   scan. For any other operator (Smooth Scan under every trigger, which
+//!   runs Index, Sort and Switch Scan too; the tree under a breaker the
+//!   pipeline does not peel) the whole operator *is* the serial section:
+//!   adaptive morph decisions stay centralized in one operator instance,
+//!   untouched by parallelism, exactly as the single-threaded driver runs
+//!   them.
 //! * **Worker-side charges are per-tuple, never per-batch-boundary.**
 //!   Every stage charges the shared virtual clock (lock-free atomics —
 //!   the contention-light accounting core) the same per-row amounts the
@@ -86,34 +87,25 @@
 
 use std::sync::Arc;
 
-use smooth_storage::{HeapFile, PageBuf, PageView, Storage};
+use smooth_storage::{FileId, PageBuf, Storage};
 use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema};
 
 use crate::agg::GroupFold;
-use crate::expr::{Predicate, ScanFilter};
+use crate::expr::Predicate;
 use crate::join::{join_schema, JoinBuildPartial, JoinBuildTable};
-use crate::operator::BoxedOperator;
-use crate::{AggFunc, JoinType};
+use crate::operator::{BoxedOperator, Operator};
+use crate::{AggFunc, FullTableScan, JoinType};
 
-/// Where morsels come from.
+/// Where morsels come from. A phase's source opens when the phase starts
+/// and is pulled under the query's source lock, one morsel per claim.
 pub enum ParallelSource {
-    /// A partitioned heap scan: workers claim readahead-sized page runs
-    /// (I/O under the source lock, in page order), then probe + decode
-    /// on their own thread via a thread-local [`ScanFilter`]. This is
-    /// the fully parallel source — the CPU-heavy decode fans out.
-    Heap {
-        /// The heap to scan.
-        heap: Arc<HeapFile>,
-        /// Scan predicate (pushed into the per-worker [`ScanFilter`]).
-        predicate: Predicate,
-        /// The heap columns morsels carry (strictly ascending; `None` =
-        /// all) — the per-worker [`ScanFilter`]'s output set.
-        cols: Option<Vec<usize>>,
-        /// Pages fetched per morsel (use
-        /// [`crate::scan::FULL_SCAN_READAHEAD`] to match the serial
-        /// scan's request pattern).
-        readahead: u32,
-    },
+    /// A full table scan as the partitioned heap source: a claim is the
+    /// scan's fetch half ([`FullTableScan::read_run`]: one readahead run,
+    /// its I/O charged under the lock in page order), and the claiming
+    /// worker runs the inspect half ([`FullTableScan::inspect_run`]) on its
+    /// own copy of the scan. This is the fully parallel source — the
+    /// CPU-heavy probe and decode fan out.
+    Heap(Box<FullTableScan>),
     /// Any operator as a serial morsel source: workers take turns
     /// pulling `next_columns(morsel_rows)` under the source lock. The
     /// operator runs exactly as it would single-threaded — this is how
@@ -126,11 +118,56 @@ pub enum ParallelSource {
 }
 
 impl ParallelSource {
-    /// The schema of the morsels this source emits.
-    pub(crate) fn schema(&self) -> Result<Schema> {
+    fn op(&mut self) -> &mut dyn Operator {
         match self {
-            ParallelSource::Heap { heap, cols, .. } => heap.schema().narrow(cols.as_deref()),
-            ParallelSource::Shared { op } => Ok(op.schema().clone()),
+            ParallelSource::Heap(scan) => &mut **scan,
+            ParallelSource::Shared { op } => &mut **op,
+        }
+    }
+
+    /// The schema of the morsels this source emits.
+    pub(crate) fn schema(&self) -> &Schema {
+        match self {
+            ParallelSource::Heap(scan) => scan.schema(),
+            ParallelSource::Shared { op } => op.schema(),
+        }
+    }
+
+    /// Open the source as its phase starts.
+    pub(crate) fn open(&mut self) -> Result<()> {
+        self.op().open()
+    }
+
+    /// The serial section of one claim: a heap source's next page run, a
+    /// shared operator's next morsel of up to `max` rows.
+    pub(crate) fn pull(&mut self, max: usize) -> Result<Option<SourceItem>> {
+        match self {
+            ParallelSource::Heap(scan) => Ok(scan.read_run()?.map(SourceItem::Pages)),
+            ParallelSource::Shared { op } => Ok(op.next_columns(max)?.map(SourceItem::Batch)),
+        }
+    }
+
+    /// Close the source as its phase ends.
+    pub(crate) fn close(&mut self) -> Result<()> {
+        self.op().close()
+    }
+
+    /// The heap file this source reads, if any — the coordinate
+    /// scoped fault injection keys morsel-panic draws on (shared
+    /// operator sources have no file attribution).
+    pub(crate) fn file_id(&self) -> Option<FileId> {
+        match self {
+            ParallelSource::Heap(scan) => Some(scan.file_id()),
+            ParallelSource::Shared { .. } => None,
+        }
+    }
+
+    /// A worker's copy of a heap source for the inspect half; `None` for
+    /// a shared operator, whose morsels come out of the lock finished.
+    pub(crate) fn inspector(&self) -> Option<FullTableScan> {
+        match self {
+            ParallelSource::Heap(scan) => Some(scan.inspector()),
+            ParallelSource::Shared { .. } => None,
         }
     }
 }
@@ -353,122 +390,19 @@ pub(crate) enum SourceItem {
     Batch(ColumnBatch),
 }
 
-/// The serial section: pulled in morsel order under one lock, so all
-/// charged I/O happens in exactly the single-threaded order.
-pub(crate) enum SourceCore {
-    Heap { heap: Arc<HeapFile>, next: u32, readahead: u32 },
-    Shared { op: BoxedOperator, max: usize },
-}
-
-impl SourceCore {
-    pub(crate) fn pull(&mut self, storage: &Storage) -> Result<Option<SourceItem>> {
-        match self {
-            SourceCore::Heap { heap, next, readahead } => {
-                let total = heap.page_count();
-                if *next >= total {
-                    return Ok(None);
-                }
-                let len = (*readahead).min(total - *next);
-                let pages = storage.read_heap_run(heap, PageId(*next), len)?;
-                *next += len;
-                Ok(Some(SourceItem::Pages(pages)))
-            }
-            SourceCore::Shared { op, max } => Ok(op.next_columns(*max)?.map(SourceItem::Batch)),
-        }
-    }
-
-    pub(crate) fn close(self) -> Result<()> {
-        match self {
-            SourceCore::Heap { .. } => Ok(()),
-            SourceCore::Shared { mut op, .. } => op.close(),
-        }
-    }
-
-    /// The heap file this source reads, if any — the coordinate
-    /// scoped fault injection keys morsel-panic draws on (shared
-    /// operator sources have no file attribution).
-    pub(crate) fn file_id(&self) -> Option<smooth_storage::FileId> {
-        match self {
-            SourceCore::Heap { heap, .. } => Some(heap.file_id()),
-            SourceCore::Shared { .. } => None,
-        }
-    }
-}
-
-/// An opened source: the locked core plus (for heap sources) the
-/// compiled filter each worker's thread-local decoder clones.
-pub(crate) type OpenedSource = (SourceCore, Option<ScanFilter>);
-
-/// Open a [`ParallelSource`] into its locked core plus (for heap
-/// sources) the thread-local decoders' filter.
-pub(crate) fn open_source(source: ParallelSource, morsel_rows: usize) -> Result<OpenedSource> {
-    match source {
-        ParallelSource::Heap { heap, predicate, readahead, cols } => {
-            let filter = ScanFilter::with_output(predicate, heap.schema(), cols.as_deref())?;
-            Ok((SourceCore::Heap { heap, next: 0, readahead: readahead.max(1) }, Some(filter)))
-        }
-        ParallelSource::Shared { mut op } => {
-            op.open()?;
-            Ok((SourceCore::Shared { op, max: morsel_rows.max(1) }, None))
-        }
-    }
-}
-
-/// Thread-local decode state for the partitioned heap source.
-pub(crate) struct HeapDecoder {
-    filter: ScanFilter,
-    /// Rows the previous morsel produced: the next one is sized from it.
-    last_rows: Option<usize>,
-}
-
-impl HeapDecoder {
-    pub(crate) fn new(filter: ScanFilter) -> Self {
-        HeapDecoder { filter, last_rows: None }
-    }
-
-    fn decode(&mut self, storage: &Storage, pages: &[(PageId, PageBuf)]) -> Result<ColumnBatch> {
-        // The per-page buffer-pool probe CPU for this run is charged
-        // here, on the decoding worker, not inside the source lock —
-        // see [`Storage::charge_page_probes`]. Totals stay equal to the
-        // serial scan (which charges beside its own `read_heap_run`
-        // call) while the serialized source section holds only the
-        // irreducible device I/O.
-        storage.charge_page_probes(pages.len() as u64);
-        // Size the morsel once instead of regrowing every vector by
-        // doubling: the run's slot count bounds it, and the previous
-        // morsel's yield (plus slack) predicts it under a filter.
-        let slots = pages.iter().try_fold(0usize, |n, (_, page)| {
-            PageView::new(page).map(|v| n + v.slot_count() as usize)
-        })?;
-        let rows = self.last_rows.map_or(slots, |n| (n + n / 8 + 16).min(slots));
-        let mut out = ColumnBatch::with_capacity(self.filter.schema(), rows);
-        let (s, mut tuples) = (&mut storage.session(), Vec::new());
-        for (_, page) in pages {
-            tuples.clear();
-            PageView::new(page)?.tuples_into(&mut tuples)?;
-            let (inspected, emitted) = self.filter.fill(&tuples, &mut out)?;
-            s.charge_cpu(s.cpu().inspect_tuple_ns * inspected + s.cpu().emit_tuple_ns * emitted);
-        }
-        self.last_rows = Some(out.physical_rows());
-        Ok(out)
-    }
-}
-
 /// Run one source item through the worker's stage chain.
 pub(crate) fn process_item(
     item: SourceItem,
-    decoder: &mut Option<HeapDecoder>,
+    inspector: &mut Option<FullTableScan>,
     stages: &[Stage],
     storage: &Storage,
 ) -> Result<ColumnBatch> {
     let mut batch = match item {
         SourceItem::Batch(batch) => batch,
-        SourceItem::Pages(pages) => {
-            let decoder = decoder
-                .as_mut()
-                .ok_or_else(|| Error::exec("heap source item reached a worker with no decoder"))?;
-            decoder.decode(storage, &pages)?
-        }
+        SourceItem::Pages(run) => inspector
+            .as_mut()
+            .ok_or_else(|| Error::exec("heap source item reached a worker with no inspector"))?
+            .inspect_run(run)?,
     };
     for stage in stages {
         batch = stage.apply(storage, batch)?;
@@ -580,7 +514,7 @@ impl ParallelPipeline {
     pub fn staged_schemas(&self) -> Result<Vec<Schema>> {
         let mut schemas: Vec<Schema> = Vec::with_capacity(self.phases.len());
         for (i, phase) in self.phases.iter().enumerate() {
-            let mut schema = phase.source.schema()?;
+            let mut schema = phase.source.schema().clone();
             for stage in &phase.stages {
                 match stage {
                     StageSpec::Filter(_) => {}
@@ -684,7 +618,7 @@ mod tests {
     use super::*;
     use crate::operator::{collect_rows, ValuesOp};
     use crate::{batch_size, Filter, FullTableScan, HashAggregate, HashJoin, Project};
-    use smooth_storage::{CpuCosts, DeviceProfile, HeapLoader, StorageConfig};
+    use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
     use smooth_types::{Column, DataType, Value};
 
     fn table(rows: i64) -> Arc<HeapFile> {
@@ -737,9 +671,8 @@ mod tests {
         }
     }
 
-    fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate) -> ParallelSource {
-        let readahead = crate::scan::FULL_SCAN_READAHEAD;
-        ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead, cols: None }
+    fn heap_source(heap: &Arc<HeapFile>, s: &Storage, predicate: Predicate) -> ParallelSource {
+        ParallelSource::Heap(Box::new(FullTableScan::new(Arc::clone(heap), s.clone(), predicate)))
     }
 
     /// `builds`, then a heap scan of `heap` through `stages` into a
@@ -750,7 +683,8 @@ mod tests {
         mut builds: Vec<PhaseSpec>,
         stages: Vec<StageSpec>,
     ) -> ParallelPipeline {
-        builds.push(PhaseSpec { source: heap_source(heap, Predicate::True), stages, build: None });
+        let source = heap_source(heap, s, Predicate::True);
+        builds.push(PhaseSpec { source, stages, build: None });
         ParallelPipeline {
             phases: builds,
             sink: SinkSpec::Collect,
@@ -764,12 +698,13 @@ mod tests {
     /// outside the per-morsel sections they reconcile to the clock).
     fn heap_build(
         heap: &Arc<HeapFile>,
+        s: &Storage,
         pred: Predicate,
         ty: JoinType,
         mem_bytes: usize,
     ) -> PhaseSpec {
         PhaseSpec {
-            source: heap_source(heap, pred),
+            source: heap_source(heap, s, pred),
             stages: Vec::new(),
             build: Some(PhaseBuild { right_col: 1, left_col: 1, ty, mem_bytes, emit: None }),
         }
@@ -922,7 +857,7 @@ mod tests {
             let s_par = storage();
             // The serial `HashJoin` above runs under the default budget.
             let mem_bytes = crate::spill::mem_budget_bytes();
-            let builds = vec![heap_build(&build, pred.clone(), JoinType::Inner, mem_bytes)];
+            let builds = vec![heap_build(&build, &s_par, pred.clone(), JoinType::Inner, mem_bytes)];
             let pipeline = heap_pipeline(&probe, &s_par, builds, vec![StageSpec::Probe(0)]);
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
@@ -1015,7 +950,7 @@ mod tests {
         let spent = [0usize, 1024].map(|mem_bytes| {
             let s = storage();
             s.set_faults(Some(FaultConfig::new(11).panic(1.0).scope_to_file(heap.file_id())));
-            let builds = vec![heap_build(&build, Predicate::True, JoinType::Inner, mem_bytes)];
+            let builds = vec![heap_build(&build, &s, Predicate::True, JoinType::Inner, mem_bytes)];
             let pipeline = heap_pipeline(&heap, &s, builds, vec![StageSpec::Probe(0)]);
             let err = run_pipeline(pipeline, 1).unwrap_err();
             assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
@@ -1090,7 +1025,7 @@ mod tests {
         let build = table(2000);
         traced_under_each_sink(
             |s| {
-                let builds = vec![heap_build(&build, Predicate::True, JoinType::Inner, 0)];
+                let builds = vec![heap_build(&build, s, Predicate::True, JoinType::Inner, 0)];
                 heap_pipeline(&probe, s, builds, vec![StageSpec::Probe(0)])
             },
             |ledger| {
@@ -1117,7 +1052,7 @@ mod tests {
         let chained = |s: &Storage| {
             let pred = Predicate::int_half_open(1, 0, 40);
             let builds = [&build_a, &build_b]
-                .map(|heap| heap_build(heap, pred.clone(), JoinType::LeftSemi, 0));
+                .map(|heap| heap_build(heap, s, pred.clone(), JoinType::LeftSemi, 0));
             heap_pipeline(&probe, s, builds.into(), vec![StageSpec::Probe(0), StageSpec::Probe(1)])
         };
         traced_under_each_sink(chained, |ledger| {

@@ -8,7 +8,10 @@
 //! range into a TID bitmap and then reads the marked pages in page order.
 //! Index Scan and the index join fetch one heap page per TID and inspect
 //! the fetched tuples through [`slot_tuples`]; every scan that reads whole
-//! pages inspects them through [`fill_from`].
+//! pages inspects them through [`fill_from`] — the parallel pipeline's heap
+//! source included, which is a [`FullTableScan`] split in two halves: the
+//! serial [`FullTableScan::read_run`] under the source lock, and
+//! [`FullTableScan::inspect_run`] on the claiming worker.
 //!
 //! A scan reads at its own I/O granularity but decodes one morsel ahead:
 //! what it fetched waits, still encoded, in a [`PageQueue`].
@@ -16,7 +19,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use smooth_storage::{HeapFile, PageBuf, PageView, Session, Storage};
+use smooth_storage::{FileId, HeapFile, PageBuf, PageView, Session, Storage};
 use smooth_types::{ColumnBatch, ColumnBuffer, PageId, Result, Row, Schema, SlotId};
 
 use crate::expr::{Predicate, ScanFilter};
@@ -101,23 +104,67 @@ impl FullTableScan {
         self
     }
 
-    /// Buffer up to `max` rows (see [`fill_from`]), reading the next
+    /// The fetch half, and the parallel heap source's serial section: read
+    /// the next readahead run, charging its I/O and no CPU. `None` past the
+    /// last page.
+    pub fn read_run(&mut self) -> Result<Option<Vec<(PageId, PageBuf)>>> {
+        let total = self.heap.page_count();
+        if self.next_page >= total {
+            return Ok(None);
+        }
+        let len = self.readahead.min(total - self.next_page);
+        let run = self.storage.read_heap_run(&self.heap, PageId(self.next_page), len)?;
+        self.next_page += len;
+        Ok(Some(run))
+    }
+
+    /// Queue `run`, charging one pool probe per page, and inspect the queue
+    /// until `max` rows are pending (see [`fill_from`]).
+    fn inspect(&mut self, run: Vec<(PageId, PageBuf)>, max: usize) -> Result<()> {
+        let s = &mut self.storage.session();
+        s.charge_cpu(s.cpu().hash_op_ns * run.len() as u64); // the pool probes
+        self.queue.extend(run);
+        let (queue, filter, out) = (&mut self.queue, &mut self.filter, &mut self.out);
+        fill_from(queue, s, max, filter, out, |_, v, t| v.tuples_into(t).map(|()| 0))?;
+        Ok(())
+    }
+
+    /// The inspect half, on a pipeline worker: every page of `run` (a
+    /// [`FullTableScan::read_run`] of this scan or of the one it is a
+    /// worker's copy of) inspected into one morsel, empty when nothing
+    /// qualified.
+    pub fn inspect_run(&mut self, run: Vec<(PageId, PageBuf)>) -> Result<ColumnBatch> {
+        self.inspect(run, usize::MAX)?;
+        let morsel = self.out.pop_columns(usize::MAX);
+        Ok(morsel.unwrap_or_else(|| ColumnBatch::for_schema(self.filter.schema())))
+    }
+
+    /// A copy of this scan for a worker to [`FullTableScan::inspect_run`]
+    /// with: the same filter, an empty queue and output of its own.
+    pub(crate) fn inspector(&self) -> FullTableScan {
+        FullTableScan {
+            heap: Arc::clone(&self.heap),
+            storage: self.storage.clone(),
+            filter: self.filter.clone(),
+            readahead: self.readahead,
+            next_page: 0,
+            queue: PageQueue::default(),
+            out: ColumnBuffer::for_schema(self.filter.schema()),
+        }
+    }
+
+    /// The heap file this scan reads.
+    pub(crate) fn file_id(&self) -> FileId {
+        self.heap.file_id()
+    }
+
+    /// Buffer up to `max` rows: inspect what is queued, reading the next
     /// readahead run whenever the queue runs dry.
     fn refill(&mut self, max: usize) -> Result<()> {
-        let (total, s) = (self.heap.page_count(), &mut self.storage.session());
         while self.out.pending() < max {
-            if self.queue.is_empty() {
-                if self.next_page >= total {
-                    break;
-                }
-                let len = self.readahead.min(total - self.next_page);
-                self.queue.extend(s.read_heap_run(&self.heap, PageId(self.next_page), len)?);
-                s.charge_cpu(s.cpu().hash_op_ns * len as u64); // the pool probes
-                s.release();
-                self.next_page += len;
-            }
-            let (queue, filter, out) = (&mut self.queue, &mut self.filter, &mut self.out);
-            fill_from(queue, s, max, filter, out, |_, v, t| v.tuples_into(t).map(|()| 0))?;
+            let run = if self.queue.is_empty() { self.read_run()? } else { Some(Vec::new()) };
+            let Some(run) = run else { break };
+            self.inspect(run, max)?;
             if !self.queue.is_empty() {
                 break; // the next page starts the next morsel
             }

@@ -5,10 +5,11 @@
 //! it. Here the pool belongs to a persistent [`Scheduler`] — the
 //! database engine's one worker pool — and *queries* come and go:
 //! [`Scheduler::submit`] plans a [`ParallelPipeline`] into an
-//! `ActiveQuery` (a self-contained phase state machine), admission
-//! caps how many run at once (FIFO beyond `max_queries`), and every
-//! worker pulls morsels from whichever admitted query has work,
-//! round-robin offset by worker index so no query starves.
+//! `ActiveQuery` (a self-contained phase state machine) and queues it;
+//! admission — on a worker, never on the submitting thread — caps how
+//! many run at once (FIFO beyond `max_queries`), and every worker pulls
+//! morsels from whichever admitted query has work, round-robin offset
+//! by worker index so no query starves.
 //!
 //! **What is shared and what is per-query.** The storage engine
 //! (buffer pool, disk-arm tracker, virtual clock) is engine-global:
@@ -117,14 +118,13 @@ use std::time::Instant;
 use smooth_storage::{tap_mark, ClockSnapshot, FileId, InjectedPanic, ScanStatistics, Storage};
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
-use crate::expr::ScanFilter;
 use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
 use crate::parallel::{
-    open_source, process_item, resolve_stages, HeapDecoder, LedgerPhase, OpenedSource,
-    ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec, ProbeTable, ScalingLedger,
-    SinkSpec, SourceCore, SourceItem, Stage, StageSpec,
+    process_item, resolve_stages, LedgerPhase, ParallelPipeline, ParallelSource, PartialAgg,
+    PhaseBuild, PhaseSpec, ProbeTable, ScalingLedger, SinkSpec, SourceItem, Stage, StageSpec,
 };
+use crate::FullTableScan;
 
 /// A completed query: its result plus the per-query scan statistics
 /// accumulated from the worker-side tap deltas.
@@ -206,11 +206,11 @@ impl QueryHandle {
 /// installs a fresh one (seq restarts at 0, matching the serial
 /// drivers' per-phase numbering).
 struct SrcState {
-    core: Option<SourceCore>,
-    decoder_spec: Option<ScanFilter>,
-    /// Idle decoder pool: claiming workers pop one (or build a fresh
-    /// one from the spec) and return it after decoding.
-    decoders: Vec<HeapDecoder>,
+    /// The phase's opened source, until the phase finalizes.
+    source: Option<ParallelSource>,
+    /// Idle inspectors of a heap source: a worker pops one (or copies a
+    /// fresh one off the source) for a page run and returns it after.
+    inspectors: Vec<FullTableScan>,
     seq: u64,
     done: bool,
     finalized: bool,
@@ -219,17 +219,8 @@ struct SrcState {
 }
 
 impl SrcState {
-    fn new(opened: Option<OpenedSource>, phase: usize) -> SrcState {
-        let (core, decoder_spec) = opened.unzip();
-        SrcState {
-            core,
-            decoder_spec: decoder_spec.flatten(),
-            decoders: Vec::new(),
-            seq: 0,
-            done: false,
-            finalized: false,
-            phase,
-        }
+    fn new(source: Option<ParallelSource>, phase: usize) -> SrcState {
+        SrcState { source, inspectors: Vec::new(), seq: 0, done: false, finalized: false, phase }
     }
 }
 
@@ -277,7 +268,7 @@ enum Fold {
 
 /// One claimed-but-unprocessed morsel. Claiming charges the pull I/O in
 /// serial seq order under the source lock; everything here is the
-/// charge-free remainder (decode and stage CPU), so whichever worker
+/// charge-free remainder (inspect and stage CPU), so whichever worker
 /// claimed it processes it with byte-identical accounting.
 struct Pending {
     phase: usize,
@@ -375,7 +366,7 @@ impl ActiveQuery {
         });
         Ok(ActiveQuery {
             storage,
-            morsel_rows,
+            morsel_rows: morsel_rows.max(1),
             phases,
             sink_spec: sink,
             merge_exact,
@@ -444,14 +435,14 @@ impl ActiveQuery {
         idx: usize,
         seq: u64,
         item: SourceItem,
-        decoder: &mut Option<HeapDecoder>,
+        inspector: &mut Option<FullTableScan>,
     ) -> Result<()> {
         let phase = &self.phases[idx];
         let stages = lock(&phase.stages)
             .clone()
             .ok_or_else(|| Error::exec("morsel before its phase's stages resolved"))?;
         let mark = self.trace_mark();
-        let batch = process_item(item, decoder, &stages, &self.storage)?;
+        let batch = process_item(item, inspector, &stages, &self.storage)?;
         if let Some(build) = &phase.build {
             self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
             let mut partial = lock(&self.build_slots)
@@ -584,9 +575,8 @@ fn install_panic_hook() {
 }
 
 /// The engine's persistent worker pool: serves every submitted query
-/// until dropped. Dropping the scheduler drains queries already
-/// admitted, then joins the workers; queries still waiting for
-/// admission complete with an error on their handle.
+/// until dropped. Dropping the scheduler drains every query already
+/// submitted, then joins the workers.
 pub struct Scheduler {
     core: Arc<SchedCore>,
     threads: Vec<JoinHandle<()>>,
@@ -618,8 +608,10 @@ impl Scheduler {
         Scheduler { core, threads }
     }
 
-    /// Plan and enqueue a query. Plan errors return immediately;
-    /// admission beyond `max_queries` queues FIFO.
+    /// Plan and enqueue a query without blocking: plan errors return
+    /// immediately, and admission — which opens the first phase's
+    /// source, however long that takes — runs on a worker, FIFO beyond
+    /// `max_queries`, so the handle can cancel a query still opening.
     pub fn submit(&self, pipeline: ParallelPipeline) -> Result<QueryHandle> {
         self.submit_query(pipeline, false)
     }
@@ -633,8 +625,9 @@ impl Scheduler {
                 return Err(Error::exec("scheduler is shut down"));
             }
             st.waiting.push_back(Arc::clone(&query));
+            st.epoch += 1;
         }
-        pump(&self.core);
+        self.core.cv.notify_all();
         Ok(QueryHandle { rx, query, core: Arc::clone(&self.core) })
     }
 
@@ -693,13 +686,15 @@ impl Drop for Scheduler {
     }
 }
 
-/// Admit waiting queries up to the cap. The first phase's source opens
-/// outside the state lock (it performs I/O); `admitting` holds the slot.
+/// Admit waiting queries up to the cap, on the calling worker — never on
+/// a submitting session's thread. The first phase's source opens outside
+/// the state lock (it performs I/O, and a shared source's `open` may run
+/// a whole subtree); `admitting` holds the slot.
 fn pump(core: &SchedCore) {
     loop {
         let query = {
             let mut st = lock(&core.state);
-            if st.shutdown || st.running.len() + st.admitting >= core.max_queries {
+            if st.running.len() + st.admitting >= core.max_queries {
                 return;
             }
             let Some(q) = st.waiting.pop_front() else { return };
@@ -740,9 +735,10 @@ fn pump(core: &SchedCore) {
 
 fn worker_loop(core: &SchedCore, index: usize) {
     loop {
+        pump(core);
         let (queries, epoch) = {
             let st = lock(&core.state);
-            if st.shutdown && st.running.is_empty() {
+            if st.shutdown && st.running.is_empty() && st.waiting.is_empty() {
                 return;
             }
             (st.running.clone(), st.epoch)
@@ -758,7 +754,7 @@ fn worker_loop(core: &SchedCore, index: usize) {
         }
         if !worked {
             let st = lock(&core.state);
-            if st.shutdown && st.running.is_empty() {
+            if st.shutdown && st.running.is_empty() && st.waiting.is_empty() {
                 return;
             }
             if st.epoch == epoch {
@@ -784,18 +780,18 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     let mut src = lock(&q.src);
     let held = Instant::now();
     q.lock_wait_ns.fetch_add((held - wait_start).as_nanos() as u64, Ordering::Relaxed);
-    if src.finalized || src.done || src.core.is_none() {
+    if src.finalized || src.done || src.source.is_none() {
         drop(src);
         q.src_hold_ns.fetch_add(held.elapsed().as_nanos() as u64, Ordering::Relaxed);
         return None;
     }
     let (phase, seq) = (src.phase, src.seq);
     let (mark, trace) = (tap_mark(), q.trace_mark());
-    // invariant: `src.core.is_none()` returned above, and the source
+    // invariant: `src.source.is_none()` returned above, and the source
     // lock is held throughout the claim.
-    let c = src.core.as_mut().expect("checked above");
+    let c = src.source.as_mut().expect("checked above");
     // A failed query pulls nothing more: its source ends here.
-    let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(&q.storage) };
+    let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(q.morsel_rows) };
     let file = c.file_id();
     let claimed = match pulled {
         Ok(Some(item)) => {
@@ -843,17 +839,17 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) {
 /// [`process_pending`]'s work on a morsel of a live query.
 fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) {
     let mark = tap_mark();
-    // Decoder pool, for page runs only (a shared operator's ready
-    // batch must not queue behind that operator's next pull for a
-    // decoder it has no use for): pop one under a brief source relock,
-    // or build a fresh one from the spec. `inflight > 0` pins the
-    // phase, so the SrcState — and its decoder spec — is still the one
-    // this morsel was claimed from.
-    let mut decoder = match &item {
+    // Inspector pool, for page runs only (a shared operator's ready
+    // batch must not queue behind that operator's next pull for an
+    // inspector it has no use for): pop one under a brief source relock,
+    // or copy a fresh one off the source. `inflight > 0` pins the phase,
+    // so the SrcState — and its source — is still the one this morsel
+    // was claimed from.
+    let mut inspector = match &item {
         SourceItem::Batch(_) => None,
         SourceItem::Pages(_) => {
             let mut src = lock(&q.src);
-            src.decoders.pop().or_else(|| src.decoder_spec.clone().map(HeapDecoder::new))
+            src.inspectors.pop().or_else(|| src.source.as_ref()?.inspector())
         }
     };
     // Panic containment: injected chaos panics (the morsel fault site)
@@ -865,18 +861,18 @@ fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) 
         if q.storage.morsel_panics(file, key) {
             std::panic::panic_any(InjectedPanic { key });
         }
-        q.process(phase, seq, item, &mut decoder)
+        q.process(phase, seq, item, &mut inspector)
     })) {
         Ok(r) => r,
         Err(payload) => {
-            // The decoder may have unwound mid-decode: drop it rather
+            // The inspector may have unwound mid-page: drop it rather
             // than returning it to the pool.
-            decoder = None;
+            inspector = None;
             Err(panic_error(payload.as_ref()))
         }
     };
-    if let Some(d) = decoder {
-        lock(&q.src).decoders.push(d);
+    if let Some(i) = inspector {
+        lock(&q.src).inspectors.push(i);
     }
     let mut delta = mark.delta();
     delta.morsels = 1;
@@ -897,7 +893,7 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
     }
     src.finalized = true;
     let end_seq = src.seq;
-    if let Some(c) = src.core.take() {
+    if let Some(mut c) = src.source.take() {
         let mark = tap_mark();
         if let Err(e) = c.close() {
             q.record_err(end_seq, e);
@@ -972,17 +968,17 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
 /// and is serial time: it joins the traced prefix.
 fn install_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<()> {
     let phase = &q.phases[i];
-    let source = lock(&phase.source)
+    let mut source = lock(&phase.source)
         .take()
         .ok_or_else(|| Error::exec(format!("phase {i} installed twice")))?;
-    let stages = resolve_stages(&phase.spec_stages, source.schema()?, &lock(&q.tables))?;
+    let stages = resolve_stages(&phase.spec_stages, source.schema().clone(), &lock(&q.tables))?;
     *lock(&phase.stages) = Some(Arc::new(stages));
     let (opens, mark) = (q.trace_mark(), tap_mark());
-    let opened = open_source(source, q.morsel_rows);
+    let opened = source.open();
     lock(&q.stats).merge(&mark.delta());
-    let opened = opened?;
+    opened?;
     q.trace_since(opens, |l, ns| l.prefix_ns += ns);
-    *src = SrcState::new(Some(opened), i);
+    *src = SrcState::new(Some(source), i);
     Ok(())
 }
 
@@ -1086,7 +1082,6 @@ fn finish(q: &Arc<ActiveQuery>, core: &SchedCore, result: Result<QueryOutput>) {
         st.epoch += 1;
     }
     core.cv.notify_all();
-    pump(core);
 }
 
 // Compile-time Send/Sync audit: queries are shared across the pool.
@@ -1100,7 +1095,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::operator::collect_rows;
-    use crate::{batch_size, FullTableScan, Predicate, SinkSpec};
+    use crate::{batch_size, Predicate, SinkSpec};
     use crate::{BoxedOperator, IndexNestedLoopJoin, JoinType};
     use smooth_index::BTreeIndex;
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
@@ -1134,13 +1129,9 @@ mod tests {
     fn scan_pipeline(heap: &Arc<HeapFile>, s: &Storage, lo: i64, hi: i64) -> ParallelPipeline {
         // The predicate rides in the scan itself (the planner pushes it
         // there), so `rows_processed` reflects qualifying tuples.
-        let source = ParallelSource::Heap {
-            heap: Arc::clone(heap),
-            predicate: Predicate::int_half_open(1, lo, hi),
-            readahead: crate::scan::FULL_SCAN_READAHEAD,
-            cols: None,
-        };
-        pipeline(source, s)
+        let scan =
+            FullTableScan::new(Arc::clone(heap), s.clone(), Predicate::int_half_open(1, lo, hi));
+        pipeline(ParallelSource::Heap(Box::new(scan)), s)
     }
 
     fn pipeline(source: ParallelSource, s: &Storage) -> ParallelPipeline {

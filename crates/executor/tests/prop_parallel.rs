@@ -47,8 +47,14 @@ fn storage(pool: usize) -> Storage {
     })
 }
 
-fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate, readahead: u32) -> ParallelSource {
-    ParallelSource::Heap { heap: Arc::clone(heap), predicate, readahead, cols: None }
+fn heap_source(
+    heap: &Arc<HeapFile>,
+    s: &Storage,
+    predicate: Predicate,
+    readahead: u32,
+) -> ParallelSource {
+    let scan = FullTableScan::new(Arc::clone(heap), s.clone(), predicate);
+    ParallelSource::Heap(Box::new(scan.with_readahead(readahead)))
 }
 
 /// The phase that feeds the sink: `source` through `stages`.
@@ -121,7 +127,7 @@ proptest! {
             let s_par = storage(pool);
             let pipeline = ParallelPipeline {
                 phases: vec![sink_phase(
-                    heap_source(&heap, Predicate::True, readahead),
+                    heap_source(&heap, &s_par, Predicate::True, readahead),
                     vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
                 )],
                 sink: SinkSpec::Collect,
@@ -158,7 +164,7 @@ proptest! {
             let s_par = storage(32);
             let pipeline = ParallelPipeline {
                 phases: vec![sink_phase(
-                    heap_source(&heap, pred.clone(), FULL_SCAN_READAHEAD),
+                    heap_source(&heap, &s_par, pred.clone(), FULL_SCAN_READAHEAD),
                     Vec::new(),
                 )],
                 sink: SinkSpec::Collect,
@@ -261,7 +267,7 @@ proptest! {
                         }),
                     },
                     sink_phase(
-                        heap_source(&heap, Predicate::True, FULL_SCAN_READAHEAD),
+                        heap_source(&heap, &s_par, Predicate::True, FULL_SCAN_READAHEAD),
                         vec![StageSpec::Probe(0)],
                     ),
                 ],
@@ -314,7 +320,7 @@ proptest! {
             let s_par = storage(32);
             let pipeline = ParallelPipeline {
                 phases: vec![sink_phase(
-                    heap_source(&heap, Predicate::True, FULL_SCAN_READAHEAD),
+                    heap_source(&heap, &s_par, Predicate::True, FULL_SCAN_READAHEAD),
                     vec![StageSpec::Filter(pred.clone())],
                 )],
                 sink: SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() },

@@ -17,7 +17,6 @@ use smooth_executor::operator::ValuesOp;
 use smooth_executor::parallel::{
     run_pipeline, ParallelPipeline, ParallelSource, PhaseBuild, PhaseSpec, SinkSpec, StageSpec,
 };
-use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     collect_rows, AggFunc, BoxedOperator, FullTableScan, HashAggregate, HashJoin, JoinType,
@@ -73,13 +72,8 @@ fn storage(pool: usize) -> Storage {
     })
 }
 
-fn heap_source(heap: &Arc<HeapFile>, predicate: Predicate) -> ParallelSource {
-    ParallelSource::Heap {
-        heap: Arc::clone(heap),
-        predicate,
-        readahead: FULL_SCAN_READAHEAD,
-        cols: None,
-    }
+fn heap_source(heap: &Arc<HeapFile>, s: &Storage, predicate: Predicate) -> ParallelSource {
+    ParallelSource::Heap(Box::new(FullTableScan::new(Arc::clone(heap), s.clone(), predicate)))
 }
 
 /// One build phase keyed `right_col`, then a full scan of `probe`
@@ -95,7 +89,7 @@ fn join_pipeline(
         phases: vec![
             PhaseSpec { source, stages, build },
             PhaseSpec {
-                source: heap_source(probe, Predicate::True),
+                source: heap_source(probe, storage, Predicate::True),
                 stages: vec![StageSpec::Probe(0)],
                 build: None,
             },
@@ -199,7 +193,7 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(32);
             let pipeline = join_pipeline(
-                (heap_source(&build, pred.clone()), Vec::new()),
+                (heap_source(&build, &s_par, pred.clone()), Vec::new()),
                 (1, ty, mem_bytes),
                 &probe,
                 (&s_par, smooth_executor::batch_size()),
@@ -240,7 +234,7 @@ proptest! {
         for workers in [1usize, 4] {
             let s_par = storage(32);
             let pipeline = join_pipeline(
-                (heap_source(&build, Predicate::True), vec![StageSpec::Filter(residual.clone())]),
+                (heap_source(&build, &s_par, Predicate::True), vec![StageSpec::Filter(residual.clone())]),
                 (1, JoinType::Inner, smooth_executor::mem_budget_bytes()),
                 &probe,
                 (&s_par, smooth_executor::batch_size()),

@@ -56,7 +56,6 @@
 use std::sync::{Arc, Mutex, OnceLock};
 
 use smooth_core::{SmoothInnerPath, SmoothScan, SmoothScanConfig, Trigger};
-use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::sort::SortKey;
 use smooth_executor::{
     batch_size, collect_batches, BoxedOperator, Filter, FullTableScan, HashAggregate, HashJoin,
@@ -568,16 +567,20 @@ impl Database {
 
     fn build_scan(&self, spec: &ScanSpec) -> Result<BoxedOperator> {
         match &spec.access {
-            AccessPathChoice::ForceFull => {
-                let heap = Arc::clone(&self.catalog.get(&spec.table)?.heap);
-                let scan = FullTableScan::new(heap, self.storage.clone(), spec.predicate.clone());
-                Ok(Box::new(scan.with_columns(spec.cols.as_deref())?))
-            }
+            AccessPathChoice::ForceFull => Ok(Box::new(self.full_scan(spec)?)),
             AccessPathChoice::Smooth(config) => {
                 Ok(Box::new(self.build_smooth_scan(spec, *config)?))
             }
             _ => unreachable!("`resolve` leaves Full and Smooth access paths only"),
         }
+    }
+
+    /// The one full table scan both the operator tree and the pipeline's
+    /// heap source run.
+    fn full_scan(&self, spec: &ScanSpec) -> Result<FullTableScan> {
+        let heap = Arc::clone(&self.catalog.get(&spec.table)?.heap);
+        let scan = FullTableScan::new(heap, self.storage.clone(), spec.predicate.clone());
+        scan.with_columns(spec.cols.as_deref())
     }
 
     /// Build a Smooth Scan directly (experiments that need
@@ -625,12 +628,13 @@ impl Database {
     /// peels parallel-safe nodes — `Filter` / `Project` / hash-strategy
     /// `Join` probes (per-worker stages, build sides built and drained
     /// serially) — until it reaches the morsel source. A full table scan
-    /// becomes the *partitioned* heap source (workers decode page runs
-    /// in parallel); any other subtree (Smooth / Switch / index / sort
-    /// scans, non-hash joins, nested aggregates and sorts) runs
-    /// unchanged as a serial shared source, which is exactly how the
-    /// adaptive scans' morph decisions stay centralized while the stages
-    /// above them still parallelize. Plan validation errors (missing
+    /// becomes the *partitioned* heap source (the scan reads its page runs
+    /// under the source lock, workers inspect them in parallel); any other
+    /// subtree (a Smooth Scan under any trigger — Index, Sort and Switch
+    /// Scan are its configurations — an index join, a breaker under a
+    /// join or under another breaker) runs unchanged as a serial shared
+    /// source, which is exactly how the adaptive scans' morph decisions
+    /// stay centralized while the stages above them still parallelize. Plan validation errors (missing
     /// tables, bad ordinals) surface here identically to [`Database::build`].
     pub fn parallel_pipeline(&self, plan: &LogicalPlan) -> Result<Option<ParallelPipeline>> {
         let pipeline = self.lower(plan)?;
@@ -689,9 +693,11 @@ impl Database {
     /// order, so `builds` accumulates in the order the operator tree
     /// opens and drains them — completion order *is* open order, for
     /// left-deep and bushy trees (hash joins on the build side of hash
-    /// joins) alike. A full scan becomes the partitioned heap source;
-    /// any other leaf (other scans, sorts, non-hash joins, nested
-    /// aggregates) runs whole as a serial shared source.
+    /// joins) alike. A full scan becomes the partitioned heap source —
+    /// the [`FullTableScan`] the operator tree would run, built by the
+    /// same [`Database::full_scan`]; any other leaf (a Smooth Scan under
+    /// any trigger, an index join, a sort or an aggregate under the
+    /// join) runs whole as a serial shared source.
     fn peel(&self, plan: &LogicalPlan, builds: &mut Vec<PhaseSpec>) -> Result<PhaseSpec> {
         match plan {
             LogicalPlan::Filter { input, predicate } => {
@@ -720,10 +726,7 @@ impl Database {
                 Ok(probe)
             }
             LogicalPlan::Scan(spec) if spec.access == AccessPathChoice::ForceFull => {
-                let heap = Arc::clone(&self.catalog.get(&spec.table)?.heap);
-                let (predicate, cols) = (spec.predicate.clone(), spec.cols.clone());
-                let readahead = FULL_SCAN_READAHEAD;
-                let source = ParallelSource::Heap { heap, predicate, readahead, cols };
+                let source = ParallelSource::Heap(Box::new(self.full_scan(spec)?));
                 Ok(PhaseSpec { source, stages: Vec::new(), build: None })
             }
             other => {
@@ -832,7 +835,9 @@ impl Database {
     /// Submit a plan to the shared worker pool **without blocking**,
     /// returning a [`QueryHandle`] that can be waited on or cancelled
     /// ([`QueryHandle::cancel`]). The plan lowers exactly as it does
-    /// under [`Database::run`]. Unlike `run` this neither flushes the
+    /// under [`Database::run`] on this thread; admission, which opens
+    /// the first phase's source (a shared source's `open` may walk an
+    /// index range or drain a whole subtree), runs on a pool worker. Unlike `run` this neither flushes the
     /// buffer pool nor snapshots the engine counters: the handle's
     /// [`smooth_executor::QueryOutput`] carries per-query
     /// [`ScanStatistics`] instead (with `rows_total` left 0 — only
@@ -1200,13 +1205,17 @@ mod tests {
         let semi = smooth_executor::JoinType::LeftSemi;
         let hash = |l: LogicalPlan, r| l.join(r, 1, 1, semi, JoinStrategy::Hash);
         let p = db.lower(&hash(hash(t(900), t(20)), t(30))).unwrap();
-        let scans = p.phases.iter().map(|phase| match &phase.source {
-            ParallelSource::Heap { predicate, .. } => predicate.clone(),
+        assert!(matches!(p.phases[2].stages[..], [StageSpec::Probe(1), StageSpec::Probe(0)]));
+        // The phases' scans, told apart by how many rows each passes.
+        let rows = |op: &mut dyn Operator| -> usize {
+            collect_batches(op).unwrap().iter().map(ColumnBatch::len).sum()
+        };
+        let scans = p.phases.into_iter().map(|phase| match phase.source {
+            ParallelSource::Heap(mut scan) => rows(&mut *scan),
             ParallelSource::Shared { .. } => panic!("a full scan is a heap source"),
         });
-        let expected = [30, 20, 900].map(|hi| Predicate::int_half_open(1, 0, hi));
+        let expected = [30, 20, 900].map(|hi| rows(&mut *db.build(&t(hi)).unwrap()));
         assert_eq!(scans.collect::<Vec<_>>(), expected);
-        assert!(matches!(p.phases[2].stages[..], [StageSpec::Probe(1), StageSpec::Probe(0)]));
         // Plan errors surface from the decomposition exactly like build().
         let bad = LogicalPlan::scan(
             ScanSpec::new("t", Predicate::int_eq(0, 1)).with_access(AccessPathChoice::ForceIndex),

@@ -172,7 +172,7 @@ impl<'a> Session<'a> {
     /// the pool, in page order. Resident pages are served from cache; the
     /// missing ones are coalesced into maximal contiguous device requests
     /// (each one seek plus sequential transfers). The per-page pool-probe
-    /// CPU is the caller's to charge ([`Storage::charge_page_probes`]).
+    /// CPU (one `hash_op_ns` each) is the caller's to charge.
     pub fn read_heap_run(
         &mut self,
         heap: &HeapFile,

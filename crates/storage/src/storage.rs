@@ -177,16 +177,6 @@ impl Storage {
         self.session().read_heap_page(heap, page)
     }
 
-    /// Charge the buffer-pool probe CPU for `pages` pages of a heap
-    /// run: one `hash_op_ns` lookup per page. [`Storage::read_heap_run`]
-    /// does **not** charge this itself — every caller charges it on its
-    /// own thread right after (or, for the parallel heap source, on the
-    /// worker that decodes the run), so the serialized source lock holds
-    /// only the irreducible device I/O.
-    pub fn charge_page_probes(&self, pages: u64) {
-        self.inner.clock.charge_cpu(self.inner.cpu.hash_op_ns * pages);
-    }
-
     /// [`Session::read_heap_run`] as a one-access session.
     pub fn read_heap_run(
         &self,

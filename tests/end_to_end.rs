@@ -295,6 +295,38 @@ fn source_hold_and_processing_time_reach_the_query_statistics() {
     }
 }
 
+/// The pool and the operator tree attribute the same scan statistics:
+/// the tuples a query's scans inspect and emit, and the pages, requests,
+/// hits and bytes it reads, whichever thread ran the scan and at every
+/// pool width — for a heap source, a shared source and the phases of a
+/// join.
+#[test]
+fn the_pool_and_the_tree_attribute_the_same_scan_statistics() {
+    let mut db = micro_db(40_000);
+    let full = |sel| micro::query(sel, false, AccessPathChoice::ForceFull);
+    let eager = AccessPathChoice::Smooth(SmoothScanConfig::default().with_trigger(Trigger::Eager));
+    let plans = [
+        ("full scan", full(0.1)),
+        ("projected full scan", full(0.1).project(vec![0, 2])),
+        ("hash join", full(0.01).join(full(0.05), 1, 1, JoinType::Inner, JoinStrategy::Hash)),
+        ("grouped aggregate", full(0.1).aggregate(vec![1], vec![AggFunc::CountStar])),
+        ("eager smooth scan", micro::query(0.05, false, eager)),
+    ];
+    let counted = |s: smoothscan::storage::ScanStatistics| {
+        (s.rows_scanned, s.rows_processed, s.pages_read, s.io_requests, s.buffer_hits, s.read_bytes)
+    };
+    for (name, plan) in &plans {
+        let mut tree = db.build(plan).unwrap();
+        let expected = counted(db.run_operator_batches(&mut *tree).unwrap().scan);
+        assert!(expected.0 > 0 && expected.1 > 0 && expected.2 > 0, "{name}: {expected:?}");
+        for workers in [1, 2, 4] {
+            db.set_workers(workers);
+            let got = counted(db.run_batches(plan).unwrap().scan);
+            assert_eq!(got, expected, "{name}, {workers} workers");
+        }
+    }
+}
+
 /// No result holds a page frame: with a query's `BatchResult` still held
 /// and the pool emptied, every page of every table is referenced by its
 /// heap file and by this test's handle alone. Text reaches the result as
