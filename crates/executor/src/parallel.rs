@@ -100,9 +100,9 @@ use crate::{AggFunc, FullTableScan, JoinType};
 /// and is pulled under the query's source lock, one morsel per claim.
 pub enum ParallelSource {
     /// A full table scan as the partitioned heap source: a claim is the
-    /// scan's fetch half ([`FullTableScan::read_run`]: one readahead run,
+    /// scan's fetch half (`FullTableScan::read_run`: one readahead run,
     /// its I/O charged under the lock in page order), and the claiming
-    /// worker runs the inspect half ([`FullTableScan::inspect_run`]) on its
+    /// worker runs the inspect half (`FullTableScan::inspect_run`) on its
     /// own copy of the scan. This is the fully parallel source — the
     /// CPU-heavy probe and decode fan out.
     Heap(Box<FullTableScan>),

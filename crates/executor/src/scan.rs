@@ -10,8 +10,8 @@
 //! the fetched tuples through [`slot_tuples`]; every scan that reads whole
 //! pages inspects them through [`fill_from`] — the parallel pipeline's heap
 //! source included, which is a [`FullTableScan`] split in two halves: the
-//! serial [`FullTableScan::read_run`] under the source lock, and
-//! [`FullTableScan::inspect_run`] on the claiming worker.
+//! serial `FullTableScan::read_run` under the source lock, and
+//! `FullTableScan::inspect_run` on the claiming worker.
 //!
 //! A scan reads at its own I/O granularity but decodes one morsel ahead:
 //! what it fetched waits, still encoded, in a [`PageQueue`].
@@ -79,6 +79,8 @@ pub struct FullTableScan {
     next_page: u32,
     queue: PageQueue,
     out: ColumnBuffer,
+    /// Rows of the last `inspect_run` morsel, which sizes the next one.
+    last_rows: Option<usize>,
 }
 
 impl FullTableScan {
@@ -86,8 +88,8 @@ impl FullTableScan {
     pub fn new(heap: Arc<HeapFile>, storage: Storage, predicate: Predicate) -> Self {
         let filter = ScanFilter::new(predicate, heap.schema());
         let out = ColumnBuffer::for_schema(heap.schema());
-        let (readahead, queue) = (FULL_SCAN_READAHEAD, PageQueue::default());
-        FullTableScan { heap, storage, filter, readahead, next_page: 0, queue, out }
+        let (readahead, queue, last_rows) = (FULL_SCAN_READAHEAD, PageQueue::default(), None);
+        FullTableScan { heap, storage, filter, readahead, next_page: 0, queue, out, last_rows }
     }
 
     /// Builder: emit only the columns `cols` of the heap (strictly
@@ -107,7 +109,7 @@ impl FullTableScan {
     /// The fetch half, and the parallel heap source's serial section: read
     /// the next readahead run, charging its I/O and no CPU. `None` past the
     /// last page.
-    pub fn read_run(&mut self) -> Result<Option<Vec<(PageId, PageBuf)>>> {
+    pub(crate) fn read_run(&mut self) -> Result<Option<Vec<(PageId, PageBuf)>>> {
         let total = self.heap.page_count();
         if self.next_page >= total {
             return Ok(None);
@@ -125,18 +127,26 @@ impl FullTableScan {
         s.charge_cpu(s.cpu().hash_op_ns * run.len() as u64); // the pool probes
         self.queue.extend(run);
         let (queue, filter, out) = (&mut self.queue, &mut self.filter, &mut self.out);
-        fill_from(queue, s, max, filter, out, |_, v, t| v.tuples_into(t).map(|()| 0))?;
-        Ok(())
+        fill_from(queue, s, max, filter, out, |_, v, t| v.tuples_into(t).map(|()| 0)).map(drop)
     }
 
     /// The inspect half, on a pipeline worker: every page of `run` (a
     /// [`FullTableScan::read_run`] of this scan or of the one it is a
     /// worker's copy of) inspected into one morsel, empty when nothing
     /// qualified.
-    pub fn inspect_run(&mut self, run: Vec<(PageId, PageBuf)>) -> Result<ColumnBatch> {
+    pub(crate) fn inspect_run(&mut self, run: Vec<(PageId, PageBuf)>) -> Result<ColumnBatch> {
+        // Size the morsel once, not by doubling: the run's slot count bounds
+        // it, and the last morsel's yield (plus slack) predicts it.
+        let slots = run.iter().try_fold(0usize, |n, (_, page)| {
+            PageView::new(page).map(|v| n + v.slot_count() as usize)
+        })?;
+        let rows = self.last_rows.map_or(slots, |n| (n + n / 8 + 16).min(slots));
+        *self.out.fill() = ColumnBatch::with_capacity(self.filter.schema(), rows);
         self.inspect(run, usize::MAX)?;
-        let morsel = self.out.pop_columns(usize::MAX);
-        Ok(morsel.unwrap_or_else(|| ColumnBatch::for_schema(self.filter.schema())))
+        let morsel =
+            std::mem::replace(self.out.fill(), ColumnBatch::for_schema(self.filter.schema()));
+        self.last_rows = Some(morsel.physical_rows());
+        Ok(morsel)
     }
 
     /// A copy of this scan for a worker to [`FullTableScan::inspect_run`]
@@ -150,6 +160,7 @@ impl FullTableScan {
             next_page: 0,
             queue: PageQueue::default(),
             out: ColumnBuffer::for_schema(self.filter.schema()),
+            last_rows: None,
         }
     }
 

@@ -575,8 +575,9 @@ fn install_panic_hook() {
 }
 
 /// The engine's persistent worker pool: serves every submitted query
-/// until dropped. Dropping the scheduler drains every query already
-/// submitted, then joins the workers.
+/// until dropped. Dropping the scheduler drains queries already
+/// admitted, then joins the workers; queries still waiting for
+/// admission complete with an error on their handle.
 pub struct Scheduler {
     core: Arc<SchedCore>,
     threads: Vec<JoinHandle<()>>,
@@ -674,12 +675,17 @@ pub(crate) fn run_solo(
 
 impl Drop for Scheduler {
     fn drop(&mut self) {
-        {
+        let waiting = {
             let mut st = lock(&self.core.state);
             st.shutdown = true;
             st.epoch += 1;
-        }
+            std::mem::take(&mut st.waiting)
+        };
         self.core.cv.notify_all();
+        for q in waiting {
+            q.record_err(0, Error::exec("scheduler shut down before the query was admitted"));
+            complete_err(&q, &self.core);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -735,14 +741,16 @@ fn pump(core: &SchedCore) {
 
 fn worker_loop(core: &SchedCore, index: usize) {
     loop {
-        pump(core);
         let (queries, epoch) = {
             let st = lock(&core.state);
-            if st.shutdown && st.running.is_empty() && st.waiting.is_empty() {
+            if st.shutdown && st.running.is_empty() {
                 return;
             }
             (st.running.clone(), st.epoch)
         };
+        // After the snapshot: a query submitted from here on, or admitted
+        // by this pump, bumps `epoch`, so the wait below cannot miss it.
+        pump(core);
         let mut worked = false;
         let n = queries.len();
         for i in 0..n {
@@ -754,7 +762,7 @@ fn worker_loop(core: &SchedCore, index: usize) {
         }
         if !worked {
             let st = lock(&core.state);
-            if st.shutdown && st.running.is_empty() && st.waiting.is_empty() {
+            if st.shutdown && st.running.is_empty() {
                 return;
             }
             if st.epoch == epoch {
@@ -864,14 +872,11 @@ fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) 
         q.process(phase, seq, item, &mut inspector)
     })) {
         Ok(r) => r,
-        Err(payload) => {
-            // The inspector may have unwound mid-page: drop it rather
-            // than returning it to the pool.
-            inspector = None;
-            Err(panic_error(payload.as_ref()))
-        }
+        Err(payload) => Err(panic_error(payload.as_ref())),
     };
-    if let Some(i) = inspector {
+    // An inspection that failed or unwound mid-page may leave pages
+    // queued or rows pending: only a clean inspector goes back to the pool.
+    if let (Ok(_), Some(i)) = (&result, inspector) {
         lock(&q.src).inspectors.push(i);
     }
     let mut delta = mark.delta();

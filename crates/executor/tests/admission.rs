@@ -4,11 +4,15 @@
 //! a `Sort` drains its input). That open runs on a pool worker, so
 //! `submit` hands back the handle at once, and a `cancel` on that handle
 //! while the open is still running fails the query `Cancelled`.
+//!
+//! Admission on a worker must not be lost either: a one-worker pool admits
+//! every query a session submits back to back, and dropping the scheduler
+//! fails the queries still waiting instead of running them.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Duration;
 
-use smooth_executor::operator::ValuesOp;
+use smooth_executor::operator::{BoxedOperator, ValuesOp};
 use smooth_executor::parallel::{ParallelPipeline, ParallelSource, PhaseSpec, SinkSpec};
 use smooth_executor::{Operator, QueryHandle, Scheduler};
 use smooth_storage::Storage;
@@ -53,16 +57,13 @@ fn rows() -> Vec<Row> {
     (0..100).map(|i| Row::new(vec![Value::Int(i)])).collect()
 }
 
-/// Submit a gated query over [`rows`] from another thread. As soon as
-/// `submit` returns with the source's open still blocked, hand the handle
-/// to `while_blocked`; then open the gate. Panics, after opening the gate
-/// so that nothing hangs, if `submit` waited for the open.
-fn submit_gated(scheduler: &Scheduler, while_blocked: impl FnOnce(&QueryHandle)) -> QueryHandle {
-    let (opening, opened) = mpsc::channel();
-    let (gate, gate_rx) = mpsc::channel();
-    let schema = Schema::new(vec![Column::new("c0", DataType::Int64)]).unwrap();
-    let op = Box::new(GatedOpen { inner: ValuesOp::new(schema, rows()), opening, gate: gate_rx });
-    let pipeline = ParallelPipeline {
+fn values() -> ValuesOp {
+    ValuesOp::new(Schema::new(vec![Column::new("c0", DataType::Int64)]).unwrap(), rows())
+}
+
+/// A one-phase pipeline collecting what `op` emits.
+fn pipeline(op: BoxedOperator) -> ParallelPipeline {
+    ParallelPipeline {
         phases: vec![PhaseSpec {
             source: ParallelSource::Shared { op },
             stages: Vec::new(),
@@ -71,7 +72,23 @@ fn submit_gated(scheduler: &Scheduler, while_blocked: impl FnOnce(&QueryHandle))
         sink: SinkSpec::Collect,
         storage: Storage::default_hdd(),
         morsel_rows: 16,
-    };
+    }
+}
+
+/// A pipeline over [`rows`] whose source's open reports on the returned
+/// receiver, then blocks until the returned sender sends (or is dropped).
+fn gated() -> (ParallelPipeline, Receiver<()>, Sender<()>) {
+    let (opening, opened) = mpsc::channel();
+    let (gate, gate_rx) = mpsc::channel();
+    (pipeline(Box::new(GatedOpen { inner: values(), opening, gate: gate_rx })), opened, gate)
+}
+
+/// Submit a gated query over [`rows`] from another thread. As soon as
+/// `submit` returns with the source's open still blocked, hand the handle
+/// to `while_blocked`; then open the gate. Panics, after opening the gate
+/// so that nothing hangs, if `submit` waited for the open.
+fn submit_gated(scheduler: &Scheduler, while_blocked: impl FnOnce(&QueryHandle)) -> QueryHandle {
+    let (pipeline, opened, gate) = gated();
     let (submitted_tx, submitted) = mpsc::channel();
     std::thread::scope(|scope| {
         scope.spawn(move || submitted_tx.send(scheduler.submit(pipeline).unwrap()));
@@ -104,4 +121,39 @@ fn a_query_cancelled_while_its_source_opens_fails_cancelled() {
     // The pool survives: the next query runs to completion.
     let handle = submit_gated(&scheduler, |_| {});
     assert_eq!(handle.wait().unwrap().into_rows(), rows());
+}
+
+#[test]
+fn a_one_worker_pool_admits_queries_submitted_back_to_back() {
+    // A session submitting as soon as its last query finished races the
+    // worker going idle; a lost wakeup leaves a query waiting forever, so
+    // the loop runs on a thread the test gives up on after `WAIT`.
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || {
+        let scheduler = Scheduler::new(1, 1);
+        for _ in 0..2000 {
+            let out = scheduler.submit(pipeline(Box::new(values())))?.wait()?;
+            assert_eq!(out.len(), rows().len());
+        }
+        done_tx.send(()).map_err(|_| Error::exec("test gave up"))
+    });
+    done.recv_timeout(WAIT).expect("every back-to-back query was admitted");
+}
+
+#[test]
+fn dropping_the_scheduler_fails_the_queries_still_waiting() {
+    let scheduler = Scheduler::new(1, 1);
+    let (first, opened, gate) = gated();
+    let running = scheduler.submit(first).unwrap();
+    opened.recv_timeout(WAIT).expect("the worker opens the first query's source");
+    let waiting = scheduler.submit(pipeline(Box::new(values()))).unwrap();
+    // The drop joins the worker, which is still opening the first query.
+    let dropper = std::thread::spawn(move || drop(scheduler));
+    let (failed_tx, failed) = mpsc::channel();
+    std::thread::spawn(move || failed_tx.send(waiting.wait().is_err()));
+    let failed = failed.recv_timeout(WAIT);
+    let _ = gate.send(());
+    assert_eq!(failed, Ok(true), "the waiting query fails as the scheduler drops");
+    assert_eq!(running.wait().unwrap().into_rows(), rows());
+    dropper.join().unwrap();
 }
