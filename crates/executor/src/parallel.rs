@@ -66,8 +66,10 @@
 //! source lock and sink, claimed from one morsel at a time), not to a
 //! single pipeline run. [`run_pipeline`] submits the pipeline as
 //! the sole query of an ephemeral scheduler at every worker count, one
-//! included; this module keeps the specs, the per-morsel machinery
-//! (sources, stages, partial sinks) and the scaling model.
+//! included; this module keeps the specs, the sources, the partial
+//! aggregate, the one plan-time walk that types every stage
+//! ([`ParallelPipeline::staged_schemas`]) and the scaling model. The
+//! workers run the [`StageSpec`]s as written, with those schemas.
 //!
 //! [`run_pipeline_traced`] is the same run on one worker with the
 //! query's trace on: the scheduler itself records a virtual-clock
@@ -84,8 +86,6 @@
 //! model because, unlike wall clock on a shared CI runner (or this
 //! repo's build hosts), it is bit-stable across machines. See
 //! `docs/scheduler_v2.md`.
-
-use std::sync::Arc;
 
 use smooth_storage::{FileId, PageBuf, Storage};
 use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema};
@@ -138,11 +138,20 @@ impl ParallelSource {
         self.op().open()
     }
 
-    /// The serial section of one claim: a heap source's next page run, a
-    /// shared operator's next morsel of up to `max` rows.
-    pub(crate) fn pull(&mut self, max: usize) -> Result<Option<SourceItem>> {
+    /// The serial section of one claim: a heap source's next page run,
+    /// with an idle inspector off `inspectors` (or a fresh copy of the
+    /// scan) to inspect it on the worker; a shared operator's next morsel
+    /// of up to `max` rows.
+    pub(crate) fn pull(
+        &mut self,
+        max: usize,
+        inspectors: &mut Vec<FullTableScan>,
+    ) -> Result<Option<SourceItem>> {
         match self {
-            ParallelSource::Heap(scan) => Ok(scan.read_run()?.map(SourceItem::Pages)),
+            ParallelSource::Heap(scan) => Ok(scan.read_run()?.map(|run| {
+                let inspector = inspectors.pop().unwrap_or_else(|| scan.inspector());
+                SourceItem::Pages(run, Box::new(inspector))
+            })),
             ParallelSource::Shared { op } => Ok(op.next_columns(max)?.map(SourceItem::Batch)),
         }
     }
@@ -158,15 +167,6 @@ impl ParallelSource {
     pub(crate) fn file_id(&self) -> Option<FileId> {
         match self {
             ParallelSource::Heap(scan) => Some(scan.file_id()),
-            ParallelSource::Shared { .. } => None,
-        }
-    }
-
-    /// A worker's copy of a heap source for the inspect half; `None` for
-    /// a shared operator, whose morsels come out of the lock finished.
-    pub(crate) fn inspector(&self) -> Option<FullTableScan> {
-        match self {
-            ParallelSource::Heap(scan) => Some(scan.inspector()),
             ParallelSource::Shared { .. } => None,
         }
     }
@@ -275,47 +275,6 @@ pub struct ParallelPipeline {
     pub morsel_rows: usize,
 }
 
-/// A shared, read-only hash-join probe table: the merged columnar build
-/// plus the probe-side key ordinal, join semantics and emit list.
-pub(crate) struct ProbeTable {
-    pub(crate) table: JoinBuildTable,
-    pub(crate) left_col: usize,
-    pub(crate) ty: JoinType,
-    pub(crate) emit: Option<Vec<usize>>,
-}
-
-/// A runtime stage (build references resolved; the probe stage carries
-/// its output schema so gathered batches type correctly).
-#[derive(Clone)]
-pub(crate) enum Stage {
-    Filter(Predicate),
-    Project(Vec<usize>),
-    Probe(Arc<ProbeTable>, Schema),
-}
-
-impl Stage {
-    fn apply(&self, storage: &Storage, mut batch: ColumnBatch) -> Result<ColumnBatch> {
-        match self {
-            Stage::Filter(pred) => {
-                let selection = pred.filter_batch(&batch)?;
-                batch.set_selection(selection);
-                Ok(batch)
-            }
-            Stage::Project(cols) => batch.project(cols),
-            // The shared probe loop ([`JoinBuildTable::probe_columns`] —
-            // the exact code the serial [`crate::HashJoin`] runs, so the
-            // charge model lives in one place) gathers the emitted probe
-            // and matched payload columns straight into a fresh batch.
-            Stage::Probe(t, out_schema) => {
-                let mut out = ColumnBatch::for_schema(out_schema);
-                let emit = t.emit.as_deref();
-                t.table.probe_emit(storage, &batch, t.left_col, t.ty, emit, &mut out)?;
-                Ok(out)
-            }
-        }
-    }
-}
-
 /// Global first-seen position of a group: (morsel seq, index within the
 /// morsel). Minimizing over workers reproduces the serial first-seen
 /// group order exactly.
@@ -384,30 +343,11 @@ impl PartialAgg {
 
 /// What the source hands a worker under the lock.
 pub(crate) enum SourceItem {
-    /// A page run still to be probed + decoded (worker-side CPU).
-    Pages(Vec<(PageId, PageBuf)>),
+    /// A page run still to be probed + decoded (worker-side CPU), and the
+    /// heap source's inspector the claiming worker does that with.
+    Pages(Vec<(PageId, PageBuf)>, Box<FullTableScan>),
     /// A ready columnar morsel pulled from a shared operator.
     Batch(ColumnBatch),
-}
-
-/// Run one source item through the worker's stage chain.
-pub(crate) fn process_item(
-    item: SourceItem,
-    inspector: &mut Option<FullTableScan>,
-    stages: &[Stage],
-    storage: &Storage,
-) -> Result<ColumnBatch> {
-    let mut batch = match item {
-        SourceItem::Batch(batch) => batch,
-        SourceItem::Pages(run) => inspector
-            .as_mut()
-            .ok_or_else(|| Error::exec("heap source item reached a worker with no inspector"))?
-            .inspect_run(run)?,
-    };
-    for stage in stages {
-        batch = stage.apply(storage, batch)?;
-    }
-    Ok(batch)
 }
 
 /// One phase of a traced query — a hash-join build or the final probe
@@ -503,33 +443,38 @@ pub fn multi_query_makespan_ns(ledgers: &[ScalingLedger], workers: usize) -> u64
 }
 
 impl ParallelPipeline {
-    /// The plan-time walk of every stage chain — build side and probe
-    /// side alike: each phase's staged output schema (projections
-    /// prune, probes splice in the probed build's payload schema), in
-    /// phase order. Every plan error a pipeline can carry surfaces
-    /// here, before anything is queued: a probe of a build that is not
-    /// built yet (nested probes may only reference *earlier* phases), a
-    /// bad projection, a build key or an aggregate column out of range,
-    /// a phase list that is not builds-then-sink.
-    pub fn staged_schemas(&self) -> Result<Vec<Schema>> {
-        let mut schemas: Vec<Schema> = Vec::with_capacity(self.phases.len());
+    /// The one walk of every stage chain — build side and probe side
+    /// alike — in phase order: each phase's schemas, its source's first,
+    /// then the one each stage emits (projections prune, probes splice in
+    /// the probed build's payload schema), so a phase's last is its
+    /// staged output. The scheduler runs each chain with these schemas.
+    /// Every plan error a pipeline can carry surfaces here, before
+    /// anything is queued: a probe of a build that is not built yet
+    /// (nested probes may only reference *earlier* phases), a bad
+    /// projection, a build key or an aggregate column out of range, a
+    /// phase list that is not builds-then-sink.
+    pub fn staged_schemas(&self) -> Result<Vec<Vec<Schema>>> {
+        let mut staged: Vec<Vec<Schema>> = Vec::with_capacity(self.phases.len());
         for (i, phase) in self.phases.iter().enumerate() {
             let mut schema = phase.source.schema().clone();
+            let mut schemas = vec![schema.clone()];
             for stage in &phase.stages {
                 match stage {
                     StageSpec::Filter(_) => {}
                     StageSpec::Project(cols) => schema = schema.project(cols)?,
                     StageSpec::Probe(b) => {
                         let build = self.phases[..i].get(*b).and_then(|p| p.build.as_ref());
-                        let build = build.ok_or_else(|| {
+                        let probed = build.zip(staged.get(*b).and_then(|s| s.last()));
+                        let (build, payload) = probed.ok_or_else(|| {
                             Error::plan(format!(
                                 "probe stage references build {b} before it is built"
                             ))
                         })?;
-                        schema = join_schema(&schema, &schemas[*b], build.ty)
+                        schema = join_schema(&schema, payload, build.ty)
                             .narrow(build.emit.as_deref())?;
                     }
                 }
+                schemas.push(schema.clone());
             }
             match &phase.build {
                 Some(build) if build.right_col >= schema.len() => {
@@ -545,47 +490,17 @@ impl ParallelPipeline {
                 }
                 _ => {}
             }
-            schemas.push(schema);
+            staged.push(schemas);
         }
-        match (&self.sink, schemas.last()) {
+        match (&self.sink, staged.last().and_then(|s| s.last())) {
             (_, None) => Err(Error::plan("a pipeline needs the phase that feeds its sink")),
             // Validates exactly like `HashAggregate::new`.
             (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
-                crate::agg::output_schema(input, group_cols, aggs).map(|_| schemas)
+                crate::agg::output_schema(input, group_cols, aggs).map(|_| staged)
             }
-            _ => Ok(schemas),
+            _ => Ok(staged),
         }
     }
-}
-
-/// Resolve a stage-spec chain into runtime stages against the built
-/// probe tables, tracking the running schema so each probe stage knows
-/// its gathered output typing. Build-side chains pass the tables of
-/// earlier builds; the main pipeline passes all of them.
-pub(crate) fn resolve_stages(
-    specs: &[StageSpec],
-    mut schema: Schema,
-    tables: &[Arc<ProbeTable>],
-) -> Result<Vec<Stage>> {
-    let mut resolved = Vec::with_capacity(specs.len());
-    for spec in specs {
-        match spec {
-            StageSpec::Filter(p) => resolved.push(Stage::Filter(p.clone())),
-            StageSpec::Project(cols) => {
-                schema = schema.project(cols)?;
-                resolved.push(Stage::Project(cols.clone()));
-            }
-            StageSpec::Probe(i) => {
-                let table = tables.get(*i).ok_or_else(|| {
-                    Error::plan(format!("probe stage references build {i} before it is built"))
-                })?;
-                schema = join_schema(&schema, table.table.schema(), table.ty)
-                    .narrow(table.emit.as_deref())?;
-                resolved.push(Stage::Probe(Arc::clone(table), schema.clone()));
-            }
-        }
-    }
-    Ok(resolved)
 }
 
 /// Execute the pipeline as the sole query of an ephemeral
@@ -606,7 +521,7 @@ pub fn run_pipeline_traced(pipeline: ParallelPipeline) -> Result<(Vec<Row>, Scal
 // Compile-time Send audit: everything a worker thread touches.
 const _: () = {
     const fn assert_send<T: Send>() {}
-    assert_send::<Stage>();
+    assert_send::<StageSpec>();
     assert_send::<Storage>();
     assert_send::<BoxedOperator>();
     assert_send::<JoinBuildPartial>();
@@ -616,6 +531,8 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::operator::{collect_rows, ValuesOp};
     use crate::{batch_size, Filter, FullTableScan, HashAggregate, HashJoin, Project};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};

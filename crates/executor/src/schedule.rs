@@ -60,18 +60,20 @@
 //! [`crate::HashJoin`] builds before it opens its probe side. Admission
 //! installs phase 0 (with no builds, that *is* the last phase); when
 //! the last in-flight morsel of build `i` lands, the finalizing worker
-//! links the per-slot partial builds into one table in global build
-//! order ([`crate::JoinBuildTable::from_partials`] — charge-free, like
-//! the serial linking it reproduces) — finalizes any *nested* probe
-//! stages inside the completed build (bushy trees: a hash join on the
-//! build side of a hash join) and installs phase `i + 1`: its source
-//! opened, its stages resolved against the tables built so far. A
-//! query that fails in phase `i` never opens a later source. Stage
-//! chains are walked twice and only twice:
+//! closes its source and marks the phase finalized under the source
+//! lock, then — outside it, so a worker reaching the query meanwhile
+//! moves on to other queries — finalizes any *nested* probe stages
+//! inside the completed build (bushy trees: a hash join on the build
+//! side of a hash join), links the per-slot partial builds into one
+//! table in global build order ([`crate::JoinBuildTable::from_partials`]
+//! — charge-free, like the serial linking it reproduces), sets it on
+//! its phase, where later probe stages read it without a lock, and
+//! installs phase `i + 1` with its source opened. A query that fails in
+//! phase `i` never opens a later source. Stage chains are walked once:
 //! [`ParallelPipeline::staged_schemas`] validates every chain — build
-//! side and probe side alike — and types the sink at plan time, so
-//! plan errors surface before the query is queued; `resolve_stages`
-//! binds a chain to the finished tables when its phase is installed.
+//! side and probe side alike — types every stage and the sink at plan
+//! time, so plan errors surface before the query is queued, and the
+//! workers run the planner's [`StageSpec`]s with those schemas.
 //! A root sort is a normal last phase whose morsels stream, in seq
 //! order, into the sort sink's sorter ([`SinkSpec::Sort`]) — rows and
 //! charges byte-identical to the serial `Sort` over the same input. A plan
@@ -121,8 +123,8 @@ use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 use crate::extsort::ExternalSorter;
 use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
 use crate::parallel::{
-    process_item, resolve_stages, LedgerPhase, ParallelPipeline, ParallelSource, PartialAgg,
-    PhaseBuild, PhaseSpec, ProbeTable, ScalingLedger, SinkSpec, SourceItem, Stage, StageSpec,
+    LedgerPhase, ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec,
+    ScalingLedger, SinkSpec, SourceItem, StageSpec,
 };
 use crate::FullTableScan;
 
@@ -208,8 +210,9 @@ impl QueryHandle {
 struct SrcState {
     /// The phase's opened source, until the phase finalizes.
     source: Option<ParallelSource>,
-    /// Idle inspectors of a heap source: a worker pops one (or copies a
-    /// fresh one off the source) for a page run and returns it after.
+    /// Idle inspectors of a heap source: a claim pops one (or copies a
+    /// fresh one off the source) for its page run, and a clean inspection
+    /// returns it.
     inspectors: Vec<FullTableScan>,
     seq: u64,
     done: bool,
@@ -230,12 +233,10 @@ impl SrcState {
 struct Phase {
     /// The unopened source, taken — and opened — when the phase starts.
     source: Mutex<Option<ParallelSource>>,
-    /// Raw stage specs; resolved against the finished tables when this
-    /// phase starts (a build's nested probes reference earlier builds
-    /// only — validated at plan time).
-    spec_stages: Vec<StageSpec>,
-    /// Resolved stages, installed by [`install_phase`].
-    stages: Mutex<Option<Arc<Vec<Stage>>>>,
+    /// The planner's stage chain, each stage beside the schema it emits
+    /// (a probe gathers into it). A probe stage reads an earlier phase's
+    /// `table` — validated at plan time.
+    stages: Vec<(StageSpec, Schema)>,
     /// The staged output schema: what every morsel of this phase
     /// conforms to after its last stage — a build table's payload
     /// typing, the aggregate sink's input typing.
@@ -243,6 +244,9 @@ struct Phase {
     /// The table this phase builds (its budget is enforced at
     /// [`advance_build`]); `None` = the phase that feeds the sink.
     build: Option<PhaseBuild>,
+    /// The finished table, set once by [`advance_build`] before any
+    /// later phase starts, and read without a lock from then on.
+    table: OnceLock<JoinBuildTable>,
 }
 
 /// Order-preserving sink state: morsels buffer in a seq-keyed map and
@@ -295,8 +299,6 @@ struct ActiveQuery {
     /// fold partial slots, merged at completion. Otherwise the sink
     /// folds in morsel order.
     merge_exact: bool,
-    /// Finished probe tables, one per build, in build order.
-    tables: Mutex<Vec<Arc<ProbeTable>>>,
     src: Mutex<SrcState>,
     sink: Mutex<SinkState>,
     /// Slot pools for worker-side partial state (see module docs).
@@ -332,7 +334,7 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let schemas = pipeline.staged_schemas()?;
-        let (merge_exact, fold) = match (&pipeline.sink, schemas.last()) {
+        let (merge_exact, fold) = match (&pipeline.sink, schemas.last().and_then(|s| s.last())) {
             (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
                 match aggs.iter().all(|a| a.merge_exact(input)) {
                     true => (true, None),
@@ -352,12 +354,11 @@ impl ActiveQuery {
         let phases: Vec<Phase> = phases
             .into_iter()
             .zip(schemas)
-            .map(|(PhaseSpec { source, stages, build }, schema)| Phase {
-                source: Mutex::new(Some(source)),
-                spec_stages: stages,
-                stages: Mutex::new(None),
-                schema,
-                build,
+            .map(|(PhaseSpec { source, stages, build }, schemas)| {
+                let stages: Vec<_> = stages.into_iter().zip(schemas.into_iter().skip(1)).collect();
+                let schema = stages.last().map_or_else(|| source.schema(), |(_, s)| s).clone();
+                let table = OnceLock::new();
+                Phase { source: Mutex::new(Some(source)), stages, schema, build, table }
             })
             .collect();
         let trace = traced.then(|| {
@@ -370,7 +371,6 @@ impl ActiveQuery {
             phases,
             sink_spec: sink,
             merge_exact,
-            tables: Mutex::new(Vec::new()),
             src: Mutex::new(SrcState::new(None, 0)),
             sink: Mutex::new(SinkState { pending: BTreeMap::new(), next: 0, fold }),
             agg_slots: Mutex::new(Vec::new()),
@@ -428,21 +428,47 @@ impl ActiveQuery {
         }
     }
 
-    /// Process one claimed source item outside the source lock and
-    /// deliver it to the phase's partial state.
-    fn process(
-        &self,
-        idx: usize,
-        seq: u64,
-        item: SourceItem,
-        inspector: &mut Option<FullTableScan>,
-    ) -> Result<()> {
+    /// Process one claimed source item outside the source lock — inspect
+    /// a page run, then run the phase's stage chain — and deliver it to
+    /// the phase's partial state.
+    fn process(&self, idx: usize, seq: u64, item: SourceItem) -> Result<()> {
         let phase = &self.phases[idx];
-        let stages = lock(&phase.stages)
-            .clone()
-            .ok_or_else(|| Error::exec("morsel before its phase's stages resolved"))?;
         let mark = self.trace_mark();
-        let batch = process_item(item, inspector, &stages, &self.storage)?;
+        let mut batch = match item {
+            SourceItem::Batch(batch) => batch,
+            SourceItem::Pages(run, mut inspector) => {
+                let batch = inspector.inspect_run(run)?;
+                // An inspection that failed or unwound mid-page may leave
+                // pages queued or rows pending: only a clean inspector goes
+                // back to the pool. `inflight > 0` pins the phase, so this
+                // is still the `SrcState` the run was claimed from.
+                lock(&self.src).inspectors.push(*inspector);
+                batch
+            }
+        };
+        for (stage, schema) in &phase.stages {
+            batch = match stage {
+                StageSpec::Filter(pred) => {
+                    let selection = pred.filter_batch(&batch)?;
+                    batch.set_selection(selection);
+                    batch
+                }
+                StageSpec::Project(cols) => batch.project(cols)?,
+                // The serial `HashJoin`'s own probe loop (so the charge
+                // model lives in one place) gathers the emitted probe and
+                // matched payload columns straight into a fresh batch.
+                StageSpec::Probe(b) => {
+                    let probed = &self.phases[*b];
+                    let (Some(table), Some(build)) = (probed.table.get(), &probed.build) else {
+                        return Err(Error::exec(format!("probe of build {b} before it finished")));
+                    };
+                    let mut out = ColumnBatch::for_schema(schema);
+                    let (col, ty, emit) = (build.left_col, build.ty, build.emit.as_deref());
+                    table.probe_emit(&self.storage, &batch, col, ty, emit, &mut out)?;
+                    out
+                }
+            };
+        }
         if let Some(build) = &phase.build {
             self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
             let mut partial = lock(&self.build_slots)
@@ -721,7 +747,7 @@ fn pump(core: &SchedCore) {
             Err(Error::Cancelled)
         } else {
             // Admission starts the first phase.
-            install_phase(&query, 0, &mut lock(&query.src))
+            install_phase(&query, 0).map(|src| *lock(&query.src) = src)
         };
         {
             let mut st = lock(&core.state);
@@ -795,11 +821,12 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     }
     let (phase, seq) = (src.phase, src.seq);
     let (mark, trace) = (tap_mark(), q.trace_mark());
+    let SrcState { source, inspectors, .. } = &mut *src;
     // invariant: `src.source.is_none()` returned above, and the source
     // lock is held throughout the claim.
-    let c = src.source.as_mut().expect("checked above");
+    let c = source.as_mut().expect("checked above");
     // A failed query pulls nothing more: its source ends here.
-    let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(q.morsel_rows) };
+    let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(q.morsel_rows, inspectors) };
     let file = c.file_id();
     let claimed = match pulled {
         Ok(Some(item)) => {
@@ -847,19 +874,6 @@ fn process_pending(q: &Arc<ActiveQuery>, core: &SchedCore, p: Pending) {
 /// [`process_pending`]'s work on a morsel of a live query.
 fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) {
     let mark = tap_mark();
-    // Inspector pool, for page runs only (a shared operator's ready
-    // batch must not queue behind that operator's next pull for an
-    // inspector it has no use for): pop one under a brief source relock,
-    // or copy a fresh one off the source. `inflight > 0` pins the phase,
-    // so the SrcState — and its source — is still the one this morsel
-    // was claimed from.
-    let mut inspector = match &item {
-        SourceItem::Batch(_) => None,
-        SourceItem::Pages(_) => {
-            let mut src = lock(&q.src);
-            src.inspectors.pop().or_else(|| src.source.as_ref()?.inspector())
-        }
-    };
     // Panic containment: injected chaos panics (the morsel fault site)
     // and *any* real panic in morsel processing unwind to here and
     // become a typed per-query error — the worker thread, the pool,
@@ -869,16 +883,11 @@ fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) 
         if q.storage.morsel_panics(file, key) {
             std::panic::panic_any(InjectedPanic { key });
         }
-        q.process(phase, seq, item, &mut inspector)
+        q.process(phase, seq, item)
     })) {
         Ok(r) => r,
         Err(payload) => Err(panic_error(payload.as_ref())),
     };
-    // An inspection that failed or unwound mid-page may leave pages
-    // queued or rows pending: only a clean inspector goes back to the pool.
-    if let (Ok(_), Some(i)) = (&result, inspector) {
-        lock(&q.src).inspectors.push(i);
-    }
     let mut delta = mark.delta();
     delta.morsels = 1;
     lock(&q.stats).merge(&delta);
@@ -888,41 +897,39 @@ fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) 
 }
 
 /// If the current phase is fully drained (source exhausted, no morsel
-/// in flight), close it out: merge build partials and open the next
-/// phase, or complete the query. Runs under the source lock; the
-/// `finalized` flag makes it idempotent.
+/// in flight), close it out: link the build and open the next phase, or
+/// complete the query. Only the close runs under the source lock; the
+/// `finalized` flag it sets makes this idempotent and turns every claim
+/// away until the next phase's `SrcState` is stored — so a long open of
+/// that source stalls no worker visiting this query.
 fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
-    let mut src = lock(&q.src);
-    if src.finalized || !src.done || q.inflight.load(Ordering::Acquire) != 0 {
-        return;
-    }
-    src.finalized = true;
-    let end_seq = src.seq;
-    if let Some(mut c) = src.source.take() {
-        let mark = tap_mark();
-        if let Err(e) = c.close() {
-            q.record_err(end_seq, e);
+    let (phase, end_seq) = {
+        let mut src = lock(&q.src);
+        if src.finalized || !src.done || q.inflight.load(Ordering::Acquire) != 0 {
+            return;
         }
-        lock(&q.stats).merge(&mark.delta());
-    }
-    let phase = src.phase;
+        src.finalized = true;
+        if let Some(mut c) = src.source.take() {
+            let mark = tap_mark();
+            if let Err(e) = c.close() {
+                q.record_err(src.seq, e);
+            }
+            lock(&q.stats).merge(&mark.delta());
+        }
+        (src.phase, src.seq)
+    };
     if q.failed.load(Ordering::Acquire) {
-        drop(src);
         complete_err(q, core);
         return;
     }
     if phase + 1 == q.phases.len() {
-        drop(src);
         complete_ok(q, core);
         return;
     }
-    let advanced = advance_build(q, phase, &mut src);
-    drop(src);
-    match advanced {
-        Ok(()) => {
-            let mut st = lock(&core.state);
-            st.epoch += 1;
-            drop(st);
+    match advance_build(q, phase) {
+        Ok(next) => {
+            *lock(&q.src) = next;
+            lock(&core.state).epoch += 1;
             core.cv.notify_all();
         }
         Err(e) => {
@@ -932,9 +939,9 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
     }
 }
 
-/// Merge build `i`'s per-worker partials into its probe table and
-/// install the next phase into `src`.
-fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<()> {
+/// Link build `i`'s per-worker partials into its table, set it on the
+/// phase, and start phase `i + 1`.
+fn advance_build(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     let phase = &q.phases[i];
     // invariant: `plan` gives every phase but the last a build half,
     // and `maybe_finalize` completes the last phase instead.
@@ -944,12 +951,12 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     // operator tree's probe exhaustion charges them, before the new
     // table's budget enforcement below. `finish_probe` is idempotent,
     // so `complete_ok`'s blanket pass over all tables stays safe.
-    if let Some(stages) = lock(&phase.stages).clone() {
-        for stage in stages.iter() {
-            if let Stage::Probe(t, _) = stage {
-                t.table.finish_probe(&q.storage)?;
-            }
-        }
+    let nested = phase.stages.iter().filter_map(|(stage, _)| match stage {
+        StageSpec::Probe(b) => q.phases[*b].table.get(),
+        _ => None,
+    });
+    for table in nested {
+        table.finish_probe(&q.storage)?;
     }
     let slots = std::mem::take(&mut *lock(&q.build_slots));
     let mut table =
@@ -959,32 +966,25 @@ fn advance_build(q: &Arc<ActiveQuery>, i: usize, src: &mut SrcState) -> Result<(
     // failed overflow-file write (injected spill fault) fails the
     // whole query here.
     table.apply_budget(&q.storage, build.mem_bytes)?;
-    let (left_col, ty, emit) = (build.left_col, build.ty, build.emit.clone());
-    lock(&q.tables).push(Arc::new(ProbeTable { table, left_col, ty, emit }));
-    install_phase(q, i + 1, src)
+    phase.table.set(table).map_err(|_| Error::exec(format!("build {i} finished twice")))?;
+    install_phase(q, i + 1)
 }
 
-/// Start phase `i`: resolve its stages against the finished tables (a
-/// build's nested probes reference earlier builds only; the last phase
-/// sees them all), open its source — the previous phase's is closed,
+/// Start phase `i`: open its source — the previous phase's is closed,
 /// so a query has at most one open at a time, in phase order, which is
-/// the operator tree's open order — and install both as the query's
-/// active phase. Whatever the open charges is attributed to the query
-/// and is serial time: it joins the traced prefix.
-fn install_phase(q: &ActiveQuery, i: usize, src: &mut SrcState) -> Result<()> {
-    let phase = &q.phases[i];
-    let mut source = lock(&phase.source)
+/// the operator tree's open order — and return the `SrcState` that makes
+/// it the query's active phase. Whatever the open charges is attributed
+/// to the query and is serial time: it joins the traced prefix.
+fn install_phase(q: &ActiveQuery, i: usize) -> Result<SrcState> {
+    let mut source = lock(&q.phases[i].source)
         .take()
         .ok_or_else(|| Error::exec(format!("phase {i} installed twice")))?;
-    let stages = resolve_stages(&phase.spec_stages, source.schema().clone(), &lock(&q.tables))?;
-    *lock(&phase.stages) = Some(Arc::new(stages));
     let (opens, mark) = (q.trace_mark(), tap_mark());
     let opened = source.open();
     lock(&q.stats).merge(&mark.delta());
     opened?;
     q.trace_since(opens, |l, ns| l.prefix_ns += ns);
-    *src = SrcState::new(Some(source), i);
-    Ok(())
+    Ok(SrcState::new(Some(source), i))
 }
 
 /// Finish a successful query: fold the sink state into result rows and
@@ -994,8 +994,8 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
     // passes (order-independent sums, so the charge is identical no
     // matter how workers interleaved the probe morsels). The spool is
     // a spill write, so it can fail the query this late.
-    for t in lock(&q.tables).iter() {
-        if let Err(e) = t.table.finish_probe(&q.storage) {
+    for table in q.phases.iter().filter_map(|p| p.table.get()) {
+        if let Err(e) = table.finish_probe(&q.storage) {
             q.record_err(u64::MAX, e);
         }
     }
@@ -1052,23 +1052,19 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
 }
 
 /// Finish a failed query with its first (lowest-seq) error, releasing
-/// everything it still holds: worker-side partial slots, finished
-/// build tables (dropping their overflow spill files) and the sink
-/// buffer — so a failed query leaves no build memory and no spill files
-/// behind, no matter which phase it died in. No source is left open
-/// either: the failing phase's was closed by `maybe_finalize`, and no
-/// later phase's was ever opened.
+/// the worker-side partial slots and the sink buffer, no matter which
+/// phase it died in. Its finished build tables live on their phases and
+/// go when the query drops — once `finish` has taken it off the running
+/// list and its handle's `wait` has returned; no table holds a file. No
+/// source is left open either: the failing phase's was closed by
+/// `maybe_finalize`, and no later phase's was ever opened.
 fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
     lock(&q.build_slots).clear();
     lock(&q.agg_slots).clear();
-    lock(&q.tables).clear();
     {
         let mut sink = lock(&q.sink);
         sink.pending.clear();
         sink.fold = None;
-    }
-    for phase in &q.phases {
-        *lock(&phase.stages) = None;
     }
     let err = lock(&q.err)
         .take()

@@ -8,13 +8,19 @@
 //! Admission on a worker must not be lost either: a one-worker pool admits
 //! every query a session submits back to back, and dropping the scheduler
 //! fails the queries still waiting instead of running them.
+//!
+//! A query moving to its next phase opens that phase's source the same
+//! way, on the worker that finished the last one, and outside the query's
+//! source lock: the other workers keep serving the other queries.
 
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Duration;
 
 use smooth_executor::operator::{BoxedOperator, ValuesOp};
-use smooth_executor::parallel::{ParallelPipeline, ParallelSource, PhaseSpec, SinkSpec};
-use smooth_executor::{Operator, QueryHandle, Scheduler};
+use smooth_executor::parallel::{
+    ParallelPipeline, ParallelSource, PhaseBuild, PhaseSpec, SinkSpec, StageSpec,
+};
+use smooth_executor::{JoinType, Operator, QueryHandle, Scheduler};
 use smooth_storage::Storage;
 use smooth_types::{Column, ColumnBatch, DataType, Error, Result, Row, Schema, Value};
 
@@ -156,4 +162,29 @@ fn dropping_the_scheduler_fails_the_queries_still_waiting() {
     assert_eq!(failed, Ok(true), "the waiting query fails as the scheduler drops");
     assert_eq!(running.wait().unwrap().into_rows(), rows());
     dropper.join().unwrap();
+}
+
+#[test]
+fn a_query_opening_its_next_phase_does_not_stall_the_pool() {
+    // The first query builds a hash table over [`rows`], then probes it
+    // from a source whose open blocks; the second is 7 morsels the other
+    // worker must serve while that open waits.
+    let scheduler = Scheduler::new(2, 2);
+    let (mut first, opened, gate) = gated();
+    let build =
+        PhaseBuild { right_col: 0, left_col: 0, ty: JoinType::Inner, mem_bytes: 0, emit: None };
+    let mut probe = first.phases.remove(0);
+    probe.stages.push(StageSpec::Probe(0));
+    let source = ParallelSource::Shared { op: Box::new(values()) };
+    first.phases = vec![PhaseSpec { source, stages: Vec::new(), build: Some(build) }, probe];
+    let first = scheduler.submit(first).unwrap();
+    opened.recv_timeout(WAIT).expect("a worker opens the probe phase's source");
+    let second = scheduler.submit(pipeline(Box::new(values()))).unwrap();
+    let (done_tx, done) = mpsc::channel();
+    std::thread::spawn(move || done_tx.send(second.wait().map(|out| out.len())));
+    let served = done.recv_timeout(WAIT).ok();
+    let _ = gate.send(());
+    assert_eq!(served.map(Result::ok), Some(Some(rows().len())), "served beside the blocked open");
+    let joined: Vec<Row> = (0..100).map(|i| Row::new(vec![Value::Int(i), Value::Int(i)])).collect();
+    assert_eq!(first.wait().unwrap().into_rows(), joined);
 }

@@ -522,6 +522,10 @@ fn text_heavy_spill_legs_agree_under_views() {
 /// instead of after it and the pool holds different pages when each
 /// walks them, so a tree and a pool that disagree about open order
 /// disagree here about clock and I/O.
+///
+/// Both shapes also run under a pinned 4 KiB budget, which makes them
+/// spill: a nested probe then reads a spilled table, and its deferred
+/// grace pass settles when its build phase drains.
 #[test]
 fn bushy_hash_joins_agree_across_drivers() {
     let t = |lo: i64, hi: i64, access: AccessPathChoice| {
@@ -541,23 +545,32 @@ fn bushy_hash_joins_agree_across_drivers() {
     let smooth = AccessPathChoice::Smooth(SmoothScanConfig::default());
     let sort_over_smooth =
         hash(t(30, 230, AccessPathChoice::ForceSort), hash(t(0, 150, smooth), r, 1), 1);
+    let spill = 4096;
     for (shape, plan) in [("full⋈(r⋈full)", full_over_full), ("sort⋈(smooth⋈r)", sort_over_smooth)]
     {
-        let volcano = run_volcano(&plan);
-        assert!(!volcano.rows.is_empty(), "{shape} joins something");
-        for workers in WORKER_GRID {
-            let got = run_with_workers(&plan, workers);
-            assert_eq!(got.rows, volcano.rows, "{shape} rows at {workers}w");
-            assert_eq!(
-                (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
-                (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
-                "{shape} clock at {workers}w"
-            );
-            assert_eq!(
-                io_key(&got.stats.io),
-                io_key(&volcano.stats.io),
-                "{shape} I/O at {workers}w"
-            );
+        let free = run_volcano_budgeted(&plan, 0);
+        for budget in [smoothscan::planner::db::default_mem_bytes(), spill] {
+            let volcano = run_volcano_budgeted(&plan, budget);
+            let shape = format!("{shape} at budget {budget}");
+            assert!(!volcano.rows.is_empty(), "{shape} joins something");
+            if budget == spill {
+                let io = (volcano.stats.clock.io_ns, free.stats.clock.io_ns);
+                assert!(io.0 > io.1, "{shape} must spill: io_ns {io:?}");
+            }
+            for workers in WORKER_GRID {
+                let got = run_budgeted(&plan, workers, budget);
+                assert_eq!(got.rows, volcano.rows, "{shape} rows at {workers}w");
+                assert_eq!(
+                    (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+                    (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+                    "{shape} clock at {workers}w"
+                );
+                assert_eq!(
+                    io_key(&got.stats.io),
+                    io_key(&volcano.stats.io),
+                    "{shape} I/O at {workers}w"
+                );
+            }
         }
     }
 }
