@@ -60,7 +60,7 @@ pub fn run() {
         let base = db.run_operator(&mut plain).expect("unordered run").stats;
         // Ordered run: result cache engaged.
         let mut ordered = db
-            .build_smooth_scan(&spec, SmoothScanConfig::eager_elastic().with_order(true))
+            .build_smooth_scan(&spec.clone().with_order(), SmoothScanConfig::eager_elastic())
             .expect("smooth scan");
         let with_cache = db.run_operator(&mut ordered).expect("ordered run").stats;
         let metrics = ordered.metrics();

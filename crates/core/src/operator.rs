@@ -52,15 +52,14 @@ use crate::tuple_cache::{unproduced, TupleIdCache};
 /// prefetchers" of Section II.
 pub const SORT_SCAN_PREFETCH_GAP: u32 = 16;
 
-/// Configuration of one Smooth Scan instance.
+/// Configuration of one Smooth Scan instance: how it morphs. Key order is
+/// the operator's ([`SmoothScan::with_order`], set from a plan's `ordered:`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SmoothScanConfig {
     /// Morphing policy (ignored before the trigger fires).
     pub policy: PolicyKind,
     /// Morphing trigger strategy.
     pub trigger: Trigger,
-    /// Respect the index key order (engage the Result Cache).
-    pub ordered: bool,
     /// Region-size cap in pages (2048 = 16 MB, the paper's optimum).
     pub max_region_pages: u32,
     /// Result-Cache key-range partitions (Section IV-A).
@@ -72,7 +71,6 @@ impl Default for SmoothScanConfig {
         SmoothScanConfig {
             policy: PolicyKind::Elastic,
             trigger: Trigger::Eager,
-            ordered: false,
             max_region_pages: MorphPolicy::DEFAULT_MAX_REGION,
             result_cache_partitions: 16,
         }
@@ -100,12 +98,6 @@ impl SmoothScanConfig {
     /// Builder: set the trigger.
     pub fn with_trigger(mut self, trigger: Trigger) -> Self {
         self.trigger = trigger;
-        self
-    }
-
-    /// Builder: respect key order.
-    pub fn with_order(mut self, ordered: bool) -> Self {
-        self.ordered = ordered;
         self
     }
 }
@@ -163,6 +155,8 @@ pub struct SmoothScan {
     /// driving tuple and Result-Cache hits.
     layout: TupleLayout,
     config: SmoothScanConfig,
+    /// Emit in index key order (engages the Result Cache).
+    ordered: bool,
     model: CostModel,
     /// Result-Cache memory budget in arena bytes (0 = unbudgeted).
     mem_bytes: usize,
@@ -228,6 +222,7 @@ impl SmoothScan {
             filter,
             layout,
             config,
+            ordered: false,
             model,
             mem_bytes: 0,
             cursor: None,
@@ -254,6 +249,13 @@ impl SmoothScan {
         self.out = self.filter.narrow(table, cols)?;
         self.layout = cols.map_or_else(|| TupleLayout::all(table), |c| TupleLayout::new(table, c));
         Ok(self)
+    }
+
+    /// Builder: emit in index key order, engaging the Result Cache
+    /// (Eager and Never triggers only — `open` refuses Switch and Sort).
+    pub fn with_order(mut self, ordered: bool) -> Self {
+        self.ordered = ordered;
+        self
     }
 
     /// Builder: the Result Cache's memory budget in bytes (0, the
@@ -315,7 +317,7 @@ impl SmoothScan {
             for (pid, _) in &pages {
                 self.page_cache.insert(*pid);
             }
-            if !self.config.ordered {
+            if !self.ordered {
                 self.queue.extend(pages);
                 continue;
             }
@@ -355,7 +357,7 @@ impl SmoothScan {
                 self.region.2 += u64::from(emitted > 0);
             }
         }
-        if self.config.ordered {
+        if self.ordered {
             self.close_region();
         }
         Ok(())
@@ -449,7 +451,7 @@ impl SmoothScan {
             }
         }
         // Smooth phase.
-        if self.config.ordered {
+        if self.ordered {
             let cache = self.result_cache.as_mut().ok_or_else(not_open)?;
             if let Some(tuple) = cache.probe(s, key, tid) {
                 s.release();
@@ -569,9 +571,7 @@ impl Operator for SmoothScan {
     }
 
     fn open(&mut self) -> Result<()> {
-        if self.config.ordered
-            && matches!(self.config.trigger, Trigger::Switch { .. } | Trigger::Sort)
-        {
+        if self.ordered && matches!(self.config.trigger, Trigger::Switch { .. } | Trigger::Sort) {
             return Err(Error::exec(
                 "an ordered SmoothScan cannot switch or sort: the Result Cache needs the cursor",
             ));
@@ -598,7 +598,7 @@ impl Operator for SmoothScan {
             },
             self.config.max_region_pages,
         );
-        self.result_cache = (fires && self.config.ordered).then(|| {
+        self.result_cache = (fires && self.ordered).then(|| {
             ResultCache::new(
                 &self.index.root_separators(),
                 self.config.result_cache_partitions,
@@ -662,7 +662,7 @@ impl Operator for SmoothScan {
             trigger => format!(
                 "SmoothScan({heap} via {index}, {:?}, {trigger:?}{}){cols}",
                 self.config.policy,
-                if self.config.ordered { ", ordered" } else { "" },
+                if self.ordered { ", ordered" } else { "" },
             ),
         }
     }
@@ -757,7 +757,7 @@ mod tests {
         let (heap, index) = table(3000);
         let s = storage(64);
         let expected = oracle(&heap, &s, 400);
-        let mut ss = smooth(&heap, &index, &s, 400, SmoothScanConfig::default().with_order(true));
+        let mut ss = smooth(&heap, &index, &s, 400, SmoothScanConfig::default()).with_order(true);
         let rows = collect_rows(&mut ss).unwrap();
         let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
         assert!(keys.windows(2).all(|w| w[0] <= w[1]), "key order preserved");
@@ -857,7 +857,7 @@ mod tests {
         let (heap, index) = table(3000);
         let s = storage(128);
         for ordered in [false, true] {
-            let mut is = smooth(&heap, &index, &s, 300, never().with_order(ordered));
+            let mut is = smooth(&heap, &index, &s, 300, never()).with_order(ordered);
             let rows = collect_rows(&mut is).unwrap();
             let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
             assert!(keys.windows(2).all(|w| w[0] <= w[1]));
@@ -899,7 +899,7 @@ mod tests {
         let mut ss = smooth(&heap, &index, &s, 120, sort());
         assert_eq!(sorted_by_key(collect_rows(&mut ss).unwrap()), oracle(&heap, &s, 120));
         assert!(ss.label().starts_with("SortScan(t via i_c1)"), "{}", ss.label());
-        assert!(smooth(&heap, &index, &s, 120, sort().with_order(true)).open().is_err());
+        assert!(smooth(&heap, &index, &s, 120, sort()).with_order(true).open().is_err());
     }
 
     #[test]
@@ -1098,9 +1098,9 @@ mod tests {
         let (heap, index) = table(3000);
         let s = storage(64);
         let expected = oracle(&heap, &s, 800);
-        let cfg = SmoothScanConfig::default().with_order(true);
+        let cfg = SmoothScanConfig::default();
         // About fifty 59-byte tuples: heavy pressure.
-        let mut ss = smooth(&heap, &index, &s, 800, cfg).with_mem_budget(3000);
+        let mut ss = smooth(&heap, &index, &s, 800, cfg).with_order(true).with_mem_budget(3000);
         let rows = collect_rows(&mut ss).unwrap();
         assert_eq!(sorted_by_key(rows.clone()), expected);
         let keys: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
@@ -1146,9 +1146,10 @@ mod tests {
             (3000, volcano, pinned(19_291, 852, 1974)),
             (3000, collect_rows as Driver, pinned(19_291, 1278, 1974)),
         ] {
-            let cfg = SmoothScanConfig::default().with_order(true);
+            let cfg = SmoothScanConfig::default();
             let s = storage(64);
-            let mut ss = smooth(&heap, &index, &s, 800, cfg).with_mem_budget(budget);
+            let mut ss =
+                smooth(&heap, &index, &s, 800, cfg).with_order(true).with_mem_budget(budget);
             let rows = driver(&mut ss).unwrap();
             let (clock, cache) = (s.clock().snapshot(), ss.metrics().cache);
             let checksum = rows

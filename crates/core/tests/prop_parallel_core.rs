@@ -155,10 +155,7 @@ proptest! {
     ) {
         let (heap, index) = build_table(&keys);
         let hi = lo + width;
-        let config = SmoothScanConfig::default()
-            .with_policy(policy)
-            .with_order(ordered)
-            .with_trigger(trigger);
+        let config = SmoothScanConfig::default().with_policy(policy).with_trigger(trigger);
         let mk_source = |s: &Storage| -> BoxedOperator {
             Box::new(SmoothScan::new(
                 Arc::clone(&heap),
@@ -169,7 +166,7 @@ proptest! {
                 Bound::Excluded(hi),
                 Predicate::True,
                 config,
-            ))
+            ).with_order(ordered))
         };
         if ordered && matches!(trigger, Trigger::Switch { .. } | Trigger::Sort) {
             let refused = mk_source(&storage(pool)).open().is_err();

@@ -205,10 +205,7 @@ proptest! {
         let ordered = ordered && trigger != Trigger::Sort;
         let expected = oracle(&keys, &Predicate::int_half_open(1, lo, hi));
 
-        let mut config = SmoothScanConfig::default()
-            .with_policy(policy)
-            .with_order(ordered)
-            .with_trigger(trigger);
+        let mut config = SmoothScanConfig::default().with_policy(policy).with_trigger(trigger);
         config.max_region_pages = max_region;
         let mut ss = SmoothScan::new(
             Arc::clone(&heap),
@@ -219,7 +216,8 @@ proptest! {
             Bound::Excluded(hi),
             Predicate::True,
             config,
-        );
+        )
+        .with_order(ordered);
         let rows = collect_rows(&mut ss).unwrap();
         if ordered {
             let ks: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
@@ -255,7 +253,7 @@ proptest! {
         let (heap, index) = build_table(&keys);
         let s = storage(32);
         let expected = oracle(&keys, &Predicate::int_lt(1, 25));
-        let config = SmoothScanConfig::default().with_order(true);
+        let config = SmoothScanConfig::default();
         let mut ss = SmoothScan::new(
             heap,
             index,
@@ -266,6 +264,7 @@ proptest! {
             Predicate::True,
             config,
         )
+        .with_order(true)
         .with_mem_budget(budget);
         let rows = collect_rows(&mut ss).unwrap();
         let ks: Vec<i64> = rows.iter().map(|r| r.int(1).unwrap()).collect();
@@ -295,13 +294,11 @@ proptest! {
     ) {
         let (heap, index) = build_table(&keys);
         let hi = lo + width;
-        let config = SmoothScanConfig::default()
-            .with_policy(policy)
-            .with_order(ordered)
-            .with_trigger(trigger);
+        let config = SmoothScanConfig::default().with_policy(policy).with_trigger(trigger);
         if ordered && matches!(trigger, Trigger::Switch { .. } | Trigger::Sort) {
             let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
-            let mut ss = SmoothScan::new(heap, index, storage(24), 1, lo, hi, Predicate::True, config);
+            let mut ss = SmoothScan::new(heap, index, storage(24), 1, lo, hi, Predicate::True, config)
+                .with_order(true);
             prop_assert!(ss.open().is_err(), "an ordered scan cannot switch or sort");
             return Ok(());
         }
@@ -312,7 +309,8 @@ proptest! {
             let s = storage(24);
             let (h, i) = (Arc::clone(&heap), Arc::clone(&index));
             let (lo, hi) = (Bound::Included(lo), Bound::Excluded(hi));
-            let mut ss = SmoothScan::new(h, i, s.clone(), 1, lo, hi, Predicate::True, config);
+            let mut ss = SmoothScan::new(h, i, s.clone(), 1, lo, hi, Predicate::True, config)
+                .with_order(ordered);
             let rows = drain(&mut ss);
             let m = ss.metrics();
             // The emission counter counts each tuple once under every protocol.
@@ -516,11 +514,12 @@ proptest! {
             &|op| collect_columnar(op, 1),
             &|op| collect_columnar(op, 1024),
         ];
-        let config = SmoothScanConfig::default().with_trigger(Trigger::Never).with_order(ordered);
+        let config = SmoothScanConfig::default().with_trigger(Trigger::Never);
         for drain in drains {
             let (s, h, i) = (storage(16), Arc::clone(&heap), Arc::clone(&index));
             let (lo, hi, residual) = (Bound::Included(lo), Bound::Excluded(hi), Predicate::int_lt(0, residual_hi));
-            let mut scan = SmoothScan::new(h, i, s.clone(), 1, lo, hi, residual, config);
+            let mut scan = SmoothScan::new(h, i, s.clone(), 1, lo, hi, residual, config)
+                .with_order(ordered);
             prop_assert_eq!(drain(&mut scan).len() as u64, qualifiers);
             prop_assert_eq!(scan.metrics().mode0_tuples, qualifiers);
             prop_assert_eq!(s.clock().snapshot().cpu_ns, expected);

@@ -209,11 +209,10 @@ fn read_every_way(
     let full = Predicate::and(vec![Predicate::IntRange { col: 0, lo, hi }, residual()]);
     let (h, i) = (|| Arc::clone(heap), || Arc::clone(index));
     let smooth = |ordered: bool, trigger: Trigger| {
-        let config = SmoothScanConfig::default()
-            .with_policy(PolicyKind::Elastic)
-            .with_order(ordered)
-            .with_trigger(trigger);
+        let config =
+            SmoothScanConfig::default().with_policy(PolicyKind::Elastic).with_trigger(trigger);
         SmoothScan::new(h(), i(), s(), 0, lo, hi, residual(), config)
+            .with_order(ordered)
             .with_columns(cols)
             .and_then(|mut op| collect_rows(&mut op))
     };
@@ -343,8 +342,10 @@ fn a_tid_past_its_pages_slot_count_is_corrupt_on_every_tid_addressed_reader() {
     let mode0 =
         Trigger::OptimizerDriven { estimated_cardinality: 10_000, policy: PolicyKind::Greedy };
     let smooth = |ordered: bool| {
-        let config = SmoothScanConfig::default().with_order(ordered).with_trigger(mode0);
-        collect_rows(&mut SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config))
+        let config = SmoothScanConfig::default().with_trigger(mode0);
+        collect_rows(
+            &mut SmoothScan::new(h(), i(), s(), 0, lo, hi, t(), config).with_order(ordered),
+        )
     };
     let config =
         SmoothScanConfig::default().with_trigger(Trigger::Switch { estimated_cardinality: 10_000 });

@@ -137,13 +137,11 @@ struct GraceSpill {
 ///
 /// # Build lifecycle
 ///
-/// 1. **Ingest** — [`JoinBuildTable::insert_batch`] (serial, in input
-///    order) appends non-null-key payload rows and links them; under
-///    the scheduler each worker slot only appends
-///    ([`JoinBuildPartial::fold`]) and remembers every row's global
-///    build position, and [`JoinBuildTable::from_partials`] links the
-///    concatenated rows in position order. From here the table answers
-///    probes identically no matter which driver built it.
+/// 1. **Ingest** — [`JoinBuildTable::insert_batch`], in input order,
+///    appends non-null-key payload rows and links them: [`HashJoin`]
+///    over its build child, the scheduler's ordered sink over a build
+///    phase's morsels in seq order. Both make the same calls, so the
+///    table answers probes identically whichever built it.
 /// 2. **Budget** — [`JoinBuildTable::apply_budget`] assigns every build
 ///    row to one of [`BUILD_PARTITIONS`] *spill partitions*
 ///    (`key_partition_at` level 0 — partitions exist only for spill
@@ -229,45 +227,6 @@ impl JoinBuildTable {
         }
     }
 
-    /// Link the partial builds of one parallel build phase into a
-    /// table: payloads concatenate (whole-buffer handoff), then rows
-    /// join their key chains in global build position order — so the
-    /// table answers probes exactly like a serial build of the same
-    /// input, no matter which slot folded which morsel or in what
-    /// order. Charge-free, like the serial linking it reproduces.
-    pub fn from_partials(
-        schema: &Schema,
-        key_col: usize,
-        partitions: usize,
-        partials: Vec<JoinBuildPartial>,
-    ) -> Self {
-        let mut table = Self::with_partitions(schema, key_col, partitions);
-        let mut order: Vec<(u64, u32)> = Vec::new();
-        for JoinBuildPartial { payload, positions, .. } in partials {
-            let base = table.payload.physical_rows() as u32;
-            order.extend(positions.into_iter().zip(base..));
-            table.payload.append_dense(payload);
-        }
-        order.sort_unstable();
-        table.link(order.into_iter().map(|(_, row)| row));
-        table
-    }
-
-    /// The build-side schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Key ordinal in the build rows.
-    pub fn key_col(&self) -> usize {
-        self.key_col
-    }
-
-    /// Spill partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions
-    }
-
     /// Total build rows stored (null-key rows are never stored).
     pub fn len(&self) -> usize {
         self.payload.physical_rows()
@@ -288,10 +247,12 @@ impl JoinBuildTable {
         self.spill = None;
     }
 
-    /// Ingest one morsel of build input (the serial build path): null-key
-    /// rows are dropped, everything else appends to the payload columns —
+    /// Ingest one morsel of build input, in input order: null-key rows
+    /// are dropped, everything else appends to the payload columns —
     /// dense batches by whole-buffer handoff, selected batches by one
-    /// gather per column — and links into its key's chain.
+    /// gather per column — and joins its key's chain. The only way rows
+    /// enter a table: [`HashJoin`] calls it over its drained build child
+    /// and the scheduler's ordered sink over a build phase's morsels.
     pub fn insert_batch(&mut self, batch: ColumnBatch) -> Result<()> {
         if batch.width() != self.schema.len() {
             return Err(Error::exec(format!(
@@ -300,24 +261,20 @@ impl JoinBuildTable {
                 self.schema.len()
             )));
         }
-        batch.column_checked(self.key_col)?;
+        let key = batch.column_checked(self.key_col)?;
         let base = self.payload.physical_rows() as u32;
-        append_keyed_rows(&mut self.payload, batch, self.key_col, |_| ());
-        self.link(base..self.payload.physical_rows() as u32);
-        Ok(())
-    }
-
-    /// Append the (already stored) payload `rows` to their keys' chains,
-    /// in the order given — which must be global build order.
-    fn link(&mut self, rows: impl Iterator<Item = u32>) {
+        if batch.selection().is_none() && !key.nulls().contains(&true) {
+            self.payload.append_dense(batch);
+        } else {
+            let rows: Vec<u32> =
+                batch.live_rows().filter(|&p| !key.is_null(p)).map(|p| p as u32).collect();
+            self.payload.append_gather(&batch, &rows);
+        }
         let JoinBuildTable { keys, head, tail, next, payload, key_col, .. } = self;
         assert!(payload.physical_rows() < NIL as usize, "hash-join build row ids exhausted");
-        if payload.physical_rows() == 0 {
-            return;
-        }
         next.resize(payload.physical_rows(), NIL);
         let key = [payload.column(*key_col)];
-        for row in rows {
+        for row in base..payload.physical_rows() as u32 {
             let entry = keys.intern(&key, row as usize) as usize;
             if entry == head.len() {
                 head.push(row);
@@ -327,6 +284,7 @@ impl JoinBuildTable {
                 tail[entry] = row;
             }
         }
+        Ok(())
     }
 
     /// [`JoinBuildTable::probe_emit`] emitting every column.
@@ -419,8 +377,8 @@ impl JoinBuildTable {
     /// exceeds the budget (see the type-level lifecycle docs).
     /// A zero budget means unlimited: the call is free and charges
     /// nothing. Must run at exactly one deterministic point per build —
-    /// after the serial build loop, or after the parallel partials are
-    /// linked — so every driver charges identical spill I/O.
+    /// after its last `insert_batch` — so the operator tree and the pool
+    /// charge identical spill I/O.
     /// Fails only if a spilled partition's overflow-file write fails
     /// (injected `spill_err` faults that exhaust their retries); the
     /// table is left unspilled in that case.
@@ -624,66 +582,6 @@ impl JoinBuildTable {
     /// its budget).
     pub fn spilled_build_rows(&self) -> u64 {
         self.spill.as_ref().map_or(0, |s| s.trees.iter().flatten().map(|t| t.tuples).sum())
-    }
-}
-
-/// Append the live, non-null-key rows of `batch` to `payload` — dense
-/// batches by whole-buffer handoff, anything else by one gather per
-/// column — calling `kept(live)` with each appended row's index among
-/// the batch's live rows, in order.
-fn append_keyed_rows(
-    payload: &mut ColumnBatch,
-    batch: ColumnBatch,
-    key_col: usize,
-    mut kept: impl FnMut(usize),
-) {
-    let key = batch.column(key_col);
-    if batch.selection().is_none() && !key.nulls().contains(&true) {
-        (0..batch.physical_rows()).for_each(kept);
-        payload.append_dense(batch);
-    } else {
-        let mut rows: Vec<u32> = Vec::with_capacity(batch.len());
-        for (live, phys) in batch.live_rows().enumerate() {
-            if !key.is_null(phys) {
-                kept(live);
-                rows.push(phys as u32);
-            }
-        }
-        payload.append_gather(&batch, &rows);
-    }
-}
-
-/// One worker slot's share of a parallel hash-join build: payload rows
-/// in fold order plus each row's global build position
-/// `(morsel seq << 32 | row-in-morsel)`. Folding only appends — the
-/// rows are linked into key chains once, in position order, by
-/// [`JoinBuildTable::from_partials`].
-pub struct JoinBuildPartial {
-    payload: ColumnBatch,
-    /// Global build position of each payload row.
-    positions: Vec<u64>,
-    key_col: usize,
-}
-
-impl JoinBuildPartial {
-    /// An empty partial for one worker slot.
-    pub fn new(schema: &Schema, key_col: usize) -> Self {
-        JoinBuildPartial {
-            payload: ColumnBatch::for_schema(schema),
-            positions: Vec::new(),
-            key_col,
-        }
-    }
-
-    /// Fold one claimed build morsel in; `seq` is the morsel's global
-    /// source sequence number. Null-key rows drop.
-    pub fn fold(&mut self, seq: u64, batch: ColumnBatch) -> Result<()> {
-        batch.column_checked(self.key_col)?;
-        let JoinBuildPartial { payload, positions, key_col } = self;
-        append_keyed_rows(payload, batch, *key_col, |live| {
-            positions.push((seq << 32) | live as u64)
-        });
-        Ok(())
     }
 }
 
@@ -1119,9 +1017,9 @@ mod tests {
     /// Payload column `col` of `key`'s matches, in chain order (probes
     /// a one-row morsel).
     fn matches(table: &JoinBuildTable, key: Value, col: usize) -> Vec<Value> {
-        let key_schema = Schema::new(vec![table.schema().column(table.key_col()).clone()]).unwrap();
+        let key_schema = Schema::new(vec![table.schema.column(table.key_col).clone()]).unwrap();
         let probe = ColumnBatch::from_rows(&key_schema, &[Row::new(vec![key])]).unwrap();
-        let mut out = ColumnBatch::for_schema(&key_schema.join(table.schema()));
+        let mut out = ColumnBatch::for_schema(&key_schema.join(&table.schema));
         table.probe_columns(&storage(), &probe, 0, JoinType::Inner, &mut out).unwrap();
         out.into_rows().into_iter().map(|r| r.get(1 + col).clone()).collect()
     }
@@ -1280,53 +1178,6 @@ mod tests {
             let k = r.int(0).unwrap();
             assert_eq!(r.values()[3].as_str().unwrap(), format!("R{k}"));
             assert!(r.values()[1].as_str().unwrap().starts_with('L'));
-        }
-    }
-
-    #[test]
-    fn partitioned_partials_merge_to_the_serial_table() {
-        // Two "workers" folding interleaved morsels — out of sequence,
-        // with null keys and a selection vector in the mix — must link
-        // into chains identical to a serial single-builder ingest.
-        let s = Schema::new(vec![
-            Column::nullable("k", DataType::Int64),
-            Column::new("v", DataType::Int64),
-        ])
-        .unwrap();
-        let rows: Vec<Row> = (0..40)
-            .map(|i| {
-                let k = if i % 11 == 5 { Value::Null } else { Value::Int(i % 7) };
-                Row::new(vec![k, Value::Int(i)])
-            })
-            .collect();
-        let morsels = || {
-            rows.chunks(10).enumerate().map(|(seq, chunk)| {
-                let mut batch = ColumnBatch::from_rows(&s, chunk).unwrap();
-                if seq == 2 {
-                    batch.set_selection(vec![9, 0, 4, 5]);
-                }
-                batch
-            })
-        };
-        for partitions in [1usize, 2, 5, BUILD_PARTITIONS] {
-            let mut serial = JoinBuildTable::with_partitions(&s, 0, partitions);
-            morsels().for_each(|batch| serial.insert_batch(batch).unwrap());
-            // Slots receive alternating morsels, the later ones first
-            // (the scheduler's slot pool gives no seq order).
-            let mut w0 = JoinBuildPartial::new(&s, 0);
-            let mut w1 = JoinBuildPartial::new(&s, 0);
-            for (seq, batch) in morsels().enumerate().collect::<Vec<_>>().into_iter().rev() {
-                let w = if seq % 2 == 0 { &mut w1 } else { &mut w0 };
-                w.fold(seq as u64, batch).unwrap();
-            }
-            let merged = JoinBuildTable::from_partials(&s, 0, partitions, vec![w0, w1]);
-            assert_eq!(merged.len(), serial.len());
-            assert_eq!(merged.partition_count(), partitions);
-            for k in 0..7i64 {
-                let a = matches(&serial, Value::Int(k), 1);
-                assert!(!a.is_empty());
-                assert_eq!(a, matches(&merged, Value::Int(k), 1), "key {k}");
-            }
         }
     }
 

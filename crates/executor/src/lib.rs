@@ -62,8 +62,7 @@ pub use extsort::ExternalSorter;
 pub use filter::{Filter, Project};
 pub use hashtable::KeyTable;
 pub use join::{
-    HashJoin, IndexNestedLoopJoin, InnerPath, JoinBuildPartial, JoinBuildTable, JoinType,
-    BUILD_PARTITIONS,
+    HashJoin, IndexNestedLoopJoin, InnerPath, JoinBuildTable, JoinType, BUILD_PARTITIONS,
 };
 pub use operator::{
     batch_size, collect_batches, collect_rows, collect_rows_volcano, BoxedOperator, Operator,

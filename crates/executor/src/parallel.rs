@@ -42,14 +42,11 @@
 //! operator tree and the pipeline open, read and close the same leaves
 //! in the same order, for left-deep and bushy trees alike. Workers claim
 //! build morsels under the source lock (so build-input I/O happens in
-//! the exact serial order) and fold them into per-slot partial builds
-//! ([`crate::JoinBuildPartial`]: appended payload rows plus each row's
-//! global build position — no hashing, no `Vec<Row>`), which the phase
-//! finalizer links into one table in position order
-//! ([`crate::JoinBuildTable::from_partials`]) — mirroring the
-//! aggregate sink's first-seen-position rule, so the probe table is
-//! byte-identical to the serial [`crate::HashJoin`] build no matter
-//! which worker ingested which morsel. Grouped aggregates use
+//! the exact serial order), run their stages, and hand them to the
+//! phase's ordered sink, which inserts them into the table in morsel
+//! order ([`crate::JoinBuildTable::insert_batch`], the call the serial
+//! [`crate::HashJoin`] makes) — so the probe table is the serial
+//! build's by construction. Grouped aggregates use
 //! per-slot partial folds (the serial operator's own group table and
 //! accumulators) merged by global first-seen `(seq, idx)` position
 //! when the merge is exact ([`AggFunc::merge_exact`]), and
@@ -92,7 +89,7 @@ use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema};
 
 use crate::agg::GroupFold;
 use crate::expr::Predicate;
-use crate::join::{join_schema, JoinBuildPartial, JoinBuildTable};
+use crate::join::{join_schema, JoinBuildTable};
 use crate::operator::{BoxedOperator, Operator};
 use crate::{AggFunc, FullTableScan, JoinType};
 
@@ -178,8 +175,8 @@ impl ParallelSource {
 /// and closes when it ends, so at most one source of a query is open at
 /// a time; its I/O serializes under the source lock in morsel order —
 /// exactly the order the serial operator tree would issue it — while
-/// decode, the stages and a build's payload append fan out across the
-/// worker pool (per-slot [`JoinBuildPartial`]s for a build).
+/// decode and the stages fan out across the worker pool; a build's
+/// morsels then enter its table on the ordered sink, in morsel order.
 pub struct PhaseSpec {
     /// The phase's morsel source (a build's right input, or the probe
     /// side that feeds the sink).
@@ -204,7 +201,7 @@ pub struct PhaseBuild {
     /// Join semantics.
     pub ty: JoinType,
     /// Operator memory budget in bytes for the build table (0 =
-    /// unlimited); enforced once the partials are linked, so every worker
+    /// unlimited); enforced once the last morsel is in, so every worker
     /// count charges identical spill I/O
     /// ([`crate::JoinBuildTable::apply_budget`]).
     pub mem_bytes: usize,
@@ -358,13 +355,14 @@ pub struct LedgerPhase {
     /// Source sections (I/O + in-lock CPU) — serialized on the source
     /// lock.
     pub src_ns: u64,
-    /// Worker-side sections (decode, stages, the build's payload append
+    /// Worker-side sections (decode, stages, a build's hashing charge
     /// or the exact partial aggregation) — these fan out across the
     /// pool.
     pub proc_ns: u64,
     /// Ordered-sink sections (the order-preserving aggregate fold when
     /// the merge is not exact, a root sort's spilled runs) — a second
-    /// serialized resource. Zero for a phase with no sink: every build.
+    /// serialized resource. Zero for every build: its inserts charge
+    /// nothing.
     pub sink_ns: u64,
 }
 
@@ -524,7 +522,6 @@ const _: () = {
     assert_send::<StageSpec>();
     assert_send::<Storage>();
     assert_send::<BoxedOperator>();
-    assert_send::<JoinBuildPartial>();
     assert_send::<JoinBuildTable>();
 };
 
@@ -950,7 +947,7 @@ mod tests {
                     panic!("one build phase, then the probe phase: {ledger:?}");
                 };
                 assert!(build.src_ns > 0 && build.proc_ns > 0, "build morsels recorded");
-                assert_eq!(build.sink_ns, 0, "a build has no ordered sink");
+                assert_eq!(build.sink_ns, 0, "a build's inserts charge nothing");
                 assert!(probe.src_ns > 0 && probe.proc_ns > 0, "probe morsels recorded");
                 assert!(ledger.build_speedup(1) == 1.0);
                 assert!(ledger.build_speedup(4) >= 1.0);

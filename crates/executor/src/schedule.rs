@@ -50,8 +50,9 @@
 //! back, `0 → … → n → finalized`, tracked by the `SrcState` under the
 //! source lock (which phase the current source feeds, the claim seq,
 //! and the end-of-source latch). Every phase is the same thing: a
-//! source and a stage chain; a build phase also says what table its
-//! morsels fold into, the last phase folds into the sink. The phase's
+//! source, a stage chain and an ordered sink its morsels fold into in
+//! seq order — a build phase's table, or the query's result fold for the
+//! last phase — reset when the phase is installed. The phase's
 //! index is its identity everywhere — in claimed morsels, in the
 //! ledger, in the morsel-panic key. **A source opens when its phase is
 //! installed** (`install_phase`) and closes when the phase finalizes,
@@ -64,11 +65,11 @@
 //! lock, then — outside it, so a worker reaching the query meanwhile
 //! moves on to other queries — finalizes any *nested* probe stages
 //! inside the completed build (bushy trees: a hash join on the build
-//! side of a hash join), links the per-slot partial builds into one
-//! table in global build order ([`crate::JoinBuildTable::from_partials`]
-//! — charge-free, like the serial linking it reproduces), sets it on
-//! its phase, where later probe stages read it without a lock, and
-//! installs phase `i + 1` with its source opened. A query that fails in
+//! side of a hash join), takes the table the sink filled — by the
+//! serial build's own [`crate::JoinBuildTable::insert_batch`] calls, in
+//! the same order — enforces its budget, sets it on its phase, where
+//! later probe stages read it without a lock, and installs phase
+//! `i + 1` with its source opened. A query that fails in
 //! phase `i` never opens a later source. Stage chains are walked once:
 //! [`ParallelPipeline::staged_schemas`] validates every chain — build
 //! side and probe side alike — types every stage and the sink at plan
@@ -95,17 +96,15 @@
 //! nothing else running on the same storage; an untraced query pays one
 //! `Option` test per site — no snapshot, no lock.
 //!
-//! **Slot pools and the `(seq, idx)` MIN rule.** Worker-side partial
-//! state (build partials, exact-merge aggregation partials) lives in
-//! per-query *slot pools*: a worker pops a slot, folds its morsel,
-//! and pushes the slot back — slots are not pinned to threads, so one
-//! slot can fold seq 3 before seq 2. Worker-count invariance of the
-//! merges (established by the single-query drivers) makes any
-//! slot↔morsel assignment byte-identical; for grouped aggregates that
-//! invariance rests on the `(seq, idx)` MIN ordering invariant: every
-//! fold minimizes a group's first-seen position `(morsel seq, row
-//! idx)` on *every* row, and the merge minimizes across partials, so
-//! the recorded position equals the global first occurrence — hence a
+//! **The slot pool and the `(seq, idx)` MIN rule.** An exact-merge
+//! aggregate's partial folds live in a per-query *slot pool*: a worker
+//! pops a slot, folds its morsel, and pushes the slot back — slots are
+//! not pinned to threads, so one slot can fold seq 3 before seq 2. The
+//! merge makes any slot↔morsel assignment byte-identical; for grouped
+//! aggregates that rests on the `(seq, idx)` MIN rule: every fold
+//! minimizes a group's first-seen position `(morsel seq, row idx)` on
+//! *every* row, and the merge minimizes across partials, so the
+//! recorded position equals the global first occurrence — hence a
 //! deterministic group order — regardless of fold order or worker
 //! count.
 
@@ -121,7 +120,7 @@ use smooth_storage::{tap_mark, ClockSnapshot, FileId, InjectedPanic, ScanStatist
 use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
 
 use crate::extsort::ExternalSorter;
-use crate::join::{JoinBuildPartial, JoinBuildTable, BUILD_PARTITIONS};
+use crate::join::JoinBuildTable;
 use crate::parallel::{
     LedgerPhase, ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec,
     ScalingLedger, SinkSpec, SourceItem, StageSpec,
@@ -249,19 +248,22 @@ struct Phase {
     table: OnceLock<JoinBuildTable>,
 }
 
-/// Order-preserving sink state: morsels buffer in a seq-keyed map and
-/// fold in sequence order, exactly as the serial driver emits them.
+/// The current phase's order-preserving sink: morsels buffer in a
+/// seq-keyed map and fold in sequence order, exactly as the operator
+/// tree emits them. [`install_phase`] resets it for each phase.
+#[derive(Default)]
 struct SinkState {
     pending: BTreeMap<u64, ColumnBatch>,
     next: u64,
-    /// What the morsels fold into; `None` for an exact-merge aggregate
-    /// (its workers fold partial slots instead) and once the query has
-    /// completed.
+    /// What the phase's morsels fold into ([`ActiveQuery::fold_for`]);
+    /// `None` for an exact-merge aggregate and once the fold is taken.
     fold: Option<Fold>,
 }
 
 /// The one target an ordered sink folds each morsel into.
 enum Fold {
+    /// A build phase's table; [`advance_build`] takes it.
+    Build(JoinBuildTable),
     /// A collect sink's result batches.
     Batches(Vec<ColumnBatch>),
     /// The in-order aggregation fold (non-exact merges only).
@@ -301,9 +303,8 @@ struct ActiveQuery {
     merge_exact: bool,
     src: Mutex<SrcState>,
     sink: Mutex<SinkState>,
-    /// Slot pools for worker-side partial state (see module docs).
+    /// The exact-merge aggregate's slot pool (see module docs).
     agg_slots: Mutex<Vec<PartialAgg>>,
-    build_slots: Mutex<Vec<JoinBuildPartial>>,
     /// Morsels claimed but not yet delivered in the current phase.
     inflight: AtomicUsize,
     failed: AtomicBool,
@@ -334,21 +335,11 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let schemas = pipeline.staged_schemas()?;
-        let (merge_exact, fold) = match (&pipeline.sink, schemas.last().and_then(|s| s.last())) {
-            (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
-                match aggs.iter().all(|a| a.merge_exact(input)) {
-                    true => (true, None),
-                    false => {
-                        (false, Some(Fold::Aggregate(PartialAgg::new(input, group_cols, aggs)?)))
-                    }
-                }
+        let merge_exact = match (&pipeline.sink, schemas.last().and_then(|s| s.last())) {
+            (SinkSpec::Aggregate { aggs, .. }, Some(input)) => {
+                aggs.iter().all(|a| a.merge_exact(input))
             }
-            (SinkSpec::Sort { keys, mem_bytes }, _) => {
-                let sorter =
-                    ExternalSorter::new(pipeline.storage.clone(), keys.clone(), *mem_bytes);
-                (false, Some(Fold::Sort(sorter)))
-            }
-            _ => (false, Some(Fold::Batches(Vec::new()))),
+            _ => false,
         };
         let ParallelPipeline { phases, sink, storage, morsel_rows } = pipeline;
         let phases: Vec<Phase> = phases
@@ -372,9 +363,8 @@ impl ActiveQuery {
             sink_spec: sink,
             merge_exact,
             src: Mutex::new(SrcState::new(None, 0)),
-            sink: Mutex::new(SinkState { pending: BTreeMap::new(), next: 0, fold }),
+            sink: Mutex::default(),
             agg_slots: Mutex::new(Vec::new()),
-            build_slots: Mutex::new(Vec::new()),
             inflight: AtomicUsize::new(0),
             failed: AtomicBool::new(false),
             cancelled: AtomicBool::new(false),
@@ -389,11 +379,22 @@ impl ActiveQuery {
         })
     }
 
-    /// The sink's input typing: the last phase's staged schema.
-    fn sink_input(&self) -> &Schema {
-        // invariant: `staged_schemas`, run by `plan`, rejects an empty
-        // phase list.
-        &self.phases.last().expect("a query has at least one phase").schema
+    /// What phase `i`'s ordered sink folds into: a build's empty table,
+    /// or the query's Collect / Aggregate / Sort fold — `None` for an
+    /// exact-merge aggregate, whose workers fold slots instead.
+    fn fold_for(&self, i: usize) -> Result<Option<Fold>> {
+        let phase = &self.phases[i];
+        Ok(Some(match (&phase.build, &self.sink_spec) {
+            (Some(build), _) => Fold::Build(JoinBuildTable::new(&phase.schema, build.right_col)),
+            (None, SinkSpec::Aggregate { .. }) if self.merge_exact => return Ok(None),
+            (None, SinkSpec::Aggregate { group_cols, aggs }) => {
+                Fold::Aggregate(PartialAgg::new(&phase.schema, group_cols, aggs)?)
+            }
+            (None, SinkSpec::Sort { keys, mem_bytes }) => {
+                Fold::Sort(ExternalSorter::new(self.storage.clone(), keys.clone(), *mem_bytes))
+            }
+            (None, SinkSpec::Collect) => Fold::Batches(Vec::new()),
+        }))
     }
 
     /// Trace site, opening half: the clock reading a traced query's
@@ -430,7 +431,7 @@ impl ActiveQuery {
 
     /// Process one claimed source item outside the source lock — inspect
     /// a page run, then run the phase's stage chain — and deliver it to
-    /// the phase's partial state.
+    /// an exact-merge aggregate slot or the phase's ordered sink.
     fn process(&self, idx: usize, seq: u64, item: SourceItem) -> Result<()> {
         let phase = &self.phases[idx];
         let mark = self.trace_mark();
@@ -469,17 +470,11 @@ impl ActiveQuery {
                 }
             };
         }
-        if let Some(build) = &phase.build {
+        if phase.build.is_some() {
+            // Hashing the build rows is the worker's CPU; the sink's
+            // insert charges nothing, as `HashJoin::open`'s does not.
             self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
-            let mut partial = lock(&self.build_slots)
-                .pop()
-                .unwrap_or_else(|| JoinBuildPartial::new(&phase.schema, build.right_col));
-            partial.fold(seq, batch)?;
-            lock(&self.build_slots).push(partial);
-            self.trace_since(mark, |l, ns| l.phases[idx].proc_ns += ns);
-            return Ok(());
-        }
-        if let (SinkSpec::Aggregate { group_cols, aggs }, true) =
+        } else if let (SinkSpec::Aggregate { group_cols, aggs }, true) =
             (&self.sink_spec, self.merge_exact)
         {
             let slot = lock(&self.agg_slots).pop();
@@ -503,6 +498,7 @@ impl ActiveQuery {
         let fold = fold.as_mut().ok_or_else(|| Error::exec("morsel reached a completed sink"))?;
         while let Some(m) = pending.remove(next) {
             match fold {
+                Fold::Build(table) => table.insert_batch(m)?,
                 Fold::Batches(batches) => batches.push(m),
                 Fold::Aggregate(agg) => agg.update(&self.storage, *next, &m)?,
                 Fold::Sort(sorter) => sorter.push_batch(&m)?,
@@ -923,7 +919,7 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
         return;
     }
     if phase + 1 == q.phases.len() {
-        complete_ok(q, core);
+        complete_ok(q, core, phase);
         return;
     }
     match advance_build(q, phase) {
@@ -939,13 +935,14 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
     }
 }
 
-/// Link build `i`'s per-worker partials into its table, set it on the
-/// phase, and start phase `i + 1`.
+/// Take build `i`'s table off the sink, enforce its budget, set it on
+/// the phase, and start phase `i + 1`.
 fn advance_build(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     let phase = &q.phases[i];
-    // invariant: `plan` gives every phase but the last a build half,
-    // and `maybe_finalize` completes the last phase instead.
-    let build = phase.build.as_ref().expect("only the last phase has no build");
+    let (Some(build), Some(Fold::Build(mut table))) = (&phase.build, lock(&q.sink).fold.take())
+    else {
+        return Err(Error::exec(format!("phase {i} finished without a build table")));
+    };
     // Build input exhausted: settle deferred grace-join passes on the
     // tables this build's nested probes touched — exactly where the
     // operator tree's probe exhaustion charges them, before the new
@@ -958,24 +955,23 @@ fn advance_build(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     for table in nested {
         table.finish_probe(&q.storage)?;
     }
-    let slots = std::mem::take(&mut *lock(&q.build_slots));
-    let mut table =
-        JoinBuildTable::from_partials(&phase.schema, build.right_col, BUILD_PARTITIONS, slots);
-    // The linked table is byte-identical to the serial build, so the
-    // budget enforcement — and its charged spill I/O — is too. A
-    // failed overflow-file write (injected spill fault) fails the
-    // whole query here.
+    // The table is the serial build's, so the budget enforcement — and
+    // its charged spill I/O — is too. A failed overflow-file write
+    // (injected spill fault) fails the whole query here.
     table.apply_budget(&q.storage, build.mem_bytes)?;
     phase.table.set(table).map_err(|_| Error::exec(format!("build {i} finished twice")))?;
     install_phase(q, i + 1)
 }
 
-/// Start phase `i`: open its source — the previous phase's is closed,
-/// so a query has at most one open at a time, in phase order, which is
-/// the operator tree's open order — and return the `SrcState` that makes
-/// it the query's active phase. Whatever the open charges is attributed
-/// to the query and is serial time: it joins the traced prefix.
+/// Start phase `i`: reset the sink to the phase's fold, open its source
+/// — the previous phase's is closed, so a query has at most one open at
+/// a time, in phase order, which is the operator tree's open order — and
+/// return the `SrcState` that makes it the query's active phase; no
+/// morsel of the phase is claimed before the caller stores it. Whatever
+/// the open charges is attributed to the query and is serial time: it
+/// joins the traced prefix.
 fn install_phase(q: &ActiveQuery, i: usize) -> Result<SrcState> {
+    *lock(&q.sink) = SinkState { fold: q.fold_for(i)?, ..SinkState::default() };
     let mut source = lock(&q.phases[i].source)
         .take()
         .ok_or_else(|| Error::exec(format!("phase {i} installed twice")))?;
@@ -987,9 +983,9 @@ fn install_phase(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     Ok(SrcState::new(Some(source), i))
 }
 
-/// Finish a successful query: fold the sink state into result rows and
-/// hand them to the session.
-fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
+/// Finish a successful query after its last phase, `last`: fold the sink
+/// state into result rows and hand them to the query's handle.
+fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore, last: usize) {
     // Probe input fully consumed: charge any deferred grace-join spill
     // passes (order-independent sums, so the charge is identical no
     // matter how workers interleaved the probe morsels). The spool is
@@ -1027,14 +1023,14 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
             let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
             let first = match slots.next() {
                 Some(slot) => Ok(slot),
-                None => PartialAgg::new(q.sink_input(), group_cols, aggs),
+                None => PartialAgg::new(&q.phases[last].schema, group_cols, aggs),
             };
             first.and_then(|mut merged| {
                 slots.for_each(|slot| merged.merge(slot));
                 merged.finish().map(one)
             })
         }
-        (None, _) => Err(Error::exec("sink fold taken before completion")),
+        _ => Err(Error::exec("sink fold taken before completion")),
     };
     let batches = match batches {
         Ok(batches) => batches,
@@ -1059,13 +1055,8 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore) {
 /// source is left open either: the failing phase's was closed by
 /// `maybe_finalize`, and no later phase's was ever opened.
 fn complete_err(q: &Arc<ActiveQuery>, core: &SchedCore) {
-    lock(&q.build_slots).clear();
     lock(&q.agg_slots).clear();
-    {
-        let mut sink = lock(&q.sink);
-        sink.pending.clear();
-        sink.fold = None;
-    }
+    *lock(&q.sink) = SinkState::default();
     let err = lock(&q.err)
         .take()
         .map(|(_, e)| e)

@@ -20,8 +20,7 @@ mod common;
 use common::{Morsel, Replay};
 use proptest::prelude::*;
 use smooth_executor::{
-    collect_rows, collect_rows_volcano, AggFunc, HashAggregate, JoinBuildPartial, JoinBuildTable,
-    JoinType, KeyTable,
+    collect_rows, collect_rows_volcano, AggFunc, HashAggregate, JoinBuildTable, JoinType, KeyTable,
 };
 use smooth_storage::Storage;
 use smooth_types::{Column, ColumnBatch, ColumnVector, DataType, Row, Schema, Value};
@@ -260,15 +259,13 @@ proptest! {
 
     /// `JoinBuildTable` ≡ a nested loop: every probe row's matches in
     /// global build order, NULL keys matching nothing, and exactly
-    /// `hash_op_ns · live + emit_tuple_ns · emitted` charged — whether
-    /// the table was built serially, on the degenerate kernel, or from
-    /// out-of-order partials.
+    /// `hash_op_ns · live + emit_tuple_ns · emitted` charged — on the
+    /// real kernel and on the degenerate one.
     #[test]
     fn hash_join_equals_nested_loop_oracle(
         (ty, build, probe) in key_type()
             .prop_flat_map(|t| (Just(t), morsels(vec![t], 80), morsels(vec![t], 120))),
         semi in any::<bool>(),
-        slot_seed in any::<u64>(),
     ) {
         let schema = schema_for(&[ty]);
         let join = if semi { JoinType::LeftSemi } else { JoinType::Inner };
@@ -278,20 +275,12 @@ proptest! {
 
         let mut serial = JoinBuildTable::new(&schema, 0);
         let mut degenerate = JoinBuildTable::with_degenerate_hash(&schema, 0);
-        let mut slots: Vec<JoinBuildPartial> =
-            (0..3).map(|_| JoinBuildPartial::new(&schema, 0)).collect();
         for m in &build {
             serial.insert_batch(m.batch(&schema)).unwrap();
             degenerate.insert_batch(m.batch(&schema)).unwrap();
         }
-        // Any slot may fold any morsel, latest first.
-        for (seq, m) in build.iter().enumerate().rev() {
-            let slot = (slot_seed >> (2 * seq)) as usize % slots.len();
-            slots[slot].fold(seq as u64, m.batch(&schema)).unwrap();
-        }
-        let linked = JoinBuildTable::from_partials(&schema, 0, 7, slots);
 
-        for table in [&serial, &degenerate, &linked] {
+        for table in [&serial, &degenerate] {
             prop_assert_eq!(table.len(), build_rows.len());
             for m in &probe {
                 let mut expected: Vec<Row> = Vec::new();

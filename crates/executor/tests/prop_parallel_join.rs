@@ -1,14 +1,11 @@
-//! Property tests for the parallel partitioned hash-join build: for
-//! arbitrary data (null keys, duplicate keys, `Text` payloads), morsel
-//! sizes and worker counts (the spill fan-out is the constant
-//! `BUILD_PARTITIONS`; `join.rs`'s own tests sweep
-//! `JoinBuildTable::from_partials` over it), the pipeline with a
-//! partitioned build must produce the **exact row sequence** of the
-//! serial columnar [`HashJoin`] and charge the **exact same virtual
-//! CPU/IO clock totals** and I/O counters. The build phase — per-slot
-//! partial builds linked by global build position — must be an
-//! execution-strategy change only, like every other form of parallelism
-//! in this repo.
+//! Property tests for the parallel hash-join build: for arbitrary data
+//! (null keys, duplicate keys, `Text` payloads), morsel sizes and worker
+//! counts, the pipeline's build phase must produce the **exact row
+//! sequence** of the serial columnar [`HashJoin`] and charge the **exact
+//! same virtual CPU/IO clock totals** and I/O counters. The build phase
+//! — workers decode and hash its morsels, the ordered sink inserts them
+//! into the table in morsel order — must be an execution-strategy
+//! change only, like every other form of parallelism in this repo.
 
 use std::sync::{Arc, Mutex};
 

@@ -362,8 +362,10 @@ impl Database {
     /// `Trigger::Sort`, Switch Scan under `Trigger::Switch`), and every
     /// `ordered:` scan whose access path does not deliver key order (Full,
     /// and Smooth under Sort or Switch) rewritten as a `Sort` on its range
-    /// key over the same scan, unordered; every merge join likewise
-    /// becomes a hash join under a `Sort` on its left key. The inner scan
+    /// key over the same scan, unordered — `ScanSpec::ordered`, for which
+    /// `prune` keeps the key, is the one flag that asks for key order.
+    /// Every merge join likewise becomes a hash join under a `Sort` on
+    /// its left key. The inner scan
     /// of an index-nested-loop join is probed, not scanned: it stays as
     /// written.
     fn resolve(&self, plan: &LogicalPlan) -> Result<LogicalPlan> {
@@ -375,7 +377,7 @@ impl Database {
                 let smooth = |trigger| {
                     AccessPathChoice::Smooth(SmoothScanConfig::default().with_trigger(trigger))
                 };
-                let mut access = match &spec.access {
+                let access = match &spec.access {
                     AccessPathChoice::Auto => {
                         match Optimizer::choose_access_path(entry, predicate, spec.ordered, device)
                         {
@@ -391,14 +393,13 @@ impl Database {
                     }
                     other => other.clone(),
                 };
-                let sorted = match &mut access {
-                    AccessPathChoice::Smooth(config)
-                        if matches!(config.trigger, Trigger::Switch { .. } | Trigger::Sort) =>
-                    {
-                        std::mem::take(&mut config.ordered) || spec.ordered
-                    }
-                    access => spec.ordered && *access == AccessPathChoice::ForceFull,
-                };
+                let sorted = spec.ordered
+                    && match &access {
+                        AccessPathChoice::Smooth(config) => {
+                            matches!(config.trigger, Trigger::Switch { .. } | Trigger::Sort)
+                        }
+                        access => *access == AccessPathChoice::ForceFull,
+                    };
                 let ordered = spec.ordered && !sorted;
                 let scan = LogicalPlan::Scan(ScanSpec { access, ordered, ..spec.clone() });
                 if sorted {
@@ -584,7 +585,8 @@ impl Database {
     }
 
     /// Build a Smooth Scan directly (experiments that need
-    /// [`smooth_core::SmoothScanMetrics`] after the run).
+    /// [`smooth_core::SmoothScanMetrics`] after the run), in key order
+    /// when `spec.ordered`.
     pub fn build_smooth_scan(
         &self,
         spec: &ScanSpec,
@@ -607,9 +609,11 @@ impl Database {
             lo,
             hi,
             residual,
-            config.with_order(config.ordered || spec.ordered),
+            config,
         );
-        scan.with_mem_budget(self.mem_bytes()).with_columns(spec.cols.as_deref())
+        scan.with_order(spec.ordered)
+            .with_mem_budget(self.mem_bytes())
+            .with_columns(spec.cols.as_deref())
     }
 
     /// EXPLAIN: the physical operator tree the plan would run as.
@@ -635,9 +639,11 @@ impl Database {
     /// join or under another breaker) runs unchanged as a serial shared
     /// source, which is exactly how the adaptive scans' morph decisions
     /// stay centralized while the stages above them still parallelize. Plan validation errors (missing
-    /// tables, bad ordinals) surface here identically to [`Database::build`].
+    /// tables, bad ordinals) surface here identically to [`Database::build`]
+    /// — the lowering's, then [`ParallelPipeline::staged_schemas`]'.
     pub fn parallel_pipeline(&self, plan: &LogicalPlan) -> Result<Option<ParallelPipeline>> {
         let pipeline = self.lower(plan)?;
+        pipeline.staged_schemas()?;
         let serial_only = matches!(
             (&pipeline.phases[..], &pipeline.sink),
             ([PhaseSpec { source: ParallelSource::Shared { .. }, stages, .. }], SinkSpec::Collect)
@@ -656,7 +662,8 @@ impl Database {
     /// serial order, into the sort sink's sorter — the charges the tree's
     /// `Sort` makes over the same input, so rows *and* charges are
     /// byte-identical to it; everything else collects. Schemas are the
-    /// executor's business: [`ParallelPipeline::staged_schemas`] fails
+    /// executor's business: the scheduler types the chains once, before it
+    /// queues the query, and [`ParallelPipeline::staged_schemas`] fails
     /// where the operator constructors [`Database::build`] calls would.
     fn lower(&self, plan: &LogicalPlan) -> Result<ParallelPipeline> {
         let mut phases = Vec::new();
@@ -671,14 +678,8 @@ impl Database {
             other => (self.peel(&other, &mut phases)?, SinkSpec::Collect),
         };
         phases.push(last);
-        let pipeline = ParallelPipeline {
-            phases,
-            sink,
-            storage: self.storage.clone(),
-            morsel_rows: batch_size(),
-        };
-        pipeline.staged_schemas()?;
-        Ok(pipeline)
+        let storage = self.storage.clone();
+        Ok(ParallelPipeline { phases, sink, storage, morsel_rows: batch_size() })
     }
 
     /// Pipeline peel of a probe side or a hash-join *build side* into
@@ -927,7 +928,6 @@ mod tests {
                 AccessPathChoice::ForceSort,
                 AccessPathChoice::Smooth(SmoothScanConfig::default()),
                 AccessPathChoice::Smooth(switch),
-                AccessPathChoice::Smooth(switch.with_order(true)),
                 AccessPathChoice::Smooth(smooth(Trigger::Sort)),
                 AccessPathChoice::Switch { estimate: 0 },
                 AccessPathChoice::Switch { estimate: 100 },
@@ -944,6 +944,29 @@ mod tests {
                 assert_eq!(&keys, expected.get_or_insert_with(|| keys.clone()), "{access:?}");
             }
         }
+    }
+
+    /// An ordered scan under a projection that drops its key runs: `prune`
+    /// keeps the key for `ScanSpec::ordered`, the one flag `resolve` reads.
+    #[test]
+    fn ordered_scan_under_a_keyless_projection_runs() {
+        let db = db(2000);
+        let smooth = |t| AccessPathChoice::Smooth(SmoothScanConfig::default().with_trigger(t));
+        let switch = smooth(Trigger::Switch { estimated_cardinality: 5 });
+        let (full, sort, eager) =
+            (AccessPathChoice::ForceFull, smooth(Trigger::Sort), smooth(Trigger::Eager));
+        let ids = [full, switch, sort, eager].map(|access| {
+            let spec = ScanSpec::new("t", Predicate::int_half_open(1, 0, 300));
+            let plan =
+                LogicalPlan::scan(spec.with_access(access.clone()).with_order()).project(vec![0]);
+            let sorted = access != smooth(Trigger::Eager);
+            assert_eq!(db.explain(&plan).unwrap().contains("Sort → "), sorted, "{access:?}");
+            let rows = db.run(&plan).unwrap().rows;
+            let mut ids: Vec<i64> = rows.iter().map(|r| r.int(0).unwrap()).collect();
+            ids.sort_unstable(); // a stable `Sort` may order key ties differently
+            ids
+        });
+        assert!(!ids[0].is_empty() && ids.iter().all(|i| *i == ids[0]));
     }
 
     #[test]
@@ -1037,12 +1060,12 @@ mod tests {
         let label = |spec: ScanSpec| db.explain(&LogicalPlan::scan(spec)).unwrap();
         assert!(label(spec.clone()).starts_with("SwitchScan(t via t_c1, estimate=7)"));
         assert!(label(spec.with_order()).starts_with("Sort → SwitchScan(t via t_c1, estimate=7)"));
-        // So is it when a Smooth access names the trigger, and asks for
-        // the order itself.
+        // So is it when a Smooth access names the trigger.
         let switch = Trigger::Switch { estimated_cardinality: 7 };
-        let config = SmoothScanConfig::default().with_trigger(switch).with_order(true);
+        let config = SmoothScanConfig::default().with_trigger(switch);
         let spec = ScanSpec::new("t", Predicate::int_half_open(1, 0, 10))
-            .with_access(AccessPathChoice::Smooth(config));
+            .with_access(AccessPathChoice::Smooth(config))
+            .with_order();
         assert!(label(spec).starts_with("Sort → SwitchScan(t via t_c1, estimate=7)"));
         // Sort Scan is Smooth Scan under the Sort trigger, pruned like any scan.
         let spec = ScanSpec::new("t", Predicate::int_half_open(1, 0, 10))
@@ -1216,12 +1239,19 @@ mod tests {
         });
         let expected = [30, 20, 900].map(|hi| rows(&mut *db.build(&t(hi)).unwrap()));
         assert_eq!(scans.collect::<Vec<_>>(), expected);
-        // Plan errors surface from the decomposition exactly like build().
+        // Plan errors surface from the decomposition exactly like build(),
+        // and from `submit` before a query is queued — a stage ordinal
+        // `prune` leaves alone from the one `staged_schemas` walk too.
         let bad = LogicalPlan::scan(
             ScanSpec::new("t", Predicate::int_eq(0, 1)).with_access(AccessPathChoice::ForceIndex),
         );
-        assert!(db.parallel_pipeline(&bad).is_err());
-        assert!(db.with_workers(4).run(&bad).is_err());
+        let bad_stage = t(100).filter(Predicate::int_lt(0, 900)).project(vec![9]);
+        let db = db.with_workers(4);
+        for bad in [bad, bad_stage] {
+            assert!(db.parallel_pipeline(&bad).is_err());
+            assert!(db.run(&bad).is_err());
+            assert!(db.submit(&bad).is_err());
+        }
     }
 
     #[test]

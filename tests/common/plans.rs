@@ -14,12 +14,10 @@ pub fn access_strategy() -> impl Strategy<Value = AccessPathChoice> {
         Just(AccessPathChoice::ForceFull),
         Just(AccessPathChoice::ForceIndex),
         Just(AccessPathChoice::ForceSort),
-        (0usize..3, any::<bool>()).prop_map(|(p, ordered)| {
+        (0usize..3).prop_map(|p| {
             let policy =
                 [PolicyKind::Greedy, PolicyKind::SelectivityIncrease, PolicyKind::Elastic][p];
-            AccessPathChoice::Smooth(
-                SmoothScanConfig::default().with_policy(policy).with_order(ordered),
-            )
+            AccessPathChoice::Smooth(SmoothScanConfig::default().with_policy(policy))
         }),
         (1u64..400).prop_map(|estimate| AccessPathChoice::Switch { estimate }),
         Just(AccessPathChoice::Auto),

@@ -35,12 +35,15 @@ fn every_access_path_returns_identical_results_across_selectivities() {
                 SmoothScanConfig::eager_elastic().with_policy(PolicyKind::SelectivityIncrease),
             ),
             AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().mode1_only()),
-            AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic().with_order(true)),
             AccessPathChoice::Auto,
         ] {
             let got = db.run(&micro::query(sel, false, access.clone())).unwrap();
             assert_eq!(sorted_ids(&got.rows), expected, "sel {sel}, access {access:?}");
         }
+        // Ordered, Smooth Scan serves the same rows through its Result Cache.
+        let ordered = AccessPathChoice::Smooth(SmoothScanConfig::eager_elastic());
+        let got = db.run(&micro::query(sel, true, ordered)).unwrap();
+        assert_eq!(sorted_ids(&got.rows), expected, "sel {sel}, ordered Smooth Scan");
     }
 }
 
@@ -262,9 +265,8 @@ fn stats_damage_changes_plans_not_results() {
 #[test]
 fn smooth_scan_metrics_tell_the_morphing_story() {
     let db = micro_db(40_000);
-    let spec = ScanSpec::new(micro::TABLE, micro::predicate(0.8));
-    let mut scan =
-        db.build_smooth_scan(&spec, SmoothScanConfig::eager_elastic().with_order(true)).unwrap();
+    let spec = ScanSpec::new(micro::TABLE, micro::predicate(0.8)).with_order();
+    let mut scan = db.build_smooth_scan(&spec, SmoothScanConfig::eager_elastic()).unwrap();
     let result = db.run_operator(&mut scan).unwrap();
     let m = scan.metrics();
     assert_eq!(m.tuples_emitted, result.stats.rows);
@@ -465,16 +467,19 @@ fn a_corrupt_tuple_errors_under_every_access_path_and_both_protocols() {
     // inspected tuple.
     let (lo, hi) = (Bound::Included(0), Bound::Excluded(micro::KEY_DOMAIN));
     let smooth = |ordered: bool, trigger: Trigger| -> Box<dyn Operator> {
-        Box::new(smoothscan::core::SmoothScan::new(
-            Arc::clone(&heap),
-            Arc::clone(&index),
-            storage.clone(),
-            1,
-            lo,
-            hi,
-            Predicate::int_lt(0, 0),
-            SmoothScanConfig::default().with_order(ordered).with_trigger(trigger),
-        ))
+        Box::new(
+            smoothscan::core::SmoothScan::new(
+                Arc::clone(&heap),
+                Arc::clone(&index),
+                storage.clone(),
+                1,
+                lo,
+                hi,
+                Predicate::int_lt(0, 0),
+                SmoothScanConfig::default().with_trigger(trigger),
+            )
+            .with_order(ordered),
+        )
     };
     // The join probes a few keys, the bad tuple's among them.
     let bad_page = intact.read_raw(smoothscan::types::PageId(5)).unwrap();

@@ -217,9 +217,8 @@ proptest! {
         budget in 512usize..16384,
         partitions in 2usize..24,
     ) {
-        let mut cfg = SmoothScanConfig::default().with_order(true);
-        cfg.result_cache_partitions = partitions;
-        let plan = plan_for(&AccessPathChoice::Smooth(cfg), false, lo, width, None,
+        let cfg = SmoothScanConfig { result_cache_partitions: partitions, ..Default::default() };
+        let plan = plan_for(&AccessPathChoice::Smooth(cfg), true, lo, width, None,
             JoinShape::None, AggShape::None, &[]);
         let volcano = run_volcano_budgeted(&plan, budget);
         let columnar = run_tree_budgeted(&plan, budget);
