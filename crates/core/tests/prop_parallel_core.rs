@@ -98,15 +98,15 @@ fn check_against_serial(
             phases: vec![PhaseSpec {
                 source: ParallelSource::Shared { op: mk_source(&s_par) },
                 stages: vec![StageSpec::Filter(stage_pred.clone())],
-                build: None,
+                sink: if aggregate {
+                    SinkSpec::Aggregate { group_cols: vec![1], aggs: aggs.clone() }
+                } else {
+                    SinkSpec::Collect
+                },
             }],
-            sink: if aggregate {
-                SinkSpec::Aggregate { group_cols: vec![1], aggs: aggs.clone() }
-            } else {
-                SinkSpec::Collect
-            },
             storage: s_par.clone(),
             morsel_rows: max,
+            mem_bytes: 0,
         };
         let got = run_pipeline(pipeline, workers).unwrap();
         prop_assert!(got == expected, "rows diverge at {workers} workers (max {max})");

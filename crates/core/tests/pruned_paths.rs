@@ -231,10 +231,9 @@ fn read_every_way(
             let phases = vec![PhaseSpec {
                 source: ParallelSource::Heap(Box::new(scan)),
                 stages: Vec::new(),
-                build: None,
+                sink: SinkSpec::Collect,
             }];
-            let sink = SinkSpec::Collect;
-            run_pipeline(ParallelPipeline { phases, sink, storage, morsel_rows: 1024 }, 2)
+            run_pipeline(ParallelPipeline { phases, storage, morsel_rows: 1024, mem_bytes: 0 }, 2)
         });
     let mut read = vec![
         (

@@ -34,25 +34,24 @@
 //!   grouped into morsels and of which worker processed them.
 //!
 //! Pipeline breakers merge deterministically. A pipeline is a list of
-//! phases ([`PhaseSpec`]: a morsel source and its filter / projection /
-//! nested-probe stages) run to completion one after another — the
-//! hash-join builds, then the phase that feeds the sink — and a source
-//! opens when its phase starts. That is the order [`crate::HashJoin`]
-//! opens its inputs in (build first, then the probe side), so the
-//! operator tree and the pipeline open, read and close the same leaves
-//! in the same order, for left-deep and bushy trees alike. Workers claim
-//! build morsels under the source lock (so build-input I/O happens in
-//! the exact serial order), run their stages, and hand them to the
-//! phase's ordered sink, which inserts them into the table in morsel
-//! order ([`crate::JoinBuildTable::insert_batch`], the call the serial
-//! [`crate::HashJoin`] makes) — so the probe table is the serial
-//! build's by construction. Grouped aggregates use
+//! phases ([`PhaseSpec`]: a morsel source, its filter / projection /
+//! nested-probe stages and its one sink) run to completion one after
+//! another, and a source opens when its phase starts. Every breaker —
+//! a hash-join build, a sort, an aggregate — is a phase's sink, and what
+//! a sort or an aggregate finished into is the next phase's source
+//! ([`ParallelSource::Output`]): the order the operator tree opens and
+//! drains its inputs in. Workers claim morsels under the source lock (so
+//! source I/O happens in the exact serial order), run their stages, and
+//! hand them to the phase's ordered sink: a build inserts them into its
+//! table in morsel order ([`crate::JoinBuildTable::insert_batch`], the
+//! call the serial [`crate::HashJoin`] makes), so the probe table is the
+//! serial build's by construction. Grouped aggregates use
 //! per-slot partial folds (the serial operator's own group table and
 //! accumulators) merged by global first-seen `(seq, idx)` position
 //! when the merge is exact ([`AggFunc::merge_exact`]), and
 //! otherwise fold on the ordered sink in morsel order so float sums
 //! stay byte-identical; plain row output is concatenated in morsel
-//! order, and a root sort streams its morsels in morsel order into the
+//! order, and a sort streams its morsels in morsel order into the
 //! sort sink ([`SinkSpec::Sort`] — the serial `Sort` operator's exact
 //! charges, stable over serial-order input, its final pass recorded as
 //! the ledger's serial suffix).
@@ -71,9 +70,9 @@
 //! [`run_pipeline_traced`] is the same run on one worker with the
 //! query's trace on: the scheduler itself records a virtual-clock
 //! ledger ([`ScalingLedger`]) — a serial prefix, one [`LedgerPhase`] of
-//! summed source, worker and ordered-sink sections per build and one
-//! for the probe phase, a serial suffix — from clock snapshots at its
-//! own phase-install / claim / process / sort sites (see the "Trace
+//! summed source, worker and ordered-sink sections per phase, a serial
+//! suffix — from clock snapshots at its own phase-install / claim /
+//! process / fold-finish sites (see the "Trace
 //! sites" paragraph in [`crate::schedule`]), so the model's input is
 //! produced by the code it models. From the ledger a closed form
 //! predicts the parallel makespan at any worker count: each phase,
@@ -112,37 +111,36 @@ pub enum ParallelSource {
         /// The source operator (opened by the driver).
         op: BoxedOperator,
     },
+    /// The finished output of the previous phase — a sort's sorted
+    /// morsels, an aggregate's groups: handed out one batch per claim,
+    /// charging nothing, which is what the tree's `Sort` /
+    /// `HashAggregate` emit once `open` has drained their input.
+    Output,
 }
 
 impl ParallelSource {
-    fn op(&mut self) -> &mut dyn Operator {
+    fn op(&mut self) -> Option<&mut dyn Operator> {
         match self {
-            ParallelSource::Heap(scan) => &mut **scan,
-            ParallelSource::Shared { op } => &mut **op,
-        }
-    }
-
-    /// The schema of the morsels this source emits.
-    pub(crate) fn schema(&self) -> &Schema {
-        match self {
-            ParallelSource::Heap(scan) => scan.schema(),
-            ParallelSource::Shared { op } => op.schema(),
+            ParallelSource::Heap(scan) => Some(&mut **scan),
+            ParallelSource::Shared { op } => Some(&mut **op),
+            ParallelSource::Output => None,
         }
     }
 
     /// Open the source as its phase starts.
     pub(crate) fn open(&mut self) -> Result<()> {
-        self.op().open()
+        self.op().map_or(Ok(()), |op| op.open())
     }
 
     /// The serial section of one claim: a heap source's next page run,
     /// with an idle inspector off `inspectors` (or a fresh copy of the
     /// scan) to inspect it on the worker; a shared operator's next morsel
-    /// of up to `max` rows.
+    /// of up to `max` rows; an output source's next batch off `output`.
     pub(crate) fn pull(
         &mut self,
         max: usize,
         inspectors: &mut Vec<FullTableScan>,
+        output: &mut std::vec::IntoIter<ColumnBatch>,
     ) -> Result<Option<SourceItem>> {
         match self {
             ParallelSource::Heap(scan) => Ok(scan.read_run()?.map(|run| {
@@ -150,36 +148,35 @@ impl ParallelSource {
                 SourceItem::Pages(run, Box::new(inspector))
             })),
             ParallelSource::Shared { op } => Ok(op.next_columns(max)?.map(SourceItem::Batch)),
+            ParallelSource::Output => Ok(output.next().map(SourceItem::Batch)),
         }
     }
 
     /// Close the source as its phase ends.
     pub(crate) fn close(&mut self) -> Result<()> {
-        self.op().close()
+        self.op().map_or(Ok(()), |op| op.close())
     }
 
     /// The heap file this source reads, if any — the coordinate
     /// scoped fault injection keys morsel-panic draws on (shared
-    /// operator sources have no file attribution).
+    /// operator and output sources have no file attribution).
     pub(crate) fn file_id(&self) -> Option<FileId> {
         match self {
             ParallelSource::Heap(scan) => Some(scan.file_id()),
-            ParallelSource::Shared { .. } => None,
+            ParallelSource::Shared { .. } | ParallelSource::Output => None,
         }
     }
 }
 
 /// One phase of a query: a morsel source drained through a per-worker
-/// stage chain, into a hash-join build table (`build`) or — the last
-/// phase only — into the sink. The source opens when the phase starts
-/// and closes when it ends, so at most one source of a query is open at
-/// a time; its I/O serializes under the source lock in morsel order —
-/// exactly the order the serial operator tree would issue it — while
-/// decode and the stages fan out across the worker pool; a build's
-/// morsels then enter its table on the ordered sink, in morsel order.
+/// stage chain into the phase's one sink. The source opens when the
+/// phase starts and closes when it ends, so at most one source of a
+/// query is open at a time; its I/O serializes under the source lock in
+/// morsel order — exactly the order the serial operator tree would
+/// issue it — while decode and the stages fan out across the worker
+/// pool, and the sink takes the morsels in morsel order.
 pub struct PhaseSpec {
-    /// The phase's morsel source (a build's right input, or the probe
-    /// side that feeds the sink).
+    /// The phase's morsel source.
     pub source: ParallelSource,
     /// Per-worker stages, source side first: [`StageSpec::Filter`] /
     /// [`StageSpec::Project`] plus [`StageSpec::Probe`] against builds
@@ -187,9 +184,10 @@ pub struct PhaseSpec {
     /// of another hash join runs as a fully parallel build phase of its
     /// own instead of collapsing into a serial `Shared` source.
     pub stages: Vec<StageSpec>,
-    /// The table this phase builds; `None` for the last phase, which
-    /// feeds the sink.
-    pub build: Option<PhaseBuild>,
+    /// What the phase's morsels end in: a hash-join build table, a
+    /// sort or an aggregate the next phase reads through
+    /// [`ParallelSource::Output`], or — the last phase — the result.
+    pub sink: SinkSpec,
 }
 
 /// What a build phase's morsels fold into.
@@ -200,11 +198,6 @@ pub struct PhaseBuild {
     pub left_col: usize,
     /// Join semantics.
     pub ty: JoinType,
-    /// Operator memory budget in bytes for the build table (0 =
-    /// unlimited); enforced once the last morsel is in, so every worker
-    /// count charges identical spill I/O
-    /// ([`crate::JoinBuildTable::apply_budget`]).
-    pub mem_bytes: usize,
     /// The columns of `probe rows ++ build rows` a probe of this table
     /// emits (strictly ascending; `None` = all) —
     /// [`crate::JoinBuildTable::probe_emit`].
@@ -219,11 +212,11 @@ pub enum StageSpec {
     Filter(Predicate),
     /// Keep the listed columns, in order (column pruning).
     Project(Vec<usize>),
-    /// Probe the `i`-th build table; emits gathered columnar batches.
+    /// Probe the table phase `i` built; emits gathered columnar batches.
     Probe(usize),
 }
 
-/// What happens to the ordered morsel stream at the pipeline end.
+/// What a phase's ordered morsel stream ends in.
 pub enum SinkSpec {
     /// Concatenate rows in morsel order.
     Collect,
@@ -238,38 +231,34 @@ pub enum SinkSpec {
         /// byte-identical to the serial fold.
         aggs: Vec<AggFunc>,
     },
-    /// Root sort: the sink folds each morsel, in morsel order, into
-    /// one [`crate::ExternalSorter`] — the identical charges the serial
-    /// [`crate::Sort`] operator makes over the same input — whose final
-    /// pass restores global key order as the query's serial suffix
-    /// ([`ScalingLedger::suffix_ns`] in the model). This is what lets a
-    /// sorted plan keep the stages and the fully parallel heap source
-    /// under it instead of running whole as one shared source.
+    /// Sort: the sink folds each morsel, in morsel order, into one
+    /// [`crate::ExternalSorter`] under the pipeline's `mem_bytes` — the
+    /// identical charges the serial [`crate::Sort`] operator makes over
+    /// the same input — whose final pass restores global key order as
+    /// serial time ([`ScalingLedger::suffix_ns`] in the model).
     Sort {
-        /// Sort keys, over the last phase's staged output.
+        /// Sort keys, over the phase's staged output.
         keys: Vec<crate::sort::SortKey>,
-        /// Memory budget for the final sort (0 = unlimited; beyond it
-        /// the sort goes external, charging spill I/O exactly as the
-        /// serial operator would).
-        mem_bytes: usize,
     },
+    /// A hash-join build table, which later phases probe.
+    Build(PhaseBuild),
 }
 
 /// A decomposed pipeline ready for the worker pool.
 pub struct ParallelPipeline {
-    /// The hash-join builds in completion order — the order the serial
-    /// operator tree opens and drains them: a join's build side, nested
-    /// builds first, before anything on its probe side — then the phase
-    /// that feeds the sink. Each runs to completion before the next
-    /// starts.
+    /// The phases in the order the serial operator tree finishes them —
+    /// a join's build side before its probe side, a breaker's input
+    /// before what reads its output — the last feeding the result. Each
+    /// runs to completion before the next starts.
     pub phases: Vec<PhaseSpec>,
-    /// Terminal merge.
-    pub sink: SinkSpec,
     /// Shared storage handle (clock + pool the whole pipeline charges).
     pub storage: Storage,
     /// Rows per morsel for [`ParallelSource::Shared`] pulls (the serial
     /// driver's `batch_size()` to match it exactly).
     pub morsel_rows: usize,
+    /// The memory budget (bytes, 0 = unlimited) of each build and each
+    /// sort, as each operator of the tree has one.
+    pub mem_bytes: usize,
 }
 
 /// Global first-seen position of a group: (morsel seq, index within the
@@ -347,9 +336,9 @@ pub(crate) enum SourceItem {
     Batch(ColumnBatch),
 }
 
-/// One phase of a traced query — a hash-join build or the final probe
-/// phase — as the scheduler ran it: its morsels' sections summed by
-/// kind. All values are virtual nanoseconds off the shared clock.
+/// One phase of a traced query as the scheduler ran it: its morsels'
+/// sections summed by kind. All values are virtual nanoseconds off the
+/// shared clock.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct LedgerPhase {
     /// Source sections (I/O + in-lock CPU) — serialized on the source
@@ -360,7 +349,7 @@ pub struct LedgerPhase {
     /// pool.
     pub proc_ns: u64,
     /// Ordered-sink sections (the order-preserving aggregate fold when
-    /// the merge is not exact, a root sort's spilled runs) — a second
+    /// the merge is not exact, a sort's spilled runs) — a second
     /// serialized resource. Zero for every build: its inserts charge
     /// nothing.
     pub sink_ns: u64,
@@ -389,13 +378,13 @@ fn phases_ns(phases: &[LedgerPhase], workers: usize) -> u64 {
 pub struct ScalingLedger {
     /// Serial prefix: every source open (one per phase, as it starts).
     pub prefix_ns: u64,
-    /// The build phases in build order, then the probe phase. The
-    /// driver runs each to completion before the next starts, so the
-    /// model barriers between them too.
+    /// The phases in the query's order. The driver runs each to
+    /// completion before the next starts, so the model barriers between
+    /// them too.
     pub phases: Vec<LedgerPhase>,
-    /// Serial suffix after the last morsel: the root sort sink's final
-    /// pass ([`SinkSpec::Sort`]) — one thread, after every worker
-    /// drained.
+    /// Serial time after a phase's last morsel, summed over the phases:
+    /// the final pass of each fold ([`SinkSpec::Sort`]'s sort, an
+    /// aggregate's finish) — one thread, after every worker drained.
     pub suffix_ns: u64,
 }
 
@@ -420,8 +409,8 @@ impl ScalingLedger {
         self.total_ns() as f64 / self.makespan_ns(workers).max(1) as f64
     }
 
-    /// Modeled speedup of the blocking build phases alone — what the
-    /// partitioned parallel build buys over the serial build.
+    /// Modeled speedup of the phases before the last alone — what the
+    /// partitioned parallel builds (and breakers below the root) buy.
     pub fn build_speedup(&self, workers: usize) -> f64 {
         let builds = &self.phases[..self.phases.len().saturating_sub(1)];
         phases_ns(builds, 1) as f64 / phases_ns(builds, workers).max(1) as f64
@@ -441,62 +430,70 @@ pub fn multi_query_makespan_ns(ledgers: &[ScalingLedger], workers: usize) -> u64
 }
 
 impl ParallelPipeline {
-    /// The one walk of every stage chain — build side and probe side
-    /// alike — in phase order: each phase's schemas, its source's first,
-    /// then the one each stage emits (projections prune, probes splice in
-    /// the probed build's payload schema), so a phase's last is its
-    /// staged output. The scheduler runs each chain with these schemas.
-    /// Every plan error a pipeline can carry surfaces here, before
-    /// anything is queued: a probe of a build that is not built yet
-    /// (nested probes may only reference *earlier* phases), a bad
-    /// projection, a build key or an aggregate column out of range, a
-    /// phase list that is not builds-then-sink.
+    /// The one walk of every stage chain, in phase order: each phase's
+    /// schemas, its source's first, then the one each stage emits
+    /// (projections prune, probes splice in the probed build's payload
+    /// schema), so a phase's last is its staged output. The scheduler
+    /// runs each chain with these schemas. Every plan error a pipeline
+    /// can carry surfaces here, before anything is queued: an `Output`
+    /// source that does not follow a phase which does not build, a probe
+    /// that does not probe an earlier build, a last phase that builds, a
+    /// bad projection, a build key or an aggregate column out of range.
     pub fn staged_schemas(&self) -> Result<Vec<Vec<Schema>>> {
         let mut staged: Vec<Vec<Schema>> = Vec::with_capacity(self.phases.len());
+        // What the previous phase hands an `Output` source (`None`: a build).
+        let mut output: Option<Schema> = None;
         for (i, phase) in self.phases.iter().enumerate() {
-            let mut schema = phase.source.schema().clone();
+            let mut schema = match (&phase.source, output.take()) {
+                (ParallelSource::Heap(scan), _) => scan.schema().clone(),
+                (ParallelSource::Shared { op }, _) => op.schema().clone(),
+                (ParallelSource::Output, Some(output)) => output,
+                (ParallelSource::Output, None) => {
+                    return Err(Error::plan(format!("no output for phase {i} to read")))
+                }
+            };
             let mut schemas = vec![schema.clone()];
             for stage in &phase.stages {
                 match stage {
                     StageSpec::Filter(_) => {}
                     StageSpec::Project(cols) => schema = schema.project(cols)?,
                     StageSpec::Probe(b) => {
-                        let build = self.phases[..i].get(*b).and_then(|p| p.build.as_ref());
-                        let probed = build.zip(staged.get(*b).and_then(|s| s.last()));
-                        let (build, payload) = probed.ok_or_else(|| {
-                            Error::plan(format!(
-                                "probe stage references build {b} before it is built"
-                            ))
-                        })?;
+                        let (Some(SinkSpec::Build(build)), Some(payload)) = (
+                            self.phases[..i].get(*b).map(|p| &p.sink),
+                            staged.get(*b).and_then(|s| s.last()),
+                        ) else {
+                            return Err(Error::plan(format!(
+                                "probe stage references phase {b}, not an earlier build"
+                            )));
+                        };
                         schema = join_schema(&schema, payload, build.ty)
                             .narrow(build.emit.as_deref())?;
                     }
                 }
                 schemas.push(schema.clone());
             }
-            match &phase.build {
-                Some(build) if build.right_col >= schema.len() => {
+            output = match &phase.sink {
+                SinkSpec::Build(build) if build.right_col >= schema.len() => {
+                    let col = build.right_col;
                     return Err(Error::plan(format!(
-                        "hash-join build key column {} out of range",
-                        build.right_col
+                        "hash-join build key column {col} out of range"
                     )));
                 }
-                build if build.is_some() == (i + 1 == self.phases.len()) => {
-                    return Err(Error::plan(
-                        "every phase but the last builds a table; the last feeds the sink",
-                    ));
+                SinkSpec::Build(_) if i + 1 == self.phases.len() => {
+                    return Err(Error::plan("the last phase feeds the result; it cannot build"));
                 }
-                _ => {}
-            }
+                SinkSpec::Build(_) => None,
+                // Validates exactly like `HashAggregate::new`.
+                SinkSpec::Aggregate { group_cols, aggs } => {
+                    Some(crate::agg::output_schema(&schema, group_cols, aggs)?)
+                }
+                SinkSpec::Collect | SinkSpec::Sort { .. } => Some(schema),
+            };
             staged.push(schemas);
         }
-        match (&self.sink, staged.last().and_then(|s| s.last())) {
-            (_, None) => Err(Error::plan("a pipeline needs the phase that feeds its sink")),
-            // Validates exactly like `HashAggregate::new`.
-            (SinkSpec::Aggregate { group_cols, aggs }, Some(input)) => {
-                crate::agg::output_schema(input, group_cols, aggs).map(|_| staged)
-            }
-            _ => Ok(staged),
+        match staged.is_empty() {
+            true => Err(Error::plan("a pipeline needs the phase that feeds its result")),
+            false => Ok(staged),
         }
     }
 }
@@ -531,6 +528,7 @@ mod tests {
     use std::sync::Arc;
 
     use crate::operator::{collect_rows, ValuesOp};
+    use crate::sort::SortKey;
     use crate::{batch_size, Filter, FullTableScan, HashAggregate, HashJoin, Project};
     use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, HeapLoader, StorageConfig};
     use smooth_types::{Column, DataType, Value};
@@ -567,7 +565,7 @@ mod tests {
         })
     }
 
-    /// A shared-source build phase over `rows`, under the default budget.
+    /// A shared-source build phase over `rows`.
     fn values_build(
         schema: &Schema,
         rows: &[Row],
@@ -575,13 +573,12 @@ mod tests {
         left_col: usize,
         ty: JoinType,
     ) -> PhaseSpec {
-        let mem_bytes = crate::spill::mem_budget_bytes();
         PhaseSpec {
             source: ParallelSource::Shared {
                 op: Box::new(ValuesOp::new(schema.clone(), rows.to_vec())),
             },
             stages: Vec::new(),
-            build: Some(PhaseBuild { right_col, left_col, ty, mem_bytes, emit: None }),
+            sink: SinkSpec::Build(PhaseBuild { right_col, left_col, ty, emit: None }),
         }
     }
 
@@ -589,73 +586,82 @@ mod tests {
         ParallelSource::Heap(Box::new(FullTableScan::new(Arc::clone(heap), s.clone(), predicate)))
     }
 
-    /// `builds`, then a heap scan of `heap` through `stages` into a
-    /// collect sink.
+    /// `phases`, then a heap scan of `heap` through `stages` into a
+    /// collect sink, under the default budget (the serial operators').
     fn heap_pipeline(
         heap: &Arc<HeapFile>,
         s: &Storage,
-        mut builds: Vec<PhaseSpec>,
+        mut phases: Vec<PhaseSpec>,
         stages: Vec<StageSpec>,
     ) -> ParallelPipeline {
         let source = heap_source(heap, s, Predicate::True);
-        builds.push(PhaseSpec { source, stages, build: None });
-        ParallelPipeline {
-            phases: builds,
-            sink: SinkSpec::Collect,
-            storage: s.clone(),
-            morsel_rows: batch_size(),
-        }
+        phases.push(PhaseSpec { source, stages, sink: SinkSpec::Collect });
+        let (storage, mem_bytes) = (s.clone(), crate::spill::mem_budget_bytes());
+        ParallelPipeline { phases, storage, morsel_rows: batch_size(), mem_bytes }
     }
 
-    /// A heap-source build phase on `c1` under a `mem_bytes` budget (0
-    /// — unbudgeted — for the ledger tests: spill I/O is charged
-    /// outside the per-morsel sections they reconcile to the clock).
-    fn heap_build(
-        heap: &Arc<HeapFile>,
-        s: &Storage,
-        pred: Predicate,
-        ty: JoinType,
-        mem_bytes: usize,
-    ) -> PhaseSpec {
+    /// `pipeline` with its last phase ending in `sink`.
+    fn ending_in(mut pipeline: ParallelPipeline, sink: SinkSpec) -> ParallelPipeline {
+        pipeline.phases.last_mut().expect("a phase").sink = sink;
+        pipeline
+    }
+
+    /// A heap-source build phase on `c1`.
+    fn heap_build(heap: &Arc<HeapFile>, s: &Storage, pred: Predicate, ty: JoinType) -> PhaseSpec {
+        let build = PhaseBuild { right_col: 1, left_col: 1, ty, emit: None };
         PhaseSpec {
             source: heap_source(heap, s, pred),
             stages: Vec::new(),
-            build: Some(PhaseBuild { right_col: 1, left_col: 1, ty, mem_bytes, emit: None }),
+            sink: SinkSpec::Build(build),
         }
     }
 
     /// Trace `make`'s pipeline under a collect, an ordered-fold
     /// aggregate and a sort sink — between them every sink-side ledger
-    /// field is exercised — and hand `check` each ledger once it
-    /// reconciles with the clock of the run it traced: a trace site
+    /// field is exercised — both as it is and sorted first, the sort's
+    /// output read by a phase of its own that ends in that sink. Each
+    /// runs unbudgeted (spill I/O is charged outside the per-morsel
+    /// sections the ledger sums). Hand `check` each unsorted ledger once
+    /// it reconciles with the clock of the run it traced: a trace site
     /// missing from the scheduler fails here.
     fn traced_under_each_sink(
         make: impl Fn(&Storage) -> ParallelPipeline,
         check: impl Fn(&ScalingLedger),
     ) {
-        for sink in [
-            SinkSpec::Collect,
-            // A float sum never merges exactly: the ordered fold.
-            SinkSpec::Aggregate {
-                group_cols: vec![1],
-                aggs: vec![AggFunc::CountStar, AggFunc::Sum(3)],
-            },
-            SinkSpec::Sort { keys: vec![crate::sort::SortKey::asc(1)], mem_bytes: 0 },
-        ] {
-            let folds = matches!(sink, SinkSpec::Aggregate { .. });
-            let sorts = matches!(sink, SinkSpec::Sort { .. });
+        let sinks = || {
+            [
+                SinkSpec::Collect,
+                // A float sum never merges exactly: the ordered fold.
+                SinkSpec::Aggregate {
+                    group_cols: vec![1],
+                    aggs: vec![AggFunc::CountStar, AggFunc::Sum(3)],
+                },
+                SinkSpec::Sort { keys: vec![SortKey::asc(1)] },
+            ]
+        };
+        for (nested, sink) in [false, true].into_iter().flat_map(|n| sinks().map(|s| (n, s))) {
+            let (folds, sorts) =
+                (matches!(sink, SinkSpec::Aggregate { .. }), matches!(sink, SinkSpec::Sort { .. }));
             let s = storage();
-            let (rows, ledger) =
-                run_pipeline_traced(ParallelPipeline { sink, ..make(&s) }).unwrap();
+            let mut pipeline = ParallelPipeline { mem_bytes: 0, ..make(&s) };
+            let scanned = pipeline.phases.len() - 1;
+            if nested {
+                pipeline.phases[scanned].sink = SinkSpec::Sort { keys: vec![SortKey::asc(0)] };
+                let (source, stages) = (ParallelSource::Output, Vec::new());
+                pipeline.phases.push(PhaseSpec { source, stages, sink: SinkSpec::Collect });
+            }
+            let (rows, ledger) = run_pipeline_traced(ending_in(pipeline, sink)).unwrap();
             assert!(!rows.is_empty());
-            let probe = ledger.phases.last().expect("the probe phase is always recorded");
-            assert!(probe.src_ns > 0);
+            let last = ledger.phases.last().expect("the last phase is always recorded");
+            assert!(ledger.phases[scanned].src_ns > 0, "the scan phase's source sections");
             assert_eq!(ledger.total_ns(), s.clock().snapshot().total_ns(), "ledger vs clock");
-            assert_eq!(probe.sink_ns > 0, folds, "ordered-sink sections");
-            assert_eq!(ledger.suffix_ns > 0, sorts, "sort suffix");
+            assert_eq!(last.sink_ns > 0, folds, "ordered-sink sections");
+            assert_eq!(ledger.suffix_ns > 0, sorts || nested, "sort suffix");
             // One worker's makespan is exactly the serial total.
             assert_eq!(ledger.makespan_ns(1), ledger.total_ns());
-            check(&ledger);
+            if !nested {
+                check(&ledger);
+            }
         }
     }
 
@@ -705,11 +711,11 @@ mod tests {
                 phases: vec![PhaseSpec {
                     source: ParallelSource::Shared { op: Box::new(scan) },
                     stages: vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
-                    build: None,
+                    sink: SinkSpec::Collect,
                 }],
-                sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
+                mem_bytes: 0,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
@@ -770,8 +776,7 @@ mod tests {
         for workers in [1usize, 2, 4, 8] {
             let s_par = storage();
             // The serial `HashJoin` above runs under the default budget.
-            let mem_bytes = crate::spill::mem_budget_bytes();
-            let builds = vec![heap_build(&build, &s_par, pred.clone(), JoinType::Inner, mem_bytes)];
+            let builds = vec![heap_build(&build, &s_par, pred.clone(), JoinType::Inner)];
             let pipeline = heap_pipeline(&probe, &s_par, builds, vec![StageSpec::Probe(0)]);
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "rows diverge at {workers} workers");
@@ -796,9 +801,8 @@ mod tests {
         let expected = collect_rows(&mut agg).unwrap();
         for workers in [1usize, 2, 4, 8] {
             let s_par = storage();
-            let mut pipeline = heap_pipeline(&heap, &s_par, Vec::new(), Vec::new());
-            pipeline.sink =
-                SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
+            let sink = SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
+            let pipeline = ending_in(heap_pipeline(&heap, &s_par, Vec::new(), Vec::new()), sink);
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "groups diverge at {workers} workers");
             assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
@@ -833,9 +837,8 @@ mod tests {
         let expected = collect_rows(&mut agg).unwrap();
         for workers in [1usize, 2, 4] {
             let s_par = storage();
-            let mut pipeline = heap_pipeline(&heap, &s_par, Vec::new(), Vec::new());
-            pipeline.sink =
-                SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
+            let sink = SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
+            let pipeline = ending_in(heap_pipeline(&heap, &s_par, Vec::new(), Vec::new()), sink);
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_eq!(got, expected, "float fold diverges at {workers} workers");
             assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
@@ -864,9 +867,9 @@ mod tests {
         let spent = [0usize, 1024].map(|mem_bytes| {
             let s = storage();
             s.set_faults(Some(FaultConfig::new(11).panic(1.0).scope_to_file(heap.file_id())));
-            let builds = vec![heap_build(&build, &s, Predicate::True, JoinType::Inner, mem_bytes)];
+            let builds = vec![heap_build(&build, &s, Predicate::True, JoinType::Inner)];
             let pipeline = heap_pipeline(&heap, &s, builds, vec![StageSpec::Probe(0)]);
-            let err = run_pipeline(pipeline, 1).unwrap_err();
+            let err = run_pipeline(ParallelPipeline { mem_bytes, ..pipeline }, 1).unwrap_err();
             assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
             s.clock().snapshot().io_ns
         });
@@ -939,7 +942,7 @@ mod tests {
         let build = table(2000);
         traced_under_each_sink(
             |s| {
-                let builds = vec![heap_build(&build, s, Predicate::True, JoinType::Inner, 0)];
+                let builds = vec![heap_build(&build, s, Predicate::True, JoinType::Inner)];
                 heap_pipeline(&probe, s, builds, vec![StageSpec::Probe(0)])
             },
             |ledger| {
@@ -966,7 +969,7 @@ mod tests {
         let chained = |s: &Storage| {
             let pred = Predicate::int_half_open(1, 0, 40);
             let builds = [&build_a, &build_b]
-                .map(|heap| heap_build(heap, s, pred.clone(), JoinType::LeftSemi, 0));
+                .map(|heap| heap_build(heap, s, pred.clone(), JoinType::LeftSemi));
             heap_pipeline(&probe, s, builds.into(), vec![StageSpec::Probe(0), StageSpec::Probe(1)])
         };
         traced_under_each_sink(chained, |ledger| {

@@ -45,41 +45,36 @@
 //! time. See `docs/scheduler_v2.md`.
 //!
 //! **The `ActiveQuery` phase state machine.** A query is one list of
-//! phases ([`PhaseSpec`]) — the hash-join builds in completion order,
-//! then the phase that feeds the sink — and moves through it front to
-//! back, `0 → … → n → finalized`, tracked by the `SrcState` under the
-//! source lock (which phase the current source feeds, the claim seq,
-//! and the end-of-source latch). Every phase is the same thing: a
-//! source, a stage chain and an ordered sink its morsels fold into in
-//! seq order — a build phase's table, or the query's result fold for the
-//! last phase — reset when the phase is installed. The phase's
-//! index is its identity everywhere — in claimed morsels, in the
-//! ledger, in the morsel-panic key. **A source opens when its phase is
-//! installed** (`install_phase`) and closes when the phase finalizes,
-//! so a query has at most one source open at a time, in phase order —
-//! which is the order the operator tree opens its leaves in, because
-//! [`crate::HashJoin`] builds before it opens its probe side. Admission
-//! installs phase 0 (with no builds, that *is* the last phase); when
-//! the last in-flight morsel of build `i` lands, the finalizing worker
-//! closes its source and marks the phase finalized under the source
-//! lock, then — outside it, so a worker reaching the query meanwhile
-//! moves on to other queries — finalizes any *nested* probe stages
-//! inside the completed build (bushy trees: a hash join on the build
-//! side of a hash join), takes the table the sink filled — by the
-//! serial build's own [`crate::JoinBuildTable::insert_batch`] calls, in
-//! the same order — enforces its budget, sets it on its phase, where
-//! later probe stages read it without a lock, and installs phase
-//! `i + 1` with its source opened. A query that fails in
-//! phase `i` never opens a later source. Stage chains are walked once:
-//! [`ParallelPipeline::staged_schemas`] validates every chain — build
-//! side and probe side alike — types every stage and the sink at plan
-//! time, so plan errors surface before the query is queued, and the
-//! workers run the planner's [`StageSpec`]s with those schemas.
-//! A root sort is a normal last phase whose morsels stream, in seq
-//! order, into the sort sink's sorter ([`SinkSpec::Sort`]) — rows and
-//! charges byte-identical to the serial `Sort` over the same input. A plan
-//! with nothing to fan out is the same machine with one phase whose
-//! source is the whole operator tree ([`ParallelSource::Shared`]).
+//! phases ([`PhaseSpec`]) in the order the operator tree finishes them,
+//! and moves through it front to back, `0 → … → n → finalized`, tracked
+//! by the `SrcState` under the source lock (which phase the current
+//! source feeds, the claim seq, and the end-of-source latch). Every
+//! phase is the same thing: a source, a stage chain and the one sink its
+//! morsels fold into in seq order — a build's table, a sorter, an
+//! aggregate fold or the result batches — reset when the phase is
+//! installed. The phase's index is its identity everywhere — in claimed
+//! morsels, in the ledger, in the morsel-panic key. **A source opens
+//! when its phase is installed** (`install_phase`) and closes when the
+//! phase finalizes, so a query has at most one source open at a time,
+//! in phase order — the order the operator tree opens its leaves in:
+//! [`crate::HashJoin`] builds before it opens its probe side, a `Sort`
+//! or `HashAggregate` drains its input in `open`. Admission installs
+//! phase 0; when the last in-flight morsel of phase `i` lands, the
+//! finalizing worker closes its source and marks the phase finalized
+//! under the source lock, then — outside it, so a worker reaching the
+//! query meanwhile moves on to other queries — completes the query
+//! after the last phase, or runs `advance_phase`: nested probe stages
+//! settled (bushy trees), the table the sink filled — by the serial
+//! build's own [`crate::JoinBuildTable::insert_batch`] calls, in the
+//! same order — budgeted and set on its phase, where later probe stages
+//! read it without a lock, or a sort's or aggregate's final pass run
+//! into the batches phase `i + 1`'s [`ParallelSource::Output`] hands
+//! out; then phase `i + 1` is installed. A query that fails in phase `i` never
+//! opens a later source. [`ParallelPipeline::staged_schemas`] validates
+//! and types every chain and sink at plan time, so plan errors surface
+//! before the query is queued, and the workers run the planner's
+//! [`StageSpec`]s with those schemas. A plan with nothing to fan out is
+//! one phase whose source is the whole tree ([`ParallelSource::Shared`]).
 //!
 //! **Trace sites.** [`crate::run_pipeline_traced`] runs a query solo
 //! on a one-worker pool with its trace on, and the scheduler fills the
@@ -91,13 +86,15 @@
 //! `install_phase` (the phase's source opens: summed into
 //! `prefix_ns`), each `pull` in `claim` (`src_ns`),
 //! `ActiveQuery::process` (`proc_ns`, and `sink_ns` for the ordered
-//! sink's fold) and `complete_ok`'s sort `finish` (`suffix_ns`). The clock is
+//! sink's fold) and each fold's final pass in `finish_fold` (summed into
+//! `suffix_ns`). The clock is
 //! engine-global, so a trace means something only on one worker with
 //! nothing else running on the same storage; an untraced query pays one
 //! `Option` test per site — no snapshot, no lock.
 //!
 //! **The slot pool and the `(seq, idx)` MIN rule.** An exact-merge
-//! aggregate's partial folds live in a per-query *slot pool*: a worker
+//! aggregate's partial folds live in a per-query *slot pool*, emptied
+//! when its phase finishes: a worker
 //! pops a slot, folds its morsel, and pushes the slot back — slots are
 //! not pinned to threads, so one slot can fold seq 3 before seq 2. The
 //! merge makes any slot↔morsel assignment byte-identical; for grouped
@@ -117,13 +114,13 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use smooth_storage::{tap_mark, ClockSnapshot, FileId, InjectedPanic, ScanStatistics, Storage};
-use smooth_types::{ColumnBatch, Error, Result, Row, Schema};
+use smooth_types::{ColumnBatch, ColumnBuffer, Error, Result, Row, Schema};
 
 use crate::extsort::ExternalSorter;
 use crate::join::JoinBuildTable;
 use crate::parallel::{
-    LedgerPhase, ParallelPipeline, ParallelSource, PartialAgg, PhaseBuild, PhaseSpec,
-    ScalingLedger, SinkSpec, SourceItem, StageSpec,
+    LedgerPhase, ParallelPipeline, ParallelSource, PartialAgg, PhaseSpec, ScalingLedger, SinkSpec,
+    SourceItem, StageSpec,
 };
 use crate::FullTableScan;
 
@@ -206,6 +203,7 @@ impl QueryHandle {
 /// the serial order. One `SrcState` per *phase*; advancing a phase
 /// installs a fresh one (seq restarts at 0, matching the serial
 /// drivers' per-phase numbering).
+#[derive(Default)]
 struct SrcState {
     /// The phase's opened source, until the phase finalizes.
     source: Option<ParallelSource>,
@@ -213,6 +211,8 @@ struct SrcState {
     /// fresh one off the source) for its page run, and a clean inspection
     /// returns it.
     inspectors: Vec<FullTableScan>,
+    /// What an [`ParallelSource::Output`] source hands out.
+    output: std::vec::IntoIter<ColumnBatch>,
     seq: u64,
     done: bool,
     finalized: bool,
@@ -220,15 +220,8 @@ struct SrcState {
     phase: usize,
 }
 
-impl SrcState {
-    fn new(source: Option<ParallelSource>, phase: usize) -> SrcState {
-        SrcState { source, inspectors: Vec::new(), seq: 0, done: false, finalized: false, phase }
-    }
-}
-
 /// One validated phase of a query: a morsel source drained through a
-/// stage chain, into a hash-join build table (`build`) or — the last
-/// phase only — into the sink.
+/// stage chain into its sink.
 struct Phase {
     /// The unopened source, taken — and opened — when the phase starts.
     source: Mutex<Option<ParallelSource>>,
@@ -240,11 +233,11 @@ struct Phase {
     /// conforms to after its last stage — a build table's payload
     /// typing, the aggregate sink's input typing.
     schema: Schema,
-    /// The table this phase builds (its budget is enforced at
-    /// [`advance_build`]); `None` = the phase that feeds the sink.
-    build: Option<PhaseBuild>,
-    /// The finished table, set once by [`advance_build`] before any
-    /// later phase starts, and read without a lock from then on.
+    sink: SinkSpec,
+    /// An aggregate sink that merges exactly over `schema`
+    /// ([`crate::AggFunc::merge_exact`]): workers fold partial slots.
+    merge_exact: bool,
+    /// A build's finished table, set before any later phase starts.
     table: OnceLock<JoinBuildTable>,
 }
 
@@ -262,13 +255,13 @@ struct SinkState {
 
 /// The one target an ordered sink folds each morsel into.
 enum Fold {
-    /// A build phase's table; [`advance_build`] takes it.
+    /// A build phase's table; `advance_phase` takes it.
     Build(JoinBuildTable),
     /// A collect sink's result batches.
     Batches(Vec<ColumnBatch>),
     /// The in-order aggregation fold (non-exact merges only).
     Aggregate(PartialAgg),
-    /// A root sort's sorter; `complete_ok` finishes it.
+    /// A sort's sorter; `finish_fold` finishes it.
     Sort(ExternalSorter),
 }
 
@@ -290,17 +283,12 @@ struct Pending {
 struct ActiveQuery {
     storage: Storage,
     morsel_rows: usize,
-    /// The builds in build order, then the phase that feeds the sink.
-    /// The index is the phase's identity everywhere: in `SrcState`, in
-    /// claimed morsels, in the ledger.
+    /// Every build's and every sort's memory budget.
+    mem_bytes: usize,
+    /// The phases in order, the last feeding the result. The index is
+    /// the phase's identity everywhere: in `SrcState`, in claimed
+    /// morsels, in the ledger.
     phases: Vec<Phase>,
-    /// Terminal merge discipline.
-    sink_spec: SinkSpec,
-    /// An aggregate sink whose every aggregate merges exactly over the
-    /// last phase's schema ([`crate::AggFunc::merge_exact`]): workers
-    /// fold partial slots, merged at completion. Otherwise the sink
-    /// folds in morsel order.
-    merge_exact: bool,
     src: Mutex<SrcState>,
     sink: Mutex<SinkState>,
     /// The exact-merge aggregate's slot pool (see module docs).
@@ -335,21 +323,18 @@ impl ActiveQuery {
         traced: bool,
     ) -> Result<ActiveQuery> {
         let schemas = pipeline.staged_schemas()?;
-        let merge_exact = match (&pipeline.sink, schemas.last().and_then(|s| s.last())) {
-            (SinkSpec::Aggregate { aggs, .. }, Some(input)) => {
-                aggs.iter().all(|a| a.merge_exact(input))
-            }
-            _ => false,
-        };
-        let ParallelPipeline { phases, sink, storage, morsel_rows } = pipeline;
+        let ParallelPipeline { phases, storage, morsel_rows, mem_bytes } = pipeline;
         let phases: Vec<Phase> = phases
             .into_iter()
             .zip(schemas)
-            .map(|(PhaseSpec { source, stages, build }, schemas)| {
+            .map(|(PhaseSpec { source, stages, sink }, schemas)| {
+                // The source's schema, then one per stage: the last is the output.
+                let schema = schemas[stages.len()].clone();
                 let stages: Vec<_> = stages.into_iter().zip(schemas.into_iter().skip(1)).collect();
-                let schema = stages.last().map_or_else(|| source.schema(), |(_, s)| s).clone();
-                let table = OnceLock::new();
-                Phase { source: Mutex::new(Some(source)), stages, schema, build, table }
+                let merge_exact = matches!(&sink, SinkSpec::Aggregate { aggs, .. }
+                    if aggs.iter().all(|a| a.merge_exact(&schema)));
+                let (source, table) = (Mutex::new(Some(source)), OnceLock::new());
+                Phase { source, stages, schema, sink, merge_exact, table }
             })
             .collect();
         let trace = traced.then(|| {
@@ -359,10 +344,9 @@ impl ActiveQuery {
         Ok(ActiveQuery {
             storage,
             morsel_rows: morsel_rows.max(1),
+            mem_bytes,
             phases,
-            sink_spec: sink,
-            merge_exact,
-            src: Mutex::new(SrcState::new(None, 0)),
+            src: Mutex::default(),
             sink: Mutex::default(),
             agg_slots: Mutex::new(Vec::new()),
             inflight: AtomicUsize::new(0),
@@ -380,20 +364,20 @@ impl ActiveQuery {
     }
 
     /// What phase `i`'s ordered sink folds into: a build's empty table,
-    /// or the query's Collect / Aggregate / Sort fold — `None` for an
-    /// exact-merge aggregate, whose workers fold slots instead.
+    /// a sorter, an aggregate fold or the collected batches — `None` for
+    /// an exact-merge aggregate, whose workers fold slots instead.
     fn fold_for(&self, i: usize) -> Result<Option<Fold>> {
         let phase = &self.phases[i];
-        Ok(Some(match (&phase.build, &self.sink_spec) {
-            (Some(build), _) => Fold::Build(JoinBuildTable::new(&phase.schema, build.right_col)),
-            (None, SinkSpec::Aggregate { .. }) if self.merge_exact => return Ok(None),
-            (None, SinkSpec::Aggregate { group_cols, aggs }) => {
+        Ok(Some(match &phase.sink {
+            SinkSpec::Build(b) => Fold::Build(JoinBuildTable::new(&phase.schema, b.right_col)),
+            SinkSpec::Aggregate { .. } if phase.merge_exact => return Ok(None),
+            SinkSpec::Aggregate { group_cols, aggs } => {
                 Fold::Aggregate(PartialAgg::new(&phase.schema, group_cols, aggs)?)
             }
-            (None, SinkSpec::Sort { keys, mem_bytes }) => {
-                Fold::Sort(ExternalSorter::new(self.storage.clone(), keys.clone(), *mem_bytes))
+            SinkSpec::Sort { keys } => {
+                Fold::Sort(ExternalSorter::new(self.storage.clone(), keys.clone(), self.mem_bytes))
             }
-            (None, SinkSpec::Collect) => Fold::Batches(Vec::new()),
+            SinkSpec::Collect => Fold::Batches(Vec::new()),
         }))
     }
 
@@ -418,14 +402,14 @@ impl ActiveQuery {
     }
 
     /// Stable draw key for the morsel-panic fault site: phase-qualified
-    /// sequence number (build `i` is `(i + 1) << 48 | seq`, the last
-    /// phase plain `seq`), identical for a given query no matter the
-    /// worker count or interleaving (seqs are claimed in serial source
-    /// order).
+    /// sequence number (phase `i` before the last is `(i + 1) << 48 |
+    /// seq`, the last phase plain `seq`), identical for a given query no
+    /// matter the worker count or interleaving (seqs are claimed in
+    /// serial source order).
     fn morsel_panic_key(&self, phase: usize, seq: u64) -> u64 {
-        match self.phases[phase].build {
-            Some(_) => (phase as u64 + 1) << 48 | seq,
-            None => seq,
+        match phase + 1 < self.phases.len() {
+            true => (phase as u64 + 1) << 48 | seq,
+            false => seq,
         }
     }
 
@@ -460,7 +444,8 @@ impl ActiveQuery {
                 // matched payload columns straight into a fresh batch.
                 StageSpec::Probe(b) => {
                     let probed = &self.phases[*b];
-                    let (Some(table), Some(build)) = (probed.table.get(), &probed.build) else {
+                    let (Some(table), SinkSpec::Build(build)) = (probed.table.get(), &probed.sink)
+                    else {
                         return Err(Error::exec(format!("probe of build {b} before it finished")));
                     };
                     let mut out = ColumnBatch::for_schema(schema);
@@ -470,12 +455,12 @@ impl ActiveQuery {
                 }
             };
         }
-        if phase.build.is_some() {
+        if let SinkSpec::Build(_) = phase.sink {
             // Hashing the build rows is the worker's CPU; the sink's
             // insert charges nothing, as `HashJoin::open`'s does not.
             self.storage.clock().charge_cpu(self.storage.cpu().hash_op_ns * batch.len() as u64);
         } else if let (SinkSpec::Aggregate { group_cols, aggs }, true) =
-            (&self.sink_spec, self.merge_exact)
+            (&phase.sink, phase.merge_exact)
         {
             let slot = lock(&self.agg_slots).pop();
             let mut slot = match slot {
@@ -743,7 +728,7 @@ fn pump(core: &SchedCore) {
             Err(Error::Cancelled)
         } else {
             // Admission starts the first phase.
-            install_phase(&query, 0).map(|src| *lock(&query.src) = src)
+            install_phase(&query, 0, Vec::new()).map(|src| *lock(&query.src) = src)
         };
         {
             let mut st = lock(&core.state);
@@ -817,12 +802,13 @@ fn claim(q: &Arc<ActiveQuery>, core: &SchedCore) -> Option<Pending> {
     }
     let (phase, seq) = (src.phase, src.seq);
     let (mark, trace) = (tap_mark(), q.trace_mark());
-    let SrcState { source, inspectors, .. } = &mut *src;
+    let SrcState { source, inspectors, output, .. } = &mut *src;
     // invariant: `src.source.is_none()` returned above, and the source
     // lock is held throughout the claim.
     let c = source.as_mut().expect("checked above");
     // A failed query pulls nothing more: its source ends here.
-    let pulled = if q.failed_at(seq) { Ok(None) } else { c.pull(q.morsel_rows, inspectors) };
+    let pulled =
+        if q.failed_at(seq) { Ok(None) } else { c.pull(q.morsel_rows, inspectors, output) };
     let file = c.file_id();
     let claimed = match pulled {
         Ok(Some(item)) => {
@@ -893,7 +879,7 @@ fn process_morsel(q: &ActiveQuery, Pending { phase, seq, item, file }: Pending) 
 }
 
 /// If the current phase is fully drained (source exhausted, no morsel
-/// in flight), close it out: link the build and open the next phase, or
+/// in flight), close it out: finish its sink and open the next phase, or
 /// complete the query. Only the close runs under the source lock; the
 /// `finalized` flag it sets makes this idempotent and turns every claim
 /// away until the next phase's `SrcState` is stored — so a long open of
@@ -922,7 +908,7 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
         complete_ok(q, core, phase);
         return;
     }
-    match advance_build(q, phase) {
+    match advance_phase(q, phase) {
         Ok(next) => {
             *lock(&q.src) = next;
             lock(&core.state).epoch += 1;
@@ -935,19 +921,16 @@ fn maybe_finalize(q: &Arc<ActiveQuery>, core: &SchedCore) {
     }
 }
 
-/// Take build `i`'s table off the sink, enforce its budget, set it on
-/// the phase, and start phase `i + 1`.
-fn advance_build(q: &ActiveQuery, i: usize) -> Result<SrcState> {
+/// Finish phase `i`, which is not the last: settle its nested probes,
+/// then set its build table on it or finish its fold into what phase
+/// `i + 1`'s [`ParallelSource::Output`] hands out, and start that phase.
+fn advance_phase(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     let phase = &q.phases[i];
-    let (Some(build), Some(Fold::Build(mut table))) = (&phase.build, lock(&q.sink).fold.take())
-    else {
-        return Err(Error::exec(format!("phase {i} finished without a build table")));
-    };
-    // Build input exhausted: settle deferred grace-join passes on the
-    // tables this build's nested probes touched — exactly where the
-    // operator tree's probe exhaustion charges them, before the new
-    // table's budget enforcement below. `finish_probe` is idempotent,
-    // so `complete_ok`'s blanket pass over all tables stays safe.
+    // Phase input exhausted: settle deferred grace-join passes on the
+    // tables this phase's nested probes touched — exactly where the
+    // operator tree's probe exhaustion charges them, before the sink
+    // finishes below. `finish_probe` is idempotent, so `complete_ok`'s
+    // blanket pass over all tables stays safe.
     let nested = phase.stages.iter().filter_map(|(stage, _)| match stage {
         StageSpec::Probe(b) => q.phases[*b].table.get(),
         _ => None,
@@ -955,22 +938,29 @@ fn advance_build(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     for table in nested {
         table.finish_probe(&q.storage)?;
     }
-    // The table is the serial build's, so the budget enforcement — and
-    // its charged spill I/O — is too. A failed overflow-file write
-    // (injected spill fault) fails the whole query here.
-    table.apply_budget(&q.storage, build.mem_bytes)?;
-    phase.table.set(table).map_err(|_| Error::exec(format!("build {i} finished twice")))?;
-    install_phase(q, i + 1)
+    let fold = lock(&q.sink).fold.take();
+    let output = match fold {
+        Some(Fold::Build(mut table)) => {
+            // The table is the serial build's, so the budget enforcement
+            // — and its charged spill I/O — is too. A failed overflow-file
+            // write (injected spill fault) fails the whole query here.
+            table.apply_budget(&q.storage, q.mem_bytes)?;
+            phase.table.set(table).map_err(|_| Error::exec(format!("build {i} finished twice")))?;
+            Vec::new()
+        }
+        fold => finish_fold(q, i, fold)?,
+    };
+    install_phase(q, i + 1, output)
 }
 
 /// Start phase `i`: reset the sink to the phase's fold, open its source
 /// — the previous phase's is closed, so a query has at most one open at
 /// a time, in phase order, which is the operator tree's open order — and
 /// return the `SrcState` that makes it the query's active phase; no
-/// morsel of the phase is claimed before the caller stores it. Whatever
-/// the open charges is attributed to the query and is serial time: it
-/// joins the traced prefix.
-fn install_phase(q: &ActiveQuery, i: usize) -> Result<SrcState> {
+/// morsel of the phase is claimed before the caller stores it. An
+/// `Output` source hands out `output`. Whatever the open charges is
+/// attributed to the query and is serial time: it joins the traced prefix.
+fn install_phase(q: &ActiveQuery, i: usize, output: Vec<ColumnBatch>) -> Result<SrcState> {
     *lock(&q.sink) = SinkState { fold: q.fold_for(i)?, ..SinkState::default() };
     let mut source = lock(&q.phases[i].source)
         .take()
@@ -980,7 +970,44 @@ fn install_phase(q: &ActiveQuery, i: usize) -> Result<SrcState> {
     lock(&q.stats).merge(&mark.delta());
     opened?;
     q.trace_since(opens, |l, ns| l.prefix_ns += ns);
-    Ok(SrcState::new(Some(source), i))
+    let (source, output) = (Some(source), output.into_iter());
+    Ok(SrcState { source, output, phase: i, ..Default::default() })
+}
+
+/// The final pass of phase `i`'s fold — a sort's, an aggregate's: the
+/// batches it hands on, in the order the serial operator emits them.
+/// Its charges are serial time, summed into the traced suffix.
+fn finish_fold(q: &ActiveQuery, i: usize, fold: Option<Fold>) -> Result<Vec<ColumnBatch>> {
+    debug_assert!(lock(&q.sink).pending.is_empty(), "ordered sink drained every seq");
+    let (suffix, mark) = (q.trace_mark(), tap_mark());
+    // The groups in morsels, as `HashAggregate::next_columns` cuts them.
+    let morsels = |groups: ColumnBatch| {
+        let mut groups = ColumnBuffer::from(groups);
+        Vec::from_iter(std::iter::from_fn(|| groups.pop_columns(q.morsel_rows)))
+    };
+    let batches = match (fold, &q.phases[i].sink) {
+        (Some(Fold::Batches(batches)), _) => Ok(batches),
+        (Some(Fold::Aggregate(agg)), _) => agg.finish().map(morsels),
+        // Every morsel is in, in serial order: this is the serial
+        // `Sort`'s final pass, charges included. It can spill under a
+        // budget, so it can still fail the query.
+        (Some(Fold::Sort(sorter)), _) => sorter.finish(),
+        (None, SinkSpec::Aggregate { group_cols, aggs }) => {
+            let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
+            let first = match slots.next() {
+                Some(slot) => Ok(slot),
+                None => PartialAgg::new(&q.phases[i].schema, group_cols, aggs),
+            };
+            first.and_then(|mut merged| {
+                slots.for_each(|slot| merged.merge(slot));
+                merged.finish().map(morsels)
+            })
+        }
+        _ => Err(Error::exec("sink fold taken before completion")),
+    };
+    lock(&q.stats).merge(&mark.delta());
+    q.trace_since(suffix, |l, ns| l.suffix_ns += ns);
+    batches
 }
 
 /// Finish a successful query after its last phase, `last`: fold the sink
@@ -999,40 +1026,8 @@ fn complete_ok(q: &Arc<ActiveQuery>, core: &SchedCore, last: usize) {
         complete_err(q, core);
         return;
     }
-    let fold = {
-        let mut sink = lock(&q.sink);
-        debug_assert!(sink.pending.is_empty(), "ordered sink drained every seq");
-        // Only `complete_ok` (run once — it empties `done_tx`) takes it.
-        sink.fold.take()
-    };
-    let one = |batch: ColumnBatch| Vec::from_iter((!batch.is_empty()).then_some(batch));
-    let batches = match (fold, &q.sink_spec) {
-        (Some(Fold::Batches(batches)), _) => Ok(batches),
-        (Some(Fold::Aggregate(agg)), _) => agg.finish().map(one),
-        (Some(Fold::Sort(sorter)), _) => {
-            // Every morsel is in, in serial order: this is the serial
-            // `Sort`'s final pass, charges included. It can spill under
-            // a budget, so it can still fail the query.
-            let (suffix, mark) = (q.trace_mark(), tap_mark());
-            let sorted = sorter.finish();
-            lock(&q.stats).merge(&mark.delta());
-            q.trace_since(suffix, |l, ns| l.suffix_ns = ns);
-            sorted
-        }
-        (None, SinkSpec::Aggregate { group_cols, aggs }) => {
-            let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
-            let first = match slots.next() {
-                Some(slot) => Ok(slot),
-                None => PartialAgg::new(&q.phases[last].schema, group_cols, aggs),
-            };
-            first.and_then(|mut merged| {
-                slots.for_each(|slot| merged.merge(slot));
-                merged.finish().map(one)
-            })
-        }
-        _ => Err(Error::exec("sink fold taken before completion")),
-    };
-    let batches = match batches {
+    let fold = lock(&q.sink).fold.take();
+    let batches = match finish_fold(q, last, fold) {
         Ok(batches) => batches,
         Err(e) => {
             q.record_err(u64::MAX, e);
@@ -1128,10 +1123,10 @@ mod tests {
 
     fn pipeline(source: ParallelSource, s: &Storage) -> ParallelPipeline {
         ParallelPipeline {
-            phases: vec![PhaseSpec { source, stages: Vec::new(), build: None }],
-            sink: SinkSpec::Collect,
+            phases: vec![PhaseSpec { source, stages: Vec::new(), sink: SinkSpec::Collect }],
             storage: s.clone(),
             morsel_rows: batch_size(),
+            mem_bytes: 0,
         }
     }
 

@@ -73,11 +73,11 @@ fn pipeline(op: BoxedOperator) -> ParallelPipeline {
         phases: vec![PhaseSpec {
             source: ParallelSource::Shared { op },
             stages: Vec::new(),
-            build: None,
+            sink: SinkSpec::Collect,
         }],
-        sink: SinkSpec::Collect,
         storage: Storage::default_hdd(),
         morsel_rows: 16,
+        mem_bytes: 0,
     }
 }
 
@@ -171,12 +171,12 @@ fn a_query_opening_its_next_phase_does_not_stall_the_pool() {
     // worker must serve while that open waits.
     let scheduler = Scheduler::new(2, 2);
     let (mut first, opened, gate) = gated();
-    let build =
-        PhaseBuild { right_col: 0, left_col: 0, ty: JoinType::Inner, mem_bytes: 0, emit: None };
+    let build = PhaseBuild { right_col: 0, left_col: 0, ty: JoinType::Inner, emit: None };
     let mut probe = first.phases.remove(0);
     probe.stages.push(StageSpec::Probe(0));
     let source = ParallelSource::Shared { op: Box::new(values()) };
-    first.phases = vec![PhaseSpec { source, stages: Vec::new(), build: Some(build) }, probe];
+    first.phases =
+        vec![PhaseSpec { source, stages: Vec::new(), sink: SinkSpec::Build(build) }, probe];
     let first = scheduler.submit(first).unwrap();
     opened.recv_timeout(WAIT).expect("a worker opens the probe phase's source");
     let second = scheduler.submit(pipeline(Box::new(values()))).unwrap();

@@ -70,11 +70,11 @@ fn a_source_failing_mid_drain_never_completes_ok() {
                 phases: vec![PhaseSpec {
                     source: ParallelSource::Shared { op },
                     stages: Vec::new(),
-                    build: None,
+                    sink: SinkSpec::Collect,
                 }],
-                sink: SinkSpec::Collect,
                 storage: storage.clone(),
                 morsel_rows: 1,
+                mem_bytes: 0,
             };
             let got = scheduler.submit(pipeline).unwrap().wait();
             assert!(

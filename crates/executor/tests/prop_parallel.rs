@@ -17,7 +17,7 @@ use smooth_executor::parallel::{
 use smooth_executor::scan::FULL_SCAN_READAHEAD;
 use smooth_executor::{
     batch_size, collect_rows, AggFunc, Filter, FullTableScan, HashAggregate, HashJoin, JoinType,
-    Operator, Predicate, Project,
+    Operator, Predicate, Project, Scheduler,
 };
 use smooth_storage::{CpuCosts, DeviceProfile, HeapFile, Storage, StorageConfig};
 use smooth_types::{Column, DataType, Row, Schema, Value};
@@ -57,9 +57,9 @@ fn heap_source(
     ParallelSource::Heap(Box::new(scan.with_readahead(readahead)))
 }
 
-/// The phase that feeds the sink: `source` through `stages`.
+/// The last phase: `source` through `stages` into a collect sink.
 fn sink_phase(source: ParallelSource, stages: Vec<StageSpec>) -> PhaseSpec {
-    PhaseSpec { source, stages, build: None }
+    PhaseSpec { source, stages, sink: SinkSpec::Collect }
 }
 
 /// Drain a serial operator through the columnar protocol at a fixed
@@ -130,9 +130,9 @@ proptest! {
                     heap_source(&heap, &s_par, Predicate::True, readahead),
                     vec![StageSpec::Filter(pred.clone()), StageSpec::Project(vec![1, 0])],
                 )],
-                sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
+                mem_bytes: 0,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -167,9 +167,9 @@ proptest! {
                     heap_source(&heap, &s_par, pred.clone(), FULL_SCAN_READAHEAD),
                     Vec::new(),
                 )],
-                sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
+                mem_bytes: 0,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -207,9 +207,9 @@ proptest! {
                     ParallelSource::Shared { op: mk_scan(&s_par) },
                     vec![StageSpec::Filter(residual.clone())],
                 )],
-                sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: max,
+                mem_bytes: 0,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -258,11 +258,10 @@ proptest! {
                             op: Box::new(ValuesOp::new(right_schema.clone(), right_rows.clone())),
                         },
                         stages: Vec::new(),
-                        build: Some(PhaseBuild {
+                        sink: SinkSpec::Build(PhaseBuild {
                             right_col: 0,
                             left_col: 1,
                             ty,
-                            mem_bytes: smooth_executor::mem_budget_bytes(),
                             emit: None,
                         }),
                     },
@@ -271,9 +270,9 @@ proptest! {
                         vec![StageSpec::Probe(0)],
                     ),
                 ],
-                sink: SinkSpec::Collect,
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
+                mem_bytes: smooth_executor::mem_budget_bytes(),
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -319,13 +318,16 @@ proptest! {
         for workers in WORKER_GRID {
             let s_par = storage(32);
             let pipeline = ParallelPipeline {
-                phases: vec![sink_phase(
-                    heap_source(&heap, &s_par, Predicate::True, FULL_SCAN_READAHEAD),
-                    vec![StageSpec::Filter(pred.clone())],
-                )],
-                sink: SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() },
+                phases: vec![PhaseSpec {
+                    sink: SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() },
+                    ..sink_phase(
+                        heap_source(&heap, &s_par, Predicate::True, FULL_SCAN_READAHEAD),
+                        vec![StageSpec::Filter(pred.clone())],
+                    )
+                }],
                 storage: s_par.clone(),
                 morsel_rows: batch_size(),
+                mem_bytes: 0,
             };
             let got = run_pipeline(pipeline, workers).unwrap();
             assert_equal_runs(
@@ -334,5 +336,36 @@ proptest! {
                 &format!("partial agg (scalar={scalar}), {workers} workers"),
             )?;
         }
+    }
+}
+
+/// A grouped aggregate below the root hands the next phase its groups in
+/// morsels of `morsel_rows`, as the tree's `HashAggregate` emits them, so
+/// the stages above it fan out: 300 groups at 64 rows a morsel reach the
+/// projection above as five morsels — five collected batches — with the
+/// tree's rows, clock and I/O counters.
+#[test]
+fn a_nested_aggregate_hands_on_its_groups_in_morsels() {
+    let heap = build_table(&Vec::from_iter((0..500).map(|i| i % 300)));
+    let (group_cols, aggs) = (vec![1], vec![AggFunc::CountStar, AggFunc::Max(0)]);
+    let s_serial = storage(16);
+    let scan = FullTableScan::new(Arc::clone(&heap), s_serial.clone(), Predicate::True);
+    let agg =
+        HashAggregate::new(Box::new(scan), group_cols.clone(), aggs.clone(), s_serial.clone());
+    let mut tree = Project::new(Box::new(agg.unwrap()), vec![2, 0]).unwrap();
+    let expected = collect_serial(&mut tree, 64);
+    for workers in WORKER_GRID {
+        let s_par = storage(16);
+        let source = heap_source(&heap, &s_par, Predicate::True, FULL_SCAN_READAHEAD);
+        let sink = SinkSpec::Aggregate { group_cols: group_cols.clone(), aggs: aggs.clone() };
+        let grouped = PhaseSpec { source, stages: Vec::new(), sink };
+        let projected = sink_phase(ParallelSource::Output, vec![StageSpec::Project(vec![2, 0])]);
+        let (phases, storage) = (vec![grouped, projected], s_par.clone());
+        let pipeline = ParallelPipeline { phases, storage, morsel_rows: 64, mem_bytes: 0 };
+        let out = Scheduler::new(workers, 1).submit(pipeline).unwrap().wait().unwrap();
+        assert_eq!(out.batches.len(), 5, "{workers} workers");
+        let got = out.into_rows();
+        assert_equal_runs((&expected, &s_serial), (&got, &s_par), &format!("{workers} workers"))
+            .unwrap();
     }
 }

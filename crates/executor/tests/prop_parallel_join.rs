@@ -81,19 +81,19 @@ fn join_pipeline(
     probe: &Arc<HeapFile>,
     (storage, morsel_rows): (&Storage, usize),
 ) -> ParallelPipeline {
-    let build = Some(PhaseBuild { right_col, left_col: 1, ty, mem_bytes, emit: None });
+    let sink = SinkSpec::Build(PhaseBuild { right_col, left_col: 1, ty, emit: None });
     ParallelPipeline {
         phases: vec![
-            PhaseSpec { source, stages, build },
+            PhaseSpec { source, stages, sink },
             PhaseSpec {
                 source: heap_source(probe, storage, Predicate::True),
                 stages: vec![StageSpec::Probe(0)],
-                build: None,
+                sink: SinkSpec::Collect,
             },
         ],
-        sink: SinkSpec::Collect,
         storage: storage.clone(),
         morsel_rows,
+        mem_bytes,
     }
 }
 
@@ -309,13 +309,15 @@ fn sources_open_in_phase_order_one_at_a_time() {
     let phase = |op: BoxedOperator, probes: &[usize], builds: bool| PhaseSpec {
         source: ParallelSource::Shared { op },
         stages: probes.iter().map(|&b| StageSpec::Probe(b)).collect(),
-        build: builds.then_some(PhaseBuild {
-            right_col: 0,
-            left_col: 0,
-            ty: JoinType::Inner,
-            mem_bytes: 0,
-            emit: None,
-        }),
+        sink: match builds {
+            true => SinkSpec::Build(PhaseBuild {
+                right_col: 0,
+                left_col: 0,
+                ty: JoinType::Inner,
+                emit: None,
+            }),
+            false => SinkSpec::Collect,
+        },
     };
     // One shape twice — the operator tree and its phases — over leaves
     // logging to one fresh log; `fails` names the leaf that errors.
@@ -353,8 +355,8 @@ fn sources_open_in_phase_order_one_at_a_time() {
         rows
     };
     let run_pool = |phases: Vec<PhaseSpec>, workers: usize| {
-        let (sink, storage) = (SinkSpec::Collect, storage(8));
-        run_pipeline(ParallelPipeline { phases, sink, storage, morsel_rows: 4 }, workers)
+        let storage = storage(8);
+        run_pipeline(ParallelPipeline { phases, storage, morsel_rows: 4, mem_bytes: 0 }, workers)
     };
     let events = |log: OpenLog| log.lock().unwrap().clone();
 

@@ -16,12 +16,13 @@
 //! becomes a hash join under a `Sort` on its left key. The operator tree
 //! and the pipeline both read only that resolved plan. `run` /
 //! `run_batches` / `submit` lower it (a private, total `lower`: the
-//! peeled pipeline — a list of phases, hash-join builds first, in the
-//! order the operator tree opens them; the executor validates their
-//! stage chains and types them — under one sink: an `Aggregate` root
-//! folds at the aggregate sink, a `Sort` root at the sort sink, and
-//! everything else collects; what does not peel runs whole as a shared
-//! source) and hand it to the database's **persistent** worker pool
+//! peeled pipeline — a list of phases in the order the operator tree
+//! finishes them, each ending in one sink: every hash-join build side,
+//! `Sort` and `Aggregate`, wherever it sits, ends a phase, and the last
+//! phase's sink is the result; the executor validates the stage chains
+//! and types them; what does not peel — a Smooth Scan, an index join —
+//! runs whole as a shared source) and hand it to the database's
+//! **persistent** worker pool
 //! ([`smooth_executor::Scheduler`]) as a scheduled query. The worker
 //! count (`SMOOTH_WORKERS` /
 //! [`Database::with_workers`], default = available cores) selects the
@@ -627,26 +628,26 @@ impl Database {
     /// `run` and `submit` still hand to the pool (so `None` says "one
     /// worker's worth of work", not "another driver").
     ///
-    /// The decomposition takes the sink off the top — an `Aggregate`
-    /// folds at the aggregate sink, a `Sort` at the sort sink — then
-    /// peels parallel-safe nodes — `Filter` / `Project` / hash-strategy
-    /// `Join` probes (per-worker stages, build sides built and drained
-    /// serially) — until it reaches the morsel source. A full table scan
-    /// becomes the *partitioned* heap source (the scan reads its page runs
-    /// under the source lock, workers inspect them in parallel); any other
-    /// subtree (a Smooth Scan under any trigger — Index, Sort and Switch
-    /// Scan are its configurations — an index join, a breaker under a
-    /// join or under another breaker) runs unchanged as a serial shared
-    /// source, which is exactly how the adaptive scans' morph decisions
-    /// stay centralized while the stages above them still parallelize. Plan validation errors (missing
-    /// tables, bad ordinals) surface here identically to [`Database::build`]
-    /// — the lowering's, then [`ParallelPipeline::staged_schemas`]'.
+    /// The decomposition is `peel`'s: `Filter` / `Project` / hash-join
+    /// probes become per-worker stages, and every breaker — a hash
+    /// join's build side, a `Sort`, an `Aggregate`, wherever it sits —
+    /// ends a phase. A full table scan becomes the *partitioned* heap
+    /// source (the scan reads its page runs under the source lock,
+    /// workers inspect them in parallel); any other leaf (a Smooth Scan
+    /// under any trigger — Index, Sort and Switch Scan are its
+    /// configurations — or an index join with its outer side) runs
+    /// unchanged as a serial shared source, which is exactly how the
+    /// adaptive scans' morph decisions stay centralized while the stages
+    /// above them still parallelize. Plan validation errors (missing
+    /// tables, bad ordinals) surface here identically to
+    /// [`Database::build`] — the lowering's, then
+    /// [`ParallelPipeline::staged_schemas`]'.
     pub fn parallel_pipeline(&self, plan: &LogicalPlan) -> Result<Option<ParallelPipeline>> {
         let pipeline = self.lower(plan)?;
         pipeline.staged_schemas()?;
         let serial_only = matches!(
-            (&pipeline.phases[..], &pipeline.sink),
-            ([PhaseSpec { source: ParallelSource::Shared { .. }, stages, .. }], SinkSpec::Collect)
+            &pipeline.phases[..],
+            [PhaseSpec { source: ParallelSource::Shared { .. }, stages, sink: SinkSpec::Collect }]
                 if stages.is_empty()
         );
         Ok((!serial_only).then_some(pipeline))
@@ -656,85 +657,89 @@ impl Database {
     /// plan — total: a plan with nothing to fan out comes back as its
     /// whole operator tree in a shared source under a collect sink,
     /// which the pool drains one morsel at a time, checking the cancel
-    /// flag and the deadline at every boundary. This is also the one
-    /// place the sink is chosen: an `Aggregate` root folds at the
-    /// aggregate sink; a `Sort` root streams its input's morsels, in
-    /// serial order, into the sort sink's sorter — the charges the tree's
-    /// `Sort` makes over the same input, so rows *and* charges are
-    /// byte-identical to it; everything else collects. Schemas are the
-    /// executor's business: the scheduler types the chains once, before it
-    /// queues the query, and [`ParallelPipeline::staged_schemas`] fails
-    /// where the operator constructors [`Database::build`] calls would.
+    /// flag and the deadline at every boundary. It is `peel`'s phase
+    /// list, less the empty trailing [`ParallelSource::Output`] phase a
+    /// root `Sort` or `Aggregate` leaves: its phase is the last, and the
+    /// result is what it finished into. Schemas are the executor's
+    /// business: the scheduler types the chains once, before it queues
+    /// the query, and [`ParallelPipeline::staged_schemas`] fails where
+    /// the operator constructors [`Database::build`] calls would.
     fn lower(&self, plan: &LogicalPlan) -> Result<ParallelPipeline> {
         let mut phases = Vec::new();
-        let (last, sink) = match self.resolve(&prune(&self.catalog, plan))? {
-            LogicalPlan::Aggregate { input, group_cols, aggs } => {
-                (self.peel(&input, &mut phases)?, SinkSpec::Aggregate { group_cols, aggs })
-            }
-            LogicalPlan::Sort { input, keys } => (
-                self.peel(&input, &mut phases)?,
-                SinkSpec::Sort { keys, mem_bytes: self.mem_bytes() },
-            ),
-            other => (self.peel(&other, &mut phases)?, SinkSpec::Collect),
-        };
-        phases.push(last);
-        let storage = self.storage.clone();
-        Ok(ParallelPipeline { phases, sink, storage, morsel_rows: batch_size() })
+        let last = self.peel(&self.resolve(&prune(&self.catalog, plan))?, &mut phases)?;
+        if !(matches!(last.source, ParallelSource::Output) && last.stages.is_empty()) {
+            phases.push(last);
+        }
+        let (storage, mem_bytes) = (self.storage.clone(), self.mem_bytes());
+        Ok(ParallelPipeline { phases, storage, morsel_rows: batch_size(), mem_bytes })
     }
 
-    /// Pipeline peel of a probe side or a hash-join *build side* into
-    /// one phase (`build` left `None`: the caller says what it feeds):
-    /// filters and projections peel into stages; a hash join peels its
-    /// build side **first** — nested builds land in `builds` ahead of
-    /// it, then the build itself as a phase of its own (source +
-    /// stages, so the partitioned parallel build fans its decode/insert
-    /// CPU out too) — and only then its probe side, which keeps this
-    /// subtree's source and probes the build through a
-    /// [`StageSpec::Probe`] stage. That is [`HashJoin`]'s own open
-    /// order, so `builds` accumulates in the order the operator tree
-    /// opens and drains them — completion order *is* open order, for
-    /// left-deep and bushy trees (hash joins on the build side of hash
-    /// joins) alike. A full scan becomes the partitioned heap source —
-    /// the [`FullTableScan`] the operator tree would run, built by the
-    /// same [`Database::full_scan`]; any other leaf (a Smooth Scan under
-    /// any trigger, an index join, a sort or an aggregate under the
-    /// join) runs whole as a serial shared source.
-    fn peel(&self, plan: &LogicalPlan, builds: &mut Vec<PhaseSpec>) -> Result<PhaseSpec> {
+    /// Pipeline peel of `plan` into phases, in the order the operator
+    /// tree finishes them: filters and projections peel into stages of
+    /// the current phase; every breaker closes a phase with its sink and
+    /// pushes it to `phases`. A hash join peels its build side **first**
+    /// — nested phases land ahead of it — and closes it with a build,
+    /// then peels its probe side, which keeps this subtree's source and
+    /// probes the build through a [`StageSpec::Probe`] stage. That is
+    /// [`HashJoin`]'s own open order. A `Sort` or an `Aggregate` closes
+    /// its input's phase with a sort or aggregate sink and continues from
+    /// an open phase that reads what it finished into
+    /// ([`ParallelSource::Output`]) — what the tree's `Sort` /
+    /// `HashAggregate` emit after their `open` drained the input; nothing
+    /// is pushed before that phase closes, so it is the next one. A full
+    /// scan becomes the partitioned heap source — the [`FullTableScan`] the operator tree would run, built
+    /// by the same [`Database::full_scan`]; any other leaf (a Smooth Scan
+    /// under any trigger, an index join) runs whole as a serial shared
+    /// source. Returns the open phase, whose sink the caller decides.
+    fn peel(&self, plan: &LogicalPlan, phases: &mut Vec<PhaseSpec>) -> Result<PhaseSpec> {
+        let staged = |input, stage, phases: &mut _| {
+            let mut phase = self.peel(input, phases)?;
+            phase.stages.push(stage);
+            Ok(phase)
+        };
+        // End `input`'s phase in `sink`; the open phase reads its output.
+        let breaker = |input, sink, phases: &mut _| {
+            Self::close(self.peel(input, phases)?, sink, phases);
+            Ok(Self::source(ParallelSource::Output))
+        };
         match plan {
             LogicalPlan::Filter { input, predicate } => {
-                let mut phase = self.peel(input, builds)?;
-                phase.stages.push(StageSpec::Filter(predicate.clone()));
-                Ok(phase)
+                staged(input, StageSpec::Filter(predicate.clone()), phases)
             }
             LogicalPlan::Project { input, cols } => {
-                let mut phase = self.peel(input, builds)?;
-                phase.stages.push(StageSpec::Project(cols.clone()));
-                Ok(phase)
+                staged(input, StageSpec::Project(cols.clone()), phases)
             }
             LogicalPlan::Join(spec) if spec.strategy == JoinStrategy::Hash => {
-                let mut build = self.peel(&spec.right, builds)?;
-                build.build = Some(PhaseBuild {
-                    right_col: spec.right_col,
-                    left_col: spec.left_col,
-                    ty: spec.ty,
-                    mem_bytes: self.mem_bytes(),
-                    emit: spec.emit.clone(),
-                });
-                let built = builds.len();
-                builds.push(build);
-                let mut probe = self.peel(&spec.left, builds)?;
-                probe.stages.push(StageSpec::Probe(built));
-                Ok(probe)
+                let (right_col, left_col, ty, emit) =
+                    (spec.right_col, spec.left_col, spec.ty, spec.emit.clone());
+                let sink = SinkSpec::Build(PhaseBuild { right_col, left_col, ty, emit });
+                let built = Self::close(self.peel(&spec.right, phases)?, sink, phases);
+                staged(&spec.left, StageSpec::Probe(built), phases)
+            }
+            LogicalPlan::Aggregate { input, group_cols, aggs } => {
+                let (group_cols, aggs) = (group_cols.clone(), aggs.clone());
+                breaker(input, SinkSpec::Aggregate { group_cols, aggs }, phases)
+            }
+            LogicalPlan::Sort { input, keys } => {
+                breaker(input, SinkSpec::Sort { keys: keys.clone() }, phases)
             }
             LogicalPlan::Scan(spec) if spec.access == AccessPathChoice::ForceFull => {
-                let source = ParallelSource::Heap(Box::new(self.full_scan(spec)?));
-                Ok(PhaseSpec { source, stages: Vec::new(), build: None })
+                Ok(Self::source(ParallelSource::Heap(Box::new(self.full_scan(spec)?))))
             }
-            other => {
-                let source = ParallelSource::Shared { op: self.build_node(other)? };
-                Ok(PhaseSpec { source, stages: Vec::new(), build: None })
-            }
+            other => Ok(Self::source(ParallelSource::Shared { op: self.build_node(other)? })),
         }
+    }
+
+    /// An open phase from `source`, no stages yet.
+    fn source(source: ParallelSource) -> PhaseSpec {
+        PhaseSpec { source, stages: Vec::new(), sink: SinkSpec::Collect }
+    }
+
+    /// End `phase` in `sink` and push it to `phases`: its index.
+    fn close(mut phase: PhaseSpec, sink: SinkSpec, phases: &mut Vec<PhaseSpec>) -> usize {
+        phase.sink = sink;
+        phases.push(phase);
+        phases.len() - 1
     }
 
     /// Total catalog cardinality of the plan's base tables (the
@@ -1179,79 +1184,102 @@ mod tests {
     fn parallel_pipeline_decomposition_shapes() {
         let db = db(1000);
         // Unordered full scan → partitioned heap source.
-        let p = db.parallel_pipeline(&q(100, AccessPathChoice::ForceFull)).unwrap().unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Heap { .. }));
+        assert_eq!(shape(&db, &q(100, AccessPathChoice::ForceFull)), ["heap→collect"]);
         // A bare adaptive scan has no stages to fan out → `None`; what
         // runs is the whole tree as a shared source under a collect sink.
         let smooth = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()));
         assert!(db.parallel_pipeline(&smooth).unwrap().is_none());
-        let p = db.lower(&smooth).unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, SinkSpec::Collect));
-        assert!(p.phases.len() == 1 && p.phases[0].stages.is_empty());
-        // An ordered full scan at the root sorts at the sink; under a
-        // filter it is the Sort-over-scan tree as a shared source.
+        assert_eq!(shape(&db, &smooth), ["shared→collect"]);
+        // An ordered full scan sorts at a sink: at the root that phase is
+        // the last; under a filter an `Output` phase filters what it sorted.
         let ordered = LogicalPlan::scan(
             ScanSpec::new("t", Predicate::int_half_open(1, 0, 100))
                 .with_order()
                 .with_access(AccessPathChoice::ForceFull),
         );
-        let p = db.lower(&ordered).unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Heap { .. }));
-        assert!(matches!(p.sink, SinkSpec::Sort { .. }));
-        let p = db.lower(&ordered.filter(Predicate::int_lt(0, 900))).unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, SinkSpec::Collect));
-        // Every root sort sorts at the sink, over the heap source and
-        // the stages of a filtered full scan; under an aggregate it is
-        // the Sort-over-scan tree as a shared source.
+        assert_eq!(shape(&db, &ordered), ["heap→sort"]);
+        let filtered = ordered.filter(Predicate::int_lt(0, 900));
+        assert_eq!(shape(&db, &filtered), ["heap→sort", "out·filter→collect"]);
+        // A sort keeps the stages of a filtered full scan; an aggregate
+        // over it reads its output.
         let sorted = q(100, AccessPathChoice::ForceFull)
             .filter(Predicate::int_lt(0, 900))
             .sort(vec![SortKey::desc(0)]);
-        let p = db.lower(&sorted).unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Heap { .. }));
-        assert!(matches!(p.phases[0].stages[..], [StageSpec::Filter(_)]));
-        assert!(matches!(p.sink, SinkSpec::Sort { .. }));
-        let p = db.lower(&sorted.aggregate(vec![1], vec![AggFunc::CountStar])).unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, SinkSpec::Aggregate { .. }));
-        // …but an aggregate above it parallelizes on the stages.
+        assert_eq!(shape(&db, &sorted), ["heap·filter→sort"]);
+        let counted = sorted.aggregate(vec![1], vec![AggFunc::CountStar]);
+        assert_eq!(shape(&db, &counted), ["heap·filter→sort", "out→agg"]);
+        // An aggregate over an adaptive scan parallelizes on the stages.
         let plan = q(100, AccessPathChoice::Smooth(SmoothScanConfig::default()))
             .aggregate(vec![], vec![AggFunc::CountStar]);
-        let p = db.parallel_pipeline(&plan).unwrap().unwrap();
-        assert!(matches!(p.phases[0].source, ParallelSource::Shared { .. }));
-        assert!(matches!(p.sink, SinkSpec::Aggregate { .. }));
-        // Builds come in `HashJoin`'s open order — a join's build side
-        // before anything on its probe side: (t ⋈ a) ⋈ b lowers to
-        // [b, a, t], t probing a (phase 1), then b (phase 0).
+        assert!(db.parallel_pipeline(&plan).unwrap().is_some());
+        assert_eq!(shape(&db, &plan), ["shared→agg"]);
+        // A sort on a hash join's build side is a phase of its own, and
+        // the build reads its output.
         let t = |hi| q(hi, AccessPathChoice::ForceFull);
         let semi = smooth_executor::JoinType::LeftSemi;
         let hash = |l: LogicalPlan, r| l.join(r, 1, 1, semi, JoinStrategy::Hash);
-        let p = db.lower(&hash(hash(t(900), t(20)), t(30))).unwrap();
-        assert!(matches!(p.phases[2].stages[..], [StageSpec::Probe(1), StageSpec::Probe(0)]));
+        let sorted_build = hash(t(900), t(30).sort(vec![SortKey::desc(0)]));
+        assert_eq!(shape(&db, &sorted_build), ["heap→sort", "out→build", "heap·probe1→collect"]);
+        // Builds come in `HashJoin`'s open order — a join's build side
+        // before anything on its probe side: (t ⋈ a) ⋈ b lowers to
+        // [b, a, t], t probing a (phase 1), then b (phase 0).
+        let bushy = hash(hash(t(900), t(20)), t(30));
+        assert_eq!(shape(&db, &bushy), ["heap→build", "heap→build", "heap·probe1·probe0→collect"]);
         // The phases' scans, told apart by how many rows each passes.
         let rows = |op: &mut dyn Operator| -> usize {
             collect_batches(op).unwrap().iter().map(ColumnBatch::len).sum()
         };
-        let scans = p.phases.into_iter().map(|phase| match phase.source {
+        let scans = db.lower(&bushy).unwrap().phases.into_iter().map(|phase| match phase.source {
             ParallelSource::Heap(mut scan) => rows(&mut *scan),
-            ParallelSource::Shared { .. } => panic!("a full scan is a heap source"),
+            _ => panic!("a full scan is a heap source"),
         });
         let expected = [30, 20, 900].map(|hi| rows(&mut *db.build(&t(hi)).unwrap()));
         assert_eq!(scans.collect::<Vec<_>>(), expected);
         // Plan errors surface from the decomposition exactly like build(),
         // and from `submit` before a query is queued — a stage ordinal
-        // `prune` leaves alone from the one `staged_schemas` walk too.
+        // `prune` leaves alone from the one `staged_schemas` walk too, and
+        // a bad aggregate column under a join with `HashAggregate::new`'s
+        // text: `agg::output_schema` is the one check.
         let bad = LogicalPlan::scan(
             ScanSpec::new("t", Predicate::int_eq(0, 1)).with_access(AccessPathChoice::ForceIndex),
         );
         let bad_stage = t(100).filter(Predicate::int_lt(0, 900)).project(vec![9]);
+        let bad_agg = hash(t(900), t(20).aggregate(vec![7], vec![AggFunc::CountStar]));
         let db = db.with_workers(4);
-        for bad in [bad, bad_stage] {
+        for bad in [bad, bad_stage, bad_agg] {
+            let built = db.build(&bad).err().map(|e| e.to_string());
             assert!(db.parallel_pipeline(&bad).is_err());
-            assert!(db.run(&bad).is_err());
+            assert_eq!(db.run(&bad).err().map(|e| e.to_string()), built);
             assert!(db.submit(&bad).is_err());
         }
+    }
+
+    /// Each phase of `plan`'s lowering as `source·stage…→sink`: `heap`,
+    /// `shared` or `out` (the previous phase's `Output`); `filter`,
+    /// `project` or `probe<b>`; `collect`, `agg`, `sort` or `build`.
+    fn shape(db: &Database, plan: &LogicalPlan) -> Vec<String> {
+        let shape = |p: &PhaseSpec| {
+            let mut text = match p.source {
+                ParallelSource::Heap(_) => "heap".to_string(),
+                ParallelSource::Shared { .. } => "shared".to_string(),
+                ParallelSource::Output => "out".to_string(),
+            };
+            for stage in &p.stages {
+                text += &match stage {
+                    StageSpec::Filter(_) => "·filter".to_string(),
+                    StageSpec::Project(_) => "·project".to_string(),
+                    StageSpec::Probe(b) => format!("·probe{b}"),
+                };
+            }
+            let sink = match p.sink {
+                SinkSpec::Collect => "collect",
+                SinkSpec::Aggregate { .. } => "agg",
+                SinkSpec::Sort { .. } => "sort",
+                SinkSpec::Build(_) => "build",
+            };
+            format!("{text}→{sink}")
+        };
+        db.lower(plan).unwrap().phases.iter().map(shape).collect()
     }
 
     #[test]

@@ -794,6 +794,13 @@ pub struct ColumnBuffer {
     pos: usize,
 }
 
+impl From<ColumnBatch> for ColumnBuffer {
+    /// A buffer with every row of the dense `batch` pending.
+    fn from(batch: ColumnBatch) -> Self {
+        ColumnBuffer { batch, pos: 0 }
+    }
+}
+
 impl ColumnBuffer {
     /// An empty buffer typed for `schema`.
     pub fn for_schema(schema: &Schema) -> Self {

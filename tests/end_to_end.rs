@@ -300,8 +300,8 @@ fn source_hold_and_processing_time_reach_the_query_statistics() {
 /// The pool and the operator tree attribute the same scan statistics:
 /// the tuples a query's scans inspect and emit, and the pages, requests,
 /// hits and bytes it reads, whichever thread ran the scan and at every
-/// pool width — for a heap source, a shared source and the phases of a
-/// join.
+/// pool width — for a heap source, a shared source, the phases of a
+/// join and phases that read a sort's or an aggregate's output.
 #[test]
 fn the_pool_and_the_tree_attribute_the_same_scan_statistics() {
     let mut db = micro_db(40_000);
@@ -313,6 +313,20 @@ fn the_pool_and_the_tree_attribute_the_same_scan_statistics() {
         ("hash join", full(0.01).join(full(0.05), 1, 1, JoinType::Inner, JoinStrategy::Hash)),
         ("grouped aggregate", full(0.1).aggregate(vec![1], vec![AggFunc::CountStar])),
         ("eager smooth scan", micro::query(0.05, false, eager)),
+        (
+            "sort under an aggregate",
+            full(0.1).sort(vec![SortKey::desc(0)]).aggregate(vec![1], vec![AggFunc::CountStar]),
+        ),
+        (
+            "aggregate on a join's probe side",
+            full(0.1).aggregate(vec![1], vec![AggFunc::CountStar]).join(
+                full(0.05),
+                0,
+                1,
+                JoinType::Inner,
+                JoinStrategy::Hash,
+            ),
+        ),
     ];
     let counted = |s: smoothscan::storage::ScanStatistics| {
         (s.rows_scanned, s.rows_processed, s.pages_read, s.io_requests, s.buffer_hits, s.read_bytes)

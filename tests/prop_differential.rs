@@ -39,13 +39,13 @@ use common::reference::{self, Tables};
 use common::{schema, scramble, tables};
 use proptest::prelude::*;
 use smooth_executor::sort::SortKey;
-use smooth_executor::{collect_rows_volcano, ParallelSource, SinkSpec};
+use smooth_executor::{collect_rows_volcano, ParallelSource, PhaseSpec, SinkSpec};
 use smooth_planner::{
     AccessPathChoice, Database, JoinStrategy, LogicalPlan, QueryResult, RunStats, ScanSpec,
 };
 use smooth_storage::{CpuCosts, DeviceProfile, IoStatsDelta, StorageConfig};
 use smoothscan::prelude::{
-    Column, DataType, JoinType, Predicate, Row, Schema, SmoothScanConfig, Value,
+    AggFunc, Column, DataType, JoinType, Predicate, Row, Schema, SmoothScanConfig, Value,
 };
 
 const WORKER_GRID: [usize; 4] = [1, 2, 4, 8];
@@ -168,6 +168,8 @@ proptest! {
             "{access:?} ordered={ordered} lo={lo} width={width} res={residual:?} {join:?} {agg:?} \
              sort={sort:?}"
         );
+
+        assert_breakers_end_phases(&database(900), &plan, &context);
 
         // Oracle: the Volcano row-at-a-time driver.
         let volcano = run_volcano(&plan);
@@ -353,8 +355,8 @@ fn ordered_scans_parallelize_with_sort_sink() {
         "ordered scan must keep the partitioned heap source"
     );
     assert!(
-        matches!(pipeline.sink, SinkSpec::Sort { .. }),
-        "ordered scan must merge through the charged sort sink"
+        matches!(pipeline.phases[..], [PhaseSpec { sink: SinkSpec::Sort { .. }, .. }]),
+        "ordered scan must merge through the charged sort sink, its one phase"
     );
 
     let volcano = run_volcano(&plan);
@@ -572,4 +574,113 @@ fn bushy_hash_joins_agree_across_drivers() {
             }
         }
     }
+}
+
+/// The pinned nested breakers: a sort on a hash join's build side, an
+/// aggregate on a join's probe side, an aggregate over a grouped
+/// aggregate, a merge join whose emit drops its left key (a `Sort` under
+/// the `Project` that drops it) and an `ordered:` full scan under a
+/// filter. Each sort and aggregate ends a phase of its own, read by the
+/// next through an `Output` source.
+fn nested_breaker_plans() -> [(&'static str, LogicalPlan); 5] {
+    let t = |lo, hi| {
+        LogicalPlan::scan(
+            ScanSpec::new("t", Predicate::int_half_open(1, lo, hi))
+                .with_access(AccessPathChoice::ForceFull),
+        )
+    };
+    let r = || LogicalPlan::scan(ScanSpec::new("r", Predicate::True));
+    let hash =
+        |l: LogicalPlan, r, left_col| l.join(r, left_col, 0, JoinType::Inner, JoinStrategy::Hash);
+    let counted = |p: LogicalPlan| p.aggregate(vec![1], vec![AggFunc::CountStar, AggFunc::Sum(0)]);
+    let ordered = LogicalPlan::scan(
+        ScanSpec::new("t", Predicate::int_half_open(1, 40, 260))
+            .with_order()
+            .with_access(AccessPathChoice::ForceFull),
+    );
+    [
+        ("t ⋈ sort(r)", hash(t(30, 230), r().sort(vec![SortKey::desc(2)]), 1)),
+        ("agg(t) ⋈ r", hash(counted(t(0, 300)), r(), 0)),
+        (
+            "agg(agg(t ⋈ r))",
+            counted(hash(t(0, 200), r(), 1))
+                .aggregate(vec![1], vec![AggFunc::Max(2), AggFunc::CountStar]),
+        ),
+        (
+            "merge join, left key dropped",
+            t(0, 250).join(r(), 1, 0, JoinType::Inner, JoinStrategy::Merge).project(vec![0, 4]),
+        ),
+        ("ordered full scan under a filter", ordered.filter(Predicate::int_lt(0, 700))),
+    ]
+}
+
+/// No `Sort` or `HashAggregate` runs inside a shared source of `plan`'s
+/// lowering but within an index join's subtree: wherever else it sits
+/// it ends a phase of its own.
+fn assert_breakers_end_phases(db: &Database, plan: &LogicalPlan, context: &str) {
+    let Some(pipeline) = db.parallel_pipeline(plan).expect("plan lowers") else { return };
+    for phase in &pipeline.phases {
+        if let ParallelSource::Shared { op } = &phase.source {
+            let label = op.label();
+            let breaker = label.contains("Sort → ") || label.contains("HashAggregate");
+            assert!(!breaker || label.starts_with("IndexNestedLoopJoin"), "{context}: {label}");
+        }
+    }
+}
+
+/// Every pinned nested breaker returns the tree drain's rows, virtual
+/// clock and I/O counters at every pool width — unbudgeted, and under a
+/// pinned 4 KiB budget the tree spills under — and lowers with no
+/// `Sort` or `HashAggregate` left inside a shared source.
+#[test]
+fn nested_breakers_agree_across_drivers() {
+    let spill = 4096;
+    for (shape, plan) in nested_breaker_plans() {
+        let db = database(900);
+        assert_breakers_end_phases(&db, &plan, shape);
+        let pipeline = db.parallel_pipeline(&plan).unwrap().expect("fans out");
+        assert!(
+            pipeline.phases.iter().any(|p| matches!(p.source, ParallelSource::Output)),
+            "{shape} reads a breaker's output"
+        );
+        let free = run_volcano_budgeted(&plan, 0);
+        assert!(!free.rows.is_empty(), "{shape} returns rows");
+        for budget in [0, spill] {
+            let volcano = run_volcano_budgeted(&plan, budget);
+            let shape = format!("{shape} at budget {budget}");
+            if budget == spill {
+                let io = (volcano.stats.clock.io_ns, free.stats.clock.io_ns);
+                assert!(io.0 > io.1, "{shape} must spill: io_ns {io:?}");
+            }
+            for workers in WORKER_GRID {
+                let got = run_budgeted(&plan, workers, budget);
+                assert_eq!(got.rows, volcano.rows, "{shape} rows at {workers}w");
+                assert_eq!(
+                    (got.stats.clock.cpu_ns, got.stats.clock.io_ns),
+                    (volcano.stats.clock.cpu_ns, volcano.stats.clock.io_ns),
+                    "{shape} clock at {workers}w"
+                );
+                assert_eq!(
+                    io_key(&got.stats.io),
+                    io_key(&volcano.stats.io),
+                    "{shape} I/O at {workers}w"
+                );
+            }
+        }
+    }
+}
+
+/// Inside an index join's subtree a breaker is still the tree's: the
+/// join and its whole outer side are one shared source.
+#[test]
+fn a_sort_under_an_index_join_stays_in_its_shared_source() {
+    let sorted =
+        LogicalPlan::scan(ScanSpec::new("t", Predicate::int_lt(1, 40))).sort(vec![SortKey::asc(0)]);
+    let inner = LogicalPlan::scan(ScanSpec::new("t", Predicate::True));
+    let plan = sorted.join(inner, 1, 1, JoinType::Inner, JoinStrategy::IndexNestedLoop);
+    let db = database(900);
+    let label = db.explain(&plan).unwrap();
+    assert!(label.starts_with("IndexNestedLoopJoin(Inner) [Sort → "), "{label}");
+    assert!(db.parallel_pipeline(&plan).unwrap().is_none(), "one shared source");
+    assert_breakers_end_phases(&db, &plan, "sort under an index join");
 }

@@ -367,7 +367,8 @@ proptest! {
 /// morsel of the scanned file, whichever worker processes a morsel
 /// panics, while its peers claim and process the next ones. The query
 /// must fail with the typed injected-panic error and leave the pool
-/// serving clean queries.
+/// serving clean queries — also when the panicking phase is an
+/// intermediate one, ending in an aggregate a later phase reads.
 #[test]
 fn panics_on_four_workers_contain_and_clean_up() {
     let mut db = database(900);
@@ -380,11 +381,18 @@ fn panics_on_four_workers_contain_and_clean_up() {
         join: false,
         agg: true,
     });
-    db.set_faults(Some(FaultConfig::new(31).panic(1.0).scope_to_file(file)));
-    let err = db.run(&plan).unwrap_err();
-    assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
-    db.set_faults(None);
-    assert!(!db.run(&plan).unwrap().rows.is_empty(), "pool must survive contained panics");
+    // An aggregate on a join's probe side: `t` feeds the aggregate's
+    // phase, between the build of `r` and the probe of its groups.
+    let scan = |table| LogicalPlan::scan(ScanSpec::new(table, Predicate::True));
+    let counted = scan("t").aggregate(vec![1], vec![AggFunc::CountStar]);
+    let nested = counted.join(scan("r"), 0, 0, JoinType::Inner, JoinStrategy::Hash);
+    for plan in [plan, nested] {
+        db.set_faults(Some(FaultConfig::new(31).panic(1.0).scope_to_file(file)));
+        let err = db.run(&plan).unwrap_err();
+        assert!(matches!(&err, Error::Exec(m) if m.contains("injected worker panic")), "{err}");
+        db.set_faults(None);
+        assert!(!db.run(&plan).unwrap().rows.is_empty(), "pool must survive contained panics");
+    }
 }
 
 /// Property 4, deterministically: spill-write faults under a tiny
