@@ -8,8 +8,8 @@
 //! once unbudgeted and once under a budget far below the build side's
 //! encoded size, so whole build partitions must spill to charged
 //! overflow files and recurse. The sort shape is the same filtered scan
-//! topped by an explicit `Sort`, which the budget forces through the
-//! external merge sort's spilled runs.
+//! topped by an explicit `Sort`, which the budget forces to cut and
+//! charge the external merge sort's spilled runs.
 //!
 //! **Gates.** Only deterministic modeled numbers gate:
 //!
@@ -116,8 +116,8 @@ pub fn run() {
     let free = run_budgeted(&mut db, &plan, 1, 0);
     let tight = run_budgeted(&mut db, &plan, 1, TIGHT_BUDGET);
     assert_eq!(tight.rows, free.rows, "external sort must reproduce the in-memory order");
-    // (CPU legitimately differs: per-run sorts plus the k-way merge
-    // replace one big n·log n; only the ordering is pinned.)
+    // (CPU legitimately differs: the charged per-run sorts plus the
+    // k-way merge replace one big n·log n; only the ordering is pinned.)
     let sort_spill_ns = tight.stats.clock.io_ns - free.stats.clock.io_ns;
     assert!(sort_spill_ns > 0, "tight budget must spill sorted runs");
     let sort_ms = sort_spill_ns as f64 / 1e6;

@@ -2,33 +2,30 @@
 //!
 //! Backs [`crate::Sort`] and the parallel [`crate::SinkSpec::Sort`]
 //! sink. No `Row` exists in here: input morsels are gathered into one
-//! accumulation [`ColumnBatch`], the sort is a stable sort of a `u32`
-//! permutation compared straight off the typed key vectors
-//! ([`ColumnVector::slot_cmp`], the order of `Value::total_cmp`), and the
-//! output is that permutation gathered into morsel-sized batches.
+//! accumulation [`ColumnBatch`] in arrival order, the sort is one stable
+//! sort of a `u32` permutation compared straight off the typed key
+//! vectors ([`ColumnVector::slot_cmp`], the order of `Value::total_cmp`),
+//! and the output is that permutation gathered into morsel-sized batches.
 //!
-//! With a budget, the accumulation is cut into a *run* whenever its
-//! spill-codec byte size ([`codec::batch_row_len`], equal to the row
-//! codec's `row_len`) crosses the budget: the chunk is sorted (charged
-//! `sort_cmp_ns · n·⌊log₂ n⌋`, exactly like the in-memory sort) and
-//! appended in sorted order to the batch of spilled runs, and the run's
-//! encoded byte count is charged as one fault-gated overflow-file write
-//! ([`crate::spill::charge_spill_write`]). The rows are held once, in
-//! that batch: a spill is its charge, like every spill in this engine.
-//! When the input ends every run is re-read (one charged transfer of its
-//! bytes each) and the k runs merge through a loser
-//! tree keyed `(sort keys, run index)`: at most ⌈log₂ k⌉ comparisons
-//! per output row, which is what the clock's `sort_cmp_ns · n·⌈log₂ k⌉`
-//! merge charge has always assumed. Runs are consecutive input chunks,
-//! each sorted stably, so the earliest-run tie-break reproduces the
-//! in-memory stable order byte for byte — output order is independent
-//! of the budget, and run and pass counts depend on the input's bytes
-//! and the budget alone.
+//! With a budget, the rows since the last cut become a *run* whenever
+//! their spill-codec byte size ([`codec::batch_row_len`], equal to the
+//! row codec's `row_len`) crosses the budget. A run cut is only its
+//! charges: sorting the run (`sort_cmp_ns · n·⌊log₂ n⌋`, exactly like
+//! the in-memory sort) and writing its encoded bytes as one fault-gated
+//! overflow-file write ([`crate::spill::charge_spill_write`]). When the
+//! input ends every run is charged one re-read of its bytes and the
+//! k-way merge its `sort_cmp_ns · n·⌈log₂ k⌉` comparisons; the rows
+//! themselves stay where they are and get the one stable sort. Runs are
+//! consecutive input chunks, so merging their stable sorts with ties to
+//! the earliest run would give that same order: output order is
+//! independent of the budget, and run and pass counts depend on the
+//! input's bytes and the budget alone. A spill is its charge, like every
+//! spill in this engine.
 //!
 //! An input that never crosses the budget never cuts a run: the sorter
-//! degenerates to the in-memory sort with identical charges, which is
-//! what keeps budgeted-but-fitting plans byte-identical to unbudgeted
-//! ones on the virtual clock (the perf-smoke gate's zero-spill assert).
+//! is the in-memory sort with identical charges, which is what keeps
+//! budgeted-but-fitting plans byte-identical to unbudgeted ones on the
+//! virtual clock (the perf-smoke gate's zero-spill assert).
 
 use std::cmp::Ordering;
 
@@ -48,16 +45,15 @@ pub struct ExternalSorter {
     keys: Vec<SortKey>,
     /// Budget in bytes; 0 = unlimited (no run is ever cut).
     budget: u64,
-    /// Rows ingested since the last run cut. Zero columns wide until the
-    /// first ingest gives it (and `spilled`) their typing.
-    cur: ColumnBatch,
-    /// Spill-codec size of `cur`; only a budgeted sorter keeps it.
+    /// Every row ingested, in arrival order. Zero columns wide until the
+    /// first ingest gives it its typing.
+    rows: ColumnBatch,
+    /// Physical row of `rows` the run being accumulated starts at.
+    run_start: usize,
+    /// Spill-codec size of the rows from `run_start` on; only a budgeted
+    /// sorter keeps it.
     cur_bytes: u64,
-    /// Every spilled run, back to back: run `r` is physical rows
-    /// `[run_ends[r - 1], run_ends[r])`, each range stably sorted.
-    spilled: ColumnBatch,
-    run_ends: Vec<u32>,
-    /// Encoded bytes of each run, for the merge pass's re-read charge.
+    /// Encoded bytes of each cut run, for the merge pass's re-read charge.
     run_bytes: Vec<u64>,
     /// Scratch: the live-row indices of the morsel being ingested.
     live: Vec<u32>,
@@ -71,20 +67,11 @@ impl ExternalSorter {
             storage,
             keys,
             budget: budget_bytes as u64,
-            cur: ColumnBatch::default(),
+            rows: ColumnBatch::default(),
+            run_start: 0,
             cur_bytes: 0,
-            spilled: ColumnBatch::default(),
-            run_ends: Vec::new(),
             run_bytes: Vec::new(),
             live: Vec::new(),
-        }
-    }
-
-    /// The first ingest types the accumulation batches after `like`.
-    fn adopt_typing(&mut self, like: &ColumnBatch) {
-        if self.cur.width() == 0 {
-            self.cur = ColumnBatch::like(like);
-            self.spilled = ColumnBatch::like(like);
         }
     }
 
@@ -93,7 +80,9 @@ impl ExternalSorter {
     /// charged overflow-file write fails (injected `spill_err` faults that
     /// exhaust their retries).
     pub fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
-        self.adopt_typing(batch);
+        if self.rows.width() == 0 {
+            self.rows = ColumnBatch::like(batch);
+        }
         let mut live = std::mem::take(&mut self.live);
         live.clear();
         live.extend(batch.live_rows().map(|i| i as u32));
@@ -103,18 +92,16 @@ impl ExternalSorter {
     }
 
     fn ingest(&mut self, batch: &ColumnBatch, live: &[u32]) -> Result<()> {
-        let mut from = 0;
+        let base = self.rows.physical_rows();
+        self.rows.append_gather(batch, live);
         if self.budget > 0 {
             for (i, &phys) in live.iter().enumerate() {
                 self.cur_bytes += codec::batch_row_len(batch, phys as usize) as u64;
                 if self.cur_bytes > self.budget {
-                    self.cur.append_gather(batch, &live[from..=i]);
-                    from = i + 1;
-                    self.cut_run()?;
+                    self.cut_run(base + i + 1)?;
                 }
             }
         }
-        self.cur.append_gather(batch, &live[from..]);
         Ok(())
     }
 
@@ -124,7 +111,7 @@ impl ExternalSorter {
     /// row types the columns by its values — a NULL there reads as an
     /// integer column, and a later non-integer value in it is an error.
     pub fn push(&mut self, row: Row) -> Result<()> {
-        if self.cur.width() == 0 {
+        if self.rows.width() == 0 {
             let typed = row.values().iter().map(|v| {
                 ColumnVector::for_type(match v {
                     Value::Float(_) => DataType::Float64,
@@ -132,42 +119,37 @@ impl ExternalSorter {
                     Value::Int(_) | Value::Null => DataType::Int64,
                 })
             });
-            self.adopt_typing(&ColumnBatch::from_columns(typed.collect())?);
+            self.rows = ColumnBatch::from_columns(typed.collect())?;
         }
         if self.budget > 0 {
             self.cur_bytes += codec::row_len(&row) as u64;
         }
-        self.cur.push_owned_row(row)?;
+        self.rows.push_owned_row(row)?;
         if self.cur_bytes > self.budget {
-            self.cut_run()?;
+            self.cut_run(self.rows.physical_rows())?;
         }
         Ok(())
     }
 
-    /// The stable sort permutation of `batch` under the keys, with the
-    /// closed-form `sort_cmp_ns · n·⌊log₂ n⌋` charge.
-    fn sorted_perm(&self, batch: &ColumnBatch) -> Result<Vec<u32>> {
-        let mut perm: Vec<u32> = (0..row_index(batch.physical_rows())?).collect();
-        let n = perm.len() as u64;
+    /// The closed-form charge of stably sorting `n` rows,
+    /// `sort_cmp_ns · n·⌊log₂ n⌋`.
+    fn charge_sort(&self, n: usize) {
         if n > 1 {
+            let n = n as u64;
             self.storage.clock().charge_cpu(self.storage.cpu().sort_cmp_ns * n * n.ilog2() as u64);
-            let keys = key_columns(batch, &self.keys)?;
-            perm.sort_by(|&a, &b| compare_slots(&keys, a, b));
         }
-        Ok(perm)
     }
 
-    /// Sort the accumulated chunk (charged like the in-memory sort),
-    /// charge its encoded bytes as one overflow-file write and append it
-    /// in sorted order to the spilled runs.
-    fn cut_run(&mut self) -> Result<()> {
-        let perm = self.sorted_perm(&self.cur)?;
+    /// Cut the rows from `run_start` to `end` into a run: charge its sort
+    /// like the in-memory sort's and its encoded bytes as one
+    /// overflow-file write.
+    fn cut_run(&mut self, end: usize) -> Result<()> {
+        let n = end - self.run_start;
+        self.charge_sort(n);
         let device = self.storage.device();
-        charge_spill_write(&self.storage, &device, self.cur_bytes, perm.len() as u64)?;
+        charge_spill_write(&self.storage, &device, self.cur_bytes, n as u64)?;
         self.run_bytes.push(self.cur_bytes);
-        self.spilled.append_gather(&self.cur, &perm);
-        self.run_ends.push(row_index(self.spilled.physical_rows())?);
-        self.cur.clear();
+        self.run_start = end;
         self.cur_bytes = 0;
         Ok(())
     }
@@ -180,38 +162,37 @@ impl ExternalSorter {
     /// Finish the sort: the fully-sorted output as morsel-sized batches,
     /// the same rows in the same order at every budget.
     pub fn finish(mut self) -> Result<Vec<ColumnBatch>> {
-        let (sorted_from, order) = if self.run_bytes.is_empty() {
+        let n = self.rows.physical_rows();
+        if self.run_bytes.is_empty() {
             // Never spilled: exactly the in-memory sort and its charge.
-            (&self.cur, self.sorted_perm(&self.cur)?)
+            self.charge_sort(n);
         } else {
-            if self.cur.physical_rows() > 0 {
+            if n > self.run_start {
                 // The final partial chunk merges like any other run.
-                self.cut_run()?;
+                self.cut_run(n)?;
             }
             // Merge pass: re-read every run, then k-way select.
             for &bytes in &self.run_bytes {
                 charge_spill_io(&self.storage, bytes);
             }
-            let total = self.spilled.physical_rows() as u64;
-            let merge_depth = self.run_bytes.len().next_power_of_two().trailing_zeros() as u64;
-            if total > 0 && merge_depth > 0 {
-                self.storage
-                    .clock()
-                    .charge_cpu(self.storage.cpu().sort_cmp_ns * total * merge_depth);
-            }
-            let keys = key_columns(&self.spilled, &self.keys)?;
-            (&self.spilled, merge_order(&self.run_ends, |a, b| compare_slots(&keys, a, b)))
-        };
+            let depth = self.run_bytes.len().next_power_of_two().trailing_zeros() as u64;
+            self.storage.clock().charge_cpu(self.storage.cpu().sort_cmp_ns * n as u64 * depth);
+        }
+        let mut order: Vec<u32> = (0..row_index(n)?).collect();
+        if n > 1 {
+            let keys = key_columns(&self.rows, &self.keys)?;
+            order.sort_by(|&a, &b| compare_slots(&keys, a, b));
+        }
         let gather = |chunk: &[u32]| {
-            let mut out = ColumnBatch::like(sorted_from);
-            out.append_gather(sorted_from, chunk);
+            let mut out = ColumnBatch::like(&self.rows);
+            out.append_gather(&self.rows, chunk);
             out
         };
         Ok(order.chunks(batch_size()).map(gather).collect())
     }
 }
 
-/// Row positions are `u32` here (permutations, run boundaries).
+/// Row positions are `u32` here (the sort permutation).
 fn row_index(rows: usize) -> Result<u32> {
     u32::try_from(rows).map_err(|_| Error::exec("sort input exceeds u32::MAX rows"))
 }
@@ -237,47 +218,6 @@ fn compare_slots(keys: &[(&ColumnVector, bool)], a: u32, b: u32) -> Ordering {
         }
     }
     Ordering::Equal
-}
-
-/// Merge `k` sorted runs laid back to back — run `r` spans positions
-/// `[ends[r - 1], ends[r])` — into one order over all positions, ties
-/// going to the earliest run. A loser tree: internal node `n` of a
-/// complete binary tree over the runs (leaves `k..2k`) remembers the
-/// run that lost the match played there, so replacing the winner's
-/// head replays only its leaf-to-root path — at most ⌈log₂ k⌉ calls of
-/// `cmp` per output position, after `k − 1` to seed the tree.
-fn merge_order(ends: &[u32], mut cmp: impl FnMut(u32, u32) -> Ordering) -> Vec<u32> {
-    let k = ends.len();
-    let Some(&total) = ends.last() else { return Vec::new() };
-    let mut heads: Vec<u32> = std::iter::once(0).chain(ends.iter().copied()).take(k).collect();
-    // Run `a` beats run `b` when its head sorts first; an exhausted run
-    // loses to any other, and equal heads go to the earlier run.
-    let mut beats = |heads: &[u32], a: usize, b: usize| {
-        if heads[b] == ends[b] || heads[a] == ends[a] {
-            return heads[b] == ends[b];
-        }
-        cmp(heads[a], heads[b]).then(a.cmp(&b)) == Ordering::Less
-    };
-    let mut losers = vec![0usize; k];
-    let mut winners: Vec<usize> = (0..2 * k).map(|n| n.saturating_sub(k)).collect();
-    for n in (1..k).rev() {
-        let (a, b) = (winners[2 * n], winners[2 * n + 1]);
-        (winners[n], losers[n]) = if beats(&heads, a, b) { (a, b) } else { (b, a) };
-    }
-    let mut winner = winners[1];
-    let mut order = Vec::with_capacity(total as usize);
-    for _ in 0..total {
-        order.push(heads[winner]);
-        heads[winner] += 1;
-        let mut n = (k + winner) / 2;
-        while n >= 1 {
-            if beats(&heads, losers[n], winner) {
-                std::mem::swap(&mut losers[n], &mut winner);
-            }
-            n /= 2;
-        }
-    }
-    order
 }
 
 #[cfg(test)]
@@ -350,34 +290,5 @@ mod tests {
         assert_eq!(out.len(), 400);
         assert_eq!(out[0].int(1).unwrap(), 399);
         assert!(st.clock().snapshot().since(&before).io_ns > 0);
-    }
-
-    #[test]
-    fn merge_stays_inside_the_tournament_comparison_bound() {
-        for k in [2usize, 7, 64, 221] {
-            // Run r holds the keys r, r + k, r + 2k, … with a tail of
-            // duplicates, so heads interleave and ties cross runs.
-            let per_run = 40;
-            let mut keys = Vec::new();
-            let mut ends = Vec::new();
-            for r in 0..k {
-                keys.extend((0..per_run).map(|i| ((r + i * k) % (per_run * k / 2)) as i64));
-                let start = keys.len() - per_run;
-                keys[start..].sort();
-                ends.push(keys.len() as u32);
-            }
-            let mut calls = 0u64;
-            let order = merge_order(&ends, |a, b| {
-                calls += 1;
-                keys[a as usize].cmp(&keys[b as usize])
-            });
-            let n = keys.len() as u64;
-            let depth = k.next_power_of_two().trailing_zeros() as u64;
-            assert!(calls <= n * (depth + 1), "k={k}: {calls} comparisons for {n} rows");
-            // The reference: a stable sort of the concatenated runs.
-            let mut expect: Vec<u32> = (0..n as u32).collect();
-            expect.sort_by_key(|&i| keys[i as usize]);
-            assert_eq!(order, expect, "k={k}");
-        }
     }
 }

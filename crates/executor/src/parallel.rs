@@ -49,12 +49,12 @@
 //! per-slot partial folds (the serial operator's own group table and
 //! accumulators) merged by global first-seen `(seq, idx)` position
 //! when the merge is exact ([`AggFunc::merge_exact`]), and
-//! otherwise fold on the ordered sink in morsel order so float sums
-//! stay byte-identical; plain row output is concatenated in morsel
-//! order, and a sort streams its morsels in morsel order into the
-//! sort sink ([`SinkSpec::Sort`] — the serial `Sort` operator's exact
-//! charges, stable over serial-order input, its final pass recorded as
-//! the ledger's serial suffix).
+//! otherwise fold on the ordered sink in morsel order — the serial
+//! operator's fold itself — so float sums stay byte-identical; plain
+//! row output is concatenated in morsel order, and a sort streams its
+//! morsels in morsel order into the sort sink ([`SinkSpec::Sort`] — the
+//! serial `Sort` operator's exact charges, its one stable sort over
+//! serial-order input recorded as the ledger's serial suffix).
 //!
 //! Execution lives in [`crate::schedule`], the one pipeline driver: the
 //! worker pool belongs to a persistent [`crate::Scheduler`] serving
@@ -266,11 +266,13 @@ pub struct ParallelPipeline {
 /// group order exactly.
 type FirstPos = (u64, u64);
 
-/// A (partial) grouped-aggregation state — per worker slot when the
-/// merge is exact, on the ordered sink otherwise: the serial operator's
-/// own [`GroupFold`] (so accumulator semantics and clock charges cannot
-/// drift from [`crate::HashAggregate`]) plus each group's global
-/// first-seen position.
+/// A partial grouped-aggregation state in one worker slot of an
+/// exact-merge aggregate: the serial operator's own [`GroupFold`] (so
+/// accumulator semantics and clock charges cannot drift from
+/// [`crate::HashAggregate`]) plus each group's global first-seen
+/// position, which the slots need because they fold morsels out of
+/// order. The ordered sink folds the other aggregates in morsel order
+/// into a bare [`GroupFold`], whose group ids are already first-seen.
 pub(crate) struct PartialAgg {
     fold: GroupFold,
     /// First-seen position per group id.
@@ -349,9 +351,9 @@ pub struct LedgerPhase {
     /// pool.
     pub proc_ns: u64,
     /// Ordered-sink sections (the order-preserving aggregate fold when
-    /// the merge is not exact, a sort's spilled runs) — a second
-    /// serialized resource. Zero for every build: its inserts charge
-    /// nothing.
+    /// the merge is not exact, a sort's run cuts, which are charges
+    /// only) — a second serialized resource. Zero for every build: its
+    /// inserts charge nothing.
     pub sink_ns: u64,
 }
 
@@ -437,12 +439,16 @@ impl ParallelPipeline {
     /// runs each chain with these schemas. Every plan error a pipeline
     /// can carry surfaces here, before anything is queued: an `Output`
     /// source that does not follow a phase which does not build, a probe
-    /// that does not probe an earlier build, a last phase that builds, a
-    /// bad projection, a build key or an aggregate column out of range.
+    /// that does not probe an earlier build, a build no later stage
+    /// probes, a last phase that builds, a bad projection, a build key or
+    /// an aggregate column out of range.
     pub fn staged_schemas(&self) -> Result<Vec<Vec<Schema>>> {
         let mut staged: Vec<Vec<Schema>> = Vec::with_capacity(self.phases.len());
         // What the previous phase hands an `Output` source (`None`: a build).
         let mut output: Option<Schema> = None;
+        // Builds no stage has probed yet: the phase that probes a table
+        // settles it as it ends, so every build needs one.
+        let mut unprobed: Vec<usize> = Vec::new();
         for (i, phase) in self.phases.iter().enumerate() {
             let mut schema = match (&phase.source, output.take()) {
                 (ParallelSource::Heap(scan), _) => scan.schema().clone(),
@@ -468,6 +474,7 @@ impl ParallelPipeline {
                         };
                         schema = join_schema(&schema, payload, build.ty)
                             .narrow(build.emit.as_deref())?;
+                        unprobed.retain(|u| u != b);
                     }
                 }
                 schemas.push(schema.clone());
@@ -482,7 +489,10 @@ impl ParallelPipeline {
                 SinkSpec::Build(_) if i + 1 == self.phases.len() => {
                     return Err(Error::plan("the last phase feeds the result; it cannot build"));
                 }
-                SinkSpec::Build(_) => None,
+                SinkSpec::Build(_) => {
+                    unprobed.push(i);
+                    None
+                }
                 // Validates exactly like `HashAggregate::new`.
                 SinkSpec::Aggregate { group_cols, aggs } => {
                     Some(crate::agg::output_schema(&schema, group_cols, aggs)?)
@@ -491,9 +501,10 @@ impl ParallelPipeline {
             };
             staged.push(schemas);
         }
-        match staged.is_empty() {
-            true => Err(Error::plan("a pipeline needs the phase that feeds its result")),
-            false => Ok(staged),
+        match (staged.is_empty(), unprobed.first()) {
+            (true, _) => Err(Error::plan("a pipeline needs the phase that feeds its result")),
+            (false, Some(b)) => Err(Error::plan(format!("build {b} is never probed"))),
+            (false, None) => Ok(staged),
         }
     }
 }

@@ -7,9 +7,10 @@
 //! The operator is columnar from ingest to emit: `open` feeds the child's
 //! morsels to the [`ExternalSorter`] in [`crate::extsort`] — a permutation
 //! sort over the typed key columns, with no budget or under one
-//! ([`Sort::with_mem_budget`] / `SMOOTH_MEM_BYTES`), in which case sorted
-//! runs cut at the budget boundary spill to charged overflow files and
-//! tournament-merge back — and keeps the sorted morsels it returns.
+//! ([`Sort::with_mem_budget`] / `SMOOTH_MEM_BYTES`), in which case the
+//! runs cut at the budget boundary and their k-way merge are charged
+//! as the external sort's overflow-file I/O and comparisons — and keeps
+//! the sorted morsels it returns.
 //! [`Operator::next_columns`] hands those morsels on; [`Operator::next`]
 //! reads rows off the same morsels. The rows, their order and every
 //! clock charge are the same at every budget.

@@ -16,7 +16,7 @@
 //! Spilling in this engine is *modeled the way all I/O is modeled*: a
 //! spill is its charge. When an operator's working set crosses its
 //! budget it keeps its rows where they are — the grace join's build
-//! batch, the external sort's spilled runs, the Result Cache's partition
+//! batch, the external sort's accumulation batch, the Result Cache's partition
 //! arenas in `smooth-core` — and pays, on the virtual clock, for the
 //! overflow file those rows would fill: [`charge_spill_write`] fault-gates
 //! the write and charges its encoded byte count, and every later re-read

@@ -1,8 +1,8 @@
 //! The phase-list rules `ParallelPipeline::staged_schemas` checks, each
 //! a plan error `Scheduler::submit` returns before the query is queued:
 //! an `Output` source follows a phase that does not build, a
-//! probe stage probes an earlier build, and the last phase does not
-//! build.
+//! probe stage probes an earlier build, a later stage probes every
+//! build, and the last phase does not build.
 
 use std::sync::Arc;
 
@@ -81,5 +81,18 @@ fn the_last_phase_does_not_build() {
     let built = || scan(Vec::new(), build());
     for phases in [vec![built()], vec![built(), built()]] {
         assert!(refused(phases).contains("cannot build"));
+    }
+}
+
+#[test]
+fn every_build_is_probed() {
+    let built = || scan(Vec::new(), build());
+    let probes = |b| scan(vec![StageSpec::Probe(b)], SinkSpec::Collect);
+    for phases in [
+        vec![built(), scan(Vec::new(), SinkSpec::Collect)],
+        vec![built(), built(), probes(1)],
+        vec![built(), built(), probes(0)],
+    ] {
+        assert!(refused(phases).contains("is never probed"));
     }
 }

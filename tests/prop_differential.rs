@@ -264,7 +264,7 @@ proptest! {
         }
         let context = format!("budget={budget} lo={lo} width={width} {join:?} sorted={sorted}");
 
-        let free = run_volcano(&plan);
+        let free = run_volcano_budgeted(&plan, 0);
         let volcano = run_volcano_budgeted(&plan, budget);
         prop_assert!(volcano.rows == free.rows, "budget changed the rows: {context}");
         prop_assert!(
