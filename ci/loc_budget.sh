@@ -195,6 +195,23 @@
 #   and `advance_phase` and `complete_ok`'s copy of it become one
 #   `end_phase`, without the blanket `finish_probe` pass; `staged_schemas`
 #   refuses a build nothing probes (+10). No line moved into `tests/`.
+# * 9078 -> 9471 (+393), combined 12118 -> 12511 (+393): the breakers
+#   stop being the serial tail. An exact-merge `PartialAgg` splits into
+#   16 hash partitions once it holds more than 4,096 groups and then
+#   routes each row by the top bits of its key hash (`Part`, `split`,
+#   the routing scratch); the merge absorbs partition by partition under
+#   the stored hashes (`KeyTable::hashes` / `intern_hashed`,
+#   `GroupFold::absorb` over a subset of groups); the groups take their
+#   first-seen order in three linear passes (`first_seen_order`, which
+#   replaces a `sort_by_key`) and are gathered straight into morsels.
+#   The sorter radix-sorts `(prefix, row)` pairs and sorts runs of equal
+#   prefixes on every key (`sort_order`, `radix_sort`; the prefix,
+#   `ColumnVector::sort_prefix`, is 32 lines in `crates/types`, which
+#   this script does not count). Of the +393, 52 are the degenerate-hash
+#   unit test and about 105 are doc comments; the property tests are
+#   under `crates/executor/tests/`. It bought -4.5 % on
+#   `analytic_parallel`'s round (10 of 10 pairs, 9.4 ms against an 8.8 ms
+#   parent IQR): `agg_group` -15 %, `sort_sel10` -24 % (CHANGES.md).
 #
 # COMBINED_CEILING ratchets `crates/{core,executor,planner}/src` together
 # (13766 when it was added; 13457 after the one-morsel-claim change; 13189
@@ -206,7 +223,8 @@
 # after Sort Scan became a trigger; 12401 after the heap source became
 # `FullTableScan`; 12314 after the one phase list; 12183 after the one
 # hash-join build; 12209 after every breaker ended its own phase; 12118
-# after every breaker finished in one pass):
+# after every breaker finished in one pass; 12511 after the breakers
+# stopped being the serial tail):
 # code shared by core
 # and executor can move between them, and only the sum shows that. The
 # PR that added it moved Smooth Scan's region inspection onto the
@@ -214,8 +232,8 @@
 # the sum where it was.
 set -eu
 cd "$(dirname "$0")/.."
-CEILING=9078
-COMBINED_CEILING=12118
+CEILING=9471
+COMBINED_CEILING=12511
 check() {
     echo "$1: $2 lines (ceiling $3)"
     if [ "$2" -gt "$3" ]; then

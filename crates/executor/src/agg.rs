@@ -102,12 +102,16 @@ pub fn output_schema(child: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> 
     Schema::new(cols)
 }
 
-/// Call `f(i, phys)` for every live row of `batch`, stopping at the
-/// first error: `i` counts live rows in emission order, `phys` is the
-/// physical slot.
+/// Call `f(i, phys)` for every row of `batch` that `sel` names (every
+/// physical row when `None`), stopping at the first error: `i` counts
+/// those rows in order, `phys` is the physical slot.
 #[inline]
-fn for_live(batch: &ColumnBatch, mut f: impl FnMut(usize, usize) -> Result<()>) -> Result<()> {
-    match batch.selection() {
+fn for_rows(
+    batch: &ColumnBatch,
+    sel: Option<&[u32]>,
+    mut f: impl FnMut(usize, usize) -> Result<()>,
+) -> Result<()> {
+    match sel {
         Some(sel) => sel.iter().enumerate().try_for_each(|(i, &p)| f(i, p as usize)),
         None => (0..batch.physical_rows()).try_for_each(|p| f(p, p)),
     }
@@ -115,7 +119,7 @@ fn for_live(batch: &ColumnBatch, mut f: impl FnMut(usize, usize) -> Result<()>) 
 
 /// One aggregate's accumulators, columnar: slot `g` belongs to group
 /// id `g`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum AccVec {
     Count(Vec<u64>),
     Sum(Vec<f64>),
@@ -151,10 +155,17 @@ impl AccVec {
         }
     }
 
-    /// Fold the live rows of `batch` in, row `i` into group `ids[i]`, in
-    /// row order — so each group's `f64` additions happen in input
-    /// order. NULL inputs are skipped; integers widen for sums.
-    fn update(&mut self, f: &AggFunc, batch: &ColumnBatch, ids: &[u32]) -> Result<()> {
+    /// Fold the rows of `batch` that `sel` names in, the `i`-th into
+    /// group `ids[i]`, in row order — so each group's `f64` additions
+    /// happen in input order. NULL inputs are skipped; integers widen
+    /// for sums.
+    fn update(
+        &mut self,
+        f: &AggFunc,
+        batch: &ColumnBatch,
+        sel: Option<&[u32]>,
+        ids: &[u32],
+    ) -> Result<()> {
         match (self, f) {
             (AccVec::Count(n), AggFunc::CountStar) => {
                 ids.iter().for_each(|&g| n[g as usize] += 1);
@@ -162,14 +173,14 @@ impl AccVec {
             }
             (AccVec::Count(n), AggFunc::Count(c)) => {
                 let nulls = batch.column(*c).nulls();
-                for_live(batch, |i, p| {
+                for_rows(batch, sel, |i, p| {
                     n[ids[i] as usize] += !nulls[p] as u64;
                     Ok(())
                 })
             }
             (AccVec::Sum(s), AggFunc::Sum(c)) => {
                 let col = batch.column(*c);
-                for_live(batch, |i, p| {
+                for_rows(batch, sel, |i, p| {
                     if !col.is_null(p) {
                         s[ids[i] as usize] += col.float(p)?;
                     }
@@ -178,7 +189,7 @@ impl AccVec {
             }
             (AccVec::Sum(s), AggFunc::SumProduct(a, b)) => {
                 let (x, y) = (batch.column(*a), batch.column(*b));
-                for_live(batch, |i, p| {
+                for_rows(batch, sel, |i, p| {
                     if !x.is_null(p) && !y.is_null(p) {
                         s[ids[i] as usize] += x.float(p)? * y.float(p)?;
                     }
@@ -187,7 +198,7 @@ impl AccVec {
             }
             (AccVec::Avg { sum, n }, AggFunc::Avg(c)) => {
                 let col = batch.column(*c);
-                for_live(batch, |i, p| {
+                for_rows(batch, sel, |i, p| {
                     if !col.is_null(p) {
                         sum[ids[i] as usize] += col.float(p)?;
                         n[ids[i] as usize] += 1;
@@ -199,7 +210,7 @@ impl AccVec {
                 // A `Value` materializes only when an extremum improves.
                 let col = batch.column(*c);
                 let better = extreme_order(f);
-                for_live(batch, |i, p| {
+                for_rows(batch, sel, |i, p| {
                     let slot = &mut m[ids[i] as usize];
                     if !col.is_null(p)
                         && slot.as_ref().is_none_or(|cur| col.cmp_value(p, cur) == better)
@@ -213,23 +224,26 @@ impl AccVec {
         }
     }
 
-    /// Combine slot `j` of a partial accumulator into slot `g`. Exact
-    /// for counts and MIN/MAX; for sums exact precisely when
-    /// [`AggFunc::merge_exact`] holds, which is the precondition for the
-    /// parallel driver using per-worker partials at all.
-    fn merge_slot(&mut self, f: &AggFunc, g: usize, other: &AccVec, j: usize) {
+    /// Combine a partial accumulator in, its slot `from[k]` into slot
+    /// `to[k]`. Exact for counts and MIN/MAX; for sums exact precisely
+    /// when [`AggFunc::merge_exact`] holds, which is the precondition for
+    /// the parallel driver using per-worker partials at all.
+    fn merge(&mut self, f: &AggFunc, other: &AccVec, from: &[u32], to: &[u32]) {
+        let slots = from.iter().zip(to).map(|(&j, &g)| (j as usize, g as usize));
         match (self, other) {
-            (AccVec::Count(n), AccVec::Count(m)) => n[g] += m[j],
-            (AccVec::Sum(s), AccVec::Sum(t)) => s[g] += t[j],
-            (AccVec::Avg { sum, n }, AccVec::Avg { sum: s2, n: n2 }) => {
+            (AccVec::Count(n), AccVec::Count(m)) => slots.for_each(|(j, g)| n[g] += m[j]),
+            (AccVec::Sum(s), AccVec::Sum(t)) => slots.for_each(|(j, g)| s[g] += t[j]),
+            (AccVec::Avg { sum, n }, AccVec::Avg { sum: s2, n: n2 }) => slots.for_each(|(j, g)| {
                 sum[g] += s2[j];
                 n[g] += n2[j];
-            }
+            }),
             (AccVec::Extreme(m), AccVec::Extreme(o)) => {
-                if let Some(v) = &o[j] {
-                    let better = extreme_order(f);
-                    if m[g].as_ref().is_none_or(|cur| v.total_cmp(cur) == better) {
-                        m[g] = Some(v.clone());
+                let better = extreme_order(f);
+                for (j, g) in slots {
+                    if let Some(v) = &o[j] {
+                        if m[g].as_ref().is_none_or(|cur| v.total_cmp(cur) == better) {
+                            m[g] = Some(v.clone());
+                        }
                     }
                 }
             }
@@ -275,6 +289,7 @@ fn extreme_order(f: &AggFunc) -> std::cmp::Ordering {
 /// input column in one typed loop. No `Value` key, no per-row
 /// allocation. A scalar aggregate (no group columns) is the one group
 /// `0`, present even over empty input.
+#[derive(Clone)]
 pub(crate) struct GroupFold {
     group_cols: Vec<usize>,
     aggs: Vec<AggFunc>,
@@ -301,9 +316,14 @@ impl GroupFold {
         Ok(fold)
     }
 
+    /// Whether this is a scalar aggregate (no group columns).
+    pub(crate) fn is_scalar(&self) -> bool {
+        self.group_cols.is_empty()
+    }
+
     /// Groups seen so far.
     pub(crate) fn groups(&self) -> usize {
-        if self.group_cols.is_empty() {
+        if self.is_scalar() {
             1
         } else {
             self.table.len()
@@ -325,55 +345,91 @@ impl GroupFold {
         &self.ids
     }
 
-    /// Fold one batch in, charging `(hash + update·|aggs|)` per live
-    /// row as one bulk charge — per-row underneath, so totals do not
-    /// depend on where batch boundaries fall.
+    /// Charge folding `rows` rows, `(hash + update·|aggs|)` each, as one
+    /// bulk charge — per-row underneath, so totals do not depend on
+    /// where batch boundaries fall.
+    pub(crate) fn charge(&self, storage: &smooth_storage::Storage, rows: usize) {
+        let cpu = storage.cpu();
+        storage.clock().charge_cpu(
+            (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * rows as u64,
+        );
+    }
+
+    /// Fold one batch in, with its [`GroupFold::charge`].
     pub(crate) fn update(
         &mut self,
         storage: &smooth_storage::Storage,
         batch: &ColumnBatch,
     ) -> Result<()> {
-        let cpu = storage.cpu();
-        storage.clock().charge_cpu(
-            (cpu.hash_op_ns + cpu.agg_update_ns * self.aggs.len() as u64) * batch.len() as u64,
-        );
+        self.charge(storage, batch.len());
+        let cols = self.key_columns(batch)?;
+        self.fold_rows(batch, &cols, batch.selection(), None)
+    }
+
+    /// The group columns of `batch`.
+    pub(crate) fn key_columns<'b>(&self, batch: &'b ColumnBatch) -> Result<Vec<&'b ColumnVector>> {
+        self.group_cols.iter().map(|&g| batch.column_checked(g)).collect()
+    }
+
+    /// The [`KeyTable::hash`] of row `row`'s group key, for a caller
+    /// that routes rows before folding them.
+    pub(crate) fn hash(&self, cols: &[&ColumnVector], row: usize) -> u64 {
+        self.table.hash(cols, row)
+    }
+
+    /// Fold the rows of `batch` that `sel` names (every physical row when
+    /// `None`) in, charging nothing. `cols` are the batch's
+    /// [`GroupFold::key_columns`]; `hashes`, when given, holds each of
+    /// those rows' [`GroupFold::hash`] at its physical row.
+    pub(crate) fn fold_rows(
+        &mut self,
+        batch: &ColumnBatch,
+        cols: &[&ColumnVector],
+        sel: Option<&[u32]>,
+        hashes: Option<&[u64]>,
+    ) -> Result<()> {
         self.ids.clear();
-        if self.group_cols.is_empty() {
-            self.ids.resize(batch.len(), 0);
+        if self.is_scalar() {
+            self.ids.resize(sel.map_or(batch.physical_rows(), <[u32]>::len), 0);
         } else {
-            let mut cols = Vec::with_capacity(self.group_cols.len());
-            for &g in &self.group_cols {
-                cols.push(batch.column_checked(g)?);
-            }
             let (table, ids) = (&mut self.table, &mut self.ids);
-            ids.reserve(batch.len());
-            for_live(batch, |_, p| {
-                ids.push(table.intern(&cols, p));
+            ids.reserve(sel.map_or(batch.physical_rows(), <[u32]>::len));
+            for_rows(batch, sel, |_, p| {
+                let hash = hashes.map_or_else(|| table.hash(cols, p), |h| h[p]);
+                ids.push(table.intern_hashed(hash, cols, p));
                 Ok(())
             })?;
             self.grow();
         }
         for (acc, f) in self.accs.iter_mut().zip(&self.aggs) {
-            acc.update(f, batch, &self.ids)?;
+            acc.update(f, batch, sel, &self.ids)?;
         }
         Ok(())
     }
 
-    /// Merge another fold's groups in (order-independent: the caller
-    /// guarantees every aggregate merges exactly). Returns this fold's
-    /// group id for each of `other`'s groups.
-    pub(crate) fn absorb(&mut self, other: &GroupFold) -> Vec<u32> {
+    /// Merge groups `groups` of another fold in (order-independent: the
+    /// caller guarantees every aggregate merges exactly), reusing their
+    /// stored key hashes. Returns this fold's group id for each.
+    pub(crate) fn absorb(&mut self, other: &GroupFold, groups: &[u32]) -> Vec<u32> {
         let cols: Vec<&ColumnVector> = other.table.keys().iter().collect();
-        let map: Vec<u32> = (0..other.groups())
-            .map(|j| if cols.is_empty() { 0 } else { self.table.intern(&cols, j) })
+        let hashes = other.table.hashes();
+        let map: Vec<u32> = groups
+            .iter()
+            .map(|&j| match cols.is_empty() {
+                true => 0,
+                false => self.table.intern_hashed(hashes[j as usize], &cols, j as usize),
+            })
             .collect();
         self.grow();
         for ((acc, theirs), f) in self.accs.iter_mut().zip(&other.accs).zip(&self.aggs) {
-            for (j, &g) in map.iter().enumerate() {
-                acc.merge_slot(f, g as usize, theirs, j);
-            }
+            acc.merge(f, theirs, groups, &map);
         }
         map
+    }
+
+    /// Each group's key hash (its [`GroupFold::hash`]), by group id.
+    pub(crate) fn key_hashes(&self) -> &[u64] {
+        self.table.hashes()
     }
 
     /// Finish into one dense batch — key columns, then one column per

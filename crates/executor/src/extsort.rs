@@ -2,10 +2,17 @@
 //!
 //! Backs [`crate::Sort`] and the parallel [`crate::SinkSpec::Sort`]
 //! sink. No `Row` exists in here: input morsels are gathered into one
-//! accumulation [`ColumnBatch`] in arrival order, the sort is one stable
-//! sort of a `u32` permutation compared straight off the typed key
-//! vectors ([`ColumnVector::slot_cmp`], the order of `Value::total_cmp`),
-//! and the output is that permutation gathered into morsel-sized batches.
+//! accumulation [`ColumnBatch`] in arrival order, the sort orders
+//! `(prefix, row)` pairs, and the output is the rows in that order
+//! gathered into morsel-sized batches. The prefix is the first key's
+//! normalized image ([`ColumnVector::sort_prefix`], complemented when
+//! descending: a "poor man's normalized key", Graefe 2006), an integer
+//! whose order is the key's, so a stable radix sort orders the pairs
+//! without comparing keys. Runs of equal prefixes are then sorted
+//! stably on every key compared straight off the typed key vectors
+//! ([`ColumnVector::slot_cmp`], the order of `Value::total_cmp`). Both
+//! sorts are stable over rows in arrival order, so the result is
+//! exactly the stable sort's order.
 //!
 //! With a budget, the rows since the last cut become a *run* whenever
 //! their spill-codec byte size ([`codec::batch_row_len`], equal to the
@@ -178,11 +185,10 @@ impl ExternalSorter {
             let depth = self.run_bytes.len().next_power_of_two().trailing_zeros() as u64;
             self.storage.clock().charge_cpu(self.storage.cpu().sort_cmp_ns * n as u64 * depth);
         }
-        let mut order: Vec<u32> = (0..row_index(n)?).collect();
-        if n > 1 {
-            let keys = key_columns(&self.rows, &self.keys)?;
-            order.sort_by(|&a, &b| compare_slots(&keys, a, b));
-        }
+        let order = match n {
+            0 | 1 => (0..n as u32).collect(),
+            _ => sort_order(&key_columns(&self.rows, &self.keys)?, row_index(n)?),
+        };
         let gather = |chunk: &[u32]| {
             let mut out = ColumnBatch::like(&self.rows);
             out.append_gather(&self.rows, chunk);
@@ -204,6 +210,54 @@ fn key_columns<'a>(
     keys: &[SortKey],
 ) -> Result<Vec<(&'a ColumnVector, bool)>> {
     keys.iter().map(|k| Ok((batch.column_checked(k.column)?, k.ascending))).collect()
+}
+
+/// The stable sort of rows `0..n` under `keys`: `(prefix, row)` pairs,
+/// the prefix being the first key's [`ColumnVector::sort_prefix`]
+/// (complemented when descending), go through a stable radix sort on
+/// the prefix; each run of equal prefixes is then sorted stably on
+/// every key. Rows start in index order and both sorts are stable, so
+/// the order is exactly the stable one.
+fn sort_order(keys: &[(&ColumnVector, bool)], n: u32) -> Vec<u32> {
+    let Some(&(first, ascending)) = keys.first() else {
+        return (0..n).collect();
+    };
+    let flip = if ascending { 0 } else { u64::MAX };
+    let mut pairs: Vec<(u64, u32)> =
+        (0..n).map(|row| (first.sort_prefix(row as usize) ^ flip, row)).collect();
+    radix_sort(&mut pairs);
+    for run in pairs.chunk_by_mut(|a, b| a.0 == b.0).filter(|run| run.len() > 1) {
+        run.sort_by(|a, b| compare_slots(keys, a.1, b.1));
+    }
+    pairs.into_iter().map(|(_, row)| row).collect()
+}
+
+/// Stable least-significant-byte radix sort of `pairs` by their `u64`
+/// key: one counting pass per key byte, skipping a byte every key
+/// shares (a small integer domain varies in its low bytes only).
+fn radix_sort(pairs: &mut Vec<(u64, u32)>) {
+    let mut counts = [[0usize; 256]; 8];
+    for &(key, _) in pairs.iter() {
+        for (byte, count) in counts.iter_mut().enumerate() {
+            count[(key >> (8 * byte)) as usize & 255] += 1;
+        }
+    }
+    let mut out = vec![(0, 0); pairs.len()];
+    for (byte, count) in counts.iter().enumerate() {
+        if count.contains(&pairs.len()) {
+            continue;
+        }
+        let mut at = [0usize; 256];
+        for b in 1..256 {
+            at[b] = at[b - 1] + count[b - 1];
+        }
+        for &pair in pairs.iter() {
+            let slot = &mut at[(pair.0 >> (8 * byte)) as usize & 255];
+            out[*slot] = pair;
+            *slot += 1;
+        }
+        std::mem::swap(pairs, &mut out);
+    }
 }
 
 /// Lexicographic comparison of physical rows `a` and `b` of one batch

@@ -108,6 +108,11 @@ impl KeyTable {
         &self.keys
     }
 
+    /// Each entry's full [`KeyTable::hash`], entry id = slot.
+    pub fn hashes(&self) -> &[u64] {
+        &self.hashes
+    }
+
     /// Consume into the key vectors (entry order).
     pub fn into_keys(self) -> Vec<ColumnVector> {
         self.keys
@@ -126,8 +131,15 @@ impl KeyTable {
     /// the returned id equals the previous [`KeyTable::len`].
     #[inline]
     pub fn intern(&mut self, cols: &[&ColumnVector], row: usize) -> u32 {
+        self.intern_hashed(self.hash(cols, row), cols, row)
+    }
+
+    /// [`KeyTable::intern`] with the key's [`KeyTable::hash`] already
+    /// computed: a caller routed the row on it, or another table stored
+    /// it ([`KeyTable::hashes`]).
+    #[inline]
+    pub fn intern_hashed(&mut self, hash: u64, cols: &[&ColumnVector], row: usize) -> u32 {
         debug_assert_eq!(cols.len(), self.keys.len());
-        let hash = self.hash(cols, row);
         match self.seek(hash, cols, row) {
             Ok(entry) => entry,
             Err(slot) => {
@@ -153,8 +165,10 @@ impl KeyTable {
         self.seek(self.hash(cols, row), cols, row).ok()
     }
 
+    /// The full hash of the key in row `row` of `cols`. Its low bits pick
+    /// the slot; its high bits are free for a caller to partition on.
     #[inline]
-    fn hash(&self, cols: &[&ColumnVector], row: usize) -> u64 {
+    pub fn hash(&self, cols: &[&ColumnVector], row: usize) -> u64 {
         if self.degenerate {
             return 0;
         }

@@ -47,8 +47,11 @@
 //! call the serial [`crate::HashJoin`] makes), so the probe table is the
 //! serial build's by construction. Grouped aggregates use
 //! per-slot partial folds (the serial operator's own group table and
-//! accumulators) merged by global first-seen `(seq, idx)` position
-//! when the merge is exact ([`AggFunc::merge_exact`]), and
+//! accumulators, split by key hash once they outgrow the cache), merged
+//! partition by partition and ordered by global first-seen `(seq, idx)`
+//! position when the
+//! merge is exact ([`AggFunc::merge_exact`]) — the partitioned
+//! pre-aggregation of morsel-driven engines — and
 //! otherwise fold on the ordered sink in morsel order — the serial
 //! operator's fold itself — so float sums stay byte-identical; plain
 //! row output is concatenated in morsel order, and a sort streams its
@@ -84,7 +87,7 @@
 //! `docs/scheduler_v2.md`.
 
 use smooth_storage::{FileId, PageBuf, Storage};
-use smooth_types::{ColumnBatch, Error, PageId, Result, Row, Schema};
+use smooth_types::{ColumnBatch, ColumnVector, Error, PageId, Result, Row, Schema};
 
 use crate::agg::GroupFold;
 use crate::expr::Predicate;
@@ -225,17 +228,22 @@ pub enum SinkSpec {
         /// Group-by ordinals (empty = scalar).
         group_cols: Vec<usize>,
         /// Aggregates per group. When every one merges exactly over
-        /// the sink's input ([`AggFunc::merge_exact`]), workers hold
-        /// partial maps merged by first-seen position; otherwise the
-        /// sink folds morsels in order, keeping float sums
-        /// byte-identical to the serial fold.
+        /// the sink's input ([`AggFunc::merge_exact`]), workers fold
+        /// morsels into pooled partials, which split into partitions by
+        /// key hash once they outgrow the cache; the phase's final pass
+        /// merges the partials partition by partition and orders the groups by first-seen
+        /// `(seq, idx)` position in one linear pass (no comparison
+        /// sort), then gathers them into morsels. Otherwise the sink
+        /// folds morsels in order, keeping float sums byte-identical to
+        /// the serial fold.
         aggs: Vec<AggFunc>,
     },
     /// Sort: the sink folds each morsel, in morsel order, into one
     /// [`crate::ExternalSorter`] under the pipeline's `mem_bytes` — the
     /// identical charges the serial [`crate::Sort`] operator makes over
-    /// the same input — whose final pass restores global key order as
-    /// serial time ([`ScalingLedger::suffix_ns`] in the model).
+    /// the same input — whose final pass (one sort on the first key's
+    /// normalized prefix) restores global key order as serial time
+    /// ([`ScalingLedger::suffix_ns`] in the model).
     Sort {
         /// Sort keys, over the phase's staged output.
         keys: Vec<crate::sort::SortKey>,
@@ -264,69 +272,276 @@ pub struct ParallelPipeline {
 /// Global first-seen position of a group: (morsel seq, index within the
 /// morsel). Minimizing over workers reproduces the serial first-seen
 /// group order exactly.
-type FirstPos = (u64, u64);
+type FirstPos = (u64, u32);
 
-/// A partial grouped-aggregation state in one worker slot of an
-/// exact-merge aggregate: the serial operator's own [`GroupFold`] (so
-/// accumulator semantics and clock charges cannot drift from
-/// [`crate::HashAggregate`]) plus each group's global first-seen
-/// position, which the slots need because they fold morsels out of
-/// order. The ordered sink folds the other aggregates in morsel order
-/// into a bare [`GroupFold`], whose group ids are already first-seen.
-pub(crate) struct PartialAgg {
+/// The position of a group no row has reached yet.
+const UNSEEN: FirstPos = (u64::MAX, u32::MAX);
+
+/// Partitions of a grouped exact-merge partial that has split. A row
+/// goes to the partition the top bits of its key hash name — the low
+/// bits pick its slot in the partition's table — so each partition
+/// holds about 1/16 of the groups and its merge stays in cache. More
+/// partitions shrink the merge's tables further but cut a 1024-row
+/// morsel into folds too small to pay their per-fold overhead: on a
+/// 2-core host, grouping 500k rows into 99k groups, 8 and 16 beat 4, 32
+/// and 64.
+const PARTITIONS: usize = 16;
+
+/// Groups past which a partial splits into [`PARTITIONS`]. A table this
+/// small merges in cache as it is, so an aggregate with fewer groups
+/// (TPC-H Q1's 4, Q4's 5, any scalar one) never pays for routing rows.
+const SPLIT_GROUPS: usize = 4096;
+
+/// The partition of a key hash: its top `log₂ PARTITIONS` bits.
+fn partition(hash: u64) -> usize {
+    (hash >> (u64::BITS - PARTITIONS.trailing_zeros())) as usize
+}
+
+/// One partition of a [`PartialAgg`] (or all of an unsplit one): a
+/// [`GroupFold`] and each of its groups' first-seen position.
+struct Part {
     fold: GroupFold,
     /// First-seen position per group id.
     first: Vec<FirstPos>,
 }
 
-impl PartialAgg {
-    /// A partial over morsels of `schema` (the sink's input schema).
-    pub(crate) fn new(schema: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> Result<Self> {
-        Ok(PartialAgg { fold: GroupFold::new(schema, group_cols, aggs)?, first: Vec::new() })
+impl Part {
+    fn new(empty: &GroupFold) -> Part {
+        Part { fold: empty.clone(), first: Vec::new() }
     }
 
-    /// Fold morsel `seq` in (the fold charges the clock).
-    pub(crate) fn update(
+    /// Fold the rows of morsel `seq` that `sel` names in (see
+    /// [`GroupFold::fold_rows`]); the `j`-th is live row `live[j]` of the
+    /// morsel, or live row `j` when `live` is `None`.
+    fn fold(
         &mut self,
-        storage: &Storage,
         seq: u64,
         batch: &ColumnBatch,
+        cols: &[&ColumnVector],
+        sel: Option<&[u32]>,
+        hashes: Option<&[u64]>,
+        live: Option<&[u32]>,
     ) -> Result<()> {
-        self.fold.update(storage, batch)?;
+        self.fold.fold_rows(batch, cols, sel, hashes)?;
+        self.first.resize(self.fold.groups(), UNSEEN);
+        if self.fold.is_scalar() {
+            // One group: there is no order to keep.
+            return Ok(());
+        }
         // A partial is not fed in monotone seq order: the scheduler's
         // slot pool hands a partial to whichever worker frees up next,
         // so one slot can fold seq 3 before seq 2. Minimizing the
         // first-seen position on *every* row (not just on insert) keeps
         // the recorded position equal to the global first occurrence
         // regardless of fold order.
-        self.first.resize(self.fold.groups(), (u64::MAX, u64::MAX));
-        for (idx, &g) in self.fold.ids().iter().enumerate() {
+        for (j, &g) in self.fold.ids().iter().enumerate() {
+            let idx = live.map_or(j as u32, |live| live[j]);
             let pos = &mut self.first[g as usize];
-            *pos = (*pos).min((seq, idx as u64));
+            *pos = (*pos).min((seq, idx));
         }
         Ok(())
     }
 
-    /// Combine another worker's partial in (order-independent: the
-    /// caller guarantees every aggregate merges exactly).
-    pub(crate) fn merge(&mut self, other: PartialAgg) {
-        let map = self.fold.absorb(&other.fold);
-        self.first.resize(self.fold.groups(), (u64::MAX, u64::MAX));
-        for (&g, pos) in map.iter().zip(other.first) {
+    /// Combine groups `groups` of another part in.
+    fn absorb(&mut self, other: &Part, groups: &[u32]) {
+        let map = self.fold.absorb(&other.fold, groups);
+        self.first.resize(self.fold.groups(), UNSEEN);
+        for (&g, &j) in map.iter().zip(groups) {
             let cur = &mut self.first[g as usize];
-            *cur = (*cur).min(pos);
+            *cur = (*cur).min(other.first[j as usize]);
         }
     }
+}
 
-    /// Emit the groups as one batch in global first-seen order (a
-    /// scalar aggregate over empty input still yields one row, as in
-    /// the serial operator).
-    pub(crate) fn finish(self) -> Result<ColumnBatch> {
-        let mut order: Vec<u32> = (0..self.fold.groups() as u32).collect();
-        // A scalar aggregate's single group may never have seen a row.
-        order.sort_by_key(|&g| self.first.get(g as usize).copied().unwrap_or_default());
-        self.fold.finish(Some(&order))
+/// A partial grouped-aggregation state in one worker slot of an
+/// exact-merge aggregate: the serial operator's own [`GroupFold`] (so
+/// accumulator semantics cannot drift from [`crate::HashAggregate`])
+/// with its groups' global first-seen positions, which the slots need
+/// because they fold morsels out of order. Past [`SPLIT_GROUPS`] groups
+/// the fold splits into [`PARTITIONS`] by key hash, and from then on a
+/// row goes to the partition its key hash names; a partition's fold is
+/// made on its first row. Each morsel charges the clock once,
+/// `(hash + update·|aggs|)` per row, as the serial fold does. The
+/// ordered sink folds the other aggregates in morsel order into a bare
+/// [`GroupFold`], whose group ids are already first-seen.
+pub(crate) struct PartialAgg {
+    /// The fold a partition starts as; its key table hashes the rows
+    /// that route them.
+    empty: GroupFold,
+    /// One part until the split, then [`PARTITIONS`].
+    parts: Vec<Option<Part>>,
+    /// Scratch for routing a morsel: each live row's key hash at its
+    /// physical row, then the live rows in partition order — their
+    /// physical rows and live indices.
+    hashes: Vec<u64>,
+    sel: Vec<u32>,
+    live: Vec<u32>,
+}
+
+impl PartialAgg {
+    /// A partial over morsels of `schema` (the sink's input schema).
+    pub(crate) fn new(schema: &Schema, group_cols: &[usize], aggs: &[AggFunc]) -> Result<Self> {
+        let (empty, parts) = (GroupFold::new(schema, group_cols, aggs)?, vec![None]);
+        let (hashes, sel, live) = Default::default();
+        Ok(PartialAgg { empty, parts, hashes, sel, live })
     }
+
+    /// Fold morsel `seq` in, charging the clock once for all its rows.
+    pub(crate) fn update(
+        &mut self,
+        storage: &Storage,
+        seq: u64,
+        batch: &ColumnBatch,
+    ) -> Result<()> {
+        self.empty.charge(storage, batch.len());
+        let cols = self.empty.key_columns(batch)?;
+        if let [part] = &mut self.parts[..] {
+            let part = part.get_or_insert_with(|| Part::new(&self.empty));
+            part.fold(seq, batch, &cols, batch.selection(), None, None)?;
+            if part.fold.groups() > SPLIT_GROUPS {
+                self.split();
+            }
+            return Ok(());
+        }
+        // Route the live rows by their key hash: count them per
+        // partition, then place them in partition order.
+        let PartialAgg { empty, parts, hashes, sel, live } = self;
+        hashes.resize(batch.physical_rows(), 0);
+        let mut start = [0usize; PARTITIONS + 1];
+        for p in batch.live_rows() {
+            hashes[p] = empty.hash(&cols, p);
+            start[partition(hashes[p]) + 1] += 1;
+        }
+        for p in 0..PARTITIONS {
+            start[p + 1] += start[p];
+        }
+        let mut at = start;
+        sel.resize(batch.len(), 0);
+        live.resize(batch.len(), 0);
+        for (i, p) in batch.live_rows().enumerate() {
+            let k = &mut at[partition(hashes[p])];
+            (sel[*k], live[*k]) = (p as u32, i as u32);
+            *k += 1;
+        }
+        for (p, part) in parts.iter_mut().enumerate() {
+            let rows = start[p]..start[p + 1];
+            if !rows.is_empty() {
+                let part = part.get_or_insert_with(|| Part::new(empty));
+                let (s, l) = (&sel[rows.clone()], &live[rows]);
+                part.fold(seq, batch, &cols, Some(s), Some(hashes), Some(l))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Split an unsplit partial into [`PARTITIONS`]: each group moves to
+    /// the partition its stored key hash names.
+    fn split(&mut self) {
+        let Some(whole) = std::mem::take(&mut self.parts).into_iter().next().flatten() else {
+            self.parts = (0..PARTITIONS).map(|_| None).collect();
+            return;
+        };
+        let mut groups = vec![Vec::new(); PARTITIONS];
+        for (g, &hash) in whole.fold.key_hashes().iter().enumerate() {
+            groups[partition(hash)].push(g as u32);
+        }
+        let split = |groups: Vec<u32>| {
+            (!groups.is_empty()).then(|| {
+                let mut part = Part::new(&self.empty);
+                part.absorb(&whole, &groups);
+                part
+            })
+        };
+        self.parts = groups.into_iter().map(split).collect();
+    }
+
+    /// Merge every slot's partial into the first slot's: unsplit
+    /// partials as they are while none has split, else partition by
+    /// partition — each slot's partition `p` into the first's partition
+    /// `p`, so the table absorbing them stays in cache (order-independent:
+    /// the caller guarantees every aggregate merges exactly). `None` when
+    /// there is no slot.
+    pub(crate) fn merge(mut slots: Vec<PartialAgg>) -> Option<PartialAgg> {
+        if slots.iter().any(|slot| slot.parts.len() > 1) {
+            slots.iter_mut().filter(|slot| slot.parts.len() == 1).for_each(PartialAgg::split);
+        }
+        let mut slots = slots.into_iter();
+        let mut merged = slots.next()?;
+        let mut rest: Vec<_> = slots.map(|slot| slot.parts).collect();
+        for (p, mine) in merged.parts.iter_mut().enumerate() {
+            for theirs in rest.iter_mut().filter_map(|parts| parts[p].take()) {
+                match mine {
+                    Some(mine) => {
+                        mine.absorb(&theirs, &Vec::from_iter(0..theirs.first.len() as u32))
+                    }
+                    None => *mine = Some(theirs),
+                }
+            }
+        }
+        Some(merged)
+    }
+
+    /// Emit the groups in global first-seen order, cut into batches of
+    /// `rows` (a scalar aggregate over empty input still yields one row,
+    /// as in the serial operator): the partitions' groups ordered by
+    /// `(seq, idx)` in linear passes, then one gather per column and
+    /// batch.
+    pub(crate) fn finish(self, rows: usize) -> Result<Vec<ColumnBatch>> {
+        let mut parts: Vec<Part> = self.parts.into_iter().flatten().collect();
+        if self.empty.is_scalar() {
+            return Ok(vec![parts.pop().map_or(self.empty, |part| part.fold).finish(None)?]);
+        }
+        let order = first_seen_order(&parts)?;
+        let mut groups = self.empty.finish(None)?;
+        for part in parts {
+            groups.append_dense(part.fold.finish(None)?);
+        }
+        let gather = |chunk: &[u32]| {
+            let mut out = ColumnBatch::like(&groups);
+            out.append_gather(&groups, chunk);
+            out
+        };
+        Ok(order.chunks(rows.max(1)).map(gather).collect())
+    }
+}
+
+/// The groups of `parts` listed one after another (group `g` of a
+/// partition is its offset plus `g`), in `(seq, idx)` order without a
+/// comparison sort, in three linear passes over them: one counts each
+/// morsel `seq`'s widest `idx`, which lays the morsels out one after
+/// another as a bitmap; one marks every group's position in it; one
+/// places each group at the count of marks before its own. Every
+/// position is seen (no group exists before a row reaches it), and no
+/// two groups share one.
+fn first_seen_order(parts: &[Part]) -> Result<Vec<u32>> {
+    let firsts = || parts.iter().flat_map(|part| &part.first);
+    let groups: usize = parts.iter().map(|part| part.first.len()).sum();
+    if groups > u32::MAX as usize {
+        return Err(Error::exec("aggregate exceeds u32::MAX groups"));
+    }
+    // `base[seq]`: the first bitmap word of morsel `seq`.
+    let mut base = vec![0usize];
+    for &(seq, idx) in firsts() {
+        let seq = seq as usize + 1;
+        if seq >= base.len() {
+            base.resize(seq + 1, 0);
+        }
+        base[seq] = base[seq].max(idx as usize / 64 + 1);
+    }
+    for s in 1..base.len() {
+        base[s] += base[s - 1];
+    }
+    let bit = |&(seq, idx): &FirstPos| base[seq as usize] * 64 + idx as usize;
+    let mut bits = vec![0u64; base[base.len() - 1]];
+    firsts().map(bit).for_each(|b| bits[b / 64] |= 1 << (b % 64));
+    let below: Vec<u32> =
+        bits.iter().scan(0, |n, word| Some(std::mem::replace(n, *n + word.count_ones()))).collect();
+    let mut order = vec![0u32; groups];
+    for (g, b) in firsts().map(bit).enumerate() {
+        let place = below[b / 64] + (bits[b / 64] & ((1 << (b % 64)) - 1)).count_ones();
+        order[place as usize] = g as u32;
+    }
+    Ok(order)
 }
 
 /// What the source hands a worker under the lock.
@@ -818,6 +1033,58 @@ mod tests {
             assert_eq!(got, expected, "groups diverge at {workers} workers");
             assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
         }
+    }
+
+    /// On [`crate::hashtable::KeyTable::degenerate`] every key hashes to
+    /// 0, so every row lands in partition 0. Two slots fold the morsels
+    /// interleaved and out of seq order, some under a reversed selection
+    /// vector; one splits after its first morsel (as past
+    /// [`SPLIT_GROUPS`]) and routes the rest, the other splits in the
+    /// merge. The merged partial still emits the serial fold's groups,
+    /// in first-seen order, for the same charges.
+    #[test]
+    fn degenerate_partial_routes_every_key_to_one_partition() {
+        let schema =
+            Schema::new(vec![Column::new("g", DataType::Int64), Column::new("v", DataType::Int64)])
+                .unwrap();
+        let morsels = Vec::from_iter((0..6i64).map(|m| {
+            let rows = Vec::from_iter(
+                (0..40).map(|i| Row::new(vec![Value::Int((m * 40 + i) * 7 % 50), Value::Int(i)])),
+            );
+            let mut batch = ColumnBatch::from_rows(&schema, &rows).unwrap();
+            if m % 3 == 1 {
+                batch.set_selection(Vec::from_iter((0..40).rev().step_by(2)));
+            }
+            batch
+        }));
+        let (group_cols, aggs) = (vec![0], vec![AggFunc::CountStar, AggFunc::Sum(1)]);
+        let degenerate = || {
+            let mut partial = PartialAgg::new(&schema, &group_cols, &aggs).unwrap();
+            partial.empty.degenerate_hash(&schema);
+            partial
+        };
+        let (s_serial, s_par) = (storage(), storage());
+        let mut serial = degenerate().empty;
+        morsels.iter().for_each(|batch| serial.update(&s_serial, batch).unwrap());
+        let expected = serial.finish(None).unwrap().into_rows();
+        let (mut even, mut odd) = (degenerate(), degenerate());
+        for (seq, batch) in morsels.iter().enumerate().rev() {
+            let slot = if seq % 2 == 0 { &mut even } else { &mut odd };
+            slot.update(&s_par, seq as u64, batch).unwrap();
+            if seq == 4 {
+                even.split();
+            }
+        }
+        let used = Vec::from_iter(even.parts.iter().map(Option::is_some));
+        assert_eq!(used, Vec::from_iter((0..PARTITIONS).map(|p| p == 0)));
+        assert_eq!(odd.parts.len(), 1, "50 groups stay unsplit");
+        let merged = PartialAgg::merge(vec![even, odd]).unwrap().finish(16).unwrap();
+        assert!(merged.iter().all(|batch| batch.len() <= 16));
+        assert_eq!(
+            merged.into_iter().flat_map(ColumnBatch::into_rows).collect::<Vec<_>>(),
+            expected
+        );
+        assert_eq!(s_par.clock().snapshot(), s_serial.clock().snapshot());
     }
 
     #[test]

@@ -96,14 +96,19 @@
 //! aggregate's partial folds live in a per-query *slot pool*, emptied
 //! when its phase finishes: a worker
 //! pops a slot, folds its morsel, and pushes the slot back — slots are
-//! not pinned to threads, so one slot can fold seq 3 before seq 2. The
-//! merge makes any slot↔morsel assignment byte-identical; for grouped
-//! aggregates that rests on the `(seq, idx)` MIN rule: every fold
-//! minimizes a group's first-seen position `(morsel seq, row idx)` on
-//! *every* row, and the merge minimizes across partials, so the
-//! recorded position equals the global first occurrence — hence a
-//! deterministic group order — regardless of fold order or worker
-//! count.
+//! not pinned to threads, so one slot can fold seq 3 before seq 2. A
+//! slot that outgrows a cache-sized table splits into hash partitions
+//! and from then on routes each row by the top bits of its key hash, so
+//! a group lives in the same partition of every split slot (the merge
+//! splits the others first). The merge makes any slot↔morsel assignment byte-identical; for
+//! grouped aggregates that rests on the `(seq, idx)` MIN rule: every
+//! fold minimizes a group's first-seen position `(morsel seq, row idx)`
+//! on *every* row, and the merge — each slot's partition `p` into the
+//! first slot's partition `p`, in `finish_fold` on one thread —
+//! minimizes across partials, so the recorded position equals the
+//! global first occurrence. The groups are then placed in that order by
+//! counting, not comparing: a deterministic group order regardless of
+//! fold order, partition or worker count.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -997,15 +1002,12 @@ fn finish_fold(q: &ActiveQuery, i: usize, fold: Option<Fold>) -> Result<Vec<Colu
         // budget, so it can still fail the query.
         (Some(Fold::Sort(sorter)), _) => sorter.finish(),
         (None, SinkSpec::Aggregate { group_cols, aggs }) => {
-            let mut slots = std::mem::take(&mut *lock(&q.agg_slots)).into_iter();
-            let first = match slots.next() {
-                Some(slot) => Ok(slot),
+            let slots = std::mem::take(&mut *lock(&q.agg_slots));
+            match PartialAgg::merge(slots) {
+                Some(merged) => Ok(merged),
                 None => PartialAgg::new(&q.phases[i].schema, group_cols, aggs),
-            };
-            first.and_then(|mut merged| {
-                slots.for_each(|slot| merged.merge(slot));
-                merged.finish().map(morsels)
-            })
+            }
+            .and_then(|merged| merged.finish(q.morsel_rows))
         }
         _ => Err(Error::exec("sink fold taken before completion")),
     };

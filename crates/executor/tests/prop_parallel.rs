@@ -369,3 +369,80 @@ fn a_nested_aggregate_hands_on_its_groups_in_morsels() {
             .unwrap();
     }
 }
+
+/// The tree's `HashAggregate` and the pool's exact-merge aggregate sink
+/// over `keys` (rows with `c1 < hi`), grouped by `group_cols`: equal
+/// rows in equal order, clock and I/O counters at every worker count.
+/// Every aggregate here merges exactly, so the pool folds per-slot
+/// partials and merges them partition by partition.
+fn assert_exact_merge_equals_tree(keys: &[i64], group_cols: &[usize], hi: i64) -> usize {
+    let heap = build_table(keys);
+    let aggs = vec![
+        AggFunc::CountStar,
+        AggFunc::Count(1),
+        AggFunc::Sum(0),
+        AggFunc::Avg(1),
+        AggFunc::Min(0),
+        AggFunc::Max(2),
+        AggFunc::SumProduct(0, 1),
+    ];
+    let pred = Predicate::int_lt(1, hi);
+    let s_serial = storage(32);
+    let scan = FullTableScan::new(Arc::clone(&heap), s_serial.clone(), Predicate::True);
+    let filtered = Box::new(Filter::new(Box::new(scan), pred.clone()));
+    let tree = HashAggregate::new(filtered, group_cols.to_vec(), aggs.clone(), s_serial.clone());
+    let expected = collect_rows(&mut tree.unwrap()).unwrap();
+    for workers in WORKER_GRID {
+        let s_par = storage(32);
+        let source = heap_source(&heap, &s_par, Predicate::True, FULL_SCAN_READAHEAD);
+        let phase = PhaseSpec {
+            sink: SinkSpec::Aggregate { group_cols: group_cols.to_vec(), aggs: aggs.clone() },
+            ..sink_phase(source, vec![StageSpec::Filter(pred.clone())])
+        };
+        let (phases, storage) = (vec![phase], s_par.clone());
+        let pipeline =
+            ParallelPipeline { phases, storage, morsel_rows: batch_size(), mem_bytes: 0 };
+        let got = run_pipeline(pipeline, workers).unwrap();
+        let context = format!("{} groups by {group_cols:?}, {workers} workers", expected.len());
+        assert_equal_runs((&expected, &s_serial), (&got, &s_par), &context).unwrap();
+    }
+    expected.len()
+}
+
+/// Exact-merge partials at group counts from one to well past the
+/// partition count — one group per partition at most, about one per
+/// partition, many per partition — and past the count at which a slot
+/// splits into partitions, so some slots split and some do not (6k) or
+/// all do (20k); grouped on an integer and on an integer plus a text
+/// column: the tree's rows, first-seen order, clock and I/O.
+#[test]
+fn exact_merge_aggregate_equals_tree_at_every_group_count() {
+    for groups in [1i64, 6, 16, 64, 160, 640, 6_000, 20_000] {
+        // A stride coprime to every count shuffles first occurrences
+        // across morsels and partitions.
+        let rows = groups.max(3_000) + groups / 5;
+        let keys = Vec::from_iter((0..rows).map(|i| i * 7_919 % groups));
+        for group_cols in [vec![1], vec![1, 2]] {
+            let seen = assert_exact_merge_equals_tree(&keys, &group_cols, i64::MAX);
+            assert_eq!(seen, groups as usize, "{groups} groups by {group_cols:?}");
+        }
+    }
+}
+
+/// Groups first seen only in the last morsel — every earlier morsel
+/// repeats five keys — still take the tree's first-seen places.
+#[test]
+fn exact_merge_places_groups_first_seen_in_the_last_morsel() {
+    let mut keys = Vec::from_iter((0..4_000).map(|i| i % 5));
+    keys.extend((0..40).map(|i| 1_000 - i));
+    assert_eq!(assert_exact_merge_equals_tree(&keys, &[1], i64::MAX), 45);
+}
+
+/// Over empty input a scalar aggregate still yields its one row, and a
+/// grouped one none, on the pool as in the tree.
+#[test]
+fn exact_merge_aggregate_over_empty_input() {
+    let keys = Vec::from_iter(0..500);
+    assert_eq!(assert_exact_merge_equals_tree(&keys, &[], 0), 1);
+    assert_eq!(assert_exact_merge_equals_tree(&keys, &[1], 0), 0);
+}

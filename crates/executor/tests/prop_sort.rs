@@ -9,7 +9,10 @@
 //! and multi-byte text included — plus a position column that tells
 //! equal-keyed rows apart, so a stability bug changes the output. One
 //! to three sort keys, directions mixed, at budgets from "spills every
-//! dozen rows" to "never spills" and 0 (unlimited).
+//! dozen rows" to "never spills" and 0 (unlimited). A second domain
+//! aims at the sorter's normalized first key: values of every key type
+//! that tie on their 8-byte prefix without being equal (integer
+//! extremes, text sharing its first 8 bytes, trailing NUL bytes).
 //!
 //! Rows must equal the reference at every budget (so output order is
 //! budget-independent), `next()` and `next_columns` must agree, and the
@@ -28,7 +31,11 @@ use proptest::prelude::*;
 use smooth_executor::sort::{compare_rows, SortKey};
 use smooth_executor::{collect_rows, collect_rows_volcano, spill_io_ns, ExternalSorter, Sort};
 use smooth_storage::Storage;
-use smooth_types::{spill as codec, Column, ColumnBatch, DataType, Row, Schema, Value};
+use std::cmp::Ordering;
+
+use smooth_types::{
+    spill as codec, Column, ColumnBatch, ColumnVector, DataType, Row, Schema, Value,
+};
 
 const BUDGETS: [usize; 6] = [0, 512, 4 << 10, 16 << 10, 64 << 10, 1 << 20];
 
@@ -80,12 +87,68 @@ impl Case {
     }
 }
 
+/// Values that tie on the sorter's normalized first key
+/// ([`ColumnVector::sort_prefix`]) without being equal, or sit at the
+/// edges of its image: integer and `Int32` extremes, every float class
+/// `total_cmp` orders, text sharing its first 8 bytes — or all of them,
+/// up to trailing NUL bytes — and the empty string.
+fn tie_value(ty: DataType) -> BoxedStrategy<Value> {
+    let non_null = match ty {
+        DataType::Float64 => prop_oneof![
+            Just(f64::NAN),
+            Just(-f64::NAN),
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MIN_POSITIVE),
+            any::<f64>(),
+        ]
+        .prop_map(Value::Float)
+        .boxed(),
+        DataType::Text => {
+            let ch = prop_oneof![Just('\0'), Just('a'), Just('b'), Just('é')];
+            let tail = proptest::collection::vec(ch, 0..6).prop_map(String::from_iter);
+            let head = prop_oneof![Just(""), Just("abcdefgh"), Just("abcdefg"), Just("\0\0\0")];
+            (head, tail).prop_map(|(head, tail)| Value::str(head.to_owned() + &tail)).boxed()
+        }
+        DataType::Int32 => {
+            prop_oneof![Just(i64::from(i32::MIN)), Just(i64::from(i32::MAX)), -3i64..4]
+                .prop_map(Value::Int)
+                .boxed()
+        }
+        _ => prop_oneof![Just(i64::MIN), Just(i64::MIN + 1), Just(i64::MAX), -3i64..4]
+            .prop_map(Value::Int)
+            .boxed(),
+    };
+    prop_oneof![5 => non_null, 1 => Just(Value::Null)].boxed()
+}
+
+/// Every type a sort key can have.
+fn any_type() -> impl Strategy<Value = DataType> {
+    prop_oneof![
+        Just(DataType::Int64),
+        Just(DataType::Int32),
+        Just(DataType::Date),
+        Just(DataType::Float64),
+        Just(DataType::Text),
+    ]
+}
+
 fn case() -> impl Strategy<Value = Case> {
     let ty = prop_oneof![Just(DataType::Int64), Just(DataType::Float64), Just(DataType::Text)];
+    case_of(ty.boxed(), value)
+}
+
+/// Cases over columns of type `ty` holding values drawn by `value`.
+fn case_of(
+    ty: BoxedStrategy<DataType>,
+    value: fn(DataType) -> BoxedStrategy<Value>,
+) -> impl Strategy<Value = Case> {
     let key =
         (0usize..3, any::<bool>()).prop_map(|(column, ascending)| SortKey { column, ascending });
     (proptest::collection::vec(ty, 3..4), proptest::collection::vec(key, 1..4)).prop_flat_map(
-        |(types, keys)| {
+        move |(types, keys)| {
             let row = types.iter().copied().map(value).collect::<Vec<_>>();
             let morsel = (proptest::collection::vec(row, 0..260), any::<bool>(), any::<u64>());
             (Just(types), Just(keys), proptest::collection::vec(morsel, 0..5)).prop_map(
@@ -172,6 +235,33 @@ fn row_shim_and_batch_ingest_agree() {
     assert_eq!(by_row.finish().unwrap(), by_batch.finish().unwrap());
 }
 
+/// The sorter — driven directly, morsel by morsel — returns the
+/// reference's rows in the reference's order at each of `budgets`, cuts
+/// the runs the cut rule says and charges the closed form.
+fn sorter_equals_row_reference(case: &Case, budgets: &[usize]) -> Result<(), TestCaseError> {
+    let schema = case.schema();
+    let input = case.input();
+    let mut expect = input.clone();
+    expect.sort_by(|a, b| compare_rows(a, b, &case.keys));
+    for &budget in budgets {
+        let st = Storage::default_hdd();
+        let before = st.clock().snapshot();
+        let mut sorter = ExternalSorter::new(st.clone(), case.keys.clone(), budget);
+        for m in &case.morsels {
+            sorter.push_batch(&m.batch(&schema)).unwrap();
+        }
+        let (runs, cpu_ns, io_ns) = reference_charges(&st, &input, budget);
+        prop_assert!(sorter.run_count() == runs, "runs at budget {}", budget);
+        let out = sorter.finish().unwrap();
+        prop_assert!(out.iter().all(|b| !b.is_empty() && b.selection().is_none()));
+        let rows: Vec<Row> = out.into_iter().flat_map(ColumnBatch::into_rows).collect();
+        prop_assert!(canon(&rows) == canon(&expect), "rows at budget {}", budget);
+        let delta = st.clock().snapshot().since(&before);
+        prop_assert!((delta.cpu_ns, delta.io_ns) == (cpu_ns, io_ns), "clock at budget {}", budget);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -180,25 +270,36 @@ proptest! {
     /// the runs the cut rule says and charges the closed form.
     #[test]
     fn sorter_equals_row_reference_in_rows_runs_and_charges(case in case()) {
-        let schema = case.schema();
-        let input = case.input();
-        let mut expect = input.clone();
-        expect.sort_by(|a, b| compare_rows(a, b, &case.keys));
-        for budget in BUDGETS {
-            let st = Storage::default_hdd();
-            let before = st.clock().snapshot();
-            let mut sorter = ExternalSorter::new(st.clone(), case.keys.clone(), budget);
-            for m in &case.morsels {
-                sorter.push_batch(&m.batch(&schema)).unwrap();
+        sorter_equals_row_reference(&case, &BUDGETS)?;
+    }
+
+    /// Mixed-type, multi-key inputs whose first keys tie on their
+    /// normalized prefix without being equal: the sorter falls back to
+    /// every key, then to the row, and so still returns the reference's
+    /// stable order — unlimited and under a budget that spills.
+    #[test]
+    fn sorter_breaks_prefix_ties_like_the_row_reference(case in case_of(any_type().boxed(), tie_value)) {
+        sorter_equals_row_reference(&case, &[0, 512])?;
+    }
+
+    /// The normalized first key never contradicts the comparator: a
+    /// smaller image means a smaller value, ascending — and, with the
+    /// images complemented, descending — and NULL's image is at or below
+    /// every other.
+    #[test]
+    fn sort_prefix_orders_like_slot_cmp(
+        (ty, values) in any_type().prop_flat_map(|ty| (Just(ty), proptest::collection::vec(tie_value(ty), 2..24))),
+    ) {
+        let mut col = ColumnVector::for_type(ty);
+        values.iter().for_each(|v| col.push_value(v).unwrap());
+        for i in 0..col.len() {
+            for j in 0..col.len() {
+                let (a, b, ord) = (col.sort_prefix(i), col.sort_prefix(j), col.slot_cmp(i, &col, j));
+                let pair = format!("{:?} vs {:?}", values[i], values[j]);
+                prop_assert!(a >= b || ord == Ordering::Less, "ascending: {}", pair);
+                prop_assert!(!a >= !b || ord.reverse() == Ordering::Less, "descending: {}", pair);
+                prop_assert!(!col.is_null(i) || a <= b, "NULL above a value: {}", pair);
             }
-            let (runs, cpu_ns, io_ns) = reference_charges(&st, &input, budget);
-            prop_assert!(sorter.run_count() == runs, "runs at budget {}", budget);
-            let out = sorter.finish().unwrap();
-            prop_assert!(out.iter().all(|b| !b.is_empty() && b.selection().is_none()));
-            let rows: Vec<Row> = out.into_iter().flat_map(ColumnBatch::into_rows).collect();
-            prop_assert!(canon(&rows) == canon(&expect), "rows at budget {}", budget);
-            let delta = st.clock().snapshot().since(&before);
-            prop_assert!((delta.cpu_ns, delta.io_ns) == (cpu_ns, io_ns), "clock at budget {}", budget);
         }
     }
 

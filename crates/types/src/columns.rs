@@ -416,6 +416,38 @@ impl ColumnVector {
         }
     }
 
+    /// An order-preserving `u64` image of slot `idx` under
+    /// [`ColumnVector::slot_cmp`] — the sort's normalized first key:
+    /// `sort_prefix(i) < sort_prefix(j)` implies `slot_cmp(i, self, j)`
+    /// is `Less`, and equal images decide nothing. Integers flip their
+    /// sign bit, floats map `f64::total_cmp` order onto unsigned bits,
+    /// text is its first 8 bytes big-endian, zero-padded, and NULL is 0
+    /// (at or below every value). A descending key complements it.
+    #[inline]
+    pub fn sort_prefix(&self, idx: usize) -> u64 {
+        if self.nulls[idx] {
+            return 0;
+        }
+        match &self.values {
+            ColumnValues::Int(v) => v[idx] as u64 ^ 1 << 63,
+            ColumnValues::Float(v) => {
+                let bits = v[idx].to_bits();
+                if bits >> 63 == 1 {
+                    !bits
+                } else {
+                    bits | 1 << 63
+                }
+            }
+            ColumnValues::Str(v) => {
+                let bytes = v.bytes_at(idx);
+                let mut word = [0u8; 8];
+                let n = bytes.len().min(8);
+                word[..n].copy_from_slice(&bytes[..n]);
+                u64::from_be_bytes(word)
+            }
+        }
+    }
+
     /// Type-tagged pre-hash of slot `idx` for hash-table keys: the raw
     /// integer, the float's IEEE bits, a mix over the text bytes, or a
     /// fixed tag for NULL. Consistent with [`ColumnVector::slot_eq`]
